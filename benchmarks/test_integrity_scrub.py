@@ -20,6 +20,7 @@ import time
 
 from repro.cluster import ClusterConfig, ServeCluster
 from repro.core import Mailbox, Memory, TContext, TGraph, TSampler
+from repro.resilience import apply_bitflip
 from repro.serve import ServeRuntime, build_stream, replay, split_batches
 
 from conftest import report_table
@@ -59,8 +60,8 @@ def run_at_factor(stream, factor, flip):
         serve_seconds = time.perf_counter() - t0
         if flip:
             group = cluster.groups[1]
-            assert cluster._apply_bitflip(
-                group, factor - 1, ("flip", "memory", 104729, 3))
+            assert apply_bitflip(
+                group.members[factor - 1], ("flip", "memory", 104729, 3))
             cluster.drain()
         stats = cluster.stats()
         data, times = cluster.memory_image()

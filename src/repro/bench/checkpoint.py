@@ -18,7 +18,6 @@ naming the file instead of a numpy/zipfile internals error.
 from __future__ import annotations
 
 import os
-import warnings
 import zlib
 from typing import Dict, Optional, Tuple
 
@@ -39,8 +38,6 @@ _META = "meta/format_version"
 _META_CRC = "meta/crc32"
 _STREAM = "stream/cursor"
 _FORMAT_VERSION = 2
-#: version-1 archives (no RNG/stream/CRC sections) still load.
-_COMPATIBLE_VERSIONS = (1, 2)
 
 
 def _optimizer_state(optimizer: Optimizer) -> Dict[str, np.ndarray]:
@@ -203,14 +200,11 @@ def save_checkpoint(
         raise
 
 
-def _read_archive(path: str) -> Tuple[Dict[str, np.ndarray], bool]:
+def _read_archive(path: str) -> Dict[str, np.ndarray]:
     """Load and integrity-check an archive; clean errors on corruption.
 
-    Returns ``(arrays, verified)`` — ``verified`` is False for archives
-    written without a CRC section (format version 1), whose content
-    could be silently corrupt.  Previously that skip was invisible to
-    callers; now it is surfaced all the way up through
-    :func:`load_checkpoint`.
+    An archive without a stored CRC32 is rejected like one whose CRC
+    mismatches: stripping the section must not defeat the check.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"no checkpoint at {path!r}")
@@ -223,19 +217,16 @@ def _read_archive(path: str) -> Tuple[Dict[str, np.ndarray], bool]:
         ) from exc
     stored_crc = arrays.pop(_META_CRC, None)
     if stored_crc is None:
-        warnings.warn(
-            f"checkpoint {path!r} has no stored CRC32 (format version 1 "
-            "archive?): integrity cannot be verified",
-            RuntimeWarning,
-            stacklevel=3,
+        raise ValueError(
+            f"checkpoint file {path!r} has no stored CRC32: its integrity "
+            "cannot be verified"
         )
-        return arrays, False
     if int(stored_crc[0]) != _crc32_of(arrays):
         raise ValueError(
             f"checkpoint file {path!r} failed its CRC32 integrity check "
             "(partial write or bit corruption)"
         )
-    return arrays, True
+    return arrays
 
 
 def load_checkpoint(
@@ -247,21 +238,19 @@ def load_checkpoint(
 ) -> Dict[str, object]:
     """Restore state saved by :func:`save_checkpoint` (in place).
 
-    Raises ``ValueError`` on a corrupted/truncated file or a CRC
-    mismatch, and ``KeyError``/``ValueError`` on structural mismatches
-    (missing parameters, wrong shapes, state the target cannot hold), so
-    silently loading the wrong checkpoint is not possible.
+    Raises ``ValueError`` on a corrupted/truncated file, a missing or
+    mismatching CRC, or an unknown format version, and
+    ``KeyError``/``ValueError`` on structural mismatches (missing
+    parameters, wrong shapes, state the target cannot hold), so silently
+    loading the wrong checkpoint is not possible.
 
-    Returns a metadata dict with the archive ``"version"``, the
+    Returns a metadata dict with the archive ``"version"`` and the
     ``"stream"`` cursor (``(epoch, batch)`` tuple, or ``None`` for
-    checkpoints taken outside a resumable training loop), and
-    ``"verified"`` — whether the archive's CRC32 was present and checked
-    (False only for legacy version-1 archives, which also raise a
-    ``RuntimeWarning``).
+    checkpoints taken outside a resumable training loop).
     """
-    arrays, verified = _read_archive(path)
+    arrays = _read_archive(path)
     version = int(arrays.pop(_META, np.array([0]))[0])
-    if version not in _COMPATIBLE_VERSIONS:
+    if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version: {version}")
     model_state = {
         key[len(_PREFIX_MODEL):]: value
@@ -316,5 +305,4 @@ def load_checkpoint(
     return {
         "version": version,
         "stream": (int(stream[0]), int(stream[1])) if stream is not None else None,
-        "verified": verified,
     }

@@ -38,7 +38,15 @@ import sys
 from typing import List, Optional
 
 from ..data import available_datasets, get_dataset
-from .cluster_cli import build_serve_cluster_parser, serve_cluster_main
+from .cluster_cli import (
+    add_replay_flags,
+    build_serve_cluster_parser,
+    exit_code,
+    load_stream,
+    print_summary,
+    run_replay,
+    serve_cluster_main,
+)
 from .experiments import FRAMEWORKS, MODELS, Experiment, ExperimentConfig
 from .scenario_cli import (
     add_store_flags,
@@ -98,29 +106,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
         prog="python -m repro.bench serve",
         description="Replay an event stream through the online serving runtime.",
     )
-    parser.add_argument("--dataset", choices=available_datasets(), default=None,
-                        help="serve a real dataset's event stream "
-                             "(default: synthetic)")
-    parser.add_argument("--events", type=int, default=2000,
-                        help="synthetic stream length (ignored with --dataset)")
-    parser.add_argument("--num-nodes", type=int, default=200,
-                        help="synthetic graph size (ignored with --dataset)")
-    parser.add_argument("--payload-dim", type=int, default=16)
-    parser.add_argument("--dim-mem", type=int, default=16)
-    parser.add_argument("--batch-size", type=int, default=50,
-                        help="events per serving request")
-    parser.add_argument("--load", type=float, default=1.0,
-                        help="offered load as a multiple of the full-quality "
-                             "service rate (16 = heavy overload)")
-    parser.add_argument("--deadline", type=float, default=2e-2,
-                        help="per-request budget in simulated seconds")
-    parser.add_argument("--max-queue", type=int, default=64)
-    parser.add_argument("--shed-policy", choices=("reject-new", "drop-oldest"),
-                        default="reject-new")
+    add_replay_flags(parser)
     parser.add_argument("--rate", type=float, default=None,
                         help="token-bucket admission rate (requests/sec)")
-    parser.add_argument("--num-nbrs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--poison", action="store_true",
                         help="inject malformed/duplicate/out-of-order events "
                              "into the stream")
@@ -150,24 +138,12 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 
 def serve_main(argv: Optional[List[str]] = None) -> int:
-    import numpy as np
-
     from ..core import Mailbox, Memory, TContext, TGraph, TSampler
     from ..resilience import FaultInjector, validate_state
-    from ..serve import ServeRuntime, build_stream, poison_stream, replay, split_batches
-    from ..serve.events import EventBatch
+    from ..serve import ServeRuntime, poison_stream, split_batches
 
     args = build_serve_parser().parse_args(argv)
-
-    if args.dataset is not None:
-        d = get_dataset(args.dataset)
-        payload = d.efeat[:, : args.payload_dim] if d.efeat is not None else None
-        stream = EventBatch(np.arange(d.num_edges), d.src, d.dst, d.ts, payload)
-        num_nodes = d.num_nodes
-    else:
-        stream = build_stream(args.num_nodes, args.events,
-                              payload_dim=args.payload_dim, seed=args.seed)
-        num_nodes = args.num_nodes
+    stream, num_nodes = load_stream(args)
 
     lateness = 0.0
     clean = stream
@@ -181,11 +157,10 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     def make_runtime(injector=None, reliable=False):
         g = TGraph(clean.src, clean.dst, clean.ts, num_nodes=num_nodes)
         ctx = TContext(g, store=store_config_from_args(args) if use_store else None)
-        mem = Memory(num_nodes, args.dim_mem)
-        mailbox = Mailbox(num_nodes, args.dim_mem)
-        sampler = TSampler(args.num_nbrs, seed=args.seed)
-        runtime = ServeRuntime(
-            g, ctx, mem, sampler, mailbox=mailbox,
+        return ServeRuntime(
+            g, ctx, Memory(num_nodes, args.dim_mem),
+            TSampler(args.num_nbrs, seed=args.seed),
+            mailbox=Mailbox(num_nodes, args.dim_mem),
             deadline=1e9 if reliable else args.deadline,
             lateness=lateness,
             max_queue=1 << 30 if reliable else args.max_queue,
@@ -198,7 +173,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             recover=args.recover,
             feature_store=use_store,
         )
-        return g, ctx, mem, mailbox, runtime
 
     injector = None
     if args.chaos:
@@ -208,31 +182,17 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             serve_commit_fault_rate=0.05,
             serve_poison_batches=[(0, 3), (0, 13)],
         )
-    g, ctx, mem, mailbox, runtime = make_runtime(injector)
+    runtime = make_runtime(injector)
     batches = split_batches(stream, args.batch_size)
     print(f"replaying {len(stream)} events in {len(batches)} requests "
           f"at {args.load:g}x load")
-    if injector is not None:
-        with injector:
-            results = replay(runtime, batches, load=args.load)
-    else:
-        results = replay(runtime, batches, load=args.load)
-
-    statuses = {s: sum(1 for r in results if r.status == s)
-                for s in ("ok", "shed", "timeout")}
-    for key, value in runtime.stats().items():
-        print(f"  {key:34s} {value}")
-    print(f"  statuses: ok={statuses['ok']} shed={statuses['shed']} "
-          f"timeout={statuses['timeout']}")
-    lat = ctx.stats().latency
-    if lat is not None:
-        print(f"  latency: p50={lat.p50:.4g}s p99={lat.p99:.4g}s (n={lat.count})")
-    if injector is not None:
-        print(f"  chaos: {len(injector.log)} faults fired")
+    results = run_replay(runtime, batches, args.load, injector)
+    print_summary(runtime.stats().items(), results, runtime.ctx, injector)
     runtime.close()  # seal the WAL: everything committed is now durable
 
     failures = []
-    violations = (validate_state(g, ctx) + mem.validate() + mailbox.validate())
+    violations = (validate_state(runtime.graph, runtime.ctx)
+                  + runtime.memory.validate() + runtime.mailbox.validate())
     if violations:
         failures.append("state violations: " + "; ".join(violations))
     st = runtime.ingest.stats
@@ -245,28 +205,19 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     if args.poison and args.check_equivalence:
         # Equivalence is defined over streams, not over shed work, so the
         # comparison replays run shed-free (unbounded queue, no deadline).
-        _, _, mem_p, mailbox_p, runtime_p = make_runtime(reliable=True)
-        replay(runtime_p, split_batches(stream, args.batch_size))
-        _, _, mem_c, mailbox_c, runtime_c = make_runtime(reliable=True)
-        replay(runtime_c, split_batches(clean, args.batch_size))
-        same = (
-            np.array_equal(mem_p.data.data, mem_c.data.data)
-            and np.array_equal(mem_p.time, mem_c.time)
-            and np.array_equal(mailbox_p.mail.data, mailbox_c.mail.data)
-            and np.array_equal(mailbox_p.time, mailbox_c.time)
-        )
+        digests = []
+        for events in (stream, clean):
+            shed_free = make_runtime(reliable=True)
+            run_replay(shed_free, split_batches(events, args.batch_size))
+            digests.append((shed_free.memory.state_digest(),
+                            shed_free.mailbox.state_digest()))
+        same = digests[0] == digests[1]
         print(f"  poisoned-stream equivalence: "
               f"{'bit-identical' if same else 'DIVERGED'}")
         if not same:
             failures.append("poisoned-stream final state diverged from clean replay")
 
-    if failures:
-        for f in failures:
-            print(f"FAIL: {f}", file=sys.stderr)
-        return 1 if args.assert_valid else 0
-    if args.assert_valid:
-        print("  all serving invariants hold")
-    return 0
+    return exit_code(failures, args.assert_valid, "all serving invariants hold")
 
 
 def _print_datasets() -> None:

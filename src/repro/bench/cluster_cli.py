@@ -32,31 +32,16 @@ from typing import List, Optional
 
 from ..data import available_datasets, get_dataset
 
-__all__ = ["build_serve_cluster_parser", "serve_cluster_main"]
+__all__ = ["build_serve_cluster_parser", "serve_cluster_main",
+           "add_replay_flags", "load_stream", "run_replay", "print_summary",
+           "exit_code"]
 
 
-def build_serve_cluster_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench serve-cluster",
-        description="Replay an event stream through the sharded serving cluster.",
-    )
-    parser.add_argument("--shards", type=int, default=4,
-                        help="number of shard replica groups")
-    parser.add_argument("--replication-factor", type=int, default=1,
-                        help="members per shard group (1 primary + N-1 "
-                             "followers on distinct hosts)")
-    parser.add_argument("--ack-quorum", type=int, default=None,
-                        help="durable-append acks per quorum commit "
-                             "(default: majority)")
-    parser.add_argument("--staleness-bound", choices=("bounded", "strict"),
-                        default="bounded",
-                        help="'bounded' follower reads lag by their queue; "
-                             "'strict' forces promotion before reading")
-    parser.add_argument("--legacy-partials", action="store_true",
-                        help="disable the per-row validity mask "
-                             "(strict_partials=False legacy behavior)")
-    parser.add_argument("--partition", choices=("hash", "temporal"),
-                        default="hash", help="node partitioning policy")
+# ---- shared by the ``serve`` and ``serve-cluster`` subcommands -----------------------
+
+
+def add_replay_flags(parser: argparse.ArgumentParser) -> None:
+    """Stream, offered-load, and admission flags of both serving subcommands."""
     parser.add_argument("--dataset", choices=available_datasets(), default=None,
                         help="serve a real dataset's event stream "
                              "(default: synthetic)")
@@ -78,6 +63,81 @@ def build_serve_cluster_parser() -> argparse.ArgumentParser:
                         default="reject-new")
     parser.add_argument("--num-nbrs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
+
+
+def load_stream(args):
+    """``(stream, num_nodes)``: ``--dataset``'s events, else a synthetic stream."""
+    import numpy as np
+
+    from ..serve import build_stream
+    from ..serve.events import EventBatch
+
+    if args.dataset is None:
+        stream = build_stream(args.num_nodes, args.events,
+                              payload_dim=args.payload_dim, seed=args.seed)
+        return stream, args.num_nodes
+    d = get_dataset(args.dataset)
+    payload = d.efeat[:, : args.payload_dim] if d.efeat is not None else None
+    stream = EventBatch(np.arange(d.num_edges), d.src, d.dst, d.ts, payload)
+    return stream, d.num_nodes
+
+
+def run_replay(engine, batches, load: float = 1.0, injector=None):
+    """Replay *batches* at *load*, under *injector* when one is armed."""
+    from contextlib import nullcontext
+
+    from ..serve import replay
+
+    with injector if injector is not None else nullcontext():
+        return replay(engine, batches, load=load)
+
+
+def print_summary(stats_rows, results, ctx, injector=None) -> None:
+    """The stats rows, then status counts, latency percentiles, faults fired."""
+    for key, value in stats_rows:
+        print(f"  {key:34s} {value}")
+    statuses = {s: sum(1 for r in results if r.status == s)
+                for s in ("ok", "shed", "timeout")}
+    print(f"  statuses: ok={statuses['ok']} shed={statuses['shed']} "
+          f"timeout={statuses['timeout']}")
+    lat = ctx.stats().latency
+    if lat is not None:
+        print(f"  latency: p50={lat.p50:.4g}s p99={lat.p99:.4g}s (n={lat.count})")
+    if injector is not None:
+        print(f"  chaos: {len(injector.log)} faults fired")
+
+
+def exit_code(failures: List[str], assert_valid: bool, all_clear: str) -> int:
+    """Report *failures* on stderr; they are fatal only under ``--assert-valid``."""
+    for f in failures:
+        print(f"FAIL: {f}", file=sys.stderr)
+    if failures:
+        return 1 if assert_valid else 0
+    if assert_valid:
+        print(f"  {all_clear}")
+    return 0
+
+
+def build_serve_cluster_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench serve-cluster",
+        description="Replay an event stream through the sharded serving cluster.",
+    )
+    parser.add_argument("--shards", type=int, default=4,
+                        help="number of shard replica groups")
+    parser.add_argument("--replication-factor", type=int, default=1,
+                        help="members per shard group (1 primary + N-1 "
+                             "followers on distinct hosts)")
+    parser.add_argument("--ack-quorum", type=int, default=None,
+                        help="durable-append acks per quorum commit "
+                             "(default: majority)")
+    parser.add_argument("--staleness-bound", choices=("bounded", "strict"),
+                        default="bounded",
+                        help="'bounded' follower reads lag by their queue; "
+                             "'strict' forces promotion before reading")
+    parser.add_argument("--partition", choices=("hash", "temporal"),
+                        default="hash", help="node partitioning policy")
+    add_replay_flags(parser)
     parser.add_argument("--mailbox-slots", type=int, default=1)
     parser.add_argument("--durable-root", default=None,
                         help="root directory for the per-shard WALs "
@@ -128,21 +188,11 @@ def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
     from ..cluster import ClusterConfig, ServeCluster
     from ..core import Mailbox, Memory, TContext, TGraph, TSampler
     from ..integrity import array_digest
-    from ..resilience import FaultInjector
-    from ..serve import ServeRuntime, build_stream, replay, split_batches
-    from ..serve.events import EventBatch
+    from ..resilience import FaultInjector, apply_bitflip
+    from ..serve import ServeRuntime, split_batches
 
     args = build_serve_cluster_parser().parse_args(argv)
-
-    if args.dataset is not None:
-        d = get_dataset(args.dataset)
-        payload = d.efeat[:, : args.payload_dim] if d.efeat is not None else None
-        stream = EventBatch(np.arange(d.num_edges), d.src, d.dst, d.ts, payload)
-        num_nodes = d.num_nodes
-    else:
-        stream = build_stream(args.num_nodes, args.events,
-                              payload_dim=args.payload_dim, seed=args.seed)
-        num_nodes = args.num_nodes
+    stream, num_nodes = load_stream(args)
     batches = split_batches(stream, args.batch_size)
 
     reliable = args.check_equivalence
@@ -153,7 +203,6 @@ def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
         replication_factor=args.replication_factor,
         ack_quorum=args.ack_quorum,
         staleness_bound=args.staleness_bound,
-        strict_partials=not args.legacy_partials,
         hedge_delay=None if args.hedge_delay < 0 else args.hedge_delay,
         heartbeat_interval=args.heartbeat_interval,
         durable_root=args.durable_root,
@@ -232,17 +281,13 @@ def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
           f"over {args.shards} shards x {args.replication_factor} replicas "
           f"({args.partition}) at {args.load:g}x load")
     t0 = time.perf_counter()
-    if injector is not None:
-        with injector:
-            results = replay(cluster, batches, load=args.load)
-    else:
-        results = replay(cluster, batches, load=args.load)
+    results = run_replay(cluster, batches, args.load, injector)
     serve_seconds = time.perf_counter() - t0
 
     flip_applied = False
     if flip_target is not None:
         tier, shard, member = flip_target
-        if tier == "cold" and not cluster.scrubber._cold:
+        if tier == "cold" and not cluster.scrubber.cold_tiers():
             # no feature store rides this CLI: register a demo cold tier
             # holding a copy of the final memory rows so the cold cell
             # of the scrub matrix is exercisable end to end
@@ -254,26 +299,17 @@ def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
                 cold,
                 source=lambda ns, ts: rows[np.asarray(ns, dtype=np.int64)],
             )
-        flip_applied = cluster._apply_bitflip(
-            cluster.groups[shard], member,
+        flip_applied = apply_bitflip(
+            cluster.groups[shard].members[member],
             ("flip", tier, 104729 + args.seed, 1 + args.seed % 7),
+            cluster.scrubber.cold_tiers(),
         )
         print(f"  injected bit flip: tier={tier} shard={shard} "
               f"member={member} applied={flip_applied}")
         cluster.drain()  # the scrub pass that detects + repairs the flip
 
-    statuses = {s: sum(1 for r in results if r.status == s)
-                for s in ("ok", "shed", "timeout")}
     stats = cluster.stats()
-    for key in sorted(stats):
-        print(f"  {key:34s} {stats[key]}")
-    print(f"  statuses: ok={statuses['ok']} shed={statuses['shed']} "
-          f"timeout={statuses['timeout']}")
-    lat = ctx.stats().latency
-    if lat is not None:
-        print(f"  latency: p50={lat.p50:.4g}s p99={lat.p99:.4g}s (n={lat.count})")
-    if injector is not None:
-        print(f"  chaos: {len(injector.log)} faults fired")
+    print_summary(sorted(stats.items()), results, ctx, injector)
 
     # Always printed, even when zero: a clean run must be distinguishable
     # from an unreported one.
@@ -338,7 +374,7 @@ def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
             g2, ctx2, mem, TSampler(args.num_nbrs, seed=args.seed),
             mailbox=mailbox, deadline=1e9, max_queue=1 << 30,
         )
-        replay(single, batches, load=args.load)
+        run_replay(single, batches, args.load)
         same = mem.state_digest() == array_digest(data, times)
         if mailbox is not None and mb_image is not None:
             mail, mtime, cursor = mb_image
@@ -353,10 +389,4 @@ def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
             )
     cluster.close()
 
-    if failures:
-        for f in failures:
-            print(f"FAIL: {f}", file=sys.stderr)
-        return 1 if args.assert_valid else 0
-    if args.assert_valid:
-        print("  all cluster invariants hold")
-    return 0
+    return exit_code(failures, args.assert_valid, "all cluster invariants hold")

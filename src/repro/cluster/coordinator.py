@@ -1,32 +1,34 @@
 """The cluster coordinator: sharded serving with the single-node guarantees.
 
-:class:`ServeCluster` mirrors the :class:`~repro.serve.runtime.ServeRuntime`
-surface (``submit`` / ``step`` / ``drain`` / ``results`` / ``stats`` /
-``close``) so the existing replay harness and chaos benchmarks drive a
-cluster unchanged — but behind that surface each request fans out over N
-:class:`~repro.cluster.replica.ShardReplica`s:
+:class:`ServeCluster` is the :class:`~repro.serve.engine.ServeEngine`
+backend whose state is sharded: the request loop (``submit`` / ``step``
+/ ``drain`` / ``swap_model`` / ``results`` / ``stats`` / ``close``) is
+the engine's, shared line for line with
+:class:`~repro.serve.runtime.ServeRuntime`, so the replay harness and
+the chaos benchmarks drive a cluster unchanged.  This module implements
+only the seam — where the rows come from and where the commits go.
 
 Each shard is a :class:`~repro.cluster.replication.ReplicaGroup` —
 ``replication_factor`` members on distinct hosts, one primary plus
-followers — and the request path uses the group at both ends:
+followers — and the seam uses the group at both ends:
 
-* **Scoring** is a scatter-gather read with **failover**: each touched
-  shard's rows come from its preferred read member
+* **Reads** (``_gather``) are scatter-gather with **failover**: each
+  touched shard's rows come from its preferred read member
   (:meth:`~repro.cluster.replication.ReplicaGroup.read_member`) over
   :class:`~repro.cluster.rpc.SimRpc` (timeout + retry + hedging); when
   that member is unreachable the gather retries the remaining serving
   members, so reads survive the detection→promotion window that a
   factor-1 cluster zero-fills.  Only when *every* member of a group is
-  down do that shard's rows zero-fill — and then the response carries a
-  per-row ``valid`` mask (rows from dead groups marked invalid) instead
-  of silently serving zeros; ``strict_partials=False`` restores the
-  legacy unmarked behavior.  ``staleness_bound`` picks between
-  ``'bounded'`` follower reads (lag at most the follower's parked queue)
-  and ``'strict'`` read-your-commits (block the gather on promotion).
-* **Commits** are validated once at the coordinator (the same staged-NaN
-  poison check the single runtime's post-apply validation would trip),
-  stamped with a cluster sequence number, then **quorum log-shipped** to
-  every member of each touched group
+  down do that shard's rows zero-fill — and then the returned per-row
+  mask marks them, which the engine turns into ``RequestResult.valid``,
+  the ``serve:zero_rows`` counter, and a ``partial`` result.
+  ``staleness_bound`` picks between ``'bounded'`` follower reads (lag at
+  most the follower's parked queue) and ``'strict'`` read-your-commits
+  (block the gather on promotion).
+* **Commits** (``_commit``) are validated once at the coordinator (the
+  same staged-NaN poison check the single runtime's post-apply
+  validation would trip), stamped with a cluster sequence number, then
+  **quorum log-shipped** to every member of each touched group
   (:meth:`~repro.cluster.replication.ReplicaGroup.ship`): each member
   WAL-logs its ownership-filtered sub-batch before applying it, and the
   commit is quorum-acked when ``ack_quorum`` members confirmed the
@@ -34,10 +36,10 @@ followers — and the request path uses the group at both ends:
   dropped ship, RPC budget exhausted) gets it parked in its in-order
   queue and redelivered — idempotently, by sequence number — when it
   rejoins.
-* **Failures** are injected between requests (``shard.crash`` /
-  ``shard.stall``, per member) and detected by the
-  :class:`~repro.cluster.supervisor.Supervisor`'s heartbeat loop, which
-  drives lease-fenced promotion of the best follower, WAL-replay
+* **Failures** are injected between requests (``_before_request`` calls
+  :func:`repro.resilience.chaos.inject_member_faults`) and detected by
+  the :class:`~repro.cluster.supervisor.Supervisor`'s heartbeat loop,
+  which drives lease-fenced promotion of the best follower, WAL-replay
   respawn + re-replication of dead members, and hot-spot rebalancing.
 
 Because every group member applies exactly the committed event sequence
@@ -59,15 +61,13 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..integrity.scrubber import Scrubber
+from ..resilience.chaos import inject_member_faults
 from ..resilience.errors import TransientKernelError
 from ..resilience.hooks import poke as _poke
-from ..serve.admission import AdmissionController
-from ..serve.clock import SimClock
-from ..serve.commit import stage_updates
-from ..serve.deadline import CostModel, DegradationLadder
-from ..serve.events import EventBatch, RejectReason, validate_events
-from ..serve.ingest import IngestPipeline
-from ..serve.runtime import Request, RequestResult
+from ..serve.commit import serve_state_arrays, stage_updates
+from ..serve.deadline import CostModel
+from ..serve.engine import ServeEngine
+from ..serve.events import EventBatch
 from .partition import ShardRouter, place_group_hosts
 from .replica import ReplicaDown, ShardReplica
 from .replication import ReplicaGroup
@@ -95,7 +95,6 @@ class ClusterConfig:
     replication_factor: int = 1
     ack_quorum: Optional[int] = None  # None -> majority (factor//2 + 1)
     staleness_bound: str = "bounded"  # 'bounded' | 'strict'
-    strict_partials: bool = True  # False -> legacy unmarked zero-fill
     promote_seconds: float = 2.0e-3
     num_hosts: Optional[int] = None  # None -> max(shards, factor)
     # RPC channel
@@ -170,23 +169,21 @@ class ShardedCostModel:
         return cost
 
 
-class ServeCluster:
+class ServeCluster(ServeEngine):
     """N-shard fault-tolerant serving behind the single-runtime surface.
 
     Args:
-        graph: the shared :class:`~repro.core.graph.TGraph` topology.
-        ctx: shared :class:`~repro.core.context.TContext`.
-        sampler: :class:`~repro.core.sampler.TSampler` for sampling rungs.
+        graph / ctx / sampler: as :class:`~repro.serve.engine.ServeEngine`.
         dim: memory/mailbox row width on every shard.
         config: :class:`ClusterConfig` (defaults used when ``None``).
         mailbox_slots: ring slots per node (0 disables mailboxes).
-        clock / deadline / ladder / lateness / max_buffer / max_queue /
-            shed_policy / rate / burst: exactly the
-            :class:`~repro.serve.runtime.ServeRuntime` knobs.
-        injector: optional fault injector whose cursor advances to
-            ``(0, rid)`` per step (install it separately).
         stream: seeding event stream, required by the ``temporal``
             partition policy.
+        **engine: the shared request-loop knobs (``clock``, ``deadline``,
+            ``ladder``, ``lateness``, ``max_buffer``, ``max_queue``,
+            ``shed_policy``, ``rate``, ``burst``, ``injector``), declared
+            once on :class:`~repro.serve.engine.ServeEngine`.  The
+            default ladder prices requests with :class:`ShardedCostModel`.
     """
 
     def __init__(
@@ -197,26 +194,14 @@ class ServeCluster:
         dim: int,
         config: Optional[ClusterConfig] = None,
         mailbox_slots: int = 1,
-        clock: Optional[SimClock] = None,
-        deadline: float = 1.0e-2,
-        ladder: Optional[DegradationLadder] = None,
-        lateness: float = 0.0,
-        max_buffer: int = 10000,
-        max_queue: int = 64,
-        shed_policy: str = "reject-new",
-        rate: Optional[float] = None,
-        burst: Optional[float] = None,
-        injector=None,
         stream=None,
+        **engine,
     ):
-        self.graph = graph
-        self.ctx = ctx
-        self.sampler = sampler
+        super().__init__(graph, ctx, sampler, **engine)
+        if engine.get("ladder") is None:
+            self.ladder.cost_model = ShardedCostModel(self)
         self.dim = int(dim)
         self.config = config or ClusterConfig()
-        self.clock = clock or SimClock()
-        self.deadline = float(deadline)
-        self.injector = injector
 
         cfg = self.config
         self.router = ShardRouter.build(
@@ -273,22 +258,6 @@ class ServeCluster:
             self.groups, self.clock, interval=cfg.scrub_interval,
             count=ctx.count,
         )
-        self.ladder = ladder or DegradationLadder(
-            full_fanout=sampler.num_nbrs,
-            cost_model=ShardedCostModel(self),
-        )
-        self.ingest = IngestPipeline(
-            graph.num_nodes, lateness=lateness, max_buffer=max_buffer
-        )
-        self.admission = AdmissionController(
-            self.clock, max_queue=max_queue, policy=shed_policy,
-            rate=rate, burst=burst,
-        )
-        self.results: List[RequestResult] = []
-        self._next_rid = 0
-        self._closed = False
-        self._partial_this_request = 0
-
         #: cluster commit sequence; every shard sub-batch carries it.
         self.seq = -1
         self.committed_watermark = -np.inf
@@ -296,12 +265,9 @@ class ServeCluster:
         self.commits = 0
         self.commit_retries = 0
         self.rollbacks = 0
-        self.partial_results = 0
         self.injected_crashes = 0
         self.injected_stalls = 0
         self.injected_flips = 0
-        #: endpoint rows served as zeros because a whole group was down.
-        self.zero_rows = 0
         #: gathers answered by a follower instead of the primary.
         self.follower_reads = 0
         #: summed ``committed_seq - follower.last_seq`` over follower reads.
@@ -328,207 +294,38 @@ class ServeCluster:
         """Shards with at least one member able to serve right now."""
         return sum(1 for g in self.groups if g.any_serving())
 
-    def _chaos(self) -> None:
-        """Consult the shard-level fault sites (between requests).
+    # perf/trace.py patches these three on *this* class (it looks them up
+    # in vars(ServeCluster)), so they must be own attributes, not merely
+    # inherited ones.
+    submit, step, drain = ServeEngine.submit, ServeEngine.step, ServeEngine.drain
 
-        Every group member is its own kill/stall target: the decision
-        extra is ``shard + num_shards * member``, so member 0 of shard i
-        keeps the factor-1 extra ``i`` (schedules written for the
-        single-replica cluster target the same primary), and a schedule
-        entry ``(epoch, batch, shard + num_shards * m)`` kills exactly
-        follower ``m``.
-        """
-        now = self.clock.now()
-        n = self.config.num_shards
-        for i, group in enumerate(self.groups):
-            for m, rep in enumerate(group.members):
-                if rep.alive and _poke(
-                    "shard.crash", shard=i, extra=i + n * m
-                ):
-                    rep.crash()
-                    self.injected_crashes += 1
-        for i, group in enumerate(self.groups):
-            for m, rep in enumerate(group.members):
-                if not rep.alive or rep.recovering:
-                    continue
-                factor = _poke("shard.stall", shard=i, extra=i + n * m)
-                if factor:
-                    rep.stall(now, float(factor), self.config.stall_window)
-                    self.injected_stalls += 1
-        for i, group in enumerate(self.groups):
-            for m, rep in enumerate(group.members):
-                if not rep.alive or rep.recovering:
-                    continue
-                directive = _poke("mem.flip", shard=i, extra=i + n * m)
-                if directive is not None and directive[0] == "flip":
-                    if self._apply_bitflip(group, m, directive):
-                        self.injected_flips += 1
-                        self.ctx.count("integrity:injected_flips", 1)
+    # ---- the seam: between requests, after drain -----------------------------------
 
-    def _apply_bitflip(self, group, member: int, directive) -> bool:
-        """Flip one live-state bit of *member*, bypassing the write path.
-
-        The directive's byte index is drawn from a huge nominal space and
-        reduced modulo the targeted tier's actual byte size, so one
-        deterministic decision lands somewhere valid in any state shape.
-        Returns False when the tier holds no bytes to corrupt (e.g. a
-        ``wal`` flip against a log whose segments are all empty).
-        """
-        _, tier, byte, bit = directive
-        mask = np.uint8(1 << bit)
-        rep = group.members[member]
-        if tier == "wal":
-            if rep.store is None:
-                return False
-            paths = [
-                p for p in rep.store.wal.segment_paths()
-                if os.path.getsize(p) > 16  # past the segment header
-            ]
-            if not paths:
-                return False
-            path = paths[byte % len(paths)]
-            size = os.path.getsize(path)
-            with open(path, "r+b") as fh:
-                fh.seek(16 + byte % (size - 16))
-                old = fh.read(1)
-                fh.seek(-1, os.SEEK_CUR)
-                fh.write(bytes([old[0] ^ int(mask)]))
-            return True
-        if tier == "cold":
-            entries = self.scrubber._cold
-            if not entries:
-                return False
-            cold = entries[byte % len(entries)]["tier"]
-            if cold._nrows == 0:
-                return False
-            flat = np.asarray(
-                cold._rows[: cold._nrows]
-            ).view(np.uint8).reshape(-1)
-            flat[byte % len(flat)] ^= mask
-            return True
-        if tier == "mailbox":
-            mb = rep.mailbox
-            if mb is None:
-                return False
-            # The ring cursor is digest-covered but not a flip target: a
-            # corrupted cursor steers *later* writes to the wrong slot,
-            # and once the write path re-records those rows no digest can
-            # tell the state from a clean one — an unrepairable-by-design
-            # hole rather than the detect-and-repair cycle under test.
-            arrays = [mb.mail.data, mb.time]
-        else:  # 'memory'
-            if rep.memory is None:
-                return False
-            arrays = [rep.memory.data.data, rep.memory.time]
-        off = byte % sum(a.nbytes for a in arrays)
-        for arr in arrays:
-            if off < arr.nbytes:
-                arr.view(np.uint8).reshape(-1)[off] ^= mask
-                return True
-            off -= arr.nbytes
-        return False
-
-    # ---- submission (mirrors ServeRuntime.submit) ----------------------------------
-
-    def submit(
-        self,
-        batch: EventBatch,
-        deadline: Optional[float] = None,
-        arrival: Optional[float] = None,
-    ) -> bool:
-        """Offer one request; returns False when it was shed on arrival."""
-        now = self.clock.now() if arrival is None else float(arrival)
-        req = Request(
-            rid=self._next_rid,
-            batch=batch,
-            arrival=now,
-            deadline=now + (self.deadline if deadline is None else float(deadline)),
+    def _before_request(self) -> None:
+        """Apply due member faults, then detect, fail over, and scrub."""
+        crashes, stalls, flips = inject_member_faults(
+            self.groups, self.clock.now(), self.config.stall_window,
+            self.scrubber.cold_tiers(),
         )
-        self._next_rid += 1
-        admitted = self.admission.offer(req)
-        for shed in self.admission.drain_shed():
-            self.ctx.count("serve:shed", 1)
-            self.results.append(
-                RequestResult(
-                    shed.rid, "shed", "", None,
-                    self.clock.now() - shed.arrival, "admission control",
-                )
-            )
-        if admitted:
-            self.ctx.count("serve:admitted", 1)
-        return admitted
-
-    # ---- serving -------------------------------------------------------------------
-
-    def step(self) -> Optional[RequestResult]:
-        """Serve the next queued request (None when the queue is idle)."""
-        req = self.admission.poll()
-        if req is None:
-            return None
-        if self.injector is not None:
-            self.injector.advance(0, req.rid)
-        self._chaos()
+        self.injected_crashes += crashes
+        self.injected_stalls += stalls
+        if flips:
+            self.injected_flips += flips
+            self.ctx.count("integrity:injected_flips", flips)
         self.supervisor.tick()
         self.scrubber.maybe_scrub()
 
-        remaining = req.deadline - self.clock.now()
-        decision = self.ladder.decide(remaining, len(req.batch), self.ctx)
-        self.clock.advance(decision.estimated_cost)
+    def _after_drain(self) -> None:
+        """Settle every failover, then run the terminal anti-entropy pass.
 
-        self._partial_this_request = 0
-        valid = None
-        if decision.level == "timeout":
-            scores, status, detail = None, "timeout", RejectReason.DEADLINE
-        else:
-            try:
-                scores, valid = self._score(req.batch, decision, req.rid)
-                status, detail = "ok", decision.reason
-            except TransientKernelError as err:
-                self.ctx.record_kernel_fault(err.site)
-                decision = decision.__class__(
-                    "memory", 0, decision.estimated_cost,
-                    f"kernel fault at {err.site}",
-                )
-                scores, valid = self._score(req.batch, decision, req.rid)
-                status, detail = "ok", decision.reason
-            if decision.level != "full":
-                self.ctx.count(f"serve:degraded:{decision.level}", 1)
-            if self._partial_this_request:
-                self.partial_results += 1
-                self.ctx.count("serve:partial", 1)
-                detail = (detail + "; " if detail else "") + (
-                    f"partial: {self._partial_this_request} shard(s) unreachable"
-                )
-
-        self._ingest_and_commit(req.batch, req.rid)
-
-        latency = self.clock.now() - req.arrival
-        self.ctx.record_latency(latency)
-        result = RequestResult(
-            req.rid, status, decision.level, scores, latency, detail,
-            valid=valid if self.config.strict_partials else None,
-        )
-        self.results.append(result)
-        return result
-
-    def drain(self) -> List[RequestResult]:
-        """Serve the queue, flush ingestion, and settle every failover.
-
-        After ``drain`` returns no shard is mid-recovery and every
-        pending sub-batch has been applied, so the assembled state images
-        reflect the complete committed stream.
+        Afterwards no shard is mid-recovery and every pending sub-batch
+        has been applied, so the assembled state images reflect the
+        complete committed stream; any flip still hiding (injected after
+        the last periodic cycle) is caught before they are read as ground
+        truth.
         """
-        while self.step() is not None:
-            pass
-        tail = self.ingest.flush()
-        if len(tail):
-            self._commit(tail, rid=self._next_rid)
         self._settle()
-        # Terminal anti-entropy pass: any flip still hiding (injected
-        # after the last periodic cycle) is caught before the state
-        # images are read as ground truth.
         self.scrubber.scrub_now()
-        return self.results
 
     def _settle(self) -> None:
         """Complete all outstanding failovers and drain member queues."""
@@ -558,7 +355,7 @@ class ServeCluster:
             if group.any_serving():
                 self.supervisor.ensure_primary(i)
 
-    # ---- scatter-gather scoring ----------------------------------------------------
+    # ---- the seam: scatter-gather reads --------------------------------------------
 
     def _gather(self, nodes: np.ndarray, extra: int):
         """Memory rows for *nodes* from their owning groups.
@@ -570,7 +367,8 @@ class ServeCluster:
         attempt (timeout, crash mid-wave) fails over to the remaining
         serving members of the group, so rows zero-fill **only** when a
         whole group is down — and then their mask rows go False instead
-        of the zeros passing silently.  The wave's wall time is its
+        of the zeros passing silently (the engine counts them).  The
+        wave's wall time is its
         slowest shard — calls overlap — and only the excess beyond the
         nominal round trip already priced by the cost model is charged
         to the clock.
@@ -628,98 +426,11 @@ class ServeCluster:
                 served = True
                 break
             if not served:
-                self._partial_this_request += 1
-                n_zero = int(idx.sum())
                 ok[idx] = False
-                self.zero_rows += n_zero
-                self.ctx.count("serve:zero_rows", n_zero)
         self.clock.advance(max(0.0, slowest - self.rpc.service))
         return rows, ok
 
-    def _score(self, batch: EventBatch, decision, rid: int):
-        """Link-prediction scores at the decided rung (junk-safe).
-
-        Returns ``(scores, valid)``: junk events score NaN with
-        ``valid=False``; a well-formed event is valid iff *both* its
-        endpoint rows came from a live group member (a zero-filled
-        endpoint poisons the dot product, so its score is marked).
-        """
-        if not len(batch):
-            empty = np.empty(0, dtype=np.float32)
-            return empty, np.ones(0, dtype=bool)
-        ok, _ = validate_events(batch, self.graph.num_nodes)
-        if not ok.all():
-            scores = np.full(len(batch), np.nan, dtype=np.float32)
-            valid = np.zeros(len(batch), dtype=bool)
-            if ok.any():
-                scores[ok], valid[ok] = self._score(
-                    batch.take(ok), decision, rid
-                )
-            return scores, valid
-        nodes = np.concatenate([batch.src, batch.dst])
-        times = np.concatenate([batch.ts, batch.ts])
-        base = 104729 * (rid + 1)
-        if decision.level in ("full", "reduced"):
-            emb, rows_ok = self._embed_sampled(
-                nodes, times, decision.fanout, base
-            )
-        elif decision.level == "cache":
-            emb, rows_ok = self._embed_cached(nodes, times, base)
-        else:  # 'memory'
-            emb, rows_ok = self._gather(nodes, base)
-        n = len(batch)
-        logits = np.sum(emb[:n] * emb[n:], axis=1)
-        scores = (1.0 / (1.0 + np.exp(-logits))).astype(np.float32)
-        return scores, rows_ok[:n] & rows_ok[n:]
-
-    def _embed_sampled(self, nodes, times, fanout: int, extra: int):
-        """Shard-gathered rows enriched with sampled temporal neighbors.
-
-        A failed *neighbor* gather only reduces the enrichment (that is
-        already the reduced-fanout contract), so the validity mask is the
-        endpoint rows' own — neighbor loss never invalidates a score.
-        """
-        res = self.sampler.sample_arrays(
-            self.graph.csr(), nodes, times, ctx=self.ctx, num_nbrs=fanout
-        )
-        rows, ok = self._gather(nodes, extra)
-        emb = rows.copy()
-        if len(res.srcnodes):
-            agg = np.zeros_like(emb)
-            counts = np.zeros(len(nodes), dtype=np.float32)
-            nbr_rows, _ = self._gather(res.srcnodes, extra + 1)
-            np.add.at(agg, res.dstindex, nbr_rows)
-            np.add.at(counts, res.dstindex, 1.0)
-            hot = counts > 0
-            emb[hot] = 0.5 * (emb[hot] + agg[hot] / counts[hot, None])
-        cache = self.ctx.embed_cache(0)
-        if cache.enabled:
-            cache.store(nodes, times, emb)
-        return emb, ok
-
-    def _embed_cached(self, nodes, times, extra: int):
-        cache = self.ctx.embed_cache(0)
-        rows, ok = self._gather(nodes, extra)
-        emb = rows.copy()
-        hits, values = cache.lookup(nodes, times)
-        if values is not None and hits.any():
-            emb[hits] = values[hits]
-            # a cache hit replaces a zero-filled row with real state
-            ok = ok | hits
-        return emb, ok
-
-    # ---- commit fan-out ------------------------------------------------------------
-
-    def _ingest_and_commit(self, batch: EventBatch, rid: int) -> None:
-        for attempt in range(3):
-            try:
-                released = self.ingest.push(batch)
-                break
-            except TransientKernelError as err:
-                self.ctx.record_kernel_fault(err.site)
-                if attempt == 2:
-                    raise
-        self._commit(released, rid)
+    # ---- the seam: commit fan-out --------------------------------------------------
 
     def _commit(self, released: EventBatch, rid: int) -> None:
         """Validate once at the coordinator, then fan out by ownership.
@@ -729,8 +440,6 @@ class ServeCluster:
         validating the staged rows *before* fan-out quarantines exactly
         the same batches without needing cross-shard two-phase commit.
         """
-        if not len(released):
-            return
         retries = 0
         while True:
             try:
@@ -746,7 +455,6 @@ class ServeCluster:
         _poke("serve.poison", values=values)
         if not np.isfinite(values).all():
             self.rollbacks += 1
-            self.ctx.count("serve:quarantined", len(released))
             self.ingest.quarantine_batch(
                 released, "poisoned batch: non-finite staged values"
             )
@@ -776,6 +484,19 @@ class ServeCluster:
 
     # ---- assembled state images ----------------------------------------------------
 
+    def _image(self) -> Dict[str, np.ndarray]:
+        """The global serve-state image: each row from its owning primary."""
+        n = self.graph.num_nodes
+        image: Dict[str, np.ndarray] = {}
+        for rep in self.replicas:
+            if rep.memory is None:
+                raise ReplicaDown(f"shard {rep.shard_id} is down; drain() first")
+            for key, rows in serve_state_arrays(rep.memory, rep.mailbox).items():
+                if key not in image:
+                    image[key] = np.zeros((n,) + rows.shape[1:], dtype=rows.dtype)
+                image[key][rep.owned] = rows
+        return image
+
     def memory_image(self):
         """Global ``(data, time)`` memory arrays assembled from the shards.
 
@@ -783,39 +504,15 @@ class ServeCluster:
         :meth:`drain` the image is directly comparable — bit-for-bit —
         with a single runtime's ``memory.data.data`` / ``memory.time``.
         """
-        data = np.zeros((self.graph.num_nodes, self.dim), dtype=np.float32)
-        time = np.zeros(self.graph.num_nodes, dtype=np.float64)
-        for rep in self.replicas:
-            if rep.memory is None:
-                raise ReplicaDown(
-                    f"shard {rep.shard_id} is down; drain() first"
-                )
-            data[rep.owned] = rep.memory.data.data
-            time[rep.owned] = rep.memory.time
-        return data, time
+        image = self._image()
+        return image["memory/data"], image["memory/time"]
 
     def mailbox_image(self):
         """Global ``(mail, time, cursor)`` mailbox arrays from the shards."""
-        first = self.replicas[0].mailbox
-        if first is None:
+        image = self._image()
+        if "mailbox/mail" not in image:
             return None
-        slots = first.slots
-        n = self.graph.num_nodes
-        shape = (n, self.dim) if slots == 1 else (n, slots, self.dim)
-        tshape = (n,) if slots == 1 else (n, slots)
-        mail = np.zeros(shape, dtype=np.float32)
-        time = np.zeros(tshape, dtype=np.float64)
-        cursor = np.zeros(n, dtype=np.int64) if slots > 1 else None
-        for rep in self.replicas:
-            if rep.mailbox is None:
-                raise ReplicaDown(
-                    f"shard {rep.shard_id} is down; drain() first"
-                )
-            mail[rep.owned] = rep.mailbox.mail.data
-            time[rep.owned] = rep.mailbox.time
-            if cursor is not None:
-                cursor[rep.owned] = rep.mailbox._next_slot
-        return mail, time, cursor
+        return image["mailbox/mail"], image["mailbox/time"], image.get("mailbox/cursor")
 
     # ---- reporting / lifecycle -----------------------------------------------------
 
@@ -823,16 +520,8 @@ class ServeCluster:
         return sum(g.pending_applies() for g in self.groups)
 
     def stats(self) -> Dict[str, object]:
-        """Flat dict: serving counters plus cluster/rpc/per-shard rows."""
-        out: Dict[str, object] = {}
-        out.update({f"admission:{k}": v
-                    for k, v in self.admission.stats.as_dict().items()})
-        out.update({f"ingest:{k}": v
-                    for k, v in self.ingest.stats.as_dict().items()})
-        out.update({f"ladder:{k}": v
-                    for k, v in sorted(self.ladder.decisions.items())})
-        out["watermark"] = self.ingest.watermark
-        out["committed_watermark"] = self.committed_watermark
+        """The engine's counters plus cluster/rpc/per-shard rows."""
+        out = super().stats()
         out["cluster:shards"] = self.config.num_shards
         out["cluster:replication_factor"] = self.config.replication_factor
         out["cluster:live_shards"] = self.live_shards()
@@ -863,23 +552,14 @@ class ServeCluster:
                         for k, v in group.stats().items()})
         return out
 
-    def close(self) -> None:
-        """Idempotent teardown: every group member (dead ones included)."""
-        if self._closed:
-            return
-        self._closed = True
+    def _release(self) -> None:
+        """Close every group member (dead ones included)."""
         for group in self.groups:
             for rep in group.members:
                 rep.close()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None
-
-    def __enter__(self) -> "ServeCluster":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return (

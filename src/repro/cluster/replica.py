@@ -38,7 +38,7 @@ from ..core.memory import Memory
 from ..durable.codec import KIND_BATCH
 from ..durable.store import DurableStateStore
 from ..integrity.digest import ChunkedDigest, merkle_root
-from ..serve.commit import stage_updates
+from ..serve.commit import load_serve_state_arrays, serve_state_arrays, stage_updates
 from ..serve.events import EventBatch
 
 __all__ = ["ReplicaDown", "StaleLeaseError", "ShardReplica"]
@@ -80,25 +80,15 @@ class _StateDigests:
     """
 
     def __init__(self, replica: "ShardReplica", chunk_rows: int):
-        rows = len(replica.owned)
-        self.memory = ChunkedDigest(
-            lambda lo, hi: (
-                replica.memory.data.data[lo:hi],
-                replica.memory.time[lo:hi],
-            ),
-            rows,
-            chunk_rows,
-        )
-        self.mailbox: Optional[ChunkedDigest] = None
-        if replica.mailbox is not None:
-            def _mail_reader(lo, hi):
-                mb = replica.mailbox
-                out = (mb.mail.data[lo:hi], mb.time[lo:hi])
-                if mb._next_slot is not None:
-                    out = out + (mb._next_slot[lo:hi],)
-                return out
+        def digest(component: str) -> ChunkedDigest:
+            return ChunkedDigest(
+                lambda lo, hi: tuple(a[lo:hi] for a in replica.tables(component)),
+                len(replica.owned),
+                chunk_rows,
+            )
 
-            self.mailbox = ChunkedDigest(_mail_reader, rows, chunk_rows)
+        self.memory = digest("memory")
+        self.mailbox = None if replica.mailbox is None else digest("mailbox")
 
     def record_rows(self, rows: np.ndarray) -> None:
         self.memory.record_rows(rows)
@@ -170,15 +160,7 @@ class ShardReplica:
         self.snapshot_every = int(snapshot_every)
         os.makedirs(durable_dir, exist_ok=True)
 
-        self.owned = np.sort(np.asarray(owned, dtype=np.int64))
-        self._local = np.full(self.num_nodes, -1, dtype=np.int64)
-        self._local[self.owned] = np.arange(len(self.owned))
-        self.memory = Memory(len(self.owned), dim)
-        self.mailbox = (
-            Mailbox(len(self.owned), dim, slots=self.mailbox_slots)
-            if self.mailbox_slots > 0
-            else None
-        )
+        self._reslice(np.sort(np.asarray(owned, dtype=np.int64)))
         self.store: Optional[DurableStateStore] = DurableStateStore(
             durable_dir, fsync=fsync
         )
@@ -264,19 +246,8 @@ class ShardReplica:
                 f"shard {self.shard_id}: no snapshot to recover ownership from"
             )
         arrays = state.snapshot_arrays
-        self.owned = np.asarray(arrays["owned"], dtype=np.int64)
-        self._local = np.full(self.num_nodes, -1, dtype=np.int64)
-        self._local[self.owned] = np.arange(len(self.owned))
-        self.memory = Memory(len(self.owned), self.dim)
-        self.memory.data.data[...] = arrays["memory/data"]
-        self.memory.time[...] = arrays["memory/time"]
-        if self.mailbox_slots > 0:
-            self.mailbox = Mailbox(len(self.owned), self.dim,
-                                   slots=self.mailbox_slots)
-            self.mailbox.mail.data[...] = arrays["mailbox/mail"]
-            self.mailbox.time[...] = arrays["mailbox/time"]
-            if self.mailbox._next_slot is not None:
-                self.mailbox._next_slot[...] = arrays["mailbox/cursor"]
+        self._reslice(np.asarray(arrays["owned"], dtype=np.int64))
+        load_serve_state_arrays(arrays, self.memory, self.mailbox)
         self.last_seq = int(state.snapshot_meta.get("seq", -1))
         self.lease_epoch = int(state.snapshot_meta.get("epoch", 0))
         self.digests = _StateDigests(self, self.chunk_rows)
@@ -375,17 +346,24 @@ class ShardReplica:
 
     # ---- integrity -----------------------------------------------------------------
 
+    def tables(self, component: str) -> Tuple[np.ndarray, ...]:
+        """The live arrays of one state table, each indexed by local row.
+
+        The mailbox's ring cursor is part of its state: a digest or a
+        repair that skipped it would miss where the *next* write lands.
+        """
+        if component == "memory":
+            return (self.memory.data.data, self.memory.time)
+        if component == "mailbox" and self.mailbox is not None:
+            mb = self.mailbox
+            cursor = () if mb._next_slot is None else (mb._next_slot,)
+            return (mb.mail.data, mb.time) + cursor
+        raise KeyError(f"unknown state component {component!r}")
+
     def read_rows(self, component: str, rows: np.ndarray) -> Tuple[np.ndarray, ...]:
         """Copies of local *rows* of one state table (repair-donor read)."""
         rows = np.asarray(rows, dtype=np.int64)
-        if component == "memory":
-            return (self.memory.data.data[rows].copy(), self.memory.time[rows].copy())
-        if component == "mailbox" and self.mailbox is not None:
-            out = [self.mailbox.mail.data[rows].copy(), self.mailbox.time[rows].copy()]
-            if self.mailbox._next_slot is not None:
-                out.append(self.mailbox._next_slot[rows].copy())
-            return tuple(out)
-        raise KeyError(f"unknown state component {component!r}")
+        return tuple(table[rows] for table in self.tables(component))
 
     def overwrite_rows(
         self,
@@ -403,21 +381,10 @@ class ShardReplica:
         state.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        if component == "memory":
-            self.memory.data.data[rows] = arrays[0]
-            self.memory.time[rows] = arrays[1]
-            if record and self.digests is not None:
-                self.digests.memory.record_rows(rows)
-            return
-        if component == "mailbox" and self.mailbox is not None:
-            self.mailbox.mail.data[rows] = arrays[0]
-            self.mailbox.time[rows] = arrays[1]
-            if self.mailbox._next_slot is not None:
-                self.mailbox._next_slot[rows] = arrays[2]
-            if record and self.digests is not None:
-                self.digests.mailbox.record_rows(rows)
-            return
-        raise KeyError(f"unknown state component {component!r}")
+        for table, new in zip(self.tables(component), arrays):
+            table[rows] = new
+        if record and self.digests is not None:
+            getattr(self.digests, component).record_rows(rows)
 
     def shadow_state(self) -> Optional[Tuple[Memory, Optional[Mailbox], int]]:
         """Rebuild acked state from durable evidence, without side effects.
@@ -438,16 +405,8 @@ class ShardReplica:
         owned = np.asarray(arrays["owned"], dtype=np.int64)
         if not np.array_equal(owned, self.owned):
             return None
-        memory = Memory(len(owned), self.dim)
-        memory.data.data[...] = arrays["memory/data"]
-        memory.time[...] = arrays["memory/time"]
-        mailbox: Optional[Mailbox] = None
-        if self.mailbox_slots > 0:
-            mailbox = Mailbox(len(owned), self.dim, slots=self.mailbox_slots)
-            mailbox.mail.data[...] = arrays["mailbox/mail"]
-            mailbox.time[...] = arrays["mailbox/time"]
-            if mailbox._next_slot is not None:
-                mailbox._next_slot[...] = arrays["mailbox/cursor"]
+        memory, mailbox = self._new_tables(len(owned))
+        load_serve_state_arrays(arrays, memory, mailbox)
         seq = int(state.snapshot_meta.get("seq", -1))
         for record in state.records:
             if record.kind != KIND_BATCH:
@@ -499,17 +458,9 @@ class ShardReplica:
     # ---- snapshots / rebalance -----------------------------------------------------
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        arrays = {
-            "owned": self.owned,
-            "memory/data": self.memory.data.data,
-            "memory/time": self.memory.time,
-        }
-        if self.mailbox is not None:
-            arrays["mailbox/mail"] = self.mailbox.mail.data
-            arrays["mailbox/time"] = self.mailbox.time
-            if self.mailbox._next_slot is not None:
-                arrays["mailbox/cursor"] = self.mailbox._next_slot
-        return arrays
+        """The single runtime's state image plus the ownership it is sliced by."""
+        return {"owned": self.owned,
+                **serve_state_arrays(self.memory, self.mailbox)}
 
     def write_snapshot(self) -> None:
         """Durably anchor state + ownership; compacts the log below it."""
@@ -519,17 +470,21 @@ class ShardReplica:
         )
         self._since_snapshot = 0
 
-    def _rebuild(self, new_owned: np.ndarray, keep_from=None) -> "tuple":
-        """Re-slice local storage for *new_owned*; returns the old stores."""
-        old_memory, old_mailbox, old_local = self.memory, self.mailbox, self._local
-        self.owned = np.sort(np.asarray(new_owned, dtype=np.int64))
+    def _new_tables(self, rows: int) -> Tuple[Memory, Optional[Mailbox]]:
+        """Zeroed local tables of *rows* rows."""
+        mailbox = (
+            Mailbox(rows, self.dim, slots=self.mailbox_slots)
+            if self.mailbox_slots > 0
+            else None
+        )
+        return Memory(rows, self.dim), mailbox
+
+    def _reslice(self, owned: np.ndarray) -> None:
+        """Own *owned* (sorted), with a fresh map and zeroed local tables."""
+        self.owned = owned
         self._local = np.full(self.num_nodes, -1, dtype=np.int64)
         self._local[self.owned] = np.arange(len(self.owned))
-        self.memory = Memory(len(self.owned), self.dim)
-        if self.mailbox_slots > 0:
-            self.mailbox = Mailbox(len(self.owned), self.dim,
-                                   slots=self.mailbox_slots)
-        return old_memory, old_mailbox, old_local
+        self.memory, self.mailbox = self._new_tables(len(self.owned))
 
     def release(self, nodes: np.ndarray) -> Dict[str, np.ndarray]:
         """Hand off *nodes*' rows (rebalance); shrinks this shard.
@@ -544,26 +499,14 @@ class ShardReplica:
         local = self._local[nodes]
         if (local < 0).any():
             raise KeyError(f"shard {self.shard_id} releasing unowned nodes")
-        out: Dict[str, np.ndarray] = {
-            "nodes": nodes,
-            "memory/data": self.memory.data.data[local].copy(),
-            "memory/time": self.memory.time[local].copy(),
-        }
-        if self.mailbox is not None:
-            out["mailbox/mail"] = self.mailbox.mail.data[local].copy()
-            out["mailbox/time"] = self.mailbox.time[local].copy()
-            if self.mailbox._next_slot is not None:
-                out["mailbox/cursor"] = self.mailbox._next_slot[local].copy()
-        keep = np.setdiff1d(self.owned, nodes)
-        old_memory, old_mailbox, old_local = self._rebuild(keep)
+        # Every array of the state image is indexed by local row, so rows
+        # move between tables by indexing each one the same way.
+        old, old_local = serve_state_arrays(self.memory, self.mailbox), self._local
+        out = {"nodes": nodes, **{key: rows[local] for key, rows in old.items()}}
+        self._reslice(np.setdiff1d(self.owned, nodes))
         kept_local = old_local[self.owned]
-        self.memory.data.data[...] = old_memory.data.data[kept_local]
-        self.memory.time[...] = old_memory.time[kept_local]
-        if self.mailbox is not None:
-            self.mailbox.mail.data[...] = old_mailbox.mail.data[kept_local]
-            self.mailbox.time[...] = old_mailbox.time[kept_local]
-            if self.mailbox._next_slot is not None:
-                self.mailbox._next_slot[...] = old_mailbox._next_slot[kept_local]
+        for key, rows in serve_state_arrays(self.memory, self.mailbox).items():
+            rows[...] = old[key][kept_local]
         self.digests = _StateDigests(self, self.chunk_rows)
         self.write_snapshot()
         return out
@@ -573,24 +516,14 @@ class ShardReplica:
         if not self.alive:
             raise ReplicaDown(f"shard {self.shard_id} is down")
         incoming = np.asarray(state["nodes"], dtype=np.int64)
-        old_memory, old_mailbox, old_local = self._rebuild(
-            np.union1d(self.owned, incoming)
-        )
+        old, old_local = serve_state_arrays(self.memory, self.mailbox), self._local
+        self._reslice(np.union1d(self.owned, incoming))
         prev = old_local[self.owned]
         had = prev >= 0
-        self.memory.data.data[had] = old_memory.data.data[prev[had]]
-        self.memory.time[had] = old_memory.time[prev[had]]
         new_local = self._local[incoming]
-        self.memory.data.data[new_local] = state["memory/data"]
-        self.memory.time[new_local] = state["memory/time"]
-        if self.mailbox is not None:
-            self.mailbox.mail.data[had] = old_mailbox.mail.data[prev[had]]
-            self.mailbox.time[had] = old_mailbox.time[prev[had]]
-            self.mailbox.mail.data[new_local] = state["mailbox/mail"]
-            self.mailbox.time[new_local] = state["mailbox/time"]
-            if self.mailbox._next_slot is not None:
-                self.mailbox._next_slot[had] = old_mailbox._next_slot[prev[had]]
-                self.mailbox._next_slot[new_local] = state["mailbox/cursor"]
+        for key, rows in serve_state_arrays(self.memory, self.mailbox).items():
+            rows[had] = old[key][prev[had]]
+            rows[new_local] = state[key]
         self.digests = _StateDigests(self, self.chunk_rows)
         self.write_snapshot()
 

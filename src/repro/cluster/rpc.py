@@ -28,7 +28,7 @@ applies dedup on the batch sequence number).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Optional
 
 from ..resilience.hooks import poke as _poke
@@ -66,20 +66,7 @@ class RpcStats:
     dropped_acks: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "calls": self.calls,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "failures": self.failures,
-            "dropped_sends": self.dropped_sends,
-            "dropped_replies": self.dropped_replies,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-            "ships": self.ships,
-            "dropped_ships": self.dropped_ships,
-            "dropped_acks": self.dropped_acks,
-        }
+        return asdict(self)
 
 
 class SimRpc:

@@ -17,7 +17,6 @@ time, and the store's per-tier bytes-moved/stall accounting) and
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -35,9 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["TContext"]
 
-#: sentinel distinguishing "cache_limit not passed" from an explicit value.
-_UNSET = object()
-
 #: store-space prefix of per-layer embedding memoization caches.
 _EMBED_PREFIX = "embed:"
 
@@ -48,10 +44,6 @@ class TContext:
     Args:
         graph: the :class:`~repro.core.graph.TGraph` this context serves.
         device: simulated device computation runs on.
-        cache_limit: **deprecated** — capacity (rows) of each per-layer
-            embedding cache; values ``<= 0`` disable embedding caching.
-            Passing it pins the legacy behaviour exactly (flat FIFO hot
-            tier, no staging/cold/prefetch).  Use ``store=`` instead.
         time_window: rounding resolution for precomputed-time lookups; time
             deltas are quantized to multiples of this before table lookup
             (0 means exact float matching).
@@ -65,7 +57,6 @@ class TContext:
         self,
         graph: "TGraph",
         device: Union[str, Device, None] = None,
-        cache_limit=_UNSET,
         time_window: float = 0.0,
         store: Union[StoreConfig, TieredFeatureStore, None] = None,
     ):
@@ -75,24 +66,6 @@ class TContext:
         self.training = True
         graph.ctx = self
 
-        if cache_limit is not _UNSET:
-            if store is not None:
-                raise ValueError(
-                    "pass either store= or the deprecated cache_limit=, not both")
-            warnings.warn(
-                "TContext(cache_limit=...) is deprecated; pass "
-                "store=StoreConfig(hot_capacity=..., hot_policy='fifo', "
-                "staging_rows=0, prefetch_depth=0) for the legacy flat "
-                "cache, or use the tiered defaults",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            # Legacy semantics, bit-for-bit: one flat FIFO ring per layer,
-            # nothing demoted, nothing prefetched.
-            store = StoreConfig(
-                hot_capacity=int(cache_limit), hot_policy="fifo",
-                staging_rows=0, prefetch_depth=0,
-            )
         if isinstance(store, TieredFeatureStore):
             self.store = store
         else:
@@ -100,9 +73,6 @@ class TContext:
                 store if store is not None else StoreConfig(),
                 timer=self.add_kernel_time,
             )
-        #: hot-tier row capacity (kept as a readable attribute for the
-        #: serve ladder's ``cache_limit <= 0`` disabled-cache check).
-        self.cache_limit = self.store.config.hot_capacity
         self._time_tables: Dict[int, dict] = {}
         self._time_zero_rows: Dict[int, Tuple[int, np.ndarray]] = {}
         #: operator-effectiveness counters (rows seen/removed per operator),
@@ -268,35 +238,6 @@ class TContext:
         self._latencies.clear()
         self._latency_count = 0
         self.store.reset_stats()
-
-    # ---- deprecated instrumentation shims -----------------------------------
-
-    def cache_stats(self) -> Dict[int, float]:
-        """Deprecated: use ``stats().cache`` instead."""
-        warnings.warn(
-            "TContext.cache_stats() is deprecated; use stats().cache",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {layer: c.hit_rate for layer, c in self.stats().cache.items()}
-
-    def op_stats(self) -> Dict[str, float]:
-        """Deprecated: use ``stats().as_dict()`` instead."""
-        warnings.warn(
-            "TContext.op_stats() is deprecated; use stats().as_dict()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.stats().as_dict()
-
-    def reset_counters(self) -> None:
-        """Deprecated: use ``reset_stats()`` instead."""
-        warnings.warn(
-            "TContext.reset_counters() is deprecated; use reset_stats()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.reset_stats()
 
     # ---- precomputed time tables --------------------------------------------------------
 

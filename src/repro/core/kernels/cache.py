@@ -39,8 +39,7 @@ store can demote them to a colder tier instead of silently dropping
 them.
 
 A ``capacity <= 0`` store is disabled: lookups miss, stores are no-ops
-(this also fixes the historical ``ZeroDivisionError`` for
-``TContext(cache_limit=0)``).
+(a zero-capacity ring used to raise ``ZeroDivisionError``).
 """
 
 from __future__ import annotations

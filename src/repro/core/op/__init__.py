@@ -18,12 +18,14 @@ Mirrors the operator surface of Table 1 in the paper:
 """
 
 from .aggregate import aggregate, propagate
-from .cache import cache
 from .coalesce import coalesce
 from .dedup import dedup, unique_node_times
 from .precompute import precomputed_times, precomputed_zeros
-from .preload import preload
 from .scatter import edge_reduce, edge_softmax, src_scatter
+
+# ``cache`` and ``preload`` are the paper's Table-1 names for the two
+# operators the tiered feature store implements.
+from ...store.ops import memoize as cache, preload
 
 __all__ = [
     "aggregate",

@@ -1,10 +1,8 @@
 """Unified instrumentation snapshot for :class:`~repro.core.context.TContext`.
 
-Historically the context exposed three overlapping surfaces —
-``cache_stats()``, ``op_stats()``, ``reset_counters()`` plus ad-hoc
-per-pool counters.  They are unified behind ``ctx.stats()`` (returning a
-frozen :class:`ContextStats` snapshot of everything in one read) and
-``ctx.reset_stats()``; the old methods remain as thin deprecation shims.
+Everything the context measures is read through ``ctx.stats()``
+(returning a frozen :class:`ContextStats` snapshot of everything in one
+read) and cleared through ``ctx.reset_stats()``.
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ the faults the paper's evaluation assumes away:
   ``nn.optim``, ``distributed.data_parallel``, and the checkpoint writer.
 * :func:`validate_state` / :func:`assert_valid_state` — state-invariant
   validation over memory, mailbox, temporal CSR, and kernel cache tables.
+* :mod:`~repro.resilience.chaos` — applying the decided member-level
+  faults (crash / stall / silent bit flip) to a cluster's replica groups.
 * the exception taxonomy in :mod:`repro.resilience.errors` separating
   transient (retry / rollback) from fatal faults.
 
@@ -19,6 +21,7 @@ with atomic checkpoints (RNG state + stream cursor) for bit-exact
 retry/rollback/resume.
 """
 
+from .chaos import apply_bitflip, inject_member_faults
 from .errors import (
     CheckpointWriteAborted,
     DivergenceError,
@@ -42,6 +45,8 @@ __all__ = [
     "SITES",
     "FaultEvent",
     "FaultInjector",
+    "apply_bitflip",
+    "inject_member_faults",
     "assert_valid_state",
     "validate_state",
 ]

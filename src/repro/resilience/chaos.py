@@ -1,0 +1,125 @@
+"""Applying member-level faults to replica groups (numpy/os only).
+
+:mod:`~repro.resilience.faults` *decides* which fault fires where; these
+functions *apply* the decisions that act on cluster members
+(``shard.crash``, ``shard.stall``, ``mem.flip``), so the production
+coordinator carries no fault-application code — its
+``_before_request`` is the one call site of :func:`inject_member_faults`.
+Members are duck-typed; nothing is imported from ``repro.cluster``.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import Sequence, Tuple
+
+import numpy as np
+
+from .hooks import poke as _poke
+
+__all__ = ["inject_member_faults", "apply_bitflip"]
+
+#: bytes of WAL segment header a ``wal`` flip never touches.
+_WAL_HEADER = 16
+
+
+def inject_member_faults(
+    groups: Sequence, now: float, stall_window: float, cold_tiers: Sequence = ()
+) -> Tuple[int, int, int]:
+    """Consult the member-level fault sites once; returns what fired.
+
+    Every group member is its own kill/stall/flip target: the decision
+    extra is ``shard + num_shards * member``, so member 0 of shard i
+    keeps the factor-1 extra ``i`` (schedules written for the
+    single-replica cluster target the same primary), and a schedule
+    entry ``(epoch, batch, shard + num_shards * m)`` hits exactly
+    follower ``m``.
+
+    Returns ``(crashes, stalls, flips)`` applied by this call.
+    """
+    n = len(groups)
+    crashes = stalls = flips = 0
+    for i, group in enumerate(groups):
+        for m, rep in enumerate(group.members):
+            if rep.alive and _poke("shard.crash", shard=i, extra=i + n * m):
+                rep.crash()
+                crashes += 1
+    for i, group in enumerate(groups):
+        for m, rep in enumerate(group.members):
+            if not rep.alive or rep.recovering:
+                continue
+            factor = _poke("shard.stall", shard=i, extra=i + n * m)
+            if factor:
+                rep.stall(now, float(factor), stall_window)
+                stalls += 1
+    for i, group in enumerate(groups):
+        for m, rep in enumerate(group.members):
+            if not rep.alive or rep.recovering:
+                continue
+            directive = _poke("mem.flip", shard=i, extra=i + n * m)
+            if directive is not None and directive[0] == "flip":
+                flips += apply_bitflip(rep, directive, cold_tiers)
+    return crashes, stalls, flips
+
+
+def apply_bitflip(rep, directive, cold_tiers: Sequence = ()) -> bool:
+    """Flip one live-state bit of member *rep*, bypassing the write path.
+
+    *directive* is ``("flip", tier, byte, bit)``.  The byte index is
+    drawn from a huge nominal space and reduced modulo the targeted
+    tier's actual byte size, so one deterministic decision lands
+    somewhere valid in any state shape.  ``cold`` flips hit one of
+    *cold_tiers* (the scrubber's registered feature-store tiers) rather
+    than the member.  Returns False when the tier holds no bytes to
+    corrupt (e.g. a ``wal`` flip against a log whose segments are all
+    empty).
+    """
+    _, tier, byte, bit = directive
+    mask = np.uint8(1 << bit)
+    if tier == "wal":
+        if rep.store is None:
+            return False
+        paths = [
+            p for p in rep.store.wal.segment_paths()
+            if os.path.getsize(p) > _WAL_HEADER
+        ]
+        if not paths:
+            return False
+        path = paths[byte % len(paths)]
+        size = os.path.getsize(path)
+        with open(path, "r+b") as fh:
+            fh.seek(_WAL_HEADER + byte % (size - _WAL_HEADER))
+            old = fh.read(1)
+            fh.seek(-1, os.SEEK_CUR)
+            fh.write(bytes([old[0] ^ int(mask)]))
+        return True
+    if tier == "cold":
+        if not cold_tiers:
+            return False
+        cold = cold_tiers[byte % len(cold_tiers)]
+        if cold._nrows == 0:
+            return False
+        flat = np.asarray(cold._rows[: cold._nrows]).view(np.uint8).reshape(-1)
+        flat[byte % len(flat)] ^= mask
+        return True
+    if tier == "mailbox":
+        mb = rep.mailbox
+        if mb is None:
+            return False
+        # The ring cursor is digest-covered but not a flip target: a
+        # corrupted cursor steers *later* writes to the wrong slot,
+        # and once the write path re-records those rows no digest can
+        # tell the state from a clean one — an unrepairable-by-design
+        # hole rather than the detect-and-repair cycle under test.
+        arrays = [mb.mail.data, mb.time]
+    else:  # 'memory'
+        if rep.memory is None:
+            return False
+        arrays = [rep.memory.data.data, rep.memory.time]
+    off = byte % sum(a.nbytes for a in arrays)
+    for arr in arrays:
+        if off < arr.nbytes:
+            arr.view(np.uint8).reshape(-1)[off] ^= mask
+            return True
+        off -= arr.nbytes
+    return False

@@ -30,15 +30,18 @@ site                 where                                       returns
 ``disk.read``        ``durable.wal`` replay / cold-tier read     directive
 ``rpc.send``         ``cluster.rpc.SimRpc`` request leg          directive
 ``rpc.recv``         ``cluster.rpc.SimRpc`` reply leg            directive
-``shard.crash``      ``cluster.coordinator.ServeCluster.step``   bool
-``shard.stall``      ``cluster.coordinator.ServeCluster.step``   factor
+``shard.crash``      ``resilience.chaos.inject_member_faults``   bool
+``shard.stall``      ``resilience.chaos.inject_member_faults``   factor
 ``heartbeat.drop``   ``cluster.supervisor.Supervisor.tick``      bool
 ``repl.ship``        ``cluster.replication.ReplicaGroup.ship``   directive
 ``repl.ack``         ``cluster.replication.ReplicaGroup.ship``   directive
 ``repl.promote``     ``cluster.supervisor`` promotion attempt    bool
-``mem.flip``         ``cluster.coordinator`` chaos step          directive
+``mem.flip``         ``resilience.chaos.inject_member_faults``   directive
 ``scrub.skip``       ``integrity.scrubber.Scrubber.maybe_scrub`` bool
 ===================  ==========================================  =========
+
+The three ``resilience.chaos`` sites are consulted between requests, from
+``ServeCluster._before_request``.
 
 A site either returns a value (crash/straggler queries, disk-corruption
 directives interpreted by the write-ahead log) or raises one of the
@@ -72,13 +75,13 @@ SITES: Dict[str, str] = {
     "disk.read": "durable.wal segment replay / store.tiers.ColdTier.read",
     "rpc.send": "cluster.rpc.SimRpc.call (request leg)",
     "rpc.recv": "cluster.rpc.SimRpc.call (reply leg)",
-    "shard.crash": "cluster.coordinator.ServeCluster.step",
-    "shard.stall": "cluster.coordinator.ServeCluster.step",
+    "shard.crash": "resilience.chaos.inject_member_faults",
+    "shard.stall": "resilience.chaos.inject_member_faults",
     "heartbeat.drop": "cluster.supervisor.Supervisor.tick",
     "repl.ship": "cluster.replication.ReplicaGroup.ship (follower leg)",
     "repl.ack": "cluster.replication.ReplicaGroup.ship (follower ack leg)",
     "repl.promote": "cluster.supervisor.Supervisor promotion attempt",
-    "mem.flip": "cluster.coordinator.ServeCluster.step (silent state flip)",
+    "mem.flip": "resilience.chaos.inject_member_faults (silent state flip)",
     "scrub.skip": "integrity.scrubber.Scrubber.maybe_scrub",
 }
 

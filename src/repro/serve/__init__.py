@@ -4,8 +4,8 @@ The training-side framework assumes clean, pre-sorted, deduplicated
 datasets; a deployed TGNN faces none of those guarantees.  This package
 is the hardened streaming front end that restores them at runtime:
 
-* :mod:`~repro.serve.clock` — the simulated clock every latency decision
-  reads (deterministic replay, no wall-clock flakiness);
+* :mod:`repro.clock` — the simulated clock every latency decision reads
+  (deterministic replay, no wall-clock flakiness), re-exported here;
 * :mod:`~repro.serve.events` — the event wire format plus structured
   validation (:class:`RejectReason`);
 * :mod:`~repro.serve.ingest` — validation/quarantine, idempotent replay
@@ -18,8 +18,12 @@ is the hardened streaming front end that restores them at runtime:
   into ``Memory``/``Mailbox`` with snapshot-rollback, optionally
   write-ahead logged through :mod:`repro.durable` (WAL-then-apply with
   prefix-consistent crash recovery via :func:`recover_serve_state`);
-* :mod:`~repro.serve.runtime` — :class:`ServeRuntime`, the loop gluing
-  the above into request-in / prediction-out serving;
+* :mod:`~repro.serve.engine` — :class:`ServeEngine`, the one request
+  loop gluing the above into request-in / prediction-out serving, over
+  a small state-backend seam;
+* :mod:`~repro.serve.runtime` — :class:`ServeRuntime`, the engine over
+  in-process state (:class:`repro.cluster.ServeCluster` is the engine
+  over sharded, replicated state);
 * :mod:`~repro.serve.replay` — stream synthesis, poisoning, and the
   offered-load replay harness shared by the CLI, tests, and benchmarks.
 
@@ -30,8 +34,8 @@ arrivals within the configured lateness bound, the final committed
 stream — and every rejected event is accounted for in quarantine stats.
 """
 
+from ..clock import SimClock
 from .admission import AdmissionController, AdmissionStats, TokenBucket
-from .clock import SimClock
 from .commit import (
     CommitResult,
     CommitStats,
@@ -41,10 +45,11 @@ from .commit import (
     stage_updates,
 )
 from .deadline import LEVELS, CostModel, DegradationLadder, LadderDecision
+from .engine import Request, RequestResult, ServeEngine
 from .events import EventBatch, RejectReason, validate_events
 from .ingest import IngestPipeline, IngestStats, QuarantinedEvent
 from .replay import build_stream, poison_stream, replay, split_batches
-from .runtime import Request, RequestResult, ServeRuntime
+from .runtime import ServeRuntime
 
 __all__ = [
     "AdmissionController",
@@ -73,5 +78,6 @@ __all__ = [
     "split_batches",
     "Request",
     "RequestResult",
+    "ServeEngine",
     "ServeRuntime",
 ]

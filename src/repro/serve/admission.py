@@ -17,10 +17,10 @@ clock:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Deque, Dict, List, Optional
 
-from .clock import SimClock
+from ..clock import SimClock
 
 __all__ = ["TokenBucket", "AdmissionStats", "AdmissionController"]
 
@@ -33,7 +33,7 @@ class TokenBucket:
     Args:
         rate: sustained tokens/second refill rate.
         burst: bucket capacity (momentary burst allowance).
-        clock: the shared :class:`~repro.serve.clock.SimClock`.
+        clock: the shared :class:`~repro.clock.SimClock`.
     """
 
     def __init__(self, rate: float, burst: float, clock: SimClock):
@@ -72,13 +72,7 @@ class AdmissionStats:
         return self.shed_rate_limited + self.shed_queue_full + self.shed_dropped_oldest
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "shed_rate_limited": self.shed_rate_limited,
-            "shed_queue_full": self.shed_queue_full,
-            "shed_dropped_oldest": self.shed_dropped_oldest,
-        }
+        return asdict(self)
 
 
 class AdmissionController:

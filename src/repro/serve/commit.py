@@ -35,7 +35,7 @@ compact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -77,13 +77,7 @@ class CommitStats:
     events_rolled_back: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "batches": self.batches,
-            "events_applied": self.events_applied,
-            "retries": self.retries,
-            "rollbacks": self.rollbacks,
-            "events_rolled_back": self.events_rolled_back,
-        }
+        return asdict(self)
 
 
 def _time_encode(ts: np.ndarray, dim: int) -> np.ndarray:

@@ -133,7 +133,8 @@ class DegradationLadder:
         """
         for level in LEVELS:
             if level == "cache" and ctx is not None and (
-                ctx.is_degraded("kernel.cache") or getattr(ctx, "cache_limit", 1) <= 0
+                ctx.is_degraded("kernel.cache")
+                or ctx.store.config.hot_capacity <= 0
             ):
                 continue  # no trustworthy cache tables to serve from
             cost = self.cost_model.estimate(

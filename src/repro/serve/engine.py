@@ -1,0 +1,504 @@
+"""The one serving request loop, over a small state-backend seam.
+
+:class:`ServeEngine` owns everything a serving deployment does *per
+request*, once, driven by the simulated clock:
+
+* :meth:`~ServeEngine.submit` runs each arriving request through
+  admission control — a shed request is answered immediately with a
+  ``shed`` status and its events are dropped (load shedding sheds
+  *work*, not just responses);
+* :meth:`~ServeEngine.step` serves one queued request: the degradation
+  ladder picks the best rung affordable within the request's remaining
+  deadline budget, the link-prediction scores are computed at that rung
+  (a faulting kernel falls back to the memory rung), and the request's
+  events are pushed through the ingestion pipeline and committed;
+* :meth:`~ServeEngine.drain` serves the queue dry and flushes the
+  reordering buffer.
+
+Scoring happens *before* the request's own events are applied (the
+standard temporal link-prediction protocol: predict the interaction from
+state strictly before it), and ingestion/commit is deliberately decoupled
+from scoring quality — a request degraded all the way to ``memory`` still
+commits its events at full fidelity, so state never degrades even when
+responses do.
+
+What the engine does **not** know is where node state lives: a
+deployment implements the small seam below (``_before_request``,
+``_gather``, ``_commit``, ``_after_drain``, ``_release``, plus the
+feature-store fetch hooks only the single runtime overrides).
+:class:`~repro.serve.runtime.ServeRuntime` (state in this process) and
+:class:`~repro.cluster.coordinator.ServeCluster` (state sharded over
+replica groups) are the two backends.  Their *commit* algorithms stay
+separate implementations on purpose — apply-validate-rollback vs.
+validate-then-quorum-ship share no step that would not branch on its
+caller.
+
+Everything observable lands in the shared :class:`TContext`:
+``serve:*`` counters (admitted/shed/quarantined/degraded/partial),
+per-request latencies (p50/p99 via ``ctx.stats().latency``), and kernel
+degradation interplay via ``ctx.record_kernel_fault``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
+
+from ..clock import SimClock
+from ..resilience.errors import TransientKernelError
+from .admission import AdmissionController
+from .deadline import DegradationLadder, LadderDecision
+from .events import EventBatch, RejectReason, validate_events
+from .ingest import IngestPipeline
+
+__all__ = ["Request", "RequestResult", "ServeEngine"]
+
+Rows = Tuple[np.ndarray, Optional[np.ndarray]]
+
+
+@dataclass
+class Request:
+    """One serving request: score these events, then apply them."""
+
+    rid: int
+    batch: EventBatch
+    arrival: float
+    deadline: float
+
+
+@dataclass(frozen=True)
+class RequestResult:
+    """The engine's answer to one request."""
+
+    rid: int
+    status: str  # 'ok' | 'shed' | 'timeout'
+    level: str  # ladder rung served at ('' when shed)
+    scores: Optional[np.ndarray]
+    latency: float
+    detail: str = ""
+    #: per-row validity mask: False marks a score that is not backed by
+    #: authoritative state — an endpoint row was zero-filled because its
+    #: whole replica group was unreachable, or the event was junk (NaN
+    #: score).  None means no state read could be lost: always on a
+    #: single runtime (its backend returns ``ok=None``), and for
+    #: shed/timeout answers or scores read from a swapped-in model table.
+    valid: Optional[np.ndarray] = None
+
+
+class ServeEngine:
+    """Request loop shared by every serving deployment (see module doc).
+
+    Subclasses add their state backend and forward these keyword knobs
+    unchanged, so they are declared — and documented — exactly once.
+
+    Args:
+        graph: the :class:`~repro.core.graph.TGraph` (static topology used
+            for neighborhood sampling).
+        ctx: shared :class:`~repro.core.context.TContext` (stats, caches,
+            degradation state).
+        sampler: :class:`~repro.core.sampler.TSampler` for the sampling
+            rungs of the ladder.
+        clock: simulated clock (a fresh one by default).
+        deadline: default per-request budget in simulated seconds.
+        ladder: degradation ladder (default built from the sampler fanout).
+        lateness / max_buffer: ingestion reordering bounds (see
+            :class:`~repro.serve.ingest.IngestPipeline`).
+        max_queue / shed_policy / rate / burst: admission-control knobs
+            (see :class:`~repro.serve.admission.AdmissionController`).
+        injector: optional :class:`~repro.resilience.FaultInjector` whose
+            stream cursor the engine advances to ``(0, request id)`` per
+            step (it must also be installed, e.g. via ``with injector:``).
+    """
+
+    #: newest event time durably committed; backends maintain it.
+    committed_watermark: float
+
+    def __init__(
+        self,
+        graph,
+        ctx,
+        sampler,
+        clock: Optional[SimClock] = None,
+        deadline: float = 1.0e-2,
+        ladder: Optional[DegradationLadder] = None,
+        lateness: float = 0.0,
+        max_buffer: int = 10000,
+        max_queue: int = 64,
+        shed_policy: str = "reject-new",
+        rate: Optional[float] = None,
+        burst: Optional[float] = None,
+        injector=None,
+    ):
+        self.graph = graph
+        self.ctx = ctx
+        self.sampler = sampler
+        self.clock = clock or SimClock()
+        self.deadline = float(deadline)
+        self.injector = injector
+        self.ladder = ladder or DegradationLadder(full_fanout=sampler.num_nbrs)
+        self.ingest = IngestPipeline(
+            graph.num_nodes, lateness=lateness, max_buffer=max_buffer
+        )
+        self.admission = AdmissionController(
+            self.clock, max_queue=max_queue, policy=shed_policy,
+            rate=rate, burst=burst,
+        )
+        self.results: List[RequestResult] = []
+        self._next_rid = 0
+        self._closed = False
+        #: hot-swappable scoring table (None = score from backend state).
+        self._model_table: Optional[np.ndarray] = None
+        self.model_version = 0
+        self.model_watermark = float("-inf")
+        #: rows served as zeros because their whole owner was unreachable.
+        self.zero_rows = 0
+        #: requests answered with at least one such row.
+        self.partial_results = 0
+
+    # ---- the state-backend seam --------------------------------------------------
+
+    def _before_request(self) -> None:
+        """Housekeeping between requests (default: none)."""
+
+    def _gather(self, nodes: np.ndarray, extra: int) -> Rows:
+        """``(rows, ok)``: state rows for *nodes*, and a per-row mask of
+        rows whose owner answered — or None when the backend cannot lose
+        a row.  *extra* salts the backend's per-read fault decisions."""
+        raise NotImplementedError
+
+    def _commit(self, released: EventBatch, rid: int) -> None:
+        """Durably apply one non-empty released batch, all or nothing."""
+        raise NotImplementedError
+
+    def _after_drain(self) -> None:
+        """Settle the backend once the queue and buffer are empty."""
+
+    def _release(self) -> None:
+        """Free backend resources; called exactly once by :meth:`close`."""
+
+    def _estimate_fetch(self, batch: EventBatch) -> float:
+        """Modeled stall to fetch this request's sampling-rung rows."""
+        return 0.0
+
+    def _prefetch_next(self) -> None:
+        """Overlap the queue head's row fetch with the current request."""
+
+    def _fetch_rows(self, nodes: np.ndarray, extra: int) -> Rows:
+        """Rows for the sampling rungs — the reads ``_estimate_fetch`` priced."""
+        return self._rows(nodes, extra)
+
+    # ---- model hot swap ----------------------------------------------------------
+
+    def swap_model(
+        self,
+        table: np.ndarray,
+        version: Optional[int] = None,
+        watermark: Optional[float] = None,
+    ) -> int:
+        """Atomically install a new scoring table; returns its version.
+
+        The table is a ``(num_nodes, d)`` float32 embedding matrix used
+        by every ladder rung *in place of* backend state rows when
+        scoring.  Swapping touches only the read path: ingestion, commit,
+        memory, mailbox, and the durable logs are untouched, so serve
+        state stays bit-identical to a swap-free replay (tested on both
+        backends).  The layer-0 embedding cache is cleared because its
+        entries were computed under the previous model.
+
+        Args:
+            table: the new embedding table (copied defensively).
+            version: caller's version stamp (defaults to an increment).
+            watermark: newest event time the model was trained on; the
+                gap to ``committed_watermark`` is the model's staleness,
+                reported by :meth:`stats`.
+        """
+        table = np.asarray(table, dtype=np.float32)
+        if table.ndim != 2 or table.shape[0] != self.graph.num_nodes:
+            raise ValueError(
+                f"model table must be (num_nodes={self.graph.num_nodes}, d), "
+                f"got {table.shape}"
+            )
+        self._model_table = table.copy()
+        self.model_version = (
+            self.model_version + 1 if version is None else int(version)
+        )
+        if watermark is not None:
+            self.model_watermark = float(watermark)
+        cache = self.ctx.embed_cache(0)
+        if cache.enabled:
+            cache.clear()
+        self.ctx.count("serve:model_swaps", 1)
+        return self.model_version
+
+    # ---- submission --------------------------------------------------------------
+
+    def submit(
+        self,
+        batch: EventBatch,
+        deadline: Optional[float] = None,
+        arrival: Optional[float] = None,
+    ) -> bool:
+        """Offer one request; returns False when it was shed on arrival.
+
+        ``arrival`` backdates the request (a replay harness delivering a
+        request the server was too busy to pick up on time); the deadline
+        budget runs from the arrival, so queueing delay consumes it.
+        """
+        now = self.clock.now() if arrival is None else float(arrival)
+        req = Request(
+            rid=self._next_rid,
+            batch=batch,
+            arrival=now,
+            deadline=now + (self.deadline if deadline is None else float(deadline)),
+        )
+        self._next_rid += 1
+        admitted = self.admission.offer(req)
+        for shed in self.admission.drain_shed():
+            self.ctx.count("serve:shed", 1)
+            self.results.append(
+                RequestResult(
+                    shed.rid, "shed", "", None,
+                    self.clock.now() - shed.arrival, "admission control",
+                )
+            )
+        if admitted:
+            self.ctx.count("serve:admitted", 1)
+        return admitted
+
+    # ---- serving -----------------------------------------------------------------
+
+    def step(self) -> Optional[RequestResult]:
+        """Serve the next queued request (None when the queue is idle)."""
+        req = self.admission.poll()
+        if req is None:
+            return None
+        if self.injector is not None:
+            self.injector.advance(0, req.rid)
+        self._before_request()
+
+        remaining = req.deadline - self.clock.now()
+        decision = self.ladder.decide(
+            remaining, len(req.batch), self.ctx,
+            fetch_seconds=self._estimate_fetch(req.batch),
+        )
+        self.clock.advance(decision.estimated_cost)
+        # Overlap the next request's feature fetch with this one's
+        # service: by the time it is polled the rows are (often) staged.
+        self._prefetch_next()
+
+        valid = None
+        if decision.level == "timeout":
+            scores, status, detail = None, "timeout", RejectReason.DEADLINE
+        else:
+            zero_rows = self.zero_rows
+            try:
+                scores, valid = self._score(req.batch, decision, req.rid)
+            except TransientKernelError as err:
+                # A faulting kernel mid-score falls back to the always-
+                # available memory rung; repeated faults trip the context
+                # circuit breaker so later ladder decisions route around
+                # the bad kernel entirely.
+                self.ctx.record_kernel_fault(err.site)
+                decision = LadderDecision(
+                    "memory", 0, decision.estimated_cost,
+                    f"kernel fault at {err.site}",
+                )
+                scores, valid = self._score(req.batch, decision, req.rid)
+            status, detail = "ok", decision.reason
+            if decision.level != "full":
+                self.ctx.count(f"serve:degraded:{decision.level}", 1)
+            if self.zero_rows > zero_rows:
+                self.partial_results += 1
+                self.ctx.count("serve:partial", 1)
+                detail = (detail + "; " if detail else "") + (
+                    f"partial: {self.zero_rows - zero_rows} row(s) zero-filled"
+                )
+
+        # State commits are decoupled from scoring quality: even a
+        # timed-out response applies its events, so the stream's state
+        # stays complete and a later replay cannot diverge.
+        self._ingest_and_commit(req.batch, req.rid)
+
+        latency = self.clock.now() - req.arrival
+        self.ctx.record_latency(latency)
+        result = RequestResult(
+            req.rid, status, decision.level, scores, latency, detail, valid
+        )
+        self.results.append(result)
+        return result
+
+    def drain(self) -> List[RequestResult]:
+        """Serve every queued request, flush the reordering buffer, settle.
+
+        After ``drain`` returns the backend is quiescent (see
+        ``_after_drain``), so its state reflects the complete committed
+        stream.
+        """
+        while self.step() is not None:
+            pass
+        tail = self.ingest.flush()
+        if len(tail):
+            self._commit_released(tail, self._next_rid)
+        self._after_drain()
+        return self.results
+
+    # ---- ingestion + commit ------------------------------------------------------
+
+    def _ingest_and_commit(self, batch: EventBatch, rid: int) -> None:
+        for attempt in range(3):
+            try:
+                released = self.ingest.push(batch)
+                break
+            except TransientKernelError as err:
+                # push mutates nothing before its fault site — safe retry.
+                self.ctx.record_kernel_fault(err.site)
+                if attempt == 2:
+                    raise
+        if len(released):
+            self._commit_released(released, rid)
+
+    def _commit_released(self, released: EventBatch, rid: int) -> None:
+        """Commit through the backend; count what it quarantined."""
+        before = self.ingest.stats.quarantined_total
+        self._commit(released, rid)
+        poisoned = self.ingest.stats.quarantined_total - before
+        if poisoned:
+            self.ctx.count("serve:quarantined", poisoned)
+
+    # ---- scoring -----------------------------------------------------------------
+
+    def _rows(self, nodes: np.ndarray, extra: int) -> Rows:
+        """Scoring rows: the swapped-in model table, else backend state."""
+        if self._model_table is not None:
+            return self._model_table[nodes], None
+        rows, ok = self._gather(nodes, extra)
+        if ok is not None:
+            lost = len(ok) - int(np.count_nonzero(ok))
+            if lost:
+                self.zero_rows += lost
+                self.ctx.count("serve:zero_rows", lost)
+        return rows, ok
+
+    def _score(self, batch: EventBatch, decision, rid: int):
+        """Link-prediction ``(scores, valid)`` for *batch* at the decided rung.
+
+        Malformed events (the same checks ingestion applies) are
+        unscorable: their score is NaN, marked invalid when the result
+        carries a mask, and they are skipped, so a junk event crashes
+        neither the sampler nor the cache probe.  The events themselves
+        are still quarantined later by ingestion.  A well-formed event is
+        valid iff *both* its endpoint rows were answered (a zero-filled
+        endpoint poisons the dot product, so its score is marked).
+        """
+        if not len(batch):
+            return np.empty(0, dtype=np.float32), None
+        ok, _ = validate_events(batch, self.graph.num_nodes)
+        if not ok.all():
+            scores = np.full(len(batch), np.nan, dtype=np.float32)
+            valid = None
+            if ok.any():
+                scores[ok], clean = self._score(batch.take(ok), decision, rid)
+                if clean is not None:
+                    valid = ok.copy()
+                    valid[ok] = clean
+            return scores, valid
+        nodes = np.concatenate([batch.src, batch.dst])
+        times = np.concatenate([batch.ts, batch.ts])
+        extra = 104729 * (rid + 1)
+        if decision.level in ("full", "reduced"):
+            emb, rows_ok = self._embed_sampled(nodes, times, decision.fanout, extra)
+        elif decision.level == "cache":
+            emb, rows_ok = self._embed_cached(nodes, times, extra)
+        else:  # 'memory'
+            emb, rows_ok = self._rows(nodes, extra)
+        n = len(batch)
+        logits = np.sum(emb[:n] * emb[n:], axis=1)
+        scores = (1.0 / (1.0 + np.exp(-logits))).astype(np.float32)
+        return scores, None if rows_ok is None else rows_ok[:n] & rows_ok[n:]
+
+    def _embed_sampled(self, nodes, times, fanout: int, extra: int) -> Rows:
+        """State rows enriched with the mean of sampled temporal neighbors.
+
+        A failed *neighbor* read only reduces the enrichment (that is
+        already the reduced-fanout contract), so the validity mask is the
+        endpoint rows' own — neighbor loss never invalidates a score.
+        """
+        res = self.sampler.sample_arrays(
+            self.graph.csr(), nodes, times, ctx=self.ctx, num_nbrs=fanout
+        )
+        rows, ok = self._fetch_rows(nodes, extra)
+        emb = rows.astype(np.float32)
+        if len(res.srcnodes):
+            agg = np.zeros_like(emb)
+            counts = np.zeros(len(nodes), dtype=np.float32)
+            nbr_rows, _ = self._fetch_rows(res.srcnodes, extra + 1)
+            np.add.at(agg, res.dstindex, nbr_rows)
+            np.add.at(counts, res.dstindex, 1.0)
+            hot = counts > 0
+            emb[hot] = 0.5 * (emb[hot] + agg[hot] / counts[hot, None])
+        # Warm the layer-0 embedding cache so the 'cache' rung has
+        # something recent to serve from under deeper degradation.
+        cache = self.ctx.embed_cache(0)
+        if cache.enabled:
+            cache.store(nodes, times, emb)
+        return emb, ok
+
+    def _embed_cached(self, nodes, times, extra: int) -> Rows:
+        """Cache-first embeddings; misses fall back to raw state rows."""
+        cache = self.ctx.embed_cache(0)
+        rows, ok = self._rows(nodes, extra)
+        emb = rows.astype(np.float32)
+        hits, values = cache.lookup(nodes, times)
+        if values is not None and hits.any():
+            emb[hits] = values[hits]
+            if ok is not None:
+                # a cache hit replaces a zero-filled row with real state
+                ok = ok | hits
+        return emb, ok
+
+    # ---- reporting / lifecycle ---------------------------------------------------
+
+    def stats(self) -> Dict[str, object]:
+        """The flat serving counters every deployment reports.
+
+        Backends extend the dict with their own ``commit:`` / ``durable:``
+        / ``store:`` or ``cluster:`` / ``rpc:`` / ``shard:`` rows.
+        """
+        out: Dict[str, object] = {}
+        out.update({f"admission:{k}": v for k, v in self.admission.stats.as_dict().items()})
+        out.update({f"ingest:{k}": v for k, v in self.ingest.stats.as_dict().items()})
+        out.update({f"ladder:{k}": v for k, v in sorted(self.ladder.decisions.items())})
+        out["watermark"] = self.ingest.watermark
+        out["committed_watermark"] = self.committed_watermark
+        out["model:version"] = self.model_version
+        if self._model_table is not None and np.isfinite(self.model_watermark):
+            out["model:staleness"] = max(
+                0.0, self.committed_watermark - self.model_watermark
+            )
+        return out
+
+    def close(self) -> None:
+        """Release the backend's resources; idempotent.
+
+        Cluster teardown closes every replica — including ones already
+        closed by a simulated crash — so double-close must not re-run
+        WAL finalization.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self._release()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(served={len(self.results)}, "
+            f"queue={self.admission.depth}, clock={self.clock.now():.6g})"
+        )

@@ -10,7 +10,7 @@ throughput benchmark:
   and *permutes* within a bounded window — it never alters a clean
   event — so a hardened runtime must recover the exact clean state
   (the poisoned-stream equivalence criterion);
-* :func:`replay` — drives a :class:`~repro.serve.runtime.ServeRuntime`
+* :func:`replay` — drives a :class:`~repro.serve.engine.ServeEngine`
   at a chosen offered-load multiple of its full-quality service rate on
   the simulated clock.
 """
@@ -170,7 +170,7 @@ def replay(runtime, batches: List[EventBatch], load: float = 1.0,
     results after draining.
 
     ``on_result(runtime, result)`` is invoked once per
-    :class:`~repro.serve.runtime.RequestResult` as it is produced (shed
+    :class:`~repro.serve.engine.RequestResult` as it is produced (shed
     results included), in order — the hook point where a tailing
     continual learner polls the WAL and hot-swaps the model between
     requests.  The callback must not submit requests of its own.

@@ -1,98 +1,34 @@
-"""The online serving runtime: requests in, predictions + state commits out.
+"""The single-process serving runtime: node state lives right here.
 
-:class:`ServeRuntime` glues the serving subsystems into one loop driven
-by the simulated clock:
-
-* :meth:`submit` runs each arriving request through admission control —
-  a shed request is answered immediately with a ``shed`` status and its
-  events are dropped (load shedding sheds *work*, not just responses);
-* :meth:`step` serves one queued request: the degradation ladder picks
-  the best rung affordable within the request's remaining deadline
-  budget, the link-prediction scores are computed at that rung, and the
-  request's events are pushed through the ingestion pipeline and
-  committed to memory/mailbox under snapshot-rollback.
-
-Scoring happens *before* the request's own events are applied (the
-standard temporal link-prediction protocol: predict the interaction from
-state strictly before it), and ingestion/commit is deliberately decoupled
-from scoring quality — a request degraded all the way to ``memory`` still
-commits its events at full fidelity, so state never degrades even when
-responses do.
-
-Everything observable lands in the shared :class:`TContext`:
-``serve:*`` counters (admitted/shed/quarantined/degraded), per-request
-latencies (p50/p99 via ``ctx.stats().latency``), and kernel degradation
-interplay via ``ctx.record_kernel_fault``.
+:class:`ServeRuntime` is the :class:`~repro.serve.engine.ServeEngine`
+backend over one in-process ``Memory`` (+ optional ``Mailbox``).  The
+request loop is the engine's; this module adds only what is specific to
+local state: reads that can never lose a row, commits through
+:class:`~repro.serve.commit.StateCommitter` (optionally write-ahead
+logged), and the opt-in tiered-feature-store fetch hooks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from ..resilience.errors import TransientKernelError
-from .admission import AdmissionController
-from .clock import SimClock
 from .commit import StateCommitter, recover_serve_state
-from .deadline import DegradationLadder
-from .events import EventBatch, RejectReason, validate_events
-from .ingest import IngestPipeline
+from .engine import ServeEngine
+from .events import EventBatch
 
-__all__ = ["Request", "RequestResult", "ServeRuntime"]
-
-
-@dataclass
-class Request:
-    """One serving request: score these events, then apply them."""
-
-    rid: int
-    batch: EventBatch
-    arrival: float
-    deadline: float
+__all__ = ["ServeRuntime"]
 
 
-@dataclass(frozen=True)
-class RequestResult:
-    """The runtime's answer to one request."""
-
-    rid: int
-    status: str  # 'ok' | 'shed' | 'timeout'
-    level: str  # ladder rung served at ('' when shed)
-    scores: Optional[np.ndarray]
-    latency: float
-    detail: str = ""
-    #: per-row validity mask (cluster serving): False marks scores whose
-    #: endpoint state was unavailable (zero-filled) when computed.  None
-    #: means every row is authoritative (single runtime, shed/timeout,
-    #: or ``strict_partials=False``).
-    valid: Optional[np.ndarray] = None
-
-
-class ServeRuntime:
-    """Hardened online inference over a temporal graph's evolving state.
+class ServeRuntime(ServeEngine):
+    """Hardened online inference over one process's evolving state.
 
     Args:
-        graph: the :class:`~repro.core.graph.TGraph` (static topology used
-            for neighborhood sampling).
-        ctx: shared :class:`~repro.core.context.TContext` (stats, caches,
-            degradation state).
+        graph / ctx / sampler: as :class:`~repro.serve.engine.ServeEngine`.
         memory: node :class:`~repro.core.memory.Memory` committed into.
-        sampler: :class:`~repro.core.sampler.TSampler` for the sampling
-            rungs of the ladder.
         mailbox: optional :class:`~repro.core.mailbox.Mailbox` also
             receiving each event's message.
-        clock: simulated clock (a fresh one by default).
-        deadline: default per-request budget in simulated seconds.
-        ladder: degradation ladder (default built from the sampler fanout).
-        lateness / max_buffer: ingestion reordering bounds (see
-            :class:`~repro.serve.ingest.IngestPipeline`).
-        max_queue / shed_policy / rate / burst: admission-control knobs
-            (see :class:`~repro.serve.admission.AdmissionController`).
-        injector: optional :class:`~repro.resilience.FaultInjector` whose
-            stream cursor the runtime advances to ``(0, request id)`` per
-            step (it must also be installed, e.g. via ``with injector:``).
         durable_dir: optional directory for a
             :class:`~repro.durable.store.DurableStateStore`; when set,
             every committed batch is write-ahead logged before it is
@@ -115,6 +51,10 @@ class ServeRuntime:
             request is served, and commits refresh any cached rows they
             invalidated.  Off by default: the raw gather path is kept
             bit-identical for runtimes that do not opt in.
+        **engine: the shared request-loop knobs (``clock``, ``deadline``,
+            ``ladder``, ``lateness``, ``max_buffer``, ``max_queue``,
+            ``shed_policy``, ``rate``, ``burst``, ``injector``), declared
+            once on :class:`~repro.serve.engine.ServeEngine`.
     """
 
     def __init__(
@@ -124,38 +64,16 @@ class ServeRuntime:
         memory,
         sampler,
         mailbox=None,
-        clock: Optional[SimClock] = None,
-        deadline: float = 1.0e-2,
-        ladder: Optional[DegradationLadder] = None,
-        lateness: float = 0.0,
-        max_buffer: int = 10000,
-        max_queue: int = 64,
-        shed_policy: str = "reject-new",
-        rate: Optional[float] = None,
-        burst: Optional[float] = None,
-        injector=None,
         durable_dir: Optional[str] = None,
         durable_fsync: str = "batch",
         snapshot_every: Optional[int] = 256,
         recover: bool = False,
         feature_store: bool = False,
+        **engine,
     ):
-        self.graph = graph
-        self.ctx = ctx
+        super().__init__(graph, ctx, sampler, **engine)
         self.memory = memory
         self.mailbox = mailbox
-        self.sampler = sampler
-        self.clock = clock or SimClock()
-        self.deadline = float(deadline)
-        self.injector = injector
-        self.ladder = ladder or DegradationLadder(full_fanout=sampler.num_nbrs)
-        self.ingest = IngestPipeline(
-            graph.num_nodes, lateness=lateness, max_buffer=max_buffer
-        )
-        self.admission = AdmissionController(
-            self.clock, max_queue=max_queue, policy=shed_policy,
-            rate=rate, burst=burst,
-        )
         self.store = None
         self._recovery: Dict[str, object] = {}
         if durable_dir is not None:
@@ -182,192 +100,32 @@ class ServeRuntime:
             # One timeline: prefetch ready-times are measured against the
             # same simulated clock the ladder advances.
             self.feature_store.clock = self.clock
-            # The source closure reads through _embed_rows(), so a model
-            # hot-swap automatically rebinds the authority; swap_model
-            # still evicts the cached tiers (their rows are stale).
+            # The source closure reads through _rows(), so a model hot
+            # swap automatically rebinds the authority; swap_model still
+            # evicts the cached tiers (their rows are stale).
             self.feature_store.register_source(
                 "serve:model",
-                lambda nodes: self._embed_rows()[nodes],
+                lambda nodes: self._rows(nodes, 0)[0],
                 dim=int(memory.data.data.shape[1]),
             )
-        self.results: List[RequestResult] = []
-        self._next_rid = 0
-        self._closed = False
-        #: hot-swappable scoring table (None = score from raw memory rows).
-        self._model_table: Optional[np.ndarray] = None
-        self.model_version = 0
-        self.model_watermark = float("-inf")
 
-    # ---- model hot swap ----------------------------------------------------------
+    # perf/trace.py patches these three on *this* class (it looks them up
+    # in vars(ServeRuntime)), so they must be own attributes, not merely
+    # inherited ones.
+    submit, step, drain = ServeEngine.submit, ServeEngine.step, ServeEngine.drain
 
-    def swap_model(
-        self,
-        table: np.ndarray,
-        version: Optional[int] = None,
-        watermark: Optional[float] = None,
-    ) -> int:
-        """Atomically install a new scoring table; returns its version.
+    @property
+    def committed_watermark(self) -> float:
+        return self.committer.committed_watermark
 
-        The table is a ``(num_nodes, d)`` float32 embedding matrix used
-        by every ladder rung *in place of* raw memory rows when scoring.
-        Swapping touches only the read path: ingestion, commit, memory,
-        mailbox, and the durable log are untouched, so serve state stays
-        bit-identical to a swap-free replay (tested).  The layer-0
-        embedding cache is cleared because its entries were computed
-        under the previous model.
+    # ---- the state-backend seam --------------------------------------------------
 
-        Args:
-            table: the new embedding table (copied defensively).
-            version: caller's version stamp (defaults to an increment).
-            watermark: newest event time the model was trained on; the
-                gap to ``committed_watermark`` is the model's staleness,
-                reported by :meth:`stats`.
-        """
-        table = np.asarray(table, dtype=np.float32)
-        if table.ndim != 2 or table.shape[0] != self.graph.num_nodes:
-            raise ValueError(
-                f"model table must be (num_nodes={self.graph.num_nodes}, d), "
-                f"got {table.shape}"
-            )
-        self._model_table = table.copy()
-        self.model_version = (
-            self.model_version + 1 if version is None else int(version)
-        )
-        if watermark is not None:
-            self.model_watermark = float(watermark)
-        cache = self.ctx.embed_cache(0)
-        if cache.enabled:
-            cache.clear()
-        if self.feature_store is not None:
-            # Store keys carry the model version as their time coordinate
-            # (see _store_times), so rows staged by an in-flight prefetch
-            # under the old version are unreachable the moment the
-            # version bumps — even if they land *after* this eviction.
-            # The evict then just reclaims their slots.
-            self.feature_store.evict("serve:model")
-        self.ctx.count("serve:model_swaps", 1)
-        return self.model_version
+    def _gather(self, nodes: np.ndarray, extra: int):
+        """Local memory rows; ``ok=None`` — a local read cannot be lost."""
+        return self.memory.data.data[nodes], None
 
-    # ---- submission --------------------------------------------------------------
-
-    def submit(
-        self,
-        batch: EventBatch,
-        deadline: Optional[float] = None,
-        arrival: Optional[float] = None,
-    ) -> bool:
-        """Offer one request; returns False when it was shed on arrival.
-
-        ``arrival`` backdates the request (a replay harness delivering a
-        request the server was too busy to pick up on time); the deadline
-        budget runs from the arrival, so queueing delay consumes it.
-        """
-        now = self.clock.now() if arrival is None else float(arrival)
-        req = Request(
-            rid=self._next_rid,
-            batch=batch,
-            arrival=now,
-            deadline=now + (self.deadline if deadline is None else float(deadline)),
-        )
-        self._next_rid += 1
-        admitted = self.admission.offer(req)
-        for shed in self.admission.drain_shed():
-            self.ctx.count("serve:shed", 1)
-            self.results.append(
-                RequestResult(
-                    shed.rid, "shed", "", None,
-                    self.clock.now() - shed.arrival, "admission control",
-                )
-            )
-        if admitted:
-            self.ctx.count("serve:admitted", 1)
-        return admitted
-
-    # ---- serving -----------------------------------------------------------------
-
-    def step(self) -> Optional[RequestResult]:
-        """Serve the next queued request (None when the queue is idle)."""
-        req = self.admission.poll()
-        if req is None:
-            return None
-        if self.injector is not None:
-            self.injector.advance(0, req.rid)
-
-        remaining = req.deadline - self.clock.now()
-        fetch_seconds = self._estimate_fetch(req.batch)
-        decision = self.ladder.decide(
-            remaining, len(req.batch), self.ctx, fetch_seconds=fetch_seconds
-        )
-        self.clock.advance(decision.estimated_cost)
-        # Overlap the next request's feature fetch with this one's
-        # service: by the time it is polled the rows are (often) staged.
-        self._prefetch_next()
-
-        if decision.level == "timeout":
-            scores, status, detail = None, "timeout", RejectReason.DEADLINE
-        else:
-            try:
-                scores = self._score(req.batch, decision)
-                status, detail = "ok", decision.reason
-            except TransientKernelError as err:
-                # A faulting kernel mid-score falls back to the always-
-                # available memory rung; repeated faults trip the context
-                # circuit breaker so later ladder decisions route around
-                # the bad kernel entirely.
-                self.ctx.record_kernel_fault(err.site)
-                decision = decision.__class__(
-                    "memory", 0, decision.estimated_cost,
-                    f"kernel fault at {err.site}",
-                )
-                scores = self._score(req.batch, decision)
-                status, detail = "ok", decision.reason
-            if decision.level != "full":
-                self.ctx.count(f"serve:degraded:{decision.level}", 1)
-
-        # State commits are decoupled from scoring quality: even a
-        # timed-out response applies its events, so the stream's state
-        # stays complete and a later replay cannot diverge.
-        self._ingest_and_commit(req.batch)
-
-        latency = self.clock.now() - req.arrival
-        self.ctx.record_latency(latency)
-        result = RequestResult(
-            req.rid, status, decision.level, scores, latency, detail
-        )
-        self.results.append(result)
-        return result
-
-    def drain(self) -> List[RequestResult]:
-        """Serve every queued request, then flush the reordering buffer."""
-        while self.step() is not None:
-            pass
-        tail = self.ingest.flush()
-        if len(tail):
-            self._commit(tail)
-        return self.results
-
-    # ---- internals ---------------------------------------------------------------
-
-    def _ingest_and_commit(self, batch: EventBatch) -> None:
-        for attempt in range(3):
-            try:
-                released = self.ingest.push(batch)
-                break
-            except TransientKernelError as err:
-                # push mutates nothing before its fault site — safe retry.
-                self.ctx.record_kernel_fault(err.site)
-                if attempt == 2:
-                    raise
-        self._commit(released)
-
-    def _commit(self, released: EventBatch) -> None:
-        if not len(released):
-            return
-        before = self.ingest.stats.quarantined_total
+    def _commit(self, released: EventBatch, rid: int) -> None:
         self.committer.commit(released)
-        poisoned = self.ingest.stats.quarantined_total - before
-        if poisoned:
-            self.ctx.count("serve:quarantined", poisoned)
         if self.feature_store is not None:
             # The commit rewrote these nodes' memory rows; any copies
             # cached in the store's tiers are stale now.
@@ -376,6 +134,21 @@ class ServeRuntime:
                 self.feature_store.refresh(
                     nodes, "serve:model", times=self._store_times(len(nodes))
                 )
+
+    def _release(self) -> None:
+        if self.store is not None:
+            self.store.close()
+
+    def swap_model(self, table, version=None, watermark=None) -> int:
+        version = super().swap_model(table, version, watermark)
+        if self.feature_store is not None:
+            # Store keys carry the model version as their time coordinate
+            # (see _store_times), so rows staged by an in-flight prefetch
+            # under the old version are unreachable the moment the
+            # version bumps — even if they land *after* this eviction.
+            # The evict then just reclaims their slots.
+            self.feature_store.evict("serve:model")
+        return version
 
     # ---- tiered feature store ----------------------------------------------------
 
@@ -421,97 +194,21 @@ class ServeRuntime:
                 nodes, times=self._store_times(len(nodes)), space="serve:model"
             )
 
-    def _gather_rows(self, nodes: np.ndarray) -> np.ndarray:
-        """Scoring-table rows, through the tiered store when opted in."""
-        if self.feature_store is not None:
-            nodes = np.asarray(nodes, dtype=np.int64)
-            return self.feature_store.get(
-                nodes, times=self._store_times(len(nodes)), space="serve:model"
-            )
-        return self._embed_rows()[nodes]
-
-    def _score(self, batch: EventBatch, decision) -> np.ndarray:
-        """Link-prediction scores for *batch* at the decided ladder rung.
-
-        Malformed events (the same checks ingestion applies) are
-        unscorable: their score is NaN and they are skipped, so a junk
-        event crashes neither the sampler nor the cache probe.  The
-        events themselves are still quarantined later by ingestion.
-        """
-        if not len(batch):
-            return np.empty(0, dtype=np.float32)
-        ok, _ = validate_events(batch, self.graph.num_nodes)
-        if not ok.all():
-            scores = np.full(len(batch), np.nan, dtype=np.float32)
-            if ok.any():
-                scores[ok] = self._score(batch.take(ok), decision)
-            return scores
-        nodes = np.concatenate([batch.src, batch.dst])
-        times = np.concatenate([batch.ts, batch.ts])
-        if decision.level in ("full", "reduced"):
-            emb = self._embed_sampled(nodes, times, decision.fanout)
-        elif decision.level == "cache":
-            emb = self._embed_cached(nodes, times)
-        else:  # 'memory'
-            emb = self._embed_memory(nodes)
-        n = len(batch)
-        logits = np.sum(emb[:n] * emb[n:], axis=1)
-        return (1.0 / (1.0 + np.exp(-logits))).astype(np.float32)
-
-    def _embed_rows(self) -> np.ndarray:
-        """The per-node scoring table: swapped-in model, else raw memory."""
-        if self._model_table is not None:
-            return self._model_table
-        return self.memory.data.data
-
-    def _embed_memory(self, nodes: np.ndarray) -> np.ndarray:
-        return self._embed_rows()[nodes]
-
-    def _embed_sampled(self, nodes, times, fanout: int) -> np.ndarray:
-        """Memory rows enriched with the mean of sampled temporal neighbors."""
-        res = self.sampler.sample_arrays(
-            self.graph.csr(), nodes, times, ctx=self.ctx, num_nbrs=fanout
-        )
-        emb = self._gather_rows(nodes).astype(np.float32).copy()
-        if len(res.srcnodes):
-            agg = np.zeros_like(emb)
-            counts = np.zeros(len(nodes), dtype=np.float32)
-            np.add.at(agg, res.dstindex, self._gather_rows(res.srcnodes))
-            np.add.at(counts, res.dstindex, 1.0)
-            hot = counts > 0
-            emb[hot] = 0.5 * (emb[hot] + agg[hot] / counts[hot, None])
-        # Warm the layer-0 embedding cache so the 'cache' rung has
-        # something recent to serve from under deeper degradation.
-        cache = self.ctx.embed_cache(0)
-        if cache.enabled:
-            cache.store(nodes, times, emb)
-        return emb
-
-    def _embed_cached(self, nodes, times) -> np.ndarray:
-        """Cache-first embeddings; misses fall back to raw memory rows."""
-        cache = self.ctx.embed_cache(0)
-        emb = self._embed_memory(nodes).astype(np.float32).copy()
-        hits, values = cache.lookup(nodes, times)
-        if values is not None and hits.any():
-            emb[hits] = values[hits]
-        return emb
+    def _fetch_rows(self, nodes: np.ndarray, extra: int):
+        """Sampling-rung rows, through the tiered store when opted in."""
+        if self.feature_store is None:
+            return self._rows(nodes, extra)
+        nodes = np.asarray(nodes, dtype=np.int64)
+        return self.feature_store.get(
+            nodes, times=self._store_times(len(nodes)), space="serve:model"
+        ), None
 
     # ---- reporting ---------------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
-        """One flat dict across admission, ingestion, commit, and ladder."""
-        out: Dict[str, object] = {}
-        out.update({f"admission:{k}": v for k, v in self.admission.stats.as_dict().items()})
-        out.update({f"ingest:{k}": v for k, v in self.ingest.stats.as_dict().items()})
+        """The engine's counters plus commit, durable-log, and store rows."""
+        out = super().stats()
         out.update({f"commit:{k}": v for k, v in self.committer.stats.as_dict().items()})
-        out.update({f"ladder:{k}": v for k, v in sorted(self.ladder.decisions.items())})
-        out["watermark"] = self.ingest.watermark
-        out["committed_watermark"] = self.committer.committed_watermark
-        out["model:version"] = self.model_version
-        if self._model_table is not None and np.isfinite(self.model_watermark):
-            out["model:staleness"] = max(
-                0.0, self.committer.committed_watermark - self.model_watermark
-            )
         if self.store is not None:
             out.update({f"durable:{k}": v for k, v in self.store.stats().items()})
         if self.feature_store is not None:
@@ -522,28 +219,3 @@ class ServeRuntime:
         for k, v in self._recovery.items():
             out[f"durable:recovered:{k}"] = v
         return out
-
-    def close(self) -> None:
-        """Flush and close the durable store; idempotent.
-
-        Cluster teardown closes every replica — including ones already
-        closed by a simulated crash — so double-close must not re-run
-        WAL finalization.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self.store is not None:
-            self.store.close()
-
-    def __enter__(self) -> "ServeRuntime":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"ServeRuntime(served={len(self.results)}, "
-            f"queue={self.admission.depth}, clock={self.clock.now():.6g})"
-        )

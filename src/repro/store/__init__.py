@@ -8,7 +8,7 @@ Hierarchy (hottest first)::
 
 One implementation — :class:`TieredFeatureStore` — serves every
 front-end: ``TContext`` embedding caches, ``op.cache``/``op.preload``
-(now deprecation shims over :mod:`repro.store.ops`), the TGL baseline's
+(re-exports of :mod:`repro.store.ops`), the TGL baseline's
 feature gathers, the trainer (via :class:`BatchPipeline` sampler
 lookahead), and the serving degradation ladder (via
 ``estimate_fetch_seconds``).  Bytes moved per tier and stall time
@@ -16,7 +16,7 @@ saved by async prefetch are first-class outputs (``store.stats()``,
 ``ctx.stats().store``, benchmark tables).
 """
 
-from .api import FeatureStore, StoreClock, StoreConfig, StoreStats, TierStats
+from .api import FeatureStore, StoreConfig, StoreStats, TierStats
 from .prefetch import BatchPipeline
 from .tiered import TieredFeatureStore
 from .tiers import ColdTier, PinnedPool, SourceTier
@@ -24,7 +24,6 @@ from . import ops
 
 __all__ = [
     "FeatureStore",
-    "StoreClock",
     "StoreConfig",
     "StoreStats",
     "TierStats",

@@ -1,7 +1,7 @@
 """The `FeatureStore` API: one interface over every feature/embedding cache.
 
 Historically the codebase grew three divergent ways to cache and move
-feature rows — ``TContext``'s per-layer embedding caches (``cache_limit``),
+feature rows — ``TContext``'s per-layer embedding caches,
 the ``op.cache()`` / ``op.preload()`` operators, and the raw
 :class:`~repro.core.kernels.cache.NodeTimeCache` kernel — and every new
 consumer (trainer, serving ladder, continual learner) re-wired them by
@@ -38,7 +38,7 @@ except ImportError:  # pragma: no cover
         return cls
 
 
-__all__ = ["StoreConfig", "TierStats", "StoreStats", "StoreClock", "FeatureStore"]
+__all__ = ["StoreConfig", "TierStats", "StoreStats", "FeatureStore"]
 
 #: tier names, hottest first (the demotion chain runs left to right).
 TIERS = ("hot", "staging", "cold")
@@ -55,8 +55,8 @@ class StoreConfig:
     :mod:`repro.bench.experiments`'s PCIe bandwidths.
     """
 
-    #: hot-tier capacity in rows per space (the embedding-cache size the
-    #: legacy ``TContext(cache_limit=...)`` knob used to set).
+    #: hot-tier capacity in rows per space (each layer's embedding-cache
+    #: size); ``<= 0`` disables the hot tier.
     hot_capacity: int = 20000
     #: hot-tier budget in MiB (overrides ``hot_capacity`` when set).
     hot_mb: Optional[float] = None
@@ -192,31 +192,6 @@ class StoreStats:
             stall_saved_seconds=self.stall_saved_seconds,
         )
         return flat
-
-
-class StoreClock:
-    """Minimal monotone simulated clock (seconds).
-
-    Interface-compatible with :class:`repro.serve.clock.SimClock`; the
-    serving runtime passes its own clock in so store stalls and ladder
-    costs share one timeline.  Defined here (not imported) to keep
-    ``repro.store`` importable from ``repro.core`` without cycles.
-    """
-
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
-
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, seconds: float) -> float:
-        if seconds < 0:
-            raise ValueError(f"cannot advance the clock by {seconds} (negative)")
-        self._now += float(seconds)
-        return self._now
-
-    def __repr__(self) -> str:
-        return f"StoreClock(now={self._now:.6g})"
 
 
 @runtime_checkable

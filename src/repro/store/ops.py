@@ -1,7 +1,7 @@
 """Canonical cache/preload operators over the `FeatureStore`.
 
-These are the implementations behind the legacy front-ends — ``op.cache``
-and ``op.preload`` are thin deprecation shims that forward here, and the
+``repro.core.op`` re-exports :func:`memoize` as ``op.cache`` and
+:func:`preload` as ``op.preload`` (the paper's Table-1 names), and the
 TGL baseline's gathers route through :func:`gather` — so there is exactly
 one tiering/eviction code path no matter which API a model uses.
 

@@ -35,10 +35,11 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from ..clock import SimClock
 from ..core.kernels.cache import NodeTimeCache
 from ..core.kernels.dedup import unique_node_times
 from ..tensor.device import runtime as _device_runtime
-from .api import StoreConfig, StoreStats, TierStats, StoreClock
+from .api import StoreConfig, StoreStats, TierStats
 from .tiers import ColdTier, PinnedPool, SourceTier
 
 __all__ = ["TieredFeatureStore"]
@@ -122,10 +123,10 @@ class TieredFeatureStore:
     Args:
         config: knobs shared with the CLI surface (see
             :class:`~repro.store.api.StoreConfig`); defaults apply.
-        clock: simulated clock stalls are modeled against; accepts the
-            serving runtime's ``SimClock`` so store transfers and ladder
-            deadlines share one timeline.  A private
-            :class:`~repro.store.api.StoreClock` is used if omitted.
+        clock: the :class:`~repro.clock.SimClock` stalls are modeled
+            against; the serving runtime passes its own so store
+            transfers and ladder deadlines share one timeline.  A
+            private one is used if omitted.
         timer: optional ``(name, seconds)`` wall-time callback threaded
             into the tier kernels (``TContext.add_kernel_time``).
     """
@@ -133,7 +134,7 @@ class TieredFeatureStore:
     def __init__(self, config: Optional[StoreConfig] = None, clock=None,
                  timer: Optional[Callable[[str, float], None]] = None):
         self.config = config if config is not None else StoreConfig()
-        self.clock = clock if clock is not None else StoreClock()
+        self.clock = clock if clock is not None else SimClock()
         self._timer = timer
         self.pinned_pool = PinnedPool()
         self._spaces: Dict[str, _Space] = {}

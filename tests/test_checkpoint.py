@@ -7,7 +7,12 @@ import repro.core as tg
 from repro import nn
 from repro import tensor as T
 from repro.bench import evaluate, train_epoch
-from repro.bench.checkpoint import checkpoint_arrays, load_checkpoint, save_checkpoint
+from repro.bench.checkpoint import (
+    _crc32_of,
+    checkpoint_arrays,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.data import NegativeSampler, get_dataset
 from repro.models import TGN, OptFlags
 
@@ -117,11 +122,11 @@ class TestValidation:
         path = str(tmp / "bad.npz")
         arrays = checkpoint_arrays(model)
         arrays["meta/format_version"] = np.array([99])
+        # re-seal the edited archive so the CRC check passes and the
+        # version check is what rejects it (version 1 included)
+        arrays["meta/crc32"] = np.array([_crc32_of(arrays)], dtype=np.uint64)
         np.savez(path, **arrays)
-        # np.savez drops the save_checkpoint CRC too, so the unverified-
-        # archive warning fires before the version check rejects it.
-        with pytest.raises(ValueError), \
-                pytest.warns(RuntimeWarning, match="no stored CRC32"):
+        with pytest.raises(ValueError, match="format version: 99"):
             load_checkpoint(path, model)
 
     def test_checkpoint_arrays_contents(self, trained_setup):

@@ -302,6 +302,57 @@ def test_cluster_matches_single_runtime_clean(partition):
     assert digests == _single_digests(stream, batches)
 
 
+def test_one_shard_cluster_answers_exactly_like_the_runtime():
+    """Both deployments run the one engine loop: a 1-shard, factor-1
+    cluster gives every request the runtime's status, rung, and scores
+    bit for bit — only ``valid`` (a mask vs. None) tells them apart."""
+    stream = _stream(400)
+    batches = split_batches(stream, 40)
+    g = TGraph(stream.src, stream.dst, stream.ts, num_nodes=N)
+    runtime = ServeRuntime(g, TContext(g), Memory(N, DIM), TSampler(10, seed=3),
+                           mailbox=Mailbox(N, DIM), deadline=1.0,
+                           max_queue=1 << 30)
+    single = replay(runtime, batches, load=4.0)
+    ctx, cluster = _cluster(stream, config=ClusterConfig(num_shards=1))
+    with cluster:
+        sharded = replay(cluster, batches, load=4.0)
+    assert [(r.status, r.level) for r in sharded] == \
+        [(r.status, r.level) for r in single]
+    for got, want in zip(sharded, single):
+        assert got.scores.tobytes() == want.scores.tobytes()
+        assert want.valid is None and got.valid.all()
+
+
+def test_cluster_swap_model_changes_scores_not_state():
+    """``swap_model`` is the engine's, so the cluster has it too: the
+    table replaces shard reads when scoring and touches nothing else."""
+    stream = _stream(400)
+    batches = split_batches(stream, 40)
+    table = np.random.default_rng(9).normal(size=(N, DIM)).astype(np.float32)
+
+    def run(swap):
+        ctx, cluster = _cluster(stream)
+        with cluster:
+            replay(cluster, batches[:5], load=4.0)
+            if swap:
+                assert cluster.swap_model(table, watermark=0.0) == 1
+            results = replay(cluster, batches[5:], load=4.0)
+            return results, _cluster_digests(cluster), cluster.stats()
+
+    plain, plain_digests, plain_stats = run(swap=False)
+    swapped, swapped_digests, swapped_stats = run(swap=True)
+    assert swapped_digests == plain_digests
+    assert all(r.status == "ok" for r in swapped)
+    for before, after in zip(plain[:5], swapped[:5]):
+        assert before.scores.tobytes() == after.scores.tobytes()
+    assert any(a.scores.tobytes() != b.scores.tobytes()
+               for a, b in zip(plain[5:], swapped[5:]))
+    # the table is local to the coordinator: no shard read, nothing to mask
+    assert all(r.valid is None for r in swapped[5:])
+    assert (plain_stats["model:version"], swapped_stats["model:version"]) == (0, 1)
+    assert swapped_stats["model:staleness"] > 0.0
+
+
 def test_cluster_chaos_equivalence_with_shard_kill():
     """The headline guarantee: 16x load, a shard killed mid-stream, RPC
     drops, a stall window and heartbeat loss — the cluster keeps serving
@@ -666,20 +717,6 @@ def test_whole_group_down_marks_valid_mask():
         assert result.valid.any()      # live-shard rows still authoritative
         assert ctx.counters.get("serve:zero_rows", 0) > 0
         assert cluster.zero_rows > 0
-
-
-def test_legacy_partials_disable_valid_mask():
-    stream = _stream(300)
-    batches = split_batches(stream, 30)
-    config = ClusterConfig(num_shards=4, strict_partials=False)
-    ctx, cluster = _cluster(stream, config=config)
-    with cluster:
-        cluster.replicas[2].crash()
-        cluster.submit(batches[0])
-        result = cluster.step()
-        assert result is not None and result.status == "ok"
-        assert result.valid is None  # legacy unmarked zero-fill
-        assert cluster.zero_rows > 0  # ... but the counter still records it
 
 
 def test_quiesced_member_accrues_no_phi():

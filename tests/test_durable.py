@@ -761,22 +761,22 @@ class TestCheckpointIntegritySurfacing:
         path = str(tmp_path / "ck.npz")
         save_checkpoint(path, model)
         meta = load_checkpoint(path, model)
-        assert meta["verified"] is True
+        # a load that returns *is* a verified load: there is no flag
+        assert meta["version"] == 2 and "verified" not in meta
 
-    def test_missing_crc_warns_and_reports_unverified(self, tmp_path):
+    def test_missing_crc_is_rejected(self, tmp_path):
         from repro.bench.checkpoint import load_checkpoint, save_checkpoint
 
         model = _TinyModel()
         path = str(tmp_path / "ck.npz")
         save_checkpoint(path, model)
-        # strip the CRC section, as a version-1 archive would lack it
+        # stripping the CRC section must not defeat the integrity check
         with np.load(path) as archive:
             arrays = {k: archive[k] for k in archive.files if k != "meta/crc32"}
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
-        with pytest.warns(RuntimeWarning, match="no stored CRC32"):
-            meta = load_checkpoint(path, model)
-        assert meta["verified"] is False
+        with pytest.raises(ValueError, match="no stored CRC32"):
+            load_checkpoint(path, model)
 
     def test_fsync_dir_tolerates_bad_path(self):
         assert fsync_dir("/definitely/not/a/real/directory") is False

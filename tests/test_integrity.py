@@ -27,7 +27,7 @@ from repro.integrity import (
     merkle_diff,
     merkle_root,
 )
-from repro.resilience import FaultInjector
+from repro.resilience import FaultInjector, apply_bitflip
 from repro.serve import ServeRuntime, SimClock, build_stream, replay, split_batches
 from repro.store import ColdTier
 
@@ -153,7 +153,7 @@ def _flip_and_drain(cluster, tier, factor):
     """Flip one bit of shard 1's last member after the final write."""
     group = cluster.groups[1]
     member = factor - 1
-    assert cluster._apply_bitflip(group, member, ("flip", tier, 12345, 3))
+    assert apply_bitflip(group.members[member], ("flip", tier, 12345, 3))
     cluster.drain()  # terminal anti-entropy pass runs scrub_now()
     return group, member
 
@@ -218,7 +218,7 @@ def test_scheduled_mem_flip_via_fault_site():
         # fire the scheduled flip after the last write so no later
         # legitimate overwrite can heal it before the scrubber looks
         inj.advance(1, 0)
-        cluster._chaos()
+        cluster._before_request()
         cluster.drain()
         stats = cluster.stats()
         assert stats["cluster:injected_flips"] == 1
@@ -261,7 +261,7 @@ def test_guard_read_repairs_touched_chunks_in_suspect_window():
         replay(cluster, batches, load=16.0)
         group = cluster.groups[1]
         rep = group.members[0]
-        assert cluster._apply_bitflip(group, 0, ("flip", "memory", 999, 2))
+        assert apply_bitflip(rep, ("flip", "memory", 999, 2))
         scrubber = cluster.scrubber
         # outside a suspect window reads trust the periodic scrubber
         scrubber.guard_read(1, group, 0, rep.owned)
@@ -326,7 +326,7 @@ def test_unrepairable_when_no_peer_and_evidence_damaged():
         group = cluster.groups[1]
         group.members[1].crash()  # the only possible donor
         rep = group.members[0]
-        assert cluster._apply_bitflip(group, 0, ("flip", "memory", 777, 1))
+        assert apply_bitflip(rep, ("flip", "memory", 777, 1))
         # damage the durable evidence: break the newest WAL record so a
         # shadow replay falls short of the applied sequence
         path = max(rep.store.wal.segment_paths(), key=os.path.getsize)

@@ -24,6 +24,7 @@ from repro.core.kernels import (
     temporal_sample,
     unique_node_times,
 )
+from repro.store import StoreConfig
 
 
 def make_csr(num_nodes=40, num_edges=400, seed=0, empty_frac=0.25):
@@ -284,7 +285,7 @@ class TestMissStorm:
 
 
 class TestCacheDisabled:
-    """Regression: TContext(cache_limit=0) crashed with ZeroDivisionError."""
+    """Regression: a zero-capacity hot tier crashed with ZeroDivisionError."""
 
     @pytest.mark.parametrize("capacity", [0, -1])
     def test_store_and_lookup_are_noops(self, capacity):
@@ -296,7 +297,8 @@ class TestCacheDisabled:
         assert rows is None
 
     def test_context_with_zero_cache_limit_end_to_end(self, tiny_graph):
-        ctx = tg.TContext(tiny_graph, cache_limit=0)
+        ctx = tg.TContext(tiny_graph, store=StoreConfig(
+            hot_capacity=0, hot_policy="fifo", staging_rows=0, prefetch_depth=0))
         ctx.eval()
         blk = tg.TBlock(ctx, 0, np.array([0]), np.array([1.0]))
         tgop.cache(ctx, blk)

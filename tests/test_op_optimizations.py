@@ -8,6 +8,7 @@ from repro.core import op as tgop
 from repro.core.op.dedup import unique_node_times
 from repro import nn
 from repro import tensor as T
+from repro.store import StoreConfig
 from repro.tensor.device import runtime
 
 
@@ -114,7 +115,8 @@ class TestCache:
         assert blk2.num_dst == 1
 
     def test_eviction_when_over_capacity(self, tiny_graph):
-        ctx = tg.TContext(tiny_graph, cache_limit=2)
+        ctx = tg.TContext(tiny_graph, store=StoreConfig(
+            hot_capacity=2, hot_policy="fifo", staging_rows=0, prefetch_depth=0))
         ctx.eval()
         for node in range(3):
             blk = tg.TBlock(ctx, 0, np.array([node]), np.array([1.0]))

@@ -104,33 +104,6 @@ class TestKernelTimes:
         assert "cache_store" in kernels
 
 
-class TestDeprecatedShims:
-    def test_op_stats_warns_and_matches(self, tiny_ctx):
-        blk = tg.TBlock(tiny_ctx, 0, np.array([0, 0, 1]), np.ones(3))
-        tgop.dedup(blk)
-        with pytest.warns(DeprecationWarning):
-            flat = tiny_ctx.op_stats()
-        assert flat == tiny_ctx.stats().as_dict()
-        assert flat["dedup_reduction"] == pytest.approx(1 / 3)
-
-    def test_cache_stats_warns_and_matches(self, tiny_ctx):
-        tiny_ctx.eval()
-        blk = tg.TBlock(tiny_ctx, 0, np.array([0]), np.array([1.0]))
-        tgop.cache(tiny_ctx, blk)
-        blk.run_hooks(T.tensor([[1.0]]))
-        blk2 = tg.TBlock(tiny_ctx, 0, np.array([0]), np.array([1.0]))
-        tgop.cache(tiny_ctx, blk2)
-        with pytest.warns(DeprecationWarning):
-            rates = tiny_ctx.cache_stats()
-        assert rates == {0: 0.5}
-
-    def test_reset_counters_warns_and_resets(self, tiny_ctx):
-        tiny_ctx.count("x", 1)
-        with pytest.warns(DeprecationWarning):
-            tiny_ctx.reset_counters()
-        assert tiny_ctx.counters == {}
-
-
 class TestEndToEndStats:
     def test_tgat_epoch_reports_meaningful_reduction(self):
         ds = get_dataset("wiki")

@@ -472,7 +472,7 @@ class TestModelSwapStoreInvalidation:
         # post-swap gathers carry the new version in their key: the stale
         # rows are structurally unreachable, so the rows resolve through
         # the (new) authority instead
-        np.testing.assert_array_equal(rt._gather_rows(nodes), new[nodes])
+        np.testing.assert_array_equal(rt._fetch_rows(nodes, 0)[0], new[nodes])
         # ...even though the stale rows really are resident in the hot
         # tier under the old version's key
         before = rt.feature_store.stats().tiers["hot"].hits
@@ -492,7 +492,7 @@ class TestModelSwapStoreInvalidation:
         results = replay(rt, batches[4:], load=1.0)
         assert all(r.status == "ok" for r in results[-4:])
         nodes = np.arange(8, dtype=np.int64)
-        np.testing.assert_array_equal(rt._gather_rows(nodes), table[nodes])
+        np.testing.assert_array_equal(rt._fetch_rows(nodes, 0)[0], table[nodes])
 
 
 class TestRuntimeLifecycle:

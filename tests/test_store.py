@@ -3,25 +3,23 @@
 Covers the tier hierarchy end to end — hot -> staging -> cold demotion,
 promotion back up, prefetch hit/miss/stall accounting on the simulated
 clock, eviction determinism, the ``disk.read`` fault-injection path of
-the cold spill tier — plus the legacy front-end shims (``cache_limit``,
-``op.cache`` / ``op.preload``) that must stay bit-identical through the
-store.
+the cold spill tier — plus the flat-FIFO store shape that must stay
+bit-identical to the loop-reference cache.
 """
 
 import os
-import warnings
 
 import numpy as np
 import pytest
 
 import repro.core as tg
+from repro.clock import SimClock
 from repro.core import iter_batches
 from repro.core.kernels.cache import NodeTimeCache, _ReferenceNodeTimeCache
-from repro.core import op as tgop
 from repro.resilience import FaultInjector
 from repro.serve.deadline import CostModel, DegradationLadder
 from repro.store import StoreConfig, StoreStats, TieredFeatureStore
-from repro.store.api import FeatureStore, StoreClock
+from repro.store.api import FeatureStore
 from repro.store.prefetch import BatchPipeline, attach_graph_sources
 from repro.store.tiers import ColdTier, SourceTier
 
@@ -45,7 +43,8 @@ class TestProtocol:
         assert isinstance(TieredFeatureStore(), FeatureStore)
 
     def test_store_clock_monotone(self):
-        clock = StoreClock()
+        clock = TieredFeatureStore().clock
+        assert isinstance(clock, SimClock)
         assert clock.now() == 0.0
         clock.advance(1.5)
         assert clock.now() == 1.5
@@ -340,32 +339,11 @@ class TestColdTierFaults:
 
 
 class TestLegacyShims:
-    """Deprecated front-ends warn and stay bit-identical through the store."""
-
-    def test_cache_limit_warns_and_pins_flat_fifo(self, tiny_graph):
-        with pytest.warns(DeprecationWarning, match="cache_limit"):
-            ctx = tg.TContext(tiny_graph, cache_limit=8)
-        assert ctx.cache_limit == 8
-        cfg = ctx.store.config
-        assert (cfg.hot_policy, cfg.staging_rows, cfg.prefetch_depth) == ("fifo", 0, 0)
-
-    def test_cache_limit_and_store_are_exclusive(self, tiny_graph):
-        with pytest.raises(ValueError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                tg.TContext(tiny_graph, cache_limit=8, store=StoreConfig())
-
-    def test_op_cache_shim_warns(self, tiny_graph):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            ctx = tg.TContext(tiny_graph, cache_limit=8)
-        ctx.train(False)
-        blk = tg.TBlock(ctx, 0, np.array([0, 1]), np.ones(2))
-        with pytest.warns(DeprecationWarning, match="memoize"):
-            tgop.cache(ctx, blk)
+    """The flat-FIFO store shape (what the removed ``cache_limit`` shim
+    used to pin) still matches the loop-reference cache."""
 
     def test_flat_store_matches_reference_cache_bit_for_bit(self):
-        """The legacy entry points' store shape == the loop reference."""
+        """One hot FIFO ring with no tiers below == the loop reference."""
         store = flat_store(hot_capacity=8)
         ref = _ReferenceNodeTimeCache(8)
         rng = np.random.default_rng(3)
