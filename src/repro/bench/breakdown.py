@@ -15,15 +15,12 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from ..core import iter_batches
 from ..core import op as tgop
 from ..store import ops as store_ops
 from ..models.attention import TemporalAttnLayer
 from ..models.tgat import TGAT
-from ..nn import bce_with_logits
-from ..tensor import Tensor
+from ..nn import link_prediction_loss
 from ..tgl.models.tgat import TGLTGAT
 from .experiments import Experiment
 from .timing import Breakdown
@@ -59,8 +56,7 @@ def _timed_time_encoders(breakdown: Breakdown):
 
 def _loss(model, embeds, batch):
     pos, neg = model.edge_predictor.score_batch(embeds, len(batch))
-    loss = bce_with_logits(pos, Tensor(np.ones(len(batch), dtype=np.float32), device=pos.device))
-    return loss + bce_with_logits(neg, Tensor(np.zeros(len(batch), dtype=np.float32), device=neg.device))
+    return link_prediction_loss(pos, neg)
 
 
 def _tglite_epoch(exp: Experiment, stop: int, bd: Breakdown) -> None:

@@ -55,9 +55,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core import TBatch, TGraph
+from ..core.state import load_state_image, state_image
 from ..data import NegativeSampler
 from ..distributed import SimulatedDataParallel
-from ..nn import Optimizer, bce_with_logits
+from ..nn import Optimizer, link_prediction_loss
 from ..resilience import hooks
 from ..resilience.errors import (
     CheckpointWriteAborted,
@@ -67,7 +68,6 @@ from ..resilience.errors import (
 )
 from ..resilience.validate import validate_state
 from ..durable.codec import KIND_DELTA, KIND_MARKER
-from ..tensor import Tensor
 from ..tensor.random import default_generator
 from .checkpoint import (
     _optimizer_state,
@@ -170,7 +170,7 @@ class ResilientTrainer:
             rows that are already hot, so recovery stays bit-exact.
     """
 
-    CHECKPOINT_NAME = "resilient.npz"
+    CHECKPOINT_NAME = "resilient.ckpt"
 
     def __init__(
         self,
@@ -246,46 +246,34 @@ class ResilientTrainer:
             **self.extra_generators,
         }
 
+    def _state(self) -> Dict[str, np.ndarray]:
+        """Live tables of the graph's attached memory/mailbox, by image key."""
+        return state_image(self.g.mem, self.g.mailbox)
+
     def _snapshot(self) -> dict:
         """In-RAM copy of everything one batch mutates before the step."""
-        snap = {
+        return {
             "rng": {
                 name: copy.deepcopy(gen.bit_generator.state)
                 for name, gen in self._generators().items()
-            }
+            },
+            "state": {key: table.copy() for key, table in self._state().items()},
         }
-        if self.g.mem is not None:
-            snap["mem"] = (self.g.mem.data.data.copy(), self.g.mem.time.copy())
-        if self.g.mailbox is not None:
-            mb = self.g.mailbox
-            snap["mailbox"] = (
-                mb.mail.data.copy(),
-                mb.time.copy(),
-                None if mb._next_slot is None else mb._next_slot.copy(),
-            )
-        return snap
 
     def _restore_snapshot(self, snap: dict) -> None:
         for name, gen in self._generators().items():
             gen.bit_generator.state = copy.deepcopy(snap["rng"][name])
-        if "mem" in snap:
-            self.g.mem.data.data[...] = snap["mem"][0]
-            self.g.mem.time[...] = snap["mem"][1]
-        if "mailbox" in snap:
-            mb = self.g.mailbox
-            mb.mail.data[...] = snap["mailbox"][0]
-            mb.time[...] = snap["mailbox"][1]
-            if mb._next_slot is not None:
-                mb._next_slot[...] = snap["mailbox"][2]
+        load_state_image(snap["state"], self.g.mem, self.g.mailbox, "batch snapshot")
 
     # ---- incremental delta log --------------------------------------------------
 
     def _build_delta(self, snap: dict) -> Dict[str, np.ndarray]:
         """Everything one completed batch changed, as a flat array dict.
 
-        Memory/mailbox are diffed against the pre-batch snapshot (only
-        the touched rows are logged); parameters, optimizer moments, and
-        RNG words are small and logged whole.
+        Every state table is diffed against the pre-batch snapshot (only
+        the touched rows are logged, under the table's image key plus a
+        ``rows/`` index); parameters, optimizer moments, and RNG words
+        are small and logged whole.
         """
         arrays: Dict[str, np.ndarray] = {}
         for name, value in self.model.state_dict().items():
@@ -294,26 +282,13 @@ class ResilientTrainer:
             arrays["optim/" + key] = value
         for name, gen in self._generators().items():
             arrays["rng/" + name] = _pack_generator(gen)
-        if self.g.mem is not None and "mem" in snap:
-            data, times = self.g.mem.data.data, self.g.mem.time
+        for key, table in self._state().items():
+            n = len(table)
             changed = np.flatnonzero(
-                (data != snap["mem"][0]).any(axis=1) | (times != snap["mem"][1])
+                (table.reshape(n, -1) != snap["state"][key].reshape(n, -1)).any(axis=1)
             )
-            arrays["mem/nodes"] = changed.astype(np.int64)
-            arrays["mem/data"] = data[changed]
-            arrays["mem/time"] = times[changed]
-        if self.g.mailbox is not None and "mailbox" in snap:
-            mb = self.g.mailbox
-            n = mb.num_nodes
-            changed = np.flatnonzero(
-                (mb.mail.data.reshape(n, -1) != snap["mailbox"][0].reshape(n, -1)).any(axis=1)
-                | (mb.time.reshape(n, -1) != snap["mailbox"][1].reshape(n, -1)).any(axis=1)
-            )
-            arrays["mail/nodes"] = changed.astype(np.int64)
-            arrays["mail/mail"] = mb.mail.data[changed]
-            arrays["mail/time"] = mb.time[changed]
-            if mb._next_slot is not None:
-                arrays["mail/cursor"] = mb._next_slot
+            arrays["rows/" + key] = changed
+            arrays[key] = table[changed]
         return arrays
 
     def _apply_delta(self, arrays: Dict[str, np.ndarray]) -> None:
@@ -337,17 +312,8 @@ class ResilientTrainer:
             key = "rng/" + name
             if key in arrays:
                 _restore_generator(gen, arrays[key])
-        if self.g.mem is not None and "mem/nodes" in arrays:
-            idx = arrays["mem/nodes"]
-            self.g.mem.data.data[idx] = arrays["mem/data"]
-            self.g.mem.time[idx] = arrays["mem/time"]
-        if self.g.mailbox is not None and "mail/nodes" in arrays:
-            mb = self.g.mailbox
-            idx = arrays["mail/nodes"]
-            mb.mail.data[idx] = arrays["mail/mail"]
-            mb.time[idx] = arrays["mail/time"]
-            if mb._next_slot is not None and "mail/cursor" in arrays:
-                mb._next_slot[...] = arrays["mail/cursor"]
+        for key, table in self._state().items():
+            table[arrays["rows/" + key]] = arrays[key]
         _mark_time_encoders_updated(self.model)
 
     def _replay_deltas(self, epoch: int, b: int, n_batches: int) -> Tuple[int, int, int]:
@@ -511,11 +477,7 @@ class ResilientTrainer:
             batch.neg_nodes = self.neg_sampler.sample(len(batch))
             self.optimizer.zero_grad()
             pos, neg = self.model(batch)
-            loss = bce_with_logits(
-                pos, Tensor(np.ones(len(batch), dtype=np.float32), device=pos.device)
-            ) + bce_with_logits(
-                neg, Tensor(np.zeros(len(batch), dtype=np.float32), device=neg.device)
-            )
+            loss = link_prediction_loss(pos, neg)
             loss.backward()
             self.optimizer.step()
             loss_value = loss.item()

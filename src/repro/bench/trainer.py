@@ -18,9 +18,9 @@ import numpy as np
 
 from ..core import TBatch, TGraph, iter_batches
 from ..data import NegativeSampler
-from ..nn import Optimizer, TimeEncode, bce_with_logits
+from ..nn import Optimizer, TimeEncode, link_prediction_loss
 from ..store.prefetch import BatchPipeline, attach_graph_sources
-from ..tensor import Tensor, no_grad
+from ..tensor import no_grad
 from .metrics import average_precision
 from .timing import Breakdown
 
@@ -107,8 +107,7 @@ def train_epoch(
         batch.neg_nodes = neg_sampler.sample(len(batch))
         optimizer.zero_grad()
         pos, neg = model(batch)
-        loss = bce_with_logits(pos, Tensor(np.ones(len(batch), dtype=np.float32), device=pos.device))
-        loss = loss + bce_with_logits(neg, Tensor(np.zeros(len(batch), dtype=np.float32), device=neg.device))
+        loss = link_prediction_loss(pos, neg)
         loss.backward()
         optimizer.step()
         _mark_time_encoders_updated(model)

@@ -56,7 +56,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,7 +64,7 @@ from ..integrity.scrubber import Scrubber
 from ..resilience.chaos import inject_member_faults
 from ..resilience.errors import TransientKernelError
 from ..resilience.hooks import poke as _poke
-from ..serve.commit import serve_state_arrays, stage_updates
+from ..serve.commit import stage_updates
 from ..serve.deadline import CostModel
 from ..serve.engine import ServeEngine
 from ..serve.events import EventBatch
@@ -484,17 +484,20 @@ class ServeCluster(ServeEngine):
 
     # ---- assembled state images ----------------------------------------------------
 
-    def _image(self) -> Dict[str, np.ndarray]:
-        """The global serve-state image: each row from its owning primary."""
+    def _image(self, component: str) -> Tuple[np.ndarray, ...]:
+        """One component's global tables: each row from its owning primary."""
         n = self.graph.num_nodes
-        image: Dict[str, np.ndarray] = {}
+        image: Tuple[np.ndarray, ...] = ()
         for rep in self.replicas:
             if rep.memory is None:
                 raise ReplicaDown(f"shard {rep.shard_id} is down; drain() first")
-            for key, rows in serve_state_arrays(rep.memory, rep.mailbox).items():
-                if key not in image:
-                    image[key] = np.zeros((n,) + rows.shape[1:], dtype=rows.dtype)
-                image[key][rep.owned] = rows
+            tables = rep.tables(component)
+            if not image:
+                image = tuple(
+                    np.zeros((n,) + rows.shape[1:], dtype=rows.dtype) for rows in tables
+                )
+            for out, rows in zip(image, tables):
+                out[rep.owned] = rows
         return image
 
     def memory_image(self):
@@ -502,17 +505,20 @@ class ServeCluster(ServeEngine):
 
         Every node's row comes from its owning shard, so after
         :meth:`drain` the image is directly comparable — bit-for-bit —
-        with a single runtime's ``memory.data.data`` / ``memory.time``.
+        with a single runtime's ``memory.tables()``.
         """
-        image = self._image()
-        return image["memory/data"], image["memory/time"]
+        return self._image("memory")
 
     def mailbox_image(self):
-        """Global ``(mail, time, cursor)`` mailbox arrays from the shards."""
-        image = self._image()
-        if "mailbox/mail" not in image:
+        """Global ``(mail, time, cursor)`` mailbox arrays from the shards
+        (``cursor`` is ``None`` for one-slot mailboxes)."""
+        if self.replicas[0].mailbox_slots <= 0:
             return None
-        return image["mailbox/mail"], image["mailbox/time"], image.get("mailbox/cursor")
+        image = self._image("mailbox")
+        # Tables the mailboxes do not hold (the cursor of a one-slot ring)
+        # are reported as None.
+        declared = len(self.replicas[0].mailbox.TABLE_KEYS)
+        return image + (None,) * (declared - len(image))
 
     # ---- reporting / lifecycle -----------------------------------------------------
 

@@ -35,10 +35,11 @@ import numpy as np
 
 from ..core.mailbox import Mailbox
 from ..core.memory import Memory
+from ..core.state import load_state_image, state_image
 from ..durable.codec import KIND_BATCH
 from ..durable.store import DurableStateStore
 from ..integrity.digest import ChunkedDigest, merkle_root
-from ..serve.commit import load_serve_state_arrays, serve_state_arrays, stage_updates
+from ..serve.commit import stage_updates
 from ..serve.events import EventBatch
 
 __all__ = ["ReplicaDown", "StaleLeaseError", "ShardReplica"]
@@ -247,7 +248,7 @@ class ShardReplica:
             )
         arrays = state.snapshot_arrays
         self._reslice(np.asarray(arrays["owned"], dtype=np.int64))
-        load_serve_state_arrays(arrays, self.memory, self.mailbox)
+        load_state_image(arrays, self.memory, self.mailbox, "shard snapshot")
         self.last_seq = int(state.snapshot_meta.get("seq", -1))
         self.lease_epoch = int(state.snapshot_meta.get("epoch", 0))
         self.digests = _StateDigests(self, self.chunk_rows)
@@ -347,17 +348,11 @@ class ShardReplica:
     # ---- integrity -----------------------------------------------------------------
 
     def tables(self, component: str) -> Tuple[np.ndarray, ...]:
-        """The live arrays of one state table, each indexed by local row.
-
-        The mailbox's ring cursor is part of its state: a digest or a
-        repair that skipped it would miss where the *next* write lands.
-        """
+        """The live arrays of one state component, each indexed by local row."""
         if component == "memory":
-            return (self.memory.data.data, self.memory.time)
+            return self.memory.tables()
         if component == "mailbox" and self.mailbox is not None:
-            mb = self.mailbox
-            cursor = () if mb._next_slot is None else (mb._next_slot,)
-            return (mb.mail.data, mb.time) + cursor
+            return self.mailbox.tables()
         raise KeyError(f"unknown state component {component!r}")
 
     def read_rows(self, component: str, rows: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -406,7 +401,7 @@ class ShardReplica:
         if not np.array_equal(owned, self.owned):
             return None
         memory, mailbox = self._new_tables(len(owned))
-        load_serve_state_arrays(arrays, memory, mailbox)
+        load_state_image(arrays, memory, mailbox, "shard snapshot")
         seq = int(state.snapshot_meta.get("seq", -1))
         for record in state.records:
             if record.kind != KIND_BATCH:
@@ -458,9 +453,8 @@ class ShardReplica:
     # ---- snapshots / rebalance -----------------------------------------------------
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        """The single runtime's state image plus the ownership it is sliced by."""
-        return {"owned": self.owned,
-                **serve_state_arrays(self.memory, self.mailbox)}
+        """The core state image plus the ownership it is sliced by."""
+        return {"owned": self.owned, **state_image(self.memory, self.mailbox)}
 
     def write_snapshot(self) -> None:
         """Durably anchor state + ownership; compacts the log below it."""
@@ -501,11 +495,11 @@ class ShardReplica:
             raise KeyError(f"shard {self.shard_id} releasing unowned nodes")
         # Every array of the state image is indexed by local row, so rows
         # move between tables by indexing each one the same way.
-        old, old_local = serve_state_arrays(self.memory, self.mailbox), self._local
+        old, old_local = state_image(self.memory, self.mailbox), self._local
         out = {"nodes": nodes, **{key: rows[local] for key, rows in old.items()}}
         self._reslice(np.setdiff1d(self.owned, nodes))
         kept_local = old_local[self.owned]
-        for key, rows in serve_state_arrays(self.memory, self.mailbox).items():
+        for key, rows in state_image(self.memory, self.mailbox).items():
             rows[...] = old[key][kept_local]
         self.digests = _StateDigests(self, self.chunk_rows)
         self.write_snapshot()
@@ -516,12 +510,12 @@ class ShardReplica:
         if not self.alive:
             raise ReplicaDown(f"shard {self.shard_id} is down")
         incoming = np.asarray(state["nodes"], dtype=np.int64)
-        old, old_local = serve_state_arrays(self.memory, self.mailbox), self._local
+        old, old_local = state_image(self.memory, self.mailbox), self._local
         self._reslice(np.union1d(self.owned, incoming))
         prev = old_local[self.owned]
         had = prev >= 0
         new_local = self._local[incoming]
-        for key, rows in serve_state_arrays(self.memory, self.mailbox).items():
+        for key, rows in state_image(self.memory, self.mailbox).items():
             rows[had] = old[key][prev[had]]
             rows[new_local] = state[key]
         self.digests = _StateDigests(self, self.chunk_rows)

@@ -11,18 +11,19 @@ size 10, aggregated by the model).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from ..tensor import Tensor
 from ..tensor.device import Device, get_device
 from .kernels.dedup import canonical_event_order, last_event_wins
+from .state import TableState
 
 __all__ = ["Mailbox"]
 
 
-class Mailbox:
+class Mailbox(TableState):
     """Per-node message slots and delivery timestamps.
 
     Args:
@@ -31,6 +32,8 @@ class Mailbox:
         slots: messages retained per node; 1 keeps only the latest.
         device: backing storage placement.
     """
+
+    TABLE_KEYS = ("mailbox/mail", "mailbox/time", "mailbox/cursor")
 
     def __init__(
         self,
@@ -51,7 +54,16 @@ class Mailbox:
         self.time = np.zeros(tshape, dtype=np.float64)
         # Ring-buffer write cursor per node (multi-slot only).
         self._next_slot = np.zeros(num_nodes, dtype=np.int64) if slots > 1 else None
-        self._backup: Optional[Tuple] = None
+
+    def tables(self) -> Tuple[np.ndarray, ...]:
+        """``(mail, time)`` plus, for a multi-slot ring, the write cursor.
+
+        The cursor is state: a digest or a repair that skipped it would
+        miss where the *next* message lands.
+        """
+        if self._next_slot is None:
+            return self.mail.data, self.time
+        return self.mail.data, self.time, self._next_slot
 
     def get(self, nodes: np.ndarray) -> Tensor:
         """Mail rows for *nodes*: ``(n, dim)`` or ``(n, slots, dim)``. Detached."""
@@ -107,29 +119,6 @@ class Mailbox:
             self.time[nodes, cursors] = times
             self._next_slot[nodes] = (cursors + 1) % self.slots
 
-    def reset(self) -> None:
-        self.mail.data[...] = 0.0
-        self.time[...] = 0.0
-        if self._next_slot is not None:
-            self._next_slot[...] = 0
-
-    def backup(self) -> None:
-        """Snapshot current state (mirrors :meth:`Memory.backup`)."""
-        self._backup = (
-            self.mail.data.copy(),
-            self.time.copy(),
-            None if self._next_slot is None else self._next_slot.copy(),
-        )
-
-    def restore(self) -> None:
-        """Restore the last snapshot taken by :meth:`backup`."""
-        if self._backup is None:
-            raise RuntimeError("no mailbox backup to restore")
-        self.mail.data[...] = self._backup[0]
-        self.time[...] = self._backup[1]
-        if self._next_slot is not None:
-            self._next_slot[...] = self._backup[2]
-
     def validate(self) -> list:
         """Self-check invariants; returns violations (empty = healthy).
 
@@ -161,19 +150,6 @@ class Mailbox:
             self.mail = self.mail.to(target)
             self.device = target
         return self
-
-    def state_digest(self) -> str:
-        """Canonical sha256 of the full state (mail, times, ring cursors).
-
-        Covers the ring-buffer write cursor too (multi-slot mailboxes):
-        two mailboxes that hold the same rows but would write the *next*
-        message to different slots are not equivalent states.
-        """
-        from ..integrity.digest import array_digest
-
-        if self._next_slot is None:
-            return array_digest(self.mail.data, self.time)
-        return array_digest(self.mail.data, self.time, self._next_slot)
 
     def nbytes(self) -> int:
         return self.mail.data.nbytes + self.time.nbytes

@@ -16,11 +16,12 @@ import numpy as np
 from ..tensor import Tensor
 from ..tensor.device import Device, get_device
 from .kernels.dedup import last_event_wins
+from .state import TableState
 
 __all__ = ["Memory"]
 
 
-class Memory:
+class Memory(TableState):
     """Per-node memory vectors and last-updated timestamps.
 
     Args:
@@ -30,13 +31,18 @@ class Memory:
             for the CPU-to-GPU experiments).
     """
 
+    TABLE_KEYS = ("memory/data", "memory/time")
+
     def __init__(self, num_nodes: int, dim: int, device: Union[str, Device, None] = None):
         self.num_nodes = num_nodes
         self.dim = dim
         self.device = get_device(device)
         self.data = Tensor(np.zeros((num_nodes, dim), dtype=np.float32), device=self.device)
         self.time = np.zeros(num_nodes, dtype=np.float64)
-        self._backup: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(data, time)`` — the live vectors and last-update times."""
+        return self.data.data, self.time
 
     def get(self, nodes: np.ndarray) -> Tensor:
         """Memory rows for *nodes* (detached: gradients never flow into storage)."""
@@ -70,22 +76,6 @@ class Memory:
             nodes, values_data, times = uniq, values_data[winners], times[winners]
         self.data.data[nodes] = values_data
         self.time[nodes] = times
-
-    def reset(self) -> None:
-        """Zero all memory (start of training, or replay from scratch)."""
-        self.data.data[...] = 0.0
-        self.time[...] = 0.0
-
-    def backup(self) -> None:
-        """Snapshot current state (e.g. end of training, before inference)."""
-        self._backup = (self.data.data.copy(), self.time.copy())
-
-    def restore(self) -> None:
-        """Restore the last snapshot taken by :meth:`backup`."""
-        if self._backup is None:
-            raise RuntimeError("no memory backup to restore")
-        self.data.data[...] = self._backup[0]
-        self.time[...] = self._backup[1]
 
     def validate(self, max_time: Optional[float] = None) -> list:
         """Self-check invariants; returns violations (empty = healthy).
@@ -124,17 +114,6 @@ class Memory:
             self.data = self.data.to(target)
             self.device = target
         return self
-
-    def state_digest(self) -> str:
-        """Canonical sha256 of the full state (vectors + update times).
-
-        Two memories digest equal iff they are bit-identical — the
-        equivalence currency used by replica scrubbing and the cluster
-        equivalence tests.
-        """
-        from ..integrity.digest import array_digest
-
-        return array_digest(self.data.data, self.time)
 
     def nbytes(self) -> int:
         return self.data.data.nbytes + self.time.nbytes

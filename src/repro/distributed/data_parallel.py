@@ -35,9 +35,8 @@ import numpy as np
 
 from ..core import TBatch, TGraph, iter_batches
 from ..data import NegativeSampler
-from ..nn import Optimizer, bce_with_logits
+from ..nn import Optimizer, link_prediction_loss
 from ..resilience.hooks import poke as _poke
-from ..tensor import Tensor
 
 __all__ = ["ShardResult", "StepResult", "SimulatedDataParallel"]
 
@@ -162,11 +161,7 @@ class SimulatedDataParallel:
             shard.neg_nodes = neg_sampler.sample(len(shard))
             t0 = time.perf_counter()
             pos, neg = self.model(shard)
-            loss = bce_with_logits(
-                pos, Tensor(np.ones(len(shard), dtype=np.float32), device=pos.device)
-            ) + bce_with_logits(
-                neg, Tensor(np.zeros(len(shard), dtype=np.float32), device=neg.device)
-            )
+            loss = link_prediction_loss(pos, neg)
             # Scale so accumulated gradients equal the shard-size-weighted
             # average — the semantics of synchronous all-reduce SGD.
             (loss * (len(shard) / len(batch))).backward()

@@ -37,7 +37,14 @@ from .codec import (
     decode_payload,
     encode_payload,
 )
-from .snapshot import list_snapshots, load_latest, prune_snapshots, write_snapshot
+from .snapshot import (
+    list_snapshots,
+    load_latest,
+    prune_snapshots,
+    read_container,
+    write_container,
+    write_snapshot,
+)
 from .store import DurableRecord, DurableStateStore, RecoveredState
 from .tail import CursorInvalidated, WALCursor, read_batch_suffix
 from .wal import (
@@ -60,6 +67,8 @@ __all__ = [
     "WALStats",
     "WriteAheadLog",
     "fsync_dir",
+    "write_container",
+    "read_container",
     "write_snapshot",
     "load_latest",
     "list_snapshots",

@@ -5,7 +5,10 @@ A snapshot is a full image of the durable state at a known log position:
 ``replay(all records)``.  Once a snapshot is durable, every sealed log
 segment below its LSN is garbage and can be compacted away.
 
-File format (``snap-<lsn>.snap``)::
+Container format (``snap-<lsn>.snap``, and — through
+:func:`write_container` / :func:`read_container` at an explicit path —
+every other durable state file, e.g. training checkpoints, which store
+``lsn`` 0)::
 
     12 bytes  magic "TGLITESNP001"
     u32       version
@@ -16,7 +19,8 @@ File format (``snap-<lsn>.snap``)::
 
 Writes are atomic: staged at ``path + ".tmp"``, fsynced, renamed into
 place, and the directory is fsynced so the rename itself survives a
-crash.  :func:`load_latest` walks snapshots newest-first and returns the
+crash — one writer and one reader for every state file.
+:func:`load_latest` walks snapshots newest-first and returns the
 first one that passes its CRC — a torn or bit-flipped newest snapshot
 falls back to the previous one instead of poisoning recovery.
 """
@@ -31,10 +35,18 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..resilience.hooks import poke as _poke
 from .codec import KIND_SNAPSHOT, CodecError, decode_payload, encode_payload
 from .wal import fsync_dir
 
-__all__ = ["write_snapshot", "load_latest", "list_snapshots", "prune_snapshots"]
+__all__ = [
+    "write_container",
+    "read_container",
+    "write_snapshot",
+    "load_latest",
+    "list_snapshots",
+    "prune_snapshots",
+]
 
 _MAGIC = b"TGLITESNP001"
 _VERSION = 1
@@ -46,19 +58,25 @@ def _snap_path(directory: str, lsn: int) -> str:
     return os.path.join(directory, f"snap-{lsn:012d}.snap")
 
 
-def write_snapshot(
-    directory: str,
+def write_container(
+    path: str,
     lsn: int,
     meta: Dict,
     arrays: Dict[str, np.ndarray],
-) -> str:
-    """Atomically persist a snapshot of *arrays* taken at log position *lsn*."""
+    kill_site: Optional[str] = None,
+) -> None:
+    """Atomically persist *meta* + *arrays* at *path* in the container format.
+
+    *kill_site* is the fault site (if any) the caller wants consulted
+    between the staged file's fsync and the rename — the instant at
+    which a killed write must leave the previous file at *path* intact.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     payload = encode_payload(KIND_SNAPSHOT, meta, arrays)
     head = _HEAD.pack(
         _MAGIC, _VERSION, int(lsn), zlib.crc32(payload) & 0xFFFFFFFF, len(payload)
     )
-    path = _snap_path(directory, lsn)
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -66,37 +84,61 @@ def write_snapshot(
             fh.write(payload)
             fh.flush()
             os.fsync(fh.fileno())
+        if kill_site is not None:
+            _poke(kill_site, path=tmp)  # may truncate the staged file + raise
         os.replace(tmp, path)
+        # The rename itself is only durable once the directory entry is
+        # flushed; without this a crash shortly after the write can roll
+        # the directory back to the *previous* file (or none).
         fsync_dir(directory)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-    return path
 
 
-def _read_snapshot(path: str) -> Optional[Tuple[int, Dict, Dict[str, np.ndarray]]]:
-    """Decode one snapshot file; None when torn/corrupt (any reason)."""
-    try:
-        with open(path, "rb") as fh:
-            buf = fh.read()
-    except OSError:
-        return None
+def read_container(path: str) -> Tuple[int, Dict, Dict[str, np.ndarray]]:
+    """Decode one container file into ``(lsn, meta, arrays)``.
+
+    A torn, truncated, bit-flipped or foreign file is a ``ValueError``
+    naming *path* and the reason; nothing is ever partially loaded.
+    """
+    def corrupt(reason: str) -> ValueError:
+        return ValueError(f"state container {path!r} is corrupt: {reason}")
+
+    with open(path, "rb") as fh:
+        buf = fh.read()
     if len(buf) < _HEAD.size:
-        return None
+        raise corrupt("truncated inside the header")
     magic, version, lsn, crc, length = _HEAD.unpack_from(buf)
-    if magic != _MAGIC or version != _VERSION:
-        return None
+    if magic != _MAGIC:
+        raise corrupt("wrong magic (not a state container)")
+    if version != _VERSION:
+        raise corrupt(f"unknown container version {version}")
     payload = buf[_HEAD.size : _HEAD.size + length]
-    if len(payload) != length or zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        return None
+    if len(payload) != length:
+        raise corrupt("truncated payload")
+    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+        raise corrupt("CRC32 mismatch (partial write or bit corruption)")
     try:
         kind, meta, arrays = decode_payload(payload)
-    except CodecError:
-        return None
+    except CodecError as exc:
+        raise corrupt(f"undecodable payload ({exc})") from exc
     if kind != KIND_SNAPSHOT:
-        return None
+        raise corrupt(f"unexpected record kind {kind}")
     return int(lsn), meta, arrays
+
+
+def write_snapshot(
+    directory: str,
+    lsn: int,
+    meta: Dict,
+    arrays: Dict[str, np.ndarray],
+) -> str:
+    """Atomically persist a snapshot of *arrays* taken at log position *lsn*."""
+    path = _snap_path(directory, lsn)
+    write_container(path, lsn, meta, arrays)
+    return path
 
 
 def list_snapshots(directory: str) -> List[Tuple[int, str]]:
@@ -117,10 +159,11 @@ def load_latest(directory: str) -> Optional[Tuple[int, Dict, Dict[str, np.ndarra
     Corrupt snapshots are skipped (recovery falls back to an older one
     plus a longer log replay), never partially loaded.
     """
-    for lsn, path in reversed(list_snapshots(directory)):
-        loaded = _read_snapshot(path)
-        if loaded is not None:
-            return loaded
+    for _, path in reversed(list_snapshots(directory)):
+        try:
+            return read_container(path)
+        except (OSError, ValueError):
+            continue
     return None
 
 

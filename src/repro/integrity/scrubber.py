@@ -77,16 +77,6 @@ def _chunk_rows(cd: ChunkedDigest, chunks: Sequence[int]) -> np.ndarray:
     )
 
 
-def _table_rows(memory, mailbox, component: str, rows: np.ndarray):
-    """Row tuples of a (possibly shadow) Memory/Mailbox pair."""
-    if component == "memory":
-        return (memory.data.data[rows], memory.time[rows])
-    out = [mailbox.mail.data[rows], mailbox.time[rows]]
-    if mailbox._next_slot is not None:
-        out.append(mailbox._next_slot[rows])
-    return tuple(out)
-
-
 class Scrubber:
     """Background anti-entropy scrubber over a cluster's replica groups.
 
@@ -289,7 +279,8 @@ class Scrubber:
                 component=comp, shard=gi, member=m, rows=len(rows),
             )
         smem, smail, _ = shadow
-        rep.overwrite_rows(comp, rows, _table_rows(smem, smail, comp, rows))
+        source = smem if comp == "memory" else smail
+        rep.overwrite_rows(comp, rows, tuple(t[rows] for t in source.tables()))
         self._bump("wal_resyncs")
 
     def _verify_chunks(self, gi: int, m: int, rep, comp: str,

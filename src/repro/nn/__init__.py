@@ -16,7 +16,7 @@ from .layers import (
     Sigmoid,
     Tanh,
 )
-from .loss import BCEWithLogitsLoss, MSELoss, bce_with_logits
+from .loss import BCEWithLogitsLoss, MSELoss, bce_with_logits, link_prediction_loss
 from .module import Module, ModuleList, Parameter, Sequential
 from .optim import SGD, Adam, Optimizer
 from .rnn import GRUCell, RNNCell
@@ -42,6 +42,7 @@ __all__ = [
     "BCEWithLogitsLoss",
     "MSELoss",
     "bce_with_logits",
+    "link_prediction_loss",
     "Optimizer",
     "SGD",
     "Adam",

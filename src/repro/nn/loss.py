@@ -7,7 +7,7 @@ import numpy as np
 from ..tensor import Tensor
 from .module import Module
 
-__all__ = ["BCEWithLogitsLoss", "MSELoss", "bce_with_logits"]
+__all__ = ["BCEWithLogitsLoss", "MSELoss", "bce_with_logits", "link_prediction_loss"]
 
 
 def bce_with_logits(logits: Tensor, targets: Tensor, reduction: str = "mean") -> Tensor:
@@ -24,6 +24,13 @@ def bce_with_logits(logits: Tensor, targets: Tensor, reduction: str = "mean") ->
     if reduction == "none":
         return loss
     raise ValueError(f"unknown reduction: {reduction!r}")
+
+
+def link_prediction_loss(pos: Tensor, neg: Tensor) -> Tensor:
+    """The §5 training loss: BCE of *pos* logits against 1 plus *neg* against 0."""
+    ones = Tensor(np.ones(len(pos), dtype=np.float32), device=pos.device)
+    zeros = Tensor(np.zeros(len(neg), dtype=np.float32), device=neg.device)
+    return bce_with_logits(pos, ones) + bce_with_logits(neg, zeros)
 
 
 class BCEWithLogitsLoss(Module):

@@ -102,20 +102,16 @@ def apply_bitflip(rep, directive, cold_tiers: Sequence = ()) -> bool:
         flat = np.asarray(cold._rows[: cold._nrows]).view(np.uint8).reshape(-1)
         flat[byte % len(flat)] ^= mask
         return True
-    if tier == "mailbox":
-        mb = rep.mailbox
-        if mb is None:
-            return False
-        # The ring cursor is digest-covered but not a flip target: a
-        # corrupted cursor steers *later* writes to the wrong slot,
-        # and once the write path re-records those rows no digest can
-        # tell the state from a clean one — an unrepairable-by-design
-        # hole rather than the detect-and-repair cycle under test.
-        arrays = [mb.mail.data, mb.time]
-    else:  # 'memory'
-        if rep.memory is None:
-            return False
-        arrays = [rep.memory.data.data, rep.memory.time]
+    part = rep.mailbox if tier == "mailbox" else rep.memory
+    if part is None:
+        return False
+    # Flip targets are the floating-point payload tables.  The mailbox's
+    # integer ring cursor is digest-covered but not a flip target: a
+    # corrupted cursor steers *later* writes to the wrong slot, and once
+    # the write path re-records those rows no digest can tell the state
+    # from a clean one — an unrepairable-by-design hole rather than the
+    # detect-and-repair cycle under test.
+    arrays = [t for t in part.tables() if t.dtype.kind == "f"]
     off = byte % sum(a.nbytes for a in arrays)
     for arr in arrays:
         if off < arr.nbytes:

@@ -20,7 +20,7 @@ site                 where                                       returns
 ``optim.step``       ``nn.optim.SGD.step`` / ``Adam.step``       ``None``
 ``worker.crash``     ``SimulatedDataParallel.train_step``        crashed replica ids
 ``worker.straggler`` ``SimulatedDataParallel.train_step``        replica -> slowdown
-``checkpoint.kill``  ``bench.checkpoint.save_checkpoint``        ``None``
+``checkpoint.kill``  ``durable.snapshot.write_container``        ``None``
 ``trainer.batch``    ``bench.resilient.ResilientTrainer``        ``None``
 ``serve.ingest``     ``serve.ingest.IngestPipeline.push``        ``None``
 ``serve.commit``     ``serve.commit.StateCommitter.commit``      ``None``
@@ -41,7 +41,9 @@ site                 where                                       returns
 ===================  ==========================================  =========
 
 The three ``resilience.chaos`` sites are consulted between requests, from
-``ServeCluster._before_request``.
+``ServeCluster._before_request``.  ``checkpoint.kill`` is consulted by the
+shared container writer only for callers that name it
+(``save_checkpoint`` does; serving snapshots pass no site).
 
 A site either returns a value (crash/straggler queries, disk-corruption
 directives interpreted by the write-ahead log) or raises one of the
@@ -65,7 +67,10 @@ SITES: Dict[str, str] = {
     "optim.step": "nn.optim.SGD.step / Adam.step",
     "worker.crash": "distributed.SimulatedDataParallel.train_step",
     "worker.straggler": "distributed.SimulatedDataParallel.train_step",
-    "checkpoint.kill": "bench.checkpoint.save_checkpoint",
+    "checkpoint.kill": (
+        "durable.snapshot.write_container (staged file fsynced, before the "
+        "rename; named by bench.checkpoint.save_checkpoint)"
+    ),
     "trainer.batch": "bench.resilient.ResilientTrainer.train",
     "serve.ingest": "serve.ingest.IngestPipeline.push",
     "serve.commit": "serve.commit.StateCommitter.commit",

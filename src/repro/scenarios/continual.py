@@ -30,7 +30,6 @@ against the stream's ground-truth labels.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 from typing import Dict, List, Optional
@@ -39,8 +38,10 @@ import numpy as np
 
 from ..bench.resilient import ResilientResult, ResilientTrainer
 from ..core import Mailbox, Memory, TContext, TGraph, TSampler
+from ..core.state import state_image
 from ..data import NegativeSampler, derive_rng
 from ..durable import KIND_BATCH, WALCursor
+from ..integrity.digest import array_digest
 from ..nn import Adam, Module, Parameter
 from ..serve import EventBatch, ServeRuntime, replay, split_batches
 from ..tensor import manual_seed
@@ -52,7 +53,6 @@ __all__ = [
     "ContinualLearner",
     "run_closed_loop",
     "oracle_scores",
-    "serve_state_digest",
 ]
 
 
@@ -234,25 +234,6 @@ class ContinualLearner:
             self.trainer.close()
 
 
-def serve_state_digest(runtime: ServeRuntime) -> str:
-    """SHA-256 over every committed-state byte of a runtime.
-
-    Covers node memory and the mailbox — everything the commit path
-    mutates.  Used to prove model hot-swaps leave serve state
-    bit-identical to a swap-free replay.
-    """
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(runtime.memory.data.data).tobytes())
-    h.update(np.ascontiguousarray(runtime.memory.time).tobytes())
-    if runtime.mailbox is not None:
-        mb = runtime.mailbox
-        h.update(np.ascontiguousarray(mb.mail.data).tobytes())
-        h.update(np.ascontiguousarray(mb.time).tobytes())
-        if mb._next_slot is not None:
-            h.update(np.ascontiguousarray(mb._next_slot).tobytes())
-    return h.hexdigest()
-
-
 def run_closed_loop(
     stream: LabeledStream,
     mode: str = "continual",
@@ -381,7 +362,11 @@ def run_closed_loop(
         "scores": scores,
         "summary": summary,
         "stats": runtime.stats(),
-        "state_digest": serve_state_digest(runtime),
+        # sha256 over every committed-state table: proves model hot-swaps
+        # leave serve state bit-identical to a swap-free replay.
+        "state_digest": array_digest(
+            *state_image(runtime.memory, runtime.mailbox).values()
+        ),
         "model_version": runtime.model_version,
         "pretrain_loss": pretrain.epochs[-1].train_loss if pretrain.epochs else None,
         "results": len(results),

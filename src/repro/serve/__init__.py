@@ -41,7 +41,6 @@ from .commit import (
     CommitStats,
     StateCommitter,
     recover_serve_state,
-    serve_state_arrays,
     stage_updates,
 )
 from .deadline import LEVELS, CostModel, DegradationLadder, LadderDecision
@@ -60,7 +59,6 @@ __all__ = [
     "CommitStats",
     "StateCommitter",
     "stage_updates",
-    "serve_state_arrays",
     "recover_serve_state",
     "CostModel",
     "DegradationLadder",

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..core.state import load_state_image, state_image
 from ..durable.codec import KIND_BATCH
 from ..resilience.errors import TransientKernelError
 from ..resilience.hooks import poke as _poke
@@ -50,8 +51,6 @@ __all__ = [
     "CommitStats",
     "StateCommitter",
     "stage_updates",
-    "serve_state_arrays",
-    "load_serve_state_arrays",
     "recover_serve_state",
 ]
 
@@ -240,7 +239,7 @@ class StateCommitter:
         if self.store is None:
             return None
         path = self.store.snapshot(
-            serve_state_arrays(self.memory, self.mailbox),
+            state_image(self.memory, self.mailbox),
             {"watermark": float(self.committed_watermark)},
         )
         self._applied_since_snapshot = 0
@@ -253,32 +252,7 @@ class StateCommitter:
         )
 
 
-# ---- durable serve-state image + recovery ------------------------------------------
-
-
-def serve_state_arrays(memory, mailbox=None) -> Dict[str, np.ndarray]:
-    """Full serve-state image as a flat array dict (snapshot payload)."""
-    arrays = {
-        "memory/data": memory.data.data,
-        "memory/time": memory.time,
-    }
-    if mailbox is not None:
-        arrays["mailbox/mail"] = mailbox.mail.data
-        arrays["mailbox/time"] = mailbox.time
-        if mailbox._next_slot is not None:
-            arrays["mailbox/cursor"] = mailbox._next_slot
-    return arrays
-
-
-def load_serve_state_arrays(arrays: Dict[str, np.ndarray], memory, mailbox=None) -> None:
-    """Inverse of :func:`serve_state_arrays`: write the image in place."""
-    memory.data.data[...] = arrays["memory/data"]
-    memory.time[...] = arrays["memory/time"]
-    if mailbox is not None and "mailbox/mail" in arrays:
-        mailbox.mail.data[...] = arrays["mailbox/mail"]
-        mailbox.time[...] = arrays["mailbox/time"]
-        if mailbox._next_slot is not None and "mailbox/cursor" in arrays:
-            mailbox._next_slot[...] = arrays["mailbox/cursor"]
+# ---- recovery ----------------------------------------------------------------------
 
 
 def recover_serve_state(store, memory, mailbox=None) -> Dict[str, object]:
@@ -294,7 +268,7 @@ def recover_serve_state(store, memory, mailbox=None) -> Dict[str, object]:
     """
     state = store.recover()
     if state.snapshot_arrays is not None:
-        load_serve_state_arrays(state.snapshot_arrays, memory, mailbox)
+        load_state_image(state.snapshot_arrays, memory, mailbox, "serve snapshot")
     else:
         memory.reset()
         if mailbox is not None:

@@ -147,8 +147,12 @@ class IngestPipeline:
         Used by the state committer when a poisoned batch fails
         validation after application and is rolled back: the events are
         accounted for as ``POISONED_BATCH`` rejects rather than silently
-        vanishing from the ledger.
+        vanishing from the ledger — *moved* out of ``accepted`` /
+        ``released``, so every pushed event still sits in exactly one
+        ledger column.
         """
+        self.stats.accepted -= len(batch)
+        self.stats.released -= len(batch)
         for i in range(len(batch)):
             self._quarantine(batch, i, RejectReason.POISONED_BATCH, detail)
 

@@ -8,11 +8,11 @@ from repro import nn
 from repro import tensor as T
 from repro.bench import evaluate, train_epoch
 from repro.bench.checkpoint import (
-    _crc32_of,
     checkpoint_arrays,
     load_checkpoint,
     save_checkpoint,
 )
+from repro.durable.snapshot import load_latest, read_container, write_container
 from repro.data import NegativeSampler, get_dataset
 from repro.models import TGN, OptFlags
 
@@ -119,13 +119,11 @@ class TestValidation:
 
     def test_format_version_checked(self, trained_setup):
         ds, g, model, optimizer, neg, tmp = trained_setup
-        path = str(tmp / "bad.npz")
-        arrays = checkpoint_arrays(model)
-        arrays["meta/format_version"] = np.array([99])
-        # re-seal the edited archive so the CRC check passes and the
-        # version check is what rejects it (version 1 included)
-        arrays["meta/crc32"] = np.array([_crc32_of(arrays)], dtype=np.uint64)
-        np.savez(path, **arrays)
+        path = str(tmp / "bad.ckpt")
+        # a well-formed, CRC-valid container whose meta names another
+        # checkpoint format: the version check is what rejects it
+        write_container(path, 0, {"version": 99, "stream": None},
+                        checkpoint_arrays(model))
         with pytest.raises(ValueError, match="format version: 99"):
             load_checkpoint(path, model)
 
@@ -135,3 +133,64 @@ class TestValidation:
         assert any(k.startswith("model/") for k in arrays)
         assert "memory/data" in arrays and "mailbox/mail" in arrays
         assert "optim/t" in arrays
+
+
+class TestContainer:
+    """A checkpoint is the durable snapshot container, read by its reader."""
+
+    def test_checkpoint_is_a_snapshot_container(self, trained_setup):
+        ds, g, model, optimizer, neg, tmp = trained_setup
+        path = str(tmp / "snap-000000000000.snap")
+        save_checkpoint(path, model, graph=g, stream=(1, 2))
+        with open(path, "rb") as fh:
+            assert fh.read(12) == b"TGLITESNP001"
+        lsn, meta, arrays = read_container(path)
+        assert (lsn, meta) == (0, {"version": 3, "stream": [1, 2]})
+        np.testing.assert_array_equal(arrays["memory/data"], g.mem.data.data)
+        # ...and the snapshot directory walker decodes it with that reader
+        assert load_latest(str(tmp))[1] == meta
+
+    def _saved(self, trained_setup):
+        ds, g, model, optimizer, neg, tmp = trained_setup
+        path = str(tmp / "ck.ckpt")
+        save_checkpoint(path, model)
+        return model, path, bytearray(open(path, "rb").read())
+
+    @pytest.mark.parametrize("tamper, reason", [
+        (lambda raw: raw[: len(raw) // 3], "truncated payload"),
+        (lambda raw: raw[:10], "truncated inside the header"),
+        (lambda raw: raw[:-9] + bytes([raw[-9] ^ 0x01]) + raw[-8:], "CRC32 mismatch"),
+        (lambda raw: b"X" + raw[1:], "wrong magic"),
+        (lambda raw: raw[:12] + (7).to_bytes(4, "little") + raw[16:],
+         "unknown container version 7"),
+    ], ids=["truncated", "short-header", "payload-flip", "magic", "version"])
+    def test_tampered_file_is_a_value_error_naming_the_file(
+        self, trained_setup, tamper, reason
+    ):
+        model, path, raw = self._saved(trained_setup)
+        with open(path, "wb") as fh:
+            fh.write(bytes(tamper(bytes(raw))))
+        with pytest.raises(ValueError, match=f"ck.ckpt.*{reason}"):
+            load_checkpoint(path, model)
+
+    def test_old_npz_archive_is_rejected(self, trained_setup):
+        ds, g, model, optimizer, neg, tmp = trained_setup
+        path = str(tmp / "old.npz")
+        np.savez(path, **checkpoint_arrays(model))
+        with pytest.raises(ValueError, match="old.npz.*wrong magic"):
+            load_checkpoint(path, model)
+
+    def test_shape_or_dtype_mismatch_names_the_key(self, trained_setup):
+        ds, g, model, optimizer, neg, tmp = trained_setup
+        path = str(tmp / "ck.ckpt")
+        save_checkpoint(path, model, graph=g)
+        _, meta, arrays = read_container(path)
+        # a (1, dim) row would broadcast into the table without complaint
+        bad = dict(arrays, **{"memory/data": arrays["memory/data"][:1]})
+        write_container(path, 0, meta, bad)
+        with pytest.raises(ValueError, match="memory/data"):
+            load_checkpoint(path, model, graph=g)
+        bad = dict(arrays, **{"memory/time": arrays["memory/time"].astype(np.float32)})
+        write_container(path, 0, meta, bad)
+        with pytest.raises(ValueError, match="memory/time"):
+            load_checkpoint(path, model, graph=g)

@@ -754,7 +754,7 @@ class _TinyModel(nn.Module):
 
 
 class TestCheckpointIntegritySurfacing:
-    def test_v2_checkpoint_reports_verified(self, tmp_path):
+    def test_checkpoint_load_reports_version_without_verified_flag(self, tmp_path):
         from repro.bench.checkpoint import load_checkpoint, save_checkpoint
 
         model = _TinyModel()
@@ -762,7 +762,7 @@ class TestCheckpointIntegritySurfacing:
         save_checkpoint(path, model)
         meta = load_checkpoint(path, model)
         # a load that returns *is* a verified load: there is no flag
-        assert meta["version"] == 2 and "verified" not in meta
+        assert meta["version"] == 3 and "verified" not in meta
 
     def test_missing_crc_is_rejected(self, tmp_path):
         from repro.bench.checkpoint import load_checkpoint, save_checkpoint
@@ -770,12 +770,12 @@ class TestCheckpointIntegritySurfacing:
         model = _TinyModel()
         path = str(tmp_path / "ck.npz")
         save_checkpoint(path, model)
-        # stripping the CRC section must not defeat the integrity check
-        with np.load(path) as archive:
-            arrays = {k: archive[k] for k in archive.files if k != "meta/crc32"}
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-        with pytest.raises(ValueError, match="no stored CRC32"):
+        # the CRC lives in the fixed header, so it cannot be stripped —
+        # blanking the field is the nearest tamper, and it is rejected
+        with open(path, "r+b") as fh:
+            fh.seek(12 + 4 + 8)  # magic, version, lsn
+            fh.write(b"\0\0\0\0")
+        with pytest.raises(ValueError, match="ck.npz.*CRC32 mismatch"):
             load_checkpoint(path, model)
 
     def test_fsync_dir_tolerates_bad_path(self):

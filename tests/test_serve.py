@@ -435,6 +435,31 @@ class TestChaos:
         assert not rt.memory.validate() and not rt.mailbox.validate()
         assert np.isfinite(rt.memory.data.data).all()
 
+    @pytest.mark.parametrize("backend", ["runtime", "cluster"])
+    def test_ledger_balances_after_poison_rollback(self, backend):
+        """A rolled-back batch moves ledger columns, it is not counted twice."""
+        stream = build_stream(N, 400, payload_dim=DIM, seed=11)
+        inj = FaultInjector(seed=12, serve_poison_batches=[(0, 3), (0, 9)])
+        if backend == "runtime":
+            rt = _runtime(stream, injector=inj)
+        else:
+            from repro.cluster import ClusterConfig, ServeCluster
+
+            g = TGraph(stream.src, stream.dst, stream.ts, num_nodes=N)
+            rt = ServeCluster(
+                g, tg.TContext(g), TSampler(10, seed=3), DIM,
+                config=ClusterConfig(num_shards=2), injector=inj,
+                deadline=1.0, max_queue=1 << 30,
+            )
+        with inj, rt:
+            replay(rt, split_batches(stream, 20), load=1.0)
+            st = rt.ingest.stats
+            rolled_back = st.quarantined[RejectReason.POISONED_BATCH]
+            assert rolled_back > 0
+            assert st.pushed == st.accepted + st.duplicates + st.quarantined_total
+            assert st.buffered >= 0
+            assert st.released == st.accepted - st.buffered == 400 - rolled_back
+
     def test_chaos_at_16x_overload(self):
         stream = build_stream(N, 400, payload_dim=DIM, seed=13)
         inj = FaultInjector(seed=14, serve_ingest_fault_rate=0.1,
