@@ -27,6 +27,10 @@ DIM = 16
 BATCH = 50
 LOAD = 16.0
 SHARDS = (1, 2, 4, 8, 16)
+#: measured by `python3 perf/run.py` on its own 2 000-node Zipf stream (medians of
+#: alternating parent/change runs, events/s at the reference speed), not by this file
+WALL_CLOCK = ("wall clock (perf/run.py, before -> after PR 15): serve_clean 19.4k -> 29.5k, "
+              "cluster_s4_f3 3.2k -> 10.8k, cluster_s16_f1 4.6k -> 11.2k events/s")
 
 
 def run_at_shards(stream, num_shards, kill=False):
@@ -90,7 +94,8 @@ def test_cluster_scaling():
 
     report_table(
         f"Cluster scaling: {NUM_EVENTS} events, {BATCH}/request, "
-        f"{LOAD:g}x load, shard 0 killed mid-stream for recovery runs",
+        f"{LOAD:g}x load, shard 0 killed mid-stream for recovery runs; "
+        f"events/sec is the simulated clock — {WALL_CLOCK}",
         ["shards", "events/sec", "speedup", "p50 (ms)", "p99 (ms)",
          "recover (ms)", "redelivered"],
         rows,

@@ -462,11 +462,12 @@ class ServeCluster(ServeEngine):
         self.seq += 1
         seq = self.seq
         now = self.clock.now()
-        for shard, sub in sorted(self.router.split_batch(released).items()):
+        ends = self.router.endpoint_shards(released)
+        for shard, sub in self.router.split_batch(released, ends).items():
             group = self.groups[shard]
-            ends = np.concatenate([sub.src, sub.dst])
-            ends = ends[(ends >= 0) & (ends < self.graph.num_nodes)]
-            owned_ends = ends[self.router.assign[ends] == shard]
+            owned_ends = np.concatenate(
+                [released.src[ends[0] == shard], released.dst[ends[1] == shard]]
+            )
             self.supervisor.note_load(shard, len(owned_ends), nodes=owned_ends)
             if group.serving_primary() is None and group.any_serving():
                 # A commit needs a leased primary to sequence under; a

@@ -145,7 +145,7 @@ class ShardRouter:
         tsum = np.zeros(num_nodes, dtype=np.float64)
         for ends in (src, dst):
             ok = (ends >= 0) & (ends < num_nodes)
-            np.add.at(weight, ends[ok], 1.0)
+            weight += np.bincount(ends[ok], minlength=num_nodes)
             np.add.at(tsum, ends[ok], ts[ok])
         mid = float(ts.mean()) if len(ts) else 0.0
         key = np.where(weight > 0, tsum / np.maximum(weight, 1.0), mid)
@@ -210,30 +210,28 @@ class ShardRouter:
         """Nodes per shard."""
         return np.bincount(self.assign, minlength=self.num_shards)
 
-    def shards_touched(self, batch) -> np.ndarray:
-        """Sorted shard ids owning at least one valid endpoint of *batch*."""
-        nodes = np.concatenate([batch.src, batch.dst])
-        nodes = nodes[(nodes >= 0) & (nodes < self.num_nodes)]
-        if not len(nodes):
-            return np.empty(0, dtype=np.int64)
-        return np.unique(self.assign[nodes])
+    def endpoint_shards(self, batch) -> Tuple[np.ndarray, np.ndarray]:
+        """Owning shard of every ``src`` and ``dst`` (``-1``: out of range)."""
+        def owner(nodes):
+            ok = (nodes >= 0) & (nodes < self.num_nodes)
+            return np.where(ok, self.assign.take(nodes, mode="clip"), -1)
 
-    def split_batch(self, batch) -> Dict[int, "object"]:
+        return owner(batch.src), owner(batch.dst)
+
+    def split_batch(self, batch, ends=None) -> Dict[int, "object"]:
         """Per-shard sub-batches of the events touching each shard.
 
         An event whose endpoints live on two shards appears in both
         sub-batches; each replica applies only the endpoint rows it owns,
-        so nothing is double-applied.
+        so nothing is double-applied.  *ends* is ``endpoint_shards(batch)``
+        when the caller already has it; keys ascend by shard.
         """
-        out = {}
-        for shard in self.shards_touched(batch):
-            src_ok = (batch.src >= 0) & (batch.src < self.num_nodes)
-            dst_ok = (batch.dst >= 0) & (batch.dst < self.num_nodes)
-            mask = np.zeros(len(batch), dtype=bool)
-            mask[src_ok] |= self.assign[batch.src[src_ok]] == shard
-            mask[dst_ok] |= self.assign[batch.dst[dst_ok]] == shard
-            out[int(shard)] = batch.take(mask)
-        return out
+        src_shard, dst_shard = ends or self.endpoint_shards(batch)
+        touched = np.unique(np.concatenate([src_shard, dst_shard]))
+        return {
+            shard: batch.take((src_shard == shard) | (dst_shard == shard))
+            for shard in touched[touched >= 0].tolist()
+        }
 
     # ---- rebalance ----------------------------------------------------------------
 

@@ -16,8 +16,8 @@ equivalence:
   commit sequence number; a redelivered batch (lost RPC reply, pending
   queue drain after failover) with ``seq <= last_seq`` is a no-op.
 * **Ownership filtering commutes with dedup** — the replica applies only
-  the endpoint rows it owns; because ``Memory.update`` / ``Mailbox.store``
-  resolve duplicates per node (last event wins, canonical ring order),
+  the endpoint rows it owns; because duplicates resolve per node (last
+  event wins, canonical ring order — :func:`~repro.serve.commit.plan_updates`),
   the union of per-shard applies equals one global apply.
 * **Snapshots anchor ownership** — a snapshot (written at construction,
   periodically, and at every rebalance hand-off) embeds the owned-node
@@ -36,40 +36,13 @@ import numpy as np
 from ..core.mailbox import Mailbox
 from ..core.memory import Memory
 from ..core.state import load_state_image, state_image
-from ..durable.codec import KIND_BATCH
+from ..durable.codec import KIND_BATCH, encode_payload
 from ..durable.store import DurableStateStore
 from ..integrity.digest import ChunkedDigest, merkle_root
-from ..serve.commit import stage_updates
+from ..serve.commit import ApplyPlan, apply_plan, plan_updates, stage_updates
 from ..serve.events import EventBatch
 
 __all__ = ["ReplicaDown", "StaleLeaseError", "ShardReplica"]
-
-
-def _filtered_apply(
-    batch: EventBatch,
-    local_map: np.ndarray,
-    num_nodes: int,
-    dim: int,
-    memory: Memory,
-    mailbox: Optional[Mailbox],
-) -> np.ndarray:
-    """Stage *batch* and apply the rows *local_map* owns; returns them.
-
-    The one ownership-filtered apply used by live traffic, respawn
-    replay, and read-only shadow replay — all three must write the exact
-    same rows or recovery equivalence breaks.
-    """
-    nodes, values, times = stage_updates(batch, dim)
-    ok = (nodes >= 0) & (nodes < num_nodes)
-    own = np.zeros(len(nodes), dtype=bool)
-    own[ok] = local_map[nodes[ok]] >= 0
-    if not own.any():
-        return np.empty(0, dtype=np.int64)
-    local = local_map[nodes[own]]
-    memory.update(local, values[own], times[own])
-    if mailbox is not None:
-        mailbox.store(local, values[own], times[own])
-    return local
 
 
 class _StateDigests:
@@ -83,7 +56,7 @@ class _StateDigests:
     def __init__(self, replica: "ShardReplica", chunk_rows: int):
         def digest(component: str) -> ChunkedDigest:
             return ChunkedDigest(
-                lambda lo, hi: tuple(a[lo:hi] for a in replica.tables(component)),
+                lambda lo, hi: [a[lo:hi] for a in replica.tables(component)],
                 len(replica.owned),
                 chunk_rows,
             )
@@ -92,9 +65,11 @@ class _StateDigests:
         self.mailbox = None if replica.mailbox is None else digest("mailbox")
 
     def record_rows(self, rows: np.ndarray) -> None:
-        self.memory.record_rows(rows)
+        """Re-hash both components' chunks covering *rows* (derived once)."""
+        chunks = self.memory.chunks_of(rows)
+        self.memory.record_rows(rows, chunks)
         if self.mailbox is not None:
-            self.mailbox.record_rows(rows)
+            self.mailbox.record_rows(rows, chunks)
 
     def components(self):
         yield "memory", self.memory
@@ -235,8 +210,8 @@ class ShardReplica:
         """Rebuild state from the durable directory and rejoin.
 
         Loads the newest intact snapshot (ownership included), replays
-        the committed non-aborted WAL suffix through the same staging +
-        filtered-apply path live traffic uses, and restores the applied
+        the committed non-aborted WAL suffix through the same
+        :meth:`plan` + apply path live traffic uses, and restores the applied
         sequence cursor — bit-identical to the state at the last acked
         apply (prefix-consistent: a torn tail was never acked).
         """
@@ -258,7 +233,7 @@ class ShardReplica:
                 continue
             batch = EventBatch.from_arrays(record.arrays)
             if len(batch):
-                self._apply_rows(batch)
+                self._apply_plan(self.plan(batch))
             self.last_seq = max(self.last_seq, int(record.meta.get("seq", -1)))
             self.lease_epoch = max(
                 self.lease_epoch, int(record.meta.get("epoch", 0))
@@ -273,22 +248,42 @@ class ShardReplica:
 
     # ---- state application ---------------------------------------------------------
 
-    def _apply_rows(self, batch: EventBatch) -> int:
-        """Stage *batch* and apply the endpoint rows this shard owns.
+    def prepare(self, batch: EventBatch, seq: int, epoch: int) -> Tuple[bytes, ApplyPlan]:
+        """The WAL record and apply plan of (non-empty) *batch* at ``(seq, epoch)``.
+
+        A function of the sub-batch, its sequence number, the lease epoch
+        and the ownership — all common to a replica group — and of none of
+        this member's tables or log, so ``ReplicaGroup.ship`` prepares
+        once and every member logs and applies the result.
+        """
+        meta = {"seq": int(seq), "watermark": float(batch.ts.max()),
+                "epoch": int(epoch)}
+        return encode_payload(KIND_BATCH, meta, batch.to_arrays()), self.plan(batch)
+
+    def plan(self, batch: EventBatch) -> ApplyPlan:
+        """The rows *batch* writes on this shard: staged, owned, deduplicated.
+
+        The one ownership-filtered plan used by live traffic, respawn
+        replay, and read-only shadow replay — all three must write the
+        exact same rows or recovery equivalence breaks.
+        """
+        return plan_updates(*stage_updates(batch, self.dim), local_map=self._local)
+
+    def _apply_plan(self, plan: ApplyPlan) -> int:
+        """Write *plan* into the live tables; returns the owned rows staged.
 
         The chunks covering the written rows are re-hashed right after
         the write (O(dirty rows)): the maintained digests always describe
         exactly what the apply path produced, which is what makes a later
         recompute mismatch proof of out-of-band mutation.
         """
-        local = _filtered_apply(
-            batch, self._local, self.num_nodes, self.dim, self.memory, self.mailbox
-        )
-        if len(local) and self.digests is not None:
-            self.digests.record_rows(local)
-        return int(len(local))
+        apply_plan(plan, self.memory, self.mailbox)
+        if len(plan.nodes) and self.digests is not None:
+            self.digests.record_rows(plan.win_nodes)
+        return len(plan.nodes)
 
-    def apply(self, batch: EventBatch, seq: int, epoch: Optional[int] = None) -> bool:
+    def apply(self, batch: EventBatch, seq: int, epoch: Optional[int] = None,
+              prepared: Optional[Tuple[bytes, ApplyPlan]] = None) -> bool:
         """Durably apply one cluster-committed sub-batch (idempotent).
 
         WAL-then-apply: the sub-batch is logged before any row changes,
@@ -301,6 +296,9 @@ class ShardReplica:
         touching the log; a newer epoch is adopted (lease renewal rides
         on the ship).  ``None`` (single-replica legacy path) skips the
         check.
+
+        *prepared* is ``prepare(batch, seq, epoch)`` when the group
+        already has it (same function, run once for all members).
         """
         if not self.alive or self.memory is None:
             raise ReplicaDown(f"shard {self.shard_id} is down")
@@ -319,12 +317,9 @@ class ShardReplica:
         if not len(batch):
             self.last_seq = int(seq)
             return True
-        self.store.log_batch(
-            batch.to_arrays(),
-            {"seq": int(seq), "watermark": float(batch.ts.max()),
-             "epoch": int(self.lease_epoch)},
-        )
-        applied = self._apply_rows(batch)
+        record, plan = prepared or self.prepare(batch, seq, self.lease_epoch)
+        self.store.log_encoded(record)
+        applied = self._apply_plan(plan)
         self.last_seq = int(seq)
         self.applied_batches += 1
         self.applied_events += applied
@@ -408,9 +403,7 @@ class ShardReplica:
                 continue
             batch = EventBatch.from_arrays(record.arrays)
             if len(batch):
-                _filtered_apply(
-                    batch, self._local, self.num_nodes, self.dim, memory, mailbox
-                )
+                apply_plan(self.plan(batch), memory, mailbox)
             seq = max(seq, int(record.meta.get("seq", -1)))
         if seq != self.last_seq:
             return None

@@ -12,9 +12,12 @@ rides the ordinary :meth:`~repro.cluster.rpc.SimRpc.call` (so a
 factor-1 group is byte-for-byte the PR-8 single-replica path), follower
 legs ride :meth:`~repro.cluster.rpc.SimRpc.ship` through the
 ``repl.ship`` / ``repl.ack`` fault sites.  Each member appends the
-record to its *own* WAL and applies it through the same staging path
+record to its *own* WAL and applies it through the same plan
 (WAL-then-apply), so follower state is bit-identical to the primary's by
 construction — there is no separate "follower apply" code to diverge.
+The record bytes and the apply plan are the same on every member, so
+``ship`` has one member :meth:`~repro.cluster.replica.ShardReplica.prepare`
+them for all.
 The commit is **quorum-acked** when at least ``ack_quorum`` members
 (primary included) acknowledged their durable append; an under-quorum
 commit is never aborted — the cluster already sequenced it — but is
@@ -195,6 +198,9 @@ class ReplicaGroup:
         """
         self.ships += 1
         acked = 0
+        # Record bytes and apply plan are the same on every member
+        # (shared ownership, seq, epoch): the first to need them makes them.
+        prepared = None
         for idx, member in enumerate(self.members):
             if not self.serving(idx):
                 self._defer(idx, seq, batch)
@@ -203,9 +209,11 @@ class ReplicaGroup:
                 # In-order channel: the backlog must land before this
                 # record or sequence idempotence would drop it forever.
                 self.drain_member(idx)
+            if prepared is None and len(batch):
+                prepared = member.prepare(batch, seq, self.epoch)
             deliver = (
-                lambda m=member, b=batch, s=seq, e=self.epoch:
-                m.apply(b, s, epoch=e)
+                lambda m=member, b=batch, s=seq, e=self.epoch, p=prepared:
+                m.apply(b, s, epoch=e, prepared=p)
             )
             if idx == self.primary_idx:
                 try:

@@ -193,7 +193,9 @@ class Supervisor:
         """Record that *shard* handled *n_events* endpoint rows."""
         self._window_load[shard] += n_events
         if nodes is not None and len(nodes):
-            np.add.at(self._node_touches, nodes, 1.0)
+            self._node_touches += np.bincount(
+                nodes, minlength=len(self._node_touches)
+            )
 
     # ---- the tick ------------------------------------------------------------------
 

@@ -7,8 +7,12 @@ for void-dtype comparisons; the kernel gets the same answer from one
 Also home to :func:`last_event_wins`, the duplicate-node coalescing rule
 shared by ``Memory.update`` and ``Mailbox.store``: when one batch carries
 several entries for the same node, the entry with the greatest timestamp
-wins, with timestamp ties broken by a content fingerprint of the value
-row so the outcome is deterministic regardless of input order.
+wins, with ties on ``(node, time)`` broken by the raw bytes of the value
+row — compared exactly, and only inside tie groups — so the outcome is
+deterministic regardless of input order.  (Before PR 15 the tie-break was
+a 64-bit hash of every row, so a tie group with *different* bytes may now
+commit a different winner; it is the same winner on every permutation,
+replay and replica, because all of them run this one rule.)
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "unique_node_times",
+    "has_repeats",
     "last_event_wins",
     "canonical_event_order",
     "_reference_unique_node_times",
@@ -51,40 +56,56 @@ def unique_node_times(nodes: np.ndarray, times: np.ndarray):
     return sn[boundary], st[boundary], inverse
 
 
-def _row_fingerprint(values: np.ndarray) -> np.ndarray:
-    """Order-independent 64-bit content fingerprint of each row's bytes.
+def has_repeats(nodes: np.ndarray) -> bool:
+    """Whether a node id repeats; ascending ids (a planned batch) skip the sort."""
+    if len(nodes) < 2 or (nodes[1:] > nodes[:-1]).all():
+        return False
+    return len(np.unique(nodes)) != len(nodes)
 
-    Two bit-identical rows always fingerprint identically, so using the
-    fingerprint as a tie-break makes duplicate coalescing independent of
-    input order (rows that collide on both timestamp and fingerprint are
-    interchangeable for storage purposes).
+
+def _order_ties_by_bytes(order: np.ndarray, same: np.ndarray, values) -> None:
+    """Reorder *order* in place so every (node, time) tie group is byte-sorted.
+
+    *same* marks sorted positions equal to their predecessor on (node,
+    time).  Only tied rows are read: a word-wise compare of neighbours
+    settles the usual case — every copy identical (TGN's ``allnodes()``),
+    nothing to do — and otherwise the tied rows are ranked in ``memcmp``
+    order through a ``np.void`` view.
     """
-    v = np.ascontiguousarray(values)
-    raw = v.view(np.uint8).reshape(len(v), -1)
-    h = np.full(len(v), 0x9E3779B97F4A7C15, dtype=np.uint64)
-    for col in raw.T:
-        h ^= col.astype(np.uint64)
-        h *= np.uint64(0xBF58476D1CE4E5B9)
-        h ^= h >> np.uint64(29)
-    return h
+    rows = np.ascontiguousarray(values).reshape(len(order), -1)
+    width = rows.dtype.itemsize * rows.shape[1]
+    if not width:
+        return
+    follows = np.append(False, same)  # row continues its predecessor's tie group
+    tied = np.flatnonzero(follows | np.append(same, False))
+    tied_rows = rows.view(np.dtype((np.void, width))).ravel()[order[tied]]
+    word = next(w for w in (8, 4, 2, 1) if width % w == 0)
+    words = tied_rows.view(f"u{word}").reshape(len(tied), -1)
+    if ((words[1:] != words[:-1]).any(axis=1) & follows[tied[1:]]).any():
+        _, rank = np.unique(tied_rows, return_inverse=True)
+        group = np.cumsum(~follows[tied])
+        order[tied] = order[tied][np.lexsort((rank.ravel(), group))]
 
 
 def canonical_event_order(nodes: np.ndarray, times: np.ndarray,
                           values=None) -> np.ndarray:
-    """Indices sorting entries by (node, time, value fingerprint).
+    """Indices sorting entries by (node, time, raw bytes of the value row).
 
     The canonical per-node delivery order: ascending timestamps, with
-    equal-timestamp entries ordered by their content fingerprint.  Any
-    permutation of the same entries sorts to the same sequence, which is
-    what makes multi-slot mailbox delivery replay-deterministic.
+    entries tied on (node, time) in ``memcmp`` order of their value rows
+    (exact: byte-equal rows are interchangeable, nothing else is).  Any
+    permutation of the same entries sorts to the same row sequence, which
+    is what makes multi-slot mailbox delivery replay-deterministic.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     times = np.asarray(times, dtype=np.float64)
-    if values is not None and len(nodes):
-        fp = _row_fingerprint(np.asarray(values))
-    else:
-        fp = np.zeros(len(nodes), dtype=np.uint64)
-    return np.lexsort((fp, times, nodes))
+    order = np.lexsort((times, nodes))
+    if values is not None and len(order) > 1:
+        sn, st = nodes[order], times[order]
+        same = (sn[1:] == sn[:-1]) & (st[1:] == st[:-1])
+        if same.any():
+            _order_ties_by_bytes(order, same, values)
+    return order
 
 
 def last_event_wins(nodes: np.ndarray, times: np.ndarray, values=None):
@@ -92,10 +113,10 @@ def last_event_wins(nodes: np.ndarray, times: np.ndarray, values=None):
 
     Returns ``(uniq_nodes, winner_idx)`` where ``winner_idx[i]`` indexes
     the input entry that wins for ``uniq_nodes[i]``: the entry with the
-    greatest timestamp, timestamp ties broken by the value row's content
-    fingerprint.  Deterministic regardless of input order; entries equal
-    on both keys carry identical bytes (up to fingerprint collision) and
-    are interchangeable.
+    greatest timestamp, ties on (node, time) broken by the value row's
+    raw bytes (see :func:`canonical_event_order`).  The winning *row* is
+    the same for every input order; entries equal on all three keys are
+    byte-identical, so which of them is indexed does not matter.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     n = len(nodes)

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..tensor import Tensor
 from ..tensor.device import Device, get_device
-from .kernels.dedup import canonical_event_order, last_event_wins
+from .kernels.dedup import canonical_event_order, has_repeats, last_event_wins
 from .state import TableState
 
 __all__ = ["Mailbox"]
@@ -83,19 +83,20 @@ class Mailbox(TableState):
         (``op.coalesce``/``op.src_scatter`` still reduce duplicates on the
         training path, but the streaming ingestion path delivers raw event
         batches).  With one slot, each node keeps the duplicate with the
-        greatest delivery time (last event wins; timestamp ties broken by
-        a content fingerprint of the message row).  With multiple slots,
-        a node's duplicates are written to consecutive ring slots in
-        canonical ascending (time, fingerprint) order.  Either way the
-        stored state is deterministic regardless of the input order of
-        the duplicates.
+        greatest delivery time (last event wins; ties on ``(node, time)``
+        ordered by the message row's raw bytes — byte-equal rows are
+        exactly interchangeable).  With multiple slots, a node's
+        duplicates are written to consecutive ring slots in canonical
+        ascending (time, row bytes) order.  Either way the stored state is
+        deterministic regardless of the input order of the duplicates,
+        and rows are copied in, never aliased.
         """
         if isinstance(mail, Tensor) and mail.device is not self.device:
             mail = mail.to(self.device)
         mail_data = mail.data if isinstance(mail, Tensor) else np.asarray(mail)
         nodes = np.asarray(nodes, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
-        unique = len(nodes) == len(np.unique(nodes))
+        unique = not has_repeats(nodes)
         if self.slots == 1:
             if not unique:
                 uniq, winners = last_event_wins(nodes, times, mail_data)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..tensor import Tensor
 from ..tensor.device import Device, get_device
-from .kernels.dedup import last_event_wins
+from .kernels.dedup import has_repeats, last_event_wins
 from .state import TableState
 
 __all__ = ["Memory"]
@@ -61,17 +61,19 @@ class Memory(TableState):
 
         **Duplicate-node guarantee** — *nodes* may repeat within one call;
         each node's stored row is the duplicate with the greatest update
-        time (last event wins), with timestamp ties broken by a content
-        fingerprint of the value row.  The outcome is deterministic
-        regardless of the input order of the duplicates, so replaying a
-        permuted event batch commits bit-identical memory.
+        time (last event wins), with ties on ``(node, time)`` ordered by
+        the value row's raw bytes (byte-equal rows are exactly
+        interchangeable).  The outcome is deterministic regardless of the
+        input order of the duplicates, so replaying a permuted event
+        batch commits bit-identical memory.  Rows are copied in: the
+        caller's arrays are never aliased by the store.
         """
         if isinstance(values, Tensor) and values.device is not self.device:
             values = values.to(self.device)
         values_data = values.data if isinstance(values, Tensor) else np.asarray(values)
         nodes = np.asarray(nodes, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
-        if len(nodes) and len(np.unique(nodes)) != len(nodes):
+        if has_repeats(nodes):
             uniq, winners = last_event_wins(nodes, times, values_data)
             nodes, values_data, times = uniq, values_data[winners], times[winners]
         self.data.data[nodes] = values_data

@@ -125,9 +125,7 @@ def decode_payload(buf: bytes) -> Tuple[int, Dict, Dict[str, np.ndarray]]:
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}Q")
         (nbytes,) = r.unpack("<Q")
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-        if ndim == 0:
-            expected = dtype.itemsize
+        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize  # () -> 1
         if nbytes != expected:
             raise CodecError(
                 f"array {name!r}: {nbytes} raw bytes inconsistent with "

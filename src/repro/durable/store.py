@@ -106,7 +106,12 @@ class DurableStateStore:
 
     def log_batch(self, arrays: Dict[str, np.ndarray], meta: Optional[Dict] = None) -> int:
         """Log one committed-state delta (WAL-then-apply); returns its LSN."""
-        return self.wal.append(encode_payload(KIND_BATCH, meta or {}, arrays))
+        return self.log_encoded(encode_payload(KIND_BATCH, meta or {}, arrays))
+
+    def log_encoded(self, record: bytes) -> int:
+        """Append an already-encoded record (a sub-batch shipped to several
+        replicas is encoded once); returns its LSN."""
+        return self.wal.append(record)
 
     def log_delta(self, arrays: Dict[str, np.ndarray], meta: Optional[Dict] = None) -> int:
         """Log one incremental training-state delta; returns its LSN."""

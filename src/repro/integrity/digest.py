@@ -28,6 +28,7 @@ No imports from the rest of the package: ``repro.core`` and
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,8 +53,13 @@ def canonical_bytes(array: np.ndarray) -> bytes:
     equal encodings imply bit-identical arrays.
     """
     arr = np.ascontiguousarray(array)
-    head = f"{arr.dtype.str}|{','.join(str(s) for s in arr.shape)}|".encode()
-    return head + arr.tobytes()
+    return _array_header(arr.dtype, arr.shape) + arr.tobytes()
+
+
+@lru_cache(maxsize=256)
+def _array_header(dtype: np.dtype, shape: Tuple[int, ...]) -> bytes:
+    """The ``dtype|shape|`` tag :func:`canonical_bytes` puts before the bytes."""
+    return f"{dtype.str}|{','.join(str(s) for s in shape)}|".encode()
 
 
 def array_digest(*arrays: np.ndarray) -> str:
@@ -142,6 +148,10 @@ class ChunkedDigest:
         self.num_rows = int(num_rows)
         self.chunk_rows = max(1, int(chunk_rows))
         self.num_chunks = -(-self.num_rows // self.chunk_rows) if self.num_rows else 0
+        # Formatted once, not per refresh: each chunk's row span and
+        # ``chunk|c|lo|hi|`` prefix (slice headers: see ``_array_header``).
+        self._spans = [(lo, hi, f"chunk|{c}|{lo}|{hi}|".encode())
+                       for c, (lo, hi) in enumerate(map(self.rows_of, range(self.num_chunks)))]
         self.digests: List[str] = [self._chunk_digest(c) for c in range(self.num_chunks)]
 
     # ---- geometry ------------------------------------------------------------------
@@ -159,17 +169,25 @@ class ChunkedDigest:
     # ---- hashing -------------------------------------------------------------------
 
     def _chunk_digest(self, chunk: int) -> str:
-        lo, hi = self.rows_of(chunk)
-        h = hashlib.sha256(f"chunk|{chunk}|{lo}|{hi}|".encode())
+        """``sha256(prefix + canonical_bytes(slice) ...)``, without the copies:
+        constant parts come cached, slices reach the hash as buffers."""
+        lo, hi, prefix = self._spans[chunk]
+        h = hashlib.sha256(prefix)
         for arr in self._reader(lo, hi):
-            h.update(canonical_bytes(np.asarray(arr)))
+            arr = np.ascontiguousarray(arr)  # a no-op for a slice of a C table
+            h.update(_array_header(arr.dtype, arr.shape))
+            h.update(arr)
         return h.hexdigest()
 
-    def record_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Re-hash the chunks containing *rows* after a legitimate write."""
-        chunks = self.chunks_of(rows)
-        for c in chunks:
-            self.digests[int(c)] = self._chunk_digest(int(c))
+    def record_rows(self, rows: np.ndarray,
+                    chunks: Optional[np.ndarray] = None) -> np.ndarray:
+        """Re-hash the chunks containing *rows* after a legitimate write;
+        *chunks* is ``chunks_of(rows)`` when the caller already has it."""
+        if chunks is None:
+            chunks = self.chunks_of(rows)
+        digests = self.digests
+        for c in chunks.tolist():
+            digests[c] = self._chunk_digest(c)
         return chunks
 
     def record_all(self) -> None:

@@ -37,9 +37,12 @@ stream — and every rejected event is accounted for in quarantine stats.
 from ..clock import SimClock
 from .admission import AdmissionController, AdmissionStats, TokenBucket
 from .commit import (
+    ApplyPlan,
     CommitResult,
     CommitStats,
     StateCommitter,
+    apply_plan,
+    plan_updates,
     recover_serve_state,
     stage_updates,
 )
@@ -59,6 +62,9 @@ __all__ = [
     "CommitStats",
     "StateCommitter",
     "stage_updates",
+    "ApplyPlan",
+    "plan_updates",
+    "apply_plan",
     "recover_serve_state",
     "CostModel",
     "DegradationLadder",

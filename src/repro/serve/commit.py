@@ -8,10 +8,10 @@ leave state *partially* updated.  :class:`StateCommitter` makes each
 batch apply-all-or-nothing:
 
 1. snapshot memory + mailbox (``backup()``);
-2. stage the endpoint updates (pure function of event content, so any
-   permutation of the same events stages the same rows);
-3. apply through ``Memory.update`` / ``Mailbox.store`` (whose
-   last-event-wins duplicate semantics keep the result order-invariant);
+2. stage the endpoint updates and reduce them to an :class:`ApplyPlan`
+   (pure functions of event content, so any permutation of the same
+   events plans the same rows);
+3. apply the plan through ``Memory.update`` / ``Mailbox.store``;
 4. re-validate the stores; violations roll the snapshot back and send
    the whole batch to quarantine as ``POISONED_BATCH``.
 
@@ -36,10 +36,11 @@ compact.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
+from ..core.kernels.dedup import canonical_event_order
 from ..core.state import load_state_image, state_image
 from ..durable.codec import KIND_BATCH
 from ..resilience.errors import TransientKernelError
@@ -51,6 +52,9 @@ __all__ = [
     "CommitStats",
     "StateCommitter",
     "stage_updates",
+    "ApplyPlan",
+    "plan_updates",
+    "apply_plan",
     "recover_serve_state",
 ]
 
@@ -109,6 +113,61 @@ def stage_updates(batch: EventBatch, dim: int):
     return nodes, values, times
 
 
+class ApplyPlan(NamedTuple):
+    """What one staged batch writes — the single definition, for every caller.
+
+    ``nodes`` / ``values`` / ``times`` are the staged rows in canonical
+    ``(node, time, row bytes)`` order (what a multi-slot mailbox rings
+    in); ``win_*`` keep each node's last row (what ``Memory`` and a
+    one-slot mailbox store).  Stores copy rows out of a plan, so one plan
+    can be applied to every member of a replica group.
+    """
+
+    nodes: np.ndarray
+    values: np.ndarray
+    times: np.ndarray
+    win_nodes: np.ndarray
+    win_values: np.ndarray
+    win_times: np.ndarray
+
+
+def plan_updates(nodes, values, times, local_map=None) -> ApplyPlan:
+    """Reduce staged ``(nodes, values, times)`` rows to an :class:`ApplyPlan`.
+
+    With *local_map* (a shard's global -> local row table, ``-1`` = not
+    owned) only owned, in-range rows are kept and ``nodes`` become local
+    rows; filtering commutes with the per-node duplicate rule, so
+    per-shard plans together write what one global plan writes.  A pure
+    function: live commit, WAL replay, respawn and shadow replay plan one
+    record to the same rows, and members sharing an ownership share it.
+    """
+    if local_map is not None:
+        ok = (nodes >= 0) & (nodes < len(local_map))
+        local = np.where(ok, local_map.take(nodes, mode="clip"), -1)
+        own = local >= 0
+        nodes, values, times = local[own], values[own], times[own]
+    order = canonical_event_order(nodes, times, values)
+    nodes, values, times = nodes[order], values[order], times[order]
+    last = nodes[1:] != nodes[:-1]
+    if last.all():  # no node repeats (or no rows at all)
+        return ApplyPlan(nodes, values, times, nodes, values, times)
+    last = np.flatnonzero(np.append(last, True))
+    return ApplyPlan(nodes, values, times, nodes[last], values[last], times[last])
+
+
+def apply_plan(plan: ApplyPlan, memory, mailbox=None) -> None:
+    """Write *plan* into *memory* (and *mailbox*): the one row-write path."""
+    if not len(plan.nodes):
+        return
+    memory.update(plan.win_nodes, plan.win_values, plan.win_times)
+    if mailbox is None:
+        return
+    if mailbox.slots == 1:
+        mailbox.store(plan.win_nodes, plan.win_values, plan.win_times)
+    else:
+        mailbox.store(plan.nodes, plan.values, plan.times)
+
+
 class StateCommitter:
     """Apply released event batches to memory/mailbox atomically.
 
@@ -150,11 +209,6 @@ class StateCommitter:
         self.stats = CommitStats()
         #: greatest event timestamp durably applied and validated.
         self.committed_watermark = -np.inf
-
-    # ---- staging -----------------------------------------------------------------
-
-    def _stage(self, batch: EventBatch):
-        return stage_updates(batch, self.memory.dim)
 
     # ---- commit ------------------------------------------------------------------
 
@@ -199,13 +253,13 @@ class StateCommitter:
             self._snapshot()
             try:
                 _poke("serve.commit")  # transient-fault injection site
-                nodes, values, times = self._stage(batch)
+                nodes, values, times = stage_updates(batch, self.memory.dim)
                 # Poison injection site: corrupts staged values in place so
                 # the post-apply validation (and rollback) path is testable.
                 _poke("serve.poison", values=values)
-                self.memory.update(nodes, values, times)
-                if self.mailbox is not None:
-                    self.mailbox.store(nodes, values, times)
+                apply_plan(
+                    plan_updates(nodes, values, times), self.memory, self.mailbox
+                )
             except TransientKernelError:
                 self._rollback()
                 if retries < self.max_retries:
@@ -260,8 +314,8 @@ def recover_serve_state(store, memory, mailbox=None) -> Dict[str, object]:
 
     Loads the newest intact snapshot (or resets the stores for a clean
     start), then replays the committed, non-aborted ``KIND_BATCH`` suffix
-    through the same :func:`stage_updates` + ``Memory.update`` /
-    ``Mailbox.store`` path live commits use — so the recovered state is
+    through the same :func:`stage_updates` -> :func:`plan_updates` ->
+    :func:`apply_plan` path live commits use — so the recovered state is
     bit-identical to a clean replay of the committed log prefix.
     Idempotent: recovering the same directory twice yields the same
     state.
@@ -281,10 +335,9 @@ def recover_serve_state(store, memory, mailbox=None) -> Dict[str, object]:
         batch = EventBatch.from_arrays(record.arrays)
         if not len(batch):
             continue
-        nodes, values, times = stage_updates(batch, memory.dim)
-        memory.update(nodes, values, times)
-        if mailbox is not None:
-            mailbox.store(nodes, values, times)
+        apply_plan(
+            plan_updates(*stage_updates(batch, memory.dim)), memory, mailbox
+        )
         watermark = max(watermark, float(record.meta.get("watermark", batch.ts.max())))
         replayed += 1
     return {

@@ -432,10 +432,9 @@ class ServeEngine:
         emb = rows.astype(np.float32)
         if len(res.srcnodes):
             agg = np.zeros_like(emb)
-            counts = np.zeros(len(nodes), dtype=np.float32)
             nbr_rows, _ = self._fetch_rows(res.srcnodes, extra + 1)
             np.add.at(agg, res.dstindex, nbr_rows)
-            np.add.at(counts, res.dstindex, 1.0)
+            counts = np.bincount(res.dstindex, minlength=len(nodes)).astype(np.float32)
             hot = counts > 0
             emb[hot] = 0.5 * (emb[hot] + agg[hot] / counts[hot, None])
         # Warm the layer-0 embedding cache so the 'cache' rung has

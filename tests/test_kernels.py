@@ -8,6 +8,7 @@ empty neighborhoods, repeated keys, and cache eviction wraparound.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.core as tg
 from repro import tensor as T
@@ -18,6 +19,8 @@ from repro.core.kernels import (
     _reference_sample_arrays,
     _reference_unique_node_times,
     _ReferenceNodeTimeCache,
+    canonical_event_order,
+    last_event_wins,
     sample_recent,
     sample_uniform,
     segment_searchsorted,
@@ -185,6 +188,101 @@ class TestDedupEquivalence:
         un, ut, inv = unique_node_times(nodes, times)
         np.testing.assert_array_equal(un, [1, 2, 3])
         np.testing.assert_array_equal(un[inv], nodes)
+
+
+def oracle_event_order(nodes, times, values):
+    """Brute force: sort row indices by (node, time, the row's raw bytes)."""
+    return sorted(range(len(nodes)),
+                  key=lambda i: (int(nodes[i]), float(times[i]), values[i].tobytes()))
+
+
+def assert_canonical(nodes, times, values):
+    """Both kernels agree with the oracle on *content* (byte-equal rows are
+    interchangeable, so indices inside an all-equal tie group may differ)."""
+    ref = oracle_event_order(nodes, times, values)
+    order = canonical_event_order(nodes, times, values)
+    assert sorted(order.tolist()) == list(range(len(nodes)))
+    np.testing.assert_array_equal(nodes[order], nodes[ref])
+    np.testing.assert_array_equal(times[order], times[ref])
+    assert values[order].tobytes() == values[ref].tobytes()
+    last = {int(nodes[i]): i for i in ref}  # oracle winner = last per node
+    uniq, winners = last_event_wins(nodes, times, values)
+    assert uniq.tolist() == sorted(last)
+    np.testing.assert_array_equal(nodes[winners], uniq)
+    want = [last[k] for k in uniq.tolist()]
+    np.testing.assert_array_equal(times[winners], times[want])
+    assert values[winners].tobytes() == values[want].tobytes()
+    return values[order].tobytes(), values[winners].tobytes()
+
+
+@st.composite
+def tied_event_rows(draw):
+    """(nodes, times, values, seed) with forced (node, time) tie groups whose
+    rows are byte-identical, one bit apart, -0.0 vs 0.0, or NaN payloads."""
+    n = draw(st.integers(1, 48))
+    width = draw(st.sampled_from([1, 3, 8, 32]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    nodes = rng.integers(0, draw(st.integers(1, 6)), n).astype(np.int64)
+    times = rng.integers(0, draw(st.integers(1, 4)), n).astype(np.float64)
+    # few distinct rows => many byte-identical ties
+    pool = rng.standard_normal((draw(st.integers(1, 4)), width)).astype(np.float32)
+    values = pool[rng.integers(0, len(pool), n)].copy()
+    for i in rng.integers(0, n, draw(st.integers(0, 6))):
+        kind = rng.integers(0, 4)
+        if kind == 0:  # a single flipped bit somewhere in the row
+            raw = values[i].view(np.uint8)
+            raw[rng.integers(0, len(raw))] ^= np.uint8(1 << rng.integers(0, 8))
+        elif kind == 1:
+            values[i, rng.integers(0, width)] = -0.0
+        elif kind == 2:
+            values[i, rng.integers(0, width)] = 0.0
+        else:  # NaNs with different payload bytes
+            values[i].view(np.uint32)[rng.integers(0, width)] = (
+                0x7FC00000 | int(rng.integers(0, 1 << 20)))
+    return nodes, times, values, seed
+
+
+class TestEventOrderTieBreak:
+    """Ties on (node, time) are ordered by the row's raw bytes, exactly."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(tied_event_rows())
+    def test_matches_oracle_and_is_permutation_invariant(self, case):
+        nodes, times, values, seed = case
+        canonical = assert_canonical(nodes, times, values)
+        rng = np.random.default_rng(seed + 1)
+        for _ in range(4):
+            perm = rng.permutation(len(nodes))
+            assert assert_canonical(nodes[perm], times[perm], values[perm]) == canonical
+
+    def test_tgn_shape_every_row_tied_with_identical_copies(self):
+        # blk.allnodes(): few unique nodes, every row inside a tie group,
+        # all copies byte-identical, width 32 float32.
+        rng = np.random.default_rng(0)
+        nodes = rng.integers(0, 45, 4000).astype(np.int64)
+        per_node = rng.standard_normal((45, 32)).astype(np.float32)
+        values, times = per_node[nodes], nodes * 0.5
+        assert_canonical(nodes, times, values)
+        uniq, winners = last_event_wins(nodes, times, values)
+        np.testing.assert_array_equal(values[winners], per_node[uniq])
+
+    def test_signed_zero_and_nan_payloads_are_distinct_rows(self):
+        nodes = np.zeros(4, dtype=np.int64)
+        times = np.ones(4)
+        values = np.zeros((4, 2), dtype=np.float32)
+        values[1, 0] = -0.0
+        values[2:, 1].view(np.uint32)[:] = [0x7FC00001, 0x7FC00002]
+        for perm in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]):
+            perm = np.array(perm)
+            assert_canonical(nodes[perm], times[perm], values[perm])
+        # memcmp order on little-endian floats: 0.0 < NaN(…01) < NaN(…02) < -0.0
+        order = canonical_event_order(nodes, times, values)
+        assert order.tolist() == [0, 2, 3, 1]
+
+    def test_no_values_falls_back_to_input_order_within_ties(self):
+        nodes = np.array([1, 0, 1, 0]); times = np.array([2.0, 1.0, 2.0, 1.0])
+        assert canonical_event_order(nodes, times).tolist() == [1, 3, 0, 2]
 
 
 class TestCacheEquivalence:
