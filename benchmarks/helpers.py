@@ -108,17 +108,9 @@ def measure_inference(cfg: ExperimentConfig, train_edges: int = TRAIN_SLICE,
         stop = min(exp.train_end, train_edges)
         if stop > 0:
             train_epoch(exp.model, exp.g, exp.optimizer, exp.neg_sampler, cfg.batch_size, stop=stop)
-        exp.model.reset_state()
         warm_start = max(0, exp.val_end - min(warm_edges, exp.val_end))
-        exp.model.eval()
-        from repro.tensor import no_grad
-        from repro.core import iter_batches
-
-        exp.neg_sampler.reset()
-        with no_grad():
-            for batch in iter_batches(exp.g, cfg.batch_size, start=warm_start, stop=exp.val_end):
-                batch.neg_nodes = exp.neg_sampler.sample(len(batch))
-                exp.model(batch)
+        warm_replay(exp.model, exp.g, exp.neg_sampler, cfg.batch_size,
+                    stop=exp.val_end, start=warm_start)
         test_stop = min(exp.test_end, exp.val_end + test_edges)
         seconds, ap = evaluate(exp.model, exp.g, exp.neg_sampler, cfg.batch_size,
                                start=exp.val_end, stop=test_stop)

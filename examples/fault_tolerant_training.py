@@ -1,18 +1,15 @@
 """Fault-tolerant training: injection, recovery, and bit-exact resume.
 
 Production training jobs fail in ways a benchmark harness never sees:
-a kernel throws once under memory pressure, a gradient turns NaN, a
-data-parallel worker disappears, the process itself is killed between
-checkpoints.  This example drives the resilience runtime
-(``repro.resilience`` + ``repro.bench.ResilientTrainer``) through all of
-them on a seeded TGN/wiki run and shows the recovered run is
-**bit-identical** to a fault-free run of the same seed:
+a kernel throws once under memory pressure, a gradient turns NaN, the
+process itself is killed between checkpoints.  This example drives the
+resilience runtime (``repro.resilience`` + ``repro.bench.ResilientTrainer``)
+through all of them on a seeded TGN/wiki run and shows the recovered run
+is **bit-identical** to a fault-free run of the same seed:
 
 * a ``FaultInjector`` deterministically injects a transient sampling
-  kernel fault (retried from an in-RAM snapshot), a NaN-gradient batch
-  (rolled back to the last atomic checkpoint and replayed), and a
-  crashed data-parallel replica (shard redistributed to the survivors,
-  charged to the simulated clock);
+  kernel fault (retried from an in-RAM snapshot) and a NaN-gradient
+  batch (rolled back to the last atomic checkpoint and replayed);
 * a second run is hard-killed mid-epoch (``SimulatedProcessKill``) and
   restarted with ``resume=True`` from the checkpoint's stream cursor —
   parameters, node memory, mailbox, optimizer moments, and every RNG
@@ -56,13 +53,12 @@ def _build():
     return Experiment(cfg)
 
 
-def _trainer(exp, ckdir, injector=None, num_replicas=1):
+def _trainer(exp, ckdir, injector=None):
     from repro.bench import ResilientTrainer
 
     return ResilientTrainer(
         exp.model, exp.g, exp.optimizer, exp.neg_sampler, batch_size=300,
         checkpoint_dir=ckdir, checkpoint_every=2, injector=injector,
-        num_replicas=num_replicas,
     )
 
 
@@ -75,23 +71,21 @@ def main():
 
     # ---- reference: fault-free seeded run --------------------------------
     exp = _build()
-    clean = _trainer(exp, os.path.join(workdir, "clean"), num_replicas=2)
+    clean = _trainer(exp, os.path.join(workdir, "clean"))
     clean_result = clean.train(epochs=2, train_end=train_end)
     clean_fp = _fingerprint(exp)
     exp.close()
     print(f"fault-free run:   losses = "
           f"{[round(e.train_loss, 6) for e in clean_result.epochs]}")
 
-    # ---- faulted run: kernel fault + NaN grads + worker crash ------------
+    # ---- faulted run: kernel fault + NaN gradients -----------------------
     injector = FaultInjector(
         seed=11,
         kernel_fault_batches=[(0, 1)],   # transient sampling-kernel fault
         nan_grad_batches=[(0, 2)],       # poisons params -> rollback
-        worker_crashes=[(1, 1, 0)],      # replica 0 dies -> redistribute
     )
     exp = _build()
-    faulted = _trainer(exp, os.path.join(workdir, "faulted"),
-                       injector=injector, num_replicas=2)
+    faulted = _trainer(exp, os.path.join(workdir, "faulted"), injector=injector)
     faulted_result = faulted.train(epochs=2, train_end=train_end)
     faulted_fp = _fingerprint(exp)
     exp.close()
@@ -108,16 +102,14 @@ def main():
     exp = _build()
     killer = FaultInjector(seed=5, process_kill_at=(1, 1))
     try:
-        _trainer(exp, ckdir, injector=killer, num_replicas=2).train(
-            epochs=2, train_end=train_end
-        )
+        _trainer(exp, ckdir, injector=killer).train(epochs=2, train_end=train_end)
     except SimulatedProcessKill as exc:
         print(f"\nprocess killed at (epoch {exc.epoch}, batch {exc.batch}); "
               f"restarting from checkpoint …")
     exp.close()
 
     exp = _build()  # a fresh "process"
-    resumed_result = _trainer(exp, ckdir, num_replicas=2).train(
+    resumed_result = _trainer(exp, ckdir).train(
         epochs=2, train_end=train_end, resume=True
     )
     resumed_fp = _fingerprint(exp)

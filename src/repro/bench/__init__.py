@@ -15,6 +15,7 @@ from .trainer import (
     evaluate,
     train,
     train_epoch,
+    train_step,
     warm_replay,
 )
 
@@ -38,5 +39,6 @@ __all__ = [
     "evaluate",
     "train",
     "train_epoch",
+    "train_step",
     "warm_replay",
 ]

@@ -282,8 +282,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"best val AP: {result.best_ap:.4f}")
         if hasattr(result, "events"):
             print(f"resilience: {result.checkpoints} checkpoints, "
-                  f"{result.retries} retries, {result.rollbacks} rollbacks, "
-                  f"{result.redistributions} redistributions")
+                  f"{result.retries} retries, {result.rollbacks} rollbacks")
         if args.inference:
             seconds, ap = exp.run_test_inference()
             print(f"test inference: {seconds:.2f}s  AP {ap:.4f}")

@@ -236,10 +236,13 @@ class Experiment:
             checkpoint_every=checkpoint_every, injector=injector,
             ctx=self._prefetch_ctx,
         )
-        return trainer.train(
-            epochs=self.cfg.epochs, train_end=self.train_end,
-            eval_end=self.val_end, resume=resume,
-        )
+        try:
+            return trainer.train(
+                epochs=self.cfg.epochs, train_end=self.train_end,
+                eval_end=self.val_end, resume=resume,
+            )
+        finally:
+            trainer.close()
 
     def run_test_inference(self, warm: bool = True) -> Tuple[float, float]:
         """Time test-split inference; returns ``(seconds, AP)``.

@@ -37,11 +37,9 @@ last full checkpoint — same bit-exact trajectory, far less recomputation.  Sta
 each checkpoint so corrupted state is never persisted — a violation
 clears the derived caches and rolls back instead.
 
-With ``num_replicas > 1`` batches run through
-:class:`~repro.distributed.data_parallel.SimulatedDataParallel`;
-crashed replicas (``worker.crash`` faults) have their shards
-redistributed to the survivors, charging the simulated parallel clock
-while leaving the synchronous-SGD numerics untouched.
+:meth:`ResilientTrainer.train` and :meth:`~ResilientTrainer.fine_tune`
+are two entries to one cursor loop over ``(pass, window)``; every batch
+it runs is :func:`repro.bench.trainer.train_step`.
 """
 
 from __future__ import annotations
@@ -50,15 +48,14 @@ import copy
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core import TBatch, TGraph
 from ..core.state import load_state_image, state_image
 from ..data import NegativeSampler
-from ..distributed import SimulatedDataParallel
-from ..nn import Optimizer, link_prediction_loss
+from ..nn import Optimizer
 from ..resilience import hooks
 from ..resilience.errors import (
     CheckpointWriteAborted,
@@ -77,7 +74,13 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .trainer import EpochResult, TrainResult, _mark_time_encoders_updated, evaluate
+from .trainer import (
+    EpochResult,
+    TrainResult,
+    _mark_time_encoders_updated,
+    evaluate,
+    train_step,
+)
 
 __all__ = ["ResilienceEvent", "ResilientResult", "ResilientTrainer"]
 
@@ -87,8 +90,7 @@ class ResilienceEvent:
     """One recovery action taken by the trainer.
 
     ``kind`` is one of: ``retry``, ``rollback``, ``checkpoint``,
-    ``checkpoint-aborted``, ``validation``, ``degraded``,
-    ``redistribution``, ``resume``.
+    ``checkpoint-aborted``, ``validation``, ``degraded``, ``resume``.
     """
 
     kind: str
@@ -102,9 +104,6 @@ class ResilientResult(TrainResult):
     """Training results plus the recovery actions that produced them."""
 
     events: List[ResilienceEvent] = field(default_factory=list)
-    #: simulated N-replica wall time (only accumulated when
-    #: ``num_replicas > 1``); includes redistribution charges.
-    simulated_parallel_seconds: float = 0.0
 
     def _count(self, kind: str) -> int:
         return sum(1 for e in self.events if e.kind == kind)
@@ -120,10 +119,6 @@ class ResilientResult(TrainResult):
     @property
     def checkpoints(self) -> int:
         return self._count("checkpoint")
-
-    @property
-    def redistributions(self) -> int:
-        return self._count("redistribution")
 
 
 class ResilientTrainer:
@@ -147,10 +142,6 @@ class ResilientTrainer:
         backoff_base: first retry's backoff sleep in seconds (0 disables
             sleeping; retry decisions stay deterministic either way).
         backoff_cap: upper bound on a single backoff sleep.
-        num_replicas: >1 routes batches through simulated data-parallel
-            execution (enables worker crash/straggler fault sites).
-        interconnect_bandwidth: all-reduce cost model, forwarded to
-            :class:`~repro.distributed.SimulatedDataParallel`.
         validate_on_checkpoint: run state-invariant validation before
             every checkpoint; violations veto the write and roll back.
         extra_generators: additional named RNG streams to checkpoint and
@@ -185,8 +176,6 @@ class ResilientTrainer:
         max_retries: int = 3,
         backoff_base: float = 0.0,
         backoff_cap: float = 1.0,
-        num_replicas: int = 1,
-        interconnect_bandwidth: float = 1.0e9,
         validate_on_checkpoint: bool = True,
         extra_generators: Optional[Dict[str, np.random.Generator]] = None,
         delta_log: bool = False,
@@ -208,14 +197,8 @@ class ResilientTrainer:
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.num_replicas = num_replicas
         self.validate_on_checkpoint = validate_on_checkpoint
         self.extra_generators = dict(extra_generators or {})
-        self._dp = (
-            SimulatedDataParallel(model, optimizer, num_replicas, interconnect_bandwidth)
-            if num_replicas > 1
-            else None
-        )
         self.store = None
         if delta_log:
             from ..durable.store import DurableStateStore
@@ -223,6 +206,7 @@ class ResilientTrainer:
             self.store = DurableStateStore(
                 os.path.join(checkpoint_dir, "wal"), fsync=delta_fsync
             )
+        self.ctx = ctx
         self._pipeline = None
         fstore = getattr(ctx, "store", None) if ctx is not None else None
         if fstore is not None and fstore.config.prefetch_depth > 0:
@@ -403,10 +387,9 @@ class ResilientTrainer:
         result.events.append(ResilienceEvent("checkpoint", epoch, batch))
         return "checkpoint"
 
-    def _rollback(
-        self, result: ResilientResult, epoch: int, batch: int, reason: str
-    ) -> Tuple[int, int]:
-        """Restore the last checkpoint; returns its stream cursor."""
+    def _restore_checkpoint(self) -> Tuple[int, int]:
+        """Load the on-disk checkpoint into the live training state
+        (resume and rollback alike); returns its stream cursor."""
         self._clear_derived_caches()
         meta = load_checkpoint(
             self.checkpoint_path,
@@ -416,12 +399,18 @@ class ResilientTrainer:
             generators=self._generators(),
         )
         _mark_time_encoders_updated(self.model)
-        target = meta["stream"]
-        if target is None:
+        if meta["stream"] is None:
             raise ValueError(
                 f"checkpoint {self.checkpoint_path!r} carries no stream "
-                "cursor; cannot roll back"
+                "cursor; cannot continue from it"
             )
+        return meta["stream"]
+
+    def _rollback(
+        self, result: ResilientResult, epoch: int, batch: int, reason: str
+    ) -> Tuple[int, int]:
+        """Restore the last checkpoint; returns its stream cursor."""
+        target = self._restore_checkpoint()
         if self.store is not None:
             self.store.log_marker(
                 "rollback", {"epoch": int(target[0]), "batch": int(target[1])}
@@ -450,61 +439,44 @@ class ResilientTrainer:
 
     # ---- batch execution --------------------------------------------------------
 
-    def _run_batch(self, result: ResilientResult, epoch: int, b: int,
-                   lo: int, hi: int) -> float:
-        """Forward/backward/step for one (freshly built) batch over edges
-        ``[lo, hi)``."""
+    def _run_batch(self, lo: int, hi: int) -> float:
+        """:func:`~repro.bench.trainer.train_step` on a freshly built
+        batch over edges ``[lo, hi)``, plus the divergence guard."""
         batch = TBatch(self.g, lo, hi)
         if self._pipeline is not None:
             # Demand-gather this batch's working set (consuming any rows
             # a previous batch's lookahead already staged).
             self._pipeline.consume_batch(batch)
-        if self._dp is not None:
-            step = self._dp.train_step(batch, self.neg_sampler)
-            result.simulated_parallel_seconds += step.simulated_parallel_seconds
-            survivors = len(step.shards) - len(step.crashed_replicas)
-            for replica in step.crashed_replicas:
-                result.events.append(
-                    ResilienceEvent(
-                        "redistribution", epoch, b,
-                        f"replica {replica} crashed; shard redistributed to "
-                        f"{survivors} survivors",
-                    )
-                )
-            loss_value = step.loss
-        else:
-            self.model.train()
-            batch.neg_nodes = self.neg_sampler.sample(len(batch))
-            self.optimizer.zero_grad()
-            pos, neg = self.model(batch)
-            loss = link_prediction_loss(pos, neg)
-            loss.backward()
-            self.optimizer.step()
-            loss_value = loss.item()
-        _mark_time_encoders_updated(self.model)
+        self.model.train()
+        loss_value = train_step(self.model, batch, self.optimizer, self.neg_sampler)
         self._guard_divergence(loss_value)
         if self._pipeline is not None:
             # Overlap: this batch's compute pays for the next one's
-            # transfers.  Prefetching past train_end (into edges the
-            # epoch never reaches) just leaves a few staged rows unused.
+            # transfers.  Prefetching past the trained range (into edges
+            # the pass never reaches) just leaves a few staged rows unused.
             self._pipeline.advance(batch)
             hi2 = min(hi + self.batch_size, self.g.num_edges)
             if hi < hi2:
                 self._pipeline.prefetch_batch(TBatch(self.g, hi, hi2))
         return loss_value
 
-    def _attempt_batch(self, result: ResilientResult, epoch: int, b: int,
-                       lo: int, hi: int) -> Tuple[float, dict]:
-        """Run one batch with snapshot-restore retries on transient faults.
+    def _with_retry(self, result: ResilientResult, epoch: int, b: int,
+                    fn: Callable[[], object], what: str = ""):
+        """Run ``fn()`` with snapshot-restore retries on transient faults.
 
-        Returns ``(loss, snap)`` — the pre-batch snapshot doubles as the
+        The one retry policy, for a training batch and for the evaluation
+        pass alike (both mutate memory): restore the pre-call snapshot,
+        count the fault against its kernel site (past the context's
+        threshold the site degrades to its reference path, so a
+        persistent fault stops recurring), log the event, back off, rerun.
+        Returns ``(fn(), snap)`` — the pre-call snapshot doubles as the
         diff base for the incremental delta log.
         """
         snap = self._snapshot()
         ctx = getattr(self.g, "ctx", None)
         for attempt in range(self.max_retries + 1):
             try:
-                return self._run_batch(result, epoch, b, lo, hi), snap
+                return fn(), snap
             except TransientKernelError as exc:
                 self._restore_snapshot(snap)
                 if ctx is not None and ctx.record_kernel_fault(exc.site):
@@ -518,37 +490,129 @@ class ResilientTrainer:
                 if attempt >= self.max_retries:
                     raise
                 result.events.append(
-                    ResilienceEvent("retry", epoch, b, f"{exc.site} (attempt {attempt + 1})")
+                    ResilienceEvent(
+                        "retry", epoch, b, f"{exc.site}{what} (attempt {attempt + 1})"
+                    )
                 )
                 if self.backoff_base > 0:
                     time.sleep(min(self.backoff_cap, self.backoff_base * 2**attempt))
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _evaluate_with_retry(
-        self, result: ResilientResult, epoch: int, n_batches: int,
-        train_end: int, eval_end: int,
-    ) -> Tuple[float, float]:
-        """Evaluation with whole-pass snapshot retry (eval mutates memory)."""
-        snap = self._snapshot()
-        for attempt in range(self.max_retries + 1):
-            try:
-                return evaluate(
-                    self.model, self.g, self.neg_sampler, self.batch_size,
-                    start=train_end, stop=eval_end,
-                )
-            except TransientKernelError as exc:
-                self._restore_snapshot(snap)
-                if attempt >= self.max_retries:
-                    raise
-                result.events.append(
-                    ResilienceEvent(
-                        "retry", epoch, n_batches,
-                        f"{exc.site} during evaluation (attempt {attempt + 1})",
-                    )
-                )
-        raise AssertionError("unreachable")  # pragma: no cover
+    # ---- the loop ---------------------------------------------------------------
 
-    # ---- main loop --------------------------------------------------------------
+    def _run(
+        self,
+        first: int,
+        last: int,
+        passes: int,
+        reset: bool,
+        eval_end: Optional[int] = None,
+        resume: bool = False,
+    ) -> ResilientResult:
+        """The one recovery loop: *passes* sweeps over edges ``[first, last)``.
+
+        A cursor ``(pass, window)`` walks the windows of each pass; at
+        every position the loop advances the injector, checkpoints when
+        due (a validation veto rolls back instead), runs the window's
+        batch under :meth:`_with_retry`, delta-logs it, and on divergence
+        rewinds the cursor to the last checkpoint.  *reset* starts each
+        pass from ``reset_state()`` + ``neg_sampler.reset()`` (an epoch);
+        *eval_end* scores ``[last, eval_end)`` after each pass; *resume*
+        starts the cursor from the on-disk checkpoint (plus logged deltas).
+        """
+        result = ResilientResult()
+        n_windows = -(-(last - first) // self.batch_size)
+        p, w = 0, 0
+        # True when the state at the loop head was restored from a
+        # checkpoint (resume or rollback): the checkpoint already holds
+        # the post-reset pass state, so the w==0 reset must be skipped.
+        restored = False
+        if resume:
+            p, w = self._restore_checkpoint()
+            restored = True
+            detail = f"resumed from {self.checkpoint_path}"
+            if self.store is not None:
+                p, w, replayed = self._replay_deltas(p, w, n_windows)
+                if replayed:
+                    detail += f" + {replayed} logged deltas"
+            result.events.append(ResilienceEvent("resume", p, w, detail))
+
+        own_injector = self.injector is not None and hooks.active() is not self.injector
+        if own_injector:
+            hooks.install(self.injector)
+        try:
+            seconds = 0.0
+            losses: Dict[int, float] = {}
+            rollback_streak: Dict[Tuple[int, int], int] = {}
+            while p < passes:
+                if reset and w == 0 and not restored:
+                    self.model.reset_state()
+                    self.neg_sampler.reset()
+                restored = False
+                injector = hooks.active()
+                if injector is not None:
+                    injector.advance(p, w)
+                hooks.poke("trainer.batch", epoch=p, batch=w)
+                rewind = None  # reason to roll back instead of advancing
+                if (
+                    w % self.checkpoint_every == 0
+                    and self._write_checkpoint(result, p, w) == "validation"
+                ):
+                    # Corrupted state must never be trained on: the
+                    # derived caches are dropped and the stream replays
+                    # from the last good checkpoint (there is always one
+                    # at the start of the current pass).
+                    rewind = "state validation failed"
+                else:
+                    t0 = time.perf_counter()
+                    lo = first + w * self.batch_size
+                    hi = min(lo + self.batch_size, last)
+                    try:
+                        loss_value, snap = self._with_retry(
+                            result, p, w, lambda: self._run_batch(lo, hi)
+                        )
+                    except DivergenceError as exc:
+                        key = (p, w)
+                        rollback_streak[key] = rollback_streak.get(key, 0) + 1
+                        if rollback_streak[key] > self.max_retries:
+                            raise
+                        rewind = str(exc)
+                if rewind is not None:
+                    p, w = self._rollback(result, p, w, rewind)
+                    # Replayed windows recompute their losses from the
+                    # rollback target on; drop the abandoned entries.
+                    losses = {k: v for k, v in losses.items() if k < w}
+                    restored = True
+                    continue
+                losses[w] = loss_value
+                if self.store is not None:
+                    self.store.log_delta(
+                        self._build_delta(snap),
+                        {"epoch": p, "batch": w, "loss": loss_value},
+                    )
+                seconds += time.perf_counter() - t0
+                w += 1
+                if w >= n_windows:
+                    eval_s, ap = (0.0, 0.0)
+                    if eval_end is not None and eval_end > last:
+                        (eval_s, ap), _ = self._with_retry(
+                            result, p, n_windows,
+                            lambda: evaluate(
+                                self.model, self.g, self.neg_sampler, self.batch_size,
+                                start=last, stop=eval_end, ctx=self.ctx,
+                            ),
+                            " during evaluation",
+                        )
+                    mean_loss = float(np.mean(list(losses.values()))) if losses else 0.0
+                    result.epochs.append(EpochResult(p, seconds, mean_loss, eval_s, ap))
+                    seconds, losses = 0.0, {}
+                    p, w = p + 1, 0
+        finally:
+            if self.store is not None:
+                self.store.sync()
+            if own_injector:
+                hooks.uninstall(self.injector)
+        return result
 
     def train(
         self,
@@ -569,113 +633,7 @@ class ResilientTrainer:
         """
         if train_end <= 0:
             raise ValueError("train_end must be positive")
-        result = ResilientResult()
-        n_batches = -(-train_end // self.batch_size)
-        epoch, b = 0, 0
-        # True when the state at the loop head was restored from a
-        # checkpoint (resume or rollback): the checkpoint already holds
-        # the post-reset epoch state, so the b==0 reset must be skipped.
-        restored = False
-        if resume:
-            meta = load_checkpoint(
-                self.checkpoint_path,
-                self.model,
-                graph=self.g,
-                optimizer=self.optimizer,
-                generators=self._generators(),
-            )
-            _mark_time_encoders_updated(self.model)
-            self._clear_derived_caches()
-            if meta["stream"] is None:
-                raise ValueError(
-                    f"checkpoint {self.checkpoint_path!r} carries no stream "
-                    "cursor; cannot resume"
-                )
-            epoch, b = meta["stream"]
-            restored = True
-            detail = f"resumed from {self.checkpoint_path}"
-            if self.store is not None:
-                epoch, b, replayed = self._replay_deltas(epoch, b, n_batches)
-                if replayed:
-                    detail += f" + {replayed} logged deltas"
-            result.events.append(ResilienceEvent("resume", epoch, b, detail))
-
-        own_injector = self.injector is not None and hooks.active() is not self.injector
-        if own_injector:
-            hooks.install(self.injector)
-        try:
-            epoch_seconds = 0.0
-            epoch_losses: Dict[int, float] = {}
-            rollback_streak: Dict[Tuple[int, int], int] = {}
-            while epoch < epochs:
-                if b == 0 and not restored:
-                    self.model.reset_state()
-                    self.neg_sampler.reset()
-                    epoch_seconds = 0.0
-                    epoch_losses = {}
-                restored = False
-                injector = hooks.active()
-                if injector is not None:
-                    injector.advance(epoch, b)
-                hooks.poke("trainer.batch", epoch=epoch, batch=b)
-                if b % self.checkpoint_every == 0:
-                    outcome = self._write_checkpoint(result, epoch, b)
-                    if outcome == "validation":
-                        # Corrupted state must never be trained on: the
-                        # derived caches are dropped and the stream
-                        # replays from the last good checkpoint (there is
-                        # always one at the start of the current epoch).
-                        epoch, b = self._rollback(result, epoch, b, "state validation failed")
-                        epoch_losses = {k: v for k, v in epoch_losses.items() if k < b}
-                        restored = True
-                        continue
-                t0 = time.perf_counter()
-                lo = b * self.batch_size
-                try:
-                    loss_value, snap = self._attempt_batch(
-                        result, epoch, b, lo, min(lo + self.batch_size, train_end)
-                    )
-                    epoch_losses[b] = loss_value
-                    if self.store is not None:
-                        self.store.log_delta(
-                            self._build_delta(snap),
-                            {"epoch": epoch, "batch": b, "loss": loss_value},
-                        )
-                except DivergenceError as exc:
-                    key = (epoch, b)
-                    rollback_streak[key] = rollback_streak.get(key, 0) + 1
-                    if rollback_streak[key] > self.max_retries:
-                        raise
-                    epoch, b = self._rollback(result, epoch, b, str(exc))
-                    # Replayed batches recompute their losses from the
-                    # rollback target on; drop the abandoned entries.
-                    epoch_losses = {k: v for k, v in epoch_losses.items() if k < b}
-                    restored = True
-                    continue
-                epoch_seconds += time.perf_counter() - t0
-                b += 1
-                if b >= n_batches:
-                    eval_s, ap = (0.0, 0.0)
-                    if eval_end is not None and eval_end > train_end:
-                        eval_s, ap = self._evaluate_with_retry(
-                            result, epoch, n_batches, train_end, eval_end
-                        )
-                    mean_loss = (
-                        float(np.mean(list(epoch_losses.values()))) if epoch_losses else 0.0
-                    )
-                    result.epochs.append(
-                        EpochResult(epoch, epoch_seconds, mean_loss, eval_s, ap)
-                    )
-                    epoch += 1
-                    b = 0
-        finally:
-            if self.store is not None:
-                self.store.sync()
-            if own_injector:
-                hooks.uninstall(self.injector)
-        return result
-
-    # ---- incremental fine-tuning ------------------------------------------------
+        return self._run(0, train_end, epochs, reset=True, eval_end=eval_end, resume=resume)
 
     def fine_tune(
         self,
@@ -690,12 +648,12 @@ class ResilientTrainer:
         unlike :meth:`train` it never resets model state or the negative
         sampler — it *continues* the current trajectory on freshly
         arrived edges — and it accepts a replacement *graph* so a WAL
-        tailer can grow the edge set between calls.  All of the
-        resilience machinery still applies: transient faults retry under
-        snapshot-restore, an anchor checkpoint is written at the window
-        start (plus every ``checkpoint_every`` windows), and divergence
-        rolls back to the last checkpoint with the same streak cap as
-        :meth:`train`.
+        tailer can grow the edge set between calls.  It is the same loop
+        as :meth:`train`, so all of the resilience machinery applies:
+        transient faults retry under snapshot-restore, an anchor
+        checkpoint is written at the start of each pass (plus every
+        ``checkpoint_every`` windows), and divergence rolls back to the
+        last checkpoint under the same streak cap.
 
         Args:
             start: first edge index of the fine-tuning window.
@@ -710,72 +668,14 @@ class ResilientTrainer:
         if graph is not None:
             self.g = graph
         start, stop = int(start), int(stop)
-        result = ResilientResult()
         if stop <= start or passes < 1:
-            return result
+            return ResilientResult()
         if stop > len(self.g.src):
             raise ValueError(
                 f"fine-tune window [{start}, {stop}) exceeds the graph's "
                 f"{len(self.g.src)} edges"
             )
-        n_windows = -(-(stop - start) // self.batch_size)
-        own_injector = (
-            self.injector is not None and hooks.active() is not self.injector
-        )
-        if own_injector:
-            hooks.install(self.injector)
-        try:
-            p, w = 0, 0
-            losses: List[float] = []
-            pass_seconds = 0.0
-            rollback_streak: Dict[Tuple[int, int], int] = {}
-            while p < passes:
-                injector = hooks.active()
-                if injector is not None:
-                    injector.advance(p, w)
-                hooks.poke("trainer.batch", epoch=p, batch=w)
-                if w % self.checkpoint_every == 0:
-                    outcome = self._write_checkpoint(result, p, w)
-                    if outcome == "validation":
-                        p, w = self._rollback(result, p, w, "state validation failed")
-                        del losses[w:]
-                        continue
-                lo = start + w * self.batch_size
-                hi = min(lo + self.batch_size, stop)
-                t0 = time.perf_counter()
-                try:
-                    loss_value, snap = self._attempt_batch(result, p, w, lo, hi)
-                    losses.append(loss_value)
-                    if self.store is not None:
-                        self.store.log_delta(
-                            self._build_delta(snap),
-                            {"epoch": p, "batch": w, "loss": loss_value},
-                        )
-                except DivergenceError as exc:
-                    key = (p, w)
-                    rollback_streak[key] = rollback_streak.get(key, 0) + 1
-                    if rollback_streak[key] > self.max_retries:
-                        raise
-                    p, w = self._rollback(result, p, w, str(exc))
-                    del losses[w:]
-                    continue
-                pass_seconds += time.perf_counter() - t0
-                w += 1
-                if w >= n_windows:
-                    mean_loss = float(np.mean(losses)) if losses else 0.0
-                    result.epochs.append(
-                        EpochResult(p, pass_seconds, mean_loss, 0.0, 0.0)
-                    )
-                    losses = []
-                    pass_seconds = 0.0
-                    p += 1
-                    w = 0
-        finally:
-            if self.store is not None:
-                self.store.sync()
-            if own_injector:
-                hooks.uninstall(self.injector)
-        return result
+        return self._run(start, stop, passes, reset=False)
 
     def close(self) -> None:
         """Close the delta-log store (no-op without one)."""

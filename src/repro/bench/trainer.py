@@ -24,7 +24,9 @@ from ..tensor import no_grad
 from .metrics import average_precision
 from .timing import Breakdown
 
-__all__ = ["EpochResult", "TrainResult", "train_epoch", "evaluate", "train", "warm_replay"]
+__all__ = [
+    "EpochResult", "TrainResult", "train_step", "train_epoch", "evaluate", "train", "warm_replay",
+]
 
 
 @dataclass
@@ -84,6 +86,25 @@ def _batches(g, batch_size, start, stop, ctx):
     return BatchPipeline(store, g).batches(it)
 
 
+def train_step(model, batch: TBatch, optimizer: Optimizer, neg_sampler: NegativeSampler) -> float:
+    """One optimisation step of the §5 protocol on *batch*; returns the loss.
+
+    The only forward → loss → backward → step sequence the trainers run:
+    the plain loop (:func:`train_epoch`) and the recovery loop
+    (:class:`~repro.bench.resilient.ResilientTrainer`) both call it.
+    Negatives are drawn before any model work, so the sampler's draw
+    marks the batch boundary.  The model must already be in train mode.
+    """
+    batch.neg_nodes = neg_sampler.sample(len(batch))
+    optimizer.zero_grad()
+    pos, neg = model(batch)
+    loss = link_prediction_loss(pos, neg)
+    loss.backward()
+    optimizer.step()
+    _mark_time_encoders_updated(model)
+    return loss.item()
+
+
 def train_epoch(
     model,
     g: TGraph,
@@ -104,14 +125,7 @@ def train_epoch(
     losses = []
     t0 = time.perf_counter()
     for batch in _batches(g, batch_size, start, stop, ctx):
-        batch.neg_nodes = neg_sampler.sample(len(batch))
-        optimizer.zero_grad()
-        pos, neg = model(batch)
-        loss = link_prediction_loss(pos, neg)
-        loss.backward()
-        optimizer.step()
-        _mark_time_encoders_updated(model)
-        losses.append(loss.item())
+        losses.append(train_step(model, batch, optimizer, neg_sampler))
     elapsed = time.perf_counter() - t0
     return elapsed, float(np.mean(losses)) if losses else 0.0
 
@@ -151,19 +165,16 @@ def evaluate(
     return elapsed, ap
 
 
-def warm_replay(model, g: TGraph, neg_sampler: NegativeSampler, batch_size: int, stop: int) -> None:
-    """Replay edges ``[0, stop)`` in inference mode to warm memory/mailbox.
+def warm_replay(
+    model, g: TGraph, neg_sampler: NegativeSampler, batch_size: int, stop: int, start: int = 0
+) -> None:
+    """Reset state, then replay edges ``[start, stop)`` in inference mode.
 
     Used before timing test-set inference for memory-based models, mirroring
     TGL's recreate-memory-before-inference behaviour noted in §5.3.
     """
-    model.eval()
     model.reset_state()
-    neg_sampler.reset()
-    with no_grad():
-        for batch in iter_batches(g, batch_size, start=0, stop=stop):
-            batch.neg_nodes = neg_sampler.sample(len(batch))
-            model(batch)
+    evaluate(model, g, neg_sampler, batch_size, start=start, stop=stop)
 
 
 def train(

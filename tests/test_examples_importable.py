@@ -66,7 +66,6 @@ def test_expected_example_set_present():
         "recommendation_jodie_apan.py",
         "custom_operator.py",
         "discrete_time_snapshots.py",
-        "multi_gpu_scaling.py",
         "dropout_prediction_nodeclass.py",
         "workload_profiling.py",
         "tgl_config_training.py",

@@ -8,7 +8,9 @@ import pytest
 
 import repro.core as tg
 from repro.bench import ResilientTrainer, load_checkpoint, save_checkpoint
+from repro.bench import trainer as plain
 from repro.bench.experiments import Experiment, ExperimentConfig
+from repro.core import iter_batches
 from repro.core.kernels import NodeTimeCache
 from repro.resilience import (
     CheckpointWriteAborted,
@@ -22,9 +24,9 @@ from repro.resilience import (
 from repro.resilience import hooks
 
 
-def _experiment(seed=7):
+def _experiment(seed=7, model="tgn"):
     cfg = ExperimentConfig(
-        model="tgn", dataset="wiki", framework="tglite+opt", epochs=2,
+        model=model, dataset="wiki", framework="tglite+opt", epochs=2,
         batch_size=300, dim_embed=8, dim_time=8, dim_mem=8,
         num_layers=1, seed=seed,
     )
@@ -48,14 +50,13 @@ def _assert_fingerprints_equal(a, b):
         np.testing.assert_array_equal(xa, xb)
 
 
-def _run(tmp_path, injector=None, num_replicas=1, epochs=2, train_end=900,
+def _run(tmp_path, injector=None, epochs=2, train_end=900,
          checkpoint_every=2, resume=False, seed=7, subdir="ck"):
     exp = _experiment(seed=seed)
     trainer = ResilientTrainer(
         exp.model, exp.g, exp.optimizer, exp.neg_sampler,
         batch_size=300, checkpoint_dir=str(tmp_path / subdir),
         checkpoint_every=checkpoint_every, injector=injector,
-        num_replicas=num_replicas,
     )
     try:
         result = trainer.train(epochs=epochs, train_end=train_end, resume=resume)
@@ -110,21 +111,18 @@ class TestInjectorDeterminism:
 
 class TestRecoveryEquivalence:
     def test_faulted_run_matches_fault_free(self, tmp_path):
-        """Transient kernel fault + NaN gradients + worker crash: the run
-        completes via retry/rollback/redistribution and ends bit-identical
-        to the fault-free seeded run."""
-        base, fp0 = _run(tmp_path, num_replicas=2, subdir="clean")
+        """Transient kernel fault + NaN gradients: the run completes via
+        retry/rollback and ends bit-identical to the fault-free seeded
+        run."""
+        base, fp0 = _run(tmp_path, subdir="clean")
         injector = FaultInjector(
             seed=11,
             kernel_fault_batches=[(0, 1), (1, 2)],
             nan_grad_batches=[(0, 2)],
-            worker_crashes=[(1, 1, 0)],
         )
-        faulted, fp1 = _run(tmp_path, injector=injector, num_replicas=2,
-                            subdir="faulted")
+        faulted, fp1 = _run(tmp_path, injector=injector, subdir="faulted")
         assert faulted.retries >= 1
         assert faulted.rollbacks >= 1
-        assert faulted.redistributions == 1
         _assert_fingerprints_equal(fp0, fp1)
         assert [e.train_loss for e in base.epochs] == [
             e.train_loss for e in faulted.epochs
@@ -172,31 +170,6 @@ class TestRecoveryEquivalence:
             trainer.train(epochs=1, train_end=600)
         assert hooks.active() is None
         exp.close()
-
-
-class TestShardRedistribution:
-    def test_crash_changes_clock_not_numerics(self, tmp_path):
-        base, fp0 = _run(tmp_path, num_replicas=2, epochs=1, subdir="a")
-        injector = FaultInjector(seed=5, worker_crashes=[(0, 1, 0)])
-        crashed, fp1 = _run(tmp_path, injector=injector, num_replicas=2,
-                            epochs=1, subdir="b")
-        _assert_fingerprints_equal(fp0, fp1)
-        assert crashed.redistributions == 1
-        event = [e for e in crashed.events if e.kind == "redistribution"][0]
-        assert (event.epoch, event.batch) == (0, 1)
-        assert "replica 0" in event.detail
-
-    def test_redistribution_seconds_charged(self):
-        from repro.distributed.data_parallel import ShardResult, StepResult
-
-        step = StepResult(shards=[
-            ShardResult(0, 10, 2.0, 0.5, redistributed=True),
-            ShardResult(1, 10, 1.0, 0.5),
-            ShardResult(2, 10, 1.5, 0.5),
-        ])
-        assert step.crashed_replicas == [0]
-        assert step.redistribution_seconds == pytest.approx(1.0)  # 2.0 / 2
-        assert step.simulated_parallel_seconds == pytest.approx(1.5 + 1.0)
 
 
 class TestCheckpointIntegrity:
@@ -375,25 +348,155 @@ class TestDegradation:
             e.train_loss for e in degraded.epochs
         ]
 
+    def test_persistent_cache_fault_during_evaluation_degrades(self, tmp_path):
+        """``kernel.cache`` is only reached by evaluation (memoisation is
+        inference-only): a persistent fault there must degrade and finish
+        with the fault-free AP, not exhaust the retry budget."""
+        aps = []
+        for injector in (None, FaultInjector(cache_fault_batches=[(0, 1)],
+                                             transient=False)):
+            exp = _experiment(model="tgat")
+            trainer = ResilientTrainer(
+                exp.model, exp.g, exp.optimizer, exp.neg_sampler, batch_size=300,
+                checkpoint_dir=str(tmp_path / f"c{len(aps)}"), injector=injector,
+            )
+            result = trainer.train(epochs=1, train_end=600, eval_end=1200)
+            aps.append(result.epochs[0].eval_ap)
+            exp.close()
+        assert [e.kind for e in result.events if "kernel.cache" in e.detail] == [
+            "retry", "retry", "degraded", "retry",
+        ]
+        assert aps[0] == aps[1]
 
-KINDS = ("kernel-fault", "nan-grad", "worker-crash")
-_KIND_FILTER = os.environ.get("RESILIENCE_FAULT_KIND")
+
+class TestOneStepTwoLoops:
+    """``train_step`` is the only step; the recovery loop adds nothing to
+    a fault-free trajectory."""
+
+    @pytest.mark.parametrize("model", ["tgn", "tgat"])
+    def test_fault_free_resilient_train_equals_plain_train(self, model, tmp_path):
+        exp = _experiment(model=model)
+        ref = plain.train(exp.model, exp.g, exp.optimizer, exp.neg_sampler, 300,
+                          epochs=2, train_end=900, eval_end=1500)
+        ref_params = [p.data.copy() for p in exp.model.parameters()]
+        exp.close()
+        exp = _experiment(model=model)
+        got = ResilientTrainer(
+            exp.model, exp.g, exp.optimizer, exp.neg_sampler, batch_size=300,
+            checkpoint_dir=str(tmp_path), checkpoint_every=2,
+        ).train(epochs=2, train_end=900, eval_end=1500)
+        exp.close()
+        assert [(e.train_loss, e.eval_ap) for e in got.epochs] == [
+            (e.train_loss, e.eval_ap) for e in ref.epochs
+        ]
+        for a, b in zip(ref_params, exp.model.parameters()):
+            np.testing.assert_array_equal(a, b.data)
+
+    def test_warm_replay_from_start_matches_the_inline_loop(self):
+        from repro.tensor import no_grad
+
+        exp = _experiment()
+        plain.train_epoch(exp.model, exp.g, exp.optimizer, exp.neg_sampler, 300, stop=600)
+        exp.model.reset_state()
+        exp.model.eval()
+        exp.neg_sampler.reset()
+        with no_grad():
+            for batch in iter_batches(exp.g, 300, start=300, stop=1200):
+                batch.neg_nodes = exp.neg_sampler.sample(len(batch))
+                exp.model(batch)
+        inline = _fingerprint(exp)[1:]
+        plain.warm_replay(exp.model, exp.g, exp.neg_sampler, 300, stop=1200, start=300)
+        for a, b in zip(inline, _fingerprint(exp)[1:]):
+            assert a.tobytes() == b.tobytes()
+        exp.close()
 
 
-@pytest.mark.parametrize(
-    "kind", [k for k in KINDS if _KIND_FILTER in (None, k)]
-)
+class TestFineTune:
+    def _trainer(self, exp, tmp_path, injector=None):
+        return ResilientTrainer(
+            exp.model, exp.g, exp.optimizer, exp.neg_sampler, batch_size=300,
+            checkpoint_dir=str(tmp_path), checkpoint_every=2, injector=injector,
+        )
+
+    def test_fault_free_equals_a_hand_loop_of_train_step(self, tmp_path):
+        exp = _experiment()
+        exp.model.train()
+        for _ in range(2):
+            for batch in iter_batches(exp.g, 300, start=300, stop=1200):
+                plain.train_step(exp.model, batch, exp.optimizer, exp.neg_sampler)
+        by_hand = _fingerprint(exp)
+        exp.close()
+        exp = _experiment()
+        result = self._trainer(exp, tmp_path).fine_tune(300, 1200, passes=2)
+        exp.close()
+        assert [e.epoch for e in result.epochs] == [0, 1]
+        _assert_fingerprints_equal(by_hand, _fingerprint(exp))
+
+    def test_nan_gradient_rolls_back_to_the_pass_anchor(self, tmp_path):
+        exp = _experiment()
+        clean = self._trainer(exp, tmp_path / "clean").fine_tune(300, 1200, passes=2)
+        fp0 = _fingerprint(exp)
+        exp.close()
+        exp = _experiment()
+        injector = FaultInjector(nan_grad_batches=[(1, 1)])
+        faulted = self._trainer(exp, tmp_path / "nan", injector).fine_tune(
+            300, 1200, passes=2
+        )
+        exp.close()
+        rollback = [e for e in faulted.events if e.kind == "rollback"]
+        assert [(e.epoch, e.batch) for e in rollback] == [(1, 1)]
+        assert "replay from (epoch 1, batch 0)" in rollback[0].detail
+        _assert_fingerprints_equal(fp0, _fingerprint(exp))
+        assert [e.train_loss for e in clean.epochs] == [
+            e.train_loss for e in faulted.epochs
+        ]
+
+    def test_replacement_graph_trains_the_new_suffix(self, tmp_path):
+        from repro.data import NegativeSampler
+        from repro.nn import Adam
+        from repro.scenarios.continual import EmbeddingLinkModel
+
+        full = _experiment().g
+        short, grown = (
+            tg.TGraph(full.src[:n], full.dst[:n], full.ts[:n], num_nodes=full.num_nodes)
+            for n in (600, 1200)
+        )
+
+        def build():
+            model = EmbeddingLinkModel(full.num_nodes, dim=4, seed=1)
+            neg = NegativeSampler(np.arange(full.num_nodes, dtype=np.int64), seed=2)
+            return model, Adam(model.parameters(), lr=1e-2), neg
+
+        model, optimizer, neg = build()
+        model.train()
+        for g, lo, hi in ((short, 0, 600), (grown, 600, 1200)):
+            for batch in iter_batches(g, 300, start=lo, stop=hi):
+                plain.train_step(model, batch, optimizer, neg)
+        by_hand = model.embeddings()
+
+        model, optimizer, neg = build()
+        trainer = ResilientTrainer(model, short, optimizer, neg, 300,
+                                   checkpoint_dir=str(tmp_path))
+        trainer.fine_tune(0, 600)
+        with pytest.raises(ValueError, match="exceeds the graph's 600 edges"):
+            trainer.fine_tune(600, 1200)
+        trainer.fine_tune(600, 1200, graph=grown)
+        assert trainer.g is grown
+        np.testing.assert_array_equal(model.embeddings(), by_hand)
+        with pytest.raises(ValueError, match="exceeds the graph's 1200 edges"):
+            trainer.fine_tune(1200, 1201)
+
+
+@pytest.mark.parametrize("kind", ["kernel-fault", "nan-grad"])
 def test_fault_matrix_completes_and_matches(kind, tmp_path):
-    """CI fault matrix: each fault class alone, seeded, must recover to
-    the fault-free trajectory."""
-    base, fp0 = _run(tmp_path, num_replicas=2, epochs=1, subdir="base")
+    """Each fault class alone, seeded, must recover to the fault-free
+    trajectory."""
+    base, fp0 = _run(tmp_path, epochs=1, subdir="base")
     injector = FaultInjector(
         seed=13,
         kernel_fault_batches=[(0, 1)] if kind == "kernel-fault" else (),
         nan_grad_batches=[(0, 1)] if kind == "nan-grad" else (),
-        worker_crashes=[(0, 1, 1)] if kind == "worker-crash" else (),
     )
-    faulted, fp1 = _run(tmp_path, injector=injector, num_replicas=2,
-                        epochs=1, subdir=kind)
+    faulted, fp1 = _run(tmp_path, injector=injector, epochs=1, subdir=kind)
     assert len(injector.log) >= 1
     _assert_fingerprints_equal(fp0, fp1)

@@ -441,6 +441,25 @@ class TestBatchPipeline:
         store = TieredFeatureStore()
         assert attach_graph_sources(store, g) == ("nfeat", "mem")
 
+    def test_resilient_trainer_prefetches_its_evaluation_pass(self, tmp_path):
+        from repro.bench import ResilientTrainer
+        from repro.bench.experiments import Experiment, ExperimentConfig
+
+        issued = {}
+        for eval_end in (None, 1200):
+            exp = Experiment(ExperimentConfig(
+                model="tgat", framework="tglite+opt", batch_size=300, dim_embed=8,
+                dim_time=8, num_layers=1, store_prefetch_depth=1,
+            ))
+            ResilientTrainer(
+                exp.model, exp.g, exp.optimizer, exp.neg_sampler, batch_size=300,
+                checkpoint_dir=str(tmp_path / str(eval_end)), ctx=exp.ctx,
+            ).train(epochs=1, train_end=300, eval_end=eval_end)
+            issued[eval_end] = exp.ctx.store.stats().prefetch_issued
+            exp.close()
+        # Same training batch either way; the extra rows are evaluation's.
+        assert issued[1200] > issued[None] > 0
+
 
 class TestStatsSurface:
     def test_stats_snapshot_is_detached(self):
