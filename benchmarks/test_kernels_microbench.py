@@ -10,15 +10,26 @@ the vectorized kernels of its 32/64-thread C++ sampler.
 The state-update kernels ride along at their own shapes: the duplicate
 rule ``last_event_wins`` against a brute-force ``sorted(key=(node, time,
 row bytes))`` oracle — at the serving shape (100 rows, no ties; >= 5x)
-and at TGN's ``allnodes()`` shape (every row tied with byte-identical
-copies) — and one chunk digest against the spelled-out
+and with every row tied with byte-identical copies (a replayed batch) —
+and one chunk digest against the spelled-out
 ``sha256(prefix + canonical_bytes(...))`` (bounded by the hash itself).
+
+The autograd / node-keyed rows use ``tests/reference.py`` as the
+reference: a slice's backward (assignment vs ``np.add.at``), the gradient
+scatter-add kernel vs ``np.add.at``, and TGN's memory update at the
+``train_tgn_plain`` tail shape (83 252 rows over 549 nodes), per row vs
+per unique node (>= 2x on the slice and memory-update rows).
 """
 
 import hashlib
+import os
+import sys
 import time
 
 import numpy as np
+
+import repro.core as tg
+from repro import tensor as T
 
 from repro.core.kernels import (
     NodeTimeCache,
@@ -31,8 +42,13 @@ from repro.core.kernels import (
     unique_node_times,
 )
 from repro.integrity import ChunkedDigest, canonical_bytes
+from repro.models import TGN
+from repro.tensor.segment import _scatter_add
 
 from conftest import report_table
+
+sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
+from reference import per_row_update_memory, scatter_add_reference  # noqa: E402
 
 NUM_NODES = 5000
 NUM_EDGES = 100_000
@@ -138,7 +154,7 @@ def test_kernel_microbench():
     run_last_event_wins(
         "last_event_wins", "100x32, no ties", rng.permutation(2000)[:100].astype(np.int64),
         rng.random(100), rng.standard_normal((100, 32)).astype(np.float32))
-    # TGN update_memory(blk.allnodes()): every row tied, copies byte-identical
+    # a replayed batch: every row tied, copies byte-identical
     tn = rng.integers(0, 450, 82_000).astype(np.int64)
     run_last_event_wins(
         "last_event_wins_tgn", "82000x32, all tied, 450 nodes", tn, tn * 0.5,
@@ -162,6 +178,56 @@ def test_kernel_microbench():
     vec = timeit(lambda: cd.compute([3] * 1000), repeat=5) / 1000
     record("chunk_digest", ref, vec, "32 rows x (32 f32 + f64)")
 
+    # -- autograd: slice backward, gradient scatter-add ------------------------
+    x = T.Tensor(np.zeros((83_252, 32), dtype=np.float32), requires_grad=True)
+    head_rows = x[:10_000]
+    seed_grad = rng.standard_normal(head_rows.shape).astype(np.float32)
+
+    def slice_backward():
+        x.grad = None
+        head_rows.backward(seed_grad)
+
+    slice_backward()
+    assert (x.grad == scatter_add_reference(x.shape, slice(0, 10_000), seed_grad)).all()
+    ref = timeit(lambda: scatter_add_reference(x.shape, slice(0, 10_000), seed_grad), repeat=7)
+    record("slice_backward", ref, timeit(slice_backward, repeat=7), "10000 of 83252 x 32")
+
+    sorted_ids = np.sort(rng.integers(0, 10_252, 73_000))
+    node_ids = rng.integers(0, 549, 83_252)
+    for name, ids, segments, width in [
+        ("scatter_add_sorted_w2", sorted_ids, 10_252, 2),
+        ("scatter_add_sorted_w32", sorted_ids, 10_252, 32),
+        ("scatter_add_unsorted_w32", node_ids, 549, 32),
+    ]:
+        grads = rng.standard_normal((len(ids), width)).astype(np.float32)
+        want = scatter_add_reference((segments, width), ids, grads)
+        np.testing.assert_allclose(_scatter_add((segments, width), ids, grads), want, atol=1e-4)
+        ref = timeit(lambda: scatter_add_reference((segments, width), ids, grads), repeat=7)
+        vec = timeit(lambda: _scatter_add((segments, width), ids, grads), repeat=7)
+        record(name, ref, vec, f"{len(ids)} -> {segments} x {width}")
+
+    # -- TGN memory update: per row vs per unique node --------------------------
+    g = tg.TGraph(np.arange(548), np.arange(1, 549), np.arange(1.0, 549.0), num_nodes=549)
+    g.set_efeat(np.zeros((548, 172), dtype=np.float32))
+    g.set_memory(32)
+    g.set_mailbox(TGN.required_mailbox_dim(32, 172))
+    g.mailbox.mail.data[...] = rng.standard_normal(g.mailbox.mail.shape)
+    g.mailbox.time[...] = rng.random(549) + 1.0
+    model = TGN(tg.TContext(g), dim_node=0, dim_edge=172, dim_time=32, dim_embed=32, dim_mem=32)
+    blk = tg.TBlock(model.ctx, 0, node_ids, np.full(len(node_ids), 9.0))
+
+    def update(fn):
+        g.mem.reset()
+        blk.clear_cache()
+        with T.no_grad():
+            return fn(model, blk).numpy()
+
+    per_node = update(TGN.update_memory)[blk.uniq_nodes()[1]]
+    assert (per_node == update(per_row_update_memory)).all()
+    ref = timeit(lambda: update(per_row_update_memory))
+    vec = timeit(lambda: update(TGN.update_memory), repeat=7)
+    record("tgn_update_memory", ref, vec, "83252 rows / 549 nodes, d=32")
+
     report_table(
         f"Kernel microbenchmark: loop reference vs vectorized "
         f"({NUM_EDGES // 1000}k edges, {NUM_QUERIES // 1000}k queries, k={K})",
@@ -175,3 +241,7 @@ def test_kernel_microbench():
     assert speedups["sample_uniform"] >= 5.0
     # ...and on the serving-shape duplicate rule (content is never looked at).
     assert speedups["last_event_wins"] >= 5.0
+    # Loose floors (measured ~4x and ~70x here): a slice's backward is an assignment,
+    # and node-keyed state is updated per node, not per row.
+    assert speedups["slice_backward"] >= 2.0
+    assert speedups["tgn_update_memory"] >= 2.0

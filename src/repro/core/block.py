@@ -16,7 +16,10 @@ of the paper):
    e.g. to invert deduplication or merge cached embeddings.
 
 Blocks also cache gathered feature/memory/mail tensors so repeated access
-does not pay data-movement costs twice.
+does not pay data-movement costs twice.  Row-keyed data (``dstfeat`` /
+``srcfeat`` / ``efeat`` / ``nfeat``) comes back one row per block row;
+node-keyed state (``mem_data`` / ``mail`` / ``mem_ts`` / ``mail_ts``) one
+row per unique node, aligned with :meth:`TBlock.uniq_nodes`.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ class TBlock:
         self._hooks: List[Hook] = []
         self._cache: Dict[str, Tensor] = {}
         self._uniq_src: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._uniq_nodes: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ---- structure ---------------------------------------------------------------
 
@@ -158,7 +162,8 @@ class TBlock:
             raise RuntimeError("cannot change destinations after sampling")
         self.dstnodes = np.asarray(dstnodes, dtype=np.int64)
         self.dsttimes = np.asarray(dsttimes, dtype=np.float64)
-        self._invalidate("dstfeat", "allfeat", "mem", "mem_ts", "mail", "mail_ts")
+        self._uniq_nodes = None
+        self._invalidate("dstfeat", "allfeat", "mem", "mail")
         self.dstdata.clear()
 
     def set_nbrs(
@@ -183,8 +188,8 @@ class TBlock:
         self.eids = np.asarray(eids, dtype=np.int64)
         self.etimes = np.asarray(etimes, dtype=np.float64)
         self.dstindex = np.asarray(dstindex, dtype=np.int64)
-        self._uniq_src = None
-        self._invalidate("srcfeat", "efeat", "allfeat", "mem", "mem_ts", "mail", "mail_ts")
+        self._uniq_src = self._uniq_nodes = None
+        self._invalidate("srcfeat", "efeat", "allfeat", "mem", "mail")
         self.srcdata.clear()
         self.edata.clear()
 
@@ -221,6 +226,13 @@ class TBlock:
             self._uniq_src = (uniq, inverse.astype(np.int64))
         return self._uniq_src
 
+    def uniq_nodes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Sorted unique ids of :meth:`allnodes` and each row's index into them."""
+        if self._uniq_nodes is None:
+            uniq, inverse = np.unique(self.allnodes(), return_inverse=True)
+            self._uniq_nodes = (uniq, inverse.astype(np.int64))
+        return self._uniq_nodes
+
     def allnodes(self) -> np.ndarray:
         """Destination node ids followed by source node ids."""
         if self.has_nbrs:
@@ -248,7 +260,7 @@ class TBlock:
     def clear_cache(self) -> None:
         """Flush cached feature/memory tensors; they reload lazily when needed."""
         self._cache.clear()
-        self._uniq_src = None
+        self._uniq_src = self._uniq_nodes = None
 
     def _gather(self, store: Tensor, idx: np.ndarray, pin: bool = False) -> Tensor:
         """Gather rows from a (possibly host-resident) store onto ctx.device."""
@@ -308,28 +320,28 @@ class TBlock:
         return self._cached("allfeat", lambda: self._gather(self.g.nfeat, self.allnodes(), pin))
 
     def mem_data(self, pin: bool = False) -> Tensor:
-        """Memory vectors for :meth:`allnodes` (cached, detached)."""
+        """Memory vectors of :meth:`uniq_nodes` (cached, detached)."""
         if self.g.mem is None:
             raise RuntimeError("graph has no memory component")
-        return self._cached("mem", lambda: self._gather(self.g.mem.data, self.allnodes(), pin))
+        return self._cached("mem", lambda: self._gather(self.g.mem.data, self.uniq_nodes()[0], pin))
 
     def mem_ts(self) -> np.ndarray:
-        """Last-update timestamps of memory for :meth:`allnodes`."""
+        """Last-update timestamps of memory for :meth:`uniq_nodes`."""
         if self.g.mem is None:
             raise RuntimeError("graph has no memory component")
-        return self.g.mem.time[self.allnodes()]
+        return self.g.mem.time[self.uniq_nodes()[0]]
 
     def mail(self, pin: bool = False) -> Tensor:
-        """Mailbox messages for :meth:`allnodes` (cached, detached)."""
+        """Mailbox messages of :meth:`uniq_nodes` (cached, detached)."""
         if self.g.mailbox is None:
             raise RuntimeError("graph has no mailbox component")
-        return self._cached("mail", lambda: self._gather(self.g.mailbox.mail, self.allnodes(), pin))
+        return self._cached("mail", lambda: self._gather(self.g.mailbox.mail, self.uniq_nodes()[0], pin))
 
     def mail_ts(self) -> np.ndarray:
-        """Mailbox delivery timestamps for :meth:`allnodes`."""
+        """Mailbox delivery timestamps for :meth:`uniq_nodes`."""
         if self.g.mailbox is None:
             raise RuntimeError("graph has no mailbox component")
-        return self.g.mailbox.time[self.allnodes()]
+        return self.g.mailbox.time[self.uniq_nodes()[0]]
 
     def __repr__(self) -> str:
         nbrs = self.num_src if self.has_nbrs else "unsampled"

@@ -68,9 +68,9 @@ def _order_ties_by_bytes(order: np.ndarray, same: np.ndarray, values) -> None:
 
     *same* marks sorted positions equal to their predecessor on (node,
     time).  Only tied rows are read: a word-wise compare of neighbours
-    settles the usual case — every copy identical (TGN's ``allnodes()``),
-    nothing to do — and otherwise the tied rows are ranked in ``memcmp``
-    order through a ``np.void`` view.
+    settles the usual case — every copy identical (a serving batch that
+    was replayed or redelivered), nothing to do — and otherwise the tied
+    rows are ranked in ``memcmp`` order through a ``np.void`` view.
     """
     rows = np.ascontiguousarray(values).reshape(len(order), -1)
     width = rows.dtype.itemsize * rows.shape[1]

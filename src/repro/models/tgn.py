@@ -5,8 +5,10 @@ Mirrors the paper's Listing 4.  Per batch:
 1. build the block chain exactly like TGAT;
 2. ``update_memory`` — consume each involved node's mailbox message (from
    *earlier* batches, avoiding information leakage) through a time-encoded
-   GRU, persisting the new memory and returning it for embedding use;
-3. seed the tail with ``linear(features) + memory`` and aggregate;
+   GRU, once per *unique* node of the tail block (not per sampled row),
+   persisting the new memory and returning it for embedding use;
+3. seed the tail with ``linear(features) + memory``, still per unique node
+   and expanded to block rows by one gather, and aggregate;
 4. ``save_raw_msgs`` — build this batch's raw messages from current memory
    and edge features, ``coalesce`` to the latest message per node, and
    store them in the mailbox for the next batch.
@@ -85,25 +87,25 @@ class TGN(TGNNModel):
     # ---- memory machinery -----------------------------------------------------------
 
     def update_memory(self, blk: TBlock) -> Tensor:
-        """GRU-update memory for the block's nodes from mailbox messages.
+        """GRU-update memory for the block's unique nodes from mailbox messages.
 
         Implements Eqs. (9-11): the stored raw message plus a time encoding
         of (delivery time - last update time) drive a GRU whose hidden
-        state is the node's previous memory.  New values are persisted
-        (detached) and returned (attached) for use in the embeddings, which
-        is how memory modules receive gradients through the batch loss.
+        state is the node's previous memory.  All of it is node-keyed, so
+        it runs on one row per unique node (``blk.uniq_nodes()`` order).
+        New values are persisted (detached) and returned (attached) for
+        use in the embeddings, which is how memory modules receive
+        gradients through the batch loss.
         """
-        nodes = blk.allnodes()
-        mail = blk.mail()
         mail_ts = blk.mail_ts()
-        delta = mail_ts - self.g.mem.time[nodes]
+        delta = mail_ts - blk.mem_ts()
         tfeat = tgop.precomputed_times(self.ctx, self.mem_time_encoder, delta) \
             if self.opt.time_precompute \
             else self.mem_time_encoder(Tensor(delta.astype(np.float32), device=self.ctx.device))
-        gru_input = cat([mail, tfeat], dim=1)
+        gru_input = cat([blk.mail(), tfeat], dim=1)
         mem = self.gru_cell(gru_input, blk.mem_data())
         self.g.mem.update(
-            nodes, self.to_storage(mem.detach(), self.g.mem.device), mail_ts
+            blk.uniq_nodes()[0], self.to_storage(mem.detach(), self.g.mem.device), mail_ts
         )
         return mem
 
@@ -137,11 +139,13 @@ class TGN(TGNNModel):
         if self.opt.preload:
             store_ops.preload(head, use_pin=self.opt.pin_memory)
 
-        mem = self.update_memory(tail)
+        uniq, inverse = tail.uniq_nodes()
+        h_uniq = self.update_memory(tail)
         if self.feat_linear is not None:
-            h_all = self.feat_linear(tail.nfeat()) + mem
-        else:
-            h_all = mem
+            h_uniq = self.feat_linear(self.fetch_rows(self.g.nfeat, uniq)) + h_uniq
+        # One gather expands per-node rows to block rows; its backward is the
+        # one scatter-add that sums each node's row gradients.
+        h_all = h_uniq[inverse]
         tail.dstdata["h"] = h_all[: tail.num_dst]
         tail.srcdata["h"] = h_all[tail.num_dst :]
         embeds = tgop.aggregate(head, list(self.attn_layers), key="h")

@@ -229,6 +229,7 @@ def scatter_rows(
     """Build a ``(num_rows, *values.shape[1:])`` tensor with ``out[index] += values``."""
     idx = index.data if isinstance(index, Tensor) else np.asarray(index)
     out_data = np.zeros((num_rows,) + values.data.shape[1:], dtype=values.data.dtype)
+    # Forward keeps np.add.at: inference outputs must stay bit-identical.
     np.add.at(out_data, idx, values.data)
 
     def backward(grad: np.ndarray) -> None:

@@ -30,6 +30,32 @@ def _ids(segment_ids) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _scatter_add(shape, key, values: np.ndarray) -> np.ndarray:
+    """``out = zeros(shape); out[key] += values``, repeated targets summed.
+
+    The one scatter-add behind every *gradient* (index / ``index_select`` /
+    ``repeat_interleave`` backward, ``segment_softmax``'s backward dot).
+    Non-negative 1-D integer ids with one value row each are summed per
+    column by ``np.bincount`` when rows are narrow, or by ``np.add.reduceat``
+    over runs when already non-decreasing (the sampler emits ``dstindex``
+    sorted); the rest is ``np.add.at``.  The fast paths associate float32
+    sums differently, which is why the forward kernels below avoid them.
+    """
+    out = np.zeros(shape, dtype=values.dtype)
+    rows = (isinstance(key, np.ndarray) and key.ndim == 1 and key.dtype.kind in "iu" and len(key)
+            and key.min() >= 0 and values.shape == key.shape + out.shape[1:])
+    if rows and values[0].size <= 4:
+        flat, cols = out.reshape(len(out), -1), values.reshape(len(key), -1)
+        for c in range(cols.shape[1]):
+            flat[:, c] = np.bincount(key, weights=cols[:, c], minlength=len(out))
+    elif rows and (key[1:] >= key[:-1]).all():
+        starts = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+        out[key[starts]] = np.add.reduceat(values, starts, axis=0)
+    else:
+        np.add.at(out, key, values)
+    return out
+
+
 def segment_count(segment_ids, num_segments: int) -> np.ndarray:
     """Number of rows per segment, as an int64 array of length *num_segments*."""
     ids = _ids(segment_ids)
@@ -40,10 +66,11 @@ def segment_sum(data: Tensor, segment_ids, num_segments: int) -> Tensor:
     """Sum rows of *data* within each segment. Differentiable."""
     ids = _ids(segment_ids)
     out_data = np.zeros((num_segments,) + data.data.shape[1:], dtype=data.data.dtype)
+    # Forward keeps np.add.at: inference outputs must stay bit-identical.
     np.add.at(out_data, ids, data.data)
 
     def backward(grad: np.ndarray) -> None:
-        data._accumulate(grad[ids])
+        data._accumulate(grad[ids], own=True)
 
     return Tensor._make(out_data, (data,), backward, data.device)
 
@@ -94,16 +121,15 @@ def segment_softmax(scores: Tensor, segment_ids, num_segments: int) -> Tensor:
     shifted = data - maxes[ids]
     exp = np.exp(shifted)
     denom = np.zeros_like(maxes)
+    # Forward keeps np.add.at: inference outputs must stay bit-identical.
     np.add.at(denom, ids, exp)
     denom = np.maximum(denom, np.finfo(data.dtype).tiny)
     out_data = exp / denom[ids]
 
     def backward(grad: np.ndarray) -> None:
         # d softmax: s * (g - sum_seg(g * s))
-        weighted = grad * out_data
-        seg_dot = np.zeros_like(maxes)
-        np.add.at(seg_dot, ids, weighted)
-        scores._accumulate(out_data * (grad - seg_dot[ids]))
+        seg_dot = _scatter_add(maxes.shape, ids, grad * out_data)
+        scores._accumulate(out_data * (grad - seg_dot[ids]), own=True)
 
     return Tensor._make(out_data, (scores,), backward, scores.device)
 

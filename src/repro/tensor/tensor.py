@@ -77,6 +77,16 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+_BASIC_INDEX = (slice, int, np.integer, type(None), type(Ellipsis))
+
+
+def _scatter_add_axis(shape, dim: int, index: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Gradient of a gather along *dim*: ``zeros(shape)`` with *grad* summed in at *index*."""
+    moved = np.moveaxis(grad, dim, 0)
+    full = _scatter_add((shape[dim],) + moved.shape[1:], index, moved)
+    return np.moveaxis(full, 0, dim)
+
+
 def _as_array(value, dtype=None) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
@@ -303,9 +313,12 @@ class Tensor:
 
     # ---- autograd engine -------------------------------------------------------
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, own: bool = False) -> None:
+        """Add *grad* into ``.grad``; ``own`` says the caller just allocated
+        *grad* and hands it over, so the first write adopts it uncopied."""
         if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
+            adopt = own and grad.dtype == self.data.dtype
+            self.grad = grad if adopt else grad.astype(self.data.dtype, copy=True)
         else:
             self.grad += grad
 
@@ -725,17 +738,10 @@ class Tensor:
         reps = repeats.data if isinstance(repeats, Tensor) else repeats
         out_data = np.repeat(self.data, reps, axis=dim)
         src = self
-        if isinstance(reps, (int, np.integer)):
-            index = np.repeat(np.arange(self.shape[dim]), reps)
-        else:
-            index = np.repeat(np.arange(self.shape[dim]), reps)
+        index = np.repeat(np.arange(self.shape[dim]), reps)
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(src.data)
-            moved = np.moveaxis(grad, dim, 0)
-            target = np.moveaxis(full, dim, 0)
-            np.add.at(target, index, moved)
-            src._accumulate(full)
+            src._accumulate(_scatter_add_axis(src.data.shape, dim, index, grad))
 
         return Tensor._make(out_data, (self,), backward, self.device)
 
@@ -802,11 +808,18 @@ class Tensor:
             key = tuple(k.data if isinstance(k, Tensor) else k for k in key)
         out_data = self.data[key]
         src = self
+        # A basic key (slices / ints / Ellipsis / None) addresses each target
+        # once, so its gradient is a plain assignment, not a scatter-add.
+        keys = key if isinstance(key, tuple) else (key,)
+        basic = all(isinstance(k, _BASIC_INDEX) for k in keys)
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(src.data)
-            np.add.at(full, key, grad)
-            src._accumulate(full)
+            if basic:
+                full = np.zeros_like(src.data)
+                full[key] = grad
+            else:
+                full = _scatter_add(src.data.shape, key, grad)
+            src._accumulate(full, own=True)
 
         return Tensor._make(np.ascontiguousarray(out_data), (self,), backward, self.device)
 
@@ -831,10 +844,7 @@ class Tensor:
         src = self
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(src.data)
-            moved_full = np.moveaxis(full, dim, 0)
-            np.add.at(moved_full, idx, np.moveaxis(grad, dim, 0))
-            src._accumulate(full)
+            src._accumulate(_scatter_add_axis(src.data.shape, dim, idx, grad))
 
         return Tensor._make(out_data, (self,), backward, self.device)
 
@@ -874,3 +884,6 @@ class Tensor:
             src._accumulate(grad - soft * grad.sum(axis=dim, keepdims=True))
 
         return Tensor._make(out_data, (self,), backward, self.device)
+
+
+from .segment import _scatter_add  # noqa: E402  (segment imports Tensor from this module)

@@ -1,0 +1,62 @@
+"""Slow, obviously-right references the equivalence tests compare ``src/`` against.
+
+They live here, not under ``src/``, so the shipped code has one path:
+
+* :func:`scatter_add_reference` — sequential ``np.add.at``, the contract of
+  both the backward scatter kernel (to float tolerance) and the forward
+  segment kernels (bit for bit, in float32).
+* :func:`per_row_update_memory` / :func:`per_row_compute_embeddings` — TGN's
+  memory update the way it ran before node-keyed state went per unique
+  node: gather memory, mail and features for every row of ``allnodes()``,
+  run the GRU over every (identical) copy, and hand ``Memory.update`` the
+  repeats.  ``benchmarks/test_kernels_microbench.py`` times the same helper.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core import op as tgop
+from repro.tensor import Tensor, cat
+
+
+def scatter_add_reference(shape, key, values: np.ndarray) -> np.ndarray:
+    """``zeros(shape)[key] += values`` one entry after the other."""
+    out = np.zeros(shape, dtype=values.dtype)
+    np.add.at(out, key, values)
+    return out
+
+
+def _rows(store: Tensor, idx: np.ndarray) -> Tensor:
+    return Tensor(store.data[idx], device=store.device)
+
+
+def per_row_update_memory(model, blk) -> Tensor:
+    """``TGN.update_memory`` over every row of ``blk.allnodes()``; returns per-row memory."""
+    g = model.g
+    nodes = blk.allnodes()
+    mail_ts = g.mailbox.time[nodes]
+    delta = mail_ts - g.mem.time[nodes]
+    tfeat = model.mem_time_encoder(Tensor(delta.astype(np.float32)))
+    mem = model.gru_cell(cat([_rows(g.mailbox.mail, nodes), tfeat], dim=1),
+                         _rows(g.mem.data, nodes))
+    g.mem.update(nodes, mem.detach(), mail_ts)
+    return mem
+
+
+def per_row_compute_embeddings(model, batch) -> Tensor:
+    """``TGN.compute_embeddings`` (no optimisation operators) on the per-row update."""
+    head = batch.block(model.ctx)
+    tail = head
+    for i in range(model.num_layers):
+        if i > 0:
+            tail = tail.next_block()
+        tail = model.sampler.sample(tail)
+    h_all = per_row_update_memory(model, tail)
+    if model.feat_linear is not None:
+        h_all = model.feat_linear(_rows(model.g.nfeat, tail.allnodes())) + h_all
+    tail.dstdata["h"] = h_all[: tail.num_dst]
+    tail.srcdata["h"] = h_all[tail.num_dst:]
+    embeds = tgop.aggregate(head, list(model.attn_layers), key="h")
+    model.save_raw_msgs(batch)
+    return embeds

@@ -105,6 +105,28 @@ class TestBlockStructure:
         uniq, inv = blk.uniq_src()
         np.testing.assert_array_equal(uniq[inv], blk.srcnodes)
 
+    def test_uniq_nodes_sorted_inverse_and_cached(self, tiny_ctx, tiny_graph):
+        blk = self._sampled_block(tiny_ctx, tiny_graph)
+        uniq, inv = blk.uniq_nodes()
+        assert np.all(np.diff(uniq) > 0)  # sorted, no repeats
+        np.testing.assert_array_equal(uniq[inv], blk.allnodes())
+        assert inv.dtype == np.int64
+        assert blk.uniq_nodes() is blk.uniq_nodes()
+
+    def test_uniq_nodes_invalidated(self, tiny_ctx, tiny_graph):
+        blk = tg.TBatch(tiny_graph, 0, 4).block(tiny_ctx)
+        first = blk.uniq_nodes()
+        blk.set_dst(np.array([5, 5, 2]), np.array([9.0, 9.0, 9.0]))
+        after_dst = blk.uniq_nodes()
+        assert after_dst is not first
+        np.testing.assert_array_equal(after_dst[0], [2, 5])
+        tg.TSampler(2, "recent").sample(blk)  # set_nbrs
+        after_nbrs = blk.uniq_nodes()
+        assert after_nbrs is not after_dst
+        np.testing.assert_array_equal(after_nbrs[0][after_nbrs[1]], blk.allnodes())
+        blk.clear_cache()
+        assert blk.uniq_nodes() is not after_nbrs
+
     def test_set_dst_after_sampling_rejected(self, tiny_ctx, tiny_graph):
         blk = self._sampled_block(tiny_ctx, tiny_graph)
         with pytest.raises(RuntimeError):
@@ -149,14 +171,37 @@ class TestBlockDataAccess:
         with pytest.raises(RuntimeError):
             blk.srcfeat()  # not sampled yet
 
-    def test_memory_accessors(self, tiny_ctx, tiny_graph):
-        tiny_graph.set_memory(6)
-        tiny_graph.set_mailbox(5)
+    def test_memory_accessors_name_the_missing_component(self, tiny_ctx, tiny_graph):
         blk = tg.TBatch(tiny_graph, 0, 2).block(tiny_ctx)
-        assert blk.mem_data().shape == (blk.num_dst, 6)
-        assert blk.mail().shape == (blk.num_dst, 5)
-        assert blk.mem_ts().shape == (blk.num_dst,)
-        assert blk.mail_ts().shape == (blk.num_dst,)
+        for accessor in (blk.mem_data, blk.mem_ts):
+            with pytest.raises(RuntimeError, match="graph has no memory component"):
+                accessor()
+        for accessor in (blk.mail, blk.mail_ts):
+            with pytest.raises(RuntimeError, match="graph has no mailbox component"):
+                accessor()
+
+    def test_memory_accessors(self, tiny_ctx, tiny_graph):
+        """Node-keyed state comes back one row per unique node; ``inverse``
+        expands it to the per-row values a direct ``allnodes()`` gather gives."""
+        mem = tiny_graph.set_memory(6)
+        box = tiny_graph.set_mailbox(5)
+        rng = np.random.default_rng(1)
+        mem.data.data[...] = rng.standard_normal(mem.data.shape)
+        mem.time[...] = rng.random(6)
+        box.mail.data[...] = rng.standard_normal(box.mail.shape)
+        box.time[...] = rng.random(box.time.shape)
+        blk = tg.TSampler(2, "recent").sample(tg.TBatch(tiny_graph, 5, 9).block(tiny_ctx))
+        uniq, inv = blk.uniq_nodes()
+        nodes = blk.allnodes()
+        assert len(uniq) < len(nodes)  # the block does repeat nodes
+        assert blk.mem_data().shape == (len(uniq), 6)
+        assert blk.mail().shape == (len(uniq), 5)
+        assert blk.mem_ts().shape == blk.mail_ts().shape == (len(uniq),)
+        np.testing.assert_array_equal(blk.mem_data().numpy()[inv], mem.data.data[nodes])
+        np.testing.assert_array_equal(blk.mail().numpy()[inv], box.mail.data[nodes])
+        np.testing.assert_array_equal(blk.mem_ts()[inv], mem.time[nodes])
+        np.testing.assert_array_equal(blk.mail_ts()[inv], box.time[nodes])
+        assert blk.mem_data() is blk.mem_data() and blk.mail() is blk.mail()
 
     def test_gather_transfers_when_host_resident(self, tiny_graph):
         ctx = tg.TContext(tiny_graph, device="cuda")

@@ -9,6 +9,9 @@ from repro import tensor as T
 from repro.data import NegativeSampler, get_dataset
 from repro.models import APAN, JODIE, TGAT, TGN, EdgePredictor, OptFlags, TemporalAttnLayer
 from repro.bench import train_epoch, evaluate
+from repro.bench.trainer import link_prediction_loss
+
+from reference import per_row_compute_embeddings, per_row_update_memory
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +204,72 @@ class TestOptimizationEquivalence:
             # is proportionally large in absolute terms.
             scale = max(np.abs(a).max(), 1.0)
             assert np.abs(a - b).max() / scale < 1e-3, f"gradient mismatch for {key}"
+
+
+class TestTGNPerNodeMemory:
+    """TGN reads and updates node-keyed state once per unique node; the
+    per-row reference (tests/reference.py) recomputes it for every row."""
+
+    def _pair(self, wiki):
+        """(per-node model, per-row reference model) on twin graphs, same weights."""
+        pair = []
+        for per_row in (False, True):
+            T.manual_seed(5)
+            g = make_graph(wiki)
+            model = build_model("tgn", tg.TContext(g), g, wiki)
+            if per_row:
+                model.compute_embeddings = lambda batch, m=model: per_row_compute_embeddings(m, batch)
+            pair.append((model, g))
+        return pair
+
+    def test_inference_and_state_bit_identical(self, wiki):
+        results = []
+        for model, g in self._pair(wiki):
+            model.eval()
+            with T.no_grad():
+                embeds, logits = [], []
+                for start in (100, 160, 220):  # later batches consume earlier mail
+                    embeds.append(model.compute_embeddings(make_batch(g, 60, start)).numpy())
+                    pos, neg = model(make_batch(g, 60, start + 300))
+                    logits += [pos.numpy(), neg.numpy()]
+            results.append((np.concatenate(embeds), np.concatenate(logits),
+                            g.mem.state_digest(), g.mailbox.state_digest()))
+        (emb, logit, mem, mail), (ref_emb, ref_logit, ref_mem, ref_mail) = results
+        assert np.abs(emb).sum() > 0 and (emb == ref_emb).all()
+        assert (logit == ref_logit).all()
+        assert mem == ref_mem and mail == ref_mail
+
+    def test_first_step_loss_equal_and_gradients_close(self, wiki):
+        losses, grads = [], []
+        for model, g in self._pair(wiki):
+            model.train()
+            model(make_batch(g, 60, 100))  # deliver mail so the GRU sees messages
+            model.zero_grad()
+            T.manual_seed(8)  # same dropout draws on both sides
+            pos, neg = model(make_batch(g, 60, 160))
+            loss = link_prediction_loss(pos, neg)
+            loss.backward()
+            losses.append(loss.item())
+            grads.append({n: p.grad.copy() for n, p in model.named_parameters()})
+        assert losses[0] == losses[1]
+        assert grads[0].keys() == grads[1].keys()
+        for name, ref in grads[1].items():
+            assert np.abs(grads[0][name] - ref).max() <= 1e-4 * np.abs(ref).max(), name
+
+    def test_block_of_unique_nodes_takes_the_same_path(self, wiki):
+        rows = []
+        for (model, g), update in zip(self._pair(wiki), (TGN.update_memory, per_row_update_memory)):
+            rng = np.random.default_rng(3)
+            g.mailbox.mail.data[...] = rng.standard_normal(g.mailbox.mail.shape)
+            g.mailbox.time[...] = 5.0
+            nodes = rng.permutation(g.num_nodes)[:40]
+            blk = tg.TBlock(model.ctx, 0, nodes, np.full(40, 9.0))
+            with T.no_grad():
+                mem = update(model, blk).numpy()
+            uniq, inverse = blk.uniq_nodes()
+            assert len(uniq) == blk.num_dst
+            rows.append((mem[inverse] if update is TGN.update_memory else mem, g.mem.state_digest()))
+        assert (rows[0][0] == rows[1][0]).all() and rows[0][1] == rows[1][1]
 
 
 class TestModelSpecifics:

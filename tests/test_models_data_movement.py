@@ -63,6 +63,37 @@ class TestPinnedPolicy:
         assert stats.pinned_bytes == 0
 
 
+class TestNodeKeyedGathers:
+    def test_tgn_gathers_each_node_keyed_table_once_per_unique_node(
+            self, cuda_ctx_host_data, monkeypatch):
+        """Across one preloaded TGN forward, node features, memory and mail
+        each cross to the device once, with one row per unique tail node."""
+        ds, g, ctx = cuda_ctx_host_data
+        model = build("tgn", ds, g, ctx, OptFlags.preload_only())
+        tables = {id(g.nfeat): "nfeat", id(g.mem.data): "memory", id(g.mailbox.mail): "mail"}
+        gathers, tails = [], []
+
+        def counting(fn):
+            def wrapped(self, store, idx, *args, **kwargs):
+                if id(store) in tables:
+                    gathers.append((tables[id(store)], len(idx)))
+                    if isinstance(self, tg.TBlock):
+                        tails.append(self)
+                return fn(self, store, idx, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(tg.TBlock, "_gather", counting(tg.TBlock._gather))
+        monkeypatch.setattr(TGN, "fetch_rows", counting(TGN.fetch_rows))
+        # save_raw_msgs re-reads the *updated* memory of the batch endpoints.
+        monkeypatch.setattr(model, "save_raw_msgs", lambda batch: None)
+        model(make_batch(g))
+        tail = tails[0]
+        assert tail.next is None and all(blk is tail for blk in tails)
+        num_uniq = len(tail.uniq_nodes()[0])
+        assert num_uniq < tail.num_dst + tail.num_src
+        assert sorted(gathers) == [("mail", num_uniq), ("memory", num_uniq), ("nfeat", num_uniq)]
+
+
 class TestFetchHelpers:
     def test_fetch_rows_pins_only_host_to_device(self, cuda_ctx_host_data):
         ds, g, ctx = cuda_ctx_host_data

@@ -147,18 +147,34 @@ class TestCache:
 class TestPreload:
     def test_preload_fills_caches(self, tiny_graph):
         ctx = tg.TContext(tiny_graph, device="cuda")
-        tiny_graph.set_memory(4)
-        tiny_graph.set_mailbox(4)
-        head = tg.TBatch(tiny_graph, 4, 8).block(ctx)
-        tg.TSampler(2).sample(head)
-        tail = head.next_block()
-        tg.TSampler(2).sample(tail)
-        tgop.preload(head, use_pin=True)
-        before = runtime.transfer_stats.bytes
+
+        def preloaded_chain():
+            head = tg.TBatch(tiny_graph, 4, 8).block(ctx)
+            tg.TSampler(2).sample(head)
+            tail = head.next_block()
+            tg.TSampler(2).sample(tail)
+            tgop.preload(head, use_pin=True)
+            return head, tail
+
         # Everything the computation touches is free afterwards: edge
-        # features on every hop, raw features/memory/mail on the tail.
+        # features on every hop, raw per-row node features on the tail.
+        head, tail = preloaded_chain()
+        before = runtime.transfer_stats.bytes
         head.efeat(); tail.efeat()
         tail.dstfeat(); tail.srcfeat(); tail.nfeat()
+        assert runtime.transfer_stats.bytes == before
+
+        # With memory attached the tail's reads are node-keyed: memory and
+        # mail are staged once per unique node, per-row nfeat() not at all.
+        tiny_graph.set_memory(4)
+        tiny_graph.set_mailbox(4)
+        start = runtime.transfer_stats.bytes
+        head, tail = preloaded_chain()
+        before = runtime.transfer_stats.bytes
+        num_uniq = len(tail.uniq_nodes()[0])
+        efeat_bytes = (head.num_src + tail.num_src) * 3 * 4
+        assert before - start == efeat_bytes + num_uniq * (4 + 4) * 4
+        head.efeat(); tail.efeat()
         tail.mem_data(); tail.mail()
         assert runtime.transfer_stats.bytes == before
 

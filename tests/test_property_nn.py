@@ -6,6 +6,9 @@ from hypothesis.extra import numpy as hnp
 
 from repro import nn
 from repro import tensor as T
+from repro.tensor.segment import _scatter_add
+
+from reference import scatter_add_reference
 
 finite = st.floats(-5, 5, allow_nan=False, width=32)
 
@@ -78,3 +81,21 @@ def test_time_encode_bounded_and_deterministic(deltas):
     b = enc.encode_raw(deltas)
     assert np.all(np.abs(a) <= 1 + 1e-6)
     np.testing.assert_allclose(a, b, rtol=1e-5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=hnp.arrays(np.int64, st.integers(0, 40), elements=st.integers(0, 9)),
+    width=st.integers(0, 9),
+    presorted=st.booleans(),
+    extra_segments=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_scatter_kernel_matches_add_at(ids, width, presorted, extra_segments, seed):
+    """Random ids x random widths, in float64 where every path is exact to rounding."""
+    ids = np.sort(ids) if presorted else ids
+    shape = (10 + extra_segments,) + ((width,) if width else ())
+    values = np.random.default_rng(seed).standard_normal((len(ids),) + shape[1:])
+    np.testing.assert_allclose(
+        _scatter_add(shape, ids, values), scatter_add_reference(shape, ids, values),
+        atol=1e-12, rtol=0)

@@ -7,6 +7,7 @@ from repro import tensor as T
 from repro.tensor import Tensor, no_grad, enable_grad, is_grad_enabled
 
 from conftest import check_grad
+from reference import scatter_add_reference
 
 
 class TestNumericGradients:
@@ -238,3 +239,77 @@ class TestEngineBehaviour:
         a = T.tensor([1.0], requires_grad=True)
         (a * 2).sum().backward()
         assert a.grad.dtype == np.float32
+
+
+class TestIndexBackward:
+    """``x[key]``'s gradient against a sequential ``np.add.at`` reference."""
+
+    SHAPE = (6, 5, 4)
+
+    def _grad_and_reference(self, key, seed=0):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.standard_normal(self.SHAPE).astype(np.float32), requires_grad=True)
+        out = x[key]
+        seed_grad = rng.standard_normal(out.shape).astype(np.float32)
+        out.backward(seed_grad)
+        return x.grad, scatter_add_reference(self.SHAPE, key, seed_grad)
+
+    @pytest.mark.parametrize("key", [
+        slice(1, 4), (slice(None), slice(1, 3)), slice(None, None, 2), slice(None, None, -1),
+        3, np.int64(2), (Ellipsis, 1), None, (None, slice(2, 5), Ellipsis, slice(0, 4, 3)),
+        (2, None, slice(1, None), -1),
+    ], ids=repr)
+    def test_basic_key_is_exact(self, key):
+        """A basic key addresses each target once: assignment, not a sum."""
+        grad, ref = self._grad_and_reference(key)
+        assert grad.dtype == np.float32 and (grad == ref).all()
+
+    @pytest.mark.parametrize("key", [
+        np.array([0, 0, 5, 2, 0, 2]),                     # repeats, unsorted
+        np.array([0, 0, 2, 2, 2, 5]),                     # repeats, sorted
+        np.array([-1, 5, 0, -6]),                         # negative ids alias positive ones
+        np.array([], dtype=np.int64),
+        np.array([[0, 1], [1, 0]]),                       # 2-D integer array
+        np.array([True, False, True, True, False, False]),
+        (np.array([0, 0, 3, 0]), np.array([1, 1, 4, 1])),  # integer tuple (rows, cols)
+        (np.array([1, 1, 4]), slice(1, 3)),
+        [0, 0, 3],
+    ], ids=lambda k: repr(k).replace("\n", ""))
+    def test_advanced_key_sums_repeats(self, key):
+        grad, ref = self._grad_and_reference(key)
+        np.testing.assert_allclose(grad, ref, atol=1e-6, rtol=0)
+
+    def test_tensor_index_and_gathers_along_other_axes(self):
+        rng = np.random.default_rng(1)
+        idx = np.array([3, 0, 3, 3, 1])
+        for op, key in [
+            (lambda x: x[Tensor(idx)], idx),
+            (lambda x: x.index_select(1, idx), (slice(None), idx)),
+            (lambda x: x.repeat_interleave(3, dim=2), (Ellipsis, np.repeat(np.arange(4), 3))),
+            (lambda x: x.repeat_interleave(np.array([2, 0, 1, 1, 3]), dim=1),
+             (slice(None), np.repeat(np.arange(5), [2, 0, 1, 1, 3]))),
+        ]:
+            x = Tensor(rng.standard_normal(self.SHAPE).astype(np.float32), requires_grad=True)
+            out = op(x)
+            seed_grad = rng.standard_normal(out.shape).astype(np.float32)
+            out.backward(seed_grad)
+            np.testing.assert_allclose(
+                x.grad, scatter_add_reference(self.SHAPE, key, seed_grad), atol=1e-6, rtol=0)
+
+    def test_first_write_adopts_an_owned_buffer_but_never_the_callers(self):
+        x = Tensor(np.zeros((4, 2), dtype=np.float32), requires_grad=True)
+        mine = np.ones((4, 2), dtype=np.float32)
+        x._accumulate(mine)                      # borrowed: copied
+        assert x.grad is not mine
+        x.grad = None
+        x._accumulate(mine, own=True)            # handed over: adopted
+        assert x.grad is mine
+        x.grad = None
+        wide = np.ones((4, 2), dtype=np.float64)
+        x._accumulate(wide, own=True)            # wrong dtype: cast, not adopted
+        assert x.grad.dtype == np.float32
+        # A slice's upstream gradient must survive the downstream accumulate.
+        y = Tensor(np.ones((4, 2), dtype=np.float32), requires_grad=True)
+        seed_grad = np.full((2, 2), 3.0, dtype=np.float32)
+        (y[1:3] + y[1:3]).backward(seed_grad)
+        assert (seed_grad == 3.0).all() and (y.grad[1:3] == 6.0).all()

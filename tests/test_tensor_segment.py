@@ -5,6 +5,7 @@ import pytest
 
 from repro import tensor as T
 from repro.tensor.segment import (
+    _scatter_add,
     segment_argmax_by_key,
     segment_count,
     segment_max,
@@ -14,6 +15,7 @@ from repro.tensor.segment import (
 )
 
 from conftest import check_grad
+from reference import scatter_add_reference
 
 IDS = np.array([0, 0, 1, 2, 2, 2])
 
@@ -99,3 +101,78 @@ class TestArgmaxByKey:
     def test_empty_segments_marked(self):
         out = segment_argmax_by_key(np.array([]), np.array([], dtype=np.int64), 2)
         np.testing.assert_array_equal(out, [-1, -1])
+
+
+class TestScatterAddKernel:
+    """The backward scatter kernel equals sequential ``np.add.at`` (float64 exactly,
+    float32 to rounding) on every path: bincount, reduceat, fallback."""
+
+    IDS = {
+        "sorted": np.array([0, 0, 1, 4, 4, 4, 7]),
+        "unsorted": np.array([4, 0, 7, 4, 1, 0, 4]),
+        "gaps": np.array([2, 2, 9, 9, 9]),
+        "single_run": np.array([3, 3, 3, 3]),
+        "empty": np.array([], dtype=np.int64),
+        "negative": np.array([-1, 11, 0, -12]),
+        "int32": np.array([0, 5, 5, 6], dtype=np.int32),
+    }
+
+    @pytest.mark.parametrize("name", sorted(IDS))
+    @pytest.mark.parametrize("tail", [(), (1,), (3,), (7,), (2, 16)], ids=str)
+    def test_matches_add_at(self, name, tail):
+        ids = self.IDS[name]
+        num_segments = 12  # larger than max(id) + 1 for every case
+        values = np.random.default_rng(len(tail)).standard_normal((len(ids),) + tail)
+        shape = (num_segments,) + tail
+        out = _scatter_add(shape, ids, values)
+        assert out.shape == shape and out.dtype == np.float64
+        np.testing.assert_allclose(out, scatter_add_reference(shape, ids, values), atol=1e-12)
+        out32 = _scatter_add(shape, ids, values.astype(np.float32))
+        assert out32.dtype == np.float32
+        np.testing.assert_allclose(
+            out32, scatter_add_reference(shape, ids, values.astype(np.float32)), atol=1e-5)
+
+    def test_sampler_shape_sorted_dstindex(self):
+        """The shapes backward actually sees: (E, H) scores and (E, H, d) messages."""
+        rng = np.random.default_rng(0)
+        ids = np.sort(rng.integers(0, 400, 4000))
+        for tail in [(2,), (2, 16), (32,)]:
+            values = rng.standard_normal((4000,) + tail).astype(np.float32)
+            ref = scatter_add_reference((400,) + tail, ids, values.astype(np.float64))
+            np.testing.assert_allclose(_scatter_add((400,) + tail, ids, values), ref, atol=1e-4)
+
+    def test_general_keys_fall_back(self):
+        values = np.arange(6, dtype=np.float32).reshape(3, 2)
+        key = (np.array([0, 0, 2]), slice(0, 2))
+        assert (_scatter_add((4, 3), key, values) == scatter_add_reference((4, 3), key, values)).all()
+        mask = np.array([True, False, True, True])
+        assert (_scatter_add((4, 2), mask, values) == scatter_add_reference((4, 2), mask, values)).all()
+
+
+class TestForwardBitContract:
+    """Forward scatter-adds stay a *sequential float32* ``np.add.at``: inference
+    outputs and persisted state depend on these bits (reduceat / bincount would
+    differ in the last place), so equality here is ``==``, not a tolerance."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(0)
+        self.ids = np.sort(rng.integers(0, 300, 5000))
+        self.data = (rng.standard_normal((5000, 8)) * 10).astype(np.float32)
+
+    def test_segment_sum(self):
+        out = segment_sum(T.tensor(self.data), self.ids, 300).numpy()
+        assert (out == scatter_add_reference((300, 8), self.ids, self.data)).all()
+
+    def test_scatter_rows(self):
+        out = T.scatter_rows(300, self.ids, T.tensor(self.data)).numpy()
+        assert (out == scatter_add_reference((300, 8), self.ids, self.data)).all()
+
+    def test_segment_softmax(self):
+        scores = self.data[:, :2]
+        maxes = np.full((300, 2), np.finfo(np.float32).min, dtype=np.float32)
+        np.maximum.at(maxes, self.ids, scores)
+        exp = np.exp(scores - maxes[self.ids])
+        denom = np.maximum(scatter_add_reference((300, 2), self.ids, exp),
+                           np.finfo(np.float32).tiny)
+        out = segment_softmax(T.tensor(scores), self.ids, 300).numpy()
+        assert (out == exp / denom[self.ids]).all()
