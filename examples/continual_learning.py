@@ -3,7 +3,8 @@
 `examples/durable_serving.py` ends with every committed batch durable in
 a write-ahead log.  This example closes the loop: a `ContinualLearner`
 *tails* that log while the server is running — with a prefix-consistent
-`WALCursor`, so it only ever sees committed, non-aborted batches — and
+`WALCursor`, so it only ever sees committed batches (the runtime checks
+a batch before it logs it, so a quarantined one is never there) — and
 fine-tunes the link model online, hot-swapping the updated embedding
 table into the server between requests.
 

@@ -12,7 +12,8 @@ This example drives `repro.serve.ServeRuntime` through all of it:
    (full fanout -> reduced fanout -> embedding cache -> memory-only)
    and admission control keep the runtime available;
 4. a chaos replay with `resilience.FaultInjector` armed over the
-   serving fault sites, exercising snapshot-rollback commits.
+   serving fault sites, exercising check-then-log-then-write commits
+   (a poisoned batch is quarantined before the log or the tables see it).
 
 Run with:  PYTHONPATH=src python examples/online_serving.py
 """
@@ -93,8 +94,8 @@ def main() -> None:
     show("clean stream @ 16x load, 3ms deadlines", rt3, results)
 
     # 4. chaos: transient ingest/commit faults retry; a poison fault
-    #    corrupts a staged batch, which validation catches and rolls back
-    #    atomically -- memory never holds a partial or non-finite commit.
+    #    corrupts a staged batch, which the staged-row check refuses
+    #    before the write -- memory never holds a partial or non-finite commit.
     injector = FaultInjector(seed=13, serve_ingest_fault_rate=0.1,
                              serve_commit_fault_rate=0.1,
                              serve_poison_batches=[(0, 6)])

@@ -187,7 +187,6 @@ class ResilientTrainer:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         self.model = model
-        self.g = g
         self.optimizer = optimizer
         self.neg_sampler = neg_sampler
         self.batch_size = batch_size
@@ -207,15 +206,22 @@ class ResilientTrainer:
                 os.path.join(checkpoint_dir, "wal"), fsync=delta_fsync
             )
         self.ctx = ctx
+        self._bind_graph(g)
+
+    # ---- state plumbing ---------------------------------------------------------
+
+    def _bind_graph(self, g: TGraph) -> None:
+        """Train on *g*: the prefetch pipeline and the store's graph-backed
+        source spaces follow the graph, so lookahead never predicts from a
+        replaced graph's edge arrays."""
+        self.g = g
         self._pipeline = None
-        fstore = getattr(ctx, "store", None) if ctx is not None else None
+        fstore = getattr(self.ctx, "store", None)
         if fstore is not None and fstore.config.prefetch_depth > 0:
             from ..store.prefetch import BatchPipeline, attach_graph_sources
 
             attach_graph_sources(fstore, g)
             self._pipeline = BatchPipeline(fstore, g)
-
-    # ---- state plumbing ---------------------------------------------------------
 
     @property
     def checkpoint_path(self) -> str:
@@ -666,7 +672,7 @@ class ResilientTrainer:
         Returns a :class:`ResilientResult` covering just this call.
         """
         if graph is not None:
-            self.g = graph
+            self._bind_graph(graph)
         start, stop = int(start), int(stop)
         if stop <= start or passes < 1:
             return ResilientResult()

@@ -25,9 +25,9 @@ followers — and the seam uses the group at both ends:
   ``staleness_bound`` picks between ``'bounded'`` follower reads (lag at
   most the follower's parked queue) and ``'strict'`` read-your-commits
   (block the gather on promotion).
-* **Commits** (``_commit``) are validated once at the coordinator (the
-  same staged-NaN poison check the single runtime's post-apply
-  validation would trip), stamped with a cluster sequence number, then
+* **Commits** (``_commit``) are checked once at the coordinator
+  (:func:`~repro.serve.commit.stage_checked`, the single runtime's check
+  too), stamped with a cluster sequence number, then
   **quorum log-shipped** to every member of each touched group
   (:meth:`~repro.cluster.replication.ReplicaGroup.ship`): each member
   WAL-logs its ownership-filtered sub-batch before applying it, and the
@@ -62,9 +62,7 @@ import numpy as np
 
 from ..integrity.scrubber import Scrubber
 from ..resilience.chaos import inject_member_faults
-from ..resilience.errors import TransientKernelError
-from ..resilience.hooks import poke as _poke
-from ..serve.commit import stage_updates
+from ..serve.commit import stage_checked
 from ..serve.deadline import CostModel
 from ..serve.engine import ServeEngine
 from ..serve.events import EventBatch
@@ -433,31 +431,20 @@ class ServeCluster(ServeEngine):
     # ---- the seam: commit fan-out --------------------------------------------------
 
     def _commit(self, released: EventBatch, rid: int) -> None:
-        """Validate once at the coordinator, then fan out by ownership.
+        """Check once at the coordinator, then fan out by ownership.
 
-        The single runtime applies, validates, and rolls back a poisoned
-        batch; staged values are a pure function of event content, so
-        validating the staged rows *before* fan-out quarantines exactly
-        the same batches without needing cross-shard two-phase commit.
+        :func:`~repro.serve.commit.stage_checked` is the single runtime's
+        check too; staged rows are a pure function of event content, so
+        refusing a batch *before* fan-out quarantines exactly the same
+        batches without needing cross-shard two-phase commit.
         """
-        retries = 0
-        while True:
-            try:
-                _poke("serve.commit")
-                nodes, values, times = stage_updates(released, self.dim)
-                break
-            except TransientKernelError as err:
-                self.ctx.record_kernel_fault(err.site)
-                if retries >= 2:
-                    raise
-                retries += 1
-                self.commit_retries += 1
-        _poke("serve.poison", values=values)
-        if not np.isfinite(values).all():
+        staged = stage_checked(released, self.dim)
+        for _ in range(staged.retries):
+            self.ctx.record_kernel_fault("serve.commit")
+        self.commit_retries += staged.retries
+        if staged.violations:
             self.rollbacks += 1
-            self.ingest.quarantine_batch(
-                released, "poisoned batch: non-finite staged values"
-            )
+            self.ingest.quarantine_batch(released, "; ".join(staged.violations))
             return
         self.seq += 1
         seq = self.seq
@@ -479,9 +466,7 @@ class ServeCluster(ServeEngine):
                 extra=104729 * (rid + 1) + 31 * shard + 7,
             )
         self.commits += 1
-        self.committed_watermark = max(
-            self.committed_watermark, float(released.ts.max())
-        )
+        self.committed_watermark = max(self.committed_watermark, staged.watermark)
 
     # ---- assembled state images ----------------------------------------------------
 

@@ -35,11 +35,17 @@ import numpy as np
 
 from ..core.mailbox import Mailbox
 from ..core.memory import Memory
-from ..core.state import load_state_image, state_image
+from ..core.state import state_image
 from ..durable.codec import KIND_BATCH, encode_payload
 from ..durable.store import DurableStateStore
 from ..integrity.digest import ChunkedDigest, merkle_root
-from ..serve.commit import ApplyPlan, apply_plan, plan_updates, stage_updates
+from ..serve.commit import (
+    ApplyPlan,
+    apply_plan,
+    plan_updates,
+    replay_state,
+    stage_updates,
+)
 from ..serve.events import EventBatch
 
 __all__ = ["ReplicaDown", "StaleLeaseError", "ShardReplica"]
@@ -210,10 +216,11 @@ class ShardReplica:
         """Rebuild state from the durable directory and rejoin.
 
         Loads the newest intact snapshot (ownership included), replays
-        the committed non-aborted WAL suffix through the same
-        :meth:`plan` + apply path live traffic uses, and restores the applied
-        sequence cursor — bit-identical to the state at the last acked
-        apply (prefix-consistent: a torn tail was never acked).
+        the committed WAL suffix through the same :meth:`plan` live
+        traffic uses (:func:`~repro.serve.commit.replay_state`), and
+        restores the applied sequence cursor — bit-identical to the
+        state at the last acked apply (prefix-consistent: a torn tail
+        was never acked).
         """
         self.store = DurableStateStore(self.durable_dir, fsync=self.fsync)
         state = self.store.recover()
@@ -221,30 +228,19 @@ class ShardReplica:
             raise RuntimeError(
                 f"shard {self.shard_id}: no snapshot to recover ownership from"
             )
-        arrays = state.snapshot_arrays
-        self._reslice(np.asarray(arrays["owned"], dtype=np.int64))
-        load_state_image(arrays, self.memory, self.mailbox, "shard snapshot")
-        self.last_seq = int(state.snapshot_meta.get("seq", -1))
-        self.lease_epoch = int(state.snapshot_meta.get("epoch", 0))
+        self._reslice(np.asarray(state.snapshot_arrays["owned"], dtype=np.int64))
+        replayed, marks = replay_state(
+            state, self.plan, self.memory, self.mailbox, "shard snapshot"
+        )
+        self.last_seq = int(marks.get("seq", -1))
+        self.lease_epoch = int(marks.get("epoch", 0))
+        # Digests of the replayed tables: what the apply path produced.
         self.digests = _StateDigests(self, self.chunk_rows)
-        replayed = 0
-        for record in state.records:
-            if record.kind != KIND_BATCH:
-                continue
-            batch = EventBatch.from_arrays(record.arrays)
-            if len(batch):
-                self._apply_plan(self.plan(batch))
-            self.last_seq = max(self.last_seq, int(record.meta.get("seq", -1)))
-            self.lease_epoch = max(
-                self.lease_epoch, int(record.meta.get("epoch", 0))
-            )
-            replayed += 1
         self._since_snapshot = replayed
         self.alive = True
         self.recovering = False
         self.recoveries += 1
-        return {"replayed": replayed, "seq": self.last_seq,
-                "aborted_skipped": state.aborted}
+        return {"replayed": replayed, "seq": self.last_seq}
 
     # ---- state application ---------------------------------------------------------
 
@@ -391,20 +387,12 @@ class ShardReplica:
         state = self.store.recover()
         if state.snapshot_arrays is None:
             return None
-        arrays = state.snapshot_arrays
-        owned = np.asarray(arrays["owned"], dtype=np.int64)
+        owned = np.asarray(state.snapshot_arrays["owned"], dtype=np.int64)
         if not np.array_equal(owned, self.owned):
             return None
         memory, mailbox = self._new_tables(len(owned))
-        load_state_image(arrays, memory, mailbox, "shard snapshot")
-        seq = int(state.snapshot_meta.get("seq", -1))
-        for record in state.records:
-            if record.kind != KIND_BATCH:
-                continue
-            batch = EventBatch.from_arrays(record.arrays)
-            if len(batch):
-                apply_plan(self.plan(batch), memory, mailbox)
-            seq = max(seq, int(record.meta.get("seq", -1)))
+        _, marks = replay_state(state, self.plan, memory, mailbox, "shard snapshot")
+        seq = int(marks.get("seq", -1))
         if seq != self.last_seq:
             return None
         return memory, mailbox, seq

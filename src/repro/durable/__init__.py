@@ -28,7 +28,6 @@ logs incremental per-batch deltas between full checkpoints
 """
 
 from .codec import (
-    KIND_ABORT,
     KIND_BATCH,
     KIND_DELTA,
     KIND_MARKER,
@@ -57,7 +56,6 @@ from .wal import (
 
 __all__ = [
     "CodecError",
-    "KIND_ABORT",
     "KIND_BATCH",
     "KIND_DELTA",
     "KIND_MARKER",

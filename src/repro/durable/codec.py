@@ -35,17 +35,20 @@ import numpy as np
 __all__ = [
     "CodecError",
     "KIND_BATCH",
-    "KIND_ABORT",
     "KIND_MARKER",
     "KIND_DELTA",
     "KIND_SNAPSHOT",
     "encode_payload",
     "decode_payload",
+    "decode_committed",
 ]
 
 #: record kinds (u8); the WAL/stores attach semantics, the codec does not.
 KIND_BATCH = 1  #: a committed EventBatch delta (serve path)
-KIND_ABORT = 2  #: a logged batch was rolled back; replay must skip it
+# Kind 2 is reserved, never reused: logs written before commits became
+# check-then-log used it to veto an already-logged batch, so a reader
+# that met one under any new meaning would resurrect that batch.
+_RETIRED_ABORT = 2
 KIND_MARKER = 3  #: control marker (checkpoint / rollback / custom)
 KIND_DELTA = 4  #: incremental training-state delta between checkpoints
 KIND_SNAPSHOT = 5  #: full state image (snapshot files only)
@@ -135,4 +138,25 @@ def decode_payload(buf: bytes) -> Tuple[int, Dict, Dict[str, np.ndarray]]:
         arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     if r.pos != len(r.buf):
         raise CodecError(f"{len(r.buf) - r.pos} trailing bytes after payload")
+    return kind, meta, arrays
+
+
+def decode_committed(buf: bytes, lsn: int, directory: str):
+    """:func:`decode_payload` for recovery and tailing reads of a log.
+
+    Refuses a log written under the old apply-validate-rollback protocol:
+    its kind-2 record vetoes an earlier batch record, so replaying the
+    log without honouring it would resurrect a rolled-back batch, and
+    treating it as the torn tail would drop every committed record after
+    it.  Neither is safe, so the read stops with a :class:`RuntimeError`
+    (not a :class:`CodecError`, which readers take for the torn tail).
+    """
+    kind, meta, arrays = decode_payload(buf)
+    if kind == _RETIRED_ABORT:
+        raise RuntimeError(
+            f"record lsn {lsn} in {directory!r} is an abort record (kind 2) "
+            "of the retired apply-validate-rollback commit protocol; this "
+            "version cannot replay the log without resurrecting the batch "
+            "it rolled back"
+        )
     return kind, meta, arrays

@@ -3,16 +3,16 @@
 :class:`DurableStateStore` composes the :class:`~repro.durable.wal.WriteAheadLog`
 and the snapshot files into the commit protocol both runtimes share:
 
-1. **log** the state delta (a committed :class:`EventBatch`, a training
-   delta, or a control marker) *before* applying it in RAM;
-2. if the apply is subsequently rolled back (post-apply validation
-   failed), **log an abort** so recovery skips the record;
-3. periodically write a **snapshot** of the full applied state and
+1. **log** the state delta (a checked :class:`EventBatch`, a training
+   delta, or a control marker) *before* applying it in RAM — callers
+   check a delta before logging it, so a logged record is never taken
+   back;
+2. periodically write a **snapshot** of the full applied state and
    **compact** sealed log segments below it.
 
 Recovery (:meth:`recover`) is prefix-consistent and idempotent: load the
 newest intact snapshot, then replay the committed log suffix — stopping
-at the first torn/corrupt record — with aborted records filtered out.
+at the first torn/corrupt record.
 Re-opening the store after a crash physically truncates the torn tail
 (see :mod:`repro.durable.wal`), so two recoveries of the same directory
 yield bit-identical state.
@@ -27,12 +27,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .codec import (
-    KIND_ABORT,
     KIND_BATCH,
     KIND_DELTA,
     KIND_MARKER,
     CodecError,
-    decode_payload,
+    decode_committed,
     encode_payload,
 )
 from .snapshot import load_latest, prune_snapshots, write_snapshot
@@ -43,7 +42,7 @@ __all__ = ["DurableRecord", "RecoveredState", "DurableStateStore"]
 
 @dataclass(frozen=True)
 class DurableRecord:
-    """One decoded, non-aborted record of the committed log suffix."""
+    """One decoded record of the committed log suffix."""
 
     lsn: int
     kind: int
@@ -59,10 +58,8 @@ class RecoveredState:
     snapshot_lsn: int = 0
     snapshot_meta: Dict = field(default_factory=dict)
     snapshot_arrays: Optional[Dict[str, np.ndarray]] = None
-    #: committed, non-aborted records with ``lsn > snapshot_lsn``, in order.
+    #: committed records with ``lsn > snapshot_lsn``, in order.
     records: List[DurableRecord] = field(default_factory=list)
-    #: records dropped because a later abort record named them.
-    aborted: int = 0
 
     @property
     def last_lsn(self) -> int:
@@ -117,14 +114,6 @@ class DurableStateStore:
         """Log one incremental training-state delta; returns its LSN."""
         return self.wal.append(encode_payload(KIND_DELTA, meta or {}, arrays))
 
-    def log_abort(self, target_lsn: int, reason: str = "") -> int:
-        """Mark a previously logged record as rolled back."""
-        return self.wal.append(
-            encode_payload(
-                KIND_ABORT, {"target": int(target_lsn), "reason": reason}, {}
-            )
-        )
-
     def log_marker(self, name: str, meta: Optional[Dict] = None) -> int:
         """Log a control marker (e.g. ``checkpoint`` / ``rollback``)."""
         payload = dict(meta or {})
@@ -153,29 +142,22 @@ class DurableStateStore:
     def recover(self) -> RecoveredState:
         """Reconstruct the committed durable state (prefix-consistent).
 
-        Pure read: loads the newest intact snapshot, replays the
-        committed log suffix above it, and filters aborted records.
-        Calling it twice returns identical results.
+        Pure read: loads the newest intact snapshot and decodes the
+        committed log suffix above it.  Calling it twice returns
+        identical results.
         """
         out = RecoveredState()
         snap = load_latest(self.directory)
         if snap is not None:
             out.snapshot_lsn, out.snapshot_meta, out.snapshot_arrays = snap
-        raw: List[DurableRecord] = []
-        aborted: set = set()
         for lsn, payload in self.wal.replay():
             if lsn <= out.snapshot_lsn:
                 continue  # already folded into the snapshot
             try:
-                kind, meta, arrays = decode_payload(payload)
+                kind, meta, arrays = decode_committed(payload, lsn, self.directory)
             except CodecError:
                 break  # defensive: treat as the start of the torn tail
-            if kind == KIND_ABORT:
-                aborted.add(int(meta.get("target", -1)))
-                continue
-            raw.append(DurableRecord(lsn, kind, meta, arrays))
-        out.records = [r for r in raw if r.lsn not in aborted]
-        out.aborted = len(raw) - len(out.records)
+            out.records.append(DurableRecord(lsn, kind, meta, arrays))
         return out
 
     # ---- reporting / lifecycle ---------------------------------------------------

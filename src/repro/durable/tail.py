@@ -17,14 +17,6 @@ Guarantees (tested in ``tests/test_durable.py``):
 * **Monotonic, gap-free delivery.**  Records are delivered exactly once,
   in strictly increasing LSN order, with no holes (a hole would mean the
   cursor skipped a committed record).
-* **Abort visibility.**  The newest committed record is *held back*
-  (unless ``final=True``): the serving commit path logs a batch *before*
-  validating it and logs the compensating ``KIND_ABORT`` immediately
-  after a validation failure, so once a record's successor exists its
-  abort — if any — is on disk.  One record of lag therefore suffices for
-  the cursor to filter aborted batches before the learner trains on
-  them.  ``KIND_ABORT`` records themselves are consumed as filters, not
-  delivered.
 * **Restartability.**  Cursor position is persisted (atomic tmp + rename
   + directory fsync) to ``cursor-<name>.json`` in the log directory; a
   restarted reader resumes exactly after the last delivered record.
@@ -44,11 +36,33 @@ import json
 import os
 from typing import Dict, List, Optional, Tuple
 
-from .codec import KIND_ABORT, KIND_BATCH, CodecError, decode_payload
+from .codec import KIND_BATCH, CodecError, decode_committed
 from .store import DurableRecord
 from .wal import fsync_dir, list_segment_files, parse_segment, read_segment_bytes
 
 __all__ = ["CursorInvalidated", "WALCursor", "read_batch_suffix"]
+
+
+def _scan(directory: str, inject: bool) -> List[Tuple[int, bytes, int]]:
+    """``(lsn, payload, crc)`` of the committed prefix of all live segments.
+
+    Mirrors :meth:`WriteAheadLog.replay`: segments in sequence order,
+    LSN continuity threaded across boundaries, scan stopped at the
+    first non-intact segment.
+    """
+    records: List[Tuple[int, bytes, int]] = []
+    prev: Optional[int] = None
+    for _, path in list_segment_files(directory):
+        try:
+            buf = read_segment_bytes(path, inject)
+        except OSError:
+            break  # segment vanished mid-scan (compaction race)
+        segment_records, _, intact, last = parse_segment(buf, prev)
+        records.extend(segment_records)
+        if not intact:
+            break
+        prev = last if last is not None else prev
+    return records
 
 
 def read_batch_suffix(
@@ -61,41 +75,18 @@ def read_batch_suffix(
     directory and replays any ``KIND_BATCH`` record whose commit sequence
     (``meta['seq']``) it has not yet applied.  Pure read over the
     committed prefix (same :func:`parse_segment` definition the owner
-    uses); aborted records are filtered, delivery is in seq order, and
-    records without a seq are skipped.  Unlike :class:`WALCursor` this
-    keeps no persistent position — the caller's own ``last_seq`` is the
-    cursor.
+    uses); delivery is in seq order, and records without a seq are
+    skipped.  Unlike :class:`WALCursor` this keeps no persistent
+    position — the caller's own ``last_seq`` is the cursor.
     """
-    records: List[Tuple[int, bytes, int]] = []
-    prev: Optional[int] = None
-    for _, path in list_segment_files(directory):
+    out: List[DurableRecord] = []
+    for lsn, payload, _ in _scan(directory, inject):
         try:
-            buf = read_segment_bytes(path, inject)
-        except OSError:
-            break
-        segment_records, _, intact, last = parse_segment(buf, prev)
-        records.extend(segment_records)
-        if not intact:
-            break
-        prev = last if last is not None else prev
-    aborted = set()
-    decoded: List[DurableRecord] = []
-    for lsn, payload, _ in records:
-        try:
-            kind, meta, arrays = decode_payload(payload)
+            kind, meta, arrays = decode_committed(payload, lsn, directory)
         except CodecError:
             break  # committed prefix ends just before the damage
-        if kind == KIND_ABORT:
-            aborted.add(int(meta.get("target", -1)))
-            continue
-        decoded.append(DurableRecord(lsn=lsn, kind=kind, meta=meta, arrays=arrays))
-    out = [
-        r
-        for r in decoded
-        if r.lsn not in aborted
-        and r.kind == KIND_BATCH
-        and int(r.meta.get("seq", -1)) > int(after_seq)
-    ]
+        if kind == KIND_BATCH and int(meta.get("seq", -1)) > int(after_seq):
+            out.append(DurableRecord(lsn=lsn, kind=kind, meta=meta, arrays=arrays))
     out.sort(key=lambda r: int(r.meta["seq"]))
     return out
 
@@ -169,29 +160,6 @@ class WALCursor:
         os.replace(tmp, self.state_path)
         fsync_dir(self.directory)
 
-    # ---- scanning ----------------------------------------------------------------
-
-    def _scan(self) -> List[Tuple[int, bytes, int]]:
-        """Parse the committed prefix of all live segments.
-
-        Mirrors :meth:`WriteAheadLog.replay`: segments in sequence order,
-        LSN continuity threaded across boundaries, scan stopped at the
-        first non-intact segment.
-        """
-        records: List[Tuple[int, bytes, int]] = []
-        prev: Optional[int] = None
-        for _, path in list_segment_files(self.directory):
-            try:
-                buf = read_segment_bytes(path, self.inject)
-            except OSError:
-                break  # segment vanished mid-scan (compaction race)
-            segment_records, _, intact, last = parse_segment(buf, prev)
-            records.extend(segment_records)
-            if not intact:
-                break
-            prev = last if last is not None else prev
-        return records
-
     def _check_timeline(self, records: List[Tuple[int, bytes, int]]) -> None:
         if self.last_lsn == 0:
             return
@@ -218,50 +186,33 @@ class WALCursor:
 
     # ---- polling -----------------------------------------------------------------
 
-    def poll(self, final: bool = False) -> List[DurableRecord]:
+    def poll(self) -> List[DurableRecord]:
         """Deliver newly committed records past the cursor, advancing it.
 
-        The newest committed record is held back so a trailing
-        ``KIND_ABORT`` can still veto it; pass ``final=True`` once the
-        writer has stopped to drain that last record too.  Raises
-        :class:`CursorInvalidated` on history divergence (see class doc).
+        Everything up to the newest committed record is delivered: the
+        writers check a batch before they log it, so no later record can
+        take a logged one back.  Raises :class:`CursorInvalidated` on
+        history divergence (see class doc).
         """
         self.polls += 1
-        records = self._scan()
+        records = _scan(self.directory, self.inject)
         self._check_timeline(records)
-        fresh = [r for r in records if r[0] > self.last_lsn]
-        if not fresh:
-            return []
-        # Aborts are scanned over *everything* parsed — including the
-        # held-back tail — so an abort that is itself the newest record
-        # still vetoes its (deliverable) target.
-        aborted = set()
-        decoded: Dict[int, Tuple[int, Dict, Dict]] = {}
-        deliver_end = fresh[-1][0] if final else fresh[-1][0] - 1
-        for lsn, payload, _ in fresh:
+        out: List[DurableRecord] = []
+        last_crc = self.last_crc
+        for lsn, payload, crc in records:
+            if lsn <= self.last_lsn:
+                continue
             try:
-                kind, meta, arrays = decode_payload(payload)
+                kind, meta, arrays = decode_committed(payload, lsn, self.directory)
             except CodecError:
                 # Framing CRC passed but the payload is junk: treat the
                 # damage like any other corruption — stop the committed
                 # prefix just before it.
-                deliver_end = min(deliver_end, lsn - 1)
                 break
-            decoded[lsn] = (kind, meta, arrays)
-            if kind == KIND_ABORT:
-                aborted.add(int(meta.get("target", -1)))
-        out: List[DurableRecord] = []
-        advanced_to: Optional[Tuple[int, int]] = None
-        for lsn, _, crc in fresh:
-            if lsn > deliver_end or lsn not in decoded:
-                break
-            kind, meta, arrays = decoded[lsn]
-            advanced_to = (lsn, crc)
-            if kind == KIND_ABORT or lsn in aborted:
-                continue
             out.append(DurableRecord(lsn=lsn, kind=kind, meta=meta, arrays=arrays))
-        if advanced_to is not None:
-            self.last_lsn, self.last_crc = advanced_to
+            last_crc = crc
+        if out:
+            self.last_lsn, self.last_crc = out[-1].lsn, last_crc
             self.delivered += len(out)
             self._save_state()
         return out

@@ -21,8 +21,8 @@ site                 where                                       returns
 ``checkpoint.kill``  ``durable.snapshot.write_container``        ``None``
 ``trainer.batch``    ``bench.resilient`` recovery loop           ``None``
 ``serve.ingest``     ``serve.ingest.IngestPipeline.push``        ``None``
-``serve.commit``     ``serve.commit.StateCommitter.commit``      ``None``
-``serve.poison``     ``serve.commit`` payload staging            ``None``
+``serve.commit``     ``serve.commit.stage_checked``              ``None``
+``serve.poison``     ``serve.commit.stage_checked`` (staging)    ``None``
 ``disk.write``       ``durable.wal`` record append               directive
 ``disk.fsync``       ``durable.wal`` fsync                       directive
 ``disk.read``        ``durable.wal`` replay / cold-tier read     directive
@@ -69,8 +69,8 @@ SITES: Dict[str, str] = {
     ),
     "trainer.batch": "bench.resilient.ResilientTrainer._run (the train / fine_tune loop)",
     "serve.ingest": "serve.ingest.IngestPipeline.push",
-    "serve.commit": "serve.commit.StateCommitter.commit",
-    "serve.poison": "serve.commit.StateCommitter.commit (staging)",
+    "serve.commit": "serve.commit.stage_checked (both serving backends)",
+    "serve.poison": "serve.commit.stage_checked (staged values)",
     "disk.write": "durable.wal.WriteAheadLog.append",
     "disk.fsync": "durable.wal.WriteAheadLog.sync",
     "disk.read": "durable.wal segment replay / store.tiers.ColdTier.read",

@@ -15,8 +15,8 @@ newest event the published model was trained through.  ``budget=0``
 retrains on every sync that sees new committed data; a larger budget
 batches more events per fine-tune (cheaper, staler); ``budget=inf``
 never retrains — the frozen baseline.  The learner only ever reads
-*committed, non-aborted* records (cursor guarantee), so a quarantined or
-rolled-back batch can never train the model.
+*committed* records (cursor guarantee), and the runtime checks a batch
+before it logs it, so a quarantined batch can never train the model.
 
 :func:`run_closed_loop` is the harness the tests, the ``scenarios`` CLI
 subcommand, and the drift benchmark share: it pretrains a base model on
@@ -161,14 +161,14 @@ class ContinualLearner:
 
     # ---- the tail → train → swap loop --------------------------------------------
 
-    def sync(self, runtime: ServeRuntime, final: bool = False) -> bool:
+    def sync(self, runtime: ServeRuntime) -> bool:
         """Poll the WAL once; retrain + hot-swap if over budget.
 
         Called between served requests (the ``replay`` ``on_result``
         hook).  Returns True when a model swap happened.
         """
         self.syncs += 1
-        for rec in self.cursor.poll(final=final):
+        for rec in self.cursor.poll():
             if rec.kind != KIND_BATCH:
                 continue
             batch = EventBatch.from_arrays(rec.arrays)
@@ -343,7 +343,7 @@ def run_closed_loop(
     batches = split_batches(serve_stream, request_size)
     results = replay(runtime, batches, load=load, on_result=on_result)
     if learner is not None:
-        learner.sync(runtime, final=True)
+        learner.sync(runtime)  # what drain() committed after the last request
         learner.close()
 
     scores = np.full(n, np.nan, dtype=np.float64)

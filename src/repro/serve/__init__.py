@@ -15,9 +15,9 @@ is the hardened streaming front end that restores them at runtime:
 * :mod:`~repro.serve.deadline` — per-request deadline budgets and the
   degradation ladder (full → reduced fanout → cache → memory-only);
 * :mod:`~repro.serve.commit` — watermarked all-or-nothing state commits
-  into ``Memory``/``Mailbox`` with snapshot-rollback, optionally
-  write-ahead logged through :mod:`repro.durable` (WAL-then-apply with
-  prefix-consistent crash recovery via :func:`recover_serve_state`);
+  into ``Memory``/``Mailbox`` (check the staged rows, then log, then
+  write), optionally write-ahead logged through :mod:`repro.durable`
+  (prefix-consistent crash recovery via :func:`recover_serve_state`);
 * :mod:`~repro.serve.engine` — :class:`ServeEngine`, the one request
   loop gluing the above into request-in / prediction-out serving, over
   a small state-backend seam;
@@ -44,6 +44,8 @@ from .commit import (
     apply_plan,
     plan_updates,
     recover_serve_state,
+    replay_state,
+    stage_checked,
     stage_updates,
 )
 from .deadline import LEVELS, CostModel, DegradationLadder, LadderDecision
@@ -62,9 +64,11 @@ __all__ = [
     "CommitStats",
     "StateCommitter",
     "stage_updates",
+    "stage_checked",
     "ApplyPlan",
     "plan_updates",
     "apply_plan",
+    "replay_state",
     "recover_serve_state",
     "CostModel",
     "DegradationLadder",

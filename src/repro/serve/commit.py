@@ -1,34 +1,34 @@
-"""Watermarked state commits with snapshot-rollback atomicity.
+"""Watermarked state commits: check, then log, then write.
 
 Releasing events from ingestion is only half the story — they still have
 to be applied to the node :class:`~repro.core.memory.Memory` and
 :class:`~repro.core.mailbox.Mailbox`, and a poisoned batch (NaN payload
-slipping past validation, a transient kernel fault mid-write) must never
-leave state *partially* updated.  :class:`StateCommitter` makes each
-batch apply-all-or-nothing:
+slipping past validation) must never reach the stores or the log.  Both
+serving backends commit a released batch by the same rule:
 
-1. snapshot memory + mailbox (``backup()``);
-2. stage the endpoint updates and reduce them to an :class:`ApplyPlan`
-   (pure functions of event content, so any permutation of the same
-   events plans the same rows);
-3. apply the plan through ``Memory.update`` / ``Mailbox.store``;
-4. re-validate the stores; violations roll the snapshot back and send
-   the whole batch to quarantine as ``POISONED_BATCH``.
+1. **check** — :func:`stage_checked` passes the ``serve.commit`` fault
+   site (bounded retry: nothing has been mutated, so a retry needs no
+   restore), stages the endpoint updates (pure functions of event
+   content, so any permutation of the same events stages the same rows)
+   and checks exactly the rows about to be written; a batch that fails
+   is quarantined as ``POISONED_BATCH`` — nothing logged, nothing
+   written;
+2. **log** — the batch goes to the write-ahead log;
+3. **write** — the staged rows are reduced to an :class:`ApplyPlan` and
+   written through ``Memory.update`` / ``Mailbox.store``.
 
-Transient faults from the ``serve.commit`` injection site are retried
-after rollback; the committed watermark only advances past batches that
-were applied and validated.
+:class:`StateCommitter` is that rule over one process's tables and one
+:class:`~repro.durable.store.DurableStateStore`;
+``ServeCluster._commit`` is the same rule with step 2-3 shipped to every
+member of each touched replica group.  The committed watermark only
+advances past batches that were written.
 
-**Durability (WAL-then-apply).**  With a
-:class:`~repro.durable.store.DurableStateStore` attached, every released
-batch is logged to the write-ahead log *before* step 3 applies it, and a
-batch rolled back by validation gets an abort record.  A process killed
-at any byte offset therefore recovers — via
-:func:`recover_serve_state` — to a state bit-identical to a clean replay
-of the committed log prefix: a batch whose log record is durable but
-whose abort is not is simply re-committed cleanly (its content was
-valid; the rollback came from transient in-flight corruption), and a
-batch torn out of the log tail was never acknowledged.  Periodic
+**Durability.**  Every record in the log is a batch that passed the
+check, so recovery (:func:`replay_state`: newest snapshot, then the
+``KIND_BATCH`` suffix through the same stage -> plan -> apply path)
+needs no veto channel: a process killed at any byte offset recovers to
+a state bit-identical to a clean replay of the committed log prefix, and
+a batch torn out of the log tail was never acknowledged.  Periodic
 snapshots (``snapshot_every``) bound recovery time and let the log
 compact.
 """
@@ -36,7 +36,7 @@ compact.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -52,11 +52,17 @@ __all__ = [
     "CommitStats",
     "StateCommitter",
     "stage_updates",
+    "StagedBatch",
+    "stage_checked",
     "ApplyPlan",
     "plan_updates",
     "apply_plan",
+    "replay_state",
     "recover_serve_state",
 ]
+
+#: transient ``serve.commit`` faults retried per batch before one propagates.
+COMMIT_RETRIES = 2
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,59 @@ def stage_updates(batch: EventBatch, dim: int):
         rows = _time_encode(batch.ts, dim)
     values = np.concatenate([rows, rows])
     return nodes, values, times
+
+
+class StagedBatch(NamedTuple):
+    """A released batch staged and checked, ready to log and write."""
+
+    nodes: np.ndarray
+    values: np.ndarray
+    times: np.ndarray
+    #: the batch's greatest event time (what its log record carries).
+    watermark: float
+    #: transient ``serve.commit`` faults retried on the way here.
+    retries: int
+    #: why the rows must not be written (empty = safe to log and write).
+    violations: Tuple[str, ...]
+
+
+def stage_checked(batch: EventBatch, dim: int) -> StagedBatch:
+    """Turn a released, non-empty *batch* into rows that are safe to write.
+
+    The step both serving backends run before anything is logged or
+    mutated: the ``serve.commit`` fault site (retried up to
+    :data:`COMMIT_RETRIES` times — no state has changed, so a retry
+    restores nothing), :func:`stage_updates`, the ``serve.poison`` site
+    (corrupts the staged values in place so the quarantine path is
+    testable), then a check of exactly the rows about to be written:
+    finite values; finite, non-negative times no later than the batch's
+    own maximum.  A batch with ``violations`` is the caller's to
+    quarantine; it is neither logged nor written.
+    """
+    retries = 0
+    while True:
+        try:
+            _poke("serve.commit")
+            break
+        except TransientKernelError:
+            if retries == COMMIT_RETRIES:
+                raise
+            retries += 1
+    nodes, values, times = stage_updates(batch, dim)
+    _poke("serve.poison", values=values)
+    watermark = float(batch.ts.max())
+    violations = []
+    if not np.isfinite(values).all():
+        violations.append("non-finite staged values")
+    if not np.isfinite(times).all():
+        violations.append("non-finite staged times")
+    elif times.min() < 0:
+        violations.append("negative staged time")
+    elif times.max() > watermark:
+        violations.append(
+            f"staged time {times.max():g} beyond batch horizon {watermark:g}"
+        )
+    return StagedBatch(nodes, values, times, watermark, retries, tuple(violations))
 
 
 class ApplyPlan(NamedTuple):
@@ -169,37 +228,33 @@ def apply_plan(plan: ApplyPlan, memory, mailbox=None) -> None:
 
 
 class StateCommitter:
-    """Apply released event batches to memory/mailbox atomically.
+    """Commit released event batches to memory/mailbox: check, log, write.
 
     Args:
         memory: the node memory store to commit into.
         mailbox: optional mailbox receiving raw messages per endpoint.
-        max_retries: transient-fault retry budget per batch.
         quarantine: optional callback ``(batch, detail)`` invoked when a
-            poisoned batch is rolled back (typically
+            poisoned batch is refused (typically
             :meth:`IngestPipeline.quarantine_batch`, keeping the event
             ledger balanced).
         store: optional :class:`~repro.durable.store.DurableStateStore`;
-            when set, every batch is WAL-logged *before* application and
-            validation rollbacks append abort records.
+            when set, every batch that passed the check is WAL-logged
+            *before* it is written.
         snapshot_every: with a store attached, write a full state
             snapshot (and compact the log) after every this many
-            successfully applied batches; ``None`` disables periodic
-            snapshots.
+            applied batches; ``None`` disables periodic snapshots.
     """
 
     def __init__(
         self,
         memory,
         mailbox=None,
-        max_retries: int = 2,
         quarantine=None,
         store=None,
         snapshot_every: Optional[int] = None,
     ):
         self.memory = memory
         self.mailbox = mailbox
-        self.max_retries = int(max_retries)
         self.quarantine = quarantine
         self.store = store
         self.snapshot_every = None if snapshot_every is None else int(snapshot_every)
@@ -207,86 +262,46 @@ class StateCommitter:
             raise ValueError("snapshot_every must be >= 1")
         self._applied_since_snapshot = 0
         self.stats = CommitStats()
-        #: greatest event timestamp durably applied and validated.
+        #: greatest event timestamp durably applied.
         self.committed_watermark = -np.inf
 
     # ---- commit ------------------------------------------------------------------
 
-    def _snapshot(self) -> None:
-        self.memory.backup()
-        if self.mailbox is not None:
-            self.mailbox.backup()
-
-    def _rollback(self) -> None:
-        self.memory.restore()
-        if self.mailbox is not None:
-            self.mailbox.restore()
-
-    def _validate(self, max_time: float) -> List[str]:
-        errs = list(self.memory.validate(max_time=max_time))
-        if self.mailbox is not None:
-            errs += [f"mailbox: {e}" for e in self.mailbox.validate()]
-        return errs
-
     def commit(self, batch: EventBatch) -> CommitResult:
-        """Apply *batch* atomically; returns whether it stuck.
+        """Commit *batch* all-or-nothing; returns whether it was written.
 
-        On a validation failure after application, state is restored to
-        the pre-batch snapshot and the batch is quarantined (via the
-        ``quarantine`` callback) — the caller observes ``applied=False``
-        with the violations, never a partially updated store.
+        A batch whose staged rows fail :func:`stage_checked` is
+        quarantined (via the ``quarantine`` callback) before the log or
+        the stores see it — the caller observes ``applied=False`` with
+        the violations, never a partially updated store.
         """
         if not len(batch):
             return CommitResult(applied=True, events=0)
         self.stats.batches += 1
-        batch_max = float(batch.ts.max())
-        # WAL-then-apply: the batch delta is durable before any store row
-        # changes.  Logged once — transient retries below re-apply the
-        # same logged record, they do not re-log it.
-        lsn = None
-        if self.store is not None:
-            lsn = self.store.log_batch(
-                batch.to_arrays(), {"watermark": batch_max}
+        staged = stage_checked(batch, self.memory.dim)
+        self.stats.retries += staged.retries
+        if staged.violations:
+            self.stats.rollbacks += 1
+            self.stats.events_rolled_back += len(batch)
+            if self.quarantine is not None:
+                self.quarantine(batch, "; ".join(staged.violations))
+            return CommitResult(
+                applied=False, events=len(batch),
+                retries=staged.retries, violations=staged.violations,
             )
-        retries = 0
-        while True:
-            self._snapshot()
-            try:
-                _poke("serve.commit")  # transient-fault injection site
-                nodes, values, times = stage_updates(batch, self.memory.dim)
-                # Poison injection site: corrupts staged values in place so
-                # the post-apply validation (and rollback) path is testable.
-                _poke("serve.poison", values=values)
-                apply_plan(
-                    plan_updates(nodes, values, times), self.memory, self.mailbox
-                )
-            except TransientKernelError:
-                self._rollback()
-                if retries < self.max_retries:
-                    retries += 1
-                    self.stats.retries += 1
-                    continue
-                raise
-            violations = self._validate(max_time=batch_max)
-            if violations:
-                self._rollback()
-                self.stats.rollbacks += 1
-                self.stats.events_rolled_back += len(batch)
-                if lsn is not None:
-                    self.store.log_abort(lsn, "; ".join(violations))
-                if self.quarantine is not None:
-                    self.quarantine(batch, "; ".join(violations))
-                return CommitResult(
-                    applied=False, events=len(batch),
-                    retries=retries, violations=tuple(violations),
-                )
-            self.stats.events_applied += len(batch)
-            self.committed_watermark = max(self.committed_watermark, batch_max)
-            if self.store is not None and self.snapshot_every is not None:
-                self._applied_since_snapshot += 1
-                if self._applied_since_snapshot >= self.snapshot_every:
-                    self.write_snapshot()
-            return CommitResult(applied=True, events=len(batch), retries=retries)
+        if self.store is not None:
+            self.store.log_batch(batch.to_arrays(), {"watermark": staged.watermark})
+        apply_plan(
+            plan_updates(staged.nodes, staged.values, staged.times),
+            self.memory, self.mailbox,
+        )
+        self.stats.events_applied += len(batch)
+        self.committed_watermark = max(self.committed_watermark, staged.watermark)
+        if self.store is not None and self.snapshot_every is not None:
+            self._applied_since_snapshot += 1
+            if self._applied_since_snapshot >= self.snapshot_every:
+                self.write_snapshot()
+        return CommitResult(applied=True, events=len(batch), retries=staged.retries)
 
     def write_snapshot(self) -> Optional[str]:
         """Persist the full applied state to the durable store now."""
@@ -309,41 +324,60 @@ class StateCommitter:
 # ---- recovery ----------------------------------------------------------------------
 
 
+def replay_state(
+    state,
+    plan: Callable[[EventBatch], ApplyPlan],
+    memory,
+    mailbox,
+    where: str,
+) -> Tuple[int, Dict[str, object]]:
+    """Rebuild *memory* / *mailbox* from a ``RecoveredState``: the one replay loop.
+
+    Loads the snapshot image (*where* names it in a mismatch error) or
+    resets the stores for a clean start, then writes every ``KIND_BATCH`` record of the committed suffix
+    through *plan* (the caller's event batch -> :class:`ApplyPlan` rule,
+    the same one its live commits use) and :func:`apply_plan`.  Every
+    logged batch passed :func:`stage_checked` before it was logged, so
+    all of them replay.  Returns the number of batches replayed and the
+    high-water mark of every meta key (snapshot meta first, then each
+    replayed record's: ``watermark``, ``seq``, ``epoch``).
+    """
+    if state.snapshot_arrays is not None:
+        load_state_image(state.snapshot_arrays, memory, mailbox, where)
+    else:
+        memory.reset()
+        if mailbox is not None:
+            mailbox.reset()
+    marks = dict(state.snapshot_meta)
+    replayed = 0
+    for record in state.records:
+        if record.kind != KIND_BATCH:
+            continue
+        apply_plan(plan(EventBatch.from_arrays(record.arrays)), memory, mailbox)
+        for key, value in record.meta.items():
+            marks[key] = max(marks.get(key, value), value)
+        replayed += 1
+    return replayed, marks
+
+
 def recover_serve_state(store, memory, mailbox=None) -> Dict[str, object]:
     """Rebuild memory/mailbox from a durable store after a crash.
 
-    Loads the newest intact snapshot (or resets the stores for a clean
-    start), then replays the committed, non-aborted ``KIND_BATCH`` suffix
-    through the same :func:`stage_updates` -> :func:`plan_updates` ->
-    :func:`apply_plan` path live commits use — so the recovered state is
+    :func:`replay_state` under the single runtime's plan — the whole
+    node space, no ownership filter — so the recovered state is
     bit-identical to a clean replay of the committed log prefix.
     Idempotent: recovering the same directory twice yields the same
     state.
     """
     state = store.recover()
-    if state.snapshot_arrays is not None:
-        load_state_image(state.snapshot_arrays, memory, mailbox, "serve snapshot")
-    else:
-        memory.reset()
-        if mailbox is not None:
-            mailbox.reset()
-    watermark = float(state.snapshot_meta.get("watermark", -np.inf))
-    replayed = 0
-    for record in state.records:
-        if record.kind != KIND_BATCH:
-            continue
-        batch = EventBatch.from_arrays(record.arrays)
-        if not len(batch):
-            continue
-        apply_plan(
-            plan_updates(*stage_updates(batch, memory.dim)), memory, mailbox
-        )
-        watermark = max(watermark, float(record.meta.get("watermark", batch.ts.max())))
-        replayed += 1
+    replayed, marks = replay_state(
+        state,
+        lambda batch: plan_updates(*stage_updates(batch, memory.dim)),
+        memory, mailbox, "serve snapshot",
+    )
     return {
         "batches_replayed": replayed,
-        "aborted_skipped": state.aborted,
-        "watermark": watermark,
+        "watermark": float(marks.get("watermark", -np.inf)),
         "snapshot_lsn": state.snapshot_lsn,
         "last_lsn": state.last_lsn,
     }

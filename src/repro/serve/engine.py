@@ -28,10 +28,11 @@ deployment implements the small seam below (``_before_request``,
 feature-store fetch hooks only the single runtime overrides).
 :class:`~repro.serve.runtime.ServeRuntime` (state in this process) and
 :class:`~repro.cluster.coordinator.ServeCluster` (state sharded over
-replica groups) are the two backends.  Their *commit* algorithms stay
-separate implementations on purpose — apply-validate-rollback vs.
-validate-then-quorum-ship share no step that would not branch on its
-caller.
+replica groups) are the two backends.  Both commit by the same rule —
+:func:`~repro.serve.commit.stage_checked`, then log, then write — and
+differ only in where the log and the tables live (one store and one pair
+of tables here; quorum-shipped to every member of each touched replica
+group there).
 
 Everything observable lands in the shared :class:`TContext`:
 ``serve:*`` counters (admitted/shed/quarantined/degraded/partial),

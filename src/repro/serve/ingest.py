@@ -144,12 +144,11 @@ class IngestPipeline:
     def quarantine_batch(self, batch: EventBatch, detail: str = "") -> None:
         """Quarantine every event of an already-released batch.
 
-        Used by the state committer when a poisoned batch fails
-        validation after application and is rolled back: the events are
-        accounted for as ``POISONED_BATCH`` rejects rather than silently
-        vanishing from the ledger — *moved* out of ``accepted`` /
-        ``released``, so every pushed event still sits in exactly one
-        ledger column.
+        Used by the commit step when a poisoned batch fails the
+        staged-row check and is refused: the events are accounted for as
+        ``POISONED_BATCH`` rejects rather than silently vanishing from
+        the ledger — *moved* out of ``accepted`` / ``released``, so every
+        pushed event still sits in exactly one ledger column.
         """
         self.stats.accepted -= len(batch)
         self.stats.released -= len(batch)

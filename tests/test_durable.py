@@ -31,6 +31,7 @@ from repro.durable import (
     list_snapshots,
     load_latest,
     prune_snapshots,
+    read_batch_suffix,
     write_snapshot,
 )
 from repro.durable.wal import _HEADER_SIZE
@@ -345,18 +346,25 @@ class TestSnapshots:
 
 
 class TestDurableStateStore:
-    def test_abort_filters_rolled_back_records(self, tmp_path):
-        with DurableStateStore(str(tmp_path / "s"), fsync="never") as store:
-            keep = store.log_batch({"x": np.arange(3)}, {"tag": "keep"})
-            bad = store.log_batch({"x": np.arange(9)}, {"tag": "bad"})
-            store.log_abort(bad, "validation failed")
-            store.log_marker("note", {"why": "test"})
-            state = store.recover()
-        assert [r.meta.get("tag") for r in state.records if r.kind == KIND_BATCH] \
-            == ["keep"]
-        assert state.aborted == 1
-        assert any(r.kind == KIND_MARKER for r in state.records)
-        assert state.records[0].lsn == keep
+    def test_log_of_the_retired_abort_protocol_is_refused(self, tmp_path):
+        """Record kind 2 (the old protocol's abort) is neither replayed,
+        skipped, nor taken for the torn tail: every reader raises, naming
+        the LSN and the directory."""
+        d = str(tmp_path / "s")
+        with DurableStateStore(d, fsync="never") as store:
+            store.log_batch({"x": np.arange(3)}, {"seq": 0})
+            store.log_batch({"x": np.arange(9)}, {"seq": 1})
+            store.wal.append(encode_payload(2, {"target": 2, "reason": "old"}, {}))
+            store.log_batch({"x": np.arange(5)}, {"seq": 2})
+            readers = (
+                store.recover,
+                lambda: read_batch_suffix(d, -1),
+                WALCursor(d, name="learner").poll,
+            )
+            for read in readers:
+                with pytest.raises(RuntimeError, match="lsn 3 in .*kind 2") as err:
+                    read()
+                assert store.directory in str(err.value)
 
     def test_snapshot_anchors_recovery_and_compacts(self, tmp_path):
         d = str(tmp_path / "s")
@@ -471,9 +479,10 @@ class TestServeDurability:
         assert rt2._recovery["batches_replayed"] == 3
         rt2.close()
 
-    def test_poisoned_batch_aborted_not_reapplied(self, tmp_path):
-        """A batch rolled back by validation gets an abort record, so
-        recovery skips it: recovered state equals the live state."""
+    def test_poisoned_batch_not_logged_not_reapplied(self, tmp_path):
+        """A batch refused by the staged-row check never reaches the log,
+        so recovery has nothing to skip: recovered state equals the live
+        state."""
         g = _serve_graph()
         stream = build_stream(N_NODES, 150, payload_dim=DIM, seed=3)
         d = str(tmp_path / "dur")
@@ -483,12 +492,15 @@ class TestServeDurability:
             for b in split_batches(stream, 30):
                 rt.submit(b)
                 rt.step()
+        stats = rt.stats()
         rt.close()
         assert rt.committer.stats.rollbacks == 1
+        # the gap: five batches committed, four records logged
+        assert stats["commit:batches"] == 5 and stats["durable:wal:last_lsn"] == 4
         live = _serve_state(mem, mailbox)
         rt2, mem2, mailbox2 = _serve_runtime(g, d, recover=True)
         _assert_states_equal(live, _serve_state(mem2, mailbox2))
-        assert rt2._recovery["aborted_skipped"] == 1
+        assert rt2._recovery["batches_replayed"] == 4
         rt2.close()
 
     def test_recovery_is_idempotent(self, tmp_path):
@@ -515,7 +527,7 @@ def _marker_payload(i):
 
 
 class TestWALCursorTailing:
-    def test_live_tail_is_monotonic_gap_free_with_holdback(self, tmp_path):
+    def test_live_tail_is_monotonic_gap_free(self, tmp_path):
         d = str(tmp_path / "wal")
         with WriteAheadLog(d, fsync="never") as wal:
             cursor = WALCursor(d, name="tail")
@@ -523,26 +535,10 @@ class TestWALCursorTailing:
             for i in range(6):
                 wal.append(_marker_payload(i))
                 seen.extend(r.lsn for r in cursor.poll())
-                # the newest committed record is held back for abort lag
-                assert seen == list(range(1, i + 1))
-            seen.extend(r.lsn for r in cursor.poll(final=True))
+                # the newest committed record is delivered at once
+                assert seen == list(range(1, i + 2))
         assert seen == [1, 2, 3, 4, 5, 6]
-        assert cursor.poll(final=True) == []  # exactly once, ever
-
-    def test_aborted_batch_is_never_delivered(self, tmp_path):
-        d = str(tmp_path / "s")
-        with DurableStateStore(d, fsync="never") as store:
-            cursor = WALCursor(d, name="learner")
-            store.log_batch({"x": np.arange(3)}, {"tag": "keep"})
-            bad = store.log_batch({"x": np.arange(9)}, {"tag": "poisoned"})
-            store.log_abort(bad, "validation failed")
-            # the abort is itself the newest (held-back) record, yet it
-            # still vetoes its now-deliverable target
-            out = cursor.poll()
-            assert [r.meta.get("tag") for r in out] == ["keep"]
-            store.log_marker("epoch", {})
-            out = cursor.poll(final=True)
-            assert [r.kind for r in out] == [KIND_MARKER]
+        assert cursor.poll() == []  # exactly once, ever
 
     def test_restarted_cursor_resumes_without_redelivery(self, tmp_path):
         d = str(tmp_path / "wal")
@@ -550,10 +546,12 @@ class TestWALCursorTailing:
             for i in range(5):
                 wal.append(_marker_payload(i))
         c1 = WALCursor(d, name="tail")
-        assert [r.lsn for r in c1.poll()] == [1, 2, 3, 4]  # lsn 5 held back
+        assert [r.lsn for r in c1.poll()] == [1, 2, 3, 4, 5]
+        with WriteAheadLog(d, fsync="never") as wal:
+            wal.append(_marker_payload(5))
         c2 = WALCursor(d, name="tail")  # reader process restart
-        assert [r.lsn for r in c2.poll(final=True)] == [5]
-        assert WALCursor(d, name="tail").poll(final=True) == []
+        assert [r.lsn for r in c2.poll()] == [6]
+        assert WALCursor(d, name="tail").poll() == []
 
     def test_torn_cursor_state_only_costs_redelivery(self, tmp_path):
         d = str(tmp_path / "wal")
@@ -561,11 +559,11 @@ class TestWALCursorTailing:
             for i in range(3):
                 wal.append(_marker_payload(i))
         c1 = WALCursor(d, name="tail")
-        c1.poll(final=True)
+        c1.poll()
         with open(c1.state_path, "w") as fh:
             fh.write("{torn")
         c2 = WALCursor(d, name="tail")
-        assert [r.lsn for r in c2.poll(final=True)] == [1, 2, 3]
+        assert [r.lsn for r in c2.poll()] == [1, 2, 3]
 
     def test_flipped_write_stops_the_tail_at_the_damage(self, tmp_path):
         d = str(tmp_path / "wal")
@@ -578,7 +576,7 @@ class TestWALCursorTailing:
                 inj.advance(0, b)
                 wal.append(_marker_payload(b))
                 delivered.extend(cursor.poll())
-            delivered.extend(cursor.poll(final=True))
+            delivered.extend(cursor.poll())
             wal.close()
         # record 3 was silently flipped on write; 4-5 sit past the
         # corruption.  The tail is exactly the committed prefix: never a
@@ -599,14 +597,14 @@ class TestWALCursorTailing:
             with pytest.raises(SimulatedDiskCrash):
                 wal.append(_marker_payload(2))
             # torn bytes are on disk; the tail must not observe them
-            assert [r.lsn for r in cursor.poll(final=True)] == [1, 2]
+            assert [r.lsn for r in cursor.poll()] == [1, 2]
             wal.close()
         # the restarted writer truncates the torn tail and reuses lsn 3;
         # the cursor's delivered history (1-2) is untouched, so it keeps
         # tailing seamlessly
         with WriteAheadLog(d, fsync="never") as wal:
             wal.append(_marker_payload(99))
-        out = cursor.poll(final=True)
+        out = cursor.poll()
         assert [(r.lsn, r.meta["i"]) for r in out] == [(3, 99)]
 
     def test_transient_read_corruption_defers_never_corrupts(self, tmp_path):
@@ -618,8 +616,8 @@ class TestWALCursorTailing:
         inj = FaultInjector(seed=25, disk_flip_read_batches=[(0, 0)])
         with inj:
             inj.advance(0, 0)
-            first = cursor.poll(final=True)  # corrupted read: short prefix
-        later = cursor.poll(final=True)  # media was fine: the rest arrives
+            first = cursor.poll()  # corrupted read: short prefix
+        later = cursor.poll()  # media was fine: the rest arrives
         assert [r.lsn for r in first + later] == [1, 2, 3]
         assert [r.meta["i"] for r in first + later] == [0, 1, 2]
 
@@ -631,7 +629,7 @@ class TestWALCursorTailing:
         wal.append(_marker_payload(1))
         wal.close()
         cursor = WALCursor(d, name="tail")
-        assert [r.lsn for r in cursor.poll(final=True)] == [1, 2]
+        assert [r.lsn for r in cursor.poll()] == [1, 2]
         # lost-fsync crash: record 2's bytes never reached the platter...
         seg = os.path.join(d, "wal-00000001.log")
         with open(seg, "r+b") as fh:
@@ -643,7 +641,7 @@ class TestWALCursorTailing:
             cursor.poll()
         # reset redelivers the surviving history; the caller owns dedup
         cursor.reset()
-        out = cursor.poll(final=True)
+        out = cursor.poll()
         assert [(r.lsn, r.meta["i"]) for r in out] == [(1, 0), (2, 7)]
 
     def test_vanished_record_raises(self, tmp_path):
@@ -654,7 +652,7 @@ class TestWALCursorTailing:
         wal.append(_marker_payload(1))
         wal.close()
         cursor = WALCursor(d, name="tail")
-        assert [r.lsn for r in cursor.poll(final=True)] == [1, 2]
+        assert [r.lsn for r in cursor.poll()] == [1, 2]
         with open(os.path.join(d, "wal-00000001.log"), "r+b") as fh:
             fh.truncate(durable_end)
         with pytest.raises(CursorInvalidated, match="no longer exists"):
@@ -666,11 +664,11 @@ class TestWALCursorTailing:
             for i in range(3):
                 wal.append(_marker_payload(i))
             cursor = WALCursor(d, name="slow")
-            assert [r.lsn for r in cursor.poll()] == [1, 2]
+            assert [r.lsn for r in cursor.poll()] == [1, 2, 3]
             for i in range(3, 12):
                 wal.append(_marker_payload(i))
             sealed_last = wal._segments[-2].last_lsn
-            assert sealed_last > 2
+            assert sealed_last > 3
             assert wal.compact_below(sealed_last + 1) >= 1
             with pytest.raises(CursorInvalidated, match="compacted past"):
                 cursor.poll()

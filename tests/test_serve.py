@@ -2,7 +2,7 @@
 
 Covers the hardened-ingestion contract (validation, quarantine reasons,
 idempotent dedup, watermark reordering), admission control and load
-shedding, the deadline degradation ladder, atomic snapshot-rollback
+shedding, the deadline degradation ladder, atomic check-then-log-then-write
 commits, the poisoned-stream equivalence guarantee, and chaos runs under
 `resilience.FaultInjector`.
 """
@@ -241,6 +241,16 @@ class TestDegradationLadder:
 
 
 class TestStateCommitter:
+    @pytest.fixture(autouse=True)
+    def _no_whole_table_work(self, monkeypatch):
+        """A commit is O(batch): it neither copies nor scans a whole table."""
+        def whole_table(self, *args, **kwargs):
+            raise AssertionError("whole-table copy/scan on the commit path")
+
+        for cls in (Memory, Mailbox):
+            for name in ("backup", "restore", "validate"):
+                monkeypatch.setattr(cls, name, whole_table)
+
     def test_commit_applies_and_advances_watermark(self):
         mem, mb = Memory(N, DIM), Mailbox(N, DIM)
         c = StateCommitter(mem, mailbox=mb)
@@ -436,20 +446,21 @@ class TestChaos:
         assert np.isfinite(rt.memory.data.data).all()
 
     @pytest.mark.parametrize("backend", ["runtime", "cluster"])
-    def test_ledger_balances_after_poison_rollback(self, backend):
-        """A rolled-back batch moves ledger columns, it is not counted twice."""
+    def test_ledger_balances_after_poison_rollback(self, backend, tmp_path):
+        """A refused batch moves ledger columns, it is not counted twice —
+        and it never reaches a log, so recovery reproduces the live state."""
         stream = build_stream(N, 400, payload_dim=DIM, seed=11)
         inj = FaultInjector(seed=12, serve_poison_batches=[(0, 3), (0, 9)])
         if backend == "runtime":
-            rt = _runtime(stream, injector=inj)
+            rt = _runtime(stream, injector=inj, durable_dir=str(tmp_path))
         else:
             from repro.cluster import ClusterConfig, ServeCluster
 
             g = TGraph(stream.src, stream.dst, stream.ts, num_nodes=N)
             rt = ServeCluster(
                 g, tg.TContext(g), TSampler(10, seed=3), DIM,
-                config=ClusterConfig(num_shards=2), injector=inj,
-                deadline=1.0, max_queue=1 << 30,
+                config=ClusterConfig(num_shards=2, durable_root=str(tmp_path)),
+                injector=inj, deadline=1.0, max_queue=1 << 30,
             )
         with inj, rt:
             replay(rt, split_batches(stream, 20), load=1.0)
@@ -459,6 +470,26 @@ class TestChaos:
             assert st.pushed == st.accepted + st.duplicates + st.quarantined_total
             assert st.buffered >= 0
             assert st.released == st.accepted - st.buffered == 400 - rolled_back
+
+            members = [rt] if backend == "runtime" else [
+                rep for group in rt.groups for rep in group.members
+            ]
+            poisoned = {q.eid for q in rt.ingest.quarantine
+                        if q.reason == RejectReason.POISONED_BATCH}
+            logged = {int(e) for m in members for rec in m.store.recover().records
+                      for e in rec.arrays["eids"]}
+            assert len(poisoned) == rolled_back and len(logged) == st.released
+            assert not logged & poisoned
+            live = [(m.memory.state_digest(), m.mailbox.state_digest())
+                    for m in members]
+            if backend == "cluster":
+                for rep in members:
+                    rep.respawn()
+        if backend == "runtime":
+            members = [_runtime(stream, durable_dir=str(tmp_path), recover=True)]
+            members[0].close()
+        assert live == [(m.memory.state_digest(), m.mailbox.state_digest())
+                        for m in members]
 
     def test_chaos_at_16x_overload(self):
         stream = build_stream(N, 400, payload_dim=DIM, seed=13)
