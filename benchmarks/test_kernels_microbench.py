@@ -18,7 +18,11 @@ The autograd / node-keyed rows use ``tests/reference.py`` as the
 reference: a slice's backward (assignment vs ``np.add.at``), the gradient
 scatter-add kernel vs ``np.add.at``, and TGN's memory update at the
 ``train_tgn_plain`` tail shape (83 252 rows over 549 nodes), per row vs
-per unique node (>= 2x on the slice and memory-update rows).
+per unique node (>= 2x on the slice and memory-update rows); and temporal
+attention at the ``train_tgat_opt`` tail shape (22 000 source rows of 172
+node + 172 edge + 32 time columns over 2 300 destinations), forward +
+backward, as the composed concat-and-tape reference vs the fused
+``segment_attention`` with dense and with keyed parts (>= 1.5x each).
 """
 
 import hashlib
@@ -43,12 +47,17 @@ from repro.core.kernels import (
 )
 from repro.integrity import ChunkedDigest, canonical_bytes
 from repro.models import TGN
-from repro.tensor.segment import _scatter_add
+from repro.nn import Linear
+from repro.tensor.segment import _scatter_add, segment_attention
 
 from conftest import report_table
 
 sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
-from reference import per_row_update_memory, scatter_add_reference  # noqa: E402
+from reference import (  # noqa: E402
+    composed_attention,
+    per_row_update_memory,
+    scatter_add_reference,
+)
 
 NUM_NODES = 5000
 NUM_EDGES = 100_000
@@ -228,6 +237,38 @@ def test_kernel_microbench():
     vec = timeit(lambda: update(TGN.update_memory), repeat=7)
     record("tgn_update_memory", ref, vec, "83252 rows / 549 nodes, d=32")
 
+    # -- temporal attention: composed tape vs the fused op, forward + backward ----
+    num_src, num_dst, heads = 22_000, 2_300, 2
+    dstindex = np.sort(rng.integers(0, num_dst, num_src))
+    randn = lambda *shape: rng.standard_normal(shape).astype(np.float32)  # noqa: E731
+    node_rows, node_index = T.Tensor(randn(500, 172)), rng.integers(0, 500, num_src)
+    edge_rows, edge_index = T.Tensor(randn(5_000, 172)), rng.integers(0, 5_000, num_src)
+    tfeat = T.Tensor(randn(num_src, 32), requires_grad=True)
+    q = T.Tensor(randn(num_dst, 32), requires_grad=True)
+    w_k, w_v = Linear(376, 32), Linear(376, 32)
+    dense = [T.Tensor(node_rows.data[node_index]), T.Tensor(edge_rows.data[edge_index]), tfeat]
+    keyed = [(node_rows, node_index), (edge_rows, edge_index), tfeat]
+
+    def attention_step(fn, parts):
+        for leaf in (q, tfeat, *w_k.parameters(), *w_v.parameters()):
+            leaf.grad = None
+        out = fn(parts)
+        out.sum().backward()
+        return out.numpy(), w_v.weight.grad
+
+    composed = lambda parts: composed_attention(  # noqa: E731
+        q, parts, w_k, w_v, dstindex, num_dst, heads)
+    fused = lambda parts: segment_attention(  # noqa: E731
+        q, parts, w_k.weight, w_k.bias, w_v.weight, w_v.bias, dstindex, num_dst, heads)
+    want_out, want_grad = attention_step(composed, dense)
+    ref = timeit(lambda: attention_step(composed, dense))
+    for name, parts in [("segment_attention_dense", dense), ("segment_attention_keyed", keyed)]:
+        out, grad = attention_step(fused, parts)
+        np.testing.assert_allclose(out, want_out, atol=1e-4)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-3, atol=1e-3)
+        record(name, ref, timeit(lambda: attention_step(fused, parts), repeat=7),
+               "22000 x 376 over 2300 dst, fwd+bwd")
+
     report_table(
         f"Kernel microbenchmark: loop reference vs vectorized "
         f"({NUM_EDGES // 1000}k edges, {NUM_QUERIES // 1000}k queries, k={K})",
@@ -245,3 +286,7 @@ def test_kernel_microbench():
     # and node-keyed state is updated per node, not per row.
     assert speedups["slice_backward"] >= 2.0
     assert speedups["tgn_update_memory"] >= 2.0
+    # One fused attention node instead of a concat and ~25 tape nodes
+    # (measured ~2.5x dense, ~3.5x keyed here).
+    assert speedups["segment_attention_dense"] >= 1.5
+    assert speedups["segment_attention_keyed"] >= 1.5

@@ -6,9 +6,12 @@ measures exactly that: bytes moved per training slice, and what fraction
 travelled through the pinned path, for each framework setting.  The cost
 model is disabled so the numbers are pure accounting.
 
-Expected shape: TGL moves the most bytes (eager per-hop MFG loads) and
-pins none; TGLite moves less and pins nearly everything; TGLite+opt moves
-the least (dedup shrinks every gather downstream).
+Expected shape: TGL moves the most bytes (eager per-row MFG loads) and
+pins none; TGLite fetches each distinct node / edge row once per block, so
+it moves an order of magnitude less, nearly all of it pinned; TGLite+opt
+moves no more than that — dedup shrinks the per-row destination gather,
+but the set of distinct rows a batch touches is the same with or without
+it (TGN, which reads nothing per row, moves identical bytes).
 """
 
 import pytest
@@ -71,5 +74,5 @@ def test_transfer_accounting(benchmark):
         # TGL never pins; TGLite pins the bulk of its traffic.
         assert tgl["pinned_fraction"] == 0.0
         assert lite["pinned_fraction"] > 0.6
-        # dedup shrinks total volume below the unoptimized settings.
-        assert opt["mb"] < lite["mb"] <= tgl["mb"] * 1.05
+        # dedup never adds volume; per-unique fetches put both far below TGL.
+        assert opt["mb"] <= lite["mb"] < tgl["mb"] / 5

@@ -85,7 +85,7 @@ def _tglite_epoch(exp: Experiment, stop: int, bd: Breakdown) -> None:
                 if model.opt.preload:
                     store_ops.preload(head, use_pin=model.opt.pin_memory)
                 tail.dstdata["h"] = tail.dstfeat()
-                tail.srcdata["h"] = tail.srcfeat()
+                tail.srcdata["h"] = tail.uniq_srcfeat()
             with bd.section("attention"):
                 embeds = tgop.aggregate(head, list(model.attn_layers), key="h")
             with bd.section("pred_loss"):

@@ -19,7 +19,11 @@ Blocks also cache gathered feature/memory/mail tensors so repeated access
 does not pay data-movement costs twice.  Row-keyed data (``dstfeat`` /
 ``srcfeat`` / ``efeat`` / ``nfeat``) comes back one row per block row;
 node-keyed state (``mem_data`` / ``mail`` / ``mem_ts`` / ``mail_ts``) one
-row per unique node, aligned with :meth:`TBlock.uniq_nodes`.
+row per unique node, aligned with :meth:`TBlock.uniq_nodes`.  The keyed
+accessors ``uniq_srcfeat`` / ``uniq_efeat`` return the source-side features
+once per unique source node / edge together with each row's index into
+them — the ``(rows, index)`` form :func:`~repro.core.op.edge_attention`
+projects without expanding.
 """
 
 from __future__ import annotations
@@ -84,6 +88,7 @@ class TBlock:
         self._cache: Dict[str, Tensor] = {}
         self._uniq_src: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._uniq_nodes: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._uniq_eids: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ---- structure ---------------------------------------------------------------
 
@@ -188,8 +193,9 @@ class TBlock:
         self.eids = np.asarray(eids, dtype=np.int64)
         self.etimes = np.asarray(etimes, dtype=np.float64)
         self.dstindex = np.asarray(dstindex, dtype=np.int64)
-        self._uniq_src = self._uniq_nodes = None
-        self._invalidate("srcfeat", "efeat", "allfeat", "mem", "mail")
+        self._uniq_src = self._uniq_nodes = self._uniq_eids = None
+        self._invalidate("srcfeat", "efeat", "allfeat", "mem", "mail",
+                         "uniq_srcfeat", "uniq_efeat")
         self.srcdata.clear()
         self.edata.clear()
 
@@ -226,6 +232,15 @@ class TBlock:
             self._uniq_src = (uniq, inverse.astype(np.int64))
         return self._uniq_src
 
+    def uniq_eids(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Unique sampled edge ids and the inverse mapping of each src row."""
+        if not self.has_nbrs:
+            raise RuntimeError("block has no neighbors")
+        if self._uniq_eids is None:
+            uniq, inverse = np.unique(self.eids, return_inverse=True)
+            self._uniq_eids = (uniq, inverse.astype(np.int64))
+        return self._uniq_eids
+
     def uniq_nodes(self) -> Tuple[np.ndarray, np.ndarray]:
         """Sorted unique ids of :meth:`allnodes` and each row's index into them."""
         if self._uniq_nodes is None:
@@ -260,7 +275,7 @@ class TBlock:
     def clear_cache(self) -> None:
         """Flush cached feature/memory tensors; they reload lazily when needed."""
         self._cache.clear()
-        self._uniq_src = self._uniq_nodes = None
+        self._uniq_src = self._uniq_nodes = self._uniq_eids = None
 
     def _gather(self, store: Tensor, idx: np.ndarray, pin: bool = False) -> Tensor:
         """Gather rows from a (possibly host-resident) store onto ctx.device."""
@@ -312,6 +327,20 @@ class TBlock:
         if not self.has_nbrs:
             raise RuntimeError("block has no neighbors")
         return self._cached("efeat", lambda: self._gather(self.g.efeat, self.eids, pin))
+
+    def uniq_srcfeat(self, pin: bool = False) -> Tuple[Tensor, np.ndarray]:
+        """Node features of :meth:`uniq_src` (cached) and each src row's index into them."""
+        if self.g.nfeat is None:
+            raise RuntimeError("graph has no node features")
+        uniq, inverse = self.uniq_src()
+        return self._cached("uniq_srcfeat", lambda: self._gather(self.g.nfeat, uniq, pin)), inverse
+
+    def uniq_efeat(self, pin: bool = False) -> Tuple[Tensor, np.ndarray]:
+        """Edge features of :meth:`uniq_eids` (cached) and each src row's index into them."""
+        if self.g.efeat is None:
+            raise RuntimeError("graph has no edge features")
+        uniq, inverse = self.uniq_eids()
+        return self._cached("uniq_efeat", lambda: self._gather(self.g.efeat, uniq, pin)), inverse
 
     def nfeat(self, pin: bool = False) -> Tensor:
         """Node features for :meth:`allnodes` (dst rows then src rows)."""

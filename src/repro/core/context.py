@@ -242,10 +242,12 @@ class TContext:
     # ---- precomputed time tables --------------------------------------------------------
 
     def time_table(self, encoder_id: int) -> dict:
-        """Scratch dict for one TimeEncode module's precomputed vectors."""
+        """Scratch dict for one TimeEncode module's precomputed vectors:
+        the encoder ``version`` it was built at, the dense ``rows`` indexed
+        by quantised-delta bucket and which of them are ``filled``."""
         table = self._time_tables.get(encoder_id)
         if table is None:
-            table = {"version": None, "values": None, "rows": None}
+            table = {"version": None, "rows": None, "filled": None}
             self._time_tables[encoder_id] = table
         return table
 

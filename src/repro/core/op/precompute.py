@@ -6,18 +6,26 @@ highly repetitive distribution of neighbor deltas.  These operators
 precompute time vectors and reuse them:
 
 * :func:`precomputed_zeros` — specialized for the all-zeros delta case;
-* :func:`precomputed_times` — general table of delta -> time vector.
+* :func:`precomputed_times` — each distinct delta encoded once.
 
 Both are *semantic-preserving only while the encoder weights are fixed*, so
 in training mode they transparently fall back to the differentiable encoder
-(matching the paper's models, which enable them during inference).  The
-tables key on the encoder's version counter and rebuild after any weight
-update.
+(matching the paper's models, which enable them during inference).  What is
+kept between calls keys on the encoder's version counter and is rebuilt
+after any weight update.
+
+``precomputed_times`` is vectorised and bounded.  Raw float deltas rarely
+repeat *across* calls, so exact deltas are only deduplicated *within* a
+call (``np.unique`` -> encode -> gather), and only when the call repeats
+itself enough for the gather to pay; otherwise they go straight through the
+encoder.  A table that persists across calls exists only for quantised
+deltas (``ctx.time_window > 0``), where the key is a small integer bucket:
+a dense row array indexed by bucket, capped at :data:`TABLE_BUCKETS` rows,
+with out-of-range buckets encoded directly.  Every path returns exactly
+``encoder.encode_raw`` of the (quantised) deltas.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -26,6 +34,14 @@ from ...tensor import Tensor
 from ..context import TContext
 
 __all__ = ["precomputed_zeros", "precomputed_times"]
+
+#: within-call dedup engages when distinct deltas are at most 1/UNIQUE_PAYS
+#: of the call: the gather of ``dim``-wide rows costs 0.1-0.25 of an encode
+#: (more at small ``dim``), so at half the rows it pays at every width.
+UNIQUE_PAYS = 2
+#: cap on the quantised table: buckets ``[0, TABLE_BUCKETS)`` are kept (as
+#: float32 they are exact integers), anything else is encoded per call.
+TABLE_BUCKETS = 1 << 16
 
 
 def precomputed_zeros(ctx: TContext, encoder: TimeEncode, n: int) -> Tensor:
@@ -45,12 +61,12 @@ def precomputed_zeros(ctx: TContext, encoder: TimeEncode, n: int) -> Tensor:
 
 
 def precomputed_times(ctx: TContext, encoder: TimeEncode, deltas: np.ndarray) -> Tensor:
-    """Time vectors for *deltas*, reusing a per-encoder lookup table.
+    """Time vectors for *deltas*, encoding each distinct delta once.
 
     Args:
-        ctx: context owning the tables (``ctx.time_window`` > 0 quantizes
-            deltas to that resolution before lookup, trading a bounded
-            approximation for a higher hit rate; 0 matches exactly).
+        ctx: context owning the table (``ctx.time_window`` > 0 quantizes
+            deltas to that resolution first, trading a bounded
+            approximation for reuse across calls; 0 matches exactly).
         encoder: the TimeEncode module.
         deltas: float array of time deltas.
 
@@ -59,28 +75,34 @@ def precomputed_times(ctx: TContext, encoder: TimeEncode, deltas: np.ndarray) ->
     deltas = np.asarray(deltas, dtype=np.float32).reshape(-1)
     if ctx.training:
         return encoder(Tensor(deltas, device=ctx.device))
-
     if ctx.time_window > 0:
-        deltas = np.round(deltas / ctx.time_window) * np.float32(ctx.time_window)
+        return Tensor(_quantised_rows(ctx, encoder, deltas), device=ctx.device)
+    uniq, inverse = np.unique(deltas, return_inverse=True)
+    if len(uniq) * UNIQUE_PAYS > len(deltas):
+        return Tensor(encoder.encode_raw(deltas), device=ctx.device)
+    return Tensor(encoder.encode_raw(uniq)[inverse], device=ctx.device)
 
+
+def _quantised_rows(ctx: TContext, encoder: TimeEncode, deltas: np.ndarray) -> np.ndarray:
+    """Rows for *deltas* rounded to ``ctx.time_window``, through the bucket table."""
+    window = np.float32(ctx.time_window)
+    buckets = np.round(deltas / ctx.time_window)  # float32, integer-valued
     table = ctx.time_table(id(encoder))
     if table["version"] != encoder.version:
         table["version"] = encoder.version
-        table["map"] = {}
-        table["rows"] = []
-
-    mapping = table["map"]
-    rows = table["rows"]
-    uniq, inverse = np.unique(deltas, return_inverse=True)
-    missing = [v for v in uniq if float(v) not in mapping]
-    if missing:
-        encoded = encoder.encode_raw(np.asarray(missing, dtype=np.float32))
-        for value, row in zip(missing, encoded):
-            mapping[float(value)] = len(rows)
-            rows.append(row)
-    indices = np.fromiter(
-        (mapping[float(v)] for v in uniq), count=len(uniq), dtype=np.int64
-    )
-    stacked = np.asarray(rows, dtype=np.float32)
-    out = stacked[indices][inverse]
-    return Tensor(out, device=ctx.device)
+        # Reserved, not touched: a row costs memory once its bucket is seen.
+        table["rows"] = np.empty((TABLE_BUCKETS, encoder.dim), dtype=np.float32)
+        table["filled"] = np.zeros(TABLE_BUCKETS, dtype=bool)
+    rows, filled = table["rows"], table["filled"]
+    # NaN and infinite deltas fail both comparisons and are encoded directly.
+    tabled = (buckets >= 0) & (buckets < TABLE_BUCKETS)
+    index = buckets[tabled].astype(np.int64)
+    missing = np.unique(index[~filled[index]])
+    rows[missing] = encoder.encode_raw(missing.astype(np.float32) * window)
+    filled[missing] = True
+    if tabled.all():
+        return rows[index]
+    out = np.empty((len(deltas), encoder.dim), dtype=np.float32)
+    out[tabled] = rows[index]
+    out[~tabled] = encoder.encode_raw(buckets[~tabled] * window)
+    return out

@@ -8,19 +8,28 @@ instead of via intricate batched-matmul/masked-softmax tensor manipulation
   each destination's neighbor group;
 * :func:`edge_reduce` — segmented reduction of per-source-row values into
   per-destination rows;
+* :func:`edge_attention` — the two above around a K/V projection, fused:
+  each destination's multi-head attention over its neighbor group;
 * :func:`src_scatter` — push-style reduction of per-source-row values onto
   the block's *unique source nodes* (used by APAN's mail propagation).
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Sequence
 
 from ...tensor import Tensor
-from ...tensor.segment import segment_max, segment_mean, segment_softmax, segment_sum
+from ...tensor.segment import (
+    Part,
+    segment_attention,
+    segment_max,
+    segment_mean,
+    segment_softmax,
+    segment_sum,
+)
 from ..block import TBlock
 
-__all__ = ["edge_softmax", "edge_reduce", "src_scatter"]
+__all__ = ["edge_softmax", "edge_reduce", "edge_attention", "src_scatter"]
 
 _REDUCERS = {"sum": segment_sum, "mean": segment_mean, "max": segment_max}
 
@@ -62,6 +71,31 @@ def edge_reduce(block: TBlock, values: Tensor, op: str = "sum") -> Tensor:
     if reducer is None:
         raise ValueError(f"unknown reduce op: {op!r}")
     return reducer(values, block.dstindex, block.num_dst)
+
+
+def edge_attention(block: TBlock, q: Tensor, parts: Sequence[Part], w_k, w_v,
+                   num_heads: int) -> Tensor:
+    """Each destination's multi-head attention over its neighbor group, fused.
+
+    Args:
+        block: a sampled block.
+        q: destination-aligned projected queries ``(num_dst, dim_out)``.
+        parts: what the keys and values are projected from, side by side:
+            source-row-aligned tensors ``(num_src, width)`` and/or keyed
+            ``(rows, index)`` pairs standing for ``rows[index]`` — e.g.
+            :meth:`TBlock.uniq_efeat` — which are projected once per row of
+            ``rows`` instead of once per source row.
+        w_k, w_v: the key / value ``Linear`` modules over the parts' combined
+            width (a part meets its column slice of their weights).
+        num_heads: attention heads.
+
+    Returns the destination-aligned aggregate ``(num_dst, dim_out)``; see
+    :func:`~repro.tensor.segment.segment_attention`.
+    """
+    if not block.has_nbrs:
+        raise RuntimeError("edge_attention requires a sampled block")
+    return segment_attention(q, parts, w_k.weight, w_k.bias, w_v.weight, w_v.bias,
+                             block.dstindex, block.num_dst, num_heads)
 
 
 def src_scatter(block: TBlock, values: Tensor, op: str = "mean") -> Tensor:

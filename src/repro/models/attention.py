@@ -1,16 +1,20 @@
 """Temporal multi-head attention layer over a TBlock (Eqs. 4-7).
 
-The layer expresses TGAT's temporal self-attention "edge-wise": per source
-row it computes an attention score against the row's destination query,
-normalizes with :func:`~repro.core.op.edge_softmax` within each
-destination's neighbor group, and reduces weighted values with
-:func:`~repro.core.op.edge_reduce` — the natural TBlock formulation the
-paper contrasts against batched-matmul/masked-softmax gymnastics.
+The layer expresses TGAT's temporal self-attention "edge-wise": it hands the
+destination queries and what keys and values are made of — neighbor
+embeddings, edge features, time encodings, side by side as *parts* — to
+:func:`~repro.core.op.edge_attention`, the fused block operator that scores
+every source row against its destination's query, normalizes within each
+destination's neighbor group and reduces the weighted values.  That is the
+natural TBlock formulation the paper contrasts against batched-matmul /
+masked-softmax gymnastics, and the same core the TGL baseline's
+:class:`~repro.tgl.models.attention.TGLAttnLayer` calls.  Parts are never
+concatenated; the ones that are a function of the source node or the edge
+(``srcdata['h']`` at the tail, ``TBlock.uniq_efeat()`` on every hop) are
+passed keyed, ``(rows, index)``, and projected once per unique row.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -78,40 +82,24 @@ class TemporalAttnLayer(Module):
         return self.time_encoder(Tensor(deltas.astype(np.float32), device=self.ctx.device))
 
     def forward(self, blk: TBlock) -> Tensor:
-        """Compute destination embeddings ``(num_dst, dim_out)`` for *blk*."""
+        """Compute destination embeddings ``(num_dst, dim_out)`` for *blk*.
+
+        ``blk.srcdata['h']`` is a source-row-aligned tensor or a keyed
+        ``(rows, index)`` pair.
+        """
         h_dst = blk.dstdata["h"]
         if blk.num_src == 0:
             # No temporal neighbors anywhere: output reduces to the FFN of
             # the destination features with a zero aggregate.
-            zeros = Tensor(
-                np.zeros((blk.num_dst, self.dim_out), dtype=np.float32),
-                device=self.ctx.device,
-            )
-            out = self.w_out(cat([zeros, h_dst], dim=1))
-            return self.layer_norm(self.dropout(out.relu()))
-
-        h_src = blk.srcdata["h"]
-        tfeat_dst = self._zero_time(blk.num_dst)  # Phi(0), Eq. (4)
-        tfeat_src = self._nbr_time(blk.time_deltas())  # Phi(t - t_j), Eq. (5)
-
-        zq = cat([h_dst, tfeat_dst], dim=1)
-        if blk.g.efeat is not None:
-            zk = cat([h_src, blk.efeat(), tfeat_src], dim=1)
+            reduced = Tensor(np.zeros((blk.num_dst, self.dim_out), dtype=np.float32),
+                             device=self.ctx.device)
         else:
-            zk = cat([h_src, tfeat_src], dim=1)
-
-        heads = self.num_heads
-        d_head = self.dim_out // heads
-        q = self.w_q(zq).reshape(blk.num_dst, heads, d_head)
-        k = self.w_k(zk).reshape(blk.num_src, heads, d_head)
-        v = self.w_v(zk).reshape(blk.num_src, heads, d_head)
-
-        # Edge-wise attention logits: dot(Q_dst, K_src) per head.
-        q_rows = q[blk.dstindex]  # (num_src, heads, d_head)
-        scores = (q_rows * k).sum(dim=2) * (1.0 / math.sqrt(d_head))
-        attn = tgop.edge_softmax(blk, scores)  # Eq. (6)
-        weighted = v * attn.unsqueeze(2)
-        reduced = tgop.edge_reduce(blk, weighted.reshape(blk.num_src, self.dim_out), op="sum")
-
+            parts = [blk.srcdata["h"]]
+            if blk.g.efeat is not None:
+                parts.append(blk.uniq_efeat())
+            parts.append(self._nbr_time(blk.time_deltas()))  # Phi(t - t_j), Eq. (5)
+            zq = cat([h_dst, self._zero_time(blk.num_dst)], dim=1)  # Phi(0), Eq. (4)
+            reduced = tgop.edge_attention(  # Eq. (6)
+                blk, self.w_q(zq), parts, self.w_k, self.w_v, self.num_heads)
         out = self.w_out(cat([reduced, h_dst], dim=1))  # Eq. (7)
         return self.layer_norm(self.dropout(out.relu()))

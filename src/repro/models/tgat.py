@@ -4,8 +4,9 @@ Mirrors the paper's Listing 2: the model iteratively creates a chain of
 TBlocks (one per layer), applies optimization operators to each block
 before sampling (``dedup``/``cache``), samples temporal neighbors,
 optionally preloads the chain's data through pinned memory, seeds the tail
-with raw node features, and runs pull-style ``aggregate`` through the
-temporal attention layers.
+with raw node features — the source side keyed, one row per unique source
+node — and runs pull-style ``aggregate`` through the temporal attention
+layers.
 """
 
 from __future__ import annotations
@@ -89,5 +90,5 @@ class TGAT(TGNNModel):
         if self.opt.preload:
             store_ops.preload(head, use_pin=self.opt.pin_memory)
         tail.dstdata["h"] = tail.dstfeat()
-        tail.srcdata["h"] = tail.srcfeat()
+        tail.srcdata["h"] = tail.uniq_srcfeat()
         return tgop.aggregate(head, list(self.attn_layers), key="h")

@@ -7,8 +7,9 @@ Mirrors the paper's Listing 4.  Per batch:
    *earlier* batches, avoiding information leakage) through a time-encoded
    GRU, once per *unique* node of the tail block (not per sampled row),
    persisting the new memory and returning it for embedding use;
-3. seed the tail with ``linear(features) + memory``, still per unique node
-   and expanded to block rows by one gather, and aggregate;
+3. seed the tail with ``linear(features) + memory``, still per unique node:
+   the source side is handed to the attention layer keyed, never expanded
+   to block rows, and aggregate;
 4. ``save_raw_msgs`` — build this batch's raw messages from current memory
    and edge features, ``coalesce`` to the latest message per node, and
    store them in the mailbox for the next batch.
@@ -143,11 +144,8 @@ class TGN(TGNNModel):
         h_uniq = self.update_memory(tail)
         if self.feat_linear is not None:
             h_uniq = self.feat_linear(self.fetch_rows(self.g.nfeat, uniq)) + h_uniq
-        # One gather expands per-node rows to block rows; its backward is the
-        # one scatter-add that sums each node's row gradients.
-        h_all = h_uniq[inverse]
-        tail.dstdata["h"] = h_all[: tail.num_dst]
-        tail.srcdata["h"] = h_all[tail.num_dst :]
+        tail.dstdata["h"] = h_uniq[inverse[: tail.num_dst]]
+        tail.srcdata["h"] = (h_uniq, inverse[tail.num_dst :])
         embeds = tgop.aggregate(head, list(self.attn_layers), key="h")
         self.save_raw_msgs(batch)
         return embeds

@@ -90,10 +90,11 @@ def preload(head, use_pin: bool = True):
     Walks the linked list from *head* to tail and stages each block's
     gathered host rows through the pinned pool before transfer, so the
     (simulated) DMA engine runs at pinned bandwidth.  Loaded tensors
-    land in each block's cache, making the subsequent accessor calls free:
-    ``efeat()`` on every hop, and on the tail either the per-row
-    ``dstfeat()`` / ``srcfeat()`` / ``nfeat()`` or — when the graph carries
-    memory — the per-unique-node ``mem_data()`` / ``mail()``.
+    land in each block's cache, making the subsequent accessor calls free.
+    Only what the models read is fetched, once per distinct row:
+    ``uniq_efeat()`` on every hop, and on the tail either ``dstfeat()`` +
+    ``uniq_srcfeat()`` or — when the graph carries memory — the
+    per-unique-node ``mem_data()`` / ``mail()``.
 
     Args:
         head: the first block of the chain (traversal follows ``next``).
@@ -106,17 +107,18 @@ def preload(head, use_pin: bool = True):
     while blk is not None:
         # Edge features feed the attention computation of every hop.
         if g.efeat is not None and blk.has_nbrs:
-            blk.efeat(pin=use_pin)
+            blk.uniq_efeat(pin=use_pin)
         if blk.next is None:
             # Only the tail block consumes raw node features / memory /
             # mail (inner hops receive computed embeddings from
             # aggregate()), so loading them elsewhere would only waste
             # transfer bandwidth.
             if g.nfeat is not None and g.mem is None:
-                # One combined gather covers dstfeat()/srcfeat()/nfeat().
                 # A memory model never reads them: it fetches node features,
                 # like memory and mail, once per unique node.
-                blk.nfeat(pin=use_pin)
+                blk.dstfeat(pin=use_pin)
+                if blk.has_nbrs:
+                    blk.uniq_srcfeat(pin=use_pin)
             if g.mem is not None:
                 blk.mem_data(pin=use_pin)
             if g.mailbox is not None:

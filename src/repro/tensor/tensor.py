@@ -118,6 +118,7 @@ class Tensor:
         "pinned",
         "_backward",
         "_prev",
+        "_grad_owned",
         "__weakref__",
     )
 
@@ -137,6 +138,7 @@ class Tensor:
         self.pinned = bool(pinned)
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._prev: Tuple["Tensor", ...] = ()
+        self._grad_owned = False
         if self.device.is_cuda and runtime.tracking(self.device):
             nbytes = self.data.nbytes
             runtime.allocate(self.device, nbytes)
@@ -270,6 +272,7 @@ class Tensor:
         out.pinned = self.pinned
         out._backward = None
         out._prev = ()
+        out._grad_owned = False
         return out
 
     def clone(self) -> "Tensor":
@@ -314,13 +317,23 @@ class Tensor:
     # ---- autograd engine -------------------------------------------------------
 
     def _accumulate(self, grad: np.ndarray, own: bool = False) -> None:
-        """Add *grad* into ``.grad``; ``own`` says the caller just allocated
-        *grad* and hands it over, so the first write adopts it uncopied."""
+        """Add *grad* into ``.grad`` without ever writing a buffer it does not own.
+
+        The first gradient is held by reference, not copied; ``own`` says the
+        caller just allocated *grad* and hands it over.  A borrowed buffer
+        (another tensor's gradient, a user's seed, a read-only broadcast
+        view) is only ever read: the next gradient is summed with it into a
+        fresh owned array, the same float32 sum ``+=`` would give.  Backward
+        closures and optimizers must likewise treat gradients as read-only.
+        """
+        if grad.dtype != self.data.dtype:
+            grad, own = grad.astype(self.data.dtype), True
         if self.grad is None:
-            adopt = own and grad.dtype == self.data.dtype
-            self.grad = grad if adopt else grad.astype(self.data.dtype, copy=True)
-        else:
+            self.grad, self._grad_owned = grad, own
+        elif self._grad_owned:
             self.grad += grad
+        else:
+            self.grad, self._grad_owned = self.grad + grad, True
 
     def backward(self, grad: Optional[Union["Tensor", np.ndarray]] = None) -> None:
         """Run reverse-mode autodiff from this tensor.

@@ -1,23 +1,23 @@
 """TGL's temporal attention layer over a sparse MFG.
 
-Computationally equivalent to TGLite's
-:class:`~repro.models.attention.TemporalAttnLayer` — both frameworks run
-the same math, as the paper's near-parity baseline comparison requires —
-but structured TGL-style: it consumes an MFG's string-keyed ``srcdata``
-(rows for seeds followed by neighbor rows), uses the *fused* time deltas
-the sampler precomputed, and always encodes time through the module (TGL
-has no precompute operators to swap in).
+Computes exactly what TGLite's
+:class:`~repro.models.attention.TemporalAttnLayer` computes — both call the
+one fused core, :func:`~repro.tensor.segment.segment_attention`, as the
+paper's near-parity baseline comparison requires — but structured
+TGL-style: it consumes an MFG's string-keyed ``srcdata`` (rows for seeds
+followed by neighbor rows) and per-row ``edata``, so every part it passes
+is dense (an MFG has no per-unique accessors); it uses the *fused* time
+deltas the sampler precomputed, and always encodes time through the module
+(TGL has no precompute operators to swap in).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from ...nn import Dropout, LayerNorm, Linear, Module, TimeEncode
 from ...tensor import Tensor, cat
-from ...tensor.segment import segment_softmax, segment_sum
+from ...tensor.segment import segment_attention
 from ..mfg import MFG
 
 __all__ = ["TGLAttnLayer"]
@@ -54,34 +54,18 @@ class TGLAttnLayer(Module):
         h_all = mfg.srcdata["h"]
         h_dst = h_all[:n]
         if mfg.num_src == 0:
-            zeros = Tensor(
-                np.zeros((n, self.dim_out), dtype=np.float32), device=mfg.device
-            )
-            out = self.w_out(cat([zeros, h_dst], dim=1))
-            return self.layer_norm(self.dropout(out.relu()))
-        h_src = h_all[n:]
-
-        tfeat_dst = self.time_encoder(Tensor(np.zeros(n, dtype=np.float32), device=mfg.device))
-        # Deltas were fused into the MFG at sampling time.
-        tfeat_src = self.time_encoder(
-            Tensor(mfg.deltas.astype(np.float32), device=mfg.device)
-        )
-
-        zq = cat([h_dst, tfeat_dst], dim=1)
-        if "f" in mfg.edata and self.dim_edge:
-            zk = cat([h_src, mfg.edata["f"], tfeat_src], dim=1)
+            reduced = Tensor(np.zeros((n, self.dim_out), dtype=np.float32), device=mfg.device)
         else:
-            zk = cat([h_src, tfeat_src], dim=1)
-
-        heads, d_head = self.num_heads, self.dim_out // self.num_heads
-        q = self.w_q(zq).reshape(n, heads, d_head)
-        key = self.w_k(zk).reshape(mfg.num_src, heads, d_head)
-        value = self.w_v(zk).reshape(mfg.num_src, heads, d_head)
-
-        scores = (q[mfg.dstindex] * key).sum(dim=2) * (1.0 / math.sqrt(d_head))
-        attn = segment_softmax(scores, mfg.dstindex, n)
-        weighted = (value * attn.unsqueeze(2)).reshape(mfg.num_src, self.dim_out)
-        reduced = segment_sum(weighted, mfg.dstindex, n)
-
+            parts = [h_all[n:]]
+            if "f" in mfg.edata and self.dim_edge:
+                parts.append(mfg.edata["f"])
+            # Deltas were fused into the MFG at sampling time.
+            parts.append(self.time_encoder(
+                Tensor(mfg.deltas.astype(np.float32), device=mfg.device)))
+            tfeat_dst = self.time_encoder(Tensor(np.zeros(n, dtype=np.float32), device=mfg.device))
+            reduced = segment_attention(
+                self.w_q(cat([h_dst, tfeat_dst], dim=1)), parts,
+                self.w_k.weight, self.w_k.bias, self.w_v.weight, self.w_v.bias,
+                mfg.dstindex, n, self.num_heads)
         out = self.w_out(cat([reduced, h_dst], dim=1))
         return self.layer_norm(self.dropout(out.relu()))

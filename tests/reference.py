@@ -10,14 +10,20 @@ They live here, not under ``src/``, so the shipped code has one path:
   node: gather memory, mail and features for every row of ``allnodes()``,
   run the GRU over every (identical) copy, and hand ``Memory.update`` the
   repeats.  ``benchmarks/test_kernels_microbench.py`` times the same helper.
+* :func:`composed_attention` — temporal attention as the concat and ~25 tape
+  nodes the two attention layers built before ``segment_attention`` fused
+  them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from repro.core import op as tgop
 from repro.tensor import Tensor, cat
+from repro.tensor.segment import segment_softmax, segment_sum
 
 
 def scatter_add_reference(shape, key, values: np.ndarray) -> np.ndarray:
@@ -60,3 +66,23 @@ def per_row_compute_embeddings(model, batch) -> Tensor:
     embeds = tgop.aggregate(head, list(model.attn_layers), key="h")
     model.save_raw_msgs(batch)
     return embeds
+
+
+def composed_attention(q, parts, w_k, w_v, dstindex, num_dst, num_heads) -> Tensor:
+    """``segment_attention`` as the tape of small ops both attention layers used to build.
+
+    *parts* holds dense ``(num_src, width)`` tensors (a keyed part is
+    expanded by the caller: ``rows[index]``); *w_k* / *w_v* are ``Linear``
+    modules.  ``cat -> Linear x2 -> gather-multiply-sum -> segment_softmax
+    -> segment_sum``: the oracle for the fused op's outputs and gradients,
+    and the composed side of the kernel microbenchmark.
+    """
+    num_src, d_head = len(dstindex), q.shape[1] // num_heads
+    zk = cat(list(parts), dim=1)
+    k = w_k(zk).reshape(num_src, num_heads, d_head)
+    v = w_v(zk).reshape(num_src, num_heads, d_head)
+    q_rows = q.reshape(num_dst, num_heads, d_head)[dstindex]
+    scores = (q_rows * k).sum(dim=2) * (1.0 / math.sqrt(d_head))
+    attn = segment_softmax(scores, dstindex, num_dst)
+    weighted = (v * attn.unsqueeze(2)).reshape(num_src, q.shape[1])
+    return segment_sum(weighted, dstindex, num_dst)

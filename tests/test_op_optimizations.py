@@ -157,24 +157,28 @@ class TestPreload:
             return head, tail
 
         # Everything the computation touches is free afterwards: edge
-        # features on every hop, raw per-row node features on the tail.
+        # features once per unique edge on every hop; on the tail the
+        # destinations' raw node features and the sources' once per node.
         head, tail = preloaded_chain()
         before = runtime.transfer_stats.bytes
-        head.efeat(); tail.efeat()
-        tail.dstfeat(); tail.srcfeat(); tail.nfeat()
+        head.uniq_efeat(); tail.uniq_efeat()
+        tail.dstfeat(); tail.uniq_srcfeat()
         assert runtime.transfer_stats.bytes == before
+        # The per-row accessors stay available; they are their own fetch.
+        assert tail.efeat().shape[0] == tail.num_src
+        assert runtime.transfer_stats.bytes - before == tail.num_src * 3 * 4
 
         # With memory attached the tail's reads are node-keyed: memory and
-        # mail are staged once per unique node, per-row nfeat() not at all.
+        # mail are staged once per unique node, raw node features not at all.
         tiny_graph.set_memory(4)
         tiny_graph.set_mailbox(4)
         start = runtime.transfer_stats.bytes
         head, tail = preloaded_chain()
         before = runtime.transfer_stats.bytes
         num_uniq = len(tail.uniq_nodes()[0])
-        efeat_bytes = (head.num_src + tail.num_src) * 3 * 4
+        efeat_bytes = (len(head.uniq_eids()[0]) + len(tail.uniq_eids()[0])) * 3 * 4
         assert before - start == efeat_bytes + num_uniq * (4 + 4) * 4
-        head.efeat(); tail.efeat()
+        head.uniq_efeat(); tail.uniq_efeat()
         tail.mem_data(); tail.mail()
         assert runtime.transfer_stats.bytes == before
 
@@ -239,14 +243,41 @@ class TestPrecompute:
         out.sum().backward()
         assert enc.weight.grad is not None
 
-    def test_eval_mode_reuses_table(self, tiny_ctx):
+    @staticmethod
+    def _count_encoded(enc, monkeypatch):
+        """Patch ``enc.encode_raw`` to count the deltas it is handed."""
+        encoded, raw = [], enc.encode_raw
+
+        def counting(deltas):
+            encoded.append(len(np.asarray(deltas).reshape(-1)))
+            return raw(deltas)
+
+        monkeypatch.setattr(enc, "encode_raw", counting)
+        return encoded, raw
+
+    def test_eval_mode_reuses_table(self, tiny_ctx, monkeypatch):
+        """Repeats inside a call are encoded once; the output is the direct encoding."""
         tiny_ctx.eval()
         enc = nn.TimeEncode(4)
-        tgop.precomputed_times(tiny_ctx, enc, np.array([1.0, 2.0]))
+        encoded, raw = self._count_encoded(enc, monkeypatch)
+        deltas = np.array([2.0, 1.0, 2.0, 1.0, 2.0], dtype=np.float32)
+        out = tgop.precomputed_times(tiny_ctx, enc, deltas)
+        assert sum(encoded) == 2
+        np.testing.assert_array_equal(out.numpy(), raw(deltas))
+
+    def test_fresh_deltas_bypass_the_dedup_and_keep_nothing(self, tiny_ctx, monkeypatch):
+        """No repeats: one straight encode per call, and no state that grows."""
+        tiny_ctx.eval()
+        enc = nn.TimeEncode(8)
+        encoded, raw = self._count_encoded(enc, monkeypatch)
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            deltas = (rng.random(50) * 1e6).astype(np.float32)
+            out = tgop.precomputed_times(tiny_ctx, enc, deltas)
+            np.testing.assert_array_equal(out.numpy(), raw(deltas))
+        assert encoded == [50] * 100
         table = tiny_ctx.time_table(id(enc))
-        assert len(table["map"]) == 2
-        tgop.precomputed_times(tiny_ctx, enc, np.array([2.0, 1.0, 2.0]))
-        assert len(table["map"]) == 2  # no new entries
+        assert all(v is None or np.size(v) == 0 for k, v in table.items() if k != "version")
 
     def test_version_bump_invalidates(self, tiny_ctx):
         tiny_ctx.eval()
@@ -257,12 +288,40 @@ class TestPrecompute:
         out = tgop.precomputed_times(tiny_ctx, enc, np.array([1.0]))
         np.testing.assert_allclose(out.numpy(), enc.encode_raw(np.array([1.0])), rtol=1e-5)
 
-    def test_time_window_quantizes(self, tiny_graph):
+    def test_time_window_quantizes(self, tiny_graph, monkeypatch):
         ctx = tg.TContext(tiny_graph, time_window=1.0)
         ctx.eval()
         enc = nn.TimeEncode(4)
-        tgop.precomputed_times(ctx, enc, np.array([1.1, 0.9, 1.4]))
-        assert len(ctx.time_table(id(enc))["map"]) == 1
+        encoded, raw = self._count_encoded(enc, monkeypatch)
+        out = tgop.precomputed_times(ctx, enc, np.array([1.1, 0.9, 1.4, 2.6]))
+        assert sum(encoded) == 2  # buckets 1 and 3
+        np.testing.assert_array_equal(out.numpy(), raw(np.array([1.0, 1.0, 1.0, 3.0])))
+        # The table persists across calls: a seen bucket is not encoded again ...
+        tgop.precomputed_times(ctx, enc, np.array([0.6, 3.2, 2.0]))
+        assert sum(encoded) == 3  # only bucket 2 is new
+        # ... until the weights change.
+        enc.mark_updated()
+        tgop.precomputed_times(ctx, enc, np.array([1.0]))
+        assert sum(encoded) == 4
+
+    def test_quantised_table_is_bounded_and_exact(self, tiny_graph, monkeypatch):
+        from repro.core.op.precompute import TABLE_BUCKETS
+
+        ctx = tg.TContext(tiny_graph, time_window=0.5)
+        ctx.eval()
+        enc = nn.TimeEncode(4)
+        _, raw = self._count_encoded(enc, monkeypatch)
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            # Fresh deltas far beyond the table, plus negatives, NaN and inf.
+            deltas = (rng.random(40) * 4 * TABLE_BUCKETS - 100.0).astype(np.float32)
+            deltas[:3] = [np.nan, np.inf, -0.2]
+            with np.errstate(invalid="ignore"):  # cos(inf)
+                out = tgop.precomputed_times(ctx, enc, deltas)
+                quantised = np.round(deltas / 0.5) * np.float32(0.5)
+                np.testing.assert_array_equal(out.numpy(), raw(quantised))
+        table = ctx.time_table(id(enc))
+        assert len(table["rows"]) == len(table["filled"]) <= TABLE_BUCKETS
 
     def test_zero_slot_reused_until_version_change(self, tiny_ctx):
         tiny_ctx.eval()

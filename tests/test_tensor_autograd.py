@@ -1,10 +1,13 @@
 """Numeric gradient checks and autograd-engine behaviour tests."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import tensor as T
-from repro.tensor import Tensor, no_grad, enable_grad, is_grad_enabled
+from repro.tensor import Tensor, cat, no_grad, enable_grad, is_grad_enabled
 
 from conftest import check_grad
 from reference import scatter_add_reference
@@ -299,17 +302,67 @@ class TestIndexBackward:
     def test_first_write_adopts_an_owned_buffer_but_never_the_callers(self):
         x = Tensor(np.zeros((4, 2), dtype=np.float32), requires_grad=True)
         mine = np.ones((4, 2), dtype=np.float32)
-        x._accumulate(mine)                      # borrowed: copied
-        assert x.grad is not mine
-        x.grad = None
-        x._accumulate(mine, own=True)            # handed over: adopted
+        x._accumulate(mine)                      # borrowed: held, not copied ...
         assert x.grad is mine
+        x._accumulate(mine)                      # ... and never written
+        assert x.grad is not mine and (mine == 1.0).all() and (x.grad == 2.0).all()
+        summed = x.grad
+        x._accumulate(mine)                      # the sum is ours: in place from here on
+        assert x.grad is summed and (x.grad == 3.0).all() and (mine == 1.0).all()
+        x.grad = None
+        x._accumulate(mine, own=True)            # handed over: adopted and written
+        x._accumulate(np.ones((4, 2), dtype=np.float32))
+        assert x.grad is mine and (mine == 2.0).all()
         x.grad = None
         wide = np.ones((4, 2), dtype=np.float64)
-        x._accumulate(wide, own=True)            # wrong dtype: cast, not adopted
-        assert x.grad.dtype == np.float32
+        x._accumulate(wide)                      # wrong dtype: cast, and the cast is ours
+        x._accumulate(wide)
+        assert x.grad.dtype == np.float32 and (x.grad == 2.0).all() and (wide == 1.0).all()
         # A slice's upstream gradient must survive the downstream accumulate.
         y = Tensor(np.ones((4, 2), dtype=np.float32), requires_grad=True)
         seed_grad = np.full((2, 2), 3.0, dtype=np.float32)
         (y[1:3] + y[1:3]).backward(seed_grad)
         assert (seed_grad == 3.0).all() and (y.grad[1:3] == 6.0).all()
+
+
+class TestGradientHandOff:
+    """``_accumulate`` holds gradients by reference and writes only buffers it owns."""
+
+    @pytest.mark.parametrize("op, expected", [
+        (lambda x: x + x, lambda x, g: 2 * g),
+        (lambda x: x * x, lambda x, g: 2 * x * g),
+        (lambda x: cat([x, x], dim=0)[:3] + cat([x, x], dim=0)[3:], lambda x, g: 2 * g),
+    ], ids=["x+x", "x*x", "cat([x,x])"])
+    def test_one_tensor_used_twice(self, op, expected):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((3, 2)).astype(np.float32), requires_grad=True)
+        seed = rng.standard_normal((3, 2)).astype(np.float32)
+        kept = seed.copy()
+        op(x).backward(seed)
+        np.testing.assert_allclose(x.grad, expected(x.data, kept), rtol=1e-6)
+        assert (seed == kept).all()
+
+    def test_user_seed_is_not_mutated_by_a_second_backward(self):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        seed = np.full(3, 2.0, dtype=np.float32)
+        x.backward(seed)
+        x.backward(seed)
+        assert (seed == 2.0).all() and (x.grad == 4.0).all()
+
+    def test_read_only_broadcast_view_is_a_valid_gradient(self):
+        x = Tensor(np.ones((4, 3), dtype=np.float32), requires_grad=True)
+        view = np.broadcast_to(np.float32(0.5), (4, 3))
+        assert not view.flags.writeable
+        (x * 2.0).backward(view)
+        (x * 2.0).backward(view)
+        assert (x.grad == 2.0).all()
+
+    def test_no_backward_closure_or_optimizer_writes_a_gradient_in_place(self):
+        """Every gradient may be borrowed, so only ``_accumulate`` may write one."""
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        write = re.compile(r"\bgrad\s*(\[[^\]]*\])?\s*[-+*/@]=|\bgrad\[[^\]]*\]\s*=(?!=)|out=grad\b")
+        hits = [f"{path.relative_to(src)}: {line.strip()}"
+                for sub in ("tensor", "nn", "models")
+                for path in sorted((src / sub).rglob("*.py"))
+                for line in path.read_text().splitlines() if write.search(line)]
+        assert hits == ["tensor/tensor.py: self.grad += grad"]
