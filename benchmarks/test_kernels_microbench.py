@@ -11,8 +11,10 @@ The state-update kernels ride along at their own shapes: the duplicate
 rule ``last_event_wins`` against a brute-force ``sorted(key=(node, time,
 row bytes))`` oracle — at the serving shape (100 rows, no ties; >= 5x)
 and with every row tied with byte-identical copies (a replayed batch) —
-and one chunk digest against the spelled-out
-``sha256(prefix + canonical_bytes(...))`` (bounded by the hash itself).
+one chunk digest against the spelled-out row-leaf format (a sha256 per
+row under a sha256 per chunk), and one apply's ``record_rows`` — 17 written
+rows over 10 of a member's 16 chunks, the ``cluster_s4_f3`` shape — against
+re-hashing those chunks whole (asserted not slower).
 
 The autograd / node-keyed rows use ``tests/reference.py`` as the
 reference: a slice's backward (assignment vs ``np.add.at``), the gradient
@@ -45,7 +47,7 @@ from repro.core.kernels import (
     sample_uniform,
     unique_node_times,
 )
-from repro.integrity import ChunkedDigest, canonical_bytes
+from repro.integrity import ChunkedDigest
 from repro.models import TGN
 from repro.nn import Linear
 from repro.tensor.segment import _scatter_add, segment_attention
@@ -169,23 +171,45 @@ def test_kernel_microbench():
         "last_event_wins_tgn", "82000x32, all tied, 450 nodes", tn, tn * 0.5,
         rng.standard_normal((450, 32)).astype(np.float32)[tn])
 
-    # -- state update: one chunk digest --------------------------------------
+    # -- state update: one chunk digest, one apply's leaf refresh ---------------
     table = rng.standard_normal((512, 32)).astype(np.float32)
     stamps = rng.random(512)
-    reader = lambda lo, hi: (table[lo:hi], stamps[lo:hi])
-    cd = ChunkedDigest(reader, 512, 32)
+    cd = ChunkedDigest(lambda: (table, stamps), 512, 32)
+    schema = b"<f4|32|<f8||"
 
     def spelled_out(chunk=3):
         lo, hi = cd.rows_of(chunk)
-        h = hashlib.sha256(f"chunk|{chunk}|{lo}|{hi}|".encode())
-        for arr in reader(lo, hi):
-            h.update(canonical_bytes(arr))
+        h = hashlib.sha256(f"chunk|{chunk}|{lo}|{hi}|".encode() + schema)
+        for row in range(lo, hi):
+            h.update(hashlib.sha256(table[row].tobytes() + stamps[row].tobytes()).digest())
         return h.hexdigest()
 
     assert cd.compute([3]) == [spelled_out()]
     ref = timeit(lambda: [spelled_out() for _ in range(1000)], repeat=5) / 1000
     vec = timeit(lambda: cd.compute([3] * 1000), repeat=5) / 1000
     record("chunk_digest", ref, vec, "32 rows x (32 f32 + f64)")
+
+    # what one member hashes per apply on cluster_s4_f3: 17 written rows that
+    # fall in 10 of its 16 chunks — their leaves, against re-hashing the chunks whole
+    chunks = rng.permutation(16)[:10]
+    written = np.sort(np.concatenate([chunks, chunks[:7]]) * 32 + rng.integers(0, 32, 17))
+    assert len(written) == 17 and len(cd.chunks_of(written)) == 10
+
+    def whole_chunk_rehash():
+        for chunk in cd.chunks_of(written).tolist():
+            lo, hi = cd.rows_of(chunk)
+            h = hashlib.sha256(f"chunk|{chunk}|{lo}|{hi}|".encode())
+            for arr in (table[lo:hi], stamps[lo:hi]):
+                h.update(f"{arr.dtype.str}|{','.join(map(str, arr.shape))}|".encode())
+                h.update(arr)
+            h.hexdigest()
+
+    ref = timeit(lambda: [whole_chunk_rehash() for _ in range(1000)], repeat=5) / 1000
+    vec = timeit(lambda: [cd.record_rows(written) for _ in range(1000)], repeat=5) / 1000
+    assert cd.diverged() == []
+    record("record_rows", ref, vec, "17 rows in 10 of 16 chunks")
+    # the digest must not fall back to per-chunk cost on the write path
+    assert speedups["record_rows"] >= 1.0
 
     # -- autograd: slice backward, gradient scatter-add ------------------------
     x = T.Tensor(np.zeros((83_252, 32), dtype=np.float32), requires_grad=True)

@@ -62,7 +62,7 @@ import numpy as np
 
 from ..integrity.scrubber import Scrubber
 from ..resilience.chaos import inject_member_faults
-from ..serve.commit import stage_checked
+from ..serve.commit import plan_by_owner, stage_checked
 from ..serve.deadline import CostModel
 from ..serve.engine import ServeEngine
 from ..serve.events import EventBatch
@@ -449,13 +449,15 @@ class ServeCluster(ServeEngine):
         self.seq += 1
         seq = self.seq
         now = self.clock.now()
+        # One owner lookup per endpoint feeds both partitions: events into
+        # sub-batches, staged rows into each shard's slice of the one plan.
         ends = self.router.endpoint_shards(released)
+        parts = plan_by_owner(
+            staged.nodes, staged.values, staged.times, np.concatenate(ends)
+        )
         for shard, sub in self.router.split_batch(released, ends).items():
-            group = self.groups[shard]
-            owned_ends = np.concatenate(
-                [released.src[ends[0] == shard], released.dst[ends[1] == shard]]
-            )
-            self.supervisor.note_load(shard, len(owned_ends), nodes=owned_ends)
+            group, part = self.groups[shard], parts[shard]
+            self.supervisor.note_load(shard, len(part.nodes), nodes=part.nodes)
             if group.serving_primary() is None and group.any_serving():
                 # A commit needs a leased primary to sequence under; a
                 # serving follower means promotion can happen right now
@@ -463,7 +465,7 @@ class ServeCluster(ServeEngine):
                 self.supervisor.ensure_primary(shard)
             group.ship(
                 sub, seq, self.rpc, now,
-                extra=104729 * (rid + 1) + 31 * shard + 7,
+                extra=104729 * (rid + 1) + 31 * shard + 7, part=part,
             )
         self.commits += 1
         self.committed_watermark = max(self.committed_watermark, staged.watermark)

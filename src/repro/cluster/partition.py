@@ -27,6 +27,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..core.kernels.dedup import group_spans
+
 __all__ = ["hash_shard", "place_group_hosts", "ShardRouter"]
 
 _MASK64 = (1 << 64) - 1
@@ -227,10 +229,16 @@ class ShardRouter:
         when the caller already has it; keys ascend by shard.
         """
         src_shard, dst_shard = ends or self.endpoint_shards(batch)
-        touched = np.unique(np.concatenate([src_shard, dst_shard]))
+        # One stable partition of (shard, event) pairs instead of a mask
+        # per shard; an event on two shards contributes a pair to each.
+        cross = np.flatnonzero(dst_shard != src_shard)
+        shard = np.concatenate([src_shard, dst_shard[cross]])
+        event = np.concatenate([np.arange(len(src_shard)), cross])
+        order = np.lexsort((event, shard))
+        event = event[order]
         return {
-            shard: batch.take((src_shard == shard) | (dst_shard == shard))
-            for shard in touched[touched >= 0].tolist()
+            s: batch.take(event[a:b])
+            for s, a, b in zip(*group_spans(shard[order])) if s >= 0
         }
 
     # ---- rebalance ----------------------------------------------------------------

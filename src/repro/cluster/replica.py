@@ -17,7 +17,7 @@ equivalence:
   queue drain after failover) with ``seq <= last_seq`` is a no-op.
 * **Ownership filtering commutes with dedup** — the replica applies only
   the endpoint rows it owns; because duplicates resolve per node (last
-  event wins, canonical ring order — :func:`~repro.serve.commit.plan_updates`),
+  event wins, canonical ring order — :func:`~repro.serve.commit.plan_by_owner`),
   the union of per-shard applies equals one global apply.
 * **Snapshots anchor ownership** — a snapshot (written at construction,
   periodically, and at every rebalance hand-off) embeds the owned-node
@@ -42,6 +42,7 @@ from ..integrity.digest import ChunkedDigest, merkle_root
 from ..serve.commit import (
     ApplyPlan,
     apply_plan,
+    plan_by_owner,
     plan_updates,
     replay_state,
     stage_updates,
@@ -62,16 +63,14 @@ class _StateDigests:
     def __init__(self, replica: "ShardReplica", chunk_rows: int):
         def digest(component: str) -> ChunkedDigest:
             return ChunkedDigest(
-                lambda lo, hi: [a[lo:hi] for a in replica.tables(component)],
-                len(replica.owned),
-                chunk_rows,
+                lambda: replica.tables(component), len(replica.owned), chunk_rows
             )
 
         self.memory = digest("memory")
         self.mailbox = None if replica.mailbox is None else digest("mailbox")
 
     def record_rows(self, rows: np.ndarray) -> None:
-        """Re-hash both components' chunks covering *rows* (derived once)."""
+        """Re-hash both components' leaves of *rows* (their chunks derived once)."""
         chunks = self.memory.chunks_of(rows)
         self.memory.record_rows(rows, chunks)
         if self.mailbox is not None:
@@ -160,7 +159,8 @@ class ShardReplica:
         self.stall_factor = 1.0
 
         self.applied_batches = 0
-        self.applied_events = 0
+        #: owned endpoint rows staged by applied batches (two per event at most).
+        self.applied_rows = 0
         self.duplicate_batches = 0
         self.stale_rejects = 0
         self.crashes = 0
@@ -244,41 +244,43 @@ class ShardReplica:
 
     # ---- state application ---------------------------------------------------------
 
-    def prepare(self, batch: EventBatch, seq: int, epoch: int) -> Tuple[bytes, ApplyPlan]:
+    def prepare(self, batch: EventBatch, seq: int, epoch: int,
+                part: Optional[ApplyPlan] = None) -> Tuple[bytes, ApplyPlan]:
         """The WAL record and apply plan of (non-empty) *batch* at ``(seq, epoch)``.
 
         A function of the sub-batch, its sequence number, the lease epoch
         and the ownership — all common to a replica group — and of none of
         this member's tables or log, so ``ReplicaGroup.ship`` prepares
-        once and every member logs and applies the result.
+        once and every member logs and applies the result.  *part* is this
+        shard's slice of the plan the coordinator made for the whole
+        commit; it only needs its nodes mapped to local rows.
         """
         meta = {"seq": int(seq), "watermark": float(batch.ts.max()),
                 "epoch": int(epoch)}
-        return encode_payload(KIND_BATCH, meta, batch.to_arrays()), self.plan(batch)
+        return encode_payload(KIND_BATCH, meta, batch.to_arrays()), self.plan(batch, part)
 
-    def plan(self, batch: EventBatch) -> ApplyPlan:
+    def plan(self, batch: EventBatch, part: Optional[ApplyPlan] = None) -> ApplyPlan:
         """The rows *batch* writes on this shard: staged, owned, deduplicated.
 
-        The one ownership-filtered plan used by live traffic, respawn
-        replay, and read-only shadow replay — all three must write the
-        exact same rows or recovery equivalence breaks.
+        *part* is this shard's slice of a whole request's
+        :func:`~repro.serve.commit.plan_by_owner` plan when the coordinator
+        made one; without it the same function runs over just *batch*, so
+        respawn replay, shadow replay and redelivery write the exact rows
+        the live commit wrote, or recovery equivalence breaks.
         """
-        return plan_updates(*stage_updates(batch, self.dim), local_map=self._local)
+        if part is None:
+            nodes, values, times = stage_updates(batch, self.dim)
+            mine = (nodes >= 0) & (nodes < self.num_nodes)
+            mine &= self._local.take(nodes, mode="clip") >= 0
+            part = plan_by_owner(nodes, values, times, mine - 1).get(0)
+            if part is None:  # nothing here is ours: the empty plan
+                part = plan_updates(nodes[:0], values[:0], times[:0])
+        # Ownership is sorted, so local rows ascend with the global ids
+        # and the canonical order stands.
+        return part._replace(nodes=self._local[part.nodes],
+                             win_nodes=self._local[part.win_nodes])
 
-    def _apply_plan(self, plan: ApplyPlan) -> int:
-        """Write *plan* into the live tables; returns the owned rows staged.
-
-        The chunks covering the written rows are re-hashed right after
-        the write (O(dirty rows)): the maintained digests always describe
-        exactly what the apply path produced, which is what makes a later
-        recompute mismatch proof of out-of-band mutation.
-        """
-        apply_plan(plan, self.memory, self.mailbox)
-        if len(plan.nodes) and self.digests is not None:
-            self.digests.record_rows(plan.win_nodes)
-        return len(plan.nodes)
-
-    def apply(self, batch: EventBatch, seq: int, epoch: Optional[int] = None,
+    def apply(self, batch: EventBatch, seq: int, epoch: int,
               prepared: Optional[Tuple[bytes, ApplyPlan]] = None) -> bool:
         """Durably apply one cluster-committed sub-batch (idempotent).
 
@@ -286,27 +288,25 @@ class ShardReplica:
         so an ack implies durability.  Returns False for a redelivered
         sequence number (already applied — nothing happens).
 
-        *epoch*, when given, is the sender's replica-group lease epoch:
-        a write fenced by a promotion this member has already observed
+        *epoch* is the sender's replica-group lease epoch: a write fenced
+        by a promotion this member has already observed
         (``epoch < lease_epoch``) raises :class:`StaleLeaseError` before
         touching the log; a newer epoch is adopted (lease renewal rides
-        on the ship).  ``None`` (single-replica legacy path) skips the
-        check.
+        on the ship).
 
         *prepared* is ``prepare(batch, seq, epoch)`` when the group
         already has it (same function, run once for all members).
         """
         if not self.alive or self.memory is None:
             raise ReplicaDown(f"shard {self.shard_id} is down")
-        if epoch is not None:
-            if epoch < self.lease_epoch:
-                self.stale_rejects += 1
-                raise StaleLeaseError(
-                    f"shard {self.shard_id} member {self.member_id}: write "
-                    f"stamped epoch {epoch} rejected (lease epoch is "
-                    f"{self.lease_epoch} — sender was fenced)"
-                )
-            self.lease_epoch = int(epoch)
+        if epoch < self.lease_epoch:
+            self.stale_rejects += 1
+            raise StaleLeaseError(
+                f"shard {self.shard_id} member {self.member_id}: write "
+                f"stamped epoch {epoch} rejected (lease epoch is "
+                f"{self.lease_epoch} — sender was fenced)"
+            )
+        self.lease_epoch = int(epoch)
         if seq <= self.last_seq:
             self.duplicate_batches += 1
             return False
@@ -315,10 +315,16 @@ class ShardReplica:
             return True
         record, plan = prepared or self.prepare(batch, seq, self.lease_epoch)
         self.store.log_encoded(record)
-        applied = self._apply_plan(plan)
+        apply_plan(plan, self.memory, self.mailbox)
+        if len(plan.nodes) and self.digests is not None:
+            # Leaves of the written rows, right after the write: the
+            # maintained digests always describe exactly what the apply
+            # path produced, which is what makes a later recompute
+            # mismatch proof of out-of-band mutation.
+            self.digests.record_rows(plan.win_nodes)
         self.last_seq = int(seq)
         self.applied_batches += 1
-        self.applied_events += applied
+        self.applied_rows += len(plan.nodes)
         self._since_snapshot += 1
         if self.snapshot_every and self._since_snapshot >= self.snapshot_every:
             self.write_snapshot()
@@ -509,7 +515,7 @@ class ShardReplica:
             "owned_nodes": int(len(self.owned)),
             "alive": bool(self.alive),
             "applied_batches": self.applied_batches,
-            "applied_events": self.applied_events,
+            "applied_rows": self.applied_rows,
             "duplicate_batches": self.duplicate_batches,
             "stale_rejects": self.stale_rejects,
             "crashes": self.crashes,

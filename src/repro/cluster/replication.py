@@ -17,7 +17,8 @@ record to its *own* WAL and applies it through the same plan
 construction — there is no separate "follower apply" code to diverge.
 The record bytes and the apply plan are the same on every member, so
 ``ship`` has one member :meth:`~repro.cluster.replica.ShardReplica.prepare`
-them for all.
+them for all — the plan being the shard's slice of the one plan the
+coordinator made for the whole request.
 The commit is **quorum-acked** when at least ``ack_quorum`` members
 (primary included) acknowledged their durable append; an under-quorum
 commit is never aborted — the cluster already sequenced it — but is
@@ -185,8 +186,11 @@ class ReplicaGroup:
         return len(queue)
 
     def ship(self, batch: EventBatch, seq: int, rpc, now: float,
-             extra: int) -> int:
+             extra: int, part=None) -> int:
         """Synchronously replicate one committed sub-batch to all members.
+
+        *part* is this shard's slice of the plan the coordinator made for
+        the whole commit; without it the plan is made from *batch*.
 
         Returns the number of acknowledged durable appends.  The primary
         leg reproduces the single-replica commit path exactly (same RPC
@@ -210,7 +214,7 @@ class ReplicaGroup:
                 # record or sequence idempotence would drop it forever.
                 self.drain_member(idx)
             if prepared is None and len(batch):
-                prepared = member.prepare(batch, seq, self.epoch)
+                prepared = member.prepare(batch, seq, self.epoch, part)
             deliver = (
                 lambda m=member, b=batch, s=seq, e=self.epoch, p=prepared:
                 m.apply(b, s, epoch=e, prepared=p)

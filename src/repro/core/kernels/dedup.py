@@ -24,6 +24,7 @@ __all__ = [
     "has_repeats",
     "last_event_wins",
     "canonical_event_order",
+    "group_spans",
     "_reference_unique_node_times",
 ]
 
@@ -106,6 +107,15 @@ def canonical_event_order(nodes: np.ndarray, times: np.ndarray,
         if same.any():
             _order_ties_by_bytes(order, same, values)
     return order
+
+
+def group_spans(keys: np.ndarray):
+    """``(values, starts, stops)`` — as lists — of the runs of equal *keys*
+    (sorted, or at least grouped): run ``i`` is ``keys[starts[i]:stops[i]]``."""
+    if not len(keys):
+        return [], [], []
+    starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    return keys[starts].tolist(), starts.tolist(), starts[1:].tolist() + [len(keys)]
 
 
 def last_event_wins(nodes: np.ndarray, times: np.ndarray, values=None):

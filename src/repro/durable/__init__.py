@@ -49,8 +49,6 @@ from .tail import CursorInvalidated, WALCursor, read_batch_suffix
 from .wal import (
     WALStats,
     WriteAheadLog,
-    decode_shipped_record,
-    encode_shipped_record,
     fsync_dir,
 )
 
@@ -77,6 +75,4 @@ __all__ = [
     "CursorInvalidated",
     "WALCursor",
     "read_batch_suffix",
-    "encode_shipped_record",
-    "decode_shipped_record",
 ]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import struct
+from functools import lru_cache
 from typing import Dict, Tuple
 
 import numpy as np
@@ -71,18 +72,18 @@ def encode_payload(kind: int, meta: Dict, arrays: Dict[str, np.ndarray]) -> byte
             # (ascontiguousarray unconditionally promotes 0-d to 1-d,
             # so only call it when actually needed)
             value = np.ascontiguousarray(value)
-        name_b = name.encode()
-        dtype_b = value.dtype.str.encode()
-        raw = value.tobytes()
-        parts.append(struct.pack("<H", len(name_b)))
-        parts.append(name_b)
-        parts.append(struct.pack("<H", len(dtype_b)))
-        parts.append(dtype_b)
-        parts.append(struct.pack("<B", value.ndim))
-        parts.append(struct.pack(f"<{value.ndim}Q", *value.shape))
-        parts.append(struct.pack("<Q", len(raw)))
-        parts.append(raw)
+        parts.append(_array_head(name, value.dtype.str, value.shape, value.nbytes))
+        parts.append(value)  # joined straight from the array's buffer
     return b"".join(parts)
+
+
+@lru_cache(maxsize=1024)
+def _array_head(name: str, dtype_str: str, shape: Tuple[int, ...], nbytes: int) -> bytes:
+    """Everything an array's record carries ahead of its raw bytes."""
+    name_b, dtype_b = name.encode(), dtype_str.encode()
+    return b"".join([struct.pack("<H", len(name_b)), name_b,
+                     struct.pack("<H", len(dtype_b)), dtype_b,
+                     struct.pack(f"<B{len(shape)}QQ", len(shape), *shape, nbytes)])
 
 
 class _Reader:

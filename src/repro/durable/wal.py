@@ -45,7 +45,7 @@ import os
 import re
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from ..resilience.errors import SimulatedDiskCrash
@@ -58,8 +58,6 @@ __all__ = [
     "list_segment_files",
     "read_segment_bytes",
     "parse_segment",
-    "encode_shipped_record",
-    "decode_shipped_record",
 ]
 
 MAGIC = b"TGLITEWAL001"
@@ -155,43 +153,6 @@ def parse_segment(
     return records, valid_end, pos >= len(buf), last
 
 
-def encode_shipped_record(lsn: int, payload: bytes) -> bytes:
-    """Frame one WAL record for log-shipping over a (simulated) wire.
-
-    The wire format is byte-identical to the on-disk record frame
-    (``u32 length | u32 crc32(body) | u64 lsn | payload``), so a follower
-    that appends the decoded payload to its own log reproduces the
-    primary's record exactly and :func:`parse_segment` applies unchanged
-    on both sides of the ship.
-    """
-    body = _LSN.pack(int(lsn)) + bytes(payload)
-    return _FRAME.pack(len(body), zlib.crc32(body) & 0xFFFFFFFF) + body
-
-
-def decode_shipped_record(buf: bytes) -> Tuple[int, bytes]:
-    """Inverse of :func:`encode_shipped_record`; returns ``(lsn, payload)``.
-
-    Raises ``ValueError`` on a torn frame, nonsense length, trailing
-    garbage, or CRC mismatch — a follower must reject (and re-request) a
-    damaged shipment rather than append corruption to its log.
-    """
-    if len(buf) < _FRAME.size:
-        raise ValueError("shipped record torn: frame header incomplete")
-    length, crc = _FRAME.unpack_from(buf, 0)
-    if length < _LSN.size or length > MAX_RECORD_BYTES:
-        raise ValueError(f"shipped record has nonsense length {length}")
-    if len(buf) != _FRAME.size + length:
-        raise ValueError(
-            f"shipped record size mismatch: frame claims {length} body "
-            f"bytes, buffer carries {len(buf) - _FRAME.size}"
-        )
-    body = buf[_FRAME.size :]
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        raise ValueError("shipped record failed CRC (corrupted in flight)")
-    (lsn,) = _LSN.unpack_from(body)
-    return lsn, body[_LSN.size :]
-
-
 def fsync_dir(path: str) -> bool:
     """fsync a directory so renames/creates/unlinks inside it are durable.
 
@@ -226,14 +187,7 @@ class WALStats:
     repaired_segments: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "appends": self.appends,
-            "bytes_appended": self.bytes_appended,
-            "syncs": self.syncs,
-            "rotations": self.rotations,
-            "repaired_bytes": self.repaired_bytes,
-            "repaired_segments": self.repaired_segments,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -283,22 +237,19 @@ class WriteAheadLog:
 
     # ---- opening / repair --------------------------------------------------------
 
-    def _segment_files(self) -> List[Tuple[int, str]]:
-        return list_segment_files(self.directory)
-
     def _open_and_repair(self) -> None:
         """Scan existing segments, truncate the torn tail, open for append."""
         prev_lsn: Optional[int] = None
         keep: List[_Segment] = []
         cut = False
-        for seq, path in self._segment_files():
+        for seq, path in list_segment_files(self.directory):
             if cut:
                 os.remove(path)
                 self.stats.repaired_segments += 1
                 continue
             size = os.path.getsize(path)
-            records, valid_end, intact, last = self._parse_segment(
-                path, prev_lsn, inject=False
+            records, valid_end, intact, last = parse_segment(
+                read_segment_bytes(path, inject=False), prev_lsn
             )
             if not intact:
                 cut = True
@@ -341,16 +292,6 @@ class WriteAheadLog:
         self._synced_size = _HEADER_SIZE
         self._segments.append(_Segment(path, seq, None, None))
 
-    # ---- parsing -----------------------------------------------------------------
-
-    def _parse_segment(
-        self, path: str, prev_lsn: Optional[int], inject: bool
-    ) -> Tuple[List[Tuple[int, bytes]], int, bool, Optional[int]]:
-        """Parse one segment's committed prefix (see :func:`parse_segment`)."""
-        buf = read_segment_bytes(path, inject)
-        records, valid_end, intact, last = parse_segment(buf, prev_lsn)
-        return [(lsn, payload) for lsn, payload, _ in records], valid_end, intact, last
-
     # ---- appending ---------------------------------------------------------------
 
     def _check_alive(self) -> None:
@@ -371,19 +312,24 @@ class WriteAheadLog:
         """
         self._check_alive()
         lsn = self.last_lsn + 1
-        body = _LSN.pack(lsn) + bytes(payload)
-        data = _FRAME.pack(len(body), zlib.crc32(body) & 0xFFFFFFFF) + body
-        if self._size + len(data) > max(self.segment_bytes, _HEADER_SIZE + len(data)) \
+        # Frame and LSN go out ahead of the payload, never joined to it: the
+        # CRC of ``lsn + payload`` is the payload's, continued from the LSN's.
+        lsn_bytes = _LSN.pack(lsn)
+        head = _FRAME.pack(
+            _LSN.size + len(payload), zlib.crc32(payload, zlib.crc32(lsn_bytes))
+        ) + lsn_bytes
+        size = len(head) + len(payload)
+        if self._size + size > max(self.segment_bytes, _HEADER_SIZE + size) \
                 and self._size > _HEADER_SIZE:
             self._rotate()
-        self._write_record(data)
+        self._write_record(head, payload)
         self.last_lsn = lsn
         seg = self._segments[-1]
         if seg.first_lsn is None:
             seg.first_lsn = lsn
         seg.last_lsn = lsn
         self.stats.appends += 1
-        self.stats.bytes_appended += len(data)
+        self.stats.bytes_appended += size
         self._appends_since_sync += 1
         if self.fsync == "always" or (
             self.fsync == "batch" and self._appends_since_sync >= self.fsync_interval
@@ -391,36 +337,34 @@ class WriteAheadLog:
             self.sync()
         return lsn
 
-    def _write_record(self, data: bytes) -> None:
-        directive = _poke("disk.write", path=self._segments[-1].path, size=len(data))
+    def _write_record(self, head: bytes, payload: bytes) -> None:
+        size = len(head) + len(payload)
+        directive = _poke("disk.write", path=self._segments[-1].path, size=size)
         fh = self._fh
         if directive is None:
-            fh.write(data)
-            self._size += len(data)
-        elif directive[0] == "torn":
-            k = int(directive[1])
-            fh.write(data[:k])
-            fh.flush()
-            self._size += k
-            self._dead = True
-            raise SimulatedDiskCrash(
-                f"torn write: {k}/{len(data)} bytes of record reached "
-                f"{self._segments[-1].path!r} before the crash",
-                path=self._segments[-1].path,
-                offset=self._size,
-            )
-        elif directive[0] == "flip":
-            ba = bytearray(data)
-            ba[directive[1] % len(ba)] ^= 1 << directive[2]
-            fh.write(bytes(ba))
-            self._size += len(data)
-        elif directive[0] == "dup":
-            fh.write(data)
-            fh.write(data)
-            self._size += 2 * len(data)
-        else:  # pragma: no cover - unknown directive: write cleanly
-            fh.write(data)
-            self._size += len(data)
+            fh.write(head)
+            fh.write(payload)
+            self._size += size
+        else:
+            data = head + bytes(payload)  # a fault acts on the record in one piece
+            if directive[0] == "torn":
+                k = int(directive[1])
+                fh.write(data[:k])
+                fh.flush()
+                self._size += k
+                self._dead = True
+                raise SimulatedDiskCrash(
+                    f"torn write: {k}/{size} bytes of record reached "
+                    f"{self._segments[-1].path!r} before the crash",
+                    path=self._segments[-1].path,
+                    offset=self._size,
+                )
+            if directive[0] == "flip":
+                data = bytearray(data)
+                data[directive[1] % size] ^= 1 << directive[2]
+            copies = 2 if directive[0] == "dup" else 1  # anything else: written cleanly
+            fh.write(bytes(data) * copies)
+            self._size += copies * size
         fh.flush()  # always reach the OS; fsync policy governs durability
 
     def sync(self) -> None:
@@ -471,8 +415,8 @@ class WriteAheadLog:
             self._fh.flush()
         prev: Optional[int] = None
         for seg in self._segments:
-            records, _, intact, last = self._parse_segment(seg.path, prev, inject=True)
-            for lsn, payload in records:
+            records, _, intact, last = parse_segment(read_segment_bytes(seg.path, True), prev)
+            for lsn, payload, _ in records:
                 yield lsn, payload
             if not intact:
                 return
@@ -507,7 +451,7 @@ class WriteAheadLog:
         prev: Optional[int] = None
         damaged: List[str] = []
         for seg in self._segments:
-            _, _, intact, last = self._parse_segment(seg.path, prev, inject=False)
+            _, _, intact, last = parse_segment(read_segment_bytes(seg.path, False), prev)
             if not intact:
                 damaged.append(seg.path)
                 prev = None

@@ -9,14 +9,15 @@ that property into something checkable at runtime:
   (dtype tag + shape + C-contiguous bytes), so two states hash equal iff
   they are bit-identical.  ``Memory.state_digest()`` and
   ``Mailbox.state_digest()`` are thin wrappers over it.
-* :class:`ChunkedDigest` — per-chunk digests over fixed row ranges of a
-  state table, *maintained* on the write path: after each filtered apply
-  the touched chunks are re-hashed (O(dirty rows)), so the maintained
-  digests always record what the WAL-then-apply protocol produced.  A
-  later recompute that disagrees with the maintained digest is evidence
-  of out-of-band mutation (a flipped bit, rotted RAM) — the maintained
-  digests are tamper-evident because silent corruption by definition
-  bypasses the write path that updates them.
+* :class:`ChunkedDigest` — one sha256 leaf per row of a state table,
+  rolled up into per-chunk digests over fixed row ranges, *maintained* on
+  the write path: after each filtered apply the written rows' leaves are
+  re-hashed (O(written rows)), so the maintained digests always record
+  what the WAL-then-apply protocol produced.  A later recompute that
+  disagrees with the maintained digest is evidence of out-of-band
+  mutation (a flipped bit, rotted RAM) — the maintained digests are
+  tamper-evident because silent corruption by definition bypasses the
+  write path that updates them.
 * :func:`merkle_root` / :func:`merkle_diff` — roll chunk digests into a
   merkle tree so a scrubber can compare two summaries root-first and
   descend only into differing subtrees to localize divergence to a chunk.
@@ -120,39 +121,43 @@ def merkle_diff(a: Sequence[str], b: Sequence[str]) -> List[int]:
 
 
 class ChunkedDigest:
-    """Maintained per-chunk sha256 digests over row ranges of a table.
+    """Maintained sha256 digests of a table: a leaf per row, a rollup per chunk.
 
     Args:
-        reader: ``reader(lo, hi)`` returns the array slices covering rows
-            ``[lo, hi)`` of the table (e.g. memory vectors + update
-            times).  Called at refresh time, so it must read the *live*
-            backing arrays, not a snapshot.
+        tables: ``tables()`` returns the *live* arrays of the table (e.g.
+            memory vectors + update times), each indexed by row.
         num_rows: table height; chunk ``c`` covers rows
             ``[c * chunk_rows, min(num_rows, (c + 1) * chunk_rows))``.
         chunk_rows: rows per chunk (the divergence-localization grain).
 
-    :attr:`digests` holds the **maintained** (expected) digests: callers
-    refresh the touched chunks immediately after every legitimate write
-    (:meth:`record_rows`), which keeps maintenance O(dirty rows).
-    :meth:`compute` re-hashes the live arrays without touching the
-    maintained digests; :meth:`diverged` compares the two.
+    **Format.**  A leaf is sha256 of the row's bytes in each table, in
+    table order; a chunk digest is ``sha256(chunk|c|lo|hi| + row schema +
+    leaves[lo:hi])``, the schema being each table's ``dtype|row shape|``.
+    :attr:`leaves` are the **maintained** (expected) leaves: callers
+    refresh the written rows' immediately after every legitimate write
+    (:meth:`record_rows`), so maintenance hashes rows written, not the
+    chunks around them.  :attr:`digests` and :meth:`root` roll them up
+    when read; :meth:`compute` re-hashes the live arrays and touches
+    nothing maintained; :meth:`diverged` compares the two.
     """
 
     def __init__(
         self,
-        reader: Callable[[int, int], Iterable[np.ndarray]],
+        tables: Callable[[], Sequence[np.ndarray]],
         num_rows: int,
         chunk_rows: int = 32,
     ):
-        self._reader = reader
+        self._tables = tables
         self.num_rows = int(num_rows)
         self.chunk_rows = max(1, int(chunk_rows))
         self.num_chunks = -(-self.num_rows // self.chunk_rows) if self.num_rows else 0
-        # Formatted once, not per refresh: each chunk's row span and
-        # ``chunk|c|lo|hi|`` prefix (slice headers: see ``_array_header``).
-        self._spans = [(lo, hi, f"chunk|{c}|{lo}|{hi}|".encode())
+        # Formatted once: each chunk's row span and its digest's constant head.
+        schema = b"".join(_array_header(t.dtype, t.shape[1:]) for t in tables())
+        self._spans = [(lo, hi, f"chunk|{c}|{lo}|{hi}|".encode() + schema)
                        for c, (lo, hi) in enumerate(map(self.rows_of, range(self.num_chunks)))]
-        self.digests: List[str] = [self._chunk_digest(c) for c in range(self.num_chunks)]
+        self.leaves = self._row_leaves(np.arange(self.num_rows)).copy()  # writable
+        self._digests: List[str] = [""] * self.num_chunks
+        self._dirty = set(range(self.num_chunks))  # chunks whose rollup is behind its leaves
 
     # ---- geometry ------------------------------------------------------------------
 
@@ -161,53 +166,77 @@ class ChunkedDigest:
         lo = chunk * self.chunk_rows
         return lo, min(self.num_rows, lo + self.chunk_rows)
 
+    def rows_in(self, chunks: Iterable[int]) -> np.ndarray:
+        """Every row index *chunks* cover, chunk by chunk in the given order."""
+        spans = [np.arange(*self.rows_of(int(c)), dtype=np.int64) for c in chunks]
+        return np.concatenate(spans) if spans else np.empty(0, dtype=np.int64)
+
     def chunks_of(self, rows: np.ndarray) -> np.ndarray:
         """Sorted unique chunk indices containing local row indices *rows*."""
         rows = np.asarray(rows, dtype=np.int64)
-        return np.unique(rows // self.chunk_rows)
+        return np.flatnonzero(np.bincount(rows // self.chunk_rows))
 
     # ---- hashing -------------------------------------------------------------------
 
-    def _chunk_digest(self, chunk: int) -> str:
-        """``sha256(prefix + canonical_bytes(slice) ...)``, without the copies:
-        constant parts come cached, slices reach the hash as buffers."""
-        lo, hi, prefix = self._spans[chunk]
-        h = hashlib.sha256(prefix)
-        for arr in self._reader(lo, hi):
-            arr = np.ascontiguousarray(arr)  # a no-op for a slice of a C table
-            h.update(_array_header(arr.dtype, arr.shape))
-            h.update(arr)
-        return h.hexdigest()
+    def _row_leaves(self, rows: np.ndarray) -> np.ndarray:
+        """Fresh ``(n, 32)`` uint8 leaves of *rows* of the live tables: one
+        gather per table, then one tight loop over the packed rows."""
+        n = len(rows)
+        if not n:
+            return np.empty((0, 32), dtype=np.uint8)
+        packed = np.concatenate(
+            [np.ascontiguousarray(t[rows]).reshape(n, -1).view(np.uint8)
+             for t in self._tables()], axis=1)
+        sha256 = hashlib.sha256
+        return np.frombuffer(
+            b"".join([sha256(row).digest() for row in packed]), dtype=np.uint8
+        ).reshape(n, 32)
+
+    def _rollup(self, chunk: int, leaves: np.ndarray) -> str:
+        """Digest of *chunk* from its rows' *leaves*."""
+        return hashlib.sha256(self._spans[chunk][2] + leaves.tobytes()).hexdigest()
+
+    @property
+    def digests(self) -> List[str]:
+        """The maintained chunk digests, rolled up from the maintained leaves."""
+        for c in self._dirty:
+            lo, hi, _ = self._spans[c]
+            self._digests[c] = self._rollup(c, self.leaves[lo:hi])
+        self._dirty.clear()
+        return self._digests
 
     def record_rows(self, rows: np.ndarray,
                     chunks: Optional[np.ndarray] = None) -> np.ndarray:
-        """Re-hash the chunks containing *rows* after a legitimate write;
-        *chunks* is ``chunks_of(rows)`` when the caller already has it."""
+        """Re-hash the leaves of *rows* after a legitimate write; returns the
+        chunks covering them (*chunks*, when the caller has ``chunks_of(rows)``)."""
         if chunks is None:
             chunks = self.chunks_of(rows)
-        digests = self.digests
-        for c in chunks.tolist():
-            digests[c] = self._chunk_digest(c)
+        self.leaves[rows] = self._row_leaves(rows)
+        self._dirty.update(chunks.tolist())
         return chunks
 
-    def record_all(self) -> None:
-        """Re-hash every chunk (wholesale state replacement)."""
-        self.digests = [self._chunk_digest(c) for c in range(self.num_chunks)]
-
     def compute(self, chunks: Optional[Iterable[int]] = None) -> List[str]:
-        """Fresh digests of the live arrays; maintained digests untouched.
+        """Fresh digests of the live arrays — of exactly *chunks*, in the given
+        order, when given — their rows hashed in one gather."""
+        targets = [int(c) for c in (range(self.num_chunks) if chunks is None else chunks)]
+        leaves = self._row_leaves(self.rows_in(targets))
+        out, at = [], 0
+        for c in targets:
+            lo, hi, _ = self._spans[c]
+            out.append(self._rollup(c, leaves[at:at + hi - lo]))
+            at += hi - lo
+        return out
 
-        With *chunks* given, returns digests for exactly those chunks (in
-        the given order); otherwise for all of them.
-        """
-        targets = range(self.num_chunks) if chunks is None else chunks
-        return [self._chunk_digest(int(c)) for c in targets]
+    def stale(self, chunks: Iterable[int]) -> List[int]:
+        """Those of *chunks* whose live rows no longer match the maintained digest."""
+        chunks, kept = [int(c) for c in chunks], self.digests
+        return [c for c, live in zip(chunks, self.compute(chunks)) if live != kept[c]]
 
     def diverged(self, live: Optional[Sequence[str]] = None) -> List[int]:
         """Chunks whose live content no longer matches the maintained digest.
 
         A non-empty result is proof of out-of-band mutation: every write
-        through the owning replica's apply path refreshed its chunks.
+        through the owning replica's apply path refreshed its rows' leaves.
         *live* (a precomputed :meth:`compute` result) avoids re-hashing.
         """
         fresh = self.compute() if live is None else list(live)

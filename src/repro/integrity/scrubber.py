@@ -68,15 +68,6 @@ _COUNTER_KEYS = (
 )
 
 
-def _chunk_rows(cd: ChunkedDigest, chunks: Sequence[int]) -> np.ndarray:
-    """All local row indices the given chunks cover, ascending."""
-    if not len(chunks):
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(
-        [np.arange(*cd.rows_of(int(c)), dtype=np.int64) for c in chunks]
-    )
-
-
 class Scrubber:
     """Background anti-entropy scrubber over a cluster's replica groups.
 
@@ -234,7 +225,7 @@ class Scrubber:
         no such peer the member's own durable evidence repairs it
         (WAL-suffix resync); evidence that is missing or short raises.
         """
-        rows = _chunk_rows(cd, chunks)
+        rows = cd.rows_in(chunks)
         donor = None
         matching = 1  # the member's own maintained digests vote for its state
         for d in range(len(group.members)):
@@ -246,9 +237,7 @@ class Scrubber:
             if any(dcd.digests[int(c)] != cd.digests[int(c)] for c in chunks):
                 continue  # holds a different logical state: cannot donate
             matching += 1
-            if donor is None and group.serving(d) and dcd.compute(chunks) == [
-                dcd.digests[int(c)] for c in chunks
-            ]:
+            if donor is None and group.serving(d) and not dcd.stale(chunks):
                 donor = d
         factor = len(group.members)
         quorum_ok = factor < 3 or matching > factor // 2
@@ -285,11 +274,7 @@ class Scrubber:
 
     def _verify_chunks(self, gi: int, m: int, rep, comp: str,
                        cd: ChunkedDigest, chunks: List[int]) -> None:
-        still = [
-            int(c)
-            for c, lv in zip(chunks, cd.compute(chunks))
-            if lv != cd.digests[int(c)]
-        ]
+        still = cd.stale(chunks)
         if still:
             raise IntegrityUnrepairable(
                 f"shard {gi} member {m}: {comp} chunks {still} still "
@@ -330,7 +315,7 @@ class Scrubber:
                     continue
                 chunks = merkle_diff(cd.digests, wcd.digests)
                 self._bump("divergences", len(chunks))
-                rows = _chunk_rows(wcd, chunks)
+                rows = wcd.rows_in(chunks)
                 rep = group.members[m]
                 rep.overwrite_rows(
                     comp, rows, wrep.read_rows(comp, rows), record=True
@@ -386,12 +371,7 @@ class Scrubber:
             return
         repaired = False
         for comp, cd in rep.digests.components():
-            chunks = cd.chunks_of(local)
-            bad = [
-                int(c)
-                for c, lv in zip(chunks, cd.compute(chunks))
-                if lv != cd.digests[int(c)]
-            ]
+            bad = cd.stale(cd.chunks_of(local))
             if bad:
                 self._bump("divergences", len(bad))
                 self._repair_chunks(gi, group, member_idx, rep, comp, cd, bad)

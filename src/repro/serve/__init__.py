@@ -42,6 +42,7 @@ from .commit import (
     CommitStats,
     StateCommitter,
     apply_plan,
+    plan_by_owner,
     plan_updates,
     recover_serve_state,
     replay_state,
@@ -67,6 +68,7 @@ __all__ = [
     "stage_checked",
     "ApplyPlan",
     "plan_updates",
+    "plan_by_owner",
     "apply_plan",
     "replay_state",
     "recover_serve_state",

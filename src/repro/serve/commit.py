@@ -40,7 +40,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..core.kernels.dedup import canonical_event_order
+from ..core.kernels.dedup import canonical_event_order, group_spans
 from ..core.state import load_state_image, state_image
 from ..durable.codec import KIND_BATCH
 from ..resilience.errors import TransientKernelError
@@ -56,6 +56,7 @@ __all__ = [
     "stage_checked",
     "ApplyPlan",
     "plan_updates",
+    "plan_by_owner",
     "apply_plan",
     "replay_state",
     "recover_serve_state",
@@ -190,21 +191,12 @@ class ApplyPlan(NamedTuple):
     win_times: np.ndarray
 
 
-def plan_updates(nodes, values, times, local_map=None) -> ApplyPlan:
+def plan_updates(nodes, values, times) -> ApplyPlan:
     """Reduce staged ``(nodes, values, times)`` rows to an :class:`ApplyPlan`.
 
-    With *local_map* (a shard's global -> local row table, ``-1`` = not
-    owned) only owned, in-range rows are kept and ``nodes`` become local
-    rows; filtering commutes with the per-node duplicate rule, so
-    per-shard plans together write what one global plan writes.  A pure
-    function: live commit, WAL replay, respawn and shadow replay plan one
-    record to the same rows, and members sharing an ownership share it.
+    A pure function: live commit and WAL replay plan one record to the
+    same rows.
     """
-    if local_map is not None:
-        ok = (nodes >= 0) & (nodes < len(local_map))
-        local = np.where(ok, local_map.take(nodes, mode="clip"), -1)
-        own = local >= 0
-        nodes, values, times = local[own], values[own], times[own]
     order = canonical_event_order(nodes, times, values)
     nodes, values, times = nodes[order], values[order], times[order]
     last = nodes[1:] != nodes[:-1]
@@ -212,6 +204,32 @@ def plan_updates(nodes, values, times, local_map=None) -> ApplyPlan:
         return ApplyPlan(nodes, values, times, nodes, values, times)
     last = np.flatnonzero(np.append(last, True))
     return ApplyPlan(nodes, values, times, nodes[last], values[last], times[last])
+
+
+def plan_by_owner(nodes, values, times, owner) -> Dict[int, ApplyPlan]:
+    """:func:`plan_updates`, once, for rows that several owners write.
+
+    *owner* says who writes each staged row (a function of its node;
+    negative = nobody).  One sort — owner-major, canonical within an owner
+    — and one last-event-wins pass make every owner's plan a slice of the
+    whole (views; nodes stay global ids; keys ascend).  A plan depends
+    only on its owner's rows, so an owner's slice of a whole request's
+    plan equals, array for array, the plan of just the events touching it.
+    """
+    if not len(nodes):
+        return {}
+    order = canonical_event_order(nodes, times, values)
+    order = order[np.argsort(owner[order], kind="stable")]
+    nodes, values, times = nodes[order], values[order], times[order]
+    last = np.flatnonzero(np.append(nodes[1:] != nodes[:-1], True))  # per node
+    win_nodes, win_values, win_times = nodes[last], values[last], times[last]
+    owners, starts, stops = group_spans(owner[order])
+    wins = np.searchsorted(last, starts + stops[-1:]).tolist()
+    return {
+        k: ApplyPlan(nodes[a:b], values[a:b], times[a:b],
+                     win_nodes[wa:wb], win_values[wa:wb], win_times[wa:wb])
+        for k, a, b, wa, wb in zip(owners, starts, stops, wins, wins[1:]) if k >= 0
+    }
 
 
 def apply_plan(plan: ApplyPlan, memory, mailbox=None) -> None:

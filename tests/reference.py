@@ -13,6 +13,8 @@ They live here, not under ``src/``, so the shipped code has one path:
 * :func:`composed_attention` — temporal attention as the concat and ~25 tape
   nodes the two attention layers built before ``segment_attention`` fused
   them.
+* :func:`sequential_commit` — one event batch committed one endpoint row at
+  a time, the state every plan (whole, per shard, replayed) has to reproduce.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import math
 
 import numpy as np
 
-from repro.core import op as tgop
+from repro.core import Mailbox, Memory, op as tgop
+from repro.serve import stage_updates
 from repro.tensor import Tensor, cat
 from repro.tensor.segment import segment_softmax, segment_sum
 
@@ -86,3 +89,17 @@ def composed_attention(q, parts, w_k, w_v, dstindex, num_dst, num_heads) -> Tens
     attn = segment_softmax(scores, dstindex, num_dst)
     weighted = (v * attn.unsqueeze(2)).reshape(num_src, q.shape[1])
     return segment_sum(weighted, dstindex, num_dst)
+
+
+def sequential_commit(batch, num_nodes: int, dim: int, slots: int):
+    """``(Memory, Mailbox)`` after *batch*, written one staged row after the
+    other in (node, time, row bytes) order; out-of-range endpoints write nothing."""
+    mem, box = Memory(num_nodes, dim), Mailbox(num_nodes, dim, slots=slots)
+    nodes, values, times = stage_updates(batch, dim)
+    for node, time, _, i in sorted(
+        (int(n), float(t), values[i].tobytes(), i)
+        for i, (n, t) in enumerate(zip(nodes, times)) if 0 <= n < num_nodes
+    ):
+        mem.update(np.array([node]), values[i:i + 1], np.array([time]))
+        box.store(np.array([node]), values[i:i + 1], np.array([time]))
+    return mem, box

@@ -10,17 +10,22 @@ must never let two members alias a row.
 """
 
 import hashlib
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.cluster import ClusterConfig, ServeCluster, ShardReplica
+from reference import sequential_commit
+from repro.cluster import ClusterConfig, ServeCluster, ShardReplica, ShardRouter
 from repro.core import Mailbox, Memory, TContext, TGraph, TSampler
-from repro.integrity import ChunkedDigest, array_digest, canonical_bytes
+from repro.integrity import ChunkedDigest, array_digest, merkle_root
 from repro.serve import (
     EventBatch,
     ServeRuntime,
     apply_plan,
+    plan_by_owner,
     plan_updates,
     replay,
     split_batches,
@@ -33,52 +38,102 @@ N, DIM = 48, 8
 # ---- chunk digests ---------------------------------------------------------------------
 
 
-def spelled_out(reader, num_rows, chunk_rows):
-    """Every chunk digest recomputed from scratch, the way the format is defined."""
+def spelled_out(tables, num_rows, chunk_rows):
+    """Every chunk digest recomputed from scratch, the way the format is defined:
+    a sha256 leaf per row over the row's bytes in each table, a chunk digest
+    over ``chunk|c|lo|hi|``, each table's ``dtype|row shape|`` tag, and its leaves."""
+    tables = [np.asarray(t) for t in tables()]
+    schema = "".join(
+        f"{t.dtype.str}|{','.join(str(s) for s in t.shape[1:])}|" for t in tables
+    ).encode()
     out = []
     for chunk, lo in enumerate(range(0, num_rows, chunk_rows)):
         hi = min(num_rows, lo + chunk_rows)
-        h = hashlib.sha256(f"chunk|{chunk}|{lo}|{hi}|".encode())
-        for arr in reader(lo, hi):
-            h.update(canonical_bytes(np.asarray(arr)))
+        h = hashlib.sha256(f"chunk|{chunk}|{lo}|{hi}|".encode() + schema)
+        for row in range(lo, hi):
+            h.update(hashlib.sha256(b"".join(t[row].tobytes() for t in tables)).digest())
         out.append(h.hexdigest())
     return out
 
 
-def _readers():
-    rng = np.random.default_rng(0)
+def _tables(seed=0):
+    """Three table sets of 70 rows, each with the write a legitimate writer makes."""
+    rng = np.random.default_rng(seed)
     data = rng.standard_normal((70, 6)).astype(np.float32)
     times = rng.random(70)
     wide = rng.standard_normal((70, 12)).astype(np.float32)
     box = Mailbox(70, 4, slots=3)
-    for step in range(5):  # fill the ring unevenly so the cursor is not uniform
-        nodes = rng.integers(0, 70, 40)
-        box.store(nodes, rng.standard_normal((40, 4)).astype(np.float32), rng.random(40) + step)
+
+    def deliver(rows):
+        box.store(rows, rng.standard_normal((len(rows), 4)).astype(np.float32),
+                  rng.random(len(rows)) + 1.0)
+
+    def overwrite(tables):
+        def write(rows):
+            for t in tables():  # views: the write lands in the backing arrays
+                t[rows] = rng.standard_normal(t[rows].shape).astype(t.dtype)
+        return write
+
+    for _ in range(5):  # fill the ring unevenly so the cursor is not uniform
+        deliver(rng.integers(0, 70, 40))
+    contiguous = lambda: (data, times)
+    strided_view = lambda: (wide[:, ::2], times[::-1])
     return {
-        "contiguous": lambda lo, hi: (data[lo:hi], times[lo:hi]),
-        "strided_view": lambda lo, hi: (wide[lo:hi, ::2], times[::-1][lo:hi]),
-        "ring_with_cursor": lambda lo, hi: tuple(t[lo:hi] for t in box.tables()),
-    }, data
+        "contiguous": (contiguous, overwrite(contiguous)),
+        "strided_view": (strided_view, overwrite(strided_view)),
+        "ring_with_cursor": (box.tables, deliver),
+    }
 
 
-@pytest.mark.parametrize("name", ["contiguous", "strided_view", "ring_with_cursor"])
-@pytest.mark.parametrize("chunk_rows", [16, 32, 70, 100])  # 70 rows: ragged, exact, oversize
+TABLE_SETS = ["contiguous", "strided_view", "ring_with_cursor"]
+CHUNK_ROWS = [16, 32, 70, 100]  # 70 rows: ragged, exact, oversize
+
+
+@pytest.mark.parametrize("name", TABLE_SETS)
+@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
 def test_chunk_digests_are_the_spelled_out_sha256(name, chunk_rows):
-    readers, data = _readers()
-    reader = readers[name]
-    cd = ChunkedDigest(reader, 70, chunk_rows)
-    want = spelled_out(reader, 70, chunk_rows)
+    tables, write = _tables()[name]
+    cd = ChunkedDigest(tables, 70, chunk_rows)
+    want = spelled_out(tables, 70, chunk_rows)
     assert cd.digests == want and cd.compute() == want
+    assert cd.compute(range(cd.num_chunks)[::-1]) == want[::-1]  # in the order asked
     # ...and after a write through record_rows, with or without the chunk set
-    data[[3, 40, 69]] += 1.0
     rows = np.array([69, 3, 40, 3])
+    write(rows)
     chunks = cd.record_rows(rows)
     assert chunks.tolist() == sorted({r // chunk_rows for r in rows.tolist()})
-    want = spelled_out(reader, 70, chunk_rows)
-    assert cd.digests == want
-    data[5] -= 2.0
+    assert cd.digests == spelled_out(tables, 70, chunk_rows)
+    write(np.array([5]))
     assert cd.record_rows(np.array([5]), cd.chunks_of(np.array([5]))).tolist() == [0]
-    assert cd.digests == spelled_out(reader, 70, chunk_rows)
+    assert cd.digests == spelled_out(tables, 70, chunk_rows)
+
+
+@pytest.mark.parametrize("name", TABLE_SETS)
+@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_recorded_writes_keep_up_and_any_unrecorded_bit_flip_is_localised(
+        name, chunk_rows, data):
+    tables, write = _tables(data.draw(st.integers(0, 3)))[name]
+    cd = ChunkedDigest(tables, 70, chunk_rows)
+    for rows in data.draw(st.lists(st.lists(st.integers(0, 69), min_size=1, max_size=12),
+                                   max_size=6)):
+        rows = np.array(rows)
+        write(rows)
+        cd.record_rows(rows)
+        assert cd.diverged() == []  # eager: the leaves keep up write by write
+    assert cd.digests == cd.compute() and cd.diverged() == []
+    assert cd.root() == merkle_root(cd.compute())
+    # one bit of one cell of one table, behind the digest's back
+    table = tables()[data.draw(st.integers(0, len(tables()) - 1))]
+    cell = tuple(data.draw(st.integers(0, n - 1)) for n in table.shape)
+    value = np.array([table[cell]])
+    bit = data.draw(st.integers(0, 8 * value.itemsize - 1))
+    value.view(np.uint8)[bit // 8] ^= np.uint8(1 << (bit % 8))
+    table[cell] = value[0]
+    assert cd.diverged() == [cell[0] // chunk_rows]
+    cd.record_rows(np.array([cell[0]]))  # a legitimate write re-adopts the row
+    assert cd.diverged() == []
 
 
 # ---- one plan, many members --------------------------------------------------------------
@@ -96,6 +151,52 @@ def tie_stream(events=240, seed=5):
     payload = rng.standard_normal((events, DIM)).astype(np.float32)
     payload[2::8] = payload[1::8]  # and some byte-identical ones
     return EventBatch(np.arange(events), src, dst, ts, payload)
+
+
+#: (src, dst, time slot, payload kind) per event: few nodes, slots and kinds,
+#: so duplicate endpoints, self-loops and (node, time) ties with equal and
+#: with differing payload bytes are the common case, plus ids nobody owns.
+_NODE = st.one_of(st.integers(-2, 7), st.integers(N - 2, N + 1))
+_EVENTS = st.lists(st.tuples(_NODE, _NODE, st.integers(0, 2), st.integers(0, 2)),
+                   min_size=1, max_size=24)
+_KINDS = np.random.default_rng(9).standard_normal((3, DIM)).astype(np.float32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_EVENTS, st.integers(1, 5), st.sampled_from([1, 3]), st.integers(0, 2**16))
+def test_each_shards_slice_of_the_one_plan_is_the_plan_its_replica_makes(
+        events, shards, slots, salt):
+    src, dst, slot, kind = (np.array(c, dtype=np.int64) for c in zip(*events))
+    batch = EventBatch(np.arange(len(events)), src, dst, slot + 1.0, _KINDS[kind])
+    router = ShardRouter.hash(N, shards, seed=salt)
+    ends = router.endpoint_shards(batch)
+    nodes, values, times = stage_updates(batch, DIM)
+    parts = plan_by_owner(nodes, values, times, np.concatenate(ends))
+    subs = router.split_batch(batch, ends)
+    assert list(parts) == list(subs) == sorted(subs)
+    images = {}
+    with tempfile.TemporaryDirectory() as root:
+        for shard, sub in subs.items():
+            touches = (ends[0] == shard) | (ends[1] == shard)
+            assert sub.eids.tolist() == np.flatnonzero(touches).tolist()
+            rep = ShardReplica(shard, router.owned_nodes(shard), N, DIM,
+                               os.path.join(root, str(shard)), mailbox_slots=slots)
+            live = rep.prepare(sub, 0, 0, parts[shard])
+            for sliced, own in zip(live[1], rep.plan(sub)):
+                assert sliced.dtype == own.dtype and np.array_equal(sliced, own)
+            assert rep.apply(sub, 0, epoch=0, prepared=live)
+            for comp in ("memory", "mailbox"):
+                assert getattr(rep.digests, comp).diverged() == []
+                for k, table in enumerate(rep.tables(comp)):
+                    images.setdefault((comp, k), []).append((rep.owned, table.copy()))
+            rep.close()
+    mem, box = sequential_commit(batch, N, DIM, slots)
+    for comp, want in (("memory", mem), ("mailbox", box)):
+        got = [np.zeros_like(t) for t in want.tables()]
+        for k, table in enumerate(got):
+            for owned, rows in images.get((comp, k), []):
+                table[owned] = rows
+        assert array_digest(*got) == want.state_digest()
 
 
 def _images(rep):
@@ -170,7 +271,7 @@ def test_plan_is_the_single_definition_of_an_applied_batch(tmp_path):
     batch = tie_stream(64).take(np.arange(40))
     owned = np.arange(0, N, 2)
     rep = ShardReplica(0, owned, N, DIM, str(tmp_path / "s"), mailbox_slots=3)
-    rep.apply(batch, 0)
+    rep.apply(batch, 0, epoch=0)
     mem, box = Memory(len(owned), DIM), Mailbox(len(owned), DIM, slots=3)
     apply_plan(rep.plan(batch), mem, box)
     assert [t.tobytes() for t in mem.tables() + box.tables()] == _images(rep)

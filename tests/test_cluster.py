@@ -244,7 +244,7 @@ def test_replica_crash_respawn_is_bit_identical(tmp_path):
     for seq in range(7):
         batch = _payload_batch([seq], [2 * seq % N], [(2 * seq + 1) % N],
                                [float(seq)], seed=seq)
-        assert rep.apply(batch, seq)
+        assert rep.apply(batch, seq, epoch=0)
     digests_before = (rep.memory.state_digest(), rep.mailbox.state_digest())
 
     rep.crash()
@@ -262,10 +262,10 @@ def test_replica_crash_respawn_is_bit_identical(tmp_path):
 def test_replica_duplicate_apply_is_a_noop(tmp_path):
     rep = _replica(tmp_path, np.arange(N))
     batch = _payload_batch([0], [1], [2], [1.0])
-    assert rep.apply(batch, 0)
+    assert rep.apply(batch, 0, epoch=0)
     snap = rep.memory.state_digest()
     # redelivery (hedge double-delivery, retry after lost ack): no-op
-    assert not rep.apply(batch, 0)
+    assert not rep.apply(batch, 0, epoch=0)
     assert rep.duplicate_batches == 1
     assert rep.memory.state_digest() == snap
     assert rep.applied_batches == 1
@@ -275,7 +275,7 @@ def test_replica_release_adopt_preserves_rows(tmp_path):
     a = _replica(tmp_path, np.arange(0, 30), name="a")
     b = _replica(tmp_path, np.arange(30, N), name="b")
     batch = _payload_batch([0, 1], [3, 7], [5, 9], [1.0, 2.0])
-    a.apply(batch, 0)
+    a.apply(batch, 0, epoch=0)
     moved = np.array([3, 5])
     rows_before = a.gather(moved).copy()
     state = a.release(moved)
@@ -417,7 +417,7 @@ def test_cluster_rebalance_moves_hot_nodes_and_preserves_state():
         hot_nodes = cluster.router.owned_nodes(hot)
         # apply one real batch so moved rows carry non-zero state
         batch = _payload_batch([0, 1], hot_nodes[:2], hot_nodes[2:4], [1.0, 2.0])
-        cluster.replicas[hot].apply(batch, 0)
+        cluster.replicas[hot].apply(batch, 0, epoch=0)
         rows_before = cluster.replicas[hot].gather(hot_nodes[:2]).copy()
         # fake a sustained hot spot on that shard, tick across windows
         for _ in range(4):
@@ -501,7 +501,7 @@ def test_place_group_hosts_anti_affinity():
 def test_read_batch_suffix_orders_and_filters(tmp_path):
     rep = _replica(tmp_path, np.arange(N))
     for s in range(5):
-        rep.apply(_payload_batch([s], [s], [s + 1], [float(s + 1)]), s)
+        rep.apply(_payload_batch([s], [s], [s + 1], [float(s + 1)]), s, epoch=0)
     records = read_batch_suffix(rep.durable_dir, after_seq=2)
     assert [int(r.meta["seq"]) for r in records] == [3, 4]
     batch = EventBatch.from_arrays(records[0].arrays)

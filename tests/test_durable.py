@@ -9,7 +9,9 @@ twice, and re-opening the store is idempotent.
 
 import os
 import shutil
+import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from repro.durable import (
     write_snapshot,
 )
 from repro.durable.wal import _HEADER_SIZE
-from repro.resilience import DECISIONS, SITES, FaultInjector, SimulatedDiskCrash
+from repro.resilience import DECISIONS, SITES, FaultInjector, SimulatedDiskCrash, hooks
 from repro.serve import (
     ServeRuntime,
     build_stream,
@@ -282,6 +284,56 @@ class TestInjectedDiskFaults:
             wal.close()
         with WriteAheadLog(d, fsync="never") as wal:
             assert [l for l, _ in wal.replay()] == [1, 2, 3]
+
+    def test_on_disk_bytes_are_the_spelled_out_frame_under_every_directive(self, tmp_path):
+        """Appending frame, LSN and payload unjoined leaves the bytes the format
+        defines — ``u32 len | u32 crc32(lsn + payload) | u64 lsn | payload`` —
+        clean, flipped, duplicated and torn alike."""
+        rng = np.random.default_rng(12)
+        payloads = [b"", b"x", rng.bytes(4096), encode_payload(
+            KIND_BATCH, {"seq": 3}, {"ts": np.arange(5.0)}), rng.bytes(700), b"unreached"]
+        script = [None, ("flip", 1, 6), ("flip", 50_003, 0), ("dup",), None, ("torn", 300)]
+
+        class Scripted:
+            sizes = []
+
+            def poke(self, site, **info):
+                if site != "disk.write":
+                    return None
+                self.sizes.append(info["size"])
+                return script[len(self.sizes) - 1]
+
+        want, written = struct.pack("<12sI", b"TGLITEWAL001", 1), []
+        for lsn, (payload, directive) in enumerate(zip(payloads, script), start=1):
+            body = struct.pack("<Q", lsn) + payload
+            record = struct.pack("<II", len(body), zlib.crc32(body)) + body
+            written.append(len(record))
+            if directive is None:
+                want += record
+            elif directive[0] == "flip":
+                damaged = bytearray(record)
+                damaged[directive[1] % len(record)] ^= 1 << directive[2]
+                want += bytes(damaged)
+            elif directive[0] == "dup":
+                want += record + record
+            else:
+                want += record[:directive[1]]
+        d = str(tmp_path / "wal")
+        injector = Scripted()
+        hooks.install(injector)
+        try:
+            wal = WriteAheadLog(d, fsync="never")
+            for payload in payloads[:-1]:
+                wal.append(payload)
+            with pytest.raises(SimulatedDiskCrash):
+                wal.append(payloads[-1])
+            wal.close()
+        finally:
+            hooks.uninstall(injector)
+        assert injector.sizes == written
+        assert wal.stats.bytes_appended == sum(written[:-1])
+        with open(os.path.join(d, "wal-00000001.log"), "rb") as fh:
+            assert fh.read() == want
 
     def test_lost_fsync_drops_unsynced_window(self, tmp_path):
         d = str(tmp_path / "wal")

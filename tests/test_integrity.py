@@ -120,15 +120,14 @@ class TestDigestPrimitives:
         rng = np.random.default_rng(1)
         data = rng.normal(size=(70, DIM)).astype(np.float32)
         times = rng.uniform(size=70)
-        cd = ChunkedDigest(lambda lo, hi: (data[lo:hi], times[lo:hi]),
-                           70, chunk_rows=16)
+        cd = ChunkedDigest(lambda: (data, times), 70, chunk_rows=16)
         assert cd.num_chunks == 5
         for _ in range(5):
             rows = rng.integers(0, 70, size=8)
             data[rows] = rng.normal(size=(8, DIM)).astype(np.float32)
             times[rows] = rng.uniform(size=8)
             cd.record_rows(rows)
-        # O(dirty-rows) maintenance equals a from-scratch rehash
+        # O(written-rows) maintenance equals a from-scratch rehash
         assert cd.digests == cd.compute()
         assert cd.diverged() == []
         assert cd.root() == merkle_root(cd.compute())
@@ -136,7 +135,7 @@ class TestDigestPrimitives:
     def test_chunked_digest_is_tamper_evident(self):
         rng = np.random.default_rng(2)
         data = rng.normal(size=(64, DIM)).astype(np.float32)
-        cd = ChunkedDigest(lambda lo, hi: (data[lo:hi],), 64, chunk_rows=16)
+        cd = ChunkedDigest(lambda: (data,), 64, chunk_rows=16)
         # out-of-band mutation (no record_rows) localizes to its chunk
         data.view(np.uint8).reshape(-1)[40 * DIM * 4] ^= np.uint8(1)
         assert cd.diverged() == [2]

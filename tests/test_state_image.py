@@ -158,7 +158,7 @@ def _applied_replica(tmp_path, name, slots):
         np.arange(8), np.arange(8), (np.arange(8) + 3) % N, np.arange(8) + 1.0,
         rng.normal(size=(8, DIM)).astype(np.float32),
     )
-    rep.apply(batch, 0)
+    rep.apply(batch, 0, epoch=0)
     return rep
 
 
