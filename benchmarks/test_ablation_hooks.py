@@ -49,7 +49,7 @@ class ManualPostprocTGAT(TGAT):
                 inverses.append(None)
             tail = self.sampler.sample(tail)
             blocks.append(tail)
-        tgop.preload(head, use_pin=self.opt.pin_memory)
+        tgop.preload(head)
         tail.dstdata["h"] = tail.dstfeat()
         tail.srcdata["h"] = tail.srcfeat()
         # Manual multi-hop aggregation (what aggregate() schedules for us).

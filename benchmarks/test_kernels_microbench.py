@@ -20,7 +20,9 @@ The autograd / node-keyed rows use ``tests/reference.py`` as the
 reference: a slice's backward (assignment vs ``np.add.at``), the gradient
 scatter-add kernel vs ``np.add.at``, and TGN's memory update at the
 ``train_tgn_plain`` tail shape (83 252 rows over 549 nodes), per row vs
-per unique node (>= 2x on the slice and memory-update rows); and temporal
+per unique node (>= 2x on the slice and memory-update rows), with JODIE's
+and APAN's at a batch head's shape (900 rows over ~240 nodes; asserted not
+slower); and temporal
 attention at the ``train_tgat_opt`` tail shape (22 000 source rows of 172
 node + 172 edge + 32 time columns over 2 300 destinations), forward +
 backward, as the composed concat-and-tape reference vs the fused
@@ -48,7 +50,7 @@ from repro.core.kernels import (
     unique_node_times,
 )
 from repro.integrity import ChunkedDigest
-from repro.models import TGN
+from repro.models import APAN, JODIE, TGN
 from repro.nn import Linear
 from repro.tensor.segment import _scatter_add, segment_attention
 
@@ -239,27 +241,34 @@ def test_kernel_microbench():
         vec = timeit(lambda: _scatter_add((segments, width), ids, grads), repeat=7)
         record(name, ref, vec, f"{len(ids)} -> {segments} x {width}")
 
-    # -- TGN memory update: per row vs per unique node --------------------------
-    g = tg.TGraph(np.arange(548), np.arange(1, 549), np.arange(1.0, 549.0), num_nodes=549)
-    g.set_efeat(np.zeros((548, 172), dtype=np.float32))
-    g.set_memory(32)
-    g.set_mailbox(TGN.required_mailbox_dim(32, 172))
-    g.mailbox.mail.data[...] = rng.standard_normal(g.mailbox.mail.shape)
-    g.mailbox.time[...] = rng.random(549) + 1.0
-    model = TGN(tg.TContext(g), dim_node=0, dim_edge=172, dim_time=32, dim_embed=32, dim_mem=32)
-    blk = tg.TBlock(model.ctx, 0, node_ids, np.full(len(node_ids), 9.0))
+    # -- memory update: per row vs per unique node ---------------------------------
+    # TGN at its tail shape; JODIE / APAN at a 300-edge batch's head (src, dst,
+    # neg), about a quarter of whose rows are distinct nodes.
+    head_ids = rng.integers(0, 250, 900)
+    for name, cls, ids, slots in [("tgn", TGN, node_ids, 1), ("jodie", JODIE, head_ids, 1),
+                                  ("apan", APAN, head_ids, 10)]:
+        g = tg.TGraph(np.arange(548), np.arange(1, 549), np.arange(1.0, 549.0), num_nodes=549)
+        g.set_efeat(np.zeros((548, 172), dtype=np.float32))
+        g.set_memory(32)
+        g.set_mailbox(cls.required_mailbox_dim(32, 172), slots=slots)
+        g.mailbox.mail.data[...] = rng.standard_normal(g.mailbox.mail.shape)
+        g.mailbox.time[...] = rng.random(g.mailbox.time.shape) + 1.0
+        model = cls(tg.TContext(g), dim_node=0, dim_edge=172, dim_time=32, dim_embed=32, dim_mem=32)
+        blk = tg.TBlock(model.ctx, 0, ids, np.full(len(ids), 9.0))
 
-    def update(fn):
-        g.mem.reset()
-        blk.clear_cache()
-        with T.no_grad():
-            return fn(model, blk).numpy()
+        def update(fn):
+            g.mem.reset()
+            blk.clear_cache()
+            with T.no_grad():
+                return fn(model, blk).numpy()
 
-    per_node = update(TGN.update_memory)[blk.uniq_nodes()[1]]
-    assert (per_node == update(per_row_update_memory)).all()
-    ref = timeit(lambda: update(per_row_update_memory))
-    vec = timeit(lambda: update(TGN.update_memory), repeat=7)
-    record("tgn_update_memory", ref, vec, "83252 rows / 549 nodes, d=32")
+        per_node = update(cls.update_memory)[blk.uniq_nodes()[1]]
+        assert (per_node == update(per_row_update_memory)).all()
+        ref = timeit(lambda: update(per_row_update_memory), repeat=3 if name == "tgn" else 7)
+        vec = timeit(lambda: update(cls.update_memory), repeat=7)
+        record(f"{name}_update_memory", ref, vec,
+               f"{len(ids)} rows / {len(blk.uniq_nodes()[0])} nodes, d=32"
+               + (f", {slots} slots" if slots > 1 else ""))
 
     # -- temporal attention: composed tape vs the fused op, forward + backward ----
     num_src, num_dst, heads = 22_000, 2_300, 2
@@ -310,6 +319,9 @@ def test_kernel_microbench():
     # and node-keyed state is updated per node, not per row.
     assert speedups["slice_backward"] >= 2.0
     assert speedups["tgn_update_memory"] >= 2.0
+    # At a head's 900 rows the cell is small either way: per node must not cost more.
+    assert speedups["jodie_update_memory"] >= 1.0
+    assert speedups["apan_update_memory"] >= 1.0
     # One fused attention node instead of a concat and ~25 tape nodes
     # (measured ~2.5x dense, ~3.5x keyed here).
     assert speedups["segment_attention_dense"] >= 1.5

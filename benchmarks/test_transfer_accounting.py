@@ -11,7 +11,10 @@ pins none; TGLite fetches each distinct node / edge row once per block, so
 it moves an order of magnitude less, nearly all of it pinned; TGLite+opt
 moves no more than that — dedup shrinks the per-row destination gather,
 but the set of distinct rows a batch touches is the same with or without
-it (TGN, which reads nothing per row, moves identical bytes).
+it (the memory models, which read nothing per row, move identical bytes).
+JODIE and APAN sample nothing on the embedding path, so TGL's per-row loads
+are small to begin with and TGLite's margin is the batch's node repetition
+(4-5x), not an order of magnitude.
 """
 
 import pytest
@@ -21,7 +24,9 @@ from repro.bench.trainer import train_epoch
 from repro.tensor.device import runtime
 
 from conftest import report_table
-from helpers import make_config
+from helpers import FRAMEWORK_ORDER, make_config, skip_tglite_opt_for_jodie
+
+MODELS = ("tgat", "tgn", "jodie", "apan")
 
 
 def _measure(framework: str, model: str) -> dict:
@@ -43,23 +48,21 @@ def _measure(framework: str, model: str) -> dict:
 
 
 def test_transfer_accounting(benchmark):
+    cells = [(model, framework) for model in MODELS for framework in FRAMEWORK_ORDER
+             if not skip_tglite_opt_for_jodie(model, framework)]
+
     def run():
-        results = {}
-        for model in ("tgat", "tgn"):
-            for framework in ("tgl", "tglite", "tglite+opt"):
-                results[(model, framework)] = _measure(framework, model)
-        return results
+        return {cell: _measure(cell[1], cell[0]) for cell in cells}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
     rows = []
-    for model in ("tgat", "tgn"):
-        for framework in ("tgl", "tglite", "tglite+opt"):
-            r = results[(model, framework)]
-            rows.append([
-                model, framework, f"{r['mb']:.1f}",
-                f"{100 * r['pinned_fraction']:.0f}%", r["transfers"],
-            ])
+    for model, framework in cells:
+        r = results[(model, framework)]
+        rows.append([
+            model, framework, f"{r['mb']:.1f}",
+            f"{100 * r['pinned_fraction']:.0f}%", r["transfers"],
+        ])
     report_table(
         "Data movement per training slice (wiki, CPU-to-GPU): the Figure 6 mechanism",
         ["model", "framework", "MB moved", "pinned", "transfers"],
@@ -67,12 +70,15 @@ def test_transfer_accounting(benchmark):
         filename="transfer_accounting.txt",
     )
 
-    for model in ("tgat", "tgn"):
+    for model in MODELS:
         tgl = results[(model, "tgl")]
         lite = results[(model, "tglite")]
-        opt = results[(model, "tglite+opt")]
         # TGL never pins; TGLite pins the bulk of its traffic.
         assert tgl["pinned_fraction"] == 0.0
         assert lite["pinned_fraction"] > 0.6
-        # dedup never adds volume; per-unique fetches put both far below TGL.
-        assert opt["mb"] <= lite["mb"] < tgl["mb"] / 5
+        # Per-unique fetches put the sampling models far below TGL, the
+        # sampling-free ones (whose TGL rows are small already) below it.
+        assert lite["mb"] < tgl["mb"] / (5 if model in ("tgat", "tgn") else 1)
+        if (model, "tglite+opt") in results:
+            # dedup never adds volume.
+            assert results[(model, "tglite+opt")]["mb"] <= lite["mb"]

@@ -58,19 +58,11 @@ def top_k_recommendations(model, graph, dataset, user, at_time, k=5):
     """Rank all items for one user at a given time via the edge predictor."""
     _, items = dataset.bipartite_partition()
     n = len(items)
-    batch = tg.TBatch(graph, 0, 0)  # placeholder; we score embeddings directly
     model.eval()
     with T.no_grad():
         nodes = np.concatenate([[user], items])
-        times = np.full(len(nodes), at_time)
-        if isinstance(model, JODIE):
-            mem, _ = model.update_memory(nodes)
-            embeds = model.embed_linear(
-                T.cat([mem, model.time_encoder(
-                    T.tensor((times - graph.mem.time[nodes]).astype(np.float32),
-                             device=model.ctx.device))], dim=1))
-        else:
-            embeds = model.attention(nodes, times)
+        blk = tg.TBlock(model.ctx, 0, nodes, np.full(len(nodes), at_time))
+        embeds = model.embed(blk)  # JODIE and APAN both embed a block's (node, time) rows
         user_embed = embeds[np.zeros(n, dtype=np.int64)]
         scores = model.edge_predictor(user_embed, embeds[np.arange(1, n + 1)])
     order = np.argsort(-scores.numpy())

@@ -83,7 +83,7 @@ def _tglite_epoch(exp: Experiment, stop: int, bd: Breakdown) -> None:
                     tail = model.sampler.sample(tail)
             with bd.section("data_load"):
                 if model.opt.preload:
-                    store_ops.preload(head, use_pin=model.opt.pin_memory)
+                    store_ops.preload(head)
                 tail.dstdata["h"] = tail.dstfeat()
                 tail.srcdata["h"] = tail.uniq_srcfeat()
             with bd.section("attention"):

@@ -15,15 +15,22 @@ of the paper):
    the runtime (``aggregate``) invokes them after the block's computation,
    e.g. to invert deduplication or merge cached embeddings.
 
-Blocks also cache gathered feature/memory/mail tensors so repeated access
-does not pay data-movement costs twice.  Row-keyed data (``dstfeat`` /
+Blocks are also the one place graph-level tables are indexed: every read
+of node/edge features, memory or mail goes through :meth:`TBlock._gather`
+(pinned or pageable, then cached so repeated access does not pay
+data-movement costs twice) and every computed row on its way back to a
+table through :meth:`TBlock.write_back`.  Row-keyed data (``dstfeat`` /
 ``srcfeat`` / ``efeat`` / ``nfeat``) comes back one row per block row;
-node-keyed state (``mem_data`` / ``mail`` / ``mem_ts`` / ``mail_ts``) one
-row per unique node, aligned with :meth:`TBlock.uniq_nodes`.  The keyed
-accessors ``uniq_srcfeat`` / ``uniq_efeat`` return the source-side features
-once per unique source node / edge together with each row's index into
-them — the ``(rows, index)`` form :func:`~repro.core.op.edge_attention`
-projects without expanding.
+node-keyed state (``uniq_nfeat`` / ``mem_data`` / ``mail`` / ``mem_ts`` /
+``mail_ts``) one row per unique node, aligned with
+:meth:`TBlock.uniq_nodes`.  The keyed accessors ``uniq_srcfeat`` /
+``uniq_efeat`` return the source-side features once per unique source node
+/ edge together with each row's index into them — the ``(rows, index)``
+form :func:`~repro.core.op.edge_attention` projects without expanding.
+
+``srcfeat`` / ``efeat`` / ``nfeat`` have no caller left under ``src/``:
+``perf/trace.py`` resolves them by name, so deleting them waits for a
+benchmark-type PR.
 """
 
 from __future__ import annotations
@@ -168,7 +175,7 @@ class TBlock:
         self.dstnodes = np.asarray(dstnodes, dtype=np.int64)
         self.dsttimes = np.asarray(dsttimes, dtype=np.float64)
         self._uniq_nodes = None
-        self._invalidate("dstfeat", "allfeat", "mem", "mail")
+        self._invalidate("dstfeat", "allfeat", "uniq_nfeat", "mem", "mail")
         self.dstdata.clear()
 
     def set_nbrs(
@@ -194,7 +201,7 @@ class TBlock:
         self.etimes = np.asarray(etimes, dtype=np.float64)
         self.dstindex = np.asarray(dstindex, dtype=np.int64)
         self._uniq_src = self._uniq_nodes = self._uniq_eids = None
-        self._invalidate("srcfeat", "efeat", "allfeat", "mem", "mail",
+        self._invalidate("srcfeat", "efeat", "allfeat", "uniq_nfeat", "mem", "mail",
                          "uniq_srcfeat", "uniq_efeat")
         self.srcdata.clear()
         self.edata.clear()
@@ -286,6 +293,14 @@ class TBlock:
         gathered = Tensor(rows, device=store.device)
         return gathered.to(self.ctx.device)
 
+    def write_back(self, values: Tensor, device, pin: bool = False) -> Tensor:
+        """The gather's inverse: computed rows moved to a table's *device*.
+
+        With *pin* a device-to-host write-back is charged at the pinned
+        rate, the same policy :meth:`_gather` applies on the way in.
+        """
+        return values.to(device, via_pinned=pin)
+
     def _cached(self, key: str, loader: Callable[[], Tensor]) -> Tensor:
         value = self._cache.get(key)
         if value is None:
@@ -348,6 +363,12 @@ class TBlock:
             raise RuntimeError("graph has no node features")
         return self._cached("allfeat", lambda: self._gather(self.g.nfeat, self.allnodes(), pin))
 
+    def uniq_nfeat(self, pin: bool = False) -> Tensor:
+        """Node features of :meth:`uniq_nodes` (cached), aligned with memory and mail."""
+        if self.g.nfeat is None:
+            raise RuntimeError("graph has no node features")
+        return self._cached("uniq_nfeat", lambda: self._gather(self.g.nfeat, self.uniq_nodes()[0], pin))
+
     def mem_data(self, pin: bool = False) -> Tensor:
         """Memory vectors of :meth:`uniq_nodes` (cached, detached)."""
         if self.g.mem is None:
@@ -355,7 +376,7 @@ class TBlock:
         return self._cached("mem", lambda: self._gather(self.g.mem.data, self.uniq_nodes()[0], pin))
 
     def mem_ts(self) -> np.ndarray:
-        """Last-update timestamps of memory for :meth:`uniq_nodes`."""
+        """Last-update timestamps of memory for :meth:`uniq_nodes` (read live, never cached)."""
         if self.g.mem is None:
             raise RuntimeError("graph has no memory component")
         return self.g.mem.time[self.uniq_nodes()[0]]
@@ -367,7 +388,7 @@ class TBlock:
         return self._cached("mail", lambda: self._gather(self.g.mailbox.mail, self.uniq_nodes()[0], pin))
 
     def mail_ts(self) -> np.ndarray:
-        """Mailbox delivery timestamps for :meth:`uniq_nodes`."""
+        """Mailbox delivery timestamps for :meth:`uniq_nodes` (read live, never cached)."""
         if self.g.mailbox is None:
             raise RuntimeError("graph has no mailbox component")
         return self.g.mailbox.time[self.uniq_nodes()[0]]

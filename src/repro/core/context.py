@@ -23,10 +23,10 @@ import numpy as np
 
 from ..store.api import StoreConfig
 from ..store.tiered import TieredFeatureStore
-from ..store.tiers import PinnedPool as _PinnedPool  # compat re-export
+from ..store.tiers import PinnedPool
 from ..tensor import Tensor
 from ..tensor.device import CPU, Device, get_device
-from .kernels.cache import NodeTimeCache as _EmbedCache
+from .kernels.cache import NodeTimeCache
 from .stats import CacheLayerStats, ContextStats, LatencyStats, PinnedPoolStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -112,7 +112,7 @@ class TContext:
     # ---- pinned pool ---------------------------------------------------------------
 
     @property
-    def pinned_pool(self) -> _PinnedPool:
+    def pinned_pool(self) -> PinnedPool:
         return self.store.pinned_pool
 
     def stage_pinned(self, rows: np.ndarray) -> Tensor:
@@ -121,26 +121,13 @@ class TContext:
 
     # ---- embedding cache -------------------------------------------------------------
 
-    def embed_cache(self, layer: int) -> _EmbedCache:
+    def embed_cache(self, layer: int) -> NodeTimeCache:
         """One layer's embedding cache — the hot tier of its store space.
 
         Kept for compatibility and statistics; rows stored here flow
         through the same tiering/eviction chain as every other space.
         """
         return self.store.space(f"{_EMBED_PREFIX}{int(layer)}").hot
-
-    @property
-    def _embed_caches(self) -> Dict[int, _EmbedCache]:
-        """Read-only layer -> hot-cache view (legacy introspection).
-
-        ``resilience.validate`` iterates this; mutating the returned dict
-        does nothing — use :meth:`clear_embed_cache` / ``store.evict()``.
-        """
-        out: Dict[int, _EmbedCache] = {}
-        for name in self.store.spaces():
-            if name.startswith(_EMBED_PREFIX):
-                out[int(name[len(_EMBED_PREFIX):])] = self.store.space(name).hot
-        return out
 
     def clear_embed_cache(self) -> None:
         for name in self.store.spaces():
@@ -213,13 +200,15 @@ class TContext:
         the numbers §5.2's discussion attributes speedups to.
         """
         pool = self.store.pinned_pool
+        cache = {}
+        for name in self.store.spaces():
+            if name.startswith(_EMBED_PREFIX):
+                hot = self.store.space(name).hot
+                cache[int(name[len(_EMBED_PREFIX):])] = CacheLayerStats(
+                    hot.hits, hot.lookups, hot.num_entries, hot.evictions)
         return ContextStats(
             counters=dict(self.counters),
-            cache={
-                layer: CacheLayerStats(c.hits, c.lookups, c.num_entries,
-                                       c.evictions)
-                for layer, c in self._embed_caches.items()
-            },
+            cache=cache,
             pinned=PinnedPoolStats(pool.hits, pool.misses),
             kernel_seconds=dict(self._kernel_seconds),
             degraded=dict(self.degraded),

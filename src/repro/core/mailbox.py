@@ -65,6 +65,8 @@ class Mailbox(TableState):
             return self.mail.data, self.time
         return self.mail.data, self.time, self._next_slot
 
+    # No caller left under src/ (models read through TBlock.mail), but
+    # perf/trace.py resolves it by name: deleting it waits for a benchmark-type PR.
     def get(self, nodes: np.ndarray) -> Tensor:
         """Mail rows for *nodes*: ``(n, dim)`` or ``(n, slots, dim)``. Detached."""
         return Tensor(self.mail.data[nodes], device=self.device)

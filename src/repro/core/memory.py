@@ -44,6 +44,8 @@ class Memory(TableState):
         """``(data, time)`` — the live vectors and last-update times."""
         return self.data.data, self.time
 
+    # No caller left under src/ (models read through TBlock.mem_data), but
+    # perf/trace.py resolves it by name: deleting it waits for a benchmark-type PR.
     def get(self, nodes: np.ndarray) -> Tensor:
         """Memory rows for *nodes* (detached: gradients never flow into storage)."""
         return Tensor(self.data.data[nodes], device=self.device)

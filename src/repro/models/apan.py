@@ -13,20 +13,21 @@ staleness), GRU memory updates, and scatter-mean mail delivery.
 
 from __future__ import annotations
 
-from typing import Optional  # noqa: F401 (used in signatures)
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..core import TBatch, TBlock, TContext, TSampler
 from ..core import op as tgop
-from ..nn import GRUCell, Linear, TimeEncode
+from ..store import ops as store_ops
+from ..nn import GRUCell, Linear
 from ..tensor import Tensor, cat, no_grad
-from .base import OptFlags, TGNNModel
+from .base import MemoryModel, OptFlags
 
 __all__ = ["APAN"]
 
 
-class APAN(TGNNModel):
+class APAN(MemoryModel):
     """APAN (Wang et al.) built on TGLite.
 
     The graph needs ``Memory`` of width *dim_mem* and a ``Mailbox`` with
@@ -47,154 +48,86 @@ class APAN(TGNNModel):
         sampling: str = "recent",
         opt: Optional[OptFlags] = None,
     ):
-        super().__init__(ctx, dim_embed, opt)
+        super().__init__(ctx, dim_embed, dim_edge, dim_time, opt)
         if dim_embed % num_heads != 0:
             raise ValueError("dim_embed must be divisible by num_heads")
-        self.dim_edge = dim_edge
         self.dim_mem = dim_mem
         self.dim_embed = dim_embed
         self.num_heads = num_heads
         self.mailbox_slots = mailbox_slots
         self.sampler = TSampler(num_nbrs, sampling)
-        self.time_encoder = TimeEncode(dim_time)
         mail_dim = self.required_mailbox_dim(dim_mem, dim_edge)
         self.w_q = Linear(dim_mem, dim_embed)
         self.w_k = Linear(mail_dim + dim_time, dim_embed)
         self.w_v = Linear(mail_dim + dim_time, dim_embed)
         self.w_out = Linear(dim_mem + dim_embed, dim_embed)
-        self.gru_cell = GRUCell(mail_dim + dim_time, dim_mem)
+        self.mem_cell = GRUCell(mail_dim + dim_time, dim_mem)
         self.feat_linear = Linear(dim_node, dim_mem) if dim_node else None
 
-    @staticmethod
-    def required_mailbox_dim(dim_mem: int, dim_edge: int) -> int:
-        return 2 * dim_mem + dim_edge
+    def reduce_mail(self, mail: Tensor, mail_ts: np.ndarray) -> Tuple[Tensor, np.ndarray]:
+        """The mean of a node's mailbox slots, delivered at its newest slot's time."""
+        return mail.mean(dim=1), mail_ts.max(axis=1)
 
     # ---- embedding via mailbox attention ----------------------------------------------
 
-    def _slot_time_feat(self, deltas: np.ndarray) -> Tensor:
-        flat = deltas.reshape(-1)
-        if self.opt.time_precompute:
-            enc = tgop.precomputed_times(self.ctx, self.time_encoder, flat)
-        else:
-            enc = self.time_encoder(Tensor(flat.astype(np.float32), device=self.ctx.device))
-        return enc.reshape(deltas.shape[0], deltas.shape[1], enc.shape[1])
+    def embed(self, blk: TBlock) -> Tensor:
+        """Embeddings of *blk*'s destination (node, time) rows; updates their memory.
 
-    def attention(
-        self,
-        nodes: np.ndarray,
-        times: np.ndarray,
-        mem: Optional[Tensor] = None,
-        mail: Optional[Tensor] = None,
-    ) -> Tensor:
-        """Attend over each node's mailbox slots to produce embeddings.
-
-        ``mem``/``mail`` may be passed in when the caller already fetched
-        them (the memory update touches the same rows), avoiding a second
-        host-to-device transfer.
+        Memory update, feature projection and the query are per unique node;
+        only the attention over each row's mailbox slots is per row, because
+        a slot's staleness is measured from the row's own query time.
         """
-        g = self.g
-        if mem is None:
-            mem = self.fetch_rows(g.mem.data, nodes)
-        if self.feat_linear is not None and g.nfeat is not None:
-            feat = self.fetch_rows(g.nfeat, nodes)
-            mem = mem + self.feat_linear(feat)
-        if mail is None:
-            mail = self.fetch_rows(g.mailbox.mail, nodes)
-        mail_ts = g.mailbox.time[nodes]  # (n, slots)
-        deltas = times[:, None] - mail_ts
-        tfeat = self._slot_time_feat(deltas)
+        inverse = blk.uniq_nodes()[1]
+        mem = self.with_node_feats(blk, self.update_memory(blk))
+        mail = blk.mail()[inverse]
+        deltas = blk.dsttimes[:, None] - blk.mail_ts()[inverse]  # (n, slots)
 
-        n, slots = mail.shape[0], mail.shape[1]
+        n, slots = deltas.shape
         heads, d_head = self.num_heads, self.dim_embed // self.num_heads
+        tfeat = self.time_feat(deltas.reshape(-1)).reshape(n, slots, -1)
         kv_in = cat([mail, tfeat], dim=2)
-        q = self.w_q(mem).reshape(n, 1, heads, d_head)
+        q = self.w_q(mem)[inverse].reshape(n, 1, heads, d_head)
         k = self.w_k(kv_in).reshape(n, slots, heads, d_head)
         v = self.w_v(kv_in).reshape(n, slots, heads, d_head)
         scores = (q * k).sum(dim=3) * (1.0 / np.sqrt(d_head))  # (n, slots, heads)
         attn = scores.softmax(dim=1)
         out = (v * attn.unsqueeze(3)).sum(dim=1)  # (n, heads, d_head)
         out = out.reshape(n, heads * d_head)
-        return self.w_out(cat([mem, out], dim=1)).relu()
+        return self.w_out(cat([mem[inverse], out], dim=1)).relu()
 
-    # ---- memory update & mail propagation -------------------------------------------------
-
-    def update_memory(self, nodes: np.ndarray, times: np.ndarray):
-        """GRU-update memory from the mean of each node's mailbox slots.
-
-        Returns ``(new_memory, mail)`` so the attention step can reuse the
-        already-fetched rows.
-        """
-        g = self.g
-        mail = self.fetch_rows(g.mailbox.mail, nodes)
-        mail_mean = mail.mean(dim=1)
-        mail_ts = g.mailbox.time[nodes].max(axis=1)
-        delta = mail_ts - g.mem.time[nodes]
-        tfeat = self.time_encoder(Tensor(delta.astype(np.float32), device=self.ctx.device))
-        prev = self.fetch_rows(g.mem.data, nodes)
-        mem = self.gru_cell(cat([mail_mean, tfeat], dim=1), prev)
-        fresh = mail_ts > g.mem.time[nodes]
-        if fresh.any():
-            idx = np.flatnonzero(fresh)
-            g.mem.update(
-                nodes[idx],
-                self.to_storage(mem.detach()[idx], g.mem.device),
-                mail_ts[idx],
-            )
-        return mem, mail
-
-    def create_mails(self, batch: TBatch, blk: TBlock) -> None:
-        """Build per-endpoint mails from current memory and edge features."""
-        with no_grad():
-            g = self.g
-            mem_src = self.fetch_rows(g.mem.data, batch.src)
-            mem_dst = self.fetch_rows(g.mem.data, batch.dst)
-            if g.efeat is not None and self.dim_edge:
-                ef = self.fetch_rows(g.efeat, batch.eids)
-                mail_s = cat([mem_src, mem_dst, ef], dim=1)
-                mail_d = cat([mem_dst, mem_src, ef], dim=1)
-            else:
-                mail_s = cat([mem_src, mem_dst], dim=1)
-                mail_d = cat([mem_dst, mem_src], dim=1)
-            blk.dstdata["mail"] = cat([mail_s, mail_d], dim=0)
+    # ---- mail propagation ---------------------------------------------------------------------
 
     def send_mails(self, blk: TBlock) -> None:
         """Scatter-mean each block's mails onto its unique source nodes."""
         if blk.num_src == 0 or "mail" not in blk.dstdata:
             return
         with no_grad():
-            mail = blk.dstdata["mail"][blk.dstindex]
-            mail = tgop.src_scatter(blk, mail, op="mean")
-            ts_rows = Tensor(
-                blk.dsttimes[blk.dstindex].astype(np.float32).reshape(-1, 1),
-                device=self.ctx.device,
-            )
-            mail_ts = tgop.src_scatter(blk, ts_rows, op="mean")
-            uniq = blk.uniq_src()[0]
-            store_mail = self.to_storage(mail, self.g.mailbox.device)
-            self.g.mailbox.store(uniq, store_mail, mail_ts.data.reshape(-1))
+            mail = tgop.src_scatter(blk, blk.dstdata["mail"][blk.dstindex], op="mean")
+            uniq, inverse = blk.uniq_src()
+            # Delivery time is the mean event time, reduced in float64: float32
+            # rounds a timestamp past the event that sent the mail.
+            times = np.bincount(inverse, weights=blk.dsttimes[blk.dstindex]) / np.bincount(inverse)
+            self.store_mail(blk, uniq, mail, times)
 
     # ---- forward ------------------------------------------------------------------------------
 
     def compute_embeddings(self, batch: TBatch) -> Tensor:
-        nodes = batch.nodes()
-        times = batch.times()
-        mem, mail = self.update_memory(nodes, times)
-        embeds = self.attention(nodes, times, mem=mem, mail=mail)
+        head = batch.block(self.ctx)
+        if self.opt.preload:
+            store_ops.preload(head)
+        embeds = self.embed(head)
 
         # Propagate this batch's messages outward (to endpoints' neighbors
         # *and* the endpoints themselves, which see their own interaction).
-        endpoints = np.concatenate([batch.src, batch.dst])
-        ep_times = np.tile(batch.ts, 2).astype(np.float64)
-        blk = TBlock(self.ctx, 0, endpoints, ep_times)
-        self.sampler.sample(blk)
+        adj = batch.block_adj(self.ctx)  # one row per endpoint, peer as its neighbor
+        blk = self.sampler.sample(TBlock(self.ctx, 0, adj.dstnodes, adj.dsttimes))
         # Deliver each endpoint's mail to itself by appending self-rows.
-        self_rows = np.arange(len(endpoints), dtype=np.int64)
         blk.set_nbrs(
-            np.concatenate([blk.srcnodes, endpoints]),
-            np.concatenate([blk.eids, np.tile(batch.eids, 2)]),
-            np.concatenate([blk.etimes, ep_times]),
-            np.concatenate([blk.dstindex, self_rows]),
+            np.concatenate([blk.srcnodes, adj.dstnodes]),
+            np.concatenate([blk.eids, adj.eids]),
+            np.concatenate([blk.etimes, adj.dsttimes]),
+            np.concatenate([blk.dstindex, adj.dstindex]),
         )
-        self.create_mails(batch, blk)
+        blk.dstdata["mail"] = self.raw_msgs(adj)
         tgop.propagate(blk, self.send_mails)
         return embeds

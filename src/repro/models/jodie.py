@@ -11,23 +11,24 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from ..core import TBatch, TContext
-from ..core import op as tgop
-from ..nn import Linear, RNNCell, TimeEncode
-from ..tensor import Tensor, cat, no_grad
-from .base import OptFlags, TGNNModel
+from ..core import TBatch, TBlock, TContext
+from ..store import ops as store_ops
+from ..nn import Linear, RNNCell
+from ..tensor import Tensor, cat
+from .base import MemoryModel, OptFlags
 
 __all__ = ["JODIE"]
 
 
-class JODIE(TGNNModel):
+class JODIE(MemoryModel):
     """JODIE (Kumar et al.) built on TGLite.
 
     The graph needs ``Memory`` of width *dim_mem* and a single-slot
     ``Mailbox`` of width ``dim_mem + dim_edge``.
     """
+
+    #: a message is [peer memory, edge features].
+    mail_own = False
 
     def __init__(
         self,
@@ -39,67 +40,26 @@ class JODIE(TGNNModel):
         dim_mem: int = 100,
         opt: Optional[OptFlags] = None,
     ):
-        super().__init__(ctx, dim_embed, opt)
-        self.dim_edge = dim_edge
+        super().__init__(ctx, dim_embed, dim_edge, dim_time, opt)
         self.dim_mem = dim_mem
-        self.time_encoder = TimeEncode(dim_time)
-        self.rnn_cell = RNNCell(dim_mem + dim_edge + dim_time, dim_mem)
+        self.mem_cell = RNNCell(dim_mem + dim_edge + dim_time, dim_mem)
         self.feat_linear = Linear(dim_node, dim_mem) if dim_node else None
         # Time-projected embedding: emb = W([mem', Phi(t - t_mem)]).
         self.embed_linear = Linear(dim_mem + dim_time, dim_embed)
 
-    @staticmethod
-    def required_mailbox_dim(dim_mem: int, dim_edge: int) -> int:
-        return dim_mem + dim_edge
-
-    def update_memory(self, nodes: np.ndarray):
-        """RNN-update memory for *nodes* from their mailbox messages.
-
-        Returns ``(new_memory, mail_ts)``; new values are persisted
-        detached, and only for nodes whose mail is newer than their last
-        memory update (so repeated reads never double-apply a message).
-        """
-        g = self.g
-        mem_ts = g.mem.time[nodes]
-        mail_ts = g.mailbox.time[nodes]
-        delta = mail_ts - mem_ts
-        tfeat = self.time_encoder(Tensor(delta.astype(np.float32), device=self.ctx.device))
-        mail = self.fetch_rows(g.mailbox.mail, nodes)
-        prev_mem = self.fetch_rows(g.mem.data, nodes)
-        rnn_input = cat([mail, tfeat], dim=1)
-        mem = self.rnn_cell(rnn_input, prev_mem)
-        fresh = mail_ts > mem_ts
-        if fresh.any():
-            idx = np.flatnonzero(fresh)
-            g.mem.update(
-                nodes[idx],
-                self.to_storage(mem.detach()[idx], g.mem.device),
-                mail_ts[idx],
-            )
-        return mem, mail_ts
-
-    def save_raw_msgs(self, batch: TBatch) -> None:
-        """Store batch messages (peer memory + edge features) in the mailbox."""
-        blk = batch.block_adj(self.ctx)
-        blk = tgop.coalesce(blk, by="latest")
-        with no_grad():
-            peer = self.fetch_rows(self.g.mem.data, blk.srcnodes)
-            if self.g.efeat is not None and self.dim_edge:
-                mail = cat([peer, blk.efeat()], dim=1)
-            else:
-                mail = peer
-            store_mail = self.to_storage(mail, self.g.mailbox.device)
-            self.g.mailbox.store(blk.dstnodes, store_mail, blk.etimes)
+    def embed(self, blk: TBlock) -> Tensor:
+        """Embeddings of *blk*'s destination (node, time) rows; updates their memory."""
+        inverse = blk.uniq_nodes()[1]
+        mem = self.with_node_feats(blk, self.update_memory(blk))
+        # Project memory forward from its (just updated) time to each row's
+        # query time: the one per-row step.
+        tfeat = self.time_feat(blk.dsttimes - blk.mem_ts()[inverse])
+        return self.embed_linear(cat([mem[inverse], tfeat], dim=1))
 
     def compute_embeddings(self, batch: TBatch) -> Tensor:
-        nodes = batch.nodes()
-        times = batch.times()
-        mem, _ = self.update_memory(nodes)
-        if self.feat_linear is not None and self.g.nfeat is not None:
-            mem = mem + self.feat_linear(self.fetch_rows(self.g.nfeat, nodes))
-        # Project memory forward to the query time.
-        proj_delta = times - self.g.mem.time[nodes]
-        proj_tfeat = self.time_encoder(Tensor(proj_delta.astype(np.float32), device=self.ctx.device))
-        embeds = self.embed_linear(cat([mem, proj_tfeat], dim=1))
+        head = batch.block(self.ctx)
+        if self.opt.preload:
+            store_ops.preload(head)
+        embeds = self.embed(head)
         self.save_raw_msgs(batch)
         return embeds

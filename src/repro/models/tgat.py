@@ -88,7 +88,7 @@ class TGAT(TGNNModel):
                 tail = store_ops.memoize(self.ctx, tail)
             tail = self.sampler.sample(tail)
         if self.opt.preload:
-            store_ops.preload(head, use_pin=self.opt.pin_memory)
+            store_ops.preload(head)
         tail.dstdata["h"] = tail.dstfeat()
         tail.srcdata["h"] = tail.uniq_srcfeat()
         return tgop.aggregate(head, list(self.attn_layers), key="h")

@@ -69,12 +69,8 @@ def _check_csr(g, out: List[str]) -> None:
 
 
 def _check_caches(ctx, out: List[str]) -> None:
-    for layer, cache in getattr(ctx, "_embed_caches", {}).items():
-        validator = getattr(cache, "validate", None)
-        if validator is None:
-            continue
-        for violation in validator():
-            out.append(f"cache[layer {layer}]: {violation}")
+    for name in ctx.store.spaces():
+        out.extend(f"cache[{name}]: {v}" for v in ctx.store.space(name).hot.validate())
 
 
 def validate_state(g, ctx: Optional[object] = None) -> List[str]:

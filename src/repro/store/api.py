@@ -25,17 +25,9 @@ The concrete implementation is
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Dict, Optional, Protocol, runtime_checkable
 
 import numpy as np
-
-try:  # pragma: no cover - typing fallback for very old Pythons
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object
-
-    def runtime_checkable(cls):
-        return cls
 
 
 __all__ = ["StoreConfig", "TierStats", "StoreStats", "FeatureStore"]

@@ -94,7 +94,7 @@ def preload(head, use_pin: bool = True):
     Only what the models read is fetched, once per distinct row:
     ``uniq_efeat()`` on every hop, and on the tail either ``dstfeat()`` +
     ``uniq_srcfeat()`` or — when the graph carries memory — the
-    per-unique-node ``mem_data()`` / ``mail()``.
+    per-unique-node ``uniq_nfeat()`` / ``mem_data()`` / ``mail()``.
 
     Args:
         head: the first block of the chain (traversal follows ``next``).
@@ -113,14 +113,15 @@ def preload(head, use_pin: bool = True):
             # mail (inner hops receive computed embeddings from
             # aggregate()), so loading them elsewhere would only waste
             # transfer bandwidth.
-            if g.nfeat is not None and g.mem is None:
-                # A memory model never reads them: it fetches node features,
-                # like memory and mail, once per unique node.
+            if g.mem is not None:
+                # Memory models key all three on the block's unique nodes.
+                if g.nfeat is not None:
+                    blk.uniq_nfeat(pin=use_pin)
+                blk.mem_data(pin=use_pin)
+            elif g.nfeat is not None:
                 blk.dstfeat(pin=use_pin)
                 if blk.has_nbrs:
                     blk.uniq_srcfeat(pin=use_pin)
-            if g.mem is not None:
-                blk.mem_data(pin=use_pin)
             if g.mailbox is not None:
                 blk.mail(pin=use_pin)
         blk = blk.next

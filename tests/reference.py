@@ -5,11 +5,13 @@ They live here, not under ``src/``, so the shipped code has one path:
 * :func:`scatter_add_reference` — sequential ``np.add.at``, the contract of
   both the backward scatter kernel (to float tolerance) and the forward
   segment kernels (bit for bit, in float32).
-* :func:`per_row_update_memory` / :func:`per_row_compute_embeddings` — TGN's
-  memory update the way it ran before node-keyed state went per unique
-  node: gather memory, mail and features for every row of ``allnodes()``,
-  run the GRU over every (identical) copy, and hand ``Memory.update`` the
-  repeats.  ``benchmarks/test_kernels_microbench.py`` times the same helper.
+* :func:`per_row_update_memory` / :func:`per_row_compute_embeddings` — the
+  memory models (TGN, JODIE, APAN) the way they ran before node-keyed state
+  went per unique node: index memory, mail and features by row lists for
+  every row of the block, run the cell over every (identical) copy, hand
+  ``Memory.update`` the repeats, and build raw messages from separate own /
+  peer memory gathers.  ``benchmarks/test_kernels_microbench.py`` times the
+  same helper.
 * :func:`composed_attention` — temporal attention as the concat and ~25 tape
   nodes the two attention layers built before ``segment_attention`` fused
   them.
@@ -23,7 +25,8 @@ import math
 
 import numpy as np
 
-from repro.core import Mailbox, Memory, op as tgop
+from repro.core import Mailbox, Memory, TBlock, op as tgop
+from repro.models import APAN, JODIE, TGN
 from repro.serve import stage_updates
 from repro.tensor import Tensor, cat
 from repro.tensor.segment import segment_softmax, segment_sum
@@ -41,34 +44,99 @@ def _rows(store: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def per_row_update_memory(model, blk) -> Tensor:
-    """``TGN.update_memory`` over every row of ``blk.allnodes()``; returns per-row memory."""
+    """``update_memory`` over every row of ``blk.allnodes()``; returns per-row memory."""
     g = model.g
     nodes = blk.allnodes()
-    mail_ts = g.mailbox.time[nodes]
-    delta = mail_ts - g.mem.time[nodes]
-    tfeat = model.mem_time_encoder(Tensor(delta.astype(np.float32)))
-    mem = model.gru_cell(cat([_rows(g.mailbox.mail, nodes), tfeat], dim=1),
-                         _rows(g.mem.data, nodes))
-    g.mem.update(nodes, mem.detach(), mail_ts)
+    mail, mail_ts, mem_ts = _rows(g.mailbox.mail, nodes), g.mailbox.time[nodes], g.mem.time[nodes]
+    if isinstance(model, APAN):  # slot mean, delivered at the newest slot's time
+        mail, mail_ts = mail.mean(dim=1), mail_ts.max(axis=1)
+    tfeat = model.time_encoder(Tensor((mail_ts - mem_ts).astype(np.float32)))
+    mem = model.mem_cell(cat([mail, tfeat], dim=1), _rows(g.mem.data, nodes))
+    # TGN persists every row; JODIE and APAN only mail newer than the memory.
+    keep = np.arange(len(nodes)) if isinstance(model, TGN) else np.flatnonzero(mail_ts > mem_ts)
+    if len(keep):
+        g.mem.update(nodes[keep], mem.detach()[keep], mail_ts[keep])
     return mem
 
 
-def per_row_compute_embeddings(model, batch) -> Tensor:
-    """``TGN.compute_embeddings`` (no optimisation operators) on the per-row update."""
+def _per_row_seed(model, blk) -> Tensor:
+    """Updated memory plus projected node features, one row per ``blk.allnodes()`` row."""
+    return per_row_update_memory(model, blk) + model.feat_linear(_rows(model.g.nfeat, blk.allnodes()))
+
+
+def _per_row_raw_msgs(model, adj) -> Tensor:
+    """``[own memory,] peer memory, edge features`` per row of an adjacency block."""
+    g = model.g
+    parts = [] if isinstance(model, JODIE) else [_rows(g.mem.data, adj.dstnodes)]
+    return cat(parts + [_rows(g.mem.data, adj.srcnodes), _rows(g.efeat, adj.eids)], dim=1)
+
+
+def _per_row_save_raw_msgs(model, batch) -> None:
+    blk = tgop.coalesce(batch.block_adj(model.ctx), by="latest")
+    model.g.mailbox.store(blk.dstnodes, _per_row_raw_msgs(model, blk), blk.etimes)
+
+
+def _per_row_tgn(model, batch) -> Tensor:
     head = batch.block(model.ctx)
     tail = head
     for i in range(model.num_layers):
         if i > 0:
             tail = tail.next_block()
         tail = model.sampler.sample(tail)
-    h_all = per_row_update_memory(model, tail)
-    if model.feat_linear is not None:
-        h_all = model.feat_linear(_rows(model.g.nfeat, tail.allnodes())) + h_all
+    h_all = _per_row_seed(model, tail)
     tail.dstdata["h"] = h_all[: tail.num_dst]
     tail.srcdata["h"] = h_all[tail.num_dst:]
     embeds = tgop.aggregate(head, list(model.attn_layers), key="h")
-    model.save_raw_msgs(batch)
+    _per_row_save_raw_msgs(model, batch)
     return embeds
+
+
+def _per_row_jodie(model, batch) -> Tensor:
+    blk = batch.block(model.ctx)
+    mem = _per_row_seed(model, blk)
+    delta = blk.dsttimes - model.g.mem.time[blk.dstnodes]  # from the updated memory time
+    tfeat = model.time_encoder(Tensor(delta.astype(np.float32)))
+    embeds = model.embed_linear(cat([mem, tfeat], dim=1))
+    _per_row_save_raw_msgs(model, batch)
+    return embeds
+
+
+def _per_row_apan(model, batch) -> Tensor:
+    g = model.g
+    blk = batch.block(model.ctx)
+    mem = _per_row_seed(model, blk)
+    mail = _rows(g.mailbox.mail, blk.dstnodes)
+    deltas = blk.dsttimes[:, None] - g.mailbox.time[blk.dstnodes]
+    n, slots = deltas.shape
+    heads, d_head = model.num_heads, model.dim_embed // model.num_heads
+    tfeat = model.time_encoder(Tensor(deltas.reshape(-1).astype(np.float32)))
+    kv_in = cat([mail, tfeat.reshape(n, slots, tfeat.shape[1])], dim=2)
+    q = model.w_q(mem).reshape(n, 1, heads, d_head)
+    k = model.w_k(kv_in).reshape(n, slots, heads, d_head)
+    v = model.w_v(kv_in).reshape(n, slots, heads, d_head)
+    attn = ((q * k).sum(dim=3) * (1.0 / np.sqrt(d_head))).softmax(dim=1)
+    out = (v * attn.unsqueeze(3)).sum(dim=1).reshape(n, heads * d_head)
+    embeds = model.w_out(cat([mem, out], dim=1)).relu()
+
+    # Each endpoint's mail goes to its sampled neighbours and to itself,
+    # scatter-meaned per receiving node; delivery times reduced in float64.
+    adj = batch.block_adj(model.ctx)
+    push = model.sampler.sample(TBlock(model.ctx, 0, adj.dstnodes, adj.dsttimes))
+    push.set_nbrs(np.concatenate([push.srcnodes, adj.dstnodes]),
+                  np.concatenate([push.eids, adj.eids]),
+                  np.concatenate([push.etimes, adj.dsttimes]),
+                  np.concatenate([push.dstindex, adj.dstindex]))
+    mails = tgop.src_scatter(push, _per_row_raw_msgs(model, adj)[push.dstindex], op="mean")
+    uniq, inverse = push.uniq_src()
+    times = np.bincount(inverse, weights=push.dsttimes[push.dstindex]) / np.bincount(inverse)
+    g.mailbox.store(uniq, mails, times)
+    return embeds
+
+
+def per_row_compute_embeddings(model, batch) -> Tensor:
+    """``compute_embeddings`` of a memory model (no optimisation operators), per row."""
+    per_row = {TGN: _per_row_tgn, JODIE: _per_row_jodie, APAN: _per_row_apan}
+    return per_row[type(model)](model, batch)
 
 
 def composed_attention(q, parts, w_k, w_v, dstindex, num_dst, num_heads) -> Tensor:

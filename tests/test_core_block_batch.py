@@ -116,10 +116,12 @@ class TestBlockStructure:
     def test_uniq_nodes_invalidated(self, tiny_ctx, tiny_graph):
         blk = tg.TBatch(tiny_graph, 0, 4).block(tiny_ctx)
         first = blk.uniq_nodes()
+        feat = blk.uniq_nfeat()
         blk.set_dst(np.array([5, 5, 2]), np.array([9.0, 9.0, 9.0]))
         after_dst = blk.uniq_nodes()
         assert after_dst is not first
         np.testing.assert_array_equal(after_dst[0], [2, 5])
+        assert blk.uniq_nfeat() is not feat and blk.uniq_nfeat().shape[0] == 2
         tg.TSampler(2, "recent").sample(blk)  # set_nbrs
         after_nbrs = blk.uniq_nodes()
         assert after_nbrs is not after_dst
@@ -154,6 +156,9 @@ class TestBlockDataAccess:
         blk = tg.TSampler(2, "recent").sample(tg.TBatch(tiny_graph, 5, 9).block(tiny_ctx))
         np.testing.assert_allclose(blk.dstfeat().numpy(), tiny_graph.nfeat.data[blk.dstnodes])
         np.testing.assert_allclose(blk.efeat().numpy(), tiny_graph.efeat.data[blk.eids])
+        uniq, inverse = blk.uniq_nodes()
+        assert (blk.uniq_nfeat().numpy() == tiny_graph.nfeat.data[uniq]).all()
+        assert (blk.uniq_nfeat().numpy()[inverse] == blk.nfeat().numpy()).all()
 
     def test_accessors_cached(self, tiny_ctx, tiny_graph):
         blk = tg.TBatch(tiny_graph, 0, 2).block(tiny_ctx)

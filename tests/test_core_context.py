@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import repro.core as tg
-from repro.core.context import _EmbedCache, _PinnedPool
+from repro.core.kernels.cache import NodeTimeCache as _EmbedCache
+from repro.store.tiers import PinnedPool as _PinnedPool
 from repro.tensor.device import runtime
 
 

@@ -206,21 +206,28 @@ class TestOptimizationEquivalence:
             assert np.abs(a - b).max() / scale < 1e-3, f"gradient mismatch for {key}"
 
 
+def model_pair(name, wiki, **kw):
+    """(per-node model, per-row reference model) on twin graphs, same weights.
+    TGN and JODIE get build_model's 1-slot mailbox, APAN a 3-slot ring."""
+    pair = []
+    for per_row in (False, True):
+        T.manual_seed(5)
+        g = make_graph(wiki)
+        model = build_model(name, tg.TContext(g), g, wiki, **kw)
+        if name == "apan":
+            g.set_mailbox(g.mailbox.dim, slots=3)
+        if per_row:
+            model.compute_embeddings = lambda batch, m=model: per_row_compute_embeddings(m, batch)
+        pair.append((model, g))
+    return pair
+
+
 class TestTGNPerNodeMemory:
     """TGN reads and updates node-keyed state once per unique node; the
     per-row reference (tests/reference.py) recomputes it for every row."""
 
     def _pair(self, wiki):
-        """(per-node model, per-row reference model) on twin graphs, same weights."""
-        pair = []
-        for per_row in (False, True):
-            T.manual_seed(5)
-            g = make_graph(wiki)
-            model = build_model("tgn", tg.TContext(g), g, wiki)
-            if per_row:
-                model.compute_embeddings = lambda batch, m=model: per_row_compute_embeddings(m, batch)
-            pair.append((model, g))
-        return pair
+        return model_pair("tgn", wiki)
 
     def test_inference_and_state_bit_identical(self, wiki):
         results = []
@@ -272,6 +279,45 @@ class TestTGNPerNodeMemory:
         assert (rows[0][0] == rows[1][0]).all() and rows[0][1] == rows[1][1]
 
 
+OPT_FLAGS = {"none": OptFlags.none, "preload_only": OptFlags.preload_only, "all": OptFlags.all}
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("flags", list(OPT_FLAGS))
+@pytest.mark.parametrize("name", ["tgn", "jodie", "apan"])
+def test_memory_models_equal_their_per_row_reference(name, flags, training, wiki):
+    """Five consecutive batches (later ones consume earlier mail): embeddings
+    and the stored memory / mailbox are bit-identical to the per-row forward
+    of tests/reference.py, under every operator setting.  TGN and JODIE run
+    on a 1-slot mailbox, APAN on a 3-slot ring."""
+    results = []
+    kw = dict(dropout=0.0) if name == "tgn" else {}
+    for model, g in model_pair(name, wiki, opt=OPT_FLAGS[flags](), **kw):
+        model.train(training)
+        embeds = [model.compute_embeddings(make_batch(g, 60, start)).numpy()
+                  for start in range(100, 400, 60)]
+        results.append((np.concatenate(embeds), g.mem.state_digest(), g.mailbox.state_digest()))
+    (emb, mem, mail), (ref_emb, ref_mem, ref_mail) = results
+    assert np.abs(emb).sum() > 0 and (emb == ref_emb).all()
+    assert mem == ref_mem and mail == ref_mail
+
+
+@pytest.mark.parametrize("name", ["jodie", "apan"])
+def test_first_step_gradients_close_to_the_per_row_reference(name, wiki):
+    """Backward through the inverse expansion sums per-row gradients per node."""
+    losses, grads = [], []
+    for model, g in model_pair(name, wiki):
+        model(make_batch(g, 60, 100))  # deliver mail so the cell sees messages
+        model.zero_grad()
+        loss = link_prediction_loss(*model(make_batch(g, 60, 160)))
+        loss.backward()
+        losses.append(loss.item())
+        grads.append({n: p.grad.copy() for n, p in model.named_parameters()})
+    assert losses[0] == losses[1]
+    for key, ref in grads[1].items():
+        assert np.abs(grads[0][key] - ref).max() <= 1e-4 * np.abs(ref).max(), key
+
+
 class TestModelSpecifics:
     def test_tgat_chain_length_matches_layers(self, wiki):
         g = make_graph(wiki)
@@ -315,6 +361,25 @@ class TestModelSpecifics:
         batch = make_batch(g)
         model(batch)
         assert np.abs(g.mailbox.mail.data).sum() > 0
+
+    def test_apan_delivery_times_are_float64_means(self, wiki):
+        """A mail is delivered at the mean time of the events that sent it,
+        never later than the newest of them (float32 rounds wiki's last
+        timestamps by up to 0.12)."""
+        g = make_graph(wiki)
+        model = build_model("apan", tg.TContext(g), g, wiki)
+        pushed, send = [], model.send_mails
+        model.send_mails = lambda blk: (pushed.append(blk), send(blk))
+        batch = make_batch(g, start=g.num_edges - 50)
+        model(batch)
+        (blk,) = pushed
+        sent_at = blk.dsttimes[blk.dstindex]
+        receivers = np.unique(blk.srcnodes)
+        # The mailbox was empty, so each receiver's one mail sits in slot 0.
+        want = [sum(sent_at[blk.srcnodes == node].tolist()) / (blk.srcnodes == node).sum()
+                for node in receivers]
+        assert (g.mailbox.time[receivers, 0] == want).all()
+        assert 0 < g.mailbox.time.max() <= batch.ts.max()
 
     def test_ap_improves_over_random(self, wiki):
         g = make_graph(wiki)

@@ -1,5 +1,8 @@
 """Data-movement policy tests for the model layer (pinned vs pageable)."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -63,66 +66,82 @@ class TestPinnedPolicy:
         assert stats.pinned_bytes == 0
 
 
+@pytest.fixture
+def gathers(monkeypatch):
+    """Every ``TBlock._gather`` of the test, as ``(block, store, rows)``."""
+    seen, gather = [], tg.TBlock._gather
+
+    def counting(self, store, idx, *args, **kwargs):
+        seen.append((self, store, len(idx)))
+        return gather(self, store, idx, *args, **kwargs)
+
+    monkeypatch.setattr(tg.TBlock, "_gather", counting)
+    return seen
+
+
 class TestNodeKeyedGathers:
-    def test_tgn_gathers_each_node_keyed_table_once_per_unique_node(
-            self, cuda_ctx_host_data, monkeypatch):
-        """Across one preloaded TGN forward, node features, memory and mail
-        each cross to the device once, with one row per unique tail node."""
+    @pytest.mark.parametrize("name", ["tgn", "jodie", "apan"])
+    def test_node_keyed_tables_cross_once(
+            self, name, cuda_ctx_host_data, gathers, monkeypatch):
+        """Across one preloaded forward, node features, memory and mail each
+        cross to the device once, with one row per unique node of the block
+        the model reads them from (TGN: the tail; JODIE / APAN: the head)."""
+        ds, g, ctx = cuda_ctx_host_data
+        model = build(name, ds, g, ctx, OptFlags.preload_only())
+        tables = {id(g.nfeat): "nfeat", id(g.mem.data): "memory", id(g.mailbox.mail): "mail"}
+        # Mail building re-reads the *updated* memory of the batch endpoints.
+        monkeypatch.setattr(model, "raw_msgs", lambda blk: T.zeros(
+            blk.num_dst, g.mailbox.dim, device="cuda"))
+        model(make_batch(g))
+        keyed = [(blk, tables[id(store)], n) for blk, store, n in gathers if id(store) in tables]
+        blk = keyed[0][0]
+        assert blk.next is None and all(b is blk for b, _, _ in keyed)
+        num_uniq = len(blk.uniq_nodes()[0])
+        assert num_uniq < blk.num_dst + blk.num_src
+        assert sorted((table, n) for _, table, n in keyed) == [
+            ("mail", num_uniq), ("memory", num_uniq), ("nfeat", num_uniq)]
+
+    def test_raw_msgs_gather_memory_once_per_endpoint(self, cuda_ctx_host_data, gathers):
+        """Own and peer memory of a batch's raw messages come from one gather
+        over the unique endpoints, edge features from one over the unique edges."""
         ds, g, ctx = cuda_ctx_host_data
         model = build("tgn", ds, g, ctx, OptFlags.preload_only())
-        tables = {id(g.nfeat): "nfeat", id(g.mem.data): "memory", id(g.mailbox.mail): "mail"}
-        gathers, tails = [], []
-
-        def counting(fn):
-            def wrapped(self, store, idx, *args, **kwargs):
-                if id(store) in tables:
-                    gathers.append((tables[id(store)], len(idx)))
-                    if isinstance(self, tg.TBlock):
-                        tails.append(self)
-                return fn(self, store, idx, *args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(tg.TBlock, "_gather", counting(tg.TBlock._gather))
-        monkeypatch.setattr(TGN, "fetch_rows", counting(TGN.fetch_rows))
-        # save_raw_msgs re-reads the *updated* memory of the batch endpoints.
-        monkeypatch.setattr(model, "save_raw_msgs", lambda batch: None)
-        model(make_batch(g))
-        tail = tails[0]
-        assert tail.next is None and all(blk is tail for blk in tails)
-        num_uniq = len(tail.uniq_nodes()[0])
-        assert num_uniq < tail.num_dst + tail.num_src
-        assert sorted(gathers) == [("mail", num_uniq), ("memory", num_uniq), ("nfeat", num_uniq)]
+        batch = make_batch(g)
+        mail = model.raw_msgs(batch.block_adj(ctx))
+        endpoints = len(np.unique(np.concatenate([batch.src, batch.dst])))
+        assert [(id(store), n) for _, store, n in gathers] == [
+            (id(g.mem.data), endpoints), (id(g.efeat), len(batch))]
+        assert mail.shape == (2 * len(batch), g.mailbox.dim) and mail.device.is_cuda
 
 
 class TestFetchHelpers:
-    def test_fetch_rows_pins_only_host_to_device(self, cuda_ctx_host_data):
+    def test_gather_pins_only_host_to_device(self, cuda_ctx_host_data):
         ds, g, ctx = cuda_ctx_host_data
-        model = build("jodie", ds, g, ctx, OptFlags.preload_only())
+        blk = make_batch(g).block(ctx)
         runtime.transfer_stats.reset()
-        out = model.fetch_rows(g.nfeat, np.array([0, 1, 2]))
+        out = blk._gather(g.nfeat, np.array([0, 1, 2]), pin=True)
         assert out.device.is_cuda
         assert runtime.transfer_stats.pinned_bytes == runtime.transfer_stats.bytes > 0
 
-    def test_fetch_rows_same_device_is_free(self):
+    def test_gather_same_device_is_free(self):
         ds = get_dataset("wiki")
         g = ds.build_graph(feature_device="cuda")
-        ctx = tg.TContext(g, device="cuda")
-        model = build("jodie", ds, g, ctx, OptFlags.preload_only())
-        # memory/mailbox were placed on cpu by build(); move for this test.
-        g.mem.to("cuda")
-        g.mailbox.to("cuda")
+        blk = make_batch(g).block(tg.TContext(g, device="cuda"))
         runtime.transfer_stats.reset()
-        model.fetch_rows(g.nfeat, np.array([0, 1]))
+        blk._gather(g.nfeat, np.array([0, 1]), pin=True)
         assert runtime.transfer_stats.bytes == 0
 
-    def test_to_storage_charges_pinned_rate(self, cuda_ctx_host_data):
+    def test_write_back_charges_pinned_rate(self, cuda_ctx_host_data):
         ds, g, ctx = cuda_ctx_host_data
-        model = build("jodie", ds, g, ctx, OptFlags.preload_only())
+        blk = make_batch(g).block(ctx)
         runtime.transfer_stats.reset()
         dev_tensor = T.ones(4, 8, device="cuda")
-        back = model.to_storage(dev_tensor, "cpu")
+        back = blk.write_back(dev_tensor, "cpu", pin=True)
         assert back.device.is_cpu
         assert runtime.transfer_stats.pinned_bytes == dev_tensor.data.nbytes
+        blk.write_back(dev_tensor, "cpu")
+        assert runtime.transfer_stats.pinned_bytes == dev_tensor.data.nbytes
+        assert runtime.transfer_stats.bytes == 2 * dev_tensor.data.nbytes
 
     def test_storage_writes_pay_transfer(self, cuda_ctx_host_data):
         ds, g, ctx = cuda_ctx_host_data
@@ -133,3 +152,22 @@ class TestFetchHelpers:
         g.mailbox.store(np.array([0]),
                         T.ones(1, g.mailbox.dim, device="cuda"), np.array([1.0]))
         assert runtime.transfer_stats.bytes > 1 * 8 * 4
+
+
+def test_models_read_graph_tables_through_the_block_only():
+    """Guard: one gather path.  The deleted model-level helpers stay deleted
+    (``Tensor.pin_memory()`` and the serving engines' private ``_fetch_rows``
+    are other things), and nothing under ``models/`` subscripts a graph-level
+    table: ``TBlock`` accessors are the only readers."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    deleted = re.compile(r"\bfetch_rows\b|\bpin_memory\b(?!\()")
+    raw_read = re.compile(
+        r"(mem\.data|mem\.time|mailbox\.mail|mailbox\.time|\bg\.nfeat|\bg\.efeat)(\.data)?\[")
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        if deleted.search(text):
+            offenders.append(f"{path.relative_to(src)}: {deleted.search(text).group()}")
+        if path.is_relative_to(src / "models") and raw_read.search(text):
+            offenders.append(f"{path.relative_to(src)}: {raw_read.search(text).group()}")
+    assert offenders == []

@@ -168,8 +168,8 @@ class TestPreload:
         assert tail.efeat().shape[0] == tail.num_src
         assert runtime.transfer_stats.bytes - before == tail.num_src * 3 * 4
 
-        # With memory attached the tail's reads are node-keyed: memory and
-        # mail are staged once per unique node, raw node features not at all.
+        # With memory attached the tail's reads are node-keyed: raw node
+        # features, memory and mail are each staged once per unique node.
         tiny_graph.set_memory(4)
         tiny_graph.set_mailbox(4)
         start = runtime.transfer_stats.bytes
@@ -177,9 +177,9 @@ class TestPreload:
         before = runtime.transfer_stats.bytes
         num_uniq = len(tail.uniq_nodes()[0])
         efeat_bytes = (len(head.uniq_eids()[0]) + len(tail.uniq_eids()[0])) * 3 * 4
-        assert before - start == efeat_bytes + num_uniq * (4 + 4) * 4
+        assert before - start == efeat_bytes + num_uniq * (4 + 4 + 4) * 4
         head.uniq_efeat(); tail.uniq_efeat()
-        tail.mem_data(); tail.mail()
+        tail.uniq_nfeat(); tail.mem_data(); tail.mail()
         assert runtime.transfer_stats.bytes == before
 
     def test_preload_skips_inner_node_features(self, tiny_graph):
