@@ -43,7 +43,8 @@ def run_at_factor(stream, factor):
     n_batches = -(-NUM_EVENTS // BATCH)
     # kill shard 1's primary (member 0 keeps the legacy extra == shard id)
     injector = FaultInjector(
-        seed=5, shard_crashes={(0, n_batches // 3, KILLED_SHARD)}
+        seed=5,
+        schedules={"shard.crash": {(0, n_batches // 3, KILLED_SHARD)}},
     )
     cluster = ServeCluster(
         g, ctx, TSampler(10, seed=3), DIM,

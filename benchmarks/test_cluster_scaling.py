@@ -40,7 +40,10 @@ def run_at_shards(stream, num_shards, kill=False):
     if kill:
         # deterministically kill shard 0 one third into the replay
         n_batches = -(-NUM_EVENTS // BATCH)
-        injector = FaultInjector(seed=5, shard_crashes={(0, n_batches // 3, 0)})
+        injector = FaultInjector(
+            seed=5,
+            schedules={"shard.crash": {(0, n_batches // 3, 0)}},
+        )
     cluster = ServeCluster(
         g, ctx, TSampler(10, seed=3), DIM,
         config=ClusterConfig(num_shards=num_shards),

@@ -70,7 +70,7 @@ def main() -> None:
         #    "process" with SimulatedDiskCrash — exactly what a power cut
         #    during a partially flushed append looks like.
         crash_dir = tempfile.mkdtemp(prefix="durable-crash-")
-        injector = FaultInjector(seed=13, disk_torn_write_batches=[(0, 5)])
+        injector = FaultInjector(seed=13, schedules={"disk.write.torn": [(0, 5)]})
         rt2 = make_runtime(clean, durable_dir=crash_dir, injector=injector)
         survived = 0
         try:

@@ -81,8 +81,10 @@ def main():
     # ---- faulted run: kernel fault + NaN gradients -----------------------
     injector = FaultInjector(
         seed=11,
-        kernel_fault_batches=[(0, 1)],   # transient sampling-kernel fault
-        nan_grad_batches=[(0, 2)],       # poisons params -> rollback
+        schedules={
+            "kernel.sample": [(0, 1)],   # transient sampling-kernel fault
+            "nan_grad": [(0, 2)],        # poisons params -> rollback
+        },
     )
     exp = _build()
     faulted = _trainer(exp, os.path.join(workdir, "faulted"), injector=injector)
@@ -100,7 +102,7 @@ def main():
     # ---- hard kill mid-epoch, then bit-exact resume ----------------------
     ckdir = os.path.join(workdir, "killed")
     exp = _build()
-    killer = FaultInjector(seed=5, process_kill_at=(1, 1))
+    killer = FaultInjector(seed=5, schedules={"process.kill": [(1, 1)]})
     try:
         _trainer(exp, ckdir, injector=killer).train(epochs=2, train_end=train_end)
     except SimulatedProcessKill as exc:
@@ -120,7 +122,10 @@ def main():
 
     # ---- persistent kernel fault: graceful degradation -------------------
     exp = _build()
-    stubborn = FaultInjector(seed=2, kernel_fault_batches=[(0, 0), (0, 1), (0, 2)])
+    stubborn = FaultInjector(
+        seed=2,
+        schedules={"kernel.sample": [(0, 0), (0, 1), (0, 2)]},
+    )
     degraded_result = _trainer(
         exp, os.path.join(workdir, "degraded"), injector=stubborn
     ).train(epochs=1, train_end=train_end)

@@ -96,9 +96,11 @@ def main() -> None:
     # 4. chaos: transient ingest/commit faults retry; a poison fault
     #    corrupts a staged batch, which the staged-row check refuses
     #    before the write -- memory never holds a partial or non-finite commit.
-    injector = FaultInjector(seed=13, serve_ingest_fault_rate=0.1,
-                             serve_commit_fault_rate=0.1,
-                             serve_poison_batches=[(0, 6)])
+    injector = FaultInjector(
+        seed=13,
+        rates={"serve.ingest": 0.1, "serve.commit": 0.1},
+        schedules={"serve.poison": [(0, 6)]},
+    )
     rt4 = make_runtime(clean, injector=injector)
     with injector:
         results = replay(rt4, batches, load=1.0)

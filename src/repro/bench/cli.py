@@ -178,9 +178,8 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     if args.chaos:
         injector = FaultInjector(
             seed=args.seed,
-            serve_ingest_fault_rate=0.05,
-            serve_commit_fault_rate=0.05,
-            serve_poison_batches=[(0, 3), (0, 13)],
+            rates={"serve.ingest": 0.05, "serve.commit": 0.05},
+            schedules={"serve.poison": [(0, 3), (0, 13)]},
         )
     runtime = make_runtime(injector)
     batches = split_batches(stream, args.batch_size)

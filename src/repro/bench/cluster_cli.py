@@ -146,9 +146,6 @@ def build_serve_cluster_parser() -> argparse.ArgumentParser:
                         default="batch")
     parser.add_argument("--snapshot-every", type=int, default=64,
                         help="applied batches between per-shard snapshots")
-    parser.add_argument("--heartbeat-interval", type=float, default=5e-3)
-    parser.add_argument("--hedge-delay", type=float, default=6e-4,
-                        help="hedged-send delay in seconds (<0 disables)")
     parser.add_argument("--scrub-interval", type=float, default=0.25,
                         help="anti-entropy scrub period in simulated "
                              "seconds (<= 0 disables periodic scrubbing; "
@@ -203,8 +200,6 @@ def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
         replication_factor=args.replication_factor,
         ack_quorum=args.ack_quorum,
         staleness_bound=args.staleness_bound,
-        hedge_delay=None if args.hedge_delay < 0 else args.hedge_delay,
-        heartbeat_interval=args.heartbeat_interval,
         durable_root=args.durable_root,
         fsync=args.fsync,
         snapshot_every=args.snapshot_every,
@@ -232,8 +227,8 @@ def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
     injector = None
     schedules = {}
     if args.kill_shard is not None:
-        # member 0 (the primary) keeps the legacy extra == shard id
-        schedules.setdefault("shard_crashes", set()).add(
+        # the primary is member 0, whose decision extra is the shard id
+        schedules.setdefault("shard.crash", set()).add(
             (0, max(1, len(batches) // 3), args.kill_shard)
         )
     if args.kill_follower is not None:
@@ -242,29 +237,25 @@ def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
                   file=sys.stderr)
             return 2
         # follower m of shard S is killed via extra = S + shards * m
-        schedules.setdefault("shard_crashes", set()).add(
+        schedules.setdefault("shard.crash", set()).add(
             (0, max(1, len(batches) // 3),
              args.kill_follower + args.shards * 1)
         )
     if args.stall_shard is not None:
-        schedules.setdefault("shard_stalls", set()).add(
+        schedules.setdefault("shard.stall", set()).add(
             (0, max(1, len(batches) // 4), args.stall_shard)
         )
     if args.chaos or schedules:
-        replicated = args.chaos and args.replication_factor > 1
-        injector = FaultInjector(
-            seed=args.seed,
-            rpc_send_drop_rate=0.03 if args.chaos else 0.0,
-            rpc_recv_drop_rate=0.03 if args.chaos else 0.0,
-            shard_crash_rate=0.002 if args.chaos else 0.0,
-            shard_stall_rate=0.01 if args.chaos else 0.0,
-            heartbeat_drop_rate=0.02 if args.chaos else 0.0,
-            repl_ship_drop_rate=0.02 if replicated else 0.0,
-            repl_ack_drop_rate=0.02 if replicated else 0.0,
-            repl_promote_delay_rate=0.05 if replicated else 0.0,
-            shard_crashes=schedules.get("shard_crashes", ()),
-            shard_stalls=schedules.get("shard_stalls", ()),
-        )
+        rates = {}
+        if args.chaos:
+            rates = {"rpc.send.drop": 0.03, "rpc.recv.drop": 0.03,
+                     "shard.crash": 0.002, "shard.stall": 0.01,
+                     "heartbeat.drop": 0.02}
+            if args.replication_factor > 1:
+                rates.update({"repl.ship.drop": 0.02, "repl.ack.drop": 0.02,
+                              "repl.promote.delay": 0.05})
+        injector = FaultInjector(seed=args.seed, rates=rates,
+                                 schedules=schedules)
 
     g = TGraph(stream.src, stream.dst, stream.ts, num_nodes=num_nodes)
     ctx = TContext(g)

@@ -7,7 +7,7 @@ recovery loop built on three mechanisms:
 * **Retry** — a :class:`~repro.resilience.errors.TransientKernelError`
   raised mid-batch restores an in-RAM snapshot of everything the batch
   mutates before failing (node memory, mailbox, RNG streams) and reruns
-  the batch, with capped exponential backoff.  Because the snapshot is
+  the batch, up to :data:`MAX_RETRIES` times.  Because the snapshot is
   bit-exact and injected faults are transient, the retried batch
   produces exactly the numbers the fault-free run would have.
 * **Rollback** — a non-finite loss or parameter after the optimizer
@@ -84,6 +84,10 @@ from .trainer import (
 
 __all__ = ["ResilienceEvent", "ResilientResult", "ResilientTrainer"]
 
+#: transient-fault retries per batch before giving up; also caps repeated
+#: rollbacks triggered at one stream position.
+MAX_RETRIES = 3
+
 
 @dataclass(frozen=True)
 class ResilienceEvent:
@@ -129,7 +133,8 @@ class ResilientTrainer:
             ``reset_state()``).
         g: the temporal graph (attached memory/mailbox is checkpointed).
         optimizer: optimizer over the model's parameters.
-        neg_sampler: negative sampler; its RNG stream is checkpointed.
+        neg_sampler: negative sampler; its RNG stream is checkpointed,
+            as is the stream of every neighbor sampler the model owns.
         batch_size: chronological batch size.
         checkpoint_dir: directory for the rolling checkpoint file.
         checkpoint_every: batches between checkpoints (a checkpoint is
@@ -137,22 +142,10 @@ class ResilientTrainer:
         injector: optional :class:`~repro.resilience.FaultInjector` to
             install for the duration of ``train`` (one may instead be
             installed externally as a context manager).
-        max_retries: transient-fault retries per batch before giving up;
-            also caps repeated rollbacks triggered at one stream position.
-        backoff_base: first retry's backoff sleep in seconds (0 disables
-            sleeping; retry decisions stay deterministic either way).
-        backoff_cap: upper bound on a single backoff sleep.
-        validate_on_checkpoint: run state-invariant validation before
-            every checkpoint; violations veto the write and roll back.
-        extra_generators: additional named RNG streams to checkpoint and
-            snapshot (e.g. a model sampler's ``_rng`` under uniform
-            neighbor sampling).
         delta_log: write-ahead log an incremental state delta after every
             successful batch (into ``checkpoint_dir/wal``) so resume
             replays ``checkpoint + delta suffix`` instead of recomputing
-            the whole checkpoint interval.
-        delta_fsync: WAL durability policy for the delta log
-            (``'always'`` / ``'batch'`` / ``'never'``).
+            the whole checkpoint interval (every delta is fsynced).
         ctx: opt-in store-driven batch prefetch: when the context's
             tiered store prefetches (``prefetch_depth > 0``), each
             batch's working set is gathered through the store and the
@@ -173,19 +166,11 @@ class ResilientTrainer:
         checkpoint_dir: str,
         checkpoint_every: int = 50,
         injector=None,
-        max_retries: int = 3,
-        backoff_base: float = 0.0,
-        backoff_cap: float = 1.0,
-        validate_on_checkpoint: bool = True,
-        extra_generators: Optional[Dict[str, np.random.Generator]] = None,
         delta_log: bool = False,
-        delta_fsync: str = "always",
         ctx=None,
     ):
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         self.model = model
         self.optimizer = optimizer
         self.neg_sampler = neg_sampler
@@ -193,17 +178,12 @@ class ResilientTrainer:
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         self.injector = injector
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.validate_on_checkpoint = validate_on_checkpoint
-        self.extra_generators = dict(extra_generators or {})
         self.store = None
         if delta_log:
             from ..durable.store import DurableStateStore
 
             self.store = DurableStateStore(
-                os.path.join(checkpoint_dir, "wal"), fsync=delta_fsync
+                os.path.join(checkpoint_dir, "wal"), fsync="always"
             )
         self.ctx = ctx
         self._bind_graph(g)
@@ -228,13 +208,17 @@ class ResilientTrainer:
         return os.path.join(self.checkpoint_dir, self.CHECKPOINT_NAME)
 
     def _generators(self) -> Dict[str, np.random.Generator]:
+        """Every RNG stream a batch can consume, by checkpoint name."""
         # Fetched lazily every time: manual_seed rebinds the global
         # generator and NegativeSampler.reset() rebuilds its stream.
-        return {
-            "global": default_generator(),
-            "negative": self.neg_sampler._rng,
-            **self.extra_generators,
-        }
+        gens = {"global": default_generator(), "negative": self.neg_sampler._rng}
+        # Uniform neighbor sampling draws from the stream of the sampler
+        # each model layer owns; without it a resume replays other draws.
+        for i, module in enumerate(self.model.modules()):
+            sampler = getattr(module, "sampler", None)
+            if sampler is not None:
+                gens[f"sampler{i}"] = sampler._rng
+        return gens
 
     def _state(self) -> Dict[str, np.ndarray]:
         """Live tables of the graph's attached memory/mailbox, by image key."""
@@ -357,17 +341,16 @@ class ResilientTrainer:
 
     def _write_checkpoint(self, result: ResilientResult, epoch: int, batch: int) -> str:
         """Validate + atomically persist; returns the outcome kind."""
-        if self.validate_on_checkpoint:
-            violations = validate_state(self.g)
-            if violations:
-                result.events.append(
-                    ResilienceEvent("validation", epoch, batch, "; ".join(violations[:3]))
-                )
-                if not os.path.exists(self.checkpoint_path):
-                    # Nothing to roll back to: the very first state of the
-                    # run is already invalid, which is not recoverable.
-                    raise StateValidationError(violations)
-                return "validation"
+        violations = validate_state(self.g)
+        if violations:
+            result.events.append(
+                ResilienceEvent("validation", epoch, batch, "; ".join(violations[:3]))
+            )
+            if not os.path.exists(self.checkpoint_path):
+                # Nothing to roll back to: the very first state of the
+                # run is already invalid, which is not recoverable.
+                raise StateValidationError(violations)
+            return "validation"
         try:
             save_checkpoint(
                 self.checkpoint_path,
@@ -474,13 +457,13 @@ class ResilientTrainer:
         pass alike (both mutate memory): restore the pre-call snapshot,
         count the fault against its kernel site (past the context's
         threshold the site degrades to its reference path, so a
-        persistent fault stops recurring), log the event, back off, rerun.
+        persistent fault stops recurring), log the event, rerun.
         Returns ``(fn(), snap)`` — the pre-call snapshot doubles as the
         diff base for the incremental delta log.
         """
         snap = self._snapshot()
         ctx = getattr(self.g, "ctx", None)
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             try:
                 return fn(), snap
             except TransientKernelError as exc:
@@ -493,15 +476,13 @@ class ResilientTrainer:
                             f"{ctx.degrade_threshold} faults",
                         )
                     )
-                if attempt >= self.max_retries:
+                if attempt >= MAX_RETRIES:
                     raise
                 result.events.append(
                     ResilienceEvent(
                         "retry", epoch, b, f"{exc.site}{what} (attempt {attempt + 1})"
                     )
                 )
-                if self.backoff_base > 0:
-                    time.sleep(min(self.backoff_cap, self.backoff_base * 2**attempt))
         raise AssertionError("unreachable")  # pragma: no cover
 
     # ---- the loop ---------------------------------------------------------------
@@ -580,7 +561,7 @@ class ResilientTrainer:
                     except DivergenceError as exc:
                         key = (p, w)
                         rollback_streak[key] = rollback_streak.get(key, 0) + 1
-                        if rollback_streak[key] > self.max_retries:
+                        if rollback_streak[key] > MAX_RETRIES:
                             raise
                         rewind = str(exc)
                 if rewind is not None:

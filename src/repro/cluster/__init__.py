@@ -18,10 +18,9 @@ component                 role
 ========================  ========================================================
 
 All failure behavior routes through the shared ``FaultInjector`` sites
-(``rpc.send``, ``rpc.recv``, ``shard.crash``, ``shard.stall``,
-``heartbeat.drop``, ``repl.ship``, ``repl.ack``, ``repl.promote``,
-``mem.flip``, ``scrub.skip``), so
-chaos schedules are deterministic and the committed state after any
+(the RPC, shard, heartbeat, replication and integrity entries of
+:data:`repro.resilience.hooks.SITES`), so chaos schedules are
+deterministic and the committed state after any
 schedule — killing up to ``replication_factor - 1`` members per group —
 is bit-identical to a clean single-runtime replay, with reads failing
 over to followers instead of zero-filling (see ``tests/test_cluster.py``).

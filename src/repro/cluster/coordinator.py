@@ -63,7 +63,7 @@ import numpy as np
 from ..integrity.scrubber import Scrubber
 from ..resilience.chaos import inject_member_faults
 from ..serve.commit import plan_by_owner, stage_checked
-from ..serve.deadline import CostModel
+from ..serve.deadline import FIXED, PER_EVENT, REFERENCE_PENALTY
 from ..serve.engine import ServeEngine
 from ..serve.events import EventBatch
 from .partition import ShardRouter, place_group_hosts
@@ -77,51 +77,27 @@ __all__ = ["ClusterConfig", "ShardedCostModel", "ServeCluster"]
 
 @dataclass
 class ClusterConfig:
-    """Knobs for one :class:`ServeCluster` (all simulated-clock seconds).
+    """What differs between one :class:`ServeCluster` deployment and the next.
 
-    The RPC / heartbeat / recovery defaults are scaled to the serving
-    cost model (full-rung service is ~1e-2s for a 100-event request):
-    an RPC round trip is small against one request, a failover detects
-    in a few heartbeats, and WAL-replay takeover costs about one
-    request of wall time plus replay proportional to the log suffix.
+    The RPC, failure-detection, takeover and rebalance timings are not
+    here: each is the default of the component that uses it
+    (:class:`~repro.cluster.rpc.SimRpc`,
+    :class:`~repro.cluster.supervisor.Supervisor`), scaled to the serving
+    cost model (full-rung service is ~1e-2s for a 100-event request).
     """
 
     num_shards: int = 4
     partition: str = "hash"  # 'hash' | 'temporal'
     seed: int = 0
-    # replication (factor 1 == the legacy single-replica cluster)
     replication_factor: int = 1
     ack_quorum: Optional[int] = None  # None -> majority (factor//2 + 1)
     staleness_bound: str = "bounded"  # 'bounded' | 'strict'
-    promote_seconds: float = 2.0e-3
-    num_hosts: Optional[int] = None  # None -> max(shards, factor)
-    # RPC channel
-    rpc_service: float = 2.0e-4
-    rpc_timeout: float = 2.0e-3
-    rpc_retries: int = 2
-    rpc_backoff: float = 5.0e-4
-    hedge_delay: Optional[float] = 6.0e-4
-    # failure detection
-    heartbeat_interval: float = 5.0e-3
-    suspect_phi: float = 2.0
-    dead_phi: float = 4.0
-    # takeover model
-    recovery_base: float = 1.0e-2
-    recovery_per_batch: float = 1.0e-4
-    stall_window: float = 2.0e-2
-    # rebalance
-    rebalance_window: float = 0.25
-    rebalance_factor: float = 2.0
-    rebalance_patience: int = 2
-    rebalance_max_fraction: float = 0.25
-    rebalance_handoff_seconds: float = 2.0e-3
     # durability
     durable_root: Optional[str] = None  # None -> private temp dir
     fsync: str = "batch"
     snapshot_every: int = 64
     # integrity scrubbing
     scrub_interval: float = 0.25  # simulated seconds; <= 0 disables
-    scrub_chunk_rows: int = 32
 
     def __post_init__(self):
         if self.num_shards < 1:
@@ -146,22 +122,18 @@ class ShardedCostModel:
     replay harness.
     """
 
-    def __init__(self, cluster: "ServeCluster", base: Optional[CostModel] = None):
+    def __init__(self, cluster: "ServeCluster"):
         self._cluster = cluster
-        self._base = base or CostModel()
-        self.per_event = self._base.per_event
-        self.fixed = self._base.fixed
-        self.reference_penalty = self._base.reference_penalty
 
     def estimate(self, level: str, n_events: int, ctx=None,
                  fetch_seconds: float = 0.0) -> float:
         live = max(1, self._cluster.live_shards())
-        cost = self.fixed + self.per_event[level] * n_events / live
+        cost = FIXED + PER_EVENT[level] * n_events / live
         rpc = self._cluster.rpc.service
         if level in ("full", "reduced"):
             cost += max(0.0, float(fetch_seconds)) + 2.0 * rpc
             if ctx is not None and ctx.is_degraded("kernel.sample"):
-                cost *= self.reference_penalty
+                cost *= REFERENCE_PENALTY
         else:
             cost += rpc
         return cost
@@ -211,22 +183,19 @@ class ServeCluster(ServeEngine):
         if root is None:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-cluster-")
             root = self._tmpdir.name
-        hosts = place_group_hosts(
-            cfg.num_shards, cfg.replication_factor, num_hosts=cfg.num_hosts
-        )
+        hosts = place_group_hosts(cfg.num_shards, cfg.replication_factor)
         self.groups: List[ReplicaGroup] = []
         for i in range(cfg.num_shards):
             members = [
                 ShardReplica(
                     i, self.router.owned_nodes(i), graph.num_nodes, self.dim,
-                    # member 0 keeps the legacy directory name so factor-1
-                    # durable layouts are unchanged on disk
+                    # followers are suffixed, so a group's primary
+                    # directory has the same name at every factor
                     os.path.join(
                         root, f"shard{i:03d}" + ("" if m == 0 else f"-r{m}")
                     ),
                     mailbox_slots=mailbox_slots, fsync=cfg.fsync,
                     snapshot_every=cfg.snapshot_every,
-                    chunk_rows=cfg.scrub_chunk_rows,
                     member_id=m, host=hosts[i][m],
                 )
                 for m in range(cfg.replication_factor)
@@ -234,24 +203,8 @@ class ServeCluster(ServeEngine):
             self.groups.append(
                 ReplicaGroup(i, members, ack_quorum=cfg.ack_quorum)
             )
-        self.rpc = SimRpc(
-            self.clock, service=cfg.rpc_service, timeout=cfg.rpc_timeout,
-            retries=cfg.rpc_retries, backoff=cfg.rpc_backoff,
-            hedge_delay=cfg.hedge_delay,
-        )
-        self.supervisor = Supervisor(
-            self.clock, self.groups, self.router,
-            heartbeat_interval=cfg.heartbeat_interval,
-            suspect_phi=cfg.suspect_phi, dead_phi=cfg.dead_phi,
-            recovery_base=cfg.recovery_base,
-            recovery_per_batch=cfg.recovery_per_batch,
-            promote_seconds=cfg.promote_seconds,
-            rebalance_window=cfg.rebalance_window,
-            rebalance_factor=cfg.rebalance_factor,
-            rebalance_patience=cfg.rebalance_patience,
-            rebalance_max_fraction=cfg.rebalance_max_fraction,
-            rebalance_handoff_seconds=cfg.rebalance_handoff_seconds,
-        )
+        self.rpc = SimRpc(self.clock)
+        self.supervisor = Supervisor(self.clock, self.groups, self.router)
         self.scrubber = Scrubber(
             self.groups, self.clock, interval=cfg.scrub_interval,
             count=ctx.count,
@@ -302,8 +255,7 @@ class ServeCluster(ServeEngine):
     def _before_request(self) -> None:
         """Apply due member faults, then detect, fail over, and scrub."""
         crashes, stalls, flips = inject_member_faults(
-            self.groups, self.clock.now(), self.config.stall_window,
-            self.scrubber.cold_tiers(),
+            self.groups, self.clock.now(), self.scrubber.cold_tiers(),
         )
         self.injected_crashes += crashes
         self.injected_stalls += stalls

@@ -60,10 +60,10 @@ class _StateDigests:
     table height) changes.
     """
 
-    def __init__(self, replica: "ShardReplica", chunk_rows: int):
+    def __init__(self, replica: "ShardReplica"):
         def digest(component: str) -> ChunkedDigest:
             return ChunkedDigest(
-                lambda: replica.tables(component), len(replica.owned), chunk_rows
+                lambda: replica.tables(component), len(replica.owned)
             )
 
         self.memory = digest("memory")
@@ -127,12 +127,10 @@ class ShardReplica:
         snapshot_every: int = 64,
         member_id: int = 0,
         host: int = 0,
-        chunk_rows: int = 32,
     ):
         self.shard_id = int(shard_id)
         self.member_id = int(member_id)
         self.host = int(host)
-        self.chunk_rows = int(chunk_rows)
         self.num_nodes = int(num_nodes)
         self.dim = int(dim)
         self.mailbox_slots = int(mailbox_slots)
@@ -171,7 +169,7 @@ class ShardReplica:
         self.write_snapshot()
         #: maintained (expected) chunk digests — refreshed on every
         #: legitimate write, so silent out-of-band mutation is detectable.
-        self.digests: Optional[_StateDigests] = _StateDigests(self, self.chunk_rows)
+        self.digests: Optional[_StateDigests] = _StateDigests(self)
 
     # ---- liveness ------------------------------------------------------------------
 
@@ -235,7 +233,7 @@ class ShardReplica:
         self.last_seq = int(marks.get("seq", -1))
         self.lease_epoch = int(marks.get("epoch", 0))
         # Digests of the replayed tables: what the apply path produced.
-        self.digests = _StateDigests(self, self.chunk_rows)
+        self.digests = _StateDigests(self)
         self._since_snapshot = replayed
         self.alive = True
         self.recovering = False
@@ -488,7 +486,7 @@ class ShardReplica:
         kept_local = old_local[self.owned]
         for key, rows in state_image(self.memory, self.mailbox).items():
             rows[...] = old[key][kept_local]
-        self.digests = _StateDigests(self, self.chunk_rows)
+        self.digests = _StateDigests(self)
         self.write_snapshot()
         return out
 
@@ -505,7 +503,7 @@ class ShardReplica:
         for key, rows in state_image(self.memory, self.mailbox).items():
             rows[had] = old[key][prev[had]]
             rows[new_local] = state[key]
-        self.digests = _StateDigests(self, self.chunk_rows)
+        self.digests = _StateDigests(self)
         self.write_snapshot()
 
     # ---- reporting / lifecycle -----------------------------------------------------

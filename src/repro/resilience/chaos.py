@@ -22,9 +22,14 @@ __all__ = ["inject_member_faults", "apply_bitflip"]
 #: bytes of WAL segment header a ``wal`` flip never touches.
 _WAL_HEADER = 16
 
+#: a ``shard.stall`` multiplies the member's RPC service time by this factor
+STALL_FACTOR = 8.0
+#: for this many simulated seconds.
+STALL_WINDOW = 2.0e-2
+
 
 def inject_member_faults(
-    groups: Sequence, now: float, stall_window: float, cold_tiers: Sequence = ()
+    groups: Sequence, now: float, cold_tiers: Sequence = ()
 ) -> Tuple[int, int, int]:
     """Consult the member-level fault sites once; returns what fired.
 
@@ -48,9 +53,8 @@ def inject_member_faults(
         for m, rep in enumerate(group.members):
             if not rep.alive or rep.recovering:
                 continue
-            factor = _poke("shard.stall", shard=i, extra=i + n * m)
-            if factor:
-                rep.stall(now, float(factor), stall_window)
+            if _poke("shard.stall", shard=i, extra=i + n * m):
+                rep.stall(now, STALL_FACTOR, STALL_WINDOW)
                 stalls += 1
     for i, group in enumerate(groups):
         for m, rep in enumerate(group.members):

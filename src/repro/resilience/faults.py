@@ -21,8 +21,8 @@ Two properties make injected runs reproducible and recoverable:
 
 Use as a context manager to install the hooks::
 
-    inj = FaultInjector(seed=3, kernel_fault_rate=0.05,
-                        nan_grad_batches={(0, 4)})
+    inj = FaultInjector(seed=3, rates={"kernel.sample": 0.05},
+                        schedules={"nan_grad": {(0, 4)}})
     with inj:
         trainer.train(...)
     print(inj.log)          # every fault that actually fired
@@ -44,9 +44,8 @@ __all__ = ["DECISIONS", "FaultEvent", "FaultInjector"]
 #: Every fault decision the injector can make, mapped to the
 #: :data:`repro.resilience.hooks.SITES` entry it fires at.  A site like
 #: ``disk.write`` multiplexes several corruption kinds, so decisions are
-#: the finer-grained vocabulary; configuration (constructor kwargs plus
-#: the generic ``rates=``/``schedules=`` dicts) is validated against this
-#: map at construction time.
+#: the finer-grained vocabulary; the ``rates=``/``schedules=`` keys are
+#: validated against this map at construction time.
 DECISIONS: Dict[str, str] = {
     "kernel.sample": "kernel.sample",
     "kernel.cache": "kernel.cache",
@@ -109,207 +108,49 @@ class FaultEvent:
 class FaultInjector:
     """Deterministic fault source consulted by the production hook sites.
 
-    Faults are configured either by *rate* (probability per batch, decided
-    by a seed-keyed hash of the stream position — no RNG state, so replays
-    are stable) or by explicit *schedules* of stream positions.
+    Faults are configured per *decision* (the keys of :data:`DECISIONS`),
+    either by rate (probability per position, decided by a seed-keyed hash
+    of the stream position — no RNG state, so replays are stable) or by an
+    explicit schedule of positions; a decision fires where either says so.
 
     Args:
         seed: keys every rate-based decision.
-        kernel_fault_rate: per-batch probability of a transient sampling
-            kernel exception (site ``kernel.sample``).
-        kernel_fault_batches: explicit ``(epoch, batch)`` positions for
-            sampling-kernel faults (unioned with the rate).
-        cache_fault_rate: per-batch probability of a transient embedding
-            cache kernel exception (site ``kernel.cache``).
-        cache_fault_batches: explicit positions for cache-kernel faults.
-        cache_corrupt_batches: positions at which a stored cache row is
-            silently overwritten with NaN (caught by state validation).
-        nan_grad_rate: per-batch probability that gradients turn NaN just
-            before the optimizer step (site ``optim.step``).
-        nan_grad_batches: explicit positions for NaN gradients.
-        checkpoint_kill_batches: positions whose checkpoint write is
-            killed mid-flight (tmp file truncated, write aborted).
-        process_kill_at: optional ``(epoch, batch)`` at which the whole
-            training process is hard-killed (``SimulatedProcessKill``).
-        serve_ingest_fault_rate: per-ingest-batch probability of a
-            transient fault inside the serving ingestion pipeline (site
-            ``serve.ingest``; the serve runtime advances the cursor to
-            ``(0, batch_seq)`` per ingest batch).
-        serve_ingest_fault_batches: explicit positions for ingest faults.
-        serve_commit_fault_rate: per-commit probability of a transient
-            fault mid state-commit, after partial application (site
-            ``serve.commit``; exercises snapshot rollback).
-        serve_commit_fault_batches: explicit positions for commit faults.
-        serve_poison_batches: positions at which the in-flight commit
-            payload is silently corrupted with NaN (site ``serve.poison``;
-            caught by post-commit validation, which rolls back and
-            quarantines the batch).
-        disk_torn_write_batches: positions at which a write-ahead-log
-            record append is torn — only a deterministic byte prefix
-            reaches the file before a :class:`SimulatedDiskCrash`
-            (site ``disk.write``).
-        disk_torn_write_rate: per-position probability of a torn write.
-        disk_flip_write_batches: positions at which one bit of an
-            appended WAL record is silently flipped on the way to disk
-            (no crash; caught by per-record CRC on replay).
-        disk_dup_write_batches: positions at which an appended WAL record
-            is written twice (duplicated tail; replay must deduplicate).
-        disk_lost_fsync_batches: positions at which a WAL fsync is lost:
-            bytes buffered since the last durable fsync are dropped and a
-            :class:`SimulatedDiskCrash` follows (site ``disk.fsync``).
-        disk_flip_read_batches: positions at which one bit of a WAL
-            record is flipped while *reading* it back (site ``disk.read``;
-            models media corruption discovered at recovery).
-        disk_flip_read_rate: per-position probability of a read flip.
-        rpc_send_drop_rate / rpc_recv_drop_rate: per-attempt probability
-            that a cluster RPC request / reply leg is dropped on the wire
-            (sites ``rpc.send`` / ``rpc.recv``; the channel retries and
-            hedges around the loss — a dropped reply still executed).
-        shard_crash_rate / shard_crashes: probability (or explicit
-            ``(epoch, batch)`` / ``(epoch, batch, shard)`` positions) at
-            which a serving shard's process dies between requests (site
-            ``shard.crash``; triggers heartbeat failover + WAL replay).
-        shard_stall_rate / shard_stalls: probability (or positions) at
-            which a shard enters a stall window multiplying its RPC
-            service time by ``shard_stall_factor`` (site ``shard.stall``).
-        shard_stall_factor: slowdown multiplier for stalled shards.
-        heartbeat_drop_rate / heartbeat_drops: probability (or positions)
-            at which one shard heartbeat is lost (site ``heartbeat.drop``;
-            enough accumulated losses make the detector declare a live
-            shard dead — a spurious failover the cluster must absorb).
-        repl_ship_drop_rate / repl_ship_drops: probability (or positions)
-            at which the log-shipping leg from a replica-group primary to
-            one follower is dropped (site ``repl.ship``; the record parks
-            in that follower's in-order queue and is redelivered).
-        repl_ack_drop_rate / repl_ack_drops: probability (or positions)
-            at which a follower's append acknowledgement is lost on the
-            way back (site ``repl.ack``; the follower *did* append — the
-            commit may fall under quorum without ever diverging).
-        repl_promote_delay_rate / repl_promote_delays: probability (or
-            positions) at which one promotion attempt is delayed by a
-            tick (site ``repl.promote``; the supervisor retries, bounding
-            the window in which reads fail over to followers).
-        mem_flip_rate / mem_flips: probability (or explicit
-            ``(epoch, batch)`` / ``(epoch, batch, extra)`` positions,
-            ``extra = shard + num_shards * member``) at which one bit of
-            a replica member's live state flips *outside* the write path
-            (site ``mem.flip``; only the integrity scrubber can catch
-            it).  Which state rots is picked by ``mem_flip_tier``.
+        rates: ``{decision: probability}``.
+        schedules: ``{decision: positions}``.  A position is ``(epoch,
+            batch)`` — or ``(epoch, batch, extra)`` at the sites that pass
+            a decision ``extra`` to tell apart several targets at one
+            stream position (``shard + num_shards * member`` at the
+            member-level cluster sites).  ``process.kill`` hard-kills the
+            training process there; ``scrub.skip`` is keyed by scrub cycle
+            instead of the stream cursor, as ``(0, cycle)``.
+        transient: if True (default), each fault fires at most once per
+            position so retries/replays succeed; if False, faults fire on
+            every encounter (for testing retry exhaustion).
         mem_flip_tier: what a ``mem.flip`` corrupts — ``"memory"``
             (node-memory table), ``"mailbox"``, ``"wal"`` (a durable
             segment's on-disk bytes), or ``"cold"`` (feature-store cold
             rows).
-        scrub_skip_rate / scrub_skips: probability per scrub cycle (or
-            explicit cycle numbers) at which one due anti-entropy scrub
-            cycle is suppressed (site ``scrub.skip``; widens the window
-            a flipped bit can sit undetected, exercising read-repair).
-        rates: extra ``{decision name: probability}`` entries (see
-            :data:`DECISIONS`); unknown names raise ``ValueError``.
-        schedules: extra ``{decision name: positions}`` entries; unknown
-            names raise ``ValueError``.
-        transient: if True (default), each fault fires at most once per
-            position so retries/replays succeed; if False, faults fire on
-            every encounter (for testing retry exhaustion).
+
+    An unknown decision name raises ``ValueError``: it maps to no
+    injection site and would silently never fire.
     """
 
     def __init__(
         self,
         seed: int = 0,
-        kernel_fault_rate: float = 0.0,
-        kernel_fault_batches: Iterable[Tuple[int, int]] = (),
-        cache_fault_rate: float = 0.0,
-        cache_fault_batches: Iterable[Tuple[int, int]] = (),
-        cache_corrupt_batches: Iterable[Tuple[int, int]] = (),
-        nan_grad_rate: float = 0.0,
-        nan_grad_batches: Iterable[Tuple[int, int]] = (),
-        checkpoint_kill_batches: Iterable[Tuple[int, int]] = (),
-        process_kill_at: Optional[Tuple[int, int]] = None,
-        serve_ingest_fault_rate: float = 0.0,
-        serve_ingest_fault_batches: Iterable[Tuple[int, int]] = (),
-        serve_commit_fault_rate: float = 0.0,
-        serve_commit_fault_batches: Iterable[Tuple[int, int]] = (),
-        serve_poison_batches: Iterable[Tuple[int, int]] = (),
-        disk_torn_write_batches: Iterable[Tuple[int, int]] = (),
-        disk_torn_write_rate: float = 0.0,
-        disk_flip_write_batches: Iterable[Tuple[int, int]] = (),
-        disk_dup_write_batches: Iterable[Tuple[int, int]] = (),
-        disk_lost_fsync_batches: Iterable[Tuple[int, int]] = (),
-        disk_flip_read_batches: Iterable[Tuple[int, int]] = (),
-        disk_flip_read_rate: float = 0.0,
-        rpc_send_drop_rate: float = 0.0,
-        rpc_recv_drop_rate: float = 0.0,
-        shard_crash_rate: float = 0.0,
-        shard_crashes: Iterable[Tuple[int, ...]] = (),
-        shard_stall_rate: float = 0.0,
-        shard_stalls: Iterable[Tuple[int, ...]] = (),
-        shard_stall_factor: float = 8.0,
-        heartbeat_drop_rate: float = 0.0,
-        heartbeat_drops: Iterable[Tuple[int, ...]] = (),
-        repl_ship_drop_rate: float = 0.0,
-        repl_ship_drops: Iterable[Tuple[int, ...]] = (),
-        repl_ack_drop_rate: float = 0.0,
-        repl_ack_drops: Iterable[Tuple[int, ...]] = (),
-        repl_promote_delay_rate: float = 0.0,
-        repl_promote_delays: Iterable[Tuple[int, ...]] = (),
-        mem_flip_rate: float = 0.0,
-        mem_flips: Iterable[Tuple[int, ...]] = (),
-        mem_flip_tier: str = "memory",
-        scrub_skip_rate: float = 0.0,
-        scrub_skips: Iterable[int] = (),
         rates: Optional[Dict[str, float]] = None,
         schedules: Optional[Dict[str, Iterable[Tuple[int, ...]]]] = None,
         transient: bool = True,
+        mem_flip_tier: str = "memory",
     ):
         self.seed = int(seed)
         self.rates: Dict[str, float] = {
-            "kernel.sample": float(kernel_fault_rate),
-            "kernel.cache": float(cache_fault_rate),
-            "nan_grad": float(nan_grad_rate),
-            "serve.ingest": float(serve_ingest_fault_rate),
-            "serve.commit": float(serve_commit_fault_rate),
-            "disk.write.torn": float(disk_torn_write_rate),
-            "disk.read.flip": float(disk_flip_read_rate),
-            "rpc.send.drop": float(rpc_send_drop_rate),
-            "rpc.recv.drop": float(rpc_recv_drop_rate),
-            "shard.crash": float(shard_crash_rate),
-            "shard.stall": float(shard_stall_rate),
-            "heartbeat.drop": float(heartbeat_drop_rate),
-            "repl.ship.drop": float(repl_ship_drop_rate),
-            "repl.ack.drop": float(repl_ack_drop_rate),
-            "repl.promote.delay": float(repl_promote_delay_rate),
-            "mem.flip": float(mem_flip_rate),
-            "scrub.skip": float(scrub_skip_rate),
+            name: float(rate) for name, rate in (rates or {}).items()
         }
         self.schedules: Dict[str, Set[Tuple[int, ...]]] = {
-            "kernel.sample": {tuple(p) for p in kernel_fault_batches},
-            "kernel.cache": {tuple(p) for p in cache_fault_batches},
-            "cache.corrupt": {tuple(p) for p in cache_corrupt_batches},
-            "nan_grad": {tuple(p) for p in nan_grad_batches},
-            "checkpoint.kill": {tuple(p) for p in checkpoint_kill_batches},
-            "serve.ingest": {tuple(p) for p in serve_ingest_fault_batches},
-            "serve.commit": {tuple(p) for p in serve_commit_fault_batches},
-            "serve.poison": {tuple(p) for p in serve_poison_batches},
-            "disk.write.torn": {tuple(p) for p in disk_torn_write_batches},
-            "disk.write.flip": {tuple(p) for p in disk_flip_write_batches},
-            "disk.write.dup": {tuple(p) for p in disk_dup_write_batches},
-            "disk.fsync.lost": {tuple(p) for p in disk_lost_fsync_batches},
-            "disk.read.flip": {tuple(p) for p in disk_flip_read_batches},
-            "shard.crash": {tuple(p) for p in shard_crashes},
-            "shard.stall": {tuple(p) for p in shard_stalls},
-            "heartbeat.drop": {tuple(p) for p in heartbeat_drops},
-            "repl.ship.drop": {tuple(p) for p in repl_ship_drops},
-            "repl.ack.drop": {tuple(p) for p in repl_ack_drops},
-            "repl.promote.delay": {tuple(p) for p in repl_promote_delays},
-            "mem.flip": {tuple(p) for p in mem_flips},
+            name: {tuple(p) for p in positions}
+            for name, positions in (schedules or {}).items()
         }
-        for name, rate in (rates or {}).items():
-            self._check_decision(name)
-            self.rates[name] = float(rate)
-        for name, positions in (schedules or {}).items():
-            self._check_decision(name)
-            self.schedules.setdefault(name, set()).update(
-                tuple(p) for p in positions
-            )
         for name in list(self.rates) + list(self.schedules):
             self._check_decision(name)
         if mem_flip_tier not in ("memory", "mailbox", "wal", "cold"):
@@ -318,9 +159,6 @@ class FaultInjector:
                 "'memory', 'mailbox', 'wal', 'cold'"
             )
         self.mem_flip_tier = mem_flip_tier
-        self.scrub_skips: Set[int] = {int(c) for c in scrub_skips}
-        self.shard_stall_factor = float(shard_stall_factor)
-        self.process_kill_at = tuple(process_kill_at) if process_kill_at else None
         self.transient = transient
         self.epoch = 0
         self.batch = 0
@@ -366,59 +204,62 @@ class FaultInjector:
         Ignores the once-per-position transience bookkeeping — this is
         the underlying deterministic pattern.
         """
-        if (epoch, batch) in self.schedules.get(site, ()):
-            return True
-        if (epoch, batch, extra) in self.schedules.get(site, ()):
+        scheduled = self.schedules.get(site, ())
+        if (epoch, batch) in scheduled or (epoch, batch, extra) in scheduled:
             return True
         rate = self.rates.get(site, 0.0)
         return rate > 0.0 and _hash_decision(self.seed, site, epoch, batch, extra) < rate
 
-    def _fires(self, site: str, extra: int = 0, detail: str = "") -> bool:
-        """Decide + record one (possibly transient) fault at the cursor."""
-        if not self.would_fire(site, self.epoch, self.batch, extra):
+    def _fires(self, site: str, extra: int = 0, detail: str = "",
+               at: Optional[Tuple[int, int]] = None) -> bool:
+        """Decide + record one (possibly transient) fault.
+
+        The decision is keyed by the stream cursor unless the site runs on
+        its own cadence and passes *at*; the log entry always carries the
+        cursor, so it says which batch was in flight.
+        """
+        epoch, batch = at or (self.epoch, self.batch)
+        if not self.would_fire(site, epoch, batch, extra):
             return False
-        key = (site, self.epoch, self.batch, extra)
+        key = (site, epoch, batch, extra)
         if self.transient and key in self._fired:
             return False
         self._fired.add(key)
         self.log.append(FaultEvent(site, self.epoch, self.batch, detail))
         return True
 
+    def _member_fires(self, decision: str, info: dict) -> bool:
+        """One decision at a cluster site, keyed by the caller's ``extra``
+        (which tells apart the shards, members and attempts that consult
+        the site at one stream position)."""
+        detail = f"shard {info.get('shard')}"
+        if "member" in info:
+            detail += f" member {info['member']}"
+        return self._fires(decision, extra=int(info.get("extra", 0)), detail=detail)
+
     # ---- site handlers ----------------------------------------------------------
 
     def poke(self, site: str, **info):
-        if site == "kernel.sample":
-            if self._fires("kernel.sample"):
+        if site in ("kernel.sample", "kernel.cache", "serve.ingest", "serve.commit"):
+            if self._fires(site):
                 raise TransientKernelError(
-                    f"injected transient sampling-kernel fault at "
+                    f"injected transient {site} fault at "
                     f"(epoch {self.epoch}, batch {self.batch})",
-                    site="kernel.sample",
+                    site=site,
                 )
-        elif site == "kernel.cache":
-            if self._fires("kernel.cache"):
-                raise TransientKernelError(
-                    f"injected transient cache-kernel fault at "
-                    f"(epoch {self.epoch}, batch {self.batch})",
-                    site="kernel.cache",
-                )
+        elif site in ("rpc.send", "rpc.recv", "repl.ship", "repl.ack"):
+            if self._member_fires(site + ".drop", info):
+                return ("drop",)
+        elif site in ("shard.crash", "shard.stall", "heartbeat.drop"):
+            if self._member_fires(site, info):
+                return True
+        elif site == "repl.promote":
+            if self._member_fires("repl.promote.delay", info):
+                return True
         elif site == "cache.corrupt":
             cache = info.get("cache")
             if cache is not None and self._fires("cache.corrupt"):
                 self._corrupt_cache(cache)
-        elif site == "serve.ingest":
-            if self._fires("serve.ingest"):
-                raise TransientKernelError(
-                    f"injected transient ingestion fault at "
-                    f"(epoch {self.epoch}, batch {self.batch})",
-                    site="serve.ingest",
-                )
-        elif site == "serve.commit":
-            if self._fires("serve.commit"):
-                raise TransientKernelError(
-                    f"injected transient state-commit fault at "
-                    f"(epoch {self.epoch}, batch {self.batch})",
-                    site="serve.commit",
-                )
         elif site == "serve.poison":
             values = info.get("values")
             if values is not None and len(values) and self._fires("serve.poison"):
@@ -438,53 +279,8 @@ class FaultInjector:
                 "disk.read.flip", detail=str(info.get("path", ""))
             ):
                 return ("flip",) + self._flip_position("disk.read.flip", size)
-        elif site == "rpc.send":
-            if self._fires(
-                "rpc.send.drop", extra=int(info.get("extra", 0)),
-                detail=f"shard {info.get('shard')}",
-            ):
-                return ("drop",)
-        elif site == "rpc.recv":
-            if self._fires(
-                "rpc.recv.drop", extra=int(info.get("extra", 0)),
-                detail=f"shard {info.get('shard')}",
-            ):
-                return ("drop",)
-        elif site == "shard.crash":
-            shard = int(info.get("shard", 0))
-            # The decision key is the caller's `extra` (shard + num_shards
-            # * member under replication) so a scheduled kill can target
-            # one specific group member; factor-1 callers pass extra=shard.
-            extra = int(info.get("extra", shard))
-            if self._fires("shard.crash", extra=extra, detail=f"shard {shard}"):
-                return True
-        elif site == "shard.stall":
-            shard = int(info.get("shard", 0))
-            extra = int(info.get("extra", shard))
-            if self._fires("shard.stall", extra=extra, detail=f"shard {shard}"):
-                return self.shard_stall_factor
-        elif site == "repl.ship":
-            if self._fires(
-                "repl.ship.drop", extra=int(info.get("extra", 0)),
-                detail=f"shard {info.get('shard')} member {info.get('member')}",
-            ):
-                return ("drop",)
-        elif site == "repl.ack":
-            if self._fires(
-                "repl.ack.drop", extra=int(info.get("extra", 0)),
-                detail=f"shard {info.get('shard')} member {info.get('member')}",
-            ):
-                return ("drop",)
-        elif site == "repl.promote":
-            if self._fires(
-                "repl.promote.delay", extra=int(info.get("extra", 0)),
-                detail=f"shard {info.get('shard')}",
-            ):
-                return True
         elif site == "mem.flip":
-            # Decision key is the caller's `extra` (shard + num_shards *
-            # member) so a scheduled flip targets one group member; the
-            # caller mods the byte index by the actual state size.
+            # The caller mods the byte index by the actual state size.
             extra = int(info.get("extra", 0))
             if self._fires(
                 "mem.flip", extra=extra,
@@ -498,27 +294,7 @@ class FaultInjector:
             # runs on its own cadence and a schedule of cycle numbers
             # must hit regardless of which batch is in flight.
             cycle = int(info.get("cycle", 0))
-            rate = self.rates.get("scrub.skip", 0.0)
-            hit = cycle in self.scrub_skips or (
-                rate > 0.0
-                and _hash_decision(self.seed, "scrub.skip", 0, cycle, 0) < rate
-            )
-            if hit:
-                key = ("scrub.skip", 0, cycle, 0)
-                if not (self.transient and key in self._fired):
-                    self._fired.add(key)
-                    self.log.append(
-                        FaultEvent(
-                            "scrub.skip", self.epoch, self.batch,
-                            f"cycle {cycle}",
-                        )
-                    )
-                    return True
-        elif site == "heartbeat.drop":
-            if self._fires(
-                "heartbeat.drop", extra=int(info.get("extra", 0)),
-                detail=f"shard {info.get('shard')}",
-            ):
+            if self._fires("scrub.skip", detail=f"cycle {cycle}", at=(0, cycle)):
                 return True
         elif site == "optim.step":
             optimizer = info.get("optimizer")
@@ -528,16 +304,12 @@ class FaultInjector:
             if self._fires("checkpoint.kill", detail=str(info.get("path", ""))):
                 self._kill_checkpoint_write(info.get("path"))
         elif site == "trainer.batch":
-            if self.process_kill_at == (self.epoch, self.batch):
-                key = ("process.kill", self.epoch, self.batch, 0)
-                if not (self.transient and key in self._fired):
-                    self._fired.add(key)
-                    self.log.append(FaultEvent("process.kill", self.epoch, self.batch))
-                    raise SimulatedProcessKill(
-                        f"simulated process kill at (epoch {self.epoch}, batch {self.batch})",
-                        epoch=self.epoch,
-                        batch=self.batch,
-                    )
+            if self._fires("process.kill"):
+                raise SimulatedProcessKill(
+                    f"simulated process kill at (epoch {self.epoch}, batch {self.batch})",
+                    epoch=self.epoch,
+                    batch=self.batch,
+                )
         return None
 
     # ---- fault effects ----------------------------------------------------------

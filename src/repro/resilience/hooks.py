@@ -7,45 +7,20 @@ any ``repro`` imports lets low-level packages (``repro.core.kernels``,
 ``repro.nn.optim``) reference it without creating an import cycle with
 the resilience subsystem built on top of them.
 
-Sites currently poked by production code are listed in :data:`SITES`
-(the authoritative registry — ``FaultInjector`` validates its configured
-site names against it at construction time):
-
-===================  ==========================================  =========
-site                 where                                       returns
-===================  ==========================================  =========
-``kernel.sample``    ``core.kernels.sample.temporal_sample``     ``None``
-``kernel.cache``     ``NodeTimeCache.lookup`` / ``store``        ``None``
-``cache.corrupt``    end of ``NodeTimeCache.store``              ``None``
-``optim.step``       ``nn.optim.SGD.step`` / ``Adam.step``       ``None``
-``checkpoint.kill``  ``durable.snapshot.write_container``        ``None``
-``trainer.batch``    ``bench.resilient`` recovery loop           ``None``
-``serve.ingest``     ``serve.ingest.IngestPipeline.push``        ``None``
-``serve.commit``     ``serve.commit.stage_checked``              ``None``
-``serve.poison``     ``serve.commit.stage_checked`` (staging)    ``None``
-``disk.write``       ``durable.wal`` record append               directive
-``disk.fsync``       ``durable.wal`` fsync                       directive
-``disk.read``        ``durable.wal`` replay / cold-tier read     directive
-``rpc.send``         ``cluster.rpc.SimRpc`` request leg          directive
-``rpc.recv``         ``cluster.rpc.SimRpc`` reply leg            directive
-``shard.crash``      ``resilience.chaos.inject_member_faults``   bool
-``shard.stall``      ``resilience.chaos.inject_member_faults``   factor
-``heartbeat.drop``   ``cluster.supervisor.Supervisor.tick``      bool
-``repl.ship``        ``cluster.replication.ReplicaGroup.ship``   directive
-``repl.ack``         ``cluster.replication.ReplicaGroup.ship``   directive
-``repl.promote``     ``cluster.supervisor`` promotion attempt    bool
-``mem.flip``         ``resilience.chaos.inject_member_faults``   directive
-``scrub.skip``       ``integrity.scrubber.Scrubber.maybe_scrub`` bool
-===================  ==========================================  =========
+The sites poked by production code, and where each is poked, are listed
+once, in :data:`SITES` (``FaultInjector`` validates its configuration
+against it at construction time).
 
 The three ``resilience.chaos`` sites are consulted between requests, from
 ``ServeCluster._before_request``.  ``checkpoint.kill`` is consulted by the
 shared container writer only for callers that name it
 (``save_checkpoint`` does; serving snapshots pass no site).
 
-A site either returns a value (crash/stall queries, disk-corruption
-directives interpreted by the write-ahead log) or raises one of the
-:mod:`repro.resilience.errors` exceptions to simulate the fault.
+A site either returns a value (``None`` when nothing fires; a bool from
+the crash/stall/heartbeat/promotion queries; a directive tuple the caller
+interprets from the disk, RPC, replication and ``mem.flip`` sites) or
+raises one of the :mod:`repro.resilience.errors` exceptions to simulate
+the fault.
 """
 
 from __future__ import annotations

@@ -27,10 +27,11 @@ inflated estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
-__all__ = ["LadderDecision", "CostModel", "DegradationLadder", "LEVELS"]
+__all__ = ["LadderDecision", "CostModel", "DegradationLadder", "LEVELS",
+           "PER_EVENT", "FIXED", "REFERENCE_PENALTY", "REDUCED_FANOUT"]
 
 #: ladder rungs from least to most degraded.
 LEVELS = ("full", "reduced", "cache", "memory")
@@ -46,26 +47,21 @@ class LadderDecision:
     reason: str = ""
 
 
-@dataclass
+#: Modeled service cost in simulated seconds: per event at each rung, plus
+#: a fixed cost per request.  The values mirror the relative kernel costs
+#: measured by the Fig-7 breakdown: sampling dominates, cache lookups are
+#: cheap, raw memory reads are nearly free.
+PER_EVENT = {"full": 1.0e-4, "reduced": 4.0e-5, "cache": 1.0e-5, "memory": 2.0e-6}
+FIXED = 1.0e-4
+#: multiplies the sampling rungs when ``kernel.sample`` is degraded to the
+#: loop-reference path.
+REFERENCE_PENALTY = 5.0
+#: sampler fanout at the ``reduced`` rung.
+REDUCED_FANOUT = 2
+
+
 class CostModel:
-    """Modeled per-event service cost (simulated seconds) per rung.
-
-    The defaults mirror the relative kernel costs measured by the Fig-7
-    breakdown: sampling dominates, cache lookups are cheap, raw memory
-    reads are nearly free.  ``reference_penalty`` multiplies sampling
-    rungs when ``kernel.sample`` is degraded to the loop-reference path.
-    """
-
-    per_event: Dict[str, float] = field(
-        default_factory=lambda: {
-            "full": 1.0e-4,
-            "reduced": 4.0e-5,
-            "cache": 1.0e-5,
-            "memory": 2.0e-6,
-        }
-    )
-    fixed: float = 1.0e-4
-    reference_penalty: float = 5.0
+    """Modeled service cost of one request on a single runtime."""
 
     def estimate(self, level: str, n_events: int, ctx=None,
                  fetch_seconds: float = 0.0) -> float:
@@ -78,11 +74,11 @@ class CostModel:
         prefetch miss pushes the decision down to the ``cache`` rung,
         which serves from already-resident embedding rows.
         """
-        cost = self.fixed + self.per_event[level] * n_events
+        cost = FIXED + PER_EVENT[level] * n_events
         if level in ("full", "reduced"):
             cost += max(0.0, float(fetch_seconds))
             if ctx is not None and ctx.is_degraded("kernel.sample"):
-                cost *= self.reference_penalty
+                cost *= REFERENCE_PENALTY
         return cost
 
 
@@ -91,26 +87,16 @@ class DegradationLadder:
 
     Args:
         full_fanout: sampler fanout at the ``full`` rung.
-        reduced_fanout: shrunk fanout at the ``reduced`` rung.
-        cost_model: per-rung service-cost estimates.
-        headroom: safety multiplier on estimates (an estimate within
-            ``headroom * cost`` of the remaining budget is treated as
-            unaffordable, absorbing modeling error).
+
+    ``cost_model`` prices each rung; a sharded backend replaces the
+    single-runtime :class:`CostModel` with its own.
     """
 
-    def __init__(
-        self,
-        full_fanout: int = 10,
-        reduced_fanout: int = 2,
-        cost_model: Optional[CostModel] = None,
-        headroom: float = 1.0,
-    ):
-        if not 1 <= reduced_fanout <= full_fanout:
-            raise ValueError("need 1 <= reduced_fanout <= full_fanout")
+    def __init__(self, full_fanout: int = 10):
+        if full_fanout < REDUCED_FANOUT:
+            raise ValueError(f"need full_fanout >= {REDUCED_FANOUT}")
         self.full_fanout = int(full_fanout)
-        self.reduced_fanout = int(reduced_fanout)
-        self.cost_model = cost_model or CostModel()
-        self.headroom = float(headroom)
+        self.cost_model = CostModel()
         #: requests served per rung (plus 'timeout'), for ctx.stats().
         self.decisions: Dict[str, int] = {}
 
@@ -118,7 +104,7 @@ class DegradationLadder:
         if level == "full":
             return self.full_fanout
         if level == "reduced":
-            return self.reduced_fanout
+            return REDUCED_FANOUT
         return 0
 
     def decide(self, remaining_budget: float, n_events: int,
@@ -134,13 +120,13 @@ class DegradationLadder:
         for level in LEVELS:
             if level == "cache" and ctx is not None and (
                 ctx.is_degraded("kernel.cache")
-                or ctx.store.config.hot_capacity <= 0
+                or not ctx.embed_cache(0).enabled
             ):
                 continue  # no trustworthy cache tables to serve from
             cost = self.cost_model.estimate(
                 level, n_events, ctx, fetch_seconds=fetch_seconds
             )
-            if cost * self.headroom <= remaining_budget:
+            if cost <= remaining_budget:
                 self.decisions[level] = self.decisions.get(level, 0) + 1
                 reason = "" if level == "full" else (
                     f"budget {remaining_budget:.3g}s cannot afford "

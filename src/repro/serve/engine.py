@@ -49,6 +49,7 @@ import numpy as np
 
 from ..clock import SimClock
 from ..resilience.errors import TransientKernelError
+from ..store.ops import embed_space
 from .admission import AdmissionController
 from .deadline import DegradationLadder, LadderDecision
 from .events import EventBatch, RejectReason, validate_events
@@ -440,9 +441,7 @@ class ServeEngine:
             emb[hot] = 0.5 * (emb[hot] + agg[hot] / counts[hot, None])
         # Warm the layer-0 embedding cache so the 'cache' rung has
         # something recent to serve from under deeper degradation.
-        cache = self.ctx.embed_cache(0)
-        if cache.enabled:
-            cache.store(nodes, times, emb)
+        self.ctx.store.put(nodes, times, emb, space=embed_space(0))
         return emb, ok
 
     def _embed_cached(self, nodes, times, extra: int) -> Rows:

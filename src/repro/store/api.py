@@ -9,9 +9,8 @@ hand.  This module defines the one interface they all now route through:
 
 * :class:`FeatureStore` — the protocol (``get`` / ``put`` / ``prefetch``
   / ``evict`` / ``stats``) any tiered row store implements.
-* :class:`StoreConfig` — the knobs (hot capacity & eviction policy,
-  staging size, cold directory, prefetch depth, modeled bandwidths),
-  shared verbatim by the ``--store-hot-mb`` / ``--store-cold-dir`` /
+* :class:`StoreConfig` — the knobs (hot capacity, staging size, cold
+  directory, prefetch depth), shared verbatim by the ``--store-hot-mb`` / ``--store-cold-dir`` /
   ``--prefetch-depth`` CLI flags of every ``python -m repro.bench``
   subcommand.
 * :class:`TierStats` / :class:`StoreStats` — first-class accounting:
@@ -40,11 +39,9 @@ TIERS = ("hot", "staging", "cold")
 class StoreConfig:
     """Configuration shared by every tiered feature store and CLI surface.
 
-    Capacities may be given in rows (exact) or in MiB (``*_mb``; resolved
-    to rows once a space's row width is known — MiB wins when both are
-    set).  Bandwidths are modeled bytes/second on the simulated clock,
-    scaled for the numpy substrate like
-    :mod:`repro.bench.experiments`'s PCIe bandwidths.
+    The hot tier may be sized in rows (exact) or in MiB (``hot_mb``;
+    resolved to rows once a space's row width is known — MiB wins when
+    both are set).
     """
 
     #: hot-tier capacity in rows per space (each layer's embedding-cache
@@ -52,35 +49,22 @@ class StoreConfig:
     hot_capacity: int = 20000
     #: hot-tier budget in MiB (overrides ``hot_capacity`` when set).
     hot_mb: Optional[float] = None
-    #: hot-tier eviction policy: ``'reuse'`` (reuse-distance-aware,
-    #: default) or ``'fifo'`` (the legacy ring).
-    hot_policy: str = "reuse"
     #: pinned staging-tier capacity in rows per space.
     staging_rows: int = 4096
-    #: staging-tier budget in MiB (overrides ``staging_rows`` when set).
-    staging_mb: Optional[float] = None
     #: directory for the mmap-backed cold tier; ``None`` keeps demoted
     #: rows in anonymous host memory (same accounting, no file).
     cold_dir: Optional[str] = None
     #: batches of sampler lookahead the prefetcher keeps in flight;
     #: ``0`` disables prefetching entirely.
     prefetch_depth: int = 1
-    #: neighbor fanout of the one-batch sampler lookahead.
-    prefetch_fanout: int = 10
-    #: modeled cold-tier (disk/mmap) bandwidth, bytes/second.
-    disk_bandwidth: float = 8.0e6
-    #: modeled staging->device (pinned) bandwidth, bytes/second; ``None``
-    #: reads the live :data:`repro.tensor.device.runtime` setting.
-    pinned_bandwidth: Optional[float] = None
     #: modeled compute seconds per consumed row — the overlap window a
     #: prefetched transfer can hide behind.
     compute_seconds_per_row: float = 2.0e-6
 
     def __post_init__(self):
-        # The prefetch scheduler currently keeps exactly one batch in
-        # flight; depths beyond 1 would be silently served as depth 1,
-        # so reject them until multi-depth scheduling lands (ROADMAP
-        # item 3) instead of quietly under-delivering.
+        # The prefetch scheduler keeps exactly one batch in flight; depths
+        # beyond 1 would be silently served as depth 1, so reject them
+        # instead of quietly under-delivering.
         if self.prefetch_depth > 1:
             raise ValueError(
                 f"prefetch_depth={self.prefetch_depth} is not supported "
@@ -89,18 +73,11 @@ class StoreConfig:
                 "Use prefetch_depth=1 (or 0 to disable)."
             )
 
-    def resolve_rows(self, budget_mb: Optional[float], rows: int,
-                     dim: Optional[int]) -> int:
-        """Rows for a ``budget_mb``/``rows`` pair given a row width."""
-        if budget_mb is None or dim is None or dim <= 0:
-            return int(rows)
-        return max(1, int(budget_mb * (1 << 20) / (4 * dim)))
-
     def hot_rows(self, dim: Optional[int]) -> int:
-        return self.resolve_rows(self.hot_mb, self.hot_capacity, dim)
-
-    def staging_capacity(self, dim: Optional[int]) -> int:
-        return self.resolve_rows(self.staging_mb, self.staging_rows, dim)
+        """Hot-tier rows per space, given its row width once known."""
+        if self.hot_mb is None or dim is None or dim <= 0:
+            return int(self.hot_capacity)
+        return max(1, int(self.hot_mb * (1 << 20) / (4 * dim)))
 
     def with_overrides(self, **kwargs) -> "StoreConfig":
         """A copy with the given fields replaced (``None`` values kept)."""

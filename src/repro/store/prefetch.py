@@ -12,7 +12,7 @@ stall shows up as ``stall_saved_seconds`` in the store's stats.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,8 +55,7 @@ class BatchPipeline:
             (its CSR drives the neighbor lookahead).
         spaces: store spaces to prefetch for each predicted batch;
             spaces the store has never seen are skipped.
-        fanout: neighbor fanout of the lookahead sample; defaults to the
-            store config's ``prefetch_fanout``.
+        fanout: neighbor fanout of the lookahead sample.
 
     Use :meth:`batches` as a drop-in transform::
 
@@ -66,12 +65,11 @@ class BatchPipeline:
 
     def __init__(self, store: TieredFeatureStore, graph,
                  spaces: Sequence[str] = ("nfeat", "mem"),
-                 fanout: Optional[int] = None):
+                 fanout: int = 10):
         self.store = store
         self.graph = graph
         self.spaces = tuple(spaces)
-        self.fanout = int(fanout if fanout is not None
-                          else store.config.prefetch_fanout)
+        self.fanout = int(fanout)
         #: predicted rows prefetched per space (diagnostic).
         self.issued = 0
 

@@ -44,6 +44,11 @@ from .tiers import ColdTier, PinnedPool, SourceTier
 
 __all__ = ["TieredFeatureStore"]
 
+#: modeled spill-file (disk/mmap) bandwidth, bytes/second on the simulated
+#: clock, scaled for the numpy substrate like
+#: :mod:`repro.bench.experiments`'s PCIe bandwidths.
+DISK_BANDWIDTH = 8.0e6
+
 
 def _times_or_zero(nodes: np.ndarray, times: Optional[np.ndarray]) -> np.ndarray:
     if times is None:
@@ -59,12 +64,9 @@ class _Space:
         self.store = store
         self.dim: Optional[int] = None
         cfg = store.config
-        self.hot = NodeTimeCache(
-            cfg.hot_rows(None), timer=store._timer, policy=cfg.hot_policy,
-            on_evict=self._demote_to_staging,
-        )
+        self.hot = self.new_hot(cfg.hot_rows(None))
         self.staging = NodeTimeCache(
-            cfg.staging_capacity(None), timer=store._timer, policy="fifo",
+            cfg.staging_rows, timer=store._timer, policy="fifo",
             on_evict=self._demote_to_cold,
         )
         self.cold: Optional[Union[SourceTier, ColdTier]] = None
@@ -73,6 +75,11 @@ class _Space:
         #: prefetched keys in flight:
         #: (node, time) -> (ready_time, per-key cold-leg share, group leg)
         self.inflight: Dict[Tuple[int, float], Tuple[float, float, float]] = {}
+
+    def new_hot(self, rows: int) -> NodeTimeCache:
+        """An empty reuse-distance hot tier of *rows* rows, demoting into staging."""
+        return NodeTimeCache(rows, timer=self.store._timer, policy="reuse",
+                             on_evict=self._demote_to_staging)
 
     # ---- demotion chain -----------------------------------------------------------
 
@@ -177,26 +184,18 @@ class TieredFeatureStore:
         return sp
 
     def _set_dim(self, sp: _Space, dim: int) -> None:
-        """First sight of a space's row width: resolve MiB budgets to rows.
+        """First sight of a space's row width: resolve a MiB budget to rows.
 
-        The tier caches were sized by row counts at space creation; once
-        the width is known any ``hot_mb``/``staging_mb`` budget takes
-        precedence.  Both caches are still empty at this point (a space
-        has no width until its first rows arrive), so re-creating them
-        loses nothing.
+        The hot cache was sized by ``hot_capacity`` at space creation;
+        once the width is known a ``hot_mb`` budget takes precedence.  The
+        cache is still empty at this point (a space has no width until its
+        first rows arrive), so re-creating it loses nothing.
         """
         if sp.dim is not None:
             return
         sp.dim = int(dim)
-        cfg = self.config
-        if cfg.hot_mb is not None:
-            sp.hot = NodeTimeCache(cfg.hot_rows(sp.dim), timer=self._timer,
-                                   policy=cfg.hot_policy,
-                                   on_evict=sp._demote_to_staging)
-        if cfg.staging_mb is not None:
-            sp.staging = NodeTimeCache(cfg.staging_capacity(sp.dim),
-                                       timer=self._timer, policy="fifo",
-                                       on_evict=sp._demote_to_cold)
+        if self.config.hot_mb is not None:
+            sp.hot = sp.new_hot(self.config.hot_rows(sp.dim))
 
     def rebind_source(self, name: str,
                       source: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]) -> None:
@@ -238,14 +237,10 @@ class TieredFeatureStore:
 
     # ---- bandwidths ---------------------------------------------------------------
 
-    def _pinned_bw(self) -> float:
-        bw = self.config.pinned_bandwidth
-        return bw if bw is not None else _device_runtime.pinned_bandwidth
-
     def _cold_bw(self, sp: _Space) -> float:
         if isinstance(sp.cold, SourceTier):
             return _device_runtime.pageable_bandwidth
-        return self.config.disk_bandwidth
+        return DISK_BANDWIDTH
 
     # ---- core resolution ----------------------------------------------------------
 
@@ -396,7 +391,7 @@ class TieredFeatureStore:
                         nbytes: int) -> None:
         """Stall accounting for rows served out of the staging tier."""
         now = self.clock.now()
-        stall = nbytes / self._pinned_bw()  # the pinned leg is always paid
+        stall = nbytes / _device_runtime.pinned_bandwidth  # the pinned leg is always paid
         for i in range(len(nodes)):
             entry = sp.inflight.pop((int(nodes[i]), float(times[i])), None)
             if entry is None:
@@ -427,7 +422,7 @@ class TieredFeatureStore:
             stall = done - now
         else:
             stall = leg
-        self._stall_seconds += stall + nbytes / self._pinned_bw()
+        self._stall_seconds += stall + nbytes / _device_runtime.pinned_bandwidth
 
     def estimate_fetch_seconds(self, nodes: np.ndarray,
                                times: Optional[np.ndarray] = None,
@@ -452,7 +447,7 @@ class TieredFeatureStore:
         staged = sp.staging.contains(nodes[miss], tq[miss])
         n_staged = int(staged.sum())
         if n_staged:
-            seconds += n_staged * row_bytes / self._pinned_bw()
+            seconds += n_staged * row_bytes / _device_runtime.pinned_bandwidth
             for i in np.flatnonzero(miss)[staged]:
                 entry = sp.inflight.get((int(nodes[i]), float(tq[i])))
                 if entry is not None and entry[2] > 0:
@@ -463,7 +458,7 @@ class TieredFeatureStore:
             leg = nbytes / self._cold_bw(sp)
             if isinstance(sp.cold, ColdTier):
                 leg += max(0.0, self._disk_free - now)
-            seconds += leg + nbytes / self._pinned_bw()
+            seconds += leg + nbytes / _device_runtime.pinned_bandwidth
         return seconds
 
     # ---- lifecycle / stats --------------------------------------------------------
@@ -539,5 +534,4 @@ class TieredFeatureStore:
 
     def __repr__(self) -> str:
         return (f"TieredFeatureStore(spaces={list(self._spaces)}, "
-                f"policy={self.config.hot_policy!r}, "
                 f"prefetch_depth={self.config.prefetch_depth})")

@@ -46,6 +46,11 @@ class TGLSampler:
     def strategy(self) -> str:
         return self._kernel.strategy
 
+    @property
+    def _rng(self) -> np.random.Generator:
+        """The uniform strategy's RNG stream (what a checkpoint saves)."""
+        return self._kernel._rng
+
     def sample_hop(self, device: Device, nodes: np.ndarray, times: np.ndarray) -> MFG:
         """Sample one hop for the given seeds into a standalone MFG."""
         nodes = np.asarray(nodes, dtype=np.int64)

@@ -23,6 +23,7 @@ from repro.cluster import (
     ShardReplica,
     ShardRouter,
     SimRpc,
+    Supervisor,
     hash_shard,
 )
 from repro.core import Mailbox, Memory, TContext, TGraph, TSampler
@@ -361,11 +362,9 @@ def test_cluster_chaos_equivalence_with_shard_kill():
     batches = split_batches(stream, 40)
     injector = FaultInjector(
         seed=7,
-        shard_crashes={(0, 5, 1)},
-        shard_stalls={(0, 8, 2)},
-        rpc_send_drop_rate=0.05,
-        rpc_recv_drop_rate=0.05,
-        heartbeat_drop_rate=0.02,
+        rates={"rpc.send.drop": 0.05, "rpc.recv.drop": 0.05,
+               "heartbeat.drop": 0.02},
+        schedules={"shard.crash": {(0, 5, 1)}, "shard.stall": {(0, 8, 2)}},
     )
     ctx, cluster = _cluster(stream, injector=injector)
     with cluster, injector:
@@ -405,14 +404,12 @@ def test_cluster_partial_results_while_shard_down():
 
 def test_cluster_rebalance_moves_hot_nodes_and_preserves_state():
     stream = _stream(200)
-    config = ClusterConfig(
-        num_shards=4,
-        rebalance_window=1e-3,
-        rebalance_patience=1,
-        rebalance_factor=1.5,
-    )
-    ctx, cluster = _cluster(stream, config=config)
+    ctx, cluster = _cluster(stream)
     with cluster:
+        cluster.supervisor = Supervisor(
+            cluster.clock, cluster.groups, cluster.router,
+            rebalance_window=1e-3, rebalance_patience=1, rebalance_factor=1.5,
+        )
         hot = int(np.argmax(cluster.router.counts()))
         hot_nodes = cluster.router.owned_nodes(hot)
         # apply one real batch so moved rows carry non-zero state
@@ -552,8 +549,8 @@ def test_primary_kill_promotes_follower_and_never_zero_fills():
     batches = split_batches(stream, 40)
     injector = FaultInjector(
         seed=7,
-        shard_crashes={(0, 5, 1)},  # shard 1's primary (member 0)
-        heartbeat_drop_rate=0.02,
+        rates={"heartbeat.drop": 0.02},
+        schedules={"shard.crash": {(0, 5, 1)}},  # shard 1's primary (member 0)
     )
     ctx, cluster = _replicated(stream, 2, injector=injector)
     with cluster, injector:
@@ -581,10 +578,10 @@ def test_cascading_failover_promoted_primary_killed():
     batches = split_batches(stream, 40)
     injector = FaultInjector(
         seed=7,
-        shard_crashes={
+        schedules={"shard.crash": {
             (0, 5, 1),       # shard 1 member 0 (the primary)
             (0, 8, 1 + 4),   # shard 1 member 1 (promoted meanwhile)
-        },
+        }},
     )
     ctx, cluster = _replicated(stream, 3, injector=injector)
     with cluster, injector:
@@ -608,7 +605,7 @@ def test_ack_drop_below_quorum_is_counted_not_aborted():
     it), members converge with no sequence gaps."""
     stream = _stream(400)
     batches = split_batches(stream, 40)
-    injector = FaultInjector(seed=7, repl_ack_drops={(0, 3)})
+    injector = FaultInjector(seed=7, schedules={"repl.ack.drop": {(0, 3)}})
     ctx, cluster = _replicated(stream, 3, injector=injector)
     with cluster, injector:
         replay(cluster, batches, load=16.0)
@@ -635,7 +632,7 @@ def test_ack_drop_at_quorum_still_commits():
     primary's own append at quorum — the commit counts as quorum-acked."""
     stream = _stream(200)
     batches = split_batches(stream, 40)
-    injector = FaultInjector(seed=7, repl_ack_drops={(0, 2)})
+    injector = FaultInjector(seed=7, schedules={"repl.ack.drop": {(0, 2)}})
     ctx, cluster = _replicated(stream, 2, injector=injector, ack_quorum=1)
     with cluster, injector:
         replay(cluster, batches, load=16.0)
@@ -650,7 +647,7 @@ def test_ack_drop_at_quorum_still_commits():
 def test_ship_drop_parks_in_order_and_redelivers():
     stream = _stream(400)
     batches = split_batches(stream, 40)
-    injector = FaultInjector(seed=7, repl_ship_drops={(0, 4)})
+    injector = FaultInjector(seed=7, schedules={"repl.ship.drop": {(0, 4)}})
     ctx, cluster = _replicated(stream, 2, injector=injector)
     with cluster, injector:
         replay(cluster, batches, load=16.0)
@@ -744,16 +741,13 @@ def test_quiesced_member_accrues_no_phi():
 
 def test_rebalance_with_replication_moves_all_members():
     stream = _stream(200)
-    config = ClusterConfig(
-        num_shards=4,
-        replication_factor=2,
-        rebalance_window=1e-3,
-        rebalance_patience=1,
-        rebalance_factor=1.5,
-        rebalance_handoff_seconds=0.1,  # >> dead_phi * heartbeat_interval
-    )
-    ctx, cluster = _cluster(stream, config=config)
+    ctx, cluster = _replicated(stream, 2)
     with cluster:
+        cluster.supervisor = Supervisor(
+            cluster.clock, cluster.groups, cluster.router,
+            rebalance_window=1e-3, rebalance_patience=1, rebalance_factor=1.5,
+            rebalance_handoff_seconds=0.1,  # >> dead_phi * heartbeat_interval
+        )
         hot = int(np.argmax(cluster.router.counts()))
         hot_nodes = cluster.router.owned_nodes(hot)
         batch = _payload_batch([0, 1], hot_nodes[:2], hot_nodes[2:4], [1.0, 2.0])
@@ -783,8 +777,8 @@ def test_promote_delay_is_bounded_and_retried():
     batches = split_batches(stream, 40)
     injector = FaultInjector(
         seed=7,
-        shard_crashes={(0, 5, 1)},
-        repl_promote_delay_rate=1.0,  # every attempt delayed (capped)
+        rates={"repl.promote.delay": 1.0},  # every attempt delayed (capped)
+        schedules={"shard.crash": {(0, 5, 1)}},
     )
     ctx, cluster = _replicated(stream, 2, injector=injector)
     with cluster, injector:

@@ -237,7 +237,7 @@ class TestCrashPointSweep:
 class TestInjectedDiskFaults:
     def test_torn_write_crashes_then_recovers_prefix(self, tmp_path):
         d = str(tmp_path / "wal")
-        inj = FaultInjector(seed=3, disk_torn_write_batches=[(0, 2)])
+        inj = FaultInjector(seed=3, schedules={"disk.write.torn": [(0, 2)]})
         with inj:
             wal = WriteAheadLog(d, fsync="never")
             inj.advance(0, 0)
@@ -258,7 +258,7 @@ class TestInjectedDiskFaults:
 
     def test_silent_write_flip_caught_by_crc(self, tmp_path):
         d = str(tmp_path / "wal")
-        inj = FaultInjector(seed=5, disk_flip_write_batches=[(0, 1)])
+        inj = FaultInjector(seed=5, schedules={"disk.write.flip": [(0, 1)]})
         with inj:
             wal = WriteAheadLog(d, fsync="never")
             for b in range(4):
@@ -272,7 +272,7 @@ class TestInjectedDiskFaults:
 
     def test_duplicated_write_deduplicated_on_replay(self, tmp_path):
         d = str(tmp_path / "wal")
-        inj = FaultInjector(seed=7, disk_dup_write_batches=[(0, 1)])
+        inj = FaultInjector(seed=7, schedules={"disk.write.dup": [(0, 1)]})
         with inj:
             wal = WriteAheadLog(d, fsync="never")
             for b in range(3):
@@ -337,7 +337,7 @@ class TestInjectedDiskFaults:
 
     def test_lost_fsync_drops_unsynced_window(self, tmp_path):
         d = str(tmp_path / "wal")
-        inj = FaultInjector(seed=9, disk_lost_fsync_batches=[(0, 5)])
+        inj = FaultInjector(seed=9, schedules={"disk.fsync.lost": [(0, 5)]})
         with inj:
             wal = WriteAheadLog(d, fsync="batch", fsync_interval=3)
             for b in range(6):
@@ -357,7 +357,7 @@ class TestInjectedDiskFaults:
         with WriteAheadLog(d, fsync="never") as wal:
             for b in range(3):
                 wal.append(bytes([120]) * 10)
-        inj = FaultInjector(seed=11, disk_flip_read_batches=[(0, 0)])
+        inj = FaultInjector(seed=11, schedules={"disk.read.flip": [(0, 0)]})
         with inj:
             inj.advance(0, 0)
             with WriteAheadLog(d, fsync="never") as wal:
@@ -510,7 +510,7 @@ class TestServeDurability:
         stream = build_stream(N_NODES, 150, payload_dim=DIM, seed=2)
         batches = split_batches(stream, 30)
         crashed_dir = str(tmp_path / "crashed")
-        inj = FaultInjector(seed=4, disk_torn_write_batches=[(0, 3)])
+        inj = FaultInjector(seed=4, schedules={"disk.write.torn": [(0, 3)]})
         rt, mem, mailbox = _serve_runtime(g, crashed_dir, injector=inj,
                                           fsync="always")
         with inj:
@@ -538,7 +538,7 @@ class TestServeDurability:
         g = _serve_graph()
         stream = build_stream(N_NODES, 150, payload_dim=DIM, seed=3)
         d = str(tmp_path / "dur")
-        inj = FaultInjector(seed=6, serve_poison_batches=[(0, 1)])
+        inj = FaultInjector(seed=6, schedules={"serve.poison": [(0, 1)]})
         rt, mem, mailbox = _serve_runtime(g, d, injector=inj)
         with inj:
             for b in split_batches(stream, 30):
@@ -619,7 +619,7 @@ class TestWALCursorTailing:
 
     def test_flipped_write_stops_the_tail_at_the_damage(self, tmp_path):
         d = str(tmp_path / "wal")
-        inj = FaultInjector(seed=21, disk_flip_write_batches=[(0, 2)])
+        inj = FaultInjector(seed=21, schedules={"disk.write.flip": [(0, 2)]})
         delivered = []
         with inj:
             wal = WriteAheadLog(d, fsync="never")
@@ -638,7 +638,7 @@ class TestWALCursorTailing:
 
     def test_torn_write_then_repair_keeps_cursor_valid(self, tmp_path):
         d = str(tmp_path / "wal")
-        inj = FaultInjector(seed=23, disk_torn_write_batches=[(0, 2)])
+        inj = FaultInjector(seed=23, schedules={"disk.write.torn": [(0, 2)]})
         cursor = WALCursor(d, name="tail")
         with inj:
             wal = WriteAheadLog(d, fsync="never")
@@ -665,7 +665,7 @@ class TestWALCursorTailing:
             for i in range(3):
                 wal.append(_marker_payload(i))
         cursor = WALCursor(d, name="tail")
-        inj = FaultInjector(seed=25, disk_flip_read_batches=[(0, 0)])
+        inj = FaultInjector(seed=25, schedules={"disk.read.flip": [(0, 0)]})
         with inj:
             inj.advance(0, 0)
             first = cursor.poll()  # corrupted read: short prefix
@@ -762,7 +762,7 @@ class TestTrainerDeltaLog:
             return result, fingerprint(exp)
 
         _, fp_clean = run("clean")
-        inj = FaultInjector(seed=5, process_kill_at=(1, 1))
+        inj = FaultInjector(seed=5, schedules={"process.kill": [(1, 1)]})
         with pytest.raises(SimulatedProcessKill):
             run("killed", injector=inj)
         resumed, fp_resumed = run("killed", resume=True)

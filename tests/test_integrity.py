@@ -210,7 +210,8 @@ def test_scheduled_mem_flip_via_fault_site():
     that the next scrub detects and repairs to bit-identical state."""
     stream = _stream(400)
     batches = split_batches(stream, 40)
-    inj = FaultInjector(seed=5, mem_flips=[(1, 0, 1)], mem_flip_tier="memory")
+    inj = FaultInjector(seed=5, schedules={"mem.flip": [(1, 0, 1)]},
+                        mem_flip_tier="memory")
     ctx, cluster = _cluster(stream, factor=2, injector=inj)
     with cluster, inj:
         replay(cluster, batches, load=16.0)
@@ -232,7 +233,7 @@ def test_scheduled_mem_flip_via_fault_site():
 def test_scrub_skip_counts_cycles_and_stays_clean():
     stream = _stream(400)
     batches = split_batches(stream, 40)
-    inj = FaultInjector(seed=3, scrub_skips=[0])
+    inj = FaultInjector(seed=3, schedules={"scrub.skip": [(0, 0)]})  # (0, cycle)
     # interval far below the simulated replay span so periodic cycles
     # actually come due (the default 0.25 s outlives this short stream)
     ctx, cluster = _cluster(stream, factor=1, injector=inj,
@@ -283,9 +284,8 @@ def test_clean_chaos_run_has_zero_false_positives():
     batches = split_batches(stream, 40)
     inj = FaultInjector(
         seed=7,
-        shard_crashes={(0, 5, 1)},  # shard 1's primary
-        heartbeat_drop_rate=0.02,
-        rpc_send_drop_rate=0.05,
+        rates={"heartbeat.drop": 0.02, "rpc.send.drop": 0.05},
+        schedules={"shard.crash": {(0, 5, 1)}},  # shard 1's primary
     )
     ctx, cluster = _cluster(stream, factor=2, injector=inj)
     with cluster, inj:

@@ -116,14 +116,15 @@ class TestCache:
 
     def test_eviction_when_over_capacity(self, tiny_graph):
         ctx = tg.TContext(tiny_graph, store=StoreConfig(
-            hot_capacity=2, hot_policy="fifo", staging_rows=0, prefetch_depth=0))
+            hot_capacity=2, staging_rows=0, prefetch_depth=0))
         ctx.eval()
         for node in range(3):
             blk = tg.TBlock(ctx, 0, np.array([node]), np.array([1.0]))
             tgop.cache(ctx, blk)
             blk.run_hooks(T.tensor([[float(node)]]))
-        # Node 0 was evicted by node 2 (FIFO ring of 2 slots).
-        blk = tg.TBlock(ctx, 0, np.array([0]), np.array([1.0]))
+        # Node 1 was evicted by node 2: of two rows never re-referenced,
+        # the newer one is predicted to be needed last.
+        blk = tg.TBlock(ctx, 0, np.array([1]), np.array([1.0]))
         tgop.cache(ctx, blk)
         assert blk.num_dst == 1
 

@@ -67,16 +67,16 @@ def _run(tmp_path, injector=None, epochs=2, train_end=900,
 
 class TestInjectorDeterminism:
     def test_same_seed_same_pattern(self):
-        a = FaultInjector(seed=3, kernel_fault_rate=0.2)
-        b = FaultInjector(seed=3, kernel_fault_rate=0.2)
+        a = FaultInjector(seed=3, rates={"kernel.sample": 0.2})
+        b = FaultInjector(seed=3, rates={"kernel.sample": 0.2})
         pattern_a = [a.would_fire("kernel.sample", e, i) for e in range(3) for i in range(50)]
         pattern_b = [b.would_fire("kernel.sample", e, i) for e in range(3) for i in range(50)]
         assert pattern_a == pattern_b
         assert any(pattern_a) and not all(pattern_a)
 
     def test_different_seed_different_pattern(self):
-        a = FaultInjector(seed=3, kernel_fault_rate=0.2)
-        b = FaultInjector(seed=4, kernel_fault_rate=0.2)
+        a = FaultInjector(seed=3, rates={"kernel.sample": 0.2})
+        b = FaultInjector(seed=4, rates={"kernel.sample": 0.2})
         pattern_a = [a.would_fire("kernel.sample", 0, i) for i in range(200)]
         pattern_b = [b.would_fire("kernel.sample", 0, i) for i in range(200)]
         assert pattern_a != pattern_b
@@ -85,13 +85,13 @@ class TestInjectorDeterminism:
         """Fault decisions must not perturb any numpy RNG stream."""
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        inj = FaultInjector(seed=1, kernel_fault_rate=0.5)
+        inj = FaultInjector(seed=1, rates={"kernel.sample": 0.5})
         for i in range(100):
             inj.would_fire("kernel.sample", 0, i)
         assert rng.bit_generator.state == before
 
     def test_transient_faults_fire_once_per_position(self):
-        inj = FaultInjector(seed=0, kernel_fault_batches=[(0, 0)])
+        inj = FaultInjector(seed=0, schedules={"kernel.sample": [(0, 0)]})
         with inj:
             inj.advance(0, 0)
             with pytest.raises(TransientKernelError):
@@ -117,8 +117,7 @@ class TestRecoveryEquivalence:
         base, fp0 = _run(tmp_path, subdir="clean")
         injector = FaultInjector(
             seed=11,
-            kernel_fault_batches=[(0, 1), (1, 2)],
-            nan_grad_batches=[(0, 2)],
+            schedules={"kernel.sample": [(0, 1), (1, 2)], "nan_grad": [(0, 2)]},
         )
         faulted, fp1 = _run(tmp_path, injector=injector, subdir="faulted")
         assert faulted.retries >= 1
@@ -130,7 +129,7 @@ class TestRecoveryEquivalence:
 
     def test_resume_after_process_kill_is_bit_exact(self, tmp_path):
         uninterrupted, fp0 = _run(tmp_path, subdir="full")
-        injector = FaultInjector(seed=5, process_kill_at=(1, 1))
+        injector = FaultInjector(seed=5, schedules={"process.kill": [(1, 1)]})
         exp = _experiment()
         trainer = ResilientTrainer(
             exp.model, exp.g, exp.optimizer, exp.neg_sampler, batch_size=300,
@@ -145,11 +144,43 @@ class TestRecoveryEquivalence:
         assert resumed.events[0].kind == "resume"
         _assert_fingerprints_equal(fp0, fp1)
 
+    @pytest.mark.parametrize("framework", ["tglite", "tgl"])
+    @pytest.mark.parametrize("sampling", ["uniform", "recent"])
+    def test_resume_is_bit_exact_under_either_sampling(
+            self, tmp_path, framework, sampling):
+        """Uniform sampling draws from the model samplers' own RNG streams;
+        the trainer must checkpoint them without being handed them."""
+        def run(subdir, **kw):
+            exp = Experiment(ExperimentConfig(
+                model="tgat", dataset="wiki", framework=framework,
+                sampling=sampling, epochs=1, batch_size=300, dim_embed=8,
+                dim_time=8, num_layers=1, seed=7,
+            ))
+            try:
+                result = exp.run_resilient_training(
+                    str(tmp_path / subdir), checkpoint_every=4, **kw)
+            finally:
+                exp.close()
+            return (result.epochs[-1].eval_ap,
+                    [p.data.copy() for p in exp.model.parameters()])
+
+        ap0, params0 = run("full")
+        killer = FaultInjector(seed=5, schedules={"process.kill": [(0, 6)]})
+        with pytest.raises(SimulatedProcessKill):
+            run("killed", injector=killer)
+        ap1, params1 = run("killed", resume=True)
+        assert ap1 == ap0
+        for pa, pb in zip(params0, params1):
+            np.testing.assert_array_equal(pa, pb)
+
     def test_persistent_fault_degrades_instead_of_dying(self, tmp_path):
         """A *persistent* kernel fault trips degradation before the retry
         budget runs out, and training completes on the reference path."""
-        injector = FaultInjector(seed=0, kernel_fault_batches=[(0, 0)],
-                                 transient=False)
+        injector = FaultInjector(
+            seed=0,
+            schedules={"kernel.sample": [(0, 0)]},
+            transient=False,
+        )
         result, _ = _run(tmp_path, injector=injector, epochs=1, train_end=600)
         assert any(e.kind == "degraded" for e in result.events)
         assert len(result.epochs) == 1
@@ -157,8 +188,11 @@ class TestRecoveryEquivalence:
     def test_retry_exhaustion_reraises(self, tmp_path):
         """With degradation disabled (threshold above the retry budget), a
         persistent fault exhausts its retries and surfaces."""
-        injector = FaultInjector(seed=0, kernel_fault_batches=[(0, 0)],
-                                 transient=False)
+        injector = FaultInjector(
+            seed=0,
+            schedules={"kernel.sample": [(0, 0)]},
+            transient=False,
+        )
         exp = _experiment()
         exp.g.ctx.degrade_threshold = 100
         trainer = ResilientTrainer(
@@ -178,7 +212,7 @@ class TestCheckpointIntegrity:
         path = str(tmp_path / "ck.npz")
         save_checkpoint(path, exp.model, graph=exp.g, optimizer=exp.optimizer,
                         stream=(0, 0))
-        injector = FaultInjector(seed=0, checkpoint_kill_batches=[(0, 5)])
+        injector = FaultInjector(seed=0, schedules={"checkpoint.kill": [(0, 5)]})
         with injector:
             injector.advance(0, 5)
             with pytest.raises(CheckpointWriteAborted):
@@ -273,7 +307,7 @@ class TestStateValidation:
         cache.store(np.array([1, 2]), np.array([1.0, 2.0]),
                     np.ones((2, 4), dtype=np.float32))
         assert cache.validate() == []
-        injector = FaultInjector(seed=0, cache_corrupt_batches=[(0, 0)])
+        injector = FaultInjector(seed=0, schedules={"cache.corrupt": [(0, 0)]})
         with injector:
             injector.advance(0, 0)
             hooks.poke("cache.corrupt", cache=cache)
@@ -319,7 +353,8 @@ class TestStateValidation:
 class TestDegradation:
     def test_repeated_kernel_faults_degrade_to_reference_path(self, tmp_path):
         injector = FaultInjector(
-            seed=2, kernel_fault_batches=[(0, 0), (0, 1), (0, 2)]
+            seed=2,
+            schedules={"kernel.sample": [(0, 0), (0, 1), (0, 2)]},
         )
         exp = _experiment()
         trainer = ResilientTrainer(
@@ -340,7 +375,8 @@ class TestDegradation:
     def test_degraded_sampling_is_bit_identical(self, tmp_path):
         base, fp0 = _run(tmp_path, epochs=1, subdir="x")
         injector = FaultInjector(
-            seed=2, kernel_fault_batches=[(0, 0), (0, 1), (0, 2)]
+            seed=2,
+            schedules={"kernel.sample": [(0, 0), (0, 1), (0, 2)]},
         )
         degraded, fp1 = _run(tmp_path, injector=injector, epochs=1, subdir="y")
         _assert_fingerprints_equal(fp0, fp1)
@@ -353,8 +389,10 @@ class TestDegradation:
         inference-only): a persistent fault there must degrade and finish
         with the fault-free AP, not exhaust the retry budget."""
         aps = []
-        for injector in (None, FaultInjector(cache_fault_batches=[(0, 1)],
-                                             transient=False)):
+        for injector in (None, FaultInjector(
+            schedules={"kernel.cache": [(0, 1)]},
+            transient=False,
+        )):
             exp = _experiment(model="tgat")
             trainer = ResilientTrainer(
                 exp.model, exp.g, exp.optimizer, exp.neg_sampler, batch_size=300,
@@ -438,7 +476,7 @@ class TestFineTune:
         fp0 = _fingerprint(exp)
         exp.close()
         exp = _experiment()
-        injector = FaultInjector(nan_grad_batches=[(1, 1)])
+        injector = FaultInjector(schedules={"nan_grad": [(1, 1)]})
         faulted = self._trainer(exp, tmp_path / "nan", injector).fine_tune(
             300, 1200, passes=2
         )
@@ -530,16 +568,15 @@ class TestFineTune:
         assert rebound == run(False)
 
 
-@pytest.mark.parametrize("kind", ["kernel-fault", "nan-grad"])
+@pytest.mark.parametrize("kind", [
+    pytest.param("kernel.sample", id="kernel-fault"),
+    pytest.param("nan_grad", id="nan-grad"),
+])
 def test_fault_matrix_completes_and_matches(kind, tmp_path):
     """Each fault class alone, seeded, must recover to the fault-free
     trajectory."""
     base, fp0 = _run(tmp_path, epochs=1, subdir="base")
-    injector = FaultInjector(
-        seed=13,
-        kernel_fault_batches=[(0, 1)] if kind == "kernel-fault" else (),
-        nan_grad_batches=[(0, 1)] if kind == "nan-grad" else (),
-    )
+    injector = FaultInjector(seed=13, schedules={kind: [(0, 1)]})
     faulted, fp1 = _run(tmp_path, injector=injector, epochs=1, subdir=kind)
     assert len(injector.log) >= 1
     _assert_fingerprints_equal(fp0, fp1)

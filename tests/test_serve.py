@@ -30,6 +30,8 @@ from repro.serve import (
     split_batches,
     validate_events,
 )
+from repro.serve.deadline import REFERENCE_PENALTY
+from repro.store import StoreConfig
 
 N = 60
 DIM = 8
@@ -40,9 +42,9 @@ def _batch(eids, src, dst, ts, payload=None):
                       np.asarray(ts), payload)
 
 
-def _runtime(stream, num_nodes=N, **kw):
+def _runtime(stream, num_nodes=N, store=None, **kw):
     g = TGraph(stream.src, stream.dst, stream.ts, num_nodes=num_nodes)
-    ctx = tg.TContext(g)
+    ctx = tg.TContext(g, store=store)
     mem = Memory(num_nodes, DIM)
     mb = Mailbox(num_nodes, DIM)
     sampler = TSampler(10, seed=3)
@@ -150,7 +152,7 @@ class TestIngestPipeline:
 
     def test_ingest_fault_retry_is_idempotent(self):
         p = IngestPipeline(N)
-        inj = FaultInjector(seed=1, serve_ingest_fault_batches=[(0, 0)])
+        inj = FaultInjector(seed=1, schedules={"serve.ingest": [(0, 0)]})
         b = _batch([0, 1], [1, 2], [3, 4], [1.0, 2.0])
         with inj:
             inj.advance(0, 0)
@@ -206,7 +208,7 @@ class TestDegradationLadder:
         assert d.level == "full" and d.fanout == 10
 
     def test_ladder_descends_with_budget(self):
-        ladder = DegradationLadder(full_fanout=10, reduced_fanout=2)
+        ladder = DegradationLadder(full_fanout=10)
         cm = ladder.cost_model
         levels = [
             ladder.decide(cm.estimate(lv, 100) * 1.001, 100).level
@@ -229,6 +231,17 @@ class TestDegradationLadder:
         budget = ladder.cost_model.estimate("cache", 100) * 1.001
         assert ladder.decide(budget, 100, ctx).level == "memory"
 
+    def test_cache_rung_follows_the_live_cache_not_one_config_field(self):
+        """A hot tier sized in MiB is a live cache even at hot_capacity=0."""
+        g = TGraph([0], [1], [1.0])
+        ctx = tg.TContext(g, store=StoreConfig(hot_capacity=0, hot_mb=1.0))
+        ctx.store.put(np.array([0]), np.array([1.0]),
+                      np.ones((1, DIM), dtype=np.float32), space="embed:0")
+        assert ctx.embed_cache(0).enabled
+        ladder = DegradationLadder()
+        budget = ladder.cost_model.estimate("cache", 100) * 1.001
+        assert ladder.decide(budget, 100, ctx).level == "cache"
+
     def test_degraded_sampler_inflates_sampling_cost(self):
         g = TGraph([0], [1], [1.0])
         ctx = tg.TContext(g)
@@ -236,7 +249,7 @@ class TestDegradationLadder:
         ctx.record_kernel_fault("kernel.sample")
         cm = CostModel()
         assert cm.estimate("full", 50, ctx) == pytest.approx(
-            cm.estimate("full", 50) * cm.reference_penalty)
+            cm.estimate("full", 50) * REFERENCE_PENALTY)
         assert cm.estimate("memory", 50, ctx) == cm.estimate("memory", 50)
 
 
@@ -266,7 +279,7 @@ class TestStateCommitter:
         before = (mem.state_digest(), mb.state_digest())
         quarantined = []
         c.quarantine = lambda b, d: quarantined.append((len(b), d))
-        inj = FaultInjector(seed=2, serve_poison_batches=[(0, 0)])
+        inj = FaultInjector(seed=2, schedules={"serve.poison": [(0, 0)]})
         with inj:
             inj.advance(0, 0)
             r = c.commit(_batch([5, 6], [7, 8], [9, 10], [2.0, 3.0]))
@@ -278,7 +291,7 @@ class TestStateCommitter:
     def test_transient_commit_fault_retries(self):
         mem = Memory(N, DIM)
         c = StateCommitter(mem)
-        inj = FaultInjector(seed=3, serve_commit_fault_batches=[(0, 0)])
+        inj = FaultInjector(seed=3, schedules={"serve.commit": [(0, 0)]})
         with inj:
             inj.advance(0, 0)
             r = c.commit(_batch([0], [1], [2], [1.0]))
@@ -425,9 +438,8 @@ class TestChaos:
         stream = build_stream(N, 400, payload_dim=DIM, seed=11)
         inj = FaultInjector(
             seed=12,
-            serve_ingest_fault_rate=0.2,
-            serve_commit_fault_rate=0.2,
-            serve_poison_batches=[(0, 3), (0, 9)],
+            rates={"serve.ingest": 0.2, "serve.commit": 0.2},
+            schedules={"serve.poison": [(0, 3), (0, 9)]},
         )
         rt = _runtime(stream, injector=inj)
         with inj:
@@ -450,7 +462,7 @@ class TestChaos:
         """A refused batch moves ledger columns, it is not counted twice —
         and it never reaches a log, so recovery reproduces the live state."""
         stream = build_stream(N, 400, payload_dim=DIM, seed=11)
-        inj = FaultInjector(seed=12, serve_poison_batches=[(0, 3), (0, 9)])
+        inj = FaultInjector(seed=12, schedules={"serve.poison": [(0, 3), (0, 9)]})
         if backend == "runtime":
             rt = _runtime(stream, injector=inj, durable_dir=str(tmp_path))
         else:
@@ -493,8 +505,7 @@ class TestChaos:
 
     def test_chaos_at_16x_overload(self):
         stream = build_stream(N, 400, payload_dim=DIM, seed=13)
-        inj = FaultInjector(seed=14, serve_ingest_fault_rate=0.1,
-                            serve_commit_fault_rate=0.1)
+        inj = FaultInjector(seed=14, rates={"serve.ingest": 0.1, "serve.commit": 0.1})
         rt = _runtime(stream, deadline=3e-3, max_queue=8, injector=inj)
         with inj:
             results = replay(rt, split_batches(stream, 20), load=16.0)
@@ -549,6 +560,16 @@ class TestModelSwapStoreInvalidation:
         assert all(r.status == "ok" for r in results[-4:])
         nodes = np.arange(8, dtype=np.int64)
         np.testing.assert_array_equal(rt._fetch_rows(nodes, 0)[0], table[nodes])
+
+
+def test_hot_mb_bounds_the_serve_embedding_cache():
+    """``--store-hot-mb`` budgets every row the serve path keeps hot."""
+    config = StoreConfig(hot_mb=0.01)  # 327 rows of DIM float32
+    stream = build_stream(200, 2000, payload_dim=DIM, seed=7)
+    rt = _runtime(stream, num_nodes=200, store=config, feature_store=True)
+    replay(rt, split_batches(stream, 50), load=1.0)
+    cache = rt.ctx.embed_cache(0)
+    assert 0 < cache.num_entries <= cache.capacity == config.hot_rows(DIM)
 
 
 class TestRuntimeLifecycle:

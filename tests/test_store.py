@@ -15,7 +15,7 @@ import pytest
 import repro.core as tg
 from repro.clock import SimClock
 from repro.core import iter_batches
-from repro.core.kernels.cache import NodeTimeCache, _ReferenceNodeTimeCache
+from repro.core.kernels.cache import NodeTimeCache
 from repro.resilience import FaultInjector
 from repro.serve.deadline import CostModel, DegradationLadder
 from repro.store import StoreConfig, StoreStats, TieredFeatureStore
@@ -29,13 +29,6 @@ def rows_for(nodes, dim=4):
     nodes = np.asarray(nodes, dtype=np.int64)
     base = np.arange(dim, dtype=np.float32)
     return (nodes[:, None].astype(np.float32) * 10.0 + base).astype(np.float32)
-
-
-def flat_store(**overrides):
-    """A store shaped like the legacy flat FIFO cache (no tiers below hot)."""
-    cfg = StoreConfig(hot_policy="fifo", staging_rows=0, prefetch_depth=0,
-                      **overrides)
-    return TieredFeatureStore(cfg)
 
 
 class TestProtocol:
@@ -64,9 +57,8 @@ class TestDemotionChain:
     """Hot -> staging -> cold, with promotion back up on lookup."""
 
     def make_store(self, tmp_path, hot=4, staging=4):
-        cfg = StoreConfig(hot_capacity=hot, hot_policy="fifo",
-                          staging_rows=staging, cold_dir=str(tmp_path),
-                          prefetch_depth=1)
+        cfg = StoreConfig(hot_capacity=hot, staging_rows=staging,
+                          cold_dir=str(tmp_path), prefetch_depth=1)
         return TieredFeatureStore(cfg)
 
     def fill(self, store, n, space="embed:0"):
@@ -77,7 +69,7 @@ class TestDemotionChain:
         store = self.make_store(tmp_path)
         self.fill(store, 12)
         st = store.stats()
-        # 12 puts through a 4-row hot ring displace 8 into staging; the
+        # 12 puts through a 4-row hot tier displace 8 into staging; the
         # 4-row staging ring spills its own overflow into the cold tier.
         assert st.tiers["hot"].evictions == 8
         assert st.tiers["staging"].demotions == 8
@@ -99,9 +91,11 @@ class TestDemotionChain:
         store = self.make_store(tmp_path)
         self.fill(store, 12)
         sp = store.space("embed:0")
-        assert not sp.hot.contains(np.array([0]), np.array([0.0]))[0]
-        store.lookup(np.array([0]), None, space="embed:0")
-        assert sp.hot.contains(np.array([0]), np.array([0.0]))[0]
+        # Never re-referenced, each newest row is the one predicted to be
+        # needed last: 3 was displaced first and has reached the cold tier.
+        assert not sp.hot.contains(np.array([3]), np.array([0.0]))[0]
+        store.lookup(np.array([3]), None, space="embed:0")
+        assert sp.hot.contains(np.array([3]), np.array([0.0]))[0]
         st = store.stats()
         assert st.tiers["cold"].hits >= 1
         assert st.tiers["cold"].bytes_out > 0
@@ -115,15 +109,15 @@ class TestDemotionChain:
         assert path.startswith(str(tmp_path))
 
     def test_without_cold_dir_spilled_rows_drop(self):
-        cfg = StoreConfig(hot_capacity=2, hot_policy="fifo", staging_rows=2,
+        cfg = StoreConfig(hot_capacity=2, staging_rows=2,
                           cold_dir=None, prefetch_depth=0)
         store = TieredFeatureStore(cfg)
         for node in range(6):
             store.put(np.array([node]), None, rows_for([node]), space="embed:0")
         found, _ = store.lookup(np.arange(6), None, space="embed:0")
-        # Hot keeps {4,5}, staging {2,3}; {0,1} are gone (recomputable).
+        # Hot keeps {0,5}, staging {3,4}; {1,2} are gone (recomputable).
         assert found.sum() == 4
-        assert not found[:2].any()
+        assert not found[1:3].any()
         with pytest.raises(KeyError):
             store.get(np.arange(6), None, space="embed:0")
 
@@ -306,7 +300,7 @@ class TestColdTierFaults:
 
     def test_injected_flip_repaired_and_counted(self, tmp_path):
         ct, nodes, times = self.write_rows(tmp_path)
-        inj = FaultInjector(seed=11, disk_flip_read_batches=[(0, 0)])
+        inj = FaultInjector(seed=11, schedules={"disk.read.flip": [(0, 0)]})
         with inj:
             inj.advance(0, 0)
             got = ct.read(nodes, times)
@@ -324,28 +318,27 @@ class TestColdTierFaults:
             ct.read(np.array([99]), np.zeros(1))
 
     def test_store_surfaces_cold_faults_in_stats(self, tmp_path):
-        cfg = StoreConfig(hot_capacity=2, hot_policy="fifo", staging_rows=2,
+        cfg = StoreConfig(hot_capacity=2, staging_rows=2,
                           cold_dir=str(tmp_path), prefetch_depth=0)
         store = TieredFeatureStore(cfg)
         for node in range(6):
             store.put(np.array([node]), None, rows_for([node]), space="embed:0")
-        inj = FaultInjector(seed=11, disk_flip_read_batches=[(0, 0)])
+        inj = FaultInjector(seed=11, schedules={"disk.read.flip": [(0, 0)]})
         with inj:
             inj.advance(0, 0)
-            found, got = store.lookup(np.array([0]), None, space="embed:0")
+            found, got = store.lookup(np.array([1]), None, space="embed:0")  # cold
         assert found.all()
-        np.testing.assert_array_equal(got, rows_for([0]))
+        np.testing.assert_array_equal(got, rows_for([1]))
         assert store.stats().tiers["cold"].faults == 1
 
 
-class TestLegacyShims:
-    """The flat-FIFO store shape (what the removed ``cache_limit`` shim
-    used to pin) still matches the loop-reference cache."""
-
-    def test_flat_store_matches_reference_cache_bit_for_bit(self):
-        """One hot FIFO ring with no tiers below == the loop reference."""
-        store = flat_store(hot_capacity=8)
-        ref = _ReferenceNodeTimeCache(8)
+class TestFlatStore:
+    def test_flat_store_matches_the_bare_cache_bit_for_bit(self):
+        """One hot tier with nothing below it is the cache kernel itself
+        (which ``tests/test_kernels.py`` pins to the loop reference)."""
+        store = TieredFeatureStore(StoreConfig(
+            hot_capacity=8, staging_rows=0, prefetch_depth=0))
+        ref = NodeTimeCache(8, policy="reuse")
         rng = np.random.default_rng(3)
         for _ in range(30):
             nodes = rng.integers(0, 24, size=6)
