@@ -11,10 +11,10 @@ hedge wins, rebalance events, read availability, and p50/p99 latency.
 
 ``--scrub-interval`` tunes the anti-entropy scrubber's period on the
 simulated clock and ``--inject-bitflip TIER[:SHARD[:MEMBER]]`` flips one
-state bit out-of-band after the replay (tier ``memory``, ``mailbox``,
-``wal``, or ``cold``), then requires the scrubber to detect and repair
-it; scrub statistics (cycles, chunks, divergences, rows repaired, wall
-seconds and their share of serve time) print with the summary.
+state bit out-of-band after the replay (tier ``memory``, ``mailbox`` or
+``wal``), then requires the scrubber to detect and repair it; scrub
+statistics (cycles, chunks, divergences, rows repaired, wall seconds and
+their share of serve time) print with the summary.
 
 ``--check-equivalence`` additionally replays the same stream through a
 clean single :class:`~repro.serve.runtime.ServeRuntime` and requires the
@@ -154,7 +154,7 @@ def build_serve_cluster_parser() -> argparse.ArgumentParser:
                         metavar="TIER[:SHARD[:MEMBER]]",
                         help="flip one state bit after the replay, bypassing "
                              "the write path, then let the scrubber detect "
-                             "and repair it; TIER is memory|mailbox|wal|cold "
+                             "and repair it; TIER is memory|mailbox|wal "
                              "(default shard 1, last group member)")
     parser.add_argument("--chaos", action="store_true",
                         help="arm the shard fault sites: shard kills + "
@@ -162,12 +162,6 @@ def build_serve_cluster_parser() -> argparse.ArgumentParser:
     parser.add_argument("--kill-shard", type=int, default=None, metavar="S",
                         help="deterministically kill shard S's primary "
                              "mid-stream (at the request 1/3 into the replay)")
-    parser.add_argument("--kill-follower", type=int, default=None, metavar="S",
-                        help="deterministically kill shard S's first "
-                             "follower mid-stream (needs "
-                             "--replication-factor >= 2)")
-    parser.add_argument("--stall-shard", type=int, default=None, metavar="S",
-                        help="deterministically stall shard S mid-stream")
     parser.add_argument("--check-equivalence", action="store_true",
                         help="also replay through a clean single runtime and "
                              "require bit-identical final state (runs the "
@@ -179,8 +173,6 @@ def build_serve_cluster_parser() -> argparse.ArgumentParser:
 
 def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
     import time
-
-    import numpy as np
 
     from ..cluster import ClusterConfig, ServeCluster
     from ..core import Mailbox, Memory, TContext, TGraph, TSampler
@@ -210,9 +202,9 @@ def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
     if args.inject_bitflip is not None:
         parts = args.inject_bitflip.split(":")
         tier = parts[0]
-        if tier not in ("memory", "mailbox", "wal", "cold"):
+        if tier not in ("memory", "mailbox", "wal"):
             print(f"--inject-bitflip: unknown tier {tier!r} "
-                  "(memory|mailbox|wal|cold)", file=sys.stderr)
+                  "(memory|mailbox|wal)", file=sys.stderr)
             return 2
         shard = int(parts[1]) if len(parts) > 1 else min(1, args.shards - 1)
         member = (int(parts[2]) if len(parts) > 2
@@ -228,23 +220,9 @@ def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
     schedules = {}
     if args.kill_shard is not None:
         # the primary is member 0, whose decision extra is the shard id
-        schedules.setdefault("shard.crash", set()).add(
+        schedules["shard.crash"] = {
             (0, max(1, len(batches) // 3), args.kill_shard)
-        )
-    if args.kill_follower is not None:
-        if args.replication_factor < 2:
-            print("--kill-follower needs --replication-factor >= 2",
-                  file=sys.stderr)
-            return 2
-        # follower m of shard S is killed via extra = S + shards * m
-        schedules.setdefault("shard.crash", set()).add(
-            (0, max(1, len(batches) // 3),
-             args.kill_follower + args.shards * 1)
-        )
-    if args.stall_shard is not None:
-        schedules.setdefault("shard.stall", set()).add(
-            (0, max(1, len(batches) // 4), args.stall_shard)
-        )
+        }
     if args.chaos or schedules:
         rates = {}
         if args.chaos:
@@ -278,22 +256,9 @@ def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
     flip_applied = False
     if flip_target is not None:
         tier, shard, member = flip_target
-        if tier == "cold" and not cluster.scrubber.cold_tiers():
-            # no feature store rides this CLI: register a demo cold tier
-            # holding a copy of the final memory rows so the cold cell
-            # of the scrub matrix is exercisable end to end
-            from ..store import ColdTier
-            rows = cluster.memory_image()[0][: min(64, num_nodes)].copy()
-            cold = ColdTier(args.dim_mem)
-            cold.write(np.arange(len(rows)), None, rows)
-            cluster.scrubber.add_cold_tier(
-                cold,
-                source=lambda ns, ts: rows[np.asarray(ns, dtype=np.int64)],
-            )
         flip_applied = apply_bitflip(
             cluster.groups[shard].members[member],
             ("flip", tier, 104729 + args.seed, 1 + args.seed % 7),
-            cluster.scrubber.cold_tiers(),
         )
         print(f"  injected bit flip: tier={tier} shard={shard} "
               f"member={member} applied={flip_applied}")

@@ -4,7 +4,7 @@ Runs one or more scenario streams (:mod:`repro.scenarios`) through the
 frozen / continual / oracle closed loop and prints — optionally writes —
 an accuracy-under-drift table: overall AP, final-phase AP, the worst
 windowed AP, and the continual learner's swap count per configuration.
-This is the entry point the scenario-matrix CI job drives.
+CI drives it as ``scenarios --matrix``.
 
 Examples::
 

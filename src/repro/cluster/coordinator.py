@@ -254,9 +254,7 @@ class ServeCluster(ServeEngine):
 
     def _before_request(self) -> None:
         """Apply due member faults, then detect, fail over, and scrub."""
-        crashes, stalls, flips = inject_member_faults(
-            self.groups, self.clock.now(), self.scrubber.cold_tiers(),
-        )
+        crashes, stalls, flips = inject_member_faults(self.groups, self.clock.now())
         self.injected_crashes += crashes
         self.injected_stalls += stalls
         if flips:

@@ -146,6 +146,9 @@ class ShardReplica:
 
         #: newest cluster commit sequence number durably applied.
         self.last_seq = -1
+        #: the last respawn came back short of what was acked (the log was
+        #: damaged before the crash); the group re-syncs it from a peer.
+        self.gap = False
         #: newest replica-group lease epoch this member has observed;
         #: writes stamped with an older epoch are fenced (rejected).
         self.lease_epoch = 0
@@ -230,6 +233,9 @@ class ShardReplica:
         replayed, marks = replay_state(
             state, self.plan, self.memory, self.mailbox, "shard snapshot"
         )
+        # A crash keeps the cursor.  Records lost with a damaged log show
+        # only as coming back short of it: a shard's sequence has holes.
+        self.gap = int(marks.get("seq", -1)) < self.last_seq
         self.last_seq = int(marks.get("seq", -1))
         self.lease_epoch = int(marks.get("epoch", 0))
         # Digests of the replayed tables: what the apply path produced.
@@ -400,6 +406,20 @@ class ShardReplica:
         if seq != self.last_seq:
             return None
         return memory, mailbox, seq
+
+    def resync_from(self, peer: "ShardReplica") -> bool:
+        """Cure a :attr:`gap`: take *peer*'s acked durable state (its
+        :meth:`shadow_state`, so a flip in its RAM is not copied) and anchor
+        it with a snapshot.  False when the peer's evidence cannot arbitrate."""
+        shadow = peer.shadow_state()
+        if shadow is None:
+            return False
+        self._reslice(peer.owned)
+        self.memory, self.mailbox, self.last_seq = shadow
+        self.digests = _StateDigests(self)
+        self.write_snapshot()
+        self.gap = False
+        return True
 
     def verify_wal(self) -> list:
         """Damaged WAL segment paths (empty = every segment parses intact)."""

@@ -315,6 +315,16 @@ class ReplicaGroup:
         member = self.members[idx]
         member.lease_epoch = max(member.lease_epoch, self.epoch)
         self.drain_member(idx)
+        # A member whose own log lost acked records (``gap``) cannot be
+        # restored by any queue: it takes a drained, gap-free serving peer's
+        # state — at its own rejoin, or at the first such peer's.
+        donors = [d for d, m in enumerate(self.members)
+                  if self.serving(d) and not m.gap]
+        for i, m in enumerate(self.members):
+            if m.gap and self.serving(i) and donors:
+                self.drain_member(donors[0])
+                if m.resync_from(self.members[donors[0]]):
+                    self.drain_member(i)  # every parked record is a duplicate now
 
     # ---- reporting -----------------------------------------------------------------
 

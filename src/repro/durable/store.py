@@ -34,7 +34,7 @@ from .codec import (
     decode_committed,
     encode_payload,
 )
-from .snapshot import load_latest, prune_snapshots, write_snapshot
+from .snapshot import list_snapshots, load_latest, prune_snapshots, write_snapshot
 from .wal import WriteAheadLog
 
 __all__ = ["DurableRecord", "RecoveredState", "DurableStateStore"]
@@ -96,6 +96,9 @@ class DurableStateStore:
             fsync=fsync,
             fsync_interval=fsync_interval,
         )
+        # recovery skips records at or below the newest snapshot's LSN
+        snapshots = list_snapshots(self.directory)
+        self.wal.resume_after(snapshots[-1][0] if snapshots else 0)
         self.snapshots_written = 0
         self.compacted_segments = 0
 

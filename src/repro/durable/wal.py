@@ -477,6 +477,21 @@ class WriteAheadLog:
 
     # ---- maintenance -------------------------------------------------------------
 
+    def resume_after(self, lsn: int) -> None:
+        """Number the next record above *lsn*, a durable snapshot's position.
+
+        Compaction, or open-time repair cutting the log at damage, can
+        leave it ending below that snapshot; the records it still holds
+        are folded into the snapshot, so they are dropped and the chain
+        restarts.
+        """
+        if lsn <= self.last_lsn:
+            return
+        if self.last_lsn:
+            self._rotate()
+            self.compact_below(lsn + 1)
+        self.last_lsn = int(lsn)
+
     def compact_below(self, lsn: int) -> int:
         """Delete sealed segments whose records all precede *lsn*.
 

@@ -123,10 +123,6 @@ class Scrubber:
              "label": label}
         )
 
-    def cold_tiers(self) -> List:
-        """The registered cold tiers, in registration order."""
-        return [entry["tier"] for entry in self._cold]
-
     def stats(self) -> Dict[str, object]:
         out: Dict[str, object] = {}
         for key, val in self.counters.items():

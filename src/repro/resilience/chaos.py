@@ -28,9 +28,7 @@ STALL_FACTOR = 8.0
 STALL_WINDOW = 2.0e-2
 
 
-def inject_member_faults(
-    groups: Sequence, now: float, cold_tiers: Sequence = ()
-) -> Tuple[int, int, int]:
+def inject_member_faults(groups: Sequence, now: float) -> Tuple[int, int, int]:
     """Consult the member-level fault sites once; returns what fired.
 
     Every group member is its own kill/stall/flip target: the decision
@@ -62,21 +60,19 @@ def inject_member_faults(
                 continue
             directive = _poke("mem.flip", shard=i, extra=i + n * m)
             if directive is not None and directive[0] == "flip":
-                flips += apply_bitflip(rep, directive, cold_tiers)
+                flips += apply_bitflip(rep, directive)
     return crashes, stalls, flips
 
 
-def apply_bitflip(rep, directive, cold_tiers: Sequence = ()) -> bool:
+def apply_bitflip(rep, directive) -> bool:
     """Flip one live-state bit of member *rep*, bypassing the write path.
 
     *directive* is ``("flip", tier, byte, bit)``.  The byte index is
     drawn from a huge nominal space and reduced modulo the targeted
     tier's actual byte size, so one deterministic decision lands
-    somewhere valid in any state shape.  ``cold`` flips hit one of
-    *cold_tiers* (the scrubber's registered feature-store tiers) rather
-    than the member.  Returns False when the tier holds no bytes to
-    corrupt (e.g. a ``wal`` flip against a log whose segments are all
-    empty).
+    somewhere valid in any state shape.  Returns False when the tier
+    holds no bytes to corrupt (e.g. a ``wal`` flip against a log whose
+    segments are all empty).
     """
     _, tier, byte, bit = directive
     mask = np.uint8(1 << bit)
@@ -96,15 +92,6 @@ def apply_bitflip(rep, directive, cold_tiers: Sequence = ()) -> bool:
             old = fh.read(1)
             fh.seek(-1, os.SEEK_CUR)
             fh.write(bytes([old[0] ^ int(mask)]))
-        return True
-    if tier == "cold":
-        if not cold_tiers:
-            return False
-        cold = cold_tiers[byte % len(cold_tiers)]
-        if cold._nrows == 0:
-            return False
-        flat = np.asarray(cold._rows[: cold._nrows]).view(np.uint8).reshape(-1)
-        flat[byte % len(flat)] ^= mask
         return True
     part = rep.mailbox if tier == "mailbox" else rep.memory
     if part is None:

@@ -127,9 +127,8 @@ class FaultInjector:
             position so retries/replays succeed; if False, faults fire on
             every encounter (for testing retry exhaustion).
         mem_flip_tier: what a ``mem.flip`` corrupts — ``"memory"``
-            (node-memory table), ``"mailbox"``, ``"wal"`` (a durable
-            segment's on-disk bytes), or ``"cold"`` (feature-store cold
-            rows).
+            (node-memory table), ``"mailbox"``, or ``"wal"`` (a durable
+            segment's on-disk bytes).
 
     An unknown decision name raises ``ValueError``: it maps to no
     injection site and would silently never fire.
@@ -153,10 +152,10 @@ class FaultInjector:
         }
         for name in list(self.rates) + list(self.schedules):
             self._check_decision(name)
-        if mem_flip_tier not in ("memory", "mailbox", "wal", "cold"):
+        if mem_flip_tier not in ("memory", "mailbox", "wal"):
             raise ValueError(
                 f"mem_flip_tier {mem_flip_tier!r} not one of "
-                "'memory', 'mailbox', 'wal', 'cold'"
+                "'memory', 'mailbox', 'wal'"
             )
         self.mem_flip_tier = mem_flip_tier
         self.transient = transient

@@ -448,6 +448,39 @@ class TestDurableStateStore:
         np.testing.assert_array_equal(a.records[0].arrays["x"],
                                       b.records[0].arrays["x"])
 
+    def test_reopened_log_numbers_above_the_newest_snapshot(self, tmp_path):
+        """Rotate, snapshot, close: compaction left no record, and the
+        reopened log must not restart at LSN 1 — recovery skips every
+        record at or below the snapshot's LSN."""
+        d = str(tmp_path / "s")
+        with DurableStateStore(d) as store:
+            for i in range(5):
+                store.log_batch({"x": np.arange(3)}, {"i": i})
+            store.wal.rotate()
+            store.snapshot({"state": np.zeros(2)}, {})
+        with DurableStateStore(d) as store:
+            assert store.log_batch({"x": np.arange(3)}, {"i": 5}) == 6
+            assert [r.meta["i"] for r in store.recover().records] == [5]
+
+    def test_log_cut_below_the_newest_snapshot_restarts_above_it(self, tmp_path):
+        """Records the snapshot covers still sit in the open segment; a flip
+        cuts the reopened log below the snapshot, yet new records are seen."""
+        d = str(tmp_path / "s")
+        with DurableStateStore(d) as store:
+            for i in range(5):
+                store.log_batch({"x": np.arange(3)}, {"i": i})
+            store.snapshot({"state": np.zeros(2)}, {})
+            (path,) = store.wal.segment_paths()
+        with open(path, "r+b") as fh:
+            fh.seek(_HEADER_SIZE + 12)  # inside the first record's body
+            byte = fh.read(1)
+            fh.seek(-1, os.SEEK_CUR)
+            fh.write(bytes([byte[0] ^ 1]))
+        with DurableStateStore(d) as store:
+            assert store.log_batch({"x": np.arange(3)}, {"i": 5}) == 6
+            assert [r.meta["i"] for r in store.recover().records] == [5]
+            assert store.wal.verify() == []
+
 
 # ---- serve-path durability --------------------------------------------------------
 

@@ -205,6 +205,57 @@ def test_wal_flip_reanchors_log_on_verified_state(factor):
     assert digests == _single_digests(stream, batches)
 
 
+def _serve(cluster, batches):
+    for batch in batches:
+        cluster.submit(batch)
+        cluster.step()
+
+
+def test_records_logged_after_a_reanchor_and_crash_stay_recoverable():
+    """Factor 1: a scrub re-anchors a flipped WAL (rotate, snapshot, compact
+    every record away), the member crashes and respawns; what it logs next
+    must stay visible to recovery, or repairing a later memory flip from
+    its own durable evidence falls short and raises."""
+    stream = _stream(400)
+    batches = split_batches(stream, 40)
+    ctx, cluster = _cluster(stream, factor=1)
+    with cluster:
+        _serve(cluster, batches[:5])
+        rep = cluster.groups[1].members[0]
+        assert apply_bitflip(rep, ("flip", "wal", 12345, 3))
+        cluster.scrubber.scrub_now()
+        rep.crash()
+        _serve(cluster, batches[5:8])
+        cluster.drain()
+        assert apply_bitflip(rep, ("flip", "memory", 777, 1))
+        cluster.drain()
+        assert cluster.stats()["integrity:wal_resyncs"] >= 1
+        digests = _cluster_digests(cluster)
+    assert digests == _single_digests(stream, batches[:8])
+
+
+def test_member_whose_log_lost_acked_records_resyncs_from_a_peer():
+    """Factor 2: flip the primary's WAL and crash it before a scrub, serve a
+    batch, kill the follower, drain.  The primary's log reopens cut at the
+    flip, short of what it acked; it must take the follower's state rather
+    than win primary-authority arbitration over it."""
+    stream = _stream(400)
+    batches = split_batches(stream, 40)
+    ctx, cluster = _cluster(stream, factor=2)
+    with cluster:
+        _serve(cluster, batches[:5])
+        primary, follower = cluster.groups[1].members
+        assert apply_bitflip(primary, ("flip", "wal", 12345, 3))
+        primary.crash()
+        _serve(cluster, batches[5:6])
+        follower.crash()
+        cluster.drain()
+        digests = _cluster_digests(cluster)
+        authority_repairs = cluster.stats()["integrity:authority_repairs"]
+    assert digests == _single_digests(stream, batches[:6])
+    assert authority_repairs == 0
+
+
 def test_scheduled_mem_flip_via_fault_site():
     """The ``mem.flip`` chaos site injects a deterministic silent flip
     that the next scrub detects and repairs to bit-identical state."""

@@ -39,7 +39,7 @@ KEPT_AGAINST_THE_RULE = {
         "what the retry-exhaustion and degrade-to-reference tests drive"
     ),
     "FaultInjector.mem_flip_tier": (
-        "the mem.flip site can rot four tiers and the scrubber must catch "
+        "the mem.flip site can rot three tiers and the scrubber must catch "
         "each; the tier is part of the fault, not a tuning value"
     ),
     "ResilientTrainer.delta_log": (

@@ -7,18 +7,8 @@ from hypothesis.extra import numpy as hnp
 import repro.core as tg
 from repro import tensor as T
 from repro.bench.metrics import average_precision
-from repro.cluster import ClusterConfig, ServeCluster
 from repro.core import op as tgop
 from repro.core.op.dedup import unique_node_times
-from repro.integrity.digest import array_digest
-from repro.resilience import FaultInjector
-from repro.serve import (
-    IngestPipeline,
-    RejectReason,
-    StateCommitter,
-    build_stream,
-    split_batches,
-)
 from repro.tensor.segment import segment_mean, segment_softmax, segment_sum
 
 finite_f32 = st.floats(-10, 10, allow_nan=False, width=32)
@@ -215,54 +205,3 @@ def test_index_put_then_read_roundtrip(values, rnd):
     np.testing.assert_allclose(out[idx], values)
     untouched = np.setdiff1d(np.arange(n), idx)
     assert np.all(out[untouched] == 0)
-
-
-@settings(max_examples=15, deadline=None, derandomize=True)
-@given(
-    st.lists(st.tuples(st.booleans(), st.booleans()), min_size=2, max_size=6),
-    st.integers(0, 2**16),
-)
-def test_commit_protocol_is_one_rule_on_every_backend(faults, seed):
-    """Poison or transiently fault any commits of a stream: a bare
-    ``StateCommitter``, a 1-shard and a 3-shard ``ServeCluster`` refuse
-    the same batches and end in the same memory / mailbox bits."""
-    n, dim = 40, 4
-    stream = build_stream(n, 10 * len(faults), payload_dim=dim, seed=seed)
-    batches = split_batches(stream, 10)
-    schedules = {
-        "serve.poison": [(0, i) for i, (poison, _) in enumerate(faults) if poison],
-        "serve.commit": [(0, i) for i, (_, fault) in enumerate(faults) if fault],
-    }
-    outcomes = []
-
-    inj = FaultInjector(seed=seed, schedules=schedules)
-    mem, box, ingest = tg.Memory(n, dim), tg.Mailbox(n, dim), IngestPipeline(n)
-    committer = StateCommitter(mem, box, quarantine=ingest.quarantine_batch)
-    with inj:
-        for i, batch in enumerate(batches):
-            inj.advance(0, i)
-            committer.commit(ingest.push(batch))
-    outcomes.append((mem.state_digest(), box.state_digest(),
-                     ingest.stats.quarantined.get(RejectReason.POISONED_BATCH, 0)))
-
-    g = tg.TGraph(stream.src, stream.dst, stream.ts, num_nodes=n)
-    for shards in (1, 3):
-        inj = FaultInjector(seed=seed, schedules=schedules)
-        cluster = ServeCluster(
-            g, tg.TContext(g), tg.TSampler(4, seed=1), dim,
-            config=ClusterConfig(num_shards=shards), injector=inj,
-            deadline=1.0, max_queue=1 << 30,
-        )
-        with inj, cluster:
-            for batch in batches:
-                cluster.submit(batch)
-                cluster.step()
-            cluster.drain()
-            mailbox = [t for t in cluster.mailbox_image() if t is not None]
-            outcomes.append((
-                array_digest(*cluster.memory_image()), array_digest(*mailbox),
-                cluster.ingest.stats.quarantined.get(RejectReason.POISONED_BATCH, 0),
-            ))
-
-    assert outcomes[0] == outcomes[1] == outcomes[2]
-    assert outcomes[0][2] == 10 * sum(poison for poison, _ in faults)
