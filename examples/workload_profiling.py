@@ -60,11 +60,11 @@ def profile_data_movement(dataset, stop_edges=1500) -> None:
                 stop=start + stop_edges, ctx=ctx)
     st = ctx.stats().store
     print(f"  {'tier':8s} {'bytes in':>12s} {'bytes out':>12s} "
-          f"{'hit rate':>9s} {'demotions':>10s}")
+          f"{'hit rate':>9s}")
     for tier in ("hot", "staging", "cold"):
         t = st.tiers[tier]
         print(f"  {tier:8s} {t.bytes_in:>12d} {t.bytes_out:>12d} "
-              f"{100 * t.hit_rate:>8.1f}% {t.demotions:>10d}")
+              f"{100 * t.hit_rate:>8.1f}%")
     print(f"  total bytes moved between tiers: {st.bytes_moved}")
     print(f"  prefetch: {st.prefetch_hits}/{st.prefetch_issued} consumed "
           f"after their transfer completed; stall {st.stall_seconds:.4g}s "

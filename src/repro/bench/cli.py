@@ -260,7 +260,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         seed=args.seed,
         device_capacity=args.capacity_mb * 1024 * 1024 if args.capacity_mb else None,
         store_hot_mb=args.store_hot_mb,
-        store_cold_dir=args.store_cold_dir,
         store_prefetch_depth=args.prefetch_depth,
     )
     print(f"running {cfg.label()}  (batch={cfg.batch_size}, nbrs={cfg.num_nbrs}, "
@@ -296,7 +295,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             for tier, t in st.tiers.items():
                 print(f"  {tier:8s} hits {t.hits:>9d}  misses {t.misses:>9d}  "
                       f"in {t.bytes_in:>12d}B  out {t.bytes_out:>12d}B  "
-                      f"evict {t.evictions:>7d}  demote {t.demotions:>7d}")
+                      f"evict {t.evictions:>7d}")
     finally:
         exp.close()
     return 0

@@ -77,14 +77,12 @@ class ExperimentConfig:
     #: Setting any of them also opts the run into the store-driven batch
     #: prefetch pipeline (lookahead gathers on the simulated clock).
     store_hot_mb: Optional[float] = None
-    store_cold_dir: Optional[str] = None
     store_prefetch_depth: Optional[int] = None
 
     @property
     def uses_feature_store(self) -> bool:
         return (
             self.store_hot_mb is not None
-            or self.store_cold_dir is not None
             or self.store_prefetch_depth is not None
         )
 
@@ -132,7 +130,6 @@ class Experiment:
 
         store_cfg = StoreConfig().with_overrides(
             hot_mb=cfg.store_hot_mb,
-            cold_dir=cfg.store_cold_dir,
             prefetch_depth=cfg.store_prefetch_depth,
         )
         if cfg.framework == "tgl":

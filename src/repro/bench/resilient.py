@@ -331,8 +331,7 @@ class ResilientTrainer:
 
     def _clear_derived_caches(self) -> None:
         """Drop inference-only embed caches (derived state, never
-        checkpointed) so corrupt or stale entries cannot survive —
-        including rows demoted into the store's staging/cold tiers."""
+        checkpointed) so corrupt or stale entries cannot survive."""
         ctx = getattr(self.g, "ctx", None)
         if ctx is not None:
             ctx.clear_embed_cache()

@@ -42,9 +42,6 @@ def add_store_flags(parser: argparse.ArgumentParser) -> None:
     grp.add_argument("--store-hot-mb", type=float, default=None, metavar="MB",
                      help="hot-tier budget in MiB per feature space "
                           "(default: row-count sized)")
-    grp.add_argument("--store-cold-dir", default=None, metavar="DIR",
-                     help="spill evicted rows into checksummed mmap files "
-                          "under this directory (default: drop)")
     grp.add_argument("--prefetch-depth", type=int, default=None, metavar="N",
                      help="batches of sampler-lookahead prefetch "
                           "(0 disables the prefetcher)")
@@ -52,9 +49,7 @@ def add_store_flags(parser: argparse.ArgumentParser) -> None:
 
 def store_flags_set(args) -> bool:
     """True when any of the :func:`add_store_flags` knobs was given."""
-    return (args.store_hot_mb is not None
-            or args.store_cold_dir is not None
-            or args.prefetch_depth is not None)
+    return args.store_hot_mb is not None or args.prefetch_depth is not None
 
 
 def store_config_from_args(args):
@@ -63,7 +58,6 @@ def store_config_from_args(args):
 
     return StoreConfig().with_overrides(
         hot_mb=args.store_hot_mb,
-        cold_dir=args.store_cold_dir,
         prefetch_depth=args.prefetch_depth,
     )
 

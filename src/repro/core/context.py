@@ -124,8 +124,8 @@ class TContext:
     def embed_cache(self, layer: int) -> NodeTimeCache:
         """One layer's embedding cache — the hot tier of its store space.
 
-        Kept for compatibility and statistics; rows stored here flow
-        through the same tiering/eviction chain as every other space.
+        Kept for compatibility and statistics; it is the whole of a
+        memoization space, so what it evicts is recomputed.
         """
         return self.store.space(f"{_EMBED_PREFIX}{int(layer)}").hot
 

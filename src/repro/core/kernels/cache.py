@@ -34,9 +34,9 @@ the ``'fifo'`` policy):
 
 Evictions are surfaced explicitly: the ``evictions`` counter counts
 every resident entry displaced, and an optional ``on_evict`` callback
-receives the displaced ``(nodes, times, rows)`` so an owning tiered
-store can demote them to a colder tier instead of silently dropping
-them.
+receives the displaced ``(nodes, times, rows)`` so an owning store can
+account for them (the tiered store's staging ring retires the in-flight
+prefetches it displaces).
 
 A ``capacity <= 0`` store is disabled: lookups miss, stores are no-ops
 (a zero-capacity ring used to raise ``ZeroDivisionError``).
@@ -87,8 +87,7 @@ class NodeTimeCache:
         policy: eviction policy, ``'fifo'`` (historical ring) or
             ``'reuse'`` (reuse-distance-aware; see module docstring).
         on_evict: optional callback receiving ``(nodes, times, rows)``
-            for every batch of displaced resident entries, letting a
-            tiered store demote them instead of dropping them.
+            for every batch of displaced resident entries.
     """
 
     def __init__(self, capacity: int, dim: Optional[int] = None,
@@ -304,7 +303,7 @@ class NodeTimeCache:
             self._timer("cache_store", time.perf_counter() - start)
 
     def _evicted(self, slots: np.ndarray) -> None:
-        """Surface displaced resident entries (count + demotion callback)."""
+        """Surface displaced resident entries (count + ``on_evict``)."""
         if not len(slots):
             return
         self.evictions += int(len(slots))

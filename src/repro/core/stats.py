@@ -20,7 +20,7 @@ class CacheLayerStats:
     hits: int
     lookups: int
     entries: int
-    #: resident entries displaced from the hot ring (demoted or dropped).
+    #: resident entries displaced (dropped) from the hot ring.
     evictions: int = 0
 
     @property

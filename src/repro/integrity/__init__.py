@@ -8,7 +8,7 @@ self-checking at runtime:
   and descent.
 * :mod:`~repro.integrity.scrubber` — the background :class:`Scrubber`
   that detects, localizes, arbitrates, repairs, and verifies divergence
-  across replica groups, WAL segments, and feature-store cold tiers.
+  across replica groups and their WAL segments.
 * :mod:`~repro.integrity.errors` — structured
   :class:`IntegrityUnrepairable` raised when no trustworthy repair
   source exists.

@@ -1,8 +1,4 @@
-"""Structured integrity errors.
-
-Separate from the scrubber so low layers (``repro.store``) can raise
-:class:`IntegrityUnrepairable` without importing cluster-facing code.
-"""
+"""Structured integrity errors, importable without the scrubber."""
 
 from __future__ import annotations
 

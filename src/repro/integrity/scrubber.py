@@ -22,11 +22,10 @@ serving member, runs the corruption lifecycle:
    raises :class:`~repro.integrity.errors.IntegrityUnrepairable` instead
    of silently serving bad rows.
 
-The same pass self-checks each member's WAL segments (CRC/frame parse)
-and re-anchors a damaged log on digest-verified live state, cross-checks
-maintained digests *between* settled members (a logically diverged
-member is repaired from the quorum/primary), and scrubs registered
-feature-store cold tiers through their per-row checksums.
+The same pass self-checks each member's WAL segments (CRC/frame parse),
+re-anchoring a damaged log on digest-verified live state, and
+cross-checks maintained digests *between* settled members (a logically
+diverged member is repaired from the quorum/primary).
 
 Fault sites: ``scrub.skip`` lets chaos runs suppress whole cycles (the
 window a flip would normally hide in); while a cycle has been skipped,
@@ -62,9 +61,6 @@ _COUNTER_KEYS = (
     "wal_segment_repairs",
     "wal_segments_dropped",
     "read_repairs",
-    "cold_rows_checked",
-    "cold_rows_repaired",
-    "cold_rows_dropped",
 )
 
 
@@ -99,7 +95,6 @@ class Scrubber:
         #: (read-repair) until the next completed cycle clears it.
         self.suspect_window = False
         self._next_due = clock.now() + self.interval if self.interval else np.inf
-        self._cold: List[Dict] = []
 
     # ---- bookkeeping ---------------------------------------------------------------
 
@@ -107,21 +102,6 @@ class Scrubber:
         self.counters[key] = self.counters.get(key, 0) + n
         if self._count_sink is not None and key != "scrub_seconds":
             self._count_sink(f"integrity:{key}", int(n))
-
-    def add_cold_tier(self, tier, source=None, authority: bool = False,
-                      label: str = "cold") -> None:
-        """Register a feature-store cold tier for checksum scrubbing.
-
-        *source*, when given, is ``source(nodes, times) -> rows`` — the
-        deeper authority corrupt rows are rewritten from.  Without one, a
-        cache tier's corrupt entries are dropped (safe: the next read
-        faults through to the authority) and an ``authority=True`` tier
-        raises :class:`IntegrityUnrepairable` (there is nothing deeper).
-        """
-        self._cold.append(
-            {"tier": tier, "source": source, "authority": bool(authority),
-             "label": label}
-        )
 
     def stats(self) -> Dict[str, object]:
         out: Dict[str, object] = {}
@@ -152,7 +132,7 @@ class Scrubber:
         return True
 
     def scrub_now(self) -> Dict[str, int]:
-        """One full scrub cycle over every group and registered cold tier.
+        """One full scrub cycle over every group.
 
         Returns what this cycle found/fixed; cumulative totals live in
         :attr:`counters`.  ``scrub_seconds`` accumulates the real (wall)
@@ -162,8 +142,6 @@ class Scrubber:
         before = dict(self.counters)
         for gi, group in enumerate(self.groups):
             self._scrub_group(gi, group)
-        for entry in self._cold:
-            self._scrub_cold(entry)
         self.suspect_window = False
         self._bump("cycles")
         self._bump("scrub_seconds", time.perf_counter() - t0)
@@ -374,16 +352,3 @@ class Scrubber:
                 repaired = True
         if repaired:
             self._bump("read_repairs")
-
-    # ---- cold tiers ----------------------------------------------------------------
-
-    def _scrub_cold(self, entry: Dict) -> None:
-        res = entry["tier"].scrub(
-            source=entry["source"], authority=entry["authority"]
-        )
-        self._bump("cold_rows_checked", res["checked"])
-        if res["corrupt"]:
-            self._bump("divergences", res["corrupt"])
-            self._bump("cold_rows_repaired", res["repaired"])
-            self._bump("cold_rows_dropped", res["dropped"])
-            self._bump("rows_repaired", res["repaired"] + res["dropped"])

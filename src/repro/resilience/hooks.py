@@ -48,7 +48,7 @@ SITES: Dict[str, str] = {
     "serve.poison": "serve.commit.stage_checked (staged values)",
     "disk.write": "durable.wal.WriteAheadLog.append",
     "disk.fsync": "durable.wal.WriteAheadLog.sync",
-    "disk.read": "durable.wal segment replay / store.tiers.ColdTier.read",
+    "disk.read": "durable.wal segment replay",
     "rpc.send": "cluster.rpc.SimRpc.call (request leg)",
     "rpc.recv": "cluster.rpc.SimRpc.call (reply leg)",
     "shard.crash": "resilience.chaos.inject_member_faults",

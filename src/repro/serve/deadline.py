@@ -115,7 +115,7 @@ class DegradationLadder:
         stall, see :meth:`CostModel.estimate`) inflates the sampling
         rungs only, so an un-prefetched request maps to the
         embedding-cache rung rather than blowing its deadline on a
-        cold-tier read.
+        source read.
         """
         for level in LEVELS:
             if level == "cache" and ctx is not None and (

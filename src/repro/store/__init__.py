@@ -1,10 +1,10 @@
-"""`repro.store`: the tiered feature store behind every cache front-end.
+"""`repro.store`: the feature store behind every cache front-end.
 
-Hierarchy (hottest first)::
+Per space, one bounded hot ring over its source::
 
-    hot (device-resident ring, reuse-distance eviction)
-      -> staging (pinned host rows: demotions + prefetched transfers)
-        -> cold (authoritative source array, or checksummed mmap spill)
+    hot (device-resident ring, reuse-distance eviction; evictions drop)
+      <-> source (authoritative array; memo spaces have none: a miss recomputes)
+    staging (pinned host rows) holds prefetched source rows only
 
 One implementation — :class:`TieredFeatureStore` — serves every
 front-end: ``TContext`` embedding caches, ``op.cache``/``op.preload``
@@ -19,7 +19,7 @@ saved by async prefetch are first-class outputs (``store.stats()``,
 from .api import FeatureStore, StoreConfig, StoreStats, TierStats
 from .prefetch import BatchPipeline
 from .tiered import TieredFeatureStore
-from .tiers import ColdTier, PinnedPool, SourceTier
+from .tiers import PinnedPool
 from . import ops
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "TierStats",
     "TieredFeatureStore",
     "BatchPipeline",
-    "ColdTier",
     "PinnedPool",
-    "SourceTier",
     "ops",
 ]

@@ -9,10 +9,9 @@ hand.  This module defines the one interface they all now route through:
 
 * :class:`FeatureStore` — the protocol (``get`` / ``put`` / ``prefetch``
   / ``evict`` / ``stats``) any tiered row store implements.
-* :class:`StoreConfig` — the knobs (hot capacity, staging size, cold
-  directory, prefetch depth), shared verbatim by the ``--store-hot-mb`` / ``--store-cold-dir`` /
-  ``--prefetch-depth`` CLI flags of every ``python -m repro.bench``
-  subcommand.
+* :class:`StoreConfig` — the knobs (hot capacity, prefetch depth),
+  shared verbatim by the ``--store-hot-mb`` / ``--prefetch-depth`` CLI
+  flags of every ``python -m repro.bench`` subcommand.
 * :class:`TierStats` / :class:`StoreStats` — first-class accounting:
   bytes moved per tier and stall seconds paid vs saved by prefetch,
   surfaced through ``ctx.stats().store`` and the benchmark tables.
@@ -31,7 +30,7 @@ import numpy as np
 
 __all__ = ["StoreConfig", "TierStats", "StoreStats", "FeatureStore"]
 
-#: tier names, hottest first (the demotion chain runs left to right).
+#: accounted tiers: the hot ring, prefetch staging, and source reads.
 TIERS = ("hot", "staging", "cold")
 
 
@@ -49,11 +48,6 @@ class StoreConfig:
     hot_capacity: int = 20000
     #: hot-tier budget in MiB (overrides ``hot_capacity`` when set).
     hot_mb: Optional[float] = None
-    #: pinned staging-tier capacity in rows per space.
-    staging_rows: int = 4096
-    #: directory for the mmap-backed cold tier; ``None`` keeps demoted
-    #: rows in anonymous host memory (same accounting, no file).
-    cold_dir: Optional[str] = None
     #: batches of sampler lookahead the prefetcher keeps in flight;
     #: ``0`` disables prefetching entirely.
     prefetch_depth: int = 1
@@ -94,12 +88,8 @@ class TierStats:
     bytes_in: int = 0
     #: bytes read out of this tier toward a hotter one / the consumer.
     bytes_out: int = 0
-    #: resident entries displaced from this tier.
+    #: resident entries displaced (dropped) from this tier.
     evictions: int = 0
-    #: displaced entries demoted *into* this tier from a hotter one.
-    demotions: int = 0
-    #: injected/detected faults while reading this tier (cold: disk.read).
-    faults: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -110,8 +100,7 @@ class TierStats:
         return {
             "hits": self.hits, "misses": self.misses,
             "bytes_in": self.bytes_in, "bytes_out": self.bytes_out,
-            "evictions": self.evictions, "demotions": self.demotions,
-            "faults": self.faults,
+            "evictions": self.evictions,
         }
 
 
@@ -179,16 +168,16 @@ class FeatureStore(Protocol):
 
     def put(self, nodes: np.ndarray, times: Optional[np.ndarray],
             rows: np.ndarray, space: str = "nfeat") -> None:
-        """Insert rows into the hot tier (evictions demote down the chain)."""
+        """Insert rows into the hot tier (its evictions are dropped)."""
         ...  # pragma: no cover - protocol
 
     def prefetch(self, nodes: np.ndarray, times: Optional[np.ndarray] = None,
                  space: str = "nfeat") -> int:
-        """Schedule async cold->staging transfers; returns rows issued."""
+        """Schedule async source->staging transfers; returns rows issued."""
         ...  # pragma: no cover - protocol
 
     def evict(self, space: Optional[str] = None) -> None:
-        """Drop cached tiers, spills included (source authorities survive)."""
+        """Drop cached tiers (source authorities survive)."""
         ...  # pragma: no cover - protocol
 
     def stats(self) -> StoreStats:

@@ -32,10 +32,8 @@ def memoize(ctx, block, layer: Optional[int] = None):
 
     The TGOpt ``cache()`` optimization: previously computed time-aware
     embeddings are reused while the weights are frozen, so this only
-    engages in inference mode.  Resolution goes through the tiered store
-    (space ``'embed:<layer>'``), so rows evicted from the hot ring can
-    still be served from the staging/cold tiers instead of being
-    recomputed.
+    engages in inference mode.  Resolution goes through the store's hot
+    ring for space ``'embed:<layer>'``; a row it evicted is recomputed.
 
     Args:
         ctx: context owning the store (``ctx.training`` gates engagement).

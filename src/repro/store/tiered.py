@@ -1,32 +1,27 @@
-"""`TieredFeatureStore`: hot cache -> pinned staging -> cold tier.
+"""`TieredFeatureStore`: one hot table over its source, staging for prefetches.
 
 The concrete :class:`~repro.store.api.FeatureStore`.  Rows live in named
 *spaces* — ``'nfeat'`` / ``'mem'`` style spaces backed by an authoritative
 source array (always resolvable), and memoization spaces such as
 ``'embed:0'`` holding computed embeddings (resolvable only while cached).
-Each space owns a three-level hierarchy:
+Each space owns:
 
 * **hot** — a :class:`~repro.core.kernels.cache.NodeTimeCache` ring
-  (reuse-distance eviction by default); hits are device-resident and
-  free.
-* **staging** — a FIFO :class:`NodeTimeCache` of pinned host rows fed by
-  hot-tier demotions and by the prefetcher; hits pay only the pinned
-  host->device leg.
-* **cold** — the authority: a :class:`~repro.store.tiers.SourceTier`
-  view of the raw feature array, or a checksummed
-  :class:`~repro.store.tiers.ColdTier` spill file for demoted
-  embeddings; reads pay the cold leg (serialized disk bandwidth for
-  spill files, pageable bandwidth for in-memory sources) plus the
-  pinned leg.
+  (reuse-distance eviction); hits are device-resident and free.  Rows it
+  evicts are dropped: a source row is re-read, a memo row is a miss to
+  recompute.
+* **source** — the authority (:meth:`TieredFeatureStore.register_source`);
+  reads pay the pageable leg plus the pinned leg and are promoted into hot.
+  Its reads are accounted as the ``cold`` tier.
+* **staging** — a FIFO :class:`NodeTimeCache` of pinned host rows that only
+  :meth:`~TieredFeatureStore.prefetch` lands rows in; hits pay only the
+  pinned host->device leg.
 
-Evictions cascade down the chain through ``on_evict`` callbacks
-(hot -> staging -> cold), so nothing is silently dropped while a colder
-tier can hold it.  All movement is charged to the simulated
-device-transfer model (:data:`repro.tensor.device.runtime`) tagged with
-the tier it crossed, and stall time is modeled against the store's
-simulated clock — :meth:`prefetch` completes transfers in the
-background, so rows consumed after their ready time cost nothing and
-the difference is booked as ``stall_saved_seconds``.
+All movement is charged to the simulated device-transfer model
+(:data:`repro.tensor.device.runtime`) tagged with the tier it crossed, and
+stall time is modeled against the store's simulated clock — prefetched
+rows consumed after their ready time cost nothing and the difference is
+booked as ``stall_saved_seconds``.
 """
 
 from __future__ import annotations
@@ -39,15 +34,15 @@ from ..clock import SimClock
 from ..core.kernels.cache import NodeTimeCache
 from ..core.kernels.dedup import unique_node_times
 from ..tensor.device import runtime as _device_runtime
-from .api import StoreConfig, StoreStats, TierStats
-from .tiers import ColdTier, PinnedPool, SourceTier
+from .api import TIERS, StoreConfig, StoreStats, TierStats
+from .tiers import PinnedPool
 
 __all__ = ["TieredFeatureStore"]
 
-#: modeled spill-file (disk/mmap) bandwidth, bytes/second on the simulated
-#: clock, scaled for the numpy substrate like
-#: :mod:`repro.bench.experiments`'s PCIe bandwidths.
-DISK_BANDWIDTH = 8.0e6
+#: pinned staging capacity in rows per space (prefetched rows only).
+STAGING_ROWS = 4096
+
+Source = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 
 def _times_or_zero(nodes: np.ndarray, times: Optional[np.ndarray]) -> np.ndarray:
@@ -56,76 +51,59 @@ def _times_or_zero(nodes: np.ndarray, times: Optional[np.ndarray]) -> np.ndarray
     return np.asarray(times, dtype=np.float64) + 0.0  # canonical -0.0 -> +0.0
 
 
+def _demand_seconds(nbytes: int) -> float:
+    """Stall of a demand source read: the pageable leg, then the pinned leg."""
+    return (nbytes / _device_runtime.pageable_bandwidth
+            + nbytes / _device_runtime.pinned_bandwidth)
+
+
+def _fetcher(source: Source, dim: Optional[int]):
+    """``(nodes -> rows, row width)`` for an array or a gather callable."""
+    if callable(source):
+        if dim is None:
+            raise ValueError("dim is required for a callable source")
+        return source, int(dim)
+    arr = np.asarray(source)
+    return (lambda nodes: arr[nodes]), int(arr.shape[1])
+
+
 class _Space:
-    """One named row universe and its three tiers."""
+    """One named row universe: hot ring, optional source, prefetch staging."""
 
     def __init__(self, name: str, store: "TieredFeatureStore"):
         self.name = name
         self.store = store
         self.dim: Optional[int] = None
-        cfg = store.config
-        self.hot = self.new_hot(cfg.hot_rows(None))
+        self.hot = self.new_hot(store.config.hot_rows(None))
         self.staging = NodeTimeCache(
-            cfg.staging_rows, timer=store._timer, policy="fifo",
-            on_evict=self._demote_to_cold,
+            STAGING_ROWS, timer=store._timer, policy="fifo",
+            on_evict=self._staging_evicted,
         )
-        self.cold: Optional[Union[SourceTier, ColdTier]] = None
-        if cfg.cold_dir is not None:
-            self.cold = None  # created lazily once the row width is known
+        #: the authority's gather (node-keyed; query times are ignored);
+        #: ``None`` for memoization spaces.
+        self.source: Optional[Callable[[np.ndarray], np.ndarray]] = None
         #: prefetched keys in flight:
-        #: (node, time) -> (ready_time, per-key cold-leg share, group leg)
+        #: (node, time) -> (ready_time, per-key source-leg share, group leg)
         self.inflight: Dict[Tuple[int, float], Tuple[float, float, float]] = {}
 
     def new_hot(self, rows: int) -> NodeTimeCache:
-        """An empty reuse-distance hot tier of *rows* rows, demoting into staging."""
-        return NodeTimeCache(rows, timer=self.store._timer, policy="reuse",
-                             on_evict=self._demote_to_staging)
+        """An empty reuse-distance hot tier of *rows* rows."""
+        return NodeTimeCache(rows, timer=self.store._timer, policy="reuse")
 
-    # ---- demotion chain -----------------------------------------------------------
+    def read(self, nodes: np.ndarray) -> np.ndarray:
+        return np.asarray(self.source(nodes)).astype(np.float32, copy=False)
 
-    def _demote_to_staging(self, nodes: np.ndarray, times: np.ndarray,
-                           rows: np.ndarray) -> None:
-        st = self.store
-        st._tiers["hot"].evictions += len(nodes)
-        if not self.staging.enabled:
-            self._spill(nodes, times, rows)  # staging disabled: skip the hop
-            return
-        st._tiers["staging"].demotions += len(nodes)
-        st._tiers["staging"].bytes_in += rows.nbytes
-        _device_runtime.transfer(rows.nbytes, pinned=True, tier="staging")
-        self.staging.store(nodes, times, rows)
-
-    def _demote_to_cold(self, nodes: np.ndarray, times: np.ndarray,
-                        rows: np.ndarray) -> None:
+    def _staging_evicted(self, nodes: np.ndarray, times: np.ndarray,
+                         rows: np.ndarray) -> None:
         st = self.store
         st._tiers["staging"].evictions += len(nodes)
         for i in range(len(nodes)):
             if self.inflight.pop((int(nodes[i]), float(times[i])), None) is not None:
                 st._prefetch_unused += 1
-        self._spill(nodes, times, rows)
-
-    def _spill(self, nodes: np.ndarray, times: np.ndarray,
-               rows: np.ndarray) -> None:
-        st = self.store
-        if isinstance(self.cold, SourceTier):
-            return  # the authority already holds these rows; nothing to spill
-        if self.cold is None:
-            if st.config.cold_dir is None:
-                return  # no spill tier configured: recomputable rows drop
-            self._ensure_cold(rows.shape[1])
-        st._tiers["cold"].demotions += len(nodes)
-        st._tiers["cold"].bytes_in += rows.nbytes
-        _device_runtime.transfer(rows.nbytes, pinned=False, tier="cold")
-        self.cold.write(nodes, times, rows)
-
-    def _ensure_cold(self, dim: int) -> None:
-        if self.cold is None:
-            self.cold = ColdTier(dim, directory=self.store.config.cold_dir,
-                                 space=self.name)
 
 
 class TieredFeatureStore:
-    """The one tiering/eviction implementation behind every cache front-end.
+    """The one caching implementation behind every cache front-end.
 
     Args:
         config: knobs shared with the CLI surface (see
@@ -145,18 +123,13 @@ class TieredFeatureStore:
         self._timer = timer
         self.pinned_pool = PinnedPool()
         self._spaces: Dict[str, _Space] = {}
-        self._tiers: Dict[str, TierStats] = {
-            "hot": TierStats(), "staging": TierStats(), "cold": TierStats(),
-        }
+        self._tiers: Dict[str, TierStats] = {name: TierStats() for name in TIERS}
         self._prefetch_issued = 0
         self._prefetch_hits = 0
         self._prefetch_late = 0
         self._prefetch_unused = 0
         self._stall_seconds = 0.0
         self._stall_saved = 0.0
-        #: completion horizon of the serialized cold-read queue (spill
-        #: files model one disk head; in-memory sources are not queued).
-        self._disk_free = 0.0
 
     # ---- spaces -------------------------------------------------------------------
 
@@ -170,8 +143,7 @@ class TieredFeatureStore:
     def spaces(self) -> Tuple[str, ...]:
         return tuple(self._spaces)
 
-    def register_source(self, name: str,
-                        source: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]],
+    def register_source(self, name: str, source: Source,
                         dim: Optional[int] = None) -> _Space:
         """Back *name* with an authoritative array (raw features, memory).
 
@@ -179,8 +151,8 @@ class TieredFeatureStore:
         authority) and always resolvable through :meth:`get`.
         """
         sp = self.space(name)
-        sp.cold = SourceTier(source, dim=dim)
-        self._set_dim(sp, sp.cold.dim)
+        sp.source, width = _fetcher(source, dim)
+        self._set_dim(sp, width)
         return sp
 
     def _set_dim(self, sp: _Space, dim: int) -> None:
@@ -197,14 +169,16 @@ class TieredFeatureStore:
         if self.config.hot_mb is not None:
             sp.hot = sp.new_hot(self.config.hot_rows(sp.dim))
 
-    def rebind_source(self, name: str,
-                      source: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]) -> None:
+    def rebind_source(self, name: str, source: Source) -> None:
         """Swap a source space's authority (model hot-swap); drops the
         cached tiers so stale rows cannot be served."""
         sp = self.space(name)
-        if not isinstance(sp.cold, SourceTier):
+        if sp.source is None:
             raise ValueError(f"space {name!r} is not source-backed")
-        sp.cold.rebind(source)
+        fetch, width = _fetcher(source, sp.dim)
+        if width != sp.dim:
+            raise ValueError(f"rebind changes row width {sp.dim} -> {width}")
+        sp.source = fetch
         self.evict(name)
 
     def refresh(self, nodes: np.ndarray, space: str = "nfeat",
@@ -219,7 +193,7 @@ class TieredFeatureStore:
         with no explicit times).  Returns the number of rows refreshed.
         """
         sp = self._spaces.get(space)
-        if sp is None or not isinstance(sp.cold, SourceTier):
+        if sp is None or sp.source is None:
             return 0
         nodes = np.asarray(nodes, dtype=np.int64)
         tq = _times_or_zero(nodes, times)
@@ -228,45 +202,49 @@ class TieredFeatureStore:
         for tier in (sp.hot, sp.staging):
             mask = tier.contains(nodes, tq)
             if mask.any():
-                rows = sp.cold.read(nodes[mask], None)
-                tier.store(nodes[mask], tq[mask], rows)
+                tier.store(nodes[mask], tq[mask], sp.read(nodes[mask]))
                 refreshed += int(mask.sum())
         for i in range(len(nodes)):
             sp.inflight.pop((int(nodes[i]), float(tq[i])), None)
         return refreshed
 
-    # ---- bandwidths ---------------------------------------------------------------
-
-    def _cold_bw(self, sp: _Space) -> float:
-        if isinstance(sp.cold, SourceTier):
-            return _device_runtime.pageable_bandwidth
-        return DISK_BANDWIDTH
-
     # ---- core resolution ----------------------------------------------------------
+
+    def _to_hot(self, sp: _Space, nodes: np.ndarray, times: np.ndarray,
+                rows: np.ndarray) -> None:
+        """Store rows into the hot ring, counting what they displace."""
+        hot = self._tiers["hot"]
+        hot.bytes_in += rows.nbytes
+        before = sp.hot.evictions
+        sp.hot.store(nodes, times, rows)
+        hot.evictions += sp.hot.evictions - before
 
     def lookup(self, nodes: np.ndarray, times: Optional[np.ndarray] = None,
                space: str = "nfeat") -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Resolve rows through the tiers; ``(hit_mask, rows)`` like the
         flat cache — misses stay False for the caller to compute.
 
-        Rows found below the hot tier are promoted into it; every
+        A memoization space resolves from its hot tier only.  A source
+        space resolves every key: hot, then staged prefetches, then the
+        source, and rows found below hot are promoted into it.  Every
         transfer is charged per tier and stalls are modeled against the
         clock (prefetched rows whose transfer already completed stall
-        nothing, and the avoided cold leg is booked as saved).
+        nothing, and the avoided source leg is booked as saved).
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         tq = _times_or_zero(nodes, times)
         n = len(nodes)
         sp = self.space(space)
-        hot_hit, rows = sp.hot.lookup(nodes, tq)
+        found, out = sp.hot.lookup(nodes, tq)
         hot = self._tiers["hot"]
-        hot.hits += int(hot_hit.sum())
-        hot.misses += n - int(hot_hit.sum())
-        if hot_hit.all() and n:
-            return hot_hit, rows
-        out = rows if rows is not None else None
-        miss = np.flatnonzero(~hot_hit)
-        found = hot_hit.copy()
+        n_hit = int(found.sum())
+        hot.hits += n_hit
+        hot.misses += n - n_hit
+        if n_hit == n or sp.source is None:
+            return found, out
+        miss = np.flatnonzero(~found)
+        if out is None:
+            out = np.zeros((n, sp.dim), dtype=np.float32)
 
         # --- staging: pinned rows pay only the host->device leg --------------
         stg_hit, stg_rows = sp.staging.lookup(nodes[miss], tq[miss])
@@ -280,39 +258,25 @@ class TieredFeatureStore:
             stg.bytes_out += nbytes
             _device_runtime.transfer(nbytes, pinned=True, tier="staging")
             self._consume_staged(sp, nodes[idx], tq[idx], nbytes)
-            if out is None:
-                out = np.zeros((n, got.shape[1]), dtype=np.float32)
             out[idx] = got
-            found[idx] = True
-            sp.hot.store(nodes[idx], tq[idx], got)
-            hot.bytes_in += nbytes
+            self._to_hot(sp, nodes[idx], tq[idx], got)
             miss = miss[~stg_hit]
 
-        # --- cold: authority / spill file ------------------------------------
-        if len(miss) and sp.cold is not None:
-            resident = sp.cold.contains(nodes[miss], tq[miss])
-            if resident.any():
-                idx = miss[resident]
-                got = sp.cold.read(nodes[idx], tq[idx])
-                nbytes = got.nbytes
-                cold = self._tiers["cold"]
-                cold.hits += int(resident.sum())
-                cold.bytes_out += nbytes
-                _device_runtime.transfer(nbytes, pinned=False, tier="cold")
-                self._stall_cold_read(sp, nbytes)
-                # the rows pass through staging buffers on their way up
-                stg.bytes_in += nbytes
-                _device_runtime.transfer(nbytes, pinned=True, tier="staging")
-                if out is None:
-                    out = np.zeros((n, got.shape[1]), dtype=np.float32)
-                out[idx] = got
-                found[idx] = True
-                sp.hot.store(nodes[idx], tq[idx], got)
-                hot.bytes_in += nbytes
-            self._tiers["cold"].misses += int((~resident).sum())
-
-        if sp.dim is None and out is not None:
-            sp.dim = out.shape[1]
+        # --- source: a demand read pays the pageable and pinned legs ---------
+        if len(miss):
+            got = sp.read(nodes[miss])
+            nbytes = got.nbytes
+            cold = self._tiers["cold"]
+            cold.hits += len(miss)
+            cold.bytes_out += nbytes
+            _device_runtime.transfer(nbytes, pinned=False, tier="cold")
+            self._stall_seconds += _demand_seconds(nbytes)
+            # the rows pass through staging buffers on their way up
+            stg.bytes_in += nbytes
+            _device_runtime.transfer(nbytes, pinned=True, tier="staging")
+            out[miss] = got
+            self._to_hot(sp, nodes[miss], tq[miss], got)
+        found[:] = True
         return found, out
 
     def get(self, nodes: np.ndarray, times: Optional[np.ndarray] = None,
@@ -329,23 +293,22 @@ class TieredFeatureStore:
 
     def put(self, nodes: np.ndarray, times: Optional[np.ndarray],
             rows: np.ndarray, space: str = "nfeat") -> None:
-        """Insert computed rows into the hot tier (overflow demotes down)."""
+        """Insert computed rows into the hot tier (overflow is dropped)."""
         nodes = np.asarray(nodes, dtype=np.int64)
         rows = np.ascontiguousarray(rows, dtype=np.float32)
         sp = self.space(space)
         self._set_dim(sp, rows.shape[1])
-        self._tiers["hot"].bytes_in += rows.nbytes
-        sp.hot.store(nodes, _times_or_zero(nodes, times), rows)
+        self._to_hot(sp, nodes, _times_or_zero(nodes, times), rows)
 
     # ---- prefetch -----------------------------------------------------------------
 
     def prefetch(self, nodes: np.ndarray, times: Optional[np.ndarray] = None,
                  space: str = "nfeat") -> int:
-        """Start async cold->staging transfers for keys not yet resident.
+        """Start async source->staging transfers for keys not yet resident.
 
         The rows land in the staging tier immediately with a modeled
         *ready time*; a later :meth:`lookup`/:meth:`get` consuming them
-        after that time pays no cold-leg stall (the saving is recorded),
+        after that time pays no source-leg stall (the saving is recorded),
         before it pays only the remainder.  Returns rows issued.
         """
         if self.config.prefetch_depth <= 0:
@@ -353,33 +316,23 @@ class TieredFeatureStore:
         nodes = np.asarray(nodes, dtype=np.int64)
         tq = _times_or_zero(nodes, times)
         sp = self.space(space)
-        if sp.cold is None:
+        if sp.source is None:
             return 0
-        # unique keys not already resident anywhere nor in flight
+        # unique keys resident in neither tier (in-flight keys are staged)
         un, ut, _ = unique_node_times(nodes, tq)
         fresh = ~sp.hot.contains(un, ut) & ~sp.staging.contains(un, ut)
-        fresh &= sp.cold.contains(un, ut)
-        for i in np.flatnonzero(fresh):
-            if (int(un[i]), float(ut[i])) in sp.inflight:
-                fresh[i] = False
         if not fresh.any():
             return 0
         kn, kt = un[fresh], ut[fresh]
-        rows = sp.cold.read(kn, kt)
+        rows = sp.read(kn)
         nbytes = rows.nbytes
         cold = self._tiers["cold"]
         cold.hits += len(kn)
         cold.bytes_out += nbytes
         self._tiers["staging"].bytes_in += nbytes
         _device_runtime.transfer(nbytes, pinned=False, tier="cold")
-        now = self.clock.now()
-        leg = nbytes / self._cold_bw(sp)
-        if isinstance(sp.cold, ColdTier):
-            start = max(now, self._disk_free)
-            ready = start + leg
-            self._disk_free = ready
-        else:
-            ready = now + leg
+        leg = nbytes / _device_runtime.pageable_bandwidth
+        ready = self.clock.now() + leg
         per_key = leg / len(kn)
         for i in range(len(kn)):
             sp.inflight[(int(kn[i]), float(kt[i]))] = (ready, per_key, leg)
@@ -395,7 +348,7 @@ class TieredFeatureStore:
         for i in range(len(nodes)):
             entry = sp.inflight.pop((int(nodes[i]), float(times[i])), None)
             if entry is None:
-                continue  # demoted row: already staged, no cold leg pending
+                continue  # consumed before: no source leg pending
             ready, cost, group_leg = entry
             late = max(0.0, ready - now)
             # A group's keys transfer together: each key pays only its
@@ -411,19 +364,6 @@ class TieredFeatureStore:
                 self._prefetch_hits += 1
         self._stall_seconds += stall
 
-    def _stall_cold_read(self, sp: _Space, nbytes: int) -> None:
-        """Stall accounting for a demand (non-prefetched) cold read."""
-        now = self.clock.now()
-        leg = nbytes / self._cold_bw(sp)
-        if isinstance(sp.cold, ColdTier):
-            start = max(now, self._disk_free)
-            done = start + leg
-            self._disk_free = done
-            stall = done - now
-        else:
-            stall = leg
-        self._stall_seconds += stall + nbytes / _device_runtime.pinned_bandwidth
-
     def estimate_fetch_seconds(self, nodes: np.ndarray,
                                times: Optional[np.ndarray] = None,
                                space: str = "nfeat") -> float:
@@ -433,12 +373,11 @@ class TieredFeatureStore:
         of a prefetch miss without perturbing any statistics.
         """
         sp = self._spaces.get(space)
-        if sp is None or sp.dim is None or len(nodes) == 0:
+        if sp is None or sp.source is None or len(nodes) == 0:
             return 0.0
         nodes = np.asarray(nodes, dtype=np.int64)
         tq = _times_or_zero(nodes, times)
-        in_hot = sp.hot.contains(nodes, tq)
-        miss = ~in_hot
+        miss = ~sp.hot.contains(nodes, tq)
         if not miss.any():
             return 0.0
         row_bytes = sp.dim * 4
@@ -452,44 +391,25 @@ class TieredFeatureStore:
                 entry = sp.inflight.get((int(nodes[i]), float(tq[i])))
                 if entry is not None and entry[2] > 0:
                     seconds += max(0.0, entry[0] - now) * entry[1] / entry[2]
-        deeper = int(miss.sum()) - n_staged
-        if deeper > 0 and sp.cold is not None:
-            nbytes = deeper * row_bytes
-            leg = nbytes / self._cold_bw(sp)
-            if isinstance(sp.cold, ColdTier):
-                leg += max(0.0, self._disk_free - now)
-            seconds += leg + nbytes / _device_runtime.pinned_bandwidth
+        unstaged = int(miss.sum()) - n_staged
+        if unstaged > 0:
+            seconds += _demand_seconds(unstaged * row_bytes)
         return seconds
 
     # ---- lifecycle / stats --------------------------------------------------------
 
     def evict(self, space: Optional[str] = None) -> None:
-        """Drop cached contents: hot, staging, and cold *spills*.
-
-        Spill files hold demoted cache copies, so they are dropped too —
-        an invalidation (e.g. weights changed under a memoization space)
-        must not let stale rows resurface through a cold promotion.
-        Source-backed authorities survive, naturally.
-        """
+        """Drop cached contents (hot and staging); sources survive."""
         targets = [self.space(space)] if space is not None else list(self._spaces.values())
         for sp in targets:
             self._prefetch_unused += len(sp.inflight)
             sp.inflight.clear()
             sp.hot.clear()
             sp.staging.clear()
-            if isinstance(sp.cold, ColdTier):
-                sp.cold.clear()
 
     def stats(self) -> StoreStats:
-        tiers = {
-            name: TierStats(**t.as_dict()) for name, t in self._tiers.items()
-        }
-        tiers["cold"].faults = sum(
-            sp.cold.faults for sp in self._spaces.values()
-            if isinstance(sp.cold, ColdTier)
-        )
         return StoreStats(
-            tiers=tiers,
+            tiers={name: TierStats(**t.as_dict()) for name, t in self._tiers.items()},
             prefetch_issued=self._prefetch_issued,
             prefetch_hits=self._prefetch_hits,
             prefetch_late=self._prefetch_late,
@@ -511,8 +431,6 @@ class TieredFeatureStore:
         for sp in self._spaces.values():
             sp.hot.reset_stats()
             sp.staging.reset_stats()
-            if isinstance(sp.cold, ColdTier):
-                sp.cold.faults = 0
 
     def clear(self) -> None:
         """Drop everything cached and forget memoization spaces.
@@ -526,11 +444,8 @@ class TieredFeatureStore:
             sp.inflight.clear()
             sp.hot.clear()
             sp.staging.clear()
-            if isinstance(sp.cold, ColdTier):
-                sp.cold.clear()
-            if not isinstance(sp.cold, SourceTier):
+            if sp.source is None:
                 del self._spaces[name]
-        self._disk_free = 0.0
 
     def __repr__(self) -> str:
         return (f"TieredFeatureStore(spaces={list(self._spaces)}, "

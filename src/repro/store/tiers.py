@@ -1,37 +1,21 @@
-"""Tier building blocks: pinned staging pool and the cold row store.
+"""The pinned staging pool.
 
 The hot and staging tiers of :class:`~repro.store.tiered.TieredFeatureStore`
-are both :class:`~repro.core.kernels.cache.NodeTimeCache` rings (batched
-open-addressing kernels, explicit eviction surfacing); this module holds
-the remaining pieces:
-
-* :class:`PinnedPool` — reusable pinned host staging buffers (moved here
-  from ``repro.core.context``; ``TContext`` re-exports it for
-  compatibility).
-* :class:`SourceTier` — a cold tier backed by an authoritative in-memory
-  array (raw node features, memory vectors): always resolvable, never
-  written to.
-* :class:`ColdTier` — a spill tier of checksummed float32 rows, backed by
-  an mmap'ed file when a directory is configured (anonymous host memory
-  otherwise).  Reads go through the ``disk.read`` fault-injection site —
-  an injected bit flip is caught by the per-row checksum and repaired by
-  a single re-read, surfacing as a counted fault instead of silent
-  corruption.
+are both :class:`~repro.core.kernels.cache.NodeTimeCache` rings; this
+module holds :class:`PinnedPool`, the reusable pinned host buffers
+``preload`` stages gathered rows through (``TContext`` re-exports it).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Dict, Tuple
 
 import numpy as np
 
-from ..integrity.errors import IntegrityUnrepairable
-from ..resilience.hooks import poke as _poke
 from ..tensor import Tensor
 from ..tensor.device import CPU
 
-__all__ = ["PinnedPool", "SourceTier", "ColdTier"]
+__all__ = ["PinnedPool"]
 
 
 class PinnedPool:
@@ -69,235 +53,3 @@ class PinnedPool:
     def reset_stats(self) -> None:
         self.hits = 0
         self.misses = 0
-
-
-class SourceTier:
-    """Cold tier over an authoritative array (or gather callable).
-
-    Node-keyed: query times are ignored, matching raw feature / memory
-    semantics where the row is the per-node ground truth.
-    """
-
-    def __init__(self, source: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]],
-                 dim: Optional[int] = None):
-        self._fetch: Callable[[np.ndarray], np.ndarray]
-        if callable(source):
-            if dim is None:
-                raise ValueError("dim is required for a callable source")
-            self._fetch = source
-            self.dim = int(dim)
-        else:
-            arr = np.asarray(source)
-            self._fetch = lambda nodes: arr[nodes]
-            self.dim = int(arr.shape[1])
-
-    def rebind(self, source: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]) -> None:
-        """Point the tier at a fresh authority (e.g. after a model swap)."""
-        if callable(source):
-            self._fetch = source
-        else:
-            arr = np.asarray(source)
-            if int(arr.shape[1]) != self.dim:
-                raise ValueError(
-                    f"rebind changes row width {self.dim} -> {arr.shape[1]}")
-            self._fetch = lambda nodes: arr[nodes]
-
-    def contains(self, nodes: np.ndarray, times: Optional[np.ndarray]) -> np.ndarray:
-        return np.ones(len(nodes), dtype=bool)
-
-    def read(self, nodes: np.ndarray, times: Optional[np.ndarray]) -> np.ndarray:
-        rows = np.asarray(self._fetch(np.asarray(nodes, dtype=np.int64)))
-        return rows.astype(np.float32, copy=False)
-
-
-def _row_checksums(rows: np.ndarray) -> np.ndarray:
-    """One uint64 additive checksum per float32 row (vectorized)."""
-    flat = np.ascontiguousarray(rows, dtype=np.float32)
-    return flat.view(np.uint32).astype(np.uint64).sum(axis=1)
-
-
-class ColdTier:
-    """Spill store of checksummed float32 rows, optionally mmap-backed.
-
-    Keys are (node, time) pairs; rows are written on demotion from the
-    staging tier and read back on promotion.  With a ``directory`` the
-    rows live in an mmap'ed ``<space>.cold.f32`` file that grows by
-    doubling; without one they live in anonymous host memory with
-    identical accounting.  Every read verifies per-row checksums after
-    passing the raw bytes through the ``disk.read`` injection site; a
-    mismatch (injected or real) is repaired by one clean re-read and
-    counted in :attr:`faults`.
-    """
-
-    def __init__(self, dim: int, directory: Optional[str] = None,
-                 space: str = "cold"):
-        self.dim = int(dim)
-        self.path: Optional[str] = None
-        if directory is not None:
-            os.makedirs(directory, exist_ok=True)
-            safe = space.replace("/", "_").replace(":", "_")
-            self.path = os.path.join(directory, f"{safe}.cold.f32")
-        self.faults = 0
-        self._index: Dict[Tuple[int, float], int] = {}
-        self._rows: Optional[np.ndarray] = None
-        self._sums = np.zeros(0, dtype=np.uint64)
-        self._nrows = 0
-
-    # ---- capacity -----------------------------------------------------------------
-
-    @property
-    def num_entries(self) -> int:
-        return len(self._index)
-
-    @property
-    def nbytes(self) -> int:
-        return self._nrows * self.dim * 4
-
-    def _ensure(self, needed: int) -> None:
-        have = 0 if self._rows is None else self._rows.shape[0]
-        if needed <= have:
-            return
-        cap = max(64, needed, 2 * have)
-        if self.path is None:
-            grown = np.zeros((cap, self.dim), dtype=np.float32)
-            if self._rows is not None:
-                grown[:have] = self._rows
-            self._rows = grown
-        else:
-            # Extend the backing file, then remap: prior bytes persist, so
-            # the old view's contents carry over without an explicit copy.
-            if self._rows is not None:
-                self._rows.flush()
-                del self._rows
-            with open(self.path, "ab") as fh:
-                fh.truncate(cap * self.dim * 4)
-            self._rows = np.memmap(self.path, dtype=np.float32, mode="r+",
-                                   shape=(cap, self.dim))
-        grown_sums = np.zeros(cap, dtype=np.uint64)
-        grown_sums[: len(self._sums)] = self._sums
-        self._sums = grown_sums
-
-    # ---- keys ---------------------------------------------------------------------
-
-    def _slots(self, nodes: np.ndarray, times: Optional[np.ndarray],
-               create: bool) -> np.ndarray:
-        n = len(nodes)
-        out = np.full(n, -1, dtype=np.int64)
-        index = self._index
-        for i in range(n):
-            key = (int(nodes[i]), float(times[i]) if times is not None else 0.0)
-            slot = index.get(key)
-            if slot is None and create:
-                slot = self._nrows
-                index[key] = slot
-                self._nrows += 1
-            out[i] = -1 if slot is None else slot
-        return out
-
-    def contains(self, nodes: np.ndarray, times: Optional[np.ndarray]) -> np.ndarray:
-        return self._slots(nodes, times, create=False) >= 0
-
-    # ---- I/O ----------------------------------------------------------------------
-
-    def write(self, nodes: np.ndarray, times: Optional[np.ndarray],
-              rows: np.ndarray) -> int:
-        """Store rows (last write wins per key); returns bytes written."""
-        if len(nodes) == 0:
-            return 0
-        rows = np.ascontiguousarray(rows, dtype=np.float32)
-        slots = self._slots(nodes, times, create=True)
-        self._ensure(self._nrows)
-        self._rows[slots] = rows
-        self._sums[slots] = _row_checksums(rows)
-        return rows.nbytes
-
-    def read(self, nodes: np.ndarray, times: Optional[np.ndarray]) -> np.ndarray:
-        """Read resident rows back, checksum-verified; raises KeyError on absent keys."""
-        slots = self._slots(nodes, times, create=False)
-        if (slots < 0).any():
-            raise KeyError(
-                f"{int((slots < 0).sum())} of {len(slots)} keys absent from cold tier")
-        raw = np.array(self._rows[slots], dtype=np.float32)
-        if raw.size:
-            directive = _poke("disk.read", path=self.path or "<anon-cold>",
-                              size=raw.nbytes)
-            if directive is not None and directive[0] == "flip":
-                flat = raw.view(np.uint8).reshape(-1)
-                flat[directive[1] % len(flat)] ^= np.uint8(1 << directive[2])
-        bad = _row_checksums(raw) != self._sums[slots]
-        if bad.any():
-            # Injected (or real) corruption: repair with one clean re-read
-            # and surface the incident instead of returning garbage.
-            self.faults += int(bad.sum())
-            raw[bad] = self._rows[slots[bad]]
-            # Re-verify: when the backing rows themselves rotted, the
-            # re-read returns the same bad bytes — the preferred repair
-            # source is degraded, and serving them silently is the one
-            # thing an integrity layer must never do.
-            still = _row_checksums(raw[bad]) != self._sums[slots[bad]]
-            if still.any():
-                raise IntegrityUnrepairable(
-                    f"cold tier {self.path or '<anon-cold>'}: "
-                    f"{int(still.sum())} row(s) fail checksum after re-read "
-                    "(backing store corrupt, no deeper repair source)",
-                    component="cold", rows=int(still.sum()),
-                )
-        return raw
-
-    def scrub(self, source=None, authority: bool = False) -> Dict[str, int]:
-        """Checksum-verify every resident row; repair, drop, or raise.
-
-        Corrupt rows are rewritten from *source* (``source(nodes, times)
-        -> rows`` — the deeper authority) when one is given.  Without
-        one, a spill *cache* drops the corrupt entries so the next read
-        faults through to the authority, while ``authority=True`` (these
-        rows are the only copy) raises :class:`IntegrityUnrepairable`.
-        Returns ``{"checked", "corrupt", "repaired", "dropped"}``.
-        """
-        if self._nrows == 0:
-            return {"checked": 0, "corrupt": 0, "repaired": 0, "dropped": 0}
-        live = _row_checksums(np.asarray(self._rows[: self._nrows]))
-        bad_slots = set(np.flatnonzero(live != self._sums[: self._nrows]).tolist())
-        checked = self._nrows
-        if not bad_slots:
-            return {"checked": checked, "corrupt": 0, "repaired": 0, "dropped": 0}
-        bad_keys = [k for k, slot in self._index.items() if slot in bad_slots]
-        corrupt = len(bad_keys)
-        # Orphaned slots (entries dropped by an earlier scrub) carry no
-        # data anyone can read: resign their checksums so they stop
-        # re-flagging every cycle.
-        orphans = np.array(
-            sorted(bad_slots - set(self._index.values())), dtype=np.int64
-        )
-        if len(orphans):
-            self._sums[orphans] = live[orphans]
-        if source is not None and bad_keys:
-            nodes = np.array([k[0] for k in bad_keys], dtype=np.int64)
-            times = np.array([k[1] for k in bad_keys], dtype=np.float64)
-            rows = np.ascontiguousarray(source(nodes, times), dtype=np.float32)
-            slots = np.array([self._index[k] for k in bad_keys], dtype=np.int64)
-            self._rows[slots] = rows
-            self._sums[slots] = _row_checksums(rows)
-            self.faults += corrupt
-            return {"checked": checked, "corrupt": corrupt,
-                    "repaired": corrupt, "dropped": 0}
-        if authority:
-            raise IntegrityUnrepairable(
-                f"cold tier {self.path or '<anon-cold>'}: {corrupt} "
-                "authoritative row(s) corrupt with no repair source",
-                component="cold", rows=corrupt,
-            )
-        for key in bad_keys:
-            slot = self._index.pop(key)
-            self._sums[slot] = live[slot]
-        self.faults += corrupt
-        return {"checked": checked, "corrupt": corrupt, "repaired": 0,
-                "dropped": corrupt}
-
-    def clear(self) -> None:
-        """Forget all rows (the backing file, if any, is left for reuse)."""
-        self._index.clear()
-        self._nrows = 0
-        self._sums = np.zeros(0, dtype=np.uint64)
-        if self.path is None:
-            self._rows = None

@@ -105,9 +105,10 @@ class TransferStats:
     """Aggregate statistics for simulated host/device transfers.
 
     ``tier_bytes``/``tier_seconds`` break the totals down by the memory
-    tier a transfer was attributed to (``'hot'``/``'staging'``/``'cold'``
-    when issued by a :class:`repro.store.TieredFeatureStore`; untagged
-    transfers land under ``'untiered'``).
+    tier a transfer was attributed to (``'hot'``/``'staging'``/``'cold'``,
+    the last being a source read, when issued by a
+    :class:`repro.store.TieredFeatureStore`; untagged transfers land
+    under ``'untiered'``).
     """
 
     count: int = 0

@@ -114,10 +114,10 @@ class MFG:
                 resolve the gather through (space ``'tgl:<key>'``, with
                 *store* registered as its authority on first use).  The
                 store's tier model then replaces the pageable transfer —
-                hot rows move nothing, misses pay the modeled cold +
-                pinned legs — unifying the baseline's data loads with
-                the TGLite front-ends.  Only safe for tables that do not
-                mutate between batches (node/edge features).
+                hot rows move nothing, misses pay the modeled source
+                (pageable) + pinned legs — unifying the baseline's data
+                loads with the TGLite front-ends.  Only safe for tables
+                that do not mutate between batches (node/edge features).
         """
         if which == "dst":
             idx, target = self.dstnodes, self.dstdata

@@ -2,7 +2,7 @@
 
 Covers the digest primitives (canonical encoding, chunked maintained
 digests, merkle rollup/descent), the cluster scrub lifecycle — a single
-injected bit flip in any tier (memory, mailbox, WAL, cold) is detected
+injected bit flip in any tier (memory, mailbox, WAL) is detected
 within one scrub cycle and repaired back to bit-identical state — the
 arbitration regimes (peer/quorum at factor >= 2, WAL-suffix resync at
 factor 1), the ``scrub.skip`` suspect window with read-repair, the
@@ -21,15 +21,13 @@ from repro.core import Mailbox, Memory, TContext, TGraph, TSampler
 from repro.integrity import (
     ChunkedDigest,
     IntegrityUnrepairable,
-    Scrubber,
     array_digest,
     canonical_bytes,
     merkle_diff,
     merkle_root,
 )
 from repro.resilience import FaultInjector, apply_bitflip
-from repro.serve import ServeRuntime, SimClock, build_stream, replay, split_batches
-from repro.store import ColdTier
+from repro.serve import ServeRuntime, build_stream, replay, split_batches
 
 N = 60
 DIM = 8
@@ -390,82 +388,3 @@ def test_unrepairable_when_no_peer_and_evidence_damaged():
             cluster.scrubber.scrub_now()
         assert err.value.component == "memory"
         assert err.value.shard == 1 and err.value.member == 0
-
-
-# ---------------------------------------------------------------------------
-# Cold-tier scrubbing (satellite: degraded source must raise, not serve)
-# ---------------------------------------------------------------------------
-
-def _cold_with_rows(rng, directory=None, rows=12):
-    ct = ColdTier(DIM, directory=directory)
-    nodes = np.arange(rows, dtype=np.int64)
-    times = np.linspace(1.0, 2.0, rows)
-    data = rng.normal(size=(rows, DIM)).astype(np.float32)
-    ct.write(nodes, times, data)
-    return ct, nodes, times, data
-
-
-def _rot_backing(ct, slot=0):
-    """Corrupt the backing rows themselves (not just one read)."""
-    np.asarray(ct._rows)[slot] += 1.0
-
-
-def test_cold_read_raises_when_backing_degraded(tmp_path):
-    ct, nodes, times, _ = _cold_with_rows(
-        np.random.default_rng(0), directory=str(tmp_path))
-    _rot_backing(ct, slot=3)
-    # the clean re-read returns the same rotted bytes: refuse to serve
-    with pytest.raises(IntegrityUnrepairable) as err:
-        ct.read(nodes, times)
-    assert err.value.component == "cold"
-    assert err.value.rows >= 1
-
-
-def test_cold_scrub_repairs_from_source(tmp_path):
-    rng = np.random.default_rng(1)
-    ct, nodes, times, data = _cold_with_rows(rng, directory=str(tmp_path))
-    _rot_backing(ct, slot=5)
-
-    def source(ns, ts):
-        return data[np.asarray(ns, dtype=np.int64)]
-
-    res = ct.scrub(source=source)
-    assert res["corrupt"] == 1 and res["repaired"] == 1
-    assert np.array_equal(ct.read(nodes, times), data)
-    # a second pass finds nothing: the repair stuck
-    assert ct.scrub(source=source)["corrupt"] == 0
-
-
-def test_cold_scrub_drops_cache_rows_without_source():
-    ct, nodes, times, _ = _cold_with_rows(np.random.default_rng(2))
-    _rot_backing(ct, slot=2)
-    res = ct.scrub()
-    assert res["corrupt"] == 1 and res["dropped"] == 1
-    # the dropped key faults through (absent), instead of serving garbage
-    assert not ct.contains(nodes, times)[2]
-    with pytest.raises(KeyError):
-        ct.read(nodes[2:3], times[2:3])
-    # and it does not re-flag forever
-    assert ct.scrub()["corrupt"] == 0
-
-
-def test_cold_scrub_authority_rows_raise_without_source():
-    ct, _, _, _ = _cold_with_rows(np.random.default_rng(3))
-    _rot_backing(ct, slot=1)
-    with pytest.raises(IntegrityUnrepairable):
-        ct.scrub(authority=True)
-
-
-def test_scrubber_scrubs_registered_cold_tiers():
-    rng = np.random.default_rng(4)
-    ct, nodes, times, data = _cold_with_rows(rng)
-    scrubber = Scrubber([], SimClock(), interval=None)
-    scrubber.add_cold_tier(ct, source=lambda ns, ts: data[np.asarray(ns)])
-    assert scrubber.scrub_now()["divergences"] == 0
-    _rot_backing(ct, slot=7)
-    delta = scrubber.scrub_now()
-    assert delta["divergences"] == 1 and delta["rows_repaired"] == 1
-    stats = scrubber.stats()
-    assert stats["integrity:cold_rows_checked"] == 2 * len(nodes)
-    assert stats["integrity:cold_rows_repaired"] == 1
-    assert np.array_equal(ct.read(nodes, times), data)

@@ -396,7 +396,7 @@ class TestCacheDisabled:
 
     def test_context_with_zero_cache_limit_end_to_end(self, tiny_graph):
         ctx = tg.TContext(tiny_graph, store=StoreConfig(
-            hot_capacity=0, staging_rows=0, prefetch_depth=0))
+            hot_capacity=0, prefetch_depth=0))
         ctx.eval()
         blk = tg.TBlock(ctx, 0, np.array([0]), np.array([1.0]))
         tgop.cache(ctx, blk)

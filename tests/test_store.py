@@ -1,13 +1,11 @@
-"""Tests for the tiered feature store (`repro.store`).
+"""Tests for the feature store (`repro.store`).
 
-Covers the tier hierarchy end to end — hot -> staging -> cold demotion,
-promotion back up, prefetch hit/miss/stall accounting on the simulated
-clock, eviction determinism, the ``disk.read`` fault-injection path of
-the cold spill tier — plus the flat-FIFO store shape that must stay
-bit-identical to the loop-reference cache.
+Covers one hot table over its source end to end — evictions dropped,
+source reads promoted into hot, prefetch hit/miss/stall accounting on the
+simulated clock with staging holding prefetched rows only, eviction
+determinism — plus the flat store shape that must stay bit-identical to
+the bare cache kernel.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -16,12 +14,11 @@ import repro.core as tg
 from repro.clock import SimClock
 from repro.core import iter_batches
 from repro.core.kernels.cache import NodeTimeCache
-from repro.resilience import FaultInjector
 from repro.serve.deadline import CostModel, DegradationLadder
 from repro.store import StoreConfig, StoreStats, TieredFeatureStore
 from repro.store.api import FeatureStore
 from repro.store.prefetch import BatchPipeline, attach_graph_sources
-from repro.store.tiers import ColdTier, SourceTier
+from repro.store.tiered import STAGING_ROWS
 
 
 def rows_for(nodes, dim=4):
@@ -54,96 +51,66 @@ class TestProtocol:
 
 
 class TestDemotionChain:
-    """Hot -> staging -> cold, with promotion back up on lookup."""
+    """Hot over its source: what hot evicts is dropped, never demoted."""
 
-    def make_store(self, tmp_path, hot=4, staging=4):
-        cfg = StoreConfig(hot_capacity=hot, staging_rows=staging,
-                          cold_dir=str(tmp_path), prefetch_depth=1)
-        return TieredFeatureStore(cfg)
+    def make_store(self, hot=4):
+        return TieredFeatureStore(StoreConfig(hot_capacity=hot, prefetch_depth=1))
 
     def fill(self, store, n, space="embed:0"):
         for node in range(n):
             store.put(np.array([node]), None, rows_for([node]), space=space)
 
-    def test_rows_cascade_down_the_tiers(self, tmp_path):
-        store = self.make_store(tmp_path)
-        self.fill(store, 12)
+    def test_evicted_memo_rows_drop_and_miss(self):
+        store = self.make_store(hot=2)
+        self.fill(store, 6)
         st = store.stats()
-        # 12 puts through a 4-row hot tier displace 8 into staging; the
-        # 4-row staging ring spills its own overflow into the cold tier.
-        assert st.tiers["hot"].evictions == 8
-        assert st.tiers["staging"].demotions == 8
-        assert st.tiers["staging"].evictions == 4
-        assert st.tiers["cold"].demotions == 4
-        sp = store.space("embed:0")
-        assert isinstance(sp.cold, ColdTier)
-        assert sp.cold.num_entries == 4
-
-    def test_every_row_survives_the_cascade_bit_identical(self, tmp_path):
-        store = self.make_store(tmp_path)
-        self.fill(store, 12)
-        nodes = np.arange(12, dtype=np.int64)
-        found, got = store.lookup(nodes, None, space="embed:0")
-        assert found.all()
-        np.testing.assert_array_equal(got, rows_for(nodes))
-
-    def test_cold_lookup_promotes_back_into_hot(self, tmp_path):
-        store = self.make_store(tmp_path)
-        self.fill(store, 12)
-        sp = store.space("embed:0")
-        # Never re-referenced, each newest row is the one predicted to be
-        # needed last: 3 was displaced first and has reached the cold tier.
-        assert not sp.hot.contains(np.array([3]), np.array([0.0]))[0]
-        store.lookup(np.array([3]), None, space="embed:0")
-        assert sp.hot.contains(np.array([3]), np.array([0.0]))[0]
-        st = store.stats()
-        assert st.tiers["cold"].hits >= 1
-        assert st.tiers["cold"].bytes_out > 0
-
-    def test_cold_tier_is_a_real_mmap_file(self, tmp_path):
-        store = self.make_store(tmp_path)
-        self.fill(store, 12)
-        path = store.space("embed:0").cold.path
-        assert path is not None and os.path.exists(path)
-        assert os.path.getsize(path) > 0
-        assert path.startswith(str(tmp_path))
-
-    def test_without_cold_dir_spilled_rows_drop(self):
-        cfg = StoreConfig(hot_capacity=2, staging_rows=2,
-                          cold_dir=None, prefetch_depth=0)
-        store = TieredFeatureStore(cfg)
-        for node in range(6):
-            store.put(np.array([node]), None, rows_for([node]), space="embed:0")
-        found, _ = store.lookup(np.arange(6), None, space="embed:0")
-        # Hot keeps {0,5}, staging {3,4}; {1,2} are gone (recomputable).
-        assert found.sum() == 4
-        assert not found[1:3].any()
+        assert st.tiers["hot"].evictions == 4
+        assert st.as_dict()["staging:bytes_in"] == 0
+        found, got = store.lookup(np.arange(6), None, space="embed:0")
+        # Hot keeps two rows; the four it evicted are misses to recompute.
+        assert found.sum() == 2
+        np.testing.assert_array_equal(got[found], rows_for(np.flatnonzero(found)))
         with pytest.raises(KeyError):
             store.get(np.arange(6), None, space="embed:0")
 
-    def test_bytes_moved_sums_tier_inflow(self, tmp_path):
-        store = self.make_store(tmp_path)
+    def test_cold_lookup_promotes_back_into_hot(self):
+        store = self.make_store()
+        store.register_source("nfeat", rows_for(np.arange(20)))
+        for node in range(12):
+            store.get(np.array([node]), None, space="nfeat")
+        sp = store.space("nfeat")
+        assert not sp.hot.contains(np.array([3]), np.array([0.0]))[0]
+        before = store.stats().tiers["cold"]
+        got = store.get(np.array([3]), None, space="nfeat")
+        np.testing.assert_array_equal(got, rows_for([3]))
+        assert sp.hot.contains(np.array([3]), np.array([0.0]))[0]
+        after = store.stats().tiers["cold"]
+        assert after.hits == before.hits + 1
+        assert after.bytes_out > before.bytes_out
+
+    def test_bytes_moved_sums_tier_inflow(self):
+        store = self.make_store()
         self.fill(store, 12)
         st = store.stats()
         assert st.bytes_moved == sum(t.bytes_in for t in st.tiers.values())
         assert st.bytes_moved > 0
 
-    def test_source_backed_space_never_spills(self, tmp_path):
-        store = self.make_store(tmp_path, hot=2, staging=2)
+    def test_source_backed_space_never_spills(self):
+        store = self.make_store(hot=2)
         table = rows_for(np.arange(20))
         store.register_source("nfeat", table)
         for node in range(8):
             store.get(np.array([node]), None, space="nfeat")
-        sp = store.space("nfeat")
-        # The authority already holds every row: demotions out of staging
-        # must not create a spill file.
-        assert isinstance(sp.cold, SourceTier)
-        assert store.stats().tiers["cold"].demotions == 0
+        # Evicted source rows are simply re-read: nothing lands in staging.
+        assert store.stats().tiers["hot"].evictions == 6
+        assert store.space("nfeat").staging.num_entries == 0
+        np.testing.assert_array_equal(
+            store.get(np.arange(8), None, space="nfeat"), table[:8])
 
 
 class TestPrefetchAccounting:
     def make_store(self):
-        cfg = StoreConfig(hot_capacity=64, staging_rows=64, prefetch_depth=1)
+        cfg = StoreConfig(hot_capacity=64, prefetch_depth=1)
         store = TieredFeatureStore(cfg)
         store.register_source("nfeat", rows_for(np.arange(50)))
         return store
@@ -197,6 +164,21 @@ class TestPrefetchAccounting:
         store.register_source("nfeat", rows_for(np.arange(10)))
         assert store.prefetch(np.array([1, 2]), None, space="nfeat") == 0
         assert store.stats().prefetch_issued == 0
+
+    def test_prefetched_rows_survive_hot_pressure(self):
+        store = TieredFeatureStore(StoreConfig(hot_capacity=64, prefetch_depth=1))
+        store.register_source("nfeat", rows_for(np.arange(5000)))
+        wanted = np.arange(4900, 4910, dtype=np.int64)
+        assert store.prefetch(wanted, None, space="nfeat") == 10
+        for lo in range(0, 4864, 64):  # churn the hot ring past STAGING_ROWS
+            store.get(np.arange(lo, lo + 64), None, space="nfeat")
+        store.clock.advance(10.0)
+        found, got = store.lookup(wanted, None, space="nfeat")
+        st = store.stats()
+        assert st.tiers["hot"].evictions > STAGING_ROWS
+        assert found.all() and st.tiers["staging"].hits == 10
+        assert st.prefetch_hits == 10 and st.prefetch_unused == 0
+        np.testing.assert_array_equal(got, rows_for(wanted))
 
     def test_evicting_inflight_rows_counts_unused(self):
         store = self.make_store()
@@ -288,56 +270,11 @@ class TestEvictionDeterminism:
         assert cache.contains(hot, zeros).all()
 
 
-class TestColdTierFaults:
-    """The ``disk.read`` injection site: corruption detected and repaired."""
-
-    def write_rows(self, tmp_path, n=6):
-        ct = ColdTier(4, directory=str(tmp_path), space="t")
-        nodes = np.arange(n, dtype=np.int64)
-        times = np.zeros(n)
-        ct.write(nodes, times, rows_for(nodes))
-        return ct, nodes, times
-
-    def test_injected_flip_repaired_and_counted(self, tmp_path):
-        ct, nodes, times = self.write_rows(tmp_path)
-        inj = FaultInjector(seed=11, schedules={"disk.read.flip": [(0, 0)]})
-        with inj:
-            inj.advance(0, 0)
-            got = ct.read(nodes, times)
-        np.testing.assert_array_equal(got, rows_for(nodes))
-        assert ct.faults == 1
-
-    def test_clean_read_counts_no_faults(self, tmp_path):
-        ct, nodes, times = self.write_rows(tmp_path)
-        np.testing.assert_array_equal(ct.read(nodes, times), rows_for(nodes))
-        assert ct.faults == 0
-
-    def test_absent_keys_raise(self, tmp_path):
-        ct, _, _ = self.write_rows(tmp_path, n=2)
-        with pytest.raises(KeyError):
-            ct.read(np.array([99]), np.zeros(1))
-
-    def test_store_surfaces_cold_faults_in_stats(self, tmp_path):
-        cfg = StoreConfig(hot_capacity=2, staging_rows=2,
-                          cold_dir=str(tmp_path), prefetch_depth=0)
-        store = TieredFeatureStore(cfg)
-        for node in range(6):
-            store.put(np.array([node]), None, rows_for([node]), space="embed:0")
-        inj = FaultInjector(seed=11, schedules={"disk.read.flip": [(0, 0)]})
-        with inj:
-            inj.advance(0, 0)
-            found, got = store.lookup(np.array([1]), None, space="embed:0")  # cold
-        assert found.all()
-        np.testing.assert_array_equal(got, rows_for([1]))
-        assert store.stats().tiers["cold"].faults == 1
-
-
 class TestFlatStore:
     def test_flat_store_matches_the_bare_cache_bit_for_bit(self):
         """One hot tier with nothing below it is the cache kernel itself
         (which ``tests/test_kernels.py`` pins to the loop reference)."""
-        store = TieredFeatureStore(StoreConfig(
-            hot_capacity=8, staging_rows=0, prefetch_depth=0))
+        store = TieredFeatureStore(StoreConfig(hot_capacity=8, prefetch_depth=0))
         ref = NodeTimeCache(8, policy="reuse")
         rng = np.random.default_rng(3)
         for _ in range(30):
