@@ -7,6 +7,12 @@ Times each kernel pair on a synthetic temporal graph (~100k edges) with
 loops are the analog of the paper's single-threaded sampler baseline,
 the vectorized kernels of its 32/64-thread C++ sampler.
 
+Two rows are one serving request's share of a kernel: a 100-key ``store``
+into a full 20 000-slot ``reuse`` ring (against ``tests/reference.py``'s
+``ReuseCacheOracle``, which sorts every resident slot), and a 100-query
+``recent`` sample on a Zipf(1.0) 2 000-node graph (against the loop
+reference).
+
 The state-update kernels ride along at their own shapes: the duplicate
 rule ``last_event_wins`` against a brute-force ``sorted(key=(node, time,
 row bytes))`` oracle — at the serving shape (100 rows, no ties; >= 5x)
@@ -58,6 +64,7 @@ from conftest import report_table
 
 sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
 from reference import (  # noqa: E402
+    ReuseCacheOracle,
     composed_attention,
     per_row_update_memory,
     scatter_add_reference,
@@ -93,6 +100,59 @@ def timeit(fn, repeat=3):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+#: one serving request at the perf serving stream's shape: nodes, events,
+#: endpoints per request, and the default hot-ring rows.
+SERVE_NODES, SERVE_EDGES, SERVE_QUERIES, SERVE_CAPACITY = 2000, 20_000, 100, 20_000
+
+
+def _zipf_nodes(rng, n):
+    weights = 1.0 / np.arange(1, SERVE_NODES + 1)
+    return rng.permutation(SERVE_NODES)[rng.choice(SERVE_NODES, n, p=weights / weights.sum())]
+
+
+def time_serve_sample():
+    """``(reference, vectorized)`` seconds of one request's ``recent`` sample:
+    SERVE_QUERIES Zipf(1.0) queries over SERVE_EDGES events between
+    Zipf(1.0)-popular nodes, each event listed under both endpoints."""
+    rng = np.random.default_rng(0)
+    src, dst = _zipf_nodes(rng, SERVE_EDGES), _zipf_nodes(rng, SERVE_EDGES)
+    ts = np.cumsum(rng.exponential(1.0, SERVE_EDGES))
+    owner, nbr = np.concatenate([src, dst]), np.concatenate([dst, src])
+    times, eids = np.concatenate([ts, ts]), np.tile(np.arange(SERVE_EDGES), 2)
+    order = np.lexsort((times, owner))
+    indptr = np.searchsorted(owner[order], np.arange(SERVE_NODES + 1)).astype(np.int64)
+    csr = (indptr, nbr[order].astype(np.int64), eids[order].astype(np.int64), times[order])
+    queries = (_zipf_nodes(rng, SERVE_QUERIES).astype(np.int64), rng.random(SERVE_QUERIES) * ts[-1])
+    for want, got in zip(_reference_sample_arrays(*csr, *queries, K, "recent"),
+                         sample_recent(*csr, *queries, K)):
+        assert np.array_equal(want, got)
+    return (timeit(lambda: _reference_sample_arrays(*csr, *queries, K, "recent"), repeat=7),
+            timeit(lambda: sample_recent(*csr, *queries, K), repeat=7))
+
+
+def time_serve_store():
+    """``(reference, vectorized)`` seconds of one request's ``store``: 100 new
+    keys (distinct endpoints at one fresh time) into a full SERVE_CAPACITY-slot
+    ``reuse`` ring whose predictions cache-rung reads have spread out."""
+    rng = np.random.default_rng(5)
+    requests = [(rng.permutation(SERVE_NODES)[:100], np.full(100, float(t)),
+                 rng.random((100, 32)).astype(np.float32)) for t in range(207)]
+    fast = NodeTimeCache(SERVE_CAPACITY, policy="reuse")
+    oracle = ReuseCacheOracle(SERVE_CAPACITY)
+    for request in requests[:200]:  # fill the ring the way serving does
+        fast.store(*request)
+        oracle.store(*request)
+    for _ in range(20):
+        keys = np.array(oracle.keys)[rng.integers(0, SERVE_CAPACITY, 500)]
+        fast.lookup(keys[:, 0].astype(np.int64), keys[:, 1])
+        oracle.lookup(keys[:, 0].astype(np.int64), keys[:, 1])
+    ref_requests, vec_requests = iter(requests[200:]), iter(requests[200:])
+    ref = timeit(lambda: oracle.store(*next(ref_requests)), repeat=7)
+    vec = timeit(lambda: fast.store(*next(vec_requests)), repeat=7)
+    assert fast._slot_nodes.tolist() == [key[0] for key in oracle.keys]
+    return ref, vec
 
 
 def oracle_last_event_wins(nodes, times, values):
@@ -151,6 +211,13 @@ def test_kernel_microbench():
     ref = timeit(lambda: run_cache(_ReferenceNodeTimeCache).lookup(dn, dt))
     vec = timeit(lambda: run_cache(NodeTimeCache).lookup(dn, dt))
     record("cache_store+lookup", ref, vec)
+
+    # -- one serving request (its objects are freed before the rows below:
+    # the memory-update rows are sensitive to the heap they run on) ------------
+    record("cache_store_serve", *time_serve_store(),
+           f"100 new keys, full {SERVE_CAPACITY}-slot reuse ring")
+    record("sample_recent_serve", *time_serve_sample(),
+           f"{SERVE_QUERIES} queries, Zipf(1.0) {SERVE_NODES} nodes / {SERVE_EDGES} edges")
 
     # -- state update: duplicate rule ---------------------------------------
     rng = np.random.default_rng(4)
@@ -315,6 +382,10 @@ def test_kernel_microbench():
     assert speedups["sample_uniform"] >= 5.0
     # ...and on the serving-shape duplicate rule (content is never looked at).
     assert speedups["last_event_wins"] >= 5.0
+    # One request must not pay for the table: no full sort of the ring, no
+    # per-query bisection (measured ~5x and ~10x here).
+    assert speedups["cache_store_serve"] >= 1.5
+    assert speedups["sample_recent_serve"] >= 3.0
     # Loose floors (measured ~4x and ~70x here): a slice's backward is an assignment,
     # and node-keyed state is updated per node, not per row.
     assert speedups["slice_backward"] >= 2.0

@@ -20,7 +20,13 @@ Two eviction policies are available:
   (``last_access + gap``) is farthest in the future — a practical
   approximation of Belady's farthest-in-future rule that batches of
   temporal-GNN queries reward (hot nodes re-appear with short, stable
-  gaps).  Deterministic: ties break toward the lower slot index.
+  gaps).  Deterministic: ties break toward the lower slot index.  The
+  ``k`` victims cost one ``np.partition`` of the resident predictions
+  (O(capacity)) plus a sort of the candidates at or above the ``k``-th
+  largest — not a sort of every resident slot.
+
+Each live slot also records the hash bucket holding it, so an eviction
+tombstones its bucket directly instead of probing for the evicted key.
 
 Batch-store contract (implemented identically by the loop reference for
 the ``'fifo'`` policy):
@@ -50,7 +56,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from ...resilience.hooks import poke as _poke
-from .dedup import unique_node_times
+from .dedup import unique_first_last
 
 __all__ = ["NodeTimeCache", "_ReferenceNodeTimeCache"]
 
@@ -105,14 +111,16 @@ class NodeTimeCache:
         self.evictions = 0
         self._timer = timer
         # Reuse-distance bookkeeping (only maintained under policy='reuse'):
-        # a logical access tick, per-slot last-access tick, and per-slot
-        # EMA of the inter-access gap (predicted next ref = last + gap).
+        # a logical access tick, per-slot last-access tick, per-slot EMA of
+        # the inter-access gap, and their sum, the predicted next reference.
         self._tick = 0
         self._last_access: Optional[np.ndarray] = None
         self._gap: Optional[np.ndarray] = None
+        self._pred: Optional[np.ndarray] = None
         self._values: Optional[np.ndarray] = None
         self._slot_nodes: Optional[np.ndarray] = None
         self._slot_times: Optional[np.ndarray] = None
+        self._slot_bucket: Optional[np.ndarray] = None  # hash bucket of each live slot
         self._nslots = 0  # slots written so far (== capacity once wrapped)
         self._cursor = 0
         if self.capacity > 0:
@@ -159,7 +167,7 @@ class NodeTimeCache:
             return hit, None
         nodes = np.asarray(nodes, dtype=np.int64)
         times = _canonical_times(times)
-        _, slots = self._probe_find(nodes, times)
+        slots = self._probe_find(nodes, times)
         hit = slots >= 0
         rows = np.zeros((n, self.dim), dtype=np.float32)
         rows[hit] = self._values[slots[hit]]
@@ -183,15 +191,29 @@ class NodeTimeCache:
             return np.zeros(n, dtype=bool)
         nodes = np.asarray(nodes, dtype=np.int64)
         times = _canonical_times(times)
-        _, slots = self._probe_find(nodes, times)
-        return slots >= 0
+        return self._probe_find(nodes, times) >= 0
 
     def _touch(self, slots: np.ndarray) -> None:
         """Advance the access tick and fold it into per-slot reuse stats."""
         self._tick += 1
         observed = (self._tick - self._last_access[slots]).astype(np.float64)
-        self._gap[slots] = 0.5 * self._gap[slots] + 0.5 * observed
+        gap = 0.5 * self._gap[slots] + 0.5 * observed
+        self._gap[slots] = gap
         self._last_access[slots] = self._tick
+        self._pred[slots] = self._tick + gap
+
+    def _reuse_victims(self, k: int) -> np.ndarray:
+        """The *k* resident slots referenced farthest in the future.
+
+        Ordered by descending prediction, ties toward the lower slot —
+        the first *k* of ``np.lexsort((slot, -pred))`` — at the cost of
+        one partition plus a stable sort of the slots at or above the
+        k-th largest prediction.
+        """
+        pred = self._pred[: self._nslots]
+        kth = np.partition(pred, len(pred) - k)[len(pred) - k]
+        cand = np.flatnonzero(pred >= kth)  # ascending slot order
+        return cand[np.argsort(-pred[cand], kind="stable")[:k]]
 
     def store(self, nodes: np.ndarray, times: np.ndarray, values: np.ndarray) -> None:
         if not self.enabled or len(nodes) == 0:
@@ -204,15 +226,11 @@ class NodeTimeCache:
         times = _canonical_times(times)
 
         # Batch dedupe: unique keys with first/last occurrence positions.
-        un, ut, inverse = unique_node_times(nodes, times)
-        nq = len(nodes)
-        first = np.full(len(un), nq, dtype=np.int64)
-        np.minimum.at(first, inverse, np.arange(nq, dtype=np.int64))
-        last = np.zeros(len(un), dtype=np.int64)
-        np.maximum.at(last, inverse, np.arange(nq, dtype=np.int64))
+        un, ut, first, last = unique_first_last(nodes, times)
 
         # Refresh pass: resident keys keep their slot, take the last value.
-        _, slots = self._probe_find(un, ut)
+        home = self._buckets(un, ut)
+        slots = self._probe_find(un, ut, home)
         present = slots >= 0
         if present.any():
             self._values[slots[present]] = values[last[present]].astype(np.float32)
@@ -228,7 +246,7 @@ class NodeTimeCache:
                 self._timer("cache_store", time.perf_counter() - start)
             return
         new = new[np.argsort(first[new], kind="stable")]
-        kn, kt = un[new], ut[new]
+        kn, kt, kh = un[new], ut[new], home[new]
         kv = values[last[new]].astype(np.float32)
         cap = self.capacity
         if m >= cap:
@@ -247,6 +265,7 @@ class NodeTimeCache:
                 self._tick += 1
                 self._last_access[:] = self._tick
                 self._gap[:] = float(cap)
+                self._pred[:] = self._tick + float(cap)
         elif self.policy == "reuse":
             if self._used + self._tombs + m > (self._nbuckets * 3) // 5:
                 self._rebuild_table()
@@ -257,14 +276,9 @@ class NodeTimeCache:
             fresh_slots = np.arange(self._nslots, self._nslots + fresh, dtype=np.int64)
             short = m - fresh
             if short:
-                pred = (self._last_access[: self._nslots]
-                        + self._gap[: self._nslots])
-                victim_order = np.lexsort(
-                    (np.arange(self._nslots, dtype=np.int64), -pred)
-                )
-                victims = victim_order[:short]
+                victims = self._reuse_victims(short)
                 self._evicted(victims)
-                self._table_delete(self._slot_nodes[victims], self._slot_times[victims])
+                self._table_evict(victims)
                 slots_new = np.concatenate([fresh_slots, victims])
             else:
                 slots_new = fresh_slots
@@ -273,10 +287,11 @@ class NodeTimeCache:
             self._values[slots_new] = kv
             self._nslots += fresh
             self._cursor = self._nslots % cap
-            self._table_insert(kn, kt, slots_new)
+            self._table_insert(kh, slots_new)
             self._tick += 1
             self._last_access[slots_new] = self._tick
             self._gap[slots_new] = float(cap)
+            self._pred[slots_new] = self._tick + float(cap)
         else:
             if self._used + self._tombs + m > (self._nbuckets * 3) // 5:
                 self._rebuild_table()
@@ -284,13 +299,13 @@ class NodeTimeCache:
             evict = slots_new[slots_new < self._nslots]
             if len(evict):
                 self._evicted(evict)
-                self._table_delete(self._slot_nodes[evict], self._slot_times[evict])
+                self._table_evict(evict)
             self._slot_nodes[slots_new] = kn
             self._slot_times[slots_new] = kt
             self._values[slots_new] = kv
             self._nslots = cap if self._cursor + m >= cap else max(self._nslots, self._cursor + m)
             self._cursor = (self._cursor + m) % cap
-            self._table_insert(kn, kt, slots_new)
+            self._table_insert(kh, slots_new)
         # A steady-state miss storm on a 100%-occupied ring used to let
         # tombstones pile up toward the global rebuild bound, silently
         # degrading every probe into a long tombstone walk.  Rebuild as
@@ -319,6 +334,7 @@ class NodeTimeCache:
         self._values = None
         self._slot_nodes = None
         self._slot_times = None
+        self._slot_bucket = None
         self._table = None
         self._nslots = 0
         self._cursor = 0
@@ -330,6 +346,7 @@ class NodeTimeCache:
         self._tick = 0
         self._last_access = None
         self._gap = None
+        self._pred = None
 
     def reset_stats(self) -> None:
         self.hits = 0
@@ -348,8 +365,9 @@ class NodeTimeCache:
 
         Verifies the ring/hash-table agreement a corrupted store would
         break: finite stored rows, cursor and slot counts in range, every
-        table bucket pointing at a live slot, and every live slot's key
-        resolvable back to itself through the probe sequence.
+        table bucket pointing at a live slot, every live slot's key
+        resolvable back to itself through the probe sequence, and every
+        live slot's recorded bucket holding that slot.
         """
         errs = []
         if self.capacity <= 0 or self._values is None:
@@ -368,9 +386,13 @@ class NodeTimeCache:
                 errs.append("hash table references an unoccupied slot")
             if n:
                 slots = np.arange(n, dtype=np.int64)
-                _, found = self._probe_find(self._slot_nodes[:n], self._slot_times[:n])
+                found = self._probe_find(self._slot_nodes[:n], self._slot_times[:n])
                 if not np.array_equal(found, slots):
                     errs.append("stored keys are not resolvable through the hash table")
+                buckets = self._slot_bucket[:n]
+                if ((buckets < 0) | (buckets >= self._nbuckets)).any() or not np.array_equal(
+                        self._table[buckets], slots):
+                    errs.append("slot->bucket map disagrees with the hash table")
         return errs
 
     # ---- internals --------------------------------------------------------------
@@ -381,70 +403,74 @@ class NodeTimeCache:
             self._values = np.zeros((self.capacity, dim), dtype=np.float32)
             self._slot_nodes = np.zeros(self.capacity, dtype=np.int64)
             self._slot_times = np.zeros(self.capacity, dtype=np.float64)
+            self._slot_bucket = np.zeros(self.capacity, dtype=np.int64)
             self._table = np.full(self._nbuckets, _EMPTY, dtype=np.int64)
             if self.policy == "reuse":
                 self._last_access = np.zeros(self.capacity, dtype=np.int64)
                 self._gap = np.full(self.capacity, float(self.capacity))
+                self._pred = self._last_access + self._gap
         elif dim != self.dim:
             raise ValueError(f"stored rows have dim {self.dim}, got {dim}")
 
-    def _probe_find(self, nodes: np.ndarray, times: np.ndarray):
-        """Vectorized linear probing: (bucket, slot) per key, -1 on miss."""
+    def _buckets(self, nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Home bucket of each (node, canonical time) key."""
+        return (_hash_keys(nodes, times.view(np.uint64)) & np.uint64(self._mask)).astype(np.int64)
+
+    def _probe_find(self, nodes: np.ndarray, times: np.ndarray,
+                    h: Optional[np.ndarray] = None) -> np.ndarray:
+        """Vectorized linear probing from home buckets *h* (hashed when
+        omitted): the slot of each key, -1 on miss."""
         n = len(nodes)
-        buckets = np.full(n, -1, dtype=np.int64)
         result = np.full(n, -1, dtype=np.int64)
         if self._table is None or n == 0:
-            return buckets, result
+            return result
         table = self._table
         idx = np.arange(n, dtype=np.int64)
-        h = (_hash_keys(nodes, times.view(np.uint64)) & np.uint64(self._mask)).astype(np.int64)
+        if h is None:
+            h = self._buckets(nodes, times)
         qn, qt = nodes, times
         for _ in range(self._nbuckets + 1):
             if idx.size == 0:
-                return buckets, result
+                return result
             b = table[h]
-            occupied = b >= 0
-            match = np.zeros(idx.size, dtype=bool)
-            if occupied.any():
-                s = b[occupied]
-                match[occupied] = (self._slot_nodes[s] == qn[occupied]) & (
-                    self._slot_times[s] == qt[occupied]
-                )
-                found = match & occupied
-                result[idx[found]] = b[found]
-                buckets[idx[found]] = h[found]
-            resolved = match | (b == _EMPTY)
-            keep = ~resolved
+            # an empty or dead bucket (< 0) indexes the last slot; `b >= 0` masks it
+            match = (b >= 0) & (self._slot_nodes[b] == qn) & (self._slot_times[b] == qt)
+            result[idx[match]] = b[match]
+            keep = ~match & (b != _EMPTY)
             idx, qn, qt = idx[keep], qn[keep], qt[keep]
             h = (h[keep] + 1) & self._mask
         raise RuntimeError("open-addressing probe did not terminate")  # pragma: no cover
 
-    def _table_delete(self, nodes: np.ndarray, times: np.ndarray) -> None:
-        buckets, slots = self._probe_find(nodes, times)
-        live = slots >= 0
-        self._table[buckets[live]] = _TOMBSTONE
-        self._used -= int(live.sum())
-        self._tombs += int(live.sum())
+    def _table_evict(self, slots: np.ndarray) -> None:
+        """Tombstone the buckets of live *slots*."""
+        self._table[self._slot_bucket[slots]] = _TOMBSTONE
+        self._used -= len(slots)
+        self._tombs += len(slots)
 
-    def _table_insert(self, nodes: np.ndarray, times: np.ndarray, slots: np.ndarray) -> None:
-        """Insert keys known to be absent; first writer wins per bucket."""
+    def _table_insert(self, h: np.ndarray, slots: np.ndarray) -> None:
+        """Insert absent keys with home buckets *h* as *slots*, recording
+        each slot's bucket.
+
+        Keys that reach one free bucket in the same pass all write it; the
+        key whose slot reads back wins and the others probe on.  Which one
+        wins moves nothing observable: linear probing fills the same set of
+        buckets whatever the insertion order.
+        """
         table = self._table
-        h = (_hash_keys(nodes, times.view(np.uint64)) & np.uint64(self._mask)).astype(np.int64)
         s = np.asarray(slots, dtype=np.int64)
         for _ in range(self._nbuckets + 1):
-            if h.size == 0:
+            cur = table[h]
+            free = np.flatnonzero(cur < 0)
+            hf, sf = h[free], s[free]
+            table[hf] = sf
+            win = free[table[hf] == sf]
+            self._tombs -= int(np.count_nonzero(cur[win] == _TOMBSTONE))
+            self._used += len(win)
+            self._slot_bucket[s[win]] = h[win]
+            if len(win) == len(h):
                 return
-            free = table[h] < 0
-            placed = np.zeros(h.size, dtype=bool)
-            if free.any():
-                idx_free = np.flatnonzero(free)
-                _, first_idx = np.unique(h[idx_free], return_index=True)
-                win = idx_free[first_idx]
-                self._tombs -= int((table[h[win]] == _TOMBSTONE).sum())
-                self._used += len(win)
-                table[h[win]] = s[win]
-                placed[win] = True
-            keep = ~placed
+            keep = np.ones(len(h), dtype=bool)
+            keep[win] = False
             h = (h[keep] + 1) & self._mask
             s = s[keep]
         raise RuntimeError("open-addressing insert did not terminate")  # pragma: no cover
@@ -453,9 +479,10 @@ class NodeTimeCache:
         self._table = np.full(self._nbuckets, _EMPTY, dtype=np.int64)
         self._used = 0
         self._tombs = 0
-        if self._nslots:
-            live = np.arange(self._nslots, dtype=np.int64)
-            self._table_insert(self._slot_nodes[live], self._slot_times[live], live)
+        n = self._nslots
+        if n:
+            self._table_insert(self._buckets(self._slot_nodes[:n], self._slot_times[:n]),
+                               np.arange(n, dtype=np.int64))
 
 
 class _ReferenceNodeTimeCache:

@@ -21,12 +21,26 @@ import numpy as np
 
 __all__ = [
     "unique_node_times",
+    "unique_first_last",
     "has_repeats",
     "last_event_wins",
     "canonical_event_order",
     "group_spans",
     "_reference_unique_node_times",
 ]
+
+
+def _sorted_runs(nodes: np.ndarray, times: np.ndarray):
+    """``(order, sorted nodes, sorted times, run-start mask)`` of one stable
+    (node, time) lexsort of a non-empty batch."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    times = np.asarray(times, dtype=np.float64)
+    order = np.lexsort((times, nodes))
+    sn, st = nodes[order], times[order]
+    boundary = np.empty(len(order), dtype=bool)
+    boundary[0] = True
+    boundary[1:] = (sn[1:] != sn[:-1]) | (st[1:] != st[:-1])
+    return order, sn, st, boundary
 
 
 def unique_node_times(nodes: np.ndarray, times: np.ndarray):
@@ -44,17 +58,28 @@ def unique_node_times(nodes: np.ndarray, times: np.ndarray):
             np.empty(0, dtype=np.float64),
             np.empty(0, dtype=np.int64),
         )
-    nodes = np.asarray(nodes, dtype=np.int64)
-    times = np.asarray(times, dtype=np.float64)
-    order = np.lexsort((times, nodes))
-    sn, st = nodes[order], times[order]
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (sn[1:] != sn[:-1]) | (st[1:] != st[:-1])
+    order, sn, st, boundary = _sorted_runs(nodes, times)
     group = np.cumsum(boundary) - 1
     inverse = np.empty(n, dtype=np.int64)
     inverse[order] = group
     return sn[boundary], st[boundary], inverse
+
+
+def unique_first_last(nodes: np.ndarray, times: np.ndarray):
+    """Unique (node, time) pairs with the input positions of their first
+    and last occurrence: ``(uniq_nodes, uniq_times, first, last)``.
+
+    The lexsort is stable, so each run of equal pairs lists its input
+    positions in ascending order: the run's ends are the occurrences.
+    """
+    n = len(nodes)
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, np.empty(0, dtype=np.float64), empty, empty
+    order, sn, st, boundary = _sorted_runs(nodes, times)
+    starts = np.flatnonzero(boundary)
+    ends = np.append(starts[1:], n) - 1
+    return sn[starts], st[starts], order[starts], order[ends]
 
 
 def has_repeats(nodes: np.ndarray) -> bool:

@@ -85,21 +85,25 @@ def segment_searchsorted(
 
     ``values`` must be sorted ascending within each ``[lo[i], hi[i])``
     segment.  Returns absolute cut positions (``lo[i] + insertion point``)
-    via a vectorized binary search: O(log max-segment) passes, each a few
-    full-width numpy ops instead of one Python-level bisect per query.
+    via a branchless lower bound: ``pos`` starts at ``lo`` and tries steps
+    of ``2**j`` for ``j`` from ``ceil(log2(longest segment + 1)) - 1`` down
+    to 0, advancing whenever the last element it would skip is
+    ``< query``.  A step past ``hi`` is clamped to ``hi``, which is taken
+    only when the whole segment is below the query.  Every query runs the
+    same passes, a handful of full-width numpy ops each, instead of one
+    Python-level bisect per query.  A NaN query compares false and stays
+    at ``lo``.
     """
-    lo = np.asarray(lo, dtype=np.int64).copy()
-    hi = np.asarray(hi, dtype=np.int64).copy()
-    active = lo < hi
-    while active.any():
-        mid = (lo + hi) >> 1
-        go_right = np.zeros(len(lo), dtype=bool)
-        idx = np.flatnonzero(active)
-        go_right[idx] = values[mid[idx]] < queries[idx]
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(active & ~go_right, mid, hi)
-        active = lo < hi
-    return lo
+    pos = np.asarray(lo, dtype=np.int64).copy()
+    hi = np.asarray(hi, dtype=np.int64)
+    if not len(pos):
+        return pos
+    longest = int((hi - pos).max())
+    for j in range(longest.bit_length() - 1, -1, -1):
+        probe = np.minimum(pos + (1 << j), hi)
+        # once pos == hi, probe == pos: the copy is a no-op whatever probe - 1 reads
+        np.copyto(pos, probe, where=values[probe - 1] < queries)
+    return pos
 
 
 def _segment_layout(counts: np.ndarray):

@@ -60,6 +60,27 @@ __all__ = ["Request", "RequestResult", "ServeEngine"]
 Rows = Tuple[np.ndarray, Optional[np.ndarray]]
 
 
+def neighbour_sum(dstindex: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-destination sums of *rows*, bit-identical to ``np.add.at``.
+
+    *dstindex* is non-decreasing (a sampler's output) and *counts* its
+    ``bincount`` over every destination.  The j-th row of each segment is
+    scattered to ``block[j]``, and the blocks are added onto zeros one
+    after the other: every destination sees exactly ``add.at``'s sequence
+    ``((0 + r0) + r1) + ...``, padded with ``+ 0.0``, which changes no sum
+    that starts from ``+0.0``.  It costs ``max(counts)`` full-width adds
+    rather than one ufunc call per row.  ``np.add.reduceat`` or a
+    ``sum`` over the block axis may add pairwise and round differently.
+    """
+    within = np.arange(len(dstindex)) - (np.cumsum(counts) - counts)[dstindex]
+    block = np.zeros((int(counts.max()), len(counts), rows.shape[1]), dtype=rows.dtype)
+    block[within, dstindex] = rows
+    out = np.zeros_like(block[0])
+    for part in block:
+        out += part
+    return out
+
+
 @dataclass
 class Request:
     """One serving request: score these events, then apply them."""
@@ -433,12 +454,11 @@ class ServeEngine:
         rows, ok = self._fetch_rows(nodes, extra)
         emb = rows.astype(np.float32)
         if len(res.srcnodes):
-            agg = np.zeros_like(emb)
             nbr_rows, _ = self._fetch_rows(res.srcnodes, extra + 1)
-            np.add.at(agg, res.dstindex, nbr_rows)
-            counts = np.bincount(res.dstindex, minlength=len(nodes)).astype(np.float32)
+            counts = np.bincount(res.dstindex, minlength=len(nodes))
+            agg = neighbour_sum(res.dstindex, nbr_rows, counts)
             hot = counts > 0
-            emb[hot] = 0.5 * (emb[hot] + agg[hot] / counts[hot, None])
+            emb[hot] = 0.5 * (emb[hot] + agg[hot] / counts[hot, None].astype(np.float32))
         # Warm the layer-0 embedding cache so the 'cache' rung has
         # something recent to serve from under deeper degradation.
         self.ctx.store.put(nodes, times, emb, space=embed_space(0))

@@ -17,6 +17,9 @@ They live here, not under ``src/``, so the shipped code has one path:
   them.
 * :func:`sequential_commit` — one event batch committed one endpoint row at
   a time, the state every plan (whole, per shard, replayed) has to reproduce.
+* :class:`ReuseCacheOracle` — ``NodeTimeCache(policy='reuse')`` one key at a
+  time over a dict, choosing victims with a full ``np.lexsort`` of every
+  resident slot.  ``benchmarks/test_kernels_microbench.py`` times its store.
 """
 
 from __future__ import annotations
@@ -171,3 +174,98 @@ def sequential_commit(batch, num_nodes: int, dim: int, slots: int):
         mem.update(np.array([node]), values[i:i + 1], np.array([time]))
         box.store(np.array([node]), values[i:i + 1], np.array([time]))
     return mem, box
+
+
+class ReuseCacheOracle:
+    """The ``'reuse'`` eviction rule of ``NodeTimeCache``, spelled out.
+
+    Each slot keeps its key, row, last-access tick and gap (an EMA of the
+    ticks between its references); its predicted next reference is
+    ``last + gap``.  A store refreshes resident keys in place, then fills
+    never-used slots, then evicts the slots with the largest prediction,
+    ties going to the lower slot — the first entries of a full
+    ``np.lexsort((slot, -pred))``.  A batch of at least ``capacity`` new
+    keys rewrites the whole ring from the cursor, keeping its last keys.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.keys: list = []
+        self.rows: list = []
+        self.index: dict = {}
+        self.last = np.zeros(capacity, dtype=np.int64)
+        self.gap = np.full(capacity, float(capacity))
+        self.tick = self.cursor = 0
+        self.hits = self.lookups = self.evictions = 0
+        #: stores whose victim cut fell inside a run of equal predictions
+        self.boundary_ties = 0
+
+    def _touch(self, slots) -> None:
+        self.tick += 1
+        for s in slots:
+            self.gap[s] = 0.5 * self.gap[s] + 0.5 * float(self.tick - self.last[s])
+            self.last[s] = self.tick
+
+    def lookup(self, nodes, times):
+        hit = np.zeros(len(nodes), dtype=bool)
+        rows = np.zeros((len(nodes), len(self.rows[0]) if self.rows else 0), dtype=np.float32)
+        touched = set()
+        for i, key in enumerate(zip(nodes.tolist(), (times + 0.0).tolist())):
+            slot = self.index.get(key)
+            if slot is not None:
+                hit[i], rows[i] = True, self.rows[slot]
+                touched.add(slot)
+        self.lookups += len(nodes)
+        self.hits += int(hit.sum())
+        if touched:
+            self._touch(touched)
+        return hit, rows
+
+    def store(self, nodes, times, values) -> None:
+        # key -> input row of its last occurrence; dict order is first occurrence
+        last_row: dict = {}
+        for i, key in enumerate(zip(nodes.tolist(), (times + 0.0).tolist())):
+            last_row[key] = i
+        resident = [k for k in last_row if k in self.index]
+        for k in resident:
+            self.rows[self.index[k]] = values[last_row[k]].astype(np.float32)
+        if resident:
+            self._touch([self.index[k] for k in resident])
+        new = [k for k in last_row if k not in self.index]
+        if not new:
+            return
+        cap, n = self.capacity, len(self.keys)
+        if len(new) >= cap:
+            self.evictions += n
+            self.keys, self.rows = [None] * cap, [None] * cap
+            for j in range(len(new) - cap, len(new)):
+                slot = (self.cursor + j) % cap
+                self.keys[slot] = new[j]
+                self.rows[slot] = values[last_row[new[j]]].astype(np.float32)
+            self.index = {k: s for s, k in enumerate(self.keys)}
+            self.cursor = (self.cursor + len(new)) % cap
+            self.tick += 1
+            self.last[:], self.gap[:] = self.tick, float(cap)
+            return
+        fresh = min(len(new), cap - n)
+        short = len(new) - fresh
+        slots = list(range(n, n + fresh))
+        if short:
+            pred = self.last[:n] + self.gap[:n]
+            ranked = np.lexsort((np.arange(n), -pred))
+            if short < n and pred[ranked[short - 1]] == pred[ranked[short]]:
+                self.boundary_ties += 1
+            slots += ranked[:short].tolist()
+            self.evictions += short
+        self.keys += [None] * fresh
+        self.rows += [None] * fresh
+        for slot, key in zip(slots, new):
+            if self.keys[slot] is not None:
+                del self.index[self.keys[slot]]
+            self.keys[slot] = key
+            self.rows[slot] = values[last_row[key]].astype(np.float32)
+            self.index[key] = slot
+        self.cursor = len(self.keys) % cap
+        self.tick += 1
+        for slot in slots:
+            self.last[slot], self.gap[slot] = self.tick, float(cap)

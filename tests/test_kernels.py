@@ -29,6 +29,8 @@ from repro.core.kernels import (
 )
 from repro.store import StoreConfig
 
+from reference import ReuseCacheOracle
+
 
 def make_csr(num_nodes=40, num_edges=400, seed=0, empty_frac=0.25):
     """A synthetic temporal CSR with some nodes left edge-less."""
@@ -81,6 +83,24 @@ class TestSegmentSearchsorted:
         values = np.array([1.0, 2.0])
         out = segment_searchsorted(values, np.array([1, 0]), np.array([1, 0]), np.array([5.0, 5.0]))
         np.testing.assert_array_equal(out, [1, 0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 30), max_size=70), min_size=1, max_size=8), st.data())
+    def test_property_lower_bound_per_segment(self, segments, data):
+        # consecutive segments: whatever lies past hi is another segment's data
+        values = np.array([t for seg in segments for t in sorted(seg)], dtype=np.float64)
+        indptr = np.cumsum([0] + [len(seg) for seg in segments])
+        which = np.array(data.draw(st.lists(st.integers(0, len(segments) - 1), min_size=1,
+                                            max_size=40)))
+        query = st.one_of(st.sampled_from(values.tolist() or [0.0]),  # equal to an edge time
+                          st.floats(-1.0, 32.0), st.sampled_from([np.nan, np.inf, -np.inf]))
+        queries = np.array(data.draw(st.lists(query, min_size=len(which), max_size=len(which))))
+        lo, hi = indptr[which], indptr[which + 1]
+        got = segment_searchsorted(values, lo, hi, queries)
+        want = [lo[i] if np.isnan(q)  # a NaN query stays at lo (searchsorted puts it at hi)
+                else lo[i] + np.searchsorted(values[lo[i]:hi[i]], q, side="left")
+                for i, q in enumerate(queries)]
+        np.testing.assert_array_equal(got, want)
 
 
 class TestSamplerEquivalence:
@@ -335,6 +355,64 @@ class TestCacheEquivalence:
         cache.store(np.array([1]), np.array([-0.0]), np.ones((1, 2), dtype=np.float32))
         hit, _ = cache.lookup(np.array([1]), np.array([0.0]))
         assert hit.all()
+
+
+class TestReuseEviction:
+    """``policy='reuse'`` against its rule spelled out with a full lexsort."""
+
+    @staticmethod
+    def assert_same_ring(fast, oracle):
+        n = fast.num_entries
+        assert n == len(oracle.keys) and fast.evictions == oracle.evictions
+        if n:
+            np.testing.assert_array_equal(fast._slot_nodes[:n], [k[0] for k in oracle.keys])
+            np.testing.assert_array_equal(fast._slot_times[:n], [k[1] for k in oracle.keys])
+            np.testing.assert_array_equal(fast._values[:n], np.stack(oracle.rows))
+        assert fast.validate() == []
+
+    @pytest.mark.parametrize("capacity", [1, 7, 64, 20_000])
+    def test_fuzz_against_oracle(self, capacity):
+        rng = np.random.default_rng(capacity)
+        fast, oracle = NodeTimeCache(capacity, policy="reuse"), ReuseCacheOracle(capacity)
+        big = capacity > 64
+        universe = 3 * capacity
+        if big:  # start full: one oversized batch, every slot tied
+            nodes = rng.permutation(universe)[:capacity].astype(np.int64)
+            values = rng.random((capacity, 3)).astype(np.float32)
+            fast.store(nodes, np.zeros(capacity), values)
+            oracle.store(nodes, np.zeros(capacity), values)
+        for _ in range(40 if big else 200):
+            n = int(rng.integers(1, 400 if big else 2 * capacity + 2))
+            # mostly recent keys, so refreshes and lookups touch slots and
+            # equal touch histories tie their predictions
+            pool = [k[0] for k in oracle.keys] or [0]
+            nodes = np.where(rng.random(n) < 0.5, rng.choice(pool, n),
+                             rng.integers(0, universe, n)).astype(np.int64)
+            times = rng.integers(0, 2, n).astype(np.float64)
+            if rng.random() < 0.2:
+                times[times == 0] = -0.0  # the same key as +0.0
+            if rng.random() < 0.6:
+                values = rng.random((n, 3)).astype(np.float32)
+                fast.store(nodes, times, values)
+                oracle.store(nodes, times, values)
+            else:
+                fh, frows = fast.lookup(nodes, times)
+                oh, orows = oracle.lookup(nodes, times)
+                np.testing.assert_array_equal(fh, oh)
+                if frows is not None:
+                    np.testing.assert_array_equal(frows[fh], orows[oh])
+            self.assert_same_ring(fast, oracle)
+        assert (fast.hits, fast.lookups) == (oracle.hits, oracle.lookups)
+        if capacity > 1:  # the cut fell inside a run of tied predictions
+            assert oracle.boundary_ties > 0
+
+    def test_ties_go_to_the_lower_slot(self):
+        cache = NodeTimeCache(4, policy="reuse")
+        cache.store(np.arange(4), np.zeros(4), np.ones((4, 1), dtype=np.float32))
+        cache.lookup(np.array([0, 2]), np.zeros(2))  # slots 0 and 2 now due sooner
+        cache.store(np.array([9]), np.zeros(1), np.ones((1, 1), dtype=np.float32))
+        # slots 1 and 3 tie on last_access + gap; the lower one goes
+        np.testing.assert_array_equal(cache._slot_nodes, [0, 9, 2, 3])
 
 
 class TestMissStorm:

@@ -313,6 +313,19 @@ class TestStateValidation:
             hooks.poke("cache.corrupt", cache=cache)
         assert any("finite" in v or "non-finite" in v for v in cache.validate())
 
+    def test_corrupt_slot_bucket_map_detected(self):
+        # Evictions tombstone the bucket a slot records, so a wrong record
+        # would kill a live neighbour's bucket: the sweep must see it.
+        g = tg.TGraph([0, 1], [1, 0], [1.0, 2.0])
+        ctx = tg.TContext(g)
+        ctx.store.put(np.arange(6), np.zeros(6), np.ones((6, 2), dtype=np.float32), space="memo")
+        assert validate_state(g, ctx) == []
+        hot = ctx.store.space("memo").hot
+        hot._slot_bucket[2] = (hot._slot_bucket[2] + 1) % hot._nbuckets
+        assert validate_state(g, ctx) == ["cache[memo]: slot->bucket map disagrees with the hash table"]
+        hot._slot_bucket[2] = -1
+        assert "cache[memo]: slot->bucket map disagrees with the hash table" in validate_state(g, ctx)
+
     def test_validation_failure_rolls_back(self, tmp_path):
         """Silently corrupted node memory is caught by validation at the
         next checkpoint boundary (before any batch consumes it), rolled

@@ -9,6 +9,7 @@ commits, the poisoned-stream equivalence guarantee, and chaos runs under
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.core as tg
 from repro.core import Mailbox, Memory, TGraph, TSampler
@@ -31,7 +32,10 @@ from repro.serve import (
     validate_events,
 )
 from repro.serve.deadline import REFERENCE_PENALTY
+from repro.serve.engine import neighbour_sum
 from repro.store import StoreConfig
+
+from reference import scatter_add_reference
 
 N = 60
 DIM = 8
@@ -380,6 +384,69 @@ class TestServeRuntime:
         assert stats.latency.count == sum(
             1 for r in results if r.status != "shed")
         assert not rt.memory.validate() and not rt.mailbox.validate()
+
+
+class TestNeighbourSum:
+    """The full rung's neighbour sum is ``np.add.at``'s, bit for bit."""
+
+    @staticmethod
+    def assert_matches_add_at(counts, rows):
+        counts = np.asarray(counts, dtype=np.int64)
+        dstindex = np.repeat(np.arange(len(counts)), counts)
+        got = neighbour_sum(dstindex, rows, counts)
+        assert got.dtype == rows.dtype
+        want = scatter_add_reference((len(counts), rows.shape[1]), dstindex, rows)
+        assert got.tobytes() == want.tobytes()
+
+    def test_negative_zero_rows_sum_to_positive_zero(self):
+        # add.at starts from +0.0, so a segment of -0.0 rows sums to +0.0,
+        # also where the segment fills the block and no padding follows
+        rows = np.full((20, 4), -0.0, dtype=np.float32)
+        rows[5:10, 1] = 1.5
+        self.assert_matches_add_at([10, 10], rows)
+        self.assert_matches_add_at([10, 0, 10], rows)
+
+    def test_empty_neighbourhoods(self):
+        rng = np.random.default_rng(0)
+        self.assert_matches_add_at([0, 3, 0, 0, 1, 0], rng.standard_normal((4, 32)).astype(np.float32))
+
+    def test_a_single_node(self):
+        rng = np.random.default_rng(1)
+        for dim in (1, 32):  # width 1 is where a block-axis sum goes pairwise
+            self.assert_matches_add_at([10], rng.standard_normal((10, dim)).astype(np.float32))
+
+    def test_every_segment_at_full_fanout(self):
+        rng = np.random.default_rng(2)
+        rows = rng.standard_normal((100 * 10, 32)) * 10.0 ** rng.integers(-4, 5, (1000, 1))
+        self.assert_matches_add_at(np.full(100, 10), rows.astype(np.float32))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([1, 2, 3, 32]))
+    def test_random_segments(self, seed, num_nodes, dim):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 12, num_nodes)
+        counts[rng.integers(0, num_nodes)] += 1  # at least one neighbour
+        total = int(counts.sum())
+        rows = rng.standard_normal((total, dim)) * 10.0 ** rng.integers(-3, 4, (total, 1))
+        rows[rng.random(rows.shape) < 0.1] = -0.0
+        self.assert_matches_add_at(counts, rows.astype(np.float32))
+
+    def test_full_rung_embeddings_match_the_add_at_mean(self):
+        stream = build_stream(N, 300, payload_dim=DIM, seed=9)
+        rt = _runtime(stream)
+        replay(rt, split_batches(stream.take(np.arange(200)), 25), load=1.0)
+        rest = stream.take(np.arange(200, 300))
+        nodes = np.concatenate([rest.src, rest.dst])
+        times = np.concatenate([rest.ts, rest.ts])
+        res = rt.sampler.sample_arrays(rt.graph.csr(), nodes, times, num_nbrs=10)
+        assert len(res.srcnodes)
+        want = rt.memory.data.data[nodes].astype(np.float32)
+        agg = scatter_add_reference(want.shape, res.dstindex, rt.memory.data.data[res.srcnodes])
+        counts = np.bincount(res.dstindex, minlength=len(nodes)).astype(np.float32)
+        hot = counts > 0
+        want[hot] = 0.5 * (want[hot] + agg[hot] / counts[hot, None])
+        got, _ = rt._embed_sampled(nodes, times, 10, extra=0)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPoisonedStreamEquivalence:
