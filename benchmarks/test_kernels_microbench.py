@@ -258,8 +258,9 @@ def test_kernel_microbench():
     vec = timeit(lambda: cd.compute([3] * 1000), repeat=5) / 1000
     record("chunk_digest", ref, vec, "32 rows x (32 f32 + f64)")
 
-    # what one member hashes per apply on cluster_s4_f3: 17 written rows that
-    # fall in 10 of its 16 chunks — their leaves, against re-hashing the chunks whole
+    # what a replica group hashes once per sub-batch on cluster_s4_f3 (and a
+    # ring mailbox per member): 17 written rows that fall in 10 of its 16
+    # chunks — their leaves, against re-hashing the chunks whole
     chunks = rng.permutation(16)[:10]
     written = np.sort(np.concatenate([chunks, chunks[:7]]) * 32 + rng.integers(0, 32, 17))
     assert len(written) == 17 and len(cd.chunks_of(written)) == 10

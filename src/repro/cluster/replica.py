@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from ..core.memory import Memory
 from ..core.state import state_image
 from ..durable.codec import KIND_BATCH, encode_payload
 from ..durable.store import DurableStateStore
-from ..integrity.digest import ChunkedDigest, merkle_root
+from ..integrity.digest import ChunkedDigest, merkle_root, row_leaves
 from ..serve.commit import (
     ApplyPlan,
     apply_plan,
@@ -50,6 +50,18 @@ from ..serve.commit import (
 from ..serve.events import EventBatch
 
 __all__ = ["ReplicaDown", "StaleLeaseError", "ShardReplica"]
+
+
+class Prepared(NamedTuple):
+    """One sub-batch as every member of its replica group logs and writes it."""
+
+    #: the encoded WAL record.
+    record: bytes
+    plan: ApplyPlan
+    #: ``row_leaves`` of ``plan``'s written rows in the memory table's dtypes.
+    leaves: np.ndarray
+    #: the chunks ``plan.win_nodes`` fall in.
+    chunks: np.ndarray
 
 
 class _StateDigests:
@@ -68,13 +80,17 @@ class _StateDigests:
 
         self.memory = digest("memory")
         self.mailbox = None if replica.mailbox is None else digest("mailbox")
+        self._one_slot = replica.mailbox_slots == 1
 
-    def record_rows(self, rows: np.ndarray) -> None:
-        """Re-hash both components' leaves of *rows* (their chunks derived once)."""
-        chunks = self.memory.chunks_of(rows)
-        self.memory.record_rows(rows, chunks)
+    def record_rows(self, rows: np.ndarray, chunks: np.ndarray,
+                    leaves: np.ndarray) -> None:
+        """Record a plan's written *rows*: memory adopts the plan's *leaves*,
+        and so does a one-slot mailbox, whose rows hold the same bytes; a
+        ring re-hashes its live rows, since a ring row depends on earlier
+        state."""
+        self.memory.record_rows(rows, chunks, leaves)
         if self.mailbox is not None:
-            self.mailbox.record_rows(rows, chunks)
+            self.mailbox.record_rows(rows, chunks, leaves if self._one_slot else None)
 
     def components(self):
         yield "memory", self.memory
@@ -249,8 +265,9 @@ class ShardReplica:
     # ---- state application ---------------------------------------------------------
 
     def prepare(self, batch: EventBatch, seq: int, epoch: int,
-                part: Optional[ApplyPlan] = None) -> Tuple[bytes, ApplyPlan]:
-        """The WAL record and apply plan of (non-empty) *batch* at ``(seq, epoch)``.
+                part: Optional[ApplyPlan] = None) -> Prepared:
+        """The WAL record, apply plan, row leaves and chunks of (non-empty)
+        *batch* at ``(seq, epoch)``.
 
         A function of the sub-batch, its sequence number, the lease epoch
         and the ownership — all common to a replica group — and of none of
@@ -258,10 +275,21 @@ class ShardReplica:
         once and every member logs and applies the result.  *part* is this
         shard's slice of the plan the coordinator made for the whole
         commit; it only needs its nodes mapped to local rows.
+
+        The leaves are each written row's sha256 leaf as ``Memory`` (and a
+        one-slot ``Mailbox``) will hold it — the plan's last row per node
+        cast to the table dtypes, which is what the write copies in — and
+        the chunks are the ones those rows fall in: a commit's rows are
+        hashed once per group, not once per member and table.
         """
         meta = {"seq": int(seq), "watermark": float(batch.ts.max()),
                 "epoch": int(epoch)}
-        return encode_payload(KIND_BATCH, meta, batch.to_arrays()), self.plan(batch, part)
+        plan = self.plan(batch, part)
+        data, times = self.memory.tables()
+        leaves = row_leaves(plan.win_values.astype(data.dtype, copy=False),
+                            plan.win_times.astype(times.dtype, copy=False))
+        return Prepared(encode_payload(KIND_BATCH, meta, batch.to_arrays()), plan,
+                        leaves, self.digests.memory.chunks_of(plan.win_nodes))
 
     def plan(self, batch: EventBatch, part: Optional[ApplyPlan] = None) -> ApplyPlan:
         """The rows *batch* writes on this shard: staged, owned, deduplicated.
@@ -285,7 +313,7 @@ class ShardReplica:
                              win_nodes=self._local[part.win_nodes])
 
     def apply(self, batch: EventBatch, seq: int, epoch: int,
-              prepared: Optional[Tuple[bytes, ApplyPlan]] = None) -> bool:
+              prepared: Optional[Prepared] = None) -> bool:
         """Durably apply one cluster-committed sub-batch (idempotent).
 
         WAL-then-apply: the sub-batch is logged before any row changes,
@@ -317,15 +345,16 @@ class ShardReplica:
         if not len(batch):
             self.last_seq = int(seq)
             return True
-        record, plan = prepared or self.prepare(batch, seq, self.lease_epoch)
+        record, plan, leaves, chunks = prepared or self.prepare(batch, seq, self.lease_epoch)
         self.store.log_encoded(record)
         apply_plan(plan, self.memory, self.mailbox)
         if len(plan.nodes) and self.digests is not None:
-            # Leaves of the written rows, right after the write: the
-            # maintained digests always describe exactly what the apply
-            # path produced, which is what makes a later recompute
-            # mismatch proof of out-of-band mutation.
-            self.digests.record_rows(plan.win_nodes)
+            # Leaves of the logged plan, recorded with the write: the
+            # maintained digests describe what the WAL says the rows hold
+            # (what replay produces), so a later recompute mismatch proves
+            # the rows hold something else — including a write that landed
+            # other bytes.
+            self.digests.record_rows(plan.win_nodes, chunks, leaves)
         self.last_seq = int(seq)
         self.applied_batches += 1
         self.applied_rows += len(plan.nodes)

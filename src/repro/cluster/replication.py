@@ -15,10 +15,11 @@ legs ride :meth:`~repro.cluster.rpc.SimRpc.ship` through the
 record to its *own* WAL and applies it through the same plan
 (WAL-then-apply), so follower state is bit-identical to the primary's by
 construction — there is no separate "follower apply" code to diverge.
-The record bytes and the apply plan are the same on every member, so
-``ship`` has one member :meth:`~repro.cluster.replica.ShardReplica.prepare`
-them for all — the plan being the shard's slice of the one plan the
-coordinator made for the whole request.
+The record bytes, the apply plan and the sha256 leaves of the rows it
+writes are the same on every member, so ``ship`` has one member
+:meth:`~repro.cluster.replica.ShardReplica.prepare` them for all — the
+plan being the shard's slice of the one plan the coordinator made for
+the whole request.
 The commit is **quorum-acked** when at least ``ack_quorum`` members
 (primary included) acknowledged their durable append; an under-quorum
 commit is never aborted — the cluster already sequenced it — but is
@@ -202,8 +203,9 @@ class ReplicaGroup:
         """
         self.ships += 1
         acked = 0
-        # Record bytes and apply plan are the same on every member
-        # (shared ownership, seq, epoch): the first to need them makes them.
+        # Record bytes, apply plan and the written rows' leaves are the same
+        # on every member (shared ownership, seq, epoch): the first to need
+        # them makes them.
         prepared = None
         for idx, member in enumerate(self.members):
             if not self.serving(idx):

@@ -14,7 +14,14 @@ self-checking at runtime:
   source exists.
 """
 
-from .digest import ChunkedDigest, array_digest, canonical_bytes, merkle_diff, merkle_root
+from .digest import (
+    ChunkedDigest,
+    array_digest,
+    canonical_bytes,
+    merkle_diff,
+    merkle_root,
+    row_leaves,
+)
 from .errors import IntegrityError, IntegrityUnrepairable
 from .scrubber import Scrubber
 
@@ -27,4 +34,5 @@ __all__ = [
     "canonical_bytes",
     "merkle_diff",
     "merkle_root",
+    "row_leaves",
 ]

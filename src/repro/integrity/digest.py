@@ -9,15 +9,19 @@ that property into something checkable at runtime:
   (dtype tag + shape + C-contiguous bytes), so two states hash equal iff
   they are bit-identical.  ``Memory.state_digest()`` and
   ``Mailbox.state_digest()`` are thin wrappers over it.
+* :func:`row_leaves` — one sha256 leaf per row over the row's bytes in
+  each of several tables, the unit every digest below is built from.
 * :class:`ChunkedDigest` — one sha256 leaf per row of a state table,
   rolled up into per-chunk digests over fixed row ranges, *maintained* on
-  the write path: after each filtered apply the written rows' leaves are
-  re-hashed (O(written rows)), so the maintained digests always record
-  what the WAL-then-apply protocol produced.  A later recompute that
-  disagrees with the maintained digest is evidence of out-of-band
-  mutation (a flipped bit, rotted RAM) — the maintained digests are
-  tamper-evident because silent corruption by definition bypasses the
-  write path that updates them.
+  the write path: every legitimate write records its rows' leaves
+  (O(written rows)), so the maintained digests always record what the
+  WAL-logged write puts in the rows — for a replica apply, leaves hashed
+  once per replica group from the logged plan, which is exactly what a
+  replay of the log produces.  A later recompute that disagrees with the
+  maintained digest is evidence of out-of-band mutation (a flipped bit,
+  rotted RAM, a write that landed other bytes than the log says) — the
+  maintained digests are tamper-evident because such corruption by
+  definition bypasses the write path that records them.
 * :func:`merkle_root` / :func:`merkle_diff` — roll chunk digests into a
   merkle tree so a scrubber can compare two summaries root-first and
   descend only into differing subtrees to localize divergence to a chunk.
@@ -40,10 +44,13 @@ __all__ = [
     "ChunkedDigest",
     "merkle_root",
     "merkle_diff",
+    "row_leaves",
 ]
 
 #: digest of an empty leaf list (a zero-row table still has a root).
 _EMPTY_ROOT = hashlib.sha256(b"merkle:empty").hexdigest()
+#: one whole sha256 leaf as a single array element.
+_LEAF = np.dtype("V32")
 
 
 def canonical_bytes(array: np.ndarray) -> bytes:
@@ -69,6 +76,21 @@ def array_digest(*arrays: np.ndarray) -> str:
     for arr in arrays:
         h.update(canonical_bytes(np.asarray(arr)))
     return h.hexdigest()
+
+
+def row_leaves(*tables: np.ndarray) -> np.ndarray:
+    """``(n, 32)`` uint8 sha256 leaves of the ``n`` rows of *tables*: leaf
+    ``i`` hashes row ``i``'s bytes in each table, in table order (one pack,
+    then one tight loop over the packed rows)."""
+    n = len(tables[0])
+    if not n:
+        return np.empty((0, 32), dtype=np.uint8)
+    packed = np.concatenate(
+        [np.ascontiguousarray(t).reshape(n, -1).view(np.uint8) for t in tables], axis=1)
+    sha256 = hashlib.sha256
+    return np.frombuffer(
+        b"".join([sha256(row).digest() for row in packed]), dtype=np.uint8
+    ).reshape(n, 32)
 
 
 def merkle_root(leaves: Sequence[str]) -> str:
@@ -133,12 +155,15 @@ class ChunkedDigest:
     **Format.**  A leaf is sha256 of the row's bytes in each table, in
     table order; a chunk digest is ``sha256(chunk|c|lo|hi| + row schema +
     leaves[lo:hi])``, the schema being each table's ``dtype|row shape|``.
-    :attr:`leaves` are the **maintained** (expected) leaves: callers
-    refresh the written rows' immediately after every legitimate write
-    (:meth:`record_rows`), so maintenance hashes rows written, not the
-    chunks around them.  :attr:`digests` and :meth:`root` roll them up
-    when read; :meth:`compute` re-hashes the live arrays and touches
-    nothing maintained; :meth:`diverged` compares the two.
+    :attr:`leaves` are the **maintained** (expected) leaves: what every
+    legitimate write says it put in its rows, recorded with the write
+    (:meth:`record_rows`) — either leaves the writer hashed from the rows
+    it was told to write (a replica apply hashes its logged plan once per
+    group), or, without them, a re-hash of the live rows just written.
+    Maintenance hashes rows written, not the chunks around them.
+    :attr:`digests` and :meth:`root` roll them up when read;
+    :meth:`compute` re-hashes the live arrays and touches nothing
+    maintained; :meth:`diverged` compares the two.
     """
 
     def __init__(
@@ -156,6 +181,9 @@ class ChunkedDigest:
         self._spans = [(lo, hi, f"chunk|{c}|{lo}|{hi}|".encode() + schema)
                        for c, (lo, hi) in enumerate(map(self.rows_of, range(self.num_chunks)))]
         self.leaves = self._row_leaves(np.arange(self.num_rows)).copy()  # writable
+        # The same memory as one 32-byte cell per row: recording leaves is
+        # then a 1-D copy, several times cheaper than a 2-D uint8 one.
+        self._cells = self.leaves.view(_LEAF)[:, 0]
         self._digests: List[str] = [""] * self.num_chunks
         self._dirty = set(range(self.num_chunks))  # chunks whose rollup is behind its leaves
 
@@ -179,18 +207,8 @@ class ChunkedDigest:
     # ---- hashing -------------------------------------------------------------------
 
     def _row_leaves(self, rows: np.ndarray) -> np.ndarray:
-        """Fresh ``(n, 32)`` uint8 leaves of *rows* of the live tables: one
-        gather per table, then one tight loop over the packed rows."""
-        n = len(rows)
-        if not n:
-            return np.empty((0, 32), dtype=np.uint8)
-        packed = np.concatenate(
-            [np.ascontiguousarray(t[rows]).reshape(n, -1).view(np.uint8)
-             for t in self._tables()], axis=1)
-        sha256 = hashlib.sha256
-        return np.frombuffer(
-            b"".join([sha256(row).digest() for row in packed]), dtype=np.uint8
-        ).reshape(n, 32)
+        """Fresh ``(n, 32)`` uint8 leaves of *rows* of the live tables."""
+        return row_leaves(*(t[rows] for t in self._tables()))
 
     def _rollup(self, chunk: int, leaves: np.ndarray) -> str:
         """Digest of *chunk* from its rows' *leaves*."""
@@ -206,12 +224,20 @@ class ChunkedDigest:
         return self._digests
 
     def record_rows(self, rows: np.ndarray,
-                    chunks: Optional[np.ndarray] = None) -> np.ndarray:
-        """Re-hash the leaves of *rows* after a legitimate write; returns the
-        chunks covering them (*chunks*, when the caller has ``chunks_of(rows)``)."""
+                    chunks: Optional[np.ndarray] = None,
+                    leaves: Optional[np.ndarray] = None) -> np.ndarray:
+        """Record the leaves of *rows* after a legitimate write; returns the
+        chunks covering them (*chunks*, when the caller has ``chunks_of(rows)``).
+
+        *leaves* (``row_leaves`` of the rows the write was told to store,
+        in the tables' dtypes) are copied in as the maintained leaves;
+        without them the live rows are re-hashed.
+        """
         if chunks is None:
             chunks = self.chunks_of(rows)
-        self.leaves[rows] = self._row_leaves(rows)
+        if leaves is None:
+            leaves = self._row_leaves(rows)
+        self._cells[rows] = leaves.view(_LEAF).ravel()
         self._dirty.update(chunks.tolist())
         return chunks
 

@@ -12,6 +12,7 @@ must never let two members alias a row.
 import hashlib
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -199,6 +200,61 @@ def test_each_shards_slice_of_the_one_plan_is_the_plan_its_replica_makes(
         assert array_digest(*got) == want.state_digest()
 
 
+#: cells a payload may carry: signed zeros, NaNs (one with low mantissa bits a
+#: float32 cast drops), and a value float32 rounds.
+_SPECIALS = np.array([0.0, -0.0, np.nan, -np.nan, 1.0 / 3.0,
+                      np.array(0x7FF8000000000001, dtype=np.uint64).view(np.float64)])
+_KINDS64 = np.random.default_rng(9).standard_normal((3, DIM))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_EVENTS, st.integers(1, 3), st.sampled_from([1, 3]),
+       st.sampled_from(["float32", "float64", "time-encoded"]),
+       st.lists(st.tuples(st.integers(0, 23), st.integers(0, DIM - 1),
+                          st.integers(0, len(_SPECIALS) - 1)), max_size=6),
+       st.integers(0, 2**16))
+def test_plan_leaves_are_the_leaves_of_the_rows_written(
+        events, shards, slots, payload, cells, salt):
+    """The leaves a group hashes once from its plan equal a fresh hash of
+    every member's live rows after the write, whatever the payload dtype
+    or width, and ``record_rows`` covers the chunks the rows fall in."""
+    src, dst, slot, kind = (np.array(c, dtype=np.int64) for c in zip(*events))
+    rows = _KINDS64[kind]
+    for event, col, special in cells:
+        rows[event % len(rows), col] = _SPECIALS[special]
+    width = DIM if payload != "time-encoded" else DIM - 3
+    batch = EventBatch(np.arange(len(events)), src, dst, slot + 1.0, rows[:, :width])
+    nodes, values, times = stage_updates(batch, DIM)
+    if payload == "float64":  # a payload the stores must cast on the way in
+        values = np.concatenate([rows, rows])
+    router = ShardRouter.hash(N, shards, seed=salt)
+    ends = router.endpoint_shards(batch)
+    parts = plan_by_owner(nodes, values, times, np.concatenate(ends))
+    recorded = []
+    real = ChunkedDigest.record_rows
+
+    def spy(cd, rows, chunks=None, leaves=None):
+        out = real(cd, rows, chunks, leaves)
+        recorded.append((cd.chunks_of(rows), out))
+        return out
+
+    with tempfile.TemporaryDirectory() as root, mock.patch.object(
+            ChunkedDigest, "record_rows", spy):
+        for shard, sub in router.split_batch(batch, ends).items():
+            rep = ShardReplica(shard, router.owned_nodes(shard), N, DIM,
+                               os.path.join(root, str(shard)), mailbox_slots=slots)
+            later = EventBatch(sub.eids, sub.src, sub.dst, sub.ts + 3.0, sub.payload)
+            # a commit's shared plan, then a redelivery that plans for itself
+            for seq, (step, part) in enumerate([(sub, parts[shard]), (later, None)]):
+                prepared = rep.prepare(step, seq, 0, part) if part is not None else None
+                assert rep.apply(step, seq, epoch=0, prepared=prepared)
+                for comp, cd in rep.digests.components():
+                    np.testing.assert_array_equal(
+                        cd.leaves, cd._row_leaves(np.arange(cd.num_rows)), err_msg=comp)
+            rep.close()
+    assert all(np.array_equal(want, got) for want, got in recorded)
+
+
 def _images(rep):
     return [t.tobytes() for comp in ("memory", "mailbox") for t in rep.tables(comp)]
 
@@ -263,6 +319,13 @@ def test_a_shared_plan_never_aliases_member_tables(tmp_path):
             for table in a.tables("memory") + a.tables("mailbox"):
                 table[row:row + 1].view(np.uint8)[...] ^= 0xFF
             assert _images(a) == before[0]
+            # every member adopted the group's leaves as its own copy: a
+            # later record on one member's memory moves nothing else
+            kept = [cd.leaves.copy() for m in group.members for _, cd in m.digests.components()]
+            a.digests.memory.record_rows(np.array([row]), leaves=np.full((1, 32), 0xAB, np.uint8))
+            now = [cd.leaves for m in group.members for _, cd in m.digests.components()]
+            assert [np.array_equal(k, n) for k, n in zip(kept, now)] == [False] + [True] * 5
+            a.digests.memory.record_rows(np.array([row]))  # re-adopt the live row
 
 
 def test_plan_is_the_single_definition_of_an_applied_batch(tmp_path):

@@ -12,10 +12,12 @@ degraded.
 """
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.cluster.replica as replica_module
 from repro.cluster import ClusterConfig, ServeCluster
 from repro.core import Mailbox, Memory, TContext, TGraph, TSampler
 from repro.integrity import (
@@ -27,7 +29,7 @@ from repro.integrity import (
     merkle_root,
 )
 from repro.resilience import FaultInjector, apply_bitflip
-from repro.serve import ServeRuntime, build_stream, replay, split_batches
+from repro.serve import ServeRuntime, apply_plan, build_stream, replay, split_batches
 
 N = 60
 DIM = 8
@@ -207,6 +209,46 @@ def _serve(cluster, batches):
     for batch in batches:
         cluster.submit(batch)
         cluster.step()
+
+
+@pytest.mark.parametrize("tier", ["memory", "mailbox"])
+@pytest.mark.parametrize("factor", [1, 3])
+def test_a_bit_flipped_during_apply_is_caught_by_the_next_scrub(tier, factor):
+    """A member's write lands one wrong bit in a row it just wrote.  The
+    maintained leaves come from the logged plan, not a read-back of the
+    row, so the next scrub sees the flip: at factor 1 it repairs from the
+    member's own WAL, at factor 3 from a quorum of peers."""
+    stream = _stream(400)
+    batches = split_batches(stream, 40)
+    ctx, cluster = _cluster(stream, factor=factor)
+    victim = cluster.groups[1].members[factor - 1]
+    flipped = []
+
+    def apply_then_flip(plan, memory, mailbox=None):
+        apply_plan(plan, memory, mailbox)
+        if memory is victim.memory and len(plan.win_nodes) and not flipped:
+            table = victim.tables(tier)[0]
+            table[plan.win_nodes[0]].view(np.uint8)[0] ^= np.uint8(1)
+            flipped.append(int(plan.win_nodes[0]))
+
+    with cluster:
+        _serve(cluster, batches[:5])
+        with mock.patch.object(replica_module, "apply_plan", apply_then_flip):
+            _serve(cluster, batches[5:6])
+        assert flipped
+        cluster.drain()  # terminal anti-entropy pass runs scrub_now()
+        stats = cluster.stats()
+        assert stats["integrity:divergences"] >= 1
+        if factor == 1:
+            assert stats["integrity:wal_resyncs"] >= 1
+        else:
+            assert stats["integrity:peer_repairs"] >= 1
+            assert stats["integrity:quorum_repairs"] >= 1
+        for rep in cluster.groups[1].members:
+            for comp, cd in rep.digests.components():
+                assert cd.diverged() == []
+        digests = _cluster_digests(cluster)
+    assert digests == _single_digests(stream, batches[:6])
 
 
 def test_records_logged_after_a_reanchor_and_crash_stay_recoverable():
