@@ -14,7 +14,13 @@ Written to ``benchmarks/results/serving_throughput.txt``.
 import numpy as np
 
 from repro.core import Mailbox, Memory, TContext, TGraph, TSampler
-from repro.serve import ServeRuntime, build_stream, replay, split_batches
+from repro.serve import (
+    ServeRuntime,
+    build_stream,
+    ledger_violations,
+    replay,
+    split_batches,
+)
 
 from conftest import report_table
 
@@ -42,6 +48,15 @@ def run_at_load(stream, load):
     return runtime, results, elapsed
 
 
+def rungs(stats):
+    """Requests decided per ladder rung."""
+    return {k.split(":", 1)[1]: v for k, v in stats.items() if k.startswith("ladder:")}
+
+
+def shed_total(stats):
+    return sum(v for k, v in stats.items() if k.startswith("admission:shed_"))
+
+
 def test_serving_throughput():
     stream = build_stream(NUM_NODES, NUM_EVENTS, payload_dim=DIM, seed=21)
     offered_requests = -(-NUM_EVENTS // BATCH)
@@ -50,14 +65,13 @@ def test_serving_throughput():
 
     for load in LOADS:
         runtime, results, elapsed = run_at_load(stream, load)
-        adm = runtime.admission.stats
-        applied = runtime.committer.stats.events_applied
+        stats = runtime.stats()
+        applied = stats["commit:events_applied"]
         events_per_sec = applied / elapsed if elapsed > 0 else float("inf")
-        shed_ratio = adm.shed_total / adm.offered
+        shed_ratio = shed_total(stats) / stats["admission:offered"]
         lat = runtime.ctx.stats().latency
         rung_mix = "/".join(
-            f"{rung}:{count}" for rung, count in
-            sorted(runtime.ladder.decisions.items())
+            f"{rung}:{count}" for rung, count in sorted(rungs(stats).items())
         )
         rows.append([
             f"{load:g}x",
@@ -68,7 +82,7 @@ def test_serving_throughput():
             f"{lat.p50 * 1e3:.2f}" if lat else "-",
             f"{lat.p99 * 1e3:.2f}" if lat else "-",
         ])
-        by_load[load] = (runtime, results)
+        by_load[load] = (runtime, results, stats)
 
     report_table(
         f"Serving throughput: {NUM_EVENTS} events, {BATCH}/request, "
@@ -80,13 +94,12 @@ def test_serving_throughput():
     )
 
     # -- acceptance: availability and consistency at every load level ------
-    for load, (runtime, results) in by_load.items():
+    for load, (runtime, results, stats) in by_load.items():
         assert len(results) == offered_requests, (
             f"{load}x: {len(results)} responses for {offered_requests} requests"
         )
-        st = runtime.ingest.stats
-        assert st.pushed == st.accepted + st.duplicates + st.quarantined_total
-        assert runtime.committer.stats.events_applied == st.released
+        assert ledger_violations(stats) == []
+        assert stats["commit:events_applied"] == stats["ingest:released"]
         assert not runtime.memory.validate()
         assert not runtime.mailbox.validate()
         lat = runtime.ctx.stats().latency
@@ -95,8 +108,9 @@ def test_serving_throughput():
             "full", BATCH)
 
     # 1x keeps full quality; 16x must shed and/or degrade, not collapse.
-    rt1 = by_load[1.0][0]
-    assert set(rt1.ladder.decisions) == {"full"}
-    assert rt1.admission.stats.shed_total == 0
-    rt16 = by_load[16.0][0]
-    assert rt16.admission.stats.shed_total > 0 or rt16.ladder.degraded_serves > 0
+    st1 = by_load[1.0][2]
+    assert set(rungs(st1)) == {"full"}
+    assert shed_total(st1) == 0
+    st16 = by_load[16.0][2]
+    degraded = sum(n for rung, n in rungs(st16).items() if rung != "full")
+    assert shed_total(st16) > 0 or degraded > 0

@@ -120,7 +120,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "require bit-identical final state")
     parser.add_argument("--assert-valid", action="store_true",
                         help="exit nonzero on state violations or an "
-                             "unbalanced ingestion ledger")
+                             "unbalanced ingestion or admission ledger")
     parser.add_argument("--durable-dir", default=None,
                         help="write-ahead log each committed batch into this "
                              "directory (crash-consistent durable state)")
@@ -140,7 +140,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
 def serve_main(argv: Optional[List[str]] = None) -> int:
     from ..core import Mailbox, Memory, TContext, TGraph, TSampler
     from ..resilience import FaultInjector, validate_state
-    from ..serve import ServeRuntime, poison_stream, split_batches
+    from ..serve import ServeRuntime, ledger_violations, poison_stream, split_batches
 
     args = build_serve_parser().parse_args(argv)
     stream, num_nodes = load_stream(args)
@@ -186,21 +186,15 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     print(f"replaying {len(stream)} events in {len(batches)} requests "
           f"at {args.load:g}x load")
     results = run_replay(runtime, batches, args.load, injector)
-    print_summary(runtime.stats().items(), results, runtime.ctx, injector)
+    stats = runtime.stats()
+    print_summary(sorted(stats.items()), results, runtime.ctx, injector)
     runtime.close()  # seal the WAL: everything committed is now durable
 
-    failures = []
+    failures = ledger_violations(stats)
     violations = (validate_state(runtime.graph, runtime.ctx)
                   + runtime.memory.validate() + runtime.mailbox.validate())
     if violations:
         failures.append("state violations: " + "; ".join(violations))
-    st = runtime.ingest.stats
-    if st.pushed != st.accepted + st.duplicates + st.quarantined_total:
-        failures.append(
-            f"ingestion ledger unbalanced: pushed={st.pushed} != "
-            f"accepted={st.accepted} + duplicates={st.duplicates} + "
-            f"quarantined={st.quarantined_total}"
-        )
     if args.poison and args.check_equivalence:
         # Equivalence is defined over streams, not over shed work, so the
         # comparison replays run shed-free (unbounded queue, no deadline).

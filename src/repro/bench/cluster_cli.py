@@ -167,7 +167,8 @@ def build_serve_cluster_parser() -> argparse.ArgumentParser:
                              "require bit-identical final state (runs the "
                              "cluster shed-free)")
     parser.add_argument("--assert-valid", action="store_true",
-                        help="exit nonzero on violated invariants")
+                        help="exit nonzero on violated invariants (state, "
+                             "ingestion and admission ledgers)")
     return parser
 
 
@@ -178,7 +179,7 @@ def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
     from ..core import Mailbox, Memory, TContext, TGraph, TSampler
     from ..integrity import array_digest
     from ..resilience import FaultInjector, apply_bitflip
-    from ..serve import ServeRuntime, split_batches
+    from ..serve import ServeRuntime, ledger_violations, split_batches
 
     args = build_serve_cluster_parser().parse_args(argv)
     stream, num_nodes = load_stream(args)
@@ -267,10 +268,7 @@ def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
     stats = cluster.stats()
     print_summary(sorted(stats.items()), results, ctx, injector)
 
-    # Always printed, even when zero: a clean run must be distinguishable
-    # from an unreported one.
-    zero_rows = int(ctx.counters.get("serve:zero_rows", 0))
-    print(f"  {'serve:zero_rows':34s} {zero_rows}")
+    zero_rows = stats["cluster:zero_rows"]
     served_ok = [r for r in results if r.status == "ok"]
     fully_valid = sum(
         1 for r in served_ok if r.valid is None or bool(r.valid.all())
@@ -288,7 +286,7 @@ def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
           f"rows_repaired={stats.get('integrity:rows_repaired', 0)} "
           f"seconds={scrub_seconds:.4f} ({overhead:.2%} of serve wall time)")
 
-    failures = []
+    failures = ledger_violations(stats)
     if flip_target is not None:
         if not flip_applied:
             failures.append(

@@ -371,7 +371,7 @@ class ResilientTrainer:
                 "checkpoint", {"epoch": epoch, "batch": batch}
             )
             self.store.sync()
-            self.store.compacted_segments += self.store.wal.compact_below(lsn)
+            self.store.compact_below(lsn)
         result.events.append(ResilienceEvent("checkpoint", epoch, batch))
         return "checkpoint"
 

@@ -30,8 +30,8 @@ from .coordinator import ClusterConfig, ServeCluster, ShardedCostModel
 from .partition import ShardRouter, hash_shard, place_group_hosts
 from .replica import ReplicaDown, ShardReplica, StaleLeaseError
 from .replication import ReplicaGroup
-from .rpc import RpcStats, RpcTimeout, SimRpc
-from .supervisor import ShardState, Supervisor, SupervisorStats
+from .rpc import RpcTimeout, SimRpc
+from .supervisor import ShardState, Supervisor
 
 __all__ = [
     "ClusterConfig",
@@ -44,10 +44,8 @@ __all__ = [
     "ShardReplica",
     "StaleLeaseError",
     "ReplicaGroup",
-    "RpcStats",
     "RpcTimeout",
     "SimRpc",
     "ShardState",
     "Supervisor",
-    "SupervisorStats",
 ]

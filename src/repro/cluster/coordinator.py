@@ -20,8 +20,8 @@ followers — and the seam uses the group at both ends:
   members, so reads survive the detection→promotion window that a
   factor-1 cluster zero-fills.  Only when *every* member of a group is
   down do that shard's rows zero-fill — and then the returned per-row
-  mask marks them, which the engine turns into ``RequestResult.valid``,
-  the ``serve:zero_rows`` counter, and a ``partial`` result.
+  mask marks them (counted as ``cluster:zero_rows``), which the engine
+  turns into ``RequestResult.valid`` and a ``partial`` result.
   ``staleness_bound`` picks between ``'bounded'`` follower reads (lag at
   most the follower's parked queue) and ``'strict'`` read-your-commits
   (block the gather on promotion).
@@ -60,6 +60,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.stats import declare
 from ..integrity.scrubber import Scrubber
 from ..resilience.chaos import inject_member_faults
 from ..serve.commit import plan_by_owner, stage_checked
@@ -150,10 +151,14 @@ class ServeCluster(ServeEngine):
         stream: seeding event stream, required by the ``temporal``
             partition policy.
         **engine: the shared request-loop knobs (``clock``, ``deadline``,
-            ``ladder``, ``lateness``, ``max_buffer``, ``max_queue``,
-            ``shed_policy``, ``rate``, ``burst``, ``injector``), declared
-            once on :class:`~repro.serve.engine.ServeEngine`.  The
-            default ladder prices requests with :class:`ShardedCostModel`.
+            ``lateness``, ``max_buffer``, ``max_queue``, ``shed_policy``,
+            ``rate``, ``burst``, ``injector``), declared once on
+            :class:`~repro.serve.engine.ServeEngine`.  The ladder prices
+            requests with :class:`ShardedCostModel`.
+
+    Every component counts into ``ctx.counters``: ``cluster:*`` (this
+    coordinator, the supervisor, chaos), ``rpc:*``, ``integrity:*``,
+    ``group:<shard>:*`` and ``shard:<shard>:m<member>:*``.
     """
 
     def __init__(
@@ -168,8 +173,7 @@ class ServeCluster(ServeEngine):
         **engine,
     ):
         super().__init__(graph, ctx, sampler, **engine)
-        if engine.get("ladder") is None:
-            self.ladder.cost_model = ShardedCostModel(self)
+        self.ladder.cost_model = ShardedCostModel(self)
         self.dim = int(dim)
         self.config = config or ClusterConfig()
 
@@ -183,6 +187,13 @@ class ServeCluster(ServeEngine):
         if root is None:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-cluster-")
             root = self._tmpdir.name
+        counters = declare(
+            ctx.counters, "cluster:commits", "cluster:commit_retries",
+            "cluster:rollbacks", "cluster:partial_results", "cluster:zero_rows",
+            "cluster:injected_crashes", "cluster:injected_stalls",
+            "cluster:injected_flips", "cluster:follower_reads",
+            "cluster:staleness_lag", "cluster:strict_fallbacks",
+        )
         hosts = place_group_hosts(cfg.num_shards, cfg.replication_factor)
         self.groups: List[ReplicaGroup] = []
         for i in range(cfg.num_shards):
@@ -196,35 +207,24 @@ class ServeCluster(ServeEngine):
                     ),
                     mailbox_slots=mailbox_slots, fsync=cfg.fsync,
                     snapshot_every=cfg.snapshot_every,
-                    member_id=m, host=hosts[i][m],
+                    member_id=m, host=hosts[i][m], counters=counters,
                 )
                 for m in range(cfg.replication_factor)
             ]
             self.groups.append(
-                ReplicaGroup(i, members, ack_quorum=cfg.ack_quorum)
+                ReplicaGroup(i, members, ack_quorum=cfg.ack_quorum,
+                             counters=counters)
             )
-        self.rpc = SimRpc(self.clock)
-        self.supervisor = Supervisor(self.clock, self.groups, self.router)
+        self.rpc = SimRpc(self.clock, counters=counters)
+        self.supervisor = Supervisor(self.clock, self.groups, self.router,
+                                     counters=counters)
         self.scrubber = Scrubber(
             self.groups, self.clock, interval=cfg.scrub_interval,
-            count=ctx.count,
+            counters=counters,
         )
         #: cluster commit sequence; every shard sub-batch carries it.
         self.seq = -1
         self.committed_watermark = -np.inf
-        # cluster counters
-        self.commits = 0
-        self.commit_retries = 0
-        self.rollbacks = 0
-        self.injected_crashes = 0
-        self.injected_stalls = 0
-        self.injected_flips = 0
-        #: gathers answered by a follower instead of the primary.
-        self.follower_reads = 0
-        #: summed ``committed_seq - follower.last_seq`` over follower reads.
-        self.staleness_lag = 0
-        #: strict-staleness gathers that forced a promotion first.
-        self.strict_fallbacks = 0
 
     # ---- liveness ------------------------------------------------------------------
 
@@ -232,14 +232,6 @@ class ServeCluster(ServeEngine):
     def replicas(self) -> List[ShardReplica]:
         """Each group's current primary (the legacy single-replica view)."""
         return [g.primary for g in self.groups]
-
-    @property
-    def deferred_applies(self) -> int:
-        return sum(g.deferred for g in self.groups)
-
-    @property
-    def redelivered(self) -> int:
-        return sum(g.redelivered for g in self.groups)
 
     def live_shards(self) -> int:
         """Shards with at least one member able to serve right now."""
@@ -254,12 +246,7 @@ class ServeCluster(ServeEngine):
 
     def _before_request(self) -> None:
         """Apply due member faults, then detect, fail over, and scrub."""
-        crashes, stalls, flips = inject_member_faults(self.groups, self.clock.now())
-        self.injected_crashes += crashes
-        self.injected_stalls += stalls
-        if flips:
-            self.injected_flips += flips
-            self.ctx.count("integrity:injected_flips", flips)
+        inject_member_faults(self.groups, self.clock.now(), self.ctx.counters)
         self.supervisor.tick()
         self.scrubber.maybe_scrub()
 
@@ -335,6 +322,7 @@ class ServeCluster(ServeEngine):
         now = self.clock.now()
         strict = self.config.staleness_bound == "strict"
         slowest = 0.0
+        c = self.ctx.counters
         for k, shard in enumerate(np.unique(shards)):
             group = self.groups[int(shard)]
             ridx = group.read_member()
@@ -342,7 +330,7 @@ class ServeCluster(ServeEngine):
                 # Read-your-commits: no follower read while a promotion
                 # can still give this gather a real primary.
                 if self.supervisor.ensure_primary(int(shard)):
-                    self.strict_fallbacks += 1
+                    c["cluster:strict_fallbacks"] += 1
                 ridx = group.read_member()
             candidates = [] if ridx is None else [ridx] + [
                 i for i in range(group.factor)
@@ -367,14 +355,16 @@ class ServeCluster(ServeEngine):
                 rows[idx] = member.gather(nodes[idx])
                 slowest = max(slowest, elapsed)
                 if ridx2 != group.primary_idx:
-                    self.follower_reads += 1
-                    self.staleness_lag += max(
+                    c["cluster:follower_reads"] += 1
+                    # how far behind the group's commits this read is
+                    c["cluster:staleness_lag"] += max(
                         0, group.committed_seq - member.last_seq
                     )
                 served = True
                 break
             if not served:
                 ok[idx] = False
+                c["cluster:zero_rows"] += int(np.count_nonzero(idx))
         self.clock.advance(max(0.0, slowest - self.rpc.service))
         return rows, ok
 
@@ -389,11 +379,10 @@ class ServeCluster(ServeEngine):
         batches without needing cross-shard two-phase commit.
         """
         staged = stage_checked(released, self.dim)
-        for _ in range(staged.retries):
-            self.ctx.record_kernel_fault("serve.commit")
-        self.commit_retries += staged.retries
+        c = self.ctx.counters
+        c["cluster:commit_retries"] += staged.retries
         if staged.violations:
-            self.rollbacks += 1
+            c["cluster:rollbacks"] += 1
             self.ingest.quarantine_batch(released, "; ".join(staged.violations))
             return
         self.seq += 1
@@ -417,7 +406,7 @@ class ServeCluster(ServeEngine):
                 sub, seq, self.rpc, now,
                 extra=104729 * (rid + 1) + 31 * shard + 7, part=part,
             )
-        self.commits += 1
+        c["cluster:commits"] += 1
         self.committed_watermark = max(self.committed_watermark, staged.watermark)
 
     # ---- assembled state images ----------------------------------------------------
@@ -463,37 +452,39 @@ class ServeCluster(ServeEngine):
     def pending_applies(self) -> int:
         return sum(g.pending_applies() for g in self.groups)
 
-    def stats(self) -> Dict[str, object]:
-        """The engine's counters plus cluster/rpc/per-shard rows."""
-        out = super().stats()
-        out["cluster:shards"] = self.config.num_shards
-        out["cluster:replication_factor"] = self.config.replication_factor
-        out["cluster:live_shards"] = self.live_shards()
-        out["cluster:partition"] = self.router.policy
-        out["cluster:assignment_version"] = self.router.version
-        out["cluster:commits"] = self.commits
-        out["cluster:commit_retries"] = self.commit_retries
-        out["cluster:rollbacks"] = self.rollbacks
-        out["cluster:partial_results"] = self.partial_results
-        out["cluster:deferred_applies"] = self.deferred_applies
-        out["cluster:redelivered"] = self.redelivered
-        out["cluster:pending_applies"] = self.pending_applies()
-        out["cluster:injected_crashes"] = self.injected_crashes
-        out["cluster:injected_stalls"] = self.injected_stalls
-        out["cluster:injected_flips"] = self.injected_flips
-        out["cluster:zero_rows"] = self.zero_rows
-        out["cluster:follower_reads"] = self.follower_reads
-        out["cluster:staleness_lag"] = self.staleness_lag
-        out["cluster:strict_fallbacks"] = self.strict_fallbacks
-        out.update({f"cluster:{k}": v
-                    for k, v in self.supervisor.stats.as_dict().items()})
-        out.update({f"rpc:{k}": v for k, v in self.rpc.stats.as_dict().items()})
-        out.update(self.scrubber.stats())
-        for i, rep in enumerate(self.replicas):
-            out.update({f"shard:{i}:{k}": v for k, v in rep.stats().items()})
-        for i, group in enumerate(self.groups):
-            out.update({f"group:{i}:{k}": v
-                        for k, v in group.stats().items()})
+    def _gauges(self) -> Dict[str, object]:
+        """The engine's gauges, the topology, and sums over groups/members."""
+        out = super()._gauges()
+        c, cfg, groups = self.ctx.counters, self.config, self.groups
+        out.update({
+            "cluster:shards": cfg.num_shards,
+            "cluster:replication_factor": cfg.replication_factor,
+            "cluster:live_shards": self.live_shards(),
+            "cluster:partition": self.router.policy,
+            "cluster:assignment_version": self.router.version,
+            "cluster:pending_applies": self.pending_applies(),
+            # totals of what the groups and their members counted
+            "cluster:deferred_applies": sum(c[g.key["deferred"]] for g in groups),
+            "cluster:redelivered": sum(c[g.key["redelivered"]] for g in groups),
+            "cluster:promotions": sum(c[g.key["promotions"]] for g in groups),
+            "cluster:recoveries": sum(c[rep.key["recoveries"]]
+                                      for g in groups for rep in g.members),
+        })
+        if self.supervisor.recovery_seconds:
+            out["cluster:mean_time_to_recover"] = float(
+                np.mean(self.supervisor.recovery_seconds))
+        for i, g in enumerate(groups):
+            out.update({f"group:{i}:{k}": v for k, v in (
+                ("factor", g.factor), ("primary", g.primary_idx), ("epoch", g.epoch),
+                ("ack_quorum", g.ack_quorum), ("committed_seq", g.committed_seq),
+                ("pending", g.pending_applies()))})
+            for rep in g.members:
+                out.update({rep.prefix + k: v for k, v in (
+                    ("owned_nodes", int(len(rep.owned))), ("alive", bool(rep.alive)),
+                    ("last_seq", rep.last_seq), ("lease_epoch", rep.lease_epoch),
+                    ("host", rep.host))})
+                if rep.store is not None:
+                    out[rep.prefix + "wal_last_lsn"] = rep.store.wal.last_lsn
         return out
 
     def _release(self) -> None:

@@ -27,7 +27,6 @@ equivalence:
 
 from __future__ import annotations
 
-import hashlib
 import os
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -36,9 +35,10 @@ import numpy as np
 from ..core.mailbox import Mailbox
 from ..core.memory import Memory
 from ..core.state import state_image
+from ..core.stats import declare
 from ..durable.codec import KIND_BATCH, encode_payload
 from ..durable.store import DurableStateStore
-from ..integrity.digest import ChunkedDigest, merkle_root, row_leaves
+from ..integrity.digest import ChunkedDigest, row_leaves
 from ..serve.commit import (
     ApplyPlan,
     apply_plan,
@@ -49,7 +49,12 @@ from ..serve.commit import (
 )
 from ..serve.events import EventBatch
 
-__all__ = ["ReplicaDown", "StaleLeaseError", "ShardReplica"]
+__all__ = ["ReplicaDown", "StaleLeaseError", "ShardReplica", "REPLICA_COUNTERS"]
+
+#: a replica's counters (its durable store adds ``wal:*``,
+#: ``snapshots_written`` and ``compacted_segments`` under the same prefix).
+REPLICA_COUNTERS = ("applied_batches", "applied_rows", "duplicate_batches",
+                    "stale_rejects", "crashes", "recoveries", "stalls")
 
 
 class Prepared(NamedTuple):
@@ -129,6 +134,9 @@ class ShardReplica:
             (0 = initial primary; followers are 1..factor-1).
         host: simulated host this member is placed on (placement asserts
             no two members of one group share a host).
+        counters: the counter table to count ``shard:<shard>:m<member>:<name>``
+            into, one key per :data:`REPLICA_COUNTERS` name (a private table
+            when None).
     """
 
     def __init__(
@@ -143,6 +151,7 @@ class ShardReplica:
         snapshot_every: int = 64,
         member_id: int = 0,
         host: int = 0,
+        counters: Optional[Dict[str, float]] = None,
     ):
         self.shard_id = int(shard_id)
         self.member_id = int(member_id)
@@ -154,11 +163,14 @@ class ShardReplica:
         self.fsync = fsync
         self.snapshot_every = int(snapshot_every)
         os.makedirs(durable_dir, exist_ok=True)
+        #: counter-table prefix of this member, and the key of each
+        #: :data:`REPLICA_COUNTERS` name.
+        self.prefix = f"shard:{self.shard_id}:m{self.member_id}:"
+        self.key = {name: self.prefix + name for name in REPLICA_COUNTERS}
+        self.counters = declare(counters, *self.key.values())
 
         self._reslice(np.sort(np.asarray(owned, dtype=np.int64)))
-        self.store: Optional[DurableStateStore] = DurableStateStore(
-            durable_dir, fsync=fsync
-        )
+        self.store: Optional[DurableStateStore] = self._open_store()
 
         #: newest cluster commit sequence number durably applied.
         self.last_seq = -1
@@ -174,15 +186,6 @@ class ShardReplica:
         #: simulated time until which calls run ``stall_factor`` slower.
         self.stall_until = -np.inf
         self.stall_factor = 1.0
-
-        self.applied_batches = 0
-        #: owned endpoint rows staged by applied batches (two per event at most).
-        self.applied_rows = 0
-        self.duplicate_batches = 0
-        self.stale_rejects = 0
-        self.crashes = 0
-        self.recoveries = 0
-        self.stalls = 0
         self._since_snapshot = 0
         # Anchor: ownership is durable before the first WAL record.
         self.write_snapshot()
@@ -192,6 +195,10 @@ class ShardReplica:
 
     # ---- liveness ------------------------------------------------------------------
 
+    def _open_store(self) -> DurableStateStore:
+        return DurableStateStore(self.durable_dir, fsync=self.fsync,
+                                 counters=self.counters, prefix=self.prefix)
+
     def current_stall(self, now: float) -> float:
         """Service-time multiplier in effect at *now*."""
         return self.stall_factor if now < self.stall_until else 1.0
@@ -200,7 +207,7 @@ class ShardReplica:
         """Enter a stall window: every call until ``now + window`` is slow."""
         self.stall_until = now + float(window)
         self.stall_factor = max(1.0, float(factor))
-        self.stalls += 1
+        self.counters[self.key["stalls"]] += 1
 
     def crash(self) -> None:
         """Kill the process: in-RAM state is gone, the durable dir survives.
@@ -212,7 +219,7 @@ class ShardReplica:
         if not self.alive:
             return
         self.alive = False
-        self.crashes += 1
+        self.counters[self.key["crashes"]] += 1
         self.memory = None
         self.mailbox = None
         self.digests = None
@@ -239,7 +246,7 @@ class ShardReplica:
         state at the last acked apply (prefix-consistent: a torn tail
         was never acked).
         """
-        self.store = DurableStateStore(self.durable_dir, fsync=self.fsync)
+        self.store = self._open_store()
         state = self.store.recover()
         if state.snapshot_arrays is None:
             raise RuntimeError(
@@ -259,7 +266,7 @@ class ShardReplica:
         self._since_snapshot = replayed
         self.alive = True
         self.recovering = False
-        self.recoveries += 1
+        self.counters[self.key["recoveries"]] += 1
         return {"replayed": replayed, "seq": self.last_seq}
 
     # ---- state application ---------------------------------------------------------
@@ -332,7 +339,7 @@ class ShardReplica:
         if not self.alive or self.memory is None:
             raise ReplicaDown(f"shard {self.shard_id} is down")
         if epoch < self.lease_epoch:
-            self.stale_rejects += 1
+            self.counters[self.key["stale_rejects"]] += 1
             raise StaleLeaseError(
                 f"shard {self.shard_id} member {self.member_id}: write "
                 f"stamped epoch {epoch} rejected (lease epoch is "
@@ -340,7 +347,7 @@ class ShardReplica:
             )
         self.lease_epoch = int(epoch)
         if seq <= self.last_seq:
-            self.duplicate_batches += 1
+            self.counters[self.key["duplicate_batches"]] += 1
             return False
         if not len(batch):
             self.last_seq = int(seq)
@@ -356,8 +363,9 @@ class ShardReplica:
             # other bytes.
             self.digests.record_rows(plan.win_nodes, chunks, leaves)
         self.last_seq = int(seq)
-        self.applied_batches += 1
-        self.applied_rows += len(plan.nodes)
+        self.counters[self.key["applied_batches"]] += 1
+        # owned endpoint rows staged (two per event at most)
+        self.counters[self.key["applied_rows"]] += len(plan.nodes)
         self._since_snapshot += 1
         if self.snapshot_every and self._since_snapshot >= self.snapshot_every:
             self.write_snapshot()
@@ -466,23 +474,11 @@ class ShardReplica:
         """
         if self.store is None or not self.alive:
             raise ReplicaDown(f"shard {self.shard_id} is down")
-        before = self.store.compacted_segments
+        compacted = self.store.compacted_key
+        before = self.counters[compacted]
         self.store.wal.rotate()
         self.write_snapshot()
-        return self.store.compacted_segments - before
-
-    def integrity_summary(self) -> Dict[str, object]:
-        """Per-replica merkle summary: component roots plus a replica root."""
-        if not self.alive or self.digests is None:
-            raise ReplicaDown(f"shard {self.shard_id} is down")
-        components = {name: cd.root() for name, cd in self.digests.components()}
-        if self.store is not None:
-            components["wal"] = merkle_root(self.store.wal.segment_digests())
-        blob = "|".join(f"{k}:{v}" for k, v in sorted(components.items()))
-        return {
-            "components": components,
-            "root": hashlib.sha256(blob.encode()).hexdigest(),
-        }
+        return self.counters[compacted] - before
 
     # ---- snapshots / rebalance -----------------------------------------------------
 
@@ -555,27 +551,7 @@ class ShardReplica:
         self.digests = _StateDigests(self)
         self.write_snapshot()
 
-    # ---- reporting / lifecycle -----------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "owned_nodes": int(len(self.owned)),
-            "alive": bool(self.alive),
-            "applied_batches": self.applied_batches,
-            "applied_rows": self.applied_rows,
-            "duplicate_batches": self.duplicate_batches,
-            "stale_rejects": self.stale_rejects,
-            "crashes": self.crashes,
-            "recoveries": self.recoveries,
-            "stalls": self.stalls,
-            "last_seq": self.last_seq,
-            "lease_epoch": self.lease_epoch,
-            "member_id": self.member_id,
-            "host": self.host,
-        }
-        if self.store is not None:
-            out["wal_last_lsn"] = self.store.wal.last_lsn
-        return out
+    # ---- lifecycle -----------------------------------------------------------------
 
     def close(self) -> None:
         """Idempotent; safe on crashed replicas (their store is gone)."""

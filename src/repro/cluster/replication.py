@@ -50,12 +50,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..core.stats import declare
 from ..durable.tail import read_batch_suffix
 from ..serve.events import EventBatch
 from .replica import ReplicaDown, ShardReplica
 from .rpc import RpcTimeout
 
-__all__ = ["ReplicaGroup"]
+__all__ = ["ReplicaGroup", "GROUP_COUNTERS"]
+
+#: a replica group's counters.
+GROUP_COUNTERS = ("ships", "quorum_commits", "under_quorum", "acks_lost",
+                  "deferred", "redelivered", "promotions", "catchup_replayed")
 
 
 class ReplicaGroup:
@@ -69,6 +74,9 @@ class ReplicaGroup:
         ack_quorum: members (primary included) whose durable append must
             be acknowledged for a quorum commit; defaults to a majority
             (``factor // 2 + 1``).  Bounded to ``[1, factor]``.
+        counters: the counter table to count ``group:<shard>:<name>`` into,
+            one key per :data:`GROUP_COUNTERS` name (a private table when
+            None).
     """
 
     def __init__(
@@ -76,6 +84,7 @@ class ReplicaGroup:
         shard_id: int,
         members: List[ShardReplica],
         ack_quorum: Optional[int] = None,
+        counters: Optional[Dict[str, float]] = None,
     ):
         if not members:
             raise ValueError("a replica group needs at least one member")
@@ -103,15 +112,9 @@ class ReplicaGroup:
         self._pending: List[List[Tuple[int, EventBatch]]] = [
             [] for _ in self.members
         ]
-        # counters
-        self.ships = 0
-        self.quorum_commits = 0
-        self.under_quorum = 0
-        self.acks_lost = 0
-        self.deferred = 0
-        self.redelivered = 0
-        self.promotions = 0
-        self.catchup_replayed = 0
+        #: counter-table key of each :data:`GROUP_COUNTERS` name.
+        self.key = {name: f"group:{self.shard_id}:{name}" for name in GROUP_COUNTERS}
+        self.counters = declare(counters, *self.key.values())
 
     # ---- membership ----------------------------------------------------------------
 
@@ -167,7 +170,7 @@ class ReplicaGroup:
 
     def _defer(self, idx: int, seq: int, batch: EventBatch) -> None:
         self._pending[idx].append((seq, batch))
-        self.deferred += 1
+        self.counters[self.key["deferred"]] += 1
 
     def drain_member(self, idx: int) -> int:
         """Reliable in-order redelivery of member *idx*'s parked records.
@@ -183,7 +186,7 @@ class ReplicaGroup:
         queue, self._pending[idx] = self._pending[idx], []
         for seq, sub in queue:
             member.apply(sub, seq, epoch=self.epoch)
-            self.redelivered += 1
+            self.counters[self.key["redelivered"]] += 1
         return len(queue)
 
     def ship(self, batch: EventBatch, seq: int, rpc, now: float,
@@ -201,7 +204,7 @@ class ReplicaGroup:
         never lost, only late — and ``committed_seq`` advances
         regardless because the cluster-level sequencing already happened.
         """
-        self.ships += 1
+        self.counters[self.key["ships"]] += 1
         acked = 0
         # Record bytes, apply plan and the written rows' leaves are the same
         # on every member (shared ownership, seq, epoch): the first to need
@@ -244,11 +247,11 @@ class ReplicaGroup:
                     acked += 1
                 else:
                     # The follower appended durably; only the ack died.
-                    self.acks_lost += 1
+                    self.counters[self.key["acks_lost"]] += 1
         if acked >= self.ack_quorum:
-            self.quorum_commits += 1
+            self.counters[self.key["quorum_commits"]] += 1
         else:
-            self.under_quorum += 1
+            self.counters[self.key["under_quorum"]] += 1
         self.committed_seq = max(self.committed_seq, int(seq))
         return acked
 
@@ -302,8 +305,8 @@ class ReplicaGroup:
             new_primary.apply(
                 sub, int(record.meta["seq"]), epoch=self.epoch
             )
-            self.catchup_replayed += 1
-        self.promotions += 1
+            self.counters[self.key["catchup_replayed"]] += 1
+        self.counters[self.key["promotions"]] += 1
         return best
 
     def rejoin(self, idx: int) -> None:
@@ -329,24 +332,6 @@ class ReplicaGroup:
                     self.drain_member(i)  # every parked record is a duplicate now
 
     # ---- reporting -----------------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "factor": len(self.members),
-            "primary": self.primary_idx,
-            "epoch": self.epoch,
-            "ack_quorum": self.ack_quorum,
-            "committed_seq": self.committed_seq,
-            "ships": self.ships,
-            "quorum_commits": self.quorum_commits,
-            "under_quorum": self.under_quorum,
-            "acks_lost": self.acks_lost,
-            "deferred": self.deferred,
-            "redelivered": self.redelivered,
-            "promotions": self.promotions,
-            "catchup_replayed": self.catchup_replayed,
-            "pending": self.pending_applies(),
-        }
 
     def __repr__(self) -> str:
         states = "".join(

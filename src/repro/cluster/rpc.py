@@ -28,12 +28,12 @@ applies dedup on the batch sequence number).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Optional
 
+from ..core.stats import declare
 from ..resilience.hooks import poke as _poke
 
-__all__ = ["RpcTimeout", "RpcStats", "SimRpc"]
+__all__ = ["RpcTimeout", "SimRpc"]
 
 
 class RpcTimeout(RuntimeError):
@@ -46,27 +46,6 @@ class RpcTimeout(RuntimeError):
         )
         self.shard = int(shard)
         self.elapsed = float(elapsed)
-
-
-@dataclass
-class RpcStats:
-    """Running channel counters (cluster-level, all shards)."""
-
-    calls: int = 0
-    attempts: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    failures: int = 0
-    dropped_sends: int = 0
-    dropped_replies: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
-    ships: int = 0
-    dropped_ships: int = 0
-    dropped_acks: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return asdict(self)
 
 
 class SimRpc:
@@ -83,6 +62,8 @@ class SimRpc:
             (``backoff * 2**attempt`` idle seconds after each timeout).
         hedge_delay: send a duplicate request when the primary has not
             completed by this long; ``None`` disables hedging.
+        counters: the counter table to count the channel's ``rpc:*``
+            (cluster-level, all shards) into (a private one when None).
     """
 
     def __init__(
@@ -93,6 +74,7 @@ class SimRpc:
         retries: int = 2,
         backoff: float = 5.0e-4,
         hedge_delay: Optional[float] = 6.0e-4,
+        counters: Optional[Dict[str, float]] = None,
     ):
         if service <= 0 or timeout <= 0:
             raise ValueError("rpc service and timeout must be positive")
@@ -104,7 +86,12 @@ class SimRpc:
         self.retries = int(retries)
         self.backoff = float(backoff)
         self.hedge_delay = None if hedge_delay is None else float(hedge_delay)
-        self.stats = RpcStats()
+        self.counters = declare(
+            counters, "rpc:calls", "rpc:attempts", "rpc:retries", "rpc:timeouts",
+            "rpc:failures", "rpc:dropped_sends", "rpc:dropped_replies",
+            "rpc:hedges", "rpc:hedge_wins", "rpc:ships", "rpc:dropped_ships",
+            "rpc:dropped_acks",
+        )
 
     # ---- one leg -------------------------------------------------------------------
 
@@ -116,9 +103,9 @@ class SimRpc:
         replica — even when the reply is subsequently lost, mirroring the
         acked-but-lost window real RPC has.
         """
-        self.stats.attempts += 1
+        self.counters["rpc:attempts"] += 1
         if _poke("rpc.send", shard=shard, extra=extra) == ("drop",):
-            self.stats.dropped_sends += 1
+            self.counters["rpc:dropped_sends"] += 1
             return math.inf
         if not alive:
             return math.inf  # host down: the request vanishes into the void
@@ -126,7 +113,7 @@ class SimRpc:
             on_deliver()
         service = self.service * max(1.0, float(stall))
         if _poke("rpc.recv", shard=shard, extra=extra + 1) == ("drop",):
-            self.stats.dropped_replies += 1
+            self.counters["rpc:dropped_replies"] += 1
             return math.inf
         return service
 
@@ -158,21 +145,21 @@ class SimRpc:
             ):
                 # The primary is slow (or lost): fire a hedged duplicate
                 # and take whichever copy answers first.
-                self.stats.hedges += 1
+                self.counters["rpc:hedges"] += 1
                 hedge = self.hedge_delay + self._leg(
                     shard, alive, stall, key + 500009, on_deliver
                 )
                 if hedge < completion:
                     completion = hedge
-                    self.stats.hedge_wins += 1
+                    self.counters["rpc:hedge_wins"] += 1
             if completion <= self.timeout:
-                self.stats.calls += 1
+                self.counters["rpc:calls"] += 1
                 return elapsed + completion
-            self.stats.timeouts += 1
+            self.counters["rpc:timeouts"] += 1
             elapsed += self.timeout + self.backoff * (2 ** attempt)
             if attempt < self.retries:
-                self.stats.retries += 1
-        self.stats.failures += 1
+                self.counters["rpc:retries"] += 1
+        self.counters["rpc:failures"] += 1
         raise RpcTimeout(shard, elapsed)
 
     # ---- log shipping --------------------------------------------------------------
@@ -194,16 +181,16 @@ class SimRpc:
         charges no request latency (mirroring :meth:`call`'s use there),
         so no elapsed time is returned.
         """
-        self.stats.ships += 1
+        self.counters["rpc:ships"] += 1
         if _poke("repl.ship", shard=shard, member=member, extra=extra) == ("drop",):
-            self.stats.dropped_ships += 1
+            self.counters["rpc:dropped_ships"] += 1
             return False, False
         if not alive:
             return False, False  # host down: the shipment vanishes
         if on_deliver is not None:
             on_deliver()
         if _poke("repl.ack", shard=shard, member=member, extra=extra + 1) == ("drop",):
-            self.stats.dropped_acks += 1
+            self.counters["rpc:dropped_acks"] += 1
             return True, False
         return True, True
 

@@ -36,15 +36,15 @@ by the shared simulated clock so every run is replayable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from ..core.stats import declare
 from ..resilience.hooks import poke as _poke
 from .replica import ReplicaDown
 
-__all__ = ["ShardState", "SupervisorStats", "Supervisor"]
+__all__ = ["ShardState", "Supervisor"]
 
 
 class ShardState:
@@ -56,39 +56,6 @@ class ShardState:
     RECOVERING = "recovering"
     PROMOTING = "promoting"
     QUIESCED = "quiesced"
-
-
-@dataclass
-class SupervisorStats:
-    """Running control-plane counters."""
-
-    beats: int = 0
-    beats_dropped: int = 0
-    suspects: int = 0
-    failovers: int = 0
-    recoveries: int = 0
-    promotions: int = 0
-    promote_delays: int = 0
-    rebalances: int = 0
-    nodes_moved: int = 0
-    #: seconds from dead-declaration to rejoin, per completed failover.
-    recovery_seconds: List[float] = field(default_factory=list)
-
-    def as_dict(self) -> Dict[str, object]:
-        out = {
-            "beats": self.beats,
-            "beats_dropped": self.beats_dropped,
-            "suspects": self.suspects,
-            "failovers": self.failovers,
-            "recoveries": self.recoveries,
-            "promotions": self.promotions,
-            "promote_delays": self.promote_delays,
-            "rebalances": self.rebalances,
-            "nodes_moved": self.nodes_moved,
-        }
-        if self.recovery_seconds:
-            out["mean_time_to_recover"] = float(np.mean(self.recovery_seconds))
-        return out
 
 
 class Supervisor:
@@ -114,6 +81,10 @@ class Supervisor:
             clock per rebalance hand-off.
         on_recovered: callback ``(shard_id, member_idx)`` after a
             respawn completes and the member has rejoined its group.
+        counters: the counter table to count the control plane's
+            ``cluster:*`` into (a private one when None).  Promotions and
+            recoveries are counted by the group and the member they happen
+            to.
     """
 
     #: promotion attempts delayed by ``repl.promote`` before one is
@@ -137,6 +108,7 @@ class Supervisor:
         rebalance_max_fraction: float = 0.25,
         rebalance_handoff_seconds: float = 2.0e-3,
         on_recovered=None,
+        counters: Optional[Dict[str, float]] = None,
     ):
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
@@ -157,7 +129,13 @@ class Supervisor:
         self.rebalance_max_fraction = float(rebalance_max_fraction)
         self.rebalance_handoff_seconds = float(rebalance_handoff_seconds)
         self.on_recovered = on_recovered
-        self.stats = SupervisorStats()
+        self.counters = declare(
+            counters, "cluster:beats", "cluster:beats_dropped", "cluster:suspects",
+            "cluster:failovers", "cluster:promote_delays", "cluster:rebalances",
+            "cluster:nodes_moved",
+        )
+        #: seconds from dead-declaration to rejoin, per completed failover.
+        self.recovery_seconds: List[float] = []
 
         n = len(groups)
         self._num_shards = n
@@ -217,13 +195,13 @@ class Supervisor:
                 for m, member in enumerate(group.members):
                     if not member.alive or (g, m) in self._quiesced:
                         continue  # dead hosts and quiesced members beat nothing
-                    self.stats.beats += 1
+                    self.counters["cluster:beats"] += 1
                     dropped = _poke(
                         "heartbeat.drop", shard=g,
                         extra=g + self._num_shards * m + 101 * self._beat_seq,
                     )
                     if dropped:
-                        self.stats.beats_dropped += 1
+                        self.counters["cluster:beats_dropped"] += 1
                     else:
                         self.last_beat[(g, m)] = t
 
@@ -241,7 +219,7 @@ class Supervisor:
                 elif phi >= self.suspect_phi:
                     if self.state[g][m] == ShardState.OK:
                         self.state[g][m] = ShardState.SUSPECT
-                        self.stats.suspects += 1
+                        self.counters["cluster:suspects"] += 1
                 elif self.state[g][m] == ShardState.SUSPECT:
                     self.state[g][m] = ShardState.OK  # beat again: false alarm
 
@@ -282,7 +260,7 @@ class Supervisor:
         )
         rep.begin_recovery(ready_at=now + seconds)
         self.state[shard][m] = ShardState.RECOVERING
-        self.stats.failovers += 1
+        self.counters["cluster:failovers"] += 1
         if was_primary and group.any_serving():
             # The dead primary leaves a serving follower: hand the lease
             # over instead of waiting out the WAL respawn (the respawned
@@ -307,7 +285,7 @@ class Supervisor:
                 self._promote_delay_count[shard] = delays + 1
                 self._need_promotion.add(shard)
                 self._mark_promoting(shard)
-                self.stats.promote_delays += 1
+                self.counters["cluster:promote_delays"] += 1
                 return False
         try:
             new_idx = group.promote()
@@ -322,7 +300,6 @@ class Supervisor:
         self.last_beat[(shard, new_idx)] = self.clock.now()
         self._need_promotion.discard(shard)
         self._promote_delay_count.pop(shard, None)
-        self.stats.promotions += 1
         return True
 
     def _mark_promoting(self, shard: int) -> None:
@@ -363,9 +340,8 @@ class Supervisor:
                     member.respawn()
                     self.state[g][m] = ShardState.OK
                     self.last_beat[(g, m)] = now
-                    self.stats.recoveries += 1
                     started = self._dead_since.pop((g, m), now)
-                    self.stats.recovery_seconds.append(now - started)
+                    self.recovery_seconds.append(now - started)
                     # Rejoin under the current lease and catch up from
                     # the in-order queue (re-replication: the group is
                     # back at full factor and bit-identical).
@@ -460,24 +436,5 @@ class Supervisor:
             for m in range(len(group.members)):
                 self.resume(g, m)
         self._node_touches[nodes] = 0.0
-        self.stats.rebalances += 1
-        self.stats.nodes_moved += len(nodes)
-
-    # ---- reporting -----------------------------------------------------------------
-
-    def shard_states(self) -> List[str]:
-        """Primary-member state per group (legacy single-replica view)."""
-        return [
-            self.state[g][group.primary_idx]
-            for g, group in enumerate(self.groups)
-        ]
-
-    def member_states(self) -> List[List[str]]:
-        return [list(states) for states in self.state]
-
-    def __repr__(self) -> str:
-        return (
-            f"Supervisor(shards={len(self.groups)}, "
-            f"states={self.shard_states()}, "
-            f"failovers={self.stats.failovers})"
-        )
+        self.counters["cluster:rebalances"] += 1
+        self.counters["cluster:nodes_moved"] += len(nodes)

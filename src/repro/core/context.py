@@ -17,7 +17,8 @@ time, and the store's per-tier bytes-moved/stall accounting) and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
+from collections import deque
+from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +37,8 @@ __all__ = ["TContext"]
 
 #: store-space prefix of per-layer embedding memoization caches.
 _EMBED_PREFIX = "embed:"
+#: counter-table prefix of transient kernel faults per site.
+_FAULT_PREFIX = "kernel_faults:"
 
 
 class TContext:
@@ -75,9 +78,10 @@ class TContext:
             )
         self._time_tables: Dict[int, dict] = {}
         self._time_zero_rows: Dict[int, Tuple[int, np.ndarray]] = {}
-        #: operator-effectiveness counters (rows seen/removed per operator),
-        #: updated by dedup()/cache(); read via stats().
-        self.counters: Dict[str, int] = {}
+        #: the one counter table: operator counters (rows seen/removed by
+        #: dedup()/cache()), kernel faults per site, and every counter of a
+        #: serving deployment built over this context; read via stats().
+        self.counters: Dict[str, float] = {}
         #: accumulated wall-clock seconds per hot-path kernel.
         self._kernel_seconds: Dict[str, float] = {}
         #: kernels downgraded to their uncached/reference paths, keyed by
@@ -85,16 +89,14 @@ class TContext:
         self.degraded: Dict[str, str] = {}
         #: transient faults after which a kernel is degraded.
         self.degrade_threshold: int = 3
-        self._kernel_faults: Dict[str, int] = {}
         #: optional cap on sampler fanout (the serving runtime's
         #: degradation ladder shrinks it under deadline pressure; see
         #: :meth:`TSampler.effective_fanout`).  None = no cap.
         self.fanout_limit: Optional[int] = None
-        #: bounded reservoir of recent request latencies (seconds on the
-        #: serving runtime's simulated clock) + total count ever recorded.
-        self._latencies: list = []
+        #: the 8192 most recent request latencies (seconds on the serving
+        #: runtime's simulated clock) + total count ever recorded.
+        self._latencies: Deque[float] = deque(maxlen=8192)
         self._latency_count = 0
-        self._latency_reservoir = 8192
 
     # ---- modes ------------------------------------------------------------------
 
@@ -137,7 +139,7 @@ class TContext:
     # ---- instrumentation --------------------------------------------------------
 
     def count(self, key: str, amount: int) -> None:
-        """Accumulate an operator counter (e.g. 'dedup_rows_in')."""
+        """Accumulate a counter of the table (e.g. 'dedup_rows_in')."""
         self.counters[key] = self.counters.get(key, 0) + int(amount)
 
     def add_kernel_time(self, name: str, seconds: float) -> None:
@@ -152,8 +154,6 @@ class TContext:
         """
         self._latency_count += 1
         self._latencies.append(float(seconds))
-        if len(self._latencies) > self._latency_reservoir:
-            del self._latencies[: -self._latency_reservoir]
 
     def _latency_stats(self) -> Optional[LatencyStats]:
         if not self._latencies:
@@ -176,11 +176,11 @@ class TContext:
         to the loop-reference sampler (bit-identical, slower) and
         ``'kernel.cache'`` disables embedding memoization (``op.cache``
         becomes a no-op and lookups bypass the faulty table).  Returns
-        True on the call that triggers the downgrade.
+        True on the call that triggers the downgrade.  The count is the
+        ``kernel_faults:<site>`` counter.
         """
-        count = self._kernel_faults.get(site, 0) + 1
-        self._kernel_faults[site] = count
-        self.count(f"kernel_faults:{site}", 1)
+        key = _FAULT_PREFIX + site
+        count = self.counters[key] = self.counters.get(key, 0) + 1
         if site not in self.degraded and count >= self.degrade_threshold:
             self.degraded[site] = (
                 f"degraded to fallback path after {count} transient faults"
@@ -212,7 +212,10 @@ class TContext:
             pinned=PinnedPoolStats(pool.hits, pool.misses),
             kernel_seconds=dict(self._kernel_seconds),
             degraded=dict(self.degraded),
-            kernel_faults=dict(self._kernel_faults),
+            kernel_faults={
+                key[len(_FAULT_PREFIX):]: int(n)
+                for key, n in self.counters.items() if key.startswith(_FAULT_PREFIX)
+            },
             latency=self._latency_stats(),
             store=self.store.stats(),
         )
@@ -258,7 +261,8 @@ class TContext:
         self.store.clear()
         self.clear_time_tables()
         self.degraded.clear()
-        self._kernel_faults.clear()
+        for key in [k for k in self.counters if k.startswith(_FAULT_PREFIX)]:
+            del self.counters[key]
         self.fanout_limit = None
 
     def __repr__(self) -> str:

@@ -3,6 +3,11 @@
 Everything the context measures is read through ``ctx.stats()``
 (returning a frozen :class:`ContextStats` snapshot of everything in one
 read) and cleared through ``ctx.reset_stats()``.
+
+Counters live in one table, ``TContext.counters``.  A serving deployment's
+components (admission, ingest, commit, WAL, RPC, supervisor, replica
+groups, replicas, scrubber) are each handed that table where they are
+built and :func:`declare` their keys in it.
 """
 
 from __future__ import annotations
@@ -10,7 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-__all__ = ["CacheLayerStats", "PinnedPoolStats", "LatencyStats", "ContextStats"]
+__all__ = ["CacheLayerStats", "PinnedPoolStats", "LatencyStats", "ContextStats",
+           "declare"]
+
+
+def declare(table: Optional[Dict[str, float]], *keys: str) -> Dict[str, float]:
+    """*table* (a fresh one when None) with each of *keys* present, 0 if new:
+    a counter that never fired reads 0, and ``table[key] += n`` on a
+    misspelt key raises instead of starting a new counter."""
+    table = {} if table is None else table
+    for key in keys:
+        table.setdefault(key, 0)
+    return table
 
 
 @dataclass(frozen=True)
@@ -59,8 +75,9 @@ class ContextStats:
     taken before an epoch can be compared against one taken after.
     """
 
-    #: raw operator counters (e.g. ``dedup_rows_in``), see ``ctx.count()``.
-    counters: Dict[str, int] = field(default_factory=dict)
+    #: the counter table: operator counters (e.g. ``dedup_rows_in``, see
+    #: ``ctx.count()``) and every serving component's counters.
+    counters: Dict[str, float] = field(default_factory=dict)
     #: per-layer embedding-cache statistics.
     cache: Dict[int, CacheLayerStats] = field(default_factory=dict)
     #: pinned staging-pool statistics.
@@ -70,7 +87,8 @@ class ContextStats:
     #: kernels downgraded to fallback paths (site -> reason); see
     #: :meth:`TContext.record_kernel_fault`.
     degraded: Dict[str, str] = field(default_factory=dict)
-    #: transient kernel faults recorded per site.
+    #: transient kernel faults recorded per site (the ``kernel_faults:*``
+    #: counters).
     kernel_faults: Dict[str, int] = field(default_factory=dict)
     #: per-request serving latency distribution; None before any request.
     latency: Optional[LatencyStats] = None

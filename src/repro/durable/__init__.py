@@ -47,7 +47,6 @@ from .snapshot import (
 from .store import DurableRecord, DurableStateStore, RecoveredState
 from .tail import CursorInvalidated, WALCursor, read_batch_suffix
 from .wal import (
-    WALStats,
     WriteAheadLog,
     fsync_dir,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "KIND_SNAPSHOT",
     "encode_payload",
     "decode_payload",
-    "WALStats",
     "WriteAheadLog",
     "fsync_dir",
     "write_container",

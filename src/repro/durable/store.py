@@ -26,6 +26,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..core.stats import declare
 from .codec import (
     KIND_BATCH,
     KIND_DELTA,
@@ -77,6 +78,9 @@ class DurableStateStore:
         fsync_interval: appends per group-commit sync.
         segment_bytes: WAL segment rotation threshold.
         snapshots_keep: snapshots retained after each :meth:`snapshot`.
+        counters / prefix: the counter table to count
+            ``<prefix>snapshots_written``, ``<prefix>compacted_segments`` and
+            the log's ``<prefix>wal:*`` into (a private table when None).
     """
 
     def __init__(
@@ -86,21 +90,27 @@ class DurableStateStore:
         fsync_interval: int = 32,
         segment_bytes: int = 1 << 20,
         snapshots_keep: int = 2,
+        counters: Optional[Dict[str, float]] = None,
+        prefix: str = "",
     ):
         self.directory = os.path.abspath(directory)
         os.makedirs(self.directory, exist_ok=True)
         self.snapshots_keep = int(snapshots_keep)
+        self._snapshots = prefix + "snapshots_written"
+        #: counter-table key of the sealed segments compaction deleted.
+        self.compacted_key = prefix + "compacted_segments"
+        self.counters = declare(counters, self._snapshots, self.compacted_key)
         self.wal = WriteAheadLog(
             self.directory,
             segment_bytes=segment_bytes,
             fsync=fsync,
             fsync_interval=fsync_interval,
+            counters=self.counters,
+            prefix=prefix + "wal:",
         )
         # recovery skips records at or below the newest snapshot's LSN
         snapshots = list_snapshots(self.directory)
         self.wal.resume_after(snapshots[-1][0] if snapshots else 0)
-        self.snapshots_written = 0
-        self.compacted_segments = 0
 
     # ---- logging -----------------------------------------------------------------
 
@@ -136,9 +146,15 @@ class DurableStateStore:
         lsn = self.wal.last_lsn
         path = write_snapshot(self.directory, lsn, meta or {}, arrays)
         prune_snapshots(self.directory, keep=self.snapshots_keep)
-        self.compacted_segments += self.wal.compact_below(lsn + 1)
-        self.snapshots_written += 1
+        self.compact_below(lsn + 1)
+        self.counters[self._snapshots] += 1
         return path
+
+    def compact_below(self, lsn: int) -> int:
+        """Delete sealed log segments wholly below *lsn*; returns how many."""
+        dropped = self.wal.compact_below(lsn)
+        self.counters[self.compacted_key] += dropped
+        return dropped
 
     # ---- recovery ----------------------------------------------------------------
 
@@ -163,16 +179,7 @@ class DurableStateStore:
             out.records.append(DurableRecord(lsn, kind, meta, arrays))
         return out
 
-    # ---- reporting / lifecycle ---------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        flat = {f"wal:{k}": v for k, v in self.wal.stats.as_dict().items()}
-        flat["wal:segments"] = self.wal.num_segments
-        flat["wal:size_bytes"] = self.wal.size_bytes()
-        flat["wal:last_lsn"] = self.wal.last_lsn
-        flat["snapshots_written"] = self.snapshots_written
-        flat["compacted_segments"] = self.compacted_segments
-        return flat
+    # ---- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
         self.wal.close()

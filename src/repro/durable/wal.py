@@ -45,14 +45,14 @@ import os
 import re
 import struct
 import zlib
-from dataclasses import asdict, dataclass
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..core.stats import declare
 from ..resilience.errors import SimulatedDiskCrash
 from ..resilience.hooks import poke as _poke
 
 __all__ = [
-    "WALStats",
     "WriteAheadLog",
     "fsync_dir",
     "list_segment_files",
@@ -173,21 +173,10 @@ def fsync_dir(path: str) -> bool:
         os.close(fd)
 
 
-@dataclass
-class WALStats:
-    """Running write-ahead-log counters."""
-
-    appends: int = 0
-    bytes_appended: int = 0
-    syncs: int = 0
-    rotations: int = 0
-    #: bytes of torn tail truncated by open-time repair.
-    repaired_bytes: int = 0
-    #: orphaned segment files deleted by open-time repair.
-    repaired_segments: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+#: the log's counters; ``repaired_bytes`` is torn tail truncated and
+#: ``repaired_segments`` orphaned segment files deleted by open-time repair.
+WAL_COUNTERS = ("appends", "bytes_appended", "syncs", "rotations",
+                "repaired_bytes", "repaired_segments")
 
 
 @dataclass
@@ -207,6 +196,9 @@ class WriteAheadLog:
             exceeds this size.
         fsync: ``'always'`` | ``'batch'`` | ``'never'`` (see module doc).
         fsync_interval: appends per group-commit sync under ``'batch'``.
+        counters / prefix: the counter table to count
+            ``<prefix><name>`` into, one key per :data:`WAL_COUNTERS` name
+            (a private table when None).
     """
 
     def __init__(
@@ -215,6 +207,8 @@ class WriteAheadLog:
         segment_bytes: int = 1 << 20,
         fsync: str = "batch",
         fsync_interval: int = 32,
+        counters: Optional[Dict[str, float]] = None,
+        prefix: str = "wal:",
     ):
         if fsync not in _FSYNC_POLICIES:
             raise ValueError(f"fsync must be one of {_FSYNC_POLICIES}, got {fsync!r}")
@@ -224,7 +218,9 @@ class WriteAheadLog:
         self.segment_bytes = int(segment_bytes)
         self.fsync = fsync
         self.fsync_interval = int(fsync_interval)
-        self.stats = WALStats()
+        #: counter-table key of each :data:`WAL_COUNTERS` name.
+        self.key = {name: prefix + name for name in WAL_COUNTERS}
+        self.counters = declare(counters, *self.key.values())
         self.last_lsn = 0
         self._segments: List[_Segment] = []
         self._fh = None
@@ -245,7 +241,7 @@ class WriteAheadLog:
         for seq, path in list_segment_files(self.directory):
             if cut:
                 os.remove(path)
-                self.stats.repaired_segments += 1
+                self.counters[self.key["repaired_segments"]] += 1
                 continue
             size = os.path.getsize(path)
             records, valid_end, intact, last = parse_segment(
@@ -256,14 +252,14 @@ class WriteAheadLog:
                 if valid_end == 0:
                     # Header itself is invalid: the whole file is garbage.
                     os.remove(path)
-                    self.stats.repaired_segments += 1
-                    self.stats.repaired_bytes += size
+                    self.counters[self.key["repaired_segments"]] += 1
+                    self.counters[self.key["repaired_bytes"]] += size
                     continue
                 with open(path, "r+b") as fh:
                     fh.truncate(valid_end)
                     fh.flush()
                     os.fsync(fh.fileno())
-                self.stats.repaired_bytes += size - valid_end
+                self.counters[self.key["repaired_bytes"]] += size - valid_end
             first = records[0][0] if records else None
             keep.append(_Segment(path, seq, first, records[-1][0] if records else None))
             if records:
@@ -328,8 +324,8 @@ class WriteAheadLog:
         if seg.first_lsn is None:
             seg.first_lsn = lsn
         seg.last_lsn = lsn
-        self.stats.appends += 1
-        self.stats.bytes_appended += size
+        self.counters[self.key["appends"]] += 1
+        self.counters[self.key["bytes_appended"]] += size
         self._appends_since_sync += 1
         if self.fsync == "always" or (
             self.fsync == "batch" and self._appends_since_sync >= self.fsync_interval
@@ -392,14 +388,14 @@ class WriteAheadLog:
             os.fsync(self._fh.fileno())
         self._synced_size = self._size
         self._appends_since_sync = 0
-        self.stats.syncs += 1
+        self.counters[self.key["syncs"]] += 1
 
     def _rotate(self) -> None:
         """Seal the current segment and start a fresh one."""
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self._fh.close()
-        self.stats.rotations += 1
+        self.counters[self.key["rotations"]] += 1
         self._create_segment(self._segments[-1].seq + 1)
         self._appends_since_sync = 0
 

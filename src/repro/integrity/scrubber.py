@@ -38,30 +38,23 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..core.stats import declare
 from ..resilience.hooks import poke as _poke
 from .digest import ChunkedDigest, merkle_diff
 from .errors import IntegrityUnrepairable
 
 __all__ = ["Scrubber"]
 
-_COUNTER_KEYS = (
-    "cycles",
-    "skipped_cycles",
-    "chunks_scrubbed",
-    "divergences",
-    "rows_repaired",
-    "peer_repairs",
-    "quorum_repairs",
-    "authority_repairs",
-    "wal_resyncs",
-    "wal_segment_repairs",
-    "wal_segments_dropped",
-    "read_repairs",
-)
+#: the scrubber's counters, ``integrity:<name>`` in the counter table;
+#: ``scrub_seconds`` accumulates wall time, the rest are counts.
+SCRUB_COUNTERS = ("cycles", "skipped_cycles", "chunks_scrubbed", "divergences",
+                  "rows_repaired", "peer_repairs", "quorum_repairs",
+                  "authority_repairs", "wal_resyncs", "wal_segment_repairs",
+                  "wal_segments_dropped", "read_repairs", "scrub_seconds")
 
 
 class Scrubber:
@@ -74,8 +67,8 @@ class Scrubber:
         interval: scrub period in simulated seconds; ``None`` or ``<= 0``
             disables periodic cycles (explicit :meth:`scrub_now` still
             works).
-        count: optional ``count(key, n)`` sink (``TContext.count``) —
-            every integer counter is mirrored there under ``integrity:*``.
+        counters: the counter table to count ``integrity:*`` into (a
+            private one when None).
     """
 
     def __init__(
@@ -83,33 +76,16 @@ class Scrubber:
         groups: Sequence,
         clock,
         interval: Optional[float] = 0.25,
-        count: Optional[Callable[[str, int], None]] = None,
+        counters: Optional[Dict[str, float]] = None,
     ):
         self.groups = groups
         self.clock = clock
         self.interval = None if interval is None or interval <= 0 else float(interval)
-        self._count_sink = count
-        self.counters: Dict[str, float] = {k: 0 for k in _COUNTER_KEYS}
-        self.counters["scrub_seconds"] = 0.0
+        self.counters = declare(counters, *(f"integrity:{k}" for k in SCRUB_COUNTERS))
         #: True after a skipped cycle: reads verify their touched chunks
         #: (read-repair) until the next completed cycle clears it.
         self.suspect_window = False
         self._next_due = clock.now() + self.interval if self.interval else np.inf
-
-    # ---- bookkeeping ---------------------------------------------------------------
-
-    def _bump(self, key: str, n: float = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + n
-        if self._count_sink is not None and key != "scrub_seconds":
-            self._count_sink(f"integrity:{key}", int(n))
-
-    def stats(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for key, val in self.counters.items():
-            out[f"integrity:{key}"] = (
-                round(float(val), 6) if key == "scrub_seconds" else int(val)
-            )
-        return out
 
     # ---- scheduling ----------------------------------------------------------------
 
@@ -123,32 +99,28 @@ class Scrubber:
         if self.interval is None or self.clock.now() < self._next_due:
             return False
         self._next_due = self.clock.now() + self.interval
-        cycle = int(self.counters["cycles"] + self.counters["skipped_cycles"])
+        c = self.counters
+        cycle = int(c["integrity:cycles"] + c["integrity:skipped_cycles"])
         if _poke("scrub.skip", cycle=cycle) is not None:
-            self._bump("skipped_cycles")
+            c["integrity:skipped_cycles"] += 1
             self.suspect_window = True
             return False
         self.scrub_now()
         return True
 
-    def scrub_now(self) -> Dict[str, int]:
+    def scrub_now(self) -> None:
         """One full scrub cycle over every group.
 
-        Returns what this cycle found/fixed; cumulative totals live in
-        :attr:`counters`.  ``scrub_seconds`` accumulates the real (wall)
-        cost of scrubbing — the overhead the benchmark gates on.
+        What it finds and fixes is counted in :attr:`counters`;
+        ``integrity:scrub_seconds`` accumulates the real (wall) cost of
+        scrubbing — the overhead the benchmark gates on.
         """
         t0 = time.perf_counter()
-        before = dict(self.counters)
         for gi, group in enumerate(self.groups):
             self._scrub_group(gi, group)
         self.suspect_window = False
-        self._bump("cycles")
-        self._bump("scrub_seconds", time.perf_counter() - t0)
-        return {
-            k: int(self.counters[k] - before.get(k, 0))
-            for k in ("chunks_scrubbed", "divergences", "rows_repaired")
-        }
+        self.counters["integrity:cycles"] += 1
+        self.counters["integrity:scrub_seconds"] += time.perf_counter() - t0
 
     # ---- group scrubbing -----------------------------------------------------------
 
@@ -158,18 +130,18 @@ class Scrubber:
                 continue
             for comp, cd in rep.digests.components():
                 live = cd.compute()
-                self._bump("chunks_scrubbed", len(live))
+                self.counters["integrity:chunks_scrubbed"] += len(live)
                 bad = cd.diverged(live)
                 if not bad:
                     continue
-                self._bump("divergences", len(bad))
+                self.counters["integrity:divergences"] += len(bad)
                 self._repair_chunks(gi, group, m, rep, comp, cd, bad)
             damaged = rep.verify_wal()
             if damaged:
-                self._bump("divergences", len(damaged))
+                self.counters["integrity:divergences"] += len(damaged)
                 dropped = rep.reanchor_wal()
-                self._bump("wal_segment_repairs")
-                self._bump("wal_segments_dropped", dropped)
+                self.counters["integrity:wal_segment_repairs"] += 1
+                self.counters["integrity:wal_segments_dropped"] += dropped
                 if rep.verify_wal():
                     raise IntegrityUnrepairable(
                         f"shard {gi} member {m}: WAL still damaged after "
@@ -218,14 +190,14 @@ class Scrubber:
         if donor is not None and quorum_ok:
             drep = group.members[donor]
             rep.overwrite_rows(comp, rows, drep.read_rows(comp, rows))
-            self._bump("peer_repairs")
+            self.counters["integrity:peer_repairs"] += 1
             if factor >= 3:
-                self._bump("quorum_repairs")
+                self.counters["integrity:quorum_repairs"] += 1
             elif donor == group.primary_idx or m == group.primary_idx:
-                self._bump("authority_repairs")
+                self.counters["integrity:authority_repairs"] += 1
         else:
             self._wal_resync(gi, m, rep, comp, rows)
-        self._bump("rows_repaired", len(rows))
+        self.counters["integrity:rows_repaired"] += len(rows)
         self._verify_chunks(gi, m, rep, comp, cd, chunks)
 
     def _wal_resync(self, gi: int, m: int, rep, comp: str,
@@ -244,7 +216,7 @@ class Scrubber:
         smem, smail, _ = shadow
         source = smem if comp == "memory" else smail
         rep.overwrite_rows(comp, rows, tuple(t[rows] for t in source.tables()))
-        self._bump("wal_resyncs")
+        self.counters["integrity:wal_resyncs"] += 1
 
     def _verify_chunks(self, gi: int, m: int, rep, comp: str,
                        cd: ChunkedDigest, chunks: List[int]) -> None:
@@ -288,13 +260,13 @@ class Scrubber:
                 if m == winner or roots[m] == roots[winner]:
                     continue
                 chunks = merkle_diff(cd.digests, wcd.digests)
-                self._bump("divergences", len(chunks))
+                self.counters["integrity:divergences"] += len(chunks)
                 rows = wcd.rows_in(chunks)
                 rep = group.members[m]
                 rep.overwrite_rows(
                     comp, rows, wrep.read_rows(comp, rows), record=True
                 )
-                self._bump("rows_repaired", len(rows))
+                self.counters["integrity:rows_repaired"] += len(rows)
                 self._verify_chunks(gi, m, rep, comp, cd, chunks)
 
     def _arbitrate_winner(self, gi: int, group, comp: str,
@@ -304,10 +276,10 @@ class Scrubber:
         tally = Counter(roots.values())
         top_root, votes = tally.most_common(1)[0]
         if factor >= 3 and votes > len(roots) // 2:
-            self._bump("quorum_repairs")
+            self.counters["integrity:quorum_repairs"] += 1
             candidates = [m for m in sorted(roots) if roots[m] == top_root]
         elif group.primary_idx in roots:
-            self._bump("authority_repairs")
+            self.counters["integrity:authority_repairs"] += 1
             candidates = [group.primary_idx]
         else:
             raise IntegrityUnrepairable(
@@ -347,8 +319,8 @@ class Scrubber:
         for comp, cd in rep.digests.components():
             bad = cd.stale(cd.chunks_of(local))
             if bad:
-                self._bump("divergences", len(bad))
+                self.counters["integrity:divergences"] += len(bad)
                 self._repair_chunks(gi, group, member_idx, rep, comp, cd, bad)
                 repaired = True
         if repaired:
-            self._bump("read_repairs")
+            self.counters["integrity:read_repairs"] += 1

@@ -11,7 +11,7 @@ Members are duck-typed; nothing is imported from ``repro.cluster``.
 from __future__ import annotations
 
 import os
-from typing import Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -28,8 +28,8 @@ STALL_FACTOR = 8.0
 STALL_WINDOW = 2.0e-2
 
 
-def inject_member_faults(groups: Sequence, now: float) -> Tuple[int, int, int]:
-    """Consult the member-level fault sites once; returns what fired.
+def inject_member_faults(groups: Sequence, now: float, counters: Dict[str, float]) -> None:
+    """Consult the member-level fault sites once; count what fired.
 
     Every group member is its own kill/stall/flip target: the decision
     extra is ``shard + num_shards * member``, so member 0 of shard i
@@ -38,30 +38,30 @@ def inject_member_faults(groups: Sequence, now: float) -> Tuple[int, int, int]:
     entry ``(epoch, batch, shard + num_shards * m)`` hits exactly
     follower ``m``.
 
-    Returns ``(crashes, stalls, flips)`` applied by this call.
+    What this call applied is counted into *counters* (the deployment's
+    counter table) as ``cluster:injected_crashes`` / ``_stalls`` /
+    ``_flips``.
     """
     n = len(groups)
-    crashes = stalls = flips = 0
     for i, group in enumerate(groups):
         for m, rep in enumerate(group.members):
             if rep.alive and _poke("shard.crash", shard=i, extra=i + n * m):
                 rep.crash()
-                crashes += 1
+                counters["cluster:injected_crashes"] += 1
     for i, group in enumerate(groups):
         for m, rep in enumerate(group.members):
             if not rep.alive or rep.recovering:
                 continue
             if _poke("shard.stall", shard=i, extra=i + n * m):
                 rep.stall(now, STALL_FACTOR, STALL_WINDOW)
-                stalls += 1
+                counters["cluster:injected_stalls"] += 1
     for i, group in enumerate(groups):
         for m, rep in enumerate(group.members):
             if not rep.alive or rep.recovering:
                 continue
             directive = _poke("mem.flip", shard=i, extra=i + n * m)
             if directive is not None and directive[0] == "flip":
-                flips += apply_bitflip(rep, directive)
-    return crashes, stalls, flips
+                counters["cluster:injected_flips"] += apply_bitflip(rep, directive)
 
 
 def apply_bitflip(rep, directive) -> bool:

@@ -20,7 +20,9 @@ is the hardened streaming front end that restores them at runtime:
   (prefix-consistent crash recovery via :func:`recover_serve_state`);
 * :mod:`~repro.serve.engine` — :class:`ServeEngine`, the one request
   loop gluing the above into request-in / prediction-out serving, over
-  a small state-backend seam;
+  a small state-backend seam; every component counts into one table,
+  the context's ``counters``, and :func:`ledger_violations` checks its
+  ingest and admission identities;
 * :mod:`~repro.serve.runtime` — :class:`ServeRuntime`, the engine over
   in-process state (:class:`repro.cluster.ServeCluster` is the engine
   over sharded, replicated state);
@@ -35,11 +37,10 @@ stream — and every rejected event is accounted for in quarantine stats.
 """
 
 from ..clock import SimClock
-from .admission import AdmissionController, AdmissionStats, TokenBucket
+from .admission import AdmissionController, TokenBucket
 from .commit import (
     ApplyPlan,
     CommitResult,
-    CommitStats,
     StateCommitter,
     apply_plan,
     plan_by_owner,
@@ -50,19 +51,17 @@ from .commit import (
     stage_updates,
 )
 from .deadline import LEVELS, CostModel, DegradationLadder, LadderDecision
-from .engine import Request, RequestResult, ServeEngine
+from .engine import Request, RequestResult, ServeEngine, ledger_violations
 from .events import EventBatch, RejectReason, validate_events
-from .ingest import IngestPipeline, IngestStats, QuarantinedEvent
+from .ingest import IngestPipeline, QuarantinedEvent
 from .replay import build_stream, poison_stream, replay, split_batches
 from .runtime import ServeRuntime
 
 __all__ = [
     "AdmissionController",
-    "AdmissionStats",
     "TokenBucket",
     "SimClock",
     "CommitResult",
-    "CommitStats",
     "StateCommitter",
     "stage_updates",
     "stage_checked",
@@ -80,7 +79,6 @@ __all__ = [
     "RejectReason",
     "validate_events",
     "IngestPipeline",
-    "IngestStats",
     "QuarantinedEvent",
     "build_stream",
     "poison_stream",
@@ -89,5 +87,6 @@ __all__ = [
     "Request",
     "RequestResult",
     "ServeEngine",
+    "ledger_violations",
     "ServeRuntime",
 ]

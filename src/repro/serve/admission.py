@@ -12,17 +12,24 @@ clock:
   (protect queued work, favouring older requests that are closer to
   completion) or ``drop-oldest`` (favour fresh requests, whose deadlines
   are still winnable).
+
+Counters (``admission:*`` in the counter table) obey two identities, under
+either policy: a request shed on arrival is never admitted, while a
+``drop-oldest`` eviction sheds a request that *was* admitted::
+
+    offered  == admitted + shed_rate_limited + shed_queue_full
+    admitted == served + queued + shed_dropped_oldest
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass
 from typing import Deque, Dict, List, Optional
 
 from ..clock import SimClock
+from ..core.stats import declare
 
-__all__ = ["TokenBucket", "AdmissionStats", "AdmissionController"]
+__all__ = ["TokenBucket", "AdmissionController"]
 
 SHED_POLICIES = ("reject-new", "drop-oldest")
 
@@ -57,24 +64,6 @@ class TokenBucket:
         return False
 
 
-@dataclass
-class AdmissionStats:
-    """Running admission counters; ``offered == admitted + shed_total``."""
-
-    offered: int = 0
-    admitted: int = 0
-    shed_rate_limited: int = 0
-    shed_queue_full: int = 0
-    shed_dropped_oldest: int = 0
-
-    @property
-    def shed_total(self) -> int:
-        return self.shed_rate_limited + self.shed_queue_full + self.shed_dropped_oldest
-
-    def as_dict(self) -> Dict[str, int]:
-        return asdict(self)
-
-
 class AdmissionController:
     """Bounded request queue with rate limiting and load shedding.
 
@@ -86,6 +75,8 @@ class AdmissionController:
         rate: optional token-bucket sustained admission rate
             (requests/second); None disables rate limiting.
         burst: token-bucket burst capacity (defaults to ``max_queue``).
+        counters: the counter table to count ``admission:*`` into (a
+            private one when None).
     """
 
     def __init__(
@@ -95,6 +86,7 @@ class AdmissionController:
         policy: str = "reject-new",
         rate: Optional[float] = None,
         burst: Optional[float] = None,
+        counters: Optional[Dict[str, float]] = None,
     ):
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
@@ -108,14 +100,13 @@ class AdmissionController:
             if rate is not None
             else None
         )
-        self.stats = AdmissionStats()
+        self.counters = declare(counters, *(f"admission:{k}" for k in (
+            "offered", "admitted", "shed_rate_limited", "shed_queue_full",
+            "shed_dropped_oldest")))
         self._queue: Deque = deque()
         #: requests shed on arrival or evicted from the queue this call —
         #: drained by the runtime so it can answer them with a shed status.
         self.shed: List = []
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
     @property
     def depth(self) -> int:
@@ -128,21 +119,22 @@ class AdmissionController:
         evicted head is appended to :attr:`shed` for the caller to fail
         gracefully (a shed response, not an exception).
         """
-        self.stats.offered += 1
+        c = self.counters
+        c["admission:offered"] += 1
         if self.bucket is not None and not self.bucket.try_acquire():
-            self.stats.shed_rate_limited += 1
+            c["admission:shed_rate_limited"] += 1
             self.shed.append(request)
             return False
         if len(self._queue) >= self.max_queue:
             if self.policy == "reject-new":
-                self.stats.shed_queue_full += 1
+                c["admission:shed_queue_full"] += 1
                 self.shed.append(request)
                 return False
             oldest = self._queue.popleft()
-            self.stats.shed_dropped_oldest += 1
+            c["admission:shed_dropped_oldest"] += 1
             self.shed.append(oldest)
         self._queue.append(request)
-        self.stats.admitted += 1
+        c["admission:admitted"] += 1
         return True
 
     def poll(self):

@@ -35,13 +35,14 @@ compact.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..core.kernels.dedup import canonical_event_order, group_spans
 from ..core.state import load_state_image, state_image
+from ..core.stats import declare
 from ..durable.codec import KIND_BATCH
 from ..resilience.errors import TransientKernelError
 from ..resilience.hooks import poke as _poke
@@ -49,7 +50,6 @@ from .events import EventBatch
 
 __all__ = [
     "CommitResult",
-    "CommitStats",
     "StateCommitter",
     "stage_updates",
     "StagedBatch",
@@ -74,20 +74,6 @@ class CommitResult:
     events: int
     retries: int = 0
     violations: tuple = ()
-
-
-@dataclass
-class CommitStats:
-    """Running commit counters."""
-
-    batches: int = 0
-    events_applied: int = 0
-    retries: int = 0
-    rollbacks: int = 0
-    events_rolled_back: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return asdict(self)
 
 
 def _time_encode(ts: np.ndarray, dim: int) -> np.ndarray:
@@ -261,6 +247,9 @@ class StateCommitter:
         snapshot_every: with a store attached, write a full state
             snapshot (and compact the log) after every this many
             applied batches; ``None`` disables periodic snapshots.
+        counters: the counter table to count ``commit:*`` into (a private
+            one when None).  A refused batch's events are counted where
+            they are quarantined, not here.
     """
 
     def __init__(
@@ -270,6 +259,7 @@ class StateCommitter:
         quarantine=None,
         store=None,
         snapshot_every: Optional[int] = None,
+        counters: Optional[Dict[str, float]] = None,
     ):
         self.memory = memory
         self.mailbox = mailbox
@@ -279,7 +269,8 @@ class StateCommitter:
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
         self._applied_since_snapshot = 0
-        self.stats = CommitStats()
+        self.counters = declare(counters, *(f"commit:{k}" for k in (
+            "batches", "events_applied", "retries", "rollbacks")))
         #: greatest event timestamp durably applied.
         self.committed_watermark = -np.inf
 
@@ -295,12 +286,12 @@ class StateCommitter:
         """
         if not len(batch):
             return CommitResult(applied=True, events=0)
-        self.stats.batches += 1
+        c = self.counters
+        c["commit:batches"] += 1
         staged = stage_checked(batch, self.memory.dim)
-        self.stats.retries += staged.retries
+        c["commit:retries"] += staged.retries
         if staged.violations:
-            self.stats.rollbacks += 1
-            self.stats.events_rolled_back += len(batch)
+            c["commit:rollbacks"] += 1
             if self.quarantine is not None:
                 self.quarantine(batch, "; ".join(staged.violations))
             return CommitResult(
@@ -313,7 +304,7 @@ class StateCommitter:
             plan_updates(staged.nodes, staged.values, staged.times),
             self.memory, self.mailbox,
         )
-        self.stats.events_applied += len(batch)
+        c["commit:events_applied"] += len(batch)
         self.committed_watermark = max(self.committed_watermark, staged.watermark)
         if self.store is not None and self.snapshot_every is not None:
             self._applied_since_snapshot += 1
@@ -331,12 +322,6 @@ class StateCommitter:
         )
         self._applied_since_snapshot = 0
         return path
-
-    def __repr__(self) -> str:
-        return (
-            f"StateCommitter(watermark={self.committed_watermark:g}, "
-            f"applied={self.stats.events_applied}, rollbacks={self.stats.rollbacks})"
-        )
 
 
 # ---- recovery ----------------------------------------------------------------------

@@ -28,13 +28,15 @@ inflated estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 __all__ = ["LadderDecision", "CostModel", "DegradationLadder", "LEVELS",
            "PER_EVENT", "FIXED", "REFERENCE_PENALTY", "REDUCED_FANOUT"]
 
 #: ladder rungs from least to most degraded.
 LEVELS = ("full", "reduced", "cache", "memory")
+#: counter-table key of each decision (the rungs plus ``timeout``).
+DECIDED = {level: f"ladder:{level}" for level in LEVELS + ("timeout",)}
 
 
 @dataclass(frozen=True)
@@ -87,18 +89,21 @@ class DegradationLadder:
 
     Args:
         full_fanout: sampler fanout at the ``full`` rung.
+        counters: the counter table to count decisions into, one
+            ``ladder:<rung>`` key per rung (plus ``timeout``) once it is
+            first decided (a private table when None).
 
     ``cost_model`` prices each rung; a sharded backend replaces the
     single-runtime :class:`CostModel` with its own.
     """
 
-    def __init__(self, full_fanout: int = 10):
+    def __init__(self, full_fanout: int = 10,
+                 counters: Optional[Dict[str, float]] = None):
         if full_fanout < REDUCED_FANOUT:
             raise ValueError(f"need full_fanout >= {REDUCED_FANOUT}")
         self.full_fanout = int(full_fanout)
         self.cost_model = CostModel()
-        #: requests served per rung (plus 'timeout'), for ctx.stats().
-        self.decisions: Dict[str, int] = {}
+        self.counters = {} if counters is None else counters
 
     def fanout(self, level: str) -> int:
         if level == "full":
@@ -127,19 +132,18 @@ class DegradationLadder:
                 level, n_events, ctx, fetch_seconds=fetch_seconds
             )
             if cost <= remaining_budget:
-                self.decisions[level] = self.decisions.get(level, 0) + 1
+                self._count(level)
                 reason = "" if level == "full" else (
                     f"budget {remaining_budget:.3g}s cannot afford "
                     f"{LEVELS[max(0, LEVELS.index(level) - 1)]}"
                 )
                 return LadderDecision(level, self.fanout(level), cost, reason)
-        self.decisions["timeout"] = self.decisions.get("timeout", 0) + 1
+        self._count("timeout")
         return LadderDecision(
             "timeout", 0, 0.0,
             f"budget {remaining_budget:.3g}s below cheapest rung",
         )
 
-    @property
-    def degraded_serves(self) -> int:
-        """Requests answered below the ``full`` rung (incl. timeouts)."""
-        return sum(v for k, v in self.decisions.items() if k != "full")
+    def _count(self, level: str) -> None:
+        key = DECIDED[level]
+        self.counters[key] = self.counters.get(key, 0) + 1

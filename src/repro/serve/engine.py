@@ -34,10 +34,14 @@ differ only in where the log and the tables live (one store and one pair
 of tables here; quorum-shipped to every member of each touched replica
 group there).
 
-Everything observable lands in the shared :class:`TContext`:
-``serve:*`` counters (admitted/shed/quarantined/degraded/partial),
-per-request latencies (p50/p99 via ``ctx.stats().latency``), and kernel
-degradation interplay via ``ctx.record_kernel_fault``.
+Everything observable lands in the shared :class:`TContext`: one counter
+table, ``ctx.counters``, that admission, ingestion, the ladder, the
+committer and every backend component count into (each event once, where
+it happens); per-request latencies (p50/p99 via ``ctx.stats().latency``);
+and kernel degradation interplay via ``ctx.record_kernel_fault``.
+:meth:`ServeEngine.stats` is a snapshot of that table plus the gauges a
+backend reads at that moment, and :func:`ledger_violations` checks the
+ingest and admission identities in such a snapshot.
 """
 
 from __future__ import annotations
@@ -48,14 +52,18 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..clock import SimClock
+from ..core.stats import declare
 from ..resilience.errors import TransientKernelError
 from ..store.ops import embed_space
 from .admission import AdmissionController
-from .deadline import DegradationLadder, LadderDecision
+from .deadline import LEVELS, DegradationLadder, LadderDecision
 from .events import EventBatch, RejectReason, validate_events
-from .ingest import IngestPipeline
+from .ingest import QUARANTINED, IngestPipeline
 
-__all__ = ["Request", "RequestResult", "ServeEngine"]
+__all__ = ["Request", "RequestResult", "ServeEngine", "ledger_violations"]
+
+#: counter-table key of each rung a request was served below ``full`` at.
+DEGRADED = {level: f"serve:degraded:{level}" for level in LEVELS[1:]}
 
 Rows = Tuple[np.ndarray, Optional[np.ndarray]]
 
@@ -125,7 +133,6 @@ class ServeEngine:
             rungs of the ladder.
         clock: simulated clock (a fresh one by default).
         deadline: default per-request budget in simulated seconds.
-        ladder: degradation ladder (default built from the sampler fanout).
         lateness / max_buffer: ingestion reordering bounds (see
             :class:`~repro.serve.ingest.IngestPipeline`).
         max_queue / shed_policy / rate / burst: admission-control knobs
@@ -145,7 +152,6 @@ class ServeEngine:
         sampler,
         clock: Optional[SimClock] = None,
         deadline: float = 1.0e-2,
-        ladder: Optional[DegradationLadder] = None,
         lateness: float = 0.0,
         max_buffer: int = 10000,
         max_queue: int = 64,
@@ -160,13 +166,17 @@ class ServeEngine:
         self.clock = clock or SimClock()
         self.deadline = float(deadline)
         self.injector = injector
-        self.ladder = ladder or DegradationLadder(full_fanout=sampler.num_nbrs)
+        declare(ctx.counters, "serve:model_swaps")
+        self.ladder = DegradationLadder(
+            full_fanout=sampler.num_nbrs, counters=ctx.counters
+        )
         self.ingest = IngestPipeline(
-            graph.num_nodes, lateness=lateness, max_buffer=max_buffer
+            graph.num_nodes, lateness=lateness, max_buffer=max_buffer,
+            counters=ctx.counters,
         )
         self.admission = AdmissionController(
             self.clock, max_queue=max_queue, policy=shed_policy,
-            rate=rate, burst=burst,
+            rate=rate, burst=burst, counters=ctx.counters,
         )
         self.results: List[RequestResult] = []
         self._next_rid = 0
@@ -175,10 +185,9 @@ class ServeEngine:
         self._model_table: Optional[np.ndarray] = None
         self.model_version = 0
         self.model_watermark = float("-inf")
-        #: rows served as zeros because their whole owner was unreachable.
-        self.zero_rows = 0
-        #: requests answered with at least one such row.
-        self.partial_results = 0
+        #: rows the current request was served as zeros because their
+        #: whole owner was unreachable.
+        self._zero_filled = 0
 
     # ---- the state-backend seam --------------------------------------------------
 
@@ -252,7 +261,7 @@ class ServeEngine:
         cache = self.ctx.embed_cache(0)
         if cache.enabled:
             cache.clear()
-        self.ctx.count("serve:model_swaps", 1)
+        self.ctx.counters["serve:model_swaps"] += 1
         return self.model_version
 
     # ---- submission --------------------------------------------------------------
@@ -279,15 +288,12 @@ class ServeEngine:
         self._next_rid += 1
         admitted = self.admission.offer(req)
         for shed in self.admission.drain_shed():
-            self.ctx.count("serve:shed", 1)
             self.results.append(
                 RequestResult(
                     shed.rid, "shed", "", None,
                     self.clock.now() - shed.arrival, "admission control",
                 )
             )
-        if admitted:
-            self.ctx.count("serve:admitted", 1)
         return admitted
 
     # ---- serving -----------------------------------------------------------------
@@ -315,7 +321,7 @@ class ServeEngine:
         if decision.level == "timeout":
             scores, status, detail = None, "timeout", RejectReason.DEADLINE
         else:
-            zero_rows = self.zero_rows
+            self._zero_filled = 0
             try:
                 scores, valid = self._score(req.batch, decision, req.rid)
             except TransientKernelError as err:
@@ -331,12 +337,13 @@ class ServeEngine:
                 scores, valid = self._score(req.batch, decision, req.rid)
             status, detail = "ok", decision.reason
             if decision.level != "full":
-                self.ctx.count(f"serve:degraded:{decision.level}", 1)
-            if self.zero_rows > zero_rows:
-                self.partial_results += 1
-                self.ctx.count("serve:partial", 1)
+                self.ctx.count(DEGRADED[decision.level], 1)
+            if self._zero_filled:
+                # Only a sharded backend can lose a row, so the count is
+                # reported with the cluster's (which declares it).
+                self.ctx.count("cluster:partial_results", 1)
                 detail = (detail + "; " if detail else "") + (
-                    f"partial: {self.zero_rows - zero_rows} row(s) zero-filled"
+                    f"partial: {self._zero_filled} row(s) zero-filled"
                 )
 
         # State commits are decoupled from scoring quality: even a
@@ -363,7 +370,7 @@ class ServeEngine:
             pass
         tail = self.ingest.flush()
         if len(tail):
-            self._commit_released(tail, self._next_rid)
+            self._commit(tail, self._next_rid)
         self._after_drain()
         return self.results
 
@@ -380,15 +387,7 @@ class ServeEngine:
                 if attempt == 2:
                     raise
         if len(released):
-            self._commit_released(released, rid)
-
-    def _commit_released(self, released: EventBatch, rid: int) -> None:
-        """Commit through the backend; count what it quarantined."""
-        before = self.ingest.stats.quarantined_total
-        self._commit(released, rid)
-        poisoned = self.ingest.stats.quarantined_total - before
-        if poisoned:
-            self.ctx.count("serve:quarantined", poisoned)
+            self._commit(released, rid)
 
     # ---- scoring -----------------------------------------------------------------
 
@@ -398,10 +397,7 @@ class ServeEngine:
             return self._model_table[nodes], None
         rows, ok = self._gather(nodes, extra)
         if ok is not None:
-            lost = len(ok) - int(np.count_nonzero(ok))
-            if lost:
-                self.zero_rows += lost
-                self.ctx.count("serve:zero_rows", lost)
+            self._zero_filled += len(ok) - int(np.count_nonzero(ok))
         return rows, ok
 
     def _score(self, batch: EventBatch, decision, rid: int):
@@ -480,18 +476,23 @@ class ServeEngine:
     # ---- reporting / lifecycle ---------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
-        """The flat serving counters every deployment reports.
+        """One snapshot of the counter table plus the gauges read now.
 
-        Backends extend the dict with their own ``commit:`` / ``durable:``
-        / ``store:`` or ``cluster:`` / ``rpc:`` / ``shard:`` rows.
+        Every counter of the deployment is in ``ctx.counters``; backends
+        add only read-time gauges through :meth:`_gauges`.
         """
-        out: Dict[str, object] = {}
-        out.update({f"admission:{k}": v for k, v in self.admission.stats.as_dict().items()})
-        out.update({f"ingest:{k}": v for k, v in self.ingest.stats.as_dict().items()})
-        out.update({f"ladder:{k}": v for k, v in sorted(self.ladder.decisions.items())})
-        out["watermark"] = self.ingest.watermark
-        out["committed_watermark"] = self.committed_watermark
-        out["model:version"] = self.model_version
+        out: Dict[str, object] = dict(self.ctx.counters)
+        out.update(self._gauges())
+        return out
+
+    def _gauges(self) -> Dict[str, object]:
+        out: Dict[str, object] = {
+            "ingest:buffered": self.ingest.buffered,
+            "admission:queued": self.admission.depth,
+            "watermark": self.ingest.watermark,
+            "committed_watermark": self.committed_watermark,
+            "model:version": self.model_version,
+        }
         if self._model_table is not None and np.isfinite(self.model_watermark):
             out["model:staleness"] = max(
                 0.0, self.committed_watermark - self.model_watermark
@@ -521,3 +522,35 @@ class ServeEngine:
             f"{type(self).__name__}(served={len(self.results)}, "
             f"queue={self.admission.depth}, clock={self.clock.now():.6g})"
         )
+
+
+def ledger_violations(stats: Dict[str, object]) -> List[str]:
+    """The ingest and admission identities a :meth:`ServeEngine.stats`
+    snapshot breaks (empty when both ledgers balance).
+
+    A served request is one the ladder decided (``ladder:*``, timeouts
+    included); ``drop-oldest`` sheds requests it had admitted.
+    """
+    def total(prefix: str) -> int:
+        return sum(v for k, v in stats.items() if k.startswith(prefix))
+
+    def terms(*names: str) -> Dict[str, object]:
+        return {name.split(":")[-1]: stats[name] for name in names}
+
+    identities = [
+        ("ingestion", terms("ingest:pushed"), {
+            **terms("ingest:accepted", "ingest:duplicates"),
+            "quarantined": total(QUARANTINED)}),
+        ("admission", terms("admission:offered"), terms(
+            "admission:admitted", "admission:shed_rate_limited",
+            "admission:shed_queue_full")),
+        ("admission", terms("admission:admitted"), {
+            "served": total("ladder:"),
+            **terms("admission:queued", "admission:shed_dropped_oldest")}),
+    ]
+    return [
+        f"{ledger} ledger unbalanced: {lhs}={value} != "
+        + " + ".join(f"{k}={v}" for k, v in parts.items())
+        for ledger, whole, parts in identities
+        for lhs, value in whole.items() if value != sum(parts.values())
+    ]

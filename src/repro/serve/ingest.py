@@ -22,6 +22,11 @@ committer requires:
    force-advances the watermark over the oldest buffered events so memory
    stays capped under pathological skew.
 
+Every pushed event lands in exactly one ledger column, so the counters
+(``ingest:*`` in the counter table) always balance::
+
+    pushed == accepted + duplicates + sum(quarantined:<reason>)
+
 Released sequences are therefore identical for any arrival order whose
 skew stays within the lateness bound — the foundation of the
 poisoned-stream equivalence guarantee tested in ``tests/test_serve.py``.
@@ -29,15 +34,19 @@ poisoned-stream equivalence guarantee tested in ``tests/test_serve.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
+from ..core.stats import declare
 from ..resilience.hooks import poke as _poke
 from .events import EventBatch, RejectReason, validate_events
 
-__all__ = ["QuarantinedEvent", "IngestStats", "IngestPipeline"]
+__all__ = ["QuarantinedEvent", "IngestPipeline"]
+
+#: counter-table prefix of quarantined events, one key per reject reason.
+QUARANTINED = "ingest:quarantined:"
 
 
 @dataclass(frozen=True)
@@ -50,41 +59,6 @@ class QuarantinedEvent:
     ts: float
     reason: str
     detail: str = ""
-
-
-@dataclass
-class IngestStats:
-    """Running ingestion counters (every pushed event lands in exactly
-    one of accepted/duplicate/quarantined, so the ledger always balances:
-    ``pushed == accepted + duplicates + quarantined_total``)."""
-
-    pushed: int = 0
-    accepted: int = 0
-    released: int = 0
-    duplicates: int = 0
-    quarantined: Dict[str, int] = field(default_factory=dict)
-    forced_releases: int = 0
-
-    @property
-    def quarantined_total(self) -> int:
-        return sum(self.quarantined.values())
-
-    @property
-    def buffered(self) -> int:
-        return self.accepted - self.released
-
-    def as_dict(self) -> Dict[str, int]:
-        flat = {
-            "pushed": self.pushed,
-            "accepted": self.accepted,
-            "released": self.released,
-            "buffered": self.buffered,
-            "duplicates": self.duplicates,
-            "forced_releases": self.forced_releases,
-        }
-        for reason, count in sorted(self.quarantined.items()):
-            flat[f"quarantined:{reason}"] = count
-        return flat
 
 
 class IngestPipeline:
@@ -101,6 +75,8 @@ class IngestPipeline:
         quarantine_capacity: quarantined events retained for inspection
             (counters are exact regardless; the queue keeps the most
             recent entries).
+        counters: the counter table to count ``ingest:*`` into (a private
+            one when None).
     """
 
     def __init__(
@@ -109,6 +85,7 @@ class IngestPipeline:
         lateness: float = 0.0,
         max_buffer: int = 10000,
         quarantine_capacity: int = 10000,
+        counters: Optional[Dict[str, float]] = None,
     ):
         if lateness < 0:
             raise ValueError("lateness must be >= 0")
@@ -118,7 +95,8 @@ class IngestPipeline:
         self.lateness = float(lateness)
         self.max_buffer = int(max_buffer)
         self.quarantine_capacity = int(quarantine_capacity)
-        self.stats = IngestStats()
+        self.counters = declare(counters, *(f"ingest:{k}" for k in (
+            "pushed", "accepted", "released", "duplicates", "forced_releases")))
         #: most recent quarantined events (bounded FIFO).
         self.quarantine: List[QuarantinedEvent] = []
         self.watermark = -np.inf
@@ -131,7 +109,8 @@ class IngestPipeline:
 
     def _quarantine(self, batch: EventBatch, idx: int, reason: str,
                     detail: str = "") -> None:
-        self.stats.quarantined[reason] = self.stats.quarantined.get(reason, 0) + 1
+        key = QUARANTINED + reason
+        self.counters[key] = self.counters.get(key, 0) + 1
         self.quarantine.append(
             QuarantinedEvent(
                 int(batch.eids[idx]), int(batch.src[idx]), int(batch.dst[idx]),
@@ -150,8 +129,8 @@ class IngestPipeline:
         the ledger — *moved* out of ``accepted`` / ``released``, so every
         pushed event still sits in exactly one ledger column.
         """
-        self.stats.accepted -= len(batch)
-        self.stats.released -= len(batch)
+        self.counters["ingest:accepted"] -= len(batch)
+        self.counters["ingest:released"] -= len(batch)
         for i in range(len(batch)):
             self._quarantine(batch, i, RejectReason.POISONED_BATCH, detail)
 
@@ -166,7 +145,7 @@ class IngestPipeline:
         before that point, so a retried push is idempotent.
         """
         _poke("serve.ingest")  # fault-injection site (no-op unless armed)
-        self.stats.pushed += len(batch)
+        self.counters["ingest:pushed"] += len(batch)
 
         ok, reasons = validate_events(batch, self.num_nodes)
         for idx, reason in reasons.items():
@@ -180,11 +159,10 @@ class IngestPipeline:
         fresh: List[int] = []
         for i in keep:
             eid = int(batch.eids[i])
-            if eid in self._seen_eids:
-                self.stats.duplicates += 1
-            else:
+            if eid not in self._seen_eids:
                 self._seen_eids.add(eid)
                 fresh.append(int(i))
+        self.counters["ingest:duplicates"] += len(keep) - len(fresh)
         accepted = batch.take(np.asarray(fresh, dtype=np.int64))
 
         # Late events: below the watermark the reordering window has
@@ -200,7 +178,7 @@ class IngestPipeline:
                 accepted = accepted.take(~late)
 
         if len(accepted):
-            self.stats.accepted += len(accepted)
+            self.counters["ingest:accepted"] += len(accepted)
             self._buffer.append(accepted)
             self._buffered += len(accepted)
             self._max_accepted = max(self._max_accepted, float(accepted.ts.max()))
@@ -227,16 +205,15 @@ class IngestPipeline:
             # Bounded buffer: force the watermark over the oldest events.
             cut = overflow
             self.watermark = float(pending.ts[cut - 1])
-            self.stats.forced_releases += overflow
+            self.counters["ingest:forced_releases"] += overflow
         released = pending.take(np.arange(cut))
         remainder = pending.take(np.arange(cut, len(pending)))
         self._buffer = [remainder] if len(remainder) else []
         self._buffered = len(remainder)
-        self.stats.released += len(released)
+        self.counters["ingest:released"] += len(released)
         return released
 
-    def __repr__(self) -> str:
-        return (
-            f"IngestPipeline(watermark={self.watermark:g}, "
-            f"buffered={self._buffered}, quarantined={self.stats.quarantined_total})"
-        )
+    @property
+    def buffered(self) -> int:
+        """Events accepted and waiting in the reordering buffer."""
+        return self._buffered

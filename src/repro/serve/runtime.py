@@ -52,7 +52,7 @@ class ServeRuntime(ServeEngine):
             invalidated.  Off by default: the raw gather path is kept
             bit-identical for runtimes that do not opt in.
         **engine: the shared request-loop knobs (``clock``, ``deadline``,
-            ``ladder``, ``lateness``, ``max_buffer``, ``max_queue``,
+            ``lateness``, ``max_buffer``, ``max_queue``,
             ``shed_policy``, ``rate``, ``burst``, ``injector``), declared
             once on :class:`~repro.serve.engine.ServeEngine`.
     """
@@ -79,7 +79,10 @@ class ServeRuntime(ServeEngine):
         if durable_dir is not None:
             from ..durable.store import DurableStateStore
 
-            self.store = DurableStateStore(durable_dir, fsync=durable_fsync)
+            self.store = DurableStateStore(
+                durable_dir, fsync=durable_fsync, counters=ctx.counters,
+                prefix="durable:",
+            )
             if recover:
                 self._recovery = recover_serve_state(self.store, memory, mailbox)
         self.committer = StateCommitter(
@@ -88,6 +91,7 @@ class ServeRuntime(ServeEngine):
             quarantine=self.ingest.quarantine_batch,
             store=self.store,
             snapshot_every=snapshot_every if self.store is not None else None,
+            counters=ctx.counters,
         )
         if self._recovery:
             self.committer.committed_watermark = float(self._recovery["watermark"])
@@ -205,12 +209,14 @@ class ServeRuntime(ServeEngine):
 
     # ---- reporting ---------------------------------------------------------------
 
-    def stats(self) -> Dict[str, object]:
-        """The engine's counters plus commit, durable-log, and store rows."""
-        out = super().stats()
-        out.update({f"commit:{k}": v for k, v in self.committer.stats.as_dict().items()})
+    def _gauges(self) -> Dict[str, object]:
+        """The engine's gauges plus the log's size and the store's tiers."""
+        out = super()._gauges()
         if self.store is not None:
-            out.update({f"durable:{k}": v for k, v in self.store.stats().items()})
+            wal = self.store.wal
+            out["durable:wal:segments"] = wal.num_segments
+            out["durable:wal:size_bytes"] = wal.size_bytes()
+            out["durable:wal:last_lsn"] = wal.last_lsn
         if self.feature_store is not None:
             out.update({
                 f"store:{k}": v

@@ -18,10 +18,12 @@ The setup draws 1-3 shards, replication factor 1-3, ``hash`` or
 ``temporal`` partitioning, ``bounded`` or ``strict`` staleness, 1 or 4
 mailbox slots and a seed.
 
-Invariants: the ingest ledger balances on both engines after every step and
-both quarantine exactly the poisoned batches; after every ``drain()`` the
-cluster's assembled state is bit-identical to the oracle's and no maintained
-chunk digest has diverged; at factor >= 2 ``serve:zero_rows`` does not grow
+Invariants: the ingest and admission ledgers balance on both engines after
+every step and both quarantine exactly the poisoned batches; after every
+``drain()`` the cluster's assembled state is bit-identical to the oracle's,
+no maintained chunk digest has diverged, and every key in either engine's
+counter table was declared (by a component at construction, or as a label
+of a closed family such as ``ladder:<rung>``); at factor >= 2 ``cluster:zero_rows`` does not grow
 while every group has a serving member; a recovered oracle is bit-identical
 to the live one it replaced.
 
@@ -55,9 +57,16 @@ from hypothesis.stateful import (
 from repro.cluster import ClusterConfig, ServeCluster
 from repro.core import Mailbox, Memory, TContext, TGraph, TSampler
 from repro.integrity import array_digest
-from repro.resilience import FaultInjector, apply_bitflip
+from repro.resilience import SITES, FaultInjector, apply_bitflip
 from repro.resilience.chaos import STALL_FACTOR, STALL_WINDOW
-from repro.serve import RejectReason, ServeRuntime, build_stream, split_batches
+from repro.serve import (
+    LEVELS,
+    RejectReason,
+    ServeRuntime,
+    build_stream,
+    ledger_violations,
+    split_batches,
+)
 
 N, DIM, BATCH, BATCHES = 40, 4, 10, 150
 #: short enough that periodic scrub cycles (and so ``scrub.skip``) come due
@@ -74,8 +83,27 @@ RATES = {
 }
 
 
+#: counter families whose label is drawn from a closed set when first counted
+FAMILIES = {
+    "ladder:": set(LEVELS) | {"timeout"},
+    "serve:degraded:": set(LEVELS[1:]),
+    "ingest:quarantined:": {v for k, v in vars(RejectReason).items()
+                            if k.isupper() and isinstance(v, str)},
+    "kernel_faults:": set(SITES),
+}
+
+
+def undeclared(counters, declared):
+    """Keys of *counters* neither in *declared* nor a closed-family label."""
+    return sorted(
+        key for key in counters if key not in declared and not any(
+            key.startswith(prefix) and key[len(prefix):] in labels
+            for prefix, labels in FAMILIES.items())
+    )
+
+
 def _poisoned(engine) -> int:
-    return engine.ingest.stats.quarantined.get(RejectReason.POISONED_BATCH, 0)
+    return engine.ctx.counters.get("ingest:quarantined:" + RejectReason.POISONED_BATCH, 0)
 
 
 class FaultMachine(RuleBasedStateMachine):
@@ -106,6 +134,8 @@ class FaultMachine(RuleBasedStateMachine):
             mailbox_slots=slots, stream=stream, injector=self.cinj,
             deadline=1e9, max_queue=1 << 30,
         )
+        #: what the cluster's components declared at construction
+        self.cluster_declared = set(self.cluster.ctx.counters)
         #: decision -> indices of the batches whose commit it faults
         self.faulted = {"serve.poison": set(), "serve.commit": set()}
         self.oracle_dir = tempfile.mkdtemp(prefix="fault-machine-")
@@ -123,12 +153,14 @@ class FaultMachine(RuleBasedStateMachine):
             decision: [(0, i - self.served) for i in batches if i >= self.served]
             for decision, batches in self.faulted.items()
         })
-        return ServeRuntime(
+        oracle = ServeRuntime(
             self.graph, TContext(self.graph), Memory(N, DIM), TSampler(4, seed=1),
             mailbox=Mailbox(N, DIM, slots=self.slots),
             durable_dir=self.oracle_dir, snapshot_every=8, recover=recover,
             injector=self.oinj, deadline=1e9, max_queue=1 << 30,
         )
+        self.oracle_declared = set(oracle.ctx.counters)
+        return oracle
 
     # ---- what the fault model excludes -------------------------------------------
 
@@ -163,12 +195,12 @@ class FaultMachine(RuleBasedStateMachine):
     def serve(self, k):
         ctx = self.cluster.ctx
         for batch in self.batches[self.served:self.served + k]:
-            zero_rows = ctx.counters.get("serve:zero_rows", 0)
+            zero_rows = ctx.counters["cluster:zero_rows"]
             with self.cinj:
                 self.cluster.submit(batch)
                 self.cluster.step()
             if self.factor >= 2 and all(g.any_serving() for g in self.cluster.groups):
-                assert ctx.counters.get("serve:zero_rows", 0) == zero_rows
+                assert ctx.counters["cluster:zero_rows"] == zero_rows
             with self.oinj:
                 self.oracle.submit(batch)
                 self.oracle.step()
@@ -191,6 +223,8 @@ class FaultMachine(RuleBasedStateMachine):
             for rep in group.members:
                 for _, digest in rep.digests.components():
                     assert digest.diverged() == []
+        assert undeclared(self.cluster.ctx.counters, self.cluster_declared) == []
+        assert undeclared(self.oracle.ctx.counters, self.oracle_declared) == []
 
     @precondition(lambda self: self.served < len(self.batches))
     @rule(transient=st.booleans())
@@ -260,8 +294,8 @@ class FaultMachine(RuleBasedStateMachine):
 
     @rule()
     def skip_next_scrub(self):
-        counters = self.cluster.scrubber.counters
-        cycle = int(counters["cycles"] + counters["skipped_cycles"])
+        counters = self.cluster.ctx.counters
+        cycle = int(counters["integrity:cycles"] + counters["integrity:skipped_cycles"])
         self.cinj.schedules.setdefault("scrub.skip", set()).add((0, cycle))
 
     @rule()
@@ -277,8 +311,7 @@ class FaultMachine(RuleBasedStateMachine):
     @invariant()
     def ledgers_balance(self):
         for engine in (self.cluster, self.oracle):
-            s = engine.ingest.stats
-            assert s.pushed == s.accepted + s.duplicates + s.quarantined_total
+            assert ledger_violations(engine.stats()) == []
 
     @invariant()
     def exactly_the_poisoned_batches_are_quarantined(self):

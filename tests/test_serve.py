@@ -26,6 +26,7 @@ from repro.serve import (
     StateCommitter,
     TokenBucket,
     build_stream,
+    ledger_violations,
     poison_stream,
     replay,
     split_batches,
@@ -44,6 +45,12 @@ DIM = 8
 def _batch(eids, src, dst, ts, payload=None):
     return EventBatch(np.asarray(eids), np.asarray(src), np.asarray(dst),
                       np.asarray(ts), payload)
+
+
+def _quarantined(counters):
+    """Quarantined events per reject reason, from a counter table."""
+    prefix = "ingest:quarantined:"
+    return {k[len(prefix):]: v for k, v in counters.items() if k.startswith(prefix)}
 
 
 def _runtime(stream, num_nodes=N, store=None, **kw):
@@ -92,7 +99,7 @@ class TestIngestPipeline:
         p = IngestPipeline(N)
         out = p.push(_batch([0, 1, 2], [1, -1, 2], [2, 2, N + 9], [1.0, 1.0, 1.0]))
         assert len(out) == 1
-        assert p.stats.quarantined == {
+        assert _quarantined(p.counters) == {
             RejectReason.NEGATIVE_NODE: 1,
             RejectReason.NODE_OUT_OF_RANGE: 1,
         }
@@ -105,16 +112,16 @@ class TestIngestPipeline:
         first = p.push(_batch([7, 8], [1, 2], [3, 4], [1.0, 2.0]))
         again = p.push(_batch([7, 8], [1, 2], [3, 4], [1.0, 2.0]))
         assert len(first) == 2 and len(again) == 0
-        assert p.stats.duplicates == 2
+        assert p.counters["ingest:duplicates"] == 2
         # duplicates are normal redelivery, not quarantine material
-        assert p.stats.quarantined_total == 0
+        assert _quarantined(p.counters) == {}
 
     def test_watermark_holds_back_recent_events(self):
         p = IngestPipeline(N, lateness=5.0)
         out = p.push(_batch([0, 1, 2], [1, 1, 1], [2, 2, 2], [1.0, 4.0, 10.0]))
         # watermark = 10 - 5 = 5: only ts <= 5 released
         assert list(out.ts) == [1.0, 4.0]
-        assert p.stats.buffered == 1
+        assert p.buffered == 1
         assert len(p.flush()) == 1
 
     def test_out_of_order_within_lateness_released_in_order(self):
@@ -123,13 +130,13 @@ class TestIngestPipeline:
         p.push(_batch([1], [1], [2], [3.0]))  # late but within bound
         out = p.flush()
         assert list(out.ts) == [3.0, 7.0]
-        assert p.stats.quarantined_total == 0
+        assert _quarantined(p.counters) == {}
 
     def test_event_below_watermark_quarantined_late(self):
         p = IngestPipeline(N, lateness=1.0)
         p.push(_batch([0], [1], [2], [100.0]))  # watermark -> 99
         p.push(_batch([1], [1], [2], [5.0]))
-        assert p.stats.quarantined == {RejectReason.LATE_EVENT: 1}
+        assert _quarantined(p.counters) == {RejectReason.LATE_EVENT: 1}
 
     def test_release_order_is_canonical_ts_eid(self):
         p = IngestPipeline(N, lateness=100.0)
@@ -144,15 +151,16 @@ class TestIngestPipeline:
                             np.arange(5, dtype=float)))
         # lateness would buffer everything; the bound forces 2 releases
         assert len(out) == 2
-        assert p.stats.forced_releases == 2
-        assert p.stats.buffered == 3
+        assert p.counters["ingest:forced_releases"] == 2
+        assert p.buffered == 3
 
     def test_ledger_always_balances(self):
         p = IngestPipeline(N, lateness=2.0)
         p.push(_batch([0, 1, 0], [1, -1, 1], [2, 2, 2], [1.0, 1.0, 1.0]))
         p.push(_batch([3], [1], [2], [np.nan]))
-        s = p.stats
-        assert s.pushed == s.accepted + s.duplicates + s.quarantined_total
+        c = p.counters
+        assert c["ingest:pushed"] == (c["ingest:accepted"] + c["ingest:duplicates"]
+                                      + sum(_quarantined(c).values()))
 
     def test_ingest_fault_retry_is_idempotent(self):
         p = IngestPipeline(N)
@@ -164,7 +172,7 @@ class TestIngestPipeline:
                 p.push(b)
             out = p.push(b)  # transient: second attempt succeeds
         assert len(out) == 2
-        assert p.stats.pushed == 2 and p.stats.duplicates == 0
+        assert p.counters["ingest:pushed"] == 2 and p.counters["ingest:duplicates"] == 0
 
 
 class TestAdmission:
@@ -180,7 +188,7 @@ class TestAdmission:
         ac = AdmissionController(SimClock(), max_queue=2)
         assert ac.offer("a") and ac.offer("b")
         assert not ac.offer("c")
-        assert ac.stats.shed_queue_full == 1
+        assert ac.counters["admission:shed_queue_full"] == 1
         assert ac.drain_shed() == ["c"]
         assert ac.poll() == "a"
 
@@ -197,8 +205,10 @@ class TestAdmission:
         for _ in range(8):
             ac.offer(object())
             clock.advance(0.1)
-        s = ac.stats
-        assert s.offered == s.admitted + s.shed_total == 8
+        c = ac.counters
+        assert c["admission:offered"] == 8 == (
+            c["admission:admitted"] + c["admission:shed_rate_limited"]
+            + c["admission:shed_queue_full"])
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="shed policy"):
@@ -223,7 +233,7 @@ class TestDegradationLadder:
     def test_timeout_when_nothing_affordable(self):
         ladder = DegradationLadder()
         d = ladder.decide(0.0, 100)
-        assert d.level == "timeout" and ladder.decisions["timeout"] == 1
+        assert d.level == "timeout" and ladder.counters == {"ladder:timeout": 1}
 
     def test_cache_rung_skipped_when_cache_degraded(self):
         g = TGraph([0], [1], [1.0])
@@ -319,8 +329,9 @@ class TestServeRuntime:
         rt = _runtime(stream)
         results = replay(rt, split_batches(stream, 25), load=1.0)
         assert all(r.status == "ok" and r.level == "full" for r in results)
-        assert rt.committer.stats.events_applied == 200
-        assert rt.ctx.counters["serve:admitted"] == 8
+        stats = rt.stats()
+        assert stats["commit:events_applied"] == 200
+        assert stats["admission:admitted"] == 8
         lat = rt.ctx.stats().latency
         assert lat is not None and lat.count == 8 and lat.p99 >= lat.p50 > 0
 
@@ -343,18 +354,19 @@ class TestServeRuntime:
         results = replay(rt, split_batches(stream, 20), load=16.0)
         statuses = {r.status for r in results}
         assert "shed" in statuses
-        s = rt.admission.stats
-        assert s.offered == s.admitted + s.shed_total == 20
-        assert rt.ctx.counters["serve:shed"] == s.shed_total
+        stats = rt.stats()
+        assert ledger_violations(stats) == []
+        shed = sum(r.status == "shed" for r in results)
+        assert stats["admission:shed_queue_full"] == shed > 0
         # every offered request got an answer
-        assert len(results) == 20
+        assert len(results) == stats["admission:offered"] == 20
 
     def test_deadline_pressure_walks_down_ladder(self):
         stream = build_stream(N, 400, payload_dim=DIM, seed=4)
         rt = _runtime(stream, deadline=3e-3, max_queue=64)
         replay(rt, split_batches(stream, 20), load=16.0)
-        rungs = set(rt.ladder.decisions)
-        assert rungs - {"full"}, f"no degradation under 16x load: {rungs}"
+        rungs = {k for k in rt.ctx.counters if k.startswith("ladder:")}
+        assert rungs - {"ladder:full"}, f"no degradation under 16x load: {rungs}"
         degraded = [k for k in rt.ctx.counters if k.startswith("serve:degraded:")]
         assert degraded
 
@@ -366,7 +378,7 @@ class TestServeRuntime:
         batches = split_batches(stream, 30)
         rt_fast = _runtime(stream, deadline=2e-4)
         replay(rt_fast, batches, load=16.0)
-        assert rt_fast.ladder.degraded_serves > 0
+        assert rt_fast.ctx.counters.get("ladder:full", 0) < len(batches)
         rt_slow = _runtime(stream)
         replay(rt_slow, batches, load=1.0)
         assert rt_fast.memory.state_digest() == rt_slow.memory.state_digest()
@@ -377,9 +389,9 @@ class TestServeRuntime:
         rt = _runtime(stream, deadline=3e-3, max_queue=8)
         results = replay(rt, split_batches(stream, 20), load=16.0)
         assert len(results) == 30  # every request answered: available
-        st = rt.ingest.stats
-        assert st.pushed == st.accepted + st.duplicates + st.quarantined_total
-        assert rt.committer.stats.events_applied == st.released
+        counters = rt.stats()
+        assert ledger_violations(counters) == []
+        assert counters["commit:events_applied"] == counters["ingest:released"]
         stats = rt.ctx.stats()
         assert stats.latency.count == sum(
             1 for r in results if r.status != "shed")
@@ -467,11 +479,11 @@ class TestPoisonedStreamEquivalence:
         assert rt_c.memory.state_digest() == rt_p.memory.state_digest()
         assert rt_c.mailbox.state_digest() == rt_p.mailbox.state_digest()
 
-        st = rt_p.ingest.stats
+        stats = rt_p.stats()
         n_junk = sum(v for k, v in injected.items() if k != "redelivered")
-        assert st.quarantined_total == n_junk
-        assert st.duplicates == injected["redelivered"]
-        assert st.pushed == st.accepted + st.duplicates + st.quarantined_total
+        assert sum(_quarantined(stats).values()) == n_junk
+        assert stats["ingest:duplicates"] == injected["redelivered"]
+        assert ledger_violations(stats) == []
         # every quarantined event carries a structured reason
         assert all(q.reason for q in rt_p.ingest.quarantine)
 
@@ -514,12 +526,12 @@ class TestChaos:
         assert len(results) == 20
         sites = {e.site for e in inj.log}
         assert {"serve.ingest", "serve.commit", "serve.poison"} <= sites
-        assert rt.committer.stats.rollbacks >= 1
-        assert rt.committer.stats.retries >= 1
+        stats = rt.stats()
+        assert stats["commit:rollbacks"] >= 1
+        assert stats["commit:retries"] >= 1
         # poisoned batches are fully accounted as quarantined events
-        q = rt.ingest.stats.quarantined.get(RejectReason.POISONED_BATCH, 0)
-        assert q == rt.committer.stats.events_rolled_back
-        assert rt.ctx.counters["serve:quarantined"] == q
+        q = _quarantined(stats)[RejectReason.POISONED_BATCH]
+        assert q == 20 * stats["commit:rollbacks"]  # whole 20-event requests
         assert validate_state(rt.graph, rt.ctx) == []
         assert not rt.memory.validate() and not rt.mailbox.validate()
         assert np.isfinite(rt.memory.data.data).all()
@@ -543,12 +555,13 @@ class TestChaos:
             )
         with inj, rt:
             replay(rt, split_batches(stream, 20), load=1.0)
-            st = rt.ingest.stats
-            rolled_back = st.quarantined[RejectReason.POISONED_BATCH]
+            st = rt.stats()
+            rolled_back = _quarantined(st)[RejectReason.POISONED_BATCH]
             assert rolled_back > 0
-            assert st.pushed == st.accepted + st.duplicates + st.quarantined_total
-            assert st.buffered >= 0
-            assert st.released == st.accepted - st.buffered == 400 - rolled_back
+            assert ledger_violations(st) == []
+            assert st["ingest:buffered"] >= 0
+            assert (st["ingest:released"] == st["ingest:accepted"] - st["ingest:buffered"]
+                    == 400 - rolled_back)
 
             members = [rt] if backend == "runtime" else [
                 rep for group in rt.groups for rep in group.members
@@ -557,7 +570,7 @@ class TestChaos:
                         if q.reason == RejectReason.POISONED_BATCH}
             logged = {int(e) for m in members for rec in m.store.recover().records
                       for e in rec.arrays["eids"]}
-            assert len(poisoned) == rolled_back and len(logged) == st.released
+            assert len(poisoned) == rolled_back and len(logged) == st["ingest:released"]
             assert not logged & poisoned
             live = [(m.memory.state_digest(), m.mailbox.state_digest())
                     for m in members]
@@ -577,8 +590,7 @@ class TestChaos:
         with inj:
             results = replay(rt, split_batches(stream, 20), load=16.0)
         assert len(results) == 20  # available under chaos + overload
-        st = rt.ingest.stats
-        assert st.pushed == st.accepted + st.duplicates + st.quarantined_total
+        assert ledger_violations(rt.stats()) == []
         assert validate_state(rt.graph, rt.ctx) == []
 
 
