@@ -15,7 +15,7 @@ is **bit-identical** to a fault-free run of the same seed:
   parameters, node memory, mailbox, optimizer moments, and every RNG
   stream land exactly where the uninterrupted run does;
 * repeated faults from one kernel site degrade it to the bit-identical
-  reference path (visible in ``ctx.stats().degraded``).
+  reference path (visible in ``ctx.degraded``).
 
 Run:  python examples/fault_tolerant_training.py
 """
@@ -129,9 +129,9 @@ def main():
     degraded_result = _trainer(
         exp, os.path.join(workdir, "degraded"), injector=stubborn
     ).train(epochs=1, train_end=train_end)
-    stats = exp.g.ctx.stats()
-    print(f"\nafter {stats.kernel_faults.get('kernel.sample', 0)} kernel faults: "
-          f"degraded sites = {stats.degraded}")
+    ctx = exp.g.ctx
+    print(f"\nafter {ctx.counters.get('kernel_faults:kernel.sample', 0)} kernel faults: "
+          f"degraded sites = {ctx.degraded}")
     print(f"training still completed {len(degraded_result.epochs)} epoch(s) "
           f"on the reference path")
     exp.close()

@@ -14,6 +14,7 @@ Run:  python examples/quickstart.py
 from repro import nn
 from repro import tensor as T
 import repro.core as tg
+from repro.core.stats import ratios
 from repro.bench import evaluate, train_epoch
 from repro.data import NegativeSampler, get_dataset
 from repro.models import TGAT, OptFlags
@@ -64,10 +65,11 @@ def main() -> None:
     test_seconds, test_ap = evaluate(
         model, graph, negatives, batch_size=300, start=val_end, stop=test_end
     )
-    stats = ctx.stats()
-    hit_rates = {layer: round(c.hit_rate, 3) for layer, c in stats.cache.items()}
-    print(f"test: {test_seconds:.2f}s  AP={test_ap:.4f}  cache hit rates={hit_rates}")
-    kernel_ms = {name: round(sec * 1e3, 1) for name, sec in stats.kernel_seconds.items()}
+    counters = ctx.stats().counters
+    derived = {name: round(value, 3) for name, value in ratios(counters).items()}
+    print(f"test: {test_seconds:.2f}s  AP={test_ap:.4f}  {derived}")
+    kernel_ms = {key[len("kernel:"):]: round(sec * 1e3, 1)
+                 for key, sec in counters.items() if key.startswith("kernel:")}
     print(f"kernel time (ms): {kernel_ms}")
 
 

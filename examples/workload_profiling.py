@@ -58,18 +58,21 @@ def profile_data_movement(dataset, stop_edges=1500) -> None:
     start = dataset.num_edges // 2
     train_epoch(model, g, opt, neg, 300, start=start,
                 stop=start + stop_edges, ctx=ctx)
-    st = ctx.stats().store
+    c = ctx.stats().counters
     print(f"  {'tier':8s} {'bytes in':>12s} {'bytes out':>12s} "
           f"{'hit rate':>9s}")
     for tier in ("hot", "staging", "cold"):
-        t = st.tiers[tier]
-        print(f"  {tier:8s} {t.bytes_in:>12d} {t.bytes_out:>12d} "
-              f"{100 * t.hit_rate:>8.1f}%")
-    print(f"  total bytes moved between tiers: {st.bytes_moved}")
-    print(f"  prefetch: {st.prefetch_hits}/{st.prefetch_issued} consumed "
-          f"after their transfer completed; stall {st.stall_seconds:.4g}s "
-          f"paid, {st.stall_saved_seconds:.4g}s recovered "
-          f"({100 * st.stall_recovered_fraction:.1f}%)")
+        hits, misses = c[f"store:{tier}:hits"], c[f"store:{tier}:misses"]
+        print(f"  {tier:8s} {c[f'store:{tier}:bytes_in']:>12d} "
+              f"{c[f'store:{tier}:bytes_out']:>12d} "
+              f"{100 * hits / max(1, hits + misses):>8.1f}%")
+    moved = sum(c[f"store:{tier}:bytes_in"] for tier in ("hot", "staging", "cold"))
+    print(f"  total bytes moved between tiers: {moved}")
+    stall, saved = c["store:stall_seconds"], c["store:stall_saved_seconds"]
+    recovered = saved / (stall + saved) if stall + saved > 0 else 0.0
+    print(f"  prefetch: {c['store:prefetch_hits']}/{c['store:prefetch_issued']} consumed "
+          f"after their transfer completed; stall {stall:.4g}s "
+          f"paid, {saved:.4g}s recovered ({100 * recovered:.1f}%)")
 
 
 def main() -> None:

@@ -151,7 +151,8 @@ def run_tgat_breakdown(cfg, slice_edges: int = 4000) -> Dict[str, float]:
         if exp.ctx is not None:
             # Kernel-level timings recorded by the vectorized kernel layer
             # (repro.core.kernels); nested inside the coarse stages above.
-            bd.merge(exp.ctx.stats().kernel_seconds, prefix="kernel:")
+            bd.merge({k: v for k, v in exp.ctx.stats().counters.items()
+                      if k.startswith("kernel:")})
         totals = bd.totals()
         if "attention" in totals:
             nested = totals.get("time_zero", 0.0) + totals.get("time_nbrs", 0.0)

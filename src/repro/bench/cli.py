@@ -38,6 +38,7 @@ import sys
 from typing import List, Optional
 
 from ..data import available_datasets, get_dataset
+from ..store.tiered import TIERS
 from .cluster_cli import (
     add_replay_flags,
     build_serve_cluster_parser,
@@ -281,18 +282,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         fstore = (exp.ctx.store if exp.ctx is not None
                   else getattr(exp.model, "feature_store", None))
         if cfg.uses_feature_store and fstore is not None:
-            st = fstore.stats()
-            print(f"feature store: stall {st.stall_seconds:.4f}s, "
-                  f"saved {st.stall_saved_seconds:.4f}s "
-                  f"({100 * st.stall_recovered_fraction:.1f}% recovered), "
-                  f"bytes moved {st.bytes_moved}")
-            for tier, t in st.tiers.items():
-                print(f"  {tier:8s} hits {t.hits:>9d}  misses {t.misses:>9d}  "
-                      f"in {t.bytes_in:>12d}B  out {t.bytes_out:>12d}B  "
-                      f"evict {t.evictions:>7d}")
+            print_store_summary({**fstore.counters, **fstore.gauges()})
     finally:
         exp.close()
     return 0
+
+
+def print_store_summary(c) -> None:
+    """The feature store's stall and per-tier lines, from its ``store:*`` keys."""
+    stall, saved = c["store:stall_seconds"], c["store:stall_saved_seconds"]
+    would_be = stall + saved
+    recovered = saved / would_be if would_be > 0 else 0.0
+    moved = sum(c[f"store:{tier}:bytes_in"] for tier in TIERS)
+    print(f"feature store: stall {stall:.4f}s, saved {saved:.4f}s "
+          f"({100 * recovered:.1f}% recovered), bytes moved {moved}")
+    for tier in TIERS:
+        t = {key: c[f"store:{tier}:{key}"] for key in
+             ("hits", "misses", "bytes_in", "bytes_out", "evictions")}
+        print(f"  {tier:8s} hits {t['hits']:>9d}  misses {t['misses']:>9d}  "
+              f"in {t['bytes_in']:>12d}B  out {t['bytes_out']:>12d}B  "
+              f"evict {t['evictions']:>7d}")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,7 +19,7 @@ recovery loop built on three mechanisms:
   context's degradation threshold; subsequent batches route through the
   uncached reference path for that site (bit-identical results, no
   further exposure to the faulting kernel), recorded in
-  ``ctx.stats().degraded``.
+  ``ctx.degraded`` (``degraded:<site>`` in ``ctx.stats()``).
 
 Checkpoints are written every ``checkpoint_every`` batches through
 :func:`repro.bench.checkpoint.save_checkpoint` (atomic, CRC-verified)

@@ -61,8 +61,8 @@ class Breakdown:
     def merge(self, totals: Dict[str, float], prefix: str = "") -> None:
         """Fold a name→seconds mapping into the breakdown.
 
-        The natural source is :meth:`TContext.stats`'s ``kernel_seconds``
-        field, merged under a ``prefix`` like ``"kernel:"``.  Note that
+        The natural source is :meth:`TContext.stats`'s ``kernel:<name>``
+        counters, whose names carry the ``"kernel:"`` prefix.  Note that
         kernel timings are typically *nested inside* coarser sections
         (e.g. ``kernel:sample`` inside ``sample``), so callers computing
         grand totals should exclude prefixed entries.

@@ -8,11 +8,10 @@ operators: the per-layer embedding memoization used by ``op.cache()``
 ``op.preload()``, and the precomputed time-vector tables used by
 ``op.precomputed_times()``/``op.precomputed_zeros()``.
 
-Instrumentation is read through one surface: :meth:`TContext.stats`
-returns a :class:`~repro.core.stats.ContextStats` snapshot (operator
-counters, per-layer cache hit rates, pinned-pool reuse, per-kernel wall
-time, and the store's per-tier bytes-moved/stall accounting) and
-:meth:`TContext.reset_stats` clears it.
+Instrumentation is one counter table, :attr:`TContext.counters`, read
+through :meth:`TContext.stats` (a :class:`~repro.core.stats.ContextStats`
+snapshot: the table plus its read-time keys, and request latencies) and
+zeroed by :meth:`TContext.reset_stats`.
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ from ..store.api import StoreConfig
 from ..store.tiered import TieredFeatureStore
 from ..store.tiers import PinnedPool
 from ..tensor import Tensor
-from ..tensor.device import CPU, Device, get_device
+from ..tensor.device import Device, get_device
 from .kernels.cache import NodeTimeCache
-from .stats import CacheLayerStats, ContextStats, LatencyStats, PinnedPoolStats
+from .stats import ContextStats, Latency
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .graph import TGraph
@@ -39,6 +38,8 @@ __all__ = ["TContext"]
 _EMBED_PREFIX = "embed:"
 #: counter-table prefix of transient kernel faults per site.
 _FAULT_PREFIX = "kernel_faults:"
+#: counter-table prefix of accumulated wall-clock seconds per kernel.
+_KERNEL_PREFIX = "kernel:"
 
 
 class TContext:
@@ -50,10 +51,8 @@ class TContext:
         time_window: rounding resolution for precomputed-time lookups; time
             deltas are quantized to multiples of this before table lookup
             (0 means exact float matching).
-        store: the tiered feature store behind the caches — a
-            :class:`~repro.store.api.StoreConfig` (a store is built from
-            it), an existing :class:`~repro.store.tiered.TieredFeatureStore`
-            to share, or ``None`` for defaults.
+        store: the :class:`~repro.store.api.StoreConfig` of the tiered
+            feature store behind the caches (``None`` for defaults).
     """
 
     def __init__(
@@ -61,7 +60,7 @@ class TContext:
         graph: "TGraph",
         device: Union[str, Device, None] = None,
         time_window: float = 0.0,
-        store: Union[StoreConfig, TieredFeatureStore, None] = None,
+        store: Optional[StoreConfig] = None,
     ):
         self.graph = graph
         self.device = get_device(device)
@@ -69,21 +68,17 @@ class TContext:
         self.training = True
         graph.ctx = self
 
-        if isinstance(store, TieredFeatureStore):
-            self.store = store
-        else:
-            self.store = TieredFeatureStore(
-                store if store is not None else StoreConfig(),
-                timer=self.add_kernel_time,
-            )
+        #: the one counter table: operator counters (rows seen/removed by
+        #: dedup()), kernel seconds and faults, the store's and pinned
+        #: pool's accounting, and every counter of a serving deployment
+        #: built over this context; read via stats().
+        self.counters: Dict[str, float] = {}
+        self.store = TieredFeatureStore(
+            store if store is not None else StoreConfig(),
+            timer=self.add_kernel_time, counters=self.counters,
+        )
         self._time_tables: Dict[int, dict] = {}
         self._time_zero_rows: Dict[int, Tuple[int, np.ndarray]] = {}
-        #: the one counter table: operator counters (rows seen/removed by
-        #: dedup()/cache()), kernel faults per site, and every counter of a
-        #: serving deployment built over this context; read via stats().
-        self.counters: Dict[str, float] = {}
-        #: accumulated wall-clock seconds per hot-path kernel.
-        self._kernel_seconds: Dict[str, float] = {}
         #: kernels downgraded to their uncached/reference paths, keyed by
         #: site name ('kernel.sample', 'kernel.cache') with a reason.
         self.degraded: Dict[str, str] = {}
@@ -124,11 +119,9 @@ class TContext:
     # ---- embedding cache -------------------------------------------------------------
 
     def embed_cache(self, layer: int) -> NodeTimeCache:
-        """One layer's embedding cache — the hot tier of its store space.
-
-        Kept for compatibility and statistics; it is the whole of a
-        memoization space, so what it evicts is recomputed.
-        """
+        """One layer's embedding cache — the hot tier of its store space;
+        it is the whole of a memoization space, so what it evicts is
+        recomputed."""
         return self.store.space(f"{_EMBED_PREFIX}{int(layer)}").hot
 
     def clear_embed_cache(self) -> None:
@@ -143,8 +136,9 @@ class TContext:
         self.counters[key] = self.counters.get(key, 0) + int(amount)
 
     def add_kernel_time(self, name: str, seconds: float) -> None:
-        """Accumulate wall-clock seconds under a kernel name."""
-        self._kernel_seconds[name] = self._kernel_seconds.get(name, 0.0) + seconds
+        """Accumulate wall-clock seconds under ``kernel:<name>``."""
+        key = _KERNEL_PREFIX + name
+        self.counters[key] = self.counters.get(key, 0.0) + seconds
 
     def record_latency(self, seconds: float) -> None:
         """Record one request's end-to-end latency (serving runtime).
@@ -155,11 +149,11 @@ class TContext:
         self._latency_count += 1
         self._latencies.append(float(seconds))
 
-    def _latency_stats(self) -> Optional[LatencyStats]:
+    def _latency(self) -> Optional[Latency]:
         if not self._latencies:
             return None
         arr = np.asarray(self._latencies)
-        return LatencyStats(
+        return Latency(
             count=self._latency_count,
             p50=float(np.percentile(arr, 50)),
             p99=float(np.percentile(arr, 99)),
@@ -193,43 +187,33 @@ class TContext:
         return site in self.degraded
 
     def stats(self) -> ContextStats:
-        """One frozen snapshot of all context instrumentation.
-
-        Bundles the operator counters, per-layer embedding-cache hit
-        statistics, pinned-pool reuse counts, and per-kernel wall time —
-        the numbers §5.2's discussion attributes speedups to.
-        """
-        pool = self.store.pinned_pool
-        cache = {}
+        """One frozen snapshot: the counter table plus its read-time keys —
+        the store rings' ``store:{hot,staging}:*`` sums and
+        ``store:prefetch_in_flight``, each embedding-cache layer's
+        ``embed:<layer>:{hits,lookups,entries,evictions}`` (since its last
+        clear) and ``degraded:<site>`` — and the request latencies."""
+        counters = dict(self.counters)
+        counters.update(self.store.gauges())
         for name in self.store.spaces():
             if name.startswith(_EMBED_PREFIX):
                 hot = self.store.space(name).hot
-                cache[int(name[len(_EMBED_PREFIX):])] = CacheLayerStats(
-                    hot.hits, hot.lookups, hot.num_entries, hot.evictions)
-        return ContextStats(
-            counters=dict(self.counters),
-            cache=cache,
-            pinned=PinnedPoolStats(pool.hits, pool.misses),
-            kernel_seconds=dict(self._kernel_seconds),
-            degraded=dict(self.degraded),
-            kernel_faults={
-                key[len(_FAULT_PREFIX):]: int(n)
-                for key, n in self.counters.items() if key.startswith(_FAULT_PREFIX)
-            },
-            latency=self._latency_stats(),
-            store=self.store.stats(),
-        )
+                counters.update({f"{name}:hits": hot.hits, f"{name}:lookups": hot.lookups,
+                                 f"{name}:entries": hot.num_entries,
+                                 f"{name}:evictions": hot.evictions})
+        counters.update({f"degraded:{site}": 1.0 for site in self.degraded})
+        return ContextStats(counters, self._latency())
 
     def reset_stats(self) -> None:
-        """Zero all instrumentation (counters, hit stats, kernel times).
+        """Zero all instrumentation; cache *contents* are kept.
 
-        Cache *contents* are kept — only the statistics reset.
+        Every key of the table stays (the components that declared it
+        keep counting into it) and reads 0.
         """
-        self.counters.clear()
-        self._kernel_seconds.clear()
+        for key, value in self.counters.items():
+            self.counters[key] = 0.0 if isinstance(value, float) else 0
         self._latencies.clear()
         self._latency_count = 0
-        self.store.reset_stats()
+        self.store.zero_counts()
 
     # ---- precomputed time tables --------------------------------------------------------
 

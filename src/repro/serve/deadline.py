@@ -9,7 +9,7 @@ rung                  what is served
 ====================  =====================================================
 ``full``              full-fanout temporal attention neighborhood
 ``reduced``           same pipeline with the sampler fanout shrunk
-``cache``             embedding-cache rows (the FeatureStore's hot
+``cache``             embedding-cache rows (the feature store's hot
                       memoization tier); misses fall back to raw memory
                       rows
 ``memory``            memory-only cold predictions (no sampling, no cache)

@@ -39,9 +39,10 @@ table, ``ctx.counters``, that admission, ingestion, the ladder, the
 committer and every backend component count into (each event once, where
 it happens); per-request latencies (p50/p99 via ``ctx.stats().latency``);
 and kernel degradation interplay via ``ctx.record_kernel_fault``.
-:meth:`ServeEngine.stats` is a snapshot of that table plus the gauges a
-backend reads at that moment, and :func:`ledger_violations` checks the
-ingest and admission identities in such a snapshot.
+:meth:`ServeEngine.stats` is ``ctx.stats()``'s snapshot of that table
+plus the gauges a backend reads at that moment, and
+:func:`ledger_violations` checks the ingest, admission and prefetch
+identities in such a snapshot.
 """
 
 from __future__ import annotations
@@ -258,9 +259,7 @@ class ServeEngine:
         )
         if watermark is not None:
             self.model_watermark = float(watermark)
-        cache = self.ctx.embed_cache(0)
-        if cache.enabled:
-            cache.clear()
+        self.ctx.store.evict(embed_space(0))
         self.ctx.counters["serve:model_swaps"] += 1
         return self.model_version
 
@@ -462,10 +461,9 @@ class ServeEngine:
 
     def _embed_cached(self, nodes, times, extra: int) -> Rows:
         """Cache-first embeddings; misses fall back to raw state rows."""
-        cache = self.ctx.embed_cache(0)
         rows, ok = self._rows(nodes, extra)
         emb = rows.astype(np.float32)
-        hits, values = cache.lookup(nodes, times)
+        hits, values = self.ctx.store.lookup(nodes, times, space=embed_space(0))
         if values is not None and hits.any():
             emb[hits] = values[hits]
             if ok is not None:
@@ -476,12 +474,13 @@ class ServeEngine:
     # ---- reporting / lifecycle ---------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
-        """One snapshot of the counter table plus the gauges read now.
+        """``ctx.stats()``'s snapshot of the counter table plus the gauges
+        read now.
 
         Every counter of the deployment is in ``ctx.counters``; backends
         add only read-time gauges through :meth:`_gauges`.
         """
-        out: Dict[str, object] = dict(self.ctx.counters)
+        out: Dict[str, object] = self.ctx.stats().counters
         out.update(self._gauges())
         return out
 
@@ -525,11 +524,13 @@ class ServeEngine:
 
 
 def ledger_violations(stats: Dict[str, object]) -> List[str]:
-    """The ingest and admission identities a :meth:`ServeEngine.stats`
-    snapshot breaks (empty when both ledgers balance).
+    """The ingest, admission and prefetch identities a
+    :meth:`ServeEngine.stats` snapshot breaks (empty when all balance).
 
     A served request is one the ladder decided (``ladder:*``, timeouts
-    included); ``drop-oldest`` sheds requests it had admitted.
+    included); ``drop-oldest`` sheds requests it had admitted; a
+    prefetched row is consumed in time, consumed late, retired unused, or
+    still in flight.
     """
     def total(prefix: str) -> int:
         return sum(v for k, v in stats.items() if k.startswith(prefix))
@@ -547,6 +548,9 @@ def ledger_violations(stats: Dict[str, object]) -> List[str]:
         ("admission", terms("admission:admitted"), {
             "served": total("ladder:"),
             **terms("admission:queued", "admission:shed_dropped_oldest")}),
+        ("prefetch", terms("store:prefetch_issued"), terms(
+            "store:prefetch_hits", "store:prefetch_late", "store:prefetch_unused",
+            "store:prefetch_in_flight")),
     ]
     return [
         f"{ledger} ledger unbalanced: {lhs}={value} != "

@@ -210,18 +210,13 @@ class ServeRuntime(ServeEngine):
     # ---- reporting ---------------------------------------------------------------
 
     def _gauges(self) -> Dict[str, object]:
-        """The engine's gauges plus the log's size and the store's tiers."""
+        """The engine's gauges plus the log's size."""
         out = super()._gauges()
         if self.store is not None:
             wal = self.store.wal
             out["durable:wal:segments"] = wal.num_segments
             out["durable:wal:size_bytes"] = wal.size_bytes()
             out["durable:wal:last_lsn"] = wal.last_lsn
-        if self.feature_store is not None:
-            out.update({
-                f"store:{k}": v
-                for k, v in self.feature_store.stats().as_dict().items()
-            })
         for k, v in self._recovery.items():
             out[f"durable:recovered:{k}"] = v
         return out

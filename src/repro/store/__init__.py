@@ -12,21 +12,18 @@ front-end: ``TContext`` embedding caches, ``op.cache``/``op.preload``
 feature gathers, the trainer (via :class:`BatchPipeline` sampler
 lookahead), and the serving degradation ladder (via
 ``estimate_fetch_seconds``).  Bytes moved per tier and stall time
-saved by async prefetch are first-class outputs (``store.stats()``,
-``ctx.stats().store``, benchmark tables).
+saved by async prefetch are counted into the context's counter table
+(``store:*`` keys of ``ctx.stats().counters``, benchmark tables).
 """
 
-from .api import FeatureStore, StoreConfig, StoreStats, TierStats
+from .api import StoreConfig
 from .prefetch import BatchPipeline
 from .tiered import TieredFeatureStore
 from .tiers import PinnedPool
 from . import ops
 
 __all__ = [
-    "FeatureStore",
     "StoreConfig",
-    "StoreStats",
-    "TierStats",
     "TieredFeatureStore",
     "BatchPipeline",
     "PinnedPool",

@@ -1,4 +1,4 @@
-"""Canonical cache/preload operators over the `FeatureStore`.
+"""Canonical cache/preload operators over the feature store.
 
 ``repro.core.op`` re-exports :func:`memoize` as ``op.cache`` and
 :func:`preload` as ``op.preload`` (the paper's Table-1 names), and the
@@ -47,7 +47,7 @@ def memoize(ctx, block, layer: Optional[int] = None):
     if ctx.is_degraded("kernel.cache"):
         # Repeated cache-kernel faults downgraded this context to the
         # uncached path: skip memoization entirely (results unchanged,
-        # recomputation cost returns; visible via ctx.stats().degraded).
+        # recomputation cost returns; visible as ``degraded:kernel.cache`` in ctx.stats()).
         return block
     if block.has_nbrs:
         raise RuntimeError("cache must be applied before sampling neighbors")

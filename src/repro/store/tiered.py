@@ -1,9 +1,9 @@
 """`TieredFeatureStore`: one hot table over its source, staging for prefetches.
 
-The concrete :class:`~repro.store.api.FeatureStore`.  Rows live in named
-*spaces* — ``'nfeat'`` / ``'mem'`` style spaces backed by an authoritative
-source array (always resolvable), and memoization spaces such as
-``'embed:0'`` holding computed embeddings (resolvable only while cached).
+Rows live in named *spaces* — ``'nfeat'`` / ``'mem'`` style spaces
+backed by an authoritative source array (always resolvable), and
+memoization spaces such as ``'embed:0'`` holding computed embeddings
+(resolvable only while cached).
 Each space owns:
 
 * **hot** — a :class:`~repro.core.kernels.cache.NodeTimeCache` ring
@@ -18,23 +18,30 @@ Each space owns:
   pinned host->device leg.
 
 All movement is charged to the simulated device-transfer model
-(:data:`repro.tensor.device.runtime`) tagged with the tier it crossed, and
-stall time is modeled against the store's simulated clock — prefetched
-rows consumed after their ready time cost nothing and the difference is
-booked as ``stall_saved_seconds``.
+(:data:`repro.tensor.device.runtime`), and stall time is modeled against
+the store's simulated clock — prefetched rows consumed after their ready
+time cost nothing and the difference is booked as ``stall_saved_seconds``.
+
+Accounting lives in a counter table (``TContext.counters`` for a context's
+store) under ``store:<tier>:<key>`` and ``store:prefetch_*`` /
+``store:stall_*``.  The store counts only what no ring sees: bytes per
+tier, source reads (``store:cold:hits``), the prefetch ledger and stall.
+The hot and staging hits / misses / evictions are the rings' own counts,
+summed at read time by :meth:`TieredFeatureStore.gauges`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..clock import SimClock
 from ..core.kernels.cache import NodeTimeCache
 from ..core.kernels.dedup import unique_node_times
+from ..core.stats import declare
 from ..tensor.device import runtime as _device_runtime
-from .api import TIERS, StoreConfig, StoreStats, TierStats
+from .api import StoreConfig
 from .tiers import PinnedPool
 
 __all__ = ["TieredFeatureStore"]
@@ -43,6 +50,22 @@ __all__ = ["TieredFeatureStore"]
 STAGING_ROWS = 4096
 
 Source = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
+
+#: the tiers each report hits / misses / bytes_in / bytes_out / evictions.
+TIERS = ("hot", "staging", "cold")
+#: the rings whose hits / misses / evictions are summed at read time.
+RINGS = ("hot", "staging")
+#: the keys the store counts itself (the hot ring's outflow and the
+#: source's misses / inflow / evictions never move: they stay 0).
+COUNTED = (
+    "store:hot:bytes_in", "store:hot:bytes_out",
+    "store:staging:bytes_in", "store:staging:bytes_out",
+    *(f"store:cold:{key}" for key in
+      ("hits", "misses", "bytes_in", "bytes_out", "evictions")),
+    "store:prefetch_issued", "store:prefetch_hits", "store:prefetch_late",
+    "store:prefetch_unused",
+)
+STALL = ("store:stall_seconds", "store:stall_saved_seconds")
 
 
 def _times_or_zero(nodes: np.ndarray, times: Optional[np.ndarray]) -> np.ndarray:
@@ -95,11 +118,7 @@ class _Space:
 
     def _staging_evicted(self, nodes: np.ndarray, times: np.ndarray,
                          rows: np.ndarray) -> None:
-        st = self.store
-        st._tiers["staging"].evictions += len(nodes)
-        for i in range(len(nodes)):
-            if self.inflight.pop((int(nodes[i]), float(times[i])), None) is not None:
-                st._prefetch_unused += 1
+        self.store._retire_inflight(self, nodes, times)
 
 
 class TieredFeatureStore:
@@ -114,22 +133,24 @@ class TieredFeatureStore:
             private one is used if omitted.
         timer: optional ``(name, seconds)`` wall-time callback threaded
             into the tier kernels (``TContext.add_kernel_time``).
+        counters: the counter table the store and its pinned pool count
+            into (a context passes ``ctx.counters``); a fresh one if None.
     """
 
     def __init__(self, config: Optional[StoreConfig] = None, clock=None,
-                 timer: Optional[Callable[[str, float], None]] = None):
+                 timer: Optional[Callable[[str, float], None]] = None,
+                 counters: Optional[Dict[str, float]] = None):
         self.config = config if config is not None else StoreConfig()
         self.clock = clock if clock is not None else SimClock()
         self._timer = timer
-        self.pinned_pool = PinnedPool()
+        self.counters = declare(counters, *COUNTED)
+        for key in STALL:
+            self.counters.setdefault(key, 0.0)
+        self.pinned_pool = PinnedPool(self.counters)
         self._spaces: Dict[str, _Space] = {}
-        self._tiers: Dict[str, TierStats] = {name: TierStats() for name in TIERS}
-        self._prefetch_issued = 0
-        self._prefetch_hits = 0
-        self._prefetch_late = 0
-        self._prefetch_unused = 0
-        self._stall_seconds = 0.0
-        self._stall_saved = 0.0
+        #: per ring: hits / lookups / evictions of rings since cleared or
+        #: replaced (a ring's own counts restart when it is cleared).
+        self._retired: Dict[str, List[int]] = {tier: [0, 0, 0] for tier in RINGS}
 
     # ---- spaces -------------------------------------------------------------------
 
@@ -167,6 +188,7 @@ class TieredFeatureStore:
             return
         sp.dim = int(dim)
         if self.config.hot_mb is not None:
+            self._retire("hot", sp.hot)
             sp.hot = sp.new_hot(self.config.hot_rows(sp.dim))
 
     def rebind_source(self, name: str, source: Source) -> None:
@@ -204,20 +226,17 @@ class TieredFeatureStore:
             if mask.any():
                 tier.store(nodes[mask], tq[mask], sp.read(nodes[mask]))
                 refreshed += int(mask.sum())
-        for i in range(len(nodes)):
-            sp.inflight.pop((int(nodes[i]), float(tq[i])), None)
+        # the refreshed rows no longer wait on their prefetch
+        self._retire_inflight(sp, nodes, tq)
         return refreshed
 
     # ---- core resolution ----------------------------------------------------------
 
     def _to_hot(self, sp: _Space, nodes: np.ndarray, times: np.ndarray,
                 rows: np.ndarray) -> None:
-        """Store rows into the hot ring, counting what they displace."""
-        hot = self._tiers["hot"]
-        hot.bytes_in += rows.nbytes
-        before = sp.hot.evictions
+        """Store rows into the hot ring (it counts what they displace)."""
+        self.counters["store:hot:bytes_in"] += rows.nbytes
         sp.hot.store(nodes, times, rows)
-        hot.evictions += sp.hot.evictions - before
 
     def lookup(self, nodes: np.ndarray, times: Optional[np.ndarray] = None,
                space: str = "nfeat") -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -236,27 +255,21 @@ class TieredFeatureStore:
         n = len(nodes)
         sp = self.space(space)
         found, out = sp.hot.lookup(nodes, tq)
-        hot = self._tiers["hot"]
-        n_hit = int(found.sum())
-        hot.hits += n_hit
-        hot.misses += n - n_hit
-        if n_hit == n or sp.source is None:
+        if sp.source is None or found.all():
             return found, out
         miss = np.flatnonzero(~found)
         if out is None:
             out = np.zeros((n, sp.dim), dtype=np.float32)
+        c = self.counters
 
         # --- staging: pinned rows pay only the host->device leg --------------
         stg_hit, stg_rows = sp.staging.lookup(nodes[miss], tq[miss])
-        stg = self._tiers["staging"]
-        stg.hits += int(stg_hit.sum())
-        stg.misses += len(miss) - int(stg_hit.sum())
         if stg_hit.any():
             idx = miss[stg_hit]
             got = stg_rows[stg_hit]
             nbytes = got.nbytes
-            stg.bytes_out += nbytes
-            _device_runtime.transfer(nbytes, pinned=True, tier="staging")
+            c["store:staging:bytes_out"] += nbytes
+            _device_runtime.transfer(nbytes, pinned=True)
             self._consume_staged(sp, nodes[idx], tq[idx], nbytes)
             out[idx] = got
             self._to_hot(sp, nodes[idx], tq[idx], got)
@@ -266,14 +279,13 @@ class TieredFeatureStore:
         if len(miss):
             got = sp.read(nodes[miss])
             nbytes = got.nbytes
-            cold = self._tiers["cold"]
-            cold.hits += len(miss)
-            cold.bytes_out += nbytes
-            _device_runtime.transfer(nbytes, pinned=False, tier="cold")
-            self._stall_seconds += _demand_seconds(nbytes)
+            c["store:cold:hits"] += len(miss)
+            c["store:cold:bytes_out"] += nbytes
+            _device_runtime.transfer(nbytes, pinned=False)
+            c["store:stall_seconds"] += _demand_seconds(nbytes)
             # the rows pass through staging buffers on their way up
-            stg.bytes_in += nbytes
-            _device_runtime.transfer(nbytes, pinned=True, tier="staging")
+            c["store:staging:bytes_in"] += nbytes
+            _device_runtime.transfer(nbytes, pinned=True)
             out[miss] = got
             self._to_hot(sp, nodes[miss], tq[miss], got)
         found[:] = True
@@ -326,18 +338,18 @@ class TieredFeatureStore:
         kn, kt = un[fresh], ut[fresh]
         rows = sp.read(kn)
         nbytes = rows.nbytes
-        cold = self._tiers["cold"]
-        cold.hits += len(kn)
-        cold.bytes_out += nbytes
-        self._tiers["staging"].bytes_in += nbytes
-        _device_runtime.transfer(nbytes, pinned=False, tier="cold")
+        c = self.counters
+        c["store:cold:hits"] += len(kn)
+        c["store:cold:bytes_out"] += nbytes
+        c["store:staging:bytes_in"] += nbytes
+        _device_runtime.transfer(nbytes, pinned=False)
         leg = nbytes / _device_runtime.pageable_bandwidth
         ready = self.clock.now() + leg
         per_key = leg / len(kn)
         for i in range(len(kn)):
             sp.inflight[(int(kn[i]), float(kt[i]))] = (ready, per_key, leg)
         sp.staging.store(kn, kt, rows)
-        self._prefetch_issued += len(kn)
+        c["store:prefetch_issued"] += len(kn)
         return int(len(kn))
 
     def _consume_staged(self, sp: _Space, nodes: np.ndarray, times: np.ndarray,
@@ -345,6 +357,7 @@ class TieredFeatureStore:
         """Stall accounting for rows served out of the staging tier."""
         now = self.clock.now()
         stall = nbytes / _device_runtime.pinned_bandwidth  # the pinned leg is always paid
+        c = self.counters
         for i in range(len(nodes)):
             entry = sp.inflight.pop((int(nodes[i]), float(times[i])), None)
             if entry is None:
@@ -357,12 +370,9 @@ class TieredFeatureStore:
             # demand read it replaced.
             share = cost * (late / group_leg) if group_leg > 0 else 0.0
             stall += share
-            self._stall_saved += cost - share
-            if late > 0:
-                self._prefetch_late += 1
-            else:
-                self._prefetch_hits += 1
-        self._stall_seconds += stall
+            c["store:stall_saved_seconds"] += cost - share
+            c["store:prefetch_late" if late > 0 else "store:prefetch_hits"] += 1
+        c["store:stall_seconds"] += stall
 
     def estimate_fetch_seconds(self, nodes: np.ndarray,
                                times: Optional[np.ndarray] = None,
@@ -396,41 +406,36 @@ class TieredFeatureStore:
             seconds += _demand_seconds(unstaged * row_bytes)
         return seconds
 
-    # ---- lifecycle / stats --------------------------------------------------------
+    # ---- lifecycle / accounting ---------------------------------------------------
+
+    def _retire_inflight(self, sp: _Space, nodes: np.ndarray, times: np.ndarray) -> None:
+        """Prefetched keys that will never be consumed as such: unused."""
+        unused = 0
+        for i in range(len(nodes)):
+            unused += sp.inflight.pop((int(nodes[i]), float(times[i])), None) is not None
+        self.counters["store:prefetch_unused"] += unused
+
+    def _retire(self, tier: str, ring: NodeTimeCache) -> None:
+        """Keep a ring's counts in the totals before it restarts them."""
+        retired = self._retired[tier]
+        retired[0] += ring.hits
+        retired[1] += ring.lookups
+        retired[2] += ring.evictions
+
+    def _drop(self, sp: _Space) -> None:
+        """Empty a space's rings; its in-flight prefetches go unused."""
+        self.counters["store:prefetch_unused"] += len(sp.inflight)
+        sp.inflight.clear()
+        for tier in RINGS:
+            ring = getattr(sp, tier)
+            self._retire(tier, ring)
+            ring.clear()
 
     def evict(self, space: Optional[str] = None) -> None:
         """Drop cached contents (hot and staging); sources survive."""
         targets = [self.space(space)] if space is not None else list(self._spaces.values())
         for sp in targets:
-            self._prefetch_unused += len(sp.inflight)
-            sp.inflight.clear()
-            sp.hot.clear()
-            sp.staging.clear()
-
-    def stats(self) -> StoreStats:
-        return StoreStats(
-            tiers={name: TierStats(**t.as_dict()) for name, t in self._tiers.items()},
-            prefetch_issued=self._prefetch_issued,
-            prefetch_hits=self._prefetch_hits,
-            prefetch_late=self._prefetch_late,
-            prefetch_unused=self._prefetch_unused,
-            stall_seconds=self._stall_seconds,
-            stall_saved_seconds=self._stall_saved,
-        )
-
-    def reset_stats(self) -> None:
-        for t in self._tiers.values():
-            t.__init__()
-        self._prefetch_issued = 0
-        self._prefetch_hits = 0
-        self._prefetch_late = 0
-        self._prefetch_unused = 0
-        self._stall_seconds = 0.0
-        self._stall_saved = 0.0
-        self.pinned_pool.reset_stats()
-        for sp in self._spaces.values():
-            sp.hot.reset_stats()
-            sp.staging.reset_stats()
+            self._drop(sp)
 
     def clear(self) -> None:
         """Drop everything cached and forget memoization spaces.
@@ -441,11 +446,34 @@ class TieredFeatureStore:
         """
         for name in list(self._spaces):
             sp = self._spaces[name]
-            sp.inflight.clear()
-            sp.hot.clear()
-            sp.staging.clear()
+            self._drop(sp)
             if sp.source is None:
                 del self._spaces[name]
+
+    def gauges(self) -> Dict[str, int]:
+        """The read-time keys: each ring's hits / misses / evictions summed
+        over spaces, and the prefetched rows still in flight."""
+        out: Dict[str, int] = {}
+        for tier in RINGS:
+            hits, lookups, evictions = self._retired[tier]
+            for sp in self._spaces.values():
+                ring = getattr(sp, tier)
+                hits += ring.hits
+                lookups += ring.lookups
+                evictions += ring.evictions
+            out[f"store:{tier}:hits"] = hits
+            out[f"store:{tier}:misses"] = lookups - hits
+            out[f"store:{tier}:evictions"] = evictions
+        out["store:prefetch_in_flight"] = sum(len(sp.inflight) for sp in self._spaces.values())
+        return out
+
+    def zero_counts(self) -> None:
+        """Restart the rings' counts behind :meth:`gauges` (the table's own
+        keys are zeroed by its owner)."""
+        self._retired = {tier: [0, 0, 0] for tier in RINGS}
+        for sp in self._spaces.values():
+            sp.hot.reset_stats()
+            sp.staging.reset_stats()
 
     def __repr__(self) -> str:
         return (f"TieredFeatureStore(spaces={list(self._spaces)}, "

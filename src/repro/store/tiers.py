@@ -8,10 +8,11 @@ module holds :class:`PinnedPool`, the reusable pinned host buffers
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..core.stats import declare
 from ..tensor import Tensor
 from ..tensor.device import CPU
 
@@ -24,12 +25,13 @@ class PinnedPool:
     Mirrors TGLite's pre-allocated pinned-memory pool: staging copies
     gathered feature rows into a pooled buffer so the (simulated) DMA
     engine can transfer at pinned bandwidth without per-batch allocation.
+    Buffer reuse is counted into *counters* as ``pinned:hits`` (an
+    existing buffer fit) and ``pinned:misses`` (one was allocated).
     """
 
-    def __init__(self):
+    def __init__(self, counters: Optional[Dict[str, float]] = None):
         self._buffers: Dict[Tuple[Tuple[int, ...], str], np.ndarray] = {}
-        self.hits = 0
-        self.misses = 0
+        self.counters = declare(counters, "pinned:hits", "pinned:misses")
 
     def stage(self, rows: np.ndarray) -> Tensor:
         """Copy *rows* into a pooled pinned host buffer and return it."""
@@ -39,9 +41,9 @@ class PinnedPool:
             capacity = max(rows.shape[0], 2 * (buf.shape[0] if buf is not None else 0))
             buf = np.empty((capacity,) + rows.shape[1:], dtype=rows.dtype)
             self._buffers[key] = buf
-            self.misses += 1
+            self.counters["pinned:misses"] += 1
         else:
-            self.hits += 1
+            self.counters["pinned:hits"] += 1
         view = buf[: rows.shape[0]]
         np.copyto(view, rows)
         staged = Tensor(view, device=CPU, pinned=True)
@@ -49,7 +51,3 @@ class PinnedPool:
 
     def clear(self) -> None:
         self._buffers.clear()
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0

@@ -101,30 +101,19 @@ def get_device(dev: Union[str, Device, None]) -> Device:
 
 
 @dataclass
-class TransferStats:
-    """Aggregate statistics for simulated host/device transfers.
-
-    ``tier_bytes``/``tier_seconds`` break the totals down by the memory
-    tier a transfer was attributed to (``'hot'``/``'staging'``/``'cold'``,
-    the last being a source read, when issued by a
-    :class:`repro.store.TieredFeatureStore`; untagged transfers land
-    under ``'untiered'``).
-    """
+class TransferTotals:
+    """Process-global totals of simulated host/device transfers."""
 
     count: int = 0
     bytes: int = 0
     pinned_bytes: int = 0
     simulated_seconds: float = 0.0
-    tier_bytes: Dict[str, int] = field(default_factory=dict)
-    tier_seconds: Dict[str, float] = field(default_factory=dict)
 
     def reset(self) -> None:
         self.count = 0
         self.bytes = 0
         self.pinned_bytes = 0
         self.simulated_seconds = 0.0
-        self.tier_bytes.clear()
-        self.tier_seconds.clear()
 
 
 @dataclass
@@ -148,7 +137,7 @@ class DeviceRuntime:
     )
     used_bytes: Dict[str, int] = field(default_factory=lambda: {"cpu": 0, "cuda": 0})
     peak_bytes: Dict[str, int] = field(default_factory=lambda: {"cpu": 0, "cuda": 0})
-    transfer_stats: TransferStats = field(default_factory=TransferStats)
+    transfer_stats: TransferTotals = field(default_factory=TransferTotals)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     # ---- capacity accounting -------------------------------------------------
@@ -189,14 +178,8 @@ class DeviceRuntime:
 
     # ---- transfer cost model -------------------------------------------------
 
-    def transfer(self, nbytes: int, pinned: bool = False,
-                 tier: Optional[str] = None) -> None:
-        """Account (and, if enabled, simulate the latency of) a transfer.
-
-        ``tier`` attributes the bytes to a memory tier for the per-tier
-        breakdown in :attr:`TransferStats.tier_bytes` (``None`` counts
-        under ``'untiered'``).
-        """
+    def transfer(self, nbytes: int, pinned: bool = False) -> None:
+        """Account (and, if enabled, simulate the latency of) a transfer."""
         stats = self.transfer_stats
         stats.count += 1
         stats.bytes += int(nbytes)
@@ -205,9 +188,6 @@ class DeviceRuntime:
         bandwidth = self.pinned_bandwidth if pinned else self.pageable_bandwidth
         seconds = nbytes / bandwidth
         stats.simulated_seconds += seconds
-        key = tier if tier is not None else "untiered"
-        stats.tier_bytes[key] = stats.tier_bytes.get(key, 0) + int(nbytes)
-        stats.tier_seconds[key] = stats.tier_seconds.get(key, 0.0) + seconds
         if self.simulate_transfer_cost and seconds > 0:
             deadline = time.perf_counter() + seconds
             while time.perf_counter() < deadline:

@@ -37,7 +37,7 @@ class TestModes:
         tiny_ctx.embed_cache(0)
         tiny_ctx.time_table(123)
         tiny_ctx.reset()
-        assert tiny_ctx.stats().cache == {}
+        assert not any(k.startswith("embed:") for k in tiny_ctx.stats().counters)
         assert tiny_ctx.time_table(123)["version"] is None
 
 
@@ -53,20 +53,19 @@ class TestPinnedPool:
         pool = _PinnedPool()
         pool.stage(np.zeros((5, 4), dtype=np.float32))
         pool.stage(np.zeros((3, 4), dtype=np.float32))  # fits existing buffer
-        assert pool.hits == 1
-        assert pool.misses == 1
+        assert pool.counters == {"pinned:hits": 1, "pinned:misses": 1}
 
     def test_buffer_grows_when_needed(self):
         pool = _PinnedPool()
         pool.stage(np.zeros((2, 4), dtype=np.float32))
         pool.stage(np.zeros((10, 4), dtype=np.float32))
-        assert pool.misses == 2
+        assert pool.counters["pinned:misses"] == 2
 
     def test_different_dtypes_use_separate_buffers(self):
         pool = _PinnedPool()
         pool.stage(np.zeros((2, 4), dtype=np.float32))
         pool.stage(np.zeros((2, 4), dtype=np.float64))
-        assert pool.misses == 2
+        assert pool.counters["pinned:misses"] == 2
 
     def test_staged_values_survive_overwrite_until_transfer(self):
         # The pool reuses buffers: transferring before the next stage() is
@@ -82,7 +81,7 @@ class TestPinnedPool:
         pool.stage(np.zeros((2, 2), dtype=np.float32))
         pool.clear()
         pool.stage(np.zeros((2, 2), dtype=np.float32))
-        assert pool.misses == 2
+        assert pool.counters["pinned:misses"] == 2
 
 
 class TestEmbedCache:

@@ -8,7 +8,12 @@ These tests pin the rules that make the table trustworthy:
   faults are retries in the table, not kernel-breaker faults);
 * the admission ledger identities that hold under every shed policy, and
   :func:`~repro.serve.ledger_violations` as their one check;
-* no component below the engine keeps a stats class or surface of its own;
+* no component below the engine keeps a stats class or surface of its own,
+  on the serving side or the training side (core, store, tensor);
+* ``reset_stats()`` zeroes the table but keeps its keys, so a live
+  deployment keeps counting;
+* the prefetch ledger: every issued row is consumed in time, consumed
+  late, retired unused or still in flight;
 * the latency reservoir keeps the 8,192 most recent samples.
 """
 
@@ -22,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import ClusterConfig, ServeCluster
 from repro.core import Mailbox, Memory, TContext, TGraph, TSampler
 from repro.resilience import FaultInjector
+from repro.store import StoreConfig, TieredFeatureStore
 from repro.serve import (
     AdmissionController,
     ServeRuntime,
@@ -69,7 +75,9 @@ def test_commit_faults_are_counted_by_one_rule_on_both_backends():
         with engine.injector, engine:
             replay(engine, split_batches(stream, 30))
             ctx = engine.ctx
-            seen.append((ctx.stats().kernel_faults, dict(ctx.degraded),
+            faults = {k: v for k, v in ctx.stats().counters.items()
+                      if k.startswith("kernel_faults:")}
+            seen.append((faults, dict(ctx.degraded),
                          engine.stats()[retries]))
     assert seen[0] == seen[1] == ({}, {}, 4)
 
@@ -130,25 +138,79 @@ def test_ledger_violations_reads_the_table(policy):
 
 
 def test_no_stats_surface_below_the_engine():
-    """Components count into the table; only the engine snapshots it, and
-    the double counts this table replaced stay gone."""
+    """Components count into the table; only the engine and the context
+    snapshot it, and the double counts this table replaced stay gone."""
     surface = re.compile(r"class \w*Stats\b|def as_dict\b|def stats\(|def _bump\b")
+    allowed = {("engine.py", "def stats("), ("context.py", "def stats("),
+               ("stats.py", "class ContextStats")}
     gone = re.compile(
         r"serve:(shed|admitted|zero_rows|partial|quarantined)\b"
         r"|integrity:injected_flips|_kernel_faults|commit:events_rolled_back"
+        r"|CacheLayerStats|PinnedPoolStats|TierStats|StoreStats|tier_bytes|tier_seconds"
     )
     offenders = []
-    for pkg in ("serve", "cluster", "durable", "integrity"):
+    for pkg in ("serve", "cluster", "durable", "integrity", "core", "store", "tensor"):
         for path in sorted((SRC / pkg).rglob("*.py")):
             for n, line in enumerate(path.read_text().splitlines(), 1):
-                if surface.search(line) and not (
-                        path.name == "engine.py" and "def stats(" in line):
+                if surface.search(line) and not any(
+                        path.name == name and text in line for name, text in allowed):
                     offenders.append(f"{path.relative_to(SRC)}:{n}: {line.strip()}")
     for path in sorted(SRC.rglob("*.py")):
         for n, line in enumerate(path.read_text().splitlines(), 1):
             if gone.search(line):
                 offenders.append(f"{path.relative_to(SRC)}:{n}: {line.strip()}")
     assert offenders == []
+
+
+@pytest.mark.parametrize("backend", ["runtime", "cluster"])
+def test_reset_stats_keeps_a_live_deployment_counting(backend):
+    """Zeroing the table keeps every key its components declared: the
+    deployment serves on and counts the rest of the stream from zero."""
+    stream, runtime, cluster = _engines(lambda: None)
+    engine = runtime if backend == "runtime" else cluster
+    batches = split_batches(stream, 30)
+    with engine:
+        replay(engine, batches[:4])
+        keys = set(engine.ctx.counters)
+        engine.ctx.reset_stats()
+        assert set(engine.ctx.counters) == keys
+        assert set(engine.ctx.counters.values()) == {0}
+        replay(engine, batches[4:])
+        stats = engine.stats()
+    assert stats["admission:offered"] == len(batches) - 4
+    assert stats["ingest:pushed"] == sum(len(b) for b in batches[4:])
+    assert ledger_violations(stats) == []
+
+
+PREFETCH = ("issued", "hits", "late", "unused", "in_flight")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ops=st.lists(st.tuples(
+    st.sampled_from(["prefetch", "lookup", "refresh", "evict", "clear", "advance"]),
+    st.lists(st.integers(0, 5), min_size=1, max_size=4)), max_size=30))
+def test_prefetch_ledger_balances(ops):
+    """``issued == hits + late + unused + in_flight`` after any interleaving."""
+    store = TieredFeatureStore(StoreConfig(hot_capacity=4, prefetch_depth=1))
+    table = np.arange(12 * DIM, dtype=np.float32).reshape(12, DIM)
+    store.register_source("nfeat", table)
+    for op, nodes in ops:
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if op == "prefetch":
+            store.prefetch(nodes, space="nfeat")
+        elif op == "lookup":
+            np.testing.assert_array_equal(store.get(nodes, space="nfeat"), table[nodes])
+        elif op == "refresh":
+            store.refresh(nodes, "nfeat")
+        elif op == "evict":
+            store.evict("nfeat")
+        elif op == "clear":
+            store.clear()
+        else:
+            store.clock.advance(1e-6 * len(nodes))
+        c = {**store.counters, **store.gauges()}
+        issued, *parts = (c[f"store:prefetch_{k}"] for k in PREFETCH)
+        assert issued == sum(parts), dict(zip(PREFETCH, [issued, *parts]))
 
 
 def test_latency_reservoir_keeps_the_most_recent_window():

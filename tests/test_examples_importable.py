@@ -1,10 +1,10 @@
 """Smoke checks that every example script is importable and well-formed.
 
-Running the examples end-to-end takes minutes each; these tests verify the
-cheap invariants instead: each script parses, imports only available
-modules, defines a ``main`` entry point, and guards it behind
-``__main__``.  (The examples themselves are executed as part of the
-documented workflow; see README.)
+The examples take seconds each (about 40 s for all twelve); CI's
+``cli-gates`` job runs every one end to end.  These tests verify the
+cheap invariants on every tier-1 run: each script parses, imports only
+available modules, defines a ``main`` entry point, and guards it behind
+``__main__``.
 """
 
 import ast

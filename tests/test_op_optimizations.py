@@ -135,7 +135,8 @@ class TestCache:
         blk.run_hooks(T.tensor([[1.0]]))
         blk = tg.TBlock(tiny_ctx, 0, np.array([0]), np.array([1.0]))
         tgop.cache(tiny_ctx, blk)
-        assert tiny_ctx.stats().cache[0].hit_rate == 0.5
+        c = tiny_ctx.stats().counters
+        assert c["embed:0:hits"] / c["embed:0:lookups"] == 0.5
 
     def test_cache_after_sampling_rejected(self, tiny_ctx, tiny_graph):
         tiny_ctx.eval()
@@ -218,7 +219,7 @@ class TestPreload:
             head = tg.TBatch(tiny_graph, 4, 8).block(ctx)
             tg.TSampler(2).sample(head)
             tgop.preload(head, use_pin=True)
-        assert ctx.pinned_pool.hits > 0
+        assert ctx.counters["pinned:hits"] > 0
 
 
 class TestPrecompute:

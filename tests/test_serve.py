@@ -621,10 +621,10 @@ class TestModelSwapStoreInvalidation:
         np.testing.assert_array_equal(rt._fetch_rows(nodes, 0)[0], new[nodes])
         # ...even though the stale rows really are resident in the hot
         # tier under the old version's key
-        before = rt.feature_store.stats().tiers["hot"].hits
+        before = rt.stats()["store:hot:hits"]
         _, stale_rows = rt.feature_store.lookup(nodes, stale_times,
                                                 space="serve:model")
-        assert rt.feature_store.stats().tiers["hot"].hits - before >= len(nodes)
+        assert rt.stats()["store:hot:hits"] - before >= len(nodes)
         np.testing.assert_array_equal(stale_rows, old[nodes])
 
     def test_swap_mid_stream_serves_new_table_through_store(self):

@@ -15,10 +15,9 @@ from repro.clock import SimClock
 from repro.core import iter_batches
 from repro.core.kernels.cache import NodeTimeCache
 from repro.serve.deadline import CostModel, DegradationLadder
-from repro.store import StoreConfig, StoreStats, TieredFeatureStore
-from repro.store.api import FeatureStore
+from repro.store import StoreConfig, TieredFeatureStore
 from repro.store.prefetch import BatchPipeline, attach_graph_sources
-from repro.store.tiered import STAGING_ROWS
+from repro.store.tiered import STAGING_ROWS, TIERS
 
 
 def rows_for(nodes, dim=4):
@@ -28,10 +27,18 @@ def rows_for(nodes, dim=4):
     return (nodes[:, None].astype(np.float32) * 10.0 + base).astype(np.float32)
 
 
-class TestProtocol:
-    def test_tiered_store_satisfies_protocol(self):
-        assert isinstance(TieredFeatureStore(), FeatureStore)
+def read(store):
+    """A store's keys: its counter table plus the rings' read-time sums."""
+    return {**store.counters, **store.gauges()}
 
+
+def recovered(c):
+    """Fraction of would-be stall time the prefetcher recovered."""
+    saved = c["store:stall_saved_seconds"]
+    return saved / (c["store:stall_seconds"] + saved)
+
+
+class TestProtocol:
     def test_store_clock_monotone(self):
         clock = TieredFeatureStore().clock
         assert isinstance(clock, SimClock)
@@ -63,9 +70,9 @@ class TestDemotionChain:
     def test_evicted_memo_rows_drop_and_miss(self):
         store = self.make_store(hot=2)
         self.fill(store, 6)
-        st = store.stats()
-        assert st.tiers["hot"].evictions == 4
-        assert st.as_dict()["staging:bytes_in"] == 0
+        st = read(store)
+        assert st["store:hot:evictions"] == 4
+        assert st["store:staging:bytes_in"] == 0
         found, got = store.lookup(np.arange(6), None, space="embed:0")
         # Hot keeps two rows; the four it evicted are misses to recompute.
         assert found.sum() == 2
@@ -80,20 +87,20 @@ class TestDemotionChain:
             store.get(np.array([node]), None, space="nfeat")
         sp = store.space("nfeat")
         assert not sp.hot.contains(np.array([3]), np.array([0.0]))[0]
-        before = store.stats().tiers["cold"]
+        before = read(store)
         got = store.get(np.array([3]), None, space="nfeat")
         np.testing.assert_array_equal(got, rows_for([3]))
         assert sp.hot.contains(np.array([3]), np.array([0.0]))[0]
-        after = store.stats().tiers["cold"]
-        assert after.hits == before.hits + 1
-        assert after.bytes_out > before.bytes_out
+        after = read(store)
+        assert after["store:cold:hits"] == before["store:cold:hits"] + 1
+        assert after["store:cold:bytes_out"] > before["store:cold:bytes_out"]
 
     def test_bytes_moved_sums_tier_inflow(self):
         store = self.make_store()
         self.fill(store, 12)
-        st = store.stats()
-        assert st.bytes_moved == sum(t.bytes_in for t in st.tiers.values())
-        assert st.bytes_moved > 0
+        st = read(store)
+        moved = sum(st[f"store:{tier}:bytes_in"] for tier in TIERS)
+        assert moved == st["store:hot:bytes_in"] > 0
 
     def test_source_backed_space_never_spills(self):
         store = self.make_store(hot=2)
@@ -102,7 +109,7 @@ class TestDemotionChain:
         for node in range(8):
             store.get(np.array([node]), None, space="nfeat")
         # Evicted source rows are simply re-read: nothing lands in staging.
-        assert store.stats().tiers["hot"].evictions == 6
+        assert read(store)["store:hot:evictions"] == 6
         assert store.space("nfeat").staging.num_entries == 0
         np.testing.assert_array_equal(
             store.get(np.arange(8), None, space="nfeat"), table[:8])
@@ -121,7 +128,7 @@ class TestPrefetchAccounting:
         assert store.prefetch(nodes, None, space="nfeat") == 3
         # Already in flight / staged: nothing new to issue.
         assert store.prefetch(nodes, None, space="nfeat") == 0
-        assert store.stats().prefetch_issued == 3
+        assert store.counters["store:prefetch_issued"] == 3
 
     def test_consumed_after_ready_is_a_hit_and_saves_stall(self):
         store = self.make_store()
@@ -131,11 +138,11 @@ class TestPrefetchAccounting:
         found, got = store.lookup(nodes, None, space="nfeat")
         assert found.all()
         np.testing.assert_array_equal(got, rows_for(nodes))
-        st = store.stats()
-        assert st.prefetch_hits == 3
-        assert st.prefetch_late == 0
-        assert st.stall_saved_seconds > 0.0
-        assert 0.0 < st.stall_recovered_fraction <= 1.0
+        st = read(store)
+        assert st["store:prefetch_hits"] == 3
+        assert st["store:prefetch_late"] == 0
+        assert st["store:stall_saved_seconds"] > 0.0
+        assert 0.0 < recovered(st) <= 1.0
 
     def test_consumed_before_ready_is_late(self):
         store = self.make_store()
@@ -143,19 +150,19 @@ class TestPrefetchAccounting:
         store.prefetch(nodes, None, space="nfeat")
         found, _ = store.lookup(nodes, None, space="nfeat")  # clock unmoved
         assert found.all()
-        st = store.stats()
-        assert st.prefetch_late == 2
-        assert st.prefetch_hits == 0
+        st = read(store)
+        assert st["store:prefetch_late"] == 2
+        assert st["store:prefetch_hits"] == 0
 
     def test_demand_read_stalls_prefetched_read_does_not(self):
         cold = self.make_store()
         cold.get(np.array([7]), None, space="nfeat")
-        demand_stall = cold.stats().stall_seconds
+        demand_stall = cold.counters["store:stall_seconds"]
         warm = self.make_store()
         warm.prefetch(np.array([7]), None, space="nfeat")
         warm.clock.advance(10.0)
         warm.get(np.array([7]), None, space="nfeat")
-        warm_stall = warm.stats().stall_seconds
+        warm_stall = warm.counters["store:stall_seconds"]
         assert demand_stall > warm_stall > 0.0
 
     def test_prefetch_depth_zero_disables(self):
@@ -163,7 +170,7 @@ class TestPrefetchAccounting:
         store = TieredFeatureStore(cfg)
         store.register_source("nfeat", rows_for(np.arange(10)))
         assert store.prefetch(np.array([1, 2]), None, space="nfeat") == 0
-        assert store.stats().prefetch_issued == 0
+        assert store.counters["store:prefetch_issued"] == 0
 
     def test_prefetched_rows_survive_hot_pressure(self):
         store = TieredFeatureStore(StoreConfig(hot_capacity=64, prefetch_depth=1))
@@ -174,27 +181,27 @@ class TestPrefetchAccounting:
             store.get(np.arange(lo, lo + 64), None, space="nfeat")
         store.clock.advance(10.0)
         found, got = store.lookup(wanted, None, space="nfeat")
-        st = store.stats()
-        assert st.tiers["hot"].evictions > STAGING_ROWS
-        assert found.all() and st.tiers["staging"].hits == 10
-        assert st.prefetch_hits == 10 and st.prefetch_unused == 0
+        st = read(store)
+        assert st["store:hot:evictions"] > STAGING_ROWS
+        assert found.all() and st["store:staging:hits"] == 10
+        assert st["store:prefetch_hits"] == 10 and st["store:prefetch_unused"] == 0
         np.testing.assert_array_equal(got, rows_for(wanted))
 
     def test_evicting_inflight_rows_counts_unused(self):
         store = self.make_store()
         store.prefetch(np.array([1, 2, 3]), None, space="nfeat")
         store.evict("nfeat")
-        assert store.stats().prefetch_unused == 3
+        assert store.counters["store:prefetch_unused"] == 3
 
     def test_estimate_fetch_seconds_is_side_effect_free(self):
         store = self.make_store()
         store.get(np.array([1]), None, space="nfeat")
-        before = store.stats().as_dict()
+        before = read(store)
         nodes = np.array([1, 2, 3], dtype=np.int64)
         est1 = store.estimate_fetch_seconds(nodes, space="nfeat")
         est2 = store.estimate_fetch_seconds(nodes, space="nfeat")
         assert est1 == est2 > 0.0  # two cold keys -> nonzero stall
-        assert store.stats().as_dict() == before
+        assert read(store) == before
         # All-hot working sets cost nothing.
         assert store.estimate_fetch_seconds(np.array([1]), space="nfeat") == 0.0
 
@@ -348,22 +355,22 @@ class TestBatchPipeline:
         store, pipeline = self.make_pipeline(g)
         for _ in pipeline.batches(iter_batches(g, 32)):
             pass
-        st = store.stats()
-        assert st.prefetch_issued > 0
-        assert st.prefetch_hits > 0
+        st = read(store)
+        assert st["store:prefetch_issued"] > 0
+        assert st["store:prefetch_hits"] > 0
         # Batch N's modeled compute hides batch N+1's transfers.
-        assert st.stall_saved_seconds > 0.0
-        assert st.stall_recovered_fraction > 0.0
+        assert st["store:stall_saved_seconds"] > 0.0
+        assert recovered(st) > 0.0
 
     def test_depth_zero_still_consumes_but_never_prefetches(self):
         g = self.make_graph()
         store, pipeline = self.make_pipeline(g, prefetch_depth=0)
         n = len(list(pipeline.batches(iter_batches(g, 32))))
         assert n == len(list(iter_batches(g, 32)))
-        st = store.stats()
-        assert st.prefetch_issued == 0
-        assert st.stall_saved_seconds == 0.0
-        assert st.stall_seconds > 0.0  # demand gathers still modeled
+        st = store.counters
+        assert st["store:prefetch_issued"] == 0
+        assert st["store:stall_saved_seconds"] == 0.0
+        assert st["store:stall_seconds"] > 0.0  # demand gathers still modeled
 
     def test_attach_graph_sources_registers_memory(self):
         g = self.make_graph()
@@ -385,7 +392,7 @@ class TestBatchPipeline:
                 exp.model, exp.g, exp.optimizer, exp.neg_sampler, batch_size=300,
                 checkpoint_dir=str(tmp_path / str(eval_end)), ctx=exp.ctx,
             ).train(epochs=1, train_end=300, eval_end=eval_end)
-            issued[eval_end] = exp.ctx.store.stats().prefetch_issued
+            issued[eval_end] = exp.ctx.counters["store:prefetch_issued"]
             exp.close()
         # Same training batch either way; the extra rows are evaluation's.
         assert issued[1200] > issued[None] > 0
@@ -396,26 +403,30 @@ class TestStatsSurface:
         store = TieredFeatureStore(StoreConfig(prefetch_depth=0))
         store.register_source("nfeat", rows_for(np.arange(8)))
         store.get(np.arange(4), None, space="nfeat")
-        snap = store.stats()
+        snap = read(store)
         store.get(np.arange(4, 8), None, space="nfeat")
-        assert store.stats().tiers["hot"].misses > snap.tiers["hot"].misses
+        assert read(store)["store:hot:misses"] > snap["store:hot:misses"]
 
-    def test_reset_stats_zeroes_counters_keeps_rows(self):
-        store = TieredFeatureStore(StoreConfig(prefetch_depth=0))
+    def test_reset_stats_zeroes_counters_keeps_rows(self, tiny_graph):
+        ctx = tg.TContext(tiny_graph, store=StoreConfig(prefetch_depth=0))
+        store = ctx.store
         store.register_source("nfeat", rows_for(np.arange(8)))
         store.get(np.arange(4), None, space="nfeat")
-        store.reset_stats()
-        st = store.stats()
-        assert st.bytes_moved == 0 and st.stall_seconds == 0.0
+        store.evict("nfeat")  # the evicted ring's counts stay in the totals
+        store.get(np.arange(4), None, space="nfeat")
+        ctx.reset_stats()
+        st = ctx.stats().counters
+        assert all(v == 0 for k, v in st.items() if k.startswith("store:"))
         found, _ = store.lookup(np.arange(4), None, space="nfeat")
         assert found.all()  # rows survived the counter reset
+        assert ctx.stats().counters["store:hot:hits"] == 4
 
     def test_context_stats_carry_the_store_block(self, tiny_graph):
         ctx = tg.TContext(tiny_graph)
-        assert isinstance(ctx.stats().store, StoreStats)
-        flat = ctx.stats().store.as_dict()
-        for key in ("hot:bytes_in", "staging:bytes_in", "cold:bytes_in",
-                    "prefetch_issued", "stall_seconds", "stall_saved_seconds"):
+        flat = ctx.stats().counters
+        for key in ("store:hot:bytes_in", "store:staging:bytes_in", "store:cold:bytes_in",
+                    "store:prefetch_issued", "store:stall_seconds",
+                    "store:stall_saved_seconds", "store:hot:hits", "pinned:hits"):
             assert key in flat
 
 
