@@ -1,7 +1,7 @@
 """Benchmark harness: trainer, metrics, timing, and experiment runner."""
 
 from .checkpoint import checkpoint_arrays, load_checkpoint, save_checkpoint
-from .metrics import accuracy, average_precision, roc_auc
+from .metrics import average_precision, roc_auc
 from .node_classification import (
     NodeClassifier,
     collect_source_embeddings,
@@ -20,7 +20,6 @@ from .trainer import (
 )
 
 __all__ = [
-    "accuracy",
     "checkpoint_arrays",
     "load_checkpoint",
     "save_checkpoint",

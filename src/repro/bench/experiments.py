@@ -37,7 +37,7 @@ from ..tensor.device import runtime
 from ..tgl import TGLAPAN, TGLJODIE, TGLMailBox, TGLTGAT, TGLTGN
 from .trainer import TrainResult, evaluate, train, warm_replay
 
-__all__ = ["ExperimentConfig", "Experiment", "FRAMEWORKS", "MODELS", "run_training", "run_inference"]
+__all__ = ["ExperimentConfig", "Experiment", "FRAMEWORKS", "MODELS", "run_training"]
 
 FRAMEWORKS = ("tgl", "tglite", "tglite+opt")
 MODELS = ("jodie", "apan", "tgat", "tgn")
@@ -233,13 +233,10 @@ class Experiment:
             checkpoint_every=checkpoint_every, injector=injector,
             ctx=self._prefetch_ctx,
         )
-        try:
-            return trainer.train(
-                epochs=self.cfg.epochs, train_end=self.train_end,
-                eval_end=self.val_end, resume=resume,
-            )
-        finally:
-            trainer.close()
+        return trainer.train(
+            epochs=self.cfg.epochs, train_end=self.train_end,
+            eval_end=self.val_end, resume=resume,
+        )
 
     def run_test_inference(self, warm: bool = True) -> Tuple[float, float]:
         """Time test-split inference; returns ``(seconds, AP)``.
@@ -265,18 +262,5 @@ def run_training(cfg: ExperimentConfig) -> TrainResult:
     exp = Experiment(cfg)
     try:
         return exp.run_training()
-    finally:
-        exp.close()
-
-
-def run_inference(cfg: ExperimentConfig, train_epochs: int = 1) -> Tuple[float, float]:
-    """Convenience: build, briefly train, then time test inference."""
-    exp = Experiment(cfg)
-    try:
-        if train_epochs:
-            train(exp.model, exp.g, exp.optimizer, exp.neg_sampler,
-                  batch_size=cfg.batch_size, epochs=train_epochs,
-                  train_end=exp.train_end)
-        return exp.run_test_inference()
     finally:
         exp.close()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["average_precision", "accuracy", "roc_auc"]
+__all__ = ["average_precision", "roc_auc"]
 
 
 def average_precision(labels: np.ndarray, scores: np.ndarray) -> float:
@@ -74,10 +74,3 @@ def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
         i = j + 1
     rank_sum = ranks[labels].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def accuracy(labels: np.ndarray, scores: np.ndarray, threshold: float = 0.0) -> float:
-    """Fraction of predictions on the right side of *threshold*."""
-    labels = np.asarray(labels).reshape(-1)
-    preds = (np.asarray(scores).reshape(-1) > threshold).astype(labels.dtype)
-    return float((preds == labels).mean()) if len(labels) else 0.0

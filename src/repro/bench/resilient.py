@@ -25,14 +25,7 @@ Checkpoints are written every ``checkpoint_every`` batches through
 :func:`repro.bench.checkpoint.save_checkpoint` (atomic, CRC-verified)
 and carry the RNG + cursor state needed for bit-exact mid-epoch resume:
 a training process hard-killed between checkpoints restarts with
-``resume=True`` and continues on the same trajectory.  With
-``delta_log=True`` the trainer additionally write-ahead logs a cheap
-incremental delta after every successful batch (changed memory/mailbox
-rows, parameters, optimizer moments, RNG words) into a
-:class:`~repro.durable.store.DurableStateStore` under
-``checkpoint_dir/wal``; resume then replays ``checkpoint + delta
-suffix``, landing at the last durably completed batch instead of the
-last full checkpoint — same bit-exact trajectory, far less recomputation.  State invariants
+``resume=True`` and continues on the same trajectory.  State invariants
 (:func:`repro.resilience.validate.validate_state`) are checked before
 each checkpoint so corrupted state is never persisted — a violation
 clears the derived caches and rolls back instead.
@@ -64,16 +57,8 @@ from ..resilience.errors import (
     TransientKernelError,
 )
 from ..resilience.validate import validate_state
-from ..durable.codec import KIND_DELTA, KIND_MARKER
 from ..tensor.random import default_generator
-from .checkpoint import (
-    _optimizer_state,
-    _pack_generator,
-    _restore_generator,
-    _restore_optimizer,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .checkpoint import load_checkpoint, save_checkpoint
 from .trainer import (
     EpochResult,
     TrainResult,
@@ -142,10 +127,6 @@ class ResilientTrainer:
         injector: optional :class:`~repro.resilience.FaultInjector` to
             install for the duration of ``train`` (one may instead be
             installed externally as a context manager).
-        delta_log: write-ahead log an incremental state delta after every
-            successful batch (into ``checkpoint_dir/wal``) so resume
-            replays ``checkpoint + delta suffix`` instead of recomputing
-            the whole checkpoint interval (every delta is fsynced).
         ctx: opt-in store-driven batch prefetch: when the context's
             tiered store prefetches (``prefetch_depth > 0``), each
             batch's working set is gathered through the store and the
@@ -166,7 +147,6 @@ class ResilientTrainer:
         checkpoint_dir: str,
         checkpoint_every: int = 50,
         injector=None,
-        delta_log: bool = False,
         ctx=None,
     ):
         if checkpoint_every < 1:
@@ -178,13 +158,6 @@ class ResilientTrainer:
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         self.injector = injector
-        self.store = None
-        if delta_log:
-            from ..durable.store import DurableStateStore
-
-            self.store = DurableStateStore(
-                os.path.join(checkpoint_dir, "wal"), fsync="always"
-            )
         self.ctx = ctx
         self._bind_graph(g)
 
@@ -239,96 +212,6 @@ class ResilientTrainer:
             gen.bit_generator.state = copy.deepcopy(snap["rng"][name])
         load_state_image(snap["state"], self.g.mem, self.g.mailbox, "batch snapshot")
 
-    # ---- incremental delta log --------------------------------------------------
-
-    def _build_delta(self, snap: dict) -> Dict[str, np.ndarray]:
-        """Everything one completed batch changed, as a flat array dict.
-
-        Every state table is diffed against the pre-batch snapshot (only
-        the touched rows are logged, under the table's image key plus a
-        ``rows/`` index); parameters, optimizer moments, and RNG words
-        are small and logged whole.
-        """
-        arrays: Dict[str, np.ndarray] = {}
-        for name, value in self.model.state_dict().items():
-            arrays["model/" + name] = value
-        for key, value in _optimizer_state(self.optimizer).items():
-            arrays["optim/" + key] = value
-        for name, gen in self._generators().items():
-            arrays["rng/" + name] = _pack_generator(gen)
-        for key, table in self._state().items():
-            n = len(table)
-            changed = np.flatnonzero(
-                (table.reshape(n, -1) != snap["state"][key].reshape(n, -1)).any(axis=1)
-            )
-            arrays["rows/" + key] = changed
-            arrays[key] = table[changed]
-        return arrays
-
-    def _apply_delta(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Inverse of :meth:`_build_delta`: write one delta in place."""
-        model_state = {
-            key[len("model/"):]: value
-            for key, value in arrays.items()
-            if key.startswith("model/")
-        }
-        if model_state:
-            self.model.load_state_dict(model_state)
-        _restore_optimizer(
-            self.optimizer,
-            {
-                key[len("optim/"):]: value
-                for key, value in arrays.items()
-                if key.startswith("optim/")
-            },
-        )
-        for name, gen in self._generators().items():
-            key = "rng/" + name
-            if key in arrays:
-                _restore_generator(gen, arrays[key])
-        for key, table in self._state().items():
-            table[arrays["rows/" + key]] = arrays[key]
-        _mark_time_encoders_updated(self.model)
-
-    def _replay_deltas(self, epoch: int, b: int, n_batches: int) -> Tuple[int, int, int]:
-        """Fast-forward from the checkpoint cursor through logged deltas.
-
-        Walks the committed log suffix: ``checkpoint`` markers discard
-        deltas already folded into the on-disk checkpoint, ``rollback``
-        markers discard deltas from abandoned timelines.  The surviving
-        deltas are applied only while they form a contiguous run starting
-        at the checkpoint cursor — a hole (lost fsync, torn tail) stops
-        the fast-forward and the rest is recomputed.  The final batch of
-        an epoch is always recomputed rather than replayed (the eval +
-        epoch-rollover bookkeeping belongs to the live loop); either way
-        the trajectory is bit-exact.
-        """
-        pending = []
-        for rec in self.store.recover().records:
-            if rec.kind == KIND_MARKER:
-                name = rec.meta.get("name")
-                if name == "checkpoint":
-                    pending = []
-                elif name == "rollback":
-                    target = (int(rec.meta["epoch"]), int(rec.meta["batch"]))
-                    pending = [
-                        d for d in pending
-                        if (int(d.meta["epoch"]), int(d.meta["batch"])) < target
-                    ]
-            elif rec.kind == KIND_DELTA:
-                pending.append(rec)
-        replayed = 0
-        for rec in pending:
-            pos = (int(rec.meta["epoch"]), int(rec.meta["batch"]))
-            if pos < (epoch, b):
-                continue  # already inside the checkpoint
-            if pos != (epoch, b) or b >= n_batches - 1:
-                break
-            self._apply_delta(rec.arrays)
-            b += 1
-            replayed += 1
-        return epoch, b, replayed
-
     def _clear_derived_caches(self) -> None:
         """Drop inference-only embed caches (derived state, never
         checkpointed) so corrupt or stale entries cannot survive."""
@@ -364,14 +247,6 @@ class ResilientTrainer:
                 ResilienceEvent("checkpoint-aborted", epoch, batch, str(exc))
             )
             return "checkpoint-aborted"
-        if self.store is not None:
-            # Deltas below this marker are folded into the checkpoint:
-            # replay ignores them and sealed log segments compact away.
-            lsn = self.store.log_marker(
-                "checkpoint", {"epoch": epoch, "batch": batch}
-            )
-            self.store.sync()
-            self.store.compact_below(lsn)
         result.events.append(ResilienceEvent("checkpoint", epoch, batch))
         return "checkpoint"
 
@@ -399,10 +274,6 @@ class ResilientTrainer:
     ) -> Tuple[int, int]:
         """Restore the last checkpoint; returns its stream cursor."""
         target = self._restore_checkpoint()
-        if self.store is not None:
-            self.store.log_marker(
-                "rollback", {"epoch": int(target[0]), "batch": int(target[1])}
-            )
         result.events.append(
             ResilienceEvent(
                 "rollback",
@@ -457,14 +328,12 @@ class ResilientTrainer:
         count the fault against its kernel site (past the context's
         threshold the site degrades to its reference path, so a
         persistent fault stops recurring), log the event, rerun.
-        Returns ``(fn(), snap)`` — the pre-call snapshot doubles as the
-        diff base for the incremental delta log.
         """
         snap = self._snapshot()
         ctx = getattr(self.g, "ctx", None)
         for attempt in range(MAX_RETRIES + 1):
             try:
-                return fn(), snap
+                return fn()
             except TransientKernelError as exc:
                 self._restore_snapshot(snap)
                 if ctx is not None and ctx.record_kernel_fault(exc.site):
@@ -500,12 +369,17 @@ class ResilientTrainer:
         A cursor ``(pass, window)`` walks the windows of each pass; at
         every position the loop advances the injector, checkpoints when
         due (a validation veto rolls back instead), runs the window's
-        batch under :meth:`_with_retry`, delta-logs it, and on divergence
+        batch under :meth:`_with_retry`, and on divergence
         rewinds the cursor to the last checkpoint.  *reset* starts each
         pass from ``reset_state()`` + ``neg_sampler.reset()`` (an epoch);
         *eval_end* scores ``[last, eval_end)`` after each pass; *resume*
-        starts the cursor from the on-disk checkpoint (plus logged deltas).
+        starts the cursor from the on-disk checkpoint.
         """
+        if last > self.g.num_edges:
+            raise ValueError(
+                f"edge window [{first}, {last}) exceeds the graph's "
+                f"{self.g.num_edges} edges"
+            )
         result = ResilientResult()
         n_windows = -(-(last - first) // self.batch_size)
         p, w = 0, 0
@@ -516,12 +390,9 @@ class ResilientTrainer:
         if resume:
             p, w = self._restore_checkpoint()
             restored = True
-            detail = f"resumed from {self.checkpoint_path}"
-            if self.store is not None:
-                p, w, replayed = self._replay_deltas(p, w, n_windows)
-                if replayed:
-                    detail += f" + {replayed} logged deltas"
-            result.events.append(ResilienceEvent("resume", p, w, detail))
+            result.events.append(
+                ResilienceEvent("resume", p, w, f"resumed from {self.checkpoint_path}")
+            )
 
         own_injector = self.injector is not None and hooks.active() is not self.injector
         if own_injector:
@@ -554,7 +425,7 @@ class ResilientTrainer:
                     lo = first + w * self.batch_size
                     hi = min(lo + self.batch_size, last)
                     try:
-                        loss_value, snap = self._with_retry(
+                        loss_value = self._with_retry(
                             result, p, w, lambda: self._run_batch(lo, hi)
                         )
                     except DivergenceError as exc:
@@ -571,17 +442,12 @@ class ResilientTrainer:
                     restored = True
                     continue
                 losses[w] = loss_value
-                if self.store is not None:
-                    self.store.log_delta(
-                        self._build_delta(snap),
-                        {"epoch": p, "batch": w, "loss": loss_value},
-                    )
                 seconds += time.perf_counter() - t0
                 w += 1
                 if w >= n_windows:
                     eval_s, ap = (0.0, 0.0)
                     if eval_end is not None and eval_end > last:
-                        (eval_s, ap), _ = self._with_retry(
+                        eval_s, ap = self._with_retry(
                             result, p, n_windows,
                             lambda: evaluate(
                                 self.model, self.g, self.neg_sampler, self.batch_size,
@@ -594,8 +460,6 @@ class ResilientTrainer:
                     seconds, losses = 0.0, {}
                     p, w = p + 1, 0
         finally:
-            if self.store is not None:
-                self.store.sync()
             if own_injector:
                 hooks.uninstall(self.injector)
         return result
@@ -656,14 +520,4 @@ class ResilientTrainer:
         start, stop = int(start), int(stop)
         if stop <= start or passes < 1:
             return ResilientResult()
-        if stop > len(self.g.src):
-            raise ValueError(
-                f"fine-tune window [{start}, {stop}) exceeds the graph's "
-                f"{len(self.g.src)} edges"
-            )
         return self._run(start, stop, passes, reset=False)
-
-    def close(self) -> None:
-        """Close the delta-log store (no-op without one)."""
-        if self.store is not None:
-            self.store.close()

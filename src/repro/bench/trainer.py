@@ -50,16 +50,6 @@ class TrainResult:
     def best_ap(self) -> float:
         return max((e.eval_ap for e in self.epochs), default=0.0)
 
-    @property
-    def mean_epoch_seconds(self) -> float:
-        if not self.epochs:
-            return 0.0
-        return float(np.mean([e.train_seconds for e in self.epochs]))
-
-    @property
-    def last_epoch_seconds(self) -> float:
-        return self.epochs[-1].train_seconds if self.epochs else 0.0
-
 
 def _mark_time_encoders_updated(model) -> None:
     """Bump TimeEncode versions so precomputed tables invalidate."""

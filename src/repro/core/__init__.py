@@ -20,7 +20,7 @@ from . import kernels, op
 from .batch import TBatch, iter_batches
 from .block import TBlock
 from .context import TContext
-from .graph import TGraph, TemporalCSR, from_edges, to_networkx
+from .graph import TGraph, TemporalCSR
 from .kernels import SampleResult
 from .mailbox import Mailbox
 from .memory import Memory
@@ -37,8 +37,6 @@ __all__ = [
     "TContext",
     "TGraph",
     "TemporalCSR",
-    "from_edges",
-    "to_networkx",
     "Mailbox",
     "Memory",
     "TSampler",

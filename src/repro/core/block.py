@@ -135,13 +135,6 @@ class TBlock:
             blk = blk.prev
         return blk
 
-    def chain_length(self) -> int:
-        count, blk = 1, self.head()
-        while blk.next is not None:
-            count += 1
-            blk = blk.next
-        return count
-
     def next_block(self, include_dst: bool = True) -> "TBlock":
         """Create and link the successor block for the next hop.
 

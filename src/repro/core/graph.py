@@ -19,7 +19,7 @@ from ..tensor import Tensor
 from .mailbox import Mailbox
 from .memory import Memory
 
-__all__ = ["TGraph", "TemporalCSR", "from_edges"]
+__all__ = ["TGraph", "TemporalCSR"]
 
 
 class TemporalCSR:
@@ -42,16 +42,6 @@ class TemporalCSR:
     @property
     def num_nodes(self) -> int:
         return len(self.indptr) - 1
-
-    def degree(self, node: int) -> int:
-        return int(self.indptr[node + 1] - self.indptr[node])
-
-    def neighbors_before(self, node: int, time: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All temporal neighbors of *node* with edge timestamp strictly < *time*."""
-        lo = self.indptr[node]
-        hi = self.indptr[node + 1]
-        cut = lo + np.searchsorted(self.etimes[lo:hi], time, side="left")
-        return self.indices[lo:cut], self.eids[lo:cut], self.etimes[lo:cut]
 
 
 def _build_temporal_csr(
@@ -203,14 +193,6 @@ class TGraph:
             raise ValueError(f"efeat rows {feat.shape[0]} != num_edges {self.num_edges}")
         self._efeat = feat
 
-    @property
-    def nfeat_dim(self) -> int:
-        return self._nfeat.shape[1] if self._nfeat is not None else 0
-
-    @property
-    def efeat_dim(self) -> int:
-        return self._efeat.shape[1] if self._efeat is not None else 0
-
     # ---- memory / mailbox ------------------------------------------------------------------
 
     def set_memory(self, dim: int, device=None) -> Memory:
@@ -229,31 +211,3 @@ class TGraph:
             self.mem.reset()
         if self.mailbox is not None:
             self.mailbox.reset()
-
-
-def from_edges(src, dst, ts, **kwargs) -> TGraph:
-    """Convenience constructor mirroring ``tglite.from_edges``."""
-    return TGraph(src, dst, ts, **kwargs)
-
-
-def to_networkx(g: TGraph, max_time: Optional[float] = None):
-    """Export (a temporal prefix of) the graph as a networkx MultiGraph.
-
-    Each temporal edge becomes one parallel edge carrying ``time`` and
-    ``eid`` attributes, enabling ad-hoc analysis with the networkx
-    toolbox (connectivity, clustering, ...).
-
-    Args:
-        g: the temporal graph.
-        max_time: only include edges with timestamp strictly below this
-            (None = all edges).
-    """
-    import networkx as nx
-
-    graph = nx.MultiGraph()
-    graph.add_nodes_from(range(g.num_nodes))
-    stop = g.num_edges if max_time is None else int(np.searchsorted(g.ts, max_time, side="left"))
-    for eid in range(stop):
-        graph.add_edge(int(g.src[eid]), int(g.dst[eid]),
-                       time=float(g.ts[eid]), eid=eid)
-    return graph

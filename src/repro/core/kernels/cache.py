@@ -140,10 +140,6 @@ class NodeTimeCache:
         return self.capacity > 0
 
     @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    @property
     def num_entries(self) -> int:
         """Slots currently holding a stored row (≤ capacity)."""
         return self._nslots
@@ -505,10 +501,6 @@ class _ReferenceNodeTimeCache:
     @property
     def enabled(self) -> bool:
         return self.capacity > 0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
 
     @property
     def num_entries(self) -> int:

@@ -71,9 +71,6 @@ class Mailbox(TableState):
         """Mail rows for *nodes*: ``(n, dim)`` or ``(n, slots, dim)``. Detached."""
         return Tensor(self.mail.data[nodes], device=self.device)
 
-    def get_time(self, nodes: np.ndarray) -> np.ndarray:
-        return self.time[nodes]
-
     def store(self, nodes: np.ndarray, mail: Tensor, times: np.ndarray) -> None:
         """Deliver messages to *nodes*.
 

@@ -50,9 +50,6 @@ class Memory(TableState):
         """Memory rows for *nodes* (detached: gradients never flow into storage)."""
         return Tensor(self.data.data[nodes], device=self.device)
 
-    def get_time(self, nodes: np.ndarray) -> np.ndarray:
-        return self.time[nodes]
-
     def update(self, nodes: np.ndarray, values: Tensor, times: np.ndarray) -> None:
         """Overwrite memory rows and last-update times for *nodes*.
 

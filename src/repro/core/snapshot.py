@@ -77,11 +77,6 @@ class TSnapshot:
         times = np.full(len(nodes), self.t_end, dtype=np.float64)
         return TBlock(ctx, 0, np.asarray(nodes, dtype=np.int64), times)
 
-    def adjacency(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Undirected COO pairs of this window (for dense static layers)."""
-        src, dst, _ = self.edges()
-        return np.concatenate([src, dst]), np.concatenate([dst, src])
-
     def __repr__(self) -> str:
         return (
             f"TSnapshot(#{self.index}, edges={self.num_edges}, "

@@ -4,8 +4,8 @@ Which arrays make up a component, in which order, under which names is
 decided once, by the class that owns them: ``tables()`` returns the
 *live* arrays (every one indexed by node row) and ``TABLE_KEYS`` names
 them in the same order.  Everything that copies, hashes, persists,
-diffs, repairs or corrupts state — snapshots, checkpoints, digests,
-training deltas, scrub repairs, bit-flip injection — walks those two
+repairs or corrupts state — snapshots, checkpoints, digests, scrub
+repairs, bit-flip injection — walks those two
 and nothing else, so a new state column is a change to one class.
 
 Table order is part of the digest contract: ``state_digest()`` hashes
@@ -15,7 +15,7 @@ equivalence gates compare those digests across processes and runs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -23,13 +23,11 @@ __all__ = ["TableState", "state_image", "load_state_image"]
 
 
 class TableState:
-    """Reset / backup / digest / image over a component's ``tables()``."""
+    """Reset / digest / image over a component's ``tables()``."""
 
     #: image key of each table, in ``tables()`` order (a component may
     #: hold a prefix of them: a one-slot mailbox has no ring cursor).
     TABLE_KEYS: Tuple[str, ...] = ()
-
-    _backup: Optional[List[np.ndarray]] = None
 
     def tables(self) -> Tuple[np.ndarray, ...]:
         """The live backing arrays, each indexed by node row."""
@@ -39,17 +37,6 @@ class TableState:
         """Zero all state (start of training, or replay from scratch)."""
         for table in self.tables():
             table[...] = 0
-
-    def backup(self) -> None:
-        """Snapshot current state (e.g. end of training, before inference)."""
-        self._backup = [table.copy() for table in self.tables()]
-
-    def restore(self) -> None:
-        """Restore the last snapshot taken by :meth:`backup`."""
-        if self._backup is None:
-            raise RuntimeError(f"no {type(self).__name__.lower()} backup to restore")
-        for table, saved in zip(self.tables(), self._backup):
-            table[...] = saved
 
     def state_digest(self) -> str:
         """Canonical sha256 of the full state, tables in ``tables()`` order.

@@ -1,9 +1,8 @@
-"""Datasets: synthetic CTDG generators, container, splits, and negatives."""
+"""Datasets: synthetic CTDG generators, container, and negatives."""
 
 from .analysis import WorkloadProfile, batch_duplication_ratio, profile_dataset
 from .dataset import TemporalDataset, available_datasets, get_dataset
 from .negative import NegativeSampler
-from .split import InductiveSplit, inductive_split
 from .synthetic import (
     derive_rng,
     DATASETS,
@@ -21,8 +20,6 @@ __all__ = [
     "available_datasets",
     "get_dataset",
     "NegativeSampler",
-    "InductiveSplit",
-    "inductive_split",
     "DATASETS",
     "GeneratorSpec",
     "derive_rng",

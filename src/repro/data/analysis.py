@@ -12,7 +12,7 @@ which operators will pay off on their own data before training anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -43,18 +43,6 @@ class WorkloadProfile:
     #: median / 99th-percentile inter-event gap (burstiness indicator).
     median_gap: float
     p99_gap: float
-
-    def as_row(self) -> Dict[str, object]:
-        return {
-            "dataset": self.name,
-            "|V|": self.num_nodes,
-            "|E|": self.num_edges,
-            "E/V": round(self.edges_per_node, 1),
-            "repeat pairs": f"{100 * self.repeat_pair_fraction:.1f}%",
-            "popularity gini": round(self.popularity_gini, 3),
-            "dedup potential": f"{100 * self.dedup_potential:.1f}%",
-            "distinct deltas": f"{100 * self.delta_distinct_fraction:.1f}%",
-        }
 
 
 def _gini(counts: np.ndarray) -> float:

@@ -1,7 +1,7 @@
 """Crash-consistent durable state layer.
 
-Both runtimes previously lost everything between whole-file checkpoints
-on a process crash.  This package closes that gap with an incremental,
+Serving previously lost everything between whole-file checkpoints on a
+process crash.  This package closes that gap with an incremental,
 crash-consistent persistence stack:
 
 * :mod:`~repro.durable.codec` — self-describing binary payloads
@@ -21,16 +21,13 @@ duplicated tail record, lost fsync — recovery yields state bit-identical
 to a clean replay of the committed prefix, no committed record is lost
 or applied twice, and re-opening the store is idempotent.
 
-Consumers: the serving path logs each released ``EventBatch`` before
-applying it (:class:`repro.serve.StateCommitter`), and the training path
-logs incremental per-batch deltas between full checkpoints
-(:class:`repro.bench.ResilientTrainer` with ``delta_log=True``).
+Consumer: the serving path logs each released ``EventBatch`` before
+applying it (:class:`repro.serve.StateCommitter`); training persists
+through whole-file checkpoints (:mod:`repro.bench.checkpoint`) instead.
 """
 
 from .codec import (
     KIND_BATCH,
-    KIND_DELTA,
-    KIND_MARKER,
     KIND_SNAPSHOT,
     CodecError,
     decode_payload,
@@ -54,8 +51,6 @@ from .wal import (
 __all__ = [
     "CodecError",
     "KIND_BATCH",
-    "KIND_DELTA",
-    "KIND_MARKER",
     "KIND_SNAPSHOT",
     "encode_payload",
     "decode_payload",

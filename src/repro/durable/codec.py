@@ -36,8 +36,6 @@ import numpy as np
 __all__ = [
     "CodecError",
     "KIND_BATCH",
-    "KIND_MARKER",
-    "KIND_DELTA",
     "KIND_SNAPSHOT",
     "encode_payload",
     "decode_payload",
@@ -50,8 +48,9 @@ KIND_BATCH = 1  #: a committed EventBatch delta (serve path)
 # check-then-log used it to veto an already-logged batch, so a reader
 # that met one under any new meaning would resurrect that batch.
 _RETIRED_ABORT = 2
-KIND_MARKER = 3  #: control marker (checkpoint / rollback / custom)
-KIND_DELTA = 4  #: incremental training-state delta between checkpoints
+# Kinds 3 (training control marker) and 4 (training state delta) are
+# reserved as well: the training loop logged them before checkpoints
+# became its only persistence.
 KIND_SNAPSHOT = 5  #: full state image (snapshot files only)
 
 

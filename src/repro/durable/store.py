@@ -1,12 +1,11 @@
 """Crash-consistent durable state store: WAL-then-apply + snapshot replay.
 
 :class:`DurableStateStore` composes the :class:`~repro.durable.wal.WriteAheadLog`
-and the snapshot files into the commit protocol both runtimes share:
+and the snapshot files into the commit protocol every serving process shares:
 
-1. **log** the state delta (a checked :class:`EventBatch`, a training
-   delta, or a control marker) *before* applying it in RAM — callers
-   check a delta before logging it, so a logged record is never taken
-   back;
+1. **log** the state delta (a checked :class:`EventBatch`) *before*
+   applying it in RAM — callers check a delta before logging it, so a
+   logged record is never taken back;
 2. periodically write a **snapshot** of the full applied state and
    **compact** sealed log segments below it.
 
@@ -27,14 +26,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..core.stats import declare
-from .codec import (
-    KIND_BATCH,
-    KIND_DELTA,
-    KIND_MARKER,
-    CodecError,
-    decode_committed,
-    encode_payload,
-)
+from .codec import KIND_BATCH, CodecError, decode_committed, encode_payload
 from .snapshot import list_snapshots, load_latest, prune_snapshots, write_snapshot
 from .wal import WriteAheadLog
 
@@ -122,16 +114,6 @@ class DurableStateStore:
         """Append an already-encoded record (a sub-batch shipped to several
         replicas is encoded once); returns its LSN."""
         return self.wal.append(record)
-
-    def log_delta(self, arrays: Dict[str, np.ndarray], meta: Optional[Dict] = None) -> int:
-        """Log one incremental training-state delta; returns its LSN."""
-        return self.wal.append(encode_payload(KIND_DELTA, meta or {}, arrays))
-
-    def log_marker(self, name: str, meta: Optional[Dict] = None) -> int:
-        """Log a control marker (e.g. ``checkpoint`` / ``rollback``)."""
-        payload = dict(meta or {})
-        payload["name"] = name
-        return self.wal.append(encode_payload(KIND_MARKER, payload, {}))
 
     def sync(self) -> None:
         """Force group-committed records durable now."""

@@ -40,7 +40,6 @@ lost fsyncs followed by a crash (:class:`SimulatedDiskCrash`).
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 import struct
@@ -417,20 +416,6 @@ class WriteAheadLog:
             if not intact:
                 return
             prev = last if last is not None else prev
-
-    def segment_digests(self) -> List[str]:
-        """sha256 hex digest of each live segment's on-disk bytes.
-
-        Flushes the open segment first so the digests cover everything
-        appended so far; leaves for the per-replica merkle summary.
-        """
-        if self._fh is not None:
-            self._fh.flush()
-        out = []
-        for seg in self._segments:
-            with open(seg.path, "rb") as fh:
-                out.append(hashlib.sha256(fh.read()).hexdigest())
-        return out
 
     def verify(self) -> List[str]:
         """Integrity-check every live segment; returns the damaged paths.

@@ -8,16 +8,11 @@ from . import init
 from .layers import (
     MLP,
     Dropout,
-    Identity,
     LayerNorm,
-    LeakyReLU,
     Linear,
-    ReLU,
-    Sigmoid,
-    Tanh,
 )
-from .loss import BCEWithLogitsLoss, MSELoss, bce_with_logits, link_prediction_loss
-from .module import Module, ModuleList, Parameter, Sequential
+from .loss import bce_with_logits, link_prediction_loss
+from .module import Module, ModuleList, Parameter
 from .optim import SGD, Adam, Optimizer
 from .rnn import GRUCell, RNNCell
 from .time_encode import TimeEncode
@@ -26,21 +21,13 @@ __all__ = [
     "init",
     "Module",
     "ModuleList",
-    "Sequential",
     "Parameter",
     "Linear",
     "LayerNorm",
     "Dropout",
-    "ReLU",
-    "Sigmoid",
-    "Tanh",
-    "LeakyReLU",
-    "Identity",
     "MLP",
     "GRUCell",
     "RNNCell",
-    "BCEWithLogitsLoss",
-    "MSELoss",
     "bce_with_logits",
     "link_prediction_loss",
     "Optimizer",

@@ -1,4 +1,4 @@
-"""Parameter initialization schemes (Xavier/Kaiming/constant)."""
+"""Parameter initialization schemes (uniform, Kaiming)."""
 
 from __future__ import annotations
 
@@ -10,13 +10,7 @@ from ..tensor import Tensor
 from ..tensor.random import default_generator
 
 __all__ = [
-    "zeros_",
-    "ones_",
-    "constant_",
     "uniform_",
-    "normal_",
-    "xavier_uniform_",
-    "xavier_normal_",
     "kaiming_uniform_",
 ]
 
@@ -32,43 +26,10 @@ def _fan_in_out(tensor: Tensor):
     return fan_in, fan_out
 
 
-def zeros_(tensor: Tensor) -> Tensor:
-    tensor.data[...] = 0.0
-    return tensor
-
-
-def ones_(tensor: Tensor) -> Tensor:
-    tensor.data[...] = 1.0
-    return tensor
-
-
-def constant_(tensor: Tensor, value: float) -> Tensor:
-    tensor.data[...] = value
-    return tensor
-
-
 def uniform_(tensor: Tensor, low: float = 0.0, high: float = 1.0) -> Tensor:
     rng = default_generator()
     tensor.data[...] = rng.uniform(low, high, size=tensor.shape).astype(tensor.dtype)
     return tensor
-
-
-def normal_(tensor: Tensor, mean: float = 0.0, std: float = 1.0) -> Tensor:
-    rng = default_generator()
-    tensor.data[...] = (mean + std * rng.standard_normal(tensor.shape)).astype(tensor.dtype)
-    return tensor
-
-
-def xavier_uniform_(tensor: Tensor, gain: float = 1.0) -> Tensor:
-    fan_in, fan_out = _fan_in_out(tensor)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return uniform_(tensor, -bound, bound)
-
-
-def xavier_normal_(tensor: Tensor, gain: float = 1.0) -> Tensor:
-    fan_in, fan_out = _fan_in_out(tensor)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return normal_(tensor, 0.0, std)
 
 
 def kaiming_uniform_(tensor: Tensor, a: float = math.sqrt(5)) -> Tensor:

@@ -1,4 +1,4 @@
-"""Core neural layers: Linear, LayerNorm, Dropout, activations, MLP."""
+"""Core neural layers: Linear, LayerNorm, Dropout, MLP."""
 
 from __future__ import annotations
 
@@ -15,12 +15,7 @@ __all__ = [
     "Linear",
     "LayerNorm",
     "Dropout",
-    "ReLU",
-    "Sigmoid",
-    "Tanh",
-    "LeakyReLU",
     "MLP",
-    "Identity",
 ]
 
 
@@ -90,35 +85,6 @@ class Dropout(Module):
         if not self.training or self.p == 0.0:
             return x
         return x * dropout_mask(x.shape, self.p, device=x.device)
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
-
-
-class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x
 
 
 class MLP(Module):

@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import Tensor
-from .module import Module
 
-__all__ = ["BCEWithLogitsLoss", "MSELoss", "bce_with_logits", "link_prediction_loss"]
+__all__ = ["bce_with_logits", "link_prediction_loss"]
 
 
 def bce_with_logits(logits: Tensor, targets: Tensor, reduction: str = "mean") -> Tensor:
@@ -31,29 +30,3 @@ def link_prediction_loss(pos: Tensor, neg: Tensor) -> Tensor:
     ones = Tensor(np.ones(len(pos), dtype=np.float32), device=pos.device)
     zeros = Tensor(np.zeros(len(neg), dtype=np.float32), device=neg.device)
     return bce_with_logits(pos, ones) + bce_with_logits(neg, zeros)
-
-
-class BCEWithLogitsLoss(Module):
-    """Module wrapper over :func:`bce_with_logits`."""
-
-    def __init__(self, reduction: str = "mean"):
-        super().__init__()
-        self.reduction = reduction
-
-    def forward(self, logits: Tensor, targets: Tensor) -> Tensor:
-        return bce_with_logits(logits, targets, reduction=self.reduction)
-
-
-class MSELoss(Module):
-    def __init__(self, reduction: str = "mean"):
-        super().__init__()
-        self.reduction = reduction
-
-    def forward(self, pred: Tensor, target: Tensor) -> Tensor:
-        diff = pred - target
-        loss = diff * diff
-        if self.reduction == "mean":
-            return loss.mean()
-        if self.reduction == "sum":
-            return loss.sum()
-        return loss

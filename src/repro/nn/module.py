@@ -17,7 +17,7 @@ import numpy as np
 from ..tensor import Tensor
 from ..tensor.device import Device, get_device
 
-__all__ = ["Parameter", "Module", "ModuleList", "Sequential"]
+__all__ = ["Parameter", "Module", "ModuleList"]
 
 
 class Parameter(Tensor):
@@ -81,9 +81,6 @@ class Module:
         yield self
         for module in self._modules.values():
             yield from module.modules()
-
-    def children(self) -> Iterator["Module"]:
-        yield from self._modules.values()
 
     def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
         for name, buf in self._buffers.items():
@@ -178,25 +175,3 @@ class ModuleList(Module):
 
     def __iter__(self) -> Iterator[Module]:
         return iter(self._list)
-
-
-class Sequential(Module):
-    """Chain modules, feeding each output into the next."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self._list: List[Module] = []
-        for module in modules:
-            self.add_module(str(len(self._list)), module)
-            self._list.append(module)
-
-    def forward(self, x):
-        for module in self._list:
-            x = module(x)
-        return x
-
-    def __getitem__(self, idx: int) -> Module:
-        return self._list[idx]
-
-    def __len__(self) -> int:
-        return len(self._list)

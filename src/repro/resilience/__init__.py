@@ -8,7 +8,7 @@ the faults the paper's evaluation assumes away:
   checkpoint writes, hard process kills), installed as a context manager
   over hook points in ``core.kernels``, ``nn.optim``, and the checkpoint
   writer.
-* :func:`validate_state` / :func:`assert_valid_state` — state-invariant
+* :func:`validate_state` — state-invariant
   validation over memory, mailbox, temporal CSR, and kernel cache tables.
 * :mod:`~repro.resilience.chaos` — applying the decided member-level
   faults (crash / stall / silent bit flip) to a cluster's replica groups.
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .faults import DECISIONS, FaultEvent, FaultInjector
 from .hooks import SITES
-from .validate import assert_valid_state, validate_state
+from .validate import validate_state
 
 __all__ = [
     "CheckpointWriteAborted",
@@ -47,6 +47,5 @@ __all__ = [
     "FaultInjector",
     "apply_bitflip",
     "inject_member_faults",
-    "assert_valid_state",
     "validate_state",
 ]

@@ -17,8 +17,7 @@ human-readable violations (empty = healthy):
   rows, cursor in range, hash-table/slot agreement).
 
 The trainer runs this at checkpoint boundaries (a violation vetoes the
-checkpoint and triggers rollback); :func:`assert_valid_state` is the
-on-demand form that raises :class:`StateValidationError`.
+checkpoint and triggers rollback).
 """
 
 from __future__ import annotations
@@ -27,9 +26,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import StateValidationError
 
-__all__ = ["validate_state", "assert_valid_state"]
+__all__ = ["validate_state"]
 
 
 def _check_csr(g, out: List[str]) -> None:
@@ -95,10 +93,3 @@ def validate_state(g, ctx: Optional[object] = None) -> List[str]:
     if ctx is not None:
         _check_caches(ctx, out)
     return out
-
-
-def assert_valid_state(g, ctx: Optional[object] = None) -> None:
-    """Raise :class:`StateValidationError` if any invariant is violated."""
-    violations = validate_state(g, ctx)
-    if violations:
-        raise StateValidationError(violations)

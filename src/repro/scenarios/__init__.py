@@ -32,7 +32,6 @@ from .base import (
 from .continual import (
     ContinualLearner,
     EmbeddingLinkModel,
-    oracle_scores,
     run_closed_loop,
 )
 from .generators import (
@@ -67,6 +66,5 @@ __all__ = [
     "gap_recovered",
     "ContinualLearner",
     "EmbeddingLinkModel",
-    "oracle_scores",
     "run_closed_loop",
 ]

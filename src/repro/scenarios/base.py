@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -131,19 +131,6 @@ class LabeledStream:
 
     def slice(self, start: int, stop: int) -> "LabeledStream":
         return self.take(np.arange(start, stop))
-
-    def phase_bounds(self) -> List[Tuple[int, int, int]]:
-        """``(phase_id, start, stop)`` runs of the phase array, in order."""
-        out: List[Tuple[int, int, int]] = []
-        if not len(self):
-            return out
-        start = 0
-        for i in range(1, len(self) + 1):
-            if i == len(self) or self.phase[i] != self.phase[start]:
-                out.append((int(self.phase[start]), start, i))
-                start = i
-        return out
-
 
 #: name -> (generator fn, one-line description)
 _REGISTRY: Dict[str, Tuple[Callable[[ScenarioSpec], LabeledStream], str]] = {}

@@ -52,7 +52,6 @@ __all__ = [
     "EmbeddingLinkModel",
     "ContinualLearner",
     "run_closed_loop",
-    "oracle_scores",
 ]
 
 
@@ -91,12 +90,6 @@ class EmbeddingLinkModel(Module):
     def embeddings(self) -> np.ndarray:
         """A float32 copy of the table, ready for ``swap_model``."""
         return np.array(self.emb.data, dtype=np.float32, copy=True)
-
-    def score_pairs(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Offline sigmoid-dot scores (no serving path involved)."""
-        table = np.asarray(self.emb.data, dtype=np.float32)
-        logits = np.sum(table[src] * table[dst], axis=1)
-        return (1.0 / (1.0 + np.exp(-logits))).astype(np.float32)
 
 
 class ContinualLearner:
@@ -229,10 +222,6 @@ class ContinualLearner:
             "cursor": self.cursor.position(),
         }
 
-    def close(self) -> None:
-        if self.trainer is not None:
-            self.trainer.close()
-
 
 def run_closed_loop(
     stream: LabeledStream,
@@ -308,7 +297,6 @@ def run_closed_loop(
     pretrain = trainer.fine_tune(0, warmup_end, passes=pretrain_passes)
     if mode == "oracle":
         trainer.fine_tune(warmup_end, n, passes=passes)
-    trainer.close()
 
     ctx = TContext(graph, store=store)
     memory = Memory(num_nodes, dim)
@@ -344,7 +332,6 @@ def run_closed_loop(
     results = replay(runtime, batches, load=load, on_result=on_result)
     if learner is not None:
         learner.sync(runtime)  # what drain() committed after the last request
-        learner.close()
 
     scores = np.full(n, np.nan, dtype=np.float64)
     for result in results:
@@ -374,9 +361,3 @@ def run_closed_loop(
     }
     runtime.close()
     return out
-
-
-def oracle_scores(stream: LabeledStream, **kwargs) -> Dict:
-    """Convenience wrapper: :func:`run_closed_loop` in ``'oracle'`` mode."""
-    kwargs.pop("mode", None)
-    return run_closed_loop(stream, mode="oracle", **kwargs)

@@ -191,18 +191,6 @@ class TieredFeatureStore:
             self._retire("hot", sp.hot)
             sp.hot = sp.new_hot(self.config.hot_rows(sp.dim))
 
-    def rebind_source(self, name: str, source: Source) -> None:
-        """Swap a source space's authority (model hot-swap); drops the
-        cached tiers so stale rows cannot be served."""
-        sp = self.space(name)
-        if sp.source is None:
-            raise ValueError(f"space {name!r} is not source-backed")
-        fetch, width = _fetcher(source, sp.dim)
-        if width != sp.dim:
-            raise ValueError(f"rebind changes row width {sp.dim} -> {width}")
-        sp.source = fetch
-        self.evict(name)
-
     def refresh(self, nodes: np.ndarray, space: str = "nfeat",
                 times: Optional[np.ndarray] = None) -> int:
         """Re-store fresh authority rows for resident keys (invalidation).

@@ -18,24 +18,16 @@ from .device import (
 )
 from .functional import (
     arange,
-    as_tensor,
     cat,
     dropout_mask,
     empty,
-    eye,
-    from_numpy,
     full,
     index_put,
     maximum,
     minimum,
-    one_hot,
     ones,
     ones_like,
-    rand,
-    randint,
     randn,
-    scatter_rows,
-    sort_by,
     stack,
     tensor,
     unique,
@@ -52,7 +44,7 @@ from .segment import (
     segment_softmax,
     segment_sum,
 )
-from .tensor import Tensor, enable_grad, is_grad_enabled, no_grad
+from .tensor import Tensor, is_grad_enabled, no_grad
 
 __all__ = [
     "Tensor",
@@ -63,13 +55,11 @@ __all__ = [
     "get_device",
     "runtime",
     "no_grad",
-    "enable_grad",
     "is_grad_enabled",
     "manual_seed",
     "default_generator",
     "fork_generator",
     "tensor",
-    "as_tensor",
     "zeros",
     "zeros_like",
     "ones",
@@ -77,21 +67,14 @@ __all__ = [
     "full",
     "empty",
     "arange",
-    "eye",
-    "rand",
     "randn",
-    "randint",
-    "from_numpy",
     "cat",
     "stack",
     "where",
     "maximum",
     "minimum",
     "index_put",
-    "scatter_rows",
-    "one_hot",
     "unique",
-    "sort_by",
     "dropout_mask",
     "segment_sum",
     "segment_mean",

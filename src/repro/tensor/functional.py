@@ -8,17 +8,16 @@ merge computed embeddings back into full-size outputs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .device import Device, get_device
+from .device import Device
 from .random import default_generator
 from .tensor import Tensor, _unbroadcast
 
 __all__ = [
     "tensor",
-    "as_tensor",
     "zeros",
     "zeros_like",
     "ones",
@@ -26,21 +25,14 @@ __all__ = [
     "full",
     "empty",
     "arange",
-    "eye",
-    "rand",
     "randn",
-    "randint",
-    "from_numpy",
     "cat",
     "stack",
     "where",
     "maximum",
     "minimum",
     "index_put",
-    "scatter_rows",
-    "one_hot",
     "unique",
-    "sort_by",
     "dropout_mask",
 ]
 
@@ -53,16 +45,6 @@ def tensor(data, dtype=None, requires_grad: bool = False, device=None) -> Tensor
     elif arr.dtype == np.float64:
         arr = arr.astype(np.float32)
     return Tensor(arr, requires_grad=requires_grad, device=device)
-
-
-def as_tensor(data, dtype=None, device=None) -> Tensor:
-    """Like :func:`tensor` but avoids copying when possible."""
-    if isinstance(data, Tensor) and dtype is None and (device is None or get_device(device) is data.device):
-        return data
-    arr = np.asarray(data.data if isinstance(data, Tensor) else data)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    return Tensor(arr, device=device)
 
 
 def zeros(*shape, dtype=np.float32, requires_grad: bool = False, device=None) -> Tensor:
@@ -99,19 +81,6 @@ def arange(*args, dtype=np.int64, device=None) -> Tensor:
     return Tensor(np.arange(*args, dtype=dtype), device=device)
 
 
-def eye(n: int, dtype=np.float32, device=None) -> Tensor:
-    return Tensor(np.eye(n, dtype=dtype), device=device)
-
-
-def rand(*shape, requires_grad: bool = False, device=None, generator=None) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    rng = generator if generator is not None else default_generator()
-    return Tensor(
-        rng.random(shape, dtype=np.float32), requires_grad=requires_grad, device=device
-    )
-
-
 def randn(*shape, requires_grad: bool = False, device=None, generator=None) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
@@ -121,15 +90,6 @@ def randn(*shape, requires_grad: bool = False, device=None, generator=None) -> T
         requires_grad=requires_grad,
         device=device,
     )
-
-
-def randint(low: int, high: int, shape, device=None, generator=None) -> Tensor:
-    rng = generator if generator is not None else default_generator()
-    return Tensor(rng.integers(low, high, size=shape, dtype=np.int64), device=device)
-
-
-def from_numpy(arr: np.ndarray, device=None) -> Tensor:
-    return Tensor(arr, device=device)
 
 
 def cat(tensors: Sequence[Tensor], dim: int = 0) -> Tensor:
@@ -223,42 +183,12 @@ def index_put(base: Tensor, index: Union[Tensor, np.ndarray], values: Tensor) ->
     return Tensor._make(out_data, (base, values), backward, base.device)
 
 
-def scatter_rows(
-    num_rows: int, index: Union[Tensor, np.ndarray], values: Tensor
-) -> Tensor:
-    """Build a ``(num_rows, *values.shape[1:])`` tensor with ``out[index] += values``."""
-    idx = index.data if isinstance(index, Tensor) else np.asarray(index)
-    out_data = np.zeros((num_rows,) + values.data.shape[1:], dtype=values.data.dtype)
-    # Forward keeps np.add.at: inference outputs must stay bit-identical.
-    np.add.at(out_data, idx, values.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if values.requires_grad:
-            values._accumulate(grad[idx])
-
-    return Tensor._make(out_data, (values,), backward, values.device)
-
-
-def one_hot(index: Union[Tensor, np.ndarray], num_classes: int, device=None) -> Tensor:
-    idx = index.data if isinstance(index, Tensor) else np.asarray(index)
-    out = np.zeros((idx.shape[0], num_classes), dtype=np.float32)
-    out[np.arange(idx.shape[0]), idx] = 1.0
-    dev = index.device if isinstance(index, Tensor) else device
-    return Tensor(out, device=dev)
-
-
 def unique(t: Tensor, return_inverse: bool = False):
     """Sorted unique values (and optionally the inverse mapping)."""
     if return_inverse:
         vals, inv = np.unique(t.data, return_inverse=True)
         return Tensor(vals, device=t.device), Tensor(inv.astype(np.int64), device=t.device)
     return Tensor(np.unique(t.data), device=t.device)
-
-
-def sort_by(key: np.ndarray, *arrays: np.ndarray, kind: str = "stable") -> Tuple[np.ndarray, ...]:
-    """Sort *arrays* by *key* (stable), returning ``(sorted_key, *sorted_arrays)``."""
-    order = np.argsort(key, kind=kind)
-    return (key[order],) + tuple(arr[order] for arr in arrays)
 
 
 def dropout_mask(shape, p: float, device=None, generator=None) -> Tensor:

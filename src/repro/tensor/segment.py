@@ -38,8 +38,8 @@ def _ids(segment_ids) -> np.ndarray:
 def _scatter_add(shape, key, values: np.ndarray) -> np.ndarray:
     """``out = zeros(shape); out[key] += values``, repeated targets summed.
 
-    The one scatter-add behind every *gradient* (index / ``index_select`` /
-    ``repeat_interleave`` backward, ``segment_softmax``'s backward dot).
+    The one scatter-add behind every *gradient* (the index backward,
+    ``segment_softmax``'s backward dot).
     Non-negative 1-D integer ids with one value row each are summed per
     column by ``np.bincount`` when rows are narrow, or by ``np.add.reduceat``
     over runs when already non-decreasing (the sampler emits ``dstindex``

@@ -26,7 +26,6 @@ from .device import CPU, Device, get_device, runtime
 __all__ = [
     "Tensor",
     "no_grad",
-    "enable_grad",
     "is_grad_enabled",
 ]
 
@@ -39,18 +38,6 @@ def no_grad():
     global _GRAD_ENABLED
     prev = _GRAD_ENABLED
     _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
-
-
-@contextlib.contextmanager
-def enable_grad():
-    """Context manager that (re-)enables gradient graph construction."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = True
     try:
         yield
     finally:
@@ -78,13 +65,6 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 
 
 _BASIC_INDEX = (slice, int, np.integer, type(None), type(Ellipsis))
-
-
-def _scatter_add_axis(shape, dim: int, index: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Gradient of a gather along *dim*: ``zeros(shape)`` with *grad* summed in at *index*."""
-    moved = np.moveaxis(grad, dim, 0)
-    full = _scatter_add((shape[dim],) + moved.shape[1:], index, moved)
-    return np.moveaxis(full, 0, dim)
 
 
 def _as_array(value, dtype=None) -> np.ndarray:
@@ -180,9 +160,6 @@ class Tensor:
     def is_leaf(self) -> bool:
         return self._backward is None
 
-    def numel(self) -> int:
-        return int(self.data.size)
-
     def size(self, dim: Optional[int] = None):
         if dim is None:
             return self.data.shape
@@ -249,19 +226,6 @@ class Tensor:
     def cpu(self) -> "Tensor":
         return self.to(CPU)
 
-    def cuda(self) -> "Tensor":
-        return self.to("cuda")
-
-    def pin_memory(self) -> "Tensor":
-        """Return a pinned copy of a host tensor (no-op for device tensors)."""
-        if self.device.is_cuda:
-            return self
-        if self.pinned:
-            return self
-        out = Tensor(self.data.copy(), device=self.device, pinned=True)
-        out.requires_grad = False
-        return out
-
     def detach(self) -> "Tensor":
         """Return a view-like tensor sharing data but detached from the graph."""
         out = Tensor.__new__(Tensor)
@@ -275,27 +239,8 @@ class Tensor:
         out._grad_owned = False
         return out
 
-    def clone(self) -> "Tensor":
-        out = Tensor._make(self.data.copy(), (self,), None, self.device)
-        if out.requires_grad:
-            src = self
-
-            def backward(grad: np.ndarray) -> None:
-                src._accumulate(grad)
-
-            out._backward = backward
-        return out
-
-    def copy_(self, other: "Tensor") -> "Tensor":
-        """In-place copy of *other*'s values (not differentiable)."""
-        self.data[...] = other.data
-        return self
-
     def float(self) -> "Tensor":
         return self.astype(np.float32)
-
-    def long(self) -> "Tensor":
-        return self.astype(np.int64)
 
     def bool(self) -> "Tensor":
         return self.astype(np.bool_)
@@ -577,17 +522,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward, self.device)
 
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        mask = self.data > 0
-        scale = np.where(mask, 1.0, negative_slope).astype(self.data.dtype)
-        out_data = self.data * scale
-        src = self
-
-        def backward(grad: np.ndarray) -> None:
-            src._accumulate(grad * scale)
-
-        return Tensor._make(out_data, (self,), backward, self.device)
-
     def abs(self) -> "Tensor":
         sign = np.sign(self.data)
         out_data = np.abs(self.data)
@@ -683,11 +617,6 @@ class Tensor:
         values, idx = (-self).max(dim=dim, keepdim=keepdim)
         return -values, idx
 
-    def norm(self, p: int = 2) -> "Tensor":
-        if p != 2:
-            raise NotImplementedError("only L2 norm is supported")
-        return (self * self).sum().sqrt()
-
     # ---- shape ops -------------------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
@@ -713,18 +642,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward, self.device)
 
-    def permute(self, *dims) -> "Tensor":
-        if len(dims) == 1 and isinstance(dims[0], (tuple, list)):
-            dims = tuple(dims[0])
-        out_data = np.transpose(self.data, dims)
-        inverse = np.argsort(dims)
-        src = self
-
-        def backward(grad: np.ndarray) -> None:
-            src._accumulate(np.transpose(grad, inverse))
-
-        return Tensor._make(out_data, (self,), backward, self.device)
-
     @property
     def T(self) -> "Tensor":
         if self.ndim != 2:
@@ -746,33 +663,6 @@ class Tensor:
             dim = len(new_shape) + dim + 1
         new_shape.insert(dim, 1)
         return self.reshape(tuple(new_shape))
-
-    def repeat_interleave(self, repeats: Union[int, "Tensor", np.ndarray], dim: int = 0) -> "Tensor":
-        reps = repeats.data if isinstance(repeats, Tensor) else repeats
-        out_data = np.repeat(self.data, reps, axis=dim)
-        src = self
-        index = np.repeat(np.arange(self.shape[dim]), reps)
-
-        def backward(grad: np.ndarray) -> None:
-            src._accumulate(_scatter_add_axis(src.data.shape, dim, index, grad))
-
-        return Tensor._make(out_data, (self,), backward, self.device)
-
-    def expand(self, *sizes) -> "Tensor":
-        if len(sizes) == 1 and isinstance(sizes[0], (tuple, list)):
-            sizes = tuple(sizes[0])
-        sizes = tuple(
-            self.shape[i - (len(sizes) - self.ndim)] if s == -1 else s
-            for i, s in enumerate(sizes)
-        )
-        out_data = np.broadcast_to(self.data, sizes)
-        src = self
-        shape = self.data.shape
-
-        def backward(grad: np.ndarray) -> None:
-            src._accumulate(_unbroadcast(grad, shape))
-
-        return Tensor._make(np.ascontiguousarray(out_data), (self,), backward, self.device)
 
     # ---- matmul ----------------------------------------------------------------------
 
@@ -807,11 +697,6 @@ class Tensor:
         return Tensor._make(out_data, (a, b), backward, self.device)
 
     __matmul__ = matmul
-
-    def bmm(self, other: "Tensor") -> "Tensor":
-        if self.ndim != 3 or other.ndim != 3:
-            raise RuntimeError("bmm expects 3-D tensors")
-        return self.matmul(other)
 
     # ---- indexing --------------------------------------------------------------------
 
@@ -851,16 +736,6 @@ class Tensor:
         val = value.data if isinstance(value, Tensor) else value
         self.data[key] = val
 
-    def index_select(self, dim: int, index: Union["Tensor", np.ndarray]) -> "Tensor":
-        idx = index.data if isinstance(index, Tensor) else np.asarray(index)
-        out_data = np.take(self.data, idx, axis=dim)
-        src = self
-
-        def backward(grad: np.ndarray) -> None:
-            src._accumulate(_scatter_add_axis(src.data.shape, dim, idx, grad))
-
-        return Tensor._make(out_data, (self,), backward, self.device)
-
     def masked_fill(self, mask: Union["Tensor", np.ndarray], value: float) -> "Tensor":
         m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
         m = np.broadcast_to(m.astype(bool), self.data.shape)
@@ -885,18 +760,5 @@ class Tensor:
             src._accumulate(out_data * (grad - dot))
 
         return Tensor._make(out_data, (self,), backward, self.device)
-
-    def log_softmax(self, dim: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=dim, keepdims=True)
-        logsumexp = np.log(np.exp(shifted).sum(axis=dim, keepdims=True))
-        out_data = shifted - logsumexp
-        soft = np.exp(out_data)
-        src = self
-
-        def backward(grad: np.ndarray) -> None:
-            src._accumulate(grad - soft * grad.sum(axis=dim, keepdims=True))
-
-        return Tensor._make(out_data, (self,), backward, self.device)
-
 
 from .segment import _scatter_add  # noqa: E402  (segment imports Tensor from this module)

@@ -6,7 +6,6 @@ import pytest
 from repro.bench import (
     Breakdown,
     Timer,
-    accuracy,
     average_precision,
     evaluate,
     train,
@@ -69,10 +68,6 @@ class TestAveragePrecision:
         with pytest.raises(ValueError):
             average_precision(np.ones(2), np.ones(3))
 
-    def test_accuracy(self):
-        assert accuracy(np.array([1, 0, 1]), np.array([2.0, -1.0, -2.0])) == pytest.approx(2 / 3)
-        assert accuracy(np.array([]), np.array([])) == 0.0
-
 
 class TestTiming:
     def test_timer_accumulates(self):
@@ -132,8 +127,7 @@ class TestTrainer:
                     train_end=600, eval_end=900)
         assert len(res.epochs) == 2
         assert res.best_ap >= max(e.eval_ap for e in res.epochs) - 1e-12
-        assert res.mean_epoch_seconds > 0
-        assert res.last_epoch_seconds == res.epochs[-1].train_seconds
+        assert all(e.train_seconds > 0 for e in res.epochs)
 
     def test_warm_replay_restores_memory_state(self):
         ds = get_dataset("wiki")

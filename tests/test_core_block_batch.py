@@ -76,7 +76,7 @@ class TestBlockStructure:
         assert nxt.layer_id == 1
         assert nxt.num_dst == head.num_dst + head.num_src
         assert head.tail() is nxt and nxt.head() is head
-        assert head.chain_length() == 2
+        assert nxt.next is None
 
     def test_next_block_without_dst(self, tiny_ctx, tiny_graph):
         head = self._sampled_block(tiny_ctx, tiny_graph)

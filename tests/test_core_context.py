@@ -125,9 +125,9 @@ class TestEmbedCache:
         cache = _EmbedCache(4)
         cache.store(np.array([1]), np.array([0.0]), np.ones((1, 2), dtype=np.float32))
         cache.lookup(np.array([1, 2]), np.array([0.0, 0.0]))
-        assert cache.hit_rate == 0.5
+        assert cache.hits / cache.lookups == 0.5
         cache.clear()
-        assert cache.hit_rate == 0.0
+        assert (cache.hits, cache.lookups) == (0, 0)
 
     def test_empty_query(self):
         cache = _EmbedCache(4)

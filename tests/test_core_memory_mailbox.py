@@ -19,7 +19,7 @@ class TestMemory:
         nodes = np.array([1, 3])
         mem.update(nodes, T.ones(2, 2), np.array([4.0, 5.0]))
         np.testing.assert_allclose(mem.get(nodes).numpy(), np.ones((2, 2)))
-        np.testing.assert_allclose(mem.get_time(nodes), [4, 5])
+        np.testing.assert_allclose(mem.time[nodes], [4, 5])
         # Untouched nodes stay zero.
         assert mem.get(np.array([0])).numpy().sum() == 0
 
@@ -40,19 +40,6 @@ class TestMemory:
         mem.reset()
         assert mem.data.data.sum() == 0 and mem.time.sum() == 0
 
-    def test_backup_restore(self):
-        mem = Memory(3, 2)
-        mem.update(np.array([0]), T.ones(1, 2), np.array([1.0]))
-        mem.backup()
-        mem.update(np.array([0]), T.zeros(1, 2), np.array([2.0]))
-        mem.restore()
-        assert mem.data.data[0].sum() == 2.0
-        assert mem.time[0] == 1.0
-
-    def test_restore_without_backup_raises(self):
-        with pytest.raises(RuntimeError):
-            Memory(2, 2).restore()
-
     def test_to_device_moves_storage(self):
         mem = Memory(4, 2).to("cuda")
         assert mem.device.is_cuda
@@ -69,7 +56,7 @@ class TestMailboxSingleSlot:
         mb = Mailbox(4, 3)
         mb.store(np.array([1, 2]), T.ones(2, 3), np.array([5.0, 6.0]))
         np.testing.assert_allclose(mb.get(np.array([1])).numpy(), np.ones((1, 3)))
-        np.testing.assert_allclose(mb.get_time(np.array([1, 2])), [5, 6])
+        np.testing.assert_allclose(mb.time[np.array([1, 2])], [5, 6])
 
     def test_store_overwrites(self):
         mb = Mailbox(4, 2)

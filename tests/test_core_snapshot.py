@@ -53,12 +53,9 @@ class TestSnapshots:
         with pytest.raises(ValueError):
             snapshots(line_graph, num_snapshots=0)
 
-    def test_nodes_and_adjacency(self, line_graph):
+    def test_nodes(self, line_graph):
         snap = snapshots(line_graph, num_snapshots=4)[0]
-        nodes = snap.nodes()
-        assert len(nodes) > 0
-        rows, cols = snap.adjacency()
-        assert len(rows) == 2 * snap.num_edges
+        assert len(snap.nodes()) > 0
 
     def test_batch_view(self, line_graph):
         snap = snapshots(line_graph, num_snapshots=4)[1]

@@ -56,10 +56,6 @@ class TestProfileDataset:
         assert profile.median_gap > 0
         assert profile.p99_gap >= profile.median_gap
 
-    def test_as_row_keys(self):
-        row = profile_dataset(get_dataset("wiki"), batch_size=200, max_batches=2).as_row()
-        assert {"dataset", "|V|", "|E|", "dedup potential"} <= set(row)
-
     def test_lastfm_more_redundant_than_wikitalk(self):
         """The repeat-heavy dense graph must profile as more optimizable —
         the property behind the paper's per-dataset speedup ordering."""

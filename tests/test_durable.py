@@ -20,8 +20,6 @@ from repro import nn
 from repro.core import Mailbox, Memory, TContext, TGraph, TSampler
 from repro.durable import (
     KIND_BATCH,
-    KIND_DELTA,
-    KIND_MARKER,
     CodecError,
     CursorInvalidated,
     DurableStateStore,
@@ -74,8 +72,15 @@ class TestCodec:
         with pytest.raises(CodecError):
             decode_payload(b"\xff" * 40)
 
+    def test_retired_kinds_stay_reserved(self):
+        """Kinds 2-4 were written by retired record types: no live kind reuses them."""
+        import repro.durable.codec as codec
+
+        live = {v for k, v in vars(codec).items() if k.startswith("KIND_")}
+        assert live and live.isdisjoint({2, 3, 4})
+
     def test_truncation_rejected(self):
-        buf = encode_payload(KIND_DELTA, {}, {"x": np.arange(100.0)})
+        buf = encode_payload(KIND_BATCH, {}, {"x": np.arange(100.0)})
         for cut in (1, len(buf) // 2, len(buf) - 1):
             with pytest.raises(CodecError):
                 decode_payload(buf[:cut])
@@ -422,9 +427,9 @@ class TestDurableStateStore:
         d = str(tmp_path / "s")
         with DurableStateStore(d, fsync="never", segment_bytes=256) as store:
             for i in range(12):
-                store.log_delta({"x": np.full(8, float(i))}, {"i": i})
+                store.log_batch({"x": np.full(8, float(i))}, {"i": i})
             store.snapshot({"state": np.arange(10.0)}, {"upto": 12})
-            after = [store.log_delta({"x": np.full(8, -1.0)}, {"i": 99})]
+            after = [store.log_batch({"x": np.full(8, -1.0)}, {"i": 99})]
             state = store.recover()
             assert state.snapshot_meta == {"upto": 12}
             np.testing.assert_array_equal(
@@ -607,8 +612,8 @@ class TestServeDurability:
 # ---- prefix-consistent WAL tailing (the serve→train transport) --------------------
 
 
-def _marker_payload(i):
-    return encode_payload(KIND_MARKER, {"i": i}, {})
+def _tail_payload(i):
+    return encode_payload(KIND_BATCH, {"i": i}, {})
 
 
 class TestWALCursorTailing:
@@ -618,7 +623,7 @@ class TestWALCursorTailing:
             cursor = WALCursor(d, name="tail")
             seen = []
             for i in range(6):
-                wal.append(_marker_payload(i))
+                wal.append(_tail_payload(i))
                 seen.extend(r.lsn for r in cursor.poll())
                 # the newest committed record is delivered at once
                 assert seen == list(range(1, i + 2))
@@ -629,11 +634,11 @@ class TestWALCursorTailing:
         d = str(tmp_path / "wal")
         with WriteAheadLog(d, fsync="never") as wal:
             for i in range(5):
-                wal.append(_marker_payload(i))
+                wal.append(_tail_payload(i))
         c1 = WALCursor(d, name="tail")
         assert [r.lsn for r in c1.poll()] == [1, 2, 3, 4, 5]
         with WriteAheadLog(d, fsync="never") as wal:
-            wal.append(_marker_payload(5))
+            wal.append(_tail_payload(5))
         c2 = WALCursor(d, name="tail")  # reader process restart
         assert [r.lsn for r in c2.poll()] == [6]
         assert WALCursor(d, name="tail").poll() == []
@@ -642,7 +647,7 @@ class TestWALCursorTailing:
         d = str(tmp_path / "wal")
         with WriteAheadLog(d, fsync="never") as wal:
             for i in range(3):
-                wal.append(_marker_payload(i))
+                wal.append(_tail_payload(i))
         c1 = WALCursor(d, name="tail")
         c1.poll()
         with open(c1.state_path, "w") as fh:
@@ -659,7 +664,7 @@ class TestWALCursorTailing:
             cursor = WALCursor(d, name="tail")
             for b in range(5):
                 inj.advance(0, b)
-                wal.append(_marker_payload(b))
+                wal.append(_tail_payload(b))
                 delivered.extend(cursor.poll())
             delivered.extend(cursor.poll())
             wal.close()
@@ -677,10 +682,10 @@ class TestWALCursorTailing:
             wal = WriteAheadLog(d, fsync="never")
             for b in range(2):
                 inj.advance(0, b)
-                wal.append(_marker_payload(b))
+                wal.append(_tail_payload(b))
             inj.advance(0, 2)
             with pytest.raises(SimulatedDiskCrash):
-                wal.append(_marker_payload(2))
+                wal.append(_tail_payload(2))
             # torn bytes are on disk; the tail must not observe them
             assert [r.lsn for r in cursor.poll()] == [1, 2]
             wal.close()
@@ -688,7 +693,7 @@ class TestWALCursorTailing:
         # the cursor's delivered history (1-2) is untouched, so it keeps
         # tailing seamlessly
         with WriteAheadLog(d, fsync="never") as wal:
-            wal.append(_marker_payload(99))
+            wal.append(_tail_payload(99))
         out = cursor.poll()
         assert [(r.lsn, r.meta["i"]) for r in out] == [(3, 99)]
 
@@ -696,7 +701,7 @@ class TestWALCursorTailing:
         d = str(tmp_path / "wal")
         with WriteAheadLog(d, fsync="never") as wal:
             for i in range(3):
-                wal.append(_marker_payload(i))
+                wal.append(_tail_payload(i))
         cursor = WALCursor(d, name="tail")
         inj = FaultInjector(seed=25, schedules={"disk.read.flip": [(0, 0)]})
         with inj:
@@ -709,9 +714,9 @@ class TestWALCursorTailing:
     def test_lost_fsync_timeline_change_raises(self, tmp_path):
         d = str(tmp_path / "wal")
         wal = WriteAheadLog(d, fsync="never")
-        wal.append(_marker_payload(0))
+        wal.append(_tail_payload(0))
         durable_end = wal._size
-        wal.append(_marker_payload(1))
+        wal.append(_tail_payload(1))
         wal.close()
         cursor = WALCursor(d, name="tail")
         assert [r.lsn for r in cursor.poll()] == [1, 2]
@@ -721,7 +726,7 @@ class TestWALCursorTailing:
             fh.truncate(durable_end)
         # ...and the restarted writer reissues lsn 2 with different content
         with WriteAheadLog(d, fsync="never") as wal2:
-            assert wal2.append(_marker_payload(7)) == 2
+            assert wal2.append(_tail_payload(7)) == 2
         with pytest.raises(CursorInvalidated, match="divergent timeline"):
             cursor.poll()
         # reset redelivers the surviving history; the caller owns dedup
@@ -732,9 +737,9 @@ class TestWALCursorTailing:
     def test_vanished_record_raises(self, tmp_path):
         d = str(tmp_path / "wal")
         wal = WriteAheadLog(d, fsync="never")
-        wal.append(_marker_payload(0))
+        wal.append(_tail_payload(0))
         durable_end = wal._size
-        wal.append(_marker_payload(1))
+        wal.append(_tail_payload(1))
         wal.close()
         cursor = WALCursor(d, name="tail")
         assert [r.lsn for r in cursor.poll()] == [1, 2]
@@ -747,65 +752,16 @@ class TestWALCursorTailing:
         d = str(tmp_path / "wal")
         with WriteAheadLog(d, segment_bytes=64, fsync="never") as wal:
             for i in range(3):
-                wal.append(_marker_payload(i))
+                wal.append(_tail_payload(i))
             cursor = WALCursor(d, name="slow")
             assert [r.lsn for r in cursor.poll()] == [1, 2, 3]
             for i in range(3, 12):
-                wal.append(_marker_payload(i))
+                wal.append(_tail_payload(i))
             sealed_last = wal._segments[-2].last_lsn
             assert sealed_last > 3
             assert wal.compact_below(sealed_last + 1) >= 1
             with pytest.raises(CursorInvalidated, match="compacted past"):
                 cursor.poll()
-
-
-# ---- training-path delta log ------------------------------------------------------
-
-
-class TestTrainerDeltaLog:
-    def test_delta_resume_is_bit_exact(self, tmp_path):
-        from repro.bench import ResilientTrainer
-        from repro.bench.experiments import Experiment, ExperimentConfig
-        from repro.resilience import SimulatedProcessKill
-
-        def experiment():
-            return Experiment(ExperimentConfig(
-                model="tgn", dataset="wiki", framework="tglite+opt", epochs=2,
-                batch_size=300, dim_embed=8, dim_time=8, dim_mem=8,
-                num_layers=1, seed=7,
-            ))
-
-        def fingerprint(exp):
-            return ([p.data.copy() for p in exp.model.parameters()],
-                    exp.g.mem.data.data.copy(), exp.g.mem.time.copy(),
-                    exp.g.mailbox.mail.data.copy(), exp.g.mailbox.time.copy())
-
-        def run(subdir, injector=None, resume=False):
-            exp = experiment()
-            trainer = ResilientTrainer(
-                exp.model, exp.g, exp.optimizer, exp.neg_sampler,
-                batch_size=300, checkpoint_dir=str(tmp_path / subdir),
-                checkpoint_every=2, injector=injector, delta_log=True,
-            )
-            try:
-                result = trainer.train(epochs=2, train_end=900, resume=resume)
-            finally:
-                trainer.close()
-                exp.close()
-            return result, fingerprint(exp)
-
-        _, fp_clean = run("clean")
-        inj = FaultInjector(seed=5, schedules={"process.kill": [(1, 1)]})
-        with pytest.raises(SimulatedProcessKill):
-            run("killed", injector=inj)
-        resumed, fp_resumed = run("killed", resume=True)
-        assert resumed.events[0].kind == "resume"
-        # the delta log fast-forwarded past the last full checkpoint
-        assert "logged deltas" in resumed.events[0].detail
-        for pa, pb in zip(fp_clean[0], fp_resumed[0]):
-            np.testing.assert_array_equal(pa, pb)
-        for xa, xb in zip(fp_clean[1:], fp_resumed[1:]):
-            np.testing.assert_array_equal(xa, xb)
 
 
 # ---- fault-injector registry ------------------------------------------------------

@@ -313,18 +313,3 @@ class TestOutOfOrderAndDuplicateDelivery:
             np.testing.assert_array_equal(cursor, states[0][2])
         # ascending time order within the ring: 3.0, 4.0, 5.0
         np.testing.assert_array_equal(states[0][1][1], [3.0, 4.0, 5.0])
-
-    def test_mailbox_backup_restore_roundtrip(self):
-        mb = tg.Mailbox(3, 2, slots=2)
-        mb.store(np.array([0, 1]),
-                 T.tensor(np.ones((2, 2), dtype=np.float32)),
-                 np.array([1.0, 2.0]))
-        mb.backup()
-        snapshot = (mb.mail.data.copy(), mb.time.copy(), mb._next_slot.copy())
-        mb.store(np.array([0, 2]),
-                 T.tensor(np.full((2, 2), 9.0, dtype=np.float32)),
-                 np.array([5.0, 6.0]))
-        mb.restore()
-        np.testing.assert_array_equal(mb.mail.data, snapshot[0])
-        np.testing.assert_array_equal(mb.time, snapshot[1])
-        np.testing.assert_array_equal(mb._next_slot, snapshot[2])

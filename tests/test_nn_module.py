@@ -33,10 +33,6 @@ class TestRegistration:
         kinds = [type(m).__name__ for m in net.modules()]
         assert kinds == ["Net", "Linear", "Linear"]
 
-    def test_children(self):
-        net = Net()
-        assert len(list(net.children())) == 2
-
     def test_reassignment_replaces(self):
         net = Net()
         net.fc1 = nn.Linear(4, 3)
@@ -49,15 +45,8 @@ class TestRegistration:
     def test_module_list(self):
         ml = nn.ModuleList([nn.Linear(2, 2), nn.Linear(2, 2)])
         assert len(ml) == 2
-        assert len(list(nn.Sequential(nn.Linear(2, 2)).parameters())) == 2
         params = list(ml.parameters())
         assert len(params) == 4
-
-    def test_sequential_forward(self):
-        seq = nn.Sequential(nn.Linear(3, 3), nn.ReLU(), nn.Linear(3, 1))
-        out = seq(T.randn(5, 3))
-        assert out.shape == (5, 1)
-        assert isinstance(seq[1], nn.ReLU)
 
 
 class TestModes:
@@ -124,26 +113,6 @@ class TestDeviceMovement:
 
 
 class TestInit:
-    def test_xavier_uniform_bounds(self):
-        t = T.zeros(50, 50, requires_grad=True)
-        nn.init.xavier_uniform_(t)
-        bound = np.sqrt(6.0 / 100)
-        assert np.abs(t.data).max() <= bound
-
-    def test_xavier_normal_std(self):
-        t = T.zeros(200, 200)
-        nn.init.xavier_normal_(t)
-        assert abs(t.data.std() - np.sqrt(2.0 / 400)) < 2e-3
-
-    def test_constant_and_zeros_ones(self):
-        t = T.zeros(3)
-        nn.init.constant_(t, 4.0)
-        assert np.all(t.data == 4.0)
-        nn.init.ones_(t)
-        assert np.all(t.data == 1.0)
-        nn.init.zeros_(t)
-        assert np.all(t.data == 0.0)
-
     def test_kaiming_nonzero(self):
         t = T.zeros(10, 10)
         nn.init.kaiming_uniform_(t)

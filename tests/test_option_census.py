@@ -42,10 +42,6 @@ KEPT_AGAINST_THE_RULE = {
         "the mem.flip site can rot three tiers and the scrubber must catch "
         "each; the tier is part of the fault, not a tuning value"
     ),
-    "ResilientTrainer.delta_log": (
-        "turns on the training write-ahead log (durability), documented in "
-        "docs/API.md and EXPERIMENTS.md as the caller's choice"
-    ),
     "StoreConfig.hot_capacity": (
         "the row-exact spelling of the hot-tier size: it sizes a space "
         "before its row width is known, and 0 is the off switch"

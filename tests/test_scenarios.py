@@ -100,14 +100,6 @@ class TestStreamInvariants:
         assert (ev.dst >= items_lo).all()
         assert (ev.dst < stream.spec.num_nodes).all()
 
-    def test_phase_bounds_partition_the_stream(self):
-        stream = make_stream("node_churn", num_events=800, seed=7)
-        bounds = stream.phase_bounds()
-        assert bounds[0][1] == 0 and bounds[-1][2] == len(stream)
-        for (_, _, stop), (_, start, _) in zip(bounds, bounds[1:]):
-            assert stop == start
-
-
 # ---- per-generator statistical shape ----------------------------------------------
 
 
@@ -228,10 +220,9 @@ class TestNodeChurn:
         stream = make_stream("node_churn", num_events=2400, seed=13)
         sets = stream.meta["active_sets"]
         genuine = stream.labels == 1
-        for k, (pid, start, stop) in enumerate(stream.phase_bounds()):
-            sel = genuine[start:stop]
-            dst = stream.events.dst[start:stop][sel]
-            assert np.isin(dst, sets[pid]).all(), f"interval {k}"
+        for pid in np.unique(stream.phase):
+            sel = genuine & (stream.phase == pid)
+            assert np.isin(stream.events.dst[sel], sets[pid]).all(), f"phase {pid}"
 
 
 # ---- scoring ----------------------------------------------------------------------

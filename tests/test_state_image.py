@@ -81,20 +81,15 @@ def test_layout_is_declared_once(kind):
     assert part.state_digest() == array_digest(*tables)
 
 
-def test_digest_backup_and_image_cover_every_table(kind):
+def test_digest_and_image_cover_every_table(kind):
     component, slots = kind
     g = _graph(slots)
     part = _part(g, component)
     clean = part.state_digest()
     saved = {key: table.copy() for key, table in state_image(g.mem, g.mailbox).items()}
 
-    part.backup()
     _bump_last_table(part.tables())
     assert part.state_digest() != clean
-    part.restore()
-    assert part.state_digest() == clean
-
-    _bump_last_table(part.tables())
     load_state_image(saved, g.mem, g.mailbox)
     assert part.state_digest() == clean
 
@@ -126,7 +121,7 @@ def test_serve_snapshot_round_trip(kind, tmp_path):
     assert part.state_digest() == clean
 
 
-def test_trainer_snapshot_and_delta(kind, tmp_path):
+def test_trainer_snapshot_round_trip(kind, tmp_path):
     component, slots = kind
     g, model = _graph(slots), _Tiny()
     part = _part(g, component)
@@ -137,18 +132,9 @@ def test_trainer_snapshot_and_delta(kind, tmp_path):
     clean = part.state_digest()
     snap = trainer._snapshot()
     _bump_last_table(part.tables())
-    changed = part.state_digest()
-    assert changed != clean
-
-    delta = trainer._build_delta(snap)
-    last_key = list(part.image())[-1]
-    for key in state_image(g.mem, g.mailbox):
-        assert list(delta["rows/" + key]) == ([ROW] if key == last_key else [])
-
+    assert part.state_digest() != clean
     trainer._restore_snapshot(snap)
     assert part.state_digest() == clean
-    trainer._apply_delta(delta)
-    assert part.state_digest() == changed
 
 
 def _applied_replica(tmp_path, name, slots):

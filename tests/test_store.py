@@ -206,7 +206,7 @@ class TestPrefetchAccounting:
         assert store.estimate_fetch_seconds(np.array([1]), space="nfeat") == 0.0
 
 
-class TestRefreshAndRebind:
+class TestRefresh:
     def test_refresh_overwrites_resident_rows(self):
         table = rows_for(np.arange(10)).copy()
         store = TieredFeatureStore(StoreConfig(prefetch_depth=0))
@@ -217,21 +217,6 @@ class TestRefreshAndRebind:
         assert store.refresh(nodes, "mem") >= 1
         got = store.get(np.array([2]), None, space="mem")
         np.testing.assert_array_equal(got[0], np.full(4, 99.0, np.float32))
-
-    def test_rebind_source_drops_cached_tiers(self):
-        store = TieredFeatureStore(StoreConfig(prefetch_depth=0))
-        store.register_source("mem", rows_for(np.arange(10)))
-        store.get(np.array([1]), None, space="mem")
-        fresh = rows_for(np.arange(10)) + 1.0
-        store.rebind_source("mem", fresh)
-        got = store.get(np.array([1]), None, space="mem")
-        np.testing.assert_array_equal(got, fresh[1:2])
-
-    def test_rebind_non_source_space_rejected(self):
-        store = TieredFeatureStore()
-        store.put(np.array([0]), None, rows_for([0]), space="embed:0")
-        with pytest.raises(ValueError):
-            store.rebind_source("embed:0", rows_for(np.arange(4)))
 
 
 class TestEvictionDeterminism:

@@ -49,33 +49,27 @@ class TestPlacementAndTransfers:
     def test_to_cuda_records_transfer(self):
         a = T.tensor(np.zeros(1000, dtype=np.float32))
         before = runtime.transfer_stats.bytes
-        b = a.cuda()
+        b = a.to("cuda")
         assert b.device is CUDA
         assert runtime.transfer_stats.bytes - before == 4000
 
     def test_round_trip_preserves_values(self):
         a = T.tensor([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(a.cuda().cpu().numpy(), a.numpy())
+        np.testing.assert_allclose(a.to("cuda").cpu().numpy(), a.numpy())
 
     def test_pinned_transfer_counted_separately(self):
-        a = T.tensor(np.zeros(10, dtype=np.float32)).pin_memory()
+        a = Tensor(np.zeros(10, dtype=np.float32), pinned=True)
         assert a.pinned
-        a.cuda()
+        a.to("cuda")
         assert runtime.transfer_stats.pinned_bytes == 40
-
-    def test_pin_memory_idempotent_and_cuda_noop(self):
-        a = T.tensor([1.0]).pin_memory()
-        assert a.pin_memory() is a
-        c = T.tensor([1.0], device="cuda")
-        assert c.pin_memory() is c
 
     def test_simulated_seconds_use_bandwidths(self):
         runtime.pageable_bandwidth = 1e6
         runtime.pinned_bandwidth = 4e6
         data = np.zeros(250_000, dtype=np.float32)  # 1 MB
-        T.tensor(data).cuda()
+        T.tensor(data).to("cuda")
         assert abs(runtime.transfer_stats.simulated_seconds - 1.0) < 1e-6
-        T.tensor(data).pin_memory().cuda()
+        Tensor(data, pinned=True).to("cuda")
         assert abs(runtime.transfer_stats.simulated_seconds - 1.25) < 1e-6
 
     def test_cost_spin_waits_when_enabled(self):
@@ -85,11 +79,11 @@ class TestPlacementAndTransfers:
         runtime.pageable_bandwidth = 1e6  # 1 MB/s
         data = np.zeros(25_000, dtype=np.float32)  # 100 KB -> 0.1 s
         t0 = time.perf_counter()
-        T.tensor(data).cuda()
+        T.tensor(data).to("cuda")
         assert time.perf_counter() - t0 >= 0.09
 
     def test_stats_reset(self):
-        T.tensor([1.0]).cuda()
+        T.tensor([1.0]).to("cuda")
         runtime.reset()
         assert runtime.transfer_stats.bytes == 0
 

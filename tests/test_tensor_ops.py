@@ -25,9 +25,8 @@ class TestCreation:
     def test_zeros_accepts_shape_tuple(self):
         assert T.zeros((4, 5)).shape == (4, 5)
 
-    def test_arange_and_eye(self):
+    def test_arange(self):
         assert T.arange(5).tolist() == [0, 1, 2, 3, 4]
-        assert np.allclose(T.eye(3).numpy(), np.eye(3))
 
     def test_randn_seeded_reproducible(self):
         T.manual_seed(5)
@@ -35,14 +34,6 @@ class TestCreation:
         T.manual_seed(5)
         b = T.randn(4).numpy()
         np.testing.assert_array_equal(a, b)
-
-    def test_randint_range(self):
-        vals = T.randint(3, 9, (100,)).numpy()
-        assert vals.min() >= 3 and vals.max() < 9
-
-    def test_as_tensor_passthrough(self):
-        t = T.tensor([1.0])
-        assert T.as_tensor(t) is t
 
     def test_float64_input_downcast(self):
         t = T.tensor(np.array([1.0, 2.0], dtype=np.float64))
@@ -83,15 +74,6 @@ class TestArithmetic:
         b = T.tensor(np.arange(12, dtype=np.float32).reshape(3, 4))
         np.testing.assert_allclose((a @ b).numpy(), a.numpy() @ b.numpy())
 
-    def test_bmm(self):
-        a = T.randn(4, 2, 3)
-        b = T.randn(4, 3, 5)
-        np.testing.assert_allclose(a.bmm(b).numpy(), np.matmul(a.numpy(), b.numpy()), rtol=1e-5)
-
-    def test_bmm_requires_3d(self):
-        with pytest.raises(RuntimeError):
-            T.randn(2, 3).bmm(T.randn(3, 2))
-
 
 class TestElementwise:
     def test_exp_log_roundtrip(self):
@@ -108,10 +90,6 @@ class TestElementwise:
         np.testing.assert_allclose(a.sigmoid().numpy(), 1 / (1 + np.exp([1.0, 0.0, -1.0])), rtol=1e-5)
         np.testing.assert_allclose(a.tanh().numpy(), np.tanh([-1, 0, 1]), rtol=1e-5)
         np.testing.assert_allclose(a.relu().numpy(), [0, 0, 1])
-
-    def test_leaky_relu(self):
-        a = T.tensor([-2.0, 3.0])
-        np.testing.assert_allclose(a.leaky_relu(0.1).numpy(), [-0.2, 3.0], rtol=1e-6)
 
     def test_clamp(self):
         a = T.tensor([-2.0, 0.5, 3.0])
@@ -146,9 +124,6 @@ class TestReductions:
         np.testing.assert_allclose(values.numpy(), [1, 2])
         assert a.min().item() == 1.0
 
-    def test_norm(self):
-        assert abs(T.tensor([3.0, 4.0]).norm().item() - 5.0) < 1e-6
-
 
 class TestShapes:
     def test_reshape_view(self):
@@ -156,10 +131,9 @@ class TestShapes:
         assert a.reshape(2, 3).shape == (2, 3)
         assert a.view(3, 2).shape == (3, 2)
 
-    def test_transpose_permute(self):
+    def test_transpose(self):
         a = T.randn(2, 3, 4)
         assert a.transpose(0, 2).shape == (4, 3, 2)
-        assert a.permute(2, 0, 1).shape == (4, 2, 3)
 
     def test_T_property(self):
         a = T.randn(2, 5)
@@ -173,15 +147,6 @@ class TestShapes:
         assert a.squeeze().shape == (2, 3)
         assert a.unsqueeze(0).shape == (1, 2, 1, 3)
         assert a.unsqueeze(-1).shape == (2, 1, 3, 1)
-
-    def test_expand(self):
-        a = T.randn(1, 3)
-        assert a.expand(4, 3).shape == (4, 3)
-        assert a.expand(4, -1).shape == (4, 3)
-
-    def test_repeat_interleave(self):
-        a = T.tensor([[1.0], [2.0]])
-        np.testing.assert_allclose(a.repeat_interleave(2, dim=0).numpy(), [[1], [1], [2], [2]])
 
     def test_cat_and_stack(self):
         a, b = T.ones(2, 3), T.zeros(2, 3)
@@ -205,11 +170,6 @@ class TestIndexing:
         idx = T.tensor([2, 1], dtype=np.int64)
         np.testing.assert_allclose(a[idx].numpy(), [30, 20])
 
-    def test_index_select(self):
-        a = T.randn(4, 5)
-        out = a.index_select(1, np.array([4, 0]))
-        np.testing.assert_allclose(out.numpy(), a.numpy()[:, [4, 0]])
-
     def test_setitem_on_leaf(self):
         a = T.zeros(3)
         a[np.array([1])] = T.tensor([5.0])
@@ -231,18 +191,9 @@ class TestIndexing:
         out = T.index_put(base, np.array([1, 3]), T.ones(2, 2))
         np.testing.assert_allclose(out.numpy(), [[0, 0], [1, 1], [0, 0], [1, 1]])
 
-    def test_scatter_rows_accumulates(self):
-        vals = T.tensor([[1.0], [2.0], [3.0]])
-        out = T.scatter_rows(2, np.array([0, 1, 0]), vals)
-        np.testing.assert_allclose(out.numpy(), [[4], [2]])
-
     def test_where(self):
         out = T.where(np.array([True, False]), T.tensor([1.0, 1.0]), T.tensor([2.0, 2.0]))
         np.testing.assert_allclose(out.numpy(), [1, 2])
-
-    def test_one_hot(self):
-        out = T.one_hot(np.array([0, 2]), 3)
-        np.testing.assert_allclose(out.numpy(), [[1, 0, 0], [0, 0, 1]])
 
     def test_unique(self):
         vals, inv = T.unique(T.tensor([3, 1, 3, 2], dtype=np.int64), return_inverse=True)
@@ -259,12 +210,6 @@ class TestSoftmaxAndComparisons:
     def test_softmax_shift_invariant(self):
         a = T.tensor([1.0, 2.0, 3.0])
         np.testing.assert_allclose(a.softmax().numpy(), (a + 100.0).softmax().numpy(), rtol=1e-5)
-
-    def test_log_softmax_consistency(self):
-        a = T.randn(3, 4)
-        np.testing.assert_allclose(
-            a.log_softmax(dim=1).numpy(), np.log(a.softmax(dim=1).numpy()), atol=1e-5
-        )
 
     def test_comparisons_return_bool_tensors(self):
         a = T.tensor([1.0, 2.0, 3.0])
@@ -286,18 +231,11 @@ class TestMisc:
         assert T.tensor([7.0]).item() == 7.0
         assert len(T.zeros(4, 2)) == 4
 
-    def test_numel_size_dim(self):
+    def test_size_dim(self):
         a = T.zeros(3, 4)
-        assert a.numel() == 12
         assert a.size() == (3, 4)
         assert a.size(1) == 4
         assert a.dim() == 2
-
-    def test_clone_is_independent(self):
-        a = T.tensor([1.0, 2.0])
-        b = a.clone()
-        b.data[0] = 99.0
-        assert a.numpy()[0] == 1.0
 
     def test_detach_shares_data(self):
         a = T.tensor([1.0], requires_grad=True)
@@ -308,9 +246,9 @@ class TestMisc:
 
     def test_astype_conversions(self):
         a = T.tensor([1.5, 2.5])
-        assert a.long().dtype == np.int64
+        assert a.astype(np.int64).dtype == np.int64
         assert a.bool().dtype == np.bool_
-        assert a.long().float().dtype == np.float32
+        assert a.astype(np.int64).float().dtype == np.float32
 
     def test_requires_grad_rejects_ints(self):
         with pytest.raises(TypeError):

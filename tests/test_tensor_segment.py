@@ -163,10 +163,6 @@ class TestForwardBitContract:
         out = segment_sum(T.tensor(self.data), self.ids, 300).numpy()
         assert (out == scatter_add_reference((300, 8), self.ids, self.data)).all()
 
-    def test_scatter_rows(self):
-        out = T.scatter_rows(300, self.ids, T.tensor(self.data)).numpy()
-        assert (out == scatter_add_reference((300, 8), self.ids, self.data)).all()
-
     def test_segment_softmax(self):
         scores = self.data[:, :2]
         maxes = np.full((300, 2), np.finfo(np.float32).min, dtype=np.float32)

@@ -27,8 +27,6 @@ class TestTrainResult:
     def test_empty_result_defaults(self):
         result = TrainResult()
         assert result.best_ap == 0.0
-        assert result.mean_epoch_seconds == 0.0
-        assert result.last_epoch_seconds == 0.0
 
     def test_best_ap_is_max(self):
         result = TrainResult(epochs=[
@@ -37,7 +35,6 @@ class TestTrainResult:
             EpochResult(2, 1.0, 0.3, 0.1, 0.8),
         ])
         assert result.best_ap == 0.9
-        assert result.mean_epoch_seconds == 1.0
 
 
 class TestEdgeRanges:
