@@ -304,7 +304,7 @@ def test_kernel_microbench():
     ]:
         grads = rng.standard_normal((len(ids), width)).astype(np.float32)
         want = scatter_add_reference((segments, width), ids, grads)
-        np.testing.assert_allclose(_scatter_add((segments, width), ids, grads), want, atol=1e-4)
+        assert (_scatter_add((segments, width), ids, grads) == want).all()
         ref = timeit(lambda: scatter_add_reference((segments, width), ids, grads), repeat=7)
         vec = timeit(lambda: _scatter_add((segments, width), ids, grads), repeat=7)
         record(name, ref, vec, f"{len(ids)} -> {segments} x {width}")
@@ -395,6 +395,6 @@ def test_kernel_microbench():
     assert speedups["jodie_update_memory"] >= 1.0
     assert speedups["apan_update_memory"] >= 1.0
     # One fused attention node instead of a concat and ~25 tape nodes
-    # (measured ~2.5x dense, ~3.5x keyed here).
+    # (measured ~3.4x dense, ~5.4x keyed here).
     assert speedups["segment_attention_dense"] >= 1.5
     assert speedups["segment_attention_keyed"] >= 1.5

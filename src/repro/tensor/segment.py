@@ -4,7 +4,10 @@ TGLite's block operators ``edge_reduce`` and ``edge_softmax`` are segmented
 computations: each destination node owns a contiguous-or-not group of edge
 rows, identified by a segment-id vector, and a reduction or normalization is
 applied within each group.  These kernels are the autograd-aware numpy
-equivalents of the fused CUDA segment kernels the paper relies on.
+equivalents of the fused CUDA segment kernels the paper relies on.  Sums
+by key — gradient scatter-adds, the attention's per-segment sums — are
+sparse × dense products (``scipy.sparse``), which add rows in order: the
+bits of a sequential ``np.add.at`` at a fraction of its cost.
 """
 
 from __future__ import annotations
@@ -35,29 +38,37 @@ def _ids(segment_ids) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _onehot_t(key: np.ndarray, num_keys: int, dtype):
+    """``onehot(key)ᵀ``, so that ``_onehot_t(key, m, dt) @ x`` sums *x*'s rows per key.
+
+    ``onehot(key)`` is the CSR matrix with one 1 per row (``indptr`` is
+    ``arange``); its transpose reads the same arrays as CSC, so nothing is
+    sorted, and scipy adds the rows of *x* in order: bit for bit a
+    sequential ``np.add.at``.  Imported on first use: at module level
+    ``scipy.sparse`` would cost every fresh process ~0.15 s.
+    """
+    from scipy import sparse
+
+    n = len(key)
+    if n and not 0 <= key.min() <= key.max() < num_keys:
+        raise IndexError(f"key out of range for {num_keys} rows")
+    return sparse.csc_array((np.ones(n, dtype), key, np.arange(n + 1)), shape=(num_keys, n))
+
+
 def _scatter_add(shape, key, values: np.ndarray) -> np.ndarray:
-    """``out = zeros(shape); out[key] += values``, repeated targets summed.
+    """``out = zeros(shape); out[key] += values``, repeated targets summed in order.
 
     The one scatter-add behind every *gradient* (the index backward,
-    ``segment_softmax``'s backward dot).
-    Non-negative 1-D integer ids with one value row each are summed per
-    column by ``np.bincount`` when rows are narrow, or by ``np.add.reduceat``
-    over runs when already non-decreasing (the sampler emits ``dstindex``
-    sorted); the rest is ``np.add.at``.  The fast paths associate float32
-    sums differently, which is why the forward kernels below avoid them.
+    ``segment_softmax``'s backward dot).  A 1-D integer key (negative ids
+    count from the end) is :func:`_onehot_t`'s product, bit for bit a
+    sequential ``np.add.at``; tuple and mask keys take ``np.add.at`` itself.
     """
+    if isinstance(key, np.ndarray) and key.ndim == 1 and key.dtype.kind in "iu":
+        key = np.where(key < 0, key + shape[0], key)
+        flat = values.reshape(len(key), int(np.prod(shape[1:])))
+        return (_onehot_t(key, shape[0], values.dtype) @ flat).reshape(shape)
     out = np.zeros(shape, dtype=values.dtype)
-    rows = (isinstance(key, np.ndarray) and key.ndim == 1 and key.dtype.kind in "iu" and len(key)
-            and key.min() >= 0 and values.shape == key.shape + out.shape[1:])
-    if rows and values[0].size <= 4:
-        flat, cols = out.reshape(len(out), -1), values.reshape(len(key), -1)
-        for c in range(cols.shape[1]):
-            flat[:, c] = np.bincount(key, weights=cols[:, c], minlength=len(out))
-    elif rows and (key[1:] >= key[:-1]).all():
-        starts = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
-        out[key[starts]] = np.add.reduceat(values, starts, axis=0)
-    else:
-        np.add.at(out, key, values)
+    np.add.at(out, key, values)
     return out
 
 
@@ -139,22 +150,6 @@ def segment_softmax(scores: Tensor, segment_ids, num_segments: int) -> Tensor:
     return Tensor._make(out_data, (scores,), backward, scores.device)
 
 
-def _runs(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Start offset and length of every run of equal values in non-decreasing *ids*."""
-    starts = np.flatnonzero(np.append(True, ids[1:] != ids[:-1]))
-    return starts, np.diff(np.append(starts, len(ids)))
-
-
-def _sum_columns_by_key(values_t: np.ndarray, key: np.ndarray, num_keys: int) -> np.ndarray:
-    """``out[:, j] = values_t[:, key == j].sum(axis=1)`` for unsorted *key*."""
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts, _ = _runs(key)
-    out = np.zeros((len(values_t), num_keys), dtype=values_t.dtype)
-    out[:, key[starts]] = np.add.reduceat(np.take(values_t, order, axis=1), starts, axis=1)
-    return out
-
-
 def segment_attention(
     q: Tensor,
     parts: Sequence[Part],
@@ -172,10 +167,11 @@ def segment_attention(
     dot(q[segment_ids], K) / sqrt(d_head) -> segment_softmax -> segment_sum
     of the weighted V`` computes, without the concat: every part is
     projected by its own column slice of ``[w_k; w_v]`` (K and V from one
-    matmul, partial products added, bias once).  A keyed part ``(rows,
-    index)`` is projected once per row of ``rows`` and gathered, and its
-    gradient is summed back per row before the weight-gradient matmul, so
-    nothing is ever as wide as the input *and* as long as the segment ids.
+    matmul), partial products are added in part order and the bias last.  A
+    keyed part ``(rows, index)`` is projected once per row of ``rows`` and
+    gathered (the bits of its dense expansion ``rows[index]``); its gradient
+    is ``onehot(index)ᵀ @ d_kv``, summed per row before the weight-gradient
+    matmul.  Nothing is as wide as the input *and* as long as the ids.
 
     Args:
         q: ``(num_segments, dim_out)`` projected queries.
@@ -184,15 +180,17 @@ def segment_attention(
         w_k, b_k, w_v, b_v: ``(dim_out, in_features)`` weights and optional
             ``(dim_out,)`` biases of the key and value projections.
         segment_ids: ``(num_rows,)`` segment of each row.  Non-decreasing ids
-            (the sampler's order) are reduced in place; anything else is
+            (the sampler's order) are used as they are; anything else is
             stably sorted first and the gradient un-permuted.
         num_segments: number of queries; segments without rows yield zeros.
         num_heads: heads ``dim_out`` is split into.
 
     Returns the ``(num_segments, dim_out)`` aggregate.  The backward is one
     closure; it computes input gradients only for parts that require them.
-    Everything runs feature-major — ``(dim, num_rows)`` — so every segment
-    reduction is an ``np.add.reduceat`` along the contiguous axis.
+    K/V is edge-major, ``(num_rows, 2 dim_out)``: per-segment sums (the
+    weighted V, ``d q``) are ``onehot(ids)ᵀ @ x``; the softmax's max and sum
+    are ``np.add.reduceat`` runs over the small ``(heads, num_rows)`` scores.
+    ``b_k``'s gradient is exactly 0: softmax is shift-invariant per segment.
     """
     ids = _ids(segment_ids)
     n, dim = len(ids), q.shape[1]
@@ -206,66 +204,63 @@ def segment_attention(
         return Tensor(np.zeros((num_segments, dim), dtype=q.dtype), device=q.device)
 
     weight = np.concatenate([w_k.data, w_v.data])  # (2 dim, in_features)
-    kv_t, col = None, 0
+    kv, col = None, 0
     for rows, index in keyed:
-        proj_t = weight[:, col:col + rows.shape[1]] @ rows.data.T
+        proj = rows.data @ weight[:, col:col + rows.shape[1]].T
         if index is not None:
-            proj_t = np.take(proj_t, index, axis=1)
-        kv_t = proj_t if kv_t is None else np.add(kv_t, proj_t, out=kv_t)
+            proj = proj.take(index, axis=0)
+        kv = proj if kv is None else np.add(kv, proj, out=kv)
         col += rows.shape[1]
-    zero = np.zeros(dim, dtype=kv_t.dtype)
-    kv_t += np.concatenate([zero if b_k is None else b_k.data,
-                            zero if b_v is None else b_v.data])[:, None]
+    zero = np.zeros(dim, dtype=kv.dtype)
+    kv += np.concatenate([zero if b_k is None else b_k.data, zero if b_v is None else b_v.data])
 
     order = None
     if (ids[1:] < ids[:-1]).any():
         order = np.argsort(ids, kind="stable")
-        ids, kv_t = ids[order], np.take(kv_t, order, axis=1)
-    starts, counts = _runs(ids)
-    segs = ids[starts]
+        ids, kv = ids[order], kv.take(order, axis=0)
+    starts = np.flatnonzero(np.append(True, ids[1:] != ids[:-1]))  # where each run of ids starts
+    counts = np.diff(np.append(starts, n))
+    seg = _onehot_t(ids, num_segments, kv.dtype)
 
     d_head = dim // num_heads
-    scale = np.asarray(1.0 / np.sqrt(d_head), dtype=kv_t.dtype)
+    scale = np.asarray(1.0 / np.sqrt(d_head), dtype=kv.dtype)
 
-    def per_head(x_t: np.ndarray) -> np.ndarray:
-        return x_t.reshape(num_heads, d_head, n)
+    def per_head(x: np.ndarray) -> np.ndarray:
+        return x.reshape(n, num_heads, d_head)
 
-    k_h, v_h = per_head(kv_t[:dim]), per_head(kv_t[dim:])
-    q_h = per_head(np.repeat(q.data[segs].T, counts, axis=1))  # each row's query
-    scores = (q_h * k_h).sum(axis=1) * scale  # (num_heads, n)
+    k, v = per_head(kv[:, :dim]), per_head(kv[:, dim:])
+    scores = np.einsum("nhd,nhd->hn", per_head(q.data.take(ids, axis=0)), k) * scale
     scores -= np.repeat(np.maximum.reduceat(scores, starts, axis=1), counts, axis=1)
     attn = np.exp(scores, out=scores)
     denom = np.maximum(np.add.reduceat(attn, starts, axis=1), np.finfo(attn.dtype).tiny)
     attn /= np.repeat(denom, counts, axis=1)
-    out_data = np.zeros((num_segments, dim), dtype=kv_t.dtype)
-    out_data[segs] = np.add.reduceat((v_h * attn[:, None]).reshape(dim, n), starts, axis=1).T
+    out_data = seg @ np.einsum("nhd,hn->nhd", v, attn).reshape(n, dim)
 
     def backward(grad: np.ndarray) -> None:
-        g_h = per_head(np.repeat(grad[segs].T, counts, axis=1))
-        d_kv_t = np.empty_like(kv_t)
-        np.multiply(g_h, attn[:, None], out=per_head(d_kv_t[dim:]))
-        d_attn = (g_h * v_h).sum(axis=1)
+        g = per_head(grad.take(ids, axis=0))
+        d_kv = np.empty_like(kv)
+        np.einsum("nhd,hn->nhd", g, attn, out=per_head(d_kv[:, dim:]))
+        d_attn = np.einsum("nhd,nhd->hn", g, v)
         seg_dot = np.add.reduceat(d_attn * attn, starts, axis=1)
-        d_scores = (attn * (d_attn - np.repeat(seg_dot, counts, axis=1)) * scale)[:, None]
-        np.multiply(q_h, d_scores, out=per_head(d_kv_t[:dim]))
+        d_scores = attn * (d_attn - np.repeat(seg_dot, counts, axis=1)) * scale
+        np.einsum("nhd,hn->nhd", per_head(q.data.take(ids, axis=0)), d_scores,
+                  out=per_head(d_kv[:, :dim]))
         if q.requires_grad:
-            d_q = np.zeros_like(q.data)
-            d_q[segs] = np.add.reduceat((k_h * d_scores).reshape(dim, n), starts, axis=1).T
-            q._accumulate(d_q, own=True)
+            q._accumulate(seg @ np.einsum("nhd,hn->nhd", k, d_scores).reshape(n, dim), own=True)
         if order is not None:
-            d_sorted, d_kv_t = d_kv_t, np.empty_like(d_kv_t)
-            d_kv_t[:, order] = d_sorted
-        d_bias = d_kv_t.sum(axis=1)
-        for bias, piece in ((b_k, d_bias[:dim]), (b_v, d_bias[dim:])):
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(piece)
+            d_sorted, d_kv = d_kv, np.empty_like(d_kv)
+            d_kv[order] = d_sorted
+        if b_k is not None and b_k.requires_grad:
+            b_k._accumulate(np.zeros_like(b_k.data), own=True)
+        if b_v is not None and b_v.requires_grad:
+            b_v._accumulate(np.einsum("nc->c", d_kv[:, dim:]), own=True)
         d_weight, col = np.empty_like(weight), 0
         for rows, index in keyed:
-            g_part = d_kv_t if index is None else _sum_columns_by_key(d_kv_t, index, len(rows))
+            g_part = d_kv if index is None else _onehot_t(index, len(rows), d_kv.dtype) @ d_kv
             cols = slice(col, col + rows.shape[1])
-            d_weight[:, cols] = g_part @ rows.data
+            d_weight[:, cols] = g_part.T @ rows.data
             if rows.requires_grad:
-                rows._accumulate(g_part.T @ weight[:, cols], own=True)
+                rows._accumulate(g_part @ weight[:, cols], own=True)
             col = cols.stop
         if w_k.requires_grad:
             w_k._accumulate(d_weight[:dim], own=True)

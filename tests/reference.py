@@ -3,8 +3,8 @@
 They live here, not under ``src/``, so the shipped code has one path:
 
 * :func:`scatter_add_reference` — sequential ``np.add.at``, the contract of
-  both the backward scatter kernel (to float tolerance) and the forward
-  segment kernels (bit for bit, in float32).
+  both the backward scatter kernel and the forward segment kernels (bit
+  for bit).
 * :func:`per_row_update_memory` / :func:`per_row_compute_embeddings` — the
   memory models (TGN, JODIE, APAN) the way they ran before node-keyed state
   went per unique node: index memory, mail and features by row lists for

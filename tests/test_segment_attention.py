@@ -86,20 +86,35 @@ class TestAgainstComposedReference:
         _assert_matches_composed(*problem, ids, 40, 2, rng)
 
     def test_keyed_and_dense_parts_agree(self):
-        rng = np.random.default_rng(1)
-        ids = np.sort(rng.integers(0, 25, 200))
-        q, parts, w_k, w_v = _problem(rng, 25, ids, 2, (6, 4), (True, False), (True, True))
-        rows, index = parts[0]
-        seed_grad = rng.standard_normal((25, q.shape[1])).astype(np.float32)
-        keyed = _outputs_and_grads(_fused, q, parts, w_k, w_v, ids, 25, 2, seed_grad)
-        expanded = Tensor(rows.data[index], requires_grad=True)
-        dense = _outputs_and_grads(_fused, q, [expanded, parts[1]], w_k, w_v, ids, 25, 2,
-                                   seed_grad)
-        np.testing.assert_allclose(keyed[0], dense[0], atol=1e-5, rtol=0)
-        summed = np.zeros_like(rows.data)
-        np.add.at(summed, index, dense[1][1])  # the dense part's gradient, summed per key
-        for grad, ref in zip(keyed[1], [dense[1][0], summed, *dense[1][2:]]):
-            np.testing.assert_allclose(grad, ref, rtol=1e-4, atol=1e-5)
+        """A keyed part gives its dense expansion's forward bits, and its gradient
+        summed per key.
+
+        Both are projected, added in part order and biased the same way, so the
+        forward is exact as far as BLAS gives a row of ``rows @ W`` the same
+        bits whatever the number of rows.  That holds once each product has
+        over ~2 k outputs; below that boundary OpenBLAS takes gemv for a
+        one-row product and, on AVX-512 hosts, a small-matrix kernel for one
+        of at most 1 200 outputs, and keyed and dense agree to rounding only.
+        The layers' keyed parts have hundreds of rows.
+        """
+        # (seed, part widths, heads, d_head): the original narrow draw, TGAT's widths, one head
+        for seed, widths, heads, d_head in [(1, (6, 4), 2, 3), (2, (172, 32), 2, 16),
+                                            (3, (100, 8), 1, 50)]:
+            rng = np.random.default_rng(seed)
+            ids = np.sort(rng.integers(0, 25, 200))
+            q, parts, w_k, w_v = _problem(rng, 25, ids, heads, widths, (True, False),
+                                          (True, True), d_head=d_head)
+            rows, index = parts[0]
+            seed_grad = rng.standard_normal((25, q.shape[1])).astype(np.float32)
+            keyed = _outputs_and_grads(_fused, q, parts, w_k, w_v, ids, 25, heads, seed_grad)
+            expanded = Tensor(rows.data[index], requires_grad=True)
+            dense = _outputs_and_grads(_fused, q, [expanded, parts[1]], w_k, w_v, ids, 25,
+                                       heads, seed_grad)
+            assert (keyed[0] == dense[0]).all(), widths
+            summed = np.zeros_like(rows.data)
+            np.add.at(summed, index, dense[1][1])  # the dense part's gradient, summed per key
+            for grad, ref in zip(keyed[1], [dense[1][0], summed, *dense[1][2:]]):
+                np.testing.assert_allclose(grad, ref, rtol=1e-4, atol=1e-5)
 
     def test_no_rows_gives_a_constant_zero(self):
         q, parts, w_k, w_v = _problem(np.random.default_rng(2), 4, np.empty(0, np.int64), 1,
@@ -121,15 +136,34 @@ class TestAgainstComposedReference:
            heads=st.sampled_from([1, 2]), sort=st.booleans())
     def test_random_layouts(self, data, num_dst, num_src, heads, sort):
         """Empty segments, single-neighbor destinations, no rows at all, unsorted ids."""
-        ids = np.asarray(data.draw(st.lists(st.integers(0, num_dst - 1), min_size=num_src,
-                                            max_size=num_src)), dtype=np.int64)
-        ids = np.sort(ids) if sort else ids
-        num_parts = data.draw(st.integers(1, 3))
-        flags = st.lists(st.booleans(), min_size=num_parts, max_size=num_parts)
-        widths = data.draw(st.lists(st.integers(1, 4), min_size=num_parts, max_size=num_parts))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        problem = _problem(rng, num_dst, ids, heads, widths, data.draw(flags), data.draw(flags))
+        problem, ids, rng = _drawn_problem(data, num_dst, num_src, heads, sort)
         _assert_matches_composed(*problem, ids, num_dst, heads, rng)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), num_dst=st.integers(1, 6), num_src=st.integers(1, 14),
+           heads=st.sampled_from([1, 2]), sort=st.booleans())
+    def test_key_bias_gradient_is_exactly_zero(self, data, num_dst, num_src, heads, sort):
+        """Adding ``b_k`` to every key shifts a segment's scores by one constant per
+        head, which its softmax ignores: the gradient is 0, not rounding noise
+        that Adam would scale up into lr-sized steps."""
+        (q, parts, w_k, w_v), ids, rng = _drawn_problem(data, num_dst, num_src, heads, sort)
+        out = _fused(q, parts, w_k, w_v, ids, num_dst, heads)
+        out.backward(rng.standard_normal(out.shape).astype(np.float32))
+        assert w_k.bias.grad is not None and not w_k.bias.grad.any()
+        assert w_v.bias.grad.any()
+
+
+def _drawn_problem(data, num_dst, num_src, heads, sort):
+    """A hypothesis-drawn :func:`_problem`, its segment ids and its rng."""
+    ids = np.asarray(data.draw(st.lists(st.integers(0, num_dst - 1), min_size=num_src,
+                                        max_size=num_src)), dtype=np.int64)
+    ids = np.sort(ids) if sort else ids
+    num_parts = data.draw(st.integers(1, 3))
+    flags = st.lists(st.booleans(), min_size=num_parts, max_size=num_parts)
+    widths = data.draw(st.lists(st.integers(1, 4), min_size=num_parts, max_size=num_parts))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    problem = _problem(rng, num_dst, ids, heads, widths, data.draw(flags), data.draw(flags))
+    return problem, ids, rng
 
 
 @pytest.fixture(scope="module")

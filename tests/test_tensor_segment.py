@@ -1,8 +1,13 @@
 """Unit and gradient tests for the segmented kernels."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro import tensor as T
 from repro.tensor.segment import (
     _scatter_add,
@@ -104,8 +109,9 @@ class TestArgmaxByKey:
 
 
 class TestScatterAddKernel:
-    """The backward scatter kernel equals sequential ``np.add.at`` (float64 exactly,
-    float32 to rounding) on every path: bincount, reduceat, fallback."""
+    """The backward scatter kernel equals sequential ``np.add.at`` bit for bit, in
+    float32 and float64, for 1-D integer keys (a sparse product) and the rest
+    (``np.add.at`` itself)."""
 
     IDS = {
         "sorted": np.array([0, 0, 1, 4, 4, 4, 7]),
@@ -126,11 +132,10 @@ class TestScatterAddKernel:
         shape = (num_segments,) + tail
         out = _scatter_add(shape, ids, values)
         assert out.shape == shape and out.dtype == np.float64
-        np.testing.assert_allclose(out, scatter_add_reference(shape, ids, values), atol=1e-12)
+        assert (out == scatter_add_reference(shape, ids, values)).all()
         out32 = _scatter_add(shape, ids, values.astype(np.float32))
         assert out32.dtype == np.float32
-        np.testing.assert_allclose(
-            out32, scatter_add_reference(shape, ids, values.astype(np.float32)), atol=1e-5)
+        assert (out32 == scatter_add_reference(shape, ids, values.astype(np.float32))).all()
 
     def test_sampler_shape_sorted_dstindex(self):
         """The shapes backward actually sees: (E, H) scores and (E, H, d) messages."""
@@ -138,8 +143,14 @@ class TestScatterAddKernel:
         ids = np.sort(rng.integers(0, 400, 4000))
         for tail in [(2,), (2, 16), (32,)]:
             values = rng.standard_normal((4000,) + tail).astype(np.float32)
-            ref = scatter_add_reference((400,) + tail, ids, values.astype(np.float64))
-            np.testing.assert_allclose(_scatter_add((400,) + tail, ids, values), ref, atol=1e-4)
+            ref = scatter_add_reference((400,) + tail, ids, values)
+            assert (_scatter_add((400,) + tail, ids, values) == ref).all()
+
+    def test_out_of_range_ids_raise(self):
+        values = np.ones((2, 3), dtype=np.float32)
+        for ids in (np.array([0, 4]), np.array([-5, 0])):
+            with pytest.raises(IndexError):
+                _scatter_add((4, 3), ids, values)
 
     def test_general_keys_fall_back(self):
         values = np.arange(6, dtype=np.float32).reshape(3, 2)
@@ -172,3 +183,16 @@ class TestForwardBitContract:
                            np.finfo(np.float32).tiny)
         out = segment_softmax(T.tensor(scores), self.ids, 300).numpy()
         assert (out == exp / denom[self.ids]).all()
+
+
+def test_importing_the_package_leaves_scipy_sparse_unloaded():
+    """The kernels import ``scipy.sparse`` on first use: at module level it would
+    add ~0.15 s to every fresh process (the benchmark's ``setup_s`` times one),
+    serving and cluster ones included, which never call a kernel that needs it."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import repro.bench.experiments, repro.bench.trainer, repro.serve, repro.cluster; "
+            "sys.exit('scipy.sparse' in sys.modules)")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           timeout=120)
+    assert child.returncode == 0, child.stderr or "importing repro loaded scipy.sparse"
