@@ -77,9 +77,11 @@ def precomputed_times(ctx: TContext, encoder: TimeEncode, deltas: np.ndarray) ->
         return encoder(Tensor(deltas, device=ctx.device))
     if ctx.time_window > 0:
         return Tensor(_quantised_rows(ctx, encoder, deltas), device=ctx.device)
-    uniq, inverse = np.unique(deltas, return_inverse=True)
-    if len(uniq) * UNIQUE_PAYS > len(deltas):
+    # Counting distinct deltas is a sort; the inverse costs a stable argsort
+    # more, so it is only taken once the gather is known to pay.
+    if len(np.unique(deltas)) * UNIQUE_PAYS > len(deltas):
         return Tensor(encoder.encode_raw(deltas), device=ctx.device)
+    uniq, inverse = np.unique(deltas, return_inverse=True)
     return Tensor(encoder.encode_raw(uniq)[inverse], device=ctx.device)
 
 

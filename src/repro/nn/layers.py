@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..tensor import Tensor, dropout_mask, zeros
+from ..tensor import Tensor, dropout_mask
 from . import init
 from .module import Module, Parameter
 
@@ -36,10 +36,29 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x.matmul(self.weight.T)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        """``x Wᵀ + b`` over the last axis, as one autograd node.
+
+        Any-rank input is multiplied as its ``(rows, in_features)`` view; the
+        backward is ``g @ W``, ``gᵀ @ x`` and ``ones @ g``.
+        """
+        weight, bias = self.weight, self.bias
+        rows = x.data.reshape(-1, self.in_features)
+        out = rows @ weight.data.T
+        if bias is not None:
+            out += bias.data
+
+        def backward(grad: np.ndarray) -> None:
+            g = grad.reshape(-1, self.out_features)
+            if x.requires_grad:
+                x._accumulate((g @ weight.data).reshape(x.shape), own=True)
+            if weight.requires_grad:
+                weight._accumulate(g.T @ rows, own=True)
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(np.ones(len(g), g.dtype) @ g, own=True)
+
+        parents = (x, weight) if bias is None else (x, weight, bias)
+        return Tensor._make(out.reshape(x.shape[:-1] + (self.out_features,)), parents, backward,
+                            x.device)
 
     def __repr__(self) -> str:
         return f"Linear(in={self.in_features}, out={self.out_features}, bias={self.bias is not None})"
@@ -60,16 +79,45 @@ class LayerNorm(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(dim=-1, keepdim=True)
-        centered = x - mu
+        """Normalize each row of the last axis, as one autograd node.
+
+        The backward is the analytic one: with ``x̂`` the normalized rows,
+        ``σ`` their ``sqrt(var + eps)`` and ``ĝ = g w``, ``dx = (ĝ - mean(ĝ) -
+        x̂ mean(ĝ x̂)) / σ``; row means and the parameters' sums over rows are
+        matrix-vector products.
+        """
+        width = self.normalized_shape
+        weight, bias = self.weight, self.bias
+        rows = x.data.reshape(-1, width)
+        inv_width = np.asarray(1.0 / width, dtype=rows.dtype)
+        centered = rows - rows.sum(axis=-1, keepdims=True) * inv_width
         # Re-center: a near-constant float32 row leaves a mean-rounding
         # residual that 1/sqrt(var + eps) would amplify when var ~ 0.
-        centered = centered - centered.mean(dim=-1, keepdim=True)
-        var = (centered * centered).mean(dim=-1, keepdim=True)
-        normed = centered / (var + self.eps).sqrt()
-        if self.weight is not None:
-            normed = normed * self.weight + self.bias
-        return normed
+        centered -= centered.sum(axis=-1, keepdims=True) * inv_width
+        var = (centered * centered).sum(axis=-1, keepdims=True) * inv_width
+        std = np.sqrt(var + np.asarray(self.eps, dtype=rows.dtype))
+        normed = np.divide(centered, std, out=centered)
+        out = normed if weight is None else normed * weight.data + bias.data
+
+        def backward(grad: np.ndarray) -> None:
+            g = grad.reshape(-1, width)
+            g_normed = g * normed
+            if weight is not None:
+                ones = np.ones(len(g), g.dtype)
+                if weight.requires_grad:
+                    weight._accumulate(ones @ g_normed, own=True)
+                if bias.requires_grad:
+                    bias._accumulate(ones @ g, own=True)
+            if x.requires_grad:
+                scale = np.ones(width, g.dtype) if weight is None else weight.data
+                dx = g * scale
+                dx -= ((g @ scale) * inv_width)[:, None]
+                dx -= normed * ((g_normed @ scale) * inv_width)[:, None]
+                dx /= std
+                x._accumulate(dx.reshape(x.shape), own=True)
+
+        parents = (x,) if weight is None else (x, weight, bias)
+        return Tensor._make(out.reshape(x.shape), parents, backward, x.device)
 
 
 class Dropout(Module):

@@ -48,20 +48,40 @@ class TimeEncode(Module):
         """Signal that weight values changed (called after optimizer steps)."""
         self._version += 1
 
+    def _phase(self, deltas: np.ndarray) -> np.ndarray:
+        """``omega * dt + phi`` for a flat array of deltas, ``(N, dim)``."""
+        phase = np.multiply.outer(deltas, self.weight.data)
+        phase += self.bias.data
+        return phase
+
     def forward(self, deltas: Tensor) -> Tensor:
-        """Encode time deltas.
+        """Encode time deltas, as one autograd node.
 
         Args:
             deltas: tensor of shape ``(N,)`` or ``(N, 1)`` of time deltas.
 
         Returns:
-            tensor of shape ``(N, dim)``.
+            tensor of shape ``(N, dim)``.  With ``s = sin(phase) * g``, the
+            backward is ``d_omega = -(dt @ s)``, ``d_phi = -(ones @ s)`` and,
+            only if *deltas* requires it, ``d_dt = -(s @ omega)``.
         """
-        if deltas.ndim == 1:
-            deltas = deltas.unsqueeze(1)
-        return (deltas * self.weight + self.bias).cos()
+        weight, bias = self.weight, self.bias
+        flat = deltas.data.reshape(-1)
+        phase = self._phase(flat)
+
+        def backward(grad: np.ndarray) -> None:
+            s = np.sin(phase)
+            s *= grad
+            if weight.requires_grad:
+                weight._accumulate(-(flat @ s), own=True)
+            if bias.requires_grad:
+                bias._accumulate(-(np.ones(len(s), s.dtype) @ s), own=True)
+            if deltas.requires_grad:
+                deltas._accumulate(-(s @ weight.data).reshape(deltas.shape), own=True)
+
+        return Tensor._make(np.cos(phase), (deltas, weight, bias), backward, deltas.device)
 
     def encode_raw(self, deltas: np.ndarray) -> np.ndarray:
-        """Non-autograd fast path for inference-time precomputation."""
-        deltas = np.asarray(deltas, dtype=np.float32).reshape(-1, 1)
-        return np.cos(deltas * self.weight.data + self.bias.data)
+        """Non-autograd fast path for inference-time precomputation: the forward's bits."""
+        phase = self._phase(np.asarray(deltas, dtype=np.float32).reshape(-1))
+        return np.cos(phase, out=phase)

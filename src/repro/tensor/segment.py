@@ -167,9 +167,10 @@ def segment_attention(
     dot(q[segment_ids], K) / sqrt(d_head) -> segment_softmax -> segment_sum
     of the weighted V`` computes, without the concat: every part is
     projected by its own column slice of ``[w_k; w_v]`` (K and V from one
-    matmul), partial products are added in part order and the bias last.  A
-    keyed part ``(rows, index)`` is projected once per row of ``rows`` and
-    gathered (the bits of its dense expansion ``rows[index]``); its gradient
+    matmul), the bias is added with the first part and the partial products
+    in part order.  A keyed part ``(rows, index)`` is projected once per row
+    of ``rows`` (a keyed first part biased there too) and gathered (the bits
+    of its dense expansion ``rows[index]``); its gradient
     is ``onehot(index)ᵀ @ d_kv``, summed per row before the weight-gradient
     matmul.  Nothing is as wide as the input *and* as long as the ids.
 
@@ -190,7 +191,8 @@ def segment_attention(
     K/V is edge-major, ``(num_rows, 2 dim_out)``: per-segment sums (the
     weighted V, ``d q``) are ``onehot(ids)ᵀ @ x``; the softmax's max and sum
     are ``np.add.reduceat`` runs over the small ``(heads, num_rows)`` scores.
-    ``b_k``'s gradient is exactly 0: softmax is shift-invariant per segment.
+    ``b_k``'s gradient is exactly 0: softmax is shift-invariant per segment;
+    ``b_v``'s is ``ones @ d_v``.
     """
     ids = _ids(segment_ids)
     n, dim = len(ids), q.shape[1]
@@ -204,15 +206,17 @@ def segment_attention(
         return Tensor(np.zeros((num_segments, dim), dtype=q.dtype), device=q.device)
 
     weight = np.concatenate([w_k.data, w_v.data])  # (2 dim, in_features)
+    zero = np.zeros(dim, dtype=weight.dtype)
+    bias = np.concatenate([zero if b_k is None else b_k.data, zero if b_v is None else b_v.data])
     kv, col = None, 0
     for rows, index in keyed:
         proj = rows.data @ weight[:, col:col + rows.shape[1]].T
+        if kv is None:
+            proj += bias
         if index is not None:
             proj = proj.take(index, axis=0)
         kv = proj if kv is None else np.add(kv, proj, out=kv)
         col += rows.shape[1]
-    zero = np.zeros(dim, dtype=kv.dtype)
-    kv += np.concatenate([zero if b_k is None else b_k.data, zero if b_v is None else b_v.data])
 
     order = None
     if (ids[1:] < ids[:-1]).any():
@@ -253,7 +257,7 @@ def segment_attention(
         if b_k is not None and b_k.requires_grad:
             b_k._accumulate(np.zeros_like(b_k.data), own=True)
         if b_v is not None and b_v.requires_grad:
-            b_v._accumulate(np.einsum("nc->c", d_kv[:, dim:]), own=True)
+            b_v._accumulate(np.ones(n, d_kv.dtype) @ d_kv[:, dim:], own=True)
         d_weight, col = np.empty_like(weight), 0
         for rows, index in keyed:
             g_part = d_kv if index is None else _onehot_t(index, len(rows), d_kv.dtype) @ d_kv

@@ -467,33 +467,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward, self.device)
 
-    def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
-        src = self
-
-        def backward(grad: np.ndarray) -> None:
-            src._accumulate(grad * 0.5 / np.maximum(out_data, 1e-12))
-
-        return Tensor._make(out_data, (self,), backward, self.device)
-
-    def cos(self) -> "Tensor":
-        out_data = np.cos(self.data)
-        src = self
-
-        def backward(grad: np.ndarray) -> None:
-            src._accumulate(-grad * np.sin(src.data))
-
-        return Tensor._make(out_data, (self,), backward, self.device)
-
-    def sin(self) -> "Tensor":
-        out_data = np.sin(self.data)
-        src = self
-
-        def backward(grad: np.ndarray) -> None:
-            src._accumulate(grad * np.cos(src.data))
-
-        return Tensor._make(out_data, (self,), backward, self.device)
-
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
         src = self
@@ -572,17 +545,6 @@ class Tensor:
             for ax in axes:
                 count *= self.data.shape[ax]
         return self.sum(dim=dim, keepdim=keepdim) * (1.0 / count)
-
-    def var(self, dim: Optional[int] = None, keepdim: bool = False, unbiased: bool = False) -> "Tensor":
-        mu = self.mean(dim=dim, keepdim=True)
-        diff = self - mu
-        sq = diff * diff
-        if dim is None:
-            count = self.data.size
-        else:
-            count = self.data.shape[dim]
-        denom = count - 1 if unbiased else count
-        return sq.sum(dim=dim, keepdim=keepdim) * (1.0 / denom)
 
     def max(self, dim: Optional[int] = None, keepdim: bool = False):
         """Max reduction; with a ``dim`` returns ``(values, indices)``."""

@@ -227,16 +227,14 @@ class TestPrecompute:
         tiny_ctx.eval()
         enc = nn.TimeEncode(6)
         out = tgop.precomputed_zeros(tiny_ctx, enc, 4)
-        expected = enc(T.zeros(4)).numpy()
-        np.testing.assert_allclose(out.numpy(), expected, rtol=1e-5)
+        np.testing.assert_array_equal(out.numpy(), enc(T.zeros(4)).numpy())
 
     def test_times_matches_encoder(self, tiny_ctx):
         tiny_ctx.eval()
         enc = nn.TimeEncode(6)
         deltas = np.array([0.0, 5.0, 5.0, 2.5], dtype=np.float32)
         out = tgop.precomputed_times(tiny_ctx, enc, deltas)
-        expected = enc(T.tensor(deltas)).numpy()
-        np.testing.assert_allclose(out.numpy(), expected, rtol=1e-5)
+        np.testing.assert_array_equal(out.numpy(), enc(T.tensor(deltas)).numpy())
 
     def test_training_mode_is_differentiable(self, tiny_ctx):
         tiny_ctx.train(True)

@@ -80,7 +80,7 @@ def test_time_encode_bounded_and_deterministic(deltas):
     a = enc(T.Tensor(deltas)).numpy()
     b = enc.encode_raw(deltas)
     assert np.all(np.abs(a) <= 1 + 1e-6)
-    np.testing.assert_allclose(a, b, rtol=1e-5)
+    np.testing.assert_array_equal(a, b)
 
 
 @settings(max_examples=60, deadline=None)
