@@ -182,10 +182,9 @@ def test_kernel_microbench():
     record("sample_recent", ref, vec)
 
     ref = timeit(lambda: _reference_sample_arrays(
-        indptr, indices, eids, etimes, nodes, times, K, "uniform",
-        rng=np.random.default_rng(7)))
+        indptr, indices, eids, etimes, nodes, times, K, "uniform", seed=7))
     vec = timeit(lambda: sample_uniform(
-        indptr, indices, eids, etimes, nodes, times, K, np.random.default_rng(7)))
+        indptr, indices, eids, etimes, nodes, times, K, seed=7))
     record("sample_uniform", ref, vec)
 
     # -- dedup -------------------------------------------------------------

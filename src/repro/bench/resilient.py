@@ -63,6 +63,7 @@ from .trainer import (
     EpochResult,
     TrainResult,
     _mark_time_encoders_updated,
+    _sampling_pass,
     evaluate,
     train_step,
 )
@@ -118,8 +119,9 @@ class ResilientTrainer:
             ``reset_state()``).
         g: the temporal graph (attached memory/mailbox is checkpointed).
         optimizer: optimizer over the model's parameters.
-        neg_sampler: negative sampler; its RNG stream is checkpointed,
-            as is the stream of every neighbor sampler the model owns.
+        neg_sampler: negative sampler; its RNG stream is checkpointed
+            (neighbor samplers keep none: uniform draws are keyed by the
+            epoch, restored with the stream cursor).
         batch_size: chronological batch size.
         checkpoint_dir: directory for the rolling checkpoint file.
         checkpoint_every: batches between checkpoints (a checkpoint is
@@ -184,14 +186,9 @@ class ResilientTrainer:
         """Every RNG stream a batch can consume, by checkpoint name."""
         # Fetched lazily every time: manual_seed rebinds the global
         # generator and NegativeSampler.reset() rebuilds its stream.
-        gens = {"global": default_generator(), "negative": self.neg_sampler._rng}
-        # Uniform neighbor sampling draws from the stream of the sampler
-        # each model layer owns; without it a resume replays other draws.
-        for i, module in enumerate(self.model.modules()):
-            sampler = getattr(module, "sampler", None)
-            if sampler is not None:
-                gens[f"sampler{i}"] = sampler._rng
-        return gens
+        # Neighbour samplers keep no stream: a uniform draw is keyed by
+        # the pass, which the checkpoint's stream cursor restores.
+        return {"global": default_generator(), "negative": self.neg_sampler._rng}
 
     def _state(self) -> Dict[str, np.ndarray]:
         """Live tables of the graph's attached memory/mailbox, by image key."""
@@ -425,9 +422,10 @@ class ResilientTrainer:
                     lo = first + w * self.batch_size
                     hi = min(lo + self.batch_size, last)
                     try:
-                        loss_value = self._with_retry(
-                            result, p, w, lambda: self._run_batch(lo, hi)
-                        )
+                        with _sampling_pass(self.model, p):
+                            loss_value = self._with_retry(
+                                result, p, w, lambda: self._run_batch(lo, hi)
+                            )
                     except DivergenceError as exc:
                         key = (p, w)
                         rollback_streak[key] = rollback_streak.get(key, 0) + 1

@@ -11,6 +11,7 @@ any model exposing ``forward(batch) -> (pos_logits, neg_logits)`` and
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -56,6 +57,20 @@ def _mark_time_encoders_updated(model) -> None:
     for module in model.modules():
         if isinstance(module, TimeEncode):
             module.mark_updated()
+
+
+@contextmanager
+def _sampling_pass(model, pass_index: int):
+    """Key every neighbour sampler's uniform draws on *pass_index* (the
+    training epoch) inside the block; everything else samples at pass 0."""
+    samplers = [m.sampler for m in model.modules() if getattr(m, "sampler", None)]
+    for sampler in samplers:
+        sampler.pass_index = pass_index
+    try:
+        yield
+    finally:
+        for sampler in samplers:
+            sampler.pass_index = 0
 
 
 def _batches(g, batch_size, start, stop, ctx):
@@ -190,10 +205,11 @@ def train(
     result = TrainResult()
     for epoch in range(epochs):
         model.reset_state()
-        train_s, loss = train_epoch(
-            model, g, optimizer, neg_sampler, batch_size, start=0,
-            stop=train_end, ctx=ctx,
-        )
+        with _sampling_pass(model, epoch):
+            train_s, loss = train_epoch(
+                model, g, optimizer, neg_sampler, batch_size, start=0,
+                stop=train_end, ctx=ctx,
+            )
         eval_s, ap = (0.0, 0.0)
         if eval_end is not None and eval_end > train_end:
             eval_s, ap = evaluate(

@@ -28,20 +28,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..core.kernels.dedup import group_spans
+from ..splitmix import splitmix64
 
 __all__ = ["hash_shard", "place_group_hosts", "ShardRouter"]
 
 _MASK64 = (1 << 64) - 1
-
-
-def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 over uint64 (same constants as faults.py)."""
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x += np.uint64(0x9E3779B97F4A7C15)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
 
 
 def hash_shard(nodes: np.ndarray, num_shards: int, seed: int = 0) -> np.ndarray:
@@ -51,7 +42,7 @@ def hash_shard(nodes: np.ndarray, num_shards: int, seed: int = 0) -> np.ndarray:
     with the same parameters agree on every node, on any machine.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    h = _splitmix64_array(nodes.astype(np.uint64) ^ np.uint64(seed & _MASK64))
+    h = splitmix64(nodes.astype(np.uint64) ^ np.uint64(seed & _MASK64))
     return (h % np.uint64(num_shards)).astype(np.int64)
 
 

@@ -8,6 +8,8 @@ of the paper):
 1. **Doubly-linked list** — blocks chain through ``prev``/``next`` so that
    multi-hop operators (``aggregate``, ``propagate``) can traverse the hop
    structure and pass data between layers without user bookkeeping.
+   ``prev`` is a weak link, so dropping the head frees a step's blocks
+   (and the autograd graph they reach) without the cycle collector.
 2. **Optional neighbor information** — a block is created with only its
    destination node-time pairs; optimizations like ``dedup``/``cache``
    shrink the destination set *before* sampling fills in the sources.
@@ -35,6 +37,7 @@ benchmark-type PR.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -59,7 +62,8 @@ class TBlock:
         dstnodes: int64 array of destination node ids.
         dsttimes: float64 array of the time at which each destination
             embedding is requested (the ``<i, t>`` target pairs).
-        prev: predecessor block in the chain, if any.
+        prev: predecessor block in the chain, if any (held weakly; it
+            owns this block through ``next``).
     """
 
     def __init__(
@@ -82,7 +86,7 @@ class TBlock:
         self.eids: Optional[np.ndarray] = None
         self.etimes: Optional[np.ndarray] = None
 
-        self.prev = prev
+        self._prev = None if prev is None else weakref.ref(prev)
         self.next: Optional["TBlock"] = None
         if prev is not None:
             prev.next = self
@@ -98,6 +102,11 @@ class TBlock:
         self._uniq_eids: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ---- structure ---------------------------------------------------------------
+
+    @property
+    def prev(self) -> Optional["TBlock"]:
+        """The predecessor block (``None`` for a head, or once it is freed)."""
+        return None if self._prev is None else self._prev()
 
     @property
     def g(self) -> "TGraph":

@@ -10,24 +10,25 @@ Strategies (matching the paper):
 
 * ``recent`` — the ``k`` most recent edges strictly before the query
   time, emitted in ascending time order.
-* ``uniform`` — a uniform subset of the temporal history.  The kernel
-  draws one random key per candidate edge, quantized to
-  ``_KEY_BITS`` bits, and keeps the ``k`` smallest keys per destination
-  (a vectorized reservoir), emitting the selection in ascending position
-  order.  Because :meth:`numpy.random.Generator.random` produces the
-  same stream whether drawn in one call or per-row chunks, the loop
-  reference consumes the generator identically; quantized-key ties are
-  broken by original position in both (stable sorts), so the two
-  implementations are bit-identical under a fixed seed.
+* ``uniform`` — a uniform subset of the temporal history: each
+  candidate edge's key is a splitmix64 hash of ``(seed, pass, node, query
+  time, eid)``, quantized to ``_KEY_BITS`` bits, and the ``k`` smallest
+  keys per destination are kept (a vectorized reservoir), emitted in
+  ascending position order.  No generator stream is consumed, so a
+  ``(node, time)`` gets the same neighbours whatever else is in its batch
+  — what ``dedup`` and ``cache`` assume.  The loop reference hashes the
+  same keys and breaks ties by position like the kernel (stable sorts),
+  so the two are bit-identical.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from ...resilience.hooks import poke as _poke
+from ...splitmix import splitmix64
 
 __all__ = [
     "SampleResult",
@@ -38,14 +39,25 @@ __all__ = [
     "_reference_sample_arrays",
 ]
 
-#: random selection keys are quantized to this many bits so that
+#: selection keys are quantized to this many bits so that
 #: ``(row << _KEY_BITS) | key`` fits an int64 single-pass stable sort.
 _KEY_BITS = 22
 
 
-def _quantized_keys(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw *n* selection keys as ints in ``[0, 2**_KEY_BITS)``."""
-    return (rng.random(n) * (1 << _KEY_BITS)).astype(np.int64)
+def _row_prefixes(seed: int, pass_index: int, nodes, times) -> np.ndarray:
+    """Per-destination ``uint64`` key prefix: splitmix64 chained over the
+    seed, the pass, the node and the query time's bits (``+ 0.0`` folds
+    ``-0.0`` into ``0.0``)."""
+    h = splitmix64(splitmix64(seed) ^ np.uint64(pass_index))
+    h = splitmix64(np.asarray(nodes, dtype=np.int64).view(np.uint64) ^ h)
+    return splitmix64(h ^ (np.asarray(times, dtype=np.float64) + 0.0).view(np.uint64))
+
+
+def _candidate_keys(prefixes: np.ndarray, eids: np.ndarray) -> np.ndarray:
+    """One more round mixing in each candidate's eid, quantized to the top
+    ``_KEY_BITS`` bits (int64)."""
+    h = splitmix64(prefixes ^ np.asarray(eids, dtype=np.int64).view(np.uint64))
+    return (h >> np.uint64(64 - _KEY_BITS)).view(np.int64)
 
 
 class SampleResult(NamedTuple):
@@ -149,13 +161,14 @@ def sample_uniform(
     nodes: np.ndarray,
     times: np.ndarray,
     k: int,
-    rng: np.random.Generator,
+    seed: int = 0,
+    pass_index: int = 0,
 ) -> SampleResult:
     """Uniform-without-replacement temporal sampling, fully vectorized.
 
-    One random key is drawn per candidate edge (per destination, all
-    edges strictly before its time); the ``k`` smallest keys per
-    destination are kept, emitted in ascending position order.
+    Every candidate edge (per destination, all edges strictly before its
+    time) gets a hashed key; the ``k`` smallest keys per destination are
+    kept, emitted in ascending position order.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     if len(nodes) == 0:
@@ -165,7 +178,9 @@ def sample_uniform(
     avail = cuts - los
     counts = np.minimum(avail, k)
     cand_total, cand_row, cand_within = _segment_layout(avail)
-    keys = _quantized_keys(rng, cand_total)
+    cand_pos = los[cand_row] + cand_within
+    prefixes = _row_prefixes(seed, pass_index, nodes, times)
+    keys = _candidate_keys(prefixes[cand_row], eids[cand_pos])
     # One stable int64 sort of (row, key) packed into a single word:
     # each row's candidates stay contiguous, ordered by ascending key, so
     # the first counts[row] entries of a segment are its smallest keys.
@@ -175,9 +190,8 @@ def sample_uniform(
     ranks = np.empty(cand_total, dtype=np.int64)
     ranks[order] = cand_within
     selected = ranks < counts[cand_row]
-    dstindex = cand_row[selected]
-    sel = los[dstindex] + cand_within[selected]
-    return SampleResult(indices[sel], eids[sel], etimes[sel], dstindex)
+    sel = cand_pos[selected]
+    return SampleResult(indices[sel], eids[sel], etimes[sel], cand_row[selected])
 
 
 def temporal_sample(
@@ -189,16 +203,15 @@ def temporal_sample(
     times: np.ndarray,
     k: int,
     strategy: str = "recent",
-    rng: Optional[np.random.Generator] = None,
+    seed: int = 0,
+    pass_index: int = 0,
 ) -> SampleResult:
     """Dispatch to :func:`sample_recent` / :func:`sample_uniform`."""
     _poke("kernel.sample")  # fault-injection site (no-op unless armed)
     if strategy == "recent":
         return sample_recent(indptr, indices, eids, etimes, nodes, times, k)
     if strategy == "uniform":
-        if rng is None:
-            raise ValueError("uniform sampling requires an rng")
-        return sample_uniform(indptr, indices, eids, etimes, nodes, times, k, rng)
+        return sample_uniform(indptr, indices, eids, etimes, nodes, times, k, seed, pass_index)
     raise ValueError(f"unknown strategy: {strategy!r}")
 
 
@@ -211,61 +224,32 @@ def _reference_sample_arrays(
     times: np.ndarray,
     k: int,
     strategy: str = "recent",
-    rng: Optional[np.random.Generator] = None,
+    seed: int = 0,
+    pass_index: int = 0,
 ) -> SampleResult:
     """Per-destination loop sampler (pre-kernel implementation).
 
-    Kept only for the equivalence tests and the microbenchmark.  The
-    uniform branch draws per-row key chunks from the same generator
-    stream the vectorized kernel consumes in one call, so both produce
-    bit-identical selections under a fixed seed.
+    :meth:`~repro.core.sampler.TSampler.sample_arrays` runs it when the
+    context has degraded the ``kernel.sample`` site; the equivalence tests
+    and the microbenchmark compare the kernels against it.  The uniform
+    branch hashes each row's candidates with the kernel's keys, so both
+    produce bit-identical selections.
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    n = len(nodes)
-    counts = np.empty(n, dtype=np.int64)
-    cuts = np.empty(n, dtype=np.int64)
-    los = indptr[nodes]
-    his = indptr[nodes + 1]
-    for i in range(n):
-        lo, hi = los[i], his[i]
-        cut = lo + np.searchsorted(etimes[lo:hi], times[i], side="left")
-        cuts[i] = cut
-        counts[i] = min(cut - lo, k)
-    total = int(counts.sum())
-    out_nbr = np.empty(total, dtype=np.int64)
-    out_eid = np.empty(total, dtype=np.int64)
-    out_ets = np.empty(total, dtype=np.float64)
-    out_idx = np.empty(total, dtype=np.int64)
-    pos = 0
-    if strategy == "recent":
-        for i in range(n):
-            c = counts[i]
-            if c == 0:
-                continue
-            cut = cuts[i]
-            sel = slice(cut - c, cut)
-            out_nbr[pos : pos + c] = indices[sel]
-            out_eid[pos : pos + c] = eids[sel]
-            out_ets[pos : pos + c] = etimes[sel]
-            out_idx[pos : pos + c] = i
-            pos += c
-    elif strategy == "uniform":
-        if rng is None:
-            raise ValueError("uniform sampling requires an rng")
-        for i in range(n):
-            lo, cut = los[i], cuts[i]
-            avail = cut - lo
-            if avail == 0:
-                continue
-            keys = _quantized_keys(rng, avail)
-            c = counts[i]
-            pick = np.sort(np.argsort(keys, kind="stable")[:c])
-            chosen = lo + pick
-            out_nbr[pos : pos + c] = indices[chosen]
-            out_eid[pos : pos + c] = eids[chosen]
-            out_ets[pos : pos + c] = etimes[chosen]
-            out_idx[pos : pos + c] = i
-            pos += c
-    else:
+    if strategy not in ("recent", "uniform"):
         raise ValueError(f"unknown strategy: {strategy!r}")
-    return SampleResult(out_nbr, out_eid, out_ets, out_idx)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if strategy == "uniform":
+        prefixes = _row_prefixes(seed, pass_index, nodes, times)
+    sel, dstindex = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for i, node in enumerate(nodes):
+        lo, hi = indptr[node], indptr[node + 1]
+        cut = lo + np.searchsorted(etimes[lo:hi], times[i], side="left")
+        if strategy == "recent":
+            chosen = np.arange(max(lo, cut - k), cut)
+        else:
+            keys = _candidate_keys(prefixes[i], eids[lo:cut])
+            chosen = lo + np.sort(np.argsort(keys, kind="stable")[:k])
+        sel.append(chosen)
+        dstindex.append(np.full(len(chosen), i, dtype=np.int64))
+    sel = np.concatenate(sel)
+    return SampleResult(indices[sel], eids[sel], etimes[sel], np.concatenate(dstindex))

@@ -22,7 +22,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..tensor.random import fork_generator
 from .block import TBlock
 from .kernels import SampleResult, _reference_sample_arrays, temporal_sample
 
@@ -35,7 +34,11 @@ class TSampler:
     Args:
         num_nbrs: maximum neighbors sampled per destination pair.
         strategy: ``'recent'`` or ``'uniform'``.
-        seed: RNG seed for the uniform strategy (deterministic sampling).
+        seed: key seed for the uniform strategy.  A destination's uniform
+            sample is a pure function of ``(seed, pass_index, node, time)``
+            and the graph; ``pass_index`` is the training epoch while one
+            runs (set by the trainers) and 0 otherwise, so every epoch
+            re-samples and evaluation, inference and serving agree.
     """
 
     def __init__(self, num_nbrs: int, strategy: str = "recent", seed: int = 0):
@@ -45,7 +48,8 @@ class TSampler:
             raise ValueError(f"unknown strategy: {strategy!r}")
         self.num_nbrs = num_nbrs
         self.strategy = strategy
-        self._rng = fork_generator(seed)
+        self.seed = seed
+        self.pass_index = 0
 
     def sample(self, block: TBlock, num_nbrs: Optional[int] = None) -> TBlock:
         """Fill *block* with sampled neighbor rows and return it.
@@ -94,32 +98,13 @@ class TSampler:
         When the context has degraded the sampling kernel (repeated
         transient faults; see ``TContext.record_kernel_fault``), the
         bit-identical loop-reference implementation is used instead —
-        slower, but it shares no code with the faulty vectorized path.
+        slower, but it never enters the faulting vectorized kernel.
         """
         k = self.effective_fanout(ctx, num_nbrs)
-        if ctx is not None and ctx.is_degraded("kernel.sample"):
-            return _reference_sample_arrays(
-                csr.indptr,
-                csr.indices,
-                csr.eids,
-                csr.etimes,
-                nodes,
-                times,
-                k,
-                strategy=self.strategy,
-                rng=self._rng,
-            )
-        return temporal_sample(
-            csr.indptr,
-            csr.indices,
-            csr.eids,
-            csr.etimes,
-            nodes,
-            times,
-            k,
-            strategy=self.strategy,
-            rng=self._rng,
-        )
+        degraded = ctx is not None and ctx.is_degraded("kernel.sample")
+        kernel = _reference_sample_arrays if degraded else temporal_sample
+        return kernel(csr.indptr, csr.indices, csr.eids, csr.etimes, nodes, times, k,
+                      self.strategy, self.seed, self.pass_index)
 
     def __repr__(self) -> str:
         return f"TSampler(num_nbrs={self.num_nbrs}, strategy='{self.strategy}')"

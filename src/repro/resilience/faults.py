@@ -32,10 +32,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 import numpy as np
 
+from ..splitmix import splitmix64
 from . import hooks
 from .errors import CheckpointWriteAborted, SimulatedProcessKill, TransientKernelError
 
@@ -76,23 +78,21 @@ DECISIONS: Dict[str, str] = {
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64(x: int) -> int:
-    """One splitmix64 round (pure-python, 64-bit wrapping)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+@lru_cache(maxsize=256)
+def _site_prefix(seed: int, site: str) -> int:
+    """The hash chain over the seed and the site name (one per site)."""
+    h = splitmix64(seed & _MASK64)
+    for token in site.encode():
+        h = splitmix64(h ^ token)
+    return int(h)
 
 
 def _hash_decision(seed: int, site: str, epoch: int, batch: int, extra: int) -> float:
     """Deterministic uniform in [0, 1) for one (site, position) decision."""
-    h = _splitmix64(seed & _MASK64)
-    for token in site.encode():
-        h = _splitmix64(h ^ token)
-    h = _splitmix64(h ^ (epoch & _MASK64))
-    h = _splitmix64(h ^ (batch & _MASK64))
-    h = _splitmix64(h ^ (extra & _MASK64))
-    return h / float(1 << 64)
+    h = _site_prefix(seed, site)
+    for token in (epoch, batch, extra):
+        h = splitmix64(h ^ (token & _MASK64))
+    return int(h) / float(1 << 64)
 
 
 @dataclass(frozen=True)

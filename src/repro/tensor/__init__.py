@@ -35,7 +35,7 @@ from .functional import (
     zeros,
     zeros_like,
 )
-from .random import default_generator, fork_generator, manual_seed
+from .random import default_generator, manual_seed
 from .segment import (
     segment_argmax_by_key,
     segment_count,
@@ -58,7 +58,6 @@ __all__ = [
     "is_grad_enabled",
     "manual_seed",
     "default_generator",
-    "fork_generator",
     "tensor",
     "zeros",
     "zeros_like",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["manual_seed", "default_generator", "fork_generator"]
+__all__ = ["manual_seed", "default_generator"]
 
 _GENERATOR = np.random.default_rng(0)
 
@@ -24,8 +24,3 @@ def default_generator() -> np.random.Generator:
     """Return the process-global generator."""
     return _GENERATOR
 
-
-def fork_generator(seed: int) -> np.random.Generator:
-    """Return an independent generator for a fixed *seed* (does not touch
-    the global stream)."""
-    return np.random.default_rng(seed)

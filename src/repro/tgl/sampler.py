@@ -31,7 +31,7 @@ class TGLSampler:
         g: temporal graph.
         num_nbrs: neighbors sampled per seed per hop.
         strategy: ``'recent'`` or ``'uniform'``.
-        seed: RNG seed for uniform sampling.
+        seed: key seed for uniform sampling.
     """
 
     def __init__(self, g: TGraph, num_nbrs: int, strategy: str = "recent", seed: int = 0):
@@ -39,17 +39,13 @@ class TGLSampler:
         self._kernel = TSampler(num_nbrs, strategy, seed=seed)
 
     @property
-    def num_nbrs(self) -> int:
-        return self._kernel.num_nbrs
+    def pass_index(self) -> int:
+        """The uniform strategy's key pass (see :class:`TSampler`)."""
+        return self._kernel.pass_index
 
-    @property
-    def strategy(self) -> str:
-        return self._kernel.strategy
-
-    @property
-    def _rng(self) -> np.random.Generator:
-        """The uniform strategy's RNG stream (what a checkpoint saves)."""
-        return self._kernel._rng
+    @pass_index.setter
+    def pass_index(self, value: int) -> None:
+        self._kernel.pass_index = value
 
     def sample_hop(self, device: Device, nodes: np.ndarray, times: np.ndarray) -> MFG:
         """Sample one hop for the given seeds into a standalone MFG."""

@@ -119,6 +119,19 @@ def test_hash_partition_deterministic_and_in_range(num_nodes, shards, seed):
     assert np.array_equal(hash_shard(nodes, shards, seed=seed), a.assign)
 
 
+def test_hash_shard_placement_is_pinned():
+    """Cluster throughput depends on where nodes land: the splitmix64 map
+    of nodes 0..63 onto 4 and 16 shards must not move."""
+    assert hash_shard(np.arange(64), 4).tolist() == [
+        3, 1, 2, 1, 2, 2, 0, 3, 2, 0, 2, 1, 3, 3, 2, 1, 3, 3, 2, 0, 0, 3, 2, 2, 0, 1, 2, 2,
+        0, 0, 2, 2, 1, 0, 1, 3, 3, 3, 0, 0, 2, 1, 1, 0, 3, 2, 3, 1, 3, 0, 3, 0, 2, 2, 1, 0,
+        3, 1, 2, 0, 3, 1, 2, 1]
+    assert hash_shard(np.arange(64), 16).tolist() == [
+        15, 1, 14, 13, 10, 10, 0, 7, 6, 4, 10, 13, 3, 15, 14, 5, 7, 3, 2, 4, 12, 7, 10, 6,
+        4, 9, 10, 10, 12, 0, 14, 10, 1, 8, 13, 11, 11, 7, 0, 12, 2, 9, 5, 8, 3, 6, 7, 5, 3,
+        8, 11, 8, 10, 6, 5, 12, 7, 1, 2, 12, 7, 1, 10, 5]
+
+
 @st.composite
 def zipf_streams(draw):
     """Heavily skewed (zipf-like) event streams over a small node set."""

@@ -2,9 +2,11 @@
 
 The kernel layer (:mod:`repro.core.kernels`) replaces the original per-pair
 Python loops; these tests pin the replacement to be *bit-identical* — same
-selections, same ordering, same RNG stream consumption — across shapes,
+selections, same ordering, same selection keys — across shapes,
 empty neighborhoods, repeated keys, and cache eviction wraparound.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from repro.core.kernels import (
     unique_node_times,
 )
 from repro.store import StoreConfig
+from scipy.stats import chisquare
 
 from reference import ReuseCacheOracle
 
@@ -117,18 +120,16 @@ class TestSamplerEquivalence:
         indptr, indices, eids, etimes = make_csr(seed=10 + k)
         nodes, times = make_queries(40, 200, seed=k)
         got = sample_uniform(indptr, indices, eids, etimes, nodes, times, k,
-                             np.random.default_rng(77))
+                             seed=77, pass_index=k)
         want = _reference_sample_arrays(indptr, indices, eids, etimes, nodes, times, k,
-                                        "uniform", rng=np.random.default_rng(77))
+                                        "uniform", seed=77, pass_index=k)
         assert_results_equal(got, want)
 
     def test_uniform_seeded_determinism(self):
         indptr, indices, eids, etimes = make_csr(seed=5)
         nodes, times = make_queries(40, 150, seed=6)
-        a = sample_uniform(indptr, indices, eids, etimes, nodes, times, 5,
-                           np.random.default_rng(123))
-        b = sample_uniform(indptr, indices, eids, etimes, nodes, times, 5,
-                           np.random.default_rng(123))
+        a = sample_uniform(indptr, indices, eids, etimes, nodes, times, 5, seed=123)
+        b = sample_uniform(indptr, indices, eids, etimes, nodes, times, 5, seed=123)
         assert_results_equal(a, b)
 
     def test_empty_query_set(self):
@@ -136,8 +137,7 @@ class TestSamplerEquivalence:
         empty = np.empty(0, dtype=np.int64)
         for strategy in ("recent", "uniform"):
             res = temporal_sample(indptr, indices, eids, etimes, empty,
-                                  empty.astype(np.float64), 5,
-                                  strategy=strategy, rng=np.random.default_rng(0))
+                                  empty.astype(np.float64), 5, strategy=strategy)
             assert res.num_rows == 0
 
     def test_all_empty_neighborhoods(self):
@@ -146,9 +146,9 @@ class TestSamplerEquivalence:
         times = np.zeros(len(nodes))  # nothing is strictly earlier than t=0
         for strategy in ("recent", "uniform"):
             got = temporal_sample(indptr, indices, eids, etimes, nodes, times, 5,
-                                  strategy=strategy, rng=np.random.default_rng(1))
+                                  strategy=strategy, seed=1)
             want = _reference_sample_arrays(indptr, indices, eids, etimes, nodes, times, 5,
-                                            strategy, rng=np.random.default_rng(1))
+                                            strategy, seed=1)
             assert got.num_rows == 0
             assert_results_equal(got, want)
 
@@ -167,6 +167,63 @@ class TestSamplerEquivalence:
         want = _reference_sample_arrays(csr.indptr, csr.indices, csr.eids, csr.etimes,
                                         blk.dstnodes, blk.dsttimes, 3, "recent")
         assert_results_equal(res, want)
+
+
+def star_history(length):
+    """Node 0 with *length* edges at times ``0..length-1`` (eids in order)."""
+    indptr = np.array([0] + [length] * (length + 1), dtype=np.int64)
+    return (indptr, np.arange(1, length + 1, dtype=np.int64),
+            np.arange(length, dtype=np.int64), np.arange(length, dtype=np.float64))
+
+
+class TestKeyedUniform:
+    """``uniform`` keys are a pure hash of (seed, pass, node, time, eid)."""
+
+    @pytest.mark.parametrize("length, k", [(6, 2), (5, 3), (7, 1)])
+    def test_subsets_are_uniform(self, length, k):
+        # Every k-subset of a fixed history is equally likely: a chi-square
+        # over 200 expected draws per subset, drawn once across query times
+        # (one seed) and once across seeds (one query time).
+        csr = star_history(length)
+        subsets = {s: i for i, s in enumerate(itertools.combinations(range(length), k))}
+        n = 200 * len(subsets)
+        by_time = sample_uniform(*csr, np.zeros(n, dtype=np.int64),
+                                 length + np.arange(n, dtype=np.float64), k, seed=3)
+        by_seed = np.concatenate([
+            sample_uniform(*csr, np.zeros(1, dtype=np.int64), np.array([length + 0.5]),
+                           k, seed=seed).eids
+            for seed in range(n)])
+        for picks in (by_time.eids, by_seed):
+            counts = np.bincount([subsets[tuple(row)] for row in picks.reshape(n, k)],
+                                 minlength=len(subsets))
+            assert chisquare(counts).pvalue > 1e-3
+
+    def test_a_row_does_not_depend_on_its_batch(self):
+        indptr, indices, eids, etimes = make_csr(seed=21)
+        nodes, times = make_queries(40, 120, seed=22)
+        whole = sample_uniform(indptr, indices, eids, etimes, nodes, times, 4, seed=5)
+        perm = np.random.default_rng(0).permutation(len(nodes))[:70]
+        part = sample_uniform(indptr, indices, eids, etimes, nodes[perm], times[perm], 4,
+                              seed=5)
+        for j, i in enumerate(perm):
+            np.testing.assert_array_equal(part.eids[part.dstindex == j],
+                                          whole.eids[whole.dstindex == i])
+
+    def test_seed_and_pass_resample(self):
+        indptr, indices, eids, etimes = make_csr(seed=23)
+        nodes, times = make_queries(40, 200, seed=24)
+        base = sample_uniform(indptr, indices, eids, etimes, nodes, times, 3)
+        for kw in ({"seed": 1}, {"pass_index": 1}):
+            other = sample_uniform(indptr, indices, eids, etimes, nodes, times, 3, **kw)
+            np.testing.assert_array_equal(other.dstindex, base.dstindex)
+            assert not np.array_equal(other.eids, base.eids)
+
+    def test_negative_zero_time_keys_like_zero(self):
+        indptr, indices, eids, etimes = star_history(9)
+        etimes = etimes - 9.0  # history strictly before t = 0
+        nodes = np.zeros(2, dtype=np.int64)
+        res = sample_uniform(indptr, indices, eids, etimes, nodes, np.array([0.0, -0.0]), 3)
+        np.testing.assert_array_equal(res.eids[:3], res.eids[3:])
 
 
 class TestSampleResult:

@@ -163,27 +163,43 @@ class TestAllModels:
             assert g.mailbox.mail.data.sum() == 0
 
 
+def eval_scores(name, ds, flags, sampling="recent"):
+    """Eval-mode scores of a fixed-seed model on batches at 100, 100 and
+    150 (the repeat exercises the cache)."""
+    T.manual_seed(99)
+    g = make_graph(ds)
+    model = build_model(name, tg.TContext(g), g, ds, opt=flags, dropout=0.0,
+                        sampling=sampling)
+    model.eval()
+    scores = []
+    with T.no_grad():
+        for start in (100, 100, 150):
+            pos, neg = model(make_batch(g, size=40, start=start))
+            scores.append(np.concatenate([pos.numpy(), neg.numpy()]))
+    return np.concatenate(scores)
+
+
 class TestOptimizationEquivalence:
     """The paper's central semantic claim: optimization operators are
     semantic-preserving transformations (identical outputs in eval mode)."""
 
     @pytest.mark.parametrize("name", ["tgat", "tgn"])
     def test_opt_flags_do_not_change_eval_outputs(self, name, wiki):
-        outputs = {}
-        for label, flags in [("plain", OptFlags.none()), ("opt", OptFlags.all())]:
-            T.manual_seed(99)
-            g = make_graph(wiki)
-            ctx = tg.TContext(g)
-            model = build_model(name, ctx, g, wiki, opt=flags, dropout=0.0) \
-                if name in ("tgat", "tgn") else None
-            model.eval()
-            with T.no_grad():
-                scores = []
-                for start in (100, 100, 150):  # repeat to exercise the cache
-                    pos, neg = model(make_batch(g, size=40, start=start))
-                    scores.append(np.concatenate([pos.numpy(), neg.numpy()]))
-            outputs[label] = np.concatenate(scores)
-        np.testing.assert_allclose(outputs["plain"], outputs["opt"], atol=1e-4)
+        np.testing.assert_allclose(eval_scores(name, wiki, OptFlags.none()),
+                                   eval_scores(name, wiki, OptFlags.all()), atol=1e-4)
+
+    @pytest.mark.parametrize("flag", ["dedup", "cache", "time_precompute", "preload"])
+    @pytest.mark.parametrize("name", ["tgat", "tgn"])
+    def test_each_flag_is_as_exact_under_uniform_as_under_recent(self, name, flag, wiki):
+        """A uniform draw is keyed by its destination's (node, time), not by
+        how many rows were sampled before it, so dedup and cache (which
+        change that count) move no eval score that recent leaves alone."""
+        gap = {}
+        for sampling in ("recent", "uniform"):
+            plain = eval_scores(name, wiki, OptFlags.none(), sampling)
+            flagged = eval_scores(name, wiki, OptFlags(**{flag: True}), sampling)
+            gap[sampling] = np.abs(flagged - plain).max()
+        assert gap["uniform"] <= gap["recent"]
 
     def test_dedup_training_equivalence_tgat(self, wiki):
         # One optimizer step with and without dedup must produce the same

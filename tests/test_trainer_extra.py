@@ -1,14 +1,17 @@
 """Additional trainer-harness edge cases."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import repro.core as tg
 from repro import nn
 from repro.bench import TrainResult, evaluate, train, train_epoch, warm_replay
-from repro.bench.trainer import EpochResult
+from repro.bench.trainer import EpochResult, train_step
 from repro.data import NegativeSampler, get_dataset
-from repro.models import TGAT, OptFlags
+from repro.models import TGAT, TGN, OptFlags
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +73,38 @@ class TestEdgeRanges:
         second = [neg.sample(5).copy() for _ in range(3)]
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["tgat", "tgn"])
+def test_a_step_frees_its_blocks_without_the_cycle_collector(name, monkeypatch):
+    """A block holds its predecessor weakly, so the chain is no reference
+    cycle: the step's head block is gone as soon as train_step returns."""
+    ds = get_dataset("wiki")
+    g = ds.build_graph()
+    ctx = tg.TContext(g)
+    dims = dict(dim_node=172, dim_edge=172, dim_time=8, dim_embed=8, num_layers=2,
+                num_nbrs=3, opt=OptFlags.all())
+    if name == "tgat":
+        model = TGAT(ctx, **dims)
+    else:
+        g.set_memory(8)
+        g.set_mailbox(TGN.required_mailbox_dim(8, 172))
+        model = TGN(ctx, dim_mem=8, **dims)
+    opt = nn.Adam(model.parameters(), lr=1e-3)
+    heads = []
+    block = tg.TBatch.block
+
+    def recording_block(self, *args, **kwargs):
+        head = block(self, *args, **kwargs)
+        heads.append(weakref.ref(head))
+        return head
+
+    monkeypatch.setattr(tg.TBatch, "block", recording_block)
+    model.train()
+    gc.collect()
+    gc.disable()
+    try:
+        train_step(model, tg.TBatch(g, 300, 600), opt, NegativeSampler.for_dataset(ds))
+        assert heads and all(ref() is None for ref in heads)
+    finally:
+        gc.enable()
