@@ -1,8 +1,8 @@
 """Fault-free overhead of the resilient runtime (robustness note).
 
 The fault-tolerant trainer buys recovery with three standing costs paid
-even when nothing fails: a per-batch in-RAM snapshot (RNG states +
-memory/mailbox copies), periodic atomic checkpoints with CRC + state
+even when nothing fails: a per-batch in-RAM snapshot (memory/mailbox
+copies), periodic atomic checkpoints with CRC + state
 validation, and the divergence guard's finiteness sweep after each step.
 This benchmark measures that overhead directly: the plain §5 training
 loop vs ``ResilientTrainer`` on identical seeded TGN/wiki runs (the

@@ -12,15 +12,19 @@ is **bit-identical** to a fault-free run of the same seed:
   batch (rolled back to the last atomic checkpoint and replayed);
 * a second run is hard-killed mid-epoch (``SimulatedProcessKill``) and
   restarted with ``resume=True`` from the checkpoint's stream cursor —
-  parameters, node memory, mailbox, optimizer moments, and every RNG
-  stream land exactly where the uninterrupted run does;
+  parameters, node memory, mailbox and optimizer moments land exactly
+  where the uninterrupted run does (no RNG state is restored: negatives
+  and dropout masks are keyed on the pass and the batch's edge ids);
 * repeated faults from one kernel site degrade it to the bit-identical
   reference path (visible in ``ctx.degraded``).
+
+Exits nonzero when either bit-identity check fails.
 
 Run:  python examples/fault_tolerant_training.py
 """
 
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -96,8 +100,8 @@ def main():
     for ev in faulted_result.events:
         if ev.kind != "checkpoint":
             print(f"  [{ev.kind:>14s}] epoch {ev.epoch} batch {ev.batch}  {ev.detail}")
-    print(f"recovered bit-identical to fault-free: "
-          f"{_equal(clean_fp, faulted_fp)}")
+    recovered = _equal(clean_fp, faulted_fp)
+    print(f"recovered bit-identical to fault-free: {recovered}")
 
     # ---- hard kill mid-epoch, then bit-exact resume ----------------------
     ckdir = os.path.join(workdir, "killed")
@@ -117,8 +121,9 @@ def main():
     resumed_fp = _fingerprint(exp)
     exp.close()
     first = resumed_result.events[0]
+    resumed = _equal(clean_fp, resumed_fp)
     print(f"resumed from (epoch {first.epoch}, batch {first.batch}); "
-          f"final state bit-identical: {_equal(clean_fp, resumed_fp)}")
+          f"final state bit-identical: {resumed}")
 
     # ---- persistent kernel fault: graceful degradation -------------------
     exp = _build()
@@ -135,7 +140,8 @@ def main():
     print(f"training still completed {len(degraded_result.epochs)} epoch(s) "
           f"on the reference path")
     exp.close()
+    return 0 if recovered and resumed else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2,8 +2,10 @@
 
 Temporal models carry more state than parameters: resuming mid-stream
 requires node memory, mailbox contents (and ring cursors), optimizer
-moments, every RNG stream consumed by training, and the stream cursor
-(epoch + batch index), or the replayed stream diverges.
+moments, and the stream cursor (epoch + batch index), or the replayed
+stream diverges.  No RNG state is stored: a training step draws from no
+stream (negatives, dropout masks and uniform neighbours are keyed on the
+pass and the batch's edge ids), so the cursor is all a resume needs.
 ``save_checkpoint`` captures all of it; ``load_checkpoint`` restores in
 place and returns the stored metadata.
 
@@ -32,9 +34,9 @@ __all__ = ["save_checkpoint", "load_checkpoint", "checkpoint_arrays"]
 
 _PREFIX_MODEL = "model/"
 _PREFIX_OPTIM = "optim/"
-_PREFIX_RNG = "rng/"
-#: 3 = the durable state container (1-2 were ``.npz`` archives; no reader kept).
-_FORMAT_VERSION = 3
+#: 4 = the durable state container with no RNG state (1-2 were ``.npz``
+#: archives; 3 carried RNG streams a resume can no longer follow).
+_FORMAT_VERSION = 4
 
 
 def _optimizer_state(optimizer: Optimizer) -> Dict[str, np.ndarray]:
@@ -75,41 +77,10 @@ def _restore_optimizer(optimizer: Optimizer, state: Dict[str, np.ndarray]) -> No
                 optimizer._velocity[id(p)] = state[f"vel/{i}"].copy()
 
 
-# ---- RNG state (bit-exact resume) -----------------------------------------------
-
-
-def _pack_generator(gen: np.random.Generator) -> np.ndarray:
-    """Serialize a PCG64-backed Generator's state to six uint64 words."""
-    state = gen.bit_generator.state
-    if state.get("bit_generator") != "PCG64":
-        raise ValueError(
-            f"can only checkpoint PCG64 generators, got {state.get('bit_generator')!r}"
-        )
-    words = []
-    for val in (state["state"]["state"], state["state"]["inc"]):  # 128-bit each
-        words.append(val & 0xFFFFFFFFFFFFFFFF)
-        words.append((val >> 64) & 0xFFFFFFFFFFFFFFFF)
-    words.append(int(state["has_uint32"]))
-    words.append(int(state["uinteger"]))
-    return np.array(words, dtype=np.uint64)
-
-
-def _restore_generator(gen: np.random.Generator, words: np.ndarray) -> None:
-    """Restore a Generator (in place) from :func:`_pack_generator` words."""
-    w = [int(x) for x in words]
-    gen.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": w[0] | (w[1] << 64), "inc": w[2] | (w[3] << 64)},
-        "has_uint32": w[4],
-        "uinteger": w[5],
-    }
-
-
 def checkpoint_arrays(
     model: Module,
     graph=None,
     optimizer: Optional[Optimizer] = None,
-    generators: Optional[Dict[str, np.random.Generator]] = None,
 ) -> Dict[str, np.ndarray]:
     """Assemble the flat array dict a checkpoint stores.
 
@@ -118,8 +89,6 @@ def checkpoint_arrays(
         graph: optional graph; the state image of its attached
             memory/mailbox is captured (live arrays, not copies).
         optimizer: optional optimizer; moments are captured.
-        generators: named RNG streams (e.g. the global generator and the
-            negative sampler's) captured for bit-exact resume.
     """
     arrays: Dict[str, np.ndarray] = {}
     for name, value in model.state_dict().items():
@@ -129,9 +98,6 @@ def checkpoint_arrays(
     if optimizer is not None:
         for key, value in _optimizer_state(optimizer).items():
             arrays[_PREFIX_OPTIM + key] = value
-    if generators:
-        for name, gen in generators.items():
-            arrays[_PREFIX_RNG + name] = _pack_generator(gen)
     return arrays
 
 
@@ -140,10 +106,9 @@ def save_checkpoint(
     model: Module,
     graph=None,
     optimizer: Optional[Optimizer] = None,
-    generators: Optional[Dict[str, np.random.Generator]] = None,
     stream: Optional[Tuple[int, int]] = None,
 ) -> None:
-    """Atomically write model + memory/mailbox + optimizer + RNG state.
+    """Atomically write model + memory/mailbox + optimizer state.
 
     *stream* is the ``(epoch, batch)`` cursor of the *next* batch to run.
     An interrupted save (the ``checkpoint.kill`` fault site fires after
@@ -154,7 +119,7 @@ def save_checkpoint(
         path,
         0,
         {"version": _FORMAT_VERSION, "stream": None if stream is None else list(stream)},
-        checkpoint_arrays(model, graph=graph, optimizer=optimizer, generators=generators),
+        checkpoint_arrays(model, graph=graph, optimizer=optimizer),
         kill_site="checkpoint.kill",
     )
 
@@ -164,7 +129,6 @@ def load_checkpoint(
     model: Module,
     graph=None,
     optimizer: Optional[Optimizer] = None,
-    generators: Optional[Dict[str, np.random.Generator]] = None,
 ) -> Dict[str, object]:
     """Restore state saved by :func:`save_checkpoint` (in place).
 
@@ -199,15 +163,6 @@ def load_checkpoint(
             if key.startswith(_PREFIX_OPTIM)
         }
         _restore_optimizer(optimizer, optim_state)
-    if generators:
-        for name, gen in generators.items():
-            key = _PREFIX_RNG + name
-            if key not in arrays:
-                raise KeyError(
-                    f"checkpoint has no RNG state for generator {name!r} "
-                    "(saved without generators?)"
-                )
-            _restore_generator(gen, arrays[key])
     stream = meta.get("stream")
     return {
         "version": version,

@@ -5,16 +5,16 @@ stream, loss, and evaluation as :func:`repro.bench.trainer.train`) in a
 recovery loop built on three mechanisms:
 
 * **Retry** — a :class:`~repro.resilience.errors.TransientKernelError`
-  raised mid-batch restores an in-RAM snapshot of everything the batch
-  mutates before failing (node memory, mailbox, RNG streams) and reruns
-  the batch, up to :data:`MAX_RETRIES` times.  Because the snapshot is
+  raised mid-batch restores an in-RAM snapshot of the state the batch
+  mutates before failing (node memory and mailbox) and reruns the batch,
+  up to :data:`MAX_RETRIES` times.  Because the snapshot is
   bit-exact and injected faults are transient, the retried batch
   produces exactly the numbers the fault-free run would have.
 * **Rollback** — a non-finite loss or parameter after the optimizer
   step (NaN gradients poison both parameters *and* optimizer moments,
   so retrying the batch cannot help) rolls the full training state back
   to the last on-disk checkpoint — parameters, memory, mailbox,
-  optimizer moments, RNG streams, stream cursor — and replays forward.
+  optimizer moments, stream cursor — and replays forward.
 * **Degradation** — repeated faults from one kernel site trip the
   context's degradation threshold; subsequent batches route through the
   uncached reference path for that site (bit-identical results, no
@@ -23,9 +23,12 @@ recovery loop built on three mechanisms:
 
 Checkpoints are written every ``checkpoint_every`` batches through
 :func:`repro.bench.checkpoint.save_checkpoint` (atomic, CRC-verified)
-and carry the RNG + cursor state needed for bit-exact mid-epoch resume:
-a training process hard-killed between checkpoints restarts with
-``resume=True`` and continues on the same trajectory.  State invariants
+and carry the stream cursor needed for bit-exact mid-epoch resume: a
+training process hard-killed between checkpoints restarts with
+``resume=True`` and continues on the same trajectory.  No RNG state
+needs saving: negatives, dropout masks and uniform neighbour draws are
+keyed on the pass and the batch's edge ids (each batch starts with
+``neg_sampler.reset(lo)``), which the cursor restores.  State invariants
 (:func:`repro.resilience.validate.validate_state`) are checked before
 each checkpoint so corrupted state is never persisted — a violation
 clears the derived caches and rolls back instead.
@@ -37,7 +40,6 @@ it runs is :func:`repro.bench.trainer.train_step`.
 
 from __future__ import annotations
 
-import copy
 import os
 import time
 from dataclasses import dataclass, field
@@ -57,7 +59,6 @@ from ..resilience.errors import (
     TransientKernelError,
 )
 from ..resilience.validate import validate_state
-from ..tensor.random import default_generator
 from .checkpoint import load_checkpoint, save_checkpoint
 from .trainer import (
     EpochResult,
@@ -119,9 +120,9 @@ class ResilientTrainer:
             ``reset_state()``).
         g: the temporal graph (attached memory/mailbox is checkpointed).
         optimizer: optimizer over the model's parameters.
-        neg_sampler: negative sampler; its RNG stream is checkpointed
-            (neighbor samplers keep none: uniform draws are keyed by the
-            epoch, restored with the stream cursor).
+        neg_sampler: negative sampler; each batch ``[lo, hi)`` draws
+            after ``reset(lo)``, so its negatives are keyed on the batch's
+            absolute edge ids and no sampler state is checkpointed.
         batch_size: chronological batch size.
         checkpoint_dir: directory for the rolling checkpoint file.
         checkpoint_every: batches between checkpoints (a checkpoint is
@@ -182,32 +183,15 @@ class ResilientTrainer:
     def checkpoint_path(self) -> str:
         return os.path.join(self.checkpoint_dir, self.CHECKPOINT_NAME)
 
-    def _generators(self) -> Dict[str, np.random.Generator]:
-        """Every RNG stream a batch can consume, by checkpoint name."""
-        # Fetched lazily every time: manual_seed rebinds the global
-        # generator and NegativeSampler.reset() rebuilds its stream.
-        # Neighbour samplers keep no stream: a uniform draw is keyed by
-        # the pass, which the checkpoint's stream cursor restores.
-        return {"global": default_generator(), "negative": self.neg_sampler._rng}
-
-    def _state(self) -> Dict[str, np.ndarray]:
-        """Live tables of the graph's attached memory/mailbox, by image key."""
-        return state_image(self.g.mem, self.g.mailbox)
-
-    def _snapshot(self) -> dict:
-        """In-RAM copy of everything one batch mutates before the step."""
+    def _snapshot(self) -> Dict[str, np.ndarray]:
+        """In-RAM copy of the memory/mailbox tables one batch mutates."""
         return {
-            "rng": {
-                name: copy.deepcopy(gen.bit_generator.state)
-                for name, gen in self._generators().items()
-            },
-            "state": {key: table.copy() for key, table in self._state().items()},
+            key: table.copy()
+            for key, table in state_image(self.g.mem, self.g.mailbox).items()
         }
 
-    def _restore_snapshot(self, snap: dict) -> None:
-        for name, gen in self._generators().items():
-            gen.bit_generator.state = copy.deepcopy(snap["rng"][name])
-        load_state_image(snap["state"], self.g.mem, self.g.mailbox, "batch snapshot")
+    def _restore_snapshot(self, snap: Dict[str, np.ndarray]) -> None:
+        load_state_image(snap, self.g.mem, self.g.mailbox, "batch snapshot")
 
     def _clear_derived_caches(self) -> None:
         """Drop inference-only embed caches (derived state, never
@@ -236,7 +220,6 @@ class ResilientTrainer:
                 self.model,
                 graph=self.g,
                 optimizer=self.optimizer,
-                generators=self._generators(),
                 stream=(epoch, batch),
             )
         except CheckpointWriteAborted as exc:
@@ -256,7 +239,6 @@ class ResilientTrainer:
             self.model,
             graph=self.g,
             optimizer=self.optimizer,
-            generators=self._generators(),
         )
         _mark_time_encoders_updated(self.model)
         if meta["stream"] is None:
@@ -304,6 +286,7 @@ class ResilientTrainer:
             # a previous batch's lookahead already staged).
             self._pipeline.consume_batch(batch)
         self.model.train()
+        self.neg_sampler.reset(lo)
         loss_value = train_step(self.model, batch, self.optimizer, self.neg_sampler)
         self._guard_divergence(loss_value)
         if self._pipeline is not None:
@@ -321,7 +304,8 @@ class ResilientTrainer:
         """Run ``fn()`` with snapshot-restore retries on transient faults.
 
         The one retry policy, for a training batch and for the evaluation
-        pass alike (both mutate memory): restore the pre-call snapshot,
+        pass alike (both mutate memory): restore the pre-call snapshot
+        (draws are keyed, so the rerun repeats them),
         count the fault against its kernel site (past the context's
         threshold the site degrades to its reference path, so a
         persistent fault stops recurring), log the event, rerun.
@@ -368,7 +352,7 @@ class ResilientTrainer:
         due (a validation veto rolls back instead), runs the window's
         batch under :meth:`_with_retry`, and on divergence
         rewinds the cursor to the last checkpoint.  *reset* starts each
-        pass from ``reset_state()`` + ``neg_sampler.reset()`` (an epoch);
+        pass from ``reset_state()`` (an epoch);
         *eval_end* scores ``[last, eval_end)`` after each pass; *resume*
         starts the cursor from the on-disk checkpoint.
         """
@@ -401,7 +385,6 @@ class ResilientTrainer:
             while p < passes:
                 if reset and w == 0 and not restored:
                     self.model.reset_state()
-                    self.neg_sampler.reset()
                 restored = False
                 injector = hooks.active()
                 if injector is not None:
@@ -493,8 +476,8 @@ class ResilientTrainer:
         """Incrementally train on the edge window ``[start, stop)``.
 
         The continual-learning entry point (:mod:`repro.scenarios.continual`):
-        unlike :meth:`train` it never resets model state or the negative
-        sampler — it *continues* the current trajectory on freshly
+        unlike :meth:`train` it never resets model state — it
+        *continues* the current trajectory on freshly
         arrived edges — and it accepts a replacement *graph* so a WAL
         tailer can grow the edge set between calls.  It is the same loop
         as :meth:`train`, so all of the resilience machinery applies:

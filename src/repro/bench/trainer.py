@@ -22,6 +22,7 @@ from ..data import NegativeSampler
 from ..nn import Optimizer, TimeEncode, link_prediction_loss
 from ..store.prefetch import BatchPipeline, attach_graph_sources
 from ..tensor import no_grad
+from ..tensor.random import dropout_pass, dropout_step
 from .metrics import average_precision
 from .timing import Breakdown
 
@@ -61,16 +62,19 @@ def _mark_time_encoders_updated(model) -> None:
 
 @contextmanager
 def _sampling_pass(model, pass_index: int):
-    """Key every neighbour sampler's uniform draws on *pass_index* (the
-    training epoch) inside the block; everything else samples at pass 0."""
+    """Key every neighbour sampler's uniform draws and every dropout mask on
+    *pass_index* (the training epoch) inside the block; everything else
+    runs at pass 0."""
     samplers = [m.sampler for m in model.modules() if getattr(m, "sampler", None)]
     for sampler in samplers:
         sampler.pass_index = pass_index
+    dropout_pass(pass_index)
     try:
         yield
     finally:
         for sampler in samplers:
             sampler.pass_index = 0
+        dropout_pass(0)
 
 
 def _batches(g, batch_size, start, stop, ctx):
@@ -98,9 +102,11 @@ def train_step(model, batch: TBatch, optimizer: Optimizer, neg_sampler: Negative
     the plain loop (:func:`train_epoch`) and the recovery loop
     (:class:`~repro.bench.resilient.ResilientTrainer`) both call it.
     Negatives are drawn before any model work, so the sampler's draw
-    marks the batch boundary.  The model must already be in train mode.
+    marks the batch boundary; then the step keys its dropout masks on
+    ``batch.start``.  The model must already be in train mode.
     """
     batch.neg_nodes = neg_sampler.sample(len(batch))
+    dropout_step(batch.start)
     optimizer.zero_grad()
     pos, neg = model(batch)
     loss = link_prediction_loss(pos, neg)

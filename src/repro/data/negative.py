@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
+
+from ..splitmix import splitmix64
 
 __all__ = ["NegativeSampler"]
 
@@ -15,11 +15,15 @@ class NegativeSampler:
     For bipartite graphs, negatives are drawn from the item partition
     (matching the JODIE/TGL protocol); otherwise from all nodes.
 
+    Draws are keyed, not streamed: the ``k``-th negative drawn after
+    ``reset(at)`` is ``candidates[splitmix64(seed, at + k) mod len]``, so
+    the sampler's only state is that integer cursor.  Two samplers with
+    the same seed and cursor draw identical negatives (used to score
+    different frameworks on identical batches).
+
     Args:
         candidates: node ids negatives are drawn from.
-        seed: RNG seed; the stream is deterministic, so re-creating a
-            sampler with the same seed replays identical negatives (used to
-            score different frameworks on identical batches).
+        seed: the hash key.
     """
 
     def __init__(self, candidates: np.ndarray, seed: int = 42):
@@ -28,7 +32,7 @@ class NegativeSampler:
             raise ValueError("need at least one negative candidate")
         self.candidates = candidates
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
+        self._cursor = 0
 
     @classmethod
     def for_dataset(cls, dataset, seed: int = 42) -> "NegativeSampler":
@@ -39,10 +43,12 @@ class NegativeSampler:
         return cls(np.arange(dataset.num_nodes, dtype=np.int64), seed=seed)
 
     def sample(self, n: int) -> np.ndarray:
-        """Draw *n* negative node ids (with replacement)."""
-        idx = self._rng.integers(0, len(self.candidates), size=n)
-        return self.candidates[idx]
+        """Draw *n* negative node ids (with replacement); advances the cursor."""
+        at = np.arange(self._cursor, self._cursor + n, dtype=np.uint64)
+        self._cursor += n
+        h = splitmix64(splitmix64(self.seed) ^ at)
+        return self.candidates[h % np.uint64(len(self.candidates))]
 
-    def reset(self) -> None:
-        """Restart the deterministic stream (e.g. before each epoch)."""
-        self._rng = np.random.default_rng(self.seed)
+    def reset(self, at: int = 0) -> None:
+        """Move the cursor to position *at* (0: the start of an epoch)."""
+        self._cursor = int(at)

@@ -17,8 +17,8 @@ the faults the paper's evaluation assumes away:
 
 The recovery loop itself lives in
 :class:`repro.bench.resilient.ResilientTrainer`, which combines these
-with atomic checkpoints (RNG state + stream cursor) for bit-exact
-retry/rollback/resume.
+with atomic checkpoints (state + stream cursor; no RNG state, since a
+training step's draws are keyed) for bit-exact retry/rollback/resume.
 """
 
 from .chaos import apply_bitflip, inject_member_faults

@@ -1,6 +1,7 @@
 """splitmix64, the one integer mix behind every keyed hash in the package:
-uniform neighbour sampling's selection keys, hash shard placement and the
-fault injector's rate decisions.  Imports nothing from ``repro``."""
+uniform neighbour sampling's selection keys, negative samples, dropout
+masks, hash shard placement and the fault injector's rate decisions.
+Imports nothing from ``repro``."""
 
 from __future__ import annotations
 

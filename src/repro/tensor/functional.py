@@ -8,12 +8,14 @@ merge computed embeddings back into full-size outputs.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..splitmix import splitmix64
 from .device import Device
-from .random import default_generator
+from .random import default_generator, next_dropout_key
 from .tensor import Tensor, _unbroadcast
 
 __all__ = [
@@ -81,12 +83,11 @@ def arange(*args, dtype=np.int64, device=None) -> Tensor:
     return Tensor(np.arange(*args, dtype=dtype), device=device)
 
 
-def randn(*shape, requires_grad: bool = False, device=None, generator=None) -> Tensor:
+def randn(*shape, requires_grad: bool = False, device=None) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-    rng = generator if generator is not None else default_generator()
     return Tensor(
-        rng.standard_normal(shape).astype(np.float32),
+        default_generator().standard_normal(shape).astype(np.float32),
         requires_grad=requires_grad,
         device=device,
     )
@@ -191,8 +192,15 @@ def unique(t: Tensor, return_inverse: bool = False):
     return Tensor(np.unique(t.data), device=t.device)
 
 
-def dropout_mask(shape, p: float, device=None, generator=None) -> Tensor:
-    """Inverted-dropout mask: Bernoulli keep-mask scaled by ``1/(1-p)``."""
-    rng = generator if generator is not None else default_generator()
-    keep = (rng.random(shape) >= p).astype(np.float32) / max(1.0 - p, 1e-8)
-    return Tensor(keep, device=device)
+def dropout_mask(shape, p: float, device=None) -> Tensor:
+    """Inverted-dropout mask: Bernoulli keep-mask scaled by ``1/(1-p)``.
+
+    Element ``i`` is kept when its 32-bit uniform, half ``i % 2`` (low
+    first) of word ``splitmix64(key ^ i // 2)``, is ``>= p``; *key* is
+    the next dropout key (:mod:`repro.tensor.random`).
+    """
+    n = int(np.prod(shape))
+    words = splitmix64(np.arange((n + 1) // 2, dtype=np.uint64) ^ next_dropout_key())
+    halves = words.astype("<u8", copy=False).view("<u4")[:n]
+    keep = halves >= np.uint32(min(math.ceil(p * 2.0**32), 2**32 - 1))
+    return Tensor(keep.reshape(shape) * np.float32(1.0 / max(1.0 - p, 1e-8)), device=device)

@@ -53,7 +53,7 @@ def per_row_update_memory(model, blk) -> Tensor:
     mail, mail_ts, mem_ts = _rows(g.mailbox.mail, nodes), g.mailbox.time[nodes], g.mem.time[nodes]
     if isinstance(model, APAN):  # slot mean, delivered at the newest slot's time
         mail, mail_ts = mail.mean(dim=1), mail_ts.max(axis=1)
-    tfeat = model.time_encoder(Tensor((mail_ts - mem_ts).astype(np.float32)))
+    tfeat = model.time_encoder(Tensor((mail_ts - mem_ts).astype(np.float32), device=model.ctx.device))
     mem = model.mem_cell(cat([mail, tfeat], dim=1), _rows(g.mem.data, nodes))
     # TGN persists every row; JODIE and APAN only mail newer than the memory.
     keep = np.arange(len(nodes)) if isinstance(model, TGN) else np.flatnonzero(mail_ts > mem_ts)
@@ -98,7 +98,7 @@ def _per_row_jodie(model, batch) -> Tensor:
     blk = batch.block(model.ctx)
     mem = _per_row_seed(model, blk)
     delta = blk.dsttimes - model.g.mem.time[blk.dstnodes]  # from the updated memory time
-    tfeat = model.time_encoder(Tensor(delta.astype(np.float32)))
+    tfeat = model.time_encoder(Tensor(delta.astype(np.float32), device=model.ctx.device))
     embeds = model.embed_linear(cat([mem, tfeat], dim=1))
     _per_row_save_raw_msgs(model, batch)
     return embeds
@@ -112,7 +112,7 @@ def _per_row_apan(model, batch) -> Tensor:
     deltas = blk.dsttimes[:, None] - g.mailbox.time[blk.dstnodes]
     n, slots = deltas.shape
     heads, d_head = model.num_heads, model.dim_embed // model.num_heads
-    tfeat = model.time_encoder(Tensor(deltas.reshape(-1).astype(np.float32)))
+    tfeat = model.time_encoder(Tensor(deltas.reshape(-1).astype(np.float32), device=model.ctx.device))
     kv_in = cat([mail, tfeat.reshape(n, slots, tfeat.shape[1])], dim=2)
     q = model.w_q(mem).reshape(n, 1, heads, d_head)
     k = model.w_k(kv_in).reshape(n, slots, heads, d_head)

@@ -117,14 +117,16 @@ class TestValidation:
         with pytest.raises(KeyError):
             load_checkpoint(path, model, graph=g)
 
-    def test_format_version_checked(self, trained_setup):
+    # 3 carried RNG streams: a resume from it could not be bit-exact
+    @pytest.mark.parametrize("version", [99, 3])
+    def test_format_version_checked(self, trained_setup, version):
         ds, g, model, optimizer, neg, tmp = trained_setup
         path = str(tmp / "bad.ckpt")
         # a well-formed, CRC-valid container whose meta names another
         # checkpoint format: the version check is what rejects it
-        write_container(path, 0, {"version": 99, "stream": None},
+        write_container(path, 0, {"version": version, "stream": None},
                         checkpoint_arrays(model))
-        with pytest.raises(ValueError, match="format version: 99"):
+        with pytest.raises(ValueError, match=f"format version: {version}"):
             load_checkpoint(path, model)
 
     def test_checkpoint_arrays_contents(self, trained_setup):
@@ -145,7 +147,7 @@ class TestContainer:
         with open(path, "rb") as fh:
             assert fh.read(12) == b"TGLITESNP001"
         lsn, meta, arrays = read_container(path)
-        assert (lsn, meta) == (0, {"version": 3, "stream": [1, 2]})
+        assert (lsn, meta) == (0, {"version": 4, "stream": [1, 2]})
         np.testing.assert_array_equal(arrays["memory/data"], g.mem.data.data)
         # ...and the snapshot directory walker decodes it with that reader
         assert load_latest(str(tmp))[1] == meta

@@ -151,3 +151,28 @@ class TestNegativeSampler:
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
             NegativeSampler(np.array([]))
+
+    @pytest.mark.parametrize("name", ["wiki", "wikitalk"])  # bipartite, full
+    def test_draws_are_uniform_over_candidates(self, name):
+        """Chi-square over the candidate counts: df = len - 1 has mean df
+        and sd sqrt(2 df); the statistic stays within 5 sd of the mean."""
+        sampler = NegativeSampler.for_dataset(get_dataset(name))
+        cands = sampler.candidates
+        expected = 200.0
+        draws = sampler.sample(int(expected * len(cands)))
+        counts = np.bincount(np.searchsorted(cands, draws), minlength=len(cands))
+        stat = ((counts - expected) ** 2 / expected).sum()
+        df = len(cands) - 1
+        assert abs(stat - df) < 5 * np.sqrt(2 * df), (stat, df)
+
+    def test_reset_at_draws_the_same_positions_in_pieces(self):
+        s = NegativeSampler(np.arange(1000), seed=5)
+        s.reset(300)
+        whole = s.sample(90)
+        s.reset(300)
+        pieces = [s.sample(k) for k in (10, 0, 45, 35)]
+        np.testing.assert_array_equal(np.concatenate(pieces), whole)
+        s.reset(355)
+        np.testing.assert_array_equal(s.sample(35), whole[55:])
+        s.reset()
+        np.testing.assert_array_equal(s.sample(390)[300:], whole)

@@ -805,7 +805,7 @@ class TestCheckpointIntegritySurfacing:
         save_checkpoint(path, model)
         meta = load_checkpoint(path, model)
         # a load that returns *is* a verified load: there is no flag
-        assert meta["version"] == 3 and "verified" not in meta
+        assert meta["version"] == 4 and "verified" not in meta
 
     def test_missing_crc_is_rejected(self, tmp_path):
         from repro.bench.checkpoint import load_checkpoint, save_checkpoint

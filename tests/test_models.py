@@ -19,8 +19,8 @@ def wiki():
     return get_dataset("wiki")
 
 
-def make_graph(ds):
-    return ds.build_graph()
+def make_graph(ds, device=None):
+    return ds.build_graph(feature_device=device)
 
 
 def make_batch(g, size=50, start=100):
@@ -96,22 +96,23 @@ class TestTemporalAttnLayer:
             TemporalAttnLayer(ctx, 3, dim_node=4, dim_edge=4, dim_time=4, dim_out=16)
 
 
-def build_model(name, ctx, g, ds, opt=None, **kw):
+def build_model(name, ctx, g, ds, opt=None, device=None, **kw):
+    """*device* places memory and mailbox (default: the host)."""
     opt = opt if opt is not None else OptFlags.none()
     dn, de, dm = ds.nfeat.shape[1], ds.efeat.shape[1], 16
     common = dict(dim_node=dn, dim_edge=de, dim_time=16, dim_embed=16, opt=opt)
     if name == "tgat":
         return TGAT(ctx, num_layers=2, num_nbrs=5, **common, **kw)
     if name == "tgn":
-        g.set_memory(dm)
-        g.set_mailbox(TGN.required_mailbox_dim(dm, de))
+        g.set_memory(dm, device=device)
+        g.set_mailbox(TGN.required_mailbox_dim(dm, de), device=device)
         return TGN(ctx, dim_mem=dm, num_layers=2, num_nbrs=5, **common, **kw)
     if name == "jodie":
-        g.set_memory(dm)
-        g.set_mailbox(JODIE.required_mailbox_dim(dm, de))
+        g.set_memory(dm, device=device)
+        g.set_mailbox(JODIE.required_mailbox_dim(dm, de), device=device)
         return JODIE(ctx, dim_mem=dm, **common, **kw)
-    g.set_memory(dm)
-    g.set_mailbox(APAN.required_mailbox_dim(dm, de), slots=4)
+    g.set_memory(dm, device=device)
+    g.set_mailbox(APAN.required_mailbox_dim(dm, de), slots=4, device=device)
     return APAN(ctx, dim_mem=dm, num_nbrs=5, mailbox_slots=4, **common, **kw)
 
 
@@ -222,16 +223,20 @@ class TestOptimizationEquivalence:
             assert np.abs(a - b).max() / scale < 1e-3, f"gradient mismatch for {key}"
 
 
-def model_pair(name, wiki, **kw):
+def model_pair(name, wiki, device=None, **kw):
     """(per-node model, per-row reference model) on twin graphs, same weights.
-    TGN and JODIE get build_model's 1-slot mailbox, APAN a 3-slot ring."""
+    TGN and JODIE get build_model's 1-slot mailbox, APAN a 3-slot ring.
+    ``device="cuda"`` is the all-on-GPU placement: features, state and
+    compute on the simulated device."""
     pair = []
     for per_row in (False, True):
         T.manual_seed(5)
-        g = make_graph(wiki)
-        model = build_model(name, tg.TContext(g), g, wiki, **kw)
+        g = make_graph(wiki, device)
+        model = build_model(name, tg.TContext(g, device=device), g, wiki,
+                            device=device, **kw)
+        model.to(device)
         if name == "apan":
-            g.set_mailbox(g.mailbox.dim, slots=3)
+            g.set_mailbox(g.mailbox.dim, slots=3, device=device)
         if per_row:
             model.compute_embeddings = lambda batch, m=model: per_row_compute_embeddings(m, batch)
         pair.append((model, g))
@@ -242,12 +247,13 @@ class TestTGNPerNodeMemory:
     """TGN reads and updates node-keyed state once per unique node; the
     per-row reference (tests/reference.py) recomputes it for every row."""
 
-    def _pair(self, wiki):
-        return model_pair("tgn", wiki)
+    def _pair(self, wiki, device=None):
+        return model_pair("tgn", wiki, device)
 
-    def test_inference_and_state_bit_identical(self, wiki):
+    @pytest.mark.parametrize("device", ["cpu", "cuda"])
+    def test_inference_and_state_bit_identical(self, wiki, device):
         results = []
-        for model, g in self._pair(wiki):
+        for model, g in self._pair(wiki, device):
             model.eval()
             with T.no_grad():
                 embeds, logits = [], []

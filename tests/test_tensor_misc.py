@@ -6,9 +6,41 @@ import pytest
 from repro import tensor as T
 from repro.tensor import Tensor
 from repro.tensor.functional import dropout_mask
+from repro.tensor.random import dropout_pass, dropout_step
+
+
+def _keyed_mask(pass_index=0, start=0, ordinal=0, seed=3, shape=(301, 7), p=0.3):
+    """The *ordinal*-th mask of the step at ``(pass_index, start)``."""
+    T.manual_seed(seed)
+    dropout_pass(pass_index)
+    dropout_step(start)
+    try:
+        for _ in range(ordinal):
+            dropout_mask((5,), p)
+        return dropout_mask(shape, p).numpy()
+    finally:
+        dropout_pass(0)
 
 
 class TestDropoutMask:
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.9])
+    def test_keep_rate_within_binomial_bound(self, p):
+        n = 301 * 133  # odd: the last word contributes one half
+        for start in (0, 600):
+            kept = (_keyed_mask(start=start, shape=(301, 133), p=p) > 0).sum()
+            sd = np.sqrt(n * p * (1 - p))
+            assert abs(kept - n * (1 - p)) < 5 * sd, (p, start, kept)
+
+    def test_equal_key_equal_mask(self):
+        np.testing.assert_array_equal(_keyed_mask(1, 300, 2), _keyed_mask(1, 300, 2))
+
+    @pytest.mark.parametrize("moved", [dict(pass_index=1), dict(start=300),
+                                       dict(ordinal=1), dict(seed=4)])
+    def test_mask_moves_with_each_key_part(self, moved):
+        base = _keyed_mask()
+        other = _keyed_mask(**moved)
+        assert (base != other).mean() > 0.3  # 2 p (1 - p) = 0.42 if independent
+
     def test_scaling_preserves_expectation(self):
         T.manual_seed(0)
         mask = dropout_mask((200, 200), 0.3)
