@@ -13,8 +13,10 @@ Subpackages:
 * :mod:`repro.models` — TGAT, TGN, JODIE, and APAN built on TGLite.
 * :mod:`repro.data` — synthetic CTDG dataset generators matching the shape
   of the paper's benchmarks, chronological splits, negative sampling.
-* :mod:`repro.bench` — training/inference harness, metrics, timing
-  breakdowns, and the experiment runner behind ``benchmarks/``.
+* :mod:`repro.bench` — training/inference harness, metrics, and the
+  experiment runner behind ``benchmarks/``.
+* :mod:`repro.spans` — wall-clock spans marked at the program's layer
+  boundaries, recorded only inside ``record()`` (Figure 7's breakdown).
 """
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Benchmark harness: trainer, metrics, timing, and experiment runner."""
+"""Benchmark harness: trainer, metrics, and experiment runner."""
 
 from .checkpoint import checkpoint_arrays, load_checkpoint, save_checkpoint
 from .metrics import average_precision, roc_auc
@@ -8,7 +8,6 @@ from .node_classification import (
     train_node_classifier,
 )
 from .resilient import ResilienceEvent, ResilientResult, ResilientTrainer
-from .timing import Breakdown, Timer
 from .trainer import (
     EpochResult,
     TrainResult,
@@ -31,8 +30,6 @@ __all__ = [
     "ResilienceEvent",
     "ResilientResult",
     "ResilientTrainer",
-    "Breakdown",
-    "Timer",
     "EpochResult",
     "TrainResult",
     "evaluate",

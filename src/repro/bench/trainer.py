@@ -20,11 +20,11 @@ import numpy as np
 from ..core import TBatch, TGraph, iter_batches
 from ..data import NegativeSampler
 from ..nn import Optimizer, TimeEncode, link_prediction_loss
+from ..spans import span
 from ..store.prefetch import BatchPipeline, attach_graph_sources
 from ..tensor import no_grad
 from ..tensor.random import dropout_pass, dropout_step
 from .metrics import average_precision
-from .timing import Breakdown
 
 __all__ = [
     "EpochResult", "TrainResult", "train_step", "train_epoch", "evaluate", "train", "warm_replay",
@@ -103,16 +103,21 @@ def train_step(model, batch: TBatch, optimizer: Optimizer, neg_sampler: Negative
     (:class:`~repro.bench.resilient.ResilientTrainer`) both call it.
     Negatives are drawn before any model work, so the sampler's draw
     marks the batch boundary; then the step keys its dropout masks on
-    ``batch.start``.  The model must already be in train mode.
+    ``batch.start``.  The model must already be in train mode.  The
+    step's Figure-7 stages are marked as :mod:`repro.spans` spans.
     """
-    batch.neg_nodes = neg_sampler.sample(len(batch))
-    dropout_step(batch.start)
-    optimizer.zero_grad()
+    with span("batch_prep"):
+        batch.neg_nodes = neg_sampler.sample(len(batch))
+        dropout_step(batch.start)
+        optimizer.zero_grad()
     pos, neg = model(batch)
-    loss = link_prediction_loss(pos, neg)
-    loss.backward()
-    optimizer.step()
-    _mark_time_encoders_updated(model)
+    with span("pred_loss"):
+        loss = link_prediction_loss(pos, neg)
+    with span("backward"):
+        loss.backward()
+    with span("opt_step"):
+        optimizer.step()
+        _mark_time_encoders_updated(model)
     return loss.item()
 
 

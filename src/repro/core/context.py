@@ -38,8 +38,6 @@ __all__ = ["TContext"]
 _EMBED_PREFIX = "embed:"
 #: counter-table prefix of transient kernel faults per site.
 _FAULT_PREFIX = "kernel_faults:"
-#: counter-table prefix of accumulated wall-clock seconds per kernel.
-_KERNEL_PREFIX = "kernel:"
 
 
 class TContext:
@@ -69,13 +67,13 @@ class TContext:
         graph.ctx = self
 
         #: the one counter table: operator counters (rows seen/removed by
-        #: dedup()), kernel seconds and faults, the store's and pinned
-        #: pool's accounting, and every counter of a serving deployment
-        #: built over this context; read via stats().
+        #: dedup()), kernel faults, the store's and pinned pool's
+        #: accounting, and every counter of a serving deployment built over
+        #: this context; read via stats().  Kernel wall seconds are spans
+        #: (repro.spans), not counters.
         self.counters: Dict[str, float] = {}
         self.store = TieredFeatureStore(
-            store if store is not None else StoreConfig(),
-            timer=self.add_kernel_time, counters=self.counters,
+            store if store is not None else StoreConfig(), counters=self.counters,
         )
         self._time_tables: Dict[int, dict] = {}
         self._time_zero_rows: Dict[int, Tuple[int, np.ndarray]] = {}
@@ -134,11 +132,6 @@ class TContext:
     def count(self, key: str, amount: int) -> None:
         """Accumulate a counter of the table (e.g. 'dedup_rows_in')."""
         self.counters[key] = self.counters.get(key, 0) + int(amount)
-
-    def add_kernel_time(self, name: str, seconds: float) -> None:
-        """Accumulate wall-clock seconds under ``kernel:<name>``."""
-        key = _KERNEL_PREFIX + name
-        self.counters[key] = self.counters.get(key, 0.0) + seconds
 
     def record_latency(self, seconds: float) -> None:
         """Record one request's end-to-end latency (serving runtime).

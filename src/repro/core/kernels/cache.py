@@ -50,12 +50,12 @@ A ``capacity <= 0`` store is disabled: lookups miss, stores are no-ops
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from ...resilience.hooks import poke as _poke
+from ...spans import span
 from .dedup import unique_first_last
 
 __all__ = ["NodeTimeCache", "_ReferenceNodeTimeCache"]
@@ -88,8 +88,6 @@ class NodeTimeCache:
     Args:
         capacity: ring size in rows; ``<= 0`` disables the cache.
         dim: row width; discovered from the first ``store`` if omitted.
-        timer: optional ``(name, seconds)`` callback fed per-kernel wall
-            time (wired to :meth:`TContext.stats` by the context).
         policy: eviction policy, ``'fifo'`` (historical ring) or
             ``'reuse'`` (reuse-distance-aware; see module docstring).
         on_evict: optional callback receiving ``(nodes, times, rows)``
@@ -97,7 +95,6 @@ class NodeTimeCache:
     """
 
     def __init__(self, capacity: int, dim: Optional[int] = None,
-                 timer: Optional[Callable[[str, float], None]] = None,
                  policy: str = "fifo",
                  on_evict: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None):
         if policy not in POLICIES:
@@ -109,7 +106,6 @@ class NodeTimeCache:
         self.hits = 0
         self.lookups = 0
         self.evictions = 0
-        self._timer = timer
         # Reuse-distance bookkeeping (only maintained under policy='reuse'):
         # a logical access tick, per-slot last-access tick, per-slot EMA of
         # the inter-access gap, and their sum, the predicted next reference.
@@ -153,26 +149,22 @@ class NodeTimeCache:
         otherwise a float32 ``(n, dim)`` array with hit rows filled in.
         """
         _poke("kernel.cache")  # fault-injection site (no-op unless armed)
-        start = time.perf_counter() if self._timer else 0.0
-        n = len(nodes)
-        self.lookups += n
-        hit = np.zeros(n, dtype=bool)
-        if self._values is None or n == 0:
-            if self._timer:
-                self._timer("cache_lookup", time.perf_counter() - start)
-            return hit, None
-        nodes = np.asarray(nodes, dtype=np.int64)
-        times = _canonical_times(times)
-        slots = self._probe_find(nodes, times)
-        hit = slots >= 0
-        rows = np.zeros((n, self.dim), dtype=np.float32)
-        rows[hit] = self._values[slots[hit]]
-        self.hits += int(hit.sum())
-        if self.policy == "reuse" and hit.any():
-            self._touch(np.unique(slots[hit]))
-        if self._timer:
-            self._timer("cache_lookup", time.perf_counter() - start)
-        return hit, rows
+        with span("kernel:cache_lookup"):
+            n = len(nodes)
+            self.lookups += n
+            hit = np.zeros(n, dtype=bool)
+            if self._values is None or n == 0:
+                return hit, None
+            nodes = np.asarray(nodes, dtype=np.int64)
+            times = _canonical_times(times)
+            slots = self._probe_find(nodes, times)
+            hit = slots >= 0
+            rows = np.zeros((n, self.dim), dtype=np.float32)
+            rows[hit] = self._values[slots[hit]]
+            self.hits += int(hit.sum())
+            if self.policy == "reuse" and hit.any():
+                self._touch(np.unique(slots[hit]))
+            return hit, rows
 
     def contains(self, nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Side-effect-free residency probe: boolean mask per query pair.
@@ -215,103 +207,100 @@ class NodeTimeCache:
         if not self.enabled or len(nodes) == 0:
             return
         _poke("kernel.cache")  # fault-injection site (no-op unless armed)
-        start = time.perf_counter() if self._timer else 0.0
-        values = np.asarray(values)
-        self._ensure(values.shape[1])
-        nodes = np.asarray(nodes, dtype=np.int64)
-        times = _canonical_times(times)
+        with span("kernel:cache_store"):
+            values = np.asarray(values)
+            self._ensure(values.shape[1])
+            nodes = np.asarray(nodes, dtype=np.int64)
+            times = _canonical_times(times)
 
-        # Batch dedupe: unique keys with first/last occurrence positions.
-        un, ut, first, last = unique_first_last(nodes, times)
+            # Batch dedupe: unique keys with first/last occurrence positions.
+            un, ut, first, last = unique_first_last(nodes, times)
 
-        # Refresh pass: resident keys keep their slot, take the last value.
-        home = self._buckets(un, ut)
-        slots = self._probe_find(un, ut, home)
-        present = slots >= 0
-        if present.any():
-            self._values[slots[present]] = values[last[present]].astype(np.float32)
-            if self.policy == "reuse":
-                self._touch(slots[present])
+            # Refresh pass: resident keys keep their slot, take the last value.
+            home = self._buckets(un, ut)
+            slots = self._probe_find(un, ut, home)
+            present = slots >= 0
+            if present.any():
+                self._values[slots[present]] = values[last[present]].astype(np.float32)
+                if self.policy == "reuse":
+                    self._touch(slots[present])
 
-        # Allocation pass: absent keys, in first-occurrence order.
-        new = np.flatnonzero(~present)
-        m = len(new)
-        if m == 0:
-            _poke("cache.corrupt", cache=self)
-            if self._timer:
-                self._timer("cache_store", time.perf_counter() - start)
-            return
-        new = new[np.argsort(first[new], kind="stable")]
-        kn, kt, kh = un[new], ut[new], home[new]
-        kv = values[last[new]].astype(np.float32)
-        cap = self.capacity
-        if m >= cap:
-            # The batch replaces the whole ring: only the last `cap`
-            # allocations survive (matching sequential FIFO wraparound).
-            self._evicted(np.arange(self._nslots, dtype=np.int64))
-            survivors = slice(m - cap, m)
-            order = (self._cursor + np.arange(m - cap, m)) % cap
-            self._slot_nodes[order] = kn[survivors]
-            self._slot_times[order] = kt[survivors]
-            self._values[order] = kv[survivors]
-            self._nslots = cap
-            self._cursor = (self._cursor + m) % cap
-            self._rebuild_table()
-            if self.policy == "reuse":
+            # Allocation pass: absent keys, in first-occurrence order.
+            new = np.flatnonzero(~present)
+            m = len(new)
+            if m == 0:
+                _poke("cache.corrupt", cache=self)
+                return
+            new = new[np.argsort(first[new], kind="stable")]
+            kn, kt, kh = un[new], ut[new], home[new]
+            kv = values[last[new]].astype(np.float32)
+            cap = self.capacity
+            if m >= cap:
+                # The batch replaces the whole ring: only the last `cap`
+                # allocations survive (matching sequential FIFO wraparound).
+                self._evicted(np.arange(self._nslots, dtype=np.int64))
+                survivors = slice(m - cap, m)
+                order = (self._cursor + np.arange(m - cap, m)) % cap
+                self._slot_nodes[order] = kn[survivors]
+                self._slot_times[order] = kt[survivors]
+                self._values[order] = kv[survivors]
+                self._nslots = cap
+                self._cursor = (self._cursor + m) % cap
+                self._rebuild_table()
+                if self.policy == "reuse":
+                    self._tick += 1
+                    self._last_access[:] = self._tick
+                    self._gap[:] = float(cap)
+                    self._pred[:] = self._tick + float(cap)
+            elif self.policy == "reuse":
+                if self._used + self._tombs + m > (self._nbuckets * 3) // 5:
+                    self._rebuild_table()
+                # Fill any never-used slots first; the remainder displaces the
+                # resident entries whose predicted next reference is farthest
+                # in the future (ties break toward the lower slot index).
+                fresh = min(m, cap - self._nslots)
+                fresh_slots = np.arange(self._nslots, self._nslots + fresh, dtype=np.int64)
+                short = m - fresh
+                if short:
+                    victims = self._reuse_victims(short)
+                    self._evicted(victims)
+                    self._table_evict(victims)
+                    slots_new = np.concatenate([fresh_slots, victims])
+                else:
+                    slots_new = fresh_slots
+                self._slot_nodes[slots_new] = kn
+                self._slot_times[slots_new] = kt
+                self._values[slots_new] = kv
+                self._nslots += fresh
+                self._cursor = self._nslots % cap
+                self._table_insert(kh, slots_new)
                 self._tick += 1
-                self._last_access[:] = self._tick
-                self._gap[:] = float(cap)
-                self._pred[:] = self._tick + float(cap)
-        elif self.policy == "reuse":
-            if self._used + self._tombs + m > (self._nbuckets * 3) // 5:
-                self._rebuild_table()
-            # Fill any never-used slots first; the remainder displaces the
-            # resident entries whose predicted next reference is farthest
-            # in the future (ties break toward the lower slot index).
-            fresh = min(m, cap - self._nslots)
-            fresh_slots = np.arange(self._nslots, self._nslots + fresh, dtype=np.int64)
-            short = m - fresh
-            if short:
-                victims = self._reuse_victims(short)
-                self._evicted(victims)
-                self._table_evict(victims)
-                slots_new = np.concatenate([fresh_slots, victims])
+                self._last_access[slots_new] = self._tick
+                self._gap[slots_new] = float(cap)
+                self._pred[slots_new] = self._tick + float(cap)
             else:
-                slots_new = fresh_slots
-            self._slot_nodes[slots_new] = kn
-            self._slot_times[slots_new] = kt
-            self._values[slots_new] = kv
-            self._nslots += fresh
-            self._cursor = self._nslots % cap
-            self._table_insert(kh, slots_new)
-            self._tick += 1
-            self._last_access[slots_new] = self._tick
-            self._gap[slots_new] = float(cap)
-            self._pred[slots_new] = self._tick + float(cap)
-        else:
-            if self._used + self._tombs + m > (self._nbuckets * 3) // 5:
+                if self._used + self._tombs + m > (self._nbuckets * 3) // 5:
+                    self._rebuild_table()
+                slots_new = (self._cursor + np.arange(m, dtype=np.int64)) % cap
+                evict = slots_new[slots_new < self._nslots]
+                if len(evict):
+                    self._evicted(evict)
+                    self._table_evict(evict)
+                self._slot_nodes[slots_new] = kn
+                self._slot_times[slots_new] = kt
+                self._values[slots_new] = kv
+                self._nslots = (cap if self._cursor + m >= cap
+                                else max(self._nslots, self._cursor + m))
+                self._cursor = (self._cursor + m) % cap
+                self._table_insert(kh, slots_new)
+            # A steady-state miss storm on a 100%-occupied ring used to let
+            # tombstones pile up toward the global rebuild bound, silently
+            # degrading every probe into a long tombstone walk.  Rebuild as
+            # soon as dead buckets outnumber live ones, which keeps the
+            # table's effective load factor <= ~0.5 at any occupancy.
+            if self._tombs > max(self._used, 1):
                 self._rebuild_table()
-            slots_new = (self._cursor + np.arange(m, dtype=np.int64)) % cap
-            evict = slots_new[slots_new < self._nslots]
-            if len(evict):
-                self._evicted(evict)
-                self._table_evict(evict)
-            self._slot_nodes[slots_new] = kn
-            self._slot_times[slots_new] = kt
-            self._values[slots_new] = kv
-            self._nslots = cap if self._cursor + m >= cap else max(self._nslots, self._cursor + m)
-            self._cursor = (self._cursor + m) % cap
-            self._table_insert(kh, slots_new)
-        # A steady-state miss storm on a 100%-occupied ring used to let
-        # tombstones pile up toward the global rebuild bound, silently
-        # degrading every probe into a long tombstone walk.  Rebuild as
-        # soon as dead buckets outnumber live ones, which keeps the
-        # table's effective load factor <= ~0.5 at any occupancy.
-        if self._tombs > max(self._used, 1):
-            self._rebuild_table()
-        _poke("cache.corrupt", cache=self)
-        if self._timer:
-            self._timer("cache_store", time.perf_counter() - start)
+            _poke("cache.corrupt", cache=self)
 
     def _evicted(self, slots: np.ndarray) -> None:
         """Surface displaced resident entries (count + ``on_evict``)."""

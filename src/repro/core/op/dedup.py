@@ -10,10 +10,9 @@ the inverse index, preserving output semantics exactly.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
+from ...spans import span
 from ...tensor import Tensor
 from ..block import TBlock
 from ..kernels.dedup import unique_node_times
@@ -32,9 +31,8 @@ def dedup(block: TBlock) -> TBlock:
     if block.has_nbrs:
         raise RuntimeError("dedup must be applied before sampling neighbors")
     nodes, times = block.dstnodes, block.dsttimes
-    start = time.perf_counter()
-    uniq_nodes, uniq_times, inverse = unique_node_times(nodes, times)
-    block.ctx.add_kernel_time("dedup", time.perf_counter() - start)
+    with span("kernel:dedup"):
+        uniq_nodes, uniq_times, inverse = unique_node_times(nodes, times)
     block.ctx.count("dedup_rows_in", len(nodes))
     block.ctx.count("dedup_rows_out", len(uniq_nodes))
     if len(uniq_nodes) == len(nodes):

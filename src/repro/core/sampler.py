@@ -17,11 +17,11 @@ magnitude faster on large destination sets.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
 
+from ..spans import span
 from .block import TBlock
 from .kernels import SampleResult, _reference_sample_arrays, temporal_sample
 
@@ -59,12 +59,11 @@ class TSampler:
         pressure); without it, a ``ctx.fanout_limit`` set on the block's
         context caps the fanout instead.
         """
-        start = time.perf_counter()
-        result = self.sample_arrays(
-            block.g.csr(), block.dstnodes, block.dsttimes, ctx=block.ctx,
-            num_nbrs=num_nbrs,
-        )
-        block.ctx.add_kernel_time("sample", time.perf_counter() - start)
+        with span("kernel:sample"):
+            result = self.sample_arrays(
+                block.g.csr(), block.dstnodes, block.dsttimes, ctx=block.ctx,
+                num_nbrs=num_nbrs,
+            )
         block.set_nbrs(*result)
         return block
 

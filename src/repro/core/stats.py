@@ -1,9 +1,10 @@
 """The counter table and the one snapshot of it, ``TContext.stats()``.
 
 Counters live in one table, ``TContext.counters``: operator counters
-(``dedup_rows_in`` ...), per-kernel wall seconds (``kernel:<name>``),
-pinned-pool reuse (``pinned:*``), the feature store's accounting
-(``store:*``), kernel faults, and every counter of a serving deployment.
+(``dedup_rows_in`` ...), pinned-pool reuse (``pinned:*``), the feature
+store's accounting (``store:*``), kernel faults, and every counter of a
+serving deployment.  The table holds counts; wall seconds are
+:mod:`repro.spans` spans.
 Each component is handed the table where it is built and
 :func:`declare`\\ s its keys in it.  ``ctx.stats()`` returns a frozen
 :class:`ContextStats`: a copy of the table plus the keys read at read

@@ -21,6 +21,7 @@ import numpy as np
 from ..core import TBlock, TContext
 from ..core import op as tgop
 from ..nn import Dropout, LayerNorm, Linear, Module, TimeEncode
+from ..spans import span
 from ..tensor import Tensor, cat
 
 __all__ = ["TemporalAttnLayer"]
@@ -72,14 +73,16 @@ class TemporalAttnLayer(Module):
         self.dropout = Dropout(dropout)
 
     def _zero_time(self, n: int) -> Tensor:
-        if self.opt_time_precompute:
-            return tgop.precomputed_zeros(self.ctx, self.time_encoder, n)
-        return self.time_encoder(Tensor(np.zeros(n, dtype=np.float32), device=self.ctx.device))
+        with span("time_zero"):
+            if self.opt_time_precompute:
+                return tgop.precomputed_zeros(self.ctx, self.time_encoder, n)
+            return self.time_encoder(Tensor(np.zeros(n, dtype=np.float32), device=self.ctx.device))
 
     def _nbr_time(self, deltas: np.ndarray) -> Tensor:
-        if self.opt_time_precompute:
-            return tgop.precomputed_times(self.ctx, self.time_encoder, deltas)
-        return self.time_encoder(Tensor(deltas.astype(np.float32), device=self.ctx.device))
+        with span("time_nbrs"):
+            if self.opt_time_precompute:
+                return tgop.precomputed_times(self.ctx, self.time_encoder, deltas)
+            return self.time_encoder(Tensor(deltas.astype(np.float32), device=self.ctx.device))
 
     def forward(self, blk: TBlock) -> Tensor:
         """Compute destination embeddings ``(num_dst, dim_out)`` for *blk*.

@@ -17,6 +17,7 @@ import numpy as np
 from ..core import TBatch, TBlock, TContext
 from ..core import op as tgop
 from ..nn import Module, TimeEncode
+from ..spans import span
 from ..tensor import Tensor, cat, no_grad
 from .predictor import EdgePredictor
 
@@ -89,7 +90,8 @@ class TGNNModel(Module):
         if batch.neg_nodes is None:
             raise ValueError("batch has no negative samples attached")
         embeds = self.compute_embeddings(batch)
-        return self.edge_predictor.score_batch(embeds, len(batch))
+        with span("pred_loss"):
+            return self.edge_predictor.score_batch(embeds, len(batch))
 
 
 class MemoryModel(TGNNModel):

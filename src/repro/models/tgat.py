@@ -17,6 +17,7 @@ from ..core import TBatch, TContext, TSampler
 from ..core import op as tgop
 from ..store import ops as store_ops
 from ..nn import ModuleList
+from ..spans import span
 from ..tensor import Tensor
 from .attention import TemporalAttnLayer
 from .base import OptFlags, TGNNModel
@@ -77,18 +78,22 @@ class TGAT(TGNNModel):
         self.attn_layers = ModuleList(layers)
 
     def compute_embeddings(self, batch: TBatch) -> Tensor:
-        head = batch.block(self.ctx)
-        tail = head
-        for i in range(self.num_layers):
-            if i > 0:
-                tail = tail.next_block()
-            if self.opt.dedup:
-                tail = tgop.dedup(tail)
-            if self.opt.cache:
-                tail = store_ops.memoize(self.ctx, tail)
-            tail = self.sampler.sample(tail)
-        if self.opt.preload:
-            store_ops.preload(head)
-        tail.dstdata["h"] = tail.dstfeat()
-        tail.srcdata["h"] = tail.uniq_srcfeat()
-        return tgop.aggregate(head, list(self.attn_layers), key="h")
+        with span("batch_prep"):
+            head = batch.block(self.ctx)
+            tail = head
+            for i in range(self.num_layers):
+                if i > 0:
+                    tail = tail.next_block()
+                if self.opt.dedup:
+                    tail = tgop.dedup(tail)
+                if self.opt.cache:
+                    tail = store_ops.memoize(self.ctx, tail)
+                with span("sample"):
+                    tail = self.sampler.sample(tail)
+        with span("data_load"):
+            if self.opt.preload:
+                store_ops.preload(head)
+            tail.dstdata["h"] = tail.dstfeat()
+            tail.srcdata["h"] = tail.uniq_srcfeat()
+        with span("attention"):
+            return tgop.aggregate(head, list(self.attn_layers), key="h")

@@ -50,9 +50,9 @@ class LadderDecision:
 
 
 #: Modeled service cost in simulated seconds: per event at each rung, plus
-#: a fixed cost per request.  The values mirror the relative kernel costs
-#: measured by the Fig-7 breakdown: sampling dominates, cache lookups are
-#: cheap, raw memory reads are nearly free.
+#: a fixed cost per request.  The values are hand-set, not calibrated from
+#: any measurement; they only encode the intended order of the rungs
+#: (sampling costs most, cache lookups little, raw memory reads least).
 PER_EVENT = {"full": 1.0e-4, "reduced": 4.0e-5, "cache": 1.0e-5, "memory": 2.0e-6}
 FIXED = 1.0e-4
 #: multiplies the sampling rungs when ``kernel.sample`` is degraded to the

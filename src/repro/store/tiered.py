@@ -99,7 +99,7 @@ class _Space:
         self.dim: Optional[int] = None
         self.hot = self.new_hot(store.config.hot_rows(None))
         self.staging = NodeTimeCache(
-            STAGING_ROWS, timer=store._timer, policy="fifo",
+            STAGING_ROWS, policy="fifo",
             on_evict=self._staging_evicted,
         )
         #: the authority's gather (node-keyed; query times are ignored);
@@ -111,7 +111,7 @@ class _Space:
 
     def new_hot(self, rows: int) -> NodeTimeCache:
         """An empty reuse-distance hot tier of *rows* rows."""
-        return NodeTimeCache(rows, timer=self.store._timer, policy="reuse")
+        return NodeTimeCache(rows, policy="reuse")
 
     def read(self, nodes: np.ndarray) -> np.ndarray:
         return np.asarray(self.source(nodes)).astype(np.float32, copy=False)
@@ -131,18 +131,14 @@ class TieredFeatureStore:
             against; the serving runtime passes its own so store
             transfers and ladder deadlines share one timeline.  A
             private one is used if omitted.
-        timer: optional ``(name, seconds)`` wall-time callback threaded
-            into the tier kernels (``TContext.add_kernel_time``).
         counters: the counter table the store and its pinned pool count
             into (a context passes ``ctx.counters``); a fresh one if None.
     """
 
     def __init__(self, config: Optional[StoreConfig] = None, clock=None,
-                 timer: Optional[Callable[[str, float], None]] = None,
                  counters: Optional[Dict[str, float]] = None):
         self.config = config if config is not None else StoreConfig()
         self.clock = clock if clock is not None else SimClock()
-        self._timer = timer
         self.counters = declare(counters, *COUNTED)
         for key in STALL:
             self.counters.setdefault(key, 0.0)

@@ -8,6 +8,7 @@ from ...core import TBatch
 from ...core.graph import TGraph
 from ...models.predictor import EdgePredictor
 from ...nn import Module, ModuleList
+from ...spans import span
 from ...tensor import Tensor
 from ...tensor.device import get_device
 from ..sampler import TGLSampler
@@ -66,22 +67,28 @@ class TGLTGAT(Module):
         """TGAT keeps no persistent state."""
 
     def compute_embeddings(self, batch: TBatch) -> Tensor:
-        mfgs = self.sampler.sample(self.device, batch.nodes(), batch.times(), self.num_layers)
+        # Time deltas are computed by the sampler (MFG construction) and
+        # encoded inside the layers, so TGL has no separate time stage.
+        with span("sample"):
+            mfgs = self.sampler.sample(self.device, batch.nodes(), batch.times(), self.num_layers)
         # Prepare inputs: raw features for the innermost hop's full padded
         # node set, edge features for every hop (all eagerly, pageable).
-        mfgs[0].load("h", self.g.nfeat, which="all",
-                     feature_store=self.feature_store)
-        if self.g.efeat is not None:
-            for mfg in mfgs:
-                mfg.load_edges("f", self.g.efeat,
-                               feature_store=self.feature_store)
-        h = None
-        for i, mfg in enumerate(mfgs):
-            h = self.layers[i](mfg)
-            if i + 1 < len(mfgs):
-                mfgs[i + 1].srcdata["h"] = h
-        return h
+        with span("data_load"):
+            mfgs[0].load("h", self.g.nfeat, which="all",
+                         feature_store=self.feature_store)
+            if self.g.efeat is not None:
+                for mfg in mfgs:
+                    mfg.load_edges("f", self.g.efeat,
+                                   feature_store=self.feature_store)
+        with span("attention"):
+            h = None
+            for i, mfg in enumerate(mfgs):
+                h = self.layers[i](mfg)
+                if i + 1 < len(mfgs):
+                    mfgs[i + 1].srcdata["h"] = h
+            return h
 
     def forward(self, batch: TBatch):
         embeds = self.compute_embeddings(batch)
-        return self.edge_predictor.score_batch(embeds, len(batch))
+        with span("pred_loss"):
+            return self.edge_predictor.score_batch(embeds, len(batch))

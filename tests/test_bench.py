@@ -1,11 +1,9 @@
-"""Tests for the benchmark harness: metrics, timing, trainer, experiments."""
+"""Tests for the benchmark harness: metrics, trainer, experiments."""
 
 import numpy as np
 import pytest
 
 from repro.bench import (
-    Breakdown,
-    Timer,
     average_precision,
     evaluate,
     train,
@@ -67,36 +65,6 @@ class TestAveragePrecision:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             average_precision(np.ones(2), np.ones(3))
-
-
-class TestTiming:
-    def test_timer_accumulates(self):
-        t = Timer()
-        t.start(); t.stop()
-        t.start(); t.stop()
-        assert t.elapsed > 0
-        t.reset()
-        assert t.elapsed == 0.0
-
-    def test_timer_stop_without_start(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_breakdown_sections(self):
-        bd = Breakdown()
-        with bd.section("a"):
-            pass
-        with bd.section("a"):
-            pass
-        bd.add("b", 1.5)
-        totals = bd.totals()
-        assert set(totals) == {"a", "b"}
-        assert totals["b"] == 1.5
-        assert bd.total() == pytest.approx(totals["a"] + 1.5)
-        table = bd.format_table("title")
-        assert "title" in table and "total" in table
-        bd.reset()
-        assert bd.totals() == {}
 
 
 class TestTrainer:

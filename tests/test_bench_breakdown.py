@@ -1,11 +1,15 @@
-"""Tests for the Figure-7 breakdown runner and experiment flag overrides."""
+"""Tests for Figure 7's breakdown — the real training step under a span
+recording — and experiment flag overrides."""
 
-import numpy as np
 import pytest
 
-from repro.bench.breakdown import run_tgat_breakdown
 from repro.bench.experiments import Experiment, ExperimentConfig
+from repro.bench.trainer import train_epoch
 from repro.models import OptFlags
+from repro.spans import record
+
+STAGES = ("batch_prep", "sample", "data_load", "time_zero", "time_nbrs",
+          "attention", "pred_loss", "backward", "opt_step")
 
 
 def small_cfg(framework, **kw):
@@ -15,37 +19,42 @@ def small_cfg(framework, **kw):
     )
 
 
+def recorded_epoch(framework):
+    """``(train_epoch seconds, recording)`` of one 800-edge TGAT epoch."""
+    exp = Experiment(small_cfg(framework))
+    try:
+        with record() as rec:
+            seconds, _ = train_epoch(exp.model, exp.g, exp.optimizer, exp.neg_sampler,
+                                     exp.cfg.batch_size, stop=800)
+    finally:
+        exp.close()
+    return seconds, rec
+
+
 class TestBreakdownRunner:
     def test_tglite_stages_present(self):
-        totals = run_tgat_breakdown(small_cfg("tglite"), slice_edges=800)
-        for stage in ("batch_prep", "sample", "data_load", "time_zero",
-                      "time_nbrs", "attention", "pred_loss", "backward", "opt_step"):
+        seconds, rec = recorded_epoch("tglite")
+        totals = rec.seconds(STAGES)
+        for stage in STAGES:
             assert stage in totals, stage
             assert totals[stage] >= 0
+        # top-level stage spans are disjoint slices of the epoch
+        assert sum(totals.values()) <= seconds
 
     def test_tgl_has_no_separate_time_stage(self):
-        totals = run_tgat_breakdown(small_cfg("tgl"), slice_edges=800)
+        _, rec = recorded_epoch("tgl")
+        totals = rec.seconds(STAGES)
         assert "time_nbrs" not in totals
         assert "time_zero" not in totals
         assert totals["attention"] > 0
 
     def test_attention_reported_exclusive_of_time_encoding(self):
-        totals = run_tgat_breakdown(small_cfg("tglite"), slice_edges=800)
-        # attention was reduced by nested time sections; all must be finite
-        # and non-negative after the subtraction.
-        assert totals["attention"] >= 0
-
-    def test_rejects_non_tgat_models(self):
-        cfg = ExperimentConfig(dataset="wiki", model="tgn", framework="tglite")
-        with pytest.raises(ValueError):
-            run_tgat_breakdown(cfg)
-
-    def test_patching_is_restored_after_run(self):
-        from repro.models.attention import TemporalAttnLayer
-
-        before = TemporalAttnLayer._zero_time
-        run_tgat_breakdown(small_cfg("tglite"), slice_edges=400)
-        assert TemporalAttnLayer._zero_time is before
+        _, rec = recorded_epoch("tglite")
+        inclusive, stages = rec.totals(), rec.seconds(STAGES)
+        assert stages["attention"] == pytest.approx(
+            inclusive["attention"] - inclusive["time_zero"] - inclusive["time_nbrs"])
+        assert stages["batch_prep"] == pytest.approx(
+            inclusive["batch_prep"] - inclusive["sample"])
 
 
 class TestOptFlagOverride:

@@ -12,6 +12,8 @@ These tests pin the rules that make the table trustworthy:
   on the serving side or the training side (core, store, tensor);
 * ``reset_stats()`` zeroes the table but keeps its keys, so a live
   deployment keeps counting;
+* the table holds counts, not wall seconds, so the same stream gives the
+  same table;
 * the prefetch ledger: every issued row is consumed in time, consumed
   late, retired unused or still in flight;
 * the latency reservoir keeps the 8,192 most recent samples.
@@ -180,6 +182,18 @@ def test_reset_stats_keeps_a_live_deployment_counting(backend):
     assert stats["admission:offered"] == len(batches) - 4
     assert stats["ingest:pushed"] == sum(len(b) for b in batches[4:])
     assert ledger_violations(stats) == []
+
+
+def test_same_stream_gives_the_same_table():
+    """Wall seconds are spans, never counters: two fresh runtimes fed one
+    stream end with equal tables, key for key."""
+    tables = []
+    for _ in range(2):
+        stream, runtime, _ = _engines(lambda: None)
+        with runtime:
+            replay(runtime, split_batches(stream, 30))
+        tables.append(dict(runtime.ctx.counters))
+    assert tables[0] == tables[1]
 
 
 PREFETCH = ("issued", "hits", "late", "unused", "in_flight")

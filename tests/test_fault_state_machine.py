@@ -90,8 +90,6 @@ FAMILIES = {
     "ingest:quarantined:": {v for k, v in vars(RejectReason).items()
                             if k.isupper() and isinstance(v, str)},
     "kernel_faults:": set(SITES),
-    # wall seconds per timed kernel (TContext.add_kernel_time)
-    "kernel:": {"sample", "dedup", "cache_lookup", "cache_store"},
 }
 
 

@@ -1,4 +1,5 @@
-"""Tests for the unified TContext instrumentation (``ctx.stats()``)."""
+"""Tests for the unified TContext instrumentation (``ctx.stats()``) and the
+kernel spans beside it (``repro.spans``)."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from repro.core import op as tgop
 from repro.core.stats import ratios
 from repro.data import NegativeSampler, get_dataset
 from repro.models import TGAT, OptFlags
+from repro.spans import record
 
 
 class TestCounters:
@@ -45,11 +47,14 @@ class TestCounters:
 
     def test_reset_stats(self, tiny_ctx):
         tiny_ctx.count("x", 1)
-        tiny_ctx.add_kernel_time("sample", 0.5)
+        with record() as rec:
+            tgop.dedup(tg.TBlock(tiny_ctx, 0, np.array([0, 0, 1]), np.ones(3)))
         tiny_ctx.reset_stats()
         assert tiny_ctx.counters["x"] == 0
-        assert tiny_ctx.counters["kernel:sample"] == 0.0
         assert set(tiny_ctx.counters.values()) == {0}
+        # kernel seconds live in the recording, not the table
+        assert not any(key.startswith("kernel:") for key in tiny_ctx.counters)
+        assert [s.name for s in rec.spans] == ["kernel:dedup"]
 
     def test_reset_stats_keeps_cache_contents(self, tiny_ctx):
         tiny_ctx.eval()
@@ -76,29 +81,35 @@ class TestCounters:
 
 
 class TestKernelTimes:
-    def test_add_kernel_time_accumulates(self, tiny_ctx):
-        tiny_ctx.add_kernel_time("sample", 0.25)
-        tiny_ctx.add_kernel_time("sample", 0.25)
-        assert tiny_ctx.stats().counters["kernel:sample"] == pytest.approx(0.5)
+    def test_kernel_spans_accumulate(self, tiny_ctx, tiny_graph):
+        sampler = tg.TSampler(2)
+        with record() as rec:
+            for _ in range(2):
+                sampler.sample(tg.TBatch(tiny_graph, 0, 4).block(tiny_ctx))
+        spans = [s for s in rec.spans if s.name == "kernel:sample"]
+        assert len(spans) == 2
+        assert rec.totals()["kernel:sample"] == pytest.approx(
+            sum(s.end - s.start for s in spans))
 
     def test_sampling_records_kernel_time(self, tiny_ctx, tiny_graph):
         blk = tg.TBatch(tiny_graph, 0, 4).block(tiny_ctx)
-        tg.TSampler(2).sample(blk)
-        assert tiny_ctx.stats().counters["kernel:sample"] >= 0
+        with record() as rec:
+            tg.TSampler(2).sample(blk)
+        assert rec.totals()["kernel:sample"] >= 0
 
     def test_dedup_records_kernel_time(self, tiny_ctx):
         blk = tg.TBlock(tiny_ctx, 0, np.array([0, 0, 1]), np.ones(3))
-        tgop.dedup(blk)
-        assert "kernel:dedup" in tiny_ctx.stats().counters
+        with record() as rec:
+            tgop.dedup(blk)
+        assert "kernel:dedup" in rec.totals()
 
     def test_cache_records_kernel_time(self, tiny_ctx):
         tiny_ctx.eval()
         blk = tg.TBlock(tiny_ctx, 0, np.array([0]), np.array([1.0]))
-        tgop.cache(tiny_ctx, blk)
-        blk.run_hooks(T.tensor([[1.0]]))
-        counters = tiny_ctx.stats().counters
-        assert "kernel:cache_lookup" in counters
-        assert "kernel:cache_store" in counters
+        with record() as rec:
+            tgop.cache(tiny_ctx, blk)
+            blk.run_hooks(T.tensor([[1.0]]))
+        assert {"kernel:cache_lookup", "kernel:cache_store"} <= set(rec.totals())
 
 
 class TestEndToEndStats:
@@ -110,10 +121,11 @@ class TestEndToEndStats:
                      num_layers=2, num_nbrs=5, opt=OptFlags(dedup=True))
         batch = tg.TBatch(g, 1500, 1800)
         batch.neg_nodes = NegativeSampler.for_dataset(ds).sample(300)
-        model(batch)
+        with record() as rec:
+            model(batch)
         stats = ctx.stats()
         # The scaled wiki graph has heavy duplication mid-stream.
         assert ratios(stats.counters)["dedup_reduction"] > 0.3
         assert stats.counters["dedup_rows_in"] > stats.counters["dedup_rows_out"] > 0
         # The sampling kernel ran and its time was attributed.
-        assert stats.counters["kernel:sample"] > 0
+        assert rec.totals()["kernel:sample"] > 0
