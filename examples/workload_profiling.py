@@ -5,9 +5,7 @@ CTDGs re-request the same (node, time) embeddings, popularity is skewed,
 and time deltas repeat.  ``repro.data.analysis`` quantifies those levers.
 This example profiles every bundled dataset and then *validates* the
 prediction: the dataset with the highest dedup potential should see the
-largest measured dedup speedup on TGAT.  Finally it profiles the *data
-movement* side with the tiered feature store: bytes moved per tier and
-the stall time the lookahead prefetcher recovers.
+largest measured dedup speedup on TGAT.
 
 Run:  python examples/workload_profiling.py
 """
@@ -43,38 +41,6 @@ def measure_dedup_speedup(dataset, stop_edges=1500) -> float:
     return times["plain"] / times["dedup"]
 
 
-def profile_data_movement(dataset, stop_edges=1500) -> None:
-    """Per-tier bytes moved and prefetch-recovered stall for one slice."""
-    from repro.store import StoreConfig
-
-    T.manual_seed(3)
-    g = dataset.build_graph()
-    ctx = tg.TContext(g, store=StoreConfig(prefetch_depth=1))
-    model = TGAT(ctx, dim_node=dataset.nfeat.shape[1],
-                 dim_edge=dataset.efeat.shape[1], dim_time=16, dim_embed=16,
-                 num_layers=2, num_nbrs=10, opt=OptFlags.all())
-    opt = nn.Adam(model.parameters(), lr=1e-3)
-    neg = NegativeSampler.for_dataset(dataset)
-    start = dataset.num_edges // 2
-    train_epoch(model, g, opt, neg, 300, start=start,
-                stop=start + stop_edges, ctx=ctx)
-    c = ctx.stats().counters
-    print(f"  {'tier':8s} {'bytes in':>12s} {'bytes out':>12s} "
-          f"{'hit rate':>9s}")
-    for tier in ("hot", "staging", "cold"):
-        hits, misses = c[f"store:{tier}:hits"], c[f"store:{tier}:misses"]
-        print(f"  {tier:8s} {c[f'store:{tier}:bytes_in']:>12d} "
-              f"{c[f'store:{tier}:bytes_out']:>12d} "
-              f"{100 * hits / max(1, hits + misses):>8.1f}%")
-    moved = sum(c[f"store:{tier}:bytes_in"] for tier in ("hot", "staging", "cold"))
-    print(f"  total bytes moved between tiers: {moved}")
-    stall, saved = c["store:stall_seconds"], c["store:stall_saved_seconds"]
-    recovered = saved / (stall + saved) if stall + saved > 0 else 0.0
-    print(f"  prefetch: {c['store:prefetch_hits']}/{c['store:prefetch_issued']} consumed "
-          f"after their transfer completed; stall {stall:.4g}s "
-          f"paid, {saved:.4g}s recovered ({100 * recovered:.1f}%)")
-
-
 def main() -> None:
     names = ["wiki", "mooc", "reddit", "lastfm", "wikitalk"]
     print("workload profiles (optimization levers):\n")
@@ -103,9 +69,6 @@ def main() -> None:
     agree = ranked_by_potential[0] == ranked_by_speedup[0]
     print(f"\nhighest-potential dataset ({ranked_by_potential[0]}) "
           f"{'also shows' if agree else 'does not show'} the largest measured speedup.")
-
-    print("\ndata movement through the tiered feature store (wiki slice):\n")
-    profile_data_movement(get_dataset("wiki"))
 
 
 if __name__ == "__main__":

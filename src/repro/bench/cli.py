@@ -38,7 +38,6 @@ import sys
 from typing import List, Optional
 
 from ..data import available_datasets, get_dataset
-from ..store.tiered import TIERS
 from .cluster_cli import (
     add_replay_flags,
     build_serve_cluster_parser,
@@ -54,7 +53,6 @@ from .scenario_cli import (
     build_scenarios_parser,
     scenarios_main,
     store_config_from_args,
-    store_flags_set,
 )
 
 __all__ = ["main", "build_parser", "build_serve_parser", "serve_main",
@@ -143,7 +141,13 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     from ..resilience import FaultInjector, validate_state
     from ..serve import ServeRuntime, ledger_violations, poison_stream, split_batches
 
-    args = build_serve_parser().parse_args(argv)
+    parser = build_serve_parser()
+    args = parser.parse_args(argv)
+    if args.recover and args.durable_dir is None:
+        parser.error("--recover needs --durable-dir: the log to recover from")
+    if args.check_equivalence and not args.poison:
+        parser.error("--check-equivalence needs --poison: it compares the "
+                     "poisoned replay with the clean one")
     stream, num_nodes = load_stream(args)
 
     lateness = 0.0
@@ -153,11 +157,9 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         print("poisoned stream:", ", ".join(f"{k}={v}" for k, v in injected.items()),
               f"(lateness bound {lateness:.4g})")
 
-    use_store = store_flags_set(args)
-
     def make_runtime(injector=None, reliable=False):
         g = TGraph(clean.src, clean.dst, clean.ts, num_nodes=num_nodes)
-        ctx = TContext(g, store=store_config_from_args(args) if use_store else None)
+        ctx = TContext(g, store=store_config_from_args(args))
         return ServeRuntime(
             g, ctx, Memory(num_nodes, args.dim_mem),
             TSampler(args.num_nbrs, seed=args.seed),
@@ -171,8 +173,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             durable_dir=None if reliable else args.durable_dir,
             durable_fsync=args.fsync,
             snapshot_every=args.snapshot_every or None,
-            recover=args.recover,
-            feature_store=use_store,
+            recover=False if reliable else args.recover,
         )
 
     injector = None
@@ -196,7 +197,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
                   + runtime.memory.validate() + runtime.mailbox.validate())
     if violations:
         failures.append("state violations: " + "; ".join(violations))
-    if args.poison and args.check_equivalence:
+    if args.check_equivalence:
         # Equivalence is defined over streams, not over shed work, so the
         # comparison replays run shed-free (unbounded queue, no deadline).
         digests = []
@@ -255,7 +256,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         seed=args.seed,
         device_capacity=args.capacity_mb * 1024 * 1024 if args.capacity_mb else None,
         store_hot_mb=args.store_hot_mb,
-        store_prefetch_depth=args.prefetch_depth,
     )
     print(f"running {cfg.label()}  (batch={cfg.batch_size}, nbrs={cfg.num_nbrs}, "
           f"layers={cfg.num_layers}, epochs={cfg.epochs})")
@@ -279,29 +279,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.inference:
             seconds, ap = exp.run_test_inference()
             print(f"test inference: {seconds:.2f}s  AP {ap:.4f}")
-        fstore = (exp.ctx.store if exp.ctx is not None
-                  else getattr(exp.model, "feature_store", None))
-        if cfg.uses_feature_store and fstore is not None:
-            print_store_summary({**fstore.counters, **fstore.gauges()})
     finally:
         exp.close()
     return 0
-
-
-def print_store_summary(c) -> None:
-    """The feature store's stall and per-tier lines, from its ``store:*`` keys."""
-    stall, saved = c["store:stall_seconds"], c["store:stall_saved_seconds"]
-    would_be = stall + saved
-    recovered = saved / would_be if would_be > 0 else 0.0
-    moved = sum(c[f"store:{tier}:bytes_in"] for tier in TIERS)
-    print(f"feature store: stall {stall:.4f}s, saved {saved:.4f}s "
-          f"({100 * recovered:.1f}% recovered), bytes moved {moved}")
-    for tier in TIERS:
-        t = {key: c[f"store:{tier}:{key}"] for key in
-             ("hits", "misses", "bytes_in", "bytes_out", "evictions")}
-        print(f"  {tier:8s} hits {t['hits']:>9d}  misses {t['misses']:>9d}  "
-              f"in {t['bytes_in']:>12d}B  out {t['bytes_out']:>12d}B  "
-              f"evict {t['evictions']:>7d}")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -31,7 +31,7 @@ from .. import core as tg
 from ..data import NegativeSampler, get_dataset
 from ..models import APAN, JODIE, TGAT, TGN, OptFlags
 from ..nn import Adam
-from ..store import StoreConfig, TieredFeatureStore
+from ..store import StoreConfig
 from ..tensor import manual_seed
 from ..tensor.device import runtime
 from ..tgl import TGLAPAN, TGLJODIE, TGLMailBox, TGLTGAT, TGLTGN
@@ -73,18 +73,9 @@ class ExperimentConfig:
     #: explicit OptFlags for TGLite settings (overrides the framework
     #: presets; used by the single-optimization ablation of Table 6).
     opt_flags: Optional[OptFlags] = None
-    #: tiered feature-store knobs (None = the context's store defaults).
-    #: Setting any of them also opts the run into the store-driven batch
-    #: prefetch pipeline (lookahead gathers on the simulated clock).
+    #: memo-ring budget in MiB per embedding-cache layer (None = the
+    #: context's store default).
     store_hot_mb: Optional[float] = None
-    store_prefetch_depth: Optional[int] = None
-
-    @property
-    def uses_feature_store(self) -> bool:
-        return (
-            self.store_hot_mb is not None
-            or self.store_prefetch_depth is not None
-        )
 
     def label(self) -> str:
         return f"{self.model}/{self.dataset}/{self.framework}/{self.placement}"
@@ -128,18 +119,11 @@ class Experiment:
         dim_node = self.dataset.nfeat.shape[1]
         dim_edge = self.dataset.efeat.shape[1]
 
-        store_cfg = StoreConfig().with_overrides(
-            hot_mb=cfg.store_hot_mb,
-            prefetch_depth=cfg.store_prefetch_depth,
-        )
         if cfg.framework == "tgl":
             self.ctx = None
             self.model = self._build_tgl(dim_node, dim_edge, data_device)
-            if cfg.uses_feature_store and hasattr(self.model, "feature_store"):
-                # The baseline's eager loads resolve through the same
-                # tiering implementation as the TGLite front-ends.
-                self.model.feature_store = TieredFeatureStore(store_cfg)
         else:
+            store_cfg = StoreConfig().with_overrides(hot_mb=cfg.store_hot_mb)
             self.ctx = tg.TContext(self.g, device="cuda", store=store_cfg)
             self.model = self._build_tglite(dim_node, dim_edge, data_device)
         self.model.to("cuda")
@@ -199,18 +183,12 @@ class Experiment:
 
     # ---- running -------------------------------------------------------------------
 
-    @property
-    def _prefetch_ctx(self):
-        """The context, when the config opts into store-driven prefetch."""
-        return self.ctx if self.cfg.uses_feature_store else None
-
     def run_training(self) -> TrainResult:
         """Train for ``cfg.epochs`` with per-epoch validation AP."""
         return train(
             self.model, self.g, self.optimizer, self.neg_sampler,
             batch_size=self.cfg.batch_size, epochs=self.cfg.epochs,
             train_end=self.train_end, eval_end=self.val_end,
-            ctx=self._prefetch_ctx,
         )
 
     def run_resilient_training(
@@ -231,7 +209,6 @@ class Experiment:
             self.model, self.g, self.optimizer, self.neg_sampler,
             batch_size=self.cfg.batch_size, checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every, injector=injector,
-            ctx=self._prefetch_ctx,
         )
         return trainer.train(
             epochs=self.cfg.epochs, train_end=self.train_end,
@@ -250,7 +227,7 @@ class Experiment:
                         self.cfg.batch_size, stop=self.val_end)
         return evaluate(self.model, self.g, self.neg_sampler,
                         self.cfg.batch_size, start=self.val_end,
-                        stop=self.test_end, ctx=self._prefetch_ctx)
+                        stop=self.test_end)
 
     def close(self) -> None:
         """Reset global runtime state (bandwidths, capacities, stats)."""

@@ -130,12 +130,6 @@ class ResilientTrainer:
         injector: optional :class:`~repro.resilience.FaultInjector` to
             install for the duration of ``train`` (one may instead be
             installed externally as a context manager).
-        ctx: opt-in store-driven batch prefetch: when the context's
-            tiered store prefetches (``prefetch_depth > 0``), each
-            batch's working set is gathered through the store and the
-            next batch's set is prefetched behind it on the simulated
-            clock.  A retried or rolled-back batch simply re-consumes
-            rows that are already hot, so recovery stays bit-exact.
     """
 
     CHECKPOINT_NAME = "resilient.ckpt"
@@ -150,7 +144,6 @@ class ResilientTrainer:
         checkpoint_dir: str,
         checkpoint_every: int = 50,
         injector=None,
-        ctx=None,
     ):
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
@@ -161,23 +154,9 @@ class ResilientTrainer:
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         self.injector = injector
-        self.ctx = ctx
-        self._bind_graph(g)
+        self.g = g
 
     # ---- state plumbing ---------------------------------------------------------
-
-    def _bind_graph(self, g: TGraph) -> None:
-        """Train on *g*: the prefetch pipeline and the store's graph-backed
-        source spaces follow the graph, so lookahead never predicts from a
-        replaced graph's edge arrays."""
-        self.g = g
-        self._pipeline = None
-        fstore = getattr(self.ctx, "store", None)
-        if fstore is not None and fstore.config.prefetch_depth > 0:
-            from ..store.prefetch import BatchPipeline, attach_graph_sources
-
-            attach_graph_sources(fstore, g)
-            self._pipeline = BatchPipeline(fstore, g)
 
     @property
     def checkpoint_path(self) -> str:
@@ -281,22 +260,10 @@ class ResilientTrainer:
         """:func:`~repro.bench.trainer.train_step` on a freshly built
         batch over edges ``[lo, hi)``, plus the divergence guard."""
         batch = TBatch(self.g, lo, hi)
-        if self._pipeline is not None:
-            # Demand-gather this batch's working set (consuming any rows
-            # a previous batch's lookahead already staged).
-            self._pipeline.consume_batch(batch)
         self.model.train()
         self.neg_sampler.reset(lo)
         loss_value = train_step(self.model, batch, self.optimizer, self.neg_sampler)
         self._guard_divergence(loss_value)
-        if self._pipeline is not None:
-            # Overlap: this batch's compute pays for the next one's
-            # transfers.  Prefetching past the trained range (into edges
-            # the pass never reaches) just leaves a few staged rows unused.
-            self._pipeline.advance(batch)
-            hi2 = min(hi + self.batch_size, self.g.num_edges)
-            if hi < hi2:
-                self._pipeline.prefetch_batch(TBatch(self.g, hi, hi2))
         return loss_value
 
     def _with_retry(self, result: ResilientResult, epoch: int, b: int,
@@ -432,7 +399,7 @@ class ResilientTrainer:
                             result, p, n_windows,
                             lambda: evaluate(
                                 self.model, self.g, self.neg_sampler, self.batch_size,
-                                start=last, stop=eval_end, ctx=self.ctx,
+                                start=last, stop=eval_end,
                             ),
                             " during evaluation",
                         )
@@ -497,7 +464,7 @@ class ResilientTrainer:
         Returns a :class:`ResilientResult` covering just this call.
         """
         if graph is not None:
-            self._bind_graph(graph)
+            self.g = graph
         start, stop = int(start), int(stop)
         if stop <= start or passes < 1:
             return ResilientResult()

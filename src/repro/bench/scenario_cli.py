@@ -26,40 +26,34 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 __all__ = ["add_store_flags", "build_scenarios_parser", "scenarios_main",
-           "store_config_from_args", "store_flags_set"]
+           "store_config_from_args"]
 
 MODES = ("frozen", "continual", "oracle")
 
 
+def _hot_mb(text: str) -> float:
+    """``--store-hot-mb``'s value, checked by :class:`~repro.store.StoreConfig`."""
+    from ..store import StoreConfig
+
+    try:
+        return StoreConfig(hot_mb=float(text)).hot_mb
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def add_store_flags(parser: argparse.ArgumentParser) -> None:
-    """Tiered feature-store knobs shared by every ``repro.bench`` subcommand.
-
-    Setting any of them opts the run into the :mod:`repro.store` tiering
-    path (store-driven prefetch for training, scoring-row gathers through
-    the store for serving).
-    """
-    grp = parser.add_argument_group("tiered feature store")
-    grp.add_argument("--store-hot-mb", type=float, default=None, metavar="MB",
-                     help="hot-tier budget in MiB per feature space "
+    """The memo-cache knob shared by every ``repro.bench`` subcommand."""
+    grp = parser.add_argument_group("feature store")
+    grp.add_argument("--store-hot-mb", type=_hot_mb, default=None, metavar="MB",
+                     help="hot-ring budget in MiB per embedding-cache layer "
                           "(default: row-count sized)")
-    grp.add_argument("--prefetch-depth", type=int, default=None, metavar="N",
-                     help="batches of sampler-lookahead prefetch "
-                          "(0 disables the prefetcher)")
-
-
-def store_flags_set(args) -> bool:
-    """True when any of the :func:`add_store_flags` knobs was given."""
-    return args.store_hot_mb is not None or args.prefetch_depth is not None
 
 
 def store_config_from_args(args):
-    """A :class:`~repro.store.StoreConfig` reflecting the CLI knobs."""
+    """A :class:`~repro.store.StoreConfig` reflecting the CLI knob."""
     from ..store import StoreConfig
 
-    return StoreConfig().with_overrides(
-        hot_mb=args.store_hot_mb,
-        prefetch_depth=args.prefetch_depth,
-    )
+    return StoreConfig().with_overrides(hot_mb=args.store_hot_mb)
 
 
 def build_scenarios_parser() -> argparse.ArgumentParser:
@@ -172,8 +166,7 @@ def scenarios_main(argv: Optional[List[str]] = None) -> int:
             )
     modes = args.mode or ["frozen", "continual"]
     budgets = _parse_budgets(args.staleness)
-    use_store = store_flags_set(args)
-    store_cfg = store_config_from_args(args) if use_store else None
+    store_cfg = store_config_from_args(args)
 
     rows = []
     for name in names:
@@ -200,7 +193,6 @@ def scenarios_main(argv: Optional[List[str]] = None) -> int:
                     seed=args.loop_seed,
                     num_windows=args.num_windows,
                     workdir=tempfile.mkdtemp(prefix=f"scenario-{name}-{mode}-"),
-                    feature_store=use_store,
                     store=store_cfg,
                 )
                 summary = run["summary"]
@@ -219,14 +211,6 @@ def scenarios_main(argv: Optional[List[str]] = None) -> int:
                       + (f" budget={budget:g}" if mode == "continual" else "")
                       + f": overall AP {summary['overall_ap']:.4f}, "
                         f"final phase {_final_phase_ap(summary):.4f}")
-                if use_store:
-                    st = run["stats"]
-                    print(f"    store: stall "
-                          f"{st.get('store:stall_seconds', 0.0):.4g}s, "
-                          f"saved {st.get('store:stall_saved_seconds', 0.0):.4g}s, "
-                          f"prefetch hits "
-                          f"{st.get('store:prefetch_hits', 0)}"
-                          f"/{st.get('store:prefetch_issued', 0)}")
 
     title = (f"accuracy under drift ({args.events} events, "
              f"noise {args.noise_frac:g}, stream seed {args.seed}, "

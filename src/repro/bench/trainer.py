@@ -21,7 +21,6 @@ from ..core import TBatch, TGraph, iter_batches
 from ..data import NegativeSampler
 from ..nn import Optimizer, TimeEncode, link_prediction_loss
 from ..spans import span
-from ..store.prefetch import BatchPipeline, attach_graph_sources
 from ..tensor import no_grad
 from ..tensor.random import dropout_pass, dropout_step
 from .metrics import average_precision
@@ -77,24 +76,6 @@ def _sampling_pass(model, pass_index: int):
         dropout_pass(0)
 
 
-def _batches(g, batch_size, start, stop, ctx):
-    """Chronological batches, with store lookahead prefetch when opted in.
-
-    Passing a context whose tiered store prefetches (``prefetch_depth >
-    0``) wraps the stream in a :class:`~repro.store.prefetch.BatchPipeline`:
-    the graph's feature/memory tables are registered as store sources and
-    each batch's working set is fetched one batch ahead on the simulated
-    clock (recovered stall lands in ``ctx.stats()`` under ``store:*``).
-    With ``ctx=None`` this is exactly ``iter_batches``.
-    """
-    it = iter_batches(g, batch_size, start=start, stop=stop)
-    store = getattr(ctx, "store", None) if ctx is not None else None
-    if store is None or store.config.prefetch_depth <= 0:
-        return it
-    attach_graph_sources(store, g)
-    return BatchPipeline(store, g).batches(it)
-
-
 def train_step(model, batch: TBatch, optimizer: Optimizer, neg_sampler: NegativeSampler) -> float:
     """One optimisation step of the §5 protocol on *batch*; returns the loss.
 
@@ -129,18 +110,16 @@ def train_epoch(
     batch_size: int,
     start: int = 0,
     stop: Optional[int] = None,
-    ctx=None,
 ) -> Tuple[float, float]:
     """Run one training epoch over edges ``[start, stop)``.
 
-    Returns ``(elapsed_seconds, mean_loss)``.  ``ctx`` opts the epoch
-    into store-driven batch prefetch (see :func:`_batches`).
+    Returns ``(elapsed_seconds, mean_loss)``.
     """
     model.train()
     neg_sampler.reset()
     losses = []
     t0 = time.perf_counter()
-    for batch in _batches(g, batch_size, start, stop, ctx):
+    for batch in iter_batches(g, batch_size, start=start, stop=stop):
         losses.append(train_step(model, batch, optimizer, neg_sampler))
     elapsed = time.perf_counter() - t0
     return elapsed, float(np.mean(losses)) if losses else 0.0
@@ -153,7 +132,6 @@ def evaluate(
     batch_size: int,
     start: int,
     stop: Optional[int] = None,
-    ctx=None,
 ) -> Tuple[float, float]:
     """Score edges ``[start, stop)`` in inference mode.
 
@@ -167,7 +145,7 @@ def evaluate(
     neg_scores: List[np.ndarray] = []
     t0 = time.perf_counter()
     with no_grad():
-        for batch in _batches(g, batch_size, start, stop, ctx):
+        for batch in iter_batches(g, batch_size, start=start, stop=stop):
             batch.neg_nodes = neg_sampler.sample(len(batch))
             pos, neg = model(batch)
             pos_scores.append(pos.data.copy())
@@ -202,7 +180,6 @@ def train(
     epochs: int,
     train_end: int,
     eval_end: Optional[int] = None,
-    ctx=None,
 ) -> TrainResult:
     """Full training loop: per epoch, reset state, train, then evaluate.
 
@@ -210,22 +187,18 @@ def train(
         train_end: training edges are ``[0, train_end)``.
         eval_end: evaluation edges are ``[train_end, eval_end)``; omit to
             skip per-epoch evaluation.
-        ctx: opts the run into store-driven batch prefetch
-            (see :func:`_batches`).
     """
     result = TrainResult()
     for epoch in range(epochs):
         model.reset_state()
         with _sampling_pass(model, epoch):
             train_s, loss = train_epoch(
-                model, g, optimizer, neg_sampler, batch_size, start=0,
-                stop=train_end, ctx=ctx,
+                model, g, optimizer, neg_sampler, batch_size, start=0, stop=train_end,
             )
         eval_s, ap = (0.0, 0.0)
         if eval_end is not None and eval_end > train_end:
             eval_s, ap = evaluate(
-                model, g, neg_sampler, batch_size, start=train_end,
-                stop=eval_end, ctx=ctx,
+                model, g, neg_sampler, batch_size, start=train_end, stop=eval_end,
             )
         result.epochs.append(EpochResult(epoch, train_s, loss, eval_s, ap))
     return result

@@ -44,7 +44,7 @@ followers — and the seam uses the group at both ends:
 
 Because every group member applies exactly the committed event sequence
 (eventually — member queues drain before :meth:`drain` returns) through
-the same content-deterministic staging path, the assembled
+the same content-deterministic commit path, the assembled
 :meth:`memory_image` / :meth:`mailbox_image` after any chaos schedule is
 bit-identical to a clean single-runtime replay of the same admitted
 stream — at any replication factor, killing up to ``factor - 1`` members
@@ -126,13 +126,12 @@ class ShardedCostModel:
     def __init__(self, cluster: "ServeCluster"):
         self._cluster = cluster
 
-    def estimate(self, level: str, n_events: int, ctx=None,
-                 fetch_seconds: float = 0.0) -> float:
+    def estimate(self, level: str, n_events: int, ctx=None) -> float:
         live = max(1, self._cluster.live_shards())
         cost = FIXED + PER_EVENT[level] * n_events / live
         rpc = self._cluster.rpc.service
         if level in ("full", "reduced"):
-            cost += max(0.0, float(fetch_seconds)) + 2.0 * rpc
+            cost += 2.0 * rpc
             if ctx is not None and ctx.is_degraded("kernel.sample"):
                 cost *= REFERENCE_PENALTY
         else:

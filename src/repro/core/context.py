@@ -181,8 +181,7 @@ class TContext:
 
     def stats(self) -> ContextStats:
         """One frozen snapshot: the counter table plus its read-time keys —
-        the store rings' ``store:{hot,staging}:*`` sums and
-        ``store:prefetch_in_flight``, each embedding-cache layer's
+        the store rings' ``store:hot:*`` sums, each embedding-cache layer's
         ``embed:<layer>:{hits,lookups,entries,evictions}`` (since its last
         clear) and ``degraded:<site>`` — and the request latencies."""
         counters = dict(self.counters)

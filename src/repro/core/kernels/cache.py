@@ -39,10 +39,7 @@ the ``'fifo'`` policy):
    occurrence's value.
 
 Evictions are surfaced explicitly: the ``evictions`` counter counts
-every resident entry displaced, and an optional ``on_evict`` callback
-receives the displaced ``(nodes, times, rows)`` so an owning store can
-account for them (the tiered store's staging ring retires the in-flight
-prefetches it displaces).
+every resident entry displaced.
 
 A ``capacity <= 0`` store is disabled: lookups miss, stores are no-ops
 (a zero-capacity ring used to raise ``ZeroDivisionError``).
@@ -50,7 +47,7 @@ A ``capacity <= 0`` store is disabled: lookups miss, stores are no-ops
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -90,19 +87,15 @@ class NodeTimeCache:
         dim: row width; discovered from the first ``store`` if omitted.
         policy: eviction policy, ``'fifo'`` (historical ring) or
             ``'reuse'`` (reuse-distance-aware; see module docstring).
-        on_evict: optional callback receiving ``(nodes, times, rows)``
-            for every batch of displaced resident entries.
     """
 
     def __init__(self, capacity: int, dim: Optional[int] = None,
-                 policy: str = "fifo",
-                 on_evict: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None):
+                 policy: str = "fifo"):
         if policy not in POLICIES:
             raise ValueError(f"unknown eviction policy {policy!r} (expected one of {POLICIES})")
         self.capacity = int(capacity)
         self.dim = dim
         self.policy = policy
-        self.on_evict = on_evict
         self.hits = 0
         self.lookups = 0
         self.evictions = 0
@@ -165,21 +158,6 @@ class NodeTimeCache:
             if self.policy == "reuse" and hit.any():
                 self._touch(np.unique(slots[hit]))
             return hit, rows
-
-    def contains(self, nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Side-effect-free residency probe: boolean mask per query pair.
-
-        Unlike :meth:`lookup`, this perturbs nothing — no hit/lookup
-        counters, no reuse-distance touches — so cost estimators (e.g.
-        the serve ladder's fetch-penalty model) can ask "would this hit?"
-        without distorting the statistics they are estimating from.
-        """
-        n = len(nodes)
-        if self._values is None or n == 0:
-            return np.zeros(n, dtype=bool)
-        nodes = np.asarray(nodes, dtype=np.int64)
-        times = _canonical_times(times)
-        return self._probe_find(nodes, times) >= 0
 
     def _touch(self, slots: np.ndarray) -> None:
         """Advance the access tick and fold it into per-slot reuse stats."""
@@ -303,16 +281,8 @@ class NodeTimeCache:
             _poke("cache.corrupt", cache=self)
 
     def _evicted(self, slots: np.ndarray) -> None:
-        """Surface displaced resident entries (count + ``on_evict``)."""
-        if not len(slots):
-            return
+        """Count displaced resident entries."""
         self.evictions += int(len(slots))
-        if self.on_evict is not None:
-            self.on_evict(
-                self._slot_nodes[slots].copy(),
-                self._slot_times[slots].copy(),
-                self._values[slots].copy(),
-            )
 
     def clear(self) -> None:
         """Drop all entries and reset hit statistics."""

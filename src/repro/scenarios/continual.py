@@ -238,7 +238,6 @@ def run_closed_loop(
     workdir: Optional[str] = None,
     load: float = 1.0,
     num_windows: int = 10,
-    feature_store: bool = False,
     store=None,
 ) -> Dict:
     """Serve a scenario stream end to end and score it against ground truth.
@@ -258,11 +257,8 @@ def run_closed_loop(
           *entire* stream (drift included) before serving: the
           hindsight upper bound.
 
-    ``feature_store=True`` routes the runtime's scoring-row gathers
-    through the context's tiered store with head-of-queue prefetch (see
-    :class:`ServeRuntime`); scores are unchanged — only the ``store:*``
-    accounting appears in ``stats``.  ``store`` optionally carries a
-    :class:`~repro.store.StoreConfig` with the tier budgets.
+    ``store`` optionally carries the serving context's
+    :class:`~repro.store.StoreConfig` (the embedding-cache budget).
 
     Returns a dict with per-event ``scores`` (NaN for warmup/unserved),
     the :func:`accuracy_under_drift` ``summary``, the runtime ``stats``,
@@ -307,7 +303,6 @@ def run_closed_loop(
         graph, ctx, memory, sampler, mailbox=mailbox,
         deadline=1.0e9, max_queue=1 << 30,
         durable_dir=wal_dir, durable_fsync="always", snapshot_every=None,
-        feature_store=feature_store,
     )
     pretrain_watermark = float(ev.ts[warmup_end - 1])
     runtime.swap_model(model.embeddings(), watermark=pretrain_watermark)

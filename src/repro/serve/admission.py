@@ -142,11 +142,7 @@ class AdmissionController:
         return self._queue.popleft() if self._queue else None
 
     def peek(self):
-        """The next request :meth:`poll` would return, without dequeuing.
-
-        Lets the runtime issue feature prefetches for the head of the
-        queue while the current request is still being served.
-        """
+        """The next request :meth:`poll` would return, without dequeuing."""
         return self._queue[0] if self._queue else None
 
     def drain_shed(self) -> List:

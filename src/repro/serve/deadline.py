@@ -65,22 +65,12 @@ REDUCED_FANOUT = 2
 class CostModel:
     """Modeled service cost of one request on a single runtime."""
 
-    def estimate(self, level: str, n_events: int, ctx=None,
-                 fetch_seconds: float = 0.0) -> float:
-        """Estimated simulated seconds to serve *n_events* at *level*.
-
-        ``fetch_seconds`` is the modeled stall to gather this request's
-        feature rows from the tiered store (zero when everything is hot
-        or a prefetch already staged it).  Only the sampling rungs pay
-        it — they are the rungs that must touch raw features — so a
-        prefetch miss pushes the decision down to the ``cache`` rung,
-        which serves from already-resident embedding rows.
-        """
+    def estimate(self, level: str, n_events: int, ctx=None) -> float:
+        """Estimated simulated seconds to serve *n_events* at *level*."""
         cost = FIXED + PER_EVENT[level] * n_events
-        if level in ("full", "reduced"):
-            cost += max(0.0, float(fetch_seconds))
-            if ctx is not None and ctx.is_degraded("kernel.sample"):
-                cost *= REFERENCE_PENALTY
+        if (level in ("full", "reduced") and ctx is not None
+                and ctx.is_degraded("kernel.sample")):
+            cost *= REFERENCE_PENALTY
         return cost
 
 
@@ -113,24 +103,15 @@ class DegradationLadder:
         return 0
 
     def decide(self, remaining_budget: float, n_events: int,
-               ctx=None, fetch_seconds: float = 0.0) -> LadderDecision:
-        """Pick the least-degraded affordable rung for one request.
-
-        ``fetch_seconds`` (the tiered store's modeled feature-gather
-        stall, see :meth:`CostModel.estimate`) inflates the sampling
-        rungs only, so an un-prefetched request maps to the
-        embedding-cache rung rather than blowing its deadline on a
-        source read.
-        """
+               ctx=None) -> LadderDecision:
+        """Pick the least-degraded affordable rung for one request."""
         for level in LEVELS:
             if level == "cache" and ctx is not None and (
                 ctx.is_degraded("kernel.cache")
                 or not ctx.embed_cache(0).enabled
             ):
                 continue  # no trustworthy cache tables to serve from
-            cost = self.cost_model.estimate(
-                level, n_events, ctx, fetch_seconds=fetch_seconds
-            )
+            cost = self.cost_model.estimate(level, n_events, ctx)
             if cost <= remaining_budget:
                 self._count(level)
                 reason = "" if level == "full" else (

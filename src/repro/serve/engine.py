@@ -24,8 +24,7 @@ responses do.
 
 What the engine does **not** know is where node state lives: a
 deployment implements the small seam below (``_before_request``,
-``_gather``, ``_commit``, ``_after_drain``, ``_release``, plus the
-feature-store fetch hooks only the single runtime overrides).
+``_gather``, ``_commit``, ``_after_drain``, ``_release``).
 :class:`~repro.serve.runtime.ServeRuntime` (state in this process) and
 :class:`~repro.cluster.coordinator.ServeCluster` (state sharded over
 replica groups) are the two backends.  Both commit by the same rule —
@@ -41,8 +40,8 @@ it happens); per-request latencies (p50/p99 via ``ctx.stats().latency``);
 and kernel degradation interplay via ``ctx.record_kernel_fault``.
 :meth:`ServeEngine.stats` is ``ctx.stats()``'s snapshot of that table
 plus the gauges a backend reads at that moment, and
-:func:`ledger_violations` checks the ingest, admission and prefetch
-identities in such a snapshot.
+:func:`ledger_violations` checks the ingest and admission identities in
+such a snapshot.
 """
 
 from __future__ import annotations
@@ -211,17 +210,6 @@ class ServeEngine:
     def _release(self) -> None:
         """Free backend resources; called exactly once by :meth:`close`."""
 
-    def _estimate_fetch(self, batch: EventBatch) -> float:
-        """Modeled stall to fetch this request's sampling-rung rows."""
-        return 0.0
-
-    def _prefetch_next(self) -> None:
-        """Overlap the queue head's row fetch with the current request."""
-
-    def _fetch_rows(self, nodes: np.ndarray, extra: int) -> Rows:
-        """Rows for the sampling rungs — the reads ``_estimate_fetch`` priced."""
-        return self._rows(nodes, extra)
-
     # ---- model hot swap ----------------------------------------------------------
 
     def swap_model(
@@ -307,14 +295,8 @@ class ServeEngine:
         self._before_request()
 
         remaining = req.deadline - self.clock.now()
-        decision = self.ladder.decide(
-            remaining, len(req.batch), self.ctx,
-            fetch_seconds=self._estimate_fetch(req.batch),
-        )
+        decision = self.ladder.decide(remaining, len(req.batch), self.ctx)
         self.clock.advance(decision.estimated_cost)
-        # Overlap the next request's feature fetch with this one's
-        # service: by the time it is polled the rows are (often) staged.
-        self._prefetch_next()
 
         valid = None
         if decision.level == "timeout":
@@ -446,10 +428,10 @@ class ServeEngine:
         res = self.sampler.sample_arrays(
             self.graph.csr(), nodes, times, ctx=self.ctx, num_nbrs=fanout
         )
-        rows, ok = self._fetch_rows(nodes, extra)
+        rows, ok = self._rows(nodes, extra)
         emb = rows.astype(np.float32)
         if len(res.srcnodes):
-            nbr_rows, _ = self._fetch_rows(res.srcnodes, extra + 1)
+            nbr_rows, _ = self._rows(res.srcnodes, extra + 1)
             counts = np.bincount(res.dstindex, minlength=len(nodes))
             agg = neighbour_sum(res.dstindex, nbr_rows, counts)
             hot = counts > 0
@@ -524,13 +506,11 @@ class ServeEngine:
 
 
 def ledger_violations(stats: Dict[str, object]) -> List[str]:
-    """The ingest, admission and prefetch identities a
-    :meth:`ServeEngine.stats` snapshot breaks (empty when all balance).
+    """The ingest and admission identities a :meth:`ServeEngine.stats`
+    snapshot breaks (empty when all balance).
 
     A served request is one the ladder decided (``ladder:*``, timeouts
-    included); ``drop-oldest`` sheds requests it had admitted; a
-    prefetched row is consumed in time, consumed late, retired unused, or
-    still in flight.
+    included); ``drop-oldest`` sheds requests it had admitted.
     """
     def total(prefix: str) -> int:
         return sum(v for k, v in stats.items() if k.startswith(prefix))
@@ -548,9 +528,6 @@ def ledger_violations(stats: Dict[str, object]) -> List[str]:
         ("admission", terms("admission:admitted"), {
             "served": total("ladder:"),
             **terms("admission:queued", "admission:shed_dropped_oldest")}),
-        ("prefetch", terms("store:prefetch_issued"), terms(
-            "store:prefetch_hits", "store:prefetch_late", "store:prefetch_unused",
-            "store:prefetch_in_flight")),
     ]
     return [
         f"{ledger} ledger unbalanced: {lhs}={value} != "

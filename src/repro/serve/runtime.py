@@ -3,9 +3,9 @@
 :class:`ServeRuntime` is the :class:`~repro.serve.engine.ServeEngine`
 backend over one in-process ``Memory`` (+ optional ``Mailbox``).  The
 request loop is the engine's; this module adds only what is specific to
-local state: reads that can never lose a row, commits through
+local state: reads that can never lose a row and commits through
 :class:`~repro.serve.commit.StateCommitter` (optionally write-ahead
-logged), and the opt-in tiered-feature-store fetch hooks.
+logged).
 """
 
 from __future__ import annotations
@@ -40,17 +40,8 @@ class ServeRuntime(ServeEngine):
             compact the log); ``None`` disables periodic snapshots.
         recover: replay ``durable_dir`` into memory/mailbox before
             serving (resuming a crashed runtime); recovery details land
-            in :meth:`stats` under ``durable:recovered:*``.
-        feature_store: route the scoring-table gathers of the sampling
-            rungs through the context's tiered
-            :class:`~repro.store.tiered.TieredFeatureStore` — the
-            ladder then charges each request the store's modeled
-            feature-fetch stall (so un-prefetched requests degrade to
-            the embedding-cache rung instead of missing deadlines), the
-            head of the admission queue is prefetched while the current
-            request is served, and commits refresh any cached rows they
-            invalidated.  Off by default: the raw gather path is kept
-            bit-identical for runtimes that do not opt in.
+            in :meth:`stats` under ``durable:recovered:*``.  Needs
+            ``durable_dir``: there is nothing to recover from without it.
         **engine: the shared request-loop knobs (``clock``, ``deadline``,
             ``lateness``, ``max_buffer``, ``max_queue``,
             ``shed_policy``, ``rate``, ``burst``, ``injector``), declared
@@ -68,9 +59,10 @@ class ServeRuntime(ServeEngine):
         durable_fsync: str = "batch",
         snapshot_every: Optional[int] = 256,
         recover: bool = False,
-        feature_store: bool = False,
         **engine,
     ):
+        if recover and durable_dir is None:
+            raise ValueError("recover=True needs a durable_dir to recover from")
         super().__init__(graph, ctx, sampler, **engine)
         self.memory = memory
         self.mailbox = mailbox
@@ -98,20 +90,6 @@ class ServeRuntime(ServeEngine):
             self.ingest.watermark = max(
                 self.ingest.watermark, self.committer.committed_watermark
             )
-        self.feature_store = None
-        if feature_store:
-            self.feature_store = ctx.store
-            # One timeline: prefetch ready-times are measured against the
-            # same simulated clock the ladder advances.
-            self.feature_store.clock = self.clock
-            # The source closure reads through _rows(), so a model hot
-            # swap automatically rebinds the authority; swap_model still
-            # evicts the cached tiers (their rows are stale).
-            self.feature_store.register_source(
-                "serve:model",
-                lambda nodes: self._rows(nodes, 0)[0],
-                dim=int(memory.data.data.shape[1]),
-            )
 
     # perf/trace.py patches these three on *this* class (it looks them up
     # in vars(ServeRuntime)), so they must be own attributes, not merely
@@ -130,82 +108,10 @@ class ServeRuntime(ServeEngine):
 
     def _commit(self, released: EventBatch, rid: int) -> None:
         self.committer.commit(released)
-        if self.feature_store is not None:
-            # The commit rewrote these nodes' memory rows; any copies
-            # cached in the store's tiers are stale now.
-            nodes = self._valid_nodes(released)
-            if len(nodes):
-                self.feature_store.refresh(
-                    nodes, "serve:model", times=self._store_times(len(nodes))
-                )
 
     def _release(self) -> None:
         if self.store is not None:
             self.store.close()
-
-    def swap_model(self, table, version=None, watermark=None) -> int:
-        version = super().swap_model(table, version, watermark)
-        if self.feature_store is not None:
-            # Store keys carry the model version as their time coordinate
-            # (see _store_times), so rows staged by an in-flight prefetch
-            # under the old version are unreachable the moment the
-            # version bumps — even if they land *after* this eviction.
-            # The evict then just reclaims their slots.
-            self.feature_store.evict("serve:model")
-        return version
-
-    # ---- tiered feature store ----------------------------------------------------
-
-    def _store_times(self, n: int) -> np.ndarray:
-        """The ``serve:model`` space's time coordinate: the model version.
-
-        Keying cached rows by version makes a hot swap *structurally*
-        invalidate them — rows prefetched under version k can never
-        satisfy a version k+1 lookup, closing the window where a prefetch
-        staged before the swap lands after the swap's eviction.
-        """
-        return np.full(n, float(self.model_version), dtype=np.float64)
-
-    def _valid_nodes(self, batch: EventBatch) -> np.ndarray:
-        """Deduplicated in-range node ids of *batch* (junk-safe)."""
-        if not len(batch):
-            return np.empty(0, dtype=np.int64)
-        nodes = np.concatenate([batch.src, batch.dst])
-        nodes = nodes[(nodes >= 0) & (nodes < self.graph.num_nodes)]
-        return np.unique(nodes).astype(np.int64, copy=False)
-
-    def _estimate_fetch(self, batch: EventBatch) -> float:
-        """Modeled stall to gather this request's scoring rows (0 opted out)."""
-        if self.feature_store is None:
-            return 0.0
-        nodes = self._valid_nodes(batch)
-        if not len(nodes):
-            return 0.0
-        return self.feature_store.estimate_fetch_seconds(
-            nodes, times=self._store_times(len(nodes)), space="serve:model"
-        )
-
-    def _prefetch_next(self) -> None:
-        """Stage the queue head's scoring rows behind the current request."""
-        if self.feature_store is None:
-            return
-        nxt = self.admission.peek()
-        if nxt is None:
-            return
-        nodes = self._valid_nodes(nxt.batch)
-        if len(nodes):
-            self.feature_store.prefetch(
-                nodes, times=self._store_times(len(nodes)), space="serve:model"
-            )
-
-    def _fetch_rows(self, nodes: np.ndarray, extra: int):
-        """Sampling-rung rows, through the tiered store when opted in."""
-        if self.feature_store is None:
-            return self._rows(nodes, extra)
-        nodes = np.asarray(nodes, dtype=np.int64)
-        return self.feature_store.get(
-            nodes, times=self._store_times(len(nodes)), space="serve:model"
-        ), None
 
     # ---- reporting ---------------------------------------------------------------
 

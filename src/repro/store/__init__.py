@@ -1,23 +1,20 @@
-"""`repro.store`: the feature store behind every cache front-end.
+"""`repro.store`: the memo cache behind every cache front-end.
 
-Per space, one bounded hot ring over its source::
+Per memoization space, one bounded hot ring of computed rows::
 
-    hot (device-resident ring, reuse-distance eviction; evictions drop)
-      <-> source (authoritative array; memo spaces have none: a miss recomputes)
-    staging (pinned host rows) holds prefetched source rows only
+    hot (device-resident ring, reuse-distance eviction; an evicted row is
+         dropped, and a lookup of it misses and is recomputed)
 
 One implementation — :class:`TieredFeatureStore` — serves every
-front-end: ``TContext`` embedding caches, ``op.cache``/``op.preload``
-(re-exports of :mod:`repro.store.ops`), the TGL baseline's
-feature gathers, the trainer (via :class:`BatchPipeline` sampler
-lookahead), and the serving degradation ladder (via
-``estimate_fetch_seconds``).  Bytes moved per tier and stall time
-saved by async prefetch are counted into the context's counter table
-(``store:*`` keys of ``ctx.stats().counters``, benchmark tables).
+front-end: ``TContext`` embedding caches, ``op.cache`` (a re-export of
+:func:`repro.store.ops.memoize`) and the serving ``cache`` rung.  It also
+owns the :class:`PinnedPool` that ``op.preload`` (:func:`repro.store.ops.preload`)
+stages gathered rows through.  Bytes stored and the rings' hits / misses /
+evictions are counted into the context's counter table (``store:hot:*``
+keys of ``ctx.stats().counters``).
 """
 
 from .api import StoreConfig
-from .prefetch import BatchPipeline
 from .tiered import TieredFeatureStore
 from .tiers import PinnedPool
 from . import ops
@@ -25,7 +22,6 @@ from . import ops
 __all__ = [
     "StoreConfig",
     "TieredFeatureStore",
-    "BatchPipeline",
     "PinnedPool",
     "ops",
 ]

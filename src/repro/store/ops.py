@@ -1,9 +1,8 @@
 """Canonical cache/preload operators over the feature store.
 
 ``repro.core.op`` re-exports :func:`memoize` as ``op.cache`` and
-:func:`preload` as ``op.preload`` (the paper's Table-1 names), and the
-TGL baseline's gathers route through :func:`gather` — so there is exactly
-one tiering/eviction code path no matter which API a model uses.
+:func:`preload` as ``op.preload`` (the paper's Table-1 names), the two
+data-movement operators: one eviction code path, one staging pool.
 
 Blocks and contexts are duck-typed (``ctx.training`` / ``ctx.store`` /
 ``block.dstnodes`` ...) rather than imported: ``repro.core.context``
@@ -19,7 +18,7 @@ import numpy as np
 
 from ..tensor import Tensor, index_put
 
-__all__ = ["embed_space", "memoize", "preload", "gather"]
+__all__ = ["embed_space", "memoize", "preload"]
 
 
 def embed_space(layer: int) -> str:
@@ -124,17 +123,3 @@ def preload(head, use_pin: bool = True):
                 blk.mail(pin=use_pin)
         blk = blk.next
     return head
-
-
-def gather(store, nodes: np.ndarray, space: str = "nfeat",
-           dtype=None) -> np.ndarray:
-    """Gather node-keyed rows through the tiers (the TGL baseline's path).
-
-    Equivalent to indexing the authoritative array, but hot rows are
-    served from the cache and every byte moved is attributed to the tier
-    it crossed.  Returns a host ndarray (cast to *dtype* if given).
-    """
-    rows = store.get(np.asarray(nodes, dtype=np.int64), None, space=space)
-    if dtype is not None and rows.dtype != dtype:
-        rows = rows.astype(dtype)
-    return rows

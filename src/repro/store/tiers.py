@@ -1,9 +1,9 @@
 """The pinned staging pool.
 
-The hot and staging tiers of :class:`~repro.store.tiered.TieredFeatureStore`
-are both :class:`~repro.core.kernels.cache.NodeTimeCache` rings; this
-module holds :class:`PinnedPool`, the reusable pinned host buffers
-``preload`` stages gathered rows through (``TContext`` re-exports it).
+:class:`PinnedPool` holds the reusable pinned host buffers ``preload``
+stages gathered rows through; the
+:class:`~repro.store.tiered.TieredFeatureStore` owns one, and
+``TContext`` re-exports it.
 """
 
 from __future__ import annotations

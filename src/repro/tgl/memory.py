@@ -80,7 +80,7 @@ class TGLMailBox:
         if self._next_slot is not None:
             self._next_slot[...] = 0
 
-    # ---- MFG staging (eager device loads, pageable) ------------------------------
+    # ---- MFG loads (eager device loads, pageable) --------------------------------
 
     def prep_input_mails(self, mfg: MFG) -> None:
         """Gather memory/mail/timestamps for the MFG's nodes onto its device."""

@@ -30,23 +30,6 @@ from ..tensor.device import Device
 __all__ = ["MFG"]
 
 
-def _tiered_rows(feature_store, space: str, table: Tensor,
-                 idx: np.ndarray) -> np.ndarray:
-    """Resolve a gather through the tiered store, registering *table* as
-    the space's authority on first sight (dtype of the table preserved)."""
-    from ..store import ops as store_ops
-
-    if space not in feature_store.spaces():
-        feature_store.register_source(
-            space, lambda nodes: np.asarray(table.data)[nodes],
-            dim=int(table.shape[1]),
-        )
-    return store_ops.gather(
-        feature_store, np.asarray(idx, dtype=np.int64), space=space,
-        dtype=table.data.dtype,
-    )
-
-
 class MFG:
     """One hop of message flow for the TGL baseline (sparse DGL block).
 
@@ -99,8 +82,7 @@ class MFG:
     def alltimes(self) -> np.ndarray:
         return np.concatenate([self.dsttimes, self.etimes])
 
-    def load(self, key: str, store: Tensor, which: str = "dst",
-             feature_store=None) -> Tensor:
+    def load(self, key: str, store: Tensor, which: str = "dst") -> Tensor:
         """Eagerly gather rows from *store* onto the device (pageable).
 
         Args:
@@ -109,15 +91,6 @@ class MFG:
             which: ``'dst'`` -> ``dstdata[key]``; ``'src'`` ->
                 ``srcdata[key]`` per neighbor row; ``'all'`` ->
                 ``srcdata[key]`` for :meth:`allnodes`.
-            feature_store: optional
-                :class:`~repro.store.tiered.TieredFeatureStore` to
-                resolve the gather through (space ``'tgl:<key>'``, with
-                *store* registered as its authority on first use).  The
-                store's tier model then replaces the pageable transfer —
-                hot rows move nothing, misses pay the modeled source
-                (pageable) + pinned legs — unifying the baseline's data
-                loads with the TGLite front-ends.  Only safe for tables
-                that do not mutate between batches (node/edge features).
         """
         if which == "dst":
             idx, target = self.dstnodes, self.dstdata
@@ -127,28 +100,14 @@ class MFG:
             idx, target = self.allnodes(), self.srcdata
         else:
             raise ValueError(f"unknown gather target: {which!r}")
-        if feature_store is not None:
-            rows = _tiered_rows(feature_store, f"tgl:{key}", store, idx)
-            target[key] = Tensor(rows, device=self.device)
-        else:
-            rows = store.data[idx]
-            target[key] = Tensor(rows, device=store.device).to(self.device)
+        rows = store.data[idx]
+        target[key] = Tensor(rows, device=store.device).to(self.device)
         return target[key]
 
-    def load_edges(self, key: str, store: Tensor,
-                   feature_store=None) -> Tensor:
-        """Gather edge-feature rows onto the device (pageable).
-
-        ``feature_store`` routes the gather through the tiered store
-        exactly like :meth:`load` (space ``'tgl:edge:<key>'``, keyed by
-        edge id).
-        """
-        if feature_store is not None:
-            rows = _tiered_rows(feature_store, f"tgl:edge:{key}", store, self.eids)
-            self.edata[key] = Tensor(rows, device=self.device)
-        else:
-            rows = store.data[self.eids]
-            self.edata[key] = Tensor(rows, device=store.device).to(self.device)
+    def load_edges(self, key: str, store: Tensor) -> Tensor:
+        """Gather edge-feature rows onto the device (pageable)."""
+        rows = store.data[self.eids]
+        self.edata[key] = Tensor(rows, device=store.device).to(self.device)
         return self.edata[key]
 
     def __repr__(self) -> str:

@@ -42,9 +42,6 @@ class TGLJODIE(Module):
         self.device = get_device(device)
         self.mailbox = mailbox
         self.dim_edge = dim_edge
-        #: optional TieredFeatureStore routing the eager feature loads
-        #: (set by the harness; None keeps the plain pageable gathers).
-        self.feature_store = None
         self.memory_updater = RNNMemoryUpdater(
             dim_mail=mailbox.dim_mail, dim_time=dim_time, dim_mem=dim_mem, dim_node=dim_node
         )
@@ -69,8 +66,7 @@ class TGLJODIE(Module):
         mfg = self._identity_mfg(nodes, times)
         self.mailbox.prep_input_mails(mfg)
         if self.g.nfeat is not None:
-            mfg.load("feat", self.g.nfeat, which="all",
-                     feature_store=self.feature_store)
+            mfg.load("feat", self.g.nfeat, which="all")
         self.memory_updater(mfg)
         mem = mfg.srcdata["h"]
         proj_delta = times - self.mailbox.node_memory_ts[nodes]

@@ -45,9 +45,6 @@ class TGLTGAT(Module):
         self.device = get_device(device)
         self.num_layers = num_layers
         self.sampler = TGLSampler(g, num_nbrs, sampling)
-        #: optional TieredFeatureStore routing the eager feature loads
-        #: (set by the harness; None keeps the plain pageable gathers).
-        self.feature_store = None
         layers = []
         for i in range(num_layers):
             layers.append(
@@ -74,12 +71,10 @@ class TGLTGAT(Module):
         # Prepare inputs: raw features for the innermost hop's full padded
         # node set, edge features for every hop (all eagerly, pageable).
         with span("data_load"):
-            mfgs[0].load("h", self.g.nfeat, which="all",
-                         feature_store=self.feature_store)
+            mfgs[0].load("h", self.g.nfeat, which="all")
             if self.g.efeat is not None:
                 for mfg in mfgs:
-                    mfg.load_edges("f", self.g.efeat,
-                                   feature_store=self.feature_store)
+                    mfg.load_edges("f", self.g.efeat)
         with span("attention"):
             h = None
             for i, mfg in enumerate(mfgs):

@@ -50,9 +50,6 @@ class TGLTGN(Module):
         self.dim_edge = dim_edge
         self.num_layers = num_layers
         self.sampler = TGLSampler(g, num_nbrs, sampling)
-        #: optional TieredFeatureStore routing the eager feature loads
-        #: (set by the harness; None keeps the plain pageable gathers).
-        self.feature_store = None
         self.memory_updater = GRUMemoryUpdater(
             dim_mail=mailbox.dim_mail, dim_time=dim_time, dim_mem=dim_mem, dim_node=dim_node
         )
@@ -79,13 +76,11 @@ class TGLTGN(Module):
         inner = mfgs[0]
         self.mailbox.prep_input_mails(inner)
         if self.g.nfeat is not None:
-            inner.load("feat", self.g.nfeat, which="all",
-                       feature_store=self.feature_store)
+            inner.load("feat", self.g.nfeat, which="all")
         self.memory_updater(inner)  # fills inner.srcdata['h']
         if self.g.efeat is not None:
             for mfg in mfgs:
-                mfg.load_edges("f", self.g.efeat,
-                               feature_store=self.feature_store)
+                mfg.load_edges("f", self.g.efeat)
         h = None
         for i, mfg in enumerate(mfgs):
             h = self.layers[i](mfg)

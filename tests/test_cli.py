@@ -52,3 +52,18 @@ class TestMain:
         ])
         assert rc == 0
         assert "test inference" in capsys.readouterr().out
+
+
+class TestServeFlagPairs:
+    """A flag that only means something beside another one is a parse
+    error without it, not a silently ignored flag."""
+
+    @pytest.mark.parametrize("argv, needs", [
+        (["--recover"], "--durable-dir"),
+        (["--check-equivalence"], "--poison"),
+    ], ids=["recover", "check-equivalence"])
+    def test_flag_without_its_partner_is_a_parse_error(self, argv, needs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--events", "200", *argv])
+        assert exc.value.code == 2
+        assert needs in capsys.readouterr().err

@@ -14,8 +14,8 @@ These tests pin the rules that make the table trustworthy:
   deployment keeps counting;
 * the table holds counts, not wall seconds, so the same stream gives the
   same table;
-* the prefetch ledger: every issued row is consumed in time, consumed
-  late, retired unused or still in flight;
+* the store ledger: every key looked up is a hit or a miss, and every
+  row put is counted in ``bytes_in``;
 * the latency reservoir keeps the 8,192 most recent samples.
 """
 
@@ -196,35 +196,33 @@ def test_same_stream_gives_the_same_table():
     assert tables[0] == tables[1]
 
 
-PREFETCH = ("issued", "hits", "late", "unused", "in_flight")
-
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(ops=st.lists(st.tuples(
-    st.sampled_from(["prefetch", "lookup", "refresh", "evict", "clear", "advance"]),
+    st.sampled_from(["put", "lookup", "evict", "clear"]),
     st.lists(st.integers(0, 5), min_size=1, max_size=4)), max_size=30))
-def test_prefetch_ledger_balances(ops):
-    """``issued == hits + late + unused + in_flight`` after any interleaving."""
-    store = TieredFeatureStore(StoreConfig(hot_capacity=4, prefetch_depth=1))
+def test_store_ledger_balances(ops):
+    """``hits + misses`` is every key looked up and ``bytes_in`` every row
+    put, after any interleaving (evicted or cleared rings keep counting)."""
+    store = TieredFeatureStore(StoreConfig(hot_capacity=4))
     table = np.arange(12 * DIM, dtype=np.float32).reshape(12, DIM)
-    store.register_source("nfeat", table)
+    looked = stored = 0
     for op, nodes in ops:
         nodes = np.asarray(nodes, dtype=np.int64)
-        if op == "prefetch":
-            store.prefetch(nodes, space="nfeat")
+        if op == "put":
+            store.put(nodes, None, table[nodes], space="embed:0")
+            stored += len(nodes)
         elif op == "lookup":
-            np.testing.assert_array_equal(store.get(nodes, space="nfeat"), table[nodes])
-        elif op == "refresh":
-            store.refresh(nodes, "nfeat")
+            found, rows = store.lookup(nodes, None, space="embed:0")
+            looked += len(nodes)
+            if found.any():
+                np.testing.assert_array_equal(rows[found], table[nodes][found])
         elif op == "evict":
-            store.evict("nfeat")
-        elif op == "clear":
-            store.clear()
+            store.evict("embed:0")
         else:
-            store.clock.advance(1e-6 * len(nodes))
+            store.clear()
         c = {**store.counters, **store.gauges()}
-        issued, *parts = (c[f"store:prefetch_{k}"] for k in PREFETCH)
-        assert issued == sum(parts), dict(zip(PREFETCH, [issued, *parts]))
+        assert c["store:hot:hits"] + c["store:hot:misses"] == looked
+        assert c["store:hot:bytes_in"] == stored * table[0].nbytes
 
 
 def test_latency_reservoir_keeps_the_most_recent_window():

@@ -515,6 +515,14 @@ def _serve_runtime(g, durable_dir, recover=False, injector=None,
     return rt, mem, mailbox
 
 
+def test_recover_without_a_durable_dir_is_refused():
+    """``recover=True`` with no log to recover from would serve from a
+    fresh state while claiming a recovery."""
+    g = TGraph(np.array([0]), np.array([1]), np.array([1.0]), num_nodes=N_NODES)
+    with pytest.raises(ValueError, match="durable_dir"):
+        _serve_runtime(g, None, recover=True)
+
+
 def _serve_state(mem, mailbox):
     return (mem.data.data.copy(), mem.time.copy(),
             mailbox.mail.data.copy(), mailbox.time.copy())

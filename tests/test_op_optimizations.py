@@ -115,8 +115,7 @@ class TestCache:
         assert blk2.num_dst == 1
 
     def test_eviction_when_over_capacity(self, tiny_graph):
-        ctx = tg.TContext(tiny_graph, store=StoreConfig(
-            hot_capacity=2, prefetch_depth=0))
+        ctx = tg.TContext(tiny_graph, store=StoreConfig(hot_capacity=2))
         ctx.eval()
         for node in range(3):
             blk = tg.TBlock(ctx, 0, np.array([node]), np.array([1.0]))

@@ -536,49 +536,6 @@ class TestFineTune:
             trainer.fine_tune(1200, 1201)
 
 
-    def test_replacement_graph_rebinds_the_prefetch_pipeline(self, tmp_path):
-        """``fine_tune(graph=g)`` prefetches what a new trainer on ``g`` does:
-        two windows of different length, lookahead from the second's edges."""
-        from repro.data import NegativeSampler
-        from repro.nn import Adam
-        from repro.scenarios.continual import EmbeddingLinkModel
-        from repro.store import StoreConfig
-
-        full = _experiment().g
-        feats = np.random.default_rng(0).standard_normal(
-            (full.num_nodes, 4)).astype(np.float32)
-
-        def graph(n):
-            g = tg.TGraph(full.src[:n], full.dst[:n], full.ts[:n],
-                          num_nodes=full.num_nodes)
-            g.set_nfeat(feats)
-            return g
-
-        def run(rebind):
-            short, grown = graph(600), graph(1500)
-            model = EmbeddingLinkModel(full.num_nodes, dim=4, seed=1)
-            ctx = tg.TContext(grown, store=StoreConfig(prefetch_depth=1))
-
-            def trainer(g, name):
-                return ResilientTrainer(
-                    model, g, Adam(model.parameters(), lr=1e-2),
-                    NegativeSampler(np.arange(full.num_nodes, dtype=np.int64), seed=2),
-                    300, checkpoint_dir=str(tmp_path / name), ctx=ctx,
-                )
-
-            first = trainer(short, f"{rebind}-a")
-            first.fine_tune(0, 600)
-            if rebind:
-                first.fine_tune(600, 1500, graph=grown)
-            else:
-                trainer(grown, f"{rebind}-b").fine_tune(600, 1500)
-            return {k: v for k, v in ctx.stats().counters.items() if k.startswith("store:")}
-
-        rebound = run(True)
-        assert rebound["store:prefetch_issued"] > 0
-        assert rebound == run(False)
-
-
 @pytest.mark.parametrize("kind", [
     pytest.param("kernel.sample", id="kernel-fault"),
     pytest.param("nan_grad", id="nan-grad"),

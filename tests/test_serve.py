@@ -593,58 +593,29 @@ class TestChaos:
         assert validate_state(rt.graph, rt.ctx) == []
 
 
-class TestModelSwapStoreInvalidation:
-    def test_swap_invalidates_in_flight_prefetch(self):
-        """A prefetch staged under model version k must never satisfy a
-        post-swap (version k+1) gather, even when its transfer lands
-        after the swap's eviction ran."""
-        stream = build_stream(N, 100, payload_dim=DIM, seed=21)
-        rt = _runtime(stream, feature_store=True)
-        old = np.full((N, DIM), 1.0, dtype=np.float32)
-        new = np.full((N, DIM), 2.0, dtype=np.float32)
-        rt.swap_model(old)
-        nodes = np.arange(5, dtype=np.int64)
-        stale_times = rt._store_times(len(nodes))
-        # an in-flight prefetch staged under the old version...
-        rt.feature_store.prefetch(nodes, times=stale_times,
-                                  space="serve:model")
-        rt.swap_model(new)  # evicts while the transfer is in flight
-        rt.clock.advance(10.0)
-        # ...simulate the worst case: the stale rows land *after* the
-        # eviction, still keyed by the old version
-        rt.feature_store.put(nodes, stale_times, old[nodes],
-                             space="serve:model")
-        # post-swap gathers carry the new version in their key: the stale
-        # rows are structurally unreachable, so the rows resolve through
-        # the (new) authority instead
-        np.testing.assert_array_equal(rt._fetch_rows(nodes, 0)[0], new[nodes])
-        # ...even though the stale rows really are resident in the hot
-        # tier under the old version's key
-        before = rt.stats()["store:hot:hits"]
-        _, stale_rows = rt.feature_store.lookup(nodes, stale_times,
-                                                space="serve:model")
-        assert rt.stats()["store:hot:hits"] - before >= len(nodes)
-        np.testing.assert_array_equal(stale_rows, old[nodes])
-
-    def test_swap_mid_stream_serves_new_table_through_store(self):
+class TestModelSwap:
+    def test_swap_mid_stream_serves_new_table(self):
         stream = build_stream(N, 200, payload_dim=DIM, seed=22)
         batches = split_batches(stream, 25)
-        rt = _runtime(stream, feature_store=True)
+        rt = _runtime(stream)
         replay(rt, batches[:4], load=1.0)
+        assert rt.ctx.embed_cache(0).num_entries > 0
         table = np.full((N, DIM), 3.0, dtype=np.float32)
         version = rt.swap_model(table)
         assert version == 1
+        # rows cached under the old model are gone
+        assert rt.ctx.embed_cache(0).num_entries == 0
         results = replay(rt, batches[4:], load=1.0)
         assert all(r.status == "ok" for r in results[-4:])
         nodes = np.arange(8, dtype=np.int64)
-        np.testing.assert_array_equal(rt._fetch_rows(nodes, 0)[0], table[nodes])
+        np.testing.assert_array_equal(rt._rows(nodes, 0)[0], table[nodes])
 
 
 def test_hot_mb_bounds_the_serve_embedding_cache():
     """``--store-hot-mb`` budgets every row the serve path keeps hot."""
     config = StoreConfig(hot_mb=0.01)  # 327 rows of DIM float32
     stream = build_stream(200, 2000, payload_dim=DIM, seed=7)
-    rt = _runtime(stream, num_nodes=200, store=config, feature_store=True)
+    rt = _runtime(stream, num_nodes=200, store=config)
     replay(rt, split_batches(stream, 50), load=1.0)
     cache = rt.ctx.embed_cache(0)
     assert 0 < cache.num_entries <= cache.capacity == config.hot_rows(DIM)
