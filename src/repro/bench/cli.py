@@ -48,16 +48,21 @@ from .cluster_cli import (
     serve_cluster_main,
 )
 from .experiments import FRAMEWORKS, MODELS, Experiment, ExperimentConfig
-from .scenario_cli import (
-    add_store_flags,
-    build_scenarios_parser,
-    scenarios_main,
-    store_config_from_args,
-)
+from .scenario_cli import build_scenarios_parser, scenarios_main
 
 __all__ = ["main", "build_parser", "build_serve_parser", "serve_main",
            "build_scenarios_parser", "scenarios_main",
            "build_serve_cluster_parser", "serve_cluster_main"]
+
+
+def _hot_mb(text: str) -> float:
+    """``--store-hot-mb``'s value, checked by :class:`~repro.store.StoreConfig`."""
+    from ..store import StoreConfig
+
+    try:
+        return StoreConfig(hot_mb=float(text)).hot_mb
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,7 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "runtime)")
     parser.add_argument("--list-datasets", action="store_true",
                         help="print dataset statistics and exit")
-    add_store_flags(parser)
+    parser.add_argument("--store-hot-mb", type=_hot_mb, default=None, metavar="MB",
+                        help="hot-ring budget in MiB per embedding-cache layer "
+                             "(default: row-count sized)")
     return parser
 
 
@@ -132,7 +139,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--recover", action="store_true",
                         help="replay --durable-dir into memory/mailbox before "
                              "serving (resume a crashed runtime)")
-    add_store_flags(parser)
     return parser
 
 
@@ -159,7 +165,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
 
     def make_runtime(injector=None, reliable=False):
         g = TGraph(clean.src, clean.dst, clean.ts, num_nodes=num_nodes)
-        ctx = TContext(g, store=store_config_from_args(args))
+        ctx = TContext(g)
         return ServeRuntime(
             g, ctx, Memory(num_nodes, args.dim_mem),
             TSampler(args.num_nbrs, seed=args.seed),

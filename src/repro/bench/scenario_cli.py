@@ -25,35 +25,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["add_store_flags", "build_scenarios_parser", "scenarios_main",
-           "store_config_from_args"]
+__all__ = ["build_scenarios_parser", "scenarios_main"]
 
 MODES = ("frozen", "continual", "oracle")
-
-
-def _hot_mb(text: str) -> float:
-    """``--store-hot-mb``'s value, checked by :class:`~repro.store.StoreConfig`."""
-    from ..store import StoreConfig
-
-    try:
-        return StoreConfig(hot_mb=float(text)).hot_mb
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-
-
-def add_store_flags(parser: argparse.ArgumentParser) -> None:
-    """The memo-cache knob shared by every ``repro.bench`` subcommand."""
-    grp = parser.add_argument_group("feature store")
-    grp.add_argument("--store-hot-mb", type=_hot_mb, default=None, metavar="MB",
-                     help="hot-ring budget in MiB per embedding-cache layer "
-                          "(default: row-count sized)")
-
-
-def store_config_from_args(args):
-    """A :class:`~repro.store.StoreConfig` reflecting the CLI knob."""
-    from ..store import StoreConfig
-
-    return StoreConfig().with_overrides(hot_mb=args.store_hot_mb)
 
 
 def build_scenarios_parser() -> argparse.ArgumentParser:
@@ -101,7 +75,6 @@ def build_scenarios_parser() -> argparse.ArgumentParser:
                              "artifact)")
     parser.add_argument("--list", action="store_true", dest="list_scenarios",
                         help="print the generator registry and exit")
-    add_store_flags(parser)
     return parser
 
 
@@ -166,7 +139,6 @@ def scenarios_main(argv: Optional[List[str]] = None) -> int:
             )
     modes = args.mode or ["frozen", "continual"]
     budgets = _parse_budgets(args.staleness)
-    store_cfg = store_config_from_args(args)
 
     rows = []
     for name in names:
@@ -193,7 +165,6 @@ def scenarios_main(argv: Optional[List[str]] = None) -> int:
                     seed=args.loop_seed,
                     num_windows=args.num_windows,
                     workdir=tempfile.mkdtemp(prefix=f"scenario-{name}-{mode}-"),
-                    store=store_cfg,
                 )
                 summary = run["summary"]
                 learner = run["learner"]

@@ -26,7 +26,6 @@ from ..store.tiered import TieredFeatureStore
 from ..store.tiers import PinnedPool
 from ..tensor import Tensor
 from ..tensor.device import Device, get_device
-from .kernels.cache import NodeTimeCache
 from .stats import ContextStats, Latency
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -115,12 +114,6 @@ class TContext:
         return self.store.pinned_pool.stage(rows)
 
     # ---- embedding cache -------------------------------------------------------------
-
-    def embed_cache(self, layer: int) -> NodeTimeCache:
-        """One layer's embedding cache — the hot tier of its store space;
-        it is the whole of a memoization space, so what it evicts is
-        recomputed."""
-        return self.store.space(f"{_EMBED_PREFIX}{int(layer)}").hot
 
     def clear_embed_cache(self) -> None:
         for name in self.store.spaces():

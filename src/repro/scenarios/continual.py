@@ -238,7 +238,6 @@ def run_closed_loop(
     workdir: Optional[str] = None,
     load: float = 1.0,
     num_windows: int = 10,
-    store=None,
 ) -> Dict:
     """Serve a scenario stream end to end and score it against ground truth.
 
@@ -256,9 +255,6 @@ def run_closed_loop(
         * ``'oracle'`` — the model additionally trains offline over the
           *entire* stream (drift included) before serving: the
           hindsight upper bound.
-
-    ``store`` optionally carries the serving context's
-    :class:`~repro.store.StoreConfig` (the embedding-cache budget).
 
     Returns a dict with per-event ``scores`` (NaN for warmup/unserved),
     the :func:`accuracy_under_drift` ``summary``, the runtime ``stats``,
@@ -294,7 +290,7 @@ def run_closed_loop(
     if mode == "oracle":
         trainer.fine_tune(warmup_end, n, passes=passes)
 
-    ctx = TContext(graph, store=store)
+    ctx = TContext(graph)
     memory = Memory(num_nodes, dim)
     mailbox = Mailbox(num_nodes, dim)
     sampler = TSampler(8, seed=5)

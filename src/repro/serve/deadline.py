@@ -9,9 +9,10 @@ rung                  what is served
 ====================  =====================================================
 ``full``              full-fanout temporal attention neighborhood
 ``reduced``           same pipeline with the sampler fanout shrunk
-``cache``             embedding-cache rows (the feature store's hot
-                      memoization tier); misses fall back to raw memory
-                      rows
+``cache``             the engine's per-node table: each node's newest
+                      embedding a sampling rung answered, where it is not
+                      newer than the query; misses fall back to raw
+                      memory rows
 ``memory``            memory-only cold predictions (no sampling, no cache)
 ``timeout``           nothing — even the cheapest rung cannot make the
                       deadline; the request is answered with a shed status
@@ -20,9 +21,10 @@ rung                  what is served
 The ladder composes with the training-path circuit breaker
 (:meth:`TContext.record_kernel_fault`): a context that has degraded
 ``kernel.cache`` has no trustworthy cache tables, so the ``cache`` rung is
-skipped outright; a degraded ``kernel.sample`` makes sampling rungs pay
-the slower reference-path cost, which the cost model surfaces as an
-inflated estimate.
+skipped outright (an empty table is no reason to skip it: every lookup
+misses and falls back to memory rows); a degraded ``kernel.sample`` makes
+sampling rungs pay the slower reference-path cost, which the cost model
+surfaces as an inflated estimate.
 """
 
 from __future__ import annotations
@@ -106,10 +108,7 @@ class DegradationLadder:
                ctx=None) -> LadderDecision:
         """Pick the least-degraded affordable rung for one request."""
         for level in LEVELS:
-            if level == "cache" and ctx is not None and (
-                ctx.is_degraded("kernel.cache")
-                or not ctx.embed_cache(0).enabled
-            ):
+            if level == "cache" and ctx is not None and ctx.is_degraded("kernel.cache"):
                 continue  # no trustworthy cache tables to serve from
             cost = self.cost_model.estimate(level, n_events, ctx)
             if cost <= remaining_budget:

@@ -54,7 +54,6 @@ import numpy as np
 from ..clock import SimClock
 from ..core.stats import declare
 from ..resilience.errors import TransientKernelError
-from ..store.ops import embed_space
 from .admission import AdmissionController
 from .deadline import LEVELS, DegradationLadder, LadderDecision
 from .events import EventBatch, RejectReason, validate_events
@@ -166,7 +165,8 @@ class ServeEngine:
         self.clock = clock or SimClock()
         self.deadline = float(deadline)
         self.injector = injector
-        declare(ctx.counters, "serve:model_swaps")
+        declare(ctx.counters, "serve:model_swaps", "serve:cache_hits",
+                "serve:cache_misses")
         self.ladder = DegradationLadder(
             full_fanout=sampler.num_nbrs, counters=ctx.counters
         )
@@ -188,6 +188,10 @@ class ServeEngine:
         #: rows the current request was served as zeros because their
         #: whole owner was unreachable.
         self._zero_filled = 0
+        #: the ``cache`` rung's table: per node, the newest embedding a
+        #: sampling rung answered and its time (+inf: never written).
+        self._cache_rows: Optional[np.ndarray] = None
+        self._cache_times = np.full(graph.num_nodes, np.inf)
 
     # ---- the state-backend seam --------------------------------------------------
 
@@ -225,8 +229,8 @@ class ServeEngine:
         scoring.  Swapping touches only the read path: ingestion, commit,
         memory, mailbox, and the durable logs are untouched, so serve
         state stays bit-identical to a swap-free replay (tested on both
-        backends).  The layer-0 embedding cache is cleared because its
-        entries were computed under the previous model.
+        backends).  The ``cache`` rung's table is emptied because its
+        rows were computed under the previous model.
 
         Args:
             table: the new embedding table (copied defensively).
@@ -247,7 +251,8 @@ class ServeEngine:
         )
         if watermark is not None:
             self.model_watermark = float(watermark)
-        self.ctx.store.evict(embed_space(0))
+        self._cache_rows = None
+        self._cache_times.fill(np.inf)
         self.ctx.counters["serve:model_swaps"] += 1
         return self.model_version
 
@@ -293,6 +298,8 @@ class ServeEngine:
         if self.injector is not None:
             self.injector.advance(0, req.rid)
         self._before_request()
+        # One validation per request, shared by scoring and ingestion.
+        checked = validate_events(req.batch, self.graph.num_nodes)
 
         remaining = req.deadline - self.clock.now()
         decision = self.ladder.decide(remaining, len(req.batch), self.ctx)
@@ -304,7 +311,7 @@ class ServeEngine:
         else:
             self._zero_filled = 0
             try:
-                scores, valid = self._score(req.batch, decision, req.rid)
+                scores, valid = self._score(req.batch, decision, req.rid, checked[0])
             except TransientKernelError as err:
                 # A faulting kernel mid-score falls back to the always-
                 # available memory rung; repeated faults trip the context
@@ -315,7 +322,7 @@ class ServeEngine:
                     "memory", 0, decision.estimated_cost,
                     f"kernel fault at {err.site}",
                 )
-                scores, valid = self._score(req.batch, decision, req.rid)
+                scores, valid = self._score(req.batch, decision, req.rid, checked[0])
             status, detail = "ok", decision.reason
             if decision.level != "full":
                 self.ctx.count(DEGRADED[decision.level], 1)
@@ -330,7 +337,7 @@ class ServeEngine:
         # State commits are decoupled from scoring quality: even a
         # timed-out response applies its events, so the stream's state
         # stays complete and a later replay cannot diverge.
-        self._ingest_and_commit(req.batch, req.rid)
+        self._ingest_and_commit(req.batch, req.rid, checked)
 
         latency = self.clock.now() - req.arrival
         self.ctx.record_latency(latency)
@@ -357,10 +364,10 @@ class ServeEngine:
 
     # ---- ingestion + commit ------------------------------------------------------
 
-    def _ingest_and_commit(self, batch: EventBatch, rid: int) -> None:
+    def _ingest_and_commit(self, batch: EventBatch, rid: int, checked) -> None:
         for attempt in range(3):
             try:
-                released = self.ingest.push(batch)
+                released = self.ingest.push(batch, checked)
                 break
             except TransientKernelError as err:
                 # push mutates nothing before its fault site — safe retry.
@@ -381,25 +388,26 @@ class ServeEngine:
             self._zero_filled += len(ok) - int(np.count_nonzero(ok))
         return rows, ok
 
-    def _score(self, batch: EventBatch, decision, rid: int):
+    def _score(self, batch: EventBatch, decision, rid: int, ok: np.ndarray):
         """Link-prediction ``(scores, valid)`` for *batch* at the decided rung.
 
-        Malformed events (the same checks ingestion applies) are
-        unscorable: their score is NaN, marked invalid when the result
-        carries a mask, and they are skipped, so a junk event crashes
-        neither the sampler nor the cache probe.  The events themselves
-        are still quarantined later by ingestion.  A well-formed event is
-        valid iff *both* its endpoint rows were answered (a zero-filled
-        endpoint poisons the dot product, so its score is marked).
+        *ok* is :func:`validate_events`' mask of *batch*, computed once
+        per request.  Malformed events (the same checks ingestion
+        applies) are unscorable: their score is NaN, marked invalid when
+        the result carries a mask, and they are skipped, so a junk event
+        crashes neither the sampler nor the table probe.  The events
+        themselves are still quarantined later by ingestion.  A
+        well-formed event is valid iff *both* its endpoint rows were
+        answered (a zero-filled endpoint poisons the dot product, so its
+        score is marked).
         """
         if not len(batch):
             return np.empty(0, dtype=np.float32), None
-        ok, _ = validate_events(batch, self.graph.num_nodes)
         if not ok.all():
             scores = np.full(len(batch), np.nan, dtype=np.float32)
             valid = None
             if ok.any():
-                scores[ok], clean = self._score(batch.take(ok), decision, rid)
+                scores[ok], clean = self._score(batch.take(ok), decision, rid, ok[ok])
                 if clean is not None:
                     valid = ok.copy()
                     valid[ok] = clean
@@ -436,21 +444,39 @@ class ServeEngine:
             agg = neighbour_sum(res.dstindex, nbr_rows, counts)
             hot = counts > 0
             emb[hot] = 0.5 * (emb[hot] + agg[hot] / counts[hot, None].astype(np.float32))
-        # Warm the layer-0 embedding cache so the 'cache' rung has
-        # something recent to serve from under deeper degradation.
-        self.ctx.store.put(nodes, times, emb, space=embed_space(0))
+        self._remember(nodes, times, emb, ok)
         return emb, ok
 
+    def _remember(self, nodes, times, emb, ok) -> None:
+        """Write answered endpoints into the ``cache`` rung's table: per
+        node, the row of its latest time in the request, ties to the last
+        position, in one assignment over unique nodes (not NumPy's order of
+        duplicate fancy-index writes).  A zero-filled row is never written."""
+        if ok is not None:
+            nodes, times, emb = nodes[ok], times[ok], emb[ok]
+        if not len(nodes):
+            return
+        order = np.lexsort((np.arange(len(nodes)), times, nodes))
+        last = order[np.append(nodes[order][1:] != nodes[order][:-1], True)]
+        if self._cache_rows is None:
+            self._cache_rows = np.zeros((self.graph.num_nodes, emb.shape[1]),
+                                        dtype=np.float32)
+        self._cache_rows[nodes[last]] = emb[last]
+        self._cache_times[nodes[last]] = times[last]
+
     def _embed_cached(self, nodes, times, extra: int) -> Rows:
-        """Cache-first embeddings; misses fall back to raw state rows."""
+        """Table-first embeddings: a node's stored row where it is not
+        newer than the query (causal); misses fall back to state rows.
+        Validity stays the state read's: a hit on an unreachable node
+        serves its last answered row, but the score is still marked."""
         rows, ok = self._rows(nodes, extra)
         emb = rows.astype(np.float32)
-        hits, values = self.ctx.store.lookup(nodes, times, space=embed_space(0))
-        if values is not None and hits.any():
-            emb[hits] = values[hits]
-            if ok is not None:
-                # a cache hit replaces a zero-filled row with real state
-                ok = ok | hits
+        hits = self._cache_times[nodes] <= times
+        n_hits = int(np.count_nonzero(hits))
+        self.ctx.counters["serve:cache_hits"] += n_hits
+        self.ctx.counters["serve:cache_misses"] += len(nodes) - n_hits
+        if n_hits:
+            emb[hits] = self._cache_rows[nodes[hits]]
         return emb, ok
 
     # ---- reporting / lifecycle ---------------------------------------------------

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..core.stats import declare
 from ..resilience.hooks import poke as _poke
-from .events import EventBatch, RejectReason, validate_events
+from .events import EventBatch, RejectReason
 
 __all__ = ["QuarantinedEvent", "IngestPipeline"]
 
@@ -136,18 +136,19 @@ class IngestPipeline:
 
     # ---- ingestion ---------------------------------------------------------------
 
-    def push(self, batch: EventBatch) -> EventBatch:
+    def push(self, batch: EventBatch, checked) -> EventBatch:
         """Ingest one arriving batch; returns the events newly released.
 
         Release order is canonical ``(ts, eid)`` and never regresses
-        across calls.  May raise a transient fault from the
+        across calls.  *checked* is :func:`~repro.serve.events.validate_events`' ``(ok,
+        reasons)`` for *batch*.  May raise a transient fault from the
         ``serve.ingest`` injection site; the pipeline mutates no state
         before that point, so a retried push is idempotent.
         """
         _poke("serve.ingest")  # fault-injection site (no-op unless armed)
         self.counters["ingest:pushed"] += len(batch)
 
-        ok, reasons = validate_events(batch, self.num_nodes)
+        ok, reasons = checked
         for idx, reason in reasons.items():
             self._quarantine(batch, idx, reason)
 

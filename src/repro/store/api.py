@@ -1,8 +1,8 @@
 """The feature store's knobs: :class:`StoreConfig`.
 
 The hot-ring size of :class:`~repro.store.tiered.TieredFeatureStore`,
-shared verbatim by the ``--store-hot-mb`` CLI flag of every
-``python -m repro.bench`` subcommand.
+shared verbatim by the ``--store-hot-mb`` flag of the
+``python -m repro.bench`` trainer.
 """
 
 from __future__ import annotations

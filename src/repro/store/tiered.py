@@ -1,8 +1,10 @@
 """`TieredFeatureStore`: one reuse-distance hot ring per memoization space.
 
 Rows live in named *spaces* of computed rows — ``'embed:<l>'`` holds
-layer ``l``'s time-aware embeddings (``op.cache`` / :func:`~repro.store.ops.memoize`,
-and the serve ``cache`` rung through ``ctx.embed_cache(0)``).  Each space
+layer ``l``'s time-aware embeddings (``op.cache`` / :func:`~repro.store.ops.memoize`).
+The store has no serving user: a served query is at a fresh event time,
+which an exact ``(node, time)`` key never hits, so the serve ``cache``
+rung reads the engine's own per-node table instead.  Each space
 is one :class:`~repro.core.kernels.cache.NodeTimeCache` ring with
 reuse-distance eviction; a row it evicts is dropped, and a later lookup
 of it is a miss the caller recomputes.

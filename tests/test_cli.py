@@ -54,6 +54,19 @@ class TestMain:
         assert "test inference" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("sub", ["serve", "scenarios"])
+def test_serving_subcommands_refuse_the_memo_cache_budget(sub, capsys):
+    """Serving keeps no memo ring, so there is nothing for the flag to size."""
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--store-hot-mb", "2"])
+    assert exc.value.code == 2
+    assert "--store-hot-mb" in capsys.readouterr().err
+
+
+def test_trainer_keeps_the_memo_cache_budget():
+    assert build_parser().parse_args(["--store-hot-mb", "2"]).store_hot_mb == 2.0
+
+
 class TestServeFlagPairs:
     """A flag that only means something beside another one is a parse
     error without it, not a silently ignored flag."""

@@ -24,17 +24,17 @@ class TestModes:
 
     def test_entering_training_clears_embed_caches(self, tiny_ctx):
         tiny_ctx.eval()
-        cache = tiny_ctx.embed_cache(0)
+        cache = tiny_ctx.store.space("embed:0").hot
         cache.store(np.array([1]), np.array([1.0]), np.ones((1, 4), dtype=np.float32))
         tiny_ctx.train(True)
-        hit, _ = tiny_ctx.embed_cache(0).lookup(np.array([1]), np.array([1.0]))
+        hit, _ = tiny_ctx.store.space("embed:0").hot.lookup(np.array([1]), np.array([1.0]))
         assert not hit.any()
 
     def test_repr(self, tiny_ctx):
         assert "TContext" in repr(tiny_ctx)
 
     def test_reset_clears_scratch(self, tiny_ctx):
-        tiny_ctx.embed_cache(0)
+        tiny_ctx.store.space("embed:0")
         tiny_ctx.time_table(123)
         tiny_ctx.reset()
         assert not any(k.startswith("embed:") for k in tiny_ctx.stats().counters)

@@ -186,14 +186,22 @@ def test_reset_stats_keeps_a_live_deployment_counting(backend):
 
 def test_same_stream_gives_the_same_table():
     """Wall seconds are spans, never counters: two fresh runtimes fed one
-    stream end with equal tables, key for key."""
-    tables = []
-    for _ in range(2):
-        stream, runtime, _ = _engines(lambda: None)
-        with runtime:
-            replay(runtime, split_batches(stream, 30))
-        tables.append(dict(runtime.ctx.counters))
-    assert tables[0] == tables[1]
+    stream end with equal tables, key for key — shed-free, and at 16x
+    load under a tight deadline, which drives the ``cache`` rung and its
+    ``serve:cache_hits`` / ``serve:cache_misses``."""
+    for deadline, load in ((1e9, 1.0), (2e-3, 16.0)):
+        tables = []
+        for _ in range(2):
+            stream, runtime, _ = _engines(lambda: None)
+            runtime.deadline = deadline
+            with runtime:
+                replay(runtime, split_batches(stream, 30), load=load)
+            tables.append(dict(runtime.ctx.counters))
+        assert tables[0] == tables[1]
+        c = tables[0]
+        looked_up = c["serve:cache_hits"] + c["serve:cache_misses"]
+        assert looked_up == 2 * 30 * c.get("ladder:cache", 0)
+        assert (c["serve:cache_hits"] > 0) == (load > 1)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -58,7 +58,7 @@ class TestCounters:
 
     def test_reset_stats_keeps_cache_contents(self, tiny_ctx):
         tiny_ctx.eval()
-        cache = tiny_ctx.embed_cache(0)
+        cache = tiny_ctx.store.space("embed:0").hot
         cache.store(np.array([1]), np.array([1.0]), np.ones((1, 2), dtype=np.float32))
         cache.lookup(np.array([1]), np.array([1.0]))
         tiny_ctx.reset_stats()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core as tg
+from repro.cluster import ClusterConfig, ServeCluster
 from repro.core import Mailbox, Memory, TGraph, TSampler
 from repro.resilience import FaultInjector, TransientKernelError, validate_state
 from repro.serve import (
@@ -32,9 +33,8 @@ from repro.serve import (
     split_batches,
     validate_events,
 )
-from repro.serve.deadline import REFERENCE_PENALTY
+from repro.serve.deadline import REFERENCE_PENALTY, LadderDecision
 from repro.serve.engine import neighbour_sum
-from repro.store import StoreConfig
 
 from reference import scatter_add_reference
 
@@ -47,15 +47,20 @@ def _batch(eids, src, dst, ts, payload=None):
                       np.asarray(ts), payload)
 
 
+def _push(pipeline, batch):
+    """Push *batch* with its validation, as the engine's step does."""
+    return pipeline.push(batch, validate_events(batch, pipeline.num_nodes))
+
+
 def _quarantined(counters):
     """Quarantined events per reject reason, from a counter table."""
     prefix = "ingest:quarantined:"
     return {k[len(prefix):]: v for k, v in counters.items() if k.startswith(prefix)}
 
 
-def _runtime(stream, num_nodes=N, store=None, **kw):
+def _runtime(stream, num_nodes=N, **kw):
     g = TGraph(stream.src, stream.dst, stream.ts, num_nodes=num_nodes)
-    ctx = tg.TContext(g, store=store)
+    ctx = tg.TContext(g)
     mem = Memory(num_nodes, DIM)
     mb = Mailbox(num_nodes, DIM)
     sampler = TSampler(10, seed=3)
@@ -97,7 +102,7 @@ class TestValidation:
 class TestIngestPipeline:
     def test_quarantines_with_structured_reasons(self):
         p = IngestPipeline(N)
-        out = p.push(_batch([0, 1, 2], [1, -1, 2], [2, 2, N + 9], [1.0, 1.0, 1.0]))
+        out = _push(p, _batch([0, 1, 2], [1, -1, 2], [2, 2, N + 9], [1.0, 1.0, 1.0]))
         assert len(out) == 1
         assert _quarantined(p.counters) == {
             RejectReason.NEGATIVE_NODE: 1,
@@ -109,8 +114,8 @@ class TestIngestPipeline:
 
     def test_idempotent_replay_dedup(self):
         p = IngestPipeline(N)
-        first = p.push(_batch([7, 8], [1, 2], [3, 4], [1.0, 2.0]))
-        again = p.push(_batch([7, 8], [1, 2], [3, 4], [1.0, 2.0]))
+        first = _push(p, _batch([7, 8], [1, 2], [3, 4], [1.0, 2.0]))
+        again = _push(p, _batch([7, 8], [1, 2], [3, 4], [1.0, 2.0]))
         assert len(first) == 2 and len(again) == 0
         assert p.counters["ingest:duplicates"] == 2
         # duplicates are normal redelivery, not quarantine material
@@ -118,7 +123,7 @@ class TestIngestPipeline:
 
     def test_watermark_holds_back_recent_events(self):
         p = IngestPipeline(N, lateness=5.0)
-        out = p.push(_batch([0, 1, 2], [1, 1, 1], [2, 2, 2], [1.0, 4.0, 10.0]))
+        out = _push(p, _batch([0, 1, 2], [1, 1, 1], [2, 2, 2], [1.0, 4.0, 10.0]))
         # watermark = 10 - 5 = 5: only ts <= 5 released
         assert list(out.ts) == [1.0, 4.0]
         assert p.buffered == 1
@@ -126,29 +131,29 @@ class TestIngestPipeline:
 
     def test_out_of_order_within_lateness_released_in_order(self):
         p = IngestPipeline(N, lateness=10.0)
-        p.push(_batch([0], [1], [2], [7.0]))
-        p.push(_batch([1], [1], [2], [3.0]))  # late but within bound
+        _push(p, _batch([0], [1], [2], [7.0]))
+        _push(p, _batch([1], [1], [2], [3.0]))  # late but within bound
         out = p.flush()
         assert list(out.ts) == [3.0, 7.0]
         assert _quarantined(p.counters) == {}
 
     def test_event_below_watermark_quarantined_late(self):
         p = IngestPipeline(N, lateness=1.0)
-        p.push(_batch([0], [1], [2], [100.0]))  # watermark -> 99
-        p.push(_batch([1], [1], [2], [5.0]))
+        _push(p, _batch([0], [1], [2], [100.0]))  # watermark -> 99
+        _push(p, _batch([1], [1], [2], [5.0]))
         assert _quarantined(p.counters) == {RejectReason.LATE_EVENT: 1}
 
     def test_release_order_is_canonical_ts_eid(self):
         p = IngestPipeline(N, lateness=100.0)
-        p.push(_batch([5, 2], [1, 1], [2, 2], [4.0, 4.0]))
-        p.push(_batch([1], [1], [2], [4.0]))
+        _push(p, _batch([5, 2], [1, 1], [2, 2], [4.0, 4.0]))
+        _push(p, _batch([1], [1], [2], [4.0]))
         out = p.flush()
         assert list(out.eids) == [1, 2, 5]
 
     def test_buffer_overflow_forces_watermark_advance(self):
         p = IngestPipeline(N, lateness=1e9, max_buffer=3)
-        out = p.push(_batch(np.arange(5), np.ones(5, int), np.full(5, 2),
-                            np.arange(5, dtype=float)))
+        out = _push(p, _batch(np.arange(5), np.ones(5, int), np.full(5, 2),
+                              np.arange(5, dtype=float)))
         # lateness would buffer everything; the bound forces 2 releases
         assert len(out) == 2
         assert p.counters["ingest:forced_releases"] == 2
@@ -156,8 +161,8 @@ class TestIngestPipeline:
 
     def test_ledger_always_balances(self):
         p = IngestPipeline(N, lateness=2.0)
-        p.push(_batch([0, 1, 0], [1, -1, 1], [2, 2, 2], [1.0, 1.0, 1.0]))
-        p.push(_batch([3], [1], [2], [np.nan]))
+        _push(p, _batch([0, 1, 0], [1, -1, 1], [2, 2, 2], [1.0, 1.0, 1.0]))
+        _push(p, _batch([3], [1], [2], [np.nan]))
         c = p.counters
         assert c["ingest:pushed"] == (c["ingest:accepted"] + c["ingest:duplicates"]
                                       + sum(_quarantined(c).values()))
@@ -169,8 +174,8 @@ class TestIngestPipeline:
         with inj:
             inj.advance(0, 0)
             with pytest.raises(TransientKernelError):
-                p.push(b)
-            out = p.push(b)  # transient: second attempt succeeds
+                _push(p, b)
+            out = _push(p, b)  # transient: second attempt succeeds
         assert len(out) == 2
         assert p.counters["ingest:pushed"] == 2 and p.counters["ingest:duplicates"] == 0
 
@@ -244,17 +249,6 @@ class TestDegradationLadder:
         ladder = DegradationLadder()
         budget = ladder.cost_model.estimate("cache", 100) * 1.001
         assert ladder.decide(budget, 100, ctx).level == "memory"
-
-    def test_cache_rung_follows_the_live_cache_not_one_config_field(self):
-        """A hot tier sized in MiB is a live cache even at hot_capacity=0."""
-        g = TGraph([0], [1], [1.0])
-        ctx = tg.TContext(g, store=StoreConfig(hot_capacity=0, hot_mb=1.0))
-        ctx.store.put(np.array([0]), np.array([1.0]),
-                      np.ones((1, DIM), dtype=np.float32), space="embed:0")
-        assert ctx.embed_cache(0).enabled
-        ladder = DegradationLadder()
-        budget = ladder.cost_model.estimate("cache", 100) * 1.001
-        assert ladder.decide(budget, 100, ctx).level == "cache"
 
     def test_degraded_sampler_inflates_sampling_cost(self):
         g = TGraph([0], [1], [1.0])
@@ -599,26 +593,143 @@ class TestModelSwap:
         batches = split_batches(stream, 25)
         rt = _runtime(stream)
         replay(rt, batches[:4], load=1.0)
-        assert rt.ctx.embed_cache(0).num_entries > 0
+        written = np.isfinite(rt._cache_times)
+        assert written.any()
+        # each written node holds its newest answered time so far
+        served = EventBatch.concat(batches[:4])
+        newest = np.full(N, -np.inf)
+        np.maximum.at(newest, np.concatenate([served.src, served.dst]),
+                      np.concatenate([served.ts, served.ts]))
+        np.testing.assert_array_equal(rt._cache_times[written], newest[written])
         table = np.full((N, DIM), 3.0, dtype=np.float32)
         version = rt.swap_model(table)
         assert version == 1
-        # rows cached under the old model are gone
-        assert rt.ctx.embed_cache(0).num_entries == 0
+        # rows computed under the old model are gone
+        assert rt._cache_rows is None and np.isinf(rt._cache_times).all()
         results = replay(rt, batches[4:], load=1.0)
         assert all(r.status == "ok" for r in results[-4:])
         nodes = np.arange(8, dtype=np.int64)
         np.testing.assert_array_equal(rt._rows(nodes, 0)[0], table[nodes])
+        # the serve path never reaches the training memo cache
+        assert rt.ctx.store.spaces() == ()
 
 
-def test_hot_mb_bounds_the_serve_embedding_cache():
-    """``--store-hot-mb`` budgets every row the serve path keeps hot."""
-    config = StoreConfig(hot_mb=0.01)  # 327 rows of DIM float32
-    stream = build_stream(200, 2000, payload_dim=DIM, seed=7)
-    rt = _runtime(stream, num_nodes=200, store=config)
-    replay(rt, split_batches(stream, 50), load=1.0)
-    cache = rt.ctx.embed_cache(0)
-    assert 0 < cache.num_entries <= cache.capacity == config.hot_rows(DIM)
+class TestCacheRung:
+    """The ``cache`` rung serves the engine's per-node table, causally."""
+
+    def test_hits_under_overload_and_never_a_newer_row(self):
+        clean = build_stream(N, 600, payload_dim=DIM, seed=12)
+        poisoned, lateness, _ = poison_stream(clean, N, seed=12, shuffle_window=32)
+        rt = _runtime(clean, deadline=2e-3, max_queue=8, lateness=lateness)
+        newer = causal_hits = 0
+        embed_cached = rt._embed_cached
+
+        def probe(nodes, times, extra):
+            nonlocal newer, causal_hits
+            stored = rt._cache_times[nodes].copy()
+            causal = stored <= times
+            want = rt._rows(nodes, extra)[0].astype(np.float32)
+            if causal.any():
+                want[causal] = rt._cache_rows[nodes[causal]]
+            emb, ok = embed_cached(nodes, times, extra)
+            np.testing.assert_array_equal(emb, want)
+            newer += int(np.count_nonzero(np.isfinite(stored) & ~causal))
+            causal_hits += int(np.count_nonzero(causal))
+            return emb, ok
+
+        rt._embed_cached = probe
+        replay(rt, split_batches(poisoned, 20), load=16.0)
+        stats = rt.stats()
+        assert stats["ladder:cache"] > 0
+        # hits are exactly the stored rows not newer than their query, and
+        # a stored row newer than its query did occur (and was not served)
+        assert stats["serve:cache_hits"] == causal_hits > 0
+        assert newer > 0
+        assert ledger_violations(stats) == []
+
+    def test_latest_time_wins_and_ties_go_to_the_last_position(self):
+        stream = build_stream(N, 50, payload_dim=DIM, seed=2)
+        rt = _runtime(stream)
+        nodes = np.array([5, 5, 5, 7, 7], dtype=np.int64)
+        times = np.array([3.0, 9.0, 1.0, 4.0, 4.0])
+        emb = np.arange(5 * DIM, dtype=np.float32).reshape(5, DIM)
+        rt._remember(nodes, times, emb, None)
+        assert rt._cache_times[5] == 9.0 and rt._cache_times[7] == 4.0
+        np.testing.assert_array_equal(rt._cache_rows[5], emb[1])
+        np.testing.assert_array_equal(rt._cache_rows[7], emb[4])
+
+    def test_unreachable_shard_rows_never_enter_the_table(self):
+        stream = build_stream(N, 300, payload_dim=DIM, seed=24)
+        batches = split_batches(stream, 30)
+        g = TGraph(stream.src, stream.dst, stream.ts, num_nodes=N)
+        cluster = ServeCluster(g, tg.TContext(g), TSampler(10, seed=3), DIM,
+                               config=ClusterConfig(num_shards=4),
+                               deadline=1.0, max_queue=1 << 30)
+        with cluster:
+            cluster.replicas[2].crash()  # factor 1: shard 2 is unreachable
+            cluster.submit(batches[0])
+            result = cluster.step()
+            assert result.level == "full" and not result.valid.all()
+            nodes = np.unique(np.concatenate([batches[0].src, batches[0].dst]))
+            dead = cluster.router.shard_of(nodes) == 2
+            assert dead.any() and (~dead).any()
+            assert np.isinf(cluster._cache_times[nodes[dead]]).all()
+            assert np.isfinite(cluster._cache_times[nodes[~dead]]).all()
+
+    def test_a_hit_on_an_unreachable_shard_stays_invalid(self, monkeypatch):
+        """A row answered before its shard crashed may be served by the
+        ``cache`` rung, but the score is not backed by authoritative
+        state, so it is marked invalid."""
+        stream = build_stream(N, 300, payload_dim=DIM, seed=24)
+        first = split_batches(stream, 30)[0]
+        g = TGraph(stream.src, stream.dst, stream.ts, num_nodes=N)
+        cluster = ServeCluster(g, tg.TContext(g), TSampler(10, seed=3), DIM,
+                               config=ClusterConfig(num_shards=4),
+                               deadline=1.0, max_queue=1 << 30)
+        with cluster:
+            cluster.submit(first)
+            assert cluster.step().level == "full"
+            seen = np.unique(np.concatenate([first.src, first.dst]))
+            dead = seen[cluster.router.shard_of(seen) == 2]
+            live = seen[cluster.router.shard_of(seen) != 2]
+            assert len(dead) and len(live) > 1
+            cluster.replicas[2].crash()  # factor 1: shard 2 is unreachable
+            monkeypatch.setattr(cluster.ladder, "decide", lambda *a, **k:
+                                LadderDecision("cache", 0, 0.0, "forced"))
+            k = min(len(dead), len(live) - 1)
+            src = np.concatenate([dead[:k], live[:k]])
+            dst = np.concatenate([live[1:k + 1], live[1:k + 1]])
+            ts = np.full(2 * k, float(first.ts.max()) + 1.0)
+            later = _batch(np.arange(2 * k) + 10_000, src, dst, ts)
+            hits = cluster.ctx.counters["serve:cache_hits"]
+            cluster.submit(later)
+            result = cluster.step()
+            assert result.level == "cache"
+            # every endpoint was answered before the crash: all are hits
+            assert cluster.ctx.counters["serve:cache_hits"] - hits == 4 * k
+            assert not result.valid[:k].any() and result.valid[k:].all()
+
+
+def test_one_validation_per_request(monkeypatch):
+    """Scoring and ingestion share the step's one ``validate_events``."""
+    import repro.serve.engine as engine_mod
+
+    calls = []
+
+    def counted(batch, num_nodes):
+        calls.append(len(batch))
+        return validate_events(batch, num_nodes)
+
+    monkeypatch.setattr(engine_mod, "validate_events", counted)
+    clean = build_stream(N, 400, payload_dim=DIM, seed=8)
+    poisoned, lateness, _ = poison_stream(clean, N, seed=8)
+    rt = _runtime(clean, lateness=lateness)
+    replay(rt, split_batches(poisoned, 20), load=1.0)
+    stats = rt.stats()
+    served = sum(v for k, v in stats.items() if k.startswith("ladder:"))
+    assert len(calls) == served == len(split_batches(poisoned, 20))
+    assert sum(_quarantined(stats).values()) > 0
+    assert ledger_violations(stats) == []
 
 
 class TestRuntimeLifecycle:

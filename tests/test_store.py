@@ -187,6 +187,6 @@ class TestHotMbGuard:
     @pytest.mark.parametrize("value", ["0", "-1", "nan"])
     def test_cli_rejects_the_flag_at_parse_time(self, value, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["serve", "--events", "100", "--store-hot-mb", value])
+            main(["--list-datasets", "--store-hot-mb", value])
         assert exc.value.code == 2
         assert "--store-hot-mb" in capsys.readouterr().err
