@@ -5,7 +5,10 @@ Times each kernel pair on a synthetic temporal graph (~100k edges) with
 ``benchmarks/results/kernel_microbench.txt``.  The acceptance bar is a
 >= 5x sampling speedup over the loop reference — the per-pair Python
 loops are the analog of the paper's single-threaded sampler baseline,
-the vectorized kernels of its 32/64-thread C++ sampler.
+the vectorized kernels of its 32/64-thread C++ sampler.  The cache row
+(``cache_store+lookup``: 10k keys stored into a 20 000-slot ring, then
+looked up) is timed against ``tests/reference.py``'s ``ReuseCacheOracle``,
+the one-key-at-a-time spelling of the ring's reuse-distance rule.
 
 Two rows are one serving request's share of a kernel: a 100-key ``store``
 into a full 20 000-slot ``reuse`` ring (against ``tests/reference.py``'s
@@ -49,7 +52,6 @@ from repro.core.kernels import (
     NodeTimeCache,
     _reference_sample_arrays,
     _reference_unique_node_times,
-    _ReferenceNodeTimeCache,
     last_event_wins,
     sample_recent,
     sample_uniform,
@@ -139,7 +141,7 @@ def time_serve_store():
     rng = np.random.default_rng(5)
     requests = [(rng.permutation(SERVE_NODES)[:100], np.full(100, float(t)),
                  rng.random((100, 32)).astype(np.float32)) for t in range(207)]
-    fast = NodeTimeCache(SERVE_CAPACITY, policy="reuse")
+    fast = NodeTimeCache(SERVE_CAPACITY)
     oracle = ReuseCacheOracle(SERVE_CAPACITY)
     for request in requests[:200]:  # fill the ring the way serving does
         fast.store(*request)
@@ -205,9 +207,9 @@ def test_kernel_microbench():
         return cache
 
     fast = run_cache(NodeTimeCache)
-    slow = run_cache(_ReferenceNodeTimeCache)
+    slow = run_cache(ReuseCacheOracle)
     assert fast.hits == slow.hits  # same contract while we are at it
-    ref = timeit(lambda: run_cache(_ReferenceNodeTimeCache).lookup(dn, dt))
+    ref = timeit(lambda: run_cache(ReuseCacheOracle).lookup(dn, dt))
     vec = timeit(lambda: run_cache(NodeTimeCache).lookup(dn, dt))
     record("cache_store+lookup", ref, vec)
 

@@ -123,8 +123,8 @@ class Experiment:
             self.ctx = None
             self.model = self._build_tgl(dim_node, dim_edge, data_device)
         else:
-            store_cfg = StoreConfig().with_overrides(hot_mb=cfg.store_hot_mb)
-            self.ctx = tg.TContext(self.g, device="cuda", store=store_cfg)
+            self.ctx = tg.TContext(self.g, device="cuda",
+                                   store=StoreConfig(hot_mb=cfg.store_hot_mb))
             self.model = self._build_tglite(dim_node, dim_edge, data_device)
         self.model.to("cuda")
         self.optimizer = Adam(self.model.parameters(), lr=cfg.lr)

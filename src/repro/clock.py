@@ -1,17 +1,15 @@
-"""The one simulated clock: serving, the cluster, and the feature store.
+"""The one simulated clock of every serving deployment (runtime and cluster).
 
 Every latency-sensitive decision in :mod:`repro.serve` — token-bucket
 refill, deadline budgets, the degradation ladder's cost comparisons, and
 the reported p50/p99 latencies — reads one logical clock instead of
-``time.perf_counter()``, and :mod:`repro.store` models its transfer
-stalls against the same class.  That keeps replay runs deterministic
-(the same stream and configuration produce bit-identical decisions on
-any machine) and lets the benchmark suite model 16x offered load without
-actually waiting for it.
+``time.perf_counter()``.  That keeps replay runs deterministic (the same
+stream and configuration produce bit-identical decisions on any machine)
+and lets the benchmark suite model 16x offered load without actually
+waiting for it.
 
-This module imports nothing from ``repro``, so ``repro.store`` (which
-``repro.core`` imports) and ``repro.serve`` (which imports ``repro.core``)
-can both use it; ``repro.serve`` re-exports :class:`SimClock`.
+This module imports nothing from ``repro``, so any layer can use it
+without an import cycle; ``repro.serve`` re-exports :class:`SimClock`.
 """
 
 from __future__ import annotations

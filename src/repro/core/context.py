@@ -2,11 +2,13 @@
 
 A :class:`TContext` carries (a) placement policy — which simulated device
 computation runs on and where raw feature data lives — and (b) the
-:class:`~repro.store.tiered.TieredFeatureStore` behind the optimization
-operators: the per-layer embedding memoization used by ``op.cache()``
-(spaces ``'embed:<layer>'``), the pool of pinned staging buffers used by
-``op.preload()``, and the precomputed time-vector tables used by
-``op.precomputed_times()``/``op.precomputed_zeros()``.
+scratch space the optimization operators write: the memo cache
+``op.cache()`` resolves through (one reuse-distance
+:class:`~repro.core.kernels.cache.NodeTimeCache` ring per layer,
+:meth:`TContext.embed_cache`, sized by a
+:class:`~repro.store.api.StoreConfig`), the pool of pinned staging
+buffers used by ``op.preload()``, and the precomputed time-vector tables
+used by ``op.precomputed_times()``/``op.precomputed_zeros()``.
 
 Instrumentation is one counter table, :attr:`TContext.counters`, read
 through :meth:`TContext.stats` (a :class:`~repro.core.stats.ContextStats`
@@ -22,10 +24,10 @@ from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple, Union
 import numpy as np
 
 from ..store.api import StoreConfig
-from ..store.tiered import TieredFeatureStore
 from ..store.tiers import PinnedPool
 from ..tensor import Tensor
 from ..tensor.device import Device, get_device
+from .kernels.cache import NodeTimeCache
 from .stats import ContextStats, Latency
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -33,8 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["TContext"]
 
-#: store-space prefix of per-layer embedding memoization caches.
-_EMBED_PREFIX = "embed:"
 #: counter-table prefix of transient kernel faults per site.
 _FAULT_PREFIX = "kernel_faults:"
 
@@ -48,8 +48,8 @@ class TContext:
         time_window: rounding resolution for precomputed-time lookups; time
             deltas are quantized to multiples of this before table lookup
             (0 means exact float matching).
-        store: the :class:`~repro.store.api.StoreConfig` of the tiered
-            feature store behind the caches (``None`` for defaults).
+        store: the :class:`~repro.store.api.StoreConfig` sizing each
+            layer's memo ring (``None`` for defaults).
     """
 
     def __init__(
@@ -66,14 +66,15 @@ class TContext:
         graph.ctx = self
 
         #: the one counter table: operator counters (rows seen/removed by
-        #: dedup()), kernel faults, the store's and pinned pool's
-        #: accounting, and every counter of a serving deployment built over
-        #: this context; read via stats().  Kernel wall seconds are spans
-        #: (repro.spans), not counters.
+        #: dedup()), kernel faults, the pinned pool's reuse, and every
+        #: counter of a serving deployment built over this context; read
+        #: via stats().  Kernel wall seconds are spans (repro.spans), not
+        #: counters.
         self.counters: Dict[str, float] = {}
-        self.store = TieredFeatureStore(
-            store if store is not None else StoreConfig(), counters=self.counters,
-        )
+        self.store_config = store if store is not None else StoreConfig()
+        self.pinned_pool = PinnedPool(self.counters)
+        #: each layer's memo ring, by layer id (see embed_cache()).
+        self.embed_caches: Dict[int, NodeTimeCache] = {}
         self._time_tables: Dict[int, dict] = {}
         self._time_zero_rows: Dict[int, Tuple[int, np.ndarray]] = {}
         #: kernels downgraded to their uncached/reference paths, keyed by
@@ -105,20 +106,38 @@ class TContext:
 
     # ---- pinned pool ---------------------------------------------------------------
 
-    @property
-    def pinned_pool(self) -> PinnedPool:
-        return self.store.pinned_pool
-
     def stage_pinned(self, rows: np.ndarray) -> Tensor:
         """Stage host rows into the pinned pool (see ``op.preload``)."""
-        return self.store.pinned_pool.stage(rows)
+        return self.pinned_pool.stage(rows)
 
     # ---- embedding cache -------------------------------------------------------------
 
+    def embed_cache(self, layer: int) -> NodeTimeCache:
+        """Layer *layer*'s memo ring (``op.cache``), made on first use with
+        ``hot_capacity`` rows."""
+        ring = self.embed_caches.get(layer)
+        if ring is None:
+            ring = self.embed_caches[layer] = NodeTimeCache(self.store_config.hot_rows(None))
+        return ring
+
+    def fit_embed_cache(self, layer: int, width: int) -> NodeTimeCache:
+        """The ring that rows of *width* columns are stored into.
+
+        A ``hot_mb`` budget becomes rows once the width is known: before
+        its first row, the ring is re-made at that size (it holds nothing
+        yet; its lookup counts carry over).
+        """
+        ring = self.embed_cache(layer)
+        rows = self.store_config.hot_rows(width)
+        if ring.dim is None and rows != ring.capacity:
+            fitted = self.embed_caches[layer] = NodeTimeCache(rows)
+            fitted.hits, fitted.lookups = ring.hits, ring.lookups
+            ring = fitted
+        return ring
+
     def clear_embed_cache(self) -> None:
-        for name in self.store.spaces():
-            if name.startswith(_EMBED_PREFIX):
-                self.store.evict(name)
+        for ring in self.embed_caches.values():
+            ring.clear()
 
     # ---- instrumentation --------------------------------------------------------
 
@@ -174,17 +193,15 @@ class TContext:
 
     def stats(self) -> ContextStats:
         """One frozen snapshot: the counter table plus its read-time keys —
-        the store rings' ``store:hot:*`` sums, each embedding-cache layer's
-        ``embed:<layer>:{hits,lookups,entries,evictions}`` (since its last
-        clear) and ``degraded:<site>`` — and the request latencies."""
+        each memo ring's ``embed:<layer>:{hits,lookups,entries,evictions}``
+        (since its last clear) and ``degraded:<site>`` — and the request
+        latencies."""
         counters = dict(self.counters)
-        counters.update(self.store.gauges())
-        for name in self.store.spaces():
-            if name.startswith(_EMBED_PREFIX):
-                hot = self.store.space(name).hot
-                counters.update({f"{name}:hits": hot.hits, f"{name}:lookups": hot.lookups,
-                                 f"{name}:entries": hot.num_entries,
-                                 f"{name}:evictions": hot.evictions})
+        for layer, ring in self.embed_caches.items():
+            counters.update({f"embed:{layer}:hits": ring.hits,
+                             f"embed:{layer}:lookups": ring.lookups,
+                             f"embed:{layer}:entries": ring.num_entries,
+                             f"embed:{layer}:evictions": ring.evictions})
         counters.update({f"degraded:{site}": 1.0 for site in self.degraded})
         return ContextStats(counters, self._latency())
 
@@ -198,7 +215,8 @@ class TContext:
             self.counters[key] = 0.0 if isinstance(value, float) else 0
         self._latencies.clear()
         self._latency_count = 0
-        self.store.zero_counts()
+        for ring in self.embed_caches.values():
+            ring.reset_stats()
 
     # ---- precomputed time tables --------------------------------------------------------
 
@@ -226,8 +244,8 @@ class TContext:
 
     def reset(self) -> None:
         """Drop all scratch state (between experiments)."""
-        self.store.pinned_pool.clear()
-        self.store.clear()
+        self.pinned_pool.clear()
+        self.embed_caches.clear()
         self.clear_time_tables()
         self.degraded.clear()
         for key in [k for k in self.counters if k.startswith(_FAULT_PREFIX)]:

@@ -17,14 +17,16 @@ TGL baseline sampler, ``op.dedup``, ``op.cache``) dispatches through:
 * :mod:`~repro.core.kernels.dedup` — vectorized unique-(node, time)
   computation for ``op.dedup()``.
 
-Each kernel keeps its original per-row loop implementation as a
-``_reference_*`` sibling; those references are exercised only by the
-equivalence tests (``tests/test_kernels.py``) and the microbenchmark
-(``benchmarks/test_kernels_microbench.py``), which assert that the
-vectorized kernels are bit-identical and measure their speedup.
+The sample and dedup kernels keep their original per-row loop
+implementation as a ``_reference_*`` sibling (the cache's reference is
+``tests/reference.py``'s ``ReuseCacheOracle``); those references are
+exercised only by the equivalence tests (``tests/test_kernels.py``) and
+the microbenchmark (``benchmarks/test_kernels_microbench.py``), which
+assert that the vectorized kernels are bit-identical and measure their
+speedup.
 """
 
-from .cache import NodeTimeCache, _ReferenceNodeTimeCache
+from .cache import NodeTimeCache
 from .dedup import (
     _reference_unique_node_times,
     canonical_event_order,
@@ -52,5 +54,4 @@ __all__ = [
     "NodeTimeCache",
     "_reference_sample_arrays",
     "_reference_unique_node_times",
-    "_ReferenceNodeTimeCache",
 ]

@@ -1,53 +1,47 @@
 """Array-based (node, time) -> slot embedding store.
 
-Backs the hot tier of :class:`repro.store.TieredFeatureStore` (and,
-through it, ``op.cache()`` — TGOpt-style memoization — and the manual
-baseline's memo table).  Entries live in a ring of ``capacity`` float32
-rows; an open-addressing hash table maps each (node, time) key to its
-ring slot.  Both ``lookup`` and ``store`` are batched: probing advances
-*all* unresolved queries one bucket per pass with full-width numpy ops,
-so the per-row Python dict loops of the original implementation
-disappear.
+One ring per layer is ``TContext``'s memo cache (``ctx.embed_cache(layer)``,
+behind ``op.cache()`` — TGOpt-style memoization), and the manual
+baseline keeps one per layer too.  Entries live in a ring of
+``capacity`` float32 rows; an open-addressing hash table maps each
+(node, time) key to its ring slot.  Both ``lookup`` and ``store`` are
+batched: probing advances *all* unresolved queries one bucket per pass
+with full-width numpy ops.
 
-Two eviction policies are available:
-
-* ``'fifo'`` (default) — the historical ring: allocations claim
-  consecutive slots, wrapping around.  This is the policy the
-  ``_Reference*`` loop implementation pins bit-identically.
-* ``'reuse'`` — reuse-distance-aware: each slot tracks when it was last
-  referenced and an exponential average of its inter-reference gap; a
-  full cache evicts the slots whose *predicted next reference*
-  (``last_access + gap``) is farthest in the future — a practical
-  approximation of Belady's farthest-in-future rule that batches of
-  temporal-GNN queries reward (hot nodes re-appear with short, stable
-  gaps).  Deterministic: ties break toward the lower slot index.  The
-  ``k`` victims cost one ``np.partition`` of the resident predictions
-  (O(capacity)) plus a sort of the candidates at or above the ``k``-th
-  largest — not a sort of every resident slot.
+Eviction is reuse-distance-aware: each slot tracks when it was last
+referenced and an exponential average of its inter-reference gap; a full
+cache evicts the slots whose *predicted next reference*
+(``last_access + gap``) is farthest in the future — a practical
+approximation of Belady's farthest-in-future rule that batches of
+temporal-GNN queries reward (hot nodes re-appear with short, stable
+gaps).  Deterministic: ties break toward the lower slot index.  The
+``k`` victims cost one ``np.partition`` of the resident predictions
+(O(capacity)) plus a sort of the candidates at or above the ``k``-th
+largest — not a sort of every resident slot.  ``tests/reference.py``'s
+``ReuseCacheOracle`` spells the rule out one key at a time.
 
 Each live slot also records the hash bucket holding it, so an eviction
 tombstones its bucket directly instead of probing for the evicted key.
 
-Batch-store contract (implemented identically by the loop reference for
-the ``'fifo'`` policy):
+Batch-store contract:
 
 1. *Refresh pass* — keys already resident have their value overwritten
-   in place (keeping their ring slot and FIFO position).
+   in place (keeping their ring slot).
 2. *Allocation pass* — keys not resident are assigned slots in order of
-   first occurrence within the batch; each allocation evicts the slot's
-   previous occupant.  Duplicate keys within a batch take their last
-   occurrence's value.
+   first occurrence within the batch: never-used slots first, then the
+   eviction victims.  Duplicate keys within a batch take their last
+   occurrence's value.  A batch of at least ``capacity`` new keys
+   rewrites the whole ring from the cursor and keeps its last keys.
 
 Evictions are surfaced explicitly: the ``evictions`` counter counts
 every resident entry displaced.
 
-A ``capacity <= 0`` store is disabled: lookups miss, stores are no-ops
-(a zero-capacity ring used to raise ``ZeroDivisionError``).
+A ``capacity <= 0`` store is disabled: lookups miss, stores are no-ops.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -55,10 +49,7 @@ from ...resilience.hooks import poke as _poke
 from ...spans import span
 from .dedup import unique_first_last
 
-__all__ = ["NodeTimeCache", "_ReferenceNodeTimeCache"]
-
-#: eviction policies understood by :class:`NodeTimeCache`.
-POLICIES = ("fifo", "reuse")
+__all__ = ["NodeTimeCache"]
 
 _EMPTY = -1
 _TOMBSTONE = -2
@@ -83,25 +74,19 @@ class NodeTimeCache:
     """Bounded (node, time) -> embedding row store with batched kernels.
 
     Args:
-        capacity: ring size in rows; ``<= 0`` disables the cache.
-        dim: row width; discovered from the first ``store`` if omitted.
-        policy: eviction policy, ``'fifo'`` (historical ring) or
-            ``'reuse'`` (reuse-distance-aware; see module docstring).
+        capacity: ring size in rows; ``<= 0`` disables the cache.  The row
+            width is taken from the first ``store``.
     """
 
-    def __init__(self, capacity: int, dim: Optional[int] = None,
-                 policy: str = "fifo"):
-        if policy not in POLICIES:
-            raise ValueError(f"unknown eviction policy {policy!r} (expected one of {POLICIES})")
+    def __init__(self, capacity: int):
         self.capacity = int(capacity)
-        self.dim = dim
-        self.policy = policy
+        self.dim: Optional[int] = None
         self.hits = 0
         self.lookups = 0
         self.evictions = 0
-        # Reuse-distance bookkeeping (only maintained under policy='reuse'):
-        # a logical access tick, per-slot last-access tick, per-slot EMA of
-        # the inter-access gap, and their sum, the predicted next reference.
+        # Reuse-distance bookkeeping: a logical access tick, per-slot
+        # last-access tick, per-slot EMA of the inter-access gap, and their
+        # sum, the predicted next reference.
         self._tick = 0
         self._last_access: Optional[np.ndarray] = None
         self._gap: Optional[np.ndarray] = None
@@ -155,7 +140,7 @@ class NodeTimeCache:
             rows = np.zeros((n, self.dim), dtype=np.float32)
             rows[hit] = self._values[slots[hit]]
             self.hits += int(hit.sum())
-            if self.policy == "reuse" and hit.any():
+            if hit.any():
                 self._touch(np.unique(slots[hit]))
             return hit, rows
 
@@ -200,8 +185,7 @@ class NodeTimeCache:
             present = slots >= 0
             if present.any():
                 self._values[slots[present]] = values[last[present]].astype(np.float32)
-                if self.policy == "reuse":
-                    self._touch(slots[present])
+                self._touch(slots[present])
 
             # Allocation pass: absent keys, in first-occurrence order.
             new = np.flatnonzero(~present)
@@ -215,7 +199,7 @@ class NodeTimeCache:
             cap = self.capacity
             if m >= cap:
                 # The batch replaces the whole ring: only the last `cap`
-                # allocations survive (matching sequential FIFO wraparound).
+                # allocations survive, written from the cursor on.
                 self._evicted(np.arange(self._nslots, dtype=np.int64))
                 survivors = slice(m - cap, m)
                 order = (self._cursor + np.arange(m - cap, m)) % cap
@@ -225,12 +209,11 @@ class NodeTimeCache:
                 self._nslots = cap
                 self._cursor = (self._cursor + m) % cap
                 self._rebuild_table()
-                if self.policy == "reuse":
-                    self._tick += 1
-                    self._last_access[:] = self._tick
-                    self._gap[:] = float(cap)
-                    self._pred[:] = self._tick + float(cap)
-            elif self.policy == "reuse":
+                self._tick += 1
+                self._last_access[:] = self._tick
+                self._gap[:] = float(cap)
+                self._pred[:] = self._tick + float(cap)
+            else:
                 if self._used + self._tombs + m > (self._nbuckets * 3) // 5:
                     self._rebuild_table()
                 # Fill any never-used slots first; the remainder displaces the
@@ -256,21 +239,6 @@ class NodeTimeCache:
                 self._last_access[slots_new] = self._tick
                 self._gap[slots_new] = float(cap)
                 self._pred[slots_new] = self._tick + float(cap)
-            else:
-                if self._used + self._tombs + m > (self._nbuckets * 3) // 5:
-                    self._rebuild_table()
-                slots_new = (self._cursor + np.arange(m, dtype=np.int64)) % cap
-                evict = slots_new[slots_new < self._nslots]
-                if len(evict):
-                    self._evicted(evict)
-                    self._table_evict(evict)
-                self._slot_nodes[slots_new] = kn
-                self._slot_times[slots_new] = kt
-                self._values[slots_new] = kv
-                self._nslots = (cap if self._cursor + m >= cap
-                                else max(self._nslots, self._cursor + m))
-                self._cursor = (self._cursor + m) % cap
-                self._table_insert(kh, slots_new)
             # A steady-state miss storm on a 100%-occupied ring used to let
             # tombstones pile up toward the global rebuild bound, silently
             # degrading every probe into a long tombstone walk.  Rebuild as
@@ -307,13 +275,6 @@ class NodeTimeCache:
         self.hits = 0
         self.lookups = 0
         self.evictions = 0
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes held by stored rows (0 before the first store)."""
-        if self._values is None or self.dim is None:
-            return 0
-        return int(self._nslots) * int(self.dim) * 4
 
     def validate(self) -> list:
         """Self-check table integrity; returns violations (empty = ok).
@@ -360,10 +321,9 @@ class NodeTimeCache:
             self._slot_times = np.zeros(self.capacity, dtype=np.float64)
             self._slot_bucket = np.zeros(self.capacity, dtype=np.int64)
             self._table = np.full(self._nbuckets, _EMPTY, dtype=np.int64)
-            if self.policy == "reuse":
-                self._last_access = np.zeros(self.capacity, dtype=np.int64)
-                self._gap = np.full(self.capacity, float(self.capacity))
-                self._pred = self._last_access + self._gap
+            self._last_access = np.zeros(self.capacity, dtype=np.int64)
+            self._gap = np.full(self.capacity, float(self.capacity))
+            self._pred = self._last_access + self._gap
         elif dim != self.dim:
             raise ValueError(f"stored rows have dim {self.dim}, got {dim}")
 
@@ -438,92 +398,3 @@ class NodeTimeCache:
         if n:
             self._table_insert(self._buckets(self._slot_nodes[:n], self._slot_times[:n]),
                                np.arange(n, dtype=np.int64))
-
-
-class _ReferenceNodeTimeCache:
-    """Per-row dict/loop implementation of the same batch-store contract.
-
-    This is the pre-kernel hot path (Python dict per row); it is kept
-    only for the equivalence tests and the microbenchmark.
-    """
-
-    def __init__(self, capacity: int, dim: Optional[int] = None):
-        self.capacity = int(capacity)
-        self.dim = dim
-        self.hits = 0
-        self.lookups = 0
-        self._slots: Optional[np.ndarray] = None
-        self._index: Dict[Tuple[int, float], int] = {}
-        self._keys: list = []
-        self._cursor = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.capacity > 0
-
-    @property
-    def num_entries(self) -> int:
-        return sum(1 for k in self._keys if k is not None)
-
-    def lookup(self, nodes: np.ndarray, times: np.ndarray):
-        n = len(nodes)
-        self.lookups += n
-        hit_mask = np.zeros(n, dtype=bool)
-        if self._slots is None or n == 0:
-            return hit_mask, None
-        rows = np.zeros((n, self.dim), dtype=np.float32)
-        index = self._index
-        for i in range(n):
-            slot = index.get((int(nodes[i]), float(times[i])))
-            if slot is not None:
-                hit_mask[i] = True
-                rows[i] = self._slots[slot]
-        self.hits += int(hit_mask.sum())
-        return hit_mask, rows
-
-    def store(self, nodes: np.ndarray, times: np.ndarray, values: np.ndarray) -> None:
-        if not self.enabled or len(nodes) == 0:
-            return
-        values = np.asarray(values)
-        if self._slots is None:
-            self.dim = values.shape[1]
-            self._slots = np.zeros((self.capacity, self.dim), dtype=np.float32)
-            self._keys = [None] * self.capacity
-        index = self._index
-        n = len(nodes)
-        # Refresh pass: resident keys take the (last) batch value in place.
-        resident = set()
-        for i in range(n):
-            key = (int(nodes[i]), float(times[i]))
-            slot = index.get(key)
-            if slot is not None:
-                self._slots[slot] = values[i]
-                resident.add(key)
-        # Allocation pass: absent keys in first-occurrence order, with the
-        # value of their last occurrence; each allocation evicts FIFO.
-        last_value: Dict[Tuple[int, float], int] = {}
-        alloc_order = []
-        for i in range(n):
-            key = (int(nodes[i]), float(times[i]))
-            if key in resident:
-                continue
-            if key not in last_value:
-                alloc_order.append(key)
-            last_value[key] = i
-        for key in alloc_order:
-            slot = self._cursor
-            old_key = self._keys[slot]
-            if old_key is not None and index.get(old_key) == slot:
-                del index[old_key]
-            index[key] = slot
-            self._keys[slot] = key
-            self._slots[slot] = values[last_value[key]]
-            self._cursor = (self._cursor + 1) % self.capacity
-
-    def clear(self) -> None:
-        self._index.clear()
-        self._keys = [None] * self.capacity if self._slots is not None else []
-        self._slots = None
-        self._cursor = 0
-        self.hits = 0
-        self.lookups = 0

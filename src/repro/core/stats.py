@@ -1,16 +1,15 @@
 """The counter table and the one snapshot of it, ``TContext.stats()``.
 
 Counters live in one table, ``TContext.counters``: operator counters
-(``dedup_rows_in`` ...), pinned-pool reuse (``pinned:*``), the feature
-store's accounting (``store:*``), kernel faults, and every counter of a
-serving deployment.  The table holds counts; wall seconds are
-:mod:`repro.spans` spans.
+(``dedup_rows_in`` ...), pinned-pool reuse (``pinned:*``), kernel faults,
+and every counter of a serving deployment.  The table holds counts; wall
+seconds are :mod:`repro.spans` spans.
 Each component is handed the table where it is built and
 :func:`declare`\\ s its keys in it.  ``ctx.stats()`` returns a frozen
 :class:`ContextStats`: a copy of the table plus the keys read at read
-time (the store rings' hits / misses / evictions, per-layer embedding
-caches, degraded kernels) and the request-latency percentiles; derived
-ratios are computed from it by :func:`ratios`.
+time (each layer's memo ring, ``embed:<layer>:*``, and degraded
+kernels) and the request-latency percentiles; derived ratios are computed
+from it by :func:`ratios`.
 """
 
 from __future__ import annotations

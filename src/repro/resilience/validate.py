@@ -67,8 +67,8 @@ def _check_csr(g, out: List[str]) -> None:
 
 
 def _check_caches(ctx, out: List[str]) -> None:
-    for name in ctx.store.spaces():
-        out.extend(f"cache[{name}]: {v}" for v in ctx.store.space(name).hot.validate())
+    for layer, ring in ctx.embed_caches.items():
+        out.extend(f"cache[embed:{layer}]: {v}" for v in ring.validate())
 
 
 def validate_state(g, ctx: Optional[object] = None) -> List[str]:

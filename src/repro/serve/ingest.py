@@ -155,16 +155,16 @@ class IngestPipeline:
         # Idempotent replay dedup on event id: already-seen ids are
         # dropped (counted, not quarantined — redelivery is normal
         # at-least-once behaviour, not a malformed event).  Duplicates
-        # *within* the batch keep their first occurrence.
+        # *within* the batch keep their first occurrence.  The set
+        # difference iterates the batch's ids, not every id seen.
         keep = np.flatnonzero(ok)
-        fresh: List[int] = []
-        for i in keep:
-            eid = int(batch.eids[i])
-            if eid not in self._seen_eids:
-                self._seen_eids.add(eid)
-                fresh.append(int(i))
+        ids = batch.eids[keep].tolist()
+        new = set(ids).difference(self._seen_eids)
+        self._seen_eids.update(new)
+        first = dict(zip(reversed(ids), reversed(keep.tolist())))  # id -> first position
+        fresh = np.sort(np.fromiter(map(first.__getitem__, new), np.int64, len(new)))
         self.counters["ingest:duplicates"] += len(keep) - len(fresh)
-        accepted = batch.take(np.asarray(fresh, dtype=np.int64))
+        accepted = batch.take(fresh)
 
         # Late events: below the watermark the reordering window has
         # already closed, so they cannot be merged back into order.

@@ -1,27 +1,22 @@
-"""`repro.store`: the memo cache behind every cache front-end.
+"""`repro.store`: the sizing and operators of the memo cache.
 
-Per memoization space, one bounded hot ring of computed rows::
-
-    hot (device-resident ring, reuse-distance eviction; an evicted row is
-         dropped, and a lookup of it misses and is recomputed)
-
-One implementation — :class:`TieredFeatureStore` — serves every
-front-end: ``TContext`` embedding caches, ``op.cache`` (a re-export of
-:func:`repro.store.ops.memoize`) and the serving ``cache`` rung.  It also
-owns the :class:`PinnedPool` that ``op.preload`` (:func:`repro.store.ops.preload`)
-stages gathered rows through.  Bytes stored and the rings' hits / misses /
-evictions are counted into the context's counter table (``store:hot:*``
-keys of ``ctx.stats().counters``).
+The memo cache is ``TContext``'s: one bounded ring of computed rows per
+layer (``ctx.embed_cache(layer)``, a reuse-distance
+:class:`~repro.core.kernels.cache.NodeTimeCache`; an evicted row is
+dropped, and a lookup of it misses and is recomputed).  This package
+holds what sizes those rings (:class:`StoreConfig`), the
+:class:`PinnedPool` the context stages gathered rows through, and the two
+data-movement operators — ``op.cache`` (:func:`repro.store.ops.memoize`)
+and ``op.preload`` (:func:`repro.store.ops.preload`).  Each ring's counts
+are the context's read-time ``embed:<layer>:*`` keys.
 """
 
 from .api import StoreConfig
-from .tiered import TieredFeatureStore
 from .tiers import PinnedPool
 from . import ops
 
 __all__ = [
     "StoreConfig",
-    "TieredFeatureStore",
     "PinnedPool",
     "ops",
 ]

@@ -1,14 +1,14 @@
-"""The feature store's knobs: :class:`StoreConfig`.
+"""The memo cache's one knob: :class:`StoreConfig`.
 
-The hot-ring size of :class:`~repro.store.tiered.TieredFeatureStore`,
-shared verbatim by the ``--store-hot-mb`` flag of the
-``python -m repro.bench`` trainer.
+The size of each layer's ring in ``TContext.embed_cache``, shared
+verbatim by the ``--store-hot-mb`` flag of the ``python -m repro.bench``
+trainer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["StoreConfig"]
@@ -16,17 +16,16 @@ __all__ = ["StoreConfig"]
 
 @dataclass
 class StoreConfig:
-    """Configuration shared by every feature store and CLI surface.
+    """The size of each layer's memo ring.
 
-    The hot ring may be sized in rows (exact) or in MiB (``hot_mb``;
-    resolved to rows once a space's row width is known — MiB wins when
-    both are set).
+    A ring may be sized in rows (exact) or in MiB (``hot_mb``; resolved
+    to rows once the layer's row width is known — MiB wins when both are
+    set).
     """
 
-    #: hot-ring capacity in rows per space (each layer's embedding-cache
-    #: size); ``<= 0`` disables the ring.
+    #: ring capacity in rows per layer; ``<= 0`` disables the ring.
     hot_capacity: int = 20000
-    #: hot-ring budget in MiB (overrides ``hot_capacity`` when set).
+    #: ring budget in MiB per layer (overrides ``hot_capacity`` when set).
     hot_mb: Optional[float] = None
 
     def __post_init__(self):
@@ -36,11 +35,7 @@ class StoreConfig:
                 "finite number of MiB")
 
     def hot_rows(self, dim: Optional[int]) -> int:
-        """Hot-ring rows per space, given its row width once known."""
+        """Ring rows per layer, given its row width once known."""
         if self.hot_mb is None or dim is None or dim <= 0:
             return int(self.hot_capacity)
         return max(1, int(self.hot_mb * (1 << 20) / (4 * dim)))
-
-    def with_overrides(self, **kwargs) -> "StoreConfig":
-        """A copy with the given fields replaced (``None`` values kept)."""
-        return replace(self, **{k: v for k, v in kwargs.items() if v is not None})

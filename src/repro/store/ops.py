@@ -1,43 +1,36 @@
-"""Canonical cache/preload operators over the feature store.
+"""Canonical cache/preload operators over the context's scratch space.
 
 ``repro.core.op`` re-exports :func:`memoize` as ``op.cache`` and
 :func:`preload` as ``op.preload`` (the paper's Table-1 names), the two
 data-movement operators: one eviction code path, one staging pool.
 
-Blocks and contexts are duck-typed (``ctx.training`` / ``ctx.store`` /
-``block.dstnodes`` ...) rather than imported: ``repro.core.context``
-imports this package, so importing block/context modules here would
-cycle.
+Blocks and contexts are duck-typed (``ctx.training`` /
+``ctx.embed_cache`` / ``block.dstnodes`` ...) rather than imported:
+``repro.core.context`` imports this package, so importing block/context
+modules here would cycle.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from ..tensor import Tensor, index_put
 
-__all__ = ["embed_space", "memoize", "preload"]
+__all__ = ["memoize", "preload"]
 
 
-def embed_space(layer: int) -> str:
-    """Store-space name of one layer's embedding memoization cache."""
-    return f"embed:{int(layer)}"
-
-
-def memoize(ctx, block, layer: Optional[int] = None):
+def memoize(ctx, block):
     """Filter a block's destinations to embedding-cache misses, in place.
 
     The TGOpt ``cache()`` optimization: previously computed time-aware
     embeddings are reused while the weights are frozen, so this only
-    engages in inference mode.  Resolution goes through the store's hot
-    ring for space ``'embed:<layer>'``; a row it evicted is recomputed.
+    engages in inference mode.  Resolution goes through the context's
+    ring for the block's layer (``ctx.embed_cache``); a row it evicted is
+    recomputed.
 
     Args:
-        ctx: context owning the store (``ctx.training`` gates engagement).
+        ctx: context owning the rings (``ctx.training`` gates engagement).
         block: target block (before sampling).
-        layer: cache namespace; defaults to the block's layer id.
 
     Returns the block (mutated in place when there are cache hits).
     """
@@ -50,15 +43,17 @@ def memoize(ctx, block, layer: Optional[int] = None):
         return block
     if block.has_nbrs:
         raise RuntimeError("cache must be applied before sampling neighbors")
-    store = ctx.store
-    space = embed_space(block.layer_id if layer is None else layer)
+    layer = block.layer_id
     nodes, times = block.dstnodes, block.dsttimes
-    hit_mask, hit_rows = store.lookup(nodes, times, space=space)
+    hit_mask, hit_rows = ctx.embed_cache(layer).lookup(nodes, times)
     num_hits = int(hit_mask.sum())
+
+    def put(keys, key_times, rows: np.ndarray) -> None:
+        ctx.fit_embed_cache(layer, rows.shape[1]).store(keys, key_times, rows)
 
     if num_hits == 0:
         def store_hook(blk, output: Tensor) -> Tensor:
-            store.put(nodes, times, output.data, space=space)
+            put(nodes, times, output.data)
             return output
 
         block.register_hook(store_hook)
@@ -72,7 +67,7 @@ def memoize(ctx, block, layer: Optional[int] = None):
     block.set_dst(miss_nodes, miss_times)
 
     def merge_hook(blk, output: Tensor) -> Tensor:
-        store.put(miss_nodes, miss_times, output.data, space=space)
+        put(miss_nodes, miss_times, output.data)
         full = Tensor(hit_rows.astype(output.data.dtype, copy=True),
                       device=output.device)
         return index_put(full, miss_idx, output)

@@ -1,9 +1,7 @@
 """The pinned staging pool.
 
 :class:`PinnedPool` holds the reusable pinned host buffers ``preload``
-stages gathered rows through; the
-:class:`~repro.store.tiered.TieredFeatureStore` owns one, and
-``TContext`` re-exports it.
+stages gathered rows through; each ``TContext`` holds one.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ They live here, not under ``src/``, so the shipped code has one path:
   them.
 * :func:`sequential_commit` — one event batch committed one endpoint row at
   a time, the state every plan (whole, per shard, replayed) has to reproduce.
-* :class:`ReuseCacheOracle` — ``NodeTimeCache(policy='reuse')`` one key at a
-  time over a dict, choosing victims with a full ``np.lexsort`` of every
-  resident slot.  ``benchmarks/test_kernels_microbench.py`` times its store.
+* :class:`ReuseCacheOracle` — ``NodeTimeCache``'s reuse-distance ring, one
+  key at a time over a dict, choosing victims with a full ``np.lexsort`` of
+  every resident slot.  ``benchmarks/test_kernels_microbench.py`` times its
+  store and its lookups.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def sequential_commit(batch, num_nodes: int, dim: int, slots: int):
 
 
 class ReuseCacheOracle:
-    """The ``'reuse'`` eviction rule of ``NodeTimeCache``, spelled out.
+    """The reuse-distance eviction rule of ``NodeTimeCache``, spelled out.
 
     Each slot keeps its key, row, last-access tick and gap (an EMA of the
     ticks between its references); its predicted next reference is

@@ -24,17 +24,17 @@ class TestModes:
 
     def test_entering_training_clears_embed_caches(self, tiny_ctx):
         tiny_ctx.eval()
-        cache = tiny_ctx.store.space("embed:0").hot
+        cache = tiny_ctx.embed_cache(0)
         cache.store(np.array([1]), np.array([1.0]), np.ones((1, 4), dtype=np.float32))
         tiny_ctx.train(True)
-        hit, _ = tiny_ctx.store.space("embed:0").hot.lookup(np.array([1]), np.array([1.0]))
+        hit, _ = tiny_ctx.embed_cache(0).lookup(np.array([1]), np.array([1.0]))
         assert not hit.any()
 
     def test_repr(self, tiny_ctx):
         assert "TContext" in repr(tiny_ctx)
 
     def test_reset_clears_scratch(self, tiny_ctx):
-        tiny_ctx.store.space("embed:0")
+        tiny_ctx.embed_cache(0)
         tiny_ctx.time_table(123)
         tiny_ctx.reset()
         assert not any(k.startswith("embed:") for k in tiny_ctx.stats().counters)
@@ -105,14 +105,15 @@ class TestEmbedCache:
         hit, _ = cache.lookup(np.array([1]), np.array([2.0]))
         assert not hit.any()
 
-    def test_fifo_eviction(self):
+    def test_eviction_drops_the_key_due_farthest(self):
         cache = _EmbedCache(2)
         for i in range(3):
             cache.store(np.array([i]), np.array([0.0]),
                         np.full((1, 2), float(i), dtype=np.float32))
-        hit0, _ = cache.lookup(np.array([0]), np.array([0.0]))
-        hit2, _ = cache.lookup(np.array([2]), np.array([0.0]))
-        assert not hit0.any() and hit2.all()
+        hit, _ = cache.lookup(np.arange(3), np.zeros(3))
+        # stored one tick later with the same gap, node 1's predicted next
+        # reference is the farthest away: it goes, not the oldest node 0
+        np.testing.assert_array_equal(hit, [True, False, True])
 
     def test_overwrite_same_key_updates_value(self):
         cache = _EmbedCache(4)

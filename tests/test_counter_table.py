@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import ClusterConfig, ServeCluster
 from repro.core import Mailbox, Memory, TContext, TGraph, TSampler
 from repro.resilience import FaultInjector
-from repro.store import StoreConfig, TieredFeatureStore
+from repro.store import StoreConfig
 from repro.serve import (
     AdmissionController,
     ServeRuntime,
@@ -209,28 +209,32 @@ def test_same_stream_gives_the_same_table():
     st.sampled_from(["put", "lookup", "evict", "clear"]),
     st.lists(st.integers(0, 5), min_size=1, max_size=4)), max_size=30))
 def test_store_ledger_balances(ops):
-    """``hits + misses`` is every key looked up and ``bytes_in`` every row
-    put, after any interleaving (evicted or cleared rings keep counting)."""
-    store = TieredFeatureStore(StoreConfig(hot_capacity=4))
+    """A layer ring's ``embed:0:*`` keys after any interleaving: ``lookups``
+    counts every key looked up since the ring was last cleared, ``hits``
+    the keys found, and every row found is the row put."""
+    ctx = TContext(TGraph([0], [1], [1.0]), store=StoreConfig(hot_capacity=4))
     table = np.arange(12 * DIM, dtype=np.float32).reshape(12, DIM)
-    looked = stored = 0
+    looked = hits = 0
     for op, nodes in ops:
         nodes = np.asarray(nodes, dtype=np.int64)
+        times = np.zeros(len(nodes))
         if op == "put":
-            store.put(nodes, None, table[nodes], space="embed:0")
-            stored += len(nodes)
+            ctx.embed_cache(0).store(nodes, times, table[nodes])
         elif op == "lookup":
-            found, rows = store.lookup(nodes, None, space="embed:0")
+            found, rows = ctx.embed_cache(0).lookup(nodes, times)
             looked += len(nodes)
+            hits += int(found.sum())
             if found.any():
                 np.testing.assert_array_equal(rows[found], table[nodes][found])
         elif op == "evict":
-            store.evict("embed:0")
+            ctx.clear_embed_cache()
+            looked = hits = 0
         else:
-            store.clear()
-        c = {**store.counters, **store.gauges()}
-        assert c["store:hot:hits"] + c["store:hot:misses"] == looked
-        assert c["store:hot:bytes_in"] == stored * table[0].nbytes
+            ctx.reset()
+            looked = hits = 0
+        c = ctx.stats().counters
+        assert (c.get("embed:0:lookups", 0), c.get("embed:0:hits", 0)) == (looked, hits)
+        assert c.get("embed:0:entries", 0) <= 4
 
 
 def test_latency_reservoir_keeps_the_most_recent_window():

@@ -123,7 +123,7 @@ class TestCacheCapacityEdge:
         from repro.core.kernels import NodeTimeCache
 
         cap = 8
-        cache = NodeTimeCache(capacity=cap, dim=4)
+        cache = NodeTimeCache(capacity=cap)
         nodes = np.arange(cap, dtype=np.int64)
         times = np.arange(cap, dtype=np.float64)
         values = np.arange(cap * 4, dtype=np.float32).reshape(cap, 4)
@@ -138,11 +138,13 @@ class TestCacheCapacityEdge:
         from repro.core.kernels import NodeTimeCache
 
         cap = 8
-        cache = NodeTimeCache(capacity=cap, dim=4)
+        cache = NodeTimeCache(capacity=cap)
         nodes = np.arange(cap, dtype=np.int64)
         times = np.arange(cap, dtype=np.float64)
         cache.store(nodes, times, np.ones((cap, 4), dtype=np.float32))
-        # One more entry evicts the oldest resident (FIFO ring).
+        # One more entry evicts one resident: the batch's keys tie on their
+        # predicted next reference, and the tie goes to the lowest slot,
+        # the oldest entry.
         cache.store(np.array([100]), np.array([9.0]),
                     np.full((1, 4), 2.0, dtype=np.float32))
         assert cache.num_entries == cap
@@ -151,6 +153,7 @@ class TestCacheCapacityEdge:
         assert hit.all()
         hits, _ = cache.lookup(nodes, times)
         assert hits.sum() == cap - 1  # exactly one victim
+        assert not hits[0]
 
 
 class TestMailboxWraparound:

@@ -20,7 +20,6 @@ from repro.core.kernels import (
     SampleResult,
     _reference_sample_arrays,
     _reference_unique_node_times,
-    _ReferenceNodeTimeCache,
     canonical_event_order,
     last_event_wins,
     sample_recent,
@@ -363,11 +362,15 @@ class TestEventOrderTieBreak:
 
 
 class TestCacheEquivalence:
+    """``NodeTimeCache`` against ``ReuseCacheOracle`` on small key spaces
+    dense with in-batch duplicates (``TestReuseEviction`` below drives the
+    eviction order itself)."""
+
     @pytest.mark.parametrize("capacity", [1, 2, 7, 64])
     def test_fuzz_against_reference(self, capacity):
         rng = np.random.default_rng(capacity)
         fast = NodeTimeCache(capacity)
-        ref = _ReferenceNodeTimeCache(capacity)
+        ref = ReuseCacheOracle(capacity)
         for _ in range(200):
             n = int(rng.integers(1, 12))
             nodes = rng.integers(0, 15, size=n).astype(np.int64)
@@ -380,25 +383,26 @@ class TestCacheEquivalence:
                 fh, frows = fast.lookup(nodes, times)
                 rh, rrows = ref.lookup(nodes, times)
                 np.testing.assert_array_equal(fh, rh)
-                if frows is None or rrows is None:
-                    assert frows is None and rrows is None
+                if frows is None:
+                    assert not ref.keys  # nothing stored yet
                 else:
                     np.testing.assert_array_equal(frows[fh], rrows[rh])
         assert fast.hits == ref.hits
         assert fast.lookups == ref.lookups
-        assert fast.num_entries == ref.num_entries
+        assert fast.num_entries == len(ref.keys)
+        assert fast.evictions == ref.evictions
 
     def test_in_batch_duplicates_take_last_value(self):
-        for cache in (NodeTimeCache(4), _ReferenceNodeTimeCache(4)):
+        for cache in (NodeTimeCache(4), ReuseCacheOracle(4)):
             cache.store(np.array([1, 1]), np.array([0.0, 0.0]),
                         np.array([[1.0], [2.0]], dtype=np.float32))
             _, rows = cache.lookup(np.array([1]), np.array([0.0]))
             np.testing.assert_allclose(rows[0], [2.0])
 
     def test_oversized_batch_wraparound(self):
-        # A single store larger than capacity keeps only the last rows,
-        # exactly as sequential FIFO insertion would.
-        for cache in (NodeTimeCache(3), _ReferenceNodeTimeCache(3)):
+        # A single store larger than capacity rewrites the whole ring and
+        # keeps only the batch's last rows.
+        for cache in (NodeTimeCache(3), ReuseCacheOracle(3)):
             nodes = np.arange(8, dtype=np.int64)
             times = np.zeros(8)
             values = np.arange(8, dtype=np.float32).reshape(8, 1)
@@ -415,7 +419,8 @@ class TestCacheEquivalence:
 
 
 class TestReuseEviction:
-    """``policy='reuse'`` against its rule spelled out with a full lexsort."""
+    """The reuse-distance eviction against its rule spelled out with a full
+    lexsort."""
 
     @staticmethod
     def assert_same_ring(fast, oracle):
@@ -430,7 +435,7 @@ class TestReuseEviction:
     @pytest.mark.parametrize("capacity", [1, 7, 64, 20_000])
     def test_fuzz_against_oracle(self, capacity):
         rng = np.random.default_rng(capacity)
-        fast, oracle = NodeTimeCache(capacity, policy="reuse"), ReuseCacheOracle(capacity)
+        fast, oracle = NodeTimeCache(capacity), ReuseCacheOracle(capacity)
         big = capacity > 64
         universe = 3 * capacity
         if big:  # start full: one oversized batch, every slot tied
@@ -464,7 +469,7 @@ class TestReuseEviction:
             assert oracle.boundary_ties > 0
 
     def test_ties_go_to_the_lower_slot(self):
-        cache = NodeTimeCache(4, policy="reuse")
+        cache = NodeTimeCache(4)
         cache.store(np.arange(4), np.zeros(4), np.ones((4, 1), dtype=np.float32))
         cache.lookup(np.array([0, 2]), np.zeros(2))  # slots 0 and 2 now due sooner
         cache.store(np.array([9]), np.zeros(1), np.ones((1, 1), dtype=np.float32))
@@ -479,26 +484,27 @@ class TestMissStorm:
     buckets outnumber live ones, and every displaced entry must be
     surfaced through the eviction counter."""
 
-    @pytest.mark.parametrize("policy", ["fifo", "reuse"])
-    def test_tombstones_stay_bounded_at_full_occupancy(self, policy):
+    def test_tombstones_stay_bounded_at_full_occupancy(self):
         cap = 32
-        cache = NodeTimeCache(cap, policy=policy)
+        cache = NodeTimeCache(cap)
         zeros = np.zeros(cap)
         cache.store(np.arange(cap, dtype=np.int64), zeros,
                     np.ones((cap, 2), dtype=np.float32))
         assert cache.num_entries == cap  # 100% occupancy
-        # Storm: 40 batches of entirely fresh keys, every store evicts.
+        # Storm: 40 batches of entirely fresh keys, every store evicts.  A
+        # batch below capacity evicts through the hash table (a batch of
+        # `cap` keys would rebuild it whole and leave no tombstone).
+        w = cap // 4
         for wave in range(40):
-            fresh = np.arange(1000 + cap * wave, 1000 + cap * (wave + 1),
-                              dtype=np.int64)
-            cache.store(fresh, zeros, np.ones((cap, 2), dtype=np.float32))
+            fresh = np.arange(1000 + w * wave, 1000 + w * (wave + 1), dtype=np.int64)
+            cache.store(fresh, zeros[:w], np.ones((w, 2), dtype=np.float32))
             assert cache._tombs <= max(cache._used, 1)
             assert cache.validate() == []
         assert cache.num_entries == cap
-        assert cache.evictions == 40 * cap
+        assert cache.evictions == 40 * w
         # The final wave's keys are resident and resolvable.
-        hit, _ = cache.lookup(np.arange(1000 + cap * 39, 1000 + cap * 40,
-                                        dtype=np.int64), zeros)
+        hit, _ = cache.lookup(np.arange(1000 + w * 39, 1000 + w * 40, dtype=np.int64),
+                              zeros[:w])
         assert hit.all()
 
     def test_eviction_counter_matches_displacements(self):

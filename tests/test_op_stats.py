@@ -7,10 +7,13 @@ import pytest
 import repro.core as tg
 from repro import tensor as T
 from repro.core import op as tgop
+from repro.bench import evaluate
 from repro.core.stats import ratios
 from repro.data import NegativeSampler, get_dataset
 from repro.models import TGAT, OptFlags
 from repro.spans import record
+from repro.store import StoreConfig
+from repro.tensor import manual_seed
 
 
 class TestCounters:
@@ -58,7 +61,7 @@ class TestCounters:
 
     def test_reset_stats_keeps_cache_contents(self, tiny_ctx):
         tiny_ctx.eval()
-        cache = tiny_ctx.store.space("embed:0").hot
+        cache = tiny_ctx.embed_cache(0)
         cache.store(np.array([1]), np.array([1.0]), np.ones((1, 2), dtype=np.float32))
         cache.lookup(np.array([1]), np.array([1.0]))
         tiny_ctx.reset_stats()
@@ -129,3 +132,36 @@ class TestEndToEndStats:
         assert stats.counters["dedup_rows_in"] > stats.counters["dedup_rows_out"] > 0
         # The sampling kernel ran and its time was attributed.
         assert rec.totals()["kernel:sample"] > 0
+
+    def test_memoised_tgat_evaluate_is_pinned(self):
+        """One ``tglite+opt`` TGAT evaluate over 2-layer memo rings small
+        enough to evict: its scores, each ring's counts and the hit rate
+        are pinned, so a change to memoisation or eviction that moves any
+        of them shows here."""
+        ds = get_dataset("wiki")
+        g = ds.build_graph()
+        ctx = tg.TContext(g, store=StoreConfig(hot_capacity=2000))
+        manual_seed(0)
+        model = TGAT(ctx, dim_node=172, dim_edge=172, dim_time=8, dim_embed=8,
+                     num_layers=2, num_nbrs=3, opt=OptFlags.all())
+        scores = []
+        forward = model.forward
+
+        def capture(batch):
+            pos, neg = forward(batch)
+            scores.append((pos.data.copy(), neg.data.copy()))
+            return pos, neg
+
+        model.forward = capture
+        _, ap = evaluate(model, g, NegativeSampler.for_dataset(ds), 300, start=900, stop=2400)
+        pos = np.concatenate([p for p, _ in scores])
+        neg = np.concatenate([n for _, n in scores])
+        assert ap == pytest.approx(0.4653748146831521, rel=1e-9)
+        assert len(pos) == len(neg) == 1500
+        assert float(pos.sum()) == pytest.approx(-624.0977783203125, rel=1e-6)
+        assert float(neg.sum()) == pytest.approx(-580.57470703125, rel=1e-6)
+        c = ctx.stats().counters
+        keys = ("hits", "lookups", "entries", "evictions")
+        assert [c[f"embed:0:{k}"] for k in keys] == [0, 4468, 2000, 2468]
+        assert [c[f"embed:1:{k}"] for k in keys] == [1449, 6507, 2000, 3058]
+        assert ratios(c)["cache_hit_rate"] == pytest.approx(0.1320273348519362, rel=1e-12)

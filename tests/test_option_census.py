@@ -43,8 +43,8 @@ KEPT_AGAINST_THE_RULE = {
         "each; the tier is part of the fault, not a tuning value"
     ),
     "StoreConfig.hot_capacity": (
-        "the row-exact spelling of the hot-tier size: it sizes a space "
-        "before its row width is known, and 0 is the off switch"
+        "the row-exact spelling of the ring size: it sizes a layer's memo "
+        "ring before the row width is known, and 0 is the off switch"
     ),
 }
 

@@ -280,7 +280,7 @@ class TestStateValidation:
         assert any("mailbox" in v for v in validate_state(g))
 
     def test_injected_cache_corruption_detected(self):
-        cache = NodeTimeCache(capacity=8, dim=4)
+        cache = NodeTimeCache(capacity=8)
         cache.store(np.array([1, 2]), np.array([1.0, 2.0]),
                     np.ones((2, 4), dtype=np.float32))
         assert cache.validate() == []
@@ -295,13 +295,15 @@ class TestStateValidation:
         # would kill a live neighbour's bucket: the sweep must see it.
         g = tg.TGraph([0, 1], [1, 0], [1.0, 2.0])
         ctx = tg.TContext(g)
-        ctx.store.put(np.arange(6), np.zeros(6), np.ones((6, 2), dtype=np.float32), space="memo")
+        ctx.embed_cache(0)
+        ring = ctx.embed_cache(1)
+        ring.store(np.arange(6), np.zeros(6), np.ones((6, 2), dtype=np.float32))
         assert validate_state(g, ctx) == []
-        hot = ctx.store.space("memo").hot
-        hot._slot_bucket[2] = (hot._slot_bucket[2] + 1) % hot._nbuckets
-        assert validate_state(g, ctx) == ["cache[memo]: slot->bucket map disagrees with the hash table"]
-        hot._slot_bucket[2] = -1
-        assert "cache[memo]: slot->bucket map disagrees with the hash table" in validate_state(g, ctx)
+        ring._slot_bucket[2] = (ring._slot_bucket[2] + 1) % ring._nbuckets
+        assert validate_state(g, ctx) == [
+            "cache[embed:1]: slot->bucket map disagrees with the hash table"]
+        ring._slot_bucket[2] = -1
+        assert "cache[embed:1]: slot->bucket map disagrees with the hash table" in validate_state(g, ctx)
 
     def test_validation_failure_rolls_back(self, tmp_path):
         """Silently corrupted node memory is caught by validation at the

@@ -180,6 +180,45 @@ class TestIngestPipeline:
         assert p.counters["ingest:pushed"] == 2 and p.counters["ingest:duplicates"] == 0
 
 
+def _loop_fresh(seen, eids, keep):
+    """The per-event replay dedup ``IngestPipeline.push`` used to run:
+    kept positions whose id is new, first occurrence within the batch."""
+    fresh = []
+    for i in keep:
+        eid = int(eids[i])
+        if eid not in seen:
+            seen.add(eid)
+            fresh.append(int(i))
+    return fresh
+
+
+class TestReplayDedup:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 15), st.booleans()), max_size=12),
+                    min_size=1, max_size=8))
+    def test_matches_the_per_event_loop(self, pushes):
+        """Ids repeat within and across pushes, and invalid events (which
+        mark no id seen) sit among them.  Timestamps rise with position, so
+        with ``lateness=0`` every accepted event is released by its own push
+        and the released timestamps name the accepted positions."""
+        p = IngestPipeline(N, lateness=0.0)
+        seen, t = set(), 0.0
+        for events in pushes:
+            eids = np.array([e for e, _ in events], dtype=np.int64)
+            src = np.array([1 if valid else -1 for _, valid in events], dtype=np.int64)
+            ts = t + np.arange(len(events), dtype=np.float64)
+            t += len(events)
+            batch = _batch(eids, src, np.full(len(events), 2, dtype=np.int64), ts)
+            checked = validate_events(batch, N)
+            keep = np.flatnonzero(checked[0])
+            want = _loop_fresh(seen, eids, keep)
+            before = p.counters["ingest:duplicates"]
+            out = p.push(batch, checked)
+            assert out.ts.tolist() == ts[want].tolist()
+            assert out.eids.tolist() == eids[want].tolist()
+            assert p.counters["ingest:duplicates"] - before == len(keep) - len(want)
+
+
 class TestAdmission:
     def test_token_bucket_rate_limits_on_sim_clock(self):
         clock = SimClock()
@@ -611,7 +650,7 @@ class TestModelSwap:
         nodes = np.arange(8, dtype=np.int64)
         np.testing.assert_array_equal(rt._rows(nodes, 0)[0], table[nodes])
         # the serve path never reaches the training memo cache
-        assert rt.ctx.store.spaces() == ()
+        assert rt.ctx.embed_caches == {}
 
 
 class TestCacheRung:

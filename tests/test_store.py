@@ -1,9 +1,8 @@
-"""Tests for the feature store (`repro.store`).
+"""Tests for the memo cache (`repro.store` and ``TContext.embed_cache``).
 
-Covers the memo cache end to end — one hot ring per space, evictions
-dropped and recomputed, byte and ring accounting, eviction determinism,
-the ``hot_mb`` guard — plus the flat store shape that must stay
-bit-identical to the bare cache kernel.
+Covers the cache end to end — one reuse-distance ring per layer, evictions
+dropped and recomputed, the rings' counts in ``ctx.stats()``, eviction
+determinism, ``hot_mb`` sizing and its guard.
 """
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 import repro.core as tg
 from repro.bench.cli import main
 from repro.core.kernels.cache import NodeTimeCache
-from repro.store import StoreConfig, TieredFeatureStore
+from repro.store import StoreConfig
 
 
 def rows_for(nodes, dim=4):
@@ -22,49 +21,46 @@ def rows_for(nodes, dim=4):
     return (nodes[:, None].astype(np.float32) * 10.0 + base).astype(np.float32)
 
 
-def read(store):
-    """A store's keys: its counter table plus the rings' read-time sums."""
-    return {**store.counters, **store.gauges()}
-
-
 class TestProtocol:
     def test_config_mb_budgets_resolve_to_rows(self):
         cfg = StoreConfig(hot_mb=1.0)
         # 1 MiB of dim-64 float32 rows = 4096 rows.
         assert cfg.hot_rows(64) == 4096
         assert cfg.hot_rows(None) == cfg.hot_capacity
-        assert cfg.with_overrides(hot_mb=None).hot_mb == 1.0
-        assert cfg.with_overrides(hot_mb=2.0).hot_mb == 2.0
+
+    def test_mb_budget_sizes_the_ring_at_its_first_row(self, tiny_graph):
+        ctx = tg.TContext(tiny_graph, store=StoreConfig(hot_mb=1.0))
+        ring = ctx.embed_cache(0)
+        ring.lookup(np.arange(3), np.zeros(3))
+        assert ring.capacity == StoreConfig().hot_capacity  # width unknown yet
+        fitted = ctx.fit_embed_cache(0, 64)
+        assert fitted.capacity == 4096 and ctx.embed_cache(0) is fitted
+        assert fitted.lookups == 3  # the lookups before the first row count
+        fitted.store(np.arange(2), np.zeros(2), np.ones((2, 64), dtype=np.float32))
+        # sized once: a stored ring keeps its size whatever width is asked
+        assert ctx.fit_embed_cache(0, 8) is fitted
+
+    def test_row_budget_keeps_the_first_ring(self, tiny_graph):
+        ctx = tg.TContext(tiny_graph, store=StoreConfig(hot_capacity=5))
+        ring = ctx.embed_cache(1)
+        assert ctx.fit_embed_cache(1, 64) is ring and ring.capacity == 5
 
 
 class TestDemotionChain:
-    """What the hot ring evicts is dropped, never demoted."""
+    """What a layer's ring evicts is dropped, never demoted."""
 
-    def make_store(self, hot=4):
-        return TieredFeatureStore(StoreConfig(hot_capacity=hot))
-
-    def fill(self, store, n, space="embed:0"):
-        for node in range(n):
-            store.put(np.array([node]), None, rows_for([node]), space=space)
-
-    def test_evicted_memo_rows_drop_and_miss(self):
-        store = self.make_store(hot=2)
-        self.fill(store, 6)
-        st = read(store)
-        assert st["store:hot:evictions"] == 4
-        found, got = store.lookup(np.arange(6), None, space="embed:0")
-        # Hot keeps two rows; the four it evicted are misses to recompute.
+    def test_evicted_memo_rows_drop_and_miss(self, tiny_graph):
+        ctx = tg.TContext(tiny_graph, store=StoreConfig(hot_capacity=2))
+        ring = ctx.embed_cache(0)
+        for node in range(6):
+            ring.store(np.array([node]), np.zeros(1), rows_for([node]))
+        assert ctx.stats().counters["embed:0:evictions"] == 4
+        found, got = ring.lookup(np.arange(6), np.zeros(6))
+        # The ring keeps two rows; the four it evicted are misses to recompute.
         assert found.sum() == 2
         np.testing.assert_array_equal(got[found], rows_for(np.flatnonzero(found)))
-        assert read(store)["store:hot:misses"] == 4
-
-    def test_bytes_moved_sums_tier_inflow(self):
-        store = self.make_store()
-        self.fill(store, 12)
-        # Every stored row is counted once, evicted or not.
-        st = read(store)
-        assert st["store:hot:bytes_in"] == rows_for(np.arange(12)).nbytes
-        assert st["store:hot:bytes_out"] == 0
+        c = ctx.stats().counters
+        assert c["embed:0:lookups"] - c["embed:0:hits"] == 4
 
 class TestEvictionDeterminism:
     """The reuse-distance policy must replay identically for a fixed seed."""
@@ -72,7 +68,7 @@ class TestEvictionDeterminism:
     def run_workload(self, seed):
         """The ring's eviction count and resident keys after every step."""
         trace = []
-        cache = NodeTimeCache(16, policy="reuse")
+        cache = NodeTimeCache(16)
         rng = np.random.default_rng(seed)
         for _ in range(40):
             nodes = rng.integers(0, 64, size=8)
@@ -96,7 +92,7 @@ class TestEvictionDeterminism:
         assert c1.validate() == [] and c2.validate() == []
 
     def test_reuse_policy_keeps_hot_keys_over_scanned_ones(self):
-        cache = NodeTimeCache(8, policy="reuse")
+        cache = NodeTimeCache(8)
         hot = np.arange(4, dtype=np.int64)
         zeros = np.zeros(4)
         cache.store(hot, zeros, rows_for(hot))
@@ -110,59 +106,42 @@ class TestEvictionDeterminism:
         np.testing.assert_array_equal(rows, rows_for(hot))
 
 
-class TestFlatStore:
-    def test_flat_store_matches_the_bare_cache_bit_for_bit(self):
-        """One hot tier with nothing below it is the cache kernel itself
-        (which ``tests/test_kernels.py`` pins to the loop reference)."""
-        store = TieredFeatureStore(StoreConfig(hot_capacity=8))
-        ref = NodeTimeCache(8, policy="reuse")
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            nodes = rng.integers(0, 24, size=6)
-            times = rng.integers(0, 4, size=6).astype(np.float64)
-            if rng.random() < 0.5:
-                vals = rows_for(nodes) + times[:, None].astype(np.float32)
-                store.put(nodes, times, vals, space="embed:0")
-                ref.store(nodes, times, vals)
-            else:
-                got_hit, got_rows = store.lookup(nodes, times, space="embed:0")
-                want_hit, want_rows = ref.lookup(nodes, times)
-                np.testing.assert_array_equal(got_hit, want_hit)
-                if want_rows is not None:
-                    np.testing.assert_array_equal(
-                        got_rows[want_hit], want_rows[want_hit])
-
-
 class TestStatsSurface:
-    def test_stats_snapshot_is_detached(self):
-        store = TieredFeatureStore()
-        store.put(np.arange(4), None, rows_for(np.arange(4)), space="embed:0")
-        store.lookup(np.arange(4), None, space="embed:0")
-        snap = read(store)
-        store.lookup(np.arange(4, 8), None, space="embed:0")
-        assert read(store)["store:hot:misses"] > snap["store:hot:misses"]
+    def test_stats_snapshot_is_detached(self, tiny_graph):
+        ctx = tg.TContext(tiny_graph)
+        ring = ctx.embed_cache(0)
+        ring.store(np.arange(4), np.zeros(4), rows_for(np.arange(4)))
+        ring.lookup(np.arange(4), np.zeros(4))
+        snap = ctx.stats().counters
+        ring.lookup(np.arange(4, 8), np.zeros(4))
+        assert ctx.stats().counters["embed:0:lookups"] > snap["embed:0:lookups"]
+        assert snap["embed:0:lookups"] == 4
 
     def test_reset_stats_zeroes_counters_keeps_rows(self, tiny_graph):
         ctx = tg.TContext(tiny_graph)
-        store = ctx.store
-        store.put(np.arange(4), None, rows_for(np.arange(4)), space="embed:0")
-        store.lookup(np.arange(4), None, space="embed:0")
-        store.evict("embed:0")  # the evicted ring's counts stay in the totals
-        assert ctx.stats().counters["store:hot:hits"] == 4
-        store.put(np.arange(4), None, rows_for(np.arange(4)), space="embed:0")
+        ring = ctx.embed_cache(0)
+        ring.store(np.arange(4), np.zeros(4), rows_for(np.arange(4)))
+        ring.lookup(np.arange(4), np.zeros(4))
+        assert ctx.stats().counters["embed:0:hits"] == 4
         ctx.reset_stats()
         st = ctx.stats().counters
-        assert all(v == 0 for k, v in st.items() if k.startswith("store:"))
-        found, _ = store.lookup(np.arange(4), None, space="embed:0")
+        assert [st[f"embed:0:{k}"] for k in ("hits", "lookups", "entries", "evictions")] == [
+            0, 0, 4, 0]
+        found, _ = ring.lookup(np.arange(4), np.zeros(4))
         assert found.all()  # rows survived the counter reset
-        assert ctx.stats().counters["store:hot:hits"] == 4
+        assert ctx.stats().counters["embed:0:hits"] == 4
 
     def test_context_stats_carry_the_store_block(self, tiny_graph):
         ctx = tg.TContext(tiny_graph)
         flat = ctx.stats().counters
-        for key in ("store:hot:bytes_in", "store:hot:bytes_out", "store:hot:hits",
-                    "store:hot:misses", "store:hot:evictions", "pinned:hits"):
-            assert key in flat
+        assert {"pinned:hits", "pinned:misses"} <= set(flat)
+        assert not any(k.startswith(("store:", "embed:")) for k in flat)
+        ctx.embed_cache(0)
+        ctx.embed_cache(1)
+        flat = ctx.stats().counters
+        for layer in (0, 1):
+            for key in ("hits", "lookups", "entries", "evictions"):
+                assert flat[f"embed:{layer}:{key}"] == 0
 
 
 class TestHotMbGuard:
@@ -173,10 +152,6 @@ class TestHotMbGuard:
     def test_non_positive_or_non_finite_rejected(self, mb):
         with pytest.raises(ValueError, match="--store-hot-mb"):
             StoreConfig(hot_mb=mb)
-
-    def test_with_overrides_revalidates(self):
-        with pytest.raises(ValueError, match="--store-hot-mb"):
-            StoreConfig().with_overrides(hot_mb=0.0)
 
     def test_positive_finite_budgets_accepted(self):
         assert StoreConfig().hot_mb is None
