@@ -484,7 +484,8 @@ class TestMissStorm:
     buckets outnumber live ones, and every displaced entry must be
     surfaced through the eviction counter."""
 
-    def test_tombstones_stay_bounded_at_full_occupancy(self):
+    @pytest.mark.parametrize("frac", [1, 4], ids=["full_wave", "quarter_wave"])
+    def test_tombstones_stay_bounded_at_full_occupancy(self, frac):
         cap = 32
         cache = NodeTimeCache(cap)
         zeros = np.zeros(cap)
@@ -492,9 +493,9 @@ class TestMissStorm:
                     np.ones((cap, 2), dtype=np.float32))
         assert cache.num_entries == cap  # 100% occupancy
         # Storm: 40 batches of entirely fresh keys, every store evicts.  A
-        # batch below capacity evicts through the hash table (a batch of
-        # `cap` keys would rebuild it whole and leave no tombstone).
-        w = cap // 4
+        # batch below capacity evicts through the hash table; a batch of
+        # `cap` keys rebuilds it whole and leaves no tombstone.
+        w = cap // frac
         for wave in range(40):
             fresh = np.arange(1000 + w * wave, 1000 + w * (wave + 1), dtype=np.int64)
             cache.store(fresh, zeros[:w], np.ones((w, 2), dtype=np.float32))
