@@ -35,13 +35,17 @@ slower); and temporal
 attention at the ``train_tgat_opt`` tail shape (22 000 source rows of 172
 node + 172 edge + 32 time columns over 2 300 destinations), forward +
 backward, as the composed concat-and-tape reference vs the fused
-``segment_attention`` with dense and with keyed parts (>= 1.5x each).
+``segment_attention`` with dense and with keyed parts (>= 1.5x each), and
+with keyed parts plus a time part (``TimeEncode.part``) against the tape
+over the encoder's output — also the MiB each forward keeps for its
+backward (traced; the fused node keeps under half).
 """
 
 import hashlib
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -59,7 +63,7 @@ from repro.core.kernels import (
 )
 from repro.integrity import ChunkedDigest
 from repro.models import APAN, JODIE, TGN
-from repro.nn import Linear
+from repro.nn import Linear, TimeEncode
 from repro.tensor.segment import _scatter_add, segment_attention
 
 from conftest import report_table
@@ -371,6 +375,39 @@ def test_kernel_microbench():
         record(name, ref, timeit(lambda: attention_step(fused, parts), repeat=7),
                "22000 x 376 over 2300 dst, fwd+bwd")
 
+    # The time encoding inside the node: a time part against the composed tape
+    # over the encoder's output, with what each forward keeps for its backward.
+    enc = TimeEncode(32)
+    deltas = rng.random(num_src) * 1e4
+    encoded = lambda: dense[:2] + [enc(T.Tensor(deltas.astype(np.float32)))]  # noqa: E731
+    timed = lambda: keyed[:2] + [enc.part(deltas)]  # noqa: E731
+
+    def time_step(fn, parts_of):
+        for leaf in enc.parameters():
+            leaf.grad = None
+        return attention_step(fn, parts_of())
+
+    def kept_mib(fn, parts_of):
+        parts = parts_of()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = fn(parts)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        del out
+        return kept / 2**20
+
+    want_out, want_grad = time_step(composed, encoded)
+    out, grad = time_step(fused, timed)
+    np.testing.assert_allclose(out, want_out, atol=1e-4)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-3, atol=1e-3)
+    kept = {"composed": kept_mib(composed, encoded), "fused": kept_mib(fused, timed)}
+    record("segment_attention_time", timeit(lambda: time_step(composed, encoded)),
+           timeit(lambda: time_step(fused, timed), repeat=7),
+           f"keyed + time part, fwd+bwd; kept {kept['composed']:.1f} -> {kept['fused']:.1f} MiB")
+
     report_table(
         f"Kernel microbenchmark: loop reference vs vectorized "
         f"({NUM_EDGES // 1000}k edges, {NUM_QUERIES // 1000}k queries, k={K})",
@@ -399,3 +436,7 @@ def test_kernel_microbench():
     # (measured ~3.4x dense, ~5.4x keyed here).
     assert speedups["segment_attention_dense"] >= 1.5
     assert speedups["segment_attention_keyed"] >= 1.5
+    # The time encoding fused in: no slower, and the forward keeps K/V, the
+    # attention weights and the phase, not the composed tape's dozen arrays.
+    assert speedups["segment_attention_time"] >= 1.5
+    assert kept["fused"] < kept["composed"] / 2

@@ -91,14 +91,18 @@ def test_table7_large_scale_times(benchmark, dataset):
 
 
 def test_table7_oom_demonstration(benchmark):
-    """TGL exhausts the capped device on GDELT/TGAT; TGLite+opt finishes."""
+    """TGL exhausts the capped device on GDELT/TGAT; TGLite+opt finishes.
+
+    The peak column is the device model's tracked peak (``runtime.peak_bytes``):
+    the bytes of live device ``Tensor``s, not the arrays backward closures hold.
+    """
 
     def run():
         import repro.core as tg
         from repro import nn, tensor as T
         from repro.bench.experiments import Experiment
 
-        outcome = {}
+        outcome, peaks = {}, {}
         for framework in ("tgl", "tglite+opt"):
             # The capacity was calibrated on a mid-stream batch (long
             # histories -> peak subgraph sizes): TGL ~3.3 GB, +opt ~0.8 GB.
@@ -118,14 +122,15 @@ def test_table7_oom_demonstration(benchmark):
             except DeviceOutOfMemoryError:
                 outcome[framework] = "OOM"
             finally:
+                peaks[framework] = T.runtime.peak_bytes["cuda"]
                 exp.close()
-        return outcome
+        return outcome, peaks
 
-    outcome = benchmark.pedantic(run, rounds=1, iterations=1)
+    outcome, peaks = benchmark.pedantic(run, rounds=1, iterations=1)
     report_table(
         "Table 7 (OOM): GDELT/TGAT under a V100-sized simulated capacity",
-        ["framework", "outcome"],
-        [[k, v] for k, v in outcome.items()],
+        ["framework", "outcome", "tracked peak (MiB)"],
+        [[k, v, f"{peaks[k] / 2**20:.1f}"] for k, v in outcome.items()],
         filename="table7_oom.txt",
     )
     assert outcome["tgl"] == "OOM"

@@ -81,10 +81,13 @@ def edge_attention(block: TBlock, q: Tensor, parts: Sequence[Part], w_k, w_v,
         block: a sampled block.
         q: destination-aligned projected queries ``(num_dst, dim_out)``.
         parts: what the keys and values are projected from, side by side:
-            source-row-aligned tensors ``(num_src, width)`` and/or keyed
+            source-row-aligned tensors ``(num_src, width)``, keyed
             ``(rows, index)`` pairs standing for ``rows[index]`` — e.g.
             :meth:`TBlock.uniq_efeat` — which are projected once per row of
-            ``rows`` instead of once per source row.
+            ``rows`` instead of once per source row, and time parts
+            ``(deltas, omega, phi)`` from :meth:`TimeEncode.part`, encoded
+            inside the kernel one row tile at a time (marked as the
+            ``time_nbrs`` span).
         w_k, w_v: the key / value ``Linear`` modules over the parts' combined
             width (a part meets its column slice of their weights).
         num_heads: attention heads.
@@ -95,7 +98,7 @@ def edge_attention(block: TBlock, q: Tensor, parts: Sequence[Part], w_k, w_v,
     if not block.has_nbrs:
         raise RuntimeError("edge_attention requires a sampled block")
     return segment_attention(q, parts, w_k.weight, w_k.bias, w_v.weight, w_v.bias,
-                             block.dstindex, block.num_dst, num_heads)
+                             block.dstindex, block.num_dst, num_heads, time_span="time_nbrs")
 
 
 def src_scatter(block: TBlock, values: Tensor, op: str = "mean") -> Tensor:

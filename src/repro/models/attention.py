@@ -78,11 +78,14 @@ class TemporalAttnLayer(Module):
                 return tgop.precomputed_zeros(self.ctx, self.time_encoder, n)
             return self.time_encoder(Tensor(np.zeros(n, dtype=np.float32), device=self.ctx.device))
 
-    def _nbr_time(self, deltas: np.ndarray) -> Tensor:
-        with span("time_nbrs"):
-            if self.opt_time_precompute:
+    def _nbr_time(self, deltas: np.ndarray):
+        """``Phi(t - t_j)`` as a K/V part: precomputed rows in inference under
+        ``opt_time_precompute``, else a time part ``edge_attention`` encodes
+        (under the same ``time_nbrs`` span)."""
+        if self.opt_time_precompute and not self.ctx.training:
+            with span("time_nbrs"):
                 return tgop.precomputed_times(self.ctx, self.time_encoder, deltas)
-            return self.time_encoder(Tensor(deltas.astype(np.float32), device=self.ctx.device))
+        return self.time_encoder.part(deltas)
 
     def forward(self, blk: TBlock) -> Tensor:
         """Compute destination embeddings ``(num_dst, dim_out)`` for *blk*.

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import Tensor
+from ..tensor.segment import time_phase
 from .module import Module, Parameter
 
 __all__ = ["TimeEncode"]
@@ -50,9 +51,16 @@ class TimeEncode(Module):
 
     def _phase(self, deltas: np.ndarray) -> np.ndarray:
         """``omega * dt + phi`` for a flat array of deltas, ``(N, dim)``."""
-        phase = np.multiply.outer(deltas, self.weight.data)
-        phase += self.bias.data
-        return phase
+        return time_phase(deltas, self.weight.data, self.bias.data)
+
+    def part(self, deltas: np.ndarray):
+        """The encoding of *deltas* as a time part of ``segment_attention``.
+
+        ``(deltas, omega, phi)``: the kernel encodes it one row tile at a
+        time, with the bits of ``forward``'s output passed as a dense part,
+        and keeps only the phase for the backward.
+        """
+        return np.asarray(deltas, dtype=np.float32).reshape(-1), self.weight, self.bias
 
     def forward(self, deltas: Tensor) -> Tensor:
         """Encode time deltas, as one autograd node.

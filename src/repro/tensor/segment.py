@@ -12,11 +12,13 @@ bits of a sequential ``np.add.at`` at a fraction of its cost.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .tensor import Tensor
+from ..spans import span
+from .tensor import Tensor, is_grad_enabled
 
 __all__ = [
     "segment_sum",
@@ -26,11 +28,17 @@ __all__ = [
     "segment_softmax",
     "segment_attention",
     "segment_argmax_by_key",
+    "time_phase",
 ]
 
-#: one K/V input of :func:`segment_attention`: a ``(num_rows, width)`` tensor,
-#: or ``(rows, index)`` standing for ``rows[index]`` without expanding it.
-Part = Union[Tensor, Tuple[Tensor, np.ndarray]]
+#: one K/V input of :func:`segment_attention`: a ``(num_rows, width)`` tensor;
+#: ``(rows, index)`` standing for ``rows[index]`` without expanding it; or a
+#: time part ``(deltas, omega, phi)`` standing for ``cos(deltas ⊗ omega + phi)``
+#: (``TimeEncode.part``), encoded inside the kernel.
+Part = Union[Tensor, Tuple[Tensor, np.ndarray], Tuple[np.ndarray, Tensor, Tensor]]
+
+#: rows of :func:`segment_attention`'s row-local work per tile.
+ROW_TILE = 8192
 
 
 def _ids(segment_ids) -> np.ndarray:
@@ -150,6 +158,142 @@ def segment_softmax(scores: Tensor, segment_ids, num_segments: int) -> Tensor:
     return Tensor._make(out_data, (scores,), backward, scores.device)
 
 
+class _Rows:
+    """A dense or keyed K/V part: ``rows`` itself, or ``rows[index]`` unexpanded.
+
+    A keyed part is projected once per row of ``rows`` before the tiles and
+    gathered per tile; a dense one is projected per tile.
+    """
+
+    def __init__(self, rows: Tensor, index: Optional[np.ndarray] = None):
+        self.rows, self.index = rows, index
+        self.width, self.length = rows.shape[1], len(rows if index is None else index)
+        self.params = (rows,)
+
+    def start(self, w: np.ndarray, order: Optional[np.ndarray], keep: bool) -> None:
+        self.order = order
+        if self.index is not None:
+            num_rows = len(self.rows)
+            if len(self.index) and not -num_rows <= self.index.min() <= self.index.max() < num_rows:
+                raise IndexError(f"index out of range for {num_rows} rows")
+            self.proj = self.rows.data @ w.T
+            self.take = self.index if order is None else self.index[order]
+
+    def tile(self, lo: int, hi: int, w: np.ndarray, out=None) -> np.ndarray:
+        if self.index is not None:
+            # In range (checked above), so "wrap" is "raise" without its copy of *out*.
+            return np.take(self.proj, self.take[lo:hi], axis=0, out=out, mode="wrap")
+        return np.matmul(_tile_rows(self.rows.data, self.order, lo, hi), w.T, out=out)
+
+    def stop(self) -> None:
+        self.proj = self.take = self.order = None
+
+    def backward(self, d_kv: np.ndarray, w: np.ndarray) -> np.ndarray:
+        g = d_kv if self.index is None else _onehot_t(self.index, len(self.rows), d_kv.dtype) @ d_kv
+        if self.rows.requires_grad:
+            self.rows._accumulate(g @ w, own=True)
+        return g.T @ self.rows.data
+
+
+class _Time:
+    """A time part: ``cos(deltas ⊗ omega + phi)``, encoded one tile at a time.
+
+    Keeps only the phase for its backward.  That recomputes ``cos`` once for
+    the full-row weight gradient and takes ``sin`` in place in the phase
+    buffer for ``d_omega`` / ``d_phi``: ``TimeEncode``'s arithmetic, so a
+    time part has the bits of the encoder's output passed as a dense part.
+    """
+
+    def __init__(self, deltas, omega: Tensor, phi: Tensor, span_name: Optional[str]):
+        self.deltas = np.asarray(deltas, dtype=omega.dtype).reshape(-1)
+        self.omega, self.phi, self.span_name = omega, phi, span_name
+        self.width, self.length = len(omega.data), len(self.deltas)
+        self.params = (omega, phi)
+
+    def _span(self):
+        return nullcontext() if self.span_name is None else span(self.span_name)
+
+    def start(self, w: np.ndarray, order: Optional[np.ndarray], keep: bool) -> None:
+        self.order = order
+        self.phase = np.empty((self.length, self.width), self.deltas.dtype) if keep else None
+
+    def tile(self, lo: int, hi: int, w: np.ndarray, out=None) -> np.ndarray:
+        with self._span():
+            deltas = _tile_rows(self.deltas, self.order, lo, hi)
+            if self.phase is not None and self.order is None:
+                enc = np.cos(time_phase(deltas, self.omega.data, self.phi.data,
+                                        out=self.phase[lo:hi]))
+            else:
+                enc = time_phase(deltas, self.omega.data, self.phi.data)
+                if self.phase is not None:  # kept in the caller's row order, as d_kv is
+                    self.phase[self.order[lo:hi]] = enc
+                np.cos(enc, out=enc)
+        return np.matmul(enc, w.T, out=out)
+
+    def stop(self) -> None:
+        self.order = None
+
+    def backward(self, d_kv: np.ndarray, w: np.ndarray) -> np.ndarray:
+        enc = np.cos(self.phase)
+        d_w = d_kv.T @ enc
+        if self.omega.requires_grad or self.phi.requires_grad:
+            g = np.matmul(d_kv, w, out=enc)
+            s = np.sin(self.phase, out=self.phase)
+            s *= g
+            if self.omega.requires_grad:
+                self.omega._accumulate(-(self.deltas @ s), own=True)
+            if self.phi.requires_grad:
+                self.phi._accumulate(-(np.ones(len(s), s.dtype) @ s), own=True)
+        self.phase = None
+        return d_w
+
+
+def _as_part(part: Part, span_name: Optional[str]):
+    if isinstance(part, Tensor):
+        return _Rows(part)
+    if len(part) == 2:
+        return _Rows(part[0], _ids(part[1]))
+    return _Time(*part, span_name)
+
+
+def _tile_rows(x: np.ndarray, order: Optional[np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo:hi`` of *x* in segment order (*order* sorts the ids, ``None`` if they were)."""
+    return x[lo:hi] if order is None else x.take(order[lo:hi], axis=0)
+
+
+def _row_tiles(starts: np.ndarray, n: int):
+    """``(lo, hi, first run, end run)`` for tiles of about :data:`ROW_TILE` rows.
+
+    A tile is cut only where a run of ids starts, so each segment lies in one
+    tile and its sums are the additions a whole-row pass makes.  A last tile
+    under half a tile joins the one before: a product of only a few rows can
+    take another BLAS kernel, with other rounding.
+    """
+    if n <= ROW_TILE:
+        return [(0, n, 0, len(starts))]
+    cuts = np.searchsorted(starts, np.arange(ROW_TILE, n, ROW_TILE))
+    cuts = np.unique(cuts[cuts < len(starts)])
+    if len(cuts) and n - starts[cuts[-1]] < ROW_TILE // 2:
+        cuts = cuts[:-1]
+    runs = np.concatenate([[0], cuts, [len(starts)]])
+    rows = np.append(starts, n)[runs]
+    return list(zip(rows[:-1].tolist(), rows[1:].tolist(), runs[:-1].tolist(), runs[1:].tolist()))
+
+
+def _segment_rows(ids: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """``out[s] = Σ x[ids == s]`` for the (sorted, contiguous) segments *ids* covers."""
+    first = ids[0]
+    out[first:ids[-1] + 1] = _onehot_t(ids - first, ids[-1] + 1 - first, x.dtype) @ x
+
+
+def time_phase(deltas: np.ndarray, omega: np.ndarray, phi: np.ndarray, out=None) -> np.ndarray:
+    """``deltas ⊗ omega + phi``, ``(len(deltas), len(omega))``: the cosine time
+    encoding's argument, shared by ``TimeEncode`` and a time part."""
+    phase = np.multiply.outer(deltas, omega, out=out)
+    phase += phi
+    return phase
+
+
 def segment_attention(
     q: Tensor,
     parts: Sequence[Part],
@@ -160,6 +304,7 @@ def segment_attention(
     segment_ids,
     num_segments: int,
     num_heads: int,
+    time_span: Optional[str] = None,
 ) -> Tensor:
     """Multi-head attention of each segment's query over its rows, as one autograd node.
 
@@ -169,10 +314,20 @@ def segment_attention(
     projected by its own column slice of ``[w_k; w_v]`` (K and V from one
     matmul), the bias is added with the first part and the partial products
     in part order.  A keyed part ``(rows, index)`` is projected once per row
-    of ``rows`` (a keyed first part biased there too) and gathered (the bits
-    of its dense expansion ``rows[index]``); its gradient
-    is ``onehot(index)ᵀ @ d_kv``, summed per row before the weight-gradient
-    matmul.  Nothing is as wide as the input *and* as long as the ids.
+    of ``rows`` and gathered (the bits of its dense expansion
+    ``rows[index]``); its gradient is ``onehot(index)ᵀ @ d_kv``, summed per
+    row before the weight-gradient matmul.  A time part ``(deltas, omega,
+    phi)`` is encoded inside, ``cos(deltas ⊗ omega + phi)``, one row tile at
+    a time, with the bits of ``TimeEncode``'s output passed as a dense part.
+
+    Row-local work runs in tiles of about :data:`ROW_TILE` rows cut where a
+    segment starts: K/V accumulation, the query gather, scores, softmax,
+    weighting and segment sum; in the backward the gradient and query
+    gathers, ``d_v`` / ``d_k`` / ``d_q``.  Sums over all rows (weight
+    gradients, keyed-part sums, ``b_v``, ``d_omega``, ``d_phi``) stay whole,
+    so no bit depends on the tile.  The backward keeps K/V, the ``(heads,
+    num_rows)`` attention and each time part's phase; under ``no_grad``
+    nothing per row outlives its tile.
 
     Args:
         q: ``(num_segments, dim_out)`` projected queries.
@@ -185,22 +340,21 @@ def segment_attention(
             stably sorted first and the gradient un-permuted.
         num_segments: number of queries; segments without rows yield zeros.
         num_heads: heads ``dim_out`` is split into.
+        time_span: a :mod:`repro.spans` name marking the time parts'
+            encoding (``None``: unmarked, inside the caller's spans).
 
     Returns the ``(num_segments, dim_out)`` aggregate.  The backward is one
-    closure; it computes input gradients only for parts that require them.
-    K/V is edge-major, ``(num_rows, 2 dim_out)``: per-segment sums (the
-    weighted V, ``d q``) are ``onehot(ids)ᵀ @ x``; the softmax's max and sum
-    are ``np.add.reduceat`` runs over the small ``(heads, num_rows)`` scores.
-    ``b_k``'s gradient is exactly 0: softmax is shift-invariant per segment;
-    ``b_v``'s is ``ones @ d_v``.
+    closure; it computes input gradients only for parts that require them,
+    and runs once: it writes the row gradients over K/V and ``sin`` over the
+    phase.  ``b_k``'s gradient is exactly 0: softmax is shift-invariant per
+    segment; ``b_v``'s is ``ones @ d_v``.
     """
     ids = _ids(segment_ids)
     n, dim = len(ids), q.shape[1]
-    keyed = [p if isinstance(p, tuple) else (p, None) for p in parts]
-    keyed = [(rows, None if index is None else _ids(index)) for rows, index in keyed]
-    if sum(rows.shape[1] for rows, _ in keyed) != w_k.shape[1]:
+    parts = [_as_part(p, time_span) for p in parts]
+    if sum(p.width for p in parts) != w_k.shape[1]:
         raise ValueError("part widths do not add up to the projection's in_features")
-    if any(len(rows if index is None else index) != n for rows, index in keyed):
+    if any(p.length != n for p in parts):
         raise ValueError("every part needs one row per segment id")
     if n == 0:
         return Tensor(np.zeros((num_segments, dim), dtype=q.dtype), device=q.device)
@@ -208,70 +362,90 @@ def segment_attention(
     weight = np.concatenate([w_k.data, w_v.data])  # (2 dim, in_features)
     zero = np.zeros(dim, dtype=weight.dtype)
     bias = np.concatenate([zero if b_k is None else b_k.data, zero if b_v is None else b_v.data])
-    kv, col = None, 0
-    for rows, index in keyed:
-        proj = rows.data @ weight[:, col:col + rows.shape[1]].T
-        if kv is None:
-            proj += bias
-        if index is not None:
-            proj = proj.take(index, axis=0)
-        kv = proj if kv is None else np.add(kv, proj, out=kv)
-        col += rows.shape[1]
+    cols = np.cumsum([0] + [p.width for p in parts]).tolist()
+    slices = [weight[:, lo:hi] for lo, hi in zip(cols[:-1], cols[1:])]
+    parents = [q, w_k, w_v] + [t for p in parts for t in p.params]
+    parents += [b for b in (b_k, b_v) if b is not None]
+    keep = is_grad_enabled() and any(t.requires_grad for t in parents)
 
     order = None
     if (ids[1:] < ids[:-1]).any():
         order = np.argsort(ids, kind="stable")
-        ids, kv = ids[order], kv.take(order, axis=0)
+        ids = ids[order]
     starts = np.flatnonzero(np.append(True, ids[1:] != ids[:-1]))  # where each run of ids starts
     counts = np.diff(np.append(starts, n))
-    seg = _onehot_t(ids, num_segments, kv.dtype)
+    tiles = _row_tiles(starts, n)
 
     d_head = dim // num_heads
-    scale = np.asarray(1.0 / np.sqrt(d_head), dtype=kv.dtype)
+    scale = np.asarray(1.0 / np.sqrt(d_head), dtype=weight.dtype)
 
     def per_head(x: np.ndarray) -> np.ndarray:
-        return x.reshape(n, num_heads, d_head)
+        return x.reshape(len(x), num_heads, d_head)
 
-    k, v = per_head(kv[:, :dim]), per_head(kv[:, dim:])
-    scores = np.einsum("nhd,nhd->hn", per_head(q.data.take(ids, axis=0)), k) * scale
-    scores -= np.repeat(np.maximum.reduceat(scores, starts, axis=1), counts, axis=1)
-    attn = np.exp(scores, out=scores)
-    denom = np.maximum(np.add.reduceat(attn, starts, axis=1), np.finfo(attn.dtype).tiny)
-    attn /= np.repeat(denom, counts, axis=1)
-    out_data = seg @ np.einsum("nhd,hn->nhd", v, attn).reshape(n, dim)
+    kv = np.empty((n, 2 * dim), dtype=weight.dtype) if keep else None
+    attn = np.empty((num_heads, n), dtype=weight.dtype) if keep else None
+    out_data = np.zeros((num_segments, dim), dtype=weight.dtype)
+    for p, w in zip(parts, slices):
+        p.start(w, order, keep)
+    for lo, hi, r0, r1 in tiles:
+        kv_t = kv[lo:hi] if keep else np.empty((hi - lo, 2 * dim), dtype=weight.dtype)
+        parts[0].tile(lo, hi, slices[0], out=kv_t)
+        kv_t += bias
+        for p, w in zip(parts[1:], slices[1:]):
+            kv_t += p.tile(lo, hi, w)
+        rows, run_starts, run_counts = ids[lo:hi], starts[r0:r1] - lo, counts[r0:r1]
+        scores = np.einsum("nhd,nhd->hn", per_head(q.data.take(rows, axis=0)),
+                           per_head(kv_t[:, :dim])) * scale
+        scores -= np.repeat(np.maximum.reduceat(scores, run_starts, axis=1), run_counts, axis=1)
+        a = np.exp(scores, out=scores)
+        denom = np.maximum(np.add.reduceat(a, run_starts, axis=1), np.finfo(a.dtype).tiny)
+        a /= np.repeat(denom, run_counts, axis=1)
+        if keep:
+            attn[:, lo:hi] = a
+        _segment_rows(rows, np.einsum("nhd,hn->nhd", per_head(kv_t[:, dim:]), a).reshape(-1, dim),
+                      out_data)
+    for p in parts:
+        p.stop()
+    if not keep:
+        return Tensor(out_data, device=q.device)
 
     def backward(grad: np.ndarray) -> None:
-        g = per_head(grad.take(ids, axis=0))
-        d_kv = np.empty_like(kv)
-        np.einsum("nhd,hn->nhd", g, attn, out=per_head(d_kv[:, dim:]))
-        d_attn = np.einsum("nhd,nhd->hn", g, v)
-        seg_dot = np.add.reduceat(d_attn * attn, starts, axis=1)
-        d_scores = attn * (d_attn - np.repeat(seg_dot, counts, axis=1)) * scale
-        np.einsum("nhd,hn->nhd", per_head(q.data.take(ids, axis=0)), d_scores,
-                  out=per_head(d_kv[:, :dim]))
-        if q.requires_grad:
-            q._accumulate(seg @ np.einsum("nhd,hn->nhd", k, d_scores).reshape(n, dim), own=True)
-        if order is not None:
-            d_sorted, d_kv = d_kv, np.empty_like(d_kv)
-            d_kv[order] = d_sorted
+        nonlocal kv
+        if kv is None:
+            raise RuntimeError("segment_attention's backward runs once: it spends K/V's buffer")
+        # Sorted rows: each tile's d_kv overwrites its K/V once they are read.
+        d_kv = kv if order is None else np.empty_like(kv)
+        d_q = np.zeros_like(q.data) if q.requires_grad else None
+        for lo, hi, r0, r1 in tiles:
+            rows, run_starts, run_counts = ids[lo:hi], starts[r0:r1] - lo, counts[r0:r1]
+            g, a = per_head(grad.take(rows, axis=0)), attn[:, lo:hi]
+            d_attn = np.einsum("nhd,nhd->hn", g, per_head(kv[lo:hi, dim:]))
+            seg_dot = np.add.reduceat(d_attn * a, run_starts, axis=1)
+            d_scores = a * (d_attn - np.repeat(seg_dot, run_counts, axis=1)) * scale
+            if d_q is not None:
+                _segment_rows(rows, np.einsum("nhd,hn->nhd", per_head(kv[lo:hi, :dim]),
+                                              d_scores).reshape(-1, dim), d_q)
+            d_t = d_kv[lo:hi] if order is None else np.empty((hi - lo, 2 * dim), d_kv.dtype)
+            np.einsum("nhd,hn->nhd", g, a, out=per_head(d_t[:, dim:]))
+            np.einsum("nhd,hn->nhd", per_head(q.data.take(rows, axis=0)), d_scores,
+                      out=per_head(d_t[:, :dim]))
+            if order is not None:
+                d_kv[order[lo:hi]] = d_t
+        kv = None
+        if d_q is not None:
+            q._accumulate(d_q, own=True)
         if b_k is not None and b_k.requires_grad:
             b_k._accumulate(np.zeros_like(b_k.data), own=True)
         if b_v is not None and b_v.requires_grad:
             b_v._accumulate(np.ones(n, d_kv.dtype) @ d_kv[:, dim:], own=True)
-        d_weight, col = np.empty_like(weight), 0
-        for rows, index in keyed:
-            g_part = d_kv if index is None else _onehot_t(index, len(rows), d_kv.dtype) @ d_kv
-            cols = slice(col, col + rows.shape[1])
-            d_weight[:, cols] = g_part.T @ rows.data
-            if rows.requires_grad:
-                rows._accumulate(g_part @ weight[:, cols], own=True)
-            col = cols.stop
+        d_weight = np.empty_like(weight)
+        for p, w, lo, hi in zip(parts, slices, cols[:-1], cols[1:]):
+            d_weight[:, lo:hi] = p.backward(d_kv, w)
         if w_k.requires_grad:
             w_k._accumulate(d_weight[:dim], own=True)
         if w_v.requires_grad:
             w_v._accumulate(d_weight[dim:], own=True)
 
-    parents = [q, w_k, w_v] + [rows for rows, _ in keyed] + [b for b in (b_k, b_v) if b is not None]
     return Tensor._make(out_data, parents, backward, q.device)
 
 

@@ -261,7 +261,7 @@ class Tensor:
 
     # ---- autograd engine -------------------------------------------------------
 
-    def _accumulate(self, grad: np.ndarray, own: bool = False) -> None:
+    def _accumulate(self, grad: np.ndarray, own: bool = False, key=None) -> None:
         """Add *grad* into ``.grad`` without ever writing a buffer it does not own.
 
         The first gradient is held by reference, not copied; ``own`` says the
@@ -270,10 +270,23 @@ class Tensor:
         view) is only ever read: the next gradient is summed with it into a
         fresh owned array, the same float32 sum ``+=`` would give.  Backward
         closures and optimizers must likewise treat gradients as read-only.
+
+        With a basic (slice / int) *key* tuple, *grad* is the gradient of
+        ``data[key]`` and adds into ``.grad[key]``: zeros are allocated once
+        per gradient, not once per slice, and a borrowed gradient is copied
+        once before it is written.
         """
         if grad.dtype != self.data.dtype:
             grad, own = grad.astype(self.data.dtype), True
-        if self.grad is None:
+        if key is not None:
+            if self.grad is None:
+                self.grad, self._grad_owned = np.zeros_like(self.data), True
+                self.grad[key] = grad
+                return
+            if not self._grad_owned:
+                self.grad, self._grad_owned = self.grad.copy(), True
+            self.grad[key] += grad
+        elif self.grad is None:
             self.grad, self._grad_owned = grad, own
         elif self._grad_owned:
             self.grad += grad
@@ -669,17 +682,15 @@ class Tensor:
         out_data = self.data[key]
         src = self
         # A basic key (slices / ints / Ellipsis / None) addresses each target
-        # once, so its gradient is a plain assignment, not a scatter-add.
+        # once, so its gradient adds into the parent's, not a scatter-add.
         keys = key if isinstance(key, tuple) else (key,)
         basic = all(isinstance(k, _BASIC_INDEX) for k in keys)
 
         def backward(grad: np.ndarray) -> None:
             if basic:
-                full = np.zeros_like(src.data)
-                full[key] = grad
+                src._accumulate(grad, key=keys)
             else:
-                full = _scatter_add(src.data.shape, key, grad)
-            src._accumulate(full, own=True)
+                src._accumulate(_scatter_add(src.data.shape, key, grad), own=True)
 
         return Tensor._make(np.ascontiguousarray(out_data), (self,), backward, self.device)
 

@@ -5,10 +5,11 @@ Computes exactly what TGLite's
 one fused core, :func:`~repro.tensor.segment.segment_attention`, as the
 paper's near-parity baseline comparison requires — but structured
 TGL-style: it consumes an MFG's string-keyed ``srcdata`` (rows for seeds
-followed by neighbor rows) and per-row ``edata``, so every part it passes
-is dense (an MFG has no per-unique accessors); it uses the *fused* time
-deltas the sampler precomputed, and always encodes time through the module
-(TGL has no precompute operators to swap in).
+followed by neighbor rows) and per-row ``edata``, so every feature part it
+passes is dense (an MFG has no per-unique accessors); it uses the *fused*
+time deltas the sampler precomputed, and always encodes them through the
+module's time part (TGL has no precompute operators to swap in), inside
+its attention stage.
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ class TGLAttnLayer(Module):
             if "f" in mfg.edata and self.dim_edge:
                 parts.append(mfg.edata["f"])
             # Deltas were fused into the MFG at sampling time.
-            parts.append(self.time_encoder(
-                Tensor(mfg.deltas.astype(np.float32), device=mfg.device)))
+            parts.append(self.time_encoder.part(mfg.deltas))
             tfeat_dst = self.time_encoder(Tensor(np.zeros(n, dtype=np.float32), device=mfg.device))
             reduced = segment_attention(
                 self.w_q(cat([h_dst, tfeat_dst], dim=1)), parts,

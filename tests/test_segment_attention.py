@@ -10,8 +10,9 @@ import repro.core as tg
 from repro.core import op as tgop
 from repro.data import get_dataset
 from repro.models import TGAT, OptFlags, TemporalAttnLayer
-from repro.nn import Linear
-from repro.tensor import Tensor
+from repro.nn import Linear, TimeEncode
+from repro.tensor import Tensor, no_grad
+from repro.tensor import segment as segment_module
 from repro.tensor.segment import segment_attention
 from repro.tgl import TGLAttnLayer
 from repro.tgl.mfg import MFG
@@ -130,6 +131,10 @@ class TestAgainstComposedReference:
             _fused(q, parts[:1], w_k, w_v, ids, 1, 1)
         with pytest.raises(ValueError, match="one row per segment id"):
             _fused(q, [parts[0], Tensor(parts[1].data[:3])], w_k, w_v, ids, 1, 1)
+        rows = Tensor(parts[0].data[:2])
+        for bad in (2, -3):  # a keyed part's index must address its rows
+            with pytest.raises(IndexError, match="out of range"):
+                _fused(q, [(rows, np.array([0, 1, bad, 0, 1])), parts[1]], w_k, w_v, ids, 1, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), num_dst=st.integers(1, 6), num_src=st.integers(0, 14),
@@ -151,6 +156,128 @@ class TestAgainstComposedReference:
         out.backward(rng.standard_normal(out.shape).astype(np.float32))
         assert w_k.bias.grad is not None and not w_k.bias.grad.any()
         assert w_v.bias.grad.any()
+
+
+#: row-tile sizes: one row, a few rows, and more rows than any problem here.
+TILES = [1, 7, 1 << 20]
+
+
+class TestTimePart:
+    """A time part ``TimeEncode.part(deltas)`` against the encoder's output
+    passed as a dense part: the same bits, forward and every gradient."""
+
+    @staticmethod
+    def _leaves_and_parts(rng, n, first):
+        """Leaves, and a ``parts(time)`` builder putting *time* last (or first)."""
+        randn = lambda *shape: rng.standard_normal(shape).astype(np.float32)  # noqa: E731
+        dense = Tensor(randn(n, 5), requires_grad=True)
+        keyed = (Tensor(randn(max(1, n // 4), 3), requires_grad=True),
+                 rng.integers(0, max(1, n // 4), n))
+        features = [dense, keyed] if first == "dense" else [keyed, dense]
+
+        def parts(time):
+            return [time, *features] if first == "time" else [*features, time]
+        return [dense, keyed[0]], parts
+
+    def _run(self, q, parts, w_k, w_v, ids, num_dst, heads, leaves, seed_grad):
+        for leaf in leaves:
+            leaf.grad = None
+        out = _fused(q, parts, w_k, w_v, ids, num_dst, heads)
+        out.backward(seed_grad)
+        return [out.data] + [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("tile", TILES)
+    @pytest.mark.parametrize("sort", [True, False], ids=["sorted", "unsorted"])
+    @pytest.mark.parametrize("first", ["dense", "keyed", "time"])
+    def test_time_part_is_the_encoders_dense_part(self, monkeypatch, tile, sort, first):
+        monkeypatch.setattr(segment_module, "ROW_TILE", tile)
+        rng = np.random.default_rng(7)
+        num_dst, heads, d_head = 50, 2, 3  # ids below 40: ten empty segments
+        ids = rng.integers(0, 40, 120)
+        ids = np.sort(ids) if sort else ids
+        enc = TimeEncode(4)
+        enc.weight.data[...] = rng.random(4).astype(np.float32)
+        enc.bias.data[...] = rng.standard_normal(4).astype(np.float32)
+        deltas = rng.random(len(ids)) * 50.0
+        features, parts = self._leaves_and_parts(rng, len(ids), first)
+        q = Tensor(rng.standard_normal((num_dst, heads * d_head)).astype(np.float32),
+                   requires_grad=True)
+        w_k, w_v = Linear(12, heads * d_head), Linear(12, heads * d_head)
+        leaves = [q, w_k.weight, w_k.bias, w_v.weight, w_v.bias, enc.weight, enc.bias, *features]
+        seed_grad = rng.standard_normal((num_dst, heads * d_head)).astype(np.float32)
+        args = (w_k, w_v, ids, num_dst, heads, leaves, seed_grad)
+
+        time = self._run(q, parts(enc.part(deltas)), *args)
+        dense = self._run(q, parts(enc(Tensor(deltas.astype(np.float32)))), *args)
+        for got, want in zip(time, dense):
+            assert got is not None and (got == want).all()
+        with no_grad():
+            inferred = _fused(q, parts(enc.part(deltas)), w_k, w_v, ids, num_dst, heads)
+        assert not inferred.requires_grad and (inferred.data == time[0]).all()
+        np.testing.assert_allclose(
+            time[0], _composed(q, parts(enc(Tensor(deltas.astype(np.float32)))), w_k, w_v,
+                               ids, num_dst, heads).data, atol=1e-5, rtol=0)
+
+    def test_backward_runs_once(self):
+        rng = np.random.default_rng(8)
+        ids = np.sort(rng.integers(0, 5, 30))
+        enc = TimeEncode(4)
+        q, parts, w_k, w_v = _problem(rng, 5, ids, 1, (3, 4), (False, False), (True, False))
+        out = _fused(q, [parts[0], enc.part(rng.random(30))], w_k, w_v, ids, 5, 1)
+        out.sum().backward()
+        with pytest.raises(RuntimeError, match="runs once"):
+            out.sum().backward()
+
+
+class TestAttentionMemory:
+    """What one call keeps for its backward, and what ``no_grad`` keeps at all."""
+
+    ROWS, DST, HEADS, DIM, DIM_TIME = 20_000, 2_000, 2, 32, 32
+
+    def _inputs(self):
+        rng = np.random.default_rng(9)
+        randn = lambda *shape: rng.standard_normal(shape).astype(np.float32)  # noqa: E731
+        ids = np.sort(rng.integers(0, self.DST, self.ROWS))
+        enc = TimeEncode(self.DIM_TIME)
+        parts = [(Tensor(randn(500, 100), requires_grad=True), rng.integers(0, 500, self.ROWS)),
+                 Tensor(randn(self.ROWS, 20), requires_grad=True),
+                 enc.part(rng.random(self.ROWS) * 1e3)]
+        q = Tensor(randn(self.DST, self.DIM), requires_grad=True)
+        width = 120 + self.DIM_TIME
+        w_k, w_v = Linear(width, self.DIM), Linear(width, self.DIM)
+        with no_grad():  # first-call imports (scipy.sparse) are not the kernel's
+            _fused(q, parts, w_k, w_v, ids, self.DST, self.HEADS)
+        return q, parts, w_k, w_v, ids
+
+    def test_a_call_keeps_kv_attention_and_phase(self):
+        """K/V, the phase and O(rows) index bytes (the attention weights, ids,
+        the keyed part's index, the deltas): nothing else as long as the rows."""
+        q, parts, w_k, w_v, ids = self._inputs()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = _fused(q, parts, w_k, w_v, ids, self.DST, self.HEADS)
+            kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        index_bytes = self.ROWS * (4 * self.HEADS + 3 * 8)
+        assert kept <= self.ROWS * (2 * self.DIM + self.DIM_TIME) * 4 + index_bytes
+        assert kept >= self.ROWS * (2 * self.DIM + self.DIM_TIME) * 4  # the bound is tight
+        out.backward(np.ones(out.shape, np.float32))
+        assert all(leaf.grad is not None for leaf in (q, w_k.weight, w_v.weight, parts[0][0]))
+
+    def test_no_grad_keeps_nothing_per_row_beyond_a_tile(self, monkeypatch):
+        monkeypatch.setattr(segment_module, "ROW_TILE", 256)
+        q, parts, w_k, w_v, ids = self._inputs()
+        with no_grad():
+            tracemalloc.start()
+            try:
+                out = _fused(q, parts, w_k, w_v, ids, self.DST, self.HEADS)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert not out.requires_grad
+        assert peak < self.ROWS * 2 * self.DIM * 4 // 4  # a quarter of one K/V array
 
 
 def _drawn_problem(data, num_dst, num_src, heads, sort):

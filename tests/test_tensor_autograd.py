@@ -253,6 +253,38 @@ class TestIndexBackward:
         grad, ref = self._grad_and_reference(key)
         np.testing.assert_allclose(grad, ref, atol=1e-6, rtol=0)
 
+    def test_slices_add_into_one_gradient(self):
+        """Overlapping, strided and negative-step slices of one tensor each add
+        into the parent's gradient in place: the sum of a full-width
+        zeros-and-assign per slice (integer-valued, so exact in any order)."""
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.standard_normal((9, 3)).astype(np.float32), requires_grad=True)
+        keys = [(slice(1, 6),), (slice(3, 8),), (slice(None, None, 2),),
+                (slice(None, None, -1),), (slice(7, 0, -3), slice(1, None)), (4,)]
+        seeds = [rng.integers(-4, 5, x.data[key].shape).astype(np.float32) for key in keys]
+        total = None
+        for key, seed in zip(keys, seeds):
+            term = (x[key] * Tensor(seed)).sum()
+            total = term if total is None else total + term
+        total.backward()
+        want = np.zeros_like(x.data)
+        for key, seed in zip(keys, seeds):
+            full = np.zeros_like(x.data)
+            full[key] = seed
+            want += full
+        assert x.grad.dtype == np.float32 and (x.grad == want).all()
+
+    def test_a_slice_never_writes_a_borrowed_gradient(self):
+        x = Tensor(np.zeros((4, 2), dtype=np.float32), requires_grad=True)
+        mine = np.ones((4, 2), dtype=np.float32)
+        x._accumulate(mine)                      # borrowed
+        x[1:3].backward(np.full((2, 2), 2.0, dtype=np.float32))
+        assert (mine == 1.0).all() and x.grad is not mine
+        assert (x.grad == [[1, 1], [3, 3], [3, 3], [1, 1]]).all()
+        owned = x.grad
+        x[::-2].backward(np.ones((2, 2), dtype=np.float32))  # owned: written in place
+        assert x.grad is owned and (x.grad == [[1, 1], [4, 4], [3, 3], [2, 2]]).all()
+
     def test_tensor_index_sums_repeats(self):
         rng = np.random.default_rng(1)
         idx = np.array([3, 0, 3, 3, 1])
@@ -329,4 +361,6 @@ class TestGradientHandOff:
                 for sub in ("tensor", "nn", "models")
                 for path in sorted((src / sub).rglob("*.py"))
                 for line in path.read_text().splitlines() if write.search(line)]
-        assert hits == ["tensor/tensor.py: self.grad += grad"]
+        assert hits == ["tensor/tensor.py: self.grad[key] = grad",
+                        "tensor/tensor.py: self.grad[key] += grad",
+                        "tensor/tensor.py: self.grad += grad"]
