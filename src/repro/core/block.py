@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..tensor import Tensor
+from .kernels.dedup import unique_ids
 
 if TYPE_CHECKING:  # pragma: no cover
     from .context import TContext
@@ -237,8 +238,7 @@ class TBlock:
         if not self.has_nbrs:
             raise RuntimeError("block has no neighbors")
         if self._uniq_src is None:
-            uniq, inverse = np.unique(self.srcnodes, return_inverse=True)
-            self._uniq_src = (uniq, inverse.astype(np.int64))
+            self._uniq_src = unique_ids(self.srcnodes, self.g.num_nodes)
         return self._uniq_src
 
     def uniq_eids(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -246,15 +246,13 @@ class TBlock:
         if not self.has_nbrs:
             raise RuntimeError("block has no neighbors")
         if self._uniq_eids is None:
-            uniq, inverse = np.unique(self.eids, return_inverse=True)
-            self._uniq_eids = (uniq, inverse.astype(np.int64))
+            self._uniq_eids = unique_ids(self.eids, self.g.num_edges)
         return self._uniq_eids
 
     def uniq_nodes(self) -> Tuple[np.ndarray, np.ndarray]:
         """Sorted unique ids of :meth:`allnodes` and each row's index into them."""
         if self._uniq_nodes is None:
-            uniq, inverse = np.unique(self.allnodes(), return_inverse=True)
-            self._uniq_nodes = (uniq, inverse.astype(np.int64))
+            self._uniq_nodes = unique_ids(self.allnodes(), self.g.num_nodes)
         return self._uniq_nodes
 
     def allnodes(self) -> np.ndarray:

@@ -15,7 +15,8 @@ TGL baseline sampler, ``op.dedup``, ``op.cache``) dispatches through:
   store using vectorized open-addressing probes, backing ``op.cache()``
   and the manual baseline's memo table.
 * :mod:`~repro.core.kernels.dedup` — vectorized unique-(node, time)
-  computation for ``op.dedup()``.
+  computation for ``op.dedup()``, and ``unique_ids``, the counting (not
+  sorting) unique of ids bounded by the graph or a ring.
 
 The sample and dedup kernels keep their original per-row loop
 implementation as a ``_reference_*`` sibling (the cache's reference is
@@ -31,6 +32,7 @@ from .dedup import (
     _reference_unique_node_times,
     canonical_event_order,
     last_event_wins,
+    unique_ids,
     unique_node_times,
 )
 from .sample import (
@@ -48,6 +50,7 @@ __all__ = [
     "sample_recent",
     "sample_uniform",
     "segment_searchsorted",
+    "unique_ids",
     "unique_node_times",
     "last_event_wins",
     "canonical_event_order",

@@ -47,7 +47,7 @@ import numpy as np
 
 from ...resilience.hooks import poke as _poke
 from ...spans import span
-from .dedup import unique_first_last
+from .dedup import unique_first_last, unique_ids
 
 __all__ = ["NodeTimeCache"]
 
@@ -141,7 +141,7 @@ class NodeTimeCache:
             rows[hit] = self._values[slots[hit]]
             self.hits += int(hit.sum())
             if hit.any():
-                self._touch(np.unique(slots[hit]))
+                self._touch(unique_ids(slots[hit], self.capacity)[0])
             return hit, rows
 
     def _touch(self, slots: np.ndarray) -> None:

@@ -2,7 +2,13 @@
 
 The structured-dtype ``np.unique`` of the original implementation pays
 for void-dtype comparisons; the kernel gets the same answer from one
-``lexsort`` plus boundary detection over plain int64/float64 arrays.
+``lexsort`` plus boundary detection over plain int64/float64 arrays, and
+skips the ``lexsort`` when the pairs already arrive strictly increasing
+(the memo store's input is ``dedup``'s sorted output).
+
+:func:`unique_ids` is the bounded-id sibling: node, edge and ring-slot ids
+lie in ``[0, bound)`` for a bound the graph or the ring fixes, so their
+unique set is counted in O(n + bound) rather than sorted.
 
 Also home to :func:`last_event_wins`, the duplicate-node coalescing rule
 shared by ``Memory.update`` and ``Mailbox.store``: when one batch carries
@@ -20,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "unique_ids",
     "unique_node_times",
     "unique_first_last",
     "has_repeats",
@@ -30,11 +37,41 @@ __all__ = [
 ]
 
 
+def unique_ids(ids: np.ndarray, bound: int):
+    """``np.unique(ids, return_inverse=True)`` for integer ids in ``[0, bound)``.
+
+    Bit for bit the same ``(uniq, inverse)`` — ``uniq`` in the ids' dtype,
+    ``inverse`` int64 — from marking the ids present, ``flatnonzero`` over
+    the marks, a remap of each present id to its rank and a gather: O(n +
+    bound), no sort.  An id outside ``[0, bound)`` raises ``IndexError``.
+    """
+    ids = np.asarray(ids).reshape(-1)
+    if ids.dtype.kind not in "iu":
+        raise TypeError(f"unique_ids needs integer ids, got {ids.dtype}")
+    if len(ids) and ids.min() < 0:
+        raise IndexError(f"id {ids.min()} is negative")
+    present = np.zeros(bound, dtype=bool)
+    present[ids] = True  # an id >= bound raises IndexError here
+    uniq = np.flatnonzero(present)
+    rank = np.empty(bound, dtype=np.int64)
+    rank[uniq] = np.arange(len(uniq))
+    return uniq.astype(ids.dtype, copy=False), rank[ids]
+
+
 def _sorted_runs(nodes: np.ndarray, times: np.ndarray):
     """``(order, sorted nodes, sorted times, run-start mask)`` of one stable
-    (node, time) lexsort of a non-empty batch."""
+    (node, time) lexsort of a non-empty batch.
+
+    Pairs that are already strictly increasing — ``dedup``'s output, which
+    the memo store receives — are their own sort: an O(n) check skips the
+    ``lexsort`` (``-0.0``/``+0.0`` and NaN times fail it and are sorted).
+    """
     nodes = np.asarray(nodes, dtype=np.int64)
     times = np.asarray(times, dtype=np.float64)
+    if (nodes[1:] >= nodes[:-1]).all() and (
+            (nodes[1:] > nodes[:-1]) | (times[1:] > times[:-1])).all():
+        n = len(nodes)
+        return np.arange(n), nodes, times, np.ones(n, dtype=bool)
     order = np.lexsort((times, nodes))
     sn, st = nodes[order], times[order]
     boundary = np.empty(len(order), dtype=bool)

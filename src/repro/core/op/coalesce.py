@@ -14,6 +14,7 @@ import numpy as np
 
 from ...tensor.segment import segment_argmax_by_key
 from ..block import TBlock
+from ..kernels.dedup import unique_ids
 
 __all__ = ["coalesce"]
 
@@ -36,7 +37,7 @@ def coalesce(block: TBlock, by: str = "latest") -> TBlock:
     if by not in ("latest", "earliest"):
         raise ValueError(f"unknown coalesce mode: {by!r}")
 
-    uniq_nodes, node_index = np.unique(block.dstnodes, return_inverse=True)
+    uniq_nodes, node_index = unique_ids(block.dstnodes, block.g.num_nodes)
     keys = block.etimes if by == "latest" else -block.etimes
     # Map each source row to the unique-node segment of its destination row,
     # then pick the winning row per segment.

@@ -47,10 +47,11 @@ TABLE_BUCKETS = 1 << 16
 def precomputed_zeros(ctx: TContext, encoder: TimeEncode, n: int) -> Tensor:
     """Time vectors for *n* zero deltas, ``Phi(0)`` tiled ``n`` times.
 
-    In training mode, computes through the encoder so gradients flow.
+    In training mode, computes through the encoder (one broadcast row,
+    :meth:`TimeEncode.zero`) so gradients flow.
     """
     if ctx.training:
-        return encoder(Tensor(np.zeros(n, dtype=np.float32), device=ctx.device))
+        return encoder.zero(n, ctx.device)
     slot = ctx.time_zero_slot(id(encoder))
     if slot is None or slot[0] != encoder.version:
         row = encoder.encode_raw(np.zeros(1, dtype=np.float32))[0]

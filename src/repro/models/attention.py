@@ -76,7 +76,7 @@ class TemporalAttnLayer(Module):
         with span("time_zero"):
             if self.opt_time_precompute:
                 return tgop.precomputed_zeros(self.ctx, self.time_encoder, n)
-            return self.time_encoder(Tensor(np.zeros(n, dtype=np.float32), device=self.ctx.device))
+            return self.time_encoder.zero(n, self.ctx.device)
 
     def _nbr_time(self, deltas: np.ndarray):
         """``Phi(t - t_j)`` as a K/V part: precomputed rows in inference under

@@ -89,6 +89,27 @@ class TimeEncode(Module):
 
         return Tensor._make(np.cos(phase), (deltas, weight, bias), backward, deltas.device)
 
+    def zero(self, n: int, device) -> Tensor:
+        """``Phi(0)`` for *n* rows on *device*, as one autograd node.
+
+        Every row is ``cos(phi)``: the output broadcasts one row and the
+        backward keeps that row's phase, not an ``(n, dim)`` one.  The bits
+        are ``forward``'s on *n* zero deltas: with ``s = sin(phase) * g``,
+        ``d_omega = -(0 @ s)`` and ``d_phi = -(ones @ s)``.
+        """
+        weight, bias = self.weight, self.bias
+        phase = self._phase(np.zeros(1, dtype=np.float32))
+
+        def backward(grad: np.ndarray) -> None:
+            s = np.sin(phase) * grad
+            if weight.requires_grad:
+                weight._accumulate(-(np.zeros(n, s.dtype) @ s), own=True)
+            if bias.requires_grad:
+                bias._accumulate(-(np.ones(n, s.dtype) @ s), own=True)
+
+        rows = np.broadcast_to(np.cos(phase), (n, self.dim))
+        return Tensor._make(rows, (weight, bias), backward, device)
+
     def encode_raw(self, deltas: np.ndarray) -> np.ndarray:
         """Non-autograd fast path for inference-time precomputation: the forward's bits."""
         phase = self._phase(np.asarray(deltas, dtype=np.float32).reshape(-1))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.core as tg
 from repro import tensor as T
@@ -112,6 +113,22 @@ class TestBlockStructure:
         np.testing.assert_array_equal(uniq[inv], blk.allnodes())
         assert inv.dtype == np.int64
         assert blk.uniq_nodes() is blk.uniq_nodes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 200),
+           st.integers(1, 6), st.sampled_from(["recent", "uniform"]))
+    def test_uniq_results_equal_np_unique(self, seed, num_nodes, num_edges, k, strategy):
+        rng = np.random.default_rng(seed)
+        g = tg.TGraph(rng.integers(0, num_nodes, num_edges), rng.integers(0, num_nodes, num_edges),
+                      np.sort(rng.random(num_edges) * 100), num_nodes=num_nodes)
+        lo = int(rng.integers(0, num_edges))
+        head = tg.TBatch(g, lo, int(rng.integers(lo + 1, num_edges + 1))).block(tg.TContext(g))
+        sampler = tg.TSampler(k, strategy, seed=seed)
+        for blk in (sampler.sample(head), sampler.sample(head.next_block())):
+            for got, ids in [(blk.uniq_src(), blk.srcnodes), (blk.uniq_eids(), blk.eids),
+                             (blk.uniq_nodes(), blk.allnodes())]:
+                for have, want in zip(got, np.unique(ids, return_inverse=True)):
+                    assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
 
     def test_uniq_nodes_invalidated(self, tiny_ctx, tiny_graph):
         blk = tg.TBatch(tiny_graph, 0, 4).block(tiny_ctx)

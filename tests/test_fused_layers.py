@@ -131,3 +131,26 @@ def test_time_encode(n, dim, column, deltas_grad, seed):
     else:
         fixed = Tensor(d)
         check_grad(lambda w, b: _time_encode(fixed, w, b) * probe, w.shape, b.shape, seed=seed)
+
+
+@SETTINGS
+@given(n=st.integers(1, 300), dim=st.integers(1, 64), seed=st.integers(0, 2**16))
+def test_time_encode_zero_is_forward_on_zero_deltas(n, dim, seed):
+    """``TimeEncode.zero`` keeps one row and has ``forward``'s bits on ``n``
+    zero deltas: the output, and both parameter gradients."""
+    rng = np.random.default_rng(seed)
+    w, b, g = _randn(rng, (dim,)), _randn(rng, (dim,)), _randn(rng, (n, dim))
+    runs = []
+    for encode in (lambda enc: enc(Tensor(np.zeros(n, dtype=np.float32))),
+                   lambda enc: enc.zero(n, "cpu")):
+        enc = nn.TimeEncode(dim)
+        enc.weight.data[:], enc.bias.data[:] = w, b
+        y = encode(enc)
+        (y * Tensor(g)).sum().backward()
+        runs.append((y, enc))
+    (y_fwd, fwd), (y_zero, zero) = runs
+    _assert_one_node(y_zero, zero.weight, zero.bias)
+    assert y_zero.data.strides[0] == 0  # one broadcast row
+    assert y_zero.data.tobytes() == y_fwd.data.tobytes()
+    assert zero.weight.grad.tobytes() == fwd.weight.grad.tobytes()
+    assert zero.bias.grad.tobytes() == fwd.bias.grad.tobytes()

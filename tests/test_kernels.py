@@ -26,8 +26,10 @@ from repro.core.kernels import (
     sample_uniform,
     segment_searchsorted,
     temporal_sample,
+    unique_ids,
     unique_node_times,
 )
+from repro.core.kernels.dedup import _sorted_runs, unique_first_last
 from repro.store import StoreConfig
 from scipy.stats import chisquare
 
@@ -264,6 +266,134 @@ class TestDedupEquivalence:
         un, ut, inv = unique_node_times(nodes, times)
         np.testing.assert_array_equal(un, [1, 2, 3])
         np.testing.assert_array_equal(un[inv], nodes)
+
+
+@st.composite
+def bounded_ids(draw, kind=None):
+    """``(ids, bound)``: int32 or int64 ids in ``[0, bound)``, bound 1..100k,
+    shaped empty, single, all-equal, ending in ``bound - 1`` or anyhow."""
+    bound = draw(st.integers(1, 100_000))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    kind = kind or draw(st.sampled_from(["any", "empty", "single", "all_equal", "top"]))
+    ident = st.integers(0, bound - 1)
+    if kind == "empty":
+        ids = []
+    elif kind == "single":
+        ids = [draw(ident)]
+    elif kind == "all_equal":
+        ids = [draw(ident)] * draw(st.integers(2, 40))
+    elif kind == "top":
+        ids = draw(st.lists(ident, max_size=40)) + [bound - 1]
+    else:
+        ids = draw(st.lists(st.one_of(ident, st.integers(0, min(bound, 30) - 1)), max_size=200))
+    return np.array(ids, dtype=dtype), bound
+
+
+def assert_same_unique(got, ids):
+    """*got* is ``np.unique(ids, return_inverse=True)`` bit for bit."""
+    for have, want in zip(got, np.unique(ids, return_inverse=True)):
+        assert have.dtype == want.dtype and have.shape == want.shape
+        assert have.tobytes() == want.tobytes()
+
+
+class TestUniqueIds:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(bounded_ids())
+    def test_equals_np_unique(self, case):
+        ids, bound = case
+        assert_same_unique(unique_ids(ids, bound), ids)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("ids,bound", [
+        ([], 1), ([], 100_000), ([0], 1), ([99_999], 100_000), ([7] * 9, 8),
+        ([3, 0, 99_999, 3, 0], 100_000),
+    ])
+    def test_edge_shapes(self, ids, bound, dtype):
+        ids = np.array(ids, dtype=dtype)
+        assert_same_unique(unique_ids(ids, bound), ids)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(bounded_ids(kind="any"), st.sampled_from(["negative", "at_bound", "past_bound"]),
+           st.data())
+    def test_out_of_range_raises(self, case, bad, data):
+        ids, bound = case
+        value = {"negative": -data.draw(st.integers(1, bound)), "at_bound": bound,
+                 "past_bound": bound + data.draw(st.integers(1, 1000))}[bad]
+        at = data.draw(st.integers(0, len(ids)))
+        with pytest.raises(IndexError):
+            unique_ids(np.insert(ids, at, value), bound)
+
+    def test_rejects_non_integer_ids(self):
+        with pytest.raises(TypeError):
+            unique_ids(np.array([True, False]), 2)
+
+
+def lexsort_first_last(nodes, times):
+    """``unique_first_last`` spelled as the stable lexsort it replaces."""
+    order = np.lexsort((times, nodes))
+    sn, st_ = nodes[order], times[order]
+    boundary = np.append(True, (sn[1:] != sn[:-1]) | (st_[1:] != st_[:-1]))
+    starts = np.flatnonzero(boundary)
+    ends = np.append(starts[1:], len(nodes)) - 1
+    inverse = np.empty(len(nodes), dtype=np.int64)
+    inverse[order] = np.cumsum(boundary) - 1
+    return sn[starts], st_[starts], order[starts], order[ends], inverse
+
+
+@st.composite
+def node_time_keys(draw):
+    """(nodes, times) sorted, sorted with duplicates, reversed or shuffled,
+    over times that include both signed zeros."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 8),
+                                    st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0, 7.25])),
+                          min_size=1, max_size=60))
+    arrangement = draw(st.sampled_from(["sorted", "sorted_dups", "reversed", "shuffled"]))
+    if arrangement == "sorted":  # strictly increasing: the fast path's input
+        pairs = sorted(set(pairs))  # (n, -0.0) and (n, 0.0) are one key here
+    else:
+        pairs = sorted(pairs)
+        if arrangement == "reversed":
+            pairs = pairs[::-1]
+        elif arrangement == "shuffled":
+            pairs = draw(st.permutations(pairs))
+    nodes = np.array([n for n, _ in pairs], dtype=np.int64)
+    times = np.array([t for _, t in pairs], dtype=np.float64)
+    return nodes, times
+
+
+class TestSortedRunsFastPath:
+    """Strictly increasing (node, time) keys skip the lexsort, same bits."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(node_time_keys())
+    def test_equals_lexsort_path(self, keys):
+        nodes, times = keys
+        un, ut, first, last, inverse = lexsort_first_last(nodes, times)
+        for have, want in zip(unique_first_last(nodes, times), (un, ut, first, last)):
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
+        for have, want in zip(unique_node_times(nodes, times), (un, ut, inverse)):
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
+
+    def test_strictly_increasing_skips_the_sort(self):
+        nodes = np.array([0, 0, 1, 4, 4], dtype=np.int64)
+        times = np.array([0.0, 1.0, 0.0, -1.0, 3.0])
+        order, sn, st_, boundary = _sorted_runs(nodes, times)
+        assert sn is nodes and st_ is times  # no gather: the input is its own sort
+        np.testing.assert_array_equal(order, np.arange(5))
+        assert boundary.all()
+
+    def test_dedup_output_passes(self):
+        rng = np.random.default_rng(3)
+        un, ut, _ = unique_node_times(rng.integers(0, 50, 400), rng.integers(0, 9, 400) * 1.0)
+        assert _sorted_runs(un, ut)[1] is un
+
+    @pytest.mark.parametrize("times", [[0.0, -0.0], [-0.0, 0.0], [1.0, 1.0], [np.nan, 2.0]])
+    def test_ties_and_nan_take_the_lexsort(self, times):
+        nodes, times = np.array([5, 5], dtype=np.int64), np.array(times)
+        assert _sorted_runs(nodes, times)[1] is not nodes
+        un, ut, first, last, _ = lexsort_first_last(nodes, times)
+        got = unique_first_last(nodes, times)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, (un, ut, first, last)))
 
 
 def oracle_event_order(nodes, times, values):
