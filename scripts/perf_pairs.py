@@ -3,11 +3,15 @@
 
     python scripts/perf_pairs.py --parent REV --workload W --pairs N [--seed S]
 
-Extracts the committed tree of ``REV`` into a temporary directory (``git
-archive``: nothing is left behind under ``.git``), then runs the command
+Extracts the committed tree of ``REV`` (``git archive``: nothing is left
+behind under ``.git``) and the working tree's tracked and
+untracked-but-not-ignored files (``git ls-files -co --exclude-standard``)
+into two fresh directories side by side, then runs the command
 ``BENCHMARK.json`` declares — ``python3 perf/run.py --workload W --seed S
---trace 0`` — once in that copy and once in this working tree per pair,
-flipping which side goes first every pair.  Nothing under ``perf/`` is
+--trace 0`` — once in each copy per pair, flipping which side goes first
+every pair.  Both sides run from a copy made the same way a moment apart,
+so neither has bytecode caches, build leftovers or a longer path the other
+lacks: a location effect cannot read as an effect of the change.  Nothing under ``perf/`` is
 imported: both sides are measured by their own copy of the benchmark, read
 through the JSON line it ends its output with.
 
@@ -42,6 +46,17 @@ def extract(rev: str, into: Path) -> None:
     """Unpack the committed files of *rev* into *into*."""
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
                              capture_output=True)
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
+
+
+def copy_worktree(into: Path) -> None:
+    """Copy the working tree's tracked and untracked-but-not-ignored files
+    (a tracked file deleted in the working tree is left out) into *into*."""
+    listed = subprocess.run(["git", "ls-files", "-co", "--exclude-standard", "-z"], cwd=ROOT,
+                            check=True, capture_output=True).stdout.decode().split("\0")
+    files = "\0".join(f for f in listed if f and (ROOT / f).is_file())
+    archive = subprocess.run(["tar", "-c", "--null", "-T", "-"], cwd=ROOT, check=True,
+                             input=files.encode(), capture_output=True)
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
 
 
@@ -100,8 +115,11 @@ def main(argv=None) -> int:
     metrics = contract["end_to_end"]
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as tmp:
-        extract(args.parent, Path(tmp))
-        trees = {"parent": Path(tmp), "change": ROOT}
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for tree in trees.values():
+            tree.mkdir()
+        extract(args.parent, trees["parent"])
+        copy_worktree(trees["change"])
         for pair in range(args.pairs):
             for side in (("parent", "change") if pair % 2 == 0 else ("change", "parent")):
                 runs[side].append(run_once(trees[side], contract["command"], args.workload,

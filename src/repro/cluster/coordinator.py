@@ -27,8 +27,9 @@ followers — and the seam uses the group at both ends:
   (block the gather on promotion).
 * **Commits** (``_commit``) are checked once at the coordinator
   (:func:`~repro.serve.commit.stage_checked`, the single runtime's check
-  too), stamped with a cluster sequence number, then
-  **quorum log-shipped** to every member of each touched group
+  too), stamped with a cluster sequence number, prepared once for
+  every touched shard (:func:`~repro.cluster.replica.prepare_shards`),
+  then **quorum log-shipped** to every member of each touched group
   (:meth:`~repro.cluster.replication.ReplicaGroup.ship`): each member
   WAL-logs its ownership-filtered sub-batch before applying it, and the
   commit is quorum-acked when ``ack_quorum`` members confirmed the
@@ -60,6 +61,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.kernels.dedup import group_spans
 from ..core.stats import declare
 from ..integrity.scrubber import Scrubber
 from ..resilience.chaos import inject_member_faults
@@ -68,7 +70,7 @@ from ..serve.deadline import FIXED, PER_EVENT, REFERENCE_PENALTY
 from ..serve.engine import ServeEngine
 from ..serve.events import EventBatch
 from .partition import ShardRouter, place_group_hosts
-from .replica import ReplicaDown, ShardReplica
+from .replica import ReplicaDown, ShardReplica, prepare_shards
 from .replication import ReplicaGroup
 from .rpc import RpcTimeout, SimRpc
 from .supervisor import Supervisor
@@ -317,41 +319,45 @@ class ServeCluster(ServeEngine):
         ok = np.ones(len(nodes), dtype=bool)
         if not len(nodes):
             return rows, ok
+        # One stable grouping per wave: shard k's rows are order[a:b], in
+        # their input order.
         shards = self.router.shard_of(nodes)
+        order = np.argsort(shards, kind="stable")
         now = self.clock.now()
         strict = self.config.staleness_bound == "strict"
         slowest = 0.0
         c = self.ctx.counters
-        for k, shard in enumerate(np.unique(shards)):
-            group = self.groups[int(shard)]
+        for k, (shard, a, b) in enumerate(zip(*group_spans(shards[order]))):
+            group = self.groups[shard]
             ridx = group.read_member()
             if strict and ridx is not None and ridx != group.primary_idx:
                 # Read-your-commits: no follower read while a promotion
                 # can still give this gather a real primary.
-                if self.supervisor.ensure_primary(int(shard)):
+                if self.supervisor.ensure_primary(shard):
                     c["cluster:strict_fallbacks"] += 1
                 ridx = group.read_member()
             candidates = [] if ridx is None else [ridx] + [
                 i for i in range(group.factor)
                 if i != ridx and group.serving(i)
             ]
-            idx = shards == shard
+            idx = order[a:b]
+            mine = nodes[idx]
             served = False
             for ridx2 in candidates:
                 member = group.members[ridx2]
                 try:
                     elapsed = self.rpc.call(
-                        int(shard), alive=member.alive,
+                        shard, alive=member.alive,
                         stall=member.current_stall(now),
-                        extra=extra + 17 * int(shard) + k + 7919 * ridx2,
+                        extra=extra + 17 * shard + k + 7919 * ridx2,
                     )
                 except RpcTimeout:
                     continue  # fail over to the next serving member
                 # Read-repair: during a suspect window (a skipped scrub
                 # cycle) verify exactly the chunks this read touches
                 # before any row is served.
-                self.scrubber.guard_read(int(shard), group, ridx2, nodes[idx])
-                rows[idx] = member.gather(nodes[idx])
+                self.scrubber.guard_read(shard, group, ridx2, mine)
+                rows[idx] = member.gather(mine)
                 slowest = max(slowest, elapsed)
                 if ridx2 != group.primary_idx:
                     c["cluster:follower_reads"] += 1
@@ -363,7 +369,7 @@ class ServeCluster(ServeEngine):
                 break
             if not served:
                 ok[idx] = False
-                c["cluster:zero_rows"] += int(np.count_nonzero(idx))
+                c["cluster:zero_rows"] += b - a
         self.clock.advance(max(0.0, slowest - self.rpc.service))
         return rows, ok
 
@@ -376,6 +382,11 @@ class ServeCluster(ServeEngine):
         check too; staged rows are a pure function of event content, so
         refusing a batch *before* fan-out quarantines exactly the same
         batches without needing cross-shard two-phase commit.
+
+        Work common to the shards is done once per commit: the plan, the
+        load record and the preparation (records, local rows, leaves and
+        chunks of every shard); each shard's group keeps only its own
+        ship legs, WAL appends and row writes.
         """
         staged = stage_checked(released, self.dim)
         c = self.ctx.counters
@@ -390,20 +401,33 @@ class ServeCluster(ServeEngine):
         # One owner lookup per endpoint feeds both partitions: events into
         # sub-batches, staged rows into each shard's slice of the one plan.
         ends = self.router.endpoint_shards(released)
-        parts = plan_by_owner(
-            staged.nodes, staged.values, staged.times, np.concatenate(ends)
+        owner = np.concatenate(ends)
+        parts = plan_by_owner(staged.nodes, staged.values, staged.times, owner)
+        subs = self.router.split_batch(released, ends)
+        self.supervisor.note_load(
+            {shard: len(part.nodes) for shard, part in parts.items()},
+            staged.nodes[owner >= 0],
         )
-        for shard, sub in self.router.split_batch(released, ends).items():
-            group, part = self.groups[shard], parts[shard]
-            self.supervisor.note_load(shard, len(part.nodes), nodes=part.nodes)
+        for shard in subs:
+            group = self.groups[shard]
             if group.serving_primary() is None and group.any_serving():
                 # A commit needs a leased primary to sequence under; a
                 # serving follower means promotion can happen right now
                 # instead of parking the record for the respawn.
                 self.supervisor.ensure_primary(shard)
-            group.ship(
+        # One preparation for every group a member can take the commit on
+        # now; the others park the sub-batch and prepare at redelivery.
+        ready = [shard for shard in subs if self.groups[shard].any_serving()]
+        prepared = dict(zip(ready, prepare_shards(
+            [self.groups[s].members[self.groups[s].read_member()] for s in ready],
+            [subs[s] for s in ready], seq,
+            [self.groups[s].epoch for s in ready], [parts[s] for s in ready],
+        )))
+        for shard, sub in subs.items():
+            self.groups[shard].ship(
                 sub, seq, self.rpc, now,
-                extra=104729 * (rid + 1) + 31 * shard + 7, part=part,
+                extra=104729 * (rid + 1) + 31 * shard + 7,
+                prepared=prepared.get(shard),
             )
         c["cluster:commits"] += 1
         self.committed_watermark = max(self.committed_watermark, staged.watermark)

@@ -49,7 +49,8 @@ from ..serve.commit import (
 )
 from ..serve.events import EventBatch
 
-__all__ = ["ReplicaDown", "StaleLeaseError", "ShardReplica", "REPLICA_COUNTERS"]
+__all__ = ["ReplicaDown", "StaleLeaseError", "ShardReplica", "Prepared", "prepare_shards",
+           "REPLICA_COUNTERS"]
 
 #: a replica's counters (its durable store adds ``wal:*``,
 #: ``snapshots_written`` and ``compacted_segments`` under the same prefix).
@@ -67,6 +68,43 @@ class Prepared(NamedTuple):
     leaves: np.ndarray
     #: the chunks ``plan.win_nodes`` fall in.
     chunks: np.ndarray
+
+
+def prepare_shards(members, batches, seq: int, epochs, parts) -> list:
+    """Each shard's :class:`Prepared` for the commit sequenced ``seq``.
+
+    ``members[i]`` is a serving member of shard ``i``'s group,
+    ``batches[i]`` its (non-empty) sub-batch, ``epochs[i]`` the group's
+    lease epoch and ``parts[i]`` its slice of the commit's
+    :func:`~repro.serve.commit.plan_by_owner` plan (``None``: plan the
+    sub-batch alone, as replay and redelivery do).  A ``Prepared`` is a
+    function of the sub-batch, ``seq``, the epoch and the ownership — all
+    common to a replica group — and of none of a member's tables or log,
+    so every member logs and applies the same one.
+
+    The record and the local rows are per shard.  The written rows — each
+    plan's last row per node cast to the table dtypes, which is what the
+    write copies in — are hashed for every shard in one ``row_leaves``
+    call, and each shard takes its slice: a commit's rows are hashed once,
+    not once per shard, member and table.
+    """
+    if not members:
+        return []
+    plans = [m.plan(b, p) for m, b, p in zip(members, batches, parts)]
+    data, times = members[0].memory.tables()
+    leaves = row_leaves(
+        np.concatenate([p.win_values for p in plans]).astype(data.dtype, copy=False),
+        np.concatenate([p.win_times for p in plans]).astype(times.dtype, copy=False),
+    )
+    stops = np.cumsum([len(p.win_nodes) for p in plans]).tolist()
+    return [
+        Prepared(
+            encode_payload(KIND_BATCH, {"seq": int(seq), "watermark": float(b.ts.max()),
+                                        "epoch": int(e)}, b.to_arrays()),
+            plan, leaves[a:z], m.digests.memory.chunks_of(plan.win_nodes),
+        )
+        for m, b, e, plan, a, z in zip(members, batches, epochs, plans, [0] + stops, stops)
+    ]
 
 
 class _StateDigests:
@@ -273,30 +311,10 @@ class ShardReplica:
 
     def prepare(self, batch: EventBatch, seq: int, epoch: int,
                 part: Optional[ApplyPlan] = None) -> Prepared:
-        """The WAL record, apply plan, row leaves and chunks of (non-empty)
-        *batch* at ``(seq, epoch)``.
-
-        A function of the sub-batch, its sequence number, the lease epoch
-        and the ownership — all common to a replica group — and of none of
-        this member's tables or log, so ``ReplicaGroup.ship`` prepares
-        once and every member logs and applies the result.  *part* is this
-        shard's slice of the plan the coordinator made for the whole
-        commit; it only needs its nodes mapped to local rows.
-
-        The leaves are each written row's sha256 leaf as ``Memory`` (and a
-        one-slot ``Mailbox``) will hold it — the plan's last row per node
-        cast to the table dtypes, which is what the write copies in — and
-        the chunks are the ones those rows fall in: a commit's rows are
-        hashed once per group, not once per member and table.
-        """
-        meta = {"seq": int(seq), "watermark": float(batch.ts.max()),
-                "epoch": int(epoch)}
-        plan = self.plan(batch, part)
-        data, times = self.memory.tables()
-        leaves = row_leaves(plan.win_values.astype(data.dtype, copy=False),
-                            plan.win_times.astype(times.dtype, copy=False))
-        return Prepared(encode_payload(KIND_BATCH, meta, batch.to_arrays()), plan,
-                        leaves, self.digests.memory.chunks_of(plan.win_nodes))
+        """:func:`prepare_shards` of this one shard: the :class:`Prepared`
+        of (non-empty) *batch* at ``(seq, epoch)``, *part* being this
+        shard's slice of the commit's plan, if one was made."""
+        return prepare_shards([self], [batch], seq, [epoch], [part])[0]
 
     def plan(self, batch: EventBatch, part: Optional[ApplyPlan] = None) -> ApplyPlan:
         """The rows *batch* writes on this shard: staged, owned, deduplicated.
@@ -333,8 +351,9 @@ class ShardReplica:
         touching the log; a newer epoch is adopted (lease renewal rides
         on the ship).
 
-        *prepared* is ``prepare(batch, seq, epoch)`` when the group
-        already has it (same function, run once for all members).
+        *prepared* is this shard's :func:`prepare_shards` result when the
+        commit made one (the same function, run once for all shards and
+        members); without it the member prepares its own.
         """
         if not self.alive or self.memory is None:
             raise ReplicaDown(f"shard {self.shard_id} is down")

@@ -166,11 +166,11 @@ class Supervisor:
 
     # ---- load observation ----------------------------------------------------------
 
-    def note_load(self, shard: int, n_events: int,
-                  nodes: Optional[np.ndarray] = None) -> None:
-        """Record that *shard* handled *n_events* endpoint rows."""
-        self._window_load[shard] += n_events
-        if nodes is not None and len(nodes):
+    def note_load(self, rows: Dict[int, int], nodes: np.ndarray) -> None:
+        """Record one request: ``rows[shard]`` endpoint rows each shard
+        handled, *nodes* the node of every one of those rows."""
+        self._window_load[list(rows)] += list(rows.values())
+        if len(nodes):
             self._node_touches += np.bincount(
                 nodes, minlength=len(self._node_touches)
             )

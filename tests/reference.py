@@ -17,6 +17,10 @@ They live here, not under ``src/``, so the shipped code has one path:
   them.
 * :func:`sequential_commit` — one event batch committed one endpoint row at
   a time, the state every plan (whole, per shard, replayed) has to reproduce.
+* :func:`per_shard_gather` / :func:`per_shard_load` — a cluster request's
+  scatter-gather wave and load record the way they ran before each was
+  done once per request: a boolean mask per shard, and one ``bincount``
+  per shard.
 * :class:`ReuseCacheOracle` — ``NodeTimeCache``'s reuse-distance ring, one
   key at a time over a dict, choosing victims with a full ``np.lexsort`` of
   every resident slot.  ``benchmarks/test_kernels_microbench.py`` times its
@@ -29,6 +33,7 @@ import math
 
 import numpy as np
 
+from repro.cluster import RpcTimeout
 from repro.core import Mailbox, Memory, TBlock, op as tgop
 from repro.models import APAN, JODIE, TGN
 from repro.serve import stage_updates
@@ -175,6 +180,61 @@ def sequential_commit(batch, num_nodes: int, dim: int, slots: int):
         mem.update(np.array([node]), values[i:i + 1], np.array([time]))
         box.store(np.array([node]), values[i:i + 1], np.array([time]))
     return mem, box
+
+
+def per_shard_gather(cluster, nodes, extra: int):
+    """``ServeCluster._gather`` with a boolean mask per touched shard:
+    ``(rows, ok)``, the same calls in the same order."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    rows = np.zeros((len(nodes), cluster.dim), dtype=np.float32)
+    ok = np.ones(len(nodes), dtype=bool)
+    if not len(nodes):
+        return rows, ok
+    shards = cluster.router.shard_of(nodes)
+    now, c, slowest = cluster.clock.now(), cluster.ctx.counters, 0.0
+    strict = cluster.config.staleness_bound == "strict"
+    for k, shard in enumerate(np.unique(shards)):
+        shard = int(shard)
+        group = cluster.groups[shard]
+        ridx = group.read_member()
+        if strict and ridx is not None and ridx != group.primary_idx:
+            if cluster.supervisor.ensure_primary(shard):
+                c["cluster:strict_fallbacks"] += 1
+            ridx = group.read_member()
+        candidates = [] if ridx is None else [ridx] + [
+            i for i in range(group.factor) if i != ridx and group.serving(i)]
+        idx = shards == shard
+        for ridx2 in candidates:
+            member = group.members[ridx2]
+            try:
+                elapsed = cluster.rpc.call(
+                    shard, alive=member.alive, stall=member.current_stall(now),
+                    extra=extra + 17 * shard + k + 7919 * ridx2)
+            except RpcTimeout:
+                continue
+            cluster.scrubber.guard_read(shard, group, ridx2, nodes[idx])
+            rows[idx] = member.gather(nodes[idx])
+            slowest = max(slowest, elapsed)
+            if ridx2 != group.primary_idx:
+                c["cluster:follower_reads"] += 1
+                c["cluster:staleness_lag"] += max(0, group.committed_seq - member.last_seq)
+            break
+        else:
+            ok[idx] = False
+            c["cluster:zero_rows"] += int(np.count_nonzero(idx))
+    cluster.clock.advance(max(0.0, slowest - cluster.rpc.service))
+    return rows, ok
+
+
+def per_shard_load(parts, num_shards: int, num_nodes: int):
+    """``(window load, node touches)`` one request's plan adds, recorded one
+    shard after the other: each shard's rows, and a ``bincount`` of its nodes."""
+    load, touches = np.zeros(num_shards), np.zeros(num_nodes)
+    for shard, part in parts.items():
+        load[shard] += len(part.nodes)
+        if len(part.nodes):
+            touches += np.bincount(part.nodes, minlength=num_nodes)
+    return load, touches
 
 
 class ReuseCacheOracle:

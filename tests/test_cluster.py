@@ -11,6 +11,8 @@ assembled Memory/Mailbox state is bit-identical to a clean
 single-replica replay.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,7 @@ from repro.cluster import (
     Supervisor,
     hash_shard,
 )
+from reference import per_shard_gather, per_shard_load
 from repro.core import Mailbox, Memory, TContext, TGraph, TSampler
 from repro.integrity import array_digest
 from repro.resilience import FaultInjector
@@ -432,7 +435,7 @@ def test_cluster_rebalance_moves_hot_nodes_and_preserves_state():
         rows_before = cluster.replicas[hot].gather(hot_nodes[:2]).copy()
         # fake a sustained hot spot on that shard, tick across windows
         for _ in range(4):
-            cluster.supervisor.note_load(hot, 1000, nodes=hot_nodes[:8])
+            cluster.supervisor.note_load({hot: 1000}, hot_nodes[:8])
             cluster.clock.advance(2e-3)
             cluster.supervisor.tick()
         stats = cluster.supervisor.counters
@@ -728,6 +731,82 @@ def test_whole_group_down_marks_valid_mask():
         assert ctx.counters["cluster:zero_rows"] > 0
 
 
+@pytest.mark.parametrize("case", ["follower", "strict", "group_down"])
+def test_grouped_gather_wave_equals_the_per_shard_loop(case):
+    """One shard grouping per gather wave reads what a mask per shard read:
+    the same rows, validity mask, counters, clock and promotions, through
+    the same ``(shard, extra)`` RPC sequence — with a dead primary's reads
+    failing over under dropped sends."""
+    stream = _stream(300)
+    batches = split_batches(stream, 30)
+    nodes = np.random.default_rng(4).integers(0, N, 64)  # unsorted, repeats
+    seen = []
+    for gather in (ServeCluster._gather, per_shard_gather):
+        ctx, cluster = _replicated(
+            stream, 2, staleness_bound="strict" if case == "strict" else "bounded")
+        with cluster:
+            replay(cluster, batches[:4], load=16.0)
+            cluster.groups[1].members[0].crash()  # out-of-band: not yet detected
+            # a stalled primary times out mid-wave: its read fails over
+            cluster.groups[3].primary.stall(cluster.clock.now(), 100.0, 1.0)
+            if case == "group_down":
+                for member in cluster.groups[2].members:
+                    member.crash()
+            calls, real = [], cluster.rpc.call
+
+            def spy(shard, **kw):
+                calls.append((shard, kw["extra"]))
+                return real(shard, **kw)
+
+            cluster.rpc.call = spy
+            with FaultInjector(3, rates={"rpc.send.drop": 0.3}):
+                rows, ok = gather(cluster, nodes, 11)
+            counters = {k: v for k, v in ctx.counters.items()
+                        if k != "integrity:scrub_seconds"}  # wall time
+            seen.append((rows, ok, calls, counters, cluster.clock.now(),
+                         [(g.primary_idx, g.epoch) for g in cluster.groups]))
+    (rows, ok, calls, counters, now, primaries), want = seen
+    assert np.array_equal(rows, want[0]) and np.array_equal(ok, want[1])
+    assert calls == want[2]
+    assert len({shard for shard, _ in calls}) == (3 if case == "group_down" else 4)
+    assert counters == want[3] and now == want[4] and primaries == want[5]
+    assert np.abs(rows[ok]).sum() > 0 and counters["rpc:failures"] > 0
+    assert ok.all() == (case != "group_down")
+    key = {"follower": "cluster:follower_reads", "strict": "cluster:strict_fallbacks",
+           "group_down": "cluster:zero_rows"}[case]
+    assert counters[key] > 0
+
+
+def test_one_load_record_per_request_is_the_per_shard_records_summed():
+    """A request's one ``note_load`` adds what one record per shard added:
+    each shard's endpoint rows to the window load, every touched node to
+    the touch counts."""
+    from repro.cluster import coordinator
+
+    stream = _stream(300)
+    batches = split_batches(stream, 30)
+    ctx, cluster = _cluster(stream, config=ClusterConfig(num_shards=5))
+    plans, real = [], coordinator.plan_by_owner
+
+    def spy(*args):
+        plans.append(real(*args))
+        return plans[-1]
+
+    with cluster, mock.patch.object(coordinator, "plan_by_owner", spy):
+        # a window that never closes: the record of the whole run stays
+        sup = cluster.supervisor = Supervisor(
+            cluster.clock, cluster.groups, cluster.router, rebalance_window=np.inf)
+        replay(cluster, batches, load=16.0)
+    load, touches = np.zeros(5), np.zeros(N)
+    for parts in plans:
+        one_load, one_touches = per_shard_load(parts, 5, N)
+        load += one_load
+        touches += one_touches
+    assert len(plans) > 1 and load.sum() > 0
+    assert np.array_equal(sup._window_load, load)
+    assert np.array_equal(sup._node_touches, touches)
+
+
 def test_quiesced_member_accrues_no_phi():
     """Satellite regression: a member quiesced for a planned hand-off
     must never be declared dead for beats it was told not to send."""
@@ -766,7 +845,7 @@ def test_rebalance_with_replication_moves_all_members():
         cluster.groups[hot].ship(batch, 0, cluster.rpc, 0.0, extra=0)
         rows_before = cluster.replicas[hot].gather(hot_nodes[:2]).copy()
         for _ in range(4):
-            cluster.supervisor.note_load(hot, 1000, nodes=hot_nodes[:8])
+            cluster.supervisor.note_load({hot: 1000}, hot_nodes[:8])
             cluster.clock.advance(2e-3)
             cluster.supervisor.tick()
         stats = cluster.supervisor.counters
