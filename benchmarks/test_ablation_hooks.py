@@ -105,7 +105,7 @@ def test_ablation_hooks_mechanism(benchmark):
         manual.load_state_dict(exp.model.state_dict())
 
         # Output equivalence on one batch before timing.
-        batch = tg.TBatch(exp.g, 0, cfg.batch_size)
+        batch = tg.TBatch.range(exp.g, 0, cfg.batch_size)
         batch.neg_nodes = exp.neg_sampler.sample(len(batch))
         exp.model.eval(); manual.eval(); exp.ctx.eval()
         with T.no_grad():

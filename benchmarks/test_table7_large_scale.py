@@ -113,7 +113,7 @@ def test_table7_oom_demonstration(benchmark):
             )
             exp = Experiment(cfg)
             try:
-                batch = tg.TBatch(exp.g, 20000, 22000)
+                batch = tg.TBatch.range(exp.g, 20000, 22000)
                 batch.neg_nodes = exp.neg_sampler.sample(2000)
                 pos, _ = exp.model(batch)
                 loss = nn.bce_with_logits(pos, T.ones(len(batch), device=pos.device))

@@ -2,7 +2,7 @@
 
 `examples/online_serving.py` shows the serving runtime surviving bad
 *inputs*; this example shows it surviving a bad *machine*.  With
-``durable_dir`` set, `ServeRuntime` logs every committed `EventBatch` to
+``durable_dir`` set, `ServeRuntime` logs every committed `TBatch` to
 an append-only write-ahead log *before* applying it (WAL-then-apply),
 so a crash at any byte offset — torn write, lost fsync, power cut —
 recovers the exact committed prefix and nothing else:

@@ -70,7 +70,7 @@ def load_stream(args):
     import numpy as np
 
     from ..serve import build_stream
-    from ..serve.events import EventBatch
+    from ..core.batch import TBatch
 
     if args.dataset is None:
         stream = build_stream(args.num_nodes, args.events,
@@ -78,7 +78,7 @@ def load_stream(args):
         return stream, args.num_nodes
     d = get_dataset(args.dataset)
     payload = d.efeat[:, : args.payload_dim] if d.efeat is not None else None
-    stream = EventBatch(np.arange(d.num_edges), d.src, d.dst, d.ts, payload)
+    stream = TBatch(np.arange(d.num_edges), d.src, d.dst, d.ts, payload)
     return stream, d.num_nodes
 
 

@@ -64,7 +64,7 @@ def collect_source_embeddings(
             batch.neg_nodes = batch.dst
             out = model.compute_embeddings(batch)
             embeds.append(out.numpy()[: len(batch)].copy())
-            labels.append(dataset.edge_labels[batch.start : batch.stop])
+            labels.append(dataset.edge_labels[batch.eids])
     return np.concatenate(embeds), np.concatenate(labels)
 
 

@@ -259,7 +259,7 @@ class ResilientTrainer:
     def _run_batch(self, lo: int, hi: int) -> float:
         """:func:`~repro.bench.trainer.train_step` on a freshly built
         batch over edges ``[lo, hi)``, plus the divergence guard."""
-        batch = TBatch(self.g, lo, hi)
+        batch = TBatch.range(self.g, lo, hi)
         self.model.train()
         self.neg_sampler.reset(lo)
         loss_value = train_step(self.model, batch, self.optimizer, self.neg_sampler)

@@ -84,12 +84,13 @@ def train_step(model, batch: TBatch, optimizer: Optimizer, neg_sampler: Negative
     (:class:`~repro.bench.resilient.ResilientTrainer`) both call it.
     Negatives are drawn before any model work, so the sampler's draw
     marks the batch boundary; then the step keys its dropout masks on
-    ``batch.start``.  The model must already be in train mode.  The
+    the batch's first event id (``batch.eids[0]``, its first edge index
+    for a graph batch).  The model must already be in train mode.  The
     step's Figure-7 stages are marked as :mod:`repro.spans` spans.
     """
     with span("batch_prep"):
         batch.neg_nodes = neg_sampler.sample(len(batch))
-        dropout_step(batch.start)
+        dropout_step(int(batch.eids[0]))
         optimizer.zero_grad()
     pos, neg = model(batch)
     with span("pred_loss"):

@@ -61,6 +61,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.batch import TBatch
 from ..core.kernels.dedup import group_spans
 from ..core.stats import declare
 from ..integrity.scrubber import Scrubber
@@ -68,7 +69,6 @@ from ..resilience.chaos import inject_member_faults
 from ..serve.commit import plan_by_owner, stage_checked
 from ..serve.deadline import FIXED, PER_EVENT, REFERENCE_PENALTY
 from ..serve.engine import ServeEngine
-from ..serve.events import EventBatch
 from .partition import ShardRouter, place_group_hosts
 from .replica import ReplicaDown, ShardReplica, prepare_shards
 from .replication import ReplicaGroup
@@ -375,7 +375,7 @@ class ServeCluster(ServeEngine):
 
     # ---- the seam: commit fan-out --------------------------------------------------
 
-    def _commit(self, released: EventBatch, rid: int) -> None:
+    def _commit(self, released: TBatch, rid: int) -> None:
         """Check once at the coordinator, then fan out by ownership.
 
         :func:`~repro.serve.commit.stage_checked` is the single runtime's

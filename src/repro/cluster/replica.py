@@ -32,6 +32,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ..core.batch import TBatch
 from ..core.mailbox import Mailbox
 from ..core.memory import Memory
 from ..core.state import state_image
@@ -47,7 +48,6 @@ from ..serve.commit import (
     replay_state,
     stage_updates,
 )
-from ..serve.events import EventBatch
 
 __all__ = ["ReplicaDown", "StaleLeaseError", "ShardReplica", "Prepared", "prepare_shards",
            "REPLICA_COUNTERS"]
@@ -309,14 +309,14 @@ class ShardReplica:
 
     # ---- state application ---------------------------------------------------------
 
-    def prepare(self, batch: EventBatch, seq: int, epoch: int,
+    def prepare(self, batch: TBatch, seq: int, epoch: int,
                 part: Optional[ApplyPlan] = None) -> Prepared:
         """:func:`prepare_shards` of this one shard: the :class:`Prepared`
         of (non-empty) *batch* at ``(seq, epoch)``, *part* being this
         shard's slice of the commit's plan, if one was made."""
         return prepare_shards([self], [batch], seq, [epoch], [part])[0]
 
-    def plan(self, batch: EventBatch, part: Optional[ApplyPlan] = None) -> ApplyPlan:
+    def plan(self, batch: TBatch, part: Optional[ApplyPlan] = None) -> ApplyPlan:
         """The rows *batch* writes on this shard: staged, owned, deduplicated.
 
         *part* is this shard's slice of a whole request's
@@ -337,7 +337,7 @@ class ShardReplica:
         return part._replace(nodes=self._local[part.nodes],
                              win_nodes=self._local[part.win_nodes])
 
-    def apply(self, batch: EventBatch, seq: int, epoch: int,
+    def apply(self, batch: TBatch, seq: int, epoch: int,
               prepared: Optional[Prepared] = None) -> bool:
         """Durably apply one cluster-committed sub-batch (idempotent).
 

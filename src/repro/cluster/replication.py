@@ -50,9 +50,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..core.batch import TBatch
 from ..core.stats import declare
 from ..durable.tail import read_batch_suffix
-from ..serve.events import EventBatch
 from .replica import Prepared, ReplicaDown, ShardReplica
 from .rpc import RpcTimeout
 
@@ -109,7 +109,7 @@ class ReplicaGroup:
         #: newest cluster commit sequence shipped through this group.
         self.committed_seq = -1
         #: per-member in-order queues of ``(seq, sub_batch)`` to redeliver.
-        self._pending: List[List[Tuple[int, EventBatch]]] = [
+        self._pending: List[List[Tuple[int, TBatch]]] = [
             [] for _ in self.members
         ]
         #: counter-table key of each :data:`GROUP_COUNTERS` name.
@@ -168,7 +168,7 @@ class ReplicaGroup:
 
     # ---- quorum log shipping -------------------------------------------------------
 
-    def _defer(self, idx: int, seq: int, batch: EventBatch) -> None:
+    def _defer(self, idx: int, seq: int, batch: TBatch) -> None:
         self._pending[idx].append((seq, batch))
         self.counters[self.key["deferred"]] += 1
 
@@ -189,7 +189,7 @@ class ReplicaGroup:
             self.counters[self.key["redelivered"]] += 1
         return len(queue)
 
-    def ship(self, batch: EventBatch, seq: int, rpc, now: float,
+    def ship(self, batch: TBatch, seq: int, rpc, now: float,
              extra: int, prepared: Optional[Prepared] = None) -> int:
         """Synchronously replicate one committed sub-batch to all members.
 
@@ -301,7 +301,7 @@ class ReplicaGroup:
         for record in read_batch_suffix(
             old_member.durable_dir, after_seq=new_primary.last_seq
         ):
-            sub = EventBatch.from_arrays(record.arrays)
+            sub = TBatch.from_arrays(record.arrays)
             new_primary.apply(
                 sub, int(record.meta["seq"]), epoch=self.epoch
             )

@@ -1,14 +1,18 @@
-"""TBatch: a thin wrapper around a contiguous batch of temporal edges.
+"""TBatch: one batch of temporal events as a struct of arrays.
 
 Rather than haphazardly passing several node/timestamp arrays around, a
-TBatch holds a :class:`~repro.core.graph.TGraph` reference plus the batch's
-edge-index range and materializes derived arrays (node lists, head blocks,
-adjacency blocks) only when asked.
+TBatch holds a batch's ``(eids, src, dst, ts)`` arrays, plus optional
+per-event payload rows and negative samples, and materializes derived
+arrays (node lists, head blocks, adjacency blocks) only when asked.  The
+one class serves every consumer: a training batch is a slice of a
+:class:`~repro.core.graph.TGraph` (:meth:`TBatch.range`, which keeps the
+graph as ``g``), and a served request is the serving path's wire format
+(``g`` is None).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -22,49 +26,129 @@ __all__ = ["TBatch", "iter_batches"]
 
 
 class TBatch:
-    """A batch of chronologically contiguous temporal edges.
+    """A batch of temporal events in struct-of-arrays form.
 
     Args:
-        g: the temporal graph.
-        start: first edge index of the batch (inclusive).
-        stop: one past the last edge index.
+        eids: int64 event ids: edge indices into ``g`` for a graph batch,
+            the idempotency key of a served event.
+        src: int64 source node ids.
+        dst: int64 destination node ids.
+        ts: float64 event timestamps.
+        payload: optional float32 ``(n, d)`` per-event feature rows (a
+            served event's edge features / raw message content); None
+            means payload-free events.  A graph batch's edge features are
+            read from ``g.efeat`` by event id instead.
+        g: the temporal graph the events are edges of (None for a served
+            request).
         neg_nodes: optional array of negative-sample node ids, one per
-            positive edge, attached by the training loop for link
-            prediction.
+            event, attached by the training loop for link prediction.
     """
 
-    def __init__(self, g: "TGraph", start: int, stop: int, neg_nodes: Optional[np.ndarray] = None):
-        if not 0 <= start <= stop <= g.num_edges:
-            raise ValueError(f"invalid batch range [{start}, {stop}) for {g.num_edges} edges")
+    def __init__(self, eids, src, dst, ts, payload=None, *,
+                 g: Optional["TGraph"] = None, neg_nodes: Optional[np.ndarray] = None):
+        self.eids = np.asarray(eids, dtype=np.int64)
+        self.src = np.asarray(src, dtype=np.int64)
+        self.dst = np.asarray(dst, dtype=np.int64)
+        self.ts = np.asarray(ts, dtype=np.float64)
+        n = len(self.eids)
+        if not (len(self.src) == len(self.dst) == len(self.ts) == n):
+            raise ValueError("event arrays must have equal lengths")
+        if payload is not None:
+            payload = np.asarray(payload, dtype=np.float32)
+            if len(payload) != n:
+                raise ValueError(f"payload rows {len(payload)} != events {n}")
+        self.payload = payload
         self.g = g
-        self.start = int(start)
-        self.stop = int(stop)
         self.neg_nodes = neg_nodes
 
-    # ---- lazily materialized views -------------------------------------------------
+    @classmethod
+    def range(cls, g: "TGraph", lo: int, hi: int,
+              neg_nodes: Optional[np.ndarray] = None) -> "TBatch":
+        """The chronologically contiguous edges ``[lo, hi)`` of *g*."""
+        if not 0 <= lo <= hi <= g.num_edges:
+            raise ValueError(f"invalid batch range [{lo}, {hi}) for {g.num_edges} edges")
+        return cls(np.arange(lo, hi, dtype=np.int64), g.src[lo:hi], g.dst[lo:hi],
+                   g.ts[lo:hi], g=g, neg_nodes=neg_nodes)
+
+    @classmethod
+    def empty(cls) -> "TBatch":
+        return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                   np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
 
     def __len__(self) -> int:
-        return self.stop - self.start
+        return len(self.eids)
 
-    @property
-    def size(self) -> int:
-        return len(self)
+    # ---- selection and order ------------------------------------------------------
 
-    @property
-    def eids(self) -> np.ndarray:
-        return np.arange(self.start, self.stop, dtype=np.int64)
+    def take(self, index: np.ndarray) -> "TBatch":
+        """A new batch holding the events selected by *index* (mask or
+        positions); payload rows and negatives follow their events."""
+        return TBatch(
+            self.eids[index], self.src[index], self.dst[index], self.ts[index],
+            None if self.payload is None else self.payload[index],
+            g=self.g,
+            neg_nodes=None if self.neg_nodes is None else self.neg_nodes[index],
+        )
 
-    @property
-    def src(self) -> np.ndarray:
-        return self.g.src[self.start : self.stop]
+    def sorted_by_time(self) -> "TBatch":
+        """Events in canonical ``(ts, eid)`` order.
 
-    @property
-    def dst(self) -> np.ndarray:
-        return self.g.dst[self.start : self.stop]
+        The tie-break on event id makes the order a total one, so any
+        bounded shuffle of the same events sorts back to an identical
+        sequence — the property the poisoned-stream equivalence guarantee
+        rests on.
+        """
+        return self.take(np.lexsort((self.eids, self.ts)))
 
-    @property
-    def ts(self) -> np.ndarray:
-        return self.g.ts[self.start : self.stop]
+    @staticmethod
+    def concat(batches: Sequence["TBatch"]) -> "TBatch":
+        """The events of *batches*, in order.
+
+        The non-empty batches must agree on ``g``, on the payload's row
+        shape (or all carry none) and on carrying negatives; a mix raises
+        ValueError rather than dropping rows.
+        """
+        batches = [b for b in batches if len(b)]
+        if not batches:
+            return TBatch.empty()
+        first = batches[0]
+        payload, neg_nodes = first.payload, first.neg_nodes
+        for b in batches[1:]:
+            if (b.g is not first.g or (b.payload is None) != (payload is None)
+                    or (b.neg_nodes is None) != (neg_nodes is None)):
+                raise ValueError("cannot concat batches that differ in graph, "
+                                 "in carrying a payload or in carrying negatives")
+        if payload is not None:
+            try:
+                payload = np.concatenate([b.payload for b in batches])
+            except ValueError:
+                raise ValueError("cannot concat payloads of different widths") from None
+        if neg_nodes is not None:
+            neg_nodes = np.concatenate([b.neg_nodes for b in batches])
+        return TBatch(
+            np.concatenate([b.eids for b in batches]),
+            np.concatenate([b.src for b in batches]),
+            np.concatenate([b.dst for b in batches]),
+            np.concatenate([b.ts for b in batches]),
+            payload, g=first.g, neg_nodes=neg_nodes,
+        )
+
+    # ---- durable-log form ---------------------------------------------------------
+
+    def to_arrays(self) -> Dict[str, np.ndarray]:
+        """Flat array dict for durable-log serialization (see ``from_arrays``)."""
+        arrays = {"eids": self.eids, "src": self.src, "dst": self.dst, "ts": self.ts}
+        if self.payload is not None:
+            arrays["payload"] = self.payload
+        return arrays
+
+    @classmethod
+    def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "TBatch":
+        """Inverse of :meth:`to_arrays` (used by durable-log recovery)."""
+        return cls(arrays["eids"], arrays["src"], arrays["dst"], arrays["ts"],
+                   arrays.get("payload"))
+
+    # ---- derived node lists -------------------------------------------------------
 
     def nodes(self) -> np.ndarray:
         """Source nodes, destination nodes, then negatives (if attached)."""
@@ -96,17 +180,17 @@ class TBatch:
         by memory-based models to build mailbox messages (e.g. Listing 4's
         ``save_raw_msgs``).
         """
-        src, dst, ts = self.src, self.dst, self.ts
-        endpoints = np.concatenate([src, dst])
-        neighbors = np.concatenate([dst, src])
+        endpoints = np.concatenate([self.src, self.dst])
+        neighbors = np.concatenate([self.dst, self.src])
         eids = np.concatenate([self.eids, self.eids])
-        etimes = np.concatenate([ts, ts])
-        blk = TBlock(ctx, 0, endpoints, etimes.astype(np.float64))
-        blk.set_nbrs(neighbors, eids, etimes.astype(np.float64), np.arange(len(endpoints), dtype=np.int64))
+        etimes = np.concatenate([self.ts, self.ts])
+        blk = TBlock(ctx, 0, endpoints, etimes)
+        blk.set_nbrs(neighbors, eids, etimes.copy(), np.arange(len(endpoints), dtype=np.int64))
         return blk
 
     def __repr__(self) -> str:
-        return f"TBatch(edges=[{self.start}, {self.stop}), size={len(self)})"
+        span = f", t=[{self.ts.min():.6g}, {self.ts.max():.6g}]" if len(self) else ""
+        return f"TBatch(n={len(self)}{span})"
 
 
 def iter_batches(
@@ -127,4 +211,4 @@ def iter_batches(
         raise ValueError("batch_size must be positive")
     stop = g.num_edges if stop is None else stop
     for lo in range(start, stop, batch_size):
-        yield TBatch(g, lo, min(lo + batch_size, stop))
+        yield TBatch.range(g, lo, min(lo + batch_size, stop))

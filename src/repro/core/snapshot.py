@@ -62,7 +62,7 @@ class TSnapshot:
 
     def batch(self) -> TBatch:
         """The window's edges as a TBatch (for the standard trainer)."""
-        return TBatch(self.g, self.start_eid, self.stop_eid)
+        return TBatch.range(self.g, self.start_eid, self.stop_eid)
 
     def block(self, ctx, nodes: Optional[np.ndarray] = None) -> TBlock:
         """Seed a TBlock at this snapshot's end time.

@@ -21,7 +21,7 @@ duplicated tail record, lost fsync — recovery yields state bit-identical
 to a clean replay of the committed prefix, no committed record is lost
 or applied twice, and re-opening the store is idempotent.
 
-Consumer: the serving path logs each released ``EventBatch`` before
+Consumer: the serving path logs each released ``TBatch`` before
 applying it (:class:`repro.serve.StateCommitter`); training persists
 through whole-file checkpoints (:mod:`repro.bench.checkpoint`) instead.
 """

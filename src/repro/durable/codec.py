@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 #: record kinds (u8); the WAL/stores attach semantics, the codec does not.
-KIND_BATCH = 1  #: a committed EventBatch delta (serve path)
+KIND_BATCH = 1  #: a committed TBatch delta (serve path)
 # Kind 2 is reserved, never reused: logs written before commits became
 # check-then-log used it to veto an already-logged batch, so a reader
 # that met one under any new meaning would resurrect that batch.

@@ -3,7 +3,7 @@
 :class:`DurableStateStore` composes the :class:`~repro.durable.wal.WriteAheadLog`
 and the snapshot files into the commit protocol every serving process shares:
 
-1. **log** the state delta (a checked :class:`EventBatch`) *before*
+1. **log** the state delta (a checked :class:`~repro.core.TBatch`) *before*
    applying it in RAM — callers check a delta before logging it, so a
    logged record is never taken back;
 2. periodically write a **snapshot** of the full applied state and

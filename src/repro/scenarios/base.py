@@ -4,7 +4,7 @@ A *scenario* is a deterministic, seedable generator of a streaming
 workload that the static JODIE-shaped datasets cannot express: bursts,
 floods, cold starts, drift, churn.  Each generator is a function
 ``(spec) -> LabeledStream`` registered under a name; the stream's events
-are a plain :class:`repro.serve.EventBatch` (directly replayable through
+are a plain :class:`repro.core.TBatch` (directly replayable through
 the serving runtime) and every event carries a ground-truth label so
 accuracy-under-drift is measurable, not just throughput.
 
@@ -23,8 +23,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..core.batch import TBatch
 from ..data.synthetic import derive_rng
-from ..serve.events import EventBatch
 
 __all__ = [
     "ScenarioSpec",
@@ -78,7 +78,7 @@ class LabeledStream:
 
     Attributes:
         spec: the spec that generated this stream.
-        events: time-sorted :class:`EventBatch` with sequential eids.
+        events: time-sorted :class:`TBatch` with sequential eids.
         labels: int64, 1 = genuine (preference-consistent) interaction,
             0 = noise/spam — the positive class for AP scoring.
         phase: int64 per-event phase id (generator-defined: pre/during/
@@ -88,7 +88,7 @@ class LabeledStream:
     """
 
     spec: ScenarioSpec
-    events: EventBatch
+    events: TBatch
     labels: np.ndarray
     phase: np.ndarray
     meta: Dict = field(default_factory=dict)

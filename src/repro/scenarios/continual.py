@@ -1,7 +1,7 @@
 """Train-on-serve-log continual learning: the serve→train closed loop.
 
 The serving runtime write-ahead logs every committed
-:class:`~repro.serve.EventBatch` (``repro.durable``).  The
+:class:`~repro.core.TBatch` (``repro.durable``).  The
 :class:`ContinualLearner` tails that log with a prefix-consistent
 :class:`~repro.durable.WALCursor`, converts committed records back into
 training edges, and fine-tunes a link model online through
@@ -37,13 +37,13 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..bench.resilient import ResilientResult, ResilientTrainer
-from ..core import Mailbox, Memory, TContext, TGraph, TSampler
+from ..core import Mailbox, Memory, TBatch, TContext, TGraph, TSampler
 from ..core.state import state_image
 from ..data import NegativeSampler, derive_rng
 from ..durable import KIND_BATCH, WALCursor
 from ..integrity.digest import array_digest
 from ..nn import Adam, Module, Parameter
-from ..serve import EventBatch, ServeRuntime, replay, split_batches
+from ..serve import ServeRuntime, replay, split_batches
 from ..tensor import manual_seed
 from .base import LabeledStream
 from .score import accuracy_under_drift
@@ -142,7 +142,7 @@ class ContinualLearner:
         self.injector = injector
         os.makedirs(checkpoint_dir, exist_ok=True)
         self.cursor = WALCursor(wal_dir, name=cursor_name)
-        self._batches: List[EventBatch] = []
+        self._batches: List[TBatch] = []
         self._num_events = 0
         self.trained_end = 0
         self.server_watermark = float("-inf")
@@ -164,7 +164,7 @@ class ContinualLearner:
         for rec in self.cursor.poll():
             if rec.kind != KIND_BATCH:
                 continue
-            batch = EventBatch.from_arrays(rec.arrays)
+            batch = TBatch.from_arrays(rec.arrays)
             if not len(batch):
                 continue
             self._batches.append(batch)
@@ -180,7 +180,7 @@ class ContinualLearner:
         return True
 
     def _retrain(self, runtime: ServeRuntime) -> None:
-        events = EventBatch.concat(self._batches)
+        events = TBatch.concat(self._batches)
         g = TGraph(events.src, events.dst, events.ts, num_nodes=self.num_nodes)
         if self.trainer is None:
             self.trainer = ResilientTrainer(

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..serve.events import EventBatch
+from ..core.batch import TBatch
 from .base import LabeledStream, ScenarioSpec, register, stream_rng
 
 __all__ = [
@@ -161,7 +161,7 @@ def _assemble(
             .standard_normal((n, spec.payload_dim))
             .astype(np.float32)
         )
-    events = EventBatch(np.arange(n, dtype=np.int64), src, dst, ts, payload)
+    events = TBatch(np.arange(n, dtype=np.int64), src, dst, ts, payload)
     world_meta = {
         "num_users": len(world.users),
         "items_lo": int(world.items[0]),

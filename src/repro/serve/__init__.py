@@ -6,8 +6,8 @@ is the hardened streaming front end that restores them at runtime:
 
 * :mod:`repro.clock` — the simulated clock every latency decision reads
   (deterministic replay, no wall-clock flakiness), re-exported here;
-* :mod:`~repro.serve.events` — the event wire format plus structured
-  validation (:class:`RejectReason`);
+* :mod:`~repro.serve.events` — structured validation of the event wire
+  format, a :class:`~repro.core.batch.TBatch` (:class:`RejectReason`);
 * :mod:`~repro.serve.ingest` — validation/quarantine, idempotent replay
   dedup, and bounded out-of-order reordering with watermark semantics;
 * :mod:`~repro.serve.admission` — token-bucket rate limiting, a bounded
@@ -37,6 +37,7 @@ stream — and every rejected event is accounted for in quarantine stats.
 """
 
 from ..clock import SimClock
+from ..core.batch import TBatch
 from .admission import AdmissionController, TokenBucket
 from .commit import (
     ApplyPlan,
@@ -52,10 +53,12 @@ from .commit import (
 )
 from .deadline import LEVELS, CostModel, DegradationLadder, LadderDecision
 from .engine import Request, RequestResult, ServeEngine, ledger_violations
-from .events import EventBatch, RejectReason, validate_events
+from .events import RejectReason, validate_events
 from .ingest import IngestPipeline, QuarantinedEvent
 from .replay import build_stream, poison_stream, replay, split_batches
 from .runtime import ServeRuntime
+
+EventBatch = TBatch  # the serving name perf/workloads.py still builds its streams with
 
 __all__ = [
     "AdmissionController",

@@ -40,13 +40,13 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ..core.batch import TBatch
 from ..core.kernels.dedup import canonical_event_order, group_spans
 from ..core.state import load_state_image, state_image
 from ..core.stats import declare
 from ..durable.codec import KIND_BATCH
 from ..resilience.errors import TransientKernelError
 from ..resilience.hooks import poke as _poke
-from .events import EventBatch
 
 __all__ = [
     "CommitResult",
@@ -87,7 +87,7 @@ def _time_encode(ts: np.ndarray, dim: int) -> np.ndarray:
     return np.cos(ts[:, None] * freqs[None, :]).astype(np.float32)
 
 
-def stage_updates(batch: EventBatch, dim: int):
+def stage_updates(batch: TBatch, dim: int):
     """Build ``(nodes, values, times)`` endpoint updates from *batch*.
 
     Both endpoints of each event receive the event's value row at the
@@ -120,7 +120,7 @@ class StagedBatch(NamedTuple):
     violations: Tuple[str, ...]
 
 
-def stage_checked(batch: EventBatch, dim: int) -> StagedBatch:
+def stage_checked(batch: TBatch, dim: int) -> StagedBatch:
     """Turn a released, non-empty *batch* into rows that are safe to write.
 
     The step both serving backends run before anything is logged or
@@ -276,7 +276,7 @@ class StateCommitter:
 
     # ---- commit ------------------------------------------------------------------
 
-    def commit(self, batch: EventBatch) -> CommitResult:
+    def commit(self, batch: TBatch) -> CommitResult:
         """Commit *batch* all-or-nothing; returns whether it was written.
 
         A batch whose staged rows fail :func:`stage_checked` is
@@ -329,7 +329,7 @@ class StateCommitter:
 
 def replay_state(
     state,
-    plan: Callable[[EventBatch], ApplyPlan],
+    plan: Callable[[TBatch], ApplyPlan],
     memory,
     mailbox,
     where: str,
@@ -356,7 +356,7 @@ def replay_state(
     for record in state.records:
         if record.kind != KIND_BATCH:
             continue
-        apply_plan(plan(EventBatch.from_arrays(record.arrays)), memory, mailbox)
+        apply_plan(plan(TBatch.from_arrays(record.arrays)), memory, mailbox)
         for key, value in record.meta.items():
             marks[key] = max(marks.get(key, value), value)
         replayed += 1

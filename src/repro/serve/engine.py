@@ -52,11 +52,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..clock import SimClock
+from ..core.batch import TBatch
 from ..core.stats import declare
 from ..resilience.errors import TransientKernelError
 from .admission import AdmissionController
 from .deadline import LEVELS, DegradationLadder, LadderDecision
-from .events import EventBatch, RejectReason, validate_events
+from .events import RejectReason, validate_events
 from .ingest import QUARANTINED, IngestPipeline
 
 __all__ = ["Request", "RequestResult", "ServeEngine", "ledger_violations"]
@@ -93,7 +94,7 @@ class Request:
     """One serving request: score these events, then apply them."""
 
     rid: int
-    batch: EventBatch
+    batch: TBatch
     arrival: float
     deadline: float
 
@@ -204,7 +205,7 @@ class ServeEngine:
         a row.  *extra* salts the backend's per-read fault decisions."""
         raise NotImplementedError
 
-    def _commit(self, released: EventBatch, rid: int) -> None:
+    def _commit(self, released: TBatch, rid: int) -> None:
         """Durably apply one non-empty released batch, all or nothing."""
         raise NotImplementedError
 
@@ -260,7 +261,7 @@ class ServeEngine:
 
     def submit(
         self,
-        batch: EventBatch,
+        batch: TBatch,
         deadline: Optional[float] = None,
         arrival: Optional[float] = None,
     ) -> bool:
@@ -364,7 +365,7 @@ class ServeEngine:
 
     # ---- ingestion + commit ------------------------------------------------------
 
-    def _ingest_and_commit(self, batch: EventBatch, rid: int, checked) -> None:
+    def _ingest_and_commit(self, batch: TBatch, rid: int, checked) -> None:
         for attempt in range(3):
             try:
                 released = self.ingest.push(batch, checked)
@@ -388,7 +389,7 @@ class ServeEngine:
             self._zero_filled += len(ok) - int(np.count_nonzero(ok))
         return rows, ok
 
-    def _score(self, batch: EventBatch, decision, rid: int, ok: np.ndarray):
+    def _score(self, batch: TBatch, decision, rid: int, ok: np.ndarray):
         """Link-prediction ``(scores, valid)`` for *batch* at the decided rung.
 
         *ok* is :func:`validate_events`' mask of *batch*, computed once

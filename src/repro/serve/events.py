@@ -1,7 +1,7 @@
-"""Event batches and validation for the streaming ingestion pipeline.
+"""Event validation for the streaming ingestion pipeline.
 
-An :class:`EventBatch` is a struct-of-arrays view of interaction events —
-``(eid, src, dst, ts, payload)`` — the wire format of the serving path.
+A served request is a :class:`~repro.core.batch.TBatch` of interaction
+events, ``(eid, src, dst, ts, payload)``, with no graph attached.
 Unlike the offline datasets (pre-sorted, deduplicated, clean), a live
 stream interleaves malformed, duplicated, and out-of-order events;
 :func:`validate_events` classifies each event with a structured reject
@@ -10,12 +10,13 @@ reason so the ingestion pipeline can quarantine rather than crash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-__all__ = ["EventBatch", "RejectReason", "validate_events"]
+from ..core.batch import TBatch
+
+__all__ = ["RejectReason", "validate_events"]
 
 
 class RejectReason:
@@ -28,6 +29,7 @@ class RejectReason:
     NON_FINITE_PAYLOAD = "non_finite_payload"
     DUPLICATE_EID = "duplicate_event_id"
     LATE_EVENT = "late_event_below_watermark"
+    PAYLOAD_SHAPE = "payload_shape_mismatch"
     POISONED_BATCH = "poisoned_commit_batch"
     DEADLINE = "deadline_exceeded"
 
@@ -41,123 +43,8 @@ class RejectReason:
     )
 
 
-@dataclass
-class EventBatch:
-    """A batch of interaction events in struct-of-arrays form.
-
-    Args:
-        eids: int64 globally unique event ids (the idempotency key).
-        src: int64 source node ids.
-        dst: int64 destination node ids.
-        ts: float64 event timestamps.
-        payload: optional float32 ``(n, d)`` per-event feature rows (edge
-            features / raw message content); ``None`` means payload-free
-            events.
-    """
-
-    eids: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-    ts: np.ndarray
-    payload: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.eids = np.asarray(self.eids, dtype=np.int64)
-        self.src = np.asarray(self.src, dtype=np.int64)
-        self.dst = np.asarray(self.dst, dtype=np.int64)
-        self.ts = np.asarray(self.ts, dtype=np.float64)
-        n = len(self.eids)
-        if not (len(self.src) == len(self.dst) == len(self.ts) == n):
-            raise ValueError("event arrays must have equal lengths")
-        if self.payload is not None:
-            self.payload = np.asarray(self.payload, dtype=np.float32)
-            if len(self.payload) != n:
-                raise ValueError(
-                    f"payload rows {len(self.payload)} != events {n}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.eids)
-
-    @classmethod
-    def empty(cls, payload_dim: Optional[int] = None) -> "EventBatch":
-        payload = (
-            np.empty((0, payload_dim), dtype=np.float32)
-            if payload_dim is not None
-            else None
-        )
-        return cls(
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-            payload,
-        )
-
-    def take(self, index: np.ndarray) -> "EventBatch":
-        """A new batch holding the events selected by *index* (mask or ids)."""
-        return EventBatch(
-            self.eids[index],
-            self.src[index],
-            self.dst[index],
-            self.ts[index],
-            None if self.payload is None else self.payload[index],
-        )
-
-    def sorted_by_time(self) -> "EventBatch":
-        """Events in canonical ``(ts, eid)`` order.
-
-        The tie-break on event id makes the order a total one, so any
-        bounded shuffle of the same events sorts back to an identical
-        sequence — the property the poisoned-stream equivalence guarantee
-        rests on.
-        """
-        order = np.lexsort((self.eids, self.ts))
-        return self.take(order)
-
-    def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Flat array dict for durable-log serialization (see ``from_arrays``)."""
-        arrays = {"eids": self.eids, "src": self.src, "dst": self.dst, "ts": self.ts}
-        if self.payload is not None:
-            arrays["payload"] = self.payload
-        return arrays
-
-    @classmethod
-    def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "EventBatch":
-        """Inverse of :meth:`to_arrays` (used by durable-log recovery)."""
-        return cls(
-            arrays["eids"],
-            arrays["src"],
-            arrays["dst"],
-            arrays["ts"],
-            arrays.get("payload"),
-        )
-
-    @staticmethod
-    def concat(batches: Sequence["EventBatch"]) -> "EventBatch":
-        batches = [b for b in batches if len(b)]
-        if not batches:
-            return EventBatch.empty()
-        payload = None
-        if batches[0].payload is not None:
-            payload = np.concatenate([b.payload for b in batches])
-        return EventBatch(
-            np.concatenate([b.eids for b in batches]),
-            np.concatenate([b.src for b in batches]),
-            np.concatenate([b.dst for b in batches]),
-            np.concatenate([b.ts for b in batches]),
-            payload,
-        )
-
-    def __repr__(self) -> str:
-        span = (
-            f", t=[{self.ts.min():.6g}, {self.ts.max():.6g}]" if len(self) else ""
-        )
-        return f"EventBatch(n={len(self)}{span})"
-
-
 def validate_events(
-    batch: EventBatch, num_nodes: int
+    batch: TBatch, num_nodes: int
 ) -> Tuple[np.ndarray, Dict[int, str]]:
     """Classify each event as acceptable or rejected with a reason.
 

@@ -10,6 +10,9 @@ committer requires:
    :func:`~repro.serve.events.validate_events`; failures land in a
    quarantine queue carrying a structured
    :class:`~repro.serve.events.RejectReason` plus the offending event.
+   The stream's first accepted event fixes its payload shape (none, or
+   width ``d``); a later event of another shape is quarantined as
+   ``PAYLOAD_SHAPE``, so buffered events always concatenate.
 2. **Idempotent replay dedup** — an event id seen before (released,
    buffered, or quarantined as a duplicate) is dropped, so at-least-once
    redelivery and replayed stream segments cannot double-apply.
@@ -35,13 +38,14 @@ poisoned-stream equivalence guarantee tested in ``tests/test_serve.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from ..core.batch import TBatch
 from ..core.stats import declare
 from ..resilience.hooks import poke as _poke
-from .events import EventBatch, RejectReason
+from .events import RejectReason
 
 __all__ = ["QuarantinedEvent", "IngestPipeline"]
 
@@ -101,13 +105,16 @@ class IngestPipeline:
         self.quarantine: List[QuarantinedEvent] = []
         self.watermark = -np.inf
         self._max_accepted = -np.inf
-        self._buffer: List[EventBatch] = []
+        self._buffer: List[TBatch] = []
         self._buffered = 0
         self._seen_eids: Set[int] = set()
+        #: payload row shape of every accepted event (``()``: none);
+        #: None until the first event is accepted.
+        self._payload_shape: Optional[Tuple[int, ...]] = None
 
     # ---- quarantine --------------------------------------------------------------
 
-    def _quarantine(self, batch: EventBatch, idx: int, reason: str,
+    def _quarantine(self, batch: TBatch, idx: int, reason: str,
                     detail: str = "") -> None:
         key = QUARANTINED + reason
         self.counters[key] = self.counters.get(key, 0) + 1
@@ -120,7 +127,7 @@ class IngestPipeline:
         if len(self.quarantine) > self.quarantine_capacity:
             del self.quarantine[: -self.quarantine_capacity]
 
-    def quarantine_batch(self, batch: EventBatch, detail: str = "") -> None:
+    def quarantine_batch(self, batch: TBatch, detail: str = "") -> None:
         """Quarantine every event of an already-released batch.
 
         Used by the commit step when a poisoned batch fails the
@@ -136,7 +143,7 @@ class IngestPipeline:
 
     # ---- ingestion ---------------------------------------------------------------
 
-    def push(self, batch: EventBatch, checked) -> EventBatch:
+    def push(self, batch: TBatch, checked) -> TBatch:
         """Ingest one arriving batch; returns the events newly released.
 
         Release order is canonical ``(ts, eid)`` and never regresses
@@ -151,13 +158,25 @@ class IngestPipeline:
         ok, reasons = checked
         for idx, reason in reasons.items():
             self._quarantine(batch, idx, reason)
+        keep = np.flatnonzero(ok)
+
+        # One payload shape per stream (module doc), checked before dedup
+        # so that a corrected redelivery is still accepted.
+        shape = () if batch.payload is None else batch.payload.shape[1:]
+        if len(keep) and shape != self._payload_shape:
+            if self._payload_shape is None:
+                self._payload_shape = shape
+            else:
+                detail = f"payload shape {shape} != stream's {self._payload_shape}"
+                for i in keep:
+                    self._quarantine(batch, int(i), RejectReason.PAYLOAD_SHAPE, detail)
+                keep = keep[:0]
 
         # Idempotent replay dedup on event id: already-seen ids are
         # dropped (counted, not quarantined — redelivery is normal
         # at-least-once behaviour, not a malformed event).  Duplicates
         # *within* the batch keep their first occurrence.  The set
         # difference iterates the batch's ids, not every id seen.
-        keep = np.flatnonzero(ok)
         ids = batch.eids[keep].tolist()
         new = set(ids).difference(self._seen_eids)
         self._seen_eids.update(new)
@@ -187,7 +206,7 @@ class IngestPipeline:
 
         return self._release()
 
-    def flush(self) -> EventBatch:
+    def flush(self) -> TBatch:
         """Release every buffered event (end of stream)."""
         self.watermark = np.inf
         out = self._release()
@@ -196,10 +215,10 @@ class IngestPipeline:
 
     # ---- release -----------------------------------------------------------------
 
-    def _release(self) -> EventBatch:
+    def _release(self) -> TBatch:
         if not self._buffered:
-            return EventBatch.empty()
-        pending = EventBatch.concat(self._buffer).sorted_by_time()
+            return TBatch.empty()
+        pending = TBatch.concat(self._buffer).sorted_by_time()
         cut = int(np.searchsorted(pending.ts, self.watermark, side="right"))
         overflow = self._buffered - self.max_buffer
         if overflow > cut:

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .events import EventBatch
+from ..core.batch import TBatch
 
 __all__ = ["build_stream", "poison_stream", "split_batches", "replay"]
 
@@ -32,7 +32,7 @@ def build_stream(
     payload_dim: Optional[int] = None,
     seed: int = 0,
     mean_gap: float = 1.0,
-) -> EventBatch:
+) -> TBatch:
     """A clean synthetic stream: sorted times, valid ids, finite payload."""
     rng = np.random.default_rng(seed)
     ts = np.cumsum(rng.exponential(mean_gap, size=num_events))
@@ -43,17 +43,17 @@ def build_stream(
         if payload_dim is not None
         else None
     )
-    return EventBatch(np.arange(num_events), src, dst, ts, payload)
+    return TBatch(np.arange(num_events), src, dst, ts, payload)
 
 
 def poison_stream(
-    stream: EventBatch,
+    stream: TBatch,
     num_nodes: int,
     seed: int = 0,
     junk_frac: float = 0.05,
     dup_frac: float = 0.05,
     shuffle_window: int = 8,
-) -> Tuple[EventBatch, float, Dict[str, int]]:
+) -> Tuple[TBatch, float, Dict[str, int]]:
     """Inject stream pathologies without touching any clean event.
 
     Adds ``junk_frac`` malformed events (non-finite/negative timestamps,
@@ -102,7 +102,7 @@ def poison_stream(
             junk_dst[i] = -1 - (i % 3)
         else:  # nan_payload
             junk_payload[i, 0] = np.inf
-    junk = EventBatch(junk_eids, junk_src, junk_dst, junk_ts, junk_payload)
+    junk = TBatch(junk_eids, junk_src, junk_dst, junk_ts, junk_payload)
 
     # --- at-least-once redeliveries (verbatim copies, same eid) ---
     n_dup = int(round(dup_frac * n))
@@ -110,7 +110,7 @@ def poison_stream(
     dups = stream.take(np.sort(dup_idx))
     injected["redelivered"] = n_dup
 
-    merged = EventBatch.concat([stream, junk, dups])
+    merged = TBatch.concat([stream, junk, dups])
     # Place junk/dups near their timestamps so the shuffle bound holds
     # for everything, then permute within bounded windows.
     order = np.argsort(merged.ts, kind="stable")
@@ -147,7 +147,7 @@ def poison_stream(
     return shuffled, required_lateness, injected
 
 
-def split_batches(stream: EventBatch, batch_size: int) -> List[EventBatch]:
+def split_batches(stream: TBatch, batch_size: int) -> List[TBatch]:
     """Chop a stream into consecutive request batches of *batch_size*."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -157,7 +157,7 @@ def split_batches(stream: EventBatch, batch_size: int) -> List[EventBatch]:
     ]
 
 
-def replay(runtime, batches: List[EventBatch], load: float = 1.0,
+def replay(runtime, batches: List[TBatch], load: float = 1.0,
            deadline: Optional[float] = None, on_result=None) -> List:
     """Offer *batches* at ``load`` times the full-quality service rate.
 

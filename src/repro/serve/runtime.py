@@ -14,9 +14,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..core.batch import TBatch
 from .commit import StateCommitter, recover_serve_state
 from .engine import ServeEngine
-from .events import EventBatch
 
 __all__ = ["ServeRuntime"]
 
@@ -106,7 +106,7 @@ class ServeRuntime(ServeEngine):
         """Local memory rows; ``ok=None`` — a local read cannot be lost."""
         return self.memory.data.data[nodes], None
 
-    def _commit(self, released: EventBatch, rid: int) -> None:
+    def _commit(self, released: TBatch, rid: int) -> None:
         self.committer.commit(released)
 
     def _release(self) -> None:

@@ -21,10 +21,9 @@ from hypothesis import given, settings, strategies as st
 from reference import sequential_commit
 from repro.cluster import ClusterConfig, ServeCluster, ShardReplica, ShardRouter
 from repro.cluster.replica import prepare_shards
-from repro.core import Mailbox, Memory, TContext, TGraph, TSampler
+from repro.core import Mailbox, Memory, TBatch, TContext, TGraph, TSampler
 from repro.integrity import ChunkedDigest, array_digest, merkle_root
 from repro.serve import (
-    EventBatch,
     ServeRuntime,
     apply_plan,
     plan_by_owner,
@@ -152,7 +151,7 @@ def tie_stream(events=240, seed=5):
     src[1::4] = src[0::4]  # ...two of which share the source node: differing-bytes ties
     payload = rng.standard_normal((events, DIM)).astype(np.float32)
     payload[2::8] = payload[1::8]  # and some byte-identical ones
-    return EventBatch(np.arange(events), src, dst, ts, payload)
+    return TBatch(np.arange(events), src, dst, ts, payload)
 
 
 #: (src, dst, time slot, payload kind) per event: few nodes, slots and kinds,
@@ -190,7 +189,7 @@ def assert_same_prepared(got, want):
 def test_each_shards_slice_of_the_one_plan_is_the_plan_its_replica_makes(
         events, shards, slots, salt, move):
     src, dst, slot, kind = (np.array(c, dtype=np.int64) for c in zip(*events))
-    batch = EventBatch(np.arange(len(events)), src, dst, slot + 1.0, _KINDS[kind])
+    batch = TBatch(np.arange(len(events)), src, dst, slot + 1.0, _KINDS[kind])
     router = _router(shards, salt, move)
     ends = router.endpoint_shards(batch)
     nodes, values, times = stage_updates(batch, DIM)
@@ -253,7 +252,7 @@ def test_plan_leaves_are_the_leaves_of_the_rows_written(
     for event, col, special in cells:
         rows[event % len(rows), col] = _SPECIALS[special]
     width = DIM if payload != "time-encoded" else DIM - 3
-    batch = EventBatch(np.arange(len(events)), src, dst, slot + 1.0, rows[:, :width])
+    batch = TBatch(np.arange(len(events)), src, dst, slot + 1.0, rows[:, :width])
     nodes, values, times = stage_updates(batch, DIM)
     if payload == "float64":  # a payload the stores must cast on the way in
         values = np.concatenate([rows, rows])
@@ -279,7 +278,7 @@ def test_plan_leaves_are_the_leaves_of_the_rows_written(
         for (shard, sub), prepared in zip(subs.items(), joint):
             rep = reps[shard]
             assert_same_prepared(prepared, rep.prepare(sub, 0, 0, parts[shard]))
-            later = EventBatch(sub.eids, sub.src, sub.dst, sub.ts + 3.0, sub.payload)
+            later = TBatch(sub.eids, sub.src, sub.dst, sub.ts + 3.0, sub.payload)
             # a commit's shared preparation, then a redelivery that prepares
             # for itself
             for seq, (step, ready) in enumerate([(sub, prepared), (later, None)]):

@@ -90,7 +90,7 @@ class TestRoundTrip:
         g.set_mailbox(APAN.required_mailbox_dim(8, 172), slots=3)
         model = APAN(ctx, dim_node=172, dim_edge=172, dim_time=8, dim_embed=8,
                      dim_mem=8, num_nbrs=3, mailbox_slots=3)
-        batch = tg.TBatch(g, 0, 100)
+        batch = tg.TBatch.range(g, 0, 100)
         batch.neg_nodes = np.zeros(100, dtype=np.int64)
         model(batch)
         path = str(tmp_path / "apan.npz")

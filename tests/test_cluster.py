@@ -29,12 +29,11 @@ from repro.cluster import (
     hash_shard,
 )
 from reference import per_shard_gather, per_shard_load
-from repro.core import Mailbox, Memory, TContext, TGraph, TSampler
+from repro.core import Mailbox, Memory, TBatch, TContext, TGraph, TSampler
 from repro.integrity import array_digest
 from repro.resilience import FaultInjector
 from repro.resilience import hooks
 from repro.serve import (
-    EventBatch,
     ServeRuntime,
     SimClock,
     build_stream,
@@ -101,9 +100,9 @@ def _replica(tmp_path, owned, name="shard", **kw):
 
 def _payload_batch(eids, src, dst, ts, seed=0):
     rng = np.random.default_rng(seed)
-    return EventBatch(np.asarray(eids), np.asarray(src), np.asarray(dst),
-                      np.asarray(ts, dtype=np.float64),
-                      rng.normal(size=(len(eids), DIM)).astype(np.float32))
+    return TBatch(np.asarray(eids), np.asarray(src), np.asarray(dst),
+                  np.asarray(ts, dtype=np.float64),
+                  rng.normal(size=(len(eids), DIM)).astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +517,7 @@ def test_read_batch_suffix_orders_and_filters(tmp_path):
         rep.apply(_payload_batch([s], [s], [s + 1], [float(s + 1)]), s, epoch=0)
     records = read_batch_suffix(rep.durable_dir, after_seq=2)
     assert [int(r.meta["seq"]) for r in records] == [3, 4]
-    batch = EventBatch.from_arrays(records[0].arrays)
+    batch = TBatch.from_arrays(records[0].arrays)
     assert batch.src[0] == 3 and batch.dst[0] == 4
     rep.close()
 

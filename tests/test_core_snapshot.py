@@ -60,8 +60,8 @@ class TestSnapshots:
     def test_batch_view(self, line_graph):
         snap = snapshots(line_graph, num_snapshots=4)[1]
         batch = snap.batch()
-        assert batch.start == snap.start_eid
-        assert batch.stop == snap.stop_eid
+        np.testing.assert_array_equal(batch.eids, np.arange(snap.start_eid, snap.stop_eid))
+        assert batch.g is line_graph
 
     def test_block_seeds_at_window_end(self, line_graph):
         ctx = tg.TContext(line_graph)
@@ -90,7 +90,8 @@ class TestSnapshotLoader:
         assert len(pairs) == len(loader) == 3
         for history, target in pairs:
             assert isinstance(history, TSnapshot)
-            assert target.start == history.stop_eid
+            np.testing.assert_array_equal(
+                target.eids, np.arange(history.stop_eid, history.stop_eid + len(target)))
 
     def test_targets_cover_everything_after_first_window(self, line_graph):
         loader = SnapshotLoader(line_graph, num_snapshots=3)

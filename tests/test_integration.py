@@ -78,7 +78,7 @@ class TestEndToEndPipelines:
             ctx = tg.TContext(g)
             model = TGAT(ctx, dim_node=128, dim_edge=128, dim_time=8, dim_embed=8,
                          num_layers=2, num_nbrs=5, opt=flags)
-            batch = tg.TBatch(g, 2000, 2400)
+            batch = tg.TBatch.range(g, 2000, 2400)
             batch.neg_nodes = NegativeSampler.for_dataset(ds).sample(400)
             counted = []
             original = model.sampler.sample
@@ -106,7 +106,7 @@ class TestOOMScenario:
         )
         exp = Experiment(cfg)
         try:
-            batch = tg.TBatch(exp.g, 20000, 22000)
+            batch = tg.TBatch.range(exp.g, 20000, 22000)
             batch.neg_nodes = exp.neg_sampler.sample(2000)
             pos, neg = exp.model(batch)
             loss = nn.bce_with_logits(

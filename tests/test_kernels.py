@@ -161,7 +161,7 @@ class TestSamplerEquivalence:
         assert (res.etimes < times[res.dstindex]).all()
 
     def test_tsampler_front_end_uses_kernel(self, tiny_ctx, tiny_graph):
-        blk = tg.TBatch(tiny_graph, 0, 6).block(tiny_ctx)
+        blk = tg.TBatch.range(tiny_graph, 0, 6).block(tiny_ctx)
         res = tg.TSampler(3).sample_arrays(tiny_graph.csr(), blk.dstnodes, blk.dsttimes)
         assert isinstance(res, SampleResult)
         csr = tiny_graph.csr()

@@ -95,7 +95,7 @@ class TestManualTGAT:
     def test_forward_shapes(self, wiki):
         model = self._manual(wiki)
         g = wiki.build_graph()
-        batch = tg.TBatch(g, 100, 140)
+        batch = tg.TBatch.range(g, 100, 140)
         batch.neg_nodes = np.random.default_rng(0).integers(0, g.num_nodes, 40)
         pos, neg = model(batch)
         assert pos.shape == (40,) and neg.shape == (40,)
@@ -126,7 +126,7 @@ class TestManualTGAT:
             renamed[key.replace("attn_layers.", "layers.")] = value
         manual.load_state_dict(renamed)
 
-        batch = tg.TBatch(g, 200, 240)
+        batch = tg.TBatch.range(g, 200, 240)
         batch.neg_nodes = np.random.default_rng(1).integers(0, g.num_nodes, 40)
         framework.eval(); manual.eval()
         with T.no_grad():
@@ -138,7 +138,7 @@ class TestManualTGAT:
     def test_cache_engages_only_in_eval(self, wiki):
         model = self._manual(wiki)
         g = wiki.build_graph()
-        batch = tg.TBatch(g, 100, 130)
+        batch = tg.TBatch.range(g, 100, 130)
         batch.neg_nodes = np.zeros(30, dtype=np.int64) + 400
         model.train()
         model(batch)
@@ -151,7 +151,7 @@ class TestManualTGAT:
     def test_reset_state_clears_bookkeeping(self, wiki):
         model = self._manual(wiki)
         g = wiki.build_graph()
-        batch = tg.TBatch(g, 100, 130)
+        batch = tg.TBatch.range(g, 100, 130)
         batch.neg_nodes = np.zeros(30, dtype=np.int64) + 400
         model.eval()
         with T.no_grad():

@@ -24,7 +24,7 @@ def make_graph(ds, device=None):
 
 
 def make_batch(g, size=50, start=100):
-    batch = tg.TBatch(g, start, start + size)
+    batch = tg.TBatch.range(g, start, start + size)
     rng = np.random.default_rng(0)
     batch.neg_nodes = rng.integers(0, g.num_nodes, size=size)
     return batch
@@ -58,7 +58,7 @@ class TestEdgePredictor:
 
 class TestTemporalAttnLayer:
     def _block_with_h(self, ctx, g):
-        blk = tg.TBatch(g, 100, 120).block(ctx)
+        blk = tg.TBatch.range(g, 100, 120).block(ctx)
         tg.TSampler(5).sample(blk)
         blk.dstdata["h"] = blk.dstfeat()
         blk.srcdata["h"] = blk.srcfeat()
@@ -130,7 +130,7 @@ class TestAllModels:
         ctx = tg.TContext(g)
         model = build_model(name, ctx, g, wiki)
         with pytest.raises(ValueError):
-            model(tg.TBatch(g, 0, 10))
+            model(tg.TBatch.range(g, 0, 10))
 
     def test_training_reduces_loss(self, name, wiki):
         g = make_graph(wiki)

@@ -22,7 +22,7 @@ def cuda_ctx_host_data():
 
 
 def make_batch(g, size=60, start=200):
-    batch = tg.TBatch(g, start, start + size)
+    batch = tg.TBatch.range(g, start, start + size)
     batch.neg_nodes = np.random.default_rng(0).integers(0, g.num_nodes, size=size)
     return batch
 

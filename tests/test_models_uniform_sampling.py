@@ -40,7 +40,7 @@ class TestUniformSampling:
     def test_uniform_differs_from_recent(self, wiki):
         g = wiki.build_graph()
         ctx = tg.TContext(g)
-        batch = tg.TBatch(g, 2000, 2100)
+        batch = tg.TBatch.range(g, 2000, 2100)
         blk_r = batch.block(ctx)
         tg.TSampler(5, "recent").sample(blk_r)
         blk_u = batch.block(ctx)

@@ -45,7 +45,7 @@ class TestCoalesce:
         np.testing.assert_array_equal(blk.srcnodes, [8])
 
     def test_from_block_adj(self, tiny_ctx, tiny_graph):
-        batch = tg.TBatch(tiny_graph, 0, 4)
+        batch = tg.TBatch.range(tiny_graph, 0, 4)
         blk = tgop.coalesce(batch.block_adj(tiny_ctx), by="latest")
         # Unique endpoints, one row each.
         assert len(np.unique(blk.dstnodes)) == blk.num_dst
@@ -142,7 +142,7 @@ class TestEdgeOps:
 
 class TestAggregate:
     def _chain(self, ctx, g, hops=2, batch=(4, 8)):
-        head = tg.TBatch(g, *batch).block(ctx)
+        head = tg.TBatch.range(g, *batch).block(ctx)
         sampler = tg.TSampler(2, "recent")
         tail = head
         for i in range(hops):
@@ -220,7 +220,7 @@ class TestAggregate:
             tgop.aggregate(head, bad_fn, key="h")
 
     def test_single_block_chain(self, tiny_ctx, tiny_graph):
-        head = tg.TBatch(tiny_graph, 4, 8).block(tiny_ctx)
+        head = tg.TBatch.range(tiny_graph, 4, 8).block(tiny_ctx)
         tg.TSampler(2).sample(head)
         out = tgop.aggregate(head, lambda blk: T.ones(blk.num_dst, 3), key="h")
         assert out.shape == (head.num_dst, 3)
@@ -228,7 +228,7 @@ class TestAggregate:
 
 class TestPropagate:
     def test_visits_from_block_to_tail(self, tiny_ctx, tiny_graph):
-        head = tg.TBatch(tiny_graph, 4, 8).block(tiny_ctx)
+        head = tg.TBatch.range(tiny_graph, 4, 8).block(tiny_ctx)
         tg.TSampler(2).sample(head)
         mid = head.next_block()
         tg.TSampler(2).sample(mid)

@@ -44,7 +44,7 @@ class TestDedup:
         assert blk.hooks == ()
 
     def test_dedup_after_sampling_rejected(self, tiny_ctx, tiny_graph):
-        blk = tg.TBatch(tiny_graph, 0, 3).block(tiny_ctx)
+        blk = tg.TBatch.range(tiny_graph, 0, 3).block(tiny_ctx)
         tg.TSampler(2).sample(blk)
         with pytest.raises(RuntimeError):
             tgop.dedup(blk)
@@ -139,7 +139,7 @@ class TestCache:
 
     def test_cache_after_sampling_rejected(self, tiny_ctx, tiny_graph):
         tiny_ctx.eval()
-        blk = tg.TBatch(tiny_graph, 0, 3).block(tiny_ctx)
+        blk = tg.TBatch.range(tiny_graph, 0, 3).block(tiny_ctx)
         tg.TSampler(2).sample(blk)
         with pytest.raises(RuntimeError):
             tgop.cache(tiny_ctx, blk)
@@ -150,7 +150,7 @@ class TestPreload:
         ctx = tg.TContext(tiny_graph, device="cuda")
 
         def preloaded_chain():
-            head = tg.TBatch(tiny_graph, 4, 8).block(ctx)
+            head = tg.TBatch.range(tiny_graph, 4, 8).block(ctx)
             tg.TSampler(2).sample(head)
             tail = head.next_block()
             tg.TSampler(2).sample(tail)
@@ -187,7 +187,7 @@ class TestPreload:
         """Inner blocks receive computed embeddings, so preload must not
         waste transfers gathering their raw node features."""
         ctx = tg.TContext(tiny_graph, device="cuda")
-        head = tg.TBatch(tiny_graph, 4, 8).block(ctx)
+        head = tg.TBatch.range(tiny_graph, 4, 8).block(ctx)
         tg.TSampler(2).sample(head)
         tail = head.next_block()
         tg.TSampler(2).sample(tail)
@@ -198,7 +198,7 @@ class TestPreload:
 
     def test_preload_uses_pinned_path(self, tiny_graph):
         ctx = tg.TContext(tiny_graph, device="cuda")
-        head = tg.TBatch(tiny_graph, 4, 8).block(ctx)
+        head = tg.TBatch.range(tiny_graph, 4, 8).block(ctx)
         tg.TSampler(2).sample(head)
         tgop.preload(head, use_pin=True)
         assert runtime.transfer_stats.pinned_bytes > 0
@@ -206,7 +206,7 @@ class TestPreload:
 
     def test_preload_without_pin(self, tiny_graph):
         ctx = tg.TContext(tiny_graph, device="cuda")
-        head = tg.TBatch(tiny_graph, 4, 8).block(ctx)
+        head = tg.TBatch.range(tiny_graph, 4, 8).block(ctx)
         tg.TSampler(2).sample(head)
         tgop.preload(head, use_pin=False)
         assert runtime.transfer_stats.pinned_bytes == 0
@@ -215,7 +215,7 @@ class TestPreload:
     def test_pinned_pool_reuses_buffers(self, tiny_graph):
         ctx = tg.TContext(tiny_graph, device="cuda")
         for _ in range(3):
-            head = tg.TBatch(tiny_graph, 4, 8).block(ctx)
+            head = tg.TBatch.range(tiny_graph, 4, 8).block(ctx)
             tg.TSampler(2).sample(head)
             tgop.preload(head, use_pin=True)
         assert ctx.counters["pinned:hits"] > 0

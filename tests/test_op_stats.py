@@ -88,14 +88,14 @@ class TestKernelTimes:
         sampler = tg.TSampler(2)
         with record() as rec:
             for _ in range(2):
-                sampler.sample(tg.TBatch(tiny_graph, 0, 4).block(tiny_ctx))
+                sampler.sample(tg.TBatch.range(tiny_graph, 0, 4).block(tiny_ctx))
         spans = [s for s in rec.spans if s.name == "kernel:sample"]
         assert len(spans) == 2
         assert rec.totals()["kernel:sample"] == pytest.approx(
             sum(s.end - s.start for s in spans))
 
     def test_sampling_records_kernel_time(self, tiny_ctx, tiny_graph):
-        blk = tg.TBatch(tiny_graph, 0, 4).block(tiny_ctx)
+        blk = tg.TBatch.range(tiny_graph, 0, 4).block(tiny_ctx)
         with record() as rec:
             tg.TSampler(2).sample(blk)
         assert rec.totals()["kernel:sample"] >= 0
@@ -122,7 +122,7 @@ class TestEndToEndStats:
         ctx = tg.TContext(g)
         model = TGAT(ctx, dim_node=172, dim_edge=172, dim_time=8, dim_embed=8,
                      num_layers=2, num_nbrs=5, opt=OptFlags(dedup=True))
-        batch = tg.TBatch(g, 1500, 1800)
+        batch = tg.TBatch.range(g, 1500, 1800)
         batch.neg_nodes = NegativeSampler.for_dataset(ds).sample(300)
         with record() as rec:
             model(batch)

@@ -473,7 +473,7 @@ class TestFineTune:
         for p in range(2):
             with plain._sampling_pass(exp.model, p):
                 for batch in iter_batches(exp.g, 300, start=300, stop=1200):
-                    exp.neg_sampler.reset(batch.start)
+                    exp.neg_sampler.reset(int(batch.eids[0]))
                     plain.train_step(exp.model, batch, exp.optimizer, exp.neg_sampler)
         by_hand = _fingerprint(exp)
         exp.close()

@@ -304,7 +304,7 @@ def wiki_graph():
 
 class TestLayersShareTheCore:
     def _block_and_mfg(self, g, ctx):
-        blk = tg.TBatch(g, 100, 140).block(ctx)
+        blk = tg.TBatch.range(g, 100, 140).block(ctx)
         tg.TSampler(5).sample(blk)
         blk.dstdata["h"], blk.srcdata["h"] = blk.dstfeat(), blk.srcfeat()
         mfg = MFG(ctx.device, blk.dstnodes, blk.dsttimes, blk.srcnodes, blk.eids, blk.etimes,
@@ -340,7 +340,7 @@ class TestNothingIsWiderThanItsInputs:
         ctx = tg.TContext(wiki_graph)
         model = TGAT(ctx, dim_node=172, dim_edge=172, dim_time=8, dim_embed=8, num_layers=2,
                      num_nbrs=10, opt=OptFlags.preload_only())
-        batch = tg.TBatch(wiki_graph, 1000, 1100)
+        batch = tg.TBatch.range(wiki_graph, 1000, 1100)
         batch.neg_nodes = np.random.default_rng(0).integers(0, wiki_graph.num_nodes, len(batch))
         tail = model.sampler.sample(model.sampler.sample(batch.block(ctx)).next_block())
         in_features = 172 + 172 + 8
@@ -367,7 +367,7 @@ class TestNothingIsWiderThanItsInputs:
 
 def test_edge_attention_is_the_block_form(wiki_graph):
     ctx = tg.TContext(wiki_graph)
-    blk = tg.TBatch(wiki_graph, 100, 110).block(ctx)
+    blk = tg.TBatch.range(wiki_graph, 100, 110).block(ctx)
     w_k, w_v = Linear(172 + 172, 4), Linear(172 + 172, 4)
     q = Tensor(np.ones((blk.num_dst, 4), dtype=np.float32))
     with pytest.raises(RuntimeError, match="sampled block"):

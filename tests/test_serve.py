@@ -13,13 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core as tg
 from repro.cluster import ClusterConfig, ServeCluster
-from repro.core import Mailbox, Memory, TGraph, TSampler
+from repro.core import Mailbox, Memory, TBatch, TGraph, TSampler
 from repro.resilience import FaultInjector, TransientKernelError, validate_state
 from repro.serve import (
     AdmissionController,
     CostModel,
     DegradationLadder,
-    EventBatch,
     IngestPipeline,
     RejectReason,
     ServeRuntime,
@@ -43,8 +42,8 @@ DIM = 8
 
 
 def _batch(eids, src, dst, ts, payload=None):
-    return EventBatch(np.asarray(eids), np.asarray(src), np.asarray(dst),
-                      np.asarray(ts), payload)
+    return TBatch(np.asarray(eids), np.asarray(src), np.asarray(dst),
+                  np.asarray(ts), payload)
 
 
 def _push(pipeline, batch):
@@ -372,7 +371,7 @@ class TestServeRuntime:
         rt = _runtime(stream)
         bad = _batch([900], [N + 4], [1], [1.0],
                      np.zeros((1, DIM), dtype=np.float32))
-        mixed = EventBatch.concat([stream.take(np.arange(10)), bad])
+        mixed = TBatch.concat([stream.take(np.arange(10)), bad])
         rt.submit(mixed)
         r = rt.step()
         assert r.status == "ok"
@@ -428,6 +427,54 @@ class TestServeRuntime:
         assert stats.latency.count == sum(
             1 for r in results if r.status != "shed")
         assert not rt.memory.validate() and not rt.mailbox.validate()
+
+
+class TestMixedPayloads:
+    """Requests whose payload shapes differ are buffered together when the
+    lateness bound holds them back; the stream's first accepted event fixes
+    the shape and a request of another shape is quarantined whole."""
+
+    A = ([0], [3], [4], [1.0], None)
+    B = ([1], [3], [5], [2.0], np.full((1, DIM), 0.5, dtype=np.float32))
+
+    def _serve(self, backend, first, second, lateness):
+        stream = _batch([0, 1], [3, 3], [4, 5], [1.0, 2.0])
+        g = TGraph(stream.src, stream.dst, stream.ts, num_nodes=N)
+        kw = dict(deadline=1.0, max_queue=1 << 30, lateness=lateness)
+        if backend == "runtime":
+            engine = _runtime(stream, **kw)
+        else:
+            engine = ServeCluster(g, tg.TContext(g), TSampler(10, seed=3), DIM,
+                                  config=ClusterConfig(num_shards=1), **kw)
+        with engine:
+            for request in (first, second):
+                engine.submit(_batch(*request))
+            engine.drain()
+            stats = engine.stats()
+            data, _ = engine.memory.tables() if backend == "runtime" else engine.memory_image()
+            return stats, data.copy()
+
+    @pytest.mark.parametrize("backend", ["runtime", "cluster"])
+    @pytest.mark.parametrize("order", ["none_first", "payload_first"])
+    def test_one_payload_shape_per_stream(self, backend, order):
+        first, second = (self.A, self.B) if order == "none_first" else (self.B, self.A)
+        rows = []
+        for lateness in (0.0, 10.0):
+            stats, data = self._serve(backend, first, second, lateness)
+            assert ledger_violations(stats) == []
+            assert _quarantined(stats) == {RejectReason.PAYLOAD_SHAPE: 1}
+            assert stats["ingest:accepted"] == stats["ingest:released"] == 1
+            rows.append(data)
+        np.testing.assert_array_equal(rows[0], rows[1])
+        assert (rows[0][3] == 0.5).all() == (order == "payload_first")
+
+    def test_the_quarantined_event_is_the_later_shape(self):
+        p = IngestPipeline(N, lateness=10.0)
+        _push(p, _batch(*self.B))
+        _push(p, _batch(*self.A))
+        assert [(q.eid, q.reason) for q in p.quarantine] == [(0, RejectReason.PAYLOAD_SHAPE)]
+        released = p.flush()
+        assert released.eids.tolist() == [1] and released.payload.shape == (1, DIM)
 
 
 class TestNeighbourSum:
@@ -635,7 +682,7 @@ class TestModelSwap:
         written = np.isfinite(rt._cache_times)
         assert written.any()
         # each written node holds its newest answered time so far
-        served = EventBatch.concat(batches[:4])
+        served = TBatch.concat(batches[:4])
         newest = np.full(N, -np.inf)
         np.maximum.at(newest, np.concatenate([served.src, served.dst]),
                       np.concatenate([served.ts, served.ts]))

@@ -23,7 +23,6 @@ from repro.data import NegativeSampler
 from repro.durable import DurableStateStore
 from repro.integrity import array_digest
 from repro.serve import (
-    EventBatch,
     StateCommitter,
     build_stream,
     recover_serve_state,
@@ -140,7 +139,7 @@ def test_trainer_snapshot_round_trip(kind, tmp_path):
 def _applied_replica(tmp_path, name, slots):
     rep = ShardReplica(0, np.arange(N), N, DIM, str(tmp_path / name), mailbox_slots=slots)
     rng = np.random.default_rng(1)
-    batch = EventBatch(
+    batch = tg.TBatch(
         np.arange(8), np.arange(8), (np.arange(8) + 3) % N, np.arange(8) + 1.0,
         rng.normal(size=(8, DIM)).astype(np.float32),
     )

@@ -29,7 +29,7 @@ def wiki():
 
 
 def make_batch(g, size=40, start=100):
-    batch = tg.TBatch(g, start, start + size)
+    batch = tg.TBatch.range(g, start, start + size)
     batch.neg_nodes = np.random.default_rng(0).integers(0, g.num_nodes, size=size)
     return batch
 

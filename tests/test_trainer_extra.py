@@ -1,6 +1,7 @@
 """Additional trainer-harness edge cases."""
 
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import repro.core as tg
 from repro import nn
 from repro.bench import TrainResult, evaluate, train, train_epoch, warm_replay
+from repro.bench.experiments import Experiment, ExperimentConfig
 from repro.bench.trainer import EpochResult, train_step
 from repro.data import NegativeSampler, get_dataset
 from repro.models import TGAT, TGN, OptFlags
@@ -104,7 +106,52 @@ def test_a_step_frees_its_blocks_without_the_cycle_collector(name, monkeypatch):
     gc.collect()
     gc.disable()
     try:
-        train_step(model, tg.TBatch(g, 300, 600), opt, NegativeSampler.for_dataset(ds))
+        train_step(model, tg.TBatch.range(g, 300, 600), opt, NegativeSampler.for_dataset(ds))
         assert heads and all(ref() is None for ref in heads)
     finally:
         gc.enable()
+
+
+#: (model, framework) -> (hex bits of the loss of one train step on edges
+#: [600, 800), sha256 prefix of the scores of one eval batch on [800, 1000)).
+STEP_AND_EVAL_PINS = {
+    ("jodie", "tgl"): ("0x1.65a52e0000000p+0", "f9aa06ea2ce1f76f"),
+    ("jodie", "tglite"): ("0x1.63f2680000000p+0", "78c13cbfa779118c"),
+    ("jodie", "tglite+opt"): ("0x1.63f2680000000p+0", "78c13cbfa779118c"),
+    ("apan", "tgl"): ("0x1.64d8fa0000000p+0", "074949cb8b40bfbb"),
+    ("apan", "tglite"): ("0x1.6226940000000p+0", "e7f6311d860ef3ac"),
+    ("apan", "tglite+opt"): ("0x1.6226940000000p+0", "e7f6311d860ef3ac"),
+    ("tgat", "tgl"): ("0x1.6a657c0000000p+0", "63cc0a321160d36a"),
+    ("tgat", "tglite"): ("0x1.6fabd40000000p+0", "1480d3c342a0a941"),
+    ("tgat", "tglite+opt"): ("0x1.6f62780000000p+0", "28809610e7c59728"),
+    ("tgn", "tgl"): ("0x1.6825640000000p+0", "be3314dc45cae46f"),
+    ("tgn", "tglite"): ("0x1.6288e40000000p+0", "6a0cc7e8fae41b54"),
+    ("tgn", "tglite+opt"): ("0x1.63cdc20000000p+0", "834d5e5b9987863e"),
+}
+
+
+@pytest.mark.parametrize("model,framework", sorted(STEP_AND_EVAL_PINS))
+def test_one_train_step_and_one_eval_batch_are_pinned(model, framework):
+    """Every model x framework cell of the bench grid, on a wiki slice:
+    one train step's loss and one eval batch's scores are pinned to the
+    bit, so a refactor of the batch, block or model path that moves any
+    training output shows here."""
+    exp = Experiment(ExperimentConfig(model=model, framework=framework, batch_size=200))
+    try:
+        exp.model.train()
+        batch, = tg.iter_batches(exp.g, 200, start=600, stop=800)
+        loss = train_step(exp.model, batch, exp.optimizer, exp.neg_sampler)
+        scores = []
+        forward = exp.model.forward
+
+        def capture(b):
+            pos, neg = forward(b)
+            scores.append(pos.data.tobytes() + neg.data.tobytes())
+            return pos, neg
+
+        exp.model.forward = capture
+        evaluate(exp.model, exp.g, exp.neg_sampler, 200, start=800, stop=1000)
+    finally:
+        exp.close()
+    digest = hashlib.sha256(b"".join(scores)).hexdigest()[:16]
+    assert (float(loss).hex(), digest) == STEP_AND_EVAL_PINS[model, framework]
