@@ -9,8 +9,10 @@ visible even though pytest captures stdout), as well as written under
 
 from __future__ import annotations
 
+import datetime
 import os
-from typing import List, Sequence
+import subprocess
+from typing import List, Optional, Sequence
 
 _TABLES: List[str] = []
 
@@ -30,9 +32,22 @@ def format_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[obj
     return "\n".join(lines)
 
 
-def report_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[object]], filename: str = None) -> str:
-    """Register a finished table for terminal-summary printing + disk."""
+def provenance(clock: str) -> str:
+    """The checkout (``git describe --dirty``), today's date and the clock
+    a table's seconds are read on, as one line."""
+    sha = subprocess.run(["git", "describe", "--always", "--dirty"],
+                         cwd=os.path.dirname(__file__), capture_output=True,
+                         text=True).stdout.strip() or "unknown"
+    return f"measured at {sha} on {datetime.date.today()}; clock: {clock}"
+
+
+def report_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[object]],
+                 filename: str = None, clock: Optional[str] = None) -> str:
+    """Register a finished table for terminal-summary printing + disk;
+    with *clock*, a :func:`provenance` line follows the rows."""
     text = format_table(title, headers, rows)
+    if clock is not None:
+        text += "\n" + provenance(clock)
     _TABLES.append(text)
     os.makedirs(RESULTS_DIR, exist_ok=True)
     if filename is None:

@@ -13,7 +13,9 @@ and reports the detect-and-repair outcome (rows repaired, final state
 bit-identical to a clean single-runtime replay).
 
 The acceptance gate is scrub overhead <= 10% of serve wall time at the
-default interval, with every injected flip detected and repaired.
+default interval, with every injected flip detected and repaired.  Scrub
+and serve seconds are the ``scrub`` and ``serve`` spans of one
+``repro.spans`` recording.
 
 Written to ``benchmarks/results/integrity_scrub.txt``.
 """
@@ -28,6 +30,7 @@ from repro.core import Mailbox, Memory, TContext, TGraph, TSampler
 from repro.integrity import ChunkedDigest, array_digest
 from repro.resilience import apply_bitflip
 from repro.serve import ServeRuntime, build_stream, replay, split_batches
+from repro.spans import record, span
 
 from conftest import RESULTS_DIR, report_table
 
@@ -87,19 +90,20 @@ def run_at_factor(stream, factor, flip):
                                leaves.wrap(ChunkedDigest.record_rows)), \
                 mock.patch.object(replica_module, "row_leaves",
                                   leaves.wrap(replica_module.row_leaves)):
-            t0 = time.perf_counter()
-            results = replay(cluster, split_batches(stream, BATCH), load=LOAD)
-            serve_seconds = time.perf_counter() - t0
-        if flip:
-            group = cluster.groups[1]
-            assert apply_bitflip(
-                group.members[factor - 1], ("flip", "memory", 104729, 3))
-            cluster.drain()
+            with record() as rec:
+                with span("serve"):
+                    results = replay(cluster, split_batches(stream, BATCH), load=LOAD)
+                if flip:
+                    group = cluster.groups[1]
+                    assert apply_bitflip(
+                        group.members[factor - 1], ("flip", "memory", 104729, 3))
+                    cluster.drain()
         stats = cluster.stats()
         data, times = cluster.memory_image()
         mem_digest = array_digest(data, times)
     assert all(r.status == "ok" for r in results)
-    return stats, serve_seconds, leaves.seconds, mem_digest
+    seconds = rec.totals()
+    return stats, seconds["serve"], seconds.get("scrub", 0.0), leaves.seconds, mem_digest
 
 
 def test_integrity_scrub_overhead():
@@ -109,10 +113,9 @@ def test_integrity_scrub_overhead():
     rows = []
 
     for factor in FACTORS:
-        stats, serve_seconds, digest_seconds, mem_digest = run_at_factor(
+        stats, serve_seconds, scrub_s, digest_seconds, mem_digest = run_at_factor(
             stream, factor, flip=False)
-        scrub_seconds = float(stats["integrity:scrub_seconds"])
-        overhead = scrub_seconds / serve_seconds
+        overhead = scrub_s / serve_seconds
         # clean run: the scrubber worked and stayed silent
         assert stats["integrity:cycles"] >= 1
         assert stats["integrity:chunks_scrubbed"] > 0
@@ -124,7 +127,7 @@ def test_integrity_scrub_overhead():
             f"{OVERHEAD_BUDGET:.0%} of serve wall time"
         )
 
-        fstats, _, _, fdigest = run_at_factor(stream, factor, flip=True)
+        fstats, _, _, _, fdigest = run_at_factor(stream, factor, flip=True)
         # the injected flip was detected within one cycle and repaired
         # back to bit-identical state
         assert fstats["integrity:divergences"] >= 1
@@ -137,7 +140,7 @@ def test_integrity_scrub_overhead():
             int(stats["integrity:chunks_scrubbed"]),
             int(stats["integrity:divergences"]),
             f"{digest_seconds * 1e3:.2f}",
-            f"{scrub_seconds * 1e3:.2f}",
+            f"{scrub_s * 1e3:.2f}",
             f"{serve_seconds * 1e3:.2f}",
             f"{overhead:.2%}",
             f"{int(fstats['integrity:divergences'])}/"

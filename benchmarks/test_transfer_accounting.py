@@ -3,8 +3,7 @@
 Not a table in the paper, but the paper's §5.2.2 analysis attributes the
 CPU-to-GPU results to transfer volume and pinned bandwidth.  This bench
 measures exactly that: bytes moved per training slice, and what fraction
-travelled through the pinned path, for each framework setting.  The cost
-model is disabled so the numbers are pure accounting.
+travelled through the pinned path, for each framework setting.
 
 Expected shape: TGL moves the most bytes (eager per-row MFG loads) and
 pins none; TGLite fetches each distinct node / edge row once per block, so
@@ -33,7 +32,6 @@ def _measure(framework: str, model: str) -> dict:
     cfg = make_config("wiki", model, framework, "cpu2gpu")
     exp = Experiment(cfg)
     try:
-        runtime.simulate_transfer_cost = False  # accounting only
         runtime.transfer_stats.reset()
         train_epoch(exp.model, exp.g, exp.optimizer, exp.neg_sampler,
                     cfg.batch_size, stop=1500)

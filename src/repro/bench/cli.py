@@ -2,7 +2,8 @@
 
 Mirrors the artifact's training scripts (Appendix C): one command trains a
 model/dataset/framework combination and reports per-epoch wall time and
-average precision, optionally followed by timed test-set inference.
+average precision, optionally followed by timed test-set inference, then
+the run's host-to-device transfers and their simulated seconds.
 
 Examples::
 
@@ -38,6 +39,7 @@ import sys
 from typing import List, Optional
 
 from ..data import available_datasets, get_dataset
+from ..tensor.device import runtime
 from .cluster_cli import (
     add_replay_flags,
     build_serve_cluster_parser,
@@ -285,6 +287,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.inference:
             seconds, ap = exp.run_test_inference()
             print(f"test inference: {seconds:.2f}s  AP {ap:.4f}")
+        moved = runtime.transfer_stats
+        print(f"transfers (simulated clock): count={moved.count} "
+              f"MB={moved.bytes / 1e6:.1f} "
+              f"pinned={moved.pinned_bytes / max(moved.bytes, 1):.0%} "
+              f"seconds={moved.simulated_seconds:.2f}")
     finally:
         exp.close()
     return 0

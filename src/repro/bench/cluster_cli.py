@@ -173,13 +173,12 @@ def build_serve_cluster_parser() -> argparse.ArgumentParser:
 
 
 def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
-    import time
-
     from ..cluster import ClusterConfig, ServeCluster
     from ..core import Mailbox, Memory, TContext, TGraph, TSampler
     from ..integrity import array_digest
     from ..resilience import FaultInjector, apply_bitflip
     from ..serve import ServeRuntime, ledger_violations, split_batches
+    from ..spans import record, span
 
     args = build_serve_cluster_parser().parse_args(argv)
     stream, num_nodes = load_stream(args)
@@ -250,20 +249,20 @@ def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
     print(f"replaying {len(stream)} events in {len(batches)} requests "
           f"over {args.shards} shards x {args.replication_factor} replicas "
           f"({args.partition}) at {args.load:g}x load")
-    t0 = time.perf_counter()
-    results = run_replay(cluster, batches, args.load, injector)
-    serve_seconds = time.perf_counter() - t0
-
     flip_applied = False
-    if flip_target is not None:
-        tier, shard, member = flip_target
-        flip_applied = apply_bitflip(
-            cluster.groups[shard].members[member],
-            ("flip", tier, 104729 + args.seed, 1 + args.seed % 7),
-        )
-        print(f"  injected bit flip: tier={tier} shard={shard} "
-              f"member={member} applied={flip_applied}")
-        cluster.drain()  # the scrub pass that detects + repairs the flip
+    with record() as rec:
+        with span("serve"):
+            results = run_replay(cluster, batches, args.load, injector)
+        if flip_target is not None:
+            tier, shard, member = flip_target
+            flip_applied = apply_bitflip(
+                cluster.groups[shard].members[member],
+                ("flip", tier, 104729 + args.seed, 1 + args.seed % 7),
+            )
+            print(f"  injected bit flip: tier={tier} shard={shard} "
+                  f"member={member} applied={flip_applied}")
+            cluster.drain()  # the scrub pass that detects + repairs the flip
+    seconds = rec.totals()
 
     stats = cluster.stats()
     print_summary(sorted(stats.items()), results, ctx, injector)
@@ -277,14 +276,14 @@ def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
     print(f"  read availability: {availability:.4f} "
           f"({fully_valid}/{len(results)} requests fully valid, "
           f"{zero_rows} zero-filled rows)")
-    scrub_seconds = float(stats.get("integrity:scrub_seconds", 0.0))
-    overhead = scrub_seconds / serve_seconds if serve_seconds > 0 else 0.0
+    scrub, serve = seconds.get("scrub", 0.0), seconds["serve"]
+    overhead = scrub / serve if serve > 0 else 0.0
     print(f"  scrub: cycles={stats.get('integrity:cycles', 0)} "
           f"skipped={stats.get('integrity:skipped_cycles', 0)} "
           f"chunks={stats.get('integrity:chunks_scrubbed', 0)} "
           f"divergences={stats.get('integrity:divergences', 0)} "
           f"rows_repaired={stats.get('integrity:rows_repaired', 0)} "
-          f"seconds={scrub_seconds:.4f} ({overhead:.2%} of serve wall time)")
+          f"seconds={scrub:.4f} ({overhead:.2%} of serve wall time)")
 
     failures = ledger_violations(stats)
     if flip_target is not None:

@@ -11,8 +11,9 @@ Framework settings follow the paper's three bars:
 Placement modes:
 
 * ``'gpu'``     — all data on the simulated device (all-on-GPU, Fig. 5);
-* ``'cpu2gpu'`` — features/memory/mail host-resident with the transfer
-  cost model enabled (CPU-to-GPU, Fig. 6).
+* ``'cpu2gpu'`` — features/memory/mail host-resident, so every batch's
+  host-to-device copies add simulated seconds to the transfer tally
+  (CPU-to-GPU, Fig. 6).
 
 Bandwidths are calibrated for the numpy substrate: our compute is orders
 of magnitude slower than a V100, so the modeled PCIe bandwidth is scaled
@@ -107,7 +108,6 @@ class Experiment:
         # Placement: compute always happens on the simulated device; the
         # placement mode decides where bulk data lives.
         runtime.reset()
-        runtime.simulate_transfer_cost = True
         runtime.pageable_bandwidth = PAGEABLE_BANDWIDTH
         runtime.pinned_bandwidth = PINNED_BANDWIDTH
         if cfg.device_capacity is not None:

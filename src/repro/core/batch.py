@@ -55,6 +55,8 @@ class TBatch:
             raise ValueError("event arrays must have equal lengths")
         if payload is not None:
             payload = np.asarray(payload, dtype=np.float32)
+            if payload.ndim != 2:
+                raise ValueError(f"payload must be 2-D (events, dim), got shape {payload.shape}")
             if len(payload) != n:
                 raise ValueError(f"payload rows {len(payload)} != events {n}")
         self.payload = payload

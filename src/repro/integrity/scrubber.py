@@ -36,7 +36,6 @@ served.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
@@ -44,17 +43,17 @@ import numpy as np
 
 from ..core.stats import declare
 from ..resilience.hooks import poke as _poke
+from ..spans import span
 from .digest import ChunkedDigest, merkle_diff
 from .errors import IntegrityUnrepairable
 
 __all__ = ["Scrubber"]
 
-#: the scrubber's counters, ``integrity:<name>`` in the counter table;
-#: ``scrub_seconds`` accumulates wall time, the rest are counts.
+#: the scrubber's counters, ``integrity:<name>`` in the counter table.
 SCRUB_COUNTERS = ("cycles", "skipped_cycles", "chunks_scrubbed", "divergences",
                   "rows_repaired", "peer_repairs", "quorum_repairs",
                   "authority_repairs", "wal_resyncs", "wal_segment_repairs",
-                  "wal_segments_dropped", "read_repairs", "scrub_seconds")
+                  "wal_segments_dropped", "read_repairs")
 
 
 class Scrubber:
@@ -111,16 +110,15 @@ class Scrubber:
     def scrub_now(self) -> None:
         """One full scrub cycle over every group.
 
-        What it finds and fixes is counted in :attr:`counters`;
-        ``integrity:scrub_seconds`` accumulates the real (wall) cost of
-        scrubbing — the overhead the benchmark gates on.
+        What it finds and fixes is counted in :attr:`counters`; its wall
+        time is a ``scrub`` :mod:`repro.spans` span, the overhead the
+        benchmark gates on.
         """
-        t0 = time.perf_counter()
-        for gi, group in enumerate(self.groups):
-            self._scrub_group(gi, group)
+        with span("scrub"):
+            for gi, group in enumerate(self.groups):
+                self._scrub_group(gi, group)
         self.suspect_window = False
         self.counters["integrity:cycles"] += 1
-        self.counters["integrity:scrub_seconds"] += time.perf_counter() - t0
 
     # ---- group scrubbing -----------------------------------------------------------
 

@@ -27,7 +27,6 @@ class RejectReason:
     NEGATIVE_NODE = "negative_node_id"
     NODE_OUT_OF_RANGE = "node_id_out_of_range"
     NON_FINITE_PAYLOAD = "non_finite_payload"
-    DUPLICATE_EID = "duplicate_event_id"
     LATE_EVENT = "late_event_below_watermark"
     PAYLOAD_SHAPE = "payload_shape_mismatch"
     POISONED_BATCH = "poisoned_commit_batch"

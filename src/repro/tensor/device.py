@@ -7,21 +7,21 @@ memory on the largest dataset).  This module provides the minimal device
 semantics needed to reproduce both effects on a machine with no GPU:
 
 * two device kinds, ``cpu`` and ``cuda``;
-* a transfer-cost model: moving ``n`` bytes between devices busy-waits for
-  ``n / bandwidth`` seconds, with pinned host memory enjoying a higher
-  bandwidth than pageable memory (mirroring PCIe DMA behaviour);
+* a transfer-cost model: moving ``n`` bytes between devices tallies
+  ``n / bandwidth`` simulated seconds (no wall time) in :class:`TransferTotals`,
+  with pinned host memory enjoying a higher bandwidth than pageable memory
+  (mirroring PCIe DMA behaviour);
 * capacity accounting: when a capacity is configured for a device, every
   byte resident on it is tracked and an allocation that would exceed the
   capacity raises :class:`DeviceOutOfMemoryError`.
 
-Both the cost model and the accounting are off by default so unit tests and
-pure-algorithm benchmarks pay nothing for them.
+Capacity accounting is off by default so unit tests and pure-algorithm
+benchmarks pay nothing for it.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
@@ -121,15 +121,12 @@ class DeviceRuntime:
     """Global runtime holding transfer-cost and capacity configuration.
 
     Attributes:
-        simulate_transfer_cost: when True, cross-device copies busy-wait to
-            model PCIe latency.
         pageable_bandwidth: modeled bytes/second for pageable host memory.
         pinned_bandwidth: modeled bytes/second for pinned host memory.
         capacities: optional per-device byte capacities; ``None`` disables
             accounting for that device.
     """
 
-    simulate_transfer_cost: bool = False
     pageable_bandwidth: float = 2.0e9
     pinned_bandwidth: float = 6.0e9
     capacities: Dict[str, Optional[int]] = field(
@@ -179,24 +176,18 @@ class DeviceRuntime:
     # ---- transfer cost model -------------------------------------------------
 
     def transfer(self, nbytes: int, pinned: bool = False) -> None:
-        """Account (and, if enabled, simulate the latency of) a transfer."""
+        """Tally a transfer: its bytes and its modelled seconds."""
         stats = self.transfer_stats
         stats.count += 1
         stats.bytes += int(nbytes)
         if pinned:
             stats.pinned_bytes += int(nbytes)
         bandwidth = self.pinned_bandwidth if pinned else self.pageable_bandwidth
-        seconds = nbytes / bandwidth
-        stats.simulated_seconds += seconds
-        if self.simulate_transfer_cost and seconds > 0:
-            deadline = time.perf_counter() + seconds
-            while time.perf_counter() < deadline:
-                pass
+        stats.simulated_seconds += nbytes / bandwidth
 
     def reset(self) -> None:
-        """Reset accounting and disable cost simulation and capacities."""
+        """Reset accounting, bandwidths and capacities."""
         with self._lock:
-            self.simulate_transfer_cost = False
             self.pageable_bandwidth = 2.0e9
             self.pinned_bandwidth = 6.0e9
             self.capacities = {"cpu": None, "cuda": None}

@@ -1,5 +1,7 @@
 """Tests for TBatch and TBlock: batching, linking, caches, hooks."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +87,11 @@ class TestEventArrays:
             tg.TBatch([1, 2], [0], [1, 0], [5, 6])
         with pytest.raises(ValueError, match="payload rows"):
             tg.TBatch([1, 2], [0, 1], [1, 0], [5, 6], [[1, 2]])
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3, 1)], ids=["1-D", "3-D"])
+    def test_a_payload_that_is_not_2d_is_refused_by_shape(self, shape):
+        with pytest.raises(ValueError, match=r"2-D .*" + re.escape(str(shape))):
+            tg.TBatch([1, 2], [0, 1], [1, 0], [5, 6], np.zeros(shape))
 
     def test_serve_alias_is_the_one_class(self):
         import repro.serve
