@@ -10,9 +10,11 @@ EXPERIMENTS.md contains marker pairs::
     <!-- END RESULTS -->
 
 Run after ``pytest benchmarks/ --benchmark-only`` so the document always
-quotes the most recent measurement.
+quotes the most recent measurement.  ``--check`` rewrites nothing: it
+names every block that differs from its file and exits 1 if any does.
 """
 
+import argparse
 import os
 import re
 import sys
@@ -27,11 +29,15 @@ PATTERN = re.compile(
 )
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 if any block differs from its file; write nothing")
+    args = parser.parse_args(argv)
     with open(DOC) as fh:
         text = fh.read()
 
-    missing = []
+    missing, drifted = [], []
 
     def replace(match: re.Match) -> str:
         name = match.group("name")
@@ -41,16 +47,22 @@ def main() -> int:
             return match.group(0)
         with open(path) as fh:
             body = fh.read().rstrip()
+        if body != match.group("body"):
+            drifted.append(name)
         return f"{match.group(1)}{body}{match.group(4)}"
 
     updated, count = PATTERN.subn(replace, text)
-    with open(DOC, "w") as fh:
-        fh.write(updated)
-    print(f"updated {count - len(missing)} result blocks in EXPERIMENTS.md")
+    if args.check:
+        for name in drifted:
+            print(f"EXPERIMENTS.md block {name} differs from benchmarks/results/{name}")
+        print(f"checked {count} result blocks: {len(drifted)} differ")
+    else:
+        with open(DOC, "w") as fh:
+            fh.write(updated)
+        print(f"updated {count - len(missing)} result blocks in EXPERIMENTS.md")
     if missing:
         print(f"missing results files (left untouched): {missing}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if missing or (args.check and drifted) else 0
 
 
 if __name__ == "__main__":

@@ -268,6 +268,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"running {cfg.label()}  (batch={cfg.batch_size}, nbrs={cfg.num_nbrs}, "
           f"layers={cfg.num_layers}, epochs={cfg.epochs})")
     exp = Experiment(cfg)
+    # The transfer line counts the run only, as benchmarks/helpers.py
+    # does: set-up copies (``model.to("cuda")``) are not part of it.
+    runtime.transfer_stats.reset()
     try:
         if args.resume or args.checkpoint_every is not None:
             result = exp.run_resilient_training(

@@ -12,7 +12,9 @@ Each shard is a :class:`~repro.cluster.replication.ReplicaGroup` —
 ``replication_factor`` members on distinct hosts, one primary plus
 followers — and the seam uses the group at both ends:
 
-* **Reads** (``_gather``) are scatter-gather with **failover**: each
+* **Reads** (``_gather``) are scatter-gather with **failover**, one wave
+  per request (a sampling rung reads its endpoints and their sampled
+  neighbours together, so each touched shard gets one call): each
   touched shard's rows come from its preferred read member
   (:meth:`~repro.cluster.replication.ReplicaGroup.read_member`) over
   :class:`~repro.cluster.rpc.SimRpc` (timeout + retry + hedging); when
@@ -38,7 +40,8 @@ followers — and the seam uses the group at both ends:
   queue and redelivered — idempotently, by sequence number — when it
   rejoins.
 * **Failures** are injected between requests (``_before_request`` calls
-  :func:`repro.resilience.chaos.inject_member_faults`) and detected by
+  :func:`repro.resilience.chaos.inject_member_faults` while a fault
+  injector is installed) and detected by
   the :class:`~repro.cluster.supervisor.Supervisor`'s heartbeat loop,
   which drives lease-fenced promotion of the best follower, WAL-replay
   respawn + re-replication of dead members, and hot-spot rebalancing.
@@ -65,6 +68,7 @@ from ..core.batch import TBatch
 from ..core.kernels.dedup import group_spans
 from ..core.stats import declare
 from ..integrity.scrubber import Scrubber
+from ..resilience import hooks
 from ..resilience.chaos import inject_member_faults
 from ..serve.commit import plan_by_owner, stage_checked
 from ..serve.deadline import FIXED, PER_EVENT, REFERENCE_PENALTY
@@ -119,8 +123,11 @@ class ShardedCostModel:
 
     Per-event work divides across the shards currently able to serve
     (the parallel speedup the cluster exists for); each request
-    additionally pays the RPC rounds its rung needs — two gather waves
-    for the sampling rungs, one for the cheap ones.  Duck-types
+    additionally pays RPC round trips — two for the sampling rungs, one
+    for the cheap ones.  Every rung reads in one gather wave, yet the
+    sampling rungs are priced at two: these constants are hand-set, not
+    calibrated, and this one is kept so that the read path moves no
+    deadline decision.  Duck-types
     :class:`~repro.serve.deadline.CostModel` for the ladder and the
     replay harness.
     """
@@ -246,8 +253,13 @@ class ServeCluster(ServeEngine):
     # ---- the seam: between requests, after drain -----------------------------------
 
     def _before_request(self) -> None:
-        """Apply due member faults, then detect, fail over, and scrub."""
-        inject_member_faults(self.groups, self.clock.now(), self.ctx.counters)
+        """Apply due member faults, then detect, fail over, and scrub.
+
+        Member faults are consulted only while a fault injector is
+        installed: with none, every site answers no, so a fault-free
+        request skips the per-member pokes."""
+        if hooks.active() is not None:
+            inject_member_faults(self.groups, self.clock.now(), self.ctx.counters)
         self.supervisor.tick()
         self.scrubber.maybe_scrub()
 

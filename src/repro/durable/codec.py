@@ -54,6 +54,11 @@ _RETIRED_ABORT = 2
 KIND_SNAPSHOT = 5  #: full state image (snapshot files only)
 
 
+#: ``json.dumps(meta, sort_keys=True)``'s encoder, built once: ``dumps``
+#: would construct an identical one for every record.
+_META_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 class CodecError(ValueError):
     """Payload bytes do not decode to a well-formed record."""
 
@@ -62,7 +67,7 @@ def encode_payload(kind: int, meta: Dict, arrays: Dict[str, np.ndarray]) -> byte
     """Serialize ``(kind, meta, arrays)`` to bytes (see module layout)."""
     if not 0 <= int(kind) <= 0xFF:
         raise ValueError(f"record kind must fit a u8, got {kind}")
-    meta_json = json.dumps(meta or {}, sort_keys=True).encode()
+    meta_json = _META_ENCODER.encode(meta or {}).encode()
     parts = [struct.pack("<BI", int(kind), len(meta_json)), meta_json,
              struct.pack("<H", len(arrays))]
     for name in sorted(arrays):

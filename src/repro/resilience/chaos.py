@@ -4,7 +4,8 @@
 functions *apply* the decisions that act on cluster members
 (``shard.crash``, ``shard.stall``, ``mem.flip``), so the production
 coordinator carries no fault-application code — its
-``_before_request`` is the one call site of :func:`inject_member_faults`.
+``_before_request`` is the one call site of :func:`inject_member_faults`,
+and calls it only while a fault injector is installed.
 Members are duck-typed; nothing is imported from ``repro.cluster``.
 """
 
@@ -15,7 +16,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .hooks import poke as _poke
+from . import hooks
 
 __all__ = ["inject_member_faults", "apply_bitflip"]
 
@@ -45,21 +46,21 @@ def inject_member_faults(groups: Sequence, now: float, counters: Dict[str, float
     n = len(groups)
     for i, group in enumerate(groups):
         for m, rep in enumerate(group.members):
-            if rep.alive and _poke("shard.crash", shard=i, extra=i + n * m):
+            if rep.alive and hooks.poke("shard.crash", shard=i, extra=i + n * m):
                 rep.crash()
                 counters["cluster:injected_crashes"] += 1
     for i, group in enumerate(groups):
         for m, rep in enumerate(group.members):
             if not rep.alive or rep.recovering:
                 continue
-            if _poke("shard.stall", shard=i, extra=i + n * m):
+            if hooks.poke("shard.stall", shard=i, extra=i + n * m):
                 rep.stall(now, STALL_FACTOR, STALL_WINDOW)
                 counters["cluster:injected_stalls"] += 1
     for i, group in enumerate(groups):
         for m, rep in enumerate(group.members):
             if not rep.alive or rep.recovering:
                 continue
-            directive = _poke("mem.flip", shard=i, extra=i + n * m)
+            directive = hooks.poke("mem.flip", shard=i, extra=i + n * m)
             if directive is not None and directive[0] == "flip":
                 counters["cluster:injected_flips"] += apply_bitflip(rep, directive)
 

@@ -12,9 +12,10 @@ once, in :data:`SITES` (``FaultInjector`` validates its configuration
 against it at construction time).
 
 The three ``resilience.chaos`` sites are consulted between requests, from
-``ServeCluster._before_request``.  ``checkpoint.kill`` is consulted by the
-shared container writer only for callers that name it
-(``save_checkpoint`` does; serving snapshots pass no site).
+``ServeCluster._before_request``, and only while an injector is
+installed.  ``checkpoint.kill`` is consulted by the shared container
+writer only for callers that name it (``save_checkpoint`` does; serving
+snapshots pass no site).
 
 A site either returns a value (``None`` when nothing fires; a bool from
 the crash/stall/heartbeat/promotion queries; a directive tuple the caller

@@ -430,19 +430,24 @@ class ServeEngine:
     def _embed_sampled(self, nodes, times, fanout: int, extra: int) -> Rows:
         """State rows enriched with the mean of sampled temporal neighbors.
 
-        A failed *neighbor* read only reduces the enrichment (that is
-        already the reduced-fanout contract), so the validity mask is the
-        endpoint rows' own — neighbor loss never invalidates a score.
+        The endpoints and their sampled neighbors are read in one wave
+        (one scatter-gather on a cluster): the first ``len(nodes)`` rows
+        are the endpoints', the rest the neighbors'.  A failed *neighbor*
+        read only reduces the enrichment (that is already the
+        reduced-fanout contract), so the validity mask is the endpoint
+        rows' own — neighbor loss never invalidates a score.
         """
         res = self.sampler.sample_arrays(
             self.graph.csr(), nodes, times, ctx=self.ctx, num_nbrs=fanout
         )
-        rows, ok = self._rows(nodes, extra)
-        emb = rows.astype(np.float32)
+        n = len(nodes)
+        rows, ok = self._rows(np.concatenate([nodes, res.srcnodes]), extra)
+        emb = rows[:n].astype(np.float32)
+        if ok is not None:
+            ok = ok[:n]
         if len(res.srcnodes):
-            nbr_rows, _ = self._rows(res.srcnodes, extra + 1)
-            counts = np.bincount(res.dstindex, minlength=len(nodes))
-            agg = neighbour_sum(res.dstindex, nbr_rows, counts)
+            counts = np.bincount(res.dstindex, minlength=n)
+            agg = neighbour_sum(res.dstindex, rows[n:], counts)
             hot = counts > 0
             emb[hot] = 0.5 * (emb[hot] + agg[hot] / counts[hot, None].astype(np.float32))
         self._remember(nodes, times, emb, ok)

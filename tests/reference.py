@@ -21,6 +21,9 @@ They live here, not under ``src/``, so the shipped code has one path:
   scatter-gather wave and load record the way they ran before each was
   done once per request: a boolean mask per shard, and one ``bincount``
   per shard.
+* :func:`two_wave_embed` — the sampling rungs' embedding the way it read
+  before a request fetched its endpoint and neighbour rows in one wave:
+  one ``_rows`` call for the endpoints, a second for the neighbours.
 * :class:`ReuseCacheOracle` — ``NodeTimeCache``'s reuse-distance ring, one
   key at a time over a dict, choosing victims with a full ``np.lexsort`` of
   every resident slot.  ``benchmarks/test_kernels_microbench.py`` times its
@@ -37,6 +40,7 @@ from repro.cluster import RpcTimeout
 from repro.core import Mailbox, Memory, TBlock, op as tgop
 from repro.models import APAN, JODIE, TGN
 from repro.serve import stage_updates
+from repro.serve.engine import neighbour_sum
 from repro.tensor import Tensor, cat
 from repro.tensor.segment import segment_softmax, segment_sum
 
@@ -235,6 +239,24 @@ def per_shard_load(parts, num_shards: int, num_nodes: int):
         if len(part.nodes):
             touches += np.bincount(part.nodes, minlength=num_nodes)
     return load, touches
+
+
+def two_wave_embed(engine, nodes, times, fanout: int, extra: int):
+    """``ServeEngine._embed_sampled`` reading in two waves: the endpoint
+    rows, then the sampled neighbours' rows salted ``extra + 1``.
+    ``(emb, ok)``, with ``ok`` the endpoint read's mask."""
+    res = engine.sampler.sample_arrays(
+        engine.graph.csr(), nodes, times, ctx=engine.ctx, num_nbrs=fanout)
+    rows, ok = engine._rows(nodes, extra)
+    emb = rows.astype(np.float32)
+    if len(res.srcnodes):
+        nbr_rows, _ = engine._rows(res.srcnodes, extra + 1)
+        counts = np.bincount(res.dstindex, minlength=len(nodes))
+        agg = neighbour_sum(res.dstindex, nbr_rows, counts)
+        hot = counts > 0
+        emb[hot] = 0.5 * (emb[hot] + agg[hot] / counts[hot, None].astype(np.float32))
+    engine._remember(nodes, times, emb, ok)
+    return emb, ok
 
 
 class ReuseCacheOracle:

@@ -1,8 +1,14 @@
 """Tests for the command-line experiment runner."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.bench.cli import build_parser, main
+from repro.bench.experiments import Experiment
+from repro.tensor import Tensor
+from repro.tensor.device import runtime
 
 
 class TestParser:
@@ -52,6 +58,27 @@ class TestMain:
         ])
         assert rc == 0
         assert "test inference" in capsys.readouterr().out
+
+    def test_transfer_line_counts_the_run_not_set_up(self, capsys, monkeypatch):
+        """Set-up copies the parameters to the device (``model.to("cuda")``);
+        the printed line counts only what the run moved: one 4 KiB copy."""
+        def run(exp):
+            Tensor(np.zeros(1024, dtype=np.float32)).to("cuda")
+            return SimpleNamespace(epochs=[], best_ap=0.0)
+
+        setup = []
+        real_init = Experiment.__init__
+
+        def init(exp, cfg):
+            real_init(exp, cfg)
+            setup.append(runtime.transfer_stats.count)
+
+        monkeypatch.setattr(Experiment, "__init__", init)
+        monkeypatch.setattr(Experiment, "run_training", run)
+        assert main(["--model", "tgat", "--dataset", "wiki", "--placement", "gpu",
+                     "--dim-embed", "8", "--dim-time", "8"]) == 0
+        assert setup[0] > 0  # model.to("cuda") did copy during set-up
+        assert "transfers (simulated clock): count=1 MB=0.0 " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("sub", ["serve", "scenarios"])

@@ -11,6 +11,7 @@ assembled Memory/Mailbox state is bit-identical to a clean
 single-replica replay.
 """
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -395,6 +396,28 @@ def test_cluster_chaos_equivalence_with_shard_kill():
     assert all(r.status == "ok" for r in results)
     assert stats["cluster:partial_results"] > 0
     assert digests == _single_digests(stream, batches)
+
+
+@pytest.mark.parametrize("installed", [False, True])
+def test_member_fault_sites_are_consulted_only_under_an_injector(installed):
+    """A fault-free replay makes none of the per-member kill / stall / flip
+    pokes; with an injector installed every request pokes each member at
+    each of the three sites."""
+    sites = {"shard.crash", "shard.stall", "mem.flip"}
+    stream = _stream(300)
+    batches = split_batches(stream, 30)
+    seen, real = [], hooks.poke
+
+    def spy(site, **info):
+        seen.append(site)
+        return real(site, **info)
+
+    ctx, cluster = _cluster(stream, config=ClusterConfig(num_shards=16))
+    injector = FaultInjector(0) if installed else contextlib.nullcontext()
+    with cluster, injector, mock.patch.object(hooks, "poke", spy):
+        replay(cluster, batches, load=1.0)
+    member_pokes = sum(site in sites for site in seen)
+    assert member_pokes == (3 * 16 * len(batches) if installed else 0)
 
 
 def test_cluster_partial_results_while_shard_down():

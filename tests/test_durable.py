@@ -7,6 +7,7 @@ replay of the committed prefix, no committed record is lost or applied
 twice, and re-opening the store is idempotent.
 """
 
+import json
 import os
 import shutil
 import struct
@@ -15,6 +16,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import nn
 from repro.core import Mailbox, Memory, TContext, TGraph, TSampler
@@ -45,6 +47,20 @@ from repro.serve import (
 
 
 # ---- codec ------------------------------------------------------------------------
+
+_FLOATS = st.one_of(
+    st.floats(),  # subnormals, infinities and NaN included
+    st.sampled_from([-0.0, 0.0, 1e22, 5e-324, 2.2250738585072014e-308, 1e16]),
+    st.integers(-2**53, 2**53).map(float),  # integral values
+)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**62, 2**62),
+                     _FLOATS, st.text())
+_METAS = st.dictionaries(st.text(), st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+), max_size=6)
+
 
 
 class TestCodec:
@@ -84,6 +100,18 @@ class TestCodec:
         for cut in (1, len(buf) // 2, len(buf) - 1):
             with pytest.raises(CodecError):
                 decode_payload(buf[:cut])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_METAS)
+    def test_records_are_the_json_dumps_framing(self, meta):
+        """The shared encoder writes the bytes ``json.dumps(meta,
+        sort_keys=True)`` wrote, so every logged record is unchanged."""
+        arrays = {"x": np.arange(3.0)}
+        meta_json = json.dumps(meta, sort_keys=True).encode()
+        # the arrays' part: what follows u8 kind, u32 length and "{}"
+        tail = encode_payload(KIND_BATCH, {}, arrays)[5 + len(b"{}"):]
+        want = struct.pack("<BI", KIND_BATCH, len(meta_json)) + meta_json + tail
+        assert encode_payload(KIND_BATCH, meta, arrays) == want
 
 
 # ---- WAL basics -------------------------------------------------------------------
