@@ -18,6 +18,11 @@ _TABLES: List[str] = []
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
+#: what scores a request served through ``ServeEngine`` without a swapped model
+SURROGATE_MODEL = "mean-aggregate surrogate (not a TGNN forward; ROADMAP item 1)"
+#: what scores a scenario's requests: the table its learner installs
+SWAPPED_MODEL = "embedding-table link model, served via swap_model"
+
 
 def format_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     cells = [[str(c) for c in row] for row in rows]
@@ -42,12 +47,18 @@ def provenance(clock: str) -> str:
 
 
 def report_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[object]],
-                 filename: str = None, clock: Optional[str] = None) -> str:
+                 filename: str = None, clock: Optional[str] = None,
+                 note: Optional[str] = None, model: Optional[str] = None) -> str:
     """Register a finished table for terminal-summary printing + disk;
-    with *clock*, a :func:`provenance` line follows the rows."""
+    with *clock*, a :func:`provenance` line follows the rows, then *note*;
+    with *model*, the last line names what scored the served requests."""
     text = format_table(title, headers, rows)
     if clock is not None:
         text += "\n" + provenance(clock)
+    if note is not None:
+        text += "\n" + note
+    if model is not None:
+        text += "\nmodel: " + model
     _TABLES.append(text)
     os.makedirs(RESULTS_DIR, exist_ok=True)
     if filename is None:

@@ -25,7 +25,7 @@ from repro.core import TContext, TGraph, TSampler
 from repro.resilience import FaultInjector
 from repro.serve import build_stream, replay, split_batches
 
-from conftest import report_table
+from conftest import SURROGATE_MODEL, report_table
 
 NUM_NODES = 500
 NUM_EVENTS = 6000
@@ -107,4 +107,5 @@ def test_cluster_availability():
          "follower_reads", "p50_ms", "p99_ms", "ttr_ms"],
         rows,
         filename="cluster_availability.txt",
+        model=SURROGATE_MODEL,
     )

@@ -19,7 +19,7 @@ from repro.core import TContext, TGraph, TSampler
 from repro.resilience import FaultInjector
 from repro.serve import build_stream, replay, split_batches
 
-from conftest import report_table
+from conftest import SURROGATE_MODEL, report_table
 
 NUM_NODES = 500
 NUM_EVENTS = 6000
@@ -103,6 +103,7 @@ def test_cluster_scaling():
          "recover (ms)", "redelivered"],
         rows,
         filename="cluster_scaling.txt",
+        model=SURROGATE_MODEL,
     )
 
     # the scaling target: >= 3x throughput at 4 shards over 1

@@ -20,7 +20,6 @@ and serve seconds are the ``scrub`` and ``serve`` spans of one
 Written to ``benchmarks/results/integrity_scrub.txt``.
 """
 
-import os
 import time
 from unittest import mock
 
@@ -32,7 +31,7 @@ from repro.resilience import apply_bitflip
 from repro.serve import ServeRuntime, build_stream, replay, split_batches
 from repro.spans import record, span
 
-from conftest import RESULTS_DIR, report_table
+from conftest import SURROGATE_MODEL, report_table
 
 NUM_NODES = 500
 NUM_EVENTS = 6000
@@ -45,7 +44,7 @@ OVERHEAD_BUDGET = 0.10
 NOTE = (
     "digest_ms: wall time in leaf maintenance during the clean replay (record_rows plus\n"
     "the group's one hash of each sub-batch's plan); it is part of serve_ms.  overhead =\n"
-    "scrub_ms / serve_ms, so a cheaper write path raises it without the scrub changing.\n"
+    "scrub_ms / serve_ms, so a cheaper write path raises it without the scrub changing."
 )
 
 
@@ -154,6 +153,6 @@ def test_integrity_scrub_overhead():
          "serve_ms", "overhead", "flip_outcome"],
         rows,
         filename="integrity_scrub.txt",
+        note=NOTE,
+        model=SURROGATE_MODEL,
     )
-    with open(os.path.join(RESULTS_DIR, "integrity_scrub.txt"), "a") as fh:
-        fh.write(NOTE)

@@ -264,7 +264,7 @@ def test_kernel_microbench():
     # -- state update: one chunk digest, one apply's leaf refresh ---------------
     table = rng.standard_normal((512, 32)).astype(np.float32)
     stamps = rng.random(512)
-    cd = ChunkedDigest(lambda: (table, stamps), 512, 32)
+    cd = ChunkedDigest(lambda: (table, stamps), 512)
     schema = b"<f4|32|<f8||"
 
     def spelled_out(chunk=3):

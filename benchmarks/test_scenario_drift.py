@@ -22,7 +22,7 @@ import tempfile
 
 import numpy as np
 
-from conftest import report_table
+from conftest import SWAPPED_MODEL, report_table
 from repro.bench.metrics import average_precision
 from repro.scenarios import gap_recovered, make_stream, run_closed_loop
 
@@ -92,6 +92,7 @@ def test_accuracy_under_drift_and_staleness_curves():
          "gap recovered"],
         rows,
         filename="scenario_drift.txt",
+        model=SWAPPED_MODEL,
     )
 
     # ---- staleness vs quality on the abrupt-drift stream ----
@@ -122,4 +123,5 @@ def test_accuracy_under_drift_and_staleness_curves():
         ["budget", "swaps", "overall AP", "post-shift AP", "final staleness"],
         sweep_rows,
         filename="scenario_staleness.txt",
+        model=SWAPPED_MODEL,
     )

@@ -22,7 +22,7 @@ from repro.serve import (
     split_batches,
 )
 
-from conftest import report_table
+from conftest import SURROGATE_MODEL, report_table
 
 NUM_NODES = 500
 NUM_EVENTS = 8000
@@ -91,6 +91,7 @@ def test_serving_throughput():
          "p50 (ms)", "p99 (ms)"],
         rows,
         filename="serving_throughput.txt",
+        model=SURROGATE_MODEL,
     )
 
     # -- acceptance: availability and consistency at every load level ------

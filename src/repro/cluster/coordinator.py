@@ -87,7 +87,7 @@ class ClusterConfig:
     """What differs between one :class:`ServeCluster` deployment and the next.
 
     The RPC, failure-detection, takeover and rebalance timings are not
-    here: each is the default of the component that uses it
+    here: each is a class constant of the component that uses it
     (:class:`~repro.cluster.rpc.SimRpc`,
     :class:`~repro.cluster.supervisor.Supervisor`), scaled to the serving
     cost model (full-rung service is ~1e-2s for a 100-event request).
@@ -138,7 +138,7 @@ class ShardedCostModel:
     def estimate(self, level: str, n_events: int, ctx=None) -> float:
         live = max(1, self._cluster.live_shards())
         cost = FIXED + PER_EVENT[level] * n_events / live
-        rpc = self._cluster.rpc.service
+        rpc = SimRpc.SERVICE
         if level in ("full", "reduced"):
             cost += 2.0 * rpc
             if ctx is not None and ctx.is_degraded("kernel.sample"):
@@ -159,8 +159,8 @@ class ServeCluster(ServeEngine):
         stream: seeding event stream, required by the ``temporal``
             partition policy.
         **engine: the shared request-loop knobs (``clock``, ``deadline``,
-            ``lateness``, ``max_buffer``, ``max_queue``, ``shed_policy``,
-            ``rate``, ``burst``, ``injector``), declared once on
+            ``lateness``, ``max_queue``, ``shed_policy``, ``rate``,
+            ``injector``), declared once on
             :class:`~repro.serve.engine.ServeEngine`.  The ladder prices
             requests with :class:`ShardedCostModel`.
 
@@ -235,11 +235,6 @@ class ServeCluster(ServeEngine):
         self.committed_watermark = -np.inf
 
     # ---- liveness ------------------------------------------------------------------
-
-    @property
-    def replicas(self) -> List[ShardReplica]:
-        """Each group's current primary (the legacy single-replica view)."""
-        return [g.primary for g in self.groups]
 
     def live_shards(self) -> int:
         """Shards with at least one member able to serve right now."""
@@ -382,7 +377,7 @@ class ServeCluster(ServeEngine):
             if not served:
                 ok[idx] = False
                 c["cluster:zero_rows"] += b - a
-        self.clock.advance(max(0.0, slowest - self.rpc.service))
+        self.clock.advance(max(0.0, slowest - SimRpc.SERVICE))
         return rows, ok
 
     # ---- the seam: commit fan-out --------------------------------------------------
@@ -450,7 +445,7 @@ class ServeCluster(ServeEngine):
         """One component's global tables: each row from its owning primary."""
         n = self.graph.num_nodes
         image: Tuple[np.ndarray, ...] = ()
-        for rep in self.replicas:
+        for rep in (g.primary for g in self.groups):
             if rep.memory is None:
                 raise ReplicaDown(f"shard {rep.shard_id} is down; drain() first")
             tables = rep.tables(component)
@@ -474,12 +469,13 @@ class ServeCluster(ServeEngine):
     def mailbox_image(self):
         """Global ``(mail, time, cursor)`` mailbox arrays from the shards
         (``cursor`` is ``None`` for one-slot mailboxes)."""
-        if self.replicas[0].mailbox_slots <= 0:
+        primary = self.groups[0].primary
+        if primary.mailbox_slots <= 0:
             return None
         image = self._image("mailbox")
         # Tables the mailboxes do not hold (the cursor of a one-slot ring)
         # are reported as None.
-        declared = len(self.replicas[0].mailbox.TABLE_KEYS)
+        declared = len(primary.mailbox.TABLE_KEYS)
         return image + (None,) * (declared - len(image))
 
     # ---- reporting / lifecycle -----------------------------------------------------

@@ -51,41 +51,33 @@ class RpcTimeout(RuntimeError):
 class SimRpc:
     """Deterministic lossy RPC with timeout, retry, backoff, and hedging.
 
+    The timings are class constants, scaled to the serving cost model
+    (full-rung service is ~1e-2s for a 100-event request); a test that
+    needs other timings patches them.
+
     Args:
         clock: the shared simulated clock (read for stats only; the
             *caller* advances it by the returned elapsed time, so calls
             to several shards can overlap as one scatter-gather wave).
-        service: nominal one-way service seconds per call.
-        timeout: per-attempt completion deadline.
-        retries: extra attempts after the first.
-        backoff: base of the exponential retry backoff
-            (``backoff * 2**attempt`` idle seconds after each timeout).
-        hedge_delay: send a duplicate request when the primary has not
-            completed by this long; ``None`` disables hedging.
         counters: the counter table to count the channel's ``rpc:*``
             (cluster-level, all shards) into (a private one when None).
     """
 
-    def __init__(
-        self,
-        clock,
-        service: float = 2.0e-4,
-        timeout: float = 2.0e-3,
-        retries: int = 2,
-        backoff: float = 5.0e-4,
-        hedge_delay: Optional[float] = 6.0e-4,
-        counters: Optional[Dict[str, float]] = None,
-    ):
-        if service <= 0 or timeout <= 0:
-            raise ValueError("rpc service and timeout must be positive")
-        if retries < 0:
-            raise ValueError("rpc retries must be >= 0")
+    #: nominal one-way service seconds per call.
+    SERVICE = 2.0e-4
+    #: per-attempt completion deadline.
+    TIMEOUT = 2.0e-3
+    #: extra attempts after the first.
+    RETRIES = 2
+    #: base of the exponential retry backoff (``BACKOFF * 2**attempt``
+    #: idle seconds after each timeout).
+    BACKOFF = 5.0e-4
+    #: a duplicate request is sent when the primary has not completed by
+    #: this long (shorter than :attr:`TIMEOUT`, so a hedge can still win).
+    HEDGE_DELAY = 6.0e-4
+
+    def __init__(self, clock, counters: Optional[Dict[str, float]] = None):
         self.clock = clock
-        self.service = float(service)
-        self.timeout = float(timeout)
-        self.retries = int(retries)
-        self.backoff = float(backoff)
-        self.hedge_delay = None if hedge_delay is None else float(hedge_delay)
         self.counters = declare(
             counters, "rpc:calls", "rpc:attempts", "rpc:retries", "rpc:timeouts",
             "rpc:failures", "rpc:dropped_sends", "rpc:dropped_replies",
@@ -111,7 +103,7 @@ class SimRpc:
             return math.inf  # host down: the request vanishes into the void
         if on_deliver is not None:
             on_deliver()
-        service = self.service * max(1.0, float(stall))
+        service = self.SERVICE * max(1.0, float(stall))
         if _poke("rpc.recv", shard=shard, extra=extra + 1) == ("drop",):
             self.counters["rpc:dropped_replies"] += 1
             return math.inf
@@ -135,29 +127,25 @@ class SimRpc:
         and hedge legs further offset it internally.
         """
         elapsed = 0.0
-        for attempt in range(self.retries + 1):
+        for attempt in range(self.RETRIES + 1):
             key = extra + 1009 * attempt
             completion = self._leg(shard, alive, stall, key, on_deliver)
-            if (
-                self.hedge_delay is not None
-                and completion > self.hedge_delay
-                and self.hedge_delay < self.timeout
-            ):
+            if completion > self.HEDGE_DELAY:
                 # The primary is slow (or lost): fire a hedged duplicate
                 # and take whichever copy answers first.
                 self.counters["rpc:hedges"] += 1
-                hedge = self.hedge_delay + self._leg(
+                hedge = self.HEDGE_DELAY + self._leg(
                     shard, alive, stall, key + 500009, on_deliver
                 )
                 if hedge < completion:
                     completion = hedge
                     self.counters["rpc:hedge_wins"] += 1
-            if completion <= self.timeout:
+            if completion <= self.TIMEOUT:
                 self.counters["rpc:calls"] += 1
                 return elapsed + completion
             self.counters["rpc:timeouts"] += 1
-            elapsed += self.timeout + self.backoff * (2 ** attempt)
-            if attempt < self.retries:
+            elapsed += self.TIMEOUT + self.BACKOFF * (2 ** attempt)
+            if attempt < self.RETRIES:
                 self.counters["rpc:retries"] += 1
         self.counters["rpc:failures"] += 1
         raise RpcTimeout(shard, elapsed)
@@ -196,6 +184,6 @@ class SimRpc:
 
     def __repr__(self) -> str:
         return (
-            f"SimRpc(service={self.service:g}, timeout={self.timeout:g}, "
-            f"retries={self.retries}, hedge={self.hedge_delay})"
+            f"SimRpc(service={self.SERVICE:g}, timeout={self.TIMEOUT:g}, "
+            f"retries={self.RETRIES}, hedge={self.HEDGE_DELAY:g})"
         )

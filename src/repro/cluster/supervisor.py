@@ -4,11 +4,11 @@ The :class:`Supervisor` is the cluster's control plane, driven entirely
 by the shared simulated clock so every run is replayable:
 
 * **Heartbeats** — each live replica-group member beats every
-  ``heartbeat_interval`` seconds; a beat can be lost at the
+  ``HEARTBEAT_INTERVAL`` seconds; a beat can be lost at the
   ``heartbeat.drop`` fault site.  The detector scores every member with
   a phi-accrual-style suspicion level, ``phi = missed_intervals =
-  (now - last_beat) / interval``: crossing ``suspect_phi`` marks the
-  member *suspect*, crossing ``dead_phi`` marks it *dead* and triggers
+  (now - last_beat) / interval``: crossing ``SUSPECT_PHI`` marks the
+  member *suspect*, crossing ``DEAD_PHI`` marks it *dead* and triggers
   failover.  A suspect member that beats again returns to *ok*.
   Members deliberately **quiesced** for a planned hand-off accrue no
   phi at all — their beats are suppressed together with their detection,
@@ -26,8 +26,8 @@ by the shared simulated clock so every run is replayable:
   window finite).  The respawned ex-primary rejoins as a follower and
   catches up from its queue — re-replication restoring the factor.
 * **Rebalance** — per-shard load is accumulated per observation window;
-  when one shard sustains more than ``rebalance_factor``x the mean load
-  for ``rebalance_patience`` consecutive windows, the hottest nodes of
+  when one shard sustains more than ``REBALANCE_FACTOR``x the mean load
+  for ``REBALANCE_PATIENCE`` consecutive windows, the hottest nodes of
   the hot shard move to the least-loaded shard.  With replication the
   hand-off moves the rows on *every* member of both groups (so group
   members stay bit-identical), behind a quiesce window whose modeled
@@ -61,74 +61,49 @@ class ShardState:
 class Supervisor:
     """Failure detector + failover/promotion/rebalance driver.
 
+    The timings and thresholds are class constants, scaled to the serving
+    cost model; a test that needs others (a short rebalance window, say)
+    patches them.
+
     Args:
         clock: the shared simulated clock.
         groups: the cluster's :class:`~repro.cluster.replication.ReplicaGroup`s.
         router: the shared :class:`~repro.cluster.partition.ShardRouter`.
-        heartbeat_interval: seconds between beats per member.
-        suspect_phi / dead_phi: missed-interval thresholds for the
-            suspect and dead transitions.
-        recovery_base / recovery_per_batch: modeled takeover time —
-            snapshot load plus per-WAL-record replay.
-        promote_seconds: modeled lease hand-off time charged to the
-            clock per completed promotion.
-        rebalance_window: seconds of load observed per rebalance check.
-        rebalance_factor: hot-spot trigger, ``max_load > factor * mean``.
-        rebalance_patience: consecutive hot windows before moving nodes.
-        rebalance_max_fraction: at most this fraction of the hot shard's
-            nodes moves per rebalance.
-        rebalance_handoff_seconds: modeled quiesce window charged to the
-            clock per rebalance hand-off.
-        on_recovered: callback ``(shard_id, member_idx)`` after a
-            respawn completes and the member has rejoined its group.
         counters: the counter table to count the control plane's
             ``cluster:*`` into (a private one when None).  Promotions and
             recoveries are counted by the group and the member they happen
             to.
     """
 
+    #: seconds between beats per member.
+    HEARTBEAT_INTERVAL = 5.0e-3
+    #: missed-interval thresholds of the suspect and dead transitions.
+    SUSPECT_PHI = 2.0
+    DEAD_PHI = 4.0
+    #: modeled takeover time: snapshot load plus per-WAL-record replay.
+    RECOVERY_BASE = 1.0e-2
+    RECOVERY_PER_BATCH = 1.0e-4
+    #: modeled lease hand-off seconds charged per completed promotion.
+    PROMOTE_SECONDS = 2.0e-3
     #: promotion attempts delayed by ``repl.promote`` before one is
     #: forced through without consulting the site (bounds the window).
     MAX_PROMOTE_DELAYS = 2
+    #: seconds of load observed per rebalance check.
+    REBALANCE_WINDOW = 0.25
+    #: hot-spot trigger, ``max_load > REBALANCE_FACTOR * mean``.
+    REBALANCE_FACTOR = 2.0
+    #: consecutive hot windows before nodes move.
+    REBALANCE_PATIENCE = 2
+    #: at most this fraction of the hot shard's nodes moves per rebalance.
+    REBALANCE_MAX_FRACTION = 0.25
+    #: modeled quiesce window charged to the clock per rebalance hand-off.
+    REBALANCE_HANDOFF_SECONDS = 2.0e-3
 
-    def __init__(
-        self,
-        clock,
-        groups,
-        router,
-        heartbeat_interval: float = 5.0e-3,
-        suspect_phi: float = 2.0,
-        dead_phi: float = 4.0,
-        recovery_base: float = 1.0e-2,
-        recovery_per_batch: float = 1.0e-4,
-        promote_seconds: float = 2.0e-3,
-        rebalance_window: float = 0.25,
-        rebalance_factor: float = 2.0,
-        rebalance_patience: int = 2,
-        rebalance_max_fraction: float = 0.25,
-        rebalance_handoff_seconds: float = 2.0e-3,
-        on_recovered=None,
-        counters: Optional[Dict[str, float]] = None,
-    ):
-        if heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if not 0 < suspect_phi <= dead_phi:
-            raise ValueError("need 0 < suspect_phi <= dead_phi")
+    def __init__(self, clock, groups, router,
+                 counters: Optional[Dict[str, float]] = None):
         self.clock = clock
         self.groups = groups
         self.router = router
-        self.interval = float(heartbeat_interval)
-        self.suspect_phi = float(suspect_phi)
-        self.dead_phi = float(dead_phi)
-        self.recovery_base = float(recovery_base)
-        self.recovery_per_batch = float(recovery_per_batch)
-        self.promote_seconds = float(promote_seconds)
-        self.rebalance_window = float(rebalance_window)
-        self.rebalance_factor = float(rebalance_factor)
-        self.rebalance_patience = int(rebalance_patience)
-        self.rebalance_max_fraction = float(rebalance_max_fraction)
-        self.rebalance_handoff_seconds = float(rebalance_handoff_seconds)
-        self.on_recovered = on_recovered
         self.counters = declare(
             counters, "cluster:beats", "cluster:beats_dropped", "cluster:suspects",
             "cluster:failovers", "cluster:promote_delays", "cluster:rebalances",
@@ -156,12 +131,12 @@ class Supervisor:
         #: groups whose promotion attempt was delayed (repl.promote).
         self._need_promotion: Set[int] = set()
         self._promote_delay_count: Dict[int, int] = {}
-        self._next_beat = now + self.interval
+        self._next_beat = now + self.HEARTBEAT_INTERVAL
         self._beat_seq = 0
         # load accounting for hot-spot detection
         self._window_load = np.zeros(n, dtype=np.float64)
         self._node_touches = np.zeros(router.num_nodes, dtype=np.float64)
-        self._window_end = now + self.rebalance_window
+        self._window_end = now + self.REBALANCE_WINDOW
         self._hot_streak = 0
 
     # ---- load observation ----------------------------------------------------------
@@ -189,7 +164,7 @@ class Supervisor:
     def _heartbeats(self, now: float) -> None:
         while now >= self._next_beat:
             t = self._next_beat
-            self._next_beat += self.interval
+            self._next_beat += self.HEARTBEAT_INTERVAL
             self._beat_seq += 1
             for g, group in enumerate(self.groups):
                 for m, member in enumerate(group.members):
@@ -210,13 +185,13 @@ class Supervisor:
             for m, member in enumerate(group.members):
                 if member.recovering or (g, m) in self._quiesced:
                     continue
-                phi = (now - self.last_beat[(g, m)]) / self.interval
-                if phi >= self.dead_phi:
+                phi = (now - self.last_beat[(g, m)]) / self.HEARTBEAT_INTERVAL
+                if phi >= self.DEAD_PHI:
                     if self.state[g][m] != ShardState.DEAD:
                         self.state[g][m] = ShardState.DEAD
                         self._dead_since[(g, m)] = now
                         self._member_failover(g, m, now)
-                elif phi >= self.suspect_phi:
+                elif phi >= self.SUSPECT_PHI:
                     if self.state[g][m] == ShardState.OK:
                         self.state[g][m] = ShardState.SUSPECT
                         self.counters["cluster:suspects"] += 1
@@ -256,7 +231,7 @@ class Supervisor:
         # fenced first — split-brain guard: the detector's verdict wins.
         rep.crash()
         seconds = rep.estimate_recovery_seconds(
-            self.recovery_base, self.recovery_per_batch
+            self.RECOVERY_BASE, self.RECOVERY_PER_BATCH
         )
         rep.begin_recovery(ready_at=now + seconds)
         self.state[shard][m] = ShardState.RECOVERING
@@ -295,7 +270,7 @@ class Supervisor:
             self._need_promotion.discard(shard)
             self._promote_delay_count.pop(shard, None)
             return False
-        self.clock.advance(self.promote_seconds)
+        self.clock.advance(self.PROMOTE_SECONDS)
         self.state[shard][new_idx] = ShardState.OK
         self.last_beat[(shard, new_idx)] = self.clock.now()
         self._need_promotion.discard(shard)
@@ -350,8 +325,6 @@ class Supervisor:
                         # First member back of a fully-dead group: it
                         # must take (or retake) the lease.
                         self.ensure_primary(g)
-                    if self.on_recovered is not None:
-                        self.on_recovered(g, m)
 
     # ---- planned quiesce (rebalance hand-off) ---------------------------------------
 
@@ -374,7 +347,7 @@ class Supervisor:
     def _maybe_rebalance(self, now: float) -> None:
         if now < self._window_end:
             return
-        self._window_end = now + self.rebalance_window
+        self._window_end = now + self.REBALANCE_WINDOW
         load = self._window_load
         self._window_load = np.zeros_like(load)
         total = float(load.sum())
@@ -383,14 +356,14 @@ class Supervisor:
             return
         mean = total / len(load)
         hot = int(np.argmax(load))
-        if load[hot] > self.rebalance_factor * mean and len(
+        if load[hot] > self.REBALANCE_FACTOR * mean and len(
             self.router.owned_nodes(hot)
         ) > 1:
             self._hot_streak += 1
         else:
             self._hot_streak = 0
             return
-        if self._hot_streak < self.rebalance_patience:
+        if self._hot_streak < self.REBALANCE_PATIENCE:
             return
         self._hot_streak = 0
         cold = int(np.argmin(load))
@@ -409,7 +382,7 @@ class Supervisor:
         # Move the hottest nodes carrying about half the excess load,
         # bounded so one rebalance never empties a shard.
         excess = (load[hot] - mean) / 2.0
-        budget = max(1, int(len(owned) * self.rebalance_max_fraction))
+        budget = max(1, int(len(owned) * self.REBALANCE_MAX_FRACTION))
         moved: List[int] = []
         carried = 0.0
         for node in order:
@@ -430,7 +403,7 @@ class Supervisor:
                 group.drain_member(m)
         for m in range(len(hot_group.members)):
             cold_group.members[m].adopt(hot_group.members[m].release(nodes))
-        self.clock.advance(self.rebalance_handoff_seconds)
+        self.clock.advance(self.REBALANCE_HANDOFF_SECONDS)
         self.router.move(nodes, cold)
         for g, group in ((hot, hot_group), (cold, cold_group)):
             for m in range(len(group.members)):

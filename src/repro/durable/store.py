@@ -66,38 +66,30 @@ class DurableStateStore:
         directory: home of WAL segments and snapshot files.
         fsync: WAL durability policy (``'always'`` / ``'batch'`` /
             ``'never'``); ``'batch'`` group-commits every
-            ``fsync_interval`` records.
-        fsync_interval: appends per group-commit sync.
-        segment_bytes: WAL segment rotation threshold.
-        snapshots_keep: snapshots retained after each :meth:`snapshot`.
+            :attr:`WriteAheadLog.FSYNC_INTERVAL` records.
         counters / prefix: the counter table to count
             ``<prefix>snapshots_written``, ``<prefix>compacted_segments`` and
             the log's ``<prefix>wal:*`` into (a private table when None).
     """
 
+    #: snapshots retained after each :meth:`snapshot`.
+    SNAPSHOTS_KEEP = 2
+
     def __init__(
         self,
         directory: str,
         fsync: str = "batch",
-        fsync_interval: int = 32,
-        segment_bytes: int = 1 << 20,
-        snapshots_keep: int = 2,
         counters: Optional[Dict[str, float]] = None,
         prefix: str = "",
     ):
         self.directory = os.path.abspath(directory)
         os.makedirs(self.directory, exist_ok=True)
-        self.snapshots_keep = int(snapshots_keep)
         self._snapshots = prefix + "snapshots_written"
         #: counter-table key of the sealed segments compaction deleted.
         self.compacted_key = prefix + "compacted_segments"
         self.counters = declare(counters, self._snapshots, self.compacted_key)
         self.wal = WriteAheadLog(
-            self.directory,
-            segment_bytes=segment_bytes,
-            fsync=fsync,
-            fsync_interval=fsync_interval,
-            counters=self.counters,
+            self.directory, fsync=fsync, counters=self.counters,
             prefix=prefix + "wal:",
         )
         # recovery skips records at or below the newest snapshot's LSN
@@ -127,7 +119,7 @@ class DurableStateStore:
         self.wal.sync()
         lsn = self.wal.last_lsn
         path = write_snapshot(self.directory, lsn, meta or {}, arrays)
-        prune_snapshots(self.directory, keep=self.snapshots_keep)
+        prune_snapshots(self.directory, keep=self.SNAPSHOTS_KEEP)
         self.compact_below(lsn + 1)
         self.counters[self._snapshots] += 1
         return path

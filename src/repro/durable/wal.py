@@ -25,7 +25,7 @@ segments are deleted — so re-opening is idempotent and new appends never
 interleave with garbage.
 
 **Durability policy.** ``fsync='always'`` syncs every append;
-``'batch'`` (group commit) syncs every ``fsync_interval`` appends and on
+``'batch'`` (group commit) syncs every ``FSYNC_INTERVAL`` appends and on
 rotation/close, trading a bounded tail-loss window for ~10x cheaper
 appends; ``'never'`` leaves syncing to the OS.  Every append is flushed
 to the OS regardless, so only a machine-level crash (or the injected
@@ -191,32 +191,28 @@ class WriteAheadLog:
 
     Args:
         directory: where segment files live (created if missing).
-        segment_bytes: rotate to a fresh segment once the current one
-            exceeds this size.
         fsync: ``'always'`` | ``'batch'`` | ``'never'`` (see module doc).
-        fsync_interval: appends per group-commit sync under ``'batch'``.
         counters / prefix: the counter table to count
             ``<prefix><name>`` into, one key per :data:`WAL_COUNTERS` name
             (a private table when None).
     """
 
+    #: rotate to a fresh segment once the current one exceeds this size.
+    SEGMENT_BYTES = 1 << 20
+    #: appends per group-commit sync under ``'batch'``.
+    FSYNC_INTERVAL = 32
+
     def __init__(
         self,
         directory: str,
-        segment_bytes: int = 1 << 20,
         fsync: str = "batch",
-        fsync_interval: int = 32,
         counters: Optional[Dict[str, float]] = None,
         prefix: str = "wal:",
     ):
         if fsync not in _FSYNC_POLICIES:
             raise ValueError(f"fsync must be one of {_FSYNC_POLICIES}, got {fsync!r}")
-        if fsync_interval < 1:
-            raise ValueError("fsync_interval must be >= 1")
         self.directory = os.path.abspath(directory)
-        self.segment_bytes = int(segment_bytes)
         self.fsync = fsync
-        self.fsync_interval = int(fsync_interval)
         #: counter-table key of each :data:`WAL_COUNTERS` name.
         self.key = {name: prefix + name for name in WAL_COUNTERS}
         self.counters = declare(counters, *self.key.values())
@@ -314,7 +310,7 @@ class WriteAheadLog:
             _LSN.size + len(payload), zlib.crc32(payload, zlib.crc32(lsn_bytes))
         ) + lsn_bytes
         size = len(head) + len(payload)
-        if self._size + size > max(self.segment_bytes, _HEADER_SIZE + size) \
+        if self._size + size > max(self.SEGMENT_BYTES, _HEADER_SIZE + size) \
                 and self._size > _HEADER_SIZE:
             self._rotate()
         self._write_record(head, payload)
@@ -327,7 +323,7 @@ class WriteAheadLog:
         self.counters[self.key["bytes_appended"]] += size
         self._appends_since_sync += 1
         if self.fsync == "always" or (
-            self.fsync == "batch" and self._appends_since_sync >= self.fsync_interval
+            self.fsync == "batch" and self._appends_since_sync >= self.FSYNC_INTERVAL
         ):
             self.sync()
         return lsn

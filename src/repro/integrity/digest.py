@@ -149,8 +149,7 @@ class ChunkedDigest:
         tables: ``tables()`` returns the *live* arrays of the table (e.g.
             memory vectors + update times), each indexed by row.
         num_rows: table height; chunk ``c`` covers rows
-            ``[c * chunk_rows, min(num_rows, (c + 1) * chunk_rows))``.
-        chunk_rows: rows per chunk (the divergence-localization grain).
+            ``[c * CHUNK_ROWS, min(num_rows, (c + 1) * CHUNK_ROWS))``.
 
     **Format.**  A leaf is sha256 of the row's bytes in each table, in
     table order; a chunk digest is ``sha256(chunk|c|lo|hi| + row schema +
@@ -166,16 +165,13 @@ class ChunkedDigest:
     maintained; :meth:`diverged` compares the two.
     """
 
-    def __init__(
-        self,
-        tables: Callable[[], Sequence[np.ndarray]],
-        num_rows: int,
-        chunk_rows: int = 32,
-    ):
+    #: rows per chunk (the divergence-localization grain).
+    CHUNK_ROWS = 32
+
+    def __init__(self, tables: Callable[[], Sequence[np.ndarray]], num_rows: int):
         self._tables = tables
         self.num_rows = int(num_rows)
-        self.chunk_rows = max(1, int(chunk_rows))
-        self.num_chunks = -(-self.num_rows // self.chunk_rows) if self.num_rows else 0
+        self.num_chunks = -(-self.num_rows // self.CHUNK_ROWS) if self.num_rows else 0
         # Formatted once: each chunk's row span and its digest's constant head.
         schema = b"".join(_array_header(t.dtype, t.shape[1:]) for t in tables())
         self._spans = [(lo, hi, f"chunk|{c}|{lo}|{hi}|".encode() + schema)
@@ -191,8 +187,8 @@ class ChunkedDigest:
 
     def rows_of(self, chunk: int) -> Tuple[int, int]:
         """``[lo, hi)`` row range chunk *chunk* covers."""
-        lo = chunk * self.chunk_rows
-        return lo, min(self.num_rows, lo + self.chunk_rows)
+        lo = chunk * self.CHUNK_ROWS
+        return lo, min(self.num_rows, lo + self.CHUNK_ROWS)
 
     def rows_in(self, chunks: Iterable[int]) -> np.ndarray:
         """Every row index *chunks* cover, chunk by chunk in the given order."""
@@ -202,7 +198,7 @@ class ChunkedDigest:
     def chunks_of(self, rows: np.ndarray) -> np.ndarray:
         """Sorted unique chunk indices containing local row indices *rows*."""
         rows = np.asarray(rows, dtype=np.int64)
-        return np.flatnonzero(np.bincount(rows // self.chunk_rows))
+        return np.flatnonzero(np.bincount(rows // self.CHUNK_ROWS))
 
     # ---- hashing -------------------------------------------------------------------
 

@@ -73,8 +73,8 @@ class AdmissionController:
         policy: ``'reject-new'`` sheds the arriving request when full;
             ``'drop-oldest'`` evicts the head of the queue instead.
         rate: optional token-bucket sustained admission rate
-            (requests/second); None disables rate limiting.
-        burst: token-bucket burst capacity (defaults to ``max_queue``).
+            (requests/second); None disables rate limiting.  The bucket
+            holds ``max_queue`` tokens.
         counters: the counter table to count ``admission:*`` into (a
             private one when None).
     """
@@ -85,7 +85,6 @@ class AdmissionController:
         max_queue: int = 64,
         policy: str = "reject-new",
         rate: Optional[float] = None,
-        burst: Optional[float] = None,
         counters: Optional[Dict[str, float]] = None,
     ):
         if max_queue < 1:
@@ -96,7 +95,7 @@ class AdmissionController:
         self.max_queue = int(max_queue)
         self.policy = policy
         self.bucket = (
-            TokenBucket(rate, burst if burst is not None else float(max_queue), clock)
+            TokenBucket(rate, float(max_queue), clock)
             if rate is not None
             else None
         )

@@ -133,9 +133,9 @@ class ServeEngine:
             rungs of the ladder.
         clock: simulated clock (a fresh one by default).
         deadline: default per-request budget in simulated seconds.
-        lateness / max_buffer: ingestion reordering bounds (see
+        lateness: ingestion reordering slack (see
             :class:`~repro.serve.ingest.IngestPipeline`).
-        max_queue / shed_policy / rate / burst: admission-control knobs
+        max_queue / shed_policy / rate: admission-control knobs
             (see :class:`~repro.serve.admission.AdmissionController`).
         injector: optional :class:`~repro.resilience.FaultInjector` whose
             stream cursor the engine advances to ``(0, request id)`` per
@@ -153,11 +153,9 @@ class ServeEngine:
         clock: Optional[SimClock] = None,
         deadline: float = 1.0e-2,
         lateness: float = 0.0,
-        max_buffer: int = 10000,
         max_queue: int = 64,
         shed_policy: str = "reject-new",
         rate: Optional[float] = None,
-        burst: Optional[float] = None,
         injector=None,
     ):
         self.graph = graph
@@ -172,12 +170,11 @@ class ServeEngine:
             full_fanout=sampler.num_nbrs, counters=ctx.counters
         )
         self.ingest = IngestPipeline(
-            graph.num_nodes, lateness=lateness, max_buffer=max_buffer,
-            counters=ctx.counters,
+            graph.num_nodes, lateness=lateness, counters=ctx.counters,
         )
         self.admission = AdmissionController(
             self.clock, max_queue=max_queue, policy=shed_policy,
-            rate=rate, burst=burst, counters=ctx.counters,
+            rate=rate, counters=ctx.counters,
         )
         self.results: List[RequestResult] = []
         self._next_rid = 0

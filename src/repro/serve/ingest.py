@@ -37,8 +37,9 @@ poisoned-stream equivalence guarantee tested in ``tests/test_serve.py``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -73,36 +74,33 @@ class IngestPipeline:
         lateness: reordering slack in stream-time units; the watermark is
             ``max_accepted_ts - lateness``.  0 admits only a pre-sorted
             stream (anything out of order is late).
-        max_buffer: reordering-buffer capacity in events; overflow
-            force-releases the oldest buffered events (watermark advance),
-            trading reordering slack for bounded memory.
-        quarantine_capacity: quarantined events retained for inspection
-            (counters are exact regardless; the queue keeps the most
-            recent entries).
         counters: the counter table to count ``ingest:*`` into (a private
             one when None).
     """
+
+    #: reordering-buffer capacity in events; overflow force-releases the
+    #: oldest buffered events (watermark advance), trading reordering
+    #: slack for bounded memory.
+    MAX_BUFFER = 10000
+    #: quarantined events retained for inspection (counters are exact
+    #: regardless; the queue keeps the most recent entries).
+    QUARANTINE_CAPACITY = 10000
 
     def __init__(
         self,
         num_nodes: int,
         lateness: float = 0.0,
-        max_buffer: int = 10000,
-        quarantine_capacity: int = 10000,
         counters: Optional[Dict[str, float]] = None,
     ):
         if lateness < 0:
             raise ValueError("lateness must be >= 0")
-        if max_buffer < 1:
-            raise ValueError("max_buffer must be >= 1")
         self.num_nodes = int(num_nodes)
         self.lateness = float(lateness)
-        self.max_buffer = int(max_buffer)
-        self.quarantine_capacity = int(quarantine_capacity)
         self.counters = declare(counters, *(f"ingest:{k}" for k in (
             "pushed", "accepted", "released", "duplicates", "forced_releases")))
         #: most recent quarantined events (bounded FIFO).
-        self.quarantine: List[QuarantinedEvent] = []
+        self.quarantine: Deque[QuarantinedEvent] = deque(
+            maxlen=self.QUARANTINE_CAPACITY)
         self.watermark = -np.inf
         self._max_accepted = -np.inf
         self._buffer: List[TBatch] = []
@@ -124,8 +122,6 @@ class IngestPipeline:
                 float(batch.ts[idx]), reason, detail,
             )
         )
-        if len(self.quarantine) > self.quarantine_capacity:
-            del self.quarantine[: -self.quarantine_capacity]
 
     def quarantine_batch(self, batch: TBatch, detail: str = "") -> None:
         """Quarantine every event of an already-released batch.
@@ -220,7 +216,7 @@ class IngestPipeline:
             return TBatch.empty()
         pending = TBatch.concat(self._buffer).sorted_by_time()
         cut = int(np.searchsorted(pending.ts, self.watermark, side="right"))
-        overflow = self._buffered - self.max_buffer
+        overflow = self._buffered - self.MAX_BUFFER
         if overflow > cut:
             # Bounded buffer: force the watermark over the oldest events.
             cut = overflow

@@ -43,9 +43,9 @@ class ServeRuntime(ServeEngine):
             in :meth:`stats` under ``durable:recovered:*``.  Needs
             ``durable_dir``: there is nothing to recover from without it.
         **engine: the shared request-loop knobs (``clock``, ``deadline``,
-            ``lateness``, ``max_buffer``, ``max_queue``,
-            ``shed_policy``, ``rate``, ``burst``, ``injector``), declared
-            once on :class:`~repro.serve.engine.ServeEngine`.
+            ``lateness``, ``max_queue``, ``shed_policy``, ``rate``,
+            ``injector``), declared once on
+            :class:`~repro.serve.engine.ServeEngine`.
     """
 
     def __init__(

@@ -226,7 +226,7 @@ def per_shard_gather(cluster, nodes, extra: int):
         else:
             ok[idx] = False
             c["cluster:zero_rows"] += int(np.count_nonzero(idx))
-    cluster.clock.advance(max(0.0, slowest - cluster.rpc.service))
+    cluster.clock.advance(max(0.0, slowest - cluster.rpc.SERVICE))
     return rows, ok
 
 

@@ -39,10 +39,11 @@ N, DIM = 48, 8
 # ---- chunk digests ---------------------------------------------------------------------
 
 
-def spelled_out(tables, num_rows, chunk_rows):
+def spelled_out(tables, num_rows):
     """Every chunk digest recomputed from scratch, the way the format is defined:
     a sha256 leaf per row over the row's bytes in each table, a chunk digest
     over ``chunk|c|lo|hi|``, each table's ``dtype|row shape|`` tag, and its leaves."""
+    chunk_rows = ChunkedDigest.CHUNK_ROWS
     tables = [np.asarray(t) for t in tables()]
     schema = "".join(
         f"{t.dtype.str}|{','.join(str(s) for s in t.shape[1:])}|" for t in tables
@@ -57,13 +58,13 @@ def spelled_out(tables, num_rows, chunk_rows):
     return out
 
 
-def _tables(seed=0):
-    """Three table sets of 70 rows, each with the write a legitimate writer makes."""
+def _tables(seed=0, rows=70):
+    """Three table sets of *rows* rows, each with the write a legitimate writer makes."""
     rng = np.random.default_rng(seed)
-    data = rng.standard_normal((70, 6)).astype(np.float32)
-    times = rng.random(70)
-    wide = rng.standard_normal((70, 12)).astype(np.float32)
-    box = Mailbox(70, 4, slots=3)
+    data = rng.standard_normal((rows, 6)).astype(np.float32)
+    times = rng.random(rows)
+    wide = rng.standard_normal((rows, 12)).astype(np.float32)
+    box = Mailbox(rows, 4, slots=3)
 
     def deliver(rows):
         box.store(rows, rng.standard_normal((len(rows), 4)).astype(np.float32),
@@ -76,7 +77,7 @@ def _tables(seed=0):
         return write
 
     for _ in range(5):  # fill the ring unevenly so the cursor is not uniform
-        deliver(rng.integers(0, 70, 40))
+        deliver(rng.integers(0, rows, 40))
     contiguous = lambda: (data, times)
     strided_view = lambda: (wide[:, ::2], times[::-1])
     return {
@@ -87,38 +88,39 @@ def _tables(seed=0):
 
 
 TABLE_SETS = ["contiguous", "strided_view", "ring_with_cursor"]
-CHUNK_ROWS = [16, 32, 70, 100]  # 70 rows: ragged, exact, oversize
+#: table heights against the 32-row chunk: one oversize chunk, exact, ragged
+HEIGHTS = [16, 32, 70, 100]
 
 
 @pytest.mark.parametrize("name", TABLE_SETS)
-@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
-def test_chunk_digests_are_the_spelled_out_sha256(name, chunk_rows):
-    tables, write = _tables()[name]
-    cd = ChunkedDigest(tables, 70, chunk_rows)
-    want = spelled_out(tables, 70, chunk_rows)
+@pytest.mark.parametrize("height", HEIGHTS)
+def test_chunk_digests_are_the_spelled_out_sha256(name, height):
+    tables, write = _tables(rows=height)[name]
+    cd = ChunkedDigest(tables, height)
+    want = spelled_out(tables, height)
     assert cd.digests == want and cd.compute() == want
     assert cd.compute(range(cd.num_chunks)[::-1]) == want[::-1]  # in the order asked
     # ...and after a write through record_rows, with or without the chunk set
-    rows = np.array([69, 3, 40, 3])
+    rows = np.array([height - 1, 3, height // 2, 3])
     write(rows)
     chunks = cd.record_rows(rows)
-    assert chunks.tolist() == sorted({r // chunk_rows for r in rows.tolist()})
-    assert cd.digests == spelled_out(tables, 70, chunk_rows)
+    assert chunks.tolist() == sorted({r // cd.CHUNK_ROWS for r in rows.tolist()})
+    assert cd.digests == spelled_out(tables, height)
     write(np.array([5]))
     assert cd.record_rows(np.array([5]), cd.chunks_of(np.array([5]))).tolist() == [0]
-    assert cd.digests == spelled_out(tables, 70, chunk_rows)
+    assert cd.digests == spelled_out(tables, height)
 
 
 @pytest.mark.parametrize("name", TABLE_SETS)
-@pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
+@pytest.mark.parametrize("height", HEIGHTS)
 @settings(max_examples=15, deadline=None)
 @given(st.data())
 def test_recorded_writes_keep_up_and_any_unrecorded_bit_flip_is_localised(
-        name, chunk_rows, data):
-    tables, write = _tables(data.draw(st.integers(0, 3)))[name]
-    cd = ChunkedDigest(tables, 70, chunk_rows)
-    for rows in data.draw(st.lists(st.lists(st.integers(0, 69), min_size=1, max_size=12),
-                                   max_size=6)):
+        name, height, data):
+    tables, write = _tables(data.draw(st.integers(0, 3)), height)[name]
+    cd = ChunkedDigest(tables, height)
+    for rows in data.draw(st.lists(st.lists(st.integers(0, height - 1), min_size=1,
+                                            max_size=12), max_size=6)):
         rows = np.array(rows)
         write(rows)
         cd.record_rows(rows)
@@ -132,7 +134,7 @@ def test_recorded_writes_keep_up_and_any_unrecorded_bit_flip_is_localised(
     bit = data.draw(st.integers(0, 8 * value.itemsize - 1))
     value.view(np.uint8)[bit // 8] ^= np.uint8(1 << (bit % 8))
     table[cell] = value[0]
-    assert cd.diverged() == [cell[0] // chunk_rows]
+    assert cd.diverged() == [cell[0] // cd.CHUNK_ROWS]
     cd.record_rows(np.array([cell[0]]))  # a legitimate write re-adopts the row
     assert cd.diverged() == []
 

@@ -214,7 +214,8 @@ def test_split_batch_covers_every_event_once_per_owner():
 # ---------------------------------------------------------------------------
 
 def test_rpc_dead_host_exhausts_retries_and_raises():
-    rpc = SimRpc(SimClock(), retries=2)
+    rpc = SimRpc(SimClock())
+    assert rpc.RETRIES == 2
     with pytest.raises(RpcTimeout):
         rpc.call(0, alive=False)
     assert rpc.counters["rpc:retries"] == 2
@@ -222,7 +223,7 @@ def test_rpc_dead_host_exhausts_retries_and_raises():
     assert rpc.counters["rpc:failures"] == 1
 
 
-def test_rpc_hedge_wins_when_primary_leg_is_lost():
+def test_rpc_hedge_wins_when_primary_leg_is_lost(monkeypatch):
     class DropPrimary:
         """Drop exactly the first attempt's request leg, not the hedge."""
         def poke(self, site, **info):
@@ -230,10 +231,11 @@ def test_rpc_hedge_wins_when_primary_leg_is_lost():
                 return ("drop",)
             return None
 
+    monkeypatch.setattr(SimRpc, "RETRIES", 0)
     stub = DropPrimary()
     hooks.install(stub)
     try:
-        rpc = SimRpc(SimClock(), retries=0)
+        rpc = SimRpc(SimClock())
         elapsed = rpc.call(3, extra=7)
     finally:
         hooks.uninstall(stub)
@@ -241,14 +243,15 @@ def test_rpc_hedge_wins_when_primary_leg_is_lost():
     assert rpc.counters["rpc:hedge_wins"] == 1
     assert rpc.counters["rpc:dropped_sends"] == 1
     assert rpc.counters["rpc:failures"] == 0
-    assert elapsed == pytest.approx(rpc.hedge_delay + rpc.service)
+    assert elapsed == pytest.approx(SimRpc.HEDGE_DELAY + SimRpc.SERVICE)
 
 
 def test_rpc_delivers_exactly_once_per_successful_leg():
     deliveries = []
-    rpc = SimRpc(SimClock(), hedge_delay=None)
+    rpc = SimRpc(SimClock())
     rpc.call(0, on_deliver=lambda: deliveries.append(1))
     assert len(deliveries) == 1
+    assert rpc.counters["rpc:hedges"] == 0  # no hedge at the default timings
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +430,7 @@ def test_cluster_partial_results_while_shard_down():
     with cluster:
         # kill a shard out-of-band and serve one request before the
         # supervisor can possibly have respawned it
-        cluster.replicas[2].crash()
+        cluster.groups[2].primary.crash()
         cluster.submit(batches[0])
         result = cluster.step()
         assert result is not None and result.status == "ok"
@@ -437,24 +440,28 @@ def test_cluster_partial_results_while_shard_down():
         # drain settles every recovery and redelivers deferred applies
         replay(cluster, batches[1:], load=16.0)
         assert cluster.pending_applies() == 0
-        assert all(rep.alive for rep in cluster.replicas)
+        assert all(g.primary.alive for g in cluster.groups)
         assert cluster.stats()["cluster:redelivered"] > 0
 
 
-def test_cluster_rebalance_moves_hot_nodes_and_preserves_state():
+def _short_rebalance(monkeypatch):
+    """A one-millisecond rebalance window that moves after one hot window."""
+    monkeypatch.setattr(Supervisor, "REBALANCE_WINDOW", 1e-3)
+    monkeypatch.setattr(Supervisor, "REBALANCE_PATIENCE", 1)
+    monkeypatch.setattr(Supervisor, "REBALANCE_FACTOR", 1.5)
+
+
+def test_cluster_rebalance_moves_hot_nodes_and_preserves_state(monkeypatch):
+    _short_rebalance(monkeypatch)
     stream = _stream(200)
     ctx, cluster = _cluster(stream)
     with cluster:
-        cluster.supervisor = Supervisor(
-            cluster.clock, cluster.groups, cluster.router,
-            rebalance_window=1e-3, rebalance_patience=1, rebalance_factor=1.5,
-        )
         hot = int(np.argmax(cluster.router.counts()))
         hot_nodes = cluster.router.owned_nodes(hot)
         # apply one real batch so moved rows carry non-zero state
         batch = _payload_batch([0, 1], hot_nodes[:2], hot_nodes[2:4], [1.0, 2.0])
-        cluster.replicas[hot].apply(batch, 0, epoch=0)
-        rows_before = cluster.replicas[hot].gather(hot_nodes[:2]).copy()
+        cluster.groups[hot].primary.apply(batch, 0, epoch=0)
+        rows_before = cluster.groups[hot].primary.gather(hot_nodes[:2]).copy()
         # fake a sustained hot spot on that shard, tick across windows
         for _ in range(4):
             cluster.supervisor.note_load({hot: 1000}, hot_nodes[:8])
@@ -467,7 +474,7 @@ def test_cluster_rebalance_moves_hot_nodes_and_preserves_state():
         # moved rows are still served, from whichever shard owns them now
         for i, node in enumerate(hot_nodes[:2]):
             owner = int(cluster.router.shard_of(np.array([node]))[0])
-            row = cluster.replicas[owner].gather(np.array([node]))[0]
+            row = cluster.groups[owner].primary.gather(np.array([node]))[0]
             assert np.array_equal(row, rows_before[i])
 
 
@@ -477,8 +484,8 @@ def test_sharded_cost_model_divides_by_live_shards():
     with cluster:
         model = cluster.ladder.cost_model
         c4 = model.estimate("full", 128)
-        cluster.replicas[0].crash()
-        cluster.replicas[1].crash()
+        cluster.groups[0].primary.crash()
+        cluster.groups[1].primary.crash()
         c2 = model.estimate("full", 128)
     assert c2 > c4  # fewer live shards -> less parallelism -> costlier
 
@@ -489,7 +496,7 @@ def test_cluster_close_is_idempotent():
     replay(cluster, split_batches(stream, 50), load=4.0)
     cluster.close()
     cluster.close()  # second close must be a no-op
-    assert all(rep.store is None for rep in cluster.replicas)
+    assert all(g.primary.store is None for g in cluster.groups)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +750,7 @@ def test_whole_group_down_marks_valid_mask():
     batches = split_batches(stream, 30)
     ctx, cluster = _cluster(stream)  # factor 1: one member per group
     with cluster:
-        cluster.replicas[2].crash()
+        cluster.groups[2].primary.crash()
         cluster.submit(batches[0])
         result = cluster.step()
         assert result is not None and result.status == "ok"
@@ -798,7 +805,7 @@ def test_grouped_gather_wave_equals_the_per_shard_loop(case):
     assert counters[key] > 0
 
 
-def test_one_load_record_per_request_is_the_per_shard_records_summed():
+def test_one_load_record_per_request_is_the_per_shard_records_summed(monkeypatch):
     """A request's one ``note_load`` adds what one record per shard added:
     each shard's endpoint rows to the window load, every touched node to
     the touch counts."""
@@ -806,17 +813,17 @@ def test_one_load_record_per_request_is_the_per_shard_records_summed():
 
     stream = _stream(300)
     batches = split_batches(stream, 30)
-    ctx, cluster = _cluster(stream, config=ClusterConfig(num_shards=5))
     plans, real = [], coordinator.plan_by_owner
 
     def spy(*args):
         plans.append(real(*args))
         return plans[-1]
 
+    # a window that never closes: the record of the whole run stays
+    monkeypatch.setattr(Supervisor, "REBALANCE_WINDOW", np.inf)
+    ctx, cluster = _cluster(stream, config=ClusterConfig(num_shards=5))
+    sup = cluster.supervisor
     with cluster, mock.patch.object(coordinator, "plan_by_owner", spy):
-        # a window that never closes: the record of the whole run stays
-        sup = cluster.supervisor = Supervisor(
-            cluster.clock, cluster.groups, cluster.router, rebalance_window=np.inf)
         replay(cluster, batches, load=16.0)
     load, touches = np.zeros(5), np.zeros(N)
     for parts in plans:
@@ -836,7 +843,7 @@ def test_quiesced_member_accrues_no_phi():
     with cluster:
         sup = cluster.supervisor
         sup.quiesce(0, 0)
-        # way past dead_phi * heartbeat_interval with no beats from (0,0)
+        # way past DEAD_PHI * HEARTBEAT_INTERVAL with no beats from (0,0)
         for _ in range(10):
             cluster.clock.advance(5e-3)
             sup.tick()
@@ -851,20 +858,18 @@ def test_quiesced_member_accrues_no_phi():
         assert sup.state[0][0] == "ok"
 
 
-def test_rebalance_with_replication_moves_all_members():
+def test_rebalance_with_replication_moves_all_members(monkeypatch):
+    _short_rebalance(monkeypatch)
+    # >> DEAD_PHI * HEARTBEAT_INTERVAL
+    monkeypatch.setattr(Supervisor, "REBALANCE_HANDOFF_SECONDS", 0.1)
     stream = _stream(200)
     ctx, cluster = _replicated(stream, 2)
     with cluster:
-        cluster.supervisor = Supervisor(
-            cluster.clock, cluster.groups, cluster.router,
-            rebalance_window=1e-3, rebalance_patience=1, rebalance_factor=1.5,
-            rebalance_handoff_seconds=0.1,  # >> dead_phi * heartbeat_interval
-        )
         hot = int(np.argmax(cluster.router.counts()))
         hot_nodes = cluster.router.owned_nodes(hot)
         batch = _payload_batch([0, 1], hot_nodes[:2], hot_nodes[2:4], [1.0, 2.0])
         cluster.groups[hot].ship(batch, 0, cluster.rpc, 0.0, extra=0)
-        rows_before = cluster.replicas[hot].gather(hot_nodes[:2]).copy()
+        rows_before = cluster.groups[hot].primary.gather(hot_nodes[:2]).copy()
         for _ in range(4):
             cluster.supervisor.note_load({hot: 1000}, hot_nodes[:8])
             cluster.clock.advance(2e-3)

@@ -102,8 +102,7 @@ def test_drop_oldest_admits_what_it_later_sheds():
 )
 def test_admission_ledger_identities(policy, rate, ops):
     clock = SimClock()
-    ac = AdmissionController(clock, max_queue=2, policy=policy, rate=rate,
-                             burst=None if rate is None else 2.0)
+    ac = AdmissionController(clock, max_queue=2, policy=policy, rate=rate)
     served = 0
     for op in ops:
         if op == "offer":

@@ -138,9 +138,10 @@ class TestWriteAheadLog:
             assert wal.append(b"two") == 2
             assert [p for _, p in wal.replay()] == [b"one", b"two"]
 
-    def test_rotation_and_compaction(self, tmp_path):
+    def test_rotation_and_compaction(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(WriteAheadLog, "SEGMENT_BYTES", 128)
         d = str(tmp_path / "wal")
-        with WriteAheadLog(d, segment_bytes=128, fsync="never") as wal:
+        with WriteAheadLog(d, fsync="never") as wal:
             for p in _payloads(20):
                 wal.append(p)
             assert wal.num_segments > 2
@@ -368,11 +369,12 @@ class TestInjectedDiskFaults:
         with open(os.path.join(d, "wal-00000001.log"), "rb") as fh:
             assert fh.read() == want
 
-    def test_lost_fsync_drops_unsynced_window(self, tmp_path):
+    def test_lost_fsync_drops_unsynced_window(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(WriteAheadLog, "FSYNC_INTERVAL", 3)
         d = str(tmp_path / "wal")
         inj = FaultInjector(seed=9, schedules={"disk.fsync.lost": [(0, 5)]})
         with inj:
-            wal = WriteAheadLog(d, fsync="batch", fsync_interval=3)
+            wal = WriteAheadLog(d, fsync="batch")
             for b in range(6):
                 inj.advance(0, b)
                 if b < 5:
@@ -451,9 +453,10 @@ class TestDurableStateStore:
                     read()
                 assert store.directory in str(err.value)
 
-    def test_snapshot_anchors_recovery_and_compacts(self, tmp_path):
+    def test_snapshot_anchors_recovery_and_compacts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(WriteAheadLog, "SEGMENT_BYTES", 256)
         d = str(tmp_path / "s")
-        with DurableStateStore(d, fsync="never", segment_bytes=256) as store:
+        with DurableStateStore(d, fsync="never") as store:
             for i in range(12):
                 store.log_batch({"x": np.full(8, float(i))}, {"i": i})
             store.snapshot({"state": np.arange(10.0)}, {"upto": 12})
@@ -784,9 +787,10 @@ class TestWALCursorTailing:
         with pytest.raises(CursorInvalidated, match="no longer exists"):
             cursor.poll()
 
-    def test_compaction_past_cursor_raises(self, tmp_path):
+    def test_compaction_past_cursor_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(WriteAheadLog, "SEGMENT_BYTES", 64)
         d = str(tmp_path / "wal")
-        with WriteAheadLog(d, segment_bytes=64, fsync="never") as wal:
+        with WriteAheadLog(d, fsync="never") as wal:
             for i in range(3):
                 wal.append(_tail_payload(i))
             cursor = WALCursor(d, name="slow")

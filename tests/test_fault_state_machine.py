@@ -7,6 +7,8 @@
 every fault the cluster claims to survive:
 
 * member kills (``ShardReplica.crash``) and stalls;
+* a sustained hot spot on one shard, which the supervisor rebalances under
+  a short rebalance window (the rebalance unit tests' constants);
 * the rates of the lossy sites — RPC legs, heartbeats, replication ships and
   acks, promotion delays — set and cleared mid-stream;
 * one-bit flips of a member's memory, mailbox or WAL (``apply_bitflip``),
@@ -34,7 +36,8 @@ Combinations outside the fault model are preconditions; DESIGN.md §5
   member whose log lost acked records, waits for the next scrub or drain;
 * a factor-1 member whose WAL holds an unscrubbed flip never crashes (the
   kill rule skips it, heartbeat loss stays off);
-* no write reaches a flipped multi-slot mailbox before a scrub.
+* no write reaches a flipped multi-slot mailbox before a scrub;
+* no rebalance hand-off moves rows while a copy is damaged.
 
 A failure prints the shrunk run as ``state = FaultMachine()`` followed by
 one ``state.<rule>(...)`` line per step; pasted into a test body, those
@@ -43,6 +46,7 @@ lines replay it deterministically.
 
 import shutil
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, settings, strategies as st
@@ -54,7 +58,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.cluster import ClusterConfig, ServeCluster
+from repro.cluster import ClusterConfig, ServeCluster, Supervisor
 from repro.core import Mailbox, Memory, TContext, TGraph, TSampler
 from repro.integrity import array_digest
 from repro.resilience import SITES, FaultInjector, apply_bitflip
@@ -81,6 +85,11 @@ RATES = {
     "repl.ack.drop": (0.0, 0.1, 0.5),
     "repl.promote.delay": (0.0, 0.5, 1.0),
 }
+#: the rebalance rule's constants: one hot millisecond window moves nodes
+SHORT_REBALANCE = {"REBALANCE_WINDOW": 1e-3, "REBALANCE_PATIENCE": 1,
+                   "REBALANCE_FACTOR": 1.5}
+#: endpoint rows the rule charges the hot shard per window
+HOT_LOAD = 1000
 
 
 #: counter families whose label is drawn from a closed set when first counted
@@ -292,6 +301,26 @@ class FaultMachine(RuleBasedStateMachine):
         if apply_bitflip(rep, ("flip", tier, byte, bit)):
             self.flips.setdefault((shard, member), set()).add(tier)
 
+    @precondition(lambda self: len(self.cluster.groups) > 1 and not any(
+        self._damaged(s) for s in range(len(self.cluster.groups))))
+    @rule(pick=st.integers(0, 8), windows=st.integers(1, 3))
+    def rebalance(self, pick, windows):
+        """A hot spot on one shard, sustained across *windows* short windows.
+
+        The rule first waits out the window open at the default constants,
+        then ticks under the short ones; a member not serving (killed,
+        recovering, mid-promotion) makes the supervisor skip the move."""
+        sup, clock = self.cluster.supervisor, self.cluster.clock
+        hot = pick % len(self.cluster.groups)
+        touched = self.cluster.router.owned_nodes(hot)[:8]
+        with self.cinj:
+            clock.advance(Supervisor.REBALANCE_WINDOW)
+            with mock.patch.multiple(Supervisor, **SHORT_REBALANCE):
+                for _ in range(windows):
+                    sup.note_load({hot: HOT_LOAD}, touched)
+                    sup.tick()
+                    clock.advance(Supervisor.REBALANCE_WINDOW)
+
     @rule()
     def skip_next_scrub(self):
         counters = self.cluster.ctx.counters
@@ -338,3 +367,24 @@ TestFaultMachine.settings = settings(
     max_examples=120, stateful_step_count=60, derandomize=True, database=None,
     deadline=None, suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def test_the_rebalance_rule_moves_nodes_under_faults():
+    """The rule is not vacuous: a hot spot moves nodes while RPC legs and
+    ships drop, a member is then killed, and the drain still equals the oracle."""
+    state = FaultMachine()
+    state.setup(shards=2, factor=2, partition="hash", staleness="bounded",
+                slots=4, seed=3)
+    try:
+        state.set_rate(decision="rpc.send.drop", level=2)
+        state.set_rate(decision="repl.ship.drop", level=1)
+        state.serve(k=8)
+        state.rebalance(pick=1, windows=2)
+        state.kill(pick=2)
+        state.serve(k=8)
+        state.ledgers_balance()
+        counters = state.cluster.ctx.counters
+        assert counters["cluster:rebalances"] >= 1 and counters["cluster:nodes_moved"] > 0
+        assert counters["rpc:dropped_sends"] > 0 and counters["rpc:dropped_ships"] > 0
+    finally:
+        state.teardown()

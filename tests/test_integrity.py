@@ -120,8 +120,8 @@ class TestDigestPrimitives:
         rng = np.random.default_rng(1)
         data = rng.normal(size=(70, DIM)).astype(np.float32)
         times = rng.uniform(size=70)
-        cd = ChunkedDigest(lambda: (data, times), 70, chunk_rows=16)
-        assert cd.num_chunks == 5
+        cd = ChunkedDigest(lambda: (data, times), 70)
+        assert cd.num_chunks == 3
         for _ in range(5):
             rows = rng.integers(0, 70, size=8)
             data[rows] = rng.normal(size=(8, DIM)).astype(np.float32)
@@ -135,10 +135,10 @@ class TestDigestPrimitives:
     def test_chunked_digest_is_tamper_evident(self):
         rng = np.random.default_rng(2)
         data = rng.normal(size=(64, DIM)).astype(np.float32)
-        cd = ChunkedDigest(lambda: (data,), 64, chunk_rows=16)
+        cd = ChunkedDigest(lambda: (data,), 64)
         # out-of-band mutation (no record_rows) localizes to its chunk
         data.view(np.uint8).reshape(-1)[40 * DIM * 4] ^= np.uint8(1)
-        assert cd.diverged() == [2]
+        assert cd.diverged() == [1]
         # a legitimate write through record_rows re-adopts the state
         cd.record_rows(np.array([40]))
         assert cd.diverged() == []

@@ -4,11 +4,13 @@ Two guards on the configuration surfaces of the growth layers:
 
 * an **option census** — every field of ``ClusterConfig`` / ``StoreConfig``
   and every optional constructor parameter of ``FaultInjector``,
-  ``ResilientTrainer`` and ``DegradationLadder`` must be set, by keyword,
-  somewhere a user's run can reach: under ``src/`` outside the module that
-  declares it, or in ``perf/``, ``scripts/`` or ``benchmarks/``.  Tests and
-  examples do not count.  An option that fails is a constant: move it to
-  the component that uses it.
+  ``ResilientTrainer``, ``DegradationLadder`` and the serving stack's
+  classes (RPC channel, supervisor, scrubber, replicas, WAL, ingest,
+  admission, commit, digest, and the engine with its two backends) must be
+  set, by keyword, somewhere a user's run can reach: under ``src/`` outside
+  the module that declares it, or in ``perf/``, ``scripts/`` or
+  ``benchmarks/``.  Tests and examples do not count.  An option that fails
+  is a constant: move it to the component that uses it.
 * **pinned fault logs** — the seeded chaos runs of both serving CLIs must
   fire exactly the faults, in exactly the order, that they fired before the
   ``FaultInjector`` constructor shrank to ``rates=`` / ``schedules=``.
@@ -25,9 +27,25 @@ import pytest
 import repro.resilience
 from repro.bench import ResilientTrainer
 from repro.bench.cli import main
-from repro.cluster import ClusterConfig
+from repro.cluster import (
+    ClusterConfig,
+    ReplicaGroup,
+    ServeCluster,
+    ShardReplica,
+    SimRpc,
+    Supervisor,
+)
+from repro.durable import DurableStateStore, WALCursor, WriteAheadLog
+from repro.integrity import ChunkedDigest, Scrubber
 from repro.resilience import FaultInjector
-from repro.serve import DegradationLadder
+from repro.serve import (
+    AdmissionController,
+    DegradationLadder,
+    IngestPipeline,
+    ServeEngine,
+    ServeRuntime,
+    StateCommitter,
+)
 from repro.store import StoreConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -56,23 +74,35 @@ def _options(cls):
     return [p.name for p in params if p.default is not p.empty]
 
 
-def _keywords_used_beside(name, declaring_module):
-    """Every ``keyword=`` in the files a run can reach that mention *name*."""
+SURFACES = [
+    ClusterConfig, StoreConfig, FaultInjector, ResilientTrainer, DegradationLadder,
+    SimRpc, Supervisor, Scrubber, ReplicaGroup, ShardReplica, DurableStateStore,
+    WriteAheadLog, WALCursor, IngestPipeline, AdmissionController, StateCommitter,
+    ChunkedDigest, ServeRuntime, ServeCluster, ServeEngine,
+]
+
+#: a class whose options are also set through the named subclasses (the
+#: engine's knobs reach it as the backends' ``**engine``).
+SET_THROUGH = {ServeEngine: (ServeRuntime, ServeCluster)}
+
+
+def _keywords_used_beside(names, declaring_module):
+    """Every ``keyword=`` in the files a run can reach that mention one of *names*."""
     declaring = pathlib.Path(inspect.getsourcefile(declaring_module)).resolve()
+    mention = re.compile(r"\b(?:%s)\b" % "|".join(names))
     found = set()
     for top in ("src", "perf", "scripts", "benchmarks"):
         for path in sorted((ROOT / top).rglob("*.py")):
             text = path.read_text()
-            if path.resolve() != declaring and re.search(rf"\b{name}\b", text):
+            if path.resolve() != declaring and mention.search(text):
                 found.update(re.findall(r"\b(\w+)\s*=(?!=)", text))
     return found
 
 
-@pytest.mark.parametrize("cls", [
-    ClusterConfig, StoreConfig, FaultInjector, ResilientTrainer, DegradationLadder,
-], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", SURFACES, ids=lambda cls: cls.__name__)
 def test_every_option_has_a_setter_outside_tests(cls):
-    set_somewhere = _keywords_used_beside(cls.__name__, inspect.getmodule(cls))
+    names = [c.__name__ for c in (cls, *SET_THROUGH.get(cls, ()))]
+    set_somewhere = _keywords_used_beside(names, inspect.getmodule(cls))
     unset = [
         f"{cls.__name__}.{name}" for name in _options(cls)
         if name not in set_somewhere
@@ -86,12 +116,7 @@ def test_every_option_has_a_setter_outside_tests(cls):
 
 
 def test_the_exemption_list_names_live_options_only():
-    live = {
-        f"{cls.__name__}.{name}"
-        for cls in (ClusterConfig, StoreConfig, FaultInjector,
-                    ResilientTrainer, DegradationLadder)
-        for name in _options(cls)
-    }
+    live = {f"{cls.__name__}.{name}" for cls in SURFACES for name in _options(cls)}
     assert set(KEPT_AGAINST_THE_RULE) <= live
 
 

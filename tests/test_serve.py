@@ -149,8 +149,9 @@ class TestIngestPipeline:
         out = p.flush()
         assert list(out.eids) == [1, 2, 5]
 
-    def test_buffer_overflow_forces_watermark_advance(self):
-        p = IngestPipeline(N, lateness=1e9, max_buffer=3)
+    def test_buffer_overflow_forces_watermark_advance(self, monkeypatch):
+        monkeypatch.setattr(IngestPipeline, "MAX_BUFFER", 3)
+        p = IngestPipeline(N, lateness=1e9)
         out = _push(p, _batch(np.arange(5), np.ones(5, int), np.full(5, 2),
                               np.arange(5, dtype=float)))
         # lateness would buffer everything; the bound forces 2 releases
@@ -244,7 +245,7 @@ class TestAdmission:
 
     def test_offered_equals_admitted_plus_shed(self):
         clock = SimClock()
-        ac = AdmissionController(clock, max_queue=3, rate=1.0, burst=2.0)
+        ac = AdmissionController(clock, max_queue=3, rate=1.0)
         for _ in range(8):
             ac.offer(object())
             clock.advance(0.1)
@@ -752,7 +753,7 @@ class TestCacheRung:
                                config=ClusterConfig(num_shards=4),
                                deadline=1.0, max_queue=1 << 30)
         with cluster:
-            cluster.replicas[2].crash()  # factor 1: shard 2 is unreachable
+            cluster.groups[2].primary.crash()  # factor 1: shard 2 is unreachable
             cluster.submit(batches[0])
             result = cluster.step()
             assert result.level == "full" and not result.valid.all()
@@ -779,7 +780,7 @@ class TestCacheRung:
             dead = seen[cluster.router.shard_of(seen) == 2]
             live = seen[cluster.router.shard_of(seen) != 2]
             assert len(dead) and len(live) > 1
-            cluster.replicas[2].crash()  # factor 1: shard 2 is unreachable
+            cluster.groups[2].primary.crash()  # factor 1: shard 2 is unreachable
             monkeypatch.setattr(cluster.ladder, "decide", lambda *a, **k:
                                 LadderDecision("cache", 0, 0.0, "forced"))
             k = min(len(dead), len(live) - 1)
