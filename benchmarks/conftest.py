@@ -19,9 +19,9 @@ _TABLES: List[str] = []
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 #: what scores a request served through ``ServeEngine`` without a swapped model
-SURROGATE_MODEL = "mean-aggregate surrogate (not a TGNN forward; ROADMAP item 1)"
+SURROGATE_MODEL = "model: mean-aggregate surrogate (not a TGNN forward; ROADMAP item 1)"
 #: what scores a scenario's requests: the table its learner installs
-SWAPPED_MODEL = "embedding-table link model, served via swap_model"
+SWAPPED_MODEL = "model: embedding-table link model, served via swap_model"
 
 
 def format_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -48,17 +48,14 @@ def provenance(clock: str) -> str:
 
 def report_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[object]],
                  filename: str = None, clock: Optional[str] = None,
-                 note: Optional[str] = None, model: Optional[str] = None) -> str:
+                 footer: Sequence[str] = ()) -> str:
     """Register a finished table for terminal-summary printing + disk;
-    with *clock*, a :func:`provenance` line follows the rows, then *note*;
-    with *model*, the last line names what scored the served requests."""
-    text = format_table(title, headers, rows)
+    with *clock*, a :func:`provenance` line follows the rows, then the
+    *footer* lines (a serving table's last line names its model)."""
+    lines = [format_table(title, headers, rows)]
     if clock is not None:
-        text += "\n" + provenance(clock)
-    if note is not None:
-        text += "\n" + note
-    if model is not None:
-        text += "\nmodel: " + model
+        lines.append(provenance(clock))
+    text = "\n".join([*lines, *footer])
     _TABLES.append(text)
     os.makedirs(RESULTS_DIR, exist_ok=True)
     if filename is None:

@@ -107,5 +107,5 @@ def test_cluster_availability():
          "follower_reads", "p50_ms", "p99_ms", "ttr_ms"],
         rows,
         filename="cluster_availability.txt",
-        model=SURROGATE_MODEL,
+        footer=[SURROGATE_MODEL],
     )

@@ -103,7 +103,7 @@ def test_cluster_scaling():
          "recover (ms)", "redelivered"],
         rows,
         filename="cluster_scaling.txt",
-        model=SURROGATE_MODEL,
+        footer=[SURROGATE_MODEL],
     )
 
     # the scaling target: >= 3x throughput at 4 shards over 1

@@ -153,6 +153,5 @@ def test_integrity_scrub_overhead():
          "serve_ms", "overhead", "flip_outcome"],
         rows,
         filename="integrity_scrub.txt",
-        note=NOTE,
-        model=SURROGATE_MODEL,
+        footer=[NOTE, SURROGATE_MODEL],
     )

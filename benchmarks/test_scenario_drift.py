@@ -92,7 +92,7 @@ def test_accuracy_under_drift_and_staleness_curves():
          "gap recovered"],
         rows,
         filename="scenario_drift.txt",
-        model=SWAPPED_MODEL,
+        footer=[SWAPPED_MODEL],
     )
 
     # ---- staleness vs quality on the abrupt-drift stream ----
@@ -123,5 +123,5 @@ def test_accuracy_under_drift_and_staleness_curves():
         ["budget", "swaps", "overall AP", "post-shift AP", "final staleness"],
         sweep_rows,
         filename="scenario_staleness.txt",
-        model=SWAPPED_MODEL,
+        footer=[SWAPPED_MODEL],
     )

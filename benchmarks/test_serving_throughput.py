@@ -91,7 +91,7 @@ def test_serving_throughput():
          "p50 (ms)", "p99 (ms)"],
         rows,
         filename="serving_throughput.txt",
-        model=SURROGATE_MODEL,
+        footer=[SURROGATE_MODEL],
     )
 
     # -- acceptance: availability and consistency at every load level ------

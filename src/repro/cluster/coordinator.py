@@ -158,7 +158,7 @@ class ServeCluster(ServeEngine):
         mailbox_slots: ring slots per node (0 disables mailboxes).
         stream: seeding event stream, required by the ``temporal``
             partition policy.
-        **engine: the shared request-loop knobs (``clock``, ``deadline``,
+        **engine: the shared request-loop knobs (``deadline``,
             ``lateness``, ``max_queue``, ``shed_policy``, ``rate``,
             ``injector``), declared once on
             :class:`~repro.serve.engine.ServeEngine`.  The ladder prices

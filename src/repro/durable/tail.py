@@ -108,15 +108,15 @@ class WALCursor:
         directory: the log directory some :class:`WriteAheadLog` owns.
         name: distinguishes multiple independent cursors on one log;
             state lives in ``cursor-<name>.json``.
-        inject: route reads through the ``disk.read`` fault site (same
-            as owner-side replay) so injected read corruption is subject
-            to the prefix-consistency guarantee, not hidden from it.
+
+    Reads go through the ``disk.read`` fault site (same as owner-side
+    replay), so injected read corruption is subject to the
+    prefix-consistency guarantee, not hidden from it.
     """
 
-    def __init__(self, directory: str, name: str = "tail", inject: bool = True):
+    def __init__(self, directory: str, name: str = "tail"):
         self.directory = os.path.abspath(directory)
         self.name = str(name)
-        self.inject = bool(inject)
         self.state_path = os.path.join(self.directory, f"cursor-{self.name}.json")
         #: LSN of the last record delivered to the caller (0 = none yet).
         self.last_lsn = 0
@@ -195,7 +195,7 @@ class WALCursor:
         history divergence (see class doc).
         """
         self.polls += 1
-        records = _scan(self.directory, self.inject)
+        records = _scan(self.directory, inject=True)
         self._check_timeline(records)
         out: List[DurableRecord] = []
         last_crc = self.last_crc

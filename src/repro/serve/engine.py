@@ -131,7 +131,6 @@ class ServeEngine:
             degradation state).
         sampler: :class:`~repro.core.sampler.TSampler` for the sampling
             rungs of the ladder.
-        clock: simulated clock (a fresh one by default).
         deadline: default per-request budget in simulated seconds.
         lateness: ingestion reordering slack (see
             :class:`~repro.serve.ingest.IngestPipeline`).
@@ -150,7 +149,6 @@ class ServeEngine:
         graph,
         ctx,
         sampler,
-        clock: Optional[SimClock] = None,
         deadline: float = 1.0e-2,
         lateness: float = 0.0,
         max_queue: int = 64,
@@ -161,7 +159,7 @@ class ServeEngine:
         self.graph = graph
         self.ctx = ctx
         self.sampler = sampler
-        self.clock = clock or SimClock()
+        self.clock = SimClock()
         self.deadline = float(deadline)
         self.injector = injector
         declare(ctx.counters, "serve:model_swaps", "serve:cache_hits",

@@ -42,7 +42,7 @@ class ServeRuntime(ServeEngine):
             serving (resuming a crashed runtime); recovery details land
             in :meth:`stats` under ``durable:recovered:*``.  Needs
             ``durable_dir``: there is nothing to recover from without it.
-        **engine: the shared request-loop knobs (``clock``, ``deadline``,
+        **engine: the shared request-loop knobs (``deadline``,
             ``lateness``, ``max_queue``, ``shed_policy``, ``rate``,
             ``injector``), declared once on
             :class:`~repro.serve.engine.ServeEngine`.

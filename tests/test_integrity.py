@@ -118,12 +118,12 @@ class TestDigestPrimitives:
 
     def test_chunked_digest_incremental_matches_recompute(self):
         rng = np.random.default_rng(1)
-        data = rng.normal(size=(70, DIM)).astype(np.float32)
-        times = rng.uniform(size=70)
-        cd = ChunkedDigest(lambda: (data, times), 70)
-        assert cd.num_chunks == 3
+        data = rng.normal(size=(140, DIM)).astype(np.float32)
+        times = rng.uniform(size=140)
+        cd = ChunkedDigest(lambda: (data, times), 140)
+        assert cd.num_chunks == 5
         for _ in range(5):
-            rows = rng.integers(0, 70, size=8)
+            rows = rng.integers(0, 140, size=8)
             data[rows] = rng.normal(size=(8, DIM)).astype(np.float32)
             times[rows] = rng.uniform(size=8)
             cd.record_rows(rows)
@@ -134,13 +134,13 @@ class TestDigestPrimitives:
 
     def test_chunked_digest_is_tamper_evident(self):
         rng = np.random.default_rng(2)
-        data = rng.normal(size=(64, DIM)).astype(np.float32)
-        cd = ChunkedDigest(lambda: (data,), 64)
+        data = rng.normal(size=(128, DIM)).astype(np.float32)
+        cd = ChunkedDigest(lambda: (data,), 128)
         # out-of-band mutation (no record_rows) localizes to its chunk
-        data.view(np.uint8).reshape(-1)[40 * DIM * 4] ^= np.uint8(1)
-        assert cd.diverged() == [1]
+        data.view(np.uint8).reshape(-1)[80 * DIM * 4] ^= np.uint8(1)
+        assert cd.diverged() == [2]
         # a legitimate write through record_rows re-adopts the state
-        cd.record_rows(np.array([40]))
+        cd.record_rows(np.array([80]))
         assert cd.diverged() == []
 
 

@@ -7,20 +7,21 @@ Two guards on the configuration surfaces of the growth layers:
   ``ResilientTrainer``, ``DegradationLadder`` and the serving stack's
   classes (RPC channel, supervisor, scrubber, replicas, WAL, ingest,
   admission, commit, digest, and the engine with its two backends) must be
-  set, by keyword, somewhere a user's run can reach: under ``src/`` outside
-  the module that declares it, or in ``perf/``, ``scripts/`` or
-  ``benchmarks/``.  Tests and examples do not count.  An option that fails
-  is a constant: move it to the component that uses it.
+  passed, by keyword, to a call of its class somewhere a user's run can
+  reach: under ``src/`` outside the module that declares it, or in
+  ``perf/``, ``scripts/`` or ``benchmarks/``.  Tests and examples do not
+  count.  An option that fails is a constant: move it to the component
+  that uses it.
 * **pinned fault logs** — the seeded chaos runs of both serving CLIs must
   fire exactly the faults, in exactly the order, that they fired before the
   ``FaultInjector`` constructor shrank to ``rates=`` / ``schedules=``.
 """
 
+import ast
 import dataclasses
 import hashlib
 import inspect
 import pathlib
-import re
 
 import pytest
 
@@ -81,36 +82,42 @@ SURFACES = [
     ChunkedDigest, ServeRuntime, ServeCluster, ServeEngine,
 ]
 
-#: a class whose options are also set through the named subclasses (the
-#: engine's knobs reach it as the backends' ``**engine``).
-SET_THROUGH = {ServeEngine: (ServeRuntime, ServeCluster)}
+def _callee(call):
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else None
 
 
-def _keywords_used_beside(names, declaring_module):
-    """Every ``keyword=`` in the files a run can reach that mention one of *names*."""
+def _keywords_passed_to(names, declaring_module):
+    """Every ``keyword=`` of a call to one of *names* in the files a run can reach."""
     declaring = pathlib.Path(inspect.getsourcefile(declaring_module)).resolve()
-    mention = re.compile(r"\b(?:%s)\b" % "|".join(names))
     found = set()
     for top in ("src", "perf", "scripts", "benchmarks"):
         for path in sorted((ROOT / top).rglob("*.py")):
-            text = path.read_text()
-            if path.resolve() != declaring and mention.search(text):
-                found.update(re.findall(r"\b(\w+)\s*=(?!=)", text))
+            if path.resolve() == declaring:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and _callee(node) in names:
+                    found.update(kw.arg for kw in node.keywords if kw.arg)
     return found
 
 
 @pytest.mark.parametrize("cls", SURFACES, ids=lambda cls: cls.__name__)
 def test_every_option_has_a_setter_outside_tests(cls):
-    names = [c.__name__ for c in (cls, *SET_THROUGH.get(cls, ()))]
-    set_somewhere = _keywords_used_beside(names, inspect.getmodule(cls))
+    names = {cls.__name__}
+    if cls is ServeEngine:
+        # the engine's knobs reach it as the backends' ``**engine``
+        names |= {ServeRuntime.__name__, ServeCluster.__name__}
+    set_somewhere = _keywords_passed_to(names, inspect.getmodule(cls))
     unset = [
         f"{cls.__name__}.{name}" for name in _options(cls)
         if name not in set_somewhere
         and f"{cls.__name__}.{name}" not in KEPT_AGAINST_THE_RULE
     ]
     assert unset == [], (
-        f"{unset}: nothing under src/ (outside the declaring module), perf/, "
-        "scripts/ or benchmarks/ sets these; an option nobody sets is a "
+        f"{unset}: no call under src/ (outside the declaring module), perf/, "
+        "scripts/ or benchmarks/ passes these; an option nobody sets is a "
         "constant of the component that uses it"
     )
 
