@@ -22,6 +22,9 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 SURROGATE_MODEL = "model: mean-aggregate surrogate (not a TGNN forward; ROADMAP item 1)"
 #: what scores a scenario's requests: the table its learner installs
 SWAPPED_MODEL = "model: embedding-table link model, served via swap_model"
+#: the provenance line of a table no clock reads: its bytes are gated in CI,
+#: so it carries no checkout or date
+NO_CLOCK = "clock: none (deterministic byte tally)"
 
 
 def format_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -47,11 +50,17 @@ def provenance(clock: str) -> str:
 
 
 def report_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[object]],
-                 filename: str = None, clock: Optional[str] = None,
+                 filename: str = None, *, clock: Optional[str],
                  footer: Sequence[str] = ()) -> str:
-    """Register a finished table for terminal-summary printing + disk;
-    with *clock*, a :func:`provenance` line follows the rows, then the
-    *footer* lines (a serving table's last line names its model)."""
+    """Register a finished table for terminal-summary printing + disk.
+
+    Every table says where it was measured: a :func:`provenance` line on
+    *clock* follows the rows (``wall``, ``wall + simulated transfer``,
+    ``simulated``, or ``none (...)`` for a table no clock reads), then the
+    *footer* lines (a serving table's last line names its model).  A
+    table whose bytes are gated passes ``clock=None`` and :data:`NO_CLOCK`
+    in its footer instead.
+    """
     lines = [format_table(title, headers, rows)]
     if clock is not None:
         lines.append(provenance(clock))

@@ -136,6 +136,7 @@ def test_ablation_hooks_mechanism(benchmark):
              f"{ratio:.2f}x of hooks; ~45 extra user-level lines"],
         ],
         filename="ablation_hooks.txt",
+        clock="wall",
     )
 
     # Emulation is possible without noticeable regression and produces

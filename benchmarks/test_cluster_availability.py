@@ -50,7 +50,7 @@ def run_at_factor(stream, factor):
         g, ctx, TSampler(10, seed=3), DIM,
         config=ClusterConfig(num_shards=SHARDS, replication_factor=factor),
         deadline=1.0, max_queue=1 << 30,
-        injector=injector, stream=stream,
+        stream=stream,
     )
     with cluster, injector:
         results = replay(cluster, split_batches(stream, BATCH), load=LOAD)
@@ -107,5 +107,6 @@ def test_cluster_availability():
          "follower_reads", "p50_ms", "p99_ms", "ttr_ms"],
         rows,
         filename="cluster_availability.txt",
+        clock="simulated",
         footer=[SURROGATE_MODEL],
     )

@@ -48,7 +48,7 @@ def run_at_shards(stream, num_shards, kill=False):
         g, ctx, TSampler(10, seed=3), DIM,
         config=ClusterConfig(num_shards=num_shards),
         deadline=1.0, max_queue=1 << 30,
-        injector=injector, stream=stream,
+        stream=stream,
     )
     with cluster:
         start = cluster.clock.now()
@@ -103,6 +103,7 @@ def test_cluster_scaling():
          "recover (ms)", "redelivered"],
         rows,
         filename="cluster_scaling.txt",
+        clock="simulated",
         footer=[SURROGATE_MODEL],
     )
 

@@ -12,6 +12,7 @@ from helpers import (
     FRAMEWORK_ORDER,
     MODEL_ORDER,
     STANDARD_DATASETS,
+    TRANSFER_CLOCK,
     make_config,
     measure_training,
     skip_tglite_opt_for_jodie,
@@ -49,6 +50,7 @@ def test_fig5_training_all_on_gpu(benchmark):
         ["dataset", "model", "TGL", "TGLite", "TGLite+opt"],
         rows,
         filename="fig5_train_gpu.txt",
+        clock=TRANSFER_CLOCK,
     )
 
     # Shape assertions (not absolute numbers): optimization operators must

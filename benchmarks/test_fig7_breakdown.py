@@ -61,6 +61,7 @@ def test_fig7_tgat_lastfm_breakdown(benchmark):
         ["stage", "TGL", "TGLite", "TGLite+opt"],
         rows,
         filename="fig7_breakdown.txt",
+        clock="wall",
     )
 
     # The stages tile the training step: they account for the epoch.

@@ -153,5 +153,6 @@ def test_integrity_scrub_overhead():
          "serve_ms", "overhead", "flip_outcome"],
         rows,
         filename="integrity_scrub.txt",
+        clock="wall",
         footer=[NOTE, SURROGATE_MODEL],
     )

@@ -430,6 +430,7 @@ def test_kernel_microbench():
         ["kernel", "reference (ms)", "vectorized (ms)", "speedup"],
         rows,
         filename="kernel_microbench.txt",
+        clock="wall",
     )
 
     # Acceptance bar: >= 5x on the sampling hot path.

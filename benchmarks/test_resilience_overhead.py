@@ -93,4 +93,5 @@ def test_fault_free_overhead():
         ["configuration", "epoch seconds", "overhead", "trajectory"],
         rows,
         filename="resilience_overhead.txt",
+        clock="wall",
     )

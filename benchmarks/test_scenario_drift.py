@@ -92,6 +92,7 @@ def test_accuracy_under_drift_and_staleness_curves():
          "gap recovered"],
         rows,
         filename="scenario_drift.txt",
+        clock="simulated",
         footer=[SWAPPED_MODEL],
     )
 
@@ -123,5 +124,6 @@ def test_accuracy_under_drift_and_staleness_curves():
         ["budget", "swaps", "overall AP", "post-shift AP", "final staleness"],
         sweep_rows,
         filename="scenario_staleness.txt",
+        clock="simulated",
         footer=[SWAPPED_MODEL],
     )

@@ -91,6 +91,7 @@ def test_serving_throughput():
          "p50 (ms)", "p99 (ms)"],
         rows,
         filename="serving_throughput.txt",
+        clock="simulated",
         footer=[SURROGATE_MODEL],
     )
 

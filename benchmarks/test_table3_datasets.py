@@ -25,5 +25,6 @@ def test_table3_dataset_statistics(benchmark):
          "paper |V|", "paper |E|", "V scale", "E scale"],
         rows,
         filename="table3_datasets.txt",
+        clock="none (dataset statistics)",
     )
     assert len(rows) == 6

@@ -53,6 +53,7 @@ def test_table4_training_ap(benchmark):
         ["dataset", "model", "TGL", "TGLite", "TGLite+opt"],
         rows,
         filename="table4_train_ap.txt",
+        clock="none (AP only)",
     )
 
     # Shape assertions: every setting must be well above chance, and the

@@ -12,6 +12,7 @@ from helpers import (
     FRAMEWORK_ORDER,
     MODEL_ORDER,
     STANDARD_DATASETS,
+    TRANSFER_CLOCK,
     make_config,
     measure_inference,
     skip_tglite_opt_for_jodie,
@@ -54,6 +55,7 @@ def test_table5_inference_all_on_gpu(benchmark):
         ["dataset", "model", "TGL", "AP", "TGLite", "AP", "TGLite+opt", "AP"],
         rows,
         filename="table5_inference.txt",
+        clock=TRANSFER_CLOCK,
     )
 
     # Shape assertions: the fully optimized setting must beat TGL for the

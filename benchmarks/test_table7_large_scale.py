@@ -141,6 +141,7 @@ def test_table7_oom_demonstration(benchmark):
         ["framework", "outcome", "tracked peak (MiB)"],
         [[k, v, f"{peaks[k] / 2**20:.1f}"] for k, v in outcome.items()],
         filename="table7_oom.txt",
+        clock="simulated",
     )
     assert outcome["tgl"] == "OOM"
     assert outcome["tglite+opt"] == "ok"

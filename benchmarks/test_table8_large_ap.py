@@ -41,6 +41,7 @@ def test_table8_large_scale_ap(benchmark):
         ["dataset", "model", "TGL", "TGLite+opt"],
         rows,
         filename="table8_large_ap.txt",
+        clock="none (AP only)",
     )
 
     for (dataset, model, fw), ap in results.items():

@@ -22,7 +22,7 @@ from repro.bench.experiments import Experiment
 from repro.bench.trainer import train_epoch
 from repro.tensor.device import runtime
 
-from conftest import report_table
+from conftest import NO_CLOCK, report_table
 from helpers import FRAMEWORK_ORDER, make_config, skip_tglite_opt_for_jodie
 
 MODELS = ("tgat", "tgn", "jodie", "apan")
@@ -66,6 +66,8 @@ def test_transfer_accounting(benchmark):
         ["model", "framework", "MB moved", "pinned", "transfers"],
         rows,
         filename="transfer_accounting.txt",
+        clock=None,
+        footer=[NO_CLOCK],
     )
 
     for model in MODELS:

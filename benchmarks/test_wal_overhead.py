@@ -152,6 +152,7 @@ def test_wal_commit_overhead_and_recovery():
         ["fsync", "us/commit", "delta us", "overhead"],
         rows,
         filename="wal_overhead.txt",
+        clock="wall",
     )
     report_table(
         "WAL recovery: time vs log length (snapshot anchors the replay)",
@@ -159,6 +160,7 @@ def test_wal_commit_overhead_and_recovery():
          "replayed after snapshot"],
         rec_rows,
         filename="wal_recovery.txt",
+        clock="wall",
     )
 
     assert added_us["batch"] <= WAL_BUDGET_US, (

@@ -34,14 +34,14 @@ DIM = 16
 
 
 def make_runtime(topology, durable_dir=None, snapshot_every=None,
-                 recover=False, injector=None):
+                 recover=False):
     g = TGraph(topology.src, topology.dst, topology.ts, num_nodes=NUM_NODES)
     ctx = TContext(g)
     memory = Memory(NUM_NODES, DIM)
     mailbox = Mailbox(NUM_NODES, DIM)
     sampler = TSampler(10, seed=3)
     return ServeRuntime(
-        g, ctx, memory, sampler, mailbox=mailbox, injector=injector,
+        g, ctx, memory, sampler, mailbox=mailbox,
         durable_dir=durable_dir, snapshot_every=snapshot_every,
         recover=recover,
     )
@@ -71,7 +71,7 @@ def main() -> None:
         #    during a partially flushed append looks like.
         crash_dir = tempfile.mkdtemp(prefix="durable-crash-")
         injector = FaultInjector(seed=13, schedules={"disk.write.torn": [(0, 5)]})
-        rt2 = make_runtime(clean, durable_dir=crash_dir, injector=injector)
+        rt2 = make_runtime(clean, durable_dir=crash_dir)
         survived = 0
         try:
             with injector:

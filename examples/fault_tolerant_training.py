@@ -57,12 +57,12 @@ def _build():
     return Experiment(cfg)
 
 
-def _trainer(exp, ckdir, injector=None):
+def _trainer(exp, ckdir):
     from repro.bench import ResilientTrainer
 
     return ResilientTrainer(
         exp.model, exp.g, exp.optimizer, exp.neg_sampler, batch_size=300,
-        checkpoint_dir=ckdir, checkpoint_every=2, injector=injector,
+        checkpoint_dir=ckdir, checkpoint_every=2,
     )
 
 
@@ -91,8 +91,9 @@ def main():
         },
     )
     exp = _build()
-    faulted = _trainer(exp, os.path.join(workdir, "faulted"), injector=injector)
-    faulted_result = faulted.train(epochs=2, train_end=train_end)
+    faulted = _trainer(exp, os.path.join(workdir, "faulted"))
+    with injector:  # faults fire only while an injector is installed
+        faulted_result = faulted.train(epochs=2, train_end=train_end)
     faulted_fp = _fingerprint(exp)
     exp.close()
     print(f"faulted run:      losses = "
@@ -108,7 +109,8 @@ def main():
     exp = _build()
     killer = FaultInjector(seed=5, schedules={"process.kill": [(1, 1)]})
     try:
-        _trainer(exp, ckdir, injector=killer).train(epochs=2, train_end=train_end)
+        with killer:
+            _trainer(exp, ckdir).train(epochs=2, train_end=train_end)
     except SimulatedProcessKill as exc:
         print(f"\nprocess killed at (epoch {exc.epoch}, batch {exc.batch}); "
               f"restarting from checkpoint …")
@@ -131,9 +133,10 @@ def main():
         seed=2,
         schedules={"kernel.sample": [(0, 0), (0, 1), (0, 2)]},
     )
-    degraded_result = _trainer(
-        exp, os.path.join(workdir, "degraded"), injector=stubborn
-    ).train(epochs=1, train_end=train_end)
+    with stubborn:
+        degraded_result = _trainer(exp, os.path.join(workdir, "degraded")).train(
+            epochs=1, train_end=train_end
+        )
     ctx = exp.g.ctx
     print(f"\nafter {ctx.counters.get('kernel_faults:kernel.sample', 0)} kernel faults: "
           f"degraded sites = {ctx.degraded}")

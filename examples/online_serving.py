@@ -35,8 +35,7 @@ NUM_EVENTS = 1200
 DIM = 16
 
 
-def make_runtime(topology, lateness=0.0, deadline=1.0, max_queue=1 << 30,
-                 injector=None):
+def make_runtime(topology, lateness=0.0, deadline=1.0, max_queue=1 << 30):
     # The sampling topology comes from clean history; TGraph itself
     # rejects malformed edges, which is exactly why the serving path
     # quarantines junk *before* it ever reaches graph state.
@@ -47,7 +46,7 @@ def make_runtime(topology, lateness=0.0, deadline=1.0, max_queue=1 << 30,
     sampler = TSampler(10, seed=3)
     runtime = ServeRuntime(
         g, ctx, memory, sampler, mailbox=mailbox, deadline=deadline,
-        lateness=lateness, max_queue=max_queue, injector=injector,
+        lateness=lateness, max_queue=max_queue,
     )
     return runtime
 
@@ -101,7 +100,7 @@ def main() -> None:
         rates={"serve.ingest": 0.1, "serve.commit": 0.1},
         schedules={"serve.poison": [(0, 6)]},
     )
-    rt4 = make_runtime(clean, injector=injector)
+    rt4 = make_runtime(clean)
     with injector:
         results = replay(rt4, batches, load=1.0)
     show("clean stream under fault injection", rt4, results)

@@ -12,6 +12,11 @@ EXPERIMENTS.md contains marker pairs::
 Run after ``pytest benchmarks/ --benchmark-only`` so the document always
 quotes the most recent measurement.  ``--check`` rewrites nothing: it
 names every block that differs from its file and exits 1 if any does.
+
+Every results file must say where it was measured: a provenance line
+``measured at <sha> on <date>; clock: <clock>`` (or a bare ``clock: none
+(...)`` for a table whose bytes are gated).  A file without one is never
+spliced, and ``--check`` names every such file and exits 1.
 """
 
 import argparse
@@ -27,6 +32,11 @@ PATTERN = re.compile(
     r"(<!-- BEGIN RESULTS:(?P<name>[\w.]+) -->\n```\n)(?P<body>.*?)(\n```\n<!-- END RESULTS -->)",
     re.DOTALL,
 )
+PROVENANCE = re.compile(r"^(measured at \S+ on \d{4}-\d{2}-\d{2}; )?clock: \S.*$", re.MULTILINE)
+
+
+def has_provenance(body: str) -> bool:
+    return PROVENANCE.search(body) is not None
 
 
 def main(argv=None) -> int:
@@ -37,7 +47,12 @@ def main(argv=None) -> int:
     with open(DOC) as fh:
         text = fh.read()
 
-    missing, drifted = [], []
+    missing, drifted, unproven = [], [], set()
+    for name in sorted(os.listdir(RESULTS)):
+        if name.endswith(".txt"):
+            with open(os.path.join(RESULTS, name)) as fh:
+                if not has_provenance(fh.read()):
+                    unproven.add(name)
 
     def replace(match: re.Match) -> str:
         name = match.group("name")
@@ -45,6 +60,8 @@ def main(argv=None) -> int:
         if not os.path.exists(path):
             missing.append(name)
             return match.group(0)
+        if name in unproven:
+            return match.group(0)  # refused: nothing says where it was measured
         with open(path) as fh:
             body = fh.read().rstrip()
         if body != match.group("body"):
@@ -62,7 +79,10 @@ def main(argv=None) -> int:
         print(f"updated {count - len(missing)} result blocks in EXPERIMENTS.md")
     if missing:
         print(f"missing results files (left untouched): {missing}", file=sys.stderr)
-    return 1 if missing or (args.check and drifted) else 0
+    for name in sorted(unproven):
+        print(f"benchmarks/results/{name} has no provenance line "
+              "('measured at <sha> on <date>; clock: ...'); not spliced", file=sys.stderr)
+    return 1 if missing or unproven or (args.check and drifted) else 0
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..core.state import load_state_image, state_image
 from ..durable.snapshot import read_container, write_container
-from ..nn import Adam, Module, Optimizer, SGD
+from ..nn import Adam, Module
 
 __all__ = ["save_checkpoint", "load_checkpoint", "checkpoint_arrays"]
 
@@ -39,48 +39,35 @@ _PREFIX_OPTIM = "optim/"
 _FORMAT_VERSION = 4
 
 
-def _optimizer_state(optimizer: Optimizer) -> Dict[str, np.ndarray]:
+def _optimizer_state(optimizer: Adam) -> Dict[str, np.ndarray]:
     """Flatten optimizer moments, keyed by parameter position."""
-    state: Dict[str, np.ndarray] = {}
-    if isinstance(optimizer, Adam):
-        state["t"] = np.array([optimizer._t], dtype=np.int64)
-        for i, p in enumerate(optimizer.params):
-            m = optimizer._m.get(id(p))
-            v = optimizer._v.get(id(p))
-            if m is not None:
-                state[f"m/{i}"] = m
-                state[f"v/{i}"] = v
-    elif isinstance(optimizer, SGD):
-        for i, p in enumerate(optimizer.params):
-            vel = optimizer._velocity.get(id(p))
-            if vel is not None:
-                state[f"vel/{i}"] = vel
+    state: Dict[str, np.ndarray] = {"t": np.array([optimizer._t], dtype=np.int64)}
+    for i, p in enumerate(optimizer.params):
+        m = optimizer._m.get(id(p))
+        v = optimizer._v.get(id(p))
+        if m is not None:
+            state[f"m/{i}"] = m
+            state[f"v/{i}"] = v
     return state
 
 
-def _restore_optimizer(optimizer: Optimizer, state: Dict[str, np.ndarray]) -> None:
+def _restore_optimizer(optimizer: Adam, state: Dict[str, np.ndarray]) -> None:
     """Restore moments *exactly*: entries absent from the checkpoint are
     dropped, so rolling back to an early checkpoint cannot leave stale
     (or fault-poisoned) moments from the abandoned timeline behind."""
-    if isinstance(optimizer, Adam):
-        optimizer._m.clear()
-        optimizer._v.clear()
-        optimizer._t = int(state["t"][0]) if "t" in state else 0
-        for i, p in enumerate(optimizer.params):
-            if f"m/{i}" in state:
-                optimizer._m[id(p)] = state[f"m/{i}"].copy()
-                optimizer._v[id(p)] = state[f"v/{i}"].copy()
-    elif isinstance(optimizer, SGD):
-        optimizer._velocity.clear()
-        for i, p in enumerate(optimizer.params):
-            if f"vel/{i}" in state:
-                optimizer._velocity[id(p)] = state[f"vel/{i}"].copy()
+    optimizer._m.clear()
+    optimizer._v.clear()
+    optimizer._t = int(state["t"][0]) if "t" in state else 0
+    for i, p in enumerate(optimizer.params):
+        if f"m/{i}" in state:
+            optimizer._m[id(p)] = state[f"m/{i}"].copy()
+            optimizer._v[id(p)] = state[f"v/{i}"].copy()
 
 
 def checkpoint_arrays(
     model: Module,
     graph=None,
-    optimizer: Optional[Optimizer] = None,
+    optimizer: Optional[Adam] = None,
 ) -> Dict[str, np.ndarray]:
     """Assemble the flat array dict a checkpoint stores.
 
@@ -105,7 +92,7 @@ def save_checkpoint(
     path: str,
     model: Module,
     graph=None,
-    optimizer: Optional[Optimizer] = None,
+    optimizer: Optional[Adam] = None,
     stream: Optional[Tuple[int, int]] = None,
 ) -> None:
     """Atomically write model + memory/mailbox + optimizer state.
@@ -128,7 +115,7 @@ def load_checkpoint(
     path: str,
     model: Module,
     graph=None,
-    optimizer: Optional[Optimizer] = None,
+    optimizer: Optional[Adam] = None,
 ) -> Dict[str, object]:
     """Restore state saved by :func:`save_checkpoint` (in place).
 

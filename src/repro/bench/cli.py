@@ -165,7 +165,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         print("poisoned stream:", ", ".join(f"{k}={v}" for k, v in injected.items()),
               f"(lateness bound {lateness:.4g})")
 
-    def make_runtime(injector=None, reliable=False):
+    def make_runtime(reliable=False):
         g = TGraph(clean.src, clean.dst, clean.ts, num_nodes=num_nodes)
         ctx = TContext(g)
         return ServeRuntime(
@@ -177,7 +177,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             max_queue=1 << 30 if reliable else args.max_queue,
             shed_policy=args.shed_policy,
             rate=None if reliable else args.rate,
-            injector=injector,
             durable_dir=None if reliable else args.durable_dir,
             durable_fsync=args.fsync,
             snapshot_every=args.snapshot_every or None,
@@ -191,7 +190,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             rates={"serve.ingest": 0.05, "serve.commit": 0.05},
             schedules={"serve.poison": [(0, 3), (0, 13)]},
         )
-    runtime = make_runtime(injector)
+    runtime = make_runtime()
     batches = split_batches(stream, args.batch_size)
     print(f"replaying {len(stream)} events in {len(batches)} requests "
           f"at {args.load:g}x load")
@@ -233,9 +232,7 @@ def _print_datasets() -> None:
               f"{s['d_e']:>5d} {s['max(t)']:>10.2e}")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+def main(argv: List[str]) -> int:
     if argv and argv[0] == "serve-cluster":
         return serve_cluster_main(argv[1:])
     if argv and argv[0] == "serve":
@@ -301,4 +298,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

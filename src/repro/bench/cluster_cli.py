@@ -243,7 +243,7 @@ def serve_cluster_main(argv: Optional[List[str]] = None) -> int:
         deadline=1e9 if reliable else args.deadline,
         max_queue=1 << 30 if reliable else args.max_queue,
         shed_policy=args.shed_policy,
-        injector=injector, stream=stream,
+        stream=stream,
     )
 
     print(f"replaying {len(stream)} events in {len(batches)} requests "

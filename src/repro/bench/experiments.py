@@ -196,35 +196,33 @@ class Experiment:
         checkpoint_dir: str,
         checkpoint_every: int = 50,
         resume: bool = False,
-        injector=None,
     ):
         """Train under the fault-tolerant runtime (checkpoint + recovery).
 
         Returns a :class:`~repro.bench.resilient.ResilientResult`; pass
         ``resume=True`` to continue a previous run from its checkpoint.
+        Faults come from the installed injector (``with injector:``).
         """
         from .resilient import ResilientTrainer
 
         trainer = ResilientTrainer(
             self.model, self.g, self.optimizer, self.neg_sampler,
             batch_size=self.cfg.batch_size, checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every, injector=injector,
+            checkpoint_every=checkpoint_every,
         )
         return trainer.train(
             epochs=self.cfg.epochs, train_end=self.train_end,
             eval_end=self.val_end, resume=resume,
         )
 
-    def run_test_inference(self, warm: bool = True) -> Tuple[float, float]:
+    def run_test_inference(self) -> Tuple[float, float]:
         """Time test-split inference; returns ``(seconds, AP)``.
 
-        Args:
-            warm: replay train+val first (untimed) so memory-based models
-                see the stream's history, mirroring §5.3's protocol.
+        Train+val are replayed first (untimed) so memory-based models see
+        the stream's history, mirroring §5.3's protocol.
         """
-        if warm:
-            warm_replay(self.model, self.g, self.neg_sampler,
-                        self.cfg.batch_size, stop=self.val_end)
+        warm_replay(self.model, self.g, self.neg_sampler,
+                    self.cfg.batch_size, stop=self.val_end)
         return evaluate(self.model, self.g, self.neg_sampler,
                         self.cfg.batch_size, start=self.val_end,
                         stop=self.test_end)

@@ -24,12 +24,21 @@ from .metrics import roc_auc
 
 __all__ = ["NodeClassifier", "collect_source_embeddings", "train_node_classifier"]
 
+#: the chronologically earlier share of interactions the decoder trains on
+TRAIN_FRACTION = 0.7
+LR = 1e-3
+BATCH_SIZE = 512
+SEED = 0
+
 
 class NodeClassifier(MLP):
     """Two-layer MLP decoder mapping an embedding to a label logit."""
 
-    def __init__(self, dim_embed: int, dim_hidden: int = 64, dropout: float = 0.1):
-        super().__init__(dim_embed, dim_hidden, 1, dropout=dropout)
+    DIM_HIDDEN = 64
+    DROPOUT = 0.1
+
+    def __init__(self, dim_embed: int):
+        super().__init__(dim_embed, self.DIM_HIDDEN, 1, dropout=self.DROPOUT)
 
     def forward(self, x: Tensor) -> Tensor:
         return super().forward(x).squeeze(1)
@@ -40,10 +49,8 @@ def collect_source_embeddings(
     g: TGraph,
     dataset: TemporalDataset,
     batch_size: int,
-    start: int = 0,
-    stop: int = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Stream edges through the trained model, harvesting source embeddings.
+    """Stream every edge through the trained model, harvesting source embeddings.
 
     Returns ``(embeddings, labels)`` where row *i* is the time-aware
     embedding of edge *i*'s source node at the interaction time, paired
@@ -56,9 +63,8 @@ def collect_source_embeddings(
     model.eval()
     embeds: List[np.ndarray] = []
     labels: List[np.ndarray] = []
-    stop = g.num_edges if stop is None else stop
     with no_grad():
-        for batch in iter_batches(g, batch_size, start=start, stop=stop):
+        for batch in iter_batches(g, batch_size):
             # Link-prediction models expect negatives; any placeholder works
             # since we only read the source-slice of the embeddings.
             batch.neg_nodes = batch.dst
@@ -71,34 +77,31 @@ def collect_source_embeddings(
 def train_node_classifier(
     embeddings: np.ndarray,
     labels: np.ndarray,
-    train_fraction: float = 0.7,
     epochs: int = 40,
-    lr: float = 1e-3,
-    batch_size: int = 512,
-    seed: int = 0,
-    dim_hidden: int = 64,
 ) -> Tuple[NodeClassifier, float]:
     """Fit the decoder on the chronologically earlier embeddings.
 
-    Positive interactions are re-weighted by the inverse class frequency
-    (the datasets are ~0.4% positive).  Returns the trained decoder and the
-    held-out ROC-AUC.
+    The first :data:`TRAIN_FRACTION` of the interactions train it with Adam
+    (learning rate :data:`LR`, :data:`BATCH_SIZE` rows a step, shuffled by
+    :data:`SEED`).  Positive interactions are re-weighted by the inverse
+    class frequency (the datasets are ~0.4% positive).  Returns the trained
+    decoder and the held-out ROC-AUC.
     """
     n = len(labels)
-    split = int(n * train_fraction)
+    split = int(n * TRAIN_FRACTION)
     train_x, train_y = embeddings[:split], labels[:split].astype(np.float32)
     test_x, test_y = embeddings[split:], labels[split:]
 
-    decoder = NodeClassifier(embeddings.shape[1], dim_hidden=dim_hidden)
-    optimizer = Adam(decoder.parameters(), lr=lr)
+    decoder = NodeClassifier(embeddings.shape[1])
+    optimizer = Adam(decoder.parameters(), lr=LR)
     pos_rate = max(train_y.mean(), 1e-6)
     pos_weight = float((1.0 - pos_rate) / pos_rate)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
 
     for _ in range(epochs):
         order = rng.permutation(split)
-        for lo in range(0, split, batch_size):
-            idx = order[lo : lo + batch_size]
+        for lo in range(0, split, BATCH_SIZE):
+            idx = order[lo : lo + BATCH_SIZE]
             logits = decoder(Tensor(train_x[idx]))
             y = train_y[idx]
             weights = Tensor(np.where(y > 0, pos_weight, 1.0).astype(np.float32))

@@ -127,9 +127,9 @@ class ResilientTrainer:
         checkpoint_dir: directory for the rolling checkpoint file.
         checkpoint_every: batches between checkpoints (a checkpoint is
             always taken at the start of each epoch).
-        injector: optional :class:`~repro.resilience.FaultInjector` to
-            install for the duration of ``train`` (one may instead be
-            installed externally as a context manager).
+
+    Faults come from the installed :class:`~repro.resilience.FaultInjector`
+    (``with injector:``), whose cursor the loop advances.
     """
 
     CHECKPOINT_NAME = "resilient.ckpt"
@@ -143,7 +143,6 @@ class ResilientTrainer:
         batch_size: int,
         checkpoint_dir: str,
         checkpoint_every: int = 50,
-        injector=None,
     ):
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
@@ -153,7 +152,6 @@ class ResilientTrainer:
         self.batch_size = batch_size
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
-        self.injector = injector
         self.g = g
 
     # ---- state plumbing ---------------------------------------------------------
@@ -342,74 +340,67 @@ class ResilientTrainer:
                 ResilienceEvent("resume", p, w, f"resumed from {self.checkpoint_path}")
             )
 
-        own_injector = self.injector is not None and hooks.active() is not self.injector
-        if own_injector:
-            hooks.install(self.injector)
-        try:
-            seconds = 0.0
-            losses: Dict[int, float] = {}
-            rollback_streak: Dict[Tuple[int, int], int] = {}
-            while p < passes:
-                if reset and w == 0 and not restored:
-                    self.model.reset_state()
-                restored = False
-                injector = hooks.active()
-                if injector is not None:
-                    injector.advance(p, w)
-                hooks.poke("trainer.batch", epoch=p, batch=w)
-                rewind = None  # reason to roll back instead of advancing
-                if (
-                    w % self.checkpoint_every == 0
-                    and self._write_checkpoint(result, p, w) == "validation"
-                ):
-                    # Corrupted state must never be trained on: the
-                    # derived caches are dropped and the stream replays
-                    # from the last good checkpoint (there is always one
-                    # at the start of the current pass).
-                    rewind = "state validation failed"
-                else:
-                    t0 = time.perf_counter()
-                    lo = first + w * self.batch_size
-                    hi = min(lo + self.batch_size, last)
-                    try:
-                        with _sampling_pass(self.model, p):
-                            loss_value = self._with_retry(
-                                result, p, w, lambda: self._run_batch(lo, hi)
-                            )
-                    except DivergenceError as exc:
-                        key = (p, w)
-                        rollback_streak[key] = rollback_streak.get(key, 0) + 1
-                        if rollback_streak[key] > MAX_RETRIES:
-                            raise
-                        rewind = str(exc)
-                if rewind is not None:
-                    p, w = self._rollback(result, p, w, rewind)
-                    # Replayed windows recompute their losses from the
-                    # rollback target on; drop the abandoned entries.
-                    losses = {k: v for k, v in losses.items() if k < w}
-                    restored = True
-                    continue
-                losses[w] = loss_value
-                seconds += time.perf_counter() - t0
-                w += 1
-                if w >= n_windows:
-                    eval_s, ap = (0.0, 0.0)
-                    if eval_end is not None and eval_end > last:
-                        eval_s, ap = self._with_retry(
-                            result, p, n_windows,
-                            lambda: evaluate(
-                                self.model, self.g, self.neg_sampler, self.batch_size,
-                                start=last, stop=eval_end,
-                            ),
-                            " during evaluation",
+        seconds = 0.0
+        losses: Dict[int, float] = {}
+        rollback_streak: Dict[Tuple[int, int], int] = {}
+        while p < passes:
+            if reset and w == 0 and not restored:
+                self.model.reset_state()
+            restored = False
+            injector = hooks.active()
+            if injector is not None:
+                injector.advance(p, w)
+            hooks.poke("trainer.batch", epoch=p, batch=w)
+            rewind = None  # reason to roll back instead of advancing
+            if (
+                w % self.checkpoint_every == 0
+                and self._write_checkpoint(result, p, w) == "validation"
+            ):
+                # Corrupted state must never be trained on: the
+                # derived caches are dropped and the stream replays
+                # from the last good checkpoint (there is always one
+                # at the start of the current pass).
+                rewind = "state validation failed"
+            else:
+                t0 = time.perf_counter()
+                lo = first + w * self.batch_size
+                hi = min(lo + self.batch_size, last)
+                try:
+                    with _sampling_pass(self.model, p):
+                        loss_value = self._with_retry(
+                            result, p, w, lambda: self._run_batch(lo, hi)
                         )
-                    mean_loss = float(np.mean(list(losses.values()))) if losses else 0.0
-                    result.epochs.append(EpochResult(p, seconds, mean_loss, eval_s, ap))
-                    seconds, losses = 0.0, {}
-                    p, w = p + 1, 0
-        finally:
-            if own_injector:
-                hooks.uninstall(self.injector)
+                except DivergenceError as exc:
+                    key = (p, w)
+                    rollback_streak[key] = rollback_streak.get(key, 0) + 1
+                    if rollback_streak[key] > MAX_RETRIES:
+                        raise
+                    rewind = str(exc)
+            if rewind is not None:
+                p, w = self._rollback(result, p, w, rewind)
+                # Replayed windows recompute their losses from the
+                # rollback target on; drop the abandoned entries.
+                losses = {k: v for k, v in losses.items() if k < w}
+                restored = True
+                continue
+            losses[w] = loss_value
+            seconds += time.perf_counter() - t0
+            w += 1
+            if w >= n_windows:
+                eval_s, ap = (0.0, 0.0)
+                if eval_end is not None and eval_end > last:
+                    eval_s, ap = self._with_retry(
+                        result, p, n_windows,
+                        lambda: evaluate(
+                            self.model, self.g, self.neg_sampler, self.batch_size,
+                            start=last, stop=eval_end,
+                        ),
+                        " during evaluation",
+                    )
+                mean_loss = float(np.mean(list(losses.values()))) if losses else 0.0
+                result.epochs.append(EpochResult(p, seconds, mean_loss, eval_s, ap))
+                seconds, losses = 0.0, {}
+                p, w = p + 1, 0
         return result
 
     def train(

@@ -18,14 +18,10 @@ __all__ = ["SimClock"]
 
 
 class SimClock:
-    """A monotone simulated clock measured in seconds.
+    """A monotone simulated clock measured in seconds, starting at 0."""
 
-    Args:
-        start: initial reading.
-    """
-
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
 
     def now(self) -> float:
         """Current simulated time in seconds."""

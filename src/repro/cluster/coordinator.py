@@ -159,8 +159,8 @@ class ServeCluster(ServeEngine):
         stream: seeding event stream, required by the ``temporal``
             partition policy.
         **engine: the shared request-loop knobs (``deadline``,
-            ``lateness``, ``max_queue``, ``shed_policy``, ``rate``,
-            ``injector``), declared once on
+            ``lateness``, ``max_queue``, ``shed_policy``, ``rate``),
+            declared once on
             :class:`~repro.serve.engine.ServeEngine`.  The ladder prices
             requests with :class:`ShardedCostModel`.
 
@@ -224,12 +224,12 @@ class ServeCluster(ServeEngine):
                              counters=counters)
             )
         self.rpc = SimRpc(self.clock, counters=counters)
-        self.supervisor = Supervisor(self.clock, self.groups, self.router,
-                                     counters=counters)
         self.scrubber = Scrubber(
             self.groups, self.clock, interval=cfg.scrub_interval,
             counters=counters,
         )
+        self.supervisor = Supervisor(self.clock, self.groups, self.router,
+                                     self.scrubber, counters=counters)
         #: cluster commit sequence; every shard sub-batch carries it.
         self.seq = -1
         self.committed_watermark = -np.inf

@@ -23,7 +23,7 @@ assignment epoch they were written under.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -46,36 +46,23 @@ def hash_shard(nodes: np.ndarray, num_shards: int, seed: int = 0) -> np.ndarray:
     return (h % np.uint64(num_shards)).astype(np.int64)
 
 
-def place_group_hosts(
-    num_shards: int,
-    replication_factor: int,
-    num_hosts: Optional[int] = None,
-) -> "list":
+def place_group_hosts(num_shards: int, replication_factor: int) -> "list":
     """Host placement for every shard's replica group.
 
     Returns ``hosts[shard][member]`` — the simulated host each group
     member lives on — under the anti-affinity constraint that no two
     members of one group share a host (a single host loss must never
-    take out a whole group, or replication buys nothing).  Placement is
-    the deterministic diagonal ``(shard + member) % num_hosts``, which
-    also spreads each host's load across primary and follower roles.
-
-    ``num_hosts`` defaults to ``max(num_shards, replication_factor)``;
-    fewer hosts than the factor is rejected because anti-affinity is
-    then unsatisfiable.
+    take out a whole group, or replication buys nothing).  There are
+    ``max(num_shards, replication_factor)`` hosts, so the constraint
+    always holds, and placement is the deterministic diagonal
+    ``(shard + member) % hosts``, which also spreads each host's load
+    across primary and follower roles.
     """
     num_shards = int(num_shards)
     replication_factor = int(replication_factor)
     if num_shards < 1 or replication_factor < 1:
         raise ValueError("num_shards and replication_factor must be >= 1")
-    hosts = int(num_hosts) if num_hosts is not None else max(
-        num_shards, replication_factor
-    )
-    if hosts < replication_factor:
-        raise ValueError(
-            f"cannot place {replication_factor} replicas of one group on "
-            f"{hosts} hosts without two sharing a host"
-        )
+    hosts = max(num_shards, replication_factor)
     placement = [
         [(shard + member) % hosts for member in range(replication_factor)]
         for shard in range(num_shards)

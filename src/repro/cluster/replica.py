@@ -309,12 +309,11 @@ class ShardReplica:
 
     # ---- state application ---------------------------------------------------------
 
-    def prepare(self, batch: TBatch, seq: int, epoch: int,
-                part: Optional[ApplyPlan] = None) -> Prepared:
+    def prepare(self, batch: TBatch, seq: int, epoch: int) -> Prepared:
         """:func:`prepare_shards` of this one shard: the :class:`Prepared`
-        of (non-empty) *batch* at ``(seq, epoch)``, *part* being this
-        shard's slice of the commit's plan, if one was made."""
-        return prepare_shards([self], [batch], seq, [epoch], [part])[0]
+        of (non-empty) *batch* at ``(seq, epoch)``, planned over *batch*
+        alone (no commit-wide plan)."""
+        return prepare_shards([self], [batch], seq, [epoch], [None])[0]
 
     def plan(self, batch: TBatch, part: Optional[ApplyPlan] = None) -> ApplyPlan:
         """The rows *batch* writes on this shard: staged, owned, deduplicated.

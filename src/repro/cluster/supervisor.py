@@ -69,6 +69,9 @@ class Supervisor:
         clock: the shared simulated clock.
         groups: the cluster's :class:`~repro.cluster.replication.ReplicaGroup`s.
         router: the shared :class:`~repro.cluster.partition.ShardRouter`.
+        scrubber: the cluster's :class:`~repro.integrity.Scrubber`; a
+            rebalance verifies and repairs both groups with it before any
+            row is handed over.
         counters: the counter table to count the control plane's
             ``cluster:*`` into (a private one when None).  Promotions and
             recoveries are counted by the group and the member they happen
@@ -99,11 +102,12 @@ class Supervisor:
     #: modeled quiesce window charged to the clock per rebalance hand-off.
     REBALANCE_HANDOFF_SECONDS = 2.0e-3
 
-    def __init__(self, clock, groups, router,
+    def __init__(self, clock, groups, router, scrubber,
                  counters: Optional[Dict[str, float]] = None):
         self.clock = clock
         self.groups = groups
         self.router = router
+        self.scrubber = scrubber
         self.counters = declare(
             counters, "cluster:beats", "cluster:beats_dropped", "cluster:suspects",
             "cluster:failovers", "cluster:promote_delays", "cluster:rebalances",
@@ -395,12 +399,15 @@ class Supervisor:
         nodes = np.asarray(moved, dtype=np.int64)
         # Planned hand-off: quiesce both groups (no phi accrual), drain
         # every member's queue so group members are bit-identical and no
-        # parked record straddles the ownership move, hand the rows over
-        # member-by-member, charge the modeled window, resume.
+        # parked record straddles the ownership move, verify and repair
+        # both groups (``Scrubber.scrub_group`` says why), hand the rows
+        # over member-by-member, charge the modeled window, resume.
         for g, group in ((hot, hot_group), (cold, cold_group)):
             for m in range(len(group.members)):
                 self.quiesce(g, m)
                 group.drain_member(m)
+        for g in (hot, cold):
+            self.scrubber.scrub_group(g)
         for m in range(len(hot_group.members)):
             cold_group.members[m].adopt(hot_group.members[m].release(nodes))
         self.clock.advance(self.REBALANCE_HANDOFF_SECONDS)

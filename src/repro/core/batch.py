@@ -64,13 +64,12 @@ class TBatch:
         self.neg_nodes = neg_nodes
 
     @classmethod
-    def range(cls, g: "TGraph", lo: int, hi: int,
-              neg_nodes: Optional[np.ndarray] = None) -> "TBatch":
+    def range(cls, g: "TGraph", lo: int, hi: int) -> "TBatch":
         """The chronologically contiguous edges ``[lo, hi)`` of *g*."""
         if not 0 <= lo <= hi <= g.num_edges:
             raise ValueError(f"invalid batch range [{lo}, {hi}) for {g.num_edges} edges")
         return cls(np.arange(lo, hi, dtype=np.int64), g.src[lo:hi], g.dst[lo:hi],
-                   g.ts[lo:hi], g=g, neg_nodes=neg_nodes)
+                   g.ts[lo:hi], g=g)
 
     @classmethod
     def empty(cls) -> "TBatch":

@@ -145,25 +145,17 @@ class TBlock:
             blk = blk.prev
         return blk
 
-    def next_block(self, include_dst: bool = True) -> "TBlock":
+    def next_block(self) -> "TBlock":
         """Create and link the successor block for the next hop.
 
         The successor's destination set consists of this block's
         destinations (whose lower-layer embeddings the attention query
         needs) followed by its sampled sources at their edge timestamps.
-
-        Args:
-            include_dst: whether to carry this block's destinations into
-                the successor (models that only need neighbor embeddings
-                can drop them).
         """
         if not self.has_nbrs:
             raise RuntimeError("next_block requires sampled neighbors; call sample() first")
-        if include_dst:
-            nodes = np.concatenate([self.dstnodes, self.srcnodes])
-            times = np.concatenate([self.dsttimes, self.etimes])
-        else:
-            nodes, times = self.srcnodes.copy(), self.etimes.copy()
+        nodes = np.concatenate([self.dstnodes, self.srcnodes])
+        times = np.concatenate([self.dsttimes, self.etimes])
         return TBlock(self.ctx, self.layer_id + 1, nodes, times, prev=self)
 
     # ---- mutation by operators ----------------------------------------------------------
@@ -321,7 +313,7 @@ class TBlock:
             return allfeat[: self.num_dst]
         return self._cached("dstfeat", lambda: self._gather(self.g.nfeat, self.dstnodes, pin))
 
-    def srcfeat(self, pin: bool = False) -> Tensor:
+    def srcfeat(self) -> Tensor:
         """Node features of the source (neighbor) rows (cached).
 
         Reuses a cached combined :meth:`nfeat` gather when available.
@@ -333,15 +325,15 @@ class TBlock:
         allfeat = self._cache.get("allfeat")
         if allfeat is not None:
             return allfeat[self.num_dst :]
-        return self._cached("srcfeat", lambda: self._gather(self.g.nfeat, self.srcnodes, pin))
+        return self._cached("srcfeat", lambda: self._gather(self.g.nfeat, self.srcnodes))
 
-    def efeat(self, pin: bool = False) -> Tensor:
+    def efeat(self) -> Tensor:
         """Edge features of the sampled edge rows (cached)."""
         if self.g.efeat is None:
             raise RuntimeError("graph has no edge features")
         if not self.has_nbrs:
             raise RuntimeError("block has no neighbors")
-        return self._cached("efeat", lambda: self._gather(self.g.efeat, self.eids, pin))
+        return self._cached("efeat", lambda: self._gather(self.g.efeat, self.eids))
 
     def uniq_srcfeat(self, pin: bool = False) -> Tuple[Tensor, np.ndarray]:
         """Node features of :meth:`uniq_src` (cached) and each src row's index into them."""
@@ -357,11 +349,11 @@ class TBlock:
         uniq, inverse = self.uniq_eids()
         return self._cached("uniq_efeat", lambda: self._gather(self.g.efeat, uniq, pin)), inverse
 
-    def nfeat(self, pin: bool = False) -> Tensor:
+    def nfeat(self) -> Tensor:
         """Node features for :meth:`allnodes` (dst rows then src rows)."""
         if self.g.nfeat is None:
             raise RuntimeError("graph has no node features")
-        return self._cached("allfeat", lambda: self._gather(self.g.nfeat, self.allnodes(), pin))
+        return self._cached("allfeat", lambda: self._gather(self.g.nfeat, self.allnodes()))
 
     def uniq_nfeat(self, pin: bool = False) -> Tensor:
         """Node features of :meth:`uniq_nodes` (cached), aligned with memory and mail."""

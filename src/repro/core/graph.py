@@ -49,16 +49,13 @@ def _build_temporal_csr(
     dst: np.ndarray,
     ts: np.ndarray,
     num_nodes: int,
-    add_reverse: bool,
 ) -> TemporalCSR:
     eids = np.arange(len(src), dtype=np.int64)
-    if add_reverse:
-        endpoints = np.concatenate([src, dst])
-        neighbors = np.concatenate([dst, src])
-        all_eids = np.concatenate([eids, eids])
-        all_ts = np.concatenate([ts, ts])
-    else:
-        endpoints, neighbors, all_eids, all_ts = src, dst, eids, ts
+    # undirected, matching TGL: both endpoints of an edge see each other
+    endpoints = np.concatenate([src, dst])
+    neighbors = np.concatenate([dst, src])
+    all_eids = np.concatenate([eids, eids])
+    all_ts = np.concatenate([ts, ts])
     # Sort by (endpoint, time): grouping per node with ascending timestamps.
     order = np.lexsort((all_ts, endpoints))
     endpoints = endpoints[order]
@@ -102,8 +99,9 @@ class TGraph:
         ts: float array of edge timestamps.  Edges are re-sorted
             chronologically (stably) on construction.
         num_nodes: total node count; inferred from the edge list if omitted.
-        add_reverse: whether the sampling adjacency treats edges as
-            undirected (both endpoints see each other), matching TGL.
+
+    The sampling adjacency treats edges as undirected (both endpoints see
+    each other), matching TGL.
     """
 
     def __init__(
@@ -112,7 +110,6 @@ class TGraph:
         dst,
         ts,
         num_nodes: Optional[int] = None,
-        add_reverse: bool = True,
     ):
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -130,7 +127,6 @@ class TGraph:
         self.num_nodes = int(num_nodes) if num_nodes is not None else inferred
         if self.num_nodes < inferred:
             raise ValueError(f"num_nodes={num_nodes} smaller than max node id {inferred - 1}")
-        self.add_reverse = add_reverse
 
         self._csr: Optional[TemporalCSR] = None
         self._nfeat: Optional[Tensor] = None
@@ -165,7 +161,7 @@ class TGraph:
         """The temporal CSR adjacency, built lazily on first use."""
         if self._csr is None:
             self._csr = _build_temporal_csr(
-                self.src, self.dst, self.ts, self.num_nodes, self.add_reverse
+                self.src, self.dst, self.ts, self.num_nodes
             )
         return self._csr
 

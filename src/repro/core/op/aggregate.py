@@ -69,8 +69,7 @@ def aggregate(
             if output.shape[0] != prev.num_dst + prev.num_src:
                 raise RuntimeError(
                     "block output rows do not match predecessor's dst+src "
-                    f"({output.shape[0]} vs {prev.num_dst}+{prev.num_src}); "
-                    "was the chain built with next_block(include_dst=True)?"
+                    f"({output.shape[0]} vs {prev.num_dst}+{prev.num_src})"
                 )
             prev.dstdata[key] = output[: prev.num_dst]
             prev.srcdata[key] = output[prev.num_dst :]

@@ -19,7 +19,7 @@ direction:
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,36 +84,15 @@ class TSnapshot:
         )
 
 
-def snapshots(
-    g,
-    num_snapshots: Optional[int] = None,
-    boundaries: Optional[Sequence[float]] = None,
-) -> List[TSnapshot]:
-    """Partition *g* into consecutive snapshot windows.
-
-    Args:
-        g: the temporal graph.
-        num_snapshots: evenly split ``[0, max_time]`` into this many
-            windows (mutually exclusive with *boundaries*).
-        boundaries: explicit ascending window end-times; the last boundary
-            must cover ``g.max_time``.
-    """
-    if (num_snapshots is None) == (boundaries is None):
-        raise ValueError("pass exactly one of num_snapshots / boundaries")
-    if boundaries is None:
-        if num_snapshots <= 0:
-            raise ValueError("num_snapshots must be positive")
-        edges = np.linspace(0.0, g.max_time, num_snapshots + 1)[1:]
-        # Make sure the final window includes the last edge despite float
-        # rounding in linspace.
-        edges[-1] = np.nextafter(g.max_time, np.inf)
-        boundaries = edges
-    else:
-        boundaries = np.asarray(boundaries, dtype=np.float64)
-        if np.any(np.diff(boundaries) <= 0):
-            raise ValueError("boundaries must be strictly ascending")
-        if len(g.ts) and boundaries[-1] <= g.max_time:
-            raise ValueError("last boundary must exceed max edge time")
+def snapshots(g, num_snapshots: int) -> List[TSnapshot]:
+    """Partition *g* into *num_snapshots* consecutive windows that evenly
+    split ``[0, max_time]``."""
+    if num_snapshots <= 0:
+        raise ValueError("num_snapshots must be positive")
+    boundaries = np.linspace(0.0, g.max_time, num_snapshots + 1)[1:]
+    # Make sure the final window includes the last edge despite float
+    # rounding in linspace.
+    boundaries[-1] = np.nextafter(g.max_time, np.inf)
 
     result: List[TSnapshot] = []
     prev_t = 0.0

@@ -12,7 +12,6 @@ which operators will pay off on their own data before training anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -57,24 +56,21 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - 2.0 * np.sum(cumulative - counts / 2.0) / (n * total))
 
 
-def batch_duplication_ratio(
-    g: TGraph,
-    batch_size: int,
-    num_nbrs: int = 10,
-    max_batches: int = 10,
-    start: Optional[int] = None,
-) -> float:
+#: neighbours sampled per node when profiling a workload
+NUM_NBRS = 10
+
+
+def batch_duplication_ratio(g: TGraph, batch_size: int, max_batches: int = 10) -> float:
     """Mean fraction of duplicate (node, time) pairs in 2-hop frontiers.
 
     This is exactly the row reduction ``op.dedup`` achieves before
-    sampling the second hop — the paper's key workload lever.
+    sampling the second hop — the paper's key workload lever.  Batches
+    start mid-stream, where histories are warm.
     """
     ctx = TContext(g)
-    sampler = TSampler(num_nbrs, "recent")
-    if start is None:
-        start = g.num_edges // 2  # mid-stream: histories are warm
+    sampler = TSampler(NUM_NBRS, "recent")
     ratios = []
-    for i, batch in enumerate(iter_batches(g, batch_size, start=start)):
+    for i, batch in enumerate(iter_batches(g, batch_size, start=g.num_edges // 2)):
         if i >= max_batches:
             break
         head = batch.block(ctx)
@@ -89,11 +85,9 @@ def batch_duplication_ratio(
     return float(np.mean(ratios)) if ratios else 0.0
 
 
-def _delta_distinct_fraction(
-    g: TGraph, batch_size: int, num_nbrs: int, max_batches: int
-) -> float:
+def _delta_distinct_fraction(g: TGraph, batch_size: int, max_batches: int) -> float:
     ctx = TContext(g)
-    sampler = TSampler(num_nbrs, "recent")
+    sampler = TSampler(NUM_NBRS, "recent")
     start = g.num_edges // 2
     deltas = []
     for i, batch in enumerate(iter_batches(g, batch_size, start=start)):
@@ -109,8 +103,7 @@ def _delta_distinct_fraction(
     return float(len(np.unique(flat)) / len(flat))
 
 
-def profile_dataset(dataset, batch_size: int = 300, num_nbrs: int = 10,
-                    max_batches: int = 8) -> WorkloadProfile:
+def profile_dataset(dataset, batch_size: int = 300, max_batches: int = 8) -> WorkloadProfile:
     """Compute a :class:`WorkloadProfile` for *dataset*."""
     g = dataset.build_graph()
     src, dst, ts = dataset.src, dataset.dst, dataset.ts
@@ -131,12 +124,8 @@ def profile_dataset(dataset, batch_size: int = 300, num_nbrs: int = 10,
         edges_per_node=dataset.num_edges / max(dataset.num_nodes, 1),
         repeat_pair_fraction=repeat_fraction,
         popularity_gini=_gini(popularity),
-        dedup_potential=batch_duplication_ratio(
-            g, batch_size, num_nbrs=num_nbrs, max_batches=max_batches
-        ),
-        delta_distinct_fraction=_delta_distinct_fraction(
-            g, batch_size, num_nbrs, max_batches
-        ),
+        dedup_potential=batch_duplication_ratio(g, batch_size, max_batches=max_batches),
+        delta_distinct_fraction=_delta_distinct_fraction(g, batch_size, max_batches),
         median_gap=float(np.median(gaps)) if len(gaps) else 0.0,
         p99_gap=float(np.quantile(gaps, 0.99)) if len(gaps) else 0.0,
     )

@@ -63,7 +63,7 @@ class TemporalDataset:
         g.set_efeat(Tensor(self.efeat, device=feature_device))
         return g
 
-    def splits(self, train: float = 0.70, val: float = 0.15) -> Tuple[int, int, int]:
+    def splits(self) -> Tuple[int, int, int]:
         """Chronological (train, val, test) edge-index boundaries.
 
         Returns ``(train_end, val_end, test_end)`` such that training edges
@@ -72,8 +72,8 @@ class TemporalDataset:
         the JODIE/TGL evaluations.
         """
         m = self.num_edges
-        train_end = int(m * train)
-        val_end = int(m * (train + val))
+        train_end = int(m * 0.70)
+        val_end = int(m * (0.70 + 0.15))
         return train_end, val_end, m
 
     def stats(self) -> Dict[str, object]:

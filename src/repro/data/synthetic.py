@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -74,8 +74,6 @@ class GeneratorSpec:
     repeat_prob: float = 0.6
     #: Zipf-ish exponent for partner popularity.
     popularity_exp: float = 1.1
-    #: Zipf-ish exponent for user activity.
-    activity_exp: float = 1.0
     seed: int = 17
     #: paper-scale counts, for Table 3 reporting.
     paper_nodes: int = 0
@@ -124,15 +122,21 @@ DATASETS: Dict[str, GeneratorSpec] = {
 }
 
 
+#: Zipf-ish exponent for user activity.
+ACTIVITY_EXP = 1.0
+#: the shortest share of inter-interaction gaps that can be labelled positive
+POSITIVE_RATE = 0.05
+#: the probability a gap in that tail keeps its positive label
+NOISE_KEEP = 0.8
+
+
 def _zipf_weights(n: int, exponent: float) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=np.float64)
     weights = ranks**-exponent
     return weights / weights.sum()
 
 
-def generate_edges(
-    spec: GeneratorSpec, rng: Optional[np.random.Generator] = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def generate_edges(spec: GeneratorSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Generate ``(src, dst, ts)`` arrays for *spec* (deterministic per seed).
 
     Edge endpoints follow a repeat-or-explore process: each event picks an
@@ -140,12 +144,8 @@ def generate_edges(
     its recent partners (recency-biased), otherwise it samples a partner by
     global popularity.  Timestamps are a Poisson arrival process rescaled
     to ``[0, t_max]``.
-
-    Args:
-        rng: injectable generator (e.g. from :func:`derive_rng`); the
-            default preserves the historical per-spec stream byte-for-byte.
     """
-    rng = np.random.default_rng(spec.seed) if rng is None else rng
+    rng = np.random.default_rng(spec.seed)
     n = spec.num_nodes
     if spec.bipartite:
         num_users = max(1, int(round(n * spec.user_fraction)))
@@ -156,7 +156,7 @@ def generate_edges(
         users = np.arange(n)
         items = users
 
-    activity = _zipf_weights(len(users), spec.activity_exp)
+    activity = _zipf_weights(len(users), ACTIVITY_EXP)
     popularity = _zipf_weights(len(items), spec.popularity_exp)
 
     m = spec.num_edges
@@ -195,9 +195,6 @@ def generate_labels(
     spec: GeneratorSpec,
     src: np.ndarray,
     ts: np.ndarray,
-    positive_rate: float = 0.05,
-    noise_keep: float = 0.8,
-    rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
     """Dynamic per-interaction source-node labels (state-change events).
 
@@ -205,15 +202,15 @@ def generate_labels(
     MOOC student dropout) used for the node-classification task.  This
     generator plants a *temporal* signal: an interaction is positive when
     the source user's gap since its previous interaction falls in the
-    shortest ``positive_rate`` tail of all gaps (activity bursts are known
-    precursors of bans/dropouts), kept with probability ``noise_keep``.
+    shortest :data:`POSITIVE_RATE` tail of all gaps (activity bursts are known
+    precursors of bans/dropouts), kept with probability :data:`NOISE_KEEP`.
 
     Because bursts concentrate on high-activity users in a scaled-down
     graph, static node identity also correlates with these labels — a
     shortcut real datasets do not offer to the same degree; see
     ``examples/dropout_prediction_nodeclass.py`` for the honest framing.
     """
-    rng = np.random.default_rng(spec.seed + 2) if rng is None else rng
+    rng = np.random.default_rng(spec.seed + 2)
     m = len(src)
     last_seen: dict = {}
     gaps = np.full(m, np.inf)
@@ -226,16 +223,12 @@ def generate_labels(
     finite = np.isfinite(gaps)
     if not finite.any():
         return np.zeros(m, dtype=np.int64)
-    cutoff = np.quantile(gaps[finite], positive_rate)
-    labels = (finite & (gaps <= cutoff) & (rng.random(m) < noise_keep)).astype(np.int64)
+    cutoff = np.quantile(gaps[finite], POSITIVE_RATE)
+    labels = (finite & (gaps <= cutoff) & (rng.random(m) < NOISE_KEEP)).astype(np.int64)
     return labels
 
 
-def generate_features(
-    spec: GeneratorSpec,
-    num_edges: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+def generate_features(spec: GeneratorSpec) -> Tuple[np.ndarray, np.ndarray]:
     """Generate ``(node_features, edge_features)`` for *spec*.
 
     The paper marks most features as randomly generated anyway; for the
@@ -243,8 +236,7 @@ def generate_features(
     embeddings) we substitute seeded Gaussians of the same width, which
     preserves all compute/transfer behaviour (documented in DESIGN.md).
     """
-    rng = np.random.default_rng(spec.seed + 1) if rng is None else rng
-    m = spec.num_edges if num_edges is None else num_edges
+    rng = np.random.default_rng(spec.seed + 1)
     nfeat = rng.standard_normal((spec.num_nodes, spec.dim_node)).astype(np.float32)
-    efeat = rng.standard_normal((m, spec.dim_edge)).astype(np.float32)
+    efeat = rng.standard_normal((spec.num_edges, spec.dim_edge)).astype(np.float32)
     return nfeat, efeat

@@ -65,9 +65,7 @@ def _scan(directory: str, inject: bool) -> List[Tuple[int, bytes, int]]:
     return records
 
 
-def read_batch_suffix(
-    directory: str, after_seq: int, inject: bool = False
-) -> List[DurableRecord]:
+def read_batch_suffix(directory: str, after_seq: int) -> List[DurableRecord]:
     """One-shot catch-up read: committed batch records past *after_seq*.
 
     Used by replica-group promotion as the WAL-backstop for follower
@@ -77,10 +75,11 @@ def read_batch_suffix(
     committed prefix (same :func:`parse_segment` definition the owner
     uses); delivery is in seq order, and records without a seq are
     skipped.  Unlike :class:`WALCursor` this keeps no persistent
-    position — the caller's own ``last_seq`` is the cursor.
+    position — the caller's own ``last_seq`` is the cursor — and no
+    ``disk.read`` fault is injected into it.
     """
     out: List[DurableRecord] = []
-    for lsn, payload, _ in _scan(directory, inject):
+    for lsn, payload, _ in _scan(directory, inject=False):
         try:
             kind, meta, arrays = decode_committed(payload, lsn, directory)
         except CodecError:

@@ -120,6 +120,16 @@ class Scrubber:
         self.suspect_window = False
         self.counters["integrity:cycles"] += 1
 
+    def scrub_group(self, gi: int) -> None:
+        """Verify and repair group *gi* now, outside the cycle count.
+
+        A rebalance runs this on both groups before its hand-off: release
+        and adopt rebuild the maintained digests from the live rows, so a
+        flip no cycle has seen yet would otherwise be adopted as a write.
+        """
+        with span("scrub"):
+            self._scrub_group(gi, self.groups[gi])
+
     # ---- group scrubbing -----------------------------------------------------------
 
     def _scrub_group(self, gi: int, group) -> None:

@@ -18,16 +18,15 @@ class EdgePredictor(Module):
     """Score candidate edges from endpoint embeddings.
 
     Args:
-        dim: embedding dimensionality of each endpoint.
-        dim_hidden: hidden width of the combiner (defaults to ``dim``).
+        dim: embedding dimensionality of each endpoint, and the hidden
+            width of the combiner.
     """
 
-    def __init__(self, dim: int, dim_hidden: int = None):
+    def __init__(self, dim: int):
         super().__init__()
-        hidden = dim if dim_hidden is None else dim_hidden
-        self.src_fc = Linear(dim, hidden)
-        self.dst_fc = Linear(dim, hidden)
-        self.out_fc = Linear(hidden, 1)
+        self.src_fc = Linear(dim, dim)
+        self.dst_fc = Linear(dim, dim)
+        self.out_fc = Linear(dim, 1)
 
     def forward(self, h_src: Tensor, h_dst: Tensor) -> Tensor:
         """Logits of shape ``(n,)`` for each (src, dst) embedding pair."""

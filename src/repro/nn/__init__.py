@@ -13,7 +13,7 @@ from .layers import (
 )
 from .loss import bce_with_logits, link_prediction_loss
 from .module import Module, ModuleList, Parameter
-from .optim import SGD, Adam, Optimizer
+from .optim import Adam, Optimizer
 from .rnn import GRUCell, RNNCell
 from .time_encode import TimeEncode
 
@@ -31,7 +31,6 @@ __all__ = [
     "bce_with_logits",
     "link_prediction_loss",
     "Optimizer",
-    "SGD",
     "Adam",
     "TimeEncode",
 ]

@@ -32,8 +32,12 @@ def uniform_(tensor: Tensor, low: float = 0.0, high: float = 1.0) -> Tensor:
     return tensor
 
 
-def kaiming_uniform_(tensor: Tensor, a: float = math.sqrt(5)) -> Tensor:
+#: the leaky-ReLU slope Kaiming init assumes, torch's ``Linear`` default
+KAIMING_A = math.sqrt(5)
+
+
+def kaiming_uniform_(tensor: Tensor) -> Tensor:
     fan_in, _ = _fan_in_out(tensor)
-    gain = math.sqrt(2.0 / (1 + a * a))
+    gain = math.sqrt(2.0 / (1 + KAIMING_A * KAIMING_A))
     bound = gain * math.sqrt(3.0 / fan_in)
     return uniform_(tensor, -bound, bound)

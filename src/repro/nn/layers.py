@@ -22,18 +22,15 @@ __all__ = [
 class Linear(Module):
     """Affine transform ``y = x W^T + b`` with Kaiming-uniform init."""
 
-    def __init__(self, in_features: int, out_features: int, bias: bool = True):
+    def __init__(self, in_features: int, out_features: int):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(np.empty((out_features, in_features), dtype=np.float32))
         init.kaiming_uniform_(self.weight)
-        if bias:
-            bound = 1.0 / math.sqrt(in_features) if in_features > 0 else 0.0
-            self.bias = Parameter(np.empty((out_features,), dtype=np.float32))
-            init.uniform_(self.bias, -bound, bound)
-        else:
-            self.bias = None
+        bound = 1.0 / math.sqrt(in_features) if in_features > 0 else 0.0
+        self.bias = Parameter(np.empty((out_features,), dtype=np.float32))
+        init.uniform_(self.bias, -bound, bound)
 
     def forward(self, x: Tensor) -> Tensor:
         """``x Wᵀ + b`` over the last axis, as one autograd node.
@@ -44,8 +41,7 @@ class Linear(Module):
         weight, bias = self.weight, self.bias
         rows = x.data.reshape(-1, self.in_features)
         out = rows @ weight.data.T
-        if bias is not None:
-            out += bias.data
+        out += bias.data
 
         def backward(grad: np.ndarray) -> None:
             g = grad.reshape(-1, self.out_features)
@@ -53,30 +49,28 @@ class Linear(Module):
                 x._accumulate((g @ weight.data).reshape(x.shape), own=True)
             if weight.requires_grad:
                 weight._accumulate(g.T @ rows, own=True)
-            if bias is not None and bias.requires_grad:
+            if bias.requires_grad:
                 bias._accumulate(np.ones(len(g), g.dtype) @ g, own=True)
 
-        parents = (x, weight) if bias is None else (x, weight, bias)
-        return Tensor._make(out.reshape(x.shape[:-1] + (self.out_features,)), parents, backward,
-                            x.device)
+        return Tensor._make(out.reshape(x.shape[:-1] + (self.out_features,)), (x, weight, bias),
+                            backward, x.device)
 
     def __repr__(self) -> str:
-        return f"Linear(in={self.in_features}, out={self.out_features}, bias={self.bias is not None})"
+        return f"Linear(in={self.in_features}, out={self.out_features})"
 
 
 class LayerNorm(Module):
-    """Layer normalization over the trailing feature dimension."""
+    """Layer normalization over the trailing feature dimension, with a
+    learned elementwise scale and shift."""
 
-    def __init__(self, normalized_shape: int, eps: float = 1e-5, elementwise_affine: bool = True):
+    #: added to the variance before the square root
+    EPS = 1e-5
+
+    def __init__(self, normalized_shape: int):
         super().__init__()
         self.normalized_shape = normalized_shape
-        self.eps = eps
-        if elementwise_affine:
-            self.weight = Parameter(np.ones((normalized_shape,), dtype=np.float32))
-            self.bias = Parameter(np.zeros((normalized_shape,), dtype=np.float32))
-        else:
-            self.weight = None
-            self.bias = None
+        self.weight = Parameter(np.ones((normalized_shape,), dtype=np.float32))
+        self.bias = Parameter(np.zeros((normalized_shape,), dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
         """Normalize each row of the last axis, as one autograd node.
@@ -95,29 +89,27 @@ class LayerNorm(Module):
         # residual that 1/sqrt(var + eps) would amplify when var ~ 0.
         centered -= centered.sum(axis=-1, keepdims=True) * inv_width
         var = (centered * centered).sum(axis=-1, keepdims=True) * inv_width
-        std = np.sqrt(var + np.asarray(self.eps, dtype=rows.dtype))
+        std = np.sqrt(var + np.asarray(self.EPS, dtype=rows.dtype))
         normed = np.divide(centered, std, out=centered)
-        out = normed if weight is None else normed * weight.data + bias.data
+        out = normed * weight.data + bias.data
 
         def backward(grad: np.ndarray) -> None:
             g = grad.reshape(-1, width)
             g_normed = g * normed
-            if weight is not None:
-                ones = np.ones(len(g), g.dtype)
-                if weight.requires_grad:
-                    weight._accumulate(ones @ g_normed, own=True)
-                if bias.requires_grad:
-                    bias._accumulate(ones @ g, own=True)
+            ones = np.ones(len(g), g.dtype)
+            if weight.requires_grad:
+                weight._accumulate(ones @ g_normed, own=True)
+            if bias.requires_grad:
+                bias._accumulate(ones @ g, own=True)
             if x.requires_grad:
-                scale = np.ones(width, g.dtype) if weight is None else weight.data
+                scale = weight.data
                 dx = g * scale
                 dx -= ((g @ scale) * inv_width)[:, None]
                 dx -= normed * ((g_normed @ scale) * inv_width)[:, None]
                 dx /= std
                 x._accumulate(dx.reshape(x.shape), own=True)
 
-        parents = (x,) if weight is None else (x, weight, bias)
-        return Tensor._make(out.reshape(x.shape), parents, backward, x.device)
+        return Tensor._make(out.reshape(x.shape), (x, weight, bias), backward, x.device)
 
 
 class Dropout(Module):

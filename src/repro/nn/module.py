@@ -23,10 +23,10 @@ __all__ = ["Parameter", "Module", "ModuleList"]
 class Parameter(Tensor):
     """A tensor that is registered as a trainable parameter of a Module."""
 
-    def __init__(self, data, requires_grad: bool = True, device=None):
+    def __init__(self, data):
         if isinstance(data, Tensor):
             data = data.data
-        super().__init__(data, requires_grad=requires_grad, device=device)
+        super().__init__(data, requires_grad=True)
 
     def __repr__(self) -> str:
         return f"Parameter(shape={self.shape}, device='{self.device}')"

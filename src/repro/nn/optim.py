@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers (SGD with momentum, Adam)."""
+"""The gradient-descent optimizer: Adam."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 from ..resilience.hooks import poke as _poke
 from ..tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -36,48 +36,15 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, params, lr: float, momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        self._pre_step()
-        for p in self.params:
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                vel = self._velocity.get(id(p))
-                if vel is None:
-                    vel = np.zeros_like(p.data)
-                vel = self.momentum * vel + grad
-                self._velocity[id(p)] = vel
-                grad = vel
-            p.data -= self.lr * grad
-
-
 class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba) with bias correction."""
+    """Adam optimizer (Kingma & Ba) with bias correction, no weight decay."""
 
-    def __init__(
-        self,
-        params,
-        lr: float = 1e-3,
-        betas=(0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params, lr: float = 1e-3):
         super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
         self._t = 0
@@ -85,23 +52,21 @@ class Adam(Optimizer):
     def step(self) -> None:
         self._pre_step()
         self._t += 1
-        bc1 = 1.0 - self.beta1**self._t
-        bc2 = 1.0 - self.beta2**self._t
+        bc1 = 1.0 - self.BETA1**self._t
+        bc2 = 1.0 - self.BETA2**self._t
         for p in self.params:
             if p.grad is None:
                 continue
             grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
             m = self._m.get(id(p))
             v = self._v.get(id(p))
             if m is None:
                 m = np.zeros_like(p.data)
                 v = np.zeros_like(p.data)
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
+            m = self.BETA1 * m + (1.0 - self.BETA1) * grad
+            v = self.BETA2 * v + (1.0 - self.BETA2) * grad * grad
             self._m[id(p)] = m
             self._v[id(p)] = v
             m_hat = m / bc1
             v_hat = v / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)

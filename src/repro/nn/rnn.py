@@ -21,7 +21,7 @@ __all__ = ["GRUCell", "RNNCell"]
 class GRUCell(Module):
     """Gated recurrent unit cell: ``h' = GRU(x, h)``."""
 
-    def __init__(self, input_size: int, hidden_size: int, bias: bool = True):
+    def __init__(self, input_size: int, hidden_size: int):
         super().__init__()
         self.input_size = input_size
         self.hidden_size = hidden_size
@@ -31,21 +31,16 @@ class GRUCell(Module):
         bound = 1.0 / math.sqrt(hidden_size)
         init.uniform_(self.weight_ih, -bound, bound)
         init.uniform_(self.weight_hh, -bound, bound)
-        if bias:
-            self.bias_ih = Parameter(np.empty((3 * hidden_size,), dtype=np.float32))
-            self.bias_hh = Parameter(np.empty((3 * hidden_size,), dtype=np.float32))
-            init.uniform_(self.bias_ih, -bound, bound)
-            init.uniform_(self.bias_hh, -bound, bound)
-        else:
-            self.bias_ih = None
-            self.bias_hh = None
+        self.bias_ih = Parameter(np.empty((3 * hidden_size,), dtype=np.float32))
+        self.bias_hh = Parameter(np.empty((3 * hidden_size,), dtype=np.float32))
+        init.uniform_(self.bias_ih, -bound, bound)
+        init.uniform_(self.bias_hh, -bound, bound)
 
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
         gi = x.matmul(self.weight_ih.T)
         gh = h.matmul(self.weight_hh.T)
-        if self.bias_ih is not None:
-            gi = gi + self.bias_ih
-            gh = gh + self.bias_hh
+        gi = gi + self.bias_ih
+        gh = gh + self.bias_hh
         n = self.hidden_size
         i_r, i_z, i_n = gi[:, :n], gi[:, n : 2 * n], gi[:, 2 * n :]
         h_r, h_z, h_n = gh[:, :n], gh[:, n : 2 * n], gh[:, 2 * n :]
@@ -58,7 +53,7 @@ class GRUCell(Module):
 class RNNCell(Module):
     """Vanilla tanh RNN cell: ``h' = tanh(W_ih x + W_hh h + b)``."""
 
-    def __init__(self, input_size: int, hidden_size: int, bias: bool = True):
+    def __init__(self, input_size: int, hidden_size: int):
         super().__init__()
         self.input_size = input_size
         self.hidden_size = hidden_size
@@ -67,14 +62,9 @@ class RNNCell(Module):
         bound = 1.0 / math.sqrt(hidden_size)
         init.uniform_(self.weight_ih, -bound, bound)
         init.uniform_(self.weight_hh, -bound, bound)
-        if bias:
-            self.bias = Parameter(np.empty((hidden_size,), dtype=np.float32))
-            init.uniform_(self.bias, -bound, bound)
-        else:
-            self.bias = None
+        self.bias = Parameter(np.empty((hidden_size,), dtype=np.float32))
+        init.uniform_(self.bias, -bound, bound)
 
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
         out = x.matmul(self.weight_ih.T) + h.matmul(self.weight_hh.T)
-        if self.bias is not None:
-            out = out + self.bias
-        return out.tanh()
+        return (out + self.bias).tanh()

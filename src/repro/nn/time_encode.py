@@ -3,11 +3,10 @@
 ``Phi(dt) = cos(omega * dt + phi)`` maps a scalar time delta to a
 ``dim``-dimensional vector.  Following TGAT, the frequencies are initialized
 to a geometric progression ``1 / 10^(k * alpha)`` spanning several decades,
-and the bias starts at zero.  The module is trainable by default but can be
-frozen, which is what enables the paper's *time-precomputation* optimization
-(precomputed tables stay valid as long as the weights do not change; TGLite
-invalidates its tables when training updates them — see
-:mod:`repro.core.op.precompute`).
+and the bias starts at zero.  The module is trainable; the paper's
+*time-precomputation* optimization keeps precomputed tables valid as long as
+the weights do not change (TGLite invalidates its tables when training
+updates them — see :mod:`repro.core.op.precompute`).
 """
 
 from __future__ import annotations
@@ -26,15 +25,14 @@ class TimeEncode(Module):
 
     Args:
         dim: dimensionality of the output time vector.
-        trainable: whether omega/phi receive gradients.
     """
 
-    def __init__(self, dim: int, trainable: bool = True):
+    def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
         freqs = 1.0 / (10.0 ** np.linspace(0.0, 9.0, dim, dtype=np.float32))
-        self.weight = Parameter(freqs, requires_grad=trainable)
-        self.bias = Parameter(np.zeros(dim, dtype=np.float32), requires_grad=trainable)
+        self.weight = Parameter(freqs)
+        self.bias = Parameter(np.zeros(dim, dtype=np.float32))
         self._version = 0
 
     @property

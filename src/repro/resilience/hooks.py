@@ -38,7 +38,7 @@ SITES: Dict[str, str] = {
     "kernel.sample": "core.kernels.sample.temporal_sample",
     "kernel.cache": "core.kernels.cache.NodeTimeCache.lookup/store",
     "cache.corrupt": "core.kernels.cache.NodeTimeCache.store (end)",
-    "optim.step": "nn.optim.SGD.step / Adam.step",
+    "optim.step": "nn.optim.Adam.step",
     "checkpoint.kill": (
         "durable.snapshot.write_container (staged file fsynced, before the "
         "rename; named by bench.checkpoint.save_checkpoint)"

@@ -55,6 +55,13 @@ __all__ = [
 ]
 
 
+#: edges per optimizer step, in pretraining and fine-tuning
+BATCH_SIZE = 64
+#: sweeps over the warmup log before serving, and over each new window
+PRETRAIN_PASSES = 4
+PASSES = 2
+
+
 class EmbeddingLinkModel(Module):
     """Minimal trainer-compatible link model: one embedding table.
 
@@ -65,14 +72,16 @@ class EmbeddingLinkModel(Module):
     server serves.
     """
 
-    def __init__(self, num_nodes: int, dim: int = 16, seed: int = 0,
-                 init_scale: float = 0.1):
+    #: standard deviation of the initial embeddings
+    INIT_SCALE = 0.1
+
+    def __init__(self, num_nodes: int, dim: int = 16, seed: int = 0):
         super().__init__()
         self.num_nodes = int(num_nodes)
         self.dim = int(dim)
         rng = derive_rng(seed, "continual", "model-init")
         self.emb = Parameter(
-            (rng.standard_normal((num_nodes, dim)) * init_scale).astype(np.float32)
+            (rng.standard_normal((num_nodes, dim)) * self.INIT_SCALE).astype(np.float32)
         )
 
     def forward(self, batch):
@@ -112,9 +121,13 @@ class ContinualLearner:
         passes: sweeps over each new-edge window per retrain.
         initial_watermark: newest event time the starting model was
             pretrained through.
-        cursor_name: WAL cursor identity (so a restarted learner
-            resumes its own position).
+
+    The learner's WAL cursor is named :attr:`CURSOR_NAME`, so a restarted
+    learner resumes its own position.  Faults come from the installed
+    injector (``with injector:``).
     """
+
+    CURSOR_NAME = "learner"
 
     def __init__(
         self,
@@ -128,8 +141,6 @@ class ContinualLearner:
         batch_size: int = 64,
         passes: int = 1,
         initial_watermark: float = float("-inf"),
-        cursor_name: str = "learner",
-        injector=None,
     ):
         self.model = model
         self.optimizer = optimizer
@@ -139,9 +150,8 @@ class ContinualLearner:
         self.staleness_budget = float(staleness_budget)
         self.batch_size = int(batch_size)
         self.passes = int(passes)
-        self.injector = injector
         os.makedirs(checkpoint_dir, exist_ok=True)
-        self.cursor = WALCursor(wal_dir, name=cursor_name)
+        self.cursor = WALCursor(wal_dir, name=self.CURSOR_NAME)
         self._batches: List[TBatch] = []
         self._num_events = 0
         self.trained_end = 0
@@ -191,7 +201,6 @@ class ContinualLearner:
                 self.batch_size,
                 checkpoint_dir=self.checkpoint_dir,
                 checkpoint_every=1_000_000,  # one anchor per fine-tune call
-                injector=self.injector,
             )
             result = self.trainer.fine_tune(
                 self.trained_end, self._num_events, passes=self.passes
@@ -230,22 +239,19 @@ def run_closed_loop(
     warmup_frac: float = 0.25,
     dim: int = 16,
     lr: float = 0.05,
-    batch_size: int = 64,
     request_size: int = 50,
-    passes: int = 2,
-    pretrain_passes: int = 4,
     seed: int = 0,
     workdir: Optional[str] = None,
-    load: float = 1.0,
     num_windows: int = 10,
 ) -> Dict:
     """Serve a scenario stream end to end and score it against ground truth.
 
     The first ``warmup_frac`` of the stream is the historical log: the
-    model pretrains on it offline, and those events are never served.
-    The rest replays through a durable :class:`ServeRuntime` whose
-    per-request scores are collected back onto the stream's event
-    positions.
+    model pretrains on it offline (:data:`PRETRAIN_PASSES` sweeps of
+    :data:`BATCH_SIZE`-edge windows), and those events are never served.
+    The rest replays at 1x load through a durable :class:`ServeRuntime`
+    whose per-request scores are collected back onto the stream's event
+    positions; fine-tuning makes :data:`PASSES` sweeps.
 
     Modes:
         * ``'frozen'`` — the pretrained model serves unchanged.
@@ -282,13 +288,13 @@ def run_closed_loop(
     )
     graph = TGraph(ev.src, ev.dst, ev.ts, num_nodes=num_nodes)
     trainer = ResilientTrainer(
-        model, graph, optimizer, neg_sampler, batch_size,
+        model, graph, optimizer, neg_sampler, BATCH_SIZE,
         checkpoint_dir=os.path.join(workdir, "pretrain"),
         checkpoint_every=1_000_000,
     )
-    pretrain = trainer.fine_tune(0, warmup_end, passes=pretrain_passes)
+    pretrain = trainer.fine_tune(0, warmup_end, passes=PRETRAIN_PASSES)
     if mode == "oracle":
-        trainer.fine_tune(warmup_end, n, passes=passes)
+        trainer.fine_tune(warmup_end, n, passes=PASSES)
 
     ctx = TContext(graph)
     memory = Memory(num_nodes, dim)
@@ -311,7 +317,7 @@ def run_closed_loop(
             wal_dir=wal_dir, num_nodes=num_nodes,
             checkpoint_dir=os.path.join(workdir, "learner"),
             staleness_budget=staleness_budget,
-            batch_size=batch_size, passes=passes,
+            batch_size=BATCH_SIZE, passes=PASSES,
             initial_watermark=pretrain_watermark,
         )
 
@@ -320,7 +326,7 @@ def run_closed_loop(
 
     serve_stream = ev.take(np.arange(warmup_end, n))
     batches = split_batches(serve_stream, request_size)
-    results = replay(runtime, batches, load=load, on_result=on_result)
+    results = replay(runtime, batches, on_result=on_result)
     if learner is not None:
         learner.sync(runtime)  # what drain() committed after the last request
 

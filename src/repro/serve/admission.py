@@ -52,14 +52,14 @@ class TokenBucket:
         self.tokens = float(burst)
         self._last = clock.now()
 
-    def try_acquire(self, n: float = 1.0) -> bool:
-        """Take *n* tokens if available; False means rate-limited."""
+    def try_acquire(self) -> bool:
+        """Take one token if available; False means rate-limited."""
         now = self.clock.now()
         if now > self._last:
             self.tokens = min(self.burst, self.tokens + (now - self._last) * self.rate)
             self._last = now
-        if self.tokens >= n:
-            self.tokens -= n
+        if self.tokens >= 1.0:
+            self.tokens -= 1.0
             return True
         return False
 

@@ -54,6 +54,7 @@ import numpy as np
 from ..clock import SimClock
 from ..core.batch import TBatch
 from ..core.stats import declare
+from ..resilience import hooks
 from ..resilience.errors import TransientKernelError
 from .admission import AdmissionController
 from .deadline import LEVELS, DegradationLadder, LadderDecision
@@ -136,9 +137,10 @@ class ServeEngine:
             :class:`~repro.serve.ingest.IngestPipeline`).
         max_queue / shed_policy / rate: admission-control knobs
             (see :class:`~repro.serve.admission.AdmissionController`).
-        injector: optional :class:`~repro.resilience.FaultInjector` whose
-            stream cursor the engine advances to ``(0, request id)`` per
-            step (it must also be installed, e.g. via ``with injector:``).
+
+    Each step advances the installed
+    :class:`~repro.resilience.FaultInjector` (``with injector:``), if any,
+    to the cursor ``(0, request id)``.
     """
 
     #: newest event time durably committed; backends maintain it.
@@ -154,14 +156,12 @@ class ServeEngine:
         max_queue: int = 64,
         shed_policy: str = "reject-new",
         rate: Optional[float] = None,
-        injector=None,
     ):
         self.graph = graph
         self.ctx = ctx
         self.sampler = sampler
         self.clock = SimClock()
         self.deadline = float(deadline)
-        self.injector = injector
         declare(ctx.counters, "serve:model_swaps", "serve:cache_hits",
                 "serve:cache_misses")
         self.ladder = DegradationLadder(
@@ -215,7 +215,6 @@ class ServeEngine:
     def swap_model(
         self,
         table: np.ndarray,
-        version: Optional[int] = None,
         watermark: Optional[float] = None,
     ) -> int:
         """Atomically install a new scoring table; returns its version.
@@ -229,8 +228,8 @@ class ServeEngine:
         rows were computed under the previous model.
 
         Args:
-            table: the new embedding table (copied defensively).
-            version: caller's version stamp (defaults to an increment).
+            table: the new embedding table (copied defensively); its
+                version is the previous one plus one.
             watermark: newest event time the model was trained on; the
                 gap to ``committed_watermark`` is the model's staleness,
                 reported by :meth:`stats`.
@@ -242,9 +241,7 @@ class ServeEngine:
                 f"got {table.shape}"
             )
         self._model_table = table.copy()
-        self.model_version = (
-            self.model_version + 1 if version is None else int(version)
-        )
+        self.model_version += 1
         if watermark is not None:
             self.model_watermark = float(watermark)
         self._cache_rows = None
@@ -291,8 +288,9 @@ class ServeEngine:
         req = self.admission.poll()
         if req is None:
             return None
-        if self.injector is not None:
-            self.injector.advance(0, req.rid)
+        injector = hooks.active()
+        if injector is not None:
+            injector.advance(0, req.rid)
         self._before_request()
         # One validation per request, shared by scoring and ingestion.
         checked = validate_events(req.batch, self.graph.num_nodes)

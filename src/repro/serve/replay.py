@@ -25,17 +25,23 @@ from ..core.batch import TBatch
 
 __all__ = ["build_stream", "poison_stream", "split_batches", "replay"]
 
+#: shares of a poisoned stream's length added as junk and as redeliveries
+JUNK_FRAC = 0.05
+DUP_FRAC = 0.05
+#: arrival order is permuted within consecutive windows of this many events
+SHUFFLE_WINDOW = 8
+
 
 def build_stream(
     num_nodes: int,
     num_events: int,
     payload_dim: Optional[int] = None,
     seed: int = 0,
-    mean_gap: float = 1.0,
 ) -> TBatch:
-    """A clean synthetic stream: sorted times, valid ids, finite payload."""
+    """A clean synthetic stream: sorted times (unit mean gap), valid ids,
+    finite payload."""
     rng = np.random.default_rng(seed)
-    ts = np.cumsum(rng.exponential(mean_gap, size=num_events))
+    ts = np.cumsum(rng.exponential(1.0, size=num_events))
     src = rng.integers(0, num_nodes, size=num_events)
     dst = rng.integers(0, num_nodes, size=num_events)
     payload = (
@@ -50,17 +56,14 @@ def poison_stream(
     stream: TBatch,
     num_nodes: int,
     seed: int = 0,
-    junk_frac: float = 0.05,
-    dup_frac: float = 0.05,
-    shuffle_window: int = 8,
 ) -> Tuple[TBatch, float, Dict[str, int]]:
     """Inject stream pathologies without touching any clean event.
 
-    Adds ``junk_frac`` malformed events (non-finite/negative timestamps,
+    Adds :data:`JUNK_FRAC` malformed events (non-finite/negative timestamps,
     out-of-range/negative node ids, non-finite payload — cycled evenly)
-    with fresh event ids, re-delivers ``dup_frac`` clean events verbatim
+    with fresh event ids, re-delivers :data:`DUP_FRAC` clean events verbatim
     (same event id: at-least-once duplicates), then permutes arrival
-    order within consecutive windows of ``shuffle_window`` events.
+    order within consecutive windows of :data:`SHUFFLE_WINDOW` events.
 
     Returns ``(poisoned, required_lateness, injected)`` where
     ``required_lateness`` is the reordering slack an
@@ -75,7 +78,7 @@ def poison_stream(
     pdim = None if stream.payload is None else stream.payload.shape[1]
 
     # --- junk events (fresh eids; each malformed in exactly one way) ---
-    n_junk = int(round(junk_frac * n))
+    n_junk = int(round(JUNK_FRAC * n))
     kinds = ["nan_ts", "neg_ts", "node_range", "neg_node"]
     if pdim is not None:
         kinds.append("nan_payload")
@@ -105,7 +108,7 @@ def poison_stream(
     junk = TBatch(junk_eids, junk_src, junk_dst, junk_ts, junk_payload)
 
     # --- at-least-once redeliveries (verbatim copies, same eid) ---
-    n_dup = int(round(dup_frac * n))
+    n_dup = int(round(DUP_FRAC * n))
     dup_idx = rng.choice(n, size=n_dup, replace=False) if n_dup else np.empty(0, int)
     dups = stream.take(np.sort(dup_idx))
     injected["redelivered"] = n_dup
@@ -130,7 +133,7 @@ def poison_stream(
     merged = merged.take(order)
 
     m = len(merged)
-    w = max(1, int(shuffle_window))
+    w = SHUFFLE_WINDOW
     perm = np.arange(m)
     for start in range(0, m, w):
         block = perm[start : start + w]
@@ -157,8 +160,7 @@ def split_batches(stream: TBatch, batch_size: int) -> List[TBatch]:
     ]
 
 
-def replay(runtime, batches: List[TBatch], load: float = 1.0,
-           deadline: Optional[float] = None, on_result=None) -> List:
+def replay(runtime, batches: List[TBatch], load: float = 1.0, on_result=None) -> List:
     """Offer *batches* at ``load`` times the full-quality service rate.
 
     Arrival spacing is the full-rung cost estimate divided by *load*: at
@@ -167,7 +169,8 @@ def replay(runtime, batches: List[TBatch], load: float = 1.0,
     and only the degradation ladder plus admission control keep the
     runtime available.  One request is served per arrival slot; the
     simulated clock carries the queueing delay.  Returns the runtime's
-    results after draining.
+    results after draining.  Each request carries the runtime's default
+    deadline.
 
     ``on_result(runtime, result)`` is invoked once per
     :class:`~repro.serve.engine.RequestResult` as it is produced (shed
@@ -203,7 +206,7 @@ def replay(runtime, batches: List[TBatch], load: float = 1.0,
         while i < len(arrivals) and arrivals[i][0] <= now:
             at, batch = arrivals[i]
             i += 1
-            runtime.submit(batch, deadline=deadline, arrival=at)
+            runtime.submit(batch, arrival=at)
         if runtime.admission.depth:
             runtime.step()
             _notify()

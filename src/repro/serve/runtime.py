@@ -43,8 +43,8 @@ class ServeRuntime(ServeEngine):
             in :meth:`stats` under ``durable:recovered:*``.  Needs
             ``durable_dir``: there is nothing to recover from without it.
         **engine: the shared request-loop knobs (``deadline``,
-            ``lateness``, ``max_queue``, ``shed_policy``, ``rate``,
-            ``injector``), declared once on
+            ``lateness``, ``max_queue``, ``shed_policy``, ``rate``),
+            declared once on
             :class:`~repro.serve.engine.ServeEngine`.
     """
 

@@ -76,7 +76,7 @@ def memoize(ctx, block):
     return block
 
 
-def preload(head, use_pin: bool = True):
+def preload(head):
     """Load feature/memory/mail data for every block in a chain.
 
     Walks the linked list from *head* to tail and stages each block's
@@ -90,7 +90,6 @@ def preload(head, use_pin: bool = True):
 
     Args:
         head: the first block of the chain (traversal follows ``next``).
-        use_pin: stage host rows through the pinned-memory pool.
 
     Returns the head block.
     """
@@ -99,7 +98,7 @@ def preload(head, use_pin: bool = True):
     while blk is not None:
         # Edge features feed the attention computation of every hop.
         if g.efeat is not None and blk.has_nbrs:
-            blk.uniq_efeat(pin=use_pin)
+            blk.uniq_efeat(pin=True)
         if blk.next is None:
             # Only the tail block consumes raw node features / memory /
             # mail (inner hops receive computed embeddings from
@@ -108,13 +107,13 @@ def preload(head, use_pin: bool = True):
             if g.mem is not None:
                 # Memory models key all three on the block's unique nodes.
                 if g.nfeat is not None:
-                    blk.uniq_nfeat(pin=use_pin)
-                blk.mem_data(pin=use_pin)
+                    blk.uniq_nfeat(pin=True)
+                blk.mem_data(pin=True)
             elif g.nfeat is not None:
-                blk.dstfeat(pin=use_pin)
+                blk.dstfeat(pin=True)
                 if blk.has_nbrs:
-                    blk.uniq_srcfeat(pin=use_pin)
+                    blk.uniq_srcfeat(pin=True)
             if g.mailbox is not None:
-                blk.mail(pin=use_pin)
+                blk.mail(pin=True)
         blk = blk.next
     return head

@@ -39,58 +39,52 @@ __all__ = [
 ]
 
 
-def tensor(data, dtype=None, requires_grad: bool = False, device=None) -> Tensor:
-    """Create a tensor from array-like *data* (floats default to float32)."""
+def tensor(data, device=None) -> Tensor:
+    """Copy array-like *data* into a tensor (floats default to float32)."""
     arr = np.array(data.data if isinstance(data, Tensor) else data)
-    if dtype is not None:
-        arr = arr.astype(dtype)
-    elif arr.dtype == np.float64:
+    if arr.dtype == np.float64:
         arr = arr.astype(np.float32)
-    return Tensor(arr, requires_grad=requires_grad, device=device)
+    return Tensor(arr, device=device)
 
 
-def zeros(*shape, dtype=np.float32, requires_grad: bool = False, device=None) -> Tensor:
+def zeros(*shape, dtype=np.float32, device=None) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad, device=device)
+    return Tensor(np.zeros(shape, dtype=dtype), device=device)
 
 
 def zeros_like(t: Tensor, dtype=None) -> Tensor:
     return Tensor(np.zeros_like(t.data, dtype=dtype), device=t.device)
 
 
-def ones(*shape, dtype=np.float32, requires_grad: bool = False, device=None) -> Tensor:
+def ones(*shape, dtype=np.float32, device=None) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad, device=device)
+    return Tensor(np.ones(shape, dtype=dtype), device=device)
 
 
 def ones_like(t: Tensor, dtype=None) -> Tensor:
     return Tensor(np.ones_like(t.data, dtype=dtype), device=t.device)
 
 
-def full(shape, fill_value, dtype=np.float32, device=None) -> Tensor:
-    return Tensor(np.full(shape, fill_value, dtype=dtype), device=device)
+def full(shape, fill_value, dtype=np.float32) -> Tensor:
+    return Tensor(np.full(shape, fill_value, dtype=dtype))
 
 
-def empty(*shape, dtype=np.float32, device=None) -> Tensor:
+def empty(*shape, dtype=np.float32) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-    return Tensor(np.empty(shape, dtype=dtype), device=device)
+    return Tensor(np.empty(shape, dtype=dtype))
 
 
 def arange(*args, dtype=np.int64, device=None) -> Tensor:
     return Tensor(np.arange(*args, dtype=dtype), device=device)
 
 
-def randn(*shape, requires_grad: bool = False, device=None) -> Tensor:
+def randn(*shape) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-    return Tensor(
-        default_generator().standard_normal(shape).astype(np.float32),
-        requires_grad=requires_grad,
-        device=device,
-    )
+    return Tensor(default_generator().standard_normal(shape).astype(np.float32))
 
 
 def cat(tensors: Sequence[Tensor], dim: int = 0) -> Tensor:
@@ -116,10 +110,9 @@ def cat(tensors: Sequence[Tensor], dim: int = 0) -> Tensor:
     return Tensor._make(out_data, tensors, backward, device)
 
 
-def stack(tensors: Sequence[Tensor], dim: int = 0) -> Tensor:
-    """Stack tensors along a new axis *dim* (differentiable)."""
-    tensors = [t.unsqueeze(dim) for t in tensors]
-    return cat(tensors, dim=dim)
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """Stack tensors along a new leading axis (differentiable)."""
+    return cat([t.unsqueeze(0) for t in tensors], dim=0)
 
 
 def where(cond: Union[Tensor, np.ndarray], a: Tensor, b: Tensor) -> Tensor:

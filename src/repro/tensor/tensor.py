@@ -160,10 +160,8 @@ class Tensor:
     def is_leaf(self) -> bool:
         return self._backward is None
 
-    def size(self, dim: Optional[int] = None):
-        if dim is None:
-            return self.data.shape
-        return self.data.shape[dim]
+    def size(self):
+        return self.data.shape
 
     def dim(self) -> int:
         return self.data.ndim
@@ -194,14 +192,12 @@ class Tensor:
     def to(
         self,
         device: Union[str, Device],
-        non_blocking: bool = False,
         via_pinned: bool = False,
     ) -> "Tensor":
         """Move to *device*, paying the simulated transfer cost if crossing.
 
         Args:
             device: target device.
-            non_blocking: accepted for API familiarity (no-op).
             via_pinned: charge the transfer at pinned bandwidth even if this
                 tensor is not itself pinned — models use this for
                 device-to-host stores routed through a pinned staging
@@ -518,13 +514,10 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward, self.device)
 
-    def clamp(self, min: Optional[float] = None, max: Optional[float] = None) -> "Tensor":
-        out_data = np.clip(self.data, min, max)
-        inside = np.ones_like(self.data, dtype=bool)
-        if min is not None:
-            inside &= self.data >= min
-        if max is not None:
-            inside &= self.data <= max
+    def clamp(self, min: float) -> "Tensor":
+        """Values below *min* raised to it; no gradient flows to those."""
+        out_data = np.clip(self.data, min, None)
+        inside = self.data >= min
         src = self
 
         def backward(grad: np.ndarray) -> None:
@@ -534,14 +527,14 @@ class Tensor:
 
     # ---- reductions ------------------------------------------------------------------
 
-    def sum(self, dim: Optional[Union[int, Tuple[int, ...]]] = None, keepdim: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=dim, keepdims=keepdim)
+    def sum(self, dim: Optional[Union[int, Tuple[int, ...]]] = None) -> "Tensor":
+        out_data = self.data.sum(axis=dim)
         src = self
         shape = self.data.shape
 
         def backward(grad: np.ndarray) -> None:
             g = grad
-            if dim is not None and not keepdim:
+            if dim is not None:
                 axes = (dim,) if isinstance(dim, int) else tuple(dim)
                 for ax in sorted(a % len(shape) for a in axes):
                     g = np.expand_dims(g, ax)
@@ -549,7 +542,7 @@ class Tensor:
 
         return Tensor._make(np.asarray(out_data), (self,), backward, self.device)
 
-    def mean(self, dim: Optional[Union[int, Tuple[int, ...]]] = None, keepdim: bool = False) -> "Tensor":
+    def mean(self, dim: Optional[Union[int, Tuple[int, ...]]] = None) -> "Tensor":
         if dim is None:
             count = self.data.size
         else:
@@ -557,7 +550,7 @@ class Tensor:
             count = 1
             for ax in axes:
                 count *= self.data.shape[ax]
-        return self.sum(dim=dim, keepdim=keepdim) * (1.0 / count)
+        return self.sum(dim=dim) * (1.0 / count)
 
     def max(self, dim: Optional[int] = None, keepdim: bool = False):
         """Max reduction; with a ``dim`` returns ``(values, indices)``."""

@@ -64,7 +64,6 @@ def build_from_config(
     g: TGraph,
     dim_node: int,
     dim_edge: int,
-    device=None,
 ) -> Tuple[object, Dict[str, Any]]:
     """Instantiate a TGL model from a config mapping.
 
@@ -91,7 +90,7 @@ def build_from_config(
     dim_mem = int(memory.get("dim_memory", dim_out))
     mailbox_size = int(memory.get("mailbox_size", 1))
 
-    common = dict(device=device, dim_node=dim_node, dim_edge=dim_edge,
+    common = dict(dim_node=dim_node, dim_edge=dim_edge,
                   dim_time=dim_time, dim_embed=dim_out)
 
     if arch == "identity":
@@ -100,7 +99,7 @@ def build_from_config(
         if mem_type != "rnn":
             raise ValueError("identity arch requires the rnn memory updater (JODIE)")
         mailbox = TGLMailBox(g.num_nodes, dim_mem, dim_mem + dim_edge,
-                             slots=mailbox_size, device=device)
+                             slots=mailbox_size)
         return TGLJODIE(g, mailbox, dim_mem=dim_mem, **common), train
 
     if arch != "transformer_attention":
@@ -114,7 +113,7 @@ def build_from_config(
 
     if mem_type == "gru":
         mailbox = TGLMailBox(g.num_nodes, dim_mem, 2 * dim_mem + dim_edge,
-                             slots=mailbox_size, device=device)
+                             slots=mailbox_size)
         if memory.get("deliver_to", "self") == "neighbors":
             model = TGLAPAN(g, mailbox, dim_mem=dim_mem, num_heads=heads,
                             num_nbrs=num_nbrs, sampling=strategy, **common)

@@ -30,13 +30,12 @@ class TGLSampler:
     Args:
         g: temporal graph.
         num_nbrs: neighbors sampled per seed per hop.
-        strategy: ``'recent'`` or ``'uniform'``.
-        seed: key seed for uniform sampling.
+        strategy: ``'recent'`` or ``'uniform'`` (keyed on the default seed).
     """
 
-    def __init__(self, g: TGraph, num_nbrs: int, strategy: str = "recent", seed: int = 0):
+    def __init__(self, g: TGraph, num_nbrs: int, strategy: str = "recent"):
         self.g = g
-        self._kernel = TSampler(num_nbrs, strategy, seed=seed)
+        self._kernel = TSampler(num_nbrs, strategy)
 
     @property
     def pass_index(self) -> int:

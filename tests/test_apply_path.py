@@ -210,7 +210,7 @@ def test_each_shards_slice_of_the_one_plan_is_the_plan_its_replica_makes(
             touches = (ends[0] == shard) | (ends[1] == shard)
             assert sub.eids.tolist() == np.flatnonzero(touches).tolist()
             rep = reps[shard]
-            live = rep.prepare(sub, 5, shard, parts[shard])
+            live = prepare_shards([rep], [sub], 5, [shard], [parts[shard]])[0]
             for sliced, own in zip(live[1], rep.plan(sub)):
                 assert sliced.dtype == own.dtype and np.array_equal(sliced, own)
             assert_same_prepared(prepared, live)
@@ -279,7 +279,7 @@ def test_plan_leaves_are_the_leaves_of_the_rows_written(
                                [0] * len(subs), [parts[shard] for shard in subs])
         for (shard, sub), prepared in zip(subs.items(), joint):
             rep = reps[shard]
-            assert_same_prepared(prepared, rep.prepare(sub, 0, 0, parts[shard]))
+            assert_same_prepared(prepared, prepare_shards([rep], [sub], 0, [0], [parts[shard]])[0])
             later = TBatch(sub.eids, sub.src, sub.dst, sub.ts + 3.0, sub.payload)
             # a commit's shared preparation, then a redelivery that prepares
             # for itself

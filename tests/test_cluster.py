@@ -50,7 +50,7 @@ def _stream(events=600, num_nodes=N, seed=1):
     return build_stream(num_nodes, events, payload_dim=DIM, seed=seed)
 
 
-def _cluster(stream, num_nodes=N, config=None, injector=None, **kw):
+def _cluster(stream, num_nodes=N, config=None, **kw):
     g = TGraph(stream.src, stream.dst, stream.ts, num_nodes=num_nodes)
     ctx = TContext(g)
     kw.setdefault("deadline", 1.0)
@@ -58,7 +58,7 @@ def _cluster(stream, num_nodes=N, config=None, injector=None, **kw):
     cluster = ServeCluster(
         g, ctx, TSampler(10, seed=3), DIM,
         config=config or ClusterConfig(num_shards=4),
-        injector=injector, stream=stream, **kw,
+        stream=stream, **kw,
     )
     return ctx, cluster
 
@@ -385,7 +385,7 @@ def test_cluster_chaos_equivalence_with_shard_kill():
                "heartbeat.drop": 0.02},
         schedules={"shard.crash": {(0, 5, 1)}, "shard.stall": {(0, 8, 2)}},
     )
-    ctx, cluster = _cluster(stream, injector=injector)
+    ctx, cluster = _cluster(stream)
     with cluster, injector:
         results = replay(cluster, batches, load=16.0)
         stats = cluster.stats()
@@ -507,11 +507,11 @@ from repro.cluster import ReplicaGroup, StaleLeaseError, place_group_hosts
 from repro.durable import read_batch_suffix
 
 
-def _replicated(stream, factor, num_shards=4, injector=None, **cfg_kw):
+def _replicated(stream, factor, num_shards=4, **cfg_kw):
     config = ClusterConfig(
         num_shards=num_shards, replication_factor=factor, **cfg_kw
     )
-    return _cluster(stream, config=config, injector=injector)
+    return _cluster(stream, config=config)
 
 
 def _assert_members_identical(cluster):
@@ -538,7 +538,7 @@ def test_place_group_hosts_anti_affinity():
     # member 0 of shard i stays on host i (legacy single-replica layout)
     assert [g[0] for g in placement] == [0, 1, 2, 3]
     with pytest.raises(ValueError):
-        place_group_hosts(4, 3, num_hosts=2)
+        place_group_hosts(0, 3)
 
 
 def test_read_batch_suffix_orders_and_filters(tmp_path):
@@ -598,7 +598,7 @@ def test_primary_kill_promotes_follower_and_never_zero_fills():
         rates={"heartbeat.drop": 0.02},
         schedules={"shard.crash": {(0, 5, 1)}},  # shard 1's primary (member 0)
     )
-    ctx, cluster = _replicated(stream, 2, injector=injector)
+    ctx, cluster = _replicated(stream, 2)
     with cluster, injector:
         results = replay(cluster, batches, load=16.0)
         stats = cluster.stats()
@@ -628,7 +628,7 @@ def test_cascading_failover_promoted_primary_killed():
             (0, 8, 1 + 4),   # shard 1 member 1 (promoted meanwhile)
         }},
     )
-    ctx, cluster = _replicated(stream, 3, injector=injector)
+    ctx, cluster = _replicated(stream, 3)
     with cluster, injector:
         results = replay(cluster, batches, load=16.0)
         stats = cluster.stats()
@@ -651,7 +651,7 @@ def test_ack_drop_below_quorum_is_counted_not_aborted():
     stream = _stream(400)
     batches = split_batches(stream, 40)
     injector = FaultInjector(seed=7, schedules={"repl.ack.drop": {(0, 3)}})
-    ctx, cluster = _replicated(stream, 3, injector=injector)
+    ctx, cluster = _replicated(stream, 3)
     with cluster, injector:
         replay(cluster, batches, load=16.0)
         stats = cluster.stats()
@@ -678,7 +678,7 @@ def test_ack_drop_at_quorum_still_commits():
     stream = _stream(200)
     batches = split_batches(stream, 40)
     injector = FaultInjector(seed=7, schedules={"repl.ack.drop": {(0, 2)}})
-    ctx, cluster = _replicated(stream, 2, injector=injector, ack_quorum=1)
+    ctx, cluster = _replicated(stream, 2, ack_quorum=1)
     with cluster, injector:
         replay(cluster, batches, load=16.0)
         stats = cluster.stats()
@@ -693,7 +693,7 @@ def test_ship_drop_parks_in_order_and_redelivers():
     stream = _stream(400)
     batches = split_batches(stream, 40)
     injector = FaultInjector(seed=7, schedules={"repl.ship.drop": {(0, 4)}})
-    ctx, cluster = _replicated(stream, 2, injector=injector)
+    ctx, cluster = _replicated(stream, 2)
     with cluster, injector:
         replay(cluster, batches, load=16.0)
         stats = cluster.stats()
@@ -897,7 +897,7 @@ def test_promote_delay_is_bounded_and_retried():
         rates={"repl.promote.delay": 1.0},  # every attempt delayed (capped)
         schedules={"shard.crash": {(0, 5, 1)}},
     )
-    ctx, cluster = _replicated(stream, 2, injector=injector)
+    ctx, cluster = _replicated(stream, 2)
     with cluster, injector:
         results = replay(cluster, batches, load=16.0)
         stats = cluster.stats()

@@ -44,14 +44,16 @@ class TestBatching:
         np.testing.assert_allclose(b.times(), np.tile(b.ts, 2))
 
     def test_nodes_with_negatives(self, tiny_graph):
-        b = tg.TBatch.range(tiny_graph, 0, 2, neg_nodes=np.array([5, 5]))
+        b = tg.TBatch.range(tiny_graph, 0, 2)
+        b.neg_nodes = np.array([5, 5])
         nodes = b.nodes()
         assert len(nodes) == 6
         np.testing.assert_array_equal(nodes[-2:], [5, 5])
         assert len(b.times()) == 6
 
     def test_block_head_layout(self, tiny_ctx, tiny_graph):
-        b = tg.TBatch.range(tiny_graph, 0, 3, neg_nodes=np.array([4, 4, 4]))
+        b = tg.TBatch.range(tiny_graph, 0, 3)
+        b.neg_nodes = np.array([4, 4, 4])
         head = b.block(tiny_ctx)
         assert head.num_dst == 9
         assert head.layer_id == 0
@@ -98,7 +100,8 @@ class TestEventArrays:
         assert repro.serve.EventBatch is tg.TBatch
 
     def test_take_keeps_graph_payload_and_negatives(self, tiny_graph):
-        b = tg.TBatch.range(tiny_graph, 2, 6, neg_nodes=np.array([7, 8, 9, 10]))
+        b = tg.TBatch.range(tiny_graph, 2, 6)
+        b.neg_nodes = np.array([7, 8, 9, 10])
         t = b.take(np.array([3, 1]))
         assert t.g is tiny_graph
         np.testing.assert_array_equal(t.eids, [5, 3])
@@ -109,7 +112,8 @@ class TestEventArrays:
         np.testing.assert_array_equal(half.payload, served.payload[[0, 2]])
 
     def test_concat_round_trips_take(self, tiny_graph):
-        b = tg.TBatch.range(tiny_graph, 0, 6, neg_nodes=np.arange(6) + 20)
+        b = tg.TBatch.range(tiny_graph, 0, 6)
+        b.neg_nodes = np.arange(6) + 20
         parts = [b.take(np.arange(0, 2)), b.take(np.arange(2, 2)), b.take(np.arange(2, 6))]
         whole = tg.TBatch.concat(parts)
         assert whole.g is tiny_graph
@@ -129,7 +133,8 @@ class TestEventArrays:
                            with_rows.payload[:, :1])
         with pytest.raises(ValueError, match="payloads of different widths"):
             tg.TBatch.concat([with_rows, narrow])
-        neg = tg.TBatch.range(tiny_graph, 0, 2, neg_nodes=np.array([5, 5]))
+        neg = tg.TBatch.range(tiny_graph, 0, 2)
+        neg.neg_nodes = np.array([5, 5])
         plain = tg.TBatch.range(tiny_graph, 2, 4)
         for parts in ([neg, plain], [plain, neg]):
             with pytest.raises(ValueError, match="carrying negatives"):
@@ -156,7 +161,8 @@ class TestEventArrays:
                 np.testing.assert_array_equal(back.payload, b.payload)
 
     def test_blocks_read_the_batch_arrays_with_or_without_graph(self, tiny_ctx, tiny_graph):
-        graph_batch = tg.TBatch.range(tiny_graph, 3, 7, neg_nodes=np.array([1, 2, 3, 4]))
+        graph_batch = tg.TBatch.range(tiny_graph, 3, 7)
+        graph_batch.neg_nodes = np.array([1, 2, 3, 4])
         served = tg.TBatch(graph_batch.eids, graph_batch.src, graph_batch.dst,
                            graph_batch.ts, neg_nodes=graph_batch.neg_nodes)
         for make in (lambda b: b.block(tiny_ctx), lambda b: b.block_adj(tiny_ctx)):
@@ -182,11 +188,6 @@ class TestBlockStructure:
         assert nxt.num_dst == head.num_dst + head.num_src
         assert head.tail() is nxt and nxt.head() is head
         assert nxt.next is None
-
-    def test_next_block_without_dst(self, tiny_ctx, tiny_graph):
-        head = self._sampled_block(tiny_ctx, tiny_graph)
-        nxt = head.next_block(include_dst=False)
-        assert nxt.num_dst == head.num_src
 
     def test_next_block_requires_sampling(self, tiny_ctx, tiny_graph):
         head = tg.TBatch.range(tiny_graph, 0, 2).block(tiny_ctx)

@@ -62,11 +62,6 @@ class TestCSR:
         np.testing.assert_array_equal(csr.indices[lo:hi], [0])
         np.testing.assert_array_equal(csr.eids[lo:hi], [0])
 
-    def test_directed_mode(self):
-        csr = tg.TGraph([0], [1], [1.0], add_reverse=False).csr()
-        assert csr.indptr[2] == csr.indptr[1]
-        np.testing.assert_array_equal(csr.indices[csr.indptr[0]:csr.indptr[1]], [1])
-
     def test_degree(self):
         g = tg.TGraph([0, 0, 1], [1, 2, 2], [1.0, 2.0, 3.0])
         degree = np.diff(g.csr().indptr)

@@ -37,19 +37,7 @@ class TestSnapshots:
                 assert ts.min() >= snap.t_start
                 assert ts.max() < snap.t_end
 
-    def test_custom_boundaries(self, line_graph):
-        snaps = snapshots(line_graph, boundaries=[5.0, 9.0, 13.0])
-        assert [s.num_edges for s in snaps] == [4, 4, 4]
-
     def test_boundary_validation(self, line_graph):
-        with pytest.raises(ValueError):
-            snapshots(line_graph, num_snapshots=3, boundaries=[1.0])
-        with pytest.raises(ValueError):
-            snapshots(line_graph)
-        with pytest.raises(ValueError):
-            snapshots(line_graph, boundaries=[5.0, 4.0, 13.0])
-        with pytest.raises(ValueError):
-            snapshots(line_graph, boundaries=[5.0, 9.0])  # doesn't cover max t
         with pytest.raises(ValueError):
             snapshots(line_graph, num_snapshots=0)
 

@@ -44,19 +44,19 @@ N, DIM = 40, 4
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
-def _engines(injector_for):
+def _engines():
     """A shed-free runtime and a shed-free 1-shard cluster over one stream."""
     stream = build_stream(N, 300, payload_dim=DIM, seed=5)
     g = TGraph(stream.src, stream.dst, stream.ts, num_nodes=N)
     runtime = ServeRuntime(
         g, TContext(g), Memory(N, DIM), TSampler(4, seed=1),
-        mailbox=Mailbox(N, DIM), injector=injector_for(),
+        mailbox=Mailbox(N, DIM),
         deadline=1e9, max_queue=1 << 30,
     )
     g2 = TGraph(stream.src, stream.dst, stream.ts, num_nodes=N)
     cluster = ServeCluster(
         g2, TContext(g2), TSampler(4, seed=1), DIM,
-        config=ClusterConfig(num_shards=1), injector=injector_for(),
+        config=ClusterConfig(num_shards=1),
         deadline=1e9, max_queue=1 << 30,
     )
     return stream, runtime, cluster
@@ -70,11 +70,11 @@ def test_commit_faults_are_counted_by_one_rule_on_both_backends():
         return FaultInjector(seed=3, schedules={
             "serve.commit": [(0, 1), (0, 2), (0, 4), (0, 7)]})
 
-    stream, runtime, cluster = _engines(injector)
+    stream, runtime, cluster = _engines()
     seen = []
     for engine, retries in ((runtime, "commit:retries"),
                             (cluster, "cluster:commit_retries")):
-        with engine.injector, engine:
+        with injector(), engine:
             replay(engine, split_batches(stream, 30))
             ctx = engine.ctx
             faults = {k: v for k, v in ctx.stats().counters.items()
@@ -167,7 +167,7 @@ def test_no_stats_surface_below_the_engine():
 def test_reset_stats_keeps_a_live_deployment_counting(backend):
     """Zeroing the table keeps every key its components declared: the
     deployment serves on and counts the rest of the stream from zero."""
-    stream, runtime, cluster = _engines(lambda: None)
+    stream, runtime, cluster = _engines()
     engine = runtime if backend == "runtime" else cluster
     batches = split_batches(stream, 30)
     with engine:
@@ -191,7 +191,7 @@ def test_same_stream_gives_the_same_table():
     for deadline, load in ((1e9, 1.0), (2e-3, 16.0)):
         tables = []
         for _ in range(2):
-            stream, runtime, _ = _engines(lambda: None)
+            stream, runtime, _ = _engines()
             runtime.deadline = deadline
             with runtime:
                 replay(runtime, split_batches(stream, 30), load=load)

@@ -36,7 +36,7 @@ class TestDuplicationRatio:
         dst = 1 + (np.arange(m) % 5)
         ts = np.arange(1.0, m + 1.0)
         g = tg.TGraph(src, dst, ts, num_nodes=6)
-        ratio = batch_duplication_ratio(g, batch_size=50, num_nbrs=5, max_batches=3)
+        ratio = batch_duplication_ratio(g, batch_size=50, max_batches=3)
         assert ratio > 0.4
 
     def test_ratio_in_unit_interval(self):

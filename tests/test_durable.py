@@ -533,14 +533,13 @@ def _serve_graph(seed=0):
     return TGraph(src, dst, ts, num_nodes=N_NODES)
 
 
-def _serve_runtime(g, durable_dir, recover=False, injector=None,
-                   snapshot_every=None, fsync="batch"):
+def _serve_runtime(g, durable_dir, recover=False, snapshot_every=None, fsync="batch"):
     ctx = TContext(g)
     mem = Memory(N_NODES, DIM)
     mailbox = Mailbox(N_NODES, DIM)
     rt = ServeRuntime(
         g, ctx, mem, TSampler(5, seed=3), mailbox=mailbox, deadline=1.0,
-        injector=injector, durable_dir=durable_dir, durable_fsync=fsync,
+        durable_dir=durable_dir, durable_fsync=fsync,
         snapshot_every=snapshot_every, recover=recover,
     )
     return rt, mem, mailbox
@@ -588,7 +587,7 @@ class TestServeDurability:
         batches = split_batches(stream, 30)
         crashed_dir = str(tmp_path / "crashed")
         inj = FaultInjector(seed=4, schedules={"disk.write.torn": [(0, 3)]})
-        rt, mem, mailbox = _serve_runtime(g, crashed_dir, injector=inj,
+        rt, mem, mailbox = _serve_runtime(g, crashed_dir,
                                           fsync="always")
         with inj:
             with pytest.raises(SimulatedDiskCrash):
@@ -616,7 +615,7 @@ class TestServeDurability:
         stream = build_stream(N_NODES, 150, payload_dim=DIM, seed=3)
         d = str(tmp_path / "dur")
         inj = FaultInjector(seed=6, schedules={"serve.poison": [(0, 1)]})
-        rt, mem, mailbox = _serve_runtime(g, d, injector=inj)
+        rt, mem, mailbox = _serve_runtime(g, d)
         with inj:
             for b in split_batches(stream, 30):
                 rt.submit(b)

@@ -17,7 +17,8 @@ class TestGraphMisuse:
         ctx = tg.TContext(g)
         model = TGAT(ctx, dim_node=4, dim_edge=4, dim_time=4, dim_embed=4,
                      num_layers=1, num_nbrs=2)
-        batch = tg.TBatch.range(g, 0, 2, neg_nodes=np.array([2, 2]))
+        batch = tg.TBatch.range(g, 0, 2)
+        batch.neg_nodes = np.array([2, 2])
         with pytest.raises(RuntimeError, match="node features"):
             model(batch)
 
@@ -27,7 +28,8 @@ class TestGraphMisuse:
         ctx = tg.TContext(g)
         model = TGN(ctx, dim_node=172, dim_edge=172, dim_time=4, dim_embed=4,
                     dim_mem=4, num_layers=1, num_nbrs=2)
-        batch = tg.TBatch.range(g, 0, 10, neg_nodes=np.zeros(10, dtype=np.int64))
+        batch = tg.TBatch.range(g, 0, 10)
+        batch.neg_nodes = np.zeros(10, dtype=np.int64)
         with pytest.raises(RuntimeError, match="mailbox|memory"):
             model(batch)
 
@@ -55,7 +57,8 @@ class TestDegenerateStreams:
         ctx = tg.TContext(g)
         model = TGAT(ctx, dim_node=4, dim_edge=2, dim_time=4, dim_embed=4,
                      num_layers=1, num_nbrs=2)
-        batch = tg.TBatch.range(g, 0, 1, neg_nodes=np.array([2]))
+        batch = tg.TBatch.range(g, 0, 1)
+        batch.neg_nodes = np.array([2])
         pos, neg = model(batch)
         loss = nn.bce_with_logits(pos, T.ones(1)) + nn.bce_with_logits(neg, T.zeros(1))
         loss.backward()
@@ -67,7 +70,8 @@ class TestDegenerateStreams:
         ctx = tg.TContext(g)
         model = TGAT(ctx, dim_node=172, dim_edge=172, dim_time=4, dim_embed=4,
                      num_layers=2, num_nbrs=3, opt=OptFlags.all())
-        batch = tg.TBatch.range(g, 1000, 1001, neg_nodes=np.array([5]))
+        batch = tg.TBatch.range(g, 1000, 1001)
+        batch.neg_nodes = np.array([5])
         pos, neg = model(batch)
         assert pos.shape == (1,) and neg.shape == (1,)
 
@@ -78,7 +82,8 @@ class TestDegenerateStreams:
         ctx = tg.TContext(g)
         model = TGAT(ctx, dim_node=172, dim_edge=172, dim_time=4, dim_embed=4,
                      num_layers=2, num_nbrs=3)
-        batch = tg.TBatch.range(g, 0, 5, neg_nodes=np.arange(5))
+        batch = tg.TBatch.range(g, 0, 5)
+        batch.neg_nodes = np.arange(5)
         pos, neg = model(batch)
         assert np.all(np.isfinite(pos.numpy()))
 

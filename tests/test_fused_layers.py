@@ -32,13 +32,13 @@ def _assert_one_node(out, *parents):
 
 
 def _linear(x, weight, bias):
-    lin = nn.Linear(weight.shape[1], weight.shape[0], bias=bias is not None)
+    lin = nn.Linear(weight.shape[1], weight.shape[0])
     lin.weight, lin.bias = weight, bias
     return lin(x)
 
 
-def _layer_norm(x, weight=None, bias=None):
-    ln = nn.LayerNorm(x.shape[-1], elementwise_affine=weight is not None)
+def _layer_norm(x, weight, bias):
+    ln = nn.LayerNorm(x.shape[-1])
     ln.weight, ln.bias = weight, bias
     return ln(x)
 
@@ -51,47 +51,40 @@ def _time_encode(deltas, weight, bias):
 
 @SETTINGS
 @given(lead=st.lists(st.integers(1, 4), min_size=1, max_size=2), width=st.integers(1, 5),
-       out=st.integers(1, 4), has_bias=st.booleans(), seed=st.integers(0, 2**16))
-def test_linear(lead, width, out, has_bias, seed):
-    """2-D and 3-D input, with and without bias."""
+       out=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_linear(lead, width, out, seed):
+    """2-D and 3-D input."""
     rng = np.random.default_rng(seed)
     x, w, b = _randn(rng, (*lead, width)), _randn(rng, (out, width)), _randn(rng, (out,))
-    expected = x.astype(np.float64) @ w.astype(np.float64).T + (b if has_bias else 0.0)
-    leaves = [Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)]
-    leaves += [Tensor(b, requires_grad=True)] if has_bias else []
-    y = _linear(*leaves, *([] if has_bias else [None]))
+    expected = x.astype(np.float64) @ w.astype(np.float64).T + b
+    leaves = [Tensor(t, requires_grad=True) for t in (x, w, b)]
+    y = _linear(*leaves)
     assert y.shape == (*lead, out)
     np.testing.assert_allclose(y.data, expected, rtol=1e-5, atol=1e-5)
     _assert_one_node(y, *leaves)
 
     probe = _probe((*lead, out), seed)
-    if has_bias:
-        check_grad(lambda x, w, b: _linear(x, w, b) * probe, x.shape, w.shape, b.shape, seed=seed)
-    else:
-        check_grad(lambda x, w: _linear(x, w, None) * probe, x.shape, w.shape, seed=seed)
+    check_grad(lambda x, w, b: _linear(x, w, b) * probe, x.shape, w.shape, b.shape, seed=seed)
 
 
 @SETTINGS
 @given(lead=st.lists(st.integers(1, 4), min_size=1, max_size=2), width=st.integers(3, 6),
-       affine=st.booleans(), seed=st.integers(0, 2**16))
-def test_layer_norm(lead, width, affine, seed):
-    """2-D and 3-D input, with and without affine parameters."""
+       seed=st.integers(0, 2**16))
+def test_layer_norm(lead, width, seed):
+    """2-D and 3-D input."""
     rng = np.random.default_rng(seed)
     x, w, b = _randn(rng, (*lead, width)), _randn(rng, (width,)), _randn(rng, (width,))
     x64 = x.astype(np.float64)
     centered = x64 - x64.mean(axis=-1, keepdims=True)
     expected = centered / np.sqrt((centered ** 2).mean(axis=-1, keepdims=True) + 1e-5)
-    leaves = [Tensor(x, requires_grad=True)]
-    if affine:
-        expected = expected * w + b
-        leaves += [Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)]
+    expected = expected * w + b
+    leaves = [Tensor(t, requires_grad=True) for t in (x, w, b)]
     y = _layer_norm(*leaves)
     np.testing.assert_allclose(y.data, expected, rtol=1e-4, atol=1e-5)
     _assert_one_node(y, *leaves)
 
     probe = _probe(x.shape, seed)
-    shapes = (x.shape, w.shape, b.shape) if affine else (x.shape,)
-    check_grad(lambda *t: _layer_norm(*t) * probe, *shapes, seed=seed, atol=5e-2)
+    check_grad(lambda *t: _layer_norm(*t) * probe, x.shape, w.shape, b.shape, seed=seed, atol=5e-2)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -39,7 +39,7 @@ def _stream(events=400, seed=1):
     return build_stream(N, events, payload_dim=DIM, seed=seed)
 
 
-def _cluster(stream, factor=1, injector=None, **cfg_kw):
+def _cluster(stream, factor=1, **cfg_kw):
     g = TGraph(stream.src, stream.dst, stream.ts, num_nodes=N)
     ctx = TContext(g)
     config = ClusterConfig(
@@ -47,7 +47,7 @@ def _cluster(stream, factor=1, injector=None, **cfg_kw):
     )
     cluster = ServeCluster(
         g, ctx, TSampler(10, seed=3), DIM, config=config,
-        injector=injector, stream=stream, deadline=1.0, max_queue=1 << 30,
+        stream=stream, deadline=1.0, max_queue=1 << 30,
     )
     return ctx, cluster
 
@@ -303,7 +303,7 @@ def test_scheduled_mem_flip_via_fault_site():
     batches = split_batches(stream, 40)
     inj = FaultInjector(seed=5, schedules={"mem.flip": [(1, 0, 1)]},
                         mem_flip_tier="memory")
-    ctx, cluster = _cluster(stream, factor=2, injector=inj)
+    ctx, cluster = _cluster(stream, factor=2)
     with cluster, inj:
         replay(cluster, batches, load=16.0)
         # fire the scheduled flip after the last write so no later
@@ -326,7 +326,7 @@ def test_scrub_skip_counts_cycles_and_stays_clean():
     inj = FaultInjector(seed=3, schedules={"scrub.skip": [(0, 0)]})  # (0, cycle)
     # interval far below the simulated replay span so periodic cycles
     # actually come due (the default 0.25 s outlives this short stream)
-    ctx, cluster = _cluster(stream, factor=1, injector=inj,
+    ctx, cluster = _cluster(stream, factor=1,
                             scrub_interval=1e-3)
     with cluster, inj:
         replay(cluster, batches, load=16.0)
@@ -377,7 +377,7 @@ def test_clean_chaos_run_has_zero_false_positives():
         rates={"heartbeat.drop": 0.02, "rpc.send.drop": 0.05},
         schedules={"shard.crash": {(0, 5, 1)}},  # shard 1's primary
     )
-    ctx, cluster = _cluster(stream, factor=2, injector=inj)
+    ctx, cluster = _cluster(stream, factor=2)
     with cluster, inj:
         results = replay(cluster, batches, load=16.0)
         stats = cluster.stats()

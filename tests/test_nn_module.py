@@ -108,7 +108,7 @@ class TestDeviceMovement:
 
     def test_forward_on_device(self):
         net = Net().to("cuda")
-        out = net(T.randn(2, 4, device="cuda"))
+        out = net(T.Tensor(T.randn(2, 4), device="cuda"))
         assert out.device is CUDA
 
 

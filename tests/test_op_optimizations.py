@@ -52,7 +52,7 @@ class TestDedup:
     def test_dedup_gradient_flows_through_inverse(self, tiny_ctx):
         blk = tg.TBlock(tiny_ctx, 0, np.array([0, 0, 1]), np.ones(3))
         tgop.dedup(blk)
-        computed = T.randn(2, 2, requires_grad=True)
+        computed = T.Tensor(T.randn(2, 2), requires_grad=True)
         out = blk.run_hooks(computed)
         out.sum().backward()
         # Node 0's row feeds two output rows -> gradient 2.
@@ -154,7 +154,7 @@ class TestPreload:
             tg.TSampler(2).sample(head)
             tail = head.next_block()
             tg.TSampler(2).sample(tail)
-            tgop.preload(head, use_pin=True)
+            tgop.preload(head)
             return head, tail
 
         # Everything the computation touches is free afterwards: edge
@@ -191,7 +191,7 @@ class TestPreload:
         tg.TSampler(2).sample(head)
         tail = head.next_block()
         tg.TSampler(2).sample(tail)
-        tgop.preload(head, use_pin=True)
+        tgop.preload(head)
         before = runtime.transfer_stats.bytes
         head.dstfeat()  # not preloaded -> lazily fetched now
         assert runtime.transfer_stats.bytes > before
@@ -200,24 +200,16 @@ class TestPreload:
         ctx = tg.TContext(tiny_graph, device="cuda")
         head = tg.TBatch.range(tiny_graph, 4, 8).block(ctx)
         tg.TSampler(2).sample(head)
-        tgop.preload(head, use_pin=True)
+        tgop.preload(head)
         assert runtime.transfer_stats.pinned_bytes > 0
         assert runtime.transfer_stats.pinned_bytes == runtime.transfer_stats.bytes
-
-    def test_preload_without_pin(self, tiny_graph):
-        ctx = tg.TContext(tiny_graph, device="cuda")
-        head = tg.TBatch.range(tiny_graph, 4, 8).block(ctx)
-        tg.TSampler(2).sample(head)
-        tgop.preload(head, use_pin=False)
-        assert runtime.transfer_stats.pinned_bytes == 0
-        assert runtime.transfer_stats.bytes > 0
 
     def test_pinned_pool_reuses_buffers(self, tiny_graph):
         ctx = tg.TContext(tiny_graph, device="cuda")
         for _ in range(3):
             head = tg.TBatch.range(tiny_graph, 4, 8).block(ctx)
             tg.TSampler(2).sample(head)
-            tgop.preload(head, use_pin=True)
+            tgop.preload(head)
         assert ctx.counters["pinned:hits"] > 0
 
 

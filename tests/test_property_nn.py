@@ -24,7 +24,7 @@ def test_gru_output_always_bounded(x):
 @settings(max_examples=25, deadline=None)
 @given(hnp.arrays(np.float32, st.tuples(st.integers(1, 8), st.integers(2, 6)), elements=finite))
 def test_layernorm_rows_standardized(x):
-    ln = nn.LayerNorm(x.shape[1], elementwise_affine=False)
+    ln = nn.LayerNorm(x.shape[1])
     out = ln(T.Tensor(x)).numpy()
     np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-4)
 
@@ -58,19 +58,6 @@ def test_adam_is_deterministic_given_seed(seed):
         return lin.weight.data.copy()
 
     np.testing.assert_array_equal(run(), run())
-
-
-@settings(max_examples=20, deadline=None)
-@given(hnp.arrays(np.float32, st.tuples(st.integers(2, 10)), elements=finite))
-def test_sgd_step_descends_quadratic(grad_seed):
-    x = nn.Parameter(grad_seed.copy())
-    opt = nn.SGD([x], lr=0.01)
-    before = float((x.data ** 2).sum())
-    loss = (T.Tensor(x.data) * 0).sum()  # build no graph; set grad directly
-    x.grad = 2 * x.data
-    opt.step()
-    after = float((x.data ** 2).sum())
-    assert after <= before + 1e-6
 
 
 @settings(max_examples=25, deadline=None)

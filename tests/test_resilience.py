@@ -2,6 +2,7 @@
 equivalence, checkpoint atomicity/integrity, and degradation."""
 
 import os
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -55,10 +56,11 @@ def _run(tmp_path, injector=None, epochs=2, train_end=900,
     trainer = ResilientTrainer(
         exp.model, exp.g, exp.optimizer, exp.neg_sampler,
         batch_size=300, checkpoint_dir=str(tmp_path / subdir),
-        checkpoint_every=checkpoint_every, injector=injector,
+        checkpoint_every=checkpoint_every,
     )
     try:
-        result = trainer.train(epochs=epochs, train_end=train_end, resume=resume)
+        with injector if injector is not None else nullcontext():
+            result = trainer.train(epochs=epochs, train_end=train_end, resume=resume)
     finally:
         exp.close()
     return result, _fingerprint(exp)
@@ -133,9 +135,8 @@ class TestRecoveryEquivalence:
         trainer = ResilientTrainer(
             exp.model, exp.g, exp.optimizer, exp.neg_sampler, batch_size=300,
             checkpoint_dir=str(tmp_path / "killed"), checkpoint_every=2,
-            injector=injector,
         )
-        with pytest.raises(SimulatedProcessKill):
+        with pytest.raises(SimulatedProcessKill), injector:
             trainer.train(epochs=2, train_end=900)
         exp.close()
         assert hooks.active() is None  # injector uninstalled despite the kill
@@ -167,8 +168,8 @@ class TestRecoveryEquivalence:
 
         ap0, params0 = run("full")
         killer = FaultInjector(seed=5, schedules={"process.kill": [(1, 6)]})
-        with pytest.raises(SimulatedProcessKill):
-            run("killed", injector=killer)
+        with pytest.raises(SimulatedProcessKill), killer:
+            run("killed")
         _, _, arrays = read_container(
             str(tmp_path / "killed" / ResilientTrainer.CHECKPOINT_NAME))
         assert not [k for k in arrays if k.startswith("rng/")]
@@ -202,9 +203,8 @@ class TestRecoveryEquivalence:
         trainer = ResilientTrainer(
             exp.model, exp.g, exp.optimizer, exp.neg_sampler, batch_size=300,
             checkpoint_dir=str(tmp_path / "exhaust"), checkpoint_every=2,
-            injector=injector,
         )
-        with pytest.raises(TransientKernelError):
+        with pytest.raises(TransientKernelError), injector:
             trainer.train(epochs=1, train_end=600)
         assert hooks.active() is None
         exp.close()
@@ -352,9 +352,9 @@ class TestDegradation:
         trainer = ResilientTrainer(
             exp.model, exp.g, exp.optimizer, exp.neg_sampler, batch_size=300,
             checkpoint_dir=str(tmp_path / "d"), checkpoint_every=2,
-            injector=injector,
         )
-        result = trainer.train(epochs=1, train_end=900)
+        with injector:
+            result = trainer.train(epochs=1, train_end=900)
         assert exp.g.ctx.degraded.get("kernel.sample")
         stats = exp.g.ctx.stats()
         assert stats.counters["kernel_faults:kernel.sample"] == 3
@@ -388,9 +388,10 @@ class TestDegradation:
             exp = _experiment(model="tgat")
             trainer = ResilientTrainer(
                 exp.model, exp.g, exp.optimizer, exp.neg_sampler, batch_size=300,
-                checkpoint_dir=str(tmp_path / f"c{len(aps)}"), injector=injector,
+                checkpoint_dir=str(tmp_path / f"c{len(aps)}"),
             )
-            result = trainer.train(epochs=1, train_end=600, eval_end=1200)
+            with injector if injector is not None else nullcontext():
+                result = trainer.train(epochs=1, train_end=600, eval_end=1200)
             aps.append(result.epochs[0].eval_ap)
             exp.close()
         assert [e.kind for e in result.events if "kernel.cache" in e.detail] == [
@@ -442,10 +443,10 @@ class TestOneStepTwoLoops:
 
 
 class TestFineTune:
-    def _trainer(self, exp, tmp_path, injector=None):
+    def _trainer(self, exp, tmp_path):
         return ResilientTrainer(
             exp.model, exp.g, exp.optimizer, exp.neg_sampler, batch_size=300,
-            checkpoint_dir=str(tmp_path), checkpoint_every=2, injector=injector,
+            checkpoint_dir=str(tmp_path), checkpoint_every=2,
         )
 
     def test_train_checks_its_range_before_training(self, tmp_path):
@@ -490,9 +491,8 @@ class TestFineTune:
         exp.close()
         exp = _experiment()
         injector = FaultInjector(schedules={"nan_grad": [(1, 1)]})
-        faulted = self._trainer(exp, tmp_path / "nan", injector).fine_tune(
-            300, 1200, passes=2
-        )
+        with injector:
+            faulted = self._trainer(exp, tmp_path / "nan").fine_tune(300, 1200, passes=2)
         exp.close()
         rollback = [e for e in faulted.events if e.kind == "rollback"]
         assert [(e.epoch, e.batch) for e in rollback] == [(1, 1)]

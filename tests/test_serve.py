@@ -7,6 +7,8 @@ commits, the poisoned-stream equivalence guarantee, and chaos runs under
 `resilience.FaultInjector`.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +36,7 @@ from repro.serve import (
 )
 from repro.serve.deadline import REFERENCE_PENALTY, LadderDecision
 from repro.serve.engine import neighbour_sum
+serve_replay = importlib.import_module("repro.serve.replay")  # the module, not the re-exported function
 
 from reference import scatter_add_reference
 
@@ -567,10 +570,10 @@ class TestPoisonedStreamEquivalence:
         # every quarantined event carries a structured reason
         assert all(q.reason for q in rt_p.ingest.quarantine)
 
-    def test_equivalence_with_multislot_mailbox(self):
+    def test_equivalence_with_multislot_mailbox(self, monkeypatch):
         clean = build_stream(N, 200, payload_dim=DIM, seed=9)
-        poisoned, lateness, _ = poison_stream(clean, N, seed=10,
-                                              shuffle_window=4)
+        monkeypatch.setattr(serve_replay, "SHUFFLE_WINDOW", 4)
+        poisoned, lateness, _ = poison_stream(clean, N, seed=10)
 
         def run(events, lateness):
             g = TGraph(clean.src, clean.dst, clean.ts, num_nodes=N)
@@ -600,7 +603,7 @@ class TestChaos:
             rates={"serve.ingest": 0.2, "serve.commit": 0.2},
             schedules={"serve.poison": [(0, 3), (0, 9)]},
         )
-        rt = _runtime(stream, injector=inj)
+        rt = _runtime(stream)
         with inj:
             results = replay(rt, split_batches(stream, 20), load=1.0)
         assert len(results) == 20
@@ -623,7 +626,7 @@ class TestChaos:
         stream = build_stream(N, 400, payload_dim=DIM, seed=11)
         inj = FaultInjector(seed=12, schedules={"serve.poison": [(0, 3), (0, 9)]})
         if backend == "runtime":
-            rt = _runtime(stream, injector=inj, durable_dir=str(tmp_path))
+            rt = _runtime(stream, durable_dir=str(tmp_path))
         else:
             from repro.cluster import ClusterConfig, ServeCluster
 
@@ -631,7 +634,7 @@ class TestChaos:
             rt = ServeCluster(
                 g, tg.TContext(g), TSampler(10, seed=3), DIM,
                 config=ClusterConfig(num_shards=2, durable_root=str(tmp_path)),
-                injector=inj, deadline=1.0, max_queue=1 << 30,
+                deadline=1.0, max_queue=1 << 30,
             )
         with inj, rt:
             replay(rt, split_batches(stream, 20), load=1.0)
@@ -666,7 +669,7 @@ class TestChaos:
     def test_chaos_at_16x_overload(self):
         stream = build_stream(N, 400, payload_dim=DIM, seed=13)
         inj = FaultInjector(seed=14, rates={"serve.ingest": 0.1, "serve.commit": 0.1})
-        rt = _runtime(stream, deadline=3e-3, max_queue=8, injector=inj)
+        rt = _runtime(stream, deadline=3e-3, max_queue=8)
         with inj:
             results = replay(rt, split_batches(stream, 20), load=16.0)
         assert len(results) == 20  # available under chaos + overload
@@ -704,9 +707,10 @@ class TestModelSwap:
 class TestCacheRung:
     """The ``cache`` rung serves the engine's per-node table, causally."""
 
-    def test_hits_under_overload_and_never_a_newer_row(self):
+    def test_hits_under_overload_and_never_a_newer_row(self, monkeypatch):
         clean = build_stream(N, 600, payload_dim=DIM, seed=12)
-        poisoned, lateness, _ = poison_stream(clean, N, seed=12, shuffle_window=32)
+        monkeypatch.setattr(serve_replay, "SHUFFLE_WINDOW", 32)
+        poisoned, lateness, _ = poison_stream(clean, N, seed=12)
         rt = _runtime(clean, deadline=2e-3, max_queue=8, lateness=lateness)
         newer = causal_hits = 0
         embed_cached = rt._embed_cached

@@ -153,6 +153,6 @@ class TestOpsOnDevice:
             T.cat([a, b])
 
     def test_backward_through_device_tensor(self):
-        a = T.tensor([2.0], requires_grad=True, device="cuda")
+        a = T.Tensor([2.0], requires_grad=True, device="cuda")
         (a * a).sum().backward()
         np.testing.assert_allclose(a.grad, [4.0])

@@ -68,7 +68,7 @@ class TestForward:
         np.testing.assert_allclose(out, [1, 0, 1], atol=1e-6)
 
     def test_segment_ids_accept_tensor(self):
-        out = segment_sum(T.ones(3, 2), T.tensor([0, 0, 1], dtype=np.int64), 2)
+        out = segment_sum(T.ones(3, 2), T.tensor(np.array([0, 0, 1], dtype=np.int64)), 2)
         np.testing.assert_allclose(out.numpy(), [[2, 2], [1, 1]])
 
 
