@@ -35,10 +35,9 @@ class NodeClassifier(MLP):
     """Two-layer MLP decoder mapping an embedding to a label logit."""
 
     DIM_HIDDEN = 64
-    DROPOUT = 0.1
 
     def __init__(self, dim_embed: int):
-        super().__init__(dim_embed, self.DIM_HIDDEN, 1, dropout=self.DROPOUT)
+        super().__init__(dim_embed, self.DIM_HIDDEN, 1)
 
     def forward(self, x: Tensor) -> Tensor:
         return super().forward(x).squeeze(1)

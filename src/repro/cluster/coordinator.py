@@ -427,7 +427,7 @@ class ServeCluster(ServeEngine):
         ready = [shard for shard in subs if self.groups[shard].any_serving()]
         prepared = dict(zip(ready, prepare_shards(
             [self.groups[s].members[self.groups[s].read_member()] for s in ready],
-            [subs[s] for s in ready], seq,
+            subs.events, [subs.spans[s] for s in ready], seq,
             [self.groups[s].epoch for s in ready], [parts[s] for s in ready],
         )))
         for shard, sub in subs.items():

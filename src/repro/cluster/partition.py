@@ -30,9 +30,25 @@ import numpy as np
 from ..core.kernels.dedup import group_spans
 from ..splitmix import splitmix64
 
-__all__ = ["hash_shard", "place_group_hosts", "ShardRouter"]
+__all__ = ["hash_shard", "place_group_hosts", "ShardRouter", "SubBatches"]
 
 _MASK64 = (1 << 64) - 1
+
+
+class SubBatches(dict):
+    """``shard -> sub-batch`` of one split, every sub-batch a view of one copy.
+
+    :attr:`events` is that copy — the split batch's events in owner order,
+    an event on two shards once in each shard's run — and is read-only, so
+    a sub-batch parked for redelivery holds the same bytes for as long as
+    it is kept.  :attr:`spans` maps each shard to its run ``(lo, hi)`` of
+    :attr:`events`; shards ascend.
+    """
+
+    def __init__(self, events, spans: Dict[int, Tuple[int, int]]):
+        super().__init__((s, events.span(lo, hi)) for s, (lo, hi) in spans.items())
+        self.events = events
+        self.spans = spans
 
 
 def hash_shard(nodes: np.ndarray, num_shards: int, seed: int = 0) -> np.ndarray:
@@ -198,13 +214,15 @@ class ShardRouter:
 
         return owner(batch.src), owner(batch.dst)
 
-    def split_batch(self, batch, ends=None) -> Dict[int, "object"]:
+    def split_batch(self, batch, ends=None) -> SubBatches:
         """Per-shard sub-batches of the events touching each shard.
 
         An event whose endpoints live on two shards appears in both
         sub-batches; each replica applies only the endpoint rows it owns,
         so nothing is double-applied.  *ends* is ``endpoint_shards(batch)``
-        when the caller already has it; keys ascend by shard.
+        when the caller already has it; keys ascend by shard.  Each
+        sub-batch is a read-only view of one owner-ordered copy of the
+        events (:class:`SubBatches`).
         """
         src_shard, dst_shard = ends or self.endpoint_shards(batch)
         # One stable partition of (shard, event) pairs instead of a mask
@@ -213,11 +231,13 @@ class ShardRouter:
         shard = np.concatenate([src_shard, dst_shard[cross]])
         event = np.concatenate([np.arange(len(src_shard)), cross])
         order = np.lexsort((event, shard))
-        event = event[order]
-        return {
-            s: batch.take(event[a:b])
-            for s, a, b in zip(*group_spans(shard[order])) if s >= 0
-        }
+        shards, starts, stops = group_spans(shard[order])
+        # An out-of-range endpoint (shard -1) sorts first and goes nowhere.
+        skip = 1 if shards and shards[0] < 0 else 0
+        cut = stops[0] if skip else 0
+        events = batch.take(event[order[cut:]]).freeze()
+        return SubBatches(events, {s: (a - cut, b - cut) for s, a, b in
+                                   zip(shards[skip:], starts[skip:], stops[skip:])})
 
     # ---- rebalance ----------------------------------------------------------------
 

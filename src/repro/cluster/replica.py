@@ -37,7 +37,7 @@ from ..core.mailbox import Mailbox
 from ..core.memory import Memory
 from ..core.state import state_image
 from ..core.stats import declare
-from ..durable.codec import KIND_BATCH, encode_payload
+from ..durable.codec import KIND_BATCH, encode_records
 from ..durable.store import DurableStateStore
 from ..integrity.digest import ChunkedDigest, row_leaves
 from ..serve.commit import (
@@ -70,11 +70,12 @@ class Prepared(NamedTuple):
     chunks: np.ndarray
 
 
-def prepare_shards(members, batches, seq: int, epochs, parts) -> list:
+def prepare_shards(members, events: TBatch, spans, seq: int, epochs, parts) -> list:
     """Each shard's :class:`Prepared` for the commit sequenced ``seq``.
 
+    *events* holds every shard's (non-empty) sub-batch as a run of rows:
     ``members[i]`` is a serving member of shard ``i``'s group,
-    ``batches[i]`` its (non-empty) sub-batch, ``epochs[i]`` the group's
+    ``events.span(*spans[i])`` its sub-batch, ``epochs[i]`` the group's
     lease epoch and ``parts[i]`` its slice of the commit's
     :func:`~repro.serve.commit.plan_by_owner` plan (``None``: plan the
     sub-batch alone, as replay and redelivery do).  A ``Prepared`` is a
@@ -82,28 +83,37 @@ def prepare_shards(members, batches, seq: int, epochs, parts) -> list:
     common to a replica group — and of none of a member's tables or log,
     so every member logs and applies the same one.
 
-    The record and the local rows are per shard.  The written rows — each
+    Only the local rows are per shard.  Everything else is one pass over
+    the commit, each shard taking its slice: the records are encoded from
+    *events* in one :func:`~repro.durable.codec.encode_records` call, the
+    watermarks are one ``maximum.reduceat``, the written rows — each
     plan's last row per node cast to the table dtypes, which is what the
-    write copies in — are hashed for every shard in one ``row_leaves``
-    call, and each shard takes its slice: a commit's rows are hashed once,
-    not once per shard, member and table.
+    write copies in — are hashed in one ``row_leaves`` call, and the
+    chunks they fall in are one :meth:`ChunkedDigest.chunk_lists`.
     """
     if not members:
         return []
-    plans = [m.plan(b, p) for m, b, p in zip(members, batches, parts)]
+    plans = [m.plan(events.span(lo, hi)) if p is None else m.localize(p)
+             for m, (lo, hi), p in zip(members, spans, parts)]
     data, times = members[0].memory.tables()
     leaves = row_leaves(
         np.concatenate([p.win_values for p in plans]).astype(data.dtype, copy=False),
         np.concatenate([p.win_times for p in plans]).astype(times.dtype, copy=False),
     )
     stops = np.cumsum([len(p.win_nodes) for p in plans]).tolist()
+    chunks = ChunkedDigest.chunk_lists(np.concatenate([p.win_nodes for p in plans]), stops)
+    # Every run is non-empty: the maximum over [lo, hi) is entry 2i of a
+    # reduceat over the bounds, padded so that a run may end the array.
+    bounds = np.asarray(spans, dtype=np.int64).ravel()
+    marks = np.maximum.reduceat(np.append(events.ts, 0.0), bounds)[::2].tolist()
+    records = encode_records(
+        KIND_BATCH,
+        [{"seq": int(seq), "watermark": mark, "epoch": int(e)} for mark, e in zip(marks, epochs)],
+        events.to_arrays(), spans,
+    )
     return [
-        Prepared(
-            encode_payload(KIND_BATCH, {"seq": int(seq), "watermark": float(b.ts.max()),
-                                        "epoch": int(e)}, b.to_arrays()),
-            plan, leaves[a:z], m.digests.memory.chunks_of(plan.win_nodes),
-        )
-        for m, b, e, plan, a, z in zip(members, batches, epochs, plans, [0] + stops, stops)
+        Prepared(record, plan, leaves[a:z], chunk)
+        for record, plan, chunk, a, z in zip(records, plans, chunks, [0] + stops, stops)
     ]
 
 
@@ -313,28 +323,31 @@ class ShardReplica:
         """:func:`prepare_shards` of this one shard: the :class:`Prepared`
         of (non-empty) *batch* at ``(seq, epoch)``, planned over *batch*
         alone (no commit-wide plan)."""
-        return prepare_shards([self], [batch], seq, [epoch], [None])[0]
+        return prepare_shards([self], batch, [(0, len(batch))], seq, [epoch], [None])[0]
 
-    def plan(self, batch: TBatch, part: Optional[ApplyPlan] = None) -> ApplyPlan:
+    def plan(self, batch: TBatch) -> ApplyPlan:
         """The rows *batch* writes on this shard: staged, owned, deduplicated.
 
-        *part* is this shard's slice of a whole request's
-        :func:`~repro.serve.commit.plan_by_owner` plan when the coordinator
-        made one; without it the same function runs over just *batch*, so
-        respawn replay, shadow replay and redelivery write the exact rows
-        the live commit wrote, or recovery equivalence breaks.
+        The same function as a commit's: :func:`~repro.serve.commit.plan_by_owner`
+        over just *batch*, then :meth:`localize` — the coordinator localizes
+        this shard's slice of the whole request's plan instead, so respawn
+        replay, shadow replay and redelivery write the exact rows the live
+        commit wrote, or recovery equivalence breaks.
         """
-        if part is None:
-            nodes, values, times = stage_updates(batch, self.dim)
-            mine = (nodes >= 0) & (nodes < self.num_nodes)
-            mine &= self._local.take(nodes, mode="clip") >= 0
-            part = plan_by_owner(nodes, values, times, mine - 1).get(0)
-            if part is None:  # nothing here is ours: the empty plan
-                part = plan_updates(nodes[:0], values[:0], times[:0])
+        nodes, values, times = stage_updates(batch, self.dim)
+        mine = (nodes >= 0) & (nodes < self.num_nodes)
+        mine &= self._local.take(nodes, mode="clip") >= 0
+        part = plan_by_owner(nodes, values, times, mine - 1).get(0)
+        if part is None:  # nothing here is ours: the empty plan
+            part = plan_updates(nodes[:0], values[:0], times[:0])
+        return self.localize(part)
+
+    def localize(self, part: ApplyPlan) -> ApplyPlan:
+        """*part*, a plan over owned global node ids, over local rows."""
         # Ownership is sorted, so local rows ascend with the global ids
         # and the canonical order stands.
-        return part._replace(nodes=self._local[part.nodes],
-                             win_nodes=self._local[part.win_nodes])
+        return ApplyPlan(self._local[part.nodes], part.values, part.times,
+                         self._local[part.win_nodes], part.win_values, part.win_times)
 
     def apply(self, batch: TBatch, seq: int, epoch: int,
               prepared: Optional[Prepared] = None) -> bool:

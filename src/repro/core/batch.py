@@ -91,6 +91,24 @@ class TBatch:
             neg_nodes=None if self.neg_nodes is None else self.neg_nodes[index],
         )
 
+    def span(self, lo: int, hi: int) -> "TBatch":
+        """Events ``[lo, hi)`` as views of this batch's arrays: nothing is
+        copied or re-validated, and the view is read-only where this batch is."""
+        view = TBatch.__new__(TBatch)
+        view.eids, view.src, view.dst = self.eids[lo:hi], self.src[lo:hi], self.dst[lo:hi]
+        view.ts = self.ts[lo:hi]
+        view.payload = None if self.payload is None else self.payload[lo:hi]
+        view.g = self.g
+        view.neg_nodes = None if self.neg_nodes is None else self.neg_nodes[lo:hi]
+        return view
+
+    def freeze(self) -> "TBatch":
+        """Make this batch's arrays read-only (so are views of them); returns it."""
+        for array in (self.eids, self.src, self.dst, self.ts, self.payload, self.neg_nodes):
+            if array is not None:
+                array.flags.writeable = False
+        return self
+
     def sorted_by_time(self) -> "TBatch":
         """Events in canonical ``(ts, eid)`` order.
 

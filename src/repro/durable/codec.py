@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import struct
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "KIND_BATCH",
     "KIND_SNAPSHOT",
     "encode_payload",
+    "encode_records",
     "decode_payload",
     "decode_committed",
 ]
@@ -65,20 +66,40 @@ class CodecError(ValueError):
 
 def encode_payload(kind: int, meta: Dict, arrays: Dict[str, np.ndarray]) -> bytes:
     """Serialize ``(kind, meta, arrays)`` to bytes (see module layout)."""
+    return encode_records(kind, [meta], arrays)[0]
+
+
+def encode_records(kind: int, metas: Sequence[Dict], arrays: Dict[str, np.ndarray],
+                   spans: Optional[Sequence[Tuple[int, int]]] = None) -> List[bytes]:
+    """One :func:`encode_payload` record per entry of *metas*, all of *kind*.
+
+    Record ``i`` holds rows ``[lo, hi)`` of every array for ``(lo, hi) =
+    spans[i]`` — byte for byte ``encode_payload(kind, metas[i], {name:
+    array[lo:hi]})`` — or every array whole when *spans* is None.  The
+    names are sorted, and each array made contiguous, once for all records.
+    """
     if not 0 <= int(kind) <= 0xFF:
         raise ValueError(f"record kind must fit a u8, got {kind}")
-    meta_json = _META_ENCODER.encode(meta or {}).encode()
-    parts = [struct.pack("<BI", int(kind), len(meta_json)), meta_json,
-             struct.pack("<H", len(arrays))]
+    columns = []
     for name in sorted(arrays):
         value = np.asarray(arrays[name])
         if not value.flags["C_CONTIGUOUS"]:
             # (ascontiguousarray unconditionally promotes 0-d to 1-d,
             # so only call it when actually needed)
             value = np.ascontiguousarray(value)
-        parts.append(_array_head(name, value.dtype.str, value.shape, value.nbytes))
-        parts.append(value)  # joined straight from the array's buffer
-    return b"".join(parts)
+        columns.append((name, value.dtype.str, value))
+    count = struct.pack("<H", len(columns))
+    records = []
+    for meta, span in zip(metas, spans or [None] * len(metas)):
+        meta_json = _META_ENCODER.encode(meta or {}).encode()
+        parts = [struct.pack("<BI", int(kind), len(meta_json)), meta_json, count]
+        for name, dtype_str, value in columns:
+            if span is not None:
+                value = value[span[0]:span[1]]  # a row run of a C-contiguous array is one
+            parts.append(_array_head(name, dtype_str, value.shape, value.nbytes))
+            parts.append(value)  # joined straight from the array's buffer
+        records.append(b"".join(parts))
+    return records
 
 
 @lru_cache(maxsize=1024)

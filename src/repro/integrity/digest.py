@@ -197,8 +197,22 @@ class ChunkedDigest:
 
     def chunks_of(self, rows: np.ndarray) -> np.ndarray:
         """Sorted unique chunk indices containing local row indices *rows*."""
-        rows = np.asarray(rows, dtype=np.int64)
-        return np.flatnonzero(np.bincount(rows // self.CHUNK_ROWS))
+        return self.chunk_lists(rows, [len(rows)])[0]
+
+    @classmethod
+    def chunk_lists(cls, rows: np.ndarray, stops: Sequence[int]) -> List[np.ndarray]:
+        """:meth:`chunks_of` of each run ``rows[stops[i - 1]:stops[i]]``
+        (the first from 0), for every run in one ``bincount`` of
+        ``(run, chunk)`` keys."""
+        chunks = np.asarray(rows, dtype=np.int64) // cls.CHUNK_ROWS
+        width = int(chunks.max()) + 1 if len(chunks) else 1
+        starts = [0, *stops[:-1]]
+        runs = np.repeat(np.arange(0, len(stops) * width, width),
+                         [b - a for a, b in zip(starts, stops)])
+        keys = np.flatnonzero(np.bincount(runs + chunks, minlength=1))
+        cuts = np.searchsorted(keys, np.arange(0, len(stops) * width + 1, width)).tolist()
+        keys %= width
+        return [keys[a:b] for a, b in zip(cuts, cuts[1:])]
 
     # ---- hashing -------------------------------------------------------------------
 

@@ -128,13 +128,16 @@ class Dropout(Module):
 
 
 class MLP(Module):
-    """Two-layer feed-forward network with ReLU, as used in edge predictors."""
+    """Two-layer feed-forward network with ReLU and dropout on the hidden layer."""
 
-    def __init__(self, in_features: int, hidden_features: int, out_features: int, dropout: float = 0.0):
+    #: dropout probability on the hidden activations (training mode only).
+    DROPOUT = 0.1
+
+    def __init__(self, in_features: int, hidden_features: int, out_features: int):
         super().__init__()
         self.fc1 = Linear(in_features, hidden_features)
         self.fc2 = Linear(hidden_features, out_features)
-        self.drop = Dropout(dropout)
+        self.drop = Dropout(self.DROPOUT)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.fc2(self.drop(self.fc1(x).relu()))

@@ -117,8 +117,6 @@ class ContinualLearner:
             ``server_watermark - published_watermark`` exceeds this (in
             event-time units); ``0`` retrains on any new data, ``inf``
             never (frozen).
-        batch_size: fine-tuning window size (edges per optimizer step).
-        passes: sweeps over each new-edge window per retrain.
         initial_watermark: newest event time the starting model was
             pretrained through.
 
@@ -138,8 +136,6 @@ class ContinualLearner:
         num_nodes: int,
         checkpoint_dir: str,
         staleness_budget: float = 0.0,
-        batch_size: int = 64,
-        passes: int = 1,
         initial_watermark: float = float("-inf"),
     ):
         self.model = model
@@ -148,8 +144,6 @@ class ContinualLearner:
         self.num_nodes = int(num_nodes)
         self.checkpoint_dir = checkpoint_dir
         self.staleness_budget = float(staleness_budget)
-        self.batch_size = int(batch_size)
-        self.passes = int(passes)
         os.makedirs(checkpoint_dir, exist_ok=True)
         self.cursor = WALCursor(wal_dir, name=self.CURSOR_NAME)
         self._batches: List[TBatch] = []
@@ -198,16 +192,16 @@ class ContinualLearner:
                 g,
                 self.optimizer,
                 self.neg_sampler,
-                self.batch_size,
+                BATCH_SIZE,
                 checkpoint_dir=self.checkpoint_dir,
                 checkpoint_every=1_000_000,  # one anchor per fine-tune call
             )
             result = self.trainer.fine_tune(
-                self.trained_end, self._num_events, passes=self.passes
+                self.trained_end, self._num_events, passes=PASSES
             )
         else:
             result = self.trainer.fine_tune(
-                self.trained_end, self._num_events, passes=self.passes, graph=g
+                self.trained_end, self._num_events, passes=PASSES, graph=g
             )
         self.fine_tunes.append(result)
         self.trained_end = self._num_events
@@ -317,7 +311,6 @@ def run_closed_loop(
             wal_dir=wal_dir, num_nodes=num_nodes,
             checkpoint_dir=os.path.join(workdir, "learner"),
             staleness_budget=staleness_budget,
-            batch_size=BATCH_SIZE, passes=PASSES,
             initial_watermark=pretrain_watermark,
         )
 

@@ -15,7 +15,7 @@ serving backends commit a released batch by the same rule:
    written;
 2. **log** — the batch goes to the write-ahead log;
 3. **write** — the staged rows are reduced to an :class:`ApplyPlan` and
-   written through ``Memory.update`` / ``Mailbox.store``.
+   written by :func:`apply_plan`.
 
 :class:`StateCommitter` is that rule over one process's tables and one
 :class:`~repro.durable.store.DurableStateStore`;
@@ -219,16 +219,25 @@ def plan_by_owner(nodes, values, times, owner) -> Dict[int, ApplyPlan]:
 
 
 def apply_plan(plan: ApplyPlan, memory, mailbox=None) -> None:
-    """Write *plan* into *memory* (and *mailbox*): the one row-write path."""
+    """Write *plan* into *memory* (and *mailbox*): the one row-write path.
+
+    A plan's last rows name each node once, so memory and a one-slot
+    mailbox take them straight into their ``tables()`` — the bytes
+    ``Memory.update`` / ``Mailbox.store`` would write, without resolving
+    duplicates there are none of.  A ring mailbox takes every row through
+    ``Mailbox.store``, which advances the ring cursors.
+    """
     if not len(plan.nodes):
         return
-    memory.update(plan.win_nodes, plan.win_values, plan.win_times)
-    if mailbox is None:
-        return
-    if mailbox.slots == 1:
-        mailbox.store(plan.win_nodes, plan.win_values, plan.win_times)
-    else:
-        mailbox.store(plan.nodes, plan.values, plan.times)
+    tables = [memory.tables()]
+    if mailbox is not None:
+        if mailbox.slots != 1:
+            mailbox.store(plan.nodes, plan.values, plan.times)
+        else:
+            tables.append(mailbox.tables())
+    for rows, times in tables:
+        rows[plan.win_nodes] = plan.win_values
+        times[plan.win_nodes] = plan.win_times
 
 
 class StateCommitter:

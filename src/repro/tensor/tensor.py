@@ -552,38 +552,20 @@ class Tensor:
                 count *= self.data.shape[ax]
         return self.sum(dim=dim) * (1.0 / count)
 
-    def max(self, dim: Optional[int] = None, keepdim: bool = False):
-        """Max reduction; with a ``dim`` returns ``(values, indices)``."""
-        if dim is None:
-            out_data = np.asarray(self.data.max())
-            mask = self.data == out_data
-            src = self
-
-            def backward(grad: np.ndarray) -> None:
-                src._accumulate(grad * mask / max(mask.sum(), 1))
-
-            return Tensor._make(out_data, (self,), backward, self.device)
-
-        idx = self.data.argmax(axis=dim)
-        out_data = np.take_along_axis(self.data, np.expand_dims(idx, dim), axis=dim)
-        if not keepdim:
-            out_data = np.squeeze(out_data, axis=dim)
+    def max(self) -> "Tensor":
+        """Max reduction over every element (ties share the gradient)."""
+        out_data = np.asarray(self.data.max())
+        mask = self.data == out_data
         src = self
 
         def backward(grad: np.ndarray) -> None:
-            g = grad if keepdim else np.expand_dims(grad, dim)
-            full = np.zeros_like(src.data)
-            np.put_along_axis(full, np.expand_dims(idx, dim), g, axis=dim)
-            src._accumulate(full)
+            src._accumulate(grad * mask / max(mask.sum(), 1))
 
-        values = Tensor._make(out_data, (self,), backward, self.device)
-        return values, Tensor(idx.astype(np.int64), device=self.device)
+        return Tensor._make(out_data, (self,), backward, self.device)
 
-    def min(self, dim: Optional[int] = None, keepdim: bool = False):
-        if dim is None:
-            return -((-self).max())
-        values, idx = (-self).max(dim=dim, keepdim=keepdim)
-        return -values, idx
+    def min(self) -> "Tensor":
+        """Min reduction over every element."""
+        return -((-self).max())
 
     # ---- shape ops -------------------------------------------------------------------
 

@@ -17,6 +17,9 @@ They live here, not under ``src/``, so the shipped code has one path:
   them.
 * :func:`sequential_commit` — one event batch committed one endpoint row at
   a time, the state every plan (whole, per shard, replayed) has to reproduce.
+* :func:`per_shard_prepare` — a commit's fan-out the way it ran before it
+  was one owner-ordered pass: a ``take`` per shard, a plan, leaves and a
+  chunk count per shard, and every shard's record encoded on its own.
 * :func:`per_shard_gather` / :func:`per_shard_load` — a cluster request's
   scatter-gather wave and load record the way they ran before each was
   done once per request: a boolean mask per shard, and one ``bincount``
@@ -32,14 +35,18 @@ They live here, not under ``src/``, so the shipped code has one path:
 
 from __future__ import annotations
 
+import json
 import math
+import struct
 
 import numpy as np
 
 from repro.cluster import RpcTimeout
 from repro.core import Mailbox, Memory, TBlock, op as tgop
+from repro.durable.codec import KIND_BATCH
+from repro.integrity import ChunkedDigest, row_leaves
 from repro.models import APAN, JODIE, TGN
-from repro.serve import stage_updates
+from repro.serve import ApplyPlan, plan_updates, stage_updates
 from repro.serve.engine import neighbour_sum
 from repro.tensor import Tensor, cat
 from repro.tensor.segment import segment_softmax, segment_sum
@@ -184,6 +191,45 @@ def sequential_commit(batch, num_nodes: int, dim: int, slots: int):
         mem.update(np.array([node]), values[i:i + 1], np.array([time]))
         box.store(np.array([node]), values[i:i + 1], np.array([time]))
     return mem, box
+
+
+def encoded_record(kind: int, meta, arrays) -> bytes:
+    """A log record in the codec's layout, spelled out field by field."""
+    meta_json = json.dumps(meta, sort_keys=True).encode()
+    out = struct.pack("<BI", kind, len(meta_json)) + meta_json + struct.pack("<H", len(arrays))
+    for name in sorted(arrays):
+        a = np.ascontiguousarray(arrays[name])
+        name_b, dtype_b = name.encode(), a.dtype.str.encode()
+        out += struct.pack("<H", len(name_b)) + name_b + struct.pack("<H", len(dtype_b)) + dtype_b
+        out += struct.pack(f"<B{a.ndim}QQ", a.ndim, *a.shape, a.nbytes) + a.tobytes()
+    return out
+
+
+def per_shard_prepare(router, members, batch, seq: int, epochs, dim: int):
+    """``{shard: (sub-batch, record, plan, leaves, chunks, watermark)}`` of a
+    commit, one shard after the other: the events touching the shard by
+    mask, the plan of just its staged rows over its member's local rows
+    (``searchsorted`` into the sorted ownership), their leaves, the chunks
+    they fall in by ``bincount``, and the record encoded field by field."""
+    src_shard, dst_shard = router.endpoint_shards(batch)
+    owner = np.concatenate([src_shard, dst_shard])
+    nodes, values, times = stage_updates(batch, dim)
+    out = {}
+    for shard in sorted(set(owner.tolist()) - {-1}):
+        sub = batch.take(np.flatnonzero((src_shard == shard) | (dst_shard == shard)))
+        member, mine = members[shard], owner == shard
+        part = plan_updates(nodes[mine], values[mine], times[mine])
+        local = lambda ids: np.searchsorted(member.owned, ids).astype(np.int64)
+        plan = ApplyPlan(local(part.nodes), part.values, part.times,
+                         local(part.win_nodes), part.win_values, part.win_times)
+        data, stamps = member.memory.tables()
+        leaves = row_leaves(plan.win_values.astype(data.dtype), plan.win_times.astype(stamps.dtype))
+        chunks = np.flatnonzero(np.bincount(plan.win_nodes // ChunkedDigest.CHUNK_ROWS))
+        watermark = float(sub.ts.max())
+        record = encoded_record(KIND_BATCH, {"seq": seq, "watermark": watermark,
+                                             "epoch": epochs[shard]}, sub.to_arrays())
+        out[shard] = (sub, record, plan, leaves, chunks, watermark)
+    return out
 
 
 def per_shard_gather(cluster, nodes, extra: int):

@@ -204,13 +204,13 @@ def test_each_shards_slice_of_the_one_plan_is_the_plan_its_replica_makes(
                                     os.path.join(root, str(shard)), mailbox_slots=slots)
                 for shard in subs}
         # the commit's one preparation for every shard, each at its own epoch
-        joint = prepare_shards(list(reps.values()), list(subs.values()), 5,
-                               list(subs), [parts[shard] for shard in subs])
+        joint = prepare_shards(list(reps.values()), subs.events, list(subs.spans.values()),
+                               5, list(subs), [parts[shard] for shard in subs])
         for (shard, sub), prepared in zip(subs.items(), joint):
             touches = (ends[0] == shard) | (ends[1] == shard)
             assert sub.eids.tolist() == np.flatnonzero(touches).tolist()
             rep = reps[shard]
-            live = prepare_shards([rep], [sub], 5, [shard], [parts[shard]])[0]
+            live = prepare_shards([rep], sub, [(0, len(sub))], 5, [shard], [parts[shard]])[0]
             for sliced, own in zip(live[1], rep.plan(sub)):
                 assert sliced.dtype == own.dtype and np.array_equal(sliced, own)
             assert_same_prepared(prepared, live)
@@ -275,11 +275,12 @@ def test_plan_leaves_are_the_leaves_of_the_rows_written(
         reps = {shard: ShardReplica(shard, router.owned_nodes(shard), N, DIM,
                                     os.path.join(root, str(shard)), mailbox_slots=slots)
                 for shard in subs}
-        joint = prepare_shards(list(reps.values()), list(subs.values()), 0,
-                               [0] * len(subs), [parts[shard] for shard in subs])
+        joint = prepare_shards(list(reps.values()), subs.events, list(subs.spans.values()),
+                               0, [0] * len(subs), [parts[shard] for shard in subs])
         for (shard, sub), prepared in zip(subs.items(), joint):
             rep = reps[shard]
-            assert_same_prepared(prepared, prepare_shards([rep], [sub], 0, [0], [parts[shard]])[0])
+            assert_same_prepared(prepared, prepare_shards([rep], sub, [(0, len(sub))], 0, [0],
+                                                          [parts[shard]])[0])
             later = TBatch(sub.eids, sub.src, sub.dst, sub.ts + 3.0, sub.payload)
             # a commit's shared preparation, then a redelivery that prepares
             # for itself
@@ -357,7 +358,8 @@ def _ship_shared_and_check_no_alias(tmp_path, made_by):
         for seq, batch in enumerate(split_batches(stream, 24)):
             given = None
             if made_by == "commit":
-                given = prepare_shards([group.members[0]], [batch], seq, [group.epoch], [None])[0]
+                given = prepare_shards([group.members[0]], batch, [(0, len(batch))], seq,
+                                       [group.epoch], [None])[0]
             with mock.patch("repro.cluster.replica.prepare_shards",
                             wraps=prepare_shards) as made:
                 assert group.ship(batch, seq, cluster.rpc, 0.0, extra=seq,

